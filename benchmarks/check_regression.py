@@ -47,7 +47,15 @@ HEADLINE = {
         "native_wide_speedup",
         "native_wide_gbps",
     ),
-    "striped": ("min_encode_speedup", "min_repair_speedup"),
+    # Batched-pipeline speedups, plus how many times longer a Galloper
+    # file takes to read than a Reed-Solomon one (whole file, clean and
+    # with one server down): time ratios, lower is better.
+    "striped": (
+        "min_encode_speedup",
+        "min_repair_speedup",
+        "galloper_read_vs_rs",
+        "galloper_degraded_read_vs_rs",
+    ),
     # Durability campaign: agreement with the analytic Markov model plus
     # the placement / locality orderings the reliability story rests on.
     # (pyramid_vs_rs_nines_gain is recorded but not gated — at equal
@@ -82,15 +90,17 @@ BASELINES = {
     "serving": REPO_ROOT / "BENCH_serving.json",
 }
 
-#: Metrics where *smaller* is healthier (latency percentiles): the
-#: regression test is inverted — a fresh value more than ``tolerance``
-#: *above* the baseline fails, and :data:`CEILINGS` bound them
-#: absolutely the way :data:`FLOORS` bounds speedups.
+#: Metrics where *smaller* is healthier (latency percentiles, time
+#: ratios): the regression test is inverted — a fresh value more than
+#: ``tolerance`` *above* the baseline fails, and :data:`CEILINGS` bound
+#: them absolutely the way :data:`FLOORS` bounds speedups.
 LOWER_IS_BETTER = frozenset({
     "p50_zipf_galloper",
     "p99_zipf_rs",
     "p99_zipf_galloper",
     "p99_chaos_galloper",
+    "galloper_read_vs_rs",
+    "galloper_degraded_read_vs_rs",
 })
 
 #: Native-tier metrics exist only where a C toolchain (or a cached build
@@ -145,15 +155,22 @@ FLOORS = {
     "galloper_vs_rs_p99_gain": 1.0,
 }
 
-#: Absolute latency ceilings (sim seconds) for lower-is-better metrics,
-#: applied on full sweeps like :data:`FLOORS`.  Generous: the gate is
-#: the baseline comparison; ceilings only catch collapse (a hedge storm
-#: or a queueing bug inflating the tail by orders of magnitude).
+#: Absolute ceilings for lower-is-better metrics (sim seconds for the
+#: latencies), applied on full sweeps like :data:`FLOORS`.  Generous:
+#: the gate is the baseline comparison; ceilings only catch collapse (a
+#: hedge storm or a queueing bug inflating the tail by orders of
+#: magnitude).
 CEILINGS = {
     "p50_zipf_galloper": 0.05,
     "p99_zipf_rs": 0.25,
     "p99_zipf_galloper": 0.25,
     "p99_chaos_galloper": 1.0,
+    # Galloper's whole-file read makes 7 range reads per group against
+    # Reed-Solomon's 4, so 1.75 is the floor of the first ratio; a
+    # per-stripe read loop (28 calls) or a full decode where a local
+    # repair would do put them at 4-6.
+    "galloper_read_vs_rs": 2.5,
+    "galloper_degraded_read_vs_rs": 3.0,
 }
 
 
@@ -207,7 +224,7 @@ def compare(
             ceiling = CEILINGS.get(metric)
             if floors and ceiling is not None and got > ceiling:
                 failures.append(
-                    f"{name}.{metric}: {got:.4f} above absolute ceiling {ceiling:.3f}s"
+                    f"{name}.{metric}: {got:.4f} above absolute ceiling {ceiling:.3f}"
                 )
             continue
         allowed = base * (1.0 - tolerance)

@@ -16,10 +16,17 @@ stays under the kernels' small-product threshold (the regime striped
 files actually occupy: many small groups), which is precisely where
 fusing groups moves the arithmetic onto the packed gather path.
 
-End-to-end ``StripedFileSystem`` write/read/repair-server timings ride
-along as secondary fields; they include block-store CRC and placement
-work that is identical in both paths, so the pipeline-level ratios are
-the headline.
+End-to-end ``StripedFileSystem`` write/read/degraded-read/repair-server
+timings ride along; they include block-store CRC and placement work that
+is identical in both paths, so the pipeline-level ratios are the
+headline for batching.  The whole-file reads (best of
+``READ_REPS`` on a fresh filesystem, the codes alternated call by call)
+feed two more headlines, ``galloper_read_vs_rs`` and
+``galloper_degraded_read_vs_rs``: how many times longer a Galloper file
+takes to read than a Reed-Solomon one, failure-free and with one server
+down.  At this shape — blocks of 140-170 bytes, pure call overhead —
+Galloper's floor is the ratio of range reads per group (7 against 4);
+lower is better.
 
 Usage::
 
@@ -56,6 +63,18 @@ from repro.storage import (
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Top-level metrics of the trajectory file (what ``check_regression.py`` gates).
+HEADLINE_KEYS = (
+    "min_encode_speedup",
+    "min_repair_speedup",
+    "codes_at_3x",
+    "galloper_read_vs_rs",
+    "galloper_degraded_read_vs_rs",
+)
+
+#: Repetitions of each end-to-end whole-file read (fastest one is recorded).
+READ_REPS = 21
 
 CODES = {
     "rs": lambda: ReedSolomonCode(4, 2),
@@ -137,49 +156,69 @@ def bench_pipeline(name: str, code_factory, groups: int, reps: int) -> dict:
     }
 
 
-def bench_end_to_end(name: str, code_factory, groups: int) -> dict:
-    """Secondary: full StripedFileSystem write/read/repair timings."""
-    probe = code_factory()
-    stripe = _stripe_width(probe)
-    block_bytes = probe.N * stripe * probe.gf.dtype.itemsize
-    group_payload = probe.data_stripe_total * stripe * probe.gf.dtype.itemsize
-    rng = np.random.default_rng(11)
-    payload = rng.integers(
-        0, 256, size=groups * group_payload - group_payload // 2, dtype=np.uint8
-    ).tobytes()
+def _time_reads(stacks: dict, batch: bool) -> dict[str, float]:
+    """Best-of-``READ_REPS`` whole-file read per code, byte-checked first.
 
-    times: dict[str, float] = {}
+    The codes are alternated call by call, so a slow phase of the box
+    hits all of them alike and the cross-code ratios stay comparable.
+    """
+    best = dict.fromkeys(stacks, float("inf"))
+    for name, (_, _, sfs, payload) in stacks.items():
+        assert sfs.read_file("bench", batch=batch) == payload, f"{name}: read mismatch (batch={batch})"
+    for _ in range(READ_REPS):
+        for name, (_, _, sfs, _) in stacks.items():
+            t0 = time.perf_counter()
+            sfs.read_file("bench", batch=batch)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best
+
+
+def bench_end_to_end(groups: int) -> list[dict]:
+    """Full StripedFileSystem write/read/degraded-read/repair timings, one row per code."""
+    rows = {name: {"code": name, "groups": groups} for name in CODES}
     for batch in (False, True):
-        cluster = Cluster.homogeneous(max(30, 3 * probe.n))
-        dfs = DistributedFileSystem(cluster)
-        sfs = StripedFileSystem(dfs)
         tag = "batched" if batch else "per_group"
+        stacks = {}
+        for name, code_factory in CODES.items():
+            probe = code_factory()
+            stripe = _stripe_width(probe)
+            block_bytes = probe.N * stripe * probe.gf.dtype.itemsize
+            group_payload = probe.data_stripe_total * stripe * probe.gf.dtype.itemsize
+            payload = np.random.default_rng(11).integers(
+                0, 256, size=groups * group_payload - group_payload // 2, dtype=np.uint8
+            ).tobytes()
+            cluster = Cluster.homogeneous(max(30, 3 * probe.n))
+            dfs = DistributedFileSystem(cluster)
+            sfs = StripedFileSystem(dfs)
+            t0 = time.perf_counter()
+            sfs.write_file("bench", payload, code_factory, max_block_bytes=block_bytes, batch=batch)
+            rows[name][f"write_{tag}_s"] = time.perf_counter() - t0
+            stacks[name] = (cluster, dfs, sfs, payload)
 
-        t0 = time.perf_counter()
-        sfs.write_file("bench", payload, code_factory, max_block_bytes=block_bytes, batch=batch)
-        times[f"write_{tag}_s"] = time.perf_counter() - t0
+        for name, seconds in _time_reads(stacks, batch).items():
+            rows[name][f"read_{tag}_s"] = seconds
+        victims = {}
+        for name, (cluster, dfs, _, _) in stacks.items():
+            victims[name] = dfs.file("bench#g0000").server_of(0)
+            cluster.fail(victims[name])
+        for name, seconds in _time_reads(stacks, batch).items():
+            rows[name][f"degraded_read_{tag}_s"] = seconds
 
-        t0 = time.perf_counter()
-        data = sfs.read_file("bench", batch=batch)
-        times[f"read_{tag}_s"] = time.perf_counter() - t0
-        assert data == payload, f"{name}: end-to-end read mismatch (batch={batch})"
-
-        victim = dfs.file("bench#g0000").server_of(0)
-        cluster.fail(victim)
-        repair = RepairManager(dfs)
-        t0 = time.perf_counter()
-        repair.repair_server(victim, batch=batch)
-        times[f"repair_server_{tag}_s"] = time.perf_counter() - t0
-        assert sfs.read_file("bench") == payload, f"{name}: post-repair read mismatch"
-
-    return {"code": name, "groups": groups, **times}
+        for name, (_, dfs, sfs, payload) in stacks.items():
+            repair = RepairManager(dfs)
+            t0 = time.perf_counter()
+            repair.repair_server(victims[name], batch=batch)
+            rows[name][f"repair_server_{tag}_s"] = time.perf_counter() - t0
+            assert sfs.read_file("bench") == payload, f"{name}: post-repair read mismatch"
+    return list(rows.values())
 
 
 def run(quick: bool) -> dict:
     groups = 16 if quick else 64
     reps = 3 if quick else 7
     rows = [bench_pipeline(n, f, groups, reps) for n, f in CODES.items()]
-    e2e = [bench_end_to_end(n, f, groups) for n, f in CODES.items()]
+    e2e = bench_end_to_end(groups)
+    reads = {row["code"]: row for row in e2e}
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
@@ -191,6 +230,11 @@ def run(quick: bool) -> dict:
         "min_repair_speedup": min(r["repair_speedup"] for r in rows),
         "codes_at_3x": sum(
             1 for r in rows if r["encode_speedup"] >= 3.0 and r["repair_speedup"] >= 3.0
+        ),
+        # Time ratios, lower is better: the paper's code against the baseline.
+        "galloper_read_vs_rs": reads["galloper"]["read_batched_s"] / reads["rs"]["read_batched_s"],
+        "galloper_degraded_read_vs_rs": (
+            reads["galloper"]["degraded_read_batched_s"] / reads["rs"]["degraded_read_batched_s"]
         ),
         "pipeline": rows,
         "end_to_end": e2e,
@@ -223,13 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         # comparable to the full bench; append to the trajectory (the
         # regression gate reads the latest quick run from there) but
         # keep the full-run headline metrics at the top level.
-        headline = {k: previous[k] for k in ("min_encode_speedup", "min_repair_speedup", "codes_at_3x")}
+        headline = {k: previous[k] for k in HEADLINE_KEYS if k in previous}
     else:
-        headline = {
-            "min_encode_speedup": record["min_encode_speedup"],
-            "min_repair_speedup": record["min_repair_speedup"],
-            "codes_at_3x": record["codes_at_3x"],
-        }
+        headline = {k: record[k] for k in HEADLINE_KEYS}
     payload = {**headline, "runs": history}
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -244,8 +284,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  {row['code']:>9} end-to-end: write {row['write_per_group_s']:.3f}s -> "
             f"{row['write_batched_s']:.3f}s, repair server {row['repair_server_per_group_s']:.3f}s "
-            f"-> {row['repair_server_batched_s']:.3f}s"
+            f"-> {row['repair_server_batched_s']:.3f}s, read {row['read_batched_s'] * 1e3:.2f} ms, "
+            f"degraded read {row['degraded_read_batched_s'] * 1e3:.2f} ms"
         )
+    print(
+        f"  galloper vs rs: read {record['galloper_read_vs_rs']:.2f}x, "
+        f"degraded read {record['galloper_degraded_read_vs_rs']:.2f}x (time ratios, lower is better)"
+    )
 
     if record["min_encode_speedup"] < 1.0 or record["min_repair_speedup"] < 1.0:
         print("FAIL: batched pipeline slower than the per-group path", file=sys.stderr)

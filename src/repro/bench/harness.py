@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 
 
 def time_call(fn: Callable[[], object], repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock seconds for ``fn()``."""
+    """Best-of-``repeats`` wall-clock seconds for ``fn()``.
+
+    One untimed call runs first: plan compilation, table builds and the
+    native backend's load are set-up, not the operation being measured.
+    """
+    fn()
     best = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()

@@ -14,6 +14,7 @@ locality of Pyramid/Galloper codes lives).
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -146,6 +147,89 @@ class DecodePlan:
     ids: tuple[int, ...]
     rows: np.ndarray
     plan: CodingPlan
+
+
+@dataclass(frozen=True, eq=False)
+class ReadPlan:
+    """A code's stripe layout, compiled once for every read path.
+
+    A *run* is ``(block, row0, nrows, stripe0)``: rows ``row0 ..
+    row0 + nrows`` of ``block`` store file stripes ``stripe0 ..
+    stripe0 + nrows`` verbatim, so one range read and one slice
+    assignment move the whole run.  Galloper and Pyramid layouts give
+    one run per data-carrying block; the rotated-RAID baseline scatters
+    its stripes into runs of length one.
+
+    Attributes:
+        runs: maximal runs in file-stripe order; together they cover
+            every verbatim-stored file stripe exactly once.
+        starts: ``stripe0`` of each run (the bisect key of
+            :meth:`runs_within`).
+        holders: ``holders[file_stripe]`` is the ``(block, row)`` that
+            serves the stripe.  Where several blocks store one stripe
+            (replication) the highest-numbered block serves it.
+        block_runs: per block, the runs it serves — where its original
+            data goes in the stripe grid.
+    """
+
+    runs: tuple[tuple[int, int, int, int], ...]
+    starts: tuple[int, ...]
+    holders: tuple[tuple[int, int], ...]
+    block_runs: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+    @classmethod
+    def compile(cls, block_infos, total: int) -> ReadPlan:
+        """Compile the layout of ``total`` file stripes.
+
+        Raises:
+            CodeError: when some file stripe is stored verbatim by no
+                block — the read paths serve systematic codes only.
+        """
+        holders: list[tuple[int, int] | None] = [None] * total
+        for info in block_infos:
+            for row, fs in enumerate(info.file_stripes):
+                holders[fs] = (info.index, row)
+        unheld = [fs for fs, holder in enumerate(holders) if holder is None]
+        if unheld:
+            raise CodeError(f"file stripes {unheld} are stored verbatim by no block")
+        runs: list[tuple[int, int, int, int]] = []
+        for fs, (block, row) in enumerate(holders):
+            if runs:
+                b, row0, nrows, fs0 = runs[-1]
+                if b == block and row0 + nrows == row and fs0 + nrows == fs:
+                    runs[-1] = (b, row0, nrows + 1, fs0)
+                    continue
+            runs.append((block, row, 1, fs))
+        return cls(
+            runs=tuple(runs),
+            starts=tuple(r[3] for r in runs),
+            holders=tuple(holders),
+            block_runs=tuple(
+                tuple(r for r in runs if r[0] == info.index) for info in block_infos
+            ),
+        )
+
+    def holder(self, file_stripe: int) -> tuple[int, int] | None:
+        """``(block, row)`` serving a file stripe, else ``None``."""
+        if 0 <= file_stripe < len(self.holders):
+            return self.holders[file_stripe]
+        return None
+
+    def runs_within(self, start: int, stop: int):
+        """The runs covering file stripes ``[start, stop)``, clipped to it."""
+        runs = self.runs
+        for i in range(max(0, bisect_right(self.starts, start) - 1), len(runs)):
+            block, row0, nrows, fs0 = runs[i]
+            if fs0 >= stop:
+                break
+            lo, hi = max(start, fs0), min(stop, fs0 + nrows)
+            if lo < hi:
+                yield block, row0 + lo - fs0, hi - lo, lo
+
+    def scatter_block(self, block: int, rows: np.ndarray, grid: np.ndarray) -> None:
+        """Copy a block's original-data rows to their place in the stripe grid."""
+        for _, row0, nrows, fs0 in self.block_runs[block]:
+            grid[fs0 : fs0 + nrows] = rows[row0 : row0 + nrows]
 
 
 class ErasureCode(abc.ABC):
@@ -302,6 +386,20 @@ class ErasureCode(abc.ABC):
         plan = plans.get(choice)
         if plan is None:
             plan = plans[choice] = CodingPlan(self.gf, self.generator)
+        return plan
+
+    def read_plan(self) -> ReadPlan:
+        """The compiled stripe layout every read path looks stripes up in.
+
+        Built once per code instance and kept beside the coding plans:
+        the layout is fixed at construction, so it is neither evicted by
+        the LRU nor dropped by :meth:`clear_plan_cache`.
+        """
+        plan = self.__dict__.get("_read_plan")
+        if plan is None:
+            plan = self.__dict__["_read_plan"] = ReadPlan.compile(
+                self.block_infos, self.data_stripe_total
+            )
         return plan
 
     def compile_decode(self, available_ids) -> DecodePlan:

@@ -221,12 +221,6 @@ class ServingGateway:
             server, lambda: self.client.get(server, ef.name, block)
         )
 
-    def _unreadable_blocks(self, ef: EncodedFile) -> set[int]:
-        return {
-            b for b, s in ef.placement.items()
-            if self.dfs.cluster.server(s).failed or not self.dfs.store.holds(s, ef.name, b)
-        }
-
     async def _degraded_stripe(self, ef: EncodedFile, block: int, row: int) -> np.ndarray:
         """Rebuild one stripe through the block's repair group.
 
@@ -236,7 +230,7 @@ class ServingGateway:
         """
         self.metrics.add("serving_degraded_reads", 1)
         code = ef.code
-        plan = code.repair_plan(block, self._unreadable_blocks(ef) | {block})
+        plan = code.repair_plan(block, self.dfs._unreadable_blocks(ef) | {block})
         reads = [
             self.loop.create_task(self._helper_block(ef, h), name=f"helper:{h}")
             for h in plan.helpers
@@ -297,10 +291,7 @@ class ServingGateway:
         return hedge_eta < primary_eta
 
     async def _fetch_stripe(self, ef: EncodedFile, file_stripe: int) -> np.ndarray:
-        holder = self.dfs.stripe_holders(ef.name).get(file_stripe)
-        if holder is None:
-            return await self._decode_stripe_fallback(ef, file_stripe)
-        block, row = holder
+        block, row = ef.code.read_plan().holders[file_stripe]
         server = ef.server_of(block)
         if self.dfs.cluster.server(server).failed or not self.dfs.store.holds(
             server, ef.name, block
@@ -447,7 +438,7 @@ class ServingGateway:
             for block in sorted(ef.blocks_on_server(victim)):
                 lease = await self.throttle.acquire(tenant, self.config.lease_estimate)
                 try:
-                    plan = ef.code.repair_plan(block, self._unreadable_blocks(ef))
+                    plan = ef.code.repair_plan(block, self.dfs._unreadable_blocks(ef))
                     reads = [
                         self.loop.create_task(self._helper_block(ef, h), name=f"repair:{h}")
                         for h in plan.helpers

@@ -24,6 +24,23 @@ from repro.cluster.topology import Cluster
 from repro.storage.metrics import MetricsRegistry
 
 
+def _crc32(data: np.ndarray, crc: int = 0) -> int:
+    """CRC32 of an array's bytes in C order, continuing from ``crc``.
+
+    Read through the buffer protocol, so a C-contiguous array is not
+    copied, and neither is a block that is a column slice of a batched
+    encode: its rows are contiguous and chain into the same value.  Only
+    a non-contiguous row pays a ``tobytes()``.
+    """
+    if data.flags.c_contiguous:
+        return zlib.crc32(data, crc)
+    if data.ndim > 1:
+        for row in data:
+            crc = _crc32(row, crc)
+        return crc
+    return zlib.crc32(data.tobytes(), crc)
+
+
 class StorageError(RuntimeError):
     """Raised on invalid block-store operations."""
 
@@ -149,9 +166,9 @@ class BlockStore:
         payload = np.asarray(payload)
         key = (file_name, block_id)
         self._disk(server_id)[key] = payload
-        self._checksums[server_id][key] = zlib.crc32(payload.tobytes())
+        self._checksums[server_id][key] = _crc32(payload)
         rows = payload if payload.ndim == 2 else payload.reshape(1, -1)
-        self._row_checksums[server_id][key] = [zlib.crc32(r.tobytes()) for r in rows]
+        self._row_checksums[server_id][key] = [_crc32(r) for r in rows]
         self.metrics.add("disk_bytes_written", payload.nbytes, server_id)
         self.metrics.add("blocks_written", 1, server_id)
 
@@ -211,7 +228,7 @@ class BlockStore:
         self.metrics.add("read_latency", latency, server_id)
         if verify and fraction == 1.0:
             expect = self._checksums[server_id][(file_name, block_id)]
-            if zlib.crc32(np.asarray(data).tobytes()) != expect:
+            if _crc32(np.asarray(data)) != expect:
                 self.metrics.add("checksum_failures", 1, server_id)
                 raise TransientReadError(
                     f"checksum mismatch reading block ({file_name!r}, {block_id}) from server {server_id}",
@@ -252,7 +269,7 @@ class BlockStore:
         if verify:
             row_crcs = self._row_checksums[server_id][(file_name, block_id)]
             for i, row in enumerate(np.asarray(data).reshape(count, -1) if count else []):
-                if zlib.crc32(row.tobytes()) != row_crcs[start + i]:
+                if _crc32(row) != row_crcs[start + i]:
                     self.metrics.add("checksum_failures", 1, server_id)
                     raise TransientReadError(
                         f"checksum mismatch on stripe {start + i} of block "
@@ -282,7 +299,7 @@ class BlockStore:
         block = self._stored(server_id, file_name, block_id)
         self.metrics.add("disk_bytes_read", block.nbytes, server_id)
         self.metrics.add("scrub_bytes", block.nbytes, server_id)
-        return zlib.crc32(block.tobytes()) == self._checksums[server_id][(file_name, block_id)]
+        return _crc32(block) == self._checksums[server_id][(file_name, block_id)]
 
     def corrupt(self, server_id: int, file_name: str, block_id: int, offset: int = 0) -> None:
         """Flip one byte of a stored block *without* updating the checksum.

@@ -97,11 +97,7 @@ class EncodedFile:
 
     def stripe_holder(self, file_stripe: int) -> tuple[int, int] | None:
         """``(block, row)`` storing a file stripe verbatim, else ``None``."""
-        for info in self.code.block_infos:
-            for row, fs in enumerate(info.file_stripes):
-                if fs == file_stripe:
-                    return (info.index, row)
-        return None
+        return self.code.read_plan().holder(file_stripe)
 
 
 class DistributedFileSystem:
@@ -148,8 +144,6 @@ class DistributedFileSystem:
             metrics=self.metrics,
         )
         self.files: dict[str, EncodedFile] = {}
-        # Cache of (file stripe -> (block, row)) maps, built lazily.
-        self._stripe_maps: dict[str, dict[int, tuple[int, int]]] = {}
 
     # ------------------------------------------------------------ write path
 
@@ -308,16 +302,6 @@ class DistributedFileSystem:
         except KeyError:
             raise FileSystemError(f"no such file {name!r}") from None
 
-    def _stripe_map(self, name: str) -> dict[int, tuple[int, int]]:
-        if name not in self._stripe_maps:
-            ef = self.file(name)
-            mapping: dict[int, tuple[int, int]] = {}
-            for info in ef.code.block_infos:
-                for row, fs in enumerate(info.file_stripes):
-                    mapping[fs] = (info.index, row)
-            self._stripe_maps[name] = mapping
-        return self._stripe_maps[name]
-
     def stripe_holders(self, name: str) -> dict[int, tuple[int, int]]:
         """``file stripe -> (block, row)`` for every verbatim-stored stripe.
 
@@ -326,7 +310,7 @@ class DistributedFileSystem:
         is exactly the load-spreading property under test (RS confines
         data to ``k`` blocks; Galloper spreads it over all ``n``).
         """
-        return dict(self._stripe_map(name))
+        return dict(enumerate(self.file(name).code.read_plan().holders))
 
     def read_file(self, name: str) -> bytes:
         """Read a whole file back, degraded-decoding if servers are down."""
@@ -379,7 +363,7 @@ class DistributedFileSystem:
         if out is None:
             out = np.zeros((total, ef.stripe_size), dtype=ef.code.gf.dtype)
         missing = self._read_available_stripes(ef, out)
-        if missing:
+        if missing and not self._repair_missing(ef, out, missing):
             decoded = self._degraded_decode(ef)
             out[missing] = decoded[missing]
         return out
@@ -387,27 +371,90 @@ class DistributedFileSystem:
     def _read_available_stripes(self, ef: EncodedFile, out: np.ndarray) -> list[int]:
         """Fill ``out`` with directly-readable stripes; return the misses.
 
-        Rows of ``out`` whose stripe could not be read (no verbatim
-        holder, server down, retries exhausted) are left untouched and
-        their indices returned for the caller to decode — per file via
-        :meth:`_degraded_decode`, or batched across stripe groups by the
-        striped layer.
+        One range read and one slice assignment per run of the code's
+        :class:`~repro.codes.base.ReadPlan`.  Rows of ``out`` whose run
+        could not be read (server down, retries exhausted) are left
+        untouched and their indices returned for the caller to recover —
+        per file via :meth:`_repair_missing` / :meth:`_degraded_decode`,
+        or batched across stripe groups by the striped layer.
         """
-        total = ef.code.data_stripe_total
-        mapping = self._stripe_map(ef.name)
         missing: list[int] = []
-        for fs in range(total):
-            holder = mapping.get(fs)
-            if holder is None:
-                missing.append(fs)
-                continue
-            block, row = holder
-            server = ef.server_of(block)
+        for block, row0, nrows, fs0 in ef.code.read_plan().runs:
             try:
-                out[fs] = self.client.read_rows(server, ef.name, block, row, 1)[0]
+                out[fs0 : fs0 + nrows] = self.client.read_rows(
+                    ef.placement[block], ef.name, block, row0, nrows
+                )
             except BlockUnavailableError:
-                missing.append(fs)
+                missing.extend(range(fs0, fs0 + nrows))
         return missing
+
+    def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
+        """Blocks whose server is down or no longer holds them."""
+        return frozenset(
+            b
+            for b, server in ef.placement.items()
+            if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
+        )
+
+    def _plan_local_repair(self, ef: EncodedFile, missing: list[int], memo: dict):
+        """The repair plan of the one block behind ``missing``, else ``None``.
+
+        A degraded read whose missing stripes all sit in one block needs
+        that block only: its :class:`~repro.codes.base.RepairPlan` names
+        the helpers (the ``k/l`` group mates for Pyramid and Galloper),
+        far fewer rows to read and rebuild than the full decode.  ``None``
+        sends the read to :meth:`_plan_decode_blocks` and the full decode
+        instead: the stripes span several blocks, no helper set rebuilds
+        the block, or the plan names more than ``k`` helpers.  Helpers
+        are read whole, so every byte that reaches the user passed its
+        CRC, whatever ``read_fractions`` the plan carries for repair
+        accounting — which is why a plan that takes a fraction of nearly
+        every survivor (the rotated baseline) costs more here than the
+        minimal decodable subset and is declined.  ``memo`` shares plans between
+        the groups of one striped read, keyed by ``(code, block,
+        unreadable)`` — Reed-Solomon's fallback plan solves a linear
+        system every time it is asked.
+        """
+        code = ef.code
+        holders = code.read_plan().holders
+        owners = {holders[fs][0] for fs in missing}
+        if len(owners) != 1:
+            return None
+        (block,) = owners
+        unreadable = self._unreadable_blocks(ef) | {block}
+        key = (id(code), block, unreadable)
+        if key not in memo:
+            try:
+                plan = code.repair_plan(block, unreadable)
+            except DecodingError:
+                plan = None
+            memo[key] = plan if plan is not None and len(plan.helpers) <= code.k else None
+        return memo[key]
+
+    def _repair_missing(self, ef: EncodedFile, out: np.ndarray, missing: list[int]) -> bool:
+        """Recover ``missing`` by rebuilding their one block from its helpers.
+
+        Returns ``False`` — ``out`` untouched — when there is no local
+        plan or a helper cannot be read; the caller then runs the full
+        decode, which re-plans around flaky survivors.
+        """
+        plan = self._plan_local_repair(ef, missing, {})
+        if plan is None:
+            return False
+        with get_tracer().span(
+            "dfs.local_repair", category="storage", file=ef.name,
+            block=plan.target, helpers=list(plan.helpers), clock=self.clock,
+        ):
+            try:
+                available = {
+                    h: self.client.get(ef.server_of(h), ef.name, h) for h in plan.helpers
+                }
+            except BlockUnavailableError:
+                return False
+            rebuilt, _ = ef.code.reconstruct(plan.target, available, plan)
+        ef.code.read_plan().scatter_block(plan.target, rebuilt, out)
+        self.metrics.add("degraded_reads", 1)
+        return True
 
     def _degraded_decode(self, ef: EncodedFile) -> np.ndarray:
         """Decode the full stripe grid from a *minimal* set of survivors.
@@ -457,12 +504,9 @@ class DistributedFileSystem:
             DecodingError: when no reachable subset determines the data.
         """
         code = ef.code
-        reachable = []
-        for b, server in ef.placement.items():
-            if not self.cluster.server(server).failed and self.store.holds(server, ef.name, b):
-                reachable.append(b)
+        unreadable = self._unreadable_blocks(ef)
         candidates = sorted(
-            (b for b in reachable if b not in excluded),
+            (b for b in ef.placement if b not in unreadable and b not in excluded),
             key=lambda b: (
                 -code.block_infos[b].data_stripes,
                 self.health.score(ef.server_of(b)),
@@ -500,35 +544,18 @@ class DistributedFileSystem:
         total = ef.code.data_stripe_total
         if start < 0 or start + count > total:
             raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
-        mapping = self._stripe_map(name)
         out = np.zeros((count, ef.stripe_size), dtype=ef.code.gf.dtype)
-        # Group contiguous (block, row) runs to model sequential reads.
-        runs: list[tuple[int, int, int, int]] = []  # (block, row0, out0, n)
-        missing: list[int] = []
-        for i in range(count):
-            holder = mapping.get(start + i)
-            if holder is None:
-                missing.append(i)
-                continue
-            block, row = holder
-            if runs and runs[-1][0] == block and runs[-1][1] + runs[-1][3] == row and runs[-1][2] + runs[-1][3] == i:
-                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2], runs[-1][3] + 1)
-            else:
-                runs.append((block, row, i, 1))
         decoded: np.ndarray | None = None
-        for block, row0, out0, nrows in runs:
-            server = ef.server_of(block)
+        for block, row0, nrows, fs0 in ef.code.read_plan().runs_within(start, start + count):
+            lo = fs0 - start
             try:
-                out[out0 : out0 + nrows] = self.client.read_rows(server, name, block, row0, nrows)
+                out[lo : lo + nrows] = self.client.read_rows(
+                    ef.placement[block], name, block, row0, nrows
+                )
             except BlockUnavailableError:
                 if decoded is None:
                     decoded = self._degraded_decode(ef)
-                out[out0 : out0 + nrows] = decoded[start + out0 : start + out0 + nrows]
-        if missing:
-            if decoded is None:
-                decoded = self._degraded_decode(ef)
-            for i in missing:
-                out[i] = decoded[start + i]
+                out[lo : lo + nrows] = decoded[fs0 : fs0 + nrows]
         return out
 
     def read_bytes(self, name: str, offset: int, length: int) -> bytes:
@@ -561,4 +588,3 @@ class DistributedFileSystem:
         for b, server in ef.placement.items():
             self.store.drop(server, name, b)
         del self.files[name]
-        self._stripe_maps.pop(name, None)

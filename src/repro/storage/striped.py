@@ -254,13 +254,14 @@ class StripedFileSystem:
             if missing:
                 pending.append((ef, grid, missing, spill))
             else:
-                self._finish_group(ef, grid, spill, nbytes)
+                self._finish_group(ef, grid, spill)
         if pending:
             self._batch_degraded_decode(pending)
         return bytes(buf)
 
-    def _finish_group(self, ef, grid: np.ndarray, spill, nbytes: int) -> None:
+    def _finish_group(self, ef, grid: np.ndarray, spill) -> None:
         """Account a completed group; copy out of the side grid if needed."""
+        nbytes = ef.original_size * ef.code.gf.dtype.itemsize
         if spill is None:
             self.metrics.add("bytes_moved_zero_copy", nbytes)
         else:
@@ -269,13 +270,17 @@ class StripedFileSystem:
             self.metrics.add("bytes_copied", nbytes)
 
     def _batch_degraded_decode(self, pending) -> None:
-        """Decode all groups with missing stripes, fused per survivor set.
+        """Recover all groups with missing stripes, fused per failure pattern.
 
-        Groups are bucketed by ``(code instance, chosen blocks)`` — the
-        repair-storm shape, where every group lost the same server — and
-        each bucket runs as one compiled decode apply.  A group whose
-        block reads fail mid-bucket falls back to the per-file degraded
-        decode, which re-plans around flaky helpers.
+        A group that lost one block is rebuilt from that block's repair
+        helpers; groups are bucketed by ``(code instance, block,
+        helpers)`` — the repair-storm shape, where every group lost the
+        same server — and each bucket runs as one compiled reconstruct
+        apply.  Everything else (several lost blocks, no local plan) is
+        bucketed by its chosen survivor set and decoded in full, one
+        compiled decode apply per bucket.  A group whose block reads fail
+        mid-bucket falls back to the per-file degraded decode, which
+        re-plans around flaky helpers.
         """
         tracer = get_tracer()
         span = tracer.span(
@@ -287,9 +292,33 @@ class StripedFileSystem:
 
     def _batch_degraded_decode_impl(self, pending) -> None:
         dfs = self.dfs
-        buckets: dict[tuple[int, tuple[int, ...]], list] = {}
-        fallback: list = []
+        repair_plans: dict = {}
+        local: dict[tuple[int, int, tuple[int, ...]], list] = {}
+        full: list = []
         for entry in pending:
+            ef, _, missing, _ = entry
+            plan = dfs._plan_local_repair(ef, missing, repair_plans)
+            if plan is None:
+                full.append(entry)
+            else:
+                local.setdefault((id(ef.code), plan.target, plan.helpers), []).append(entry)
+        for (_, block, helpers), members in local.items():
+            good, availables = self._read_bucket(members, helpers, full)
+            if not good:
+                continue
+            code = good[0][0].code
+            rebuilt = pipeline.batch_reconstruct(
+                code, block, helpers, availables, metrics=self.metrics
+            )
+            layout = code.read_plan()
+            for (ef, grid, _, spill), rows in zip(good, rebuilt):
+                layout.scatter_block(block, rows, grid)
+                dfs.metrics.add("degraded_reads", 1)
+                self._finish_group(ef, grid, spill)
+
+        decodes: dict[tuple[int, tuple[int, ...]], list] = {}
+        fallback: list = []
+        for entry in full:
             ef = entry[0]
             try:
                 chosen = dfs._plan_decode_blocks(ef)
@@ -297,37 +326,41 @@ class StripedFileSystem:
                 # Let the per-file path raise with its richer context.
                 fallback.append(entry)
                 continue
-            buckets.setdefault((id(ef.code), tuple(sorted(chosen))), []).append((entry, chosen))
-        for (_, _ids), members in buckets.items():
-            availables = []
-            good: list = []
-            for entry, chosen in members:
-                ef = entry[0]
-                available: dict[int, np.ndarray] = {}
-                try:
-                    for b in chosen:
-                        available[b] = dfs.client.get(ef.server_of(b), ef.name, b)
-                except BlockUnavailableError:
-                    fallback.append(entry)
-                    continue
-                availables.append(available)
-                good.append(entry)
+            decodes.setdefault((id(ef.code), tuple(sorted(chosen))), []).append(entry)
+        for (_, ids), members in decodes.items():
+            good, availables = self._read_bucket(members, ids, fallback)
             if not good:
                 continue
-            code = good[0][0].code
-            decoded = pipeline.batch_decode(code, availables, metrics=self.metrics)
-            for entry, grid_out in zip(good, decoded):
-                ef, grid, missing, spill = entry
+            decoded = pipeline.batch_decode(good[0][0].code, availables, metrics=self.metrics)
+            for (ef, grid, missing, spill), grid_out in zip(good, decoded):
                 grid[missing] = grid_out[missing]
                 dfs.metrics.add("degraded_reads", 1)
-                nbytes = ef.original_size * ef.code.gf.dtype.itemsize
-                self._finish_group(ef, grid, spill, nbytes)
-        for entry in fallback:
-            ef, grid, missing, spill = entry
+                self._finish_group(ef, grid, spill)
+        for ef, grid, missing, spill in fallback:
             decoded = dfs._degraded_decode(ef)
             grid[missing] = decoded[missing]
-            nbytes = ef.original_size * ef.code.gf.dtype.itemsize
-            self._finish_group(ef, grid, spill, nbytes)
+            self._finish_group(ef, grid, spill)
+
+    def _read_bucket(self, members, blocks, failed: list) -> tuple[list, list]:
+        """Read ``blocks`` of every member group of one bucket.
+
+        Returns the groups whose reads all succeeded and their
+        ``{block: rows}`` mappings; a group with an unreadable block is
+        appended to ``failed`` for the next, more tolerant stage.
+        """
+        client = self.dfs.client
+        good: list = []
+        availables: list[dict[int, np.ndarray]] = []
+        for entry in members:
+            ef = entry[0]
+            try:
+                available = {b: client.get(ef.server_of(b), ef.name, b) for b in blocks}
+            except BlockUnavailableError:
+                failed.append(entry)
+                continue
+            good.append(entry)
+            availables.append(available)
+        return good, availables
 
     def delete_file(self, name: str) -> None:
         meta = self.file(name)

@@ -50,7 +50,7 @@ class TestFig2:
 
 class TestFig7:
     def test_encoding_shape(self):
-        t = fig7_encoding(k_values=(4, 8), block_bytes=SMALL, repeats=1)
+        t = fig7_encoding(k_values=(4, 8), block_bytes=SMALL, repeats=3)
         ks = t.column("k")
         # Time grows with k for every code.
         for name in ("rs", "pyramid", "galloper"):
@@ -61,7 +61,7 @@ class TestFig7:
             assert row["galloper"] < row["pyramid"] * 3
 
     def test_decoding_shape(self):
-        t = fig7_decoding(k_values=(4, 8), block_bytes=SMALL, repeats=1)
+        t = fig7_decoding(k_values=(4, 8), block_bytes=SMALL, repeats=3)
         # Galloper decode is the most expensive, as in the paper
         # (aggregated over k to absorb timer noise).
         assert sum(t.column("galloper")) >= sum(t.column("pyramid")) * 0.5

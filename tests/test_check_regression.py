@@ -55,6 +55,11 @@ def serving_record(**over) -> dict:
     return rec
 
 
+#: The striped file's lower-is-better read ratios, for synthetic records
+#: whose test is about the speedups.
+READ_RATIOS = {"galloper_read_vs_rs": 1.8, "galloper_degraded_read_vs_rs": 2.1}
+
+
 def slowed(record: dict, factor: float = 0.5) -> dict:
     """A copy of ``record`` with every headline ratio scaled by ``factor``."""
     out = dict(record)
@@ -76,30 +81,46 @@ class TestCompare:
         assert any("min_encode_speedup" in f for f in fails)
 
     def test_drop_within_tolerance_passes(self):
-        baseline = {"min_encode_speedup": 4.0, "min_repair_speedup": 3.0}
-        fresh = {"min_encode_speedup": 3.2, "min_repair_speedup": 2.4}  # -20%
+        baseline = {"min_encode_speedup": 4.0, "min_repair_speedup": 3.0, **READ_RATIOS}
+        fresh = {"min_encode_speedup": 3.2, "min_repair_speedup": 2.4, **READ_RATIOS}  # -20%
         assert cr.compare("striped", baseline, fresh, tolerance=0.25) == []
 
     def test_tolerance_knob(self):
-        baseline = {"min_encode_speedup": 4.0, "min_repair_speedup": 4.0}
-        fresh = {"min_encode_speedup": 3.5, "min_repair_speedup": 3.5}  # -12.5%
+        baseline = {"min_encode_speedup": 4.0, "min_repair_speedup": 4.0, **READ_RATIOS}
+        fresh = {"min_encode_speedup": 3.5, "min_repair_speedup": 3.5, **READ_RATIOS}  # -12.5%
         assert cr.compare("striped", baseline, fresh, tolerance=0.25) == []
         assert cr.compare("striped", baseline, fresh, tolerance=0.05)
 
     def test_floor_violation_despite_tolerance(self):
         # Within 25% of a weak baseline, but under the absolute 2x floor.
-        baseline = {"min_encode_speedup": 2.4, "min_repair_speedup": 2.4}
-        fresh = {"min_encode_speedup": 1.9, "min_repair_speedup": 2.1}
+        baseline = {"min_encode_speedup": 2.4, "min_repair_speedup": 2.4, **READ_RATIOS}
+        fresh = {"min_encode_speedup": 1.9, "min_repair_speedup": 2.1, **READ_RATIOS}
         fails = cr.compare("striped", baseline, fresh, tolerance=0.25)
         assert len(fails) == 1
         assert "absolute floor" in fails[0]
         assert "min_encode_speedup" in fails[0]
 
     def test_floors_skippable_for_quick_runs(self):
-        baseline = {"min_encode_speedup": 1.6, "min_repair_speedup": 2.0}
-        fresh = {"min_encode_speedup": 1.55, "min_repair_speedup": 1.9}
+        baseline = {"min_encode_speedup": 1.6, "min_repair_speedup": 2.0, **READ_RATIOS}
+        fresh = {"min_encode_speedup": 1.55, "min_repair_speedup": 1.9, **READ_RATIOS}
         assert cr.compare("striped", baseline, fresh, floors=False) == []
         assert cr.compare("striped", baseline, fresh, floors=True)
+
+    def test_galloper_read_ratios_are_gated_as_ceilings(self):
+        """The read gap cannot silently return: a slower Galloper read (a
+        larger time ratio) fails relative to the baseline, and on full runs
+        against the absolute 2.5x / 3.0x ceilings whatever the baseline says."""
+        good = {"min_encode_speedup": 4.0, "min_repair_speedup": 4.0, **READ_RATIOS}
+        assert cr.compare("striped", good, good) == []
+        regressed = {**good, "galloper_read_vs_rs": 4.0, "galloper_degraded_read_vs_rs": 4.5}
+        fails = cr.compare("striped", good, regressed)
+        assert any("galloper_read_vs_rs" in f and "lower is better" in f for f in fails)
+        assert any("galloper_degraded_read_vs_rs" in f and "lower is better" in f for f in fails)
+        stale = cr.compare("striped", regressed, regressed, floors=True)
+        assert len(stale) == 2 and all("absolute ceiling" in f for f in stale)
+        assert cr.compare("striped", regressed, regressed, floors=False) == []
+        improved = {**good, "galloper_read_vs_rs": 1.2, "galloper_degraded_read_vs_rs": 1.3}
+        assert cr.compare("striped", good, improved) == []
 
     def test_missing_metric_flagged(self, kernels_baseline):
         fresh = {k: v for k, v in kernels_baseline.items() if k != "plan_cache_speedup"}

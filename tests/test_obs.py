@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main, run_striped_stats, run_traced_striped
+from repro.cluster import Cluster
 from repro.core import GalloperCode
 from repro.obs import Tracer, profiled, use_tracer
 from repro.obs.metrics import Gauge, Histogram
 from repro.obs.profile import KernelProfiler, get_profiler
 from repro.obs.trace import NULL_TRACER, NullTracer, get_tracer, set_tracer
+from repro.storage import DistributedFileSystem, StripedFileSystem
 from repro.storage.metrics import MetricsRegistry
 
 
@@ -445,15 +447,33 @@ class TestTraceWorkload:
         # encode → place → store on the write path
         assert {"sfs.write_file", "pipeline.batch_encode", "dfs.place",
                 "dfs.store_blocks", "gf.apply"} <= names
-        # degraded read through the fused survivor decode
-        assert {"sfs.read_file", "sfs.batch_degraded_decode",
-                "pipeline.batch_decode"} <= names
+        # single-loss degraded read: the lost block rebuilt from its
+        # repair helpers, fused across groups — no full decode
+        assert {"sfs.read_file", "sfs.batch_degraded_decode"} <= names
+        (degraded,) = tracer.find("sfs.batch_degraded_decode")
+        assert any(s.parent is degraded for s in tracer.find("pipeline.batch_reconstruct"))
+        assert "pipeline.batch_decode" not in names
         # bulk repair tree: server → bulk → bucket → reads/decode/write
         assert {"repair.server", "repair.bulk", "repair.bucket",
                 "repair.helper_reads", "repair.decode", "repair.write",
                 "pipeline.batch_reconstruct"} <= names
         assert summary["degraded_reads"] > 0
         assert summary["blocks_rebuilt"] > 0
+
+    def test_two_loss_degraded_read_still_decodes_in_full(self):
+        cluster = Cluster.homogeneous(30)
+        dfs = DistributedFileSystem(cluster)
+        sfs = StripedFileSystem(dfs)
+        payload = bytes(range(256)) * 112
+        sfs.write_file("f", payload, lambda: GalloperCode(4, 2, 1), max_block_bytes=2048)
+        group0 = dfs.file("f#g0000")
+        cluster.fail(group0.server_of(0))
+        cluster.fail(group0.server_of(1))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert sfs.read_file("f") == payload
+        (degraded,) = tracer.find("sfs.batch_degraded_decode")
+        assert any(s.parent is degraded for s in tracer.find("pipeline.batch_decode"))
 
     def test_repair_tree_nesting(self, striped_trace):
         tracer, _ = striped_trace

@@ -62,6 +62,39 @@ class TestBlockStore:
         with pytest.raises(BlockUnavailableError):
             store.get(0, "ghost", 0)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("width", [234, 16_384], ids=["small", "large"])
+    @pytest.mark.parametrize("layout", ["contiguous", "column-slice", "strided-rows"])
+    def test_stored_crcs_are_the_crcs_of_the_block_bytes(self, setup, dtype, width, layout):
+        """CRCs are computed through the buffer protocol without copying the
+        block; the stored values must stay those of ``tobytes()``, whatever
+        the block's size and memory layout (a batched encode stores column
+        slices, checksummed row by row)."""
+        import zlib
+
+        _, store = setup
+        wide = np.random.default_rng(8).integers(0, 1 << 8 * np.dtype(dtype).itemsize,
+                                                 size=(7, 3 * width)).astype(dtype)
+        block = {
+            "contiguous": np.ascontiguousarray(wide[:, :width]),
+            "column-slice": wide[:, width : 2 * width],  # rows contiguous, block not
+            "strided-rows": wide[:, ::3],  # not even the rows are contiguous
+        }[layout]
+        assert block.flags.c_contiguous == (layout == "contiguous")
+        assert block[0].flags.c_contiguous == (layout != "strided-rows")
+        store.put(0, "f", 0, block)
+        assert store._checksums[0][("f", 0)] == zlib.crc32(block.tobytes())
+        assert store._row_checksums[0][("f", 0)] == [zlib.crc32(row.tobytes()) for row in block]
+        assert store.verify(0, "f", 0)
+        data, _ = store.timed_get(0, "f", 0, verify=True)
+        assert np.array_equal(data, block)
+        rows, _ = store.timed_read_rows(0, "f", 0, 2, 3, verify=True)
+        assert np.array_equal(rows, block[2:5])
+        store.corrupt(0, "f", 0, offset=3 * block.shape[1] + 5)
+        assert not store.verify(0, "f", 0)
+        with pytest.raises(BlockUnavailableError):
+            store.timed_read_rows(0, "f", 0, 2, 3, verify=True)
+
     def test_read_rows_range_checked(self, setup):
         _, store = setup
         store.put(0, "f", 0, np.zeros((3, 4), dtype=np.uint8))
