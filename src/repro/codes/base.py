@@ -402,6 +402,28 @@ class ErasureCode(abc.ABC):
             )
         return plan
 
+    def _content_key(self) -> tuple:
+        """What two interchangeable code objects have in common.
+
+        Class, field, stripes per block, generator and block layout fix
+        every product, plan and layout a code computes, so a holder of
+        many equal codes (the filesystem) can keep one and share its
+        compiled plans.  Built once per object: like the layout, the
+        generator is fixed at construction.  The key is looked up on
+        every write, so it holds only what hashes in C (ints, strings,
+        bytes and tuples of them), not the field or the ``BlockInfo``
+        dataclasses themselves.
+        """
+        key = self.__dict__.get("_content_key_cache")
+        if key is None:
+            generator = np.ascontiguousarray(self.generator)
+            key = self.__dict__["_content_key_cache"] = (
+                type(self), self.gf.q, self.gf.primitive_poly, self.N,
+                generator.shape, generator.tobytes(),
+                tuple((info.role, info.group, info.file_stripes) for info in self.block_infos),
+            )
+        return key
+
     def compile_decode(self, available_ids) -> DecodePlan:
         """Compile (or fetch from cache) the decode for one availability set.
 
@@ -533,7 +555,21 @@ class ErasureCode(abc.ABC):
         return self._fallback_plan(target, alive)
 
     def _fallback_plan(self, target: int, alive: list[int]) -> RepairPlan:
-        """Smallest prefix-greedy helper set able to express the target rows."""
+        """Smallest prefix-greedy helper set able to express the target rows.
+
+        The search runs one Gaussian elimination per candidate prefix and
+        is a pure function of the code, so the chosen helpers are kept in
+        the plan LRU under ``(target, alive)`` — ``alive`` in order,
+        because the order is the caller's preference.  A failed search is
+        not stored: it raises every time it is asked.
+        """
+        key = ("fallback", target, tuple(alive))
+        helpers = self._plan_lookup(key)
+        if helpers is None:
+            helpers = self._plan_store(key, self._search_fallback_helpers(target, alive))
+        return RepairPlan(target=target, helpers=helpers)
+
+    def _search_fallback_helpers(self, target: int, alive: list[int]) -> tuple[int, ...]:
         target_rows = self.generator[self.block_rows(target)]
         helpers: list[int] = []
         for b in alive:
@@ -545,7 +581,7 @@ class ErasureCode(abc.ABC):
                 express_rows(self.gf, target_rows, rows)
             except SingularMatrixError:
                 continue
-            return RepairPlan(target=target, helpers=tuple(helpers))
+            return tuple(helpers)
         raise DecodingError(
             f"{self.name}: block {target} cannot be reconstructed from blocks {alive}"
         )

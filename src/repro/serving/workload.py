@@ -198,10 +198,13 @@ def populate(
 ) -> None:
     """Write every tenant's catalog through the gateway.
 
-    ``make_code()`` returns a fresh code instance per file (codes carry
-    per-file weight state).  Payloads are deterministic per (tenant,
-    file) so correctness checks can regenerate expected bytes.  Pass a
-    *shared* placement policy instance (e.g. a seeded
+    ``make_code()`` is called once per file, but the filesystem keeps one
+    code object per parameter set: files whose codes have equal
+    generators and layouts share the first one written, and its compiled
+    plans.  What is per file is the placement and the stripe size.
+    Payloads are deterministic per (tenant, file) so correctness checks
+    can regenerate expected bytes.  Pass a *shared* placement policy
+    instance (e.g. a seeded
     :class:`~repro.cluster.placement.RandomPlacement`) to scatter files
     across a cluster wider than one code's ``n``.
     """

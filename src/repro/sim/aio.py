@@ -69,6 +69,10 @@ class SimFuture:
         self._exception = exc
         self._fire()
 
+    def _wake(self) -> None:
+        """``set_result(None)`` as a bound method: what a sleep timer schedules."""
+        self.set_result(None)
+
     def _fire(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
@@ -96,16 +100,28 @@ class SimTask(SimFuture):
     :class:`SimFuture` parks it until that future resolves, and
     resumptions are likewise deferred through the event heap so the
     completer's stack never nests task bodies.
+
+    A resumption is the bound :meth:`_step` scheduled under the task's
+    one event name; what to resume *with* waits on the task itself
+    (``_wake_value`` / ``_wake_exc``), so no event allocates a closure.
+    A task awaits one future at a time, so one pair of slots suffices.
     """
 
-    __slots__ = ("coro",)
+    __slots__ = ("coro", "_event_name", "_wake_value", "_wake_exc")
 
     def __init__(self, loop: "SimLoop", coro: Coroutine, name: str = ""):
         super().__init__(loop, name or getattr(coro, "__name__", "task"))
         self.coro = coro
-        loop.sim.schedule(0.0, self._step, name=f"task:{self.name}")
+        self._event_name = f"task:{self.name}"
+        self._wake_value = None
+        self._wake_exc: BaseException | None = None
+        loop.sim.schedule(0.0, self._step, self._event_name)
 
-    def _step(self, value=None, exc: BaseException | None = None) -> None:
+    def _step(self) -> None:
+        value, exc = self._wake_value, self._wake_exc
+        # Dropped before the coroutine runs: a parked or finished task
+        # must not pin the last payload it was handed.
+        self._wake_value = self._wake_exc = None
         try:
             awaited = self.coro.throw(exc) if exc is not None else self.coro.send(value)
         except StopIteration as stop:
@@ -126,12 +142,9 @@ class SimTask(SimFuture):
         awaited.add_done_callback(self._resume)
 
     def _resume(self, fut: SimFuture) -> None:
-        exc = fut.exception()
-        if exc is not None:
-            self.loop.sim.schedule(0.0, lambda: self._step(exc=exc), name=f"task:{self.name}")
-        else:
-            result = fut.result()
-            self.loop.sim.schedule(0.0, lambda: self._step(result), name=f"task:{self.name}")
+        self._wake_value = fut._result  # the pending marker when it failed; never sent
+        self._wake_exc = fut._exception
+        self.loop.sim.schedule(0.0, self._step, self._event_name)
 
 
 class SimLoop:
@@ -160,7 +173,7 @@ class SimLoop:
     def sleep(self, delay: float) -> SimFuture:
         """An awaitable that resolves ``delay`` sim-seconds from now."""
         fut = SimFuture(self, name="sleep")
-        self.sim.schedule(max(0.0, delay), lambda: fut.set_result(None), name="sleep")
+        self.sim.schedule(max(0.0, delay), fut._wake, "sleep")
         return fut
 
     def sleep_until(self, when: float) -> SimFuture:

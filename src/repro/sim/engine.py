@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.obs.trace import get_tracer
 
@@ -21,13 +20,20 @@ class SimulationError(RuntimeError):
     """Raised on invalid simulation operations (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    name: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    """Handle of one scheduled event: what ``schedule`` returns and ``cancel`` takes.
+
+    The heap holds ``(time, seq, event)`` tuples; ``seq`` is unique, so
+    ``heapq`` orders entries by comparing a float and an int in C and
+    never looks at the handle.
+    """
+
+    __slots__ = ("action", "name", "cancelled")
+
+    def __init__(self, action: Callable[[], None], name: str):
+        self.action = action
+        self.name = name
+        self.cancelled = False
 
 
 class Simulation:
@@ -51,7 +57,7 @@ class Simulation:
 
     def __init__(self):
         self._now = 0.0
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
         self._counter = itertools.count()
         self._processed = 0
         self._cancelled = 0
@@ -74,8 +80,8 @@ class Simulation:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {name or action} {delay}s in the past")
-        ev = _ScheduledEvent(time=self._now + delay, seq=next(self._counter), action=action, name=name)
-        heapq.heappush(self._heap, ev)
+        ev = _ScheduledEvent(action, name)
+        heapq.heappush(self._heap, (self._now + delay, next(self._counter), ev))
         return ev
 
     def schedule_at(self, when: float, action: Callable[[], None], name: str = "") -> _ScheduledEvent:
@@ -95,18 +101,13 @@ class Simulation:
         """Rebuild the heap without cancelled entries (O(n)).
 
         (time, seq) ordering of live events is unchanged, so FIFO
-        tie-breaking — and therefore traces — are identical.
+        tie-breaking — and therefore traces — are identical.  The list
+        is rebuilt *in place*: :meth:`run` holds it in a local while an
+        action cancels, and must keep seeing the one heap.
         """
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
-
-    def _drop_cancelled_top(self) -> None:
-        """Pop cancelled events sitting at the heap top."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
 
     def run(self, until: float | None = None) -> float:
         """Process events until the heap drains or ``until`` is reached.
@@ -114,21 +115,25 @@ class Simulation:
         Returns the simulation time afterwards.
         """
         tracer = get_tracer()
-        while self._heap:
-            self._drop_cancelled_top()
-            if not self._heap:
-                break
-            ev = self._heap[0]
-            if until is not None and ev.time > until:
+        traced = tracer.enabled
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            when, seq, ev = heap[0]
+            if ev.cancelled:
+                pop(heap)
+                self._cancelled -= 1
+                continue
+            if until is not None and when > until:
                 self._now = until
-                return self._now
-            heapq.heappop(self._heap)
-            self._now = ev.time
+                return until
+            pop(heap)
+            self._now = when
             self._processed += 1
-            if tracer.enabled:
+            if traced:
                 # One span per dispatched event: wall time measures the
                 # handler, ``t`` pins it on the simulated timeline.
-                with tracer.span(ev.name or "event", category="sim", t=ev.time, seq=ev.seq):
+                with tracer.span(ev.name or "event", category="sim", t=when, seq=seq):
                     ev.action()
             else:
                 ev.action()
@@ -142,5 +147,8 @@ class Simulation:
         O(log n) amortized: cancelled events at the top are popped (each
         paid for once), and the surviving top is the answer.
         """
-        self._drop_cancelled_top()
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None

@@ -16,6 +16,7 @@ assignment for exactly those servers, and only then constructs the code.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +145,25 @@ class DistributedFileSystem:
             metrics=self.metrics,
         )
         self.files: dict[str, EncodedFile] = {}
+        # One code object per parameter set among the files held; an
+        # entry dies with the last file (or caller) that refers to it.
+        self._codes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     # ------------------------------------------------------------ write path
+
+    def _intern_code(self, code: ErasureCode) -> ErasureCode:
+        """The code object this filesystem keeps for ``code``'s parameter set.
+
+        Equal parameters — same class, field, stripes per block,
+        generator and block layout — mean equal behaviour, so every file
+        written with them shares the first such object written here, and
+        with it one encode plan, one read plan and one LRU of decode and
+        repair plans instead of one per file.  What stays per file is
+        what :class:`EncodedFile` records: placement and stripe size.
+        Galloper codes built for different server performances have
+        different generators and never alias.
+        """
+        return self._codes.setdefault(code._content_key(), code)
 
     def write_file(
         self,
@@ -180,6 +198,7 @@ class DistributedFileSystem:
                 code = code_factory(perf)
             else:
                 servers = placement.place(self.cluster, code.n)
+        code = self._intern_code(code)
 
         payload = self._as_symbols(code, payload)
         original_size = payload.size
@@ -235,6 +254,7 @@ class DistributedFileSystem:
             code = code_factory(perf)
         else:
             servers = placement.place(self.cluster, code.n)
+        code = self._intern_code(code)
         total = code.data_stripe_total
         padded = max(total, int(np.ceil(size_bytes / total) * total))
         ef = EncodedFile(
@@ -268,6 +288,7 @@ class DistributedFileSystem:
             raise FileSystemError(
                 f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
             )
+        code = self._intern_code(code)
         placement = placement or RoundRobinPlacement()
         tracer = get_tracer()
         with tracer.span("dfs.place", category="storage", file=name):
@@ -410,10 +431,10 @@ class DistributedFileSystem:
         CRC, whatever ``read_fractions`` the plan carries for repair
         accounting — which is why a plan that takes a fraction of nearly
         every survivor (the rotated baseline) costs more here than the
-        minimal decodable subset and is declined.  ``memo`` shares plans between
-        the groups of one striped read, keyed by ``(code, block,
-        unreadable)`` — Reed-Solomon's fallback plan solves a linear
-        system every time it is asked.
+        minimal decodable subset and is declined.  ``memo`` shares the
+        verdict between the groups of one striped read, keyed by ``(code,
+        block, unreadable)``: the code remembers its fallback searches,
+        but not the ones that failed, nor the ``k``-helper rule above.
         """
         code = ef.code
         holders = code.read_plan().holders

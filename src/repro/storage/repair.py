@@ -10,6 +10,7 @@ returns byte-exact accounting plus an analytic time estimate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster
@@ -34,41 +35,63 @@ class LeaseTable:
     waits on the sim loop).  A lease is a bare expiry timestamp; holders
     may also release early by handle, which the serving path uses when a
     request finishes ahead of its estimate.
+
+    Admission asks ``count`` once per request, so nothing here walks the
+    live leases: each key keeps its expiries in a heap beside the
+    ``handle -> expiry`` dict, expired leases are popped off its top, and
+    a lease released early leaves its heap entry behind until that entry
+    surfaces.  Every lease is pushed and popped once: O(log n) amortised.
     """
 
     def __init__(self):
-        self._leases: dict[object, dict[int, float]] = {}
+        #: key -> (live ``handle -> expiry`` in grant order, heap of
+        #: ``(expiry, handle)`` holding every live lease and some dead ones).
+        self._leases: dict[object, tuple[dict[int, float], list[tuple[float, int]]]] = {}
         self._next_handle = 0
+
+    def _live(self, key, now: float) -> dict[int, float]:
+        """Live leases on ``key``, after dropping those expired by ``now``."""
+        entry = self._leases.get(key)
+        if entry is None:
+            return {}
+        held, heap = entry
+        while heap and heap[0][0] <= now:
+            held.pop(heapq.heappop(heap)[1], None)
+        return held
 
     def active(self, key, now: float) -> list[float]:
         """Expiries of live leases on ``key``, pruning the expired."""
-        held = self._leases.get(key)
-        if not held:
-            return []
-        expired = [h for h, t in held.items() if t <= now]
-        for h in expired:
-            del held[h]
-        return list(held.values())
+        return list(self._live(key, now).values())
 
     def count(self, key, now: float) -> int:
-        return len(self.active(key, now))
+        return len(self._live(key, now))
 
     def earliest(self, key, now: float) -> float | None:
         """Soonest expiry among live leases on ``key`` (None when free)."""
-        live = self.active(key, now)
-        return min(live) if live else None
+        held = self._live(key, now)
+        if not held:
+            return None
+        heap = self._leases[key][1]
+        while heap[0][1] not in held:  # released early
+            heapq.heappop(heap)
+        return heap[0][0]
 
     def grant(self, key, expiry: float) -> int:
         """Record a lease on ``key`` until ``expiry``; returns a handle."""
         self._next_handle += 1
-        self._leases.setdefault(key, {})[self._next_handle] = expiry
+        entry = self._leases.get(key)
+        if entry is None:
+            entry = self._leases[key] = ({}, [])
+        held, heap = entry
+        held[self._next_handle] = expiry
+        heapq.heappush(heap, (expiry, self._next_handle))
         return self._next_handle
 
     def release(self, key, handle: int) -> None:
         """Return a lease before its expiry (idempotent)."""
-        held = self._leases.get(key)
-        if held is not None:
-            held.pop(handle, None)
+        entry = self._leases.get(key)
+        if entry is not None:
+            entry[0].pop(handle, None)
 
 
 class RepairAdmissionController:

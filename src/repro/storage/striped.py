@@ -89,7 +89,6 @@ class StripedFileSystem:
         code_factory,
         max_block_bytes: int = 1 << 20,
         placement: PlacementPolicy | None = None,
-        share_code: bool = True,
         batch: bool = True,
     ) -> StripedFileMeta:
         """Write a payload as rotated stripe groups.
@@ -103,22 +102,23 @@ class StripedFileSystem:
             max_block_bytes: cap on each stored block's size.
             placement: base placement policy; the group index is used as
                 a rotation offset so groups land on different servers.
-            share_code: reuse one code instance for every group (the
-                default), so the compiled encode plan and any decode /
-                repair plans are built once and shared by all groups.
-                Pass ``False`` to build a fresh code per group.
             batch: encode all full groups through **one** fused kernel
-                call (requires ``share_code``) instead of one encode per
-                group; a ragged tail group rides separately.  ``False``
-                restores the per-group seed path.
+                call instead of one encode per group; a ragged tail group
+                rides separately.  ``False`` restores the per-group seed
+                path.
+
+        Every group is written with the one code object the filesystem
+        keeps for the factory's parameter set, so the compiled encode
+        plan and any decode / repair plans are built once and shared by
+        all groups — and by every other file with those parameters.
         """
         if name in self.striped:
             raise FileSystemError(f"striped file {name!r} already exists")
         data = payload if isinstance(payload, (bytes, bytearray, memoryview)) else bytes(payload)
-        probe = code_factory()
-        group_payload = probe.k * max_block_bytes
+        code = self.dfs._intern_code(code_factory())
+        group_payload = code.k * max_block_bytes
         # Align so each group's payload divides into k*N equal stripes.
-        total = probe.data_stripe_total
+        total = code.data_stripe_total
         group_payload = max(total, (group_payload // total) * total)
         group_count = max(1, -(-len(data) // group_payload))
         meta = StripedFileMeta(
@@ -132,14 +132,13 @@ class StripedFileSystem:
             bytes=len(data), groups=group_count, batch=batch,
             clock=getattr(self.dfs, "clock", None),
         ):
-            if batch and share_code and group_count > 1:
-                self._write_batched(name, data, probe, meta, placement)
+            if batch and group_count > 1:
+                self._write_batched(name, data, code, meta, placement)
             else:
                 view = memoryview(data)
                 for i in range(group_count):
                     chunk = view[i * group_payload : (i + 1) * group_payload]
-                    pol = placement or RoundRobinPlacement(offset=i * probe.n)
-                    code = probe if share_code else code_factory()
+                    pol = placement or RoundRobinPlacement(offset=i * code.n)
                     self.dfs.write_file(group_name(name, i), chunk, code=code, placement=pol)
         self.striped[name] = meta
         return meta
@@ -229,20 +228,16 @@ class StripedFileSystem:
     def _read_file(self, meta: StripedFileMeta, name: str, batch: bool) -> bytes:
         buf = bytearray(meta.original_size)
         view = memoryview(buf)
-        if not batch:
-            pos = 0
-            for g in meta.group_names():
-                pos += self.dfs.read_file_into(g, view[pos:])
-            return bytes(buf)
         pending: list[tuple[object, np.ndarray, list[int], memoryview | None]] = []
         pos = 0
         for g in meta.group_names():
             ef = self.dfs.file(g)
-            nbytes = ef.original_size * ef.code.gf.dtype.itemsize
-            target = view[pos : pos + nbytes]
-            pos += nbytes
-            aligned = ef.code.gf.q == 8 and ef.original_size == ef.padded_size
-            if aligned:
+            # A group stores one payload byte per symbol, whatever the
+            # field's width, so its share of the output is counted in
+            # symbols; only byte-wide symbols can land in it directly.
+            target = view[pos : pos + ef.original_size]
+            pos += ef.original_size
+            if ef.code.gf.q == 8 and ef.original_size == ef.padded_size:
                 grid = np.frombuffer(target, dtype=np.uint8).reshape(
                     ef.code.data_stripe_total, ef.stripe_size
                 )
@@ -250,24 +245,25 @@ class StripedFileSystem:
             else:
                 grid = np.zeros((ef.code.data_stripe_total, ef.stripe_size), dtype=ef.code.gf.dtype)
                 spill = target
-            missing = self.dfs._read_available_stripes(ef, grid)
-            if missing:
-                pending.append((ef, grid, missing, spill))
+            if batch:
+                missing = self.dfs._read_available_stripes(ef, grid)
+                if missing:
+                    pending.append((ef, grid, missing, spill))
+                    continue
             else:
-                self._finish_group(ef, grid, spill)
+                self.dfs._read_all_stripes(ef, out=grid)
+            self._finish_group(ef, grid, spill)
         if pending:
             self._batch_degraded_decode(pending)
         return bytes(buf)
 
     def _finish_group(self, ef, grid: np.ndarray, spill) -> None:
         """Account a completed group; copy out of the side grid if needed."""
-        nbytes = ef.original_size * ef.code.gf.dtype.itemsize
         if spill is None:
-            self.metrics.add("bytes_moved_zero_copy", nbytes)
+            self.metrics.add("bytes_moved_zero_copy", ef.original_size)
         else:
-            flat = grid.reshape(-1)[: ef.original_size]
-            np.frombuffer(spill, dtype=ef.code.gf.dtype)[:] = flat
-            self.metrics.add("bytes_copied", nbytes)
+            np.frombuffer(spill, dtype=np.uint8)[:] = grid.reshape(-1)[: ef.original_size]
+            self.metrics.add("bytes_copied", ef.original_size)
 
     def _batch_degraded_decode(self, pending) -> None:
         """Recover all groups with missing stripes, fused per failure pattern.

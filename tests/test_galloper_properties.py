@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.codes import LRCStructure, PyramidCode
 from repro.core import GalloperCode
+from repro.core.weights import assign_weights
 from repro.gf import random_symbols
 
 
@@ -78,7 +79,15 @@ def general_params(draw):
     # Random performance vector; the LP makes any of them feasible.
     n = k + l + g
     perf = [draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) for _ in range(n)]
+    # The LP's stripe count is cheap to compute; building and decoding an
+    # (n*N, k*N) generator is cubic in it.  About 7 % of draws need more
+    # than 64 stripes per block and 1 in 200 needs 200+ (tens of minutes);
+    # TestLargeStripeCount covers that end with one pinned vector.
+    assume(assign_weights(LRCStructure(k, l, g), perf).N <= MAX_STRIPES_PER_BLOCK)
     return k, l, g, perf
+
+
+MAX_STRIPES_PER_BLOCK = 64
 
 
 class TestGeneralCaseProperties:
@@ -120,3 +129,23 @@ class TestGeneralCaseProperties:
             ids = [b for b in range(n) if b not in lost]
             assert galloper.can_decode(ids)
             assert pyramid.can_decode(ids)
+
+
+class TestLargeStripeCount:
+    """The LP's expensive corner, pinned instead of left to the draw."""
+
+    #: Needs N = 221 stripes per block, past what ``general_params`` admits.
+    PERFORMANCES = [0.25, 1.0, 1.0, 0.25, 2.0, 2.0, 1.0]
+
+    def test_large_n_constructs_and_decodes(self):
+        k, l, g = 4, 2, 1
+        code = GalloperCode(k, l, g, performances=self.PERFORMANCES)
+        assert code.N >= 200 > MAX_STRIPES_PER_BLOCK
+        assert code.verify_systematic()
+        assert sum(code.weights) == k
+        # One symbol per stripe: the cost is the algebra, not the payload.
+        data = random_symbols(code.gf, (code.data_stripe_total, 1), seed=5)
+        blocks = code.encode(data)
+        lost = {0, 3}  # g + 1 erasures, one of them a data block of group 0
+        got = code.decode({b: blocks[b] for b in range(code.n) if b not in lost})
+        assert np.array_equal(got, data)

@@ -8,13 +8,16 @@ generator's determinism.  Every payload assertion is byte-exact against
 the deterministic :func:`file_payload` the workload uses.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cluster.placement import RandomPlacement
 from repro.cluster.topology import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
-from repro.faults.model import FaultModel, GraySlowdown
+from repro.faults.model import FaultModel, GraySlowdown, LatencySpikes
 from repro.serving import (
     FlashCrowd,
     FrequencySketch,
@@ -489,3 +492,125 @@ class TestWorkloadGenerator:
         assert res.percentile(99) == pytest.approx(0.99)
         assert res.percentile(100) == pytest.approx(1.00)
         assert WorkloadResult().percentile(99) == 0.0
+
+
+class TestPopulatedCatalogSharesPlans:
+    def test_one_code_object_and_one_plan_compile_for_the_catalog(self):
+        gateway = make_gateway(servers=7, hedge_threshold=None)
+        spec = WorkloadSpec(tenants=("alpha",), files_per_tenant=6, file_size=8192)
+        populate(gateway, spec, CODES["galloper"])  # a fresh code object per file
+        files = [gateway.dfs.file(name) for name in gateway.dfs.list_files()]
+        assert len(files) == 6
+        code = files[0].code
+        assert all(ef.code is code for ef in files)
+
+        # 7 servers, 7 blocks, round robin: block 0 of every file is on server 0.
+        gateway.dfs.cluster.fail(0)
+        before = code.plan_cache_info()
+        for i in range(spec.files_per_tenant):
+            data = run(gateway.loop, gateway.read("alpha", spec.key(i), 0, 256))
+            assert data == file_payload("alpha", i, spec.file_size)[:256]
+        after = code.plan_cache_info()
+        assert gateway.counters()["degraded_reads"] == 6
+        assert after["misses"] - before["misses"] == 1  # compiled for the first file only
+        assert after["hits"] - before["hits"] == 5
+
+
+# ------------------------------------------------------- frozen event order
+
+
+def _frozen_run(chaos: bool) -> dict:
+    """A seeded smoke-size gateway run, reduced to what must never move."""
+    fault_model = None
+    if chaos:
+        fault_model = FaultModel(
+            GraySlowdown(servers=frozenset({1}), extra_latency=0.08),
+            LatencySpikes(rate=0.01, latency=0.05),
+            seed=23,
+        )
+    cluster = Cluster.homogeneous(10)
+    gateway = ServingGateway(
+        DistributedFileSystem(cluster, fault_model=fault_model),
+        config=GatewayConfig(
+            cache_entries=16, hedge_threshold=0.005,
+            max_inflight_per_tenant=1 << 30, tenant_limits={"repair": 4},
+        ),
+    )
+    spec = WorkloadSpec(
+        tenants=("alpha", "beta"), files_per_tenant=8, clients=100, requests_per_client=2,
+        read_size=8192, file_size=65536, think_time=0.2, seed=11,
+        flash_crowd=FlashCrowd(start=0.2, end=0.4, key_index=3, fraction=0.5) if chaos else None,
+    )
+    populate(gateway, spec, CODES["galloper"], placement=RandomPlacement(seed=7))
+    loop = gateway.loop
+    repair = {}
+    if chaos:
+
+        async def repair_task():
+            repair["rebuilt"] = await gateway.repair_server(0)
+            repair["done"] = loop.now
+
+        def crash():
+            cluster.fail(0)
+            loop.create_task(repair_task(), name="repair")
+
+        loop.sim.schedule(0.2, crash, name="crash")
+    result = WorkloadGenerator(spec).run(gateway)
+    latencies = ",".join(map(repr, result.latencies))
+    return {
+        "latencies": len(result.latencies),
+        "latency_sum": sum(result.latencies),
+        "latency_sha256": hashlib.sha256(latencies.encode()).hexdigest(),
+        "failures": result.failures,
+        "events": loop.sim.events_processed,
+        "end": loop.now,
+        "repair": repair,
+        "counters": {name: value for name, value in gateway.counters().items() if value},
+    }
+
+
+class TestFrozenEventOrder:
+    """Constants recorded at the commit before the event engine's heap
+    entries, task resumption and lease table were rewritten for speed.
+
+    Every sim-clock result is a function of the order events fire in, so a
+    rewrite that keeps (time, seq) order reproduces these to the last bit:
+    the latency list (by digest), the number of events, the counters.  A
+    deliberate change to the gateway's behaviour re-records them; a change
+    to the engine must not.
+    """
+
+    def test_clean_run(self):
+        assert _frozen_run(chaos=False) == {
+            "latencies": 200,
+            "latency_sum": 0.3189805345511286,
+            "latency_sha256": "4dbf4423d9eaccf98d2f7538049d5edb11aac4feb1354aee2c368f529e860ae0",
+            "failures": 0,
+            "events": 3553,
+            "end": 1.5494610404403693,
+            "repair": {},
+            "counters": {
+                "cache_hits": 85, "cache_misses": 800, "cache_admissions": 134,
+                "cache_rejections": 664, "cache_evictions": 118, "coalesced_reads": 2,
+                "reads_ok": 200, "slo_ok": 200,
+            },
+        }
+
+    def test_crash_and_repair_tenant_under_faults(self):
+        assert _frozen_run(chaos=True) == {
+            "latencies": 200,
+            "latency_sum": 7.112422912379847,
+            "latency_sha256": "01dd7d2f6fd00a224160be3e49bc516bcc0c2043504f7baba8741b01a4ac495e",
+            "failures": 0,
+            "events": 5032,
+            "end": 5.310071787608225,
+            "repair": {"rebuilt": 12, "done": 2.2880652730589657},
+            "counters": {
+                "cache_hits": 73, "cache_misses": 812, "cache_admissions": 128,
+                "cache_rejections": 666, "cache_evictions": 112, "coalesced_reads": 18,
+                "hedges_fired": 94, "hedges_won": 91, "hedge_losers_discarded": 94,
+                "client_hedged_reads": 65, "client_hedged_losers_discarded": 65,
+                "degraded_reads": 114, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 198,
+            },
+        }
+

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine and resources."""
 
+import random
+
 import pytest
 
 from repro.sim import Simulation, SimulationError, SlotResource, ThroughputResource
@@ -158,6 +160,76 @@ class TestSimulation:
         assert log == []
         sim.run()
         assert log == ["y"]
+
+    def test_ordering_never_compares_actions(self):
+        """The heap orders (time, seq) prefixes; it must never fall through
+        to the action, whatever that object does when compared."""
+        fired = []
+
+        class Hostile:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __call__(self):
+                fired.append(self.tag)
+
+            def __lt__(self, other):
+                raise AssertionError("heap compared two actions")
+
+            __le__ = __gt__ = __ge__ = __eq__ = __lt__
+            __hash__ = None
+
+        sim = Simulation()
+        for tag in range(300):  # all at one instant: every comparison is a tie on time
+            sim.schedule(1.0, Hostile(tag), name="hostile")
+        for tag in range(300, 320):
+            sim.schedule(0.5, Hostile(tag))
+        sim.run()
+        assert fired == [*range(300, 320), *range(300)]
+
+    def test_random_schedules_fire_in_time_then_scheduling_order(self):
+        rng = random.Random(20181)
+        sim = Simulation()
+        fired = []
+        # Few distinct delays, so most events tie on time and FIFO decides.
+        delays = [rng.randrange(50) / 8 for _ in range(10_000)]
+        for seq, delay in enumerate(delays):
+            sim.schedule(delay, lambda seq=seq: fired.append((sim.now, seq)))
+        sim.run()
+        assert fired == sorted((delay, seq) for seq, delay in enumerate(delays))
+        assert sim.events_processed == 10_000
+
+    def test_cancelling_inside_an_action_compacts_mid_run(self):
+        """``run()`` keeps working on the one heap when an action cancels
+        enough events to compact it under its feet."""
+        sim = Simulation()
+        fired = []
+        doomed = [
+            sim.schedule(2.0 + i, lambda i=i: fired.append(("doomed", i)))
+            for i in range(4 * Simulation.COMPACT_MIN)
+        ]
+        survivors = [3.5, 9.25, 2.0, 400.0]
+        for when in survivors:
+            sim.schedule_at(when, lambda when=when: fired.append(("survivor", when)))
+        sizes = {}
+
+        def purge():
+            sizes["before"] = len(sim._heap)
+            for ev in doomed:
+                sim.cancel(ev)
+            sizes["after"] = len(sim._heap)
+            # Scheduled after the rebuild: lost if run() still drained the old list.
+            sim.schedule(0.5, lambda: fired.append(("late", sim.now)))
+            sim.schedule_at(9.25, lambda: fired.append(("late", sim.now)))
+
+        sim.schedule(1.0, purge)
+        sim.run()
+        assert sizes["after"] < sizes["before"] // 2  # it did compact, inside run()
+        assert fired == [
+            ("late", 1.5), ("survivor", 2.0), ("survivor", 3.5),
+            ("survivor", 9.25), ("late", 9.25), ("survivor", 400.0),
+        ]
+        assert sim.pending_events == 0
 
 
 class TestSlotResource:

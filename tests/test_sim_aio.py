@@ -240,3 +240,116 @@ class TestFirstSuccess:
         assert loop.run_until_complete(loop.create_task(main())) == (0, "fast")
         assert ("slow", 4.0) in finished
         assert ("discarded", 4.0) in finished
+
+
+class TestResumption:
+    """What a parked task is handed when the future it awaits resolves."""
+
+    def test_resumed_with_value_then_exception_then_value(self, loop):
+        # One task, three resumptions of different kinds back to back: what
+        # one resumption carried must not leak into the next.
+        gates = [loop.future(f"gate{i}") for i in range(3)]
+        seen = []
+
+        async def waiter():
+            seen.append(await gates[0])
+            try:
+                await gates[1]
+            except KeyError as exc:
+                seen.append(exc)
+            seen.append(await gates[2])
+            return "done"
+
+        task = loop.create_task(waiter(), name="waiter")
+        boom = KeyError("boom")
+        loop.sim.schedule(1.0, lambda: gates[0].set_result("first"))
+        loop.sim.schedule(2.0, lambda: gates[1].set_exception(boom))
+        loop.sim.schedule(3.0, lambda: gates[2].set_result(None))
+        assert loop.run_until_complete(task) == "done"
+        assert seen == ["first", boom, None]
+
+    def test_resumption_is_deferred_through_the_heap(self, loop):
+        # Resolving a future does not run the waiter on the resolver's
+        # stack; it schedules one event at the current instant.
+        gate = loop.future("gate")
+        order = []
+
+        async def waiter():
+            await gate
+            order.append(("waiter", loop.now))
+
+        def resolve():
+            gate.set_result(1)
+            order.append(("resolver returned", loop.now))
+
+        loop.create_task(waiter())
+        loop.sim.schedule(2.0, resolve)
+        loop.run()
+        assert order == [("resolver returned", 2.0), ("waiter", 2.0)]
+        assert loop.sim.events_processed == 3  # first step, resolve, resumption
+
+    def test_awaiting_an_already_done_future_takes_no_event(self, loop):
+        ready = loop.future("ready")
+        ready.set_result("now")
+        failed = loop.future("failed")
+        failed.set_exception(OSError("already dead"))
+
+        async def main():
+            got = await ready
+            with pytest.raises(OSError):
+                await failed
+            return got
+
+        assert loop.run_until_complete(loop.create_task(main())) == "now"
+        assert loop.sim.events_processed == 1  # the task's first step only
+
+    def test_first_success_loser_keeps_being_resumed(self, loop):
+        # The loser is parked on a sleep when the race is decided; it is
+        # still resumed, with values and with an exception, to its end.
+        trail = []
+
+        async def fails():
+            await loop.sleep(1.0)
+            raise OSError("helper gone")
+
+        async def slow():
+            await loop.sleep(2.0)
+            trail.append(("slow woke", loop.now))
+            try:
+                await loop.create_task(fails())
+            except OSError:
+                trail.append(("slow caught", loop.now))
+            await loop.sleep(0.5)
+            return "slow"
+
+        async def fast():
+            await loop.sleep(0.25)
+            return "fast"
+
+        async def main():
+            loser = loop.create_task(slow(), name="loser")
+            winner = await loop.first_success(loser, loop.create_task(fast()))
+            return winner, loser
+
+        winner, loser = loop.run_until_complete(loop.create_task(main()))
+        assert winner == (1, "fast")
+        assert loser.result() == "slow"
+        assert trail == [("slow woke", 2.0), ("slow caught", 3.0)]
+        assert loop.now == 3.5
+
+    def test_traced_event_names(self, loop):
+        from repro.obs.trace import Tracer, use_tracer
+
+        async def child():
+            await loop.sleep(1.0)
+            return 7
+
+        async def parent():
+            return await loop.create_task(child(), name="child") + 1
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert loop.run_until_complete(loop.create_task(parent(), name="parent")) == 8
+        names = [s.name for s in tracer.spans if s.category == "sim"]
+        # Two first steps, the sleep timer, then one resumption each.
+        assert names == ["task:parent", "task:child", "sleep", "task:child", "task:parent"]

@@ -239,3 +239,99 @@ class TestFileSystem:
     def test_missing_file(self, dfs):
         with pytest.raises(FileSystemError):
             dfs.read_file("ghost")
+
+
+class TestCodeInterning:
+    """One code object, and so one set of compiled plans, per parameter set."""
+
+    @pytest.fixture
+    def dfs(self):
+        return DistributedFileSystem(Cluster.homogeneous(10))
+
+    def test_equal_parameters_share_the_first_writers_object(self, dfs):
+        first, second, third = (GalloperCode(4, 2, 1) for _ in range(3))
+        a = dfs.write_file("a", payload_bytes(5_600, seed=1), code=first)
+        blocks = second.encode(np.zeros((second.data_stripe_total, 8), dtype=np.uint8))
+        b = dfs.write_encoded("b", second, blocks, original_size=blocks[0].size * 4)
+        c = dfs.write_virtual_file("c", 1 << 20, code=third)
+        d = dfs.write_file(
+            "d", payload_bytes(2_800, seed=2), code_factory=lambda perf: GalloperCode(4, 2, 1)
+        )
+        assert a.code is first  # the first writer stays canonical
+        assert b.code is first and c.code is first and d.code is first
+        assert dfs.read_file("a") == payload_bytes(5_600, seed=1)
+        assert dfs.read_file("d") == payload_bytes(2_800, seed=2)
+
+    def test_files_share_one_plan_cache(self, dfs):
+        names = [f"f{i}" for i in range(4)]
+        for i, name in enumerate(names):
+            dfs.write_file(name, payload_bytes(5_600, seed=i), code=GalloperCode(4, 2, 1))
+        code = dfs.file(names[0]).code
+        for name in names:  # the same block lost from every file
+            ef = dfs.file(name)
+            dfs.store.drop(ef.server_of(2), name, 2)
+        before = code.plan_cache_info()
+        for i, name in enumerate(names):
+            assert dfs.read_file(name) == payload_bytes(5_600, seed=i)
+        after = code.plan_cache_info()
+        # One repair plan compiled for the four files, then three hits.
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == len(names) - 1
+
+    def test_different_parameters_stay_distinct(self, dfs):
+        from repro.gf import GF65536
+
+        codes = {
+            "galloper": GalloperCode(4, 2, 1),
+            "weighted": GalloperCode(4, 2, 1, performances=[1, 1, 1, 1, 0.4, 0.4, 0.4]),
+            "wide field": GalloperCode(4, 2, 1, gf=GF65536),
+            "pyramid": PyramidCode(4, 2, 1),
+            "rs": ReedSolomonCode(4, 3),
+            "other k": GalloperCode(6, 2, 1),
+        }
+        for name, code in codes.items():
+            assert dfs.write_file(name, payload_bytes(8_400, seed=3), code=code).code is code
+        assert len({id(dfs.file(name).code) for name in codes}) == len(codes)
+        for name in codes:
+            assert dfs.read_bytes(name, 100, 3_000) == payload_bytes(8_400, seed=3)[100:3_100]
+
+    def test_code_factory_weights_never_alias(self):
+        # Same factory, different placed servers: different weights, so
+        # different generators, so different objects.
+        cluster = Cluster.heterogeneous([1, 1, 1, 1, 0.4, 0.4, 0.4, 1, 1, 1, 1, 1, 1, 1])
+        dfs = DistributedFileSystem(cluster)
+
+        def factory(perf):
+            return GalloperCode(4, 2, 1, performances=perf)
+
+        slow = dfs.write_file(
+            "slow", payload_bytes(7_000, seed=4), code_factory=factory,
+            placement=RoundRobinPlacement(offset=0),
+        )
+        even = dfs.write_file(
+            "even", payload_bytes(7_000, seed=5), code_factory=factory,
+            placement=RoundRobinPlacement(offset=7),
+        )
+        again = dfs.write_file(
+            "again", payload_bytes(7_000, seed=6), code_factory=factory,
+            placement=RoundRobinPlacement(offset=7),
+        )
+        assert slow.code is not even.code
+        assert slow.code.weights != even.code.weights
+        assert again.code is even.code
+
+    def test_two_filesystems_share_nothing(self):
+        one = DistributedFileSystem(Cluster.homogeneous(10))
+        two = DistributedFileSystem(Cluster.homogeneous(10))
+        a = one.write_file("f", payload_bytes(2_800, seed=7), code=GalloperCode(4, 2, 1))
+        b = two.write_file("f", payload_bytes(2_800, seed=7), code=GalloperCode(4, 2, 1))
+        assert a.code is not b.code
+
+    def test_a_parameter_set_is_forgotten_with_its_last_file(self, dfs):
+        import gc
+
+        dfs.write_file("f", payload_bytes(2_800, seed=8), code=GalloperCode(4, 2, 1))
+        dfs.delete_file("f")
+        gc.collect()
+        fresh = GalloperCode(4, 2, 1)
+        assert dfs.write_file("g", payload_bytes(2_800, seed=9), code=fresh).code is fresh

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.codes import PyramidCode
+from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
+from repro.gf import GF65536
 from repro.mapreduce import DataBlockInputFormat, MapReduceRuntime
 from repro.mapreduce.workloads import generate_text, wordcount_job, wordcount_reference
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
@@ -21,6 +22,10 @@ def sfs():
 
 def galloper_factory():
     return GalloperCode(4, 2, 1)
+
+
+def pyramid_factory():
+    return PyramidCode(4, 2, 1)
 
 
 class TestWriteRead:
@@ -158,14 +163,23 @@ class TestSharedPlans:
         codes = {id(sfs.dfs.file(g).code) for g in meta.group_names()}
         assert len(codes) == 1  # compiled plans shared by every group
 
-    def test_share_code_false_builds_fresh_codes(self, sfs):
-        payload = payload_bytes(300_000, seed=22)
-        sfs.write_file(
-            "f", payload, galloper_factory, max_block_bytes=16_384, share_code=False
-        )
-        meta = sfs.file("f")
-        codes = {id(sfs.dfs.file(g).code) for g in meta.group_names()}
-        assert len(codes) == meta.group_count
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_files_with_equal_parameters_share_one_code_instance(self, sfs, batch):
+        # The factory builds a fresh object per file; the filesystem keeps
+        # the first and hands it to every later group, batched or not.
+        for name, seed in (("f", 22), ("g", 24)):
+            sfs.write_file(
+                name, payload_bytes(300_000, seed=seed), galloper_factory,
+                max_block_bytes=16_384, batch=batch,
+            )
+        sfs.write_file("p", payload_bytes(300_000, seed=25), pyramid_factory, max_block_bytes=16_384)
+
+        def codes_of(name):
+            return {id(sfs.dfs.file(g).code) for g in sfs.file(name).group_names()}
+
+        assert len(codes_of("f") | codes_of("g")) == 1
+        assert codes_of("p").isdisjoint(codes_of("f"))
+        assert sfs.read_file("g") == payload_bytes(300_000, seed=24)
 
     def test_shared_code_repair_storm_hits_plan_cache(self, sfs):
         payload = payload_bytes(300_000, seed=23)
@@ -182,3 +196,30 @@ class TestSharedPlans:
         info = sfs.dfs.file(meta.group_names()[0]).code.plan_cache_info()
         assert info["misses"] >= 1
         assert info["hits"] >= meta.group_count - 1
+
+
+WIDE_FIELD_CODES = {
+    "rs": lambda: ReedSolomonCode(4, 3, gf=GF65536),
+    "pyramid": lambda: PyramidCode(4, 2, 1, gf=GF65536),
+    "galloper": lambda: GalloperCode(4, 2, 1, gf=GF65536),
+}
+
+
+class TestWideField:
+    """GF(2^16) groups hold one payload byte per 16-bit symbol; the whole-file
+    read once sized its output in bytes and its groups in symbols."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("code_name", sorted(WIDE_FIELD_CODES))
+    def test_read_file_clean_and_one_server_down(self, code_name, batch):
+        cluster = Cluster.homogeneous(9)
+        sfs = StripedFileSystem(DistributedFileSystem(cluster))
+        payload = payload_bytes(100_000, seed=31)
+        meta = sfs.write_file("f", payload, WIDE_FIELD_CODES[code_name], max_block_bytes=8192)
+        assert meta.group_count > 1  # full groups and a ragged tail
+        assert sfs.read_file("f", batch=batch) == payload
+        assert sfs.read_bytes("f", 0, len(payload)) == payload
+
+        cluster.fail(sfs.dfs.file(group_name("f", 0)).server_of(0))
+        assert sfs.read_file("f", batch=batch) == payload
+        assert sfs.dfs.metrics.total("degraded_reads") >= 1
