@@ -46,6 +46,9 @@ HEADLINE = {
         "xor_repair_speedup",
         "native_wide_speedup",
         "native_wide_gbps",
+        "crc32_native_gbps",
+        "crc32_native_vs_zlib_1mib",
+        "crc32_native_vs_zlib_2kib",
     ),
     # Batched-pipeline speedups, plus how many times longer a Galloper
     # file takes to read than a Reed-Solomon one (whole file, clean and
@@ -107,7 +110,14 @@ LOWER_IS_BETTER = frozenset({
 #: artifact) does.  When either the baseline or the fresh run reports
 #: ``native_available: false`` these are skipped rather than failed —
 #: the whole suite must stay green on compiler-less hosts.
-NATIVE_METRICS = frozenset({"native_wide_speedup", "native_wide_gbps"})
+#: The CRC-32 kernel additionally needs PCLMUL (``native_crc32_available``):
+#: an ARM host builds the library without it and skips only those.
+NATIVE_CRC32_METRICS = frozenset({
+    "crc32_native_gbps",
+    "crc32_native_vs_zlib_1mib",
+    "crc32_native_vs_zlib_2kib",
+})
+NATIVE_METRICS = frozenset({"native_wide_speedup", "native_wide_gbps"}) | NATIVE_CRC32_METRICS
 
 #: Per-family tolerance overrides.  Reliability headline values are loss
 #: statistics over seeded Monte-Carlo campaigns: deterministic for a
@@ -136,6 +146,17 @@ FLOORS = {
     # broken blocking) trips it.  Both skip on no-toolchain hosts.
     "native_wide_speedup": 2.0,
     "native_wide_gbps": 1.0,
+    # The carry-less-multiply CRC-32 must at least halve what a block
+    # store pays `zlib` to checksum 1 MiB rows (measured ~4x), and a store
+    # with it bound must read one 2 KiB row no slower than a store
+    # without: that is the guard for small verified reads (striped
+    # extents, the serving path), where the call into the library costs
+    # more than the kernel saves and the store therefore stays on `zlib`.
+    # 0.9, not 1.0: the two sides then run the same code but for one size
+    # test (0.97 measured), and two timings of the same code differ by
+    # that much on a shared box.
+    "crc32_native_vs_zlib_1mib": 2.0,
+    "crc32_native_vs_zlib_2kib": 0.9,
     # Reliability campaign floors (full sweeps only): the simulator must
     # stay within ~3x of the analytic MTTDL on the validation config,
     # topology-aware placement must keep beating random under rack
@@ -188,10 +209,15 @@ def compare(
     compiler-less host records ``native_available: false`` and is
     neither penalised for the missing metrics nor allowed to hide a
     regression behind them (availability itself is printed by ``main``).
+    The CRC-32 ones among them likewise need ``native_crc32_available``
+    on both sides.
     """
-    skip = set()
+    skip = frozenset()
     if not (baseline.get("native_available", False) and fresh.get("native_available", False)):
         skip = NATIVE_METRICS
+    elif not (baseline.get("native_crc32_available", False)
+              and fresh.get("native_crc32_available", False)):
+        skip = NATIVE_CRC32_METRICS
     failures: list[str] = []
     for metric in HEADLINE[name]:
         if metric in skip:

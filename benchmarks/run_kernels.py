@@ -33,6 +33,16 @@ Headline fields (also printed):
   over the best numpy tier and worst-case absolute GB/s of original
   payload.  Recorded only when a C toolchain is available
   (``native_available``); the regression gate skips them otherwise.
+* ``crc32_native_gbps`` / ``crc32_native_vs_zlib_1mib`` /
+  ``crc32_native_vs_zlib_2kib`` — what a ``BlockStore`` pays to checksum
+  rows with the native library's carry-less-multiply CRC-32 bound,
+  against the same store on ``zlib.crc32``: absolute GB/s and ratio on
+  1 MiB rows (worst of a contiguous block and a column slice of a
+  batched encode), and the ratio on one 2 KiB row — the call-overhead
+  guard: the store keeps such reads on ``zlib``, so this reads 1 less
+  the size test that decides it (0.97 here).
+  Recorded only when the library carries the kernel
+  (``native_crc32_available``: x86 with PCLMUL).
 """
 
 from __future__ import annotations
@@ -50,13 +60,16 @@ import numpy as np
 
 from repro.bench.experiments import (
     MB,
+    _interleaved_best,
     gf16_kernel_speedup,
     kernel_throughput,
     plan_cache_speedup,
     wide_stripe_throughput,
     xor_schedule_speedup,
 )
+from repro.cluster import Cluster
 from repro.gf import native_available, native_unavailable_reason
+from repro.storage import BlockStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -69,7 +82,50 @@ HEADLINE_KEYS = (
     "native_available",
     "native_wide_speedup",
     "native_wide_gbps",
+    "native_crc32_available",
+    "crc32_native_gbps",
+    "crc32_native_vs_zlib_1mib",
+    "crc32_native_vs_zlib_2kib",
 )
+
+
+def crc32_rows_metrics(repeats: int) -> dict:
+    """Row-checksum cost of a native-bound store against a ``zlib`` one.
+
+    Both sides run :meth:`BlockStore._row_crcs` — everything ``put`` and
+    a verified read pay per block besides bookkeeping — alternated,
+    best of ``repeats``; the values must agree.
+    """
+    native, plain = BlockStore(Cluster.homogeneous(1)), BlockStore(Cluster.homogeneous(1))
+    if native._native_row_crcs is None:
+        return {"native_crc32_available": False}
+    plain._native_row_crcs = None
+    wide = np.random.default_rng(7).integers(0, 256, size=(4, 3 * MB), dtype=np.uint8)
+    blocks = {
+        "contiguous": np.ascontiguousarray(wide[:, :MB]),
+        "column-slice": wide[:, MB : 2 * MB],
+        "one 2 KiB row": np.ascontiguousarray(wide[:1, : 2 << 10]),
+    }
+    seconds = {}
+    for label, block in blocks.items():
+        if native._row_crcs(block) != plain._row_crcs(block):
+            raise AssertionError(f"native CRC-32 disagrees with zlib on a {label} block")
+        calls = max(1, (256 << 10) // block.nbytes)  # >= 256 KiB per timing sample
+
+        def sample(store, block=block, calls=calls):
+            for _ in range(calls):
+                store._row_crcs(block)
+
+        best = _interleaved_best(lambda: sample(native), lambda: sample(plain), repeats)
+        seconds[label] = tuple(t / calls for t in best)
+    nat_t, zlib_t = max(seconds["contiguous"], seconds["column-slice"])
+    small_nat, small_zlib = seconds["one 2 KiB row"]
+    return {
+        "native_crc32_available": True,
+        "crc32_native_gbps": 4 * MB / nat_t / 1e9,
+        "crc32_native_vs_zlib_1mib": zlib_t / nat_t,
+        "crc32_native_vs_zlib_2kib": small_zlib / small_nat,
+    }
 
 
 def run(quick: bool = False) -> dict:
@@ -118,6 +174,7 @@ def run(quick: bool = False) -> dict:
     if record["native_available"]:
         record["native_wide_speedup"] = min(r["native_speedup"] for r in wide.rows)
         record["native_wide_gbps"] = min(r["native_gb_s"] for r in wide.rows)
+        record.update(crc32_rows_metrics(repeats=5 if quick else 15))
     else:
         record["native_unavailable_reason"] = native_unavailable_reason()
     return record
@@ -166,6 +223,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  native_wide_gbps    (k>=50 encode, worst-case payload): {record['native_wide_gbps']:.2f} GB/s")
     else:
         print(f"  native tier unavailable: {record.get('native_unavailable_reason', '?')}")
+    if record.get("native_crc32_available"):
+        print(
+            f"  crc32_native_gbps   (4 x 1 MiB rows, worst layout): {record['crc32_native_gbps']:.2f} GB/s"
+            f"  ({record['crc32_native_vs_zlib_1mib']:.2f}x zlib; one 2 KiB row "
+            f"{record['crc32_native_vs_zlib_2kib']:.2f}x)"
+        )
     for row in record["wide_stripe"]["rows"]:
         print(
             f"  wide k={row['k']:>3}: numpy ({row['numpy_kernel']}) {row['numpy_gb_s']:5.2f} GB/s"

@@ -53,7 +53,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.gf.field import GF, GFError
-from repro.gf.schedule import XorSchedule, predicted_win
+from repro.gf.schedule import XorSchedule, pool_budget_bytes, predicted_win
 from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
 
@@ -245,22 +245,26 @@ class CodingPlan:
         nnz = np.count_nonzero(coeffs, axis=1)
         first_nz = np.argmax(coeffs != 0, axis=1)
         is_copy = (nnz == 1) & (coeffs[np.arange(self.m), first_nz] == 1)
+        self._zero_rows = np.nonzero(nnz == 0)[0]
         self._copy_dst = np.nonzero(is_copy)[0]
         self._copy_src = first_nz[self._copy_dst]
-        # Systematic generators copy a contiguous identity block; a slice
-        # assignment moves that payload once, where fancy indexing gathers
-        # into a temporary and scatters it back out (2x the traffic — on
-        # wide stripes the copies rival the parity arithmetic).
-        self._copy_slices = None
-        if self._copy_dst.size:
-            d, s = self._copy_dst, self._copy_src
-            if np.array_equal(d, np.arange(d[0], d[0] + d.size)) and np.array_equal(
-                s, np.arange(s[0], s[0] + s.size)
-            ):
-                self._copy_slices = (
-                    slice(int(d[0]), int(d[0]) + d.size),
-                    slice(int(s[0]), int(s[0]) + s.size),
-                )
+        # Systematic generators copy identity blocks: one contiguous run
+        # (Reed-Solomon) or several (Pyramid, Galloper).  A slice
+        # assignment per run moves that payload once, where fancy indexing
+        # gathers into a temporary and scatters it back out (2x the
+        # traffic — on wide stripes the copies rival the parity
+        # arithmetic).  Only a layout with no run longer than one row (the
+        # rotated baseline) keeps fancy indexing: there a slice per row
+        # would cost more calls than it saves bytes.
+        self._copy_runs = None
+        d, s = self._copy_dst, self._copy_src
+        if d.size:
+            breaks = (np.nonzero((np.diff(d) != 1) | (np.diff(s) != 1))[0] + 1).tolist()
+            if len(breaks) + 1 < d.size or d.size == 1:
+                self._copy_runs = [
+                    (slice(int(d[lo]), int(d[lo]) + hi - lo), slice(int(s[lo]), int(s[lo]) + hi - lo))
+                    for lo, hi in zip([0, *breaks], [*breaks, d.size])
+                ]
 
         dense = np.nonzero((nnz > 0) & ~is_copy)[0]
         self._dense_dst = dense
@@ -407,12 +411,11 @@ class CodingPlan:
 
     def _compute(self, data: np.ndarray, out: np.ndarray, s: int) -> None:
         """The uninstrumented kernel body: copies, then the dense product."""
-        if self._copy_dst.size:
-            if self._copy_slices is not None:
-                dst_sl, src_sl = self._copy_slices
+        if self._copy_runs is not None:
+            for dst_sl, src_sl in self._copy_runs:
                 out[dst_sl] = data[src_sl]
-            else:
-                out[self._copy_dst] = data[self._copy_src]
+        elif self._copy_dst.size:
+            out[self._copy_dst] = data[self._copy_src]
         if not self._dense_dst.size:
             _selection_bytes["copy"] += data.nbytes + out.nbytes
             return
@@ -446,18 +449,26 @@ class CodingPlan:
     def apply_batch(
         self, segments, out: np.ndarray | None = None
     ) -> list[np.ndarray]:
-        """Apply the plan to many column-segments in one fused kernel call.
+        """Apply the plan to many column-segments sharing one output.
 
         ``segments`` is a sequence of ``(n, S_i)`` payloads sharing this
         plan's coefficient matrix — e.g. the stripe grids of every group
-        of a striped file.  They are column-concatenated once, pushed
-        through a single :meth:`apply` (one table walk, one chunk loop,
-        one set of scratch buffers instead of ``len(segments)``), and the
-        per-segment results are returned as zero-copy column views into
-        the shared ``(m, sum(S_i))`` output.
+        of a striped file.  The per-segment results are returned as
+        zero-copy column views into one ``(m, sum(S_i))`` output.
 
-        A single segment skips the concatenation entirely.  ``out`` may
-        pre-allocate the shared output buffer.
+        How a segment gets there depends on its width alone.  One that
+        already fills a kernel cache block (:meth:`_cache_block_elems`)
+        is applied where it lies, straight into its column slice: the
+        kernels split such a stripe into blocks themselves, so staging it
+        first would only add a pass over the payload.  Runs of narrower
+        segments are column-concatenated and pushed through one
+        :meth:`apply` (one table walk, one chunk loop, one set of scratch
+        buffers instead of one per segment), which is what amortises the
+        per-call cost of small stripe groups.
+
+        ``out`` may pre-allocate the shared output buffer; as with
+        :meth:`apply`, rows of an all-zero coefficient row are then left
+        as the caller set them.
         """
         segs = [np.asarray(s) for s in segments]
         if not segs:
@@ -467,17 +478,38 @@ class CodingPlan:
                 raise GFError(
                     f"apply_batch expects (n={self.n}, S) segments, got shape {s.shape}"
                 )
-        if len(segs) == 1:
-            only = self.apply(segs[0], out=out)
-            return [only]
-        stacked = np.concatenate(segs, axis=1)
-        result = self.apply(stacked, out=out)
-        views: list[np.ndarray] = []
-        off = 0
+        bounds = [0]
         for s in segs:
-            views.append(result[:, off : off + s.shape[1]])
-            off += s.shape[1]
-        return views
+            bounds.append(bounds[-1] + s.shape[1])
+        shape = (self.m, bounds[-1])
+        if out is None:
+            out = np.empty(shape, dtype=self.gf.dtype)
+            if self._zero_rows.size:
+                out[self._zero_rows] = 0
+        elif out.shape != shape or out.dtype != self.gf.dtype:
+            raise GFError(f"output buffer must be {shape} of {self.gf.dtype}")
+        wide = self._cache_block_elems()
+        i = 0
+        while i < len(segs):
+            j = i + 1
+            if segs[i].shape[1] < wide:
+                while j < len(segs) and segs[j].shape[1] < wide:
+                    j += 1
+            data = segs[i] if j == i + 1 else np.concatenate(segs[i:j], axis=1)
+            self.apply(data, out=out[:, bounds[i] : bounds[j]])
+            i = j
+        return [out[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _cache_block_elems(self) -> int:
+        """Symbols per row in one kernel cache block.
+
+        One block keeps every dense output-row segment plus the
+        streaming data row inside the shared pool budget (~L2).  The
+        native kernels split a stripe at this width; :meth:`apply_batch`
+        stops staging segments at it, for every tier alike.
+        """
+        block = pool_budget_bytes() // (self.gf.dtype.itemsize * (self._dense_dst.size + 1))
+        return max(4096, block & ~63)
 
     def _apply_dense_direct(self, data: np.ndarray, out: np.ndarray) -> None:
         """Log/antilog path for short stripes — no table build, no scratch."""
@@ -592,11 +624,7 @@ class CodingPlan:
         copy_back = out.strides[-1] != itemsize
         if copy_back:
             out_view = np.ascontiguousarray(out)
-        from repro.gf.schedule import pool_budget_bytes
-
-        m = self._dense_dst.size
-        block = pool_budget_bytes() // (itemsize * (m + 1))
-        block = max(4096, block & ~63)
+        block = self._cache_block_elems()
         if self.gf.q == 8:
             (tables,) = self._native_tables
             self._native_backend.gf8_gather(

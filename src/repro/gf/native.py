@@ -19,6 +19,12 @@ needs the two hot loops in real machine code:
   rows) executed chunk-by-chunk in C, with the same scratch-pool budget
   as the numpy executor (``REPRO_POOL_KB``).
 
+Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
+row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
+Barrett reduction).  It is compiled only where the compiler targets
+PCLMUL (:attr:`NativeBackend.has_crc32`); everywhere else the store
+stays on ``zlib.crc32``, whose values it reproduces bit for bit.
+
 The shared object is built lazily on first use: the generated C source
 is compiled with the host toolchain (``cc``/``gcc``/``clang``,
 ``-O3 -march=native`` with a portable retry) into a per-source-version
@@ -78,6 +84,9 @@ _ABI_TAG = "repro-native-1"
 
 _CDEF = """
 int repro_native_simd(void);
+int repro_native_clmul(void);
+void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                      size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                       const uint8_t *data, ptrdiff_t dstride,
                       const int32_t *cols,
@@ -101,6 +110,21 @@ void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
                     const int32_t *prog, int32_t n_insn,
                     size_t nbytes, int32_t qbits, uint32_t red);
 """
+
+
+def _crc_table_c() -> str:
+    """The 256-entry byte table of zlib's CRC-32, as C initialisers."""
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+        table.append(crc)
+    return "\n".join(
+        "    " + ", ".join(f"0x{v:08x}u" for v in table[i : i + 6]) + ","
+        for i in range(0, 256, 6)
+    )
+
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -344,7 +368,98 @@ void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
         }
     }
 }
-"""
+
+/* -------------------------------------------------------------- CRC-32 */
+
+int repro_native_clmul(void)
+{
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+#include <immintrin.h>
+
+/* zlib's CRC-32: reflected polynomial 0xEDB88320, register preset to and
+ * finally inverted with 0xffffffff.  The byte table finishes what the
+ * folding kernel leaves (tails under 16 bytes, rows under 64). */
+static const uint32_t crc_table[256] = {
+@CRC_TABLE@
+};
+
+static uint32_t crc32_bytes(uint32_t crc, const uint8_t *p, size_t n)
+{
+    while (n--) crc = crc_table[(crc ^ *p++) & 0xff] ^ (crc >> 8);
+    return crc;
+}
+
+/* Fold `a` forward by the distance encoded in `k` and absorb `next`:
+ * a.lo * k.lo ^ a.hi * k.hi ^ next (carry-less products). */
+static inline __m128i crc_fold(__m128i a, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         next);
+}
+
+/* Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
+ * bit-reflected form: four 128-bit lanes folded 512 bits at a time, then
+ * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  `crc` is the
+ * running (inverted) register; n >= 64 and a multiple of 16. */
+static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n)
+{
+    const __m128i k512 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k128 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k64 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    __m128i x0 = _mm_loadu_si128((const __m128i *)p);
+    __m128i x1 = _mm_loadu_si128((const __m128i *)(p + 16));
+    __m128i x2 = _mm_loadu_si128((const __m128i *)(p + 32));
+    __m128i x3 = _mm_loadu_si128((const __m128i *)(p + 48));
+    __m128i t;
+    x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128((int)crc));
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x0 = crc_fold(x0, k512, _mm_loadu_si128((const __m128i *)p));
+        x1 = crc_fold(x1, k512, _mm_loadu_si128((const __m128i *)(p + 16)));
+        x2 = crc_fold(x2, k512, _mm_loadu_si128((const __m128i *)(p + 32)));
+        x3 = crc_fold(x3, k512, _mm_loadu_si128((const __m128i *)(p + 48)));
+    }
+    x0 = crc_fold(x0, k128, x1);
+    x0 = crc_fold(x0, k128, x2);
+    x0 = crc_fold(x0, k128, x3);
+    for (; n >= 16; p += 16, n -= 16)
+        x0 = crc_fold(x0, k128, _mm_loadu_si128((const __m128i *)p));
+    /* 128 -> 64 bits */
+    t = _mm_clmulepi64_si128(x0, k128, 0x10);
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), t);
+    t = _mm_srli_si128(x0, 4);
+    x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0x00);
+    x0 = _mm_xor_si128(x0, t);
+    /* Barrett: 64 -> 32 bits with mu = poly.hi, P' = poly.lo */
+    t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x0, t), 1);
+}
+
+/* out[r] = zlib crc32 of the row_bytes bytes at base + r * row_stride. */
+void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                      size_t nrows, size_t row_bytes, uint32_t *out)
+{
+    size_t r;
+    for (r = 0; r < nrows; r++) {
+        const uint8_t *p = base + (ptrdiff_t)r * row_stride;
+        size_t body = row_bytes >= 64 ? row_bytes & ~(size_t)15 : 0;
+        uint32_t crc = 0xffffffffu;
+        if (body) crc = crc32_clmul(crc, p, body);
+        out[r] = ~crc32_bytes(crc, p + body, row_bytes - body);
+    }
+}
+#endif
+""".replace("@CRC_TABLE@", _crc_table_c())
 
 
 class NativeBuildError(RuntimeError):
@@ -456,6 +571,10 @@ class NativeBackend:
         self.so_path = so_path
         #: 2 when the library was compiled with AVX2, 1 for plain C.
         self.simd_level = int(lib.repro_native_simd())
+        #: Whether the library carries the PCLMULQDQ CRC-32 kernel
+        #: (:meth:`crc32_rows`); without it callers stay on ``zlib``.
+        self.has_crc32 = bool(lib.repro_native_clmul())
+        self._crc_out = ffi.typeof("uint32_t[]")
 
     # ------------------------------------------------------------ helpers
 
@@ -512,6 +631,27 @@ class NativeBackend:
             self._ptr("const int32_t *", prog), prog.size // INSN_WORDS,
             nbytes, qbits, red,
         )
+
+    def crc32_rows(self, rows: np.ndarray) -> list[int]:
+        """``[zlib.crc32(row) for row in rows]`` of a 2-D array in one C call.
+
+        Rows are read in place when they are contiguous, whatever the
+        row stride (a column slice of a batched encode); anything else
+        is copied first.  Only valid when :attr:`has_crc32`.
+        """
+        if rows.ndim != 2:
+            raise ValueError(f"crc32_rows expects a 2-D array, got shape {rows.shape}")
+        ffi = self._ffi
+        n, width = rows.shape
+        if rows.flags.c_contiguous:
+            base = ffi.from_buffer(rows)
+        else:
+            if rows.strides[1] != rows.itemsize:
+                rows = np.ascontiguousarray(rows)
+            base = ffi.from_buffer(rows[0])
+        out = ffi.new(self._crc_out, n)
+        self._lib.repro_crc32_rows(base, rows.strides[0], n, width * rows.itemsize, out)
+        return ffi.unpack(out, n)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         simd = "avx2" if self.simd_level >= 2 else "scalar"

@@ -25,7 +25,9 @@ class _ScheduledEvent:
 
     The heap holds ``(time, seq, event)`` tuples; ``seq`` is unique, so
     ``heapq`` orders entries by comparing a float and an int in C and
-    never looks at the handle.
+    never looks at the handle.  ``cancelled`` means the handle no longer
+    stands for a heap entry that will fire: it was cancelled, or it has
+    been dispatched — either way :meth:`Simulation.cancel` ignores it.
     """
 
     __slots__ = ("action", "name", "cancelled")
@@ -128,6 +130,7 @@ class Simulation:
                 self._now = until
                 return until
             pop(heap)
+            ev.cancelled = True  # spent: a late cancel() must not count it
             self._now = when
             self._processed += 1
             if traced:

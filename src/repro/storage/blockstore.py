@@ -12,6 +12,14 @@ corrupted data, or take longer.  The ``timed_*`` read variants report the
 simulated latency (base disk transfer time plus injected delay) and can
 verify returned payloads against write-time checksums, turning silent
 corruption into a retryable error for the resilient client above.
+
+Integrity is one store of per-stripe-row CRC-32s (``zlib``'s polynomial
+and values), written in the single pass :meth:`BlockStore.put` makes
+over a block; a whole block verifies as "every row matches".  Where the
+native kernel library carries its carry-less-multiply CRC kernel, row
+runs large enough to repay the call go through it in one C call;
+everything else, and every host without it, uses ``zlib.crc32`` — the
+stored values are the same either way.
 """
 
 from __future__ import annotations
@@ -21,24 +29,24 @@ import zlib
 import numpy as np
 
 from repro.cluster.topology import Cluster
+from repro.gf.native import get_backend
 from repro.storage.metrics import MetricsRegistry
 
+#: Row runs shorter than this stay on ``zlib``: a call into the native
+#: library costs about a microsecond before its first byte, which
+#: ``zlib`` spends checksumming ~4 KiB.
+_NATIVE_CRC_MIN_BYTES = 8 << 10
 
-def _crc32(data: np.ndarray, crc: int = 0) -> int:
-    """CRC32 of an array's bytes in C order, continuing from ``crc``.
 
-    Read through the buffer protocol, so a C-contiguous array is not
-    copied, and neither is a block that is a column slice of a batched
-    encode: its rows are contiguous and chain into the same value.  Only
-    a non-contiguous row pays a ``tobytes()``.
+def _zlib_row_crcs(rows: np.ndarray) -> list[int]:
+    """CRC-32 of each row of a 2-D array, through the buffer protocol.
+
+    Contiguous rows are not copied, whatever the row stride (a block
+    that is a column slice of a batched encode).
     """
-    if data.flags.c_contiguous:
-        return zlib.crc32(data, crc)
-    if data.ndim > 1:
-        for row in data:
-            crc = _crc32(row, crc)
-        return crc
-    return zlib.crc32(data.tobytes(), crc)
+    if rows.strides[1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    return [zlib.crc32(row) for row in rows]
 
 
 class StorageError(RuntimeError):
@@ -102,17 +110,18 @@ class BlockStore:
         self._disks: dict[int, dict[tuple[str, int], np.ndarray]] = {
             s.server_id: {} for s in cluster
         }
-        # CRC32 of every stored block, written once at put() time; the
-        # scrubber compares stored data against these to catch silent
+        # CRC-32 of every stripe row of every stored block, written once
+        # at put() time (the analog of HDFS's per-chunk checksum file).
+        # Verified reads check the rows they return against these; the
+        # scrubber checks all of a block's rows to catch silent
         # corruption (bit rot, torn writes).
-        self._checksums: dict[int, dict[tuple[str, int], int]] = {
-            s.server_id: {} for s in cluster
-        }
-        # Per-stripe-row CRCs, so partial reads can be verified too (the
-        # analog of HDFS's per-chunk checksum file).
         self._row_checksums: dict[int, dict[tuple[str, int], list[int]]] = {
             s.server_id: {} for s in cluster
         }
+        backend = get_backend()
+        self._native_row_crcs = (
+            backend.crc32_rows if backend is not None and backend.has_crc32 else None
+        )
         # Fault-injection hook: a FaultModel plus the clock that scopes
         # its time-windowed components.  None = clean hardware.
         self.fault_model = None
@@ -166,11 +175,35 @@ class BlockStore:
         payload = np.asarray(payload)
         key = (file_name, block_id)
         self._disk(server_id)[key] = payload
-        self._checksums[server_id][key] = _crc32(payload)
-        rows = payload if payload.ndim == 2 else payload.reshape(1, -1)
-        self._row_checksums[server_id][key] = [_crc32(r) for r in rows]
+        self._row_checksums[server_id][key] = self._row_crcs(payload)
         self.metrics.add("disk_bytes_written", payload.nbytes, server_id)
         self.metrics.add("blocks_written", 1, server_id)
+
+    # ------------------------------------------------------------- integrity
+
+    def _row_crcs(self, data: np.ndarray) -> list[int]:
+        """CRC-32 of each stripe row; a block that is not 2-D is one row."""
+        rows = data if data.ndim == 2 else data.reshape(1, -1)
+        if self._native_row_crcs is not None and rows.nbytes >= _NATIVE_CRC_MIN_BYTES:
+            return self._native_row_crcs(rows)
+        return _zlib_row_crcs(rows)
+
+    def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
+        """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""
+        got = self._row_crcs(np.asarray(data))
+        expect = self._row_checksums[server_id][(file_name, block_id)][start : start + len(got)]
+        if got == expect:
+            return
+        bad = next((i for i, (g, e) in enumerate(zip(got, expect)) if g != e), len(expect))
+        self.metrics.add("checksum_failures", 1, server_id)
+        raise TransientReadError(
+            f"checksum mismatch on stripe {start + bad} of block "
+            f"({file_name!r}, {block_id}) from server {server_id}",
+            server=server_id,
+            file=file_name,
+            block=block_id,
+            cause="checksum",
+        )
 
     # ------------------------------------------------------------ fault path
 
@@ -211,9 +244,11 @@ class BlockStore:
     ) -> tuple[np.ndarray, float]:
         """Read one block; returns ``(data, simulated latency seconds)``.
 
-        With ``verify=True`` the returned payload is checked against the
-        write-time CRC; a mismatch raises :class:`TransientReadError`
-        (``cause="checksum"``) since a retry will read the intact copy.
+        With ``verify=True`` every row of the returned payload — the
+        whole block, whatever ``fraction`` the accounting is charged for
+        — is checked against its write-time CRC; a mismatch raises
+        :class:`TransientReadError` (``cause="checksum"``) since a retry
+        will read the intact copy.
         """
         self._check_up(server_id, file_name, block_id)
         block = self._stored(server_id, file_name, block_id)
@@ -226,17 +261,8 @@ class BlockStore:
         # Full content returned; accounting reflects the fraction.
         data, latency = self._faulted(server_id, file_name, block_id, block, view.nbytes)
         self.metrics.add("read_latency", latency, server_id)
-        if verify and fraction == 1.0:
-            expect = self._checksums[server_id][(file_name, block_id)]
-            if _crc32(np.asarray(data)) != expect:
-                self.metrics.add("checksum_failures", 1, server_id)
-                raise TransientReadError(
-                    f"checksum mismatch reading block ({file_name!r}, {block_id}) from server {server_id}",
-                    server=server_id,
-                    file=file_name,
-                    block=block_id,
-                    cause="checksum",
-                )
+        if verify:
+            self._check_rows(server_id, file_name, block_id, data, 0)
         return data, latency
 
     def get(self, server_id: int, file_name: str, block_id: int, fraction: float = 1.0) -> np.ndarray:
@@ -255,7 +281,9 @@ class BlockStore:
         """Read ``count`` stripes starting at ``start``; returns ``(rows, latency)``.
 
         ``verify=True`` checks each returned stripe against its per-row
-        write-time CRC (the HDFS per-chunk checksum analog).
+        write-time CRC (the HDFS per-chunk checksum analog).  A block
+        that is not 2-D is a single checksummed stripe: only a read of
+        all of it verifies.
         """
         self._check_up(server_id, file_name, block_id)
         block = self._stored(server_id, file_name, block_id)
@@ -267,18 +295,7 @@ class BlockStore:
         data, latency = self._faulted(server_id, file_name, block_id, view, view.nbytes)
         self.metrics.add("read_latency", latency, server_id)
         if verify:
-            row_crcs = self._row_checksums[server_id][(file_name, block_id)]
-            for i, row in enumerate(np.asarray(data).reshape(count, -1) if count else []):
-                if _crc32(row) != row_crcs[start + i]:
-                    self.metrics.add("checksum_failures", 1, server_id)
-                    raise TransientReadError(
-                        f"checksum mismatch on stripe {start + i} of block "
-                        f"({file_name!r}, {block_id}) from server {server_id}",
-                        server=server_id,
-                        file=file_name,
-                        block=block_id,
-                        cause="checksum",
-                    )
+            self._check_rows(server_id, file_name, block_id, data, start)
         return data, latency
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
@@ -287,7 +304,7 @@ class BlockStore:
         return data
 
     def verify(self, server_id: int, file_name: str, block_id: int) -> bool:
-        """Check a stored block against its write-time checksum.
+        """Check every row of a stored block against its write-time checksum.
 
         Returns False on mismatch (silent corruption).  Raises
         :class:`BlockUnavailableError` when the block cannot be read at
@@ -299,7 +316,7 @@ class BlockStore:
         block = self._stored(server_id, file_name, block_id)
         self.metrics.add("disk_bytes_read", block.nbytes, server_id)
         self.metrics.add("scrub_bytes", block.nbytes, server_id)
-        return _crc32(block) == self._checksums[server_id][(file_name, block_id)]
+        return self._row_crcs(block) == self._row_checksums[server_id][(file_name, block_id)]
 
     def corrupt(self, server_id: int, file_name: str, block_id: int, offset: int = 0) -> None:
         """Flip one byte of a stored block *without* updating the checksum.
@@ -318,7 +335,6 @@ class BlockStore:
     def drop(self, server_id: int, file_name: str, block_id: int) -> None:
         """Remove a block (post-repair cleanup or deliberate loss)."""
         self._disk(server_id).pop((file_name, block_id), None)
-        self._checksums[server_id].pop((file_name, block_id), None)
         self._row_checksums[server_id].pop((file_name, block_id), None)
 
     def drop_server(self, server_id: int) -> int:
@@ -326,7 +342,6 @@ class BlockStore:
         disk = self._disk(server_id)
         lost = len(disk)
         disk.clear()
-        self._checksums[server_id].clear()
         self._row_checksums[server_id].clear()
         return lost
 

@@ -311,9 +311,12 @@ class DistributedFileSystem:
 
     @staticmethod
     def _as_symbols(code: ErasureCode, payload) -> np.ndarray:
+        """The payload as a flat symbol array — a view of it when the dtype
+        already matches.  Safe because only the encode's own output is
+        stored: nothing kept aliases the caller's buffer."""
         if isinstance(payload, (bytes, bytearray, memoryview)):
-            return np.frombuffer(bytes(payload), dtype=np.uint8).astype(code.gf.dtype)
-        return np.asarray(payload).reshape(-1).astype(code.gf.dtype)
+            payload = np.frombuffer(payload, dtype=np.uint8)
+        return np.asarray(payload).reshape(-1).astype(code.gf.dtype, copy=False)
 
     # ------------------------------------------------------------- read path
 

@@ -99,6 +99,38 @@ class TestPrimitives:
                 assert np.array_equal(out, blk[target])
                 assert np.array_equal(out, code.reconstruct(target, available, plan)[0])
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_wide_and_narrow_groups_in_one_batch(self, name, make, traced, monkeypatch):
+        """Groups wider than a kernel cache block are coded in place into the
+        shared output, narrower ones staged first; encode, decode and
+        reconstruct stay byte-identical to the per-group calls, and the
+        blocks they return are column slices the store can checksum."""
+        from repro.obs.trace import Tracer, use_tracer
+
+        monkeypatch.setenv("REPRO_POOL_KB", "64")  # cache block <= 32 768 symbols
+        code = make()
+        grids = make_grids(code, [40_000, 64, 0, 33_000, 31, 35_000])
+        per_group = [code.encode(g) for g in grids]
+        target = 0
+        plan = code.repair_plan(target)
+        survivors = [b for b in range(code.n) if b != target]
+        with use_tracer(Tracer() if traced else None):
+            batched = pipeline.batch_encode(code, grids)
+            decoded = pipeline.batch_decode(
+                code, [{b: blk[b] for b in survivors} for blk in batched]
+            )
+            rebuilt = pipeline.batch_reconstruct(
+                code, target, plan.helpers, [{h: blk[h] for h in plan.helpers} for blk in batched]
+            )
+        for grid, want, got, dec, reb in zip(grids, per_group, batched, decoded, rebuilt):
+            assert np.array_equal(got, want)
+            assert np.array_equal(dec, grid)
+            assert np.array_equal(reb, want[target])
+        store = DistributedFileSystem(Cluster.homogeneous(1)).store
+        store.put(0, "wide", 0, batched[0][1])
+        assert not batched[0][1].flags.c_contiguous or code.N == 1
+        assert store.verify(0, "wide", 0)
+
     def test_single_segment_short_circuits(self, name, make):
         code = make()
         (grid,) = make_grids(code, [33])

@@ -250,6 +250,29 @@ class TestNativeMetricsSkip:
         fails = cr.compare("kernels", kernels_baseline, broken)
         assert any("native_wide_gbps" in f and "absolute floor" in f for f in fails)
 
+    def test_library_without_the_crc_kernel_skips_only_the_crc_metrics(self, kernels_baseline):
+        # An ARM host: native tier built, PCLMUL CRC-32 not in it.
+        assert kernels_baseline.get("native_crc32_available") is True
+        fresh = {k: v for k, v in kernels_baseline.items() if k not in cr.NATIVE_CRC32_METRICS}
+        fresh["native_crc32_available"] = False
+        assert cr.compare("kernels", kernels_baseline, fresh) == []
+        assert cr.compare("kernels", fresh, kernels_baseline) == []
+        fresh["native_wide_gbps"] = 0.5  # the rest of the native tier is still watched
+        assert any("native_wide_gbps" in f for f in cr.compare("kernels", kernels_baseline, fresh))
+
+    @pytest.mark.parametrize(
+        "metric,value",
+        [("crc32_native_vs_zlib_1mib", 1.6), ("crc32_native_vs_zlib_2kib", 0.8)],
+    )
+    def test_crc_floor_violations(self, kernels_baseline, metric, value):
+        # Under 2x zlib on 1 MiB rows; or a wrapper that makes one small
+        # verified read slower than zlib alone.
+        broken = dict(kernels_baseline)
+        broken[metric] = value
+        fails = cr.compare("kernels", broken, broken)
+        assert any(metric in f and "absolute floor" in f for f in fails)
+        assert cr.compare("kernels", broken, broken, floors=False) == []
+
 
 class TestBaselineRecord:
     def test_full_run_uses_top_level(self, striped_baseline):

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gf.kernels as kernels_mod
-from repro.codes import PyramidCode, ReedSolomonCode
+from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.codes.base import DecodingError
+from repro.core import GalloperCode
 from repro.gf import (
     GF256,
     GF65536,
@@ -22,6 +23,7 @@ from repro.gf import (
     GFError,
     mat_data_product,
     mat_data_product_reference,
+    native_available,
     random_symbols,
     split_product_tables,
     validate_symbols,
@@ -118,6 +120,133 @@ class TestKernelEquivalence:
             mat_data_product(GF256, coeffs, data),
             mat_data_product_reference(GF256, coeffs, data),
         )
+
+
+class TestIdentityRuns:
+    """Systematic rows are copied run by run, not gathered and scattered."""
+
+    CODES = {
+        "rs": (lambda: ReedSolomonCode(4, 3), 1),
+        "pyramid": (lambda: PyramidCode(4, 2, 1), 2),
+        "galloper": (lambda: GalloperCode(4, 2, 1), 7),
+        "galloper-weighted": (
+            lambda: GalloperCode(4, 2, 1, performances=[1, 1, 1, 1, 0.4, 0.4, 0.4]), 7,
+        ),
+        "rotated-raid": (lambda: RotatedPyramidCode(4, 2, 1), None),  # no run longer than a row
+    }
+
+    @pytest.mark.parametrize("name", CODES)
+    @pytest.mark.parametrize("s", [1, 37, SMALL_PRODUCT_ELEMS + 33])
+    @pytest.mark.parametrize("given_out", [False, True], ids=["fresh-out", "out="])
+    def test_generator_plans_match_the_reference(self, name, s, given_out):
+        make, runs = self.CODES[name]
+        code = make()
+        gf = code.gf
+        plan = CodingPlan(gf, code.generator)
+        assert (plan._copy_runs and len(plan._copy_runs)) == runs
+        if runs:  # the runs tile exactly the identity rows
+            dst = np.concatenate([np.arange(d.start, d.stop) for d, _ in plan._copy_runs])
+            src = np.concatenate([np.arange(c.start, c.stop) for _, c in plan._copy_runs])
+            assert np.array_equal(dst, plan._copy_dst) and np.array_equal(src, plan._copy_src)
+        data = random_symbols(gf, (code.data_stripe_total, s), seed=s)
+        want = mat_data_product_reference(gf, code.generator, data)
+        out = np.full(want.shape, 0xA5, dtype=gf.dtype) if given_out else None
+        got = plan.apply(data, out=out)
+        assert np.array_equal(got, want)
+        assert out is None or got is out
+
+    def test_scattered_and_single_identity_rows(self):
+        """Runs of every length in one matrix, sources out of order."""
+        gf = GF256
+        coeffs = random_symbols(gf, (9, 6), seed=12) | 1
+        for row, col in ((0, 4), (1, 5), (3, 0), (4, 1), (5, 2), (7, 2)):
+            coeffs[row] = 0
+            coeffs[row, col] = 1
+        plan = CodingPlan(gf, coeffs)
+        assert [(d.start, d.stop, c.start) for d, c in plan._copy_runs] == [
+            (0, 2, 4), (3, 6, 0), (7, 8, 2),
+        ]
+        data = random_symbols(gf, (6, SMALL_PRODUCT_ELEMS + 5), seed=13)
+        assert np.array_equal(plan.apply(data), mat_data_product_reference(gf, coeffs, data))
+        lone = CodingPlan(gf, coeffs[7:8])
+        assert len(lone._copy_runs) == 1
+        assert np.array_equal(lone.apply(data), data[2:3])
+
+
+class TestApplyBatchWidthRule:
+    """Wide segments are applied where they lie, narrow runs are stacked;
+    the bytes are those of per-segment ``apply`` either way."""
+
+    #: Widths around the cache block of a 3-dense-row plan under a 64 KiB
+    #: pool (16 384 symbols of GF(2^8), 8 192 of GF(2^16)).
+    WIDTHS = (20_000, 300, 5_000, 0, 16_384, 41, 33_000, 16_383, 700)
+    #: ... which split into these ``apply`` calls over GF(2^8).
+    CALLS = (20_000, 5_300, 16_384, 41, 33_000, 17_083)
+
+    def _plan(self, gf, kind):
+        coeffs = random_symbols(gf, (6, 5), seed=21) | 1
+        if kind in ("xor", "native-xor"):  # 0/1 parities: the schedule tier
+            coeffs = (coeffs & 1).astype(gf.dtype)
+            coeffs[:, 0] = 1
+        coeffs[1] = 0  # an all-zero row
+        coeffs[2] = 0
+        coeffs[2, 3] = 1  # an identity row
+        coeffs[4] = 0  # and a second all-zero row
+        kernel = {"native": "native", "native-xor": None, "table": "table", "xor": "xor"}[kind]
+        return coeffs, CodingPlan(gf, coeffs, kernel=kernel)
+
+    @pytest.mark.parametrize("gf", FIELDS, ids=["gf256", "gf65536"])
+    @pytest.mark.parametrize("kind", ["native", "native-xor", "table", "xor"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("given_out", [False, True], ids=["fresh-out", "out="])
+    def test_mixed_widths_match_per_segment_apply(self, monkeypatch, gf, kind, traced, given_out):
+        from repro.obs.trace import Tracer, use_tracer
+
+        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        coeffs, plan = self._plan(gf, kind)
+        if native_available():
+            assert plan.kernel == {"table": "packed-full"}.get(kind, kind)
+        segs = [random_symbols(gf, (5, w), seed=w) for w in self.WIDTHS]
+        want = [mat_data_product_reference(gf, coeffs, seg) for seg in segs]
+        stacked = plan.apply(np.concatenate(segs, axis=1))
+        calls = []
+        apply = plan.apply
+        plan.apply = lambda data, out=None: (calls.append(data.shape[1]), apply(data, out=out))[1]
+        total = sum(self.WIDTHS)
+        out = np.zeros((6, total), dtype=gf.dtype) if given_out else None
+        if traced:
+            with use_tracer(Tracer()):
+                got = plan.apply_batch(segs, out=out)
+        else:
+            got = plan.apply_batch(segs, out=out)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        shared = got[0].base if got[0].base is not None else got[0]
+        assert shared.shape == (6, total) and np.array_equal(shared, stacked)
+        assert out is None or shared is out
+        if gf is GF256:  # routed by width alone: same calls traced or not, on every tier
+            assert tuple(calls) == self.CALLS
+
+    def test_all_narrow_is_one_stacked_apply(self):
+        coeffs, plan = self._plan(GF256, "table")
+        segs = [random_symbols(GF256, (5, w), seed=w) for w in (8_000, 0, 5_000, 12_000)]
+        calls = []
+        apply = plan.apply
+        plan.apply = lambda data, out=None: (calls.append(data.shape[1]), apply(data, out=out))[1]
+        outs = plan.apply_batch(segs)
+        assert calls == [25_000]
+        for seg, got in zip(segs, outs):
+            assert np.array_equal(got, mat_data_product_reference(GF256, coeffs, seg))
+
+    def test_out_buffer_checked(self):
+        _, plan = self._plan(GF256, "table")
+        segs = [random_symbols(GF256, (5, w), seed=w) for w in (10, 20)]
+        with pytest.raises(GFError):
+            plan.apply_batch(segs, out=np.zeros((6, 31), dtype=np.uint8))
+        with pytest.raises(GFError):
+            plan.apply_batch(segs, out=np.zeros((6, 30), dtype=np.uint16))
+        assert plan.apply_batch([]) == []
 
 
 class TestValidation:

@@ -6,8 +6,12 @@ that exercise the compiled kernels skip themselves when
 tests simulate the compiler-less host explicitly.
 """
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gf import (
     GF256,
@@ -36,6 +40,12 @@ LARGE = 20_000  # comfortably past SMALL_PRODUCT_ELEMS, several cache blocks
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason=f"native tier unavailable: {native_unavailable_reason()}"
+)
+
+
+needs_native_crc = pytest.mark.skipif(
+    not (native_available() and nat.get_backend().has_crc32),
+    reason="native library unavailable or built without PCLMUL",
 )
 
 
@@ -195,6 +205,50 @@ class TestByteExactness:
             assert np.array_equal(got, mat_data_product_reference(gf, coeffs, seg))
 
 
+@needs_native_crc
+class TestCrc32Rows:
+    """The carry-less-multiply CRC kernel is ``zlib.crc32``, row by row."""
+
+    #: Row lengths the stack stores: a 1 KiB row, Galloper's 9 363-byte
+    #: serving stripe, a 16 KiB-block row, a 1 MiB block's seventh, 1 MiB.
+    STORED = (1 << 10, 9_363, 16_380, 149_796, 1 << 20)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        row_bytes=st.one_of(st.integers(0, 300), st.sampled_from(STORED)),
+        nrows=st.integers(1, 9),
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        layout=st.sampled_from(["contiguous", "column-slice", "row-strided", "element-strided"]),
+        misalign=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_zlib_row_by_row(self, row_bytes, nrows, dtype, layout, misalign, seed):
+        itemsize = np.dtype(dtype).itemsize
+        width = row_bytes // itemsize
+        row_stride, elem_stride = {
+            "contiguous": (width * itemsize, itemsize),
+            "column-slice": (3 * width * itemsize + 5, itemsize),  # odd: rows unaligned too
+            "row-strided": (2 * width * itemsize, itemsize),
+            "element-strided": (3 * width * itemsize, 3 * itemsize),  # copied, then summed
+        }[layout]
+        raw = np.frombuffer(
+            np.random.default_rng(seed).bytes(misalign + nrows * row_stride + itemsize),
+            dtype=np.uint8,
+        )
+        rows = np.ndarray(
+            (nrows, width), dtype=dtype, buffer=raw, offset=misalign,
+            strides=(row_stride, elem_stride),
+        )
+        want = [zlib.crc32(row.tobytes()) for row in rows]
+        assert nat.get_backend().crc32_rows(rows) == want
+
+    def test_no_rows_and_bad_rank(self):
+        backend = nat.get_backend()
+        assert backend.crc32_rows(np.zeros((0, 64), dtype=np.uint8)) == []
+        with pytest.raises(ValueError):
+            backend.crc32_rows(np.zeros(64, dtype=np.uint8))
+
+
 class TestPoolKnob:
     def test_default_budget(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL_KB", raising=False)
@@ -272,6 +326,23 @@ class TestFallback:
         finally:
             monkeypatch.undo()
             reset_native_backend()
+
+    def test_block_store_without_a_backend_checksums_with_zlib(self, monkeypatch):
+        from repro.cluster import Cluster
+        from repro.storage import BlockStore
+
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        reset_native_backend()
+        try:
+            store = BlockStore(Cluster.homogeneous(1))
+        finally:
+            monkeypatch.undo()
+            reset_native_backend()
+        assert store._native_row_crcs is None  # bound once, at construction
+        block = _random(GF65536, (7, 9_363), seed=71)
+        store.put(0, "f", 0, block)
+        assert store._row_checksums[0][("f", 0)] == [zlib.crc32(row) for row in block]
+        assert store.verify(0, "f", 0)
 
     def test_forced_numpy_tiers_never_bind_backend(self):
         # kernel="table" / "xor" stay pure numpy even on a toolchain host,

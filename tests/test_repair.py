@@ -71,6 +71,34 @@ class TestBlockRepair:
         report = rm.repair_block("f", 3)
         assert report.target_server not in used_before - {ef.server_of(3)}
 
+    @pytest.mark.parametrize("rate", [1.0, 0.5], ids=["always", "half the time"])
+    def test_corrupting_helper_never_reaches_a_rebuilt_block(self, setup, rate):
+        """The rotated baseline reads its helpers fractionally; such a read
+        is verified like any other, so a helper that returns altered bytes
+        is retried or re-planned around — never folded into the repair."""
+        import numpy as np
+
+        from repro.codes import RotatedPyramidCode
+        from repro.faults import FaultModel, SilentCorruption
+
+        cluster, dfs, rm = setup
+        code = RotatedPyramidCode(4, 2, 1)
+        ef = dfs.write_file("f", payload_bytes(28_000, seed=13), code=code)
+        plan = code.repair_plan(0, {0})
+        assert min(plan.read_fractions.values()) < 1.0
+        truth = dfs.store.get(ef.server_of(0), "f", 0).copy()
+        liar = ef.server_of(plan.helpers[0])
+        cluster.fail(ef.server_of(0))
+        dfs.store.install_faults(
+            FaultModel(SilentCorruption(rate=rate, servers=frozenset({liar})), seed=3)
+        )
+        report = rm.repair_block("f", 0)
+        dfs.store.install_faults(None)
+        assert np.array_equal(dfs.store.get(report.target_server, "f", 0), truth)
+        assert dfs.metrics.total("corrupted_returns") >= 1
+        assert dfs.metrics.total("checksum_failures") == dfs.metrics.total("corrupted_returns")
+        assert dfs.metrics.total("retries") + dfs.metrics.total("repair_replans") >= 1
+
     def test_estimated_time_positive(self, setup):
         cluster, dfs, rm = setup
         ef = dfs.write_file("f", payload_bytes(14_000, seed=7), code=GalloperCode(4, 2, 1))

@@ -231,6 +231,40 @@ class TestSimulation:
         ]
         assert sim.pending_events == 0
 
+    def test_cancelling_a_fired_event_counts_nothing(self):
+        """A handle whose event already ran is inert: cancelling it — later,
+        twice, or from inside its own action — is not a cancellation, so
+        ``pending_events`` stays the number of live heap entries and the
+        heap is never compacted for tombstones that do not exist."""
+        sim = Simulation()
+        n = 2 * Simulation.COMPACT_MIN
+        handles = []
+
+        def cancel_myself(i):
+            sim.cancel(handles[i])  # from inside the event's own action
+            assert sim.pending_events == len(sim._heap) >= 0
+
+        for i in range(n):
+            handles.append(sim.schedule(float(i + 1), lambda i=i: cancel_myself(i)))
+        live = [sim.schedule(1000.0 + i, lambda: None) for i in range(5)]
+        compactions = []
+        compact = sim._compact
+        sim._compact = lambda: (compactions.append(sim.now), compact())
+        sim.run(until=500.0)
+        assert sim.events_processed == n
+        for ev in handles:  # after the fact, and twice
+            sim.cancel(ev)
+            sim.cancel(ev)
+        assert compactions == []
+        assert sim.pending_events == len(sim._heap) == len(live)
+        # Real cancellations still count, exactly once each.
+        sim.cancel(live[0])
+        sim.cancel(live[0])
+        assert sim.pending_events == len(live) - 1
+        sim.run()
+        assert sim.events_processed == n + len(live) - 1
+        assert sim.pending_events == 0 and sim._heap == []
+
 
 class TestSlotResource:
     def test_parallel_up_to_capacity(self):

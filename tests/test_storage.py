@@ -1,16 +1,23 @@
 """Tests for the block store, filesystem and metrics."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, RoundRobinPlacement
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
+from repro.faults import FaultModel, SilentCorruption
 from repro.storage import (
+    BlockStore,
     BlockUnavailableError,
     DistributedFileSystem,
     FileSystemError,
     MetricsRegistry,
+    TransientReadError,
 )
 from tests.conftest import payload_bytes
 
@@ -66,12 +73,9 @@ class TestBlockStore:
     @pytest.mark.parametrize("width", [234, 16_384], ids=["small", "large"])
     @pytest.mark.parametrize("layout", ["contiguous", "column-slice", "strided-rows"])
     def test_stored_crcs_are_the_crcs_of_the_block_bytes(self, setup, dtype, width, layout):
-        """CRCs are computed through the buffer protocol without copying the
-        block; the stored values must stay those of ``tobytes()``, whatever
-        the block's size and memory layout (a batched encode stores column
-        slices, checksummed row by row)."""
-        import zlib
-
+        """The one checksum store holds ``zlib``'s CRC-32 of each stripe
+        row's bytes — whichever backend computed it, whatever the block's
+        size and memory layout (a batched encode stores column slices)."""
         _, store = setup
         wide = np.random.default_rng(8).integers(0, 1 << 8 * np.dtype(dtype).itemsize,
                                                  size=(7, 3 * width)).astype(dtype)
@@ -83,8 +87,8 @@ class TestBlockStore:
         assert block.flags.c_contiguous == (layout == "contiguous")
         assert block[0].flags.c_contiguous == (layout != "strided-rows")
         store.put(0, "f", 0, block)
-        assert store._checksums[0][("f", 0)] == zlib.crc32(block.tobytes())
         assert store._row_checksums[0][("f", 0)] == [zlib.crc32(row.tobytes()) for row in block]
+        assert not hasattr(store, "_checksums")  # nothing checksums the block a second time
         assert store.verify(0, "f", 0)
         data, _ = store.timed_get(0, "f", 0, verify=True)
         assert np.array_equal(data, block)
@@ -94,6 +98,75 @@ class TestBlockStore:
         assert not store.verify(0, "f", 0)
         with pytest.raises(BlockUnavailableError):
             store.timed_read_rows(0, "f", 0, 2, 3, verify=True)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("width", [40, 9_363], ids=["small", "large"])
+    @pytest.mark.parametrize("shape", ["1-D", "one-row", "seven-rows", "column-slice"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_any_flipped_byte_is_caught(self, dtype, width, shape, data):
+        """Every stored byte is under exactly one row CRC: flip any one —
+        first, last, one in each row — and the scrub, the whole-block read
+        and the row read covering it all fail, naming the stripe."""
+        store = BlockStore(Cluster.homogeneous(1))
+        nrows = 7 if shape in ("seven-rows", "column-slice") else 1
+        wide = np.random.default_rng(9).integers(
+            0, 1 << 8 * np.dtype(dtype).itemsize, size=(nrows, 3 * width)
+        ).astype(dtype)
+        block = {
+            "1-D": wide[0, :width],
+            "one-row": wide[:, :width],
+            "seven-rows": np.ascontiguousarray(wide[:, :width]),
+            "column-slice": wide[:, width : 2 * width],
+        }[shape]
+        store.put(0, "f", 0, block)
+        rows = block.reshape(nrows, -1)  # views of what the store holds
+        row_bytes = rows[0].nbytes
+        offsets = {0, block.nbytes - 1}
+        offsets.update(
+            r * row_bytes + data.draw(st.integers(0, row_bytes - 1), label=f"byte in row {r}")
+            for r in range(nrows)
+        )
+        for offset in sorted(offsets):
+            stripe, col = divmod(offset, row_bytes)
+            rows[stripe].view(np.uint8)[col] ^= data.draw(st.integers(1, 255), label="flip")
+            assert not store.verify(0, "f", 0)
+            covering = (0, block.shape[0]) if block.ndim == 1 else (stripe, 1)
+            for read in (
+                lambda: store.timed_get(0, "f", 0, verify=True),
+                lambda: store.timed_read_rows(0, "f", 0, *covering, verify=True),
+                lambda: store.timed_read_rows(0, "f", 0, 0, block.shape[0], verify=True),
+            ):
+                with pytest.raises(TransientReadError) as caught:
+                    read()
+                assert caught.value.cause == "checksum"
+                assert f"stripe {stripe} of block" in str(caught.value)
+            if block.ndim == 2 and nrows > 1:  # rows not covering the flip still read clean
+                other = (stripe + 1) % nrows
+                store.timed_read_rows(0, "f", 0, other, 1, verify=True)
+            store.put(0, "f", 0, block)  # the flipped bytes become the truth ...
+            assert store.verify(0, "f", 0)  # ... under fresh CRCs
+
+    @pytest.mark.parametrize("fraction", [1.0, 3 / 7])
+    def test_verified_read_checks_every_row_it_returns(self, setup, fraction):
+        """A fractional read returns the whole block (only its accounting is
+        fractional), so ``verify=True`` must check the whole block."""
+        _, store = setup
+        block = np.random.default_rng(5).integers(0, 256, size=(7, 64), dtype=np.uint8)
+        store.put(0, "f", 0, block)
+        data, _ = store.timed_get(0, "f", 0, fraction, verify=True)
+        assert np.array_equal(data, block)
+        store.install_faults(FaultModel(SilentCorruption(rate=1.0), seed=1))
+        before = store.metrics.total("disk_bytes_read")
+        with pytest.raises(TransientReadError) as caught:
+            store.timed_get(0, "f", 0, fraction, verify=True)
+        assert caught.value.cause == "checksum"
+        assert store.metrics.total("checksum_failures") == 1
+        # Accounting still reflects the fraction: 3 of 7 rows, or all of them.
+        assert store.metrics.total("disk_bytes_read") - before == round(7 * fraction) * 64
+        # Unverified reads hand the altered bytes on, as before.
+        data, _ = store.timed_get(0, "f", 0, fraction)
+        assert not np.array_equal(data, block)
 
     def test_read_rows_range_checked(self, setup):
         _, store = setup
@@ -134,6 +207,24 @@ class TestFileSystem:
         payload = payload_bytes(10_000, seed=1)
         dfs.write_file("f", payload, code=GalloperCode(4, 2, 1))
         assert dfs.read_file("f") == payload
+
+    @pytest.mark.parametrize("wide_field", [False, True], ids=["gf256", "gf65536"])
+    @pytest.mark.parametrize("size", [2_800, 2_801], ids=["exact", "padded"])
+    def test_stored_blocks_never_alias_the_callers_buffer(self, dfs, wide_field, size):
+        """``write_file`` encodes straight from the caller's buffer; what it
+        stores is the encode's own output, so the buffer is the caller's
+        again — to overwrite or resize — the moment the write returns."""
+        from repro.gf import GF65536
+
+        payload = payload_bytes(size, seed=11)
+        buffer = bytearray(payload)
+        code = GalloperCode(4, 2, 1, gf=GF65536) if wide_field else GalloperCode(4, 2, 1)
+        dfs.write_file("f", buffer, code=code)
+        buffer[:] = bytes(len(buffer))
+        buffer.extend(b"no view of the buffer is still exported")
+        assert dfs.read_bytes("f", 0, size) == payload
+        dfs.write_file("g", memoryview(payload)[100:], code=code)
+        assert dfs.read_bytes("g", 0, size) == payload[100:]
 
     def test_padding_transparent(self, dfs):
         # 1009 is prime: guaranteed padding.
