@@ -169,11 +169,15 @@ FLOORS = {
     "locality_risk_ratio": 1.05,
     # Serving gate (full sweeps only): the hot-stripe cache must keep
     # absorbing the Zipf head, chaos must not dent availability, and
-    # Galloper's spread layout must not *lose* the clean-Zipf tail to
-    # RS at equal overhead (the load-spreading story; measured >1).
+    # Galloper's spread layout must *win* the clean-Zipf tail from RS at
+    # equal overhead — the paper's thesis as a served system.  1.66 was
+    # recorded once the gateway served rows instead of blocks (1.08
+    # before); the floor sits the usual 25% under that, so a gateway
+    # that falls back to one IO per stripe or whole-block hedges (gain
+    # ~1.0-1.1) fails even against a baseline re-recorded to hide it.
     "cache_hit_ratio": 0.3,
     "availability_chaos": 0.99,
-    "galloper_vs_rs_p99_gain": 1.0,
+    "galloper_vs_rs_p99_gain": 1.25,
 }
 
 #: Absolute ceilings for lower-is-better metrics (sim seconds for the
@@ -261,7 +265,7 @@ def compare(
             )
         floor = FLOORS.get(metric)
         if floors and floor is not None and got < floor:
-            failures.append(f"{name}.{metric}: {got:.3f} below absolute floor {floor:.1f}x")
+            failures.append(f"{name}.{metric}: {got:.3f} below absolute floor {floor:g}x")
     return failures
 
 

@@ -17,6 +17,7 @@ import abc
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,96 @@ class BlockInfo:
         return all(fs[i + 1] == fs[i] + 1 for i in range(len(fs) - 1))
 
 
+@dataclass(frozen=True, eq=False)
+class HelperRows:
+    """Which rows of which helpers rebuild each row of one block.
+
+    Read off a compiled reconstruct: row ``r`` of the target is a
+    combination of exactly the helper rows under the non-zero entries of
+    coefficient row ``r``.  Symbol remapping is a change of basis, so a
+    group-local Galloper repair still needs one row per helper for each
+    row rebuilt, as the row-wise Pyramid code does — which is what lets a
+    degraded read of one stripe cost one stripe per helper.
+
+    Attributes:
+        gf: the code's field.
+        helpers: the plan's helper blocks, in read order.
+        rows: per target row, the ``(helper, row)`` pairs it depends on,
+            in helper order.
+        coeffs: per target row, the coefficient of each of those pairs.
+        fractions: per helper, the share of its rows some target row names.
+    """
+
+    gf: GF
+    helpers: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    coeffs: tuple[np.ndarray, ...]
+    fractions: dict[int, float]
+    # Filled in as rows are read and rebuilt: whole-block callers, who
+    # want the fractions only, compile nothing.
+    _reads: dict = field(default_factory=dict, repr=False)
+    _plans: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def compile(cls, gf: GF, helpers: tuple[int, ...], coeffs: np.ndarray, N: int) -> HelperRows:
+        rows, row_coeffs = [], []
+        named: dict[int, set[int]] = {h: set() for h in helpers}
+        for coeff_row in coeffs:
+            cols = np.nonzero(coeff_row)[0].tolist()
+            pairs = tuple((helpers[c // N], c % N) for c in cols)
+            for helper, row in pairs:
+                named[helper].add(row)
+            rows.append(pairs)
+            row_coeffs.append(coeff_row[cols])
+        return cls(
+            gf=gf,
+            helpers=helpers,
+            rows=tuple(rows),
+            coeffs=tuple(row_coeffs),
+            fractions={h: len(named[h]) / N for h in helpers},
+        )
+
+    def reads(self, row0: int, nrows: int) -> tuple[tuple[int, int, int], ...]:
+        """The ``(helper, row0, nrows)`` range reads that rebuild target
+        rows ``row0 .. row0 + nrows``: helpers in read order, each
+        helper's rows merged into maximal runs."""
+        key = (row0, nrows)
+        reads = self._reads.get(key)
+        if reads is None:
+            wanted = {pair for r in range(row0, row0 + nrows) for pair in self.rows[r]}
+            runs: list[tuple[int, int, int]] = []
+            for helper in self.helpers:
+                for row in sorted(row for h, row in wanted if h == helper):
+                    if runs and runs[-1][0] == helper and runs[-1][1] + runs[-1][2] == row:
+                        runs[-1] = (helper, runs[-1][1], runs[-1][2] + 1)
+                    else:
+                        runs.append((helper, row, 1))
+            reads = self._reads[key] = tuple(runs)
+        return reads
+
+    def rebuild(self, row0: int, nrows: int, chunks) -> np.ndarray:
+        """Target rows ``row0 .. row0 + nrows`` from ``chunks``, the row
+        arrays read for :meth:`reads` of the same range, in its order."""
+        have = {}
+        for (helper, first, count), chunk in zip(self.reads(row0, nrows), chunks):
+            for i in range(count):
+                have[helper, first + i] = chunk[i]
+        out = np.empty((nrows, np.shape(chunks[0])[-1]), dtype=self.gf.dtype)
+        for i, row in enumerate(range(row0, row0 + nrows)):
+            plan = self._plans.get(row)
+            if plan is None:
+                plan = self._plans[row] = CodingPlan(self.gf, self.coeffs[row][None, :])
+            plan.apply(np.stack([have[pair] for pair in self.rows[row]]), out=out[i : i + 1])
+        return out
+
+
+class ReconstructPlan(CodingPlan):
+    """A compiled reconstruct; its :class:`HelperRows` ride on the same
+    LRU entry, filled in by the first caller that reads by the row."""
+
+    helper_rows: HelperRows | None = None
+
+
 @dataclass(frozen=True)
 class RepairPlan:
     """How one missing block is reconstructed.
@@ -109,23 +200,30 @@ class RepairPlan:
     Attributes:
         target: index of the block being rebuilt.
         helpers: blocks that must be read, in read order.
-        read_fractions: per-helper fraction of the block read from disk
-            (1.0 = the whole block, which is what all codes in this paper
-            do; regenerating codes would use fractions < 1).
+        code: the code the plan belongs to; it compiles and caches the
+            coefficients, so equal plans of equal codes compare equal.
     """
 
     target: int
     helpers: tuple[int, ...]
-    read_fractions: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.read_fractions:
-            object.__setattr__(self, "read_fractions", {h: 1.0 for h in self.helpers})
+    code: ErasureCode = field(compare=False, repr=False)
 
     @property
     def blocks_read(self) -> int:
         """Number of distinct helper blocks touched (servers woken up)."""
         return len(self.helpers)
+
+    @property
+    def helper_rows(self) -> HelperRows:
+        """Per target row, the helper rows it is rebuilt from."""
+        return self.code.compile_helper_rows(self.target, self.helpers)
+
+    @cached_property
+    def read_fractions(self) -> dict[int, float]:
+        """Per helper, the fraction of the block a whole-block repair
+        reads: the rows :attr:`helper_rows` names over the code's ``N``
+        (1.0 for every code in this paper but the rotated baseline)."""
+        return dict(self.helper_rows.fractions)
 
     def bytes_read(self, block_size: int) -> int:
         """Total disk I/O in bytes for a given block size."""
@@ -462,7 +560,7 @@ class ErasureCode(abc.ABC):
         )
         return self._plan_store(key, plan)
 
-    def compile_reconstruct(self, target: int, helpers) -> CodingPlan:
+    def compile_reconstruct(self, target: int, helpers) -> ReconstructPlan:
         """Compile (or fetch) the coefficients rebuilding ``target`` from ``helpers``.
 
         Cached by ``(target, helpers)``: repeated failures of the same
@@ -477,15 +575,32 @@ class ErasureCode(abc.ABC):
         cached = self._plan_lookup(key)
         if cached is not None:
             return cached
-        helper_rows = self.rows_for_blocks(helpers)
-        target_rows = self.generator[self.block_rows(target)]
         try:
-            coeffs = express_rows(self.gf, target_rows, helper_rows)
+            coeffs = self._express_block(target, helpers)
         except SingularMatrixError as exc:
             raise DecodingError(
                 f"{self.name}: helpers {helpers} cannot express block {target}"
             ) from exc
-        return self._plan_store(key, CodingPlan(self.gf, coeffs))
+        return self._plan_store(key, ReconstructPlan(self.gf, coeffs))
+
+    def _express_block(self, target: int, helpers: tuple[int, ...]) -> np.ndarray:
+        """Coefficients writing ``target``'s rows over the stacked helper rows."""
+        return express_rows(
+            self.gf, self.generator[self.block_rows(target)], self.rows_for_blocks(helpers)
+        )
+
+    def compile_helper_rows(self, target: int, helpers) -> HelperRows:
+        """The row-granular view of :meth:`compile_reconstruct`.
+
+        Derived on first use and kept on the compiled plan, so whole-block
+        callers never pay for it and the two are evicted together.
+        """
+        compiled = self.compile_reconstruct(target, helpers)
+        if compiled.helper_rows is None:
+            compiled.helper_rows = HelperRows.compile(
+                self.gf, tuple(helpers), compiled.coeffs, self.N
+            )
+        return compiled.helper_rows
 
     # ------------------------------------------------------------ operations
 
@@ -555,7 +670,8 @@ class ErasureCode(abc.ABC):
         return self._fallback_plan(target, alive)
 
     def _fallback_plan(self, target: int, alive: list[int]) -> RepairPlan:
-        """Smallest prefix-greedy helper set able to express the target rows.
+        """Smallest prefix-greedy helper set able to express the target
+        rows, less the helpers its solution reads nothing from.
 
         The search runs one Gaussian elimination per candidate prefix and
         is a pure function of the code, so the chosen helpers are kept in
@@ -567,21 +683,27 @@ class ErasureCode(abc.ABC):
         helpers = self._plan_lookup(key)
         if helpers is None:
             helpers = self._plan_store(key, self._search_fallback_helpers(target, alive))
-        return RepairPlan(target=target, helpers=helpers)
+        return RepairPlan(target=target, helpers=helpers, code=self)
 
     def _search_fallback_helpers(self, target: int, alive: list[int]) -> tuple[int, ...]:
-        target_rows = self.generator[self.block_rows(target)]
         helpers: list[int] = []
         for b in alive:
             helpers.append(b)
             if len(helpers) < self.k:
                 continue
-            rows = self.rows_for_blocks(helpers)
             try:
-                express_rows(self.gf, target_rows, rows)
+                coeffs = self._express_block(target, tuple(helpers))
             except SingularMatrixError:
                 continue
-            return tuple(helpers)
+            # The prefix that first expresses the target may carry blocks
+            # the solution never touches (a local parity of the other
+            # group, say): a plan names only helpers it reads a row of.
+            while True:
+                used = coeffs.reshape(coeffs.shape[0], len(helpers), self.N).any(axis=(0, 2))
+                if used.all():
+                    return tuple(helpers)
+                helpers = [h for h, keep in zip(helpers, used) if keep]
+                coeffs = self._express_block(target, tuple(helpers))
         raise DecodingError(
             f"{self.name}: block {target} cannot be reconstructed from blocks {alive}"
         )

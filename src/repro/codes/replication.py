@@ -77,7 +77,7 @@ class ReplicationCode(ErasureCode):
         )
         if not copies:
             raise DecodingError(f"replication: all copies of block {target % self.k} lost")
-        return RepairPlan(target=target, helpers=(copies[0],))
+        return RepairPlan(target=target, helpers=(copies[0],), code=self)
 
     def storage_overhead(self) -> float:
         return float(self.factor)

@@ -198,7 +198,7 @@ class GroupRepairMixin:
         if group is not None:
             members = [b for b in st.group_members(group) if b != target]
             if not any(b in failed for b in members):
-                return RepairPlan(target=target, helpers=tuple(members))
+                return RepairPlan(target=target, helpers=tuple(members), code=self)
         alive = _apply_preference([b for b in range(self.n) if b not in failed], preference)
         alive.sort(key=lambda b: st.role_of(b) != ROLE_DATA)  # stable: keeps preference
         if len(alive) < self.k:

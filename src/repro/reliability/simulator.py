@@ -439,12 +439,11 @@ class _Trial:
                 self._enqueue_repair(st, h)
                 known_bad.add(h)
 
+        fractions = plan.read_fractions
         read_seconds = {
-            st.placement[h]: plan.read_fractions.get(h, 1.0) * self.block_read_seconds
-            for h in plan.helpers
+            st.placement[h]: fractions[h] * self.block_read_seconds for h in plan.helpers
         }
-        bytes_read = sum(plan.read_fractions.get(h, 1.0) for h in plan.helpers)
-        bytes_read *= self.cfg.block_size_bytes
+        bytes_read = sum(fractions.values()) * self.cfg.block_size_bytes
         # Same serialization the analytic model charges: helper reads
         # plus the rebuilt block's write, one stream.
         duration_s = bytes_read / self.cfg.repair_bandwidth + self.block_read_seconds

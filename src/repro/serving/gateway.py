@@ -10,14 +10,26 @@ a Galloper layout stores original data on *every* block, spreading the
 same traffic over all ``n`` — measurably flatter per-server load and a
 lower tail.
 
-Request path (one stripe)::
+Request path (one extent)::
 
     tenant QoS admission  (token leases, repair machinery reused)
-      -> hot-stripe cache (TinyLFU admission)
-        -> request coalescing (one in-flight read per stripe)
-          -> primary read from the verbatim holder
-             [+ hedged degraded read when the holder's queue is deep]
-            -> degraded decode fallback when servers are down
+      -> the runs of the read plan the extent covers (consecutive file
+         stripes stored as consecutive rows of one block)
+        -> hot-stripe cache (TinyLFU admission), per stripe
+          -> request coalescing (one in-flight read per stripe)
+            -> one primary range read per uncached, un-leased sub-run
+               [+ hedged degraded read when the holder's queue is deep]
+              -> degraded read: the helper rows the wanted rows depend on
+                -> full decode fallback when the repair group cannot answer
+
+The unit of disk work is the *row*, not the block: a code with ``N``
+rows per block is read ``nrows`` rows at a time from the holder, and a
+degraded or hedged read takes from each helper only the rows the
+block's :class:`~repro.codes.base.HelperRows` name — one per wanted row
+for a group-local repair.  With ``N = 1`` (Reed-Solomon, Pyramid) a row
+is the block and nothing changes; with Galloper's ``N = 7`` a request
+costs one disk IO per block it touches instead of one per stripe, and a
+hedge costs its group a stripe each instead of a block each.
 
 Disk time is modeled per server as a FIFO pipe: each read occupies the
 holder's disk for its (fault-inflated) service time, so queueing delay
@@ -160,6 +172,8 @@ class ServingGateway:
         #: Per-server disk FIFO: the sim time each disk next falls idle.
         self._busy_until: dict[int, float] = defaultdict(float)
         self._tenant_tracks: dict[str, int] = {}
+        #: Per tenant, the name of its latency histogram.
+        self._tenant_latency: dict[str, str] = {}
 
     # ----------------------------------------------------------- namespace
 
@@ -206,14 +220,14 @@ class ServingGateway:
         await self.loop.sleep_until(done)
         return data
 
-    # ---------------------------------------------------------- stripe path
+    # ------------------------------------------------------------- row path
 
-    async def _primary_stripe(self, ef: EncodedFile, block: int, row: int) -> np.ndarray:
+    async def _read_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray:
+        """One disk IO: ``nrows`` CRC-verified rows of a block from its server."""
         server = ef.server_of(block)
-        rows = await self._disk_read(
-            server, lambda: self.client.read_rows(server, ef.name, block, row, 1)
+        return await self._disk_read(
+            server, lambda: self.client.read_rows(server, ef.name, block, row0, nrows)
         )
-        return rows[0]
 
     async def _helper_block(self, ef: EncodedFile, block: int) -> np.ndarray:
         server = ef.server_of(block)
@@ -221,27 +235,28 @@ class ServingGateway:
             server, lambda: self.client.get(server, ef.name, block)
         )
 
-    async def _degraded_stripe(self, ef: EncodedFile, block: int, row: int) -> np.ndarray:
-        """Rebuild one stripe through the block's repair group.
+    async def _degraded_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray:
+        """Rebuild rows of a block through its repair group, by the row.
 
         The locality win shows up here: Galloper/Pyramid read their
-        small local group, RS reads ``k`` full blocks — under load the
-        cheap reconstruction is what keeps the tail flat.
+        small local group, RS reads ``k`` helpers — and each helper is
+        read only for the rows the target rows depend on (one per target
+        row for a group-local plan), so a Galloper stripe costs a stripe
+        per helper, not a block.
         """
         self.metrics.add("serving_degraded_reads", 1)
-        code = ef.code
-        plan = code.repair_plan(block, self.dfs._unreadable_blocks(ef) | {block})
+        plan = ef.code.repair_plan(block, self.dfs._unreadable_blocks(ef) | {block})
+        helper_rows = plan.helper_rows
         reads = [
-            self.loop.create_task(self._helper_block(ef, h), name=f"helper:{h}")
-            for h in plan.helpers
+            self.loop.create_task(self._read_rows(ef, h, first, count), name=f"helper:{h}")
+            for h, first, count in helper_rows.reads(row0, nrows)
         ]
-        blocks = await self.loop.gather(*reads)
-        rebuilt, _ = code.reconstruct(block, dict(zip(plan.helpers, blocks)), plan)
+        rebuilt = helper_rows.rebuild(row0, nrows, await self.loop.gather(*reads))
         await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
-        return rebuilt[row]
+        return rebuilt
 
-    async def _decode_stripe_fallback(self, ef: EncodedFile, file_stripe: int) -> np.ndarray:
-        """Last resort: decode the stripe from any decodable block subset."""
+    async def _decode_fallback(self, ef: EncodedFile, fs0: int, nrows: int) -> np.ndarray:
+        """Last resort: decode the stripes from any decodable block subset."""
         excluded: set[int] = set()
         while True:
             try:
@@ -249,7 +264,7 @@ class ServingGateway:
             except DecodingError as exc:
                 self.metrics.add("serving_unavailable", 1)
                 raise ServingError(
-                    f"cannot serve stripe {file_stripe} of {ef.name!r}: {exc}",
+                    f"cannot serve stripe {fs0} of {ef.name!r}: {exc}",
                     file=ef.name, cause="undecodable",
                 ) from exc
             reads = [
@@ -264,77 +279,95 @@ class ServingGateway:
                 continue
             grid = ef.code.decode(dict(zip(chosen, blocks)))
             await self.loop.sleep(grid.nbytes / DECODE_RATE)
-            return grid[file_stripe]
+            return grid[fs0 : fs0 + nrows]
 
-    def _hedge_would_win(self, ef: EncodedFile, block: int, primary_eta: float) -> bool:
-        """Predict whether a degraded-decode hedge beats the primary.
+    def _hedge_would_win(
+        self, ef: EncodedFile, block: int, row0: int, nrows: int, primary_eta: float
+    ) -> bool:
+        """Predict whether a degraded-read hedge beats the primary.
 
-        A hedge reads the repair group's *full* blocks, so it is far
-        more expensive than the stripe it replaces; fired blindly under
-        load it amplifies itself into a hedge storm (each hedge deepens
-        helper queues, which triggers more hedges).  Gating on the
-        predicted completion of the slowest helper makes hedging
-        self-limiting: once helper queues saturate, hedges stop.
+        A hedge reads, from every helper of the repair group, the rows
+        the wanted rows depend on — as many bytes per helper as the
+        primary reads from the holder — so it costs a group's worth of
+        disk IOs for one; fired blindly under load it amplifies itself
+        into a hedge storm (each hedge deepens helper queues, which
+        triggers more hedges).  Gating on the predicted completion of the
+        slowest helper makes hedging self-limiting: once helper queues
+        saturate, hedges stop.
         """
         try:
             plan = ef.code.repair_plan(block, {block})
         except DecodingError:
             return False
-        block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
+        stripe_bytes = ef.stripe_size * ef.code.gf.dtype.itemsize
+        ios: dict[int, int] = defaultdict(int)
+        rows: dict[int, int] = defaultdict(int)
+        for h, _, count in plan.helper_rows.reads(row0, nrows):
+            ios[h] += 1
+            rows[h] += count
+        # Summed in this order so that one whole-block row (N = 1) predicts
+        # to the bit what a whole-block helper read did.
         slowest = max(
             self.queue_wait(ef.server_of(h))
-            + self.config.request_overhead
-            + block_bytes / self.dfs.cluster.server(ef.server_of(h)).disk_bandwidth
-            for h in plan.helpers
+            + ios[h] * self.config.request_overhead
+            + rows[h] * stripe_bytes / self.dfs.cluster.server(ef.server_of(h)).disk_bandwidth
+            for h in ios
         )
-        hedge_eta = slowest + block_bytes / DECODE_RATE
+        hedge_eta = slowest + nrows * stripe_bytes / DECODE_RATE
         return hedge_eta < primary_eta
 
-    async def _fetch_stripe(self, ef: EncodedFile, file_stripe: int) -> np.ndarray:
-        block, row = ef.code.read_plan().holders[file_stripe]
+    async def _fetch_rows(
+        self, ef: EncodedFile, block: int, row0: int, nrows: int, fs0: int
+    ) -> np.ndarray:
+        """Rows ``row0 .. row0 + nrows`` of ``block`` (file stripes from
+        ``fs0``): from the holder, its repair group, or a full decode."""
         server = ef.server_of(block)
         if self.dfs.cluster.server(server).failed or not self.dfs.store.holds(
             server, ef.name, block
         ):
             # No point racing a dead primary; go straight to the group.
             try:
-                return await self._degraded_stripe(ef, block, row)
+                return await self._degraded_rows(ef, block, row0, nrows)
             except (BlockUnavailableError, DecodingError):
-                return await self._decode_stripe_fallback(ef, file_stripe)
+                return await self._decode_fallback(ef, fs0, nrows)
 
         threshold = self.config.hedge_threshold
         itemsize = ef.code.gf.dtype.itemsize
         expected = (
             self.queue_wait(server)
             + self.config.request_overhead
-            + ef.stripe_size * itemsize
+            + nrows * ef.stripe_size * itemsize
             / self.dfs.cluster.server(server).disk_bandwidth
         )
-        if threshold is None or expected <= threshold or not self._hedge_would_win(ef, block, expected):
+        if (
+            threshold is None
+            or expected <= threshold
+            or not self._hedge_would_win(ef, block, row0, nrows, expected)
+        ):
             try:
-                return await self._primary_stripe(ef, block, row)
+                return await self._read_rows(ef, block, row0, nrows)
             except BlockUnavailableError:
                 try:
-                    return await self._degraded_stripe(ef, block, row)
+                    return await self._degraded_rows(ef, block, row0, nrows)
                 except (BlockUnavailableError, DecodingError):
-                    return await self._decode_stripe_fallback(ef, file_stripe)
+                    return await self._decode_fallback(ef, fs0, nrows)
 
         # The holder's queue is deep AND the repair group is predicted
-        # to answer sooner: race a degraded-decode hedge against the
+        # to answer sooner: race a degraded-read hedge against the
         # queued primary; first success is served, the loser runs to
         # completion (its disk time was really spent) and its payload
         # is discarded.
         self.metrics.add("serving_hedges_fired", 1)
         primary = self.loop.create_task(
-            self._primary_stripe(ef, block, row), name="hedge:primary"
+            self._read_rows(ef, block, row0, nrows), name="hedge:primary"
         )
         hedge = self.loop.create_task(
-            self._degraded_stripe(ef, block, row), name="hedge:degraded"
+            self._degraded_rows(ef, block, row0, nrows), name="hedge:degraded"
         )
         try:
             winner, value = await self.loop.first_success(primary, hedge)
         except (BlockUnavailableError, DecodingError):
-            return await self._decode_stripe_fallback(ef, file_stripe)
+            return await self._decode_fallback(ef, fs0, nrows)
         if winner == 1:
             self.metrics.add("serving_hedges_won", 1)
         loser = primary if winner == 1 else hedge
@@ -346,23 +379,62 @@ class ServingGateway:
         loser.add_done_callback(count_discard)
         return value
 
-    async def _stripe(self, ef: EncodedFile, file_stripe: int) -> np.ndarray:
-        key = (ef.name, file_stripe)
-        cached = self.cache.get(key)
-        if cached is not None:
-            await self.loop.sleep(self.config.cache_hit_latency)
-            return cached
-        leader, fut = self.coalescer.lease(key)
-        if not leader:
-            return await fut
+    async def _lead(self, ef: EncodedFile, block: int, row0: int, nrows: int, fs0: int):
+        """Fetch a sub-run this request leads and publish it per stripe."""
+        name = ef.name
         try:
-            value = await self._fetch_stripe(ef, file_stripe)
+            rows = await self._fetch_rows(ef, block, row0, nrows, fs0)
         except BaseException as exc:
-            self.coalescer.fail(key, exc)
+            for fs in range(fs0, fs0 + nrows):
+                self.coalescer.fail((name, fs), exc)
             raise
-        self.cache.offer(key, value)
-        self.coalescer.complete(key, value)
-        return value
+        for i, row in enumerate(rows):
+            key = (name, fs0 + i)
+            self.cache.offer(key, row)
+            self.coalescer.complete(key, row)
+        return rows
+
+    async def _run(self, ef: EncodedFile, block: int, row0: int, nrows: int, fs0: int) -> list:
+        """Serve one run of the read plan: ``nrows`` consecutive file
+        stripes stored as consecutive rows of one block.
+
+        Cache and coalescer are keyed per file stripe, so one request's
+        hit is the next one's, whatever extent it asks for.  What is
+        neither cached nor already in flight is fetched per contiguous
+        sub-run: one disk IO and one ``request_overhead`` each.
+        """
+        out: list = [None] * nrows
+        hit = False
+        waits: list[tuple[int, object]] = []
+        leads: list[list[int]] = []  # [first index, count] of each sub-run to fetch
+        for i in range(nrows):
+            key = (ef.name, fs0 + i)
+            cached = self.cache.get(key)
+            if cached is not None:
+                out[i] = cached
+                hit = True
+                continue
+            leader, fut = self.coalescer.lease(key)
+            if not leader:
+                waits.append((i, fut))
+            elif leads and leads[-1][0] + leads[-1][1] == i:
+                leads[-1][1] += 1
+            else:
+                leads.append([i, 1])
+        if not hit and not waits and len(leads) == 1:
+            return list(await self._lead(ef, block, row0, nrows, fs0))
+        fetches = [
+            (i, self.loop.create_task(self._lead(ef, block, row0 + i, n, fs0 + i), name="lead"))
+            for i, n in leads
+        ]
+        if hit:
+            await self.loop.sleep(self.config.cache_hit_latency)
+        for i, fut in waits:
+            out[i] = await fut
+        for i, task in fetches:
+            rows = await task
+            out[i : i + len(rows)] = rows
+        return out
 
     # --------------------------------------------------------- request path
 
@@ -371,9 +443,11 @@ class ServingGateway:
     ) -> bytes:
         """Serve one byte extent of a tenant's file.
 
-        The full request path: QoS admission, co-stripe fan-out with
-        caching/coalescing/hedging per stripe, SLO accounting.  Raises
-        :class:`ServingError` when the extent is unrecoverable.
+        The full request path: QoS admission, fan-out over the runs of
+        the read plan the extent covers (caching and coalescing per
+        stripe, one disk IO and hedging per uncached sub-run), SLO
+        accounting.  Raises :class:`ServingError` when the extent is
+        unrecoverable.
         """
         t_arrival = self.loop.now
         lease = await self.throttle.acquire(tenant, self.config.lease_estimate)
@@ -387,11 +461,11 @@ class ServingGateway:
             first = offset // ef.stripe_size
             last = (offset + length - 1) // ef.stripe_size
             fetches = [
-                self.loop.create_task(self._stripe(ef, fs), name=f"stripe:{fs}")
-                for fs in range(first, last + 1)
+                self.loop.create_task(self._run(ef, block, row0, nrows, fs0), name="run")
+                for block, row0, nrows, fs0 in ef.code.read_plan().runs_within(first, last + 1)
             ]
             try:
-                rows = await self.loop.gather(*fetches)
+                runs = await self.loop.gather(*fetches)
             except ServingError:
                 self.metrics.add("serving_reads_failed", 1)
                 raise
@@ -401,15 +475,21 @@ class ServingGateway:
                     f"read of {key!r} for tenant {tenant!r} failed: {exc}",
                     file=ef.name, cause="unavailable",
                 ) from exc
-            flat = np.concatenate([np.asarray(r).reshape(-1) for r in rows])
-            lo = offset - first * ef.stripe_size
-            payload = flat[lo : lo + length].astype(np.uint8).tobytes()
+            # Trim the end stripes before joining: the extent is a fraction
+            # of a stripe where a row is a whole block.
+            pieces = [np.asarray(r).reshape(-1) for rows in runs for r in rows]
+            pieces[-1] = pieces[-1][: offset + length - last * ef.stripe_size]
+            pieces[0] = pieces[0][offset - first * ef.stripe_size :]
+            payload = np.concatenate(pieces).astype(np.uint8, copy=False).tobytes()
         finally:
             self.throttle.release(lease)
         latency = self.loop.now - t_arrival
         self.metrics.add("serving_reads_ok", 1)
         self.metrics.observe("serving_latency_s", latency)
-        self.metrics.observe(f"serving_latency_s[{tenant}]", latency)
+        tenant_latency = self._tenant_latency.get(tenant)
+        if tenant_latency is None:
+            tenant_latency = self._tenant_latency[tenant] = f"serving_latency_s[{tenant}]"
+        self.metrics.observe(tenant_latency, latency)
         if latency <= self.config.slo:
             self.metrics.add("serving_slo_ok", 1)
         tracer = get_tracer()

@@ -341,11 +341,11 @@ class DistributedFileSystem:
         ef = self.file(name)
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name,
-            bytes=ef.original_size * ef.code.gf.dtype.itemsize, clock=self.clock,
+            bytes=ef.original_size, clock=self.clock,
         ):
             grid = self._read_all_stripes(ef)
-            flat = grid.reshape(-1)[: ef.original_size]
-            return flat.astype(np.uint8).tobytes() if ef.code.gf.q == 8 else flat.tobytes()
+            # One payload byte per symbol, whatever the field's width.
+            return grid.reshape(-1)[: ef.original_size].astype(np.uint8).tobytes()
 
     def read_file_into(self, name: str, out) -> int:
         """Read a whole file directly into a caller-supplied buffer.
@@ -355,13 +355,14 @@ class DistributedFileSystem:
         onto the output bytes (GF(2^8) symbols, no padding tail) the
         stripes are read *into the buffer itself* — no intermediate grid,
         no ``tobytes`` copy; otherwise one trailing copy of the payload
-        prefix remains.  Both cases are accounted in the
-        ``bytes_moved_zero_copy`` / ``bytes_copied`` metrics.
+        prefix (narrowed to bytes over a wider field) remains.  Both
+        cases are accounted in the ``bytes_moved_zero_copy`` /
+        ``bytes_copied`` metrics.
 
         Returns the number of bytes written.
         """
         ef = self.file(name)
-        nbytes = ef.original_size * ef.code.gf.dtype.itemsize
+        nbytes = ef.original_size
         view = memoryview(out)[:nbytes]
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name, bytes=nbytes, clock=self.clock
@@ -377,8 +378,7 @@ class DistributedFileSystem:
             self.metrics.add("bytes_moved_zero_copy", nbytes)
         else:
             grid = self._read_all_stripes(ef)
-            flat = grid.reshape(-1)[: ef.original_size]
-            np.frombuffer(view, dtype=ef.code.gf.dtype)[:] = flat
+            np.frombuffer(view, dtype=np.uint8)[:] = grid.reshape(-1)[: ef.original_size]
             self.metrics.add("bytes_copied", nbytes)
         return nbytes
 
@@ -551,8 +551,9 @@ class DistributedFileSystem:
         """Read ``count`` file stripes starting at ``start``.
 
         Stripes stored verbatim on live servers are read directly (grouped
-        into per-block range reads); anything else triggers one degraded
-        decode for the whole file.
+        into per-block range reads); a run that cannot be read is rebuilt
+        from the helper rows it depends on, and only when that fails is
+        the whole file decoded.
         """
         tracer = get_tracer()
         if tracer.enabled:
@@ -577,10 +578,39 @@ class DistributedFileSystem:
                     ef.placement[block], name, block, row0, nrows
                 )
             except BlockUnavailableError:
-                if decoded is None:
-                    decoded = self._degraded_decode(ef)
-                out[lo : lo + nrows] = decoded[fs0 : fs0 + nrows]
+                rows = self._rebuild_rows(ef, block, row0, nrows)
+                if rows is None:
+                    if decoded is None:
+                        decoded = self._degraded_decode(ef)
+                    rows = decoded[fs0 : fs0 + nrows]
+                out[lo : lo + nrows] = rows
         return out
+
+    def _rebuild_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray | None:
+        """Rows of an unreadable block from the helper rows they depend on.
+
+        An extent needs the rows it covers, not the file: the block's
+        repair plan names, per row, the rows of each helper it is a
+        combination of, and only those are read (CRC-verified like any
+        row read).  ``None`` — no plan, or a helper row cannot be read —
+        sends the caller to the whole-file decode, which re-plans around
+        flaky survivors.
+        """
+        with get_tracer().span(
+            "dfs.row_repair", category="storage", file=ef.name, block=block,
+            row=row0, rows=nrows, clock=self.clock,
+        ):
+            try:
+                plan = ef.code.repair_plan(block, self._unreadable_blocks(ef) | {block})
+                helper_rows = plan.helper_rows
+                chunks = [
+                    self.client.read_rows(ef.server_of(h), ef.name, h, first, count)
+                    for h, first, count in helper_rows.reads(row0, nrows)
+                ]
+            except (DecodingError, BlockUnavailableError):
+                return None
+            self.metrics.add("degraded_reads", 1)
+            return helper_rows.rebuild(row0, nrows, chunks)
 
     def read_bytes(self, name: str, offset: int, length: int) -> bytes:
         """Read an arbitrary byte extent of the original file.

@@ -165,8 +165,9 @@ def simulate_server_recovery(
         writer = survivors[i % len(survivors)]
 
         reads = []
+        fractions = plan.read_fractions
         for helper in plan.helpers:
-            nbytes = int(plan.read_fractions[helper] * block_bytes)
+            nbytes = int(fractions[helper] * block_bytes)
             server = server_of[helper]
             outcome.bytes_read += nbytes
             outcome.bytes_read_by_server[server] = (

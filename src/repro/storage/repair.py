@@ -323,10 +323,11 @@ class RepairManager:
                             cause="helpers_exhausted",
                         ) from exc
                     helper_servers = {ef.server_of(h) for h in plan.helpers}
+                    fractions = plan.read_fractions
                     self.admission.acquire(
                         {
                             s: sum(
-                                plan.read_fractions[h] * block_bytes
+                                fractions[h] * block_bytes
                                 for h in plan.helpers
                                 if ef.server_of(h) == s
                             )
@@ -340,15 +341,13 @@ class RepairManager:
                     for h in plan.helpers:
                         server = ef.server_of(h)
                         try:
-                            available[h] = self.dfs.client.get(
-                                server, file_name, h, plan.read_fractions[h]
-                            )
+                            available[h] = self.dfs.client.get(server, file_name, h, fractions[h])
                         except BlockUnavailableError as exc:
                             bad_helper = h
                             last_exc = exc
                             break
                         bytes_by_server[server] = bytes_by_server.get(server, 0) + int(
-                            plan.read_fractions[h] * block_bytes
+                            fractions[h] * block_bytes
                         )
                     if bad_helper is None:
                         break
@@ -522,6 +521,8 @@ class RepairManager:
                     files=len(entries), helpers=list(helpers), clock=self.dfs.clock,
                 ):
                     block_bytes = entries[0][2].block_size * entries[0][2].code.gf.dtype.itemsize
+                    # One code, target and helper set per bucket: one set of fractions.
+                    fractions = entries[0][3].read_fractions
                     availables = []
                     accounting = []
                     ready = []
@@ -533,7 +534,7 @@ class RepairManager:
                             self.admission.acquire(
                                 {
                                     s: sum(
-                                        plan.read_fractions[h] * block_bytes
+                                        fractions[h] * block_bytes
                                         for h in plan.helpers
                                         if ef.server_of(h) == s
                                     )
@@ -547,10 +548,10 @@ class RepairManager:
                                 for h in plan.helpers:
                                     server = ef.server_of(h)
                                     available[h] = self.dfs.client.get(
-                                        server, file_name, h, plan.read_fractions[h]
+                                        server, file_name, h, fractions[h]
                                     )
                                     bytes_by_server[server] = bytes_by_server.get(server, 0) + int(
-                                        plan.read_fractions[h] * block_bytes
+                                        fractions[h] * block_bytes
                                     )
                             except BlockUnavailableError:
                                 # The per-block path owns the re-planning loop.

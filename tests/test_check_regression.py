@@ -47,7 +47,7 @@ def serving_record(**over) -> dict:
         "p99_zipf_rs": 0.010,
         "p99_zipf_galloper": 0.008,
         "p99_chaos_galloper": 0.020,
-        "galloper_vs_rs_p99_gain": 1.25,
+        "galloper_vs_rs_p99_gain": 1.6,
         "cache_hit_ratio": 0.8,
         "availability_chaos": 1.0,
     }
@@ -198,6 +198,14 @@ class TestServingGate:
         fails = cr.compare("serving", base, fresh, tolerance=self.TOL, floors=True)
         assert any("absolute ceiling" in f for f in fails)
         assert cr.compare("serving", base, fresh, tolerance=self.TOL, floors=False) == []
+
+    def test_gain_floor_catches_a_fallback_to_parity_with_rs(self, serving_baseline):
+        # 1.05 passes the 50% relative gate against any baseline up to 2.1;
+        # only the floor says that the load-spreading result is gone.
+        base = serving_record(galloper_vs_rs_p99_gain=1.05)
+        fails = cr.compare("serving", base, dict(base), tolerance=self.TOL, floors=True)
+        assert any("galloper_vs_rs_p99_gain" in f and "absolute floor 1.25x" in f for f in fails)
+        assert serving_baseline["galloper_vs_rs_p99_gain"] * 0.75 >= cr.FLOORS["galloper_vs_rs_p99_gain"] - 0.01
 
     def test_gain_floor_catches_tail_inversion(self):
         base = serving_record(galloper_vs_rs_p99_gain=1.8)

@@ -10,13 +10,14 @@ from repro.gf import random_symbols
 
 class TestGreedyFallback:
     def test_helper_set_grows_past_k_when_needed(self):
-        """Losing a group peer makes 4 helpers insufficient for block 0:
-        {D3, D4, L1, L2} is rank-deficient (L2 = D3 + D4), so the plan
-        must grow to 5 blocks."""
+        """Losing a group peer makes the first 4 survivors insufficient for
+        block 0: {D3, D4, L1, L2} is rank-deficient (L2 = D3 + D4), so the
+        search must grow to the global parity — and then drops L2, which
+        the solution never reads."""
         code = PyramidCode(4, 2, 1)
         plan = code.repair_plan(0, failed={1})
-        assert plan.blocks_read == 5
-        assert 1 not in plan.helpers
+        assert plan.helpers == (3, 4, 2, 6)
+        assert all(plan.read_fractions[h] > 0 for h in plan.helpers)
 
     def test_fallback_plan_actually_reconstructs(self):
         code = PyramidCode(4, 2, 1)

@@ -80,24 +80,18 @@ def write_striped(code, ragged: bool, groups: int = 3, seed: int = 0, **dfs_kwar
     return cluster, dfs, sfs, payload
 
 
-def as_stored_bytes(code, payload: bytes) -> bytes:
-    """What ``read_file`` returns: the bytes over GF(2^8), one 16-bit symbol per byte over GF(2^16)."""
-    return payload if code.gf.q == 8 else np.frombuffer(payload, np.uint8).astype(np.uint16).tobytes()
-
-
 def reference_read(dfs, ef) -> bytes:
     """The file assembled one stripe at a time from ``BlockInfo.file_stripes``, plan-free."""
     grid = np.zeros((ef.code.data_stripe_total, ef.stripe_size), dtype=ef.code.gf.dtype)
     for info in ef.code.block_infos:
         for row, fs in enumerate(info.file_stripes):
             grid[fs] = dfs.store.read_rows(ef.server_of(info.index), ef.name, info.index, row, 1)[0]
-    flat = grid.reshape(-1)[: ef.original_size]
-    return flat.astype(np.uint8).tobytes() if ef.code.gf.q == 8 else flat.tobytes()
+    # One payload byte per symbol, over GF(2^8) and GF(2^16) alike.
+    return grid.reshape(-1)[: ef.original_size].astype(np.uint8).tobytes()
 
 
 def read_into(dfs, name: str) -> bytes:
-    ef = dfs.file(name)
-    buf = bytearray(ef.original_size * ef.code.gf.dtype.itemsize)
+    buf = bytearray(dfs.file(name).original_size)
     assert dfs.read_file_into(name, buf) == len(buf)
     return bytes(buf)
 
@@ -171,7 +165,7 @@ def test_whole_file_reads_match_the_per_stripe_reference(code_name, field, ragge
     code = make_code(code_name, field)
     _, dfs, ef, payload = write(code, ragged)
     expected = reference_read(dfs, ef)
-    assert expected == as_stored_bytes(code, payload)
+    assert expected == payload
     dfs.metrics.reset()
     assert dfs.read_file("f") == expected
     # One range read per run: 7 for Galloper where the per-stripe loop made 28.
@@ -297,7 +291,7 @@ def test_single_loss_reads_exactly_the_repair_helpers(code_name, field, ragged, 
             dfs.metrics.reset()
             tracer = Tracer()
             with use_tracer(tracer):
-                assert read() == as_stored_bytes(code, payload)
+                assert read() == payload
             assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(
                 dfs, ["f"], victim, decoded
             )
@@ -391,17 +385,63 @@ def test_degraded_group_cannot_repair_locally_and_stays_exact(code_name):
     cluster.fail(ef.server_of(0))
     cluster.fail(ef.server_of(2))
     plan = code.repair_plan(0, {0, 2})
-    assert len(plan.helpers) > code.k  # the global fallback, not the k/l group mates
+    # The global fallback, not the k/l group mates: it reaches into the other
+    # group and the global parity, and names no helper it reads nothing from
+    # (the other group's local parity, which the greedy prefix passes over).
+    assert set(plan.helpers) == {1, 3, 4, 6}
     dfs.metrics.reset()
     tracer = Tracer()
     with use_tracer(tracer):
         assert dfs.read_file("f") == payload
-    # Pyramid's parity holds no data, so only block 0 has missing stripes,
-    # but its fallback plan names more than k helpers; Galloper lost data
-    # in two blocks.  Both decode in full from a minimal survivor set.
-    assert not tracer.find("dfs.local_repair") and tracer.find("dfs.degraded_decode")
+    # Pyramid's parity holds no data, so only block 0 has missing stripes and
+    # its k-helper fallback plan rebuilds it; Galloper lost data in two
+    # blocks and decodes in full from a minimal survivor set.
+    local = code_name == "pyramid"
+    assert bool(tracer.find("dfs.local_repair")) == local
+    assert bool(tracer.find("dfs.degraded_decode")) == (not local)
     whole_blocks = [s for s, n in dfs.metrics.by_server("disk_bytes_read").items() if n >= ef.block_size]
     assert len(whole_blocks) >= code.k
+
+
+@code_matrix
+@field_matrix
+def test_degraded_extent_reads_only_the_helper_rows_it_needs(code_name, field):
+    """An extent inside a lost block costs the rows its stripes depend on, not a decode of the file."""
+    for lost in range(make_code(code_name, field).n):
+        code = make_code(code_name, field)
+        runs = code.read_plan().block_runs[lost]
+        if not runs:
+            continue
+        cluster, dfs, ef, payload = write(code, ragged=True, seed=lost)
+        cluster.fail(ef.server_of(lost))
+        _, row0, nrows, fs0 = runs[0]
+        lo, hi = fs0 * ef.stripe_size + 3, min((fs0 + nrows) * ef.stripe_size - 2, len(payload))
+        helper_rows = code.repair_plan(lost).helper_rows
+        expect: dict[int, float] = defaultdict(float)
+        for helper, _, count in helper_rows.reads(row0, nrows):
+            expect[ef.server_of(helper)] += count * ef.stripe_size * code.gf.dtype.itemsize
+        dfs.metrics.reset()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert dfs.read_bytes("f", lo, hi - lo) == payload[lo:hi]
+        assert dfs.metrics.by_server("disk_bytes_read") == expect
+        assert len(tracer.find("dfs.row_repair")) == 1 and not tracer.find("dfs.degraded_decode")
+        assert dfs.metrics.total("degraded_reads") == 1
+
+
+@pytest.mark.parametrize("code_name", ["rs", "pyramid", "galloper"])
+def test_degraded_extent_read_falls_back_to_the_decode_when_a_helper_row_fails(code_name):
+    code = make_code(code_name)
+    helper = code.repair_plan(0).helpers[0]
+    probe = write(code, ragged=False)[2]
+    faults = FaultModel(WholeBlockReadErrors(servers=frozenset({probe.server_of(helper)})), seed=4)
+    cluster, dfs, ef, payload = write(code, ragged=False, fault_model=faults)
+    cluster.fail(ef.server_of(0))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert dfs.read_bytes("f", 5, STRIPE) == payload[5 : 5 + STRIPE]
+    assert dfs.metrics.total("retries") > 0
+    assert tracer.find("dfs.row_repair") and tracer.find("dfs.degraded_decode")
 
 
 def test_more_losses_than_the_code_tolerates_fail_loudly():
@@ -473,10 +513,10 @@ def test_corrupted_row_inside_a_run_is_caught_by_its_crc(code_name, field):
     block, row0, nrows, _ = max(code.read_plan().runs, key=lambda run: run[2])
     row = row0 + nrows // 2
     dfs.store.corrupt(ef.server_of(block), "f", block, offset=row * ef.stripe_size + 3)
-    assert reference_read(dfs, ef) != as_stored_bytes(code, payload)  # the rot is real
-    assert dfs.read_file("f") == as_stored_bytes(code, payload)
+    assert reference_read(dfs, ef) != payload  # the rot is real
+    assert dfs.read_file("f") == payload
     assert dfs.metrics.total("checksum_failures") > 0
     assert dfs.metrics.total("degraded_reads") == 1
-    assert read_into(dfs, "f") == as_stored_bytes(code, payload)
+    assert read_into(dfs, "f") == payload
     lo = (code.read_plan().runs[0][3]) * ef.stripe_size
     assert dfs.read_bytes("f", lo, 4 * STRIPE) == payload[lo : lo + 4 * STRIPE]

@@ -166,6 +166,7 @@ class TestPlanCacheMetrics:
             cluster.fail(victim)
             rm.repair_block("f", 0)
             cluster.recover(victim)
-        # First repair compiles the plan, later identical repairs hit it.
-        assert dfs.metrics.total("plan_cache_hits") == 2
-        assert ef.code.plan_cache_info()["hits"] == 2
+        # The first repair compiles the plan once — while sizing its helper
+        # reads — and every reconstruct, the first included, then hits it.
+        assert dfs.metrics.total("plan_cache_hits") == 3
+        assert ef.code.plan_cache_info()["misses"] == 1

@@ -292,6 +292,54 @@ class TestGatewayReads:
         assert got == [payload, payload]
         assert gateway.metrics.total("serving_coalesced_reads") > 0
 
+    def test_an_extent_inside_one_block_is_one_disk_io(self):
+        # 8 KiB over Galloper's 28 stripes: block 0 stores stripes 0-3 as its
+        # rows 0-3, and an extent over all four is one range read of it.
+        gateway = make_gateway()
+        payload = put_file(gateway, CODES["galloper"])
+        stripe = gateway.dfs.file("alpha/f0").stripe_size
+        assert run(gateway.loop, gateway.read("alpha", "f0", 10, 3 * stripe)) == payload[10 : 10 + 3 * stripe]
+        assert gateway.metrics.total("blocks_read") == 1
+        assert gateway.metrics.total("serving_cache_misses") == 4  # cached per stripe all the same
+
+    def test_extent_over_two_blocks_is_one_io_each(self):
+        gateway = make_gateway()
+        payload = put_file(gateway, CODES["galloper"])
+        ef = gateway.dfs.file("alpha/f0")
+        runs = list(ef.code.read_plan().runs_within(2, 7))
+        assert [(nrows, fs0) for _, _, nrows, fs0 in runs] == [(2, 2), (3, 4)]
+        lo, hi = 2 * ef.stripe_size, 7 * ef.stripe_size
+        assert run(gateway.loop, gateway.read("alpha", "f0", lo, hi - lo)) == payload[lo:hi]
+        reads = gateway.metrics.by_server("blocks_read")
+        assert reads == {ef.server_of(block): 1 for block, *_ in runs}
+
+    def test_partly_cached_run_fetches_only_the_rest(self):
+        gateway = make_gateway()
+        payload = put_file(gateway, CODES["galloper"])
+        stripe = gateway.dfs.file("alpha/f0").stripe_size
+        run(gateway.loop, gateway.read("alpha", "f0", stripe, stripe))  # stripe 1 alone
+        assert gateway.metrics.total("blocks_read") == 1
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 4 * stripe)) == payload[: 4 * stripe]
+        # Stripe 0 and stripes 2-3 flank the cached one: two sub-runs, two IOs.
+        assert gateway.metrics.total("blocks_read") == 3
+        assert gateway.metrics.total("serving_cache_hits") == 1
+
+    def test_overlapping_extents_coalesce_per_stripe(self):
+        gateway = make_gateway()
+        payload = put_file(gateway, CODES["galloper"])
+        stripe = gateway.dfs.file("alpha/f0").stripe_size
+
+        async def both():
+            a = gateway.loop.create_task(gateway.read("alpha", "f0", 0, 2 * stripe))
+            b = gateway.loop.create_task(gateway.read("alpha", "f0", stripe, 2 * stripe))
+            return await gateway.loop.gather(a, b)
+
+        got = run(gateway.loop, both())
+        assert got == [payload[: 2 * stripe], payload[stripe : 3 * stripe]]
+        # The second request follows the first on stripe 1 and leads stripe 2.
+        assert gateway.metrics.total("serving_coalesced_reads") == 1
+        assert gateway.metrics.total("blocks_read") == 2
+
     def test_slo_and_read_counters(self):
         gateway = make_gateway()
         put_file(gateway, CODES["galloper"])
@@ -324,6 +372,43 @@ class TestDegradedServing:
         got = run(gateway.loop, gateway.read("alpha", "f0"))
         assert got == payload
         assert gateway.counters()["degraded_reads"] > 0
+
+    def _lost_holder(self):
+        """A Galloper file whose block 0 (file stripes 0-3) sits on a dead server."""
+        gateway = make_gateway()
+        payload = put_file(gateway, CODES["galloper"])
+        ef = gateway.dfs.file("alpha/f0")
+        gateway.dfs.cluster.fail(ef.server_of(0))
+        return gateway, payload, ef, ef.code.repair_plan(0)
+
+    def test_degraded_read_takes_one_row_per_helper(self):
+        gateway, payload, ef, plan = self._lost_holder()
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        # Stripe 0 is row 0 of block 0: one row from each of its two group
+        # mates, where a whole-block hedge read seven.
+        assert gateway.metrics.by_server("disk_bytes_read") == {
+            ef.server_of(h): ef.stripe_size for h in plan.helpers
+        }
+        assert gateway.counters()["degraded_reads"] == 1
+
+    def test_rot_in_a_helper_row_the_read_does_not_name_is_not_read(self):
+        gateway, payload, ef, plan = self._lost_holder()
+        helper, named = plan.helper_rows.rows[0][0]
+        other = next(r for r in range(ef.code.N) if r != named)
+        gateway.dfs.store.corrupt(ef.server_of(helper), ef.name, helper, offset=other * ef.stripe_size)
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        assert gateway.metrics.total("checksum_failures") == 0
+
+    def test_corrupted_helper_row_never_reaches_the_client(self):
+        gateway, payload, ef, plan = self._lost_holder()
+        helper, named = plan.helper_rows.rows[0][0]
+        gateway.dfs.store.corrupt(ef.server_of(helper), ef.name, helper, offset=named * ef.stripe_size + 5)
+        # The row's CRC fails on every retry, the group repair gives up on
+        # that helper, and the stripe is decoded from verified blocks instead.
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        assert gateway.metrics.total("checksum_failures") > 0
+        assert gateway.metrics.total("decode_replans") > 0
+        assert gateway.counters()["reads_ok"] == 1
 
     def test_unrecoverable_extent_is_serving_error(self):
         gateway = make_gateway(servers=12)
@@ -374,6 +459,18 @@ class TestHedgedServing:
         run(gateway.loop, gateway.read("alpha", "f0", 0, 1024))
         counters = gateway.counters()
         assert counters["hedge_losers_discarded"] == counters["hedges_fired"]
+
+    def test_hedge_over_a_corrupted_helper_row_loses_to_the_primary(self):
+        gateway, payload = self._deep_queue_gateway()
+        ef = gateway.dfs.file("alpha/f0")
+        helper, named = ef.code.repair_plan(0).helper_rows.rows[0][0]
+        gateway.dfs.store.corrupt(ef.server_of(helper), ef.name, helper, offset=named * ef.stripe_size)
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        counters = gateway.counters()
+        # The hedge raced, failed its row's CRC, and the queued primary answered.
+        assert counters["hedges_fired"] == 1 and counters["hedges_won"] == 0
+        assert gateway.metrics.total("checksum_failures") > 0
+        assert gateway.loop.now >= 1.0
 
     def test_no_hedge_when_queue_is_shallow(self):
         gateway = make_gateway(hedge_threshold=0.005)
@@ -519,7 +616,7 @@ class TestPopulatedCatalogSharesPlans:
 # ------------------------------------------------------- frozen event order
 
 
-def _frozen_run(chaos: bool) -> dict:
+def _frozen_run(chaos: bool, code: str = "galloper") -> dict:
     """A seeded smoke-size gateway run, reduced to what must never move."""
     fault_model = None
     if chaos:
@@ -541,7 +638,7 @@ def _frozen_run(chaos: bool) -> dict:
         read_size=8192, file_size=65536, think_time=0.2, seed=11,
         flash_crowd=FlashCrowd(start=0.2, end=0.4, key_index=3, fraction=0.5) if chaos else None,
     )
-    populate(gateway, spec, CODES["galloper"], placement=RandomPlacement(seed=7))
+    populate(gateway, spec, CODES[code], placement=RandomPlacement(seed=7))
     loop = gateway.loop
     repair = {}
     if chaos:
@@ -570,28 +667,114 @@ def _frozen_run(chaos: bool) -> dict:
 
 
 class TestFrozenEventOrder:
-    """Constants recorded at the commit before the event engine's heap
-    entries, task resumption and lease table were rewritten for speed.
-
-    Every sim-clock result is a function of the order events fire in, so a
+    """Every sim-clock result is a function of the order events fire in, so a
     rewrite that keeps (time, seq) order reproduces these to the last bit:
     the latency list (by digest), the number of events, the counters.  A
     deliberate change to the gateway's behaviour re-records them; a change
     to the engine must not.
+
+    The Reed-Solomon and Pyramid cells were recorded at the commit before
+    the gateway served rows instead of blocks, and that change did not move
+    them: with ``N = 1`` a row *is* the block, so a run is one stripe and a
+    helper row is the helper.  The Galloper cells were re-recorded by it,
+    deliberately (8 KiB reads of 28-stripe files, so a request covers 4-5
+    stripes in 1-2 blocks):
+
+    * clean run: 3553 -> 2190 events and 798 -> 359 disk IOs for the same
+      1.87 MB read, because a request now issues one task and one disk IO
+      per *run* of consecutive rows in a block, not per stripe; with one
+      ``request_overhead`` per IO instead of 2-4 queued on the same disk the
+      latency sum falls 0.319 -> 0.118 s.  Cache and coalescer are still
+      keyed per stripe (800 -> 803 misses: fetches complete earlier, so
+      admission sees a slightly different order).
+    * crash + repair under faults: 5032 -> 2818 events, 1122 -> 507 disk IOs,
+      6.6 -> 2.8 MB read.  A hedge or degraded read now takes one row per
+      helper where it took the helper's whole block (7 rows), so the
+      foreground no longer queues behind its own hedges: 94 -> 31 hedges,
+      114 -> 40 degraded reads, latency sum 7.11 -> 2.77 s, and the repair
+      tenant, sharing those disks, finishes at 1.00 s instead of 2.29 s.
     """
+
+    def test_rs_clean_run(self):
+        assert _frozen_run(chaos=False, code="rs") == {
+            "latencies": 200,
+            "latency_sum": 0.07960916310913893,
+            "latency_sha256": "f987ccaecea5b8aa80c17d3582cca562722d928a348d339a7080fe7a472cd2e2",
+            "failures": 0,
+            "events": 1744,
+            "end": 1.5476395873458872,
+            "repair": {},
+            "counters": {
+                "cache_hits": 151, "cache_misses": 131, "cache_admissions": 38,
+                "cache_rejections": 91, "cache_evictions": 22, "coalesced_reads": 2,
+                "reads_ok": 200, "slo_ok": 200,
+            },
+        }
+
+    def test_rs_crash_and_repair_tenant_under_faults(self):
+        assert _frozen_run(chaos=True, code="rs") == {
+            "latencies": 200,
+            "latency_sum": 2.542192926759964,
+            "latency_sha256": "3cc024b494246f61e9ad1611e5e5f8ca40c4fd4854d8ab319e47d268e1bc94fe",
+            "failures": 0,
+            "events": 2125,
+            "end": 1.627639587345887,
+            "repair": {"rebuilt": 12, "done": 1.276392483172796},
+            "counters": {
+                "cache_hits": 144, "cache_misses": 138, "cache_admissions": 38,
+                "cache_rejections": 90, "cache_evictions": 22, "coalesced_reads": 10,
+                "hedges_fired": 8, "hedges_won": 8, "hedge_losers_discarded": 8,
+                "client_hedged_reads": 17, "client_hedged_losers_discarded": 17,
+                "degraded_reads": 11, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 192,
+            },
+        }
+
+    def test_pyramid_clean_run(self):
+        assert _frozen_run(chaos=False, code="pyramid") == {
+            "latencies": 200,
+            "latency_sum": 0.07960916310913893,
+            "latency_sha256": "f987ccaecea5b8aa80c17d3582cca562722d928a348d339a7080fe7a472cd2e2",
+            "failures": 0,
+            "events": 1744,
+            "end": 1.5476395873458872,
+            "repair": {},
+            "counters": {
+                "cache_hits": 151, "cache_misses": 131, "cache_admissions": 38,
+                "cache_rejections": 91, "cache_evictions": 22, "coalesced_reads": 2,
+                "reads_ok": 200, "slo_ok": 200,
+            },
+        }
+
+    def test_pyramid_crash_and_repair_tenant_under_faults(self):
+        assert _frozen_run(chaos=True, code="pyramid") == {
+            "latencies": 200,
+            "latency_sum": 0.21146511726076408,
+            "latency_sha256": "ed8599d3c31ed3fed069840581c46cb49c16773ea1a86a541554709a9556bb46",
+            "failures": 0,
+            "events": 2088,
+            "end": 1.6359700497189795,
+            "repair": {"rebuilt": 12, "done": 0.5948919247189789},
+            "counters": {
+                "cache_hits": 147, "cache_misses": 135, "cache_admissions": 37,
+                "cache_rejections": 96, "cache_evictions": 21, "coalesced_reads": 2,
+                "hedges_fired": 17, "hedges_won": 17, "hedge_losers_discarded": 17,
+                "client_hedged_reads": 19, "client_hedged_losers_discarded": 19,
+                "degraded_reads": 17, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 200,
+            },
+        }
 
     def test_clean_run(self):
         assert _frozen_run(chaos=False) == {
             "latencies": 200,
-            "latency_sum": 0.3189805345511286,
-            "latency_sha256": "4dbf4423d9eaccf98d2f7538049d5edb11aac4feb1354aee2c368f529e860ae0",
+            "latency_sum": 0.11826725540606475,
+            "latency_sha256": "974bb3654bf09b8f0e9825852552bb1060dde9685eae0acdc329884020786c71",
             "failures": 0,
-            "events": 3553,
-            "end": 1.5494610404403693,
+            "events": 2190,
+            "end": 1.5474610404403695,
             "repair": {},
             "counters": {
-                "cache_hits": 85, "cache_misses": 800, "cache_admissions": 134,
-                "cache_rejections": 664, "cache_evictions": 118, "coalesced_reads": 2,
+                "cache_hits": 82, "cache_misses": 803, "cache_admissions": 133,
+                "cache_rejections": 667, "cache_evictions": 117, "coalesced_reads": 3,
                 "reads_ok": 200, "slo_ok": 200,
             },
         }
@@ -599,18 +782,17 @@ class TestFrozenEventOrder:
     def test_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True) == {
             "latencies": 200,
-            "latency_sum": 7.112422912379847,
-            "latency_sha256": "01dd7d2f6fd00a224160be3e49bc516bcc0c2043504f7baba8741b01a4ac495e",
+            "latency_sum": 2.7660024381067183,
+            "latency_sha256": "a2ed2f1f70e7aeac25c40f688e36cc717b44c16e91c39db93fb1a743b5f0b91b",
             "failures": 0,
-            "events": 5032,
-            "end": 5.310071787608225,
-            "repair": {"rebuilt": 12, "done": 2.2880652730589657},
+            "events": 2818,
+            "end": 2.2798262069350015,
+            "repair": {"rebuilt": 12, "done": 0.9984982965117216},
             "counters": {
-                "cache_hits": 73, "cache_misses": 812, "cache_admissions": 128,
-                "cache_rejections": 666, "cache_evictions": 112, "coalesced_reads": 18,
-                "hedges_fired": 94, "hedges_won": 91, "hedge_losers_discarded": 94,
-                "client_hedged_reads": 65, "client_hedged_losers_discarded": 65,
-                "degraded_reads": 114, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 198,
+                "cache_hits": 71, "cache_misses": 814, "cache_admissions": 105,
+                "cache_rejections": 687, "cache_evictions": 89, "coalesced_reads": 22,
+                "hedges_fired": 31, "hedges_won": 31, "hedge_losers_discarded": 31,
+                "client_hedged_reads": 28, "client_hedged_losers_discarded": 28,
+                "degraded_reads": 40, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 198,
             },
         }
-

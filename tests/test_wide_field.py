@@ -11,9 +11,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
-from repro.gf import GF65536, field_for_code_width, random_symbols
+from repro.gf import GF256, GF65536, field_for_code_width, random_symbols
+from repro.storage import DistributedFileSystem
 
 
 class TestWideFieldCodes:
@@ -73,3 +75,33 @@ class TestWideFieldCodes:
         assert field_for_code_width(10).q == 8
         assert field_for_code_width(255).q == 8
         assert field_for_code_width(256).q == 16
+
+
+FILESYSTEM_CODES = {
+    "rs": lambda gf: ReedSolomonCode(4, 3, gf=gf),
+    "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
+    "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
+}
+
+
+class TestFilesystemReadsReturnThePayloadBytes:
+    """``read_file`` once returned the widened symbols over GF(2^16): a
+    10 240-byte payload came back as 20 480 bytes (``b"\\x00\\x00\\x01\\x00"...``)
+    while ``read_bytes`` of the same file was right."""
+
+    @pytest.mark.parametrize("lost", [None, 0, 5], ids=["clean", "lost-data-block", "lost-parity-block"])
+    @pytest.mark.parametrize("field", [GF256, GF65536], ids=["gf8", "gf16"])
+    @pytest.mark.parametrize("code_name", FILESYSTEM_CODES)
+    def test_every_whole_file_read_is_the_payload(self, code_name, field, lost):
+        code = FILESYSTEM_CODES[code_name](field)
+        cluster = Cluster.homogeneous(code.n + 2)
+        dfs = DistributedFileSystem(cluster)
+        payload = bytes(range(256)) * 40  # 10 240 bytes, every byte value
+        ef = dfs.write_file("f", payload, code=code)
+        if lost is not None:
+            cluster.fail(ef.server_of(lost))
+        assert dfs.read_file("f") == payload
+        assert dfs.read_bytes("f", 0, len(payload)) == payload
+        buf = bytearray(len(payload))
+        assert dfs.read_file_into("f", buf) == len(payload)
+        assert bytes(buf) == payload
