@@ -211,7 +211,7 @@ class XorSchedule:
         # a few hundred — microseconds, paid once per cached plan).
         pairs: list[tuple[int, int]] = []
         max_ops = _MAX_CSE_OPS_FACTOR * max(1, m) * w
-        while len(pairs) < max_ops:
+        while work.shape[1] > 1 and len(pairs) < max_ops:  # an all-zero matrix has no slots
             f = work.astype(np.float32)
             co = f.T @ f
             np.fill_diagonal(co, 0.0)

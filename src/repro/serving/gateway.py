@@ -53,7 +53,7 @@ from repro.codes.base import DecodingError
 from repro.obs.trace import get_tracer
 from repro.serving.cache import HotBlockCache
 from repro.serving.coalesce import RequestCoalescer
-from repro.serving.qos import TenantThrottle
+from repro.serving.qos import TenantLease, TenantThrottle
 from repro.sim.aio import SimLoop
 from repro.storage.blockstore import BlockUnavailableError
 from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
@@ -171,6 +171,9 @@ class ServingGateway:
             dfs.store.clock = self._scratch
         #: Per-server disk FIFO: the sim time each disk next falls idle.
         self._busy_until: dict[int, float] = defaultdict(float)
+        #: Per server, bytes of rebuilt blocks assigned to it and not yet
+        #: written (so not yet in ``_busy_until``).
+        self._writes_assigned: dict[int, int] = defaultdict(int)
         self._tenant_tracks: dict[str, int] = {}
         #: Per tenant, the name of its latency histogram.
         self._tenant_latency: dict[str, str] = {}
@@ -235,17 +238,24 @@ class ServingGateway:
             server, lambda: self.client.get(server, ef.name, block)
         )
 
-    async def _degraded_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray:
+    async def _degraded_rows(
+        self, ef: EncodedFile, block: int, row0: int, nrows: int, fastest: bool = False
+    ) -> np.ndarray:
         """Rebuild rows of a block through its repair group, by the row.
 
         The locality win shows up here: Galloper/Pyramid read their
         small local group, RS reads ``k`` helpers — and each helper is
         read only for the rows the target rows depend on (one per target
         row for a group-local plan), so a Galloper stripe costs a stripe
-        per helper, not a block.
+        per helper, not a block.  ``fastest`` picks the helper set by
+        predicted completion (:meth:`_fastest_plan`); a hedge reads the
+        plan :meth:`_hedge_would_win` costed.
         """
         self.metrics.add("serving_degraded_reads", 1)
-        plan = ef.code.repair_plan(block, self.dfs._unreadable_blocks(ef) | {block})
+        unreadable = self.dfs._unreadable_blocks(ef) | {block}
+        plan = ef.code.repair_plan(block, unreadable)
+        if fastest:
+            plan = self._fastest_plan(ef, plan, row0, nrows, unreadable)
         helper_rows = plan.helper_rows
         reads = [
             self.loop.create_task(self._read_rows(ef, h, first, count), name=f"helper:{h}")
@@ -299,6 +309,16 @@ class ServingGateway:
             plan = ef.code.repair_plan(block, {block})
         except DecodingError:
             return False
+        return self._plan_eta(ef, plan, row0, nrows)[0] < primary_eta
+
+    def _plan_eta(self, ef: EncodedFile, plan, row0: int, nrows: int) -> tuple[float, int]:
+        """Predicted sim seconds until target rows ``row0 .. row0 + nrows``
+        are rebuilt through ``plan``, and the helper that sets the pace.
+
+        Per helper: the wait for its disk, one ``request_overhead`` per
+        range read and the clean transfer time of the rows read; the
+        slowest helper gates the decode.
+        """
         stripe_bytes = ef.stripe_size * ef.code.gf.dtype.itemsize
         ios: dict[int, int] = defaultdict(int)
         rows: dict[int, int] = defaultdict(int)
@@ -307,14 +327,43 @@ class ServingGateway:
             rows[h] += count
         # Summed in this order so that one whole-block row (N = 1) predicts
         # to the bit what a whole-block helper read did.
-        slowest = max(
-            self.queue_wait(ef.server_of(h))
+        etas = {
+            h: self.queue_wait(ef.server_of(h))
             + ios[h] * self.config.request_overhead
             + rows[h] * stripe_bytes / self.dfs.cluster.server(ef.server_of(h)).disk_bandwidth
             for h in ios
-        )
-        hedge_eta = slowest + nrows * stripe_bytes / DECODE_RATE
-        return hedge_eta < primary_eta
+        }
+        slowest = max(etas, key=etas.__getitem__)
+        return etas[slowest] + nrows * stripe_bytes / DECODE_RATE, slowest
+
+    def _fastest_plan(self, ef: EncodedFile, plan, row0: int, nrows: int, unreadable):
+        """``plan``, or a repair plan for the same rows predicted to finish sooner.
+
+        ``plan`` is the code's own choice (the local group).  While a
+        plan is predicted slower than ``hedge_threshold`` — the config's
+        line for "too slow to wait for" — its slowest helper joins the
+        blocks to avoid and the code plans again; an alternative is kept
+        only when strictly faster, and the search ends when no decodable
+        helper set is left (at most ``n - k`` steps, each a memoised
+        search).  With every helper under the threshold the answer is
+        ``plan`` itself, so a quiet cluster reads what it always read.
+        """
+        threshold = self.config.hedge_threshold
+        if threshold is None:
+            return plan
+        eta, slowest = self._plan_eta(ef, plan, row0, nrows)
+        best_eta = eta
+        avoid = set(unreadable)
+        while eta > threshold:
+            avoid.add(slowest)
+            try:
+                other = ef.code.repair_plan(plan.target, avoid)
+            except DecodingError:
+                break
+            eta, slowest = self._plan_eta(ef, other, row0, nrows)
+            if eta < best_eta:
+                plan, best_eta = other, eta
+        return plan
 
     async def _fetch_rows(
         self, ef: EncodedFile, block: int, row0: int, nrows: int, fs0: int
@@ -325,9 +374,10 @@ class ServingGateway:
         if self.dfs.cluster.server(server).failed or not self.dfs.store.holds(
             server, ef.name, block
         ):
-            # No point racing a dead primary; go straight to the group.
+            # No point racing a dead primary; go straight to the group,
+            # or around it when one of its disks is the slow one.
             try:
-                return await self._degraded_rows(ef, block, row0, nrows)
+                return await self._degraded_rows(ef, block, row0, nrows, fastest=True)
             except (BlockUnavailableError, DecodingError):
                 return await self._decode_fallback(ef, fs0, nrows)
 
@@ -510,43 +560,77 @@ class ServingGateway:
         Repair enters through the same tenant throttle and the same
         per-server disk queues as foreground reads — the token-lease
         admission the repair pipeline already uses, now arbitrating
-        both kinds of traffic.  Returns the number of blocks rebuilt.
+        both kinds of traffic.  Blocks rebuild concurrently, one lease
+        each: the sweep admits the next block when the tenant is under
+        its cap, so the cap is what bounds the rebuilds in flight.  A
+        block that cannot be rebuilt is counted in
+        ``serving_repair_failures`` and the sweep goes on.  Returns the
+        number of blocks rebuilt.
         """
-        rebuilt_count = 0
+        rebuilds = []
         for name in self.dfs.list_files():
             ef = self.dfs.file(name)
             for block in sorted(ef.blocks_on_server(victim)):
                 lease = await self.throttle.acquire(tenant, self.config.lease_estimate)
-                try:
-                    plan = ef.code.repair_plan(block, self.dfs._unreadable_blocks(ef))
-                    reads = [
-                        self.loop.create_task(self._helper_block(ef, h), name=f"repair:{h}")
-                        for h in plan.helpers
-                    ]
-                    blocks = await self.loop.gather(*reads)
-                    rebuilt, _ = ef.code.reconstruct(
-                        block, dict(zip(plan.helpers, blocks)), plan
-                    )
-                    await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
-                    target = self._replacement_server(ef)
-                    await self._disk_write(target, ef.name, block, rebuilt)
-                    ef.placement[block] = target
-                    rebuilt_count += 1
-                    self.metrics.add("serving_repair_blocks", 1)
-                except (BlockUnavailableError, DecodingError):
-                    self.metrics.add("serving_repair_failures", 1)
-                finally:
-                    self.throttle.release(lease)
-        return rebuilt_count
+                rebuilds.append(
+                    self.loop.create_task(self._rebuild_block(ef, block, lease), name="rebuild")
+                )
+        return sum(await self.loop.gather(*rebuilds))
+
+    async def _rebuild_block(self, ef: EncodedFile, block: int, lease: TenantLease) -> bool:
+        """Rebuild one lost block onto a live server; ``lease`` is released
+        when it is done.  Returns whether the block was rebuilt."""
+        nbytes = ef.block_size * ef.code.gf.dtype.itemsize
+        try:
+            target = self._replacement_server(ef)
+            # The write is charged to the target's disk only once the block
+            # is rebuilt; until then rebuilds admitted alongside must see it.
+            self._writes_assigned[target] += nbytes
+            try:
+                unreadable = self.dfs._unreadable_blocks(ef)
+                default = ef.code.repair_plan(block, unreadable)
+                plan = self._fastest_plan(ef, default, 0, ef.code.N, unreadable)
+                if plan is not default:
+                    self.metrics.add("serving_repair_replans", 1)
+                self.metrics.add("serving_repair_helper_blocks", len(plan.helpers))
+                reads = [
+                    self.loop.create_task(self._helper_block(ef, h), name=f"repair:{h}")
+                    for h in plan.helpers
+                ]
+                blocks = await self.loop.gather(*reads)
+                rebuilt, _ = ef.code.reconstruct(block, dict(zip(plan.helpers, blocks)), plan)
+                await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
+            finally:
+                self._writes_assigned[target] -= nbytes
+            await self._disk_write(target, ef.name, block, rebuilt)
+            ef.placement[block] = target
+            self.metrics.add("serving_repair_blocks", 1)
+            return True
+        except (BlockUnavailableError, DecodingError, ServingError):
+            self.metrics.add("serving_repair_failures", 1)
+            return False
+        finally:
+            self.throttle.release(lease)
 
     def _replacement_server(self, ef: EncodedFile) -> int:
+        """The live server a rebuilt block of ``ef`` would be written soonest:
+        shortest disk queue counting the rebuild writes already headed
+        there, least recently busy among equals; a server holding another
+        block of the file only when there is no other."""
         used = set(ef.placement.values())
-        candidates = [s.server_id for s in self.dfs.cluster.alive() if s.server_id not in used]
-        if not candidates:
-            candidates = self.dfs.cluster.alive_ids()
+        alive = self.dfs.cluster.alive()
+        candidates = [s for s in alive if s.server_id not in used] or alive
         if not candidates:
             raise ServingError("no live server to rebuild onto", file=ef.name, cause="no_target")
-        return min(candidates, key=lambda s: (self._busy_until[s], s))
+        return min(
+            candidates,
+            key=lambda s: (
+                self.queue_wait(s.server_id)
+                + self._writes_assigned[s.server_id] / s.disk_bandwidth,
+                self._busy_until[s.server_id],
+                s.server_id,
+            ),
+        ).server_id
 
     async def _disk_write(self, server: int, name: str, block: int, payload: np.ndarray) -> None:
         def op():
@@ -582,6 +666,8 @@ class ServingGateway:
             "degraded_reads": count("serving_degraded_reads"),
             "throttle_waits": count("tenant_throttle_waits"),
             "repair_blocks": count("serving_repair_blocks"),
+            "repair_replans": count("serving_repair_replans"),
+            "repair_helper_blocks": count("serving_repair_helper_blocks"),
             "reads_ok": count("serving_reads_ok"),
             "reads_failed": count("serving_reads_failed"),
             "slo_ok": count("serving_slo_ok"),

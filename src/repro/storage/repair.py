@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.cluster.topology import Cluster
+from repro.cluster.topology import Cluster, Server
 from repro.codes.base import DecodingError
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
@@ -217,6 +217,26 @@ class ServerRepairReport:
         return sum(r.estimated_time for r in self.reports)
 
 
+@dataclass(frozen=True)
+class _ServerRanking:
+    """How one repair call ranks servers, taken once when the call starts.
+
+    Ranking is by quarantine and circuit-breaker state, which a call asks
+    about once per server here instead of once per server per rebuilt
+    block.  A helper that turns unreadable during the call is still
+    re-planned around, by the per-block loop that catches its error.
+
+    Attributes:
+        targets: live, unquarantined servers, breaker-closed first, then
+            by id — the order rebuilt blocks are offered homes in.
+        helper_key: per server, the sort key of a helper block stored
+            there (avoided servers last, then fastest disk first).
+    """
+
+    targets: tuple[Server, ...]
+    helper_key: dict[int, tuple[bool, float]]
+
+
 class RepairManager:
     """Rebuilds lost blocks using each code's repair plan.
 
@@ -258,16 +278,26 @@ class RepairManager:
         """Servers repairs should not lean on: quarantined or breaker-open."""
         return server_id in self.quarantine or self.dfs.health.is_open(server_id)
 
-    def _preference(self, ef: EncodedFile) -> list[int] | None:
+    def _rank_servers(self) -> _ServerRanking:
+        """The ranking every public repair entry point takes once and hands down."""
+        is_open = self.dfs.health.is_open
+        return _ServerRanking(
+            targets=tuple(
+                sorted(
+                    (s for s in self.cluster.alive() if s.server_id not in self.quarantine),
+                    key=lambda s: (is_open(s.server_id), s.server_id),
+                )
+            ),
+            helper_key={
+                s.server_id: (self._avoid(s.server_id), -s.disk_bandwidth) for s in self.cluster
+            },
+        )
+
+    def _preference(self, ef: EncodedFile, ranking: _ServerRanking) -> list[int] | None:
         if not self.prefer_fast_helpers:
             return None
-        return sorted(
-            ef.placement,
-            key=lambda b: (
-                self._avoid(ef.server_of(b)),
-                -self.cluster.server(ef.server_of(b)).disk_bandwidth,
-            ),
-        )
+        placement, key = ef.placement, ranking.helper_key
+        return sorted(placement, key=lambda b: key[placement[b]])
 
     def _dead_blocks(self, ef: EncodedFile) -> set[int]:
         dead = set()
@@ -287,6 +317,12 @@ class RepairManager:
             FileSystemError: when no live server can host the block (the
                 standard one-block-per-server rule is enforced).
         """
+        return self._repair_block(file_name, block, target_server, self._rank_servers())
+
+    def _repair_block(
+        self, file_name: str, block: int, target_server: int | None, ranking: _ServerRanking
+    ) -> RepairReport:
+        """:meth:`repair_block` under the ranking its caller already took."""
         tracer = get_tracer()
         with tracer.span(
             "repair.block", category="repair", file=file_name, block=block, clock=self.dfs.clock
@@ -313,7 +349,9 @@ class RepairManager:
             ) as read_sp:
                 while True:
                     try:
-                        plan = ef.code.repair_plan(block, unreadable, preference=self._preference(ef))
+                        plan = ef.code.repair_plan(
+                            block, unreadable, preference=self._preference(ef, ranking)
+                        )
                     except DecodingError as exc:
                         raise FileSystemError(
                             f"no helper set can rebuild block {block} of {file_name!r} "
@@ -379,7 +417,7 @@ class RepairManager:
             self.dfs.metrics.add("plan_cache_hits", ef.code.plan_cache_info()["hits"] - hits_before)
 
             report = self._install_rebuilt(
-                ef, file_name, block, rebuilt, plan, bytes_by_server, target_server
+                ef, file_name, block, rebuilt, plan, bytes_by_server, target_server, ranking
             )
             sp.set(target=report.target_server, bytes_read=report.bytes_read)
             return report
@@ -393,13 +431,14 @@ class RepairManager:
         plan,
         bytes_by_server: dict[int, int],
         target_server: int | None,
+        ranking: _ServerRanking,
     ) -> RepairReport:
         """Store a rebuilt block, update placement, and build the report."""
         block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
         if target_server is None:
             old_server = ef.placement.get(block)
             prefer_rack = self.cluster.server(old_server).rack if old_server is not None else None
-            target_server = self._pick_target(ef, prefer_rack)
+            target_server = self._pick_target(ef, prefer_rack, ranking)
         tracer = get_tracer()
         with tracer.span(
             "repair.write", category="repair", target=target_server, bytes=block_bytes
@@ -437,7 +476,7 @@ class RepairManager:
             cross_rack_bytes=cross_rack,
         )
 
-    def _pick_target(self, ef: EncodedFile, prefer_rack: int | None = None) -> int:
+    def _pick_target(self, ef: EncodedFile, prefer_rack: int | None, ranking: _ServerRanking) -> int:
         """A live unused server, preferring the lost block's old rack so
         rack-aware layouts keep their group-per-rack structure; among
         rack-equals the statistically healthiest server wins (no point
@@ -447,25 +486,15 @@ class RepairManager:
             for b, s in ef.placement.items()
             if not self.cluster.server(s).failed and self.dfs.store.holds(s, ef.name, b)
         }
-        candidates = [
-            s
-            for s in self.cluster.alive()
-            if s.server_id not in used and s.server_id not in self.quarantine
-        ]
-        if not candidates:
+        free = [s for s in ranking.targets if s.server_id not in used]
+        if not free:
             raise FileSystemError(
                 f"no spare server to host a rebuilt block of {ef.name!r}",
                 file=ef.name,
                 cause="no_target",
             )
-        candidates.sort(
-            key=lambda s: (
-                (s.rack != prefer_rack) if prefer_rack is not None else False,
-                self.dfs.health.is_open(s.server_id),
-                s.server_id,
-            )
-        )
-        return candidates[0].server_id
+        in_rack = (s for s in free if s.rack == prefer_rack)
+        return next(in_rack, free[0]).server_id
 
     # ------------------------------------------------------------ bulk repair
 
@@ -484,6 +513,7 @@ class RepairManager:
 
         Returns one report per rebuilt block, bucket by bucket.
         """
+        ranking = self._rank_servers()
         buckets: dict[tuple[int, int, tuple[int, ...]], list[tuple[str, int, EncodedFile, object]]] = {}
         fallback: list[tuple[str, int]] = []
         for file_name, block in targets:
@@ -497,7 +527,9 @@ class RepairManager:
                     cause="not_lost",
                 )
             try:
-                plan = ef.code.repair_plan(block, set(failed), preference=self._preference(ef))
+                plan = ef.code.repair_plan(
+                    block, set(failed), preference=self._preference(ef, ranking)
+                )
             except DecodingError as exc:
                 raise FileSystemError(
                     f"no helper set can rebuild block {block} of {file_name!r} "
@@ -576,11 +608,11 @@ class RepairManager:
                     ):
                         reports.append(
                             self._install_rebuilt(
-                                ef, file_name, block, built, plan, bytes_by_server, None
+                                ef, file_name, block, built, plan, bytes_by_server, None, ranking
                             )
                         )
         for file_name, block in fallback:
-            reports.append(self.repair_block(file_name, block))
+            reports.append(self._repair_block(file_name, block, None, ranking))
         return reports
 
     def repair_server(self, server_id: int, batch: bool = False) -> ServerRepairReport:
@@ -611,8 +643,9 @@ class RepairManager:
             if batch:
                 report.reports.extend(self.repair_blocks_bulk(lost))
             else:
+                ranking = self._rank_servers()
                 for name, b in lost:
-                    report.reports.append(self.repair_block(name, b))
+                    report.reports.append(self._repair_block(name, b, None, ranking))
             return report
 
     def repair_all(self, batch: bool = False) -> list[RepairReport]:

@@ -155,6 +155,16 @@ class TestXorSchedule:
         assert np.array_equal(out, mat_data_product_reference(gf, coeffs, payload))
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELDS.keys())
+    def test_all_zero_matrix_compiles_to_zero_output(self, field):
+        # Hypothesis found it: no non-zero coefficient, no operand slots,
+        # and the pair search took the argmax of an empty matrix.
+        gf = FIELDS[field]
+        sched = XorSchedule.compile(gf, np.zeros((2, 3), dtype=gf.dtype))
+        out = np.ones((2, 64), dtype=gf.dtype)
+        sched.execute(_random(gf, (3, 64), seed=5), np.arange(3), np.arange(2), out)
+        assert not out.any()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELDS.keys())
     @pytest.mark.parametrize("width", [1, 7, 1024, 1031, 200_003])
     def test_ragged_widths(self, field, width):
         # Odd widths hit the executor's non-word-aligned tail handling;

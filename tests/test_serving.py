@@ -357,7 +357,8 @@ class TestGatewayReads:
             "cache_evictions", "coalesced_reads", "hedges_fired", "hedges_won",
             "hedge_losers_discarded", "client_hedged_reads", "client_hedged_wins",
             "client_hedged_losers_discarded", "degraded_reads", "throttle_waits",
-            "repair_blocks", "reads_ok", "reads_failed", "slo_ok", "unavailable",
+            "repair_blocks", "repair_replans", "repair_helper_blocks",
+            "reads_ok", "reads_failed", "slo_ok", "unavailable",
         }
 
 
@@ -409,6 +410,23 @@ class TestDegradedServing:
         assert gateway.metrics.total("checksum_failures") > 0
         assert gateway.metrics.total("decode_replans") > 0
         assert gateway.counters()["reads_ok"] == 1
+
+    def test_dead_holder_read_routes_around_a_slow_group_mate(self):
+        gateway, payload, ef, plan = self._lost_holder()
+        slow = ef.server_of(plan.helpers[0])
+        gateway._busy_until[slow] = gateway.loop.now + 1.0
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        # The group would have waited a second for that disk; a wider
+        # helper set that skips it answers in milliseconds.
+        assert gateway.loop.now < 0.1
+        read_from = gateway.metrics.by_server("disk_bytes_read")
+        assert slow not in read_from and len(read_from) > len(plan.helpers)
+        assert gateway.counters()["degraded_reads"] == 1
+
+    def test_dead_holder_read_keeps_the_group_when_nothing_is_slow(self):
+        gateway, _, ef, plan = self._lost_holder()
+        unreadable = gateway.dfs._unreadable_blocks(ef)
+        assert gateway._fastest_plan(ef, plan, 0, 1, unreadable) is plan
 
     def test_unrecoverable_extent_is_serving_error(self):
         gateway = make_gateway(servers=12)
@@ -472,6 +490,18 @@ class TestHedgedServing:
         assert gateway.metrics.total("checksum_failures") > 0
         assert gateway.loop.now >= 1.0
 
+    def test_hedge_does_not_shop_for_a_faster_plan(self):
+        # The hedge costs and reads the group's plan only: with a group
+        # mate slower than the primary there is no hedge, although a wider
+        # helper set would beat both (hedges that shop feed themselves).
+        gateway, payload = self._deep_queue_gateway()
+        ef = gateway.dfs.file("alpha/f0")
+        mate = ef.server_of(ef.code.repair_plan(0).helpers[0])
+        gateway._busy_until[mate] = gateway.loop.now + 2.0
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        assert gateway.counters()["hedges_fired"] == 0
+        assert gateway.loop.now >= 1.0
+
     def test_no_hedge_when_queue_is_shallow(self):
         gateway = make_gateway(hedge_threshold=0.005)
         put_file(gateway, CODES["galloper"])
@@ -531,6 +561,120 @@ class TestRepairAsServing:
         # histogram recorded the repair tenant.
         all_metrics = gateway.metrics.snapshot_all()
         assert "tenant_throttle_wait_s[repair]" in str(all_metrics)
+
+    @staticmethod
+    def _lost_server(code_name, files=8, victim=0, **cfg):
+        """``files`` files with block ``b`` on server ``b``, server ``victim`` dead."""
+        gateway = make_gateway(**cfg)
+        payloads = {
+            f"f{i}": put_file(gateway, CODES[code_name], key=f"f{i}") for i in range(files)
+        }
+        gateway.dfs.cluster.fail(victim)
+        return gateway, payloads
+
+    @staticmethod
+    def _check_reads(gateway, payloads):
+        for key, payload in payloads.items():
+            assert run(gateway.loop, gateway.read("alpha", key)) == payload
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_rebuilds_run_concurrently_up_to_the_repair_cap(self, cap):
+        gateway, payloads = self._lost_server("galloper", tenant_limits={"repair": cap})
+        held = []
+        get = gateway.client.get
+
+        def sampling_get(*args, **kwargs):
+            held.append(gateway.throttle.inflight("repair"))
+            return get(*args, **kwargs)
+
+        gateway.client.get = sampling_get
+        assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
+        assert max(held) == cap
+        assert gateway.counters()["throttle_waits"] > 0
+        self._check_reads(gateway, payloads)
+
+    @pytest.mark.parametrize("code_name", CODES, ids=CODES.keys())
+    def test_rebuild_routes_around_a_slow_helper(self, code_name):
+        gateway, payloads = self._lost_server(code_name, hedge_threshold=0.005)
+        ef = gateway.dfs.file("alpha/f0")
+        default = ef.code.repair_plan(0)
+        slow = ef.server_of(default.helpers[0])  # a group mate; for RS one of the first k
+        gateway._busy_until[slow] = gateway.loop.now + 1.0
+        assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
+        assert gateway.loop.now < 0.5
+        assert slow not in gateway.metrics.by_server("disk_bytes_read")
+        counters = gateway.counters()
+        assert counters["repair_replans"] == len(payloads)
+        # Reed-Solomon swaps one helper for another; the local codes pay
+        # a k-helper decode for skipping a group mate.
+        assert counters["repair_helper_blocks"] == len(payloads) * ef.code.k
+        gateway.dfs.cluster.recover(0)  # empty: reads come off the new homes
+        self._check_reads(gateway, payloads)
+
+    def test_rebuild_goes_through_the_slow_helper_when_nothing_else_decodes(self):
+        gateway, payloads = self._lost_server("rs", files=3, hedge_threshold=0.005)
+        for server in (5, 6):  # with block 0: k = 4 blocks left, all of them needed
+            gateway.dfs.cluster.fail(server)
+        gateway._busy_until[1] = gateway.loop.now + 1.0
+        assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
+        assert gateway.loop.now >= 1.0
+        assert gateway.metrics.by_server("disk_bytes_read")[1] > 0
+        assert gateway.counters()["repair_replans"] == 0
+        self._check_reads(gateway, payloads)
+
+    @pytest.mark.parametrize("code_name", CODES, ids=CODES.keys())
+    def test_clean_cluster_rebuild_reads_the_default_plan(self, code_name):
+        gateway, payloads = self._lost_server(code_name, hedge_threshold=0.005)
+        ef = gateway.dfs.file("alpha/f0")
+        unreadable = gateway.dfs._unreadable_blocks(ef)
+        default = ef.code.repair_plan(0, unreadable)
+        assert gateway._fastest_plan(ef, default, 0, ef.code.N, unreadable) is default
+        assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
+        counters = gateway.counters()
+        assert counters["repair_replans"] == 0
+        assert counters["repair_helper_blocks"] == len(payloads) * len(default.helpers)
+        assert gateway.metrics.by_server("blocks_read") == {
+            ef.server_of(h): len(payloads) for h in default.helpers
+        }
+
+    def test_one_failed_rebuild_does_not_abandon_the_rest(self):
+        gateway, payloads = self._lost_server("galloper", files=6, tenant_limits={"repair": 2})
+        pick = gateway._replacement_server
+
+        def no_target_for_f2(ef):
+            if ef.name == "alpha/f2":
+                raise ServingError("no live server to rebuild onto", file=ef.name, cause="no_target")
+            return pick(ef)
+
+        gateway._replacement_server = no_target_for_f2
+        assert run(gateway.loop, gateway.repair_server(0)) == len(payloads) - 1
+        assert gateway.counters()["repair_blocks"] == len(payloads) - 1
+        assert gateway.metrics.total("serving_repair_failures") == 1
+        assert gateway.throttle.inflight("repair") == 0
+        assert gateway.dfs.file("alpha/f2").server_of(0) == 0
+        assert gateway.dfs.file("alpha/f5").server_of(0) != 0
+
+    def test_no_live_server_is_counted_not_raised(self):
+        gateway, payloads = self._lost_server("galloper", files=3)
+        for server in gateway.dfs.cluster.alive_ids():
+            gateway.dfs.cluster.fail(server)
+        assert run(gateway.loop, gateway.repair_server(0)) == 0
+        assert gateway.metrics.total("serving_repair_failures") == len(payloads)
+
+    def test_rebuilds_admitted_together_take_different_targets(self):
+        gateway, payloads = self._lost_server("galloper", files=4, tenant_limits={"repair": 4})
+        assert run(gateway.loop, gateway.repair_server(0)) == 4
+        targets = [gateway.dfs.file(f"alpha/{key}").server_of(0) for key in payloads]
+        # Servers 7-11 hold no block of these files and are all idle: four
+        # rebuilds admitted in the same instant must not share a disk.
+        assert len(set(targets)) == 4 and set(targets) <= {7, 8, 9, 10, 11}
+        assert not any(gateway._writes_assigned.values())
+
+    def test_a_server_with_a_block_of_the_file_is_the_last_resort(self):
+        gateway, _ = self._lost_server("galloper", files=2, servers=7)
+        assert run(gateway.loop, gateway.repair_server(0)) == 2
+        for key in ("f0", "f1"):  # six live servers, each already holding a block
+            assert gateway.dfs.file(f"alpha/{key}").server_of(0) in range(1, 7)
 
 
 # ----------------------------------------------------------------- workload
@@ -616,15 +760,14 @@ class TestPopulatedCatalogSharesPlans:
 # ------------------------------------------------------- frozen event order
 
 
-def _frozen_run(chaos: bool, code: str = "galloper") -> dict:
+GRAY_SERVER = GraySlowdown(servers=frozenset({1}), extra_latency=0.08)
+
+
+def _frozen_run(
+    chaos: bool, code: str = "galloper", faults=(GRAY_SERVER, LatencySpikes(rate=0.01, latency=0.05))
+) -> dict:
     """A seeded smoke-size gateway run, reduced to what must never move."""
-    fault_model = None
-    if chaos:
-        fault_model = FaultModel(
-            GraySlowdown(servers=frozenset({1}), extra_latency=0.08),
-            LatencySpikes(rate=0.01, latency=0.05),
-            seed=23,
-        )
+    fault_model = FaultModel(*faults, seed=23) if chaos and faults else None
     cluster = Cluster.homogeneous(10)
     gateway = ServingGateway(
         DistributedFileSystem(cluster, fault_model=fault_model),
@@ -693,6 +836,29 @@ class TestFrozenEventOrder:
       foreground no longer queues behind its own hedges: 94 -> 31 hedges,
       114 -> 40 degraded reads, latency sum 7.11 -> 2.77 s, and the repair
       tenant, sharing those disks, finishes at 1.00 s instead of 2.29 s.
+
+    The three crash-and-repair cells were re-recorded once more when
+    whole-server repair became concurrent (four leases, as the config
+    always said) and chose each block's helpers by predicted completion;
+    the failure-free cells did not move.  The crash is at 0.2 s:
+
+    ========  ====================  ===================  ==============
+    cell      ``repair.done`` (s)   ``latency_sum`` (s)  ``events``
+    ========  ====================  ===================  ==============
+    RS        1.2764 -> 0.2088      2.5422 -> 0.5330     2125 -> 2098
+    Pyramid   0.5949 -> 0.2066      0.2115 -> 0.3709     2088 -> 2055
+    Galloper  0.9985 -> 0.2553      2.7660 -> 0.4425     2818 -> 2743
+    ========  ====================  ===================  ==============
+
+    Repair no longer queues behind the gray server (1, 1 and 5 of the 12
+    rebuilds re-planned around it: 26, 26 and 48 helper blocks read where
+    the default plans read 26, 26 and 48 — RS swaps a helper, the local
+    codes had one group-local rebuild turn into a ``k``-helper one and one
+    ``k``-helper rebuild lose nothing), and a foreground read whose holder
+    is dead skips it too, which is where RS's and Galloper's latency sums
+    went.  Pyramid's rose: its twelve rebuilds now land inside 7 ms instead
+    of being spread over 0.4 s, and the requests of that instant queue
+    behind four concurrent helper reads instead of one.
     """
 
     def test_rs_clean_run(self):
@@ -714,18 +880,19 @@ class TestFrozenEventOrder:
     def test_rs_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True, code="rs") == {
             "latencies": 200,
-            "latency_sum": 2.542192926759964,
-            "latency_sha256": "3cc024b494246f61e9ad1611e5e5f8ca40c4fd4854d8ab319e47d268e1bc94fe",
+            "latency_sum": 0.5330057929681841,
+            "latency_sha256": "3a2185c5628182344abf596f9d431bb8bbdf42831bc52ffb6d4ecd4158d5c836",
             "failures": 0,
-            "events": 2125,
+            "events": 2098,
             "end": 1.627639587345887,
-            "repair": {"rebuilt": 12, "done": 1.276392483172796},
+            "repair": {"rebuilt": 12, "done": 0.20878799928517394},
             "counters": {
-                "cache_hits": 144, "cache_misses": 138, "cache_admissions": 38,
-                "cache_rejections": 90, "cache_evictions": 22, "coalesced_reads": 10,
-                "hedges_fired": 8, "hedges_won": 8, "hedge_losers_discarded": 8,
-                "client_hedged_reads": 17, "client_hedged_losers_discarded": 17,
-                "degraded_reads": 11, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 192,
+                "cache_hits": 148, "cache_misses": 134, "cache_admissions": 37,
+                "cache_rejections": 95, "cache_evictions": 21, "coalesced_reads": 2,
+                "hedges_fired": 6, "hedges_won": 6, "hedge_losers_discarded": 6,
+                "client_hedged_reads": 11, "client_hedged_losers_discarded": 11,
+                "degraded_reads": 7, "throttle_waits": 7, "repair_blocks": 12,
+                "repair_replans": 5, "repair_helper_blocks": 48, "reads_ok": 200, "slo_ok": 200,
             },
         }
 
@@ -748,18 +915,19 @@ class TestFrozenEventOrder:
     def test_pyramid_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True, code="pyramid") == {
             "latencies": 200,
-            "latency_sum": 0.21146511726076408,
-            "latency_sha256": "ed8599d3c31ed3fed069840581c46cb49c16773ea1a86a541554709a9556bb46",
+            "latency_sum": 0.3708878320822648,
+            "latency_sha256": "6dd89fc8bc8fde25cf40694909d8369c7e65ebff32148f385f1445e238a0f084",
             "failures": 0,
-            "events": 2088,
-            "end": 1.6359700497189795,
-            "repair": {"rebuilt": 12, "done": 0.5948919247189789},
+            "events": 2055,
+            "end": 1.627639587345887,
+            "repair": {"rebuilt": 12, "done": 0.20660156249999997},
             "counters": {
-                "cache_hits": 147, "cache_misses": 135, "cache_admissions": 37,
-                "cache_rejections": 96, "cache_evictions": 21, "coalesced_reads": 2,
-                "hedges_fired": 17, "hedges_won": 17, "hedge_losers_discarded": 17,
-                "client_hedged_reads": 19, "client_hedged_losers_discarded": 19,
-                "degraded_reads": 17, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 200,
+                "cache_hits": 148, "cache_misses": 134, "cache_admissions": 36,
+                "cache_rejections": 96, "cache_evictions": 20, "coalesced_reads": 2,
+                "hedges_fired": 12, "hedges_won": 12, "hedge_losers_discarded": 12,
+                "client_hedged_reads": 15, "client_hedged_losers_discarded": 15,
+                "degraded_reads": 12, "throttle_waits": 7, "repair_blocks": 12,
+                "repair_replans": 1, "repair_helper_blocks": 26, "reads_ok": 200, "slo_ok": 200,
             },
         }
 
@@ -782,17 +950,32 @@ class TestFrozenEventOrder:
     def test_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True) == {
             "latencies": 200,
-            "latency_sum": 2.7660024381067183,
-            "latency_sha256": "a2ed2f1f70e7aeac25c40f688e36cc717b44c16e91c39db93fb1a743b5f0b91b",
+            "latency_sum": 0.4425166690525075,
+            "latency_sha256": "58259f38d78331be4d8230e16e3c8e88f0281e4890e1f852da48c54f4c01442f",
             "failures": 0,
-            "events": 2818,
-            "end": 2.2798262069350015,
-            "repair": {"rebuilt": 12, "done": 0.9984982965117216},
+            "events": 2743,
+            "end": 2.1992145793562656,
+            "repair": {"rebuilt": 12, "done": 0.2552892985343933},
             "counters": {
-                "cache_hits": 71, "cache_misses": 814, "cache_admissions": 105,
-                "cache_rejections": 687, "cache_evictions": 89, "coalesced_reads": 22,
-                "hedges_fired": 31, "hedges_won": 31, "hedge_losers_discarded": 31,
-                "client_hedged_reads": 28, "client_hedged_losers_discarded": 28,
-                "degraded_reads": 40, "repair_blocks": 12, "reads_ok": 200, "slo_ok": 198,
+                "cache_hits": 74, "cache_misses": 811, "cache_admissions": 110,
+                "cache_rejections": 691, "cache_evictions": 94, "coalesced_reads": 10,
+                "hedges_fired": 32, "hedges_won": 32, "hedge_losers_discarded": 32,
+                "client_hedged_reads": 27, "client_hedged_losers_discarded": 27,
+                "degraded_reads": 32, "throttle_waits": 7, "repair_blocks": 12,
+                "repair_replans": 1, "repair_helper_blocks": 26, "reads_ok": 200, "slo_ok": 200,
             },
         }
+
+
+class TestRepairKeepsPaceWithAGrayServer:
+    """The guard against a silent return to serial or queue-blind repair:
+    one slow disk in the cluster must not set the pace of a whole-server
+    rebuild (serial and blind, the same run took 15x the clean one)."""
+
+    @pytest.mark.parametrize("code", CODES, ids=CODES.keys())
+    def test_repair_with_a_gray_server_finishes_within_3x_of_clean(self, code):
+        crash_at = 0.2
+        clean = _frozen_run(chaos=True, code=code, faults=())["repair"]
+        gray = _frozen_run(chaos=True, code=code, faults=(GRAY_SERVER,))["repair"]
+        assert clean["rebuilt"] == gray["rebuilt"] == 12
+        assert gray["done"] - crash_at <= 3 * (clean["done"] - crash_at)
