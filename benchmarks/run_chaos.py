@@ -11,6 +11,12 @@ Usage::
     PYTHONPATH=src python benchmarks/run_chaos.py [--out PATH]
         [--schedules N] [--seed S] [--checkpoints C]
 
+The campaign is seeded and bit-reproducible, so the committed file is
+also its own gate: a run whose ``metrics`` or ``degraded_read_overhead``
+differ from the latest committed run of the same ``(schedules,
+base_seed, checkpoints)`` exits nonzero and names the fields that moved.
+A change that means to move them commits the file this run wrote.
+
 Headline fields (also printed):
 
 * ``mismatches`` — reads that returned wrong bytes (must be 0; the
@@ -51,6 +57,37 @@ def run(schedules: int, base_seed: int, checkpoints: int) -> dict:
     return record
 
 
+CAMPAIGN_KEY = ("schedules", "base_seed", "checkpoints")
+
+
+def _load_runs(path: pathlib.Path) -> list[dict]:
+    try:
+        return json.loads(path.read_text()).get("runs", [])
+    except (OSError, json.JSONDecodeError, AttributeError):
+        return []
+
+
+def _overheads(record: dict) -> dict[str, float]:
+    return {code: stats["degraded_read_overhead"] for code, stats in record["per_code"].items()}
+
+
+def drift(record: dict, committed: list[dict]) -> list[str] | None:
+    """Fields of ``record`` that differ from its latest committed twin.
+
+    ``None`` when no committed run shares the campaign's parameters.
+    """
+    twins = [r for r in committed if all(r.get(k) == record[k] for k in CAMPAIGN_KEY)]
+    if not twins:
+        return None
+    was = {**twins[-1]["metrics"], **_overheads(twins[-1])}
+    now = {**record["metrics"], **_overheads(record)}
+    return [
+        f"{name}: {was.get(name)} -> {now.get(name)}"
+        for name in sorted(was.keys() | now.keys())
+        if was.get(name) != now.get(name)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -65,21 +102,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     record = run(args.schedules, args.seed, args.checkpoints)
-    history: list[dict] = []
-    if args.out.exists():
-        try:
-            history = json.loads(args.out.read_text()).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
+    moved = drift(record, _load_runs(REPO_ROOT / "BENCH_chaos.json"))
+    history = _load_runs(args.out)
     history.append(record)
     payload = {
         "mismatches": record["mismatches"],
         "unavailable": record["unavailable"],
         "reads": record["reads"],
         "metrics": record["metrics"],
-        "degraded_read_overhead": {
-            code: stats["degraded_read_overhead"] for code, stats in record["per_code"].items()
-        },
+        "degraded_read_overhead": _overheads(record),
         "runs": history,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -98,6 +129,15 @@ def main(argv: list[str] | None = None) -> int:
     if record["mismatches"]:
         print("FAILED: byte mismatches under chaos", file=sys.stderr)
         return 1
+    if moved is None:
+        print("  no committed run of this campaign to compare with")
+    elif moved:
+        print("FAILED: the seeded campaign no longer reproduces its committed run:", file=sys.stderr)
+        for line in moved:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    else:
+        print("  reproduces the committed run")
     return 0
 
 

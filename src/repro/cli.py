@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.codes import PyramidCode, ReedSolomonCode
-from repro.codes.base import ErasureCode
+from repro.codes.base import DecodingError, ErasureCode
 from repro.core import GalloperCode
 
 MANIFEST_NAME = "manifest.json"
@@ -138,7 +138,13 @@ def _read_manifest(directory: Path) -> dict:
     path = directory / MANIFEST_NAME
     if not path.exists():
         raise CLIError(f"no {MANIFEST_NAME} in {directory}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CLIError(f"cannot read {path}: {exc}") from None
+    if not isinstance(manifest, dict) or not {"code", "stripe_size", "original_size"} <= manifest.keys():
+        raise CLIError(f"{path} is not a block manifest")
+    return manifest
 
 
 def _block_path(directory: Path, block: int) -> Path:
@@ -207,6 +213,10 @@ def _load_blocks(directory: Path, code: ErasureCode, stripe_size: int, exclude: 
         if not path.exists():
             continue
         raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        if raw.size != code.N * stripe_size:
+            raise CLIError(
+                f"{path} holds {raw.size} bytes, the manifest says {code.N * stripe_size}"
+            )
         available[b] = raw.reshape(code.N, stripe_size)
     return available
 
@@ -316,7 +326,7 @@ def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, s
 
     victim = first.server_of(0)
     cluster.fail(victim)
-    repaired = RepairManager(dfs).repair_server(victim, batch=True)
+    repaired = RepairManager(dfs).repair_server(victim)
     if sfs.read_file("stats") != payload:
         raise CLIError("stats workload read-back mismatch after repair")
 
@@ -518,7 +528,7 @@ def run_traced_striped(code_factory, groups: int = 8, block_bytes: int = 4096, s
     cluster.fail(victim)
     if sfs.read_file("traced") != payload:
         raise CLIError("traced workload degraded read mismatch")
-    repaired = RepairManager(dfs).repair_server(victim, batch=True)
+    repaired = RepairManager(dfs).repair_server(victim)
     if sfs.read_file("traced") != payload:
         raise CLIError("traced workload post-repair read mismatch")
     return {
@@ -783,7 +793,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, DecodingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

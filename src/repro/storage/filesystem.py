@@ -26,6 +26,7 @@ from repro.cluster.topology import Cluster
 from repro.codes.base import DecodingError, ErasureCode
 from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
+from repro.storage import pipeline
 from repro.storage.blockstore import BlockStore, BlockUnavailableError, StorageError
 from repro.storage.health import HealthMonitor
 from repro.storage.metrics import MetricsRegistry
@@ -387,9 +388,8 @@ class DistributedFileSystem:
         if out is None:
             out = np.zeros((total, ef.stripe_size), dtype=ef.code.gf.dtype)
         missing = self._read_available_stripes(ef, out)
-        if missing and not self._repair_missing(ef, out, missing):
-            decoded = self._degraded_decode(ef)
-            out[missing] = decoded[missing]
+        if missing:
+            self._recover([(ef, out, missing)])
         return out
 
     def _read_available_stripes(self, ef: EncodedFile, out: np.ndarray) -> list[int]:
@@ -398,9 +398,9 @@ class DistributedFileSystem:
         One range read and one slice assignment per run of the code's
         :class:`~repro.codes.base.ReadPlan`.  Rows of ``out`` whose run
         could not be read (server down, retries exhausted) are left
-        untouched and their indices returned for the caller to recover —
-        per file via :meth:`_repair_missing` / :meth:`_degraded_decode`,
-        or batched across stripe groups by the striped layer.
+        untouched and their indices returned for the caller to hand to
+        :meth:`_recover` — one file at a time here, every degraded stripe
+        group of a file at once from the striped layer.
         """
         missing: list[int] = []
         for block, row0, nrows, fs0 in ef.code.read_plan().runs:
@@ -435,8 +435,8 @@ class DistributedFileSystem:
         accounting — which is why a plan that takes a fraction of nearly
         every survivor (the rotated baseline) costs more here than the
         minimal decodable subset and is declined.  ``memo`` shares the
-        verdict between the groups of one striped read, keyed by ``(code,
-        block, unreadable)``: the code remembers its fallback searches,
+        verdict between the groups of one striped read, keyed by ``(block,
+        unreadable)``: the code remembers its fallback searches,
         but not the ones that failed, nor the ``k``-helper rule above.
         """
         code = ef.code
@@ -446,7 +446,7 @@ class DistributedFileSystem:
             return None
         (block,) = owners
         unreadable = self._unreadable_blocks(ef) | {block}
-        key = (id(code), block, unreadable)
+        key = (block, unreadable)
         if key not in memo:
             try:
                 plan = code.repair_plan(block, unreadable)
@@ -455,64 +455,96 @@ class DistributedFileSystem:
             memo[key] = plan if plan is not None and len(plan.helpers) <= code.k else None
         return memo[key]
 
-    def _repair_missing(self, ef: EncodedFile, out: np.ndarray, missing: list[int]) -> bool:
-        """Recover ``missing`` by rebuilding their one block from its helpers.
+    def _recover(self, entries: list[tuple[EncodedFile, np.ndarray, list[int]]]) -> None:
+        """Fill the ``missing`` stripes of each ``(file, grid, missing)`` entry.
 
-        Returns ``False`` — ``out`` untouched — when there is no local
-        plan or a helper cannot be read; the caller then runs the full
-        decode, which re-plans around flaky survivors.
+        The entries share one code: they are one file, or the degraded
+        stripe groups of one striped file.  Those whose missing stripes
+        sit in one block with a local plan are bucketed by ``(block,
+        helpers)`` — after a server failure every group lands in one
+        bucket — and each bucket is rebuilt from its helpers in one fused
+        reconstruct.  Everything else, and any entry one of whose helpers
+        could not be read, is decoded in full from minimal survivor sets
+        by :meth:`_degraded_decode`, which re-plans around flaky
+        survivors.  A whole-file read is a batch of one.
         """
-        plan = self._plan_local_repair(ef, missing, {})
-        if plan is None:
-            return False
-        with get_tracer().span(
-            "dfs.local_repair", category="storage", file=ef.name,
-            block=plan.target, helpers=list(plan.helpers), clock=self.clock,
-        ):
-            try:
-                available = {
-                    h: self.client.get(ef.server_of(h), ef.name, h) for h in plan.helpers
-                }
-            except BlockUnavailableError:
-                return False
-            rebuilt, _ = ef.code.reconstruct(plan.target, available, plan)
-        ef.code.read_plan().scatter_block(plan.target, rebuilt, out)
-        self.metrics.add("degraded_reads", 1)
-        return True
+        code = entries[0][0].code
+        layout = code.read_plan()
+        plans: dict = {}
+        local: dict[tuple[int, tuple[int, ...]], list] = {}
+        full: list = []
+        for entry in entries:
+            plan = self._plan_local_repair(entry[0], entry[2], plans)
+            if plan is None:
+                full.append(entry)
+            else:
+                local.setdefault((plan.target, plan.helpers), []).append(entry)
+        for (block, helpers), members in local.items():
+            with get_tracer().span(
+                "dfs.local_repair", category="storage", block=block,
+                helpers=list(helpers), files=len(members), clock=self.clock,
+            ):
+                good: list = []
+                availables: list[dict[int, np.ndarray]] = []
+                for entry in members:
+                    ef = entry[0]
+                    try:
+                        availables.append(
+                            {h: self.client.get(ef.server_of(h), ef.name, h) for h in helpers}
+                        )
+                        good.append(entry)
+                    except BlockUnavailableError:
+                        full.append(entry)
+                if not good:
+                    continue
+                rebuilt = pipeline.batch_reconstruct(
+                    code, block, helpers, availables, metrics=self.metrics
+                )
+            for (_, grid, _), rows in zip(good, rebuilt):
+                layout.scatter_block(block, rows, grid)
+                self.metrics.add("degraded_reads", 1)
+        if full:
+            decoded = self._degraded_decode(*(ef for ef, _, _ in full))
+            for (_, grid, missing), grid_out in zip(full, decoded):
+                grid[missing] = grid_out[missing]
 
-    def _degraded_decode(self, ef: EncodedFile) -> np.ndarray:
-        """Decode the full stripe grid from a *minimal* set of survivors.
+    def _degraded_decode(self, *files: EncodedFile) -> list[np.ndarray]:
+        """Decode each file's full stripe grid from a *minimal* set of survivors.
 
         Reading every surviving block would work but wastes disk I/O;
         instead blocks are added greedily — data-heavy blocks first,
         healthier servers breaking ties — until the subset decodes, and
         only those are read.  A survivor that fails mid-read (transient
         faults exhaust the client's retries, or its server crashes
-        between planning and reading) is excluded and the selection
-        re-planned, so degraded reads survive flaky helpers.
+        between planning and reading) is excluded and that file's
+        selection re-planned, so degraded reads survive flaky helpers.
+        The files share one code (they are one file, or the stripe groups
+        of one striped file); those that end up on the same survivor set
+        decode in one fused apply.
         """
-        self.metrics.add("degraded_reads", 1)
-        code = ef.code
-        excluded: set[int] = set()
+        survivors: list[dict[int, np.ndarray]] = []
+        replans = 0
         with get_tracer().span(
-            "dfs.degraded_decode", category="storage", file=ef.name, clock=self.clock
+            "dfs.degraded_decode", category="storage", files=len(files), clock=self.clock
         ) as sp:
-            while True:
-                chosen = self._plan_decode_blocks(ef, excluded)
-                available: dict[int, np.ndarray] = {}
-                failed_block: int | None = None
-                for b in chosen:
-                    try:
-                        available[b] = self.client.get(ef.server_of(b), ef.name, b)
-                    except BlockUnavailableError:
-                        failed_block = b
+            for ef in files:
+                self.metrics.add("degraded_reads", 1)
+                excluded: set[int] = set()
+                while True:
+                    available: dict[int, np.ndarray] = {}
+                    for b in self._plan_decode_blocks(ef, excluded):
+                        try:
+                            available[b] = self.client.get(ef.server_of(b), ef.name, b)
+                        except BlockUnavailableError:
+                            excluded.add(b)
+                            self.metrics.add("decode_replans", 1)
+                            break
+                    else:
                         break
-                if failed_block is not None:
-                    excluded.add(failed_block)
-                    self.metrics.add("decode_replans", 1)
-                    continue
-                sp.set(blocks=chosen, replans=len(excluded))
-                return code.decode(available)
+                replans += len(excluded)
+                survivors.append(available)
+            sp.set(replans=replans)
+            return pipeline.batch_decode(files[0].code, survivors, metrics=self.metrics)
 
     def _plan_decode_blocks(self, ef: EncodedFile, excluded: set[int] | frozenset = frozenset()) -> list[int]:
         """Choose a minimal decodable block subset for a degraded read.
@@ -520,9 +552,7 @@ class DistributedFileSystem:
         Prefer blocks carrying the most original data (their rows are
         identity rows: cheap to eliminate, and they short-circuit the
         rank growth); among equals take the statistically healthiest
-        server, then index for determinism.  Shared by the per-file
-        degraded decode and the striped layer's batched decode, so both
-        paths pick identical survivors (and hit the same compiled plan).
+        server, then index for determinism.
 
         Raises:
             DecodingError: when no reachable subset determines the data.
@@ -581,7 +611,7 @@ class DistributedFileSystem:
                 rows = self._rebuild_rows(ef, block, row0, nrows)
                 if rows is None:
                     if decoded is None:
-                        decoded = self._degraded_decode(ef)
+                        (decoded,) = self._degraded_decode(ef)
                     rows = decoded[fs0 : fs0 + nrows]
                 out[lo : lo + nrows] = rows
         return out

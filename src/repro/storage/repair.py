@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster, Server
-from repro.codes.base import DecodingError
+from repro.codes.base import DecodingError, RepairPlan
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
 from repro.storage.blockstore import BlockUnavailableError
@@ -24,6 +24,10 @@ from repro.storage.metrics import MetricsRegistry
 #: Decode throughput of one baseline CPU, bytes/second.  Only relative
 #: magnitudes matter in the benches; this anchors time estimates.
 DECODE_RATE = 400 * (1 << 20)
+
+#: How many times one block rebuild may re-plan around an unreadable
+#: helper before giving up.
+MAX_HELPER_REPLANS = 8
 
 
 class LeaseTable:
@@ -224,7 +228,7 @@ class _ServerRanking:
     Ranking is by quarantine and circuit-breaker state, which a call asks
     about once per server here instead of once per server per rebuilt
     block.  A helper that turns unreadable during the call is still
-    re-planned around, by the per-block loop that catches its error.
+    re-planned around, by the rebuild loop that catches its error.
 
     Attributes:
         targets: live, unquarantined servers, breaker-closed first, then
@@ -235,6 +239,31 @@ class _ServerRanking:
 
     targets: tuple[Server, ...]
     helper_key: dict[int, tuple[bool, float]]
+
+
+@dataclass
+class _Rebuild:
+    """One lost block on its way through :meth:`RepairManager.repair_blocks_bulk`.
+
+    Attributes:
+        target_server: where the caller wants the block (``None``: a
+            spare picked when it is installed).
+        unreadable: blocks no plan may name — the file's dead blocks,
+            then every helper whose read failed for this rebuild.
+        replans: how many helpers it has re-planned around.
+        plan / available / bytes_by_server: the current round's plan,
+            the helper stripes read under it and their per-server bytes.
+    """
+
+    file: str
+    block: int
+    target_server: int | None
+    ef: EncodedFile
+    unreadable: set[int]
+    replans: int = 0
+    plan: RepairPlan | None = None
+    available: dict[int, object] = field(default_factory=dict)
+    bytes_by_server: dict[int, int] = field(default_factory=dict)
 
 
 class RepairManager:
@@ -250,8 +279,6 @@ class RepairManager:
         admission: throttle bounding concurrent repair reads per server;
             default builds one on the filesystem's clock (raise its cap
             to effectively disable throttling).
-        max_helper_replans: how many times one block repair may re-plan
-            around an unreadable helper before giving up.
 
     Attributes:
         quarantine: server ids treated as dead for planning — their
@@ -265,13 +292,11 @@ class RepairManager:
         dfs: DistributedFileSystem,
         prefer_fast_helpers: bool = True,
         admission: RepairAdmissionController | None = None,
-        max_helper_replans: int = 8,
     ):
         self.dfs = dfs
         self.cluster: Cluster = dfs.cluster
         self.prefer_fast_helpers = prefer_fast_helpers
         self.admission = admission or RepairAdmissionController(dfs.clock, metrics=dfs.metrics)
-        self.max_helper_replans = max_helper_replans
         self.quarantine: set[int] = set()
 
     def _avoid(self, server_id: int) -> bool:
@@ -300,15 +325,10 @@ class RepairManager:
         return sorted(placement, key=lambda b: key[placement[b]])
 
     def _dead_blocks(self, ef: EncodedFile) -> set[int]:
-        dead = set()
-        for b, server in ef.placement.items():
-            if (
-                self.cluster.server(server).failed
-                or server in self.quarantine
-                or not self.dfs.store.holds(server, ef.name, b)
-            ):
-                dead.add(b)
-        return dead
+        """Blocks to rebuild: unreadable, or parked on a quarantined server."""
+        return set(self.dfs._unreadable_blocks(ef)) | {
+            b for b, server in ef.placement.items() if server in self.quarantine
+        }
 
     def repair_block(self, file_name: str, block: int, target_server: int | None = None) -> RepairReport:
         """Rebuild one block and install it on a live server.
@@ -317,16 +337,29 @@ class RepairManager:
             FileSystemError: when no live server can host the block (the
                 standard one-block-per-server rule is enforced).
         """
-        return self._repair_block(file_name, block, target_server, self._rank_servers())
+        return self.repair_blocks_bulk([(file_name, block, target_server)])[0]
 
-    def _repair_block(
-        self, file_name: str, block: int, target_server: int | None, ranking: _ServerRanking
-    ) -> RepairReport:
-        """:meth:`repair_block` under the ranking its caller already took."""
-        tracer = get_tracer()
-        with tracer.span(
-            "repair.block", category="repair", file=file_name, block=block, clock=self.dfs.clock
-        ) as sp:
+    def repair_blocks_bulk(self, targets: list[tuple]) -> list[RepairReport]:
+        """Rebuild many lost blocks, fusing same-pattern reconstructions.
+
+        ``targets`` are ``(file, block)`` or ``(file, block, target
+        server)`` tuples; without a target server the block goes to a
+        spare picked when it is installed.  Every target is planned, then
+        targets are grouped by ``(code instance, block index, helper
+        set)`` — after one server failure every stripe group of a striped
+        file lands in the same bucket — and each bucket's reconstruction
+        runs as **one** compiled-plan apply over the column-concatenated
+        helper stripes of all its files (ragged stripe widths mix freely).
+        Helper reads go through the resilient client; a target one of
+        whose helpers exhausts its retries (flaky disk, tripped breaker,
+        fresh crash) goes round again with that helper added to its
+        unreadable set, up to :data:`MAX_HELPER_REPLANS` times.
+
+        Returns one report per rebuilt block, bucket by bucket.
+        """
+        ranking = self._rank_servers()
+        pending: list[_Rebuild] = []
+        for file_name, block, *where in targets:
             ef = self.dfs.file(file_name)
             failed = self._dead_blocks(ef)
             if block not in failed:
@@ -336,104 +369,110 @@ class RepairManager:
                     block=block,
                     cause="not_lost",
                 )
-            block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
+            pending.append(_Rebuild(file_name, block, where[0] if where else None, ef, failed))
 
-            # Helper reads go through the resilient client; a helper whose
-            # retries exhaust (flaky disk, tripped breaker, fresh crash) is
-            # added to the failed set and the repair re-planned with a
-            # different helper set, up to ``max_helper_replans`` times.
-            unreadable = set(failed)
-            replans = 0
-            with tracer.span(
-                "repair.helper_reads", category="repair", clock=self.dfs.clock
-            ) as read_sp:
-                while True:
+        tracer = get_tracer()
+        reports: list[RepairReport] = []
+        with tracer.span(
+            "repair.bulk", category="repair", targets=len(targets), clock=self.dfs.clock
+        ):
+            while pending:
+                buckets: dict[tuple[int, int, tuple[int, ...]], list[_Rebuild]] = {}
+                for job in pending:
                     try:
-                        plan = ef.code.repair_plan(
-                            block, unreadable, preference=self._preference(ef, ranking)
+                        plan = job.ef.code.repair_plan(
+                            job.block, job.unreadable, preference=self._preference(job.ef, ranking)
                         )
                     except DecodingError as exc:
                         raise FileSystemError(
-                            f"no helper set can rebuild block {block} of {file_name!r} "
-                            f"(unreadable blocks: {sorted(unreadable)})",
-                            file=file_name,
-                            block=block,
+                            f"no helper set can rebuild block {job.block} of {job.file!r} "
+                            f"(unreadable blocks: {sorted(job.unreadable)})",
+                            file=job.file,
+                            block=job.block,
                             cause="helpers_exhausted",
                         ) from exc
-                    helper_servers = {ef.server_of(h) for h in plan.helpers}
-                    fractions = plan.read_fractions
-                    self.admission.acquire(
-                        {
-                            s: sum(
-                                fractions[h] * block_bytes
-                                for h in plan.helpers
-                                if ef.server_of(h) == s
+                    bucket = buckets.setdefault((id(job.ef.code), job.block, plan.helpers), [])
+                    # One plan object per bucket: equal plans, one set of fractions.
+                    job.plan = bucket[0].plan if bucket else plan
+                    bucket.append(job)
+                pending = []
+                for (_, block, helpers), jobs in buckets.items():
+                    with tracer.span(
+                        "repair.bucket", category="repair", block=block,
+                        files=len(jobs), helpers=list(helpers), clock=self.dfs.clock,
+                    ):
+                        ready: list[_Rebuild] = []
+                        with tracer.span(
+                            "repair.helper_reads", category="repair", clock=self.dfs.clock
+                        ):
+                            for job in jobs:
+                                (ready if self._read_helpers(job) else pending).append(job)
+                        if not ready:
+                            continue
+                        # Reconstruction goes through the code's compiled-plan
+                        # cache: one compile serves every member of the bucket
+                        # and every later bucket of the same pattern.  Surface
+                        # cache effectiveness through the filesystem metrics.
+                        code = ready[0].ef.code
+                        hits_before = code.plan_cache_info()["hits"]
+                        with tracer.span("repair.decode", category="repair", files=len(ready)):
+                            rebuilt = pipeline.batch_reconstruct(
+                                code, block, helpers,
+                                [job.available for job in ready], metrics=self.dfs.metrics,
                             )
-                            / self.cluster.server(s).disk_bandwidth
-                            for s in helper_servers
-                        }
-                    )
-                    available: dict[int, bytes] = {}
-                    bytes_by_server: dict[int, int] = {}
-                    bad_helper: int | None = None
-                    for h in plan.helpers:
-                        server = ef.server_of(h)
-                        try:
-                            available[h] = self.dfs.client.get(server, file_name, h, fractions[h])
-                        except BlockUnavailableError as exc:
-                            bad_helper = h
-                            last_exc = exc
-                            break
-                        bytes_by_server[server] = bytes_by_server.get(server, 0) + int(
-                            fractions[h] * block_bytes
+                        self.dfs.metrics.add(
+                            "plan_cache_hits", code.plan_cache_info()["hits"] - hits_before
                         )
-                    if bad_helper is None:
-                        break
-                    unreadable.add(bad_helper)
-                    replans += 1
-                    self.dfs.metrics.add("repair_replans", 1)
-                    if replans > self.max_helper_replans:
-                        raise FileSystemError(
-                            f"repair of block {block} of {file_name!r} gave up after "
-                            f"{replans} helper re-plans",
-                            file=file_name,
-                            block=block,
-                            cause="helpers_exhausted",
-                        ) from last_exc
-                read_sp.set(
-                    helpers=list(plan.helpers),
-                    replans=replans,
-                    bytes=sum(bytes_by_server.values()),
-                )
+                        for job, built in zip(ready, rebuilt):
+                            reports.append(self._install_rebuilt(job, built, ranking))
+        return reports
 
-            # Reconstruction goes through the code's compiled-plan cache:
-            # repeated failures of the same (target, helpers) pattern — the
-            # normal shape of a repair storm — skip the linear algebra and jump
-            # straight to the table-gather kernel.  Surface cache effectiveness
-            # through the filesystem metrics.
-            hits_before = ef.code.plan_cache_info()["hits"]
-            with tracer.span("repair.decode", category="repair", helpers=len(plan.helpers)):
-                rebuilt, plan = ef.code.reconstruct(block, available, plan)
-            self.dfs.metrics.add("plan_cache_hits", ef.code.plan_cache_info()["hits"] - hits_before)
+    def _read_helpers(self, job: _Rebuild) -> bool:
+        """Admit and read the helpers of ``job.plan``; ``False`` to re-plan.
 
-            report = self._install_rebuilt(
-                ef, file_name, block, rebuilt, plan, bytes_by_server, target_server, ranking
+        A helper that cannot be read joins ``job.unreadable`` for the
+        next round's plan.
+
+        Raises:
+            FileSystemError: after :data:`MAX_HELPER_REPLANS` re-plans.
+        """
+        ef, plan = job.ef, job.plan
+        fractions = plan.read_fractions
+        block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
+        self.admission.acquire(
+            {
+                s: sum(fractions[h] * block_bytes for h in plan.helpers if ef.server_of(h) == s)
+                / self.cluster.server(s).disk_bandwidth
+                for s in {ef.server_of(h) for h in plan.helpers}
+            }
+        )
+        job.available, job.bytes_by_server = {}, {}
+        for h in plan.helpers:
+            server = ef.server_of(h)
+            try:
+                job.available[h] = self.dfs.client.get(server, job.file, h, fractions[h])
+            except BlockUnavailableError as exc:
+                job.unreadable.add(h)
+                job.replans += 1
+                self.dfs.metrics.add("repair_replans", 1)
+                if job.replans > MAX_HELPER_REPLANS:
+                    raise FileSystemError(
+                        f"repair of block {job.block} of {job.file!r} gave up after "
+                        f"{job.replans} helper re-plans",
+                        file=job.file,
+                        block=job.block,
+                        cause="helpers_exhausted",
+                    ) from exc
+                return False
+            job.bytes_by_server[server] = job.bytes_by_server.get(server, 0) + int(
+                fractions[h] * block_bytes
             )
-            sp.set(target=report.target_server, bytes_read=report.bytes_read)
-            return report
+        return True
 
-    def _install_rebuilt(
-        self,
-        ef: EncodedFile,
-        file_name: str,
-        block: int,
-        rebuilt,
-        plan,
-        bytes_by_server: dict[int, int],
-        target_server: int | None,
-        ranking: _ServerRanking,
-    ) -> RepairReport:
+    def _install_rebuilt(self, job: _Rebuild, rebuilt, ranking: _ServerRanking) -> RepairReport:
         """Store a rebuilt block, update placement, and build the report."""
+        ef, file_name, block = job.ef, job.file, job.block
+        bytes_by_server, target_server = job.bytes_by_server, job.target_server
         block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
         if target_server is None:
             old_server = ef.placement.get(block)
@@ -467,7 +506,7 @@ class RepairManager:
         return RepairReport(
             file=file_name,
             block=block,
-            helpers=plan.helpers,
+            helpers=job.plan.helpers,
             bytes_read=total_read,
             bytes_read_by_server=bytes_by_server,
             bytes_written=block_bytes,
@@ -496,184 +535,45 @@ class RepairManager:
         in_rack = (s for s in free if s.rack == prefer_rack)
         return next(in_rack, free[0]).server_id
 
-    # ------------------------------------------------------------ bulk repair
-
-    def repair_blocks_bulk(self, targets: list[tuple[str, int]]) -> list[RepairReport]:
-        """Rebuild many lost blocks, fusing same-pattern reconstructions.
-
-        Targets are grouped by ``(code instance, block index, helper
-        set)`` — after one server failure every stripe group of a striped
-        file lands in the same bucket — and each bucket's reconstruction
-        runs as **one** compiled-plan apply over the column-concatenated
-        helper stripes of all its files (ragged stripe widths mix
-        freely).  Helper reads, admission control, placement updates and
-        per-block reports are unchanged; a block whose helper reads fail
-        falls back to :meth:`repair_block`, which re-plans around the bad
-        helper.
-
-        Returns one report per rebuilt block, bucket by bucket.
-        """
-        ranking = self._rank_servers()
-        buckets: dict[tuple[int, int, tuple[int, ...]], list[tuple[str, int, EncodedFile, object]]] = {}
-        fallback: list[tuple[str, int]] = []
-        for file_name, block in targets:
-            ef = self.dfs.file(file_name)
-            failed = self._dead_blocks(ef)
-            if block not in failed:
-                raise FileSystemError(
-                    f"block {block} of {file_name!r} is not lost",
-                    file=file_name,
-                    block=block,
-                    cause="not_lost",
-                )
-            try:
-                plan = ef.code.repair_plan(
-                    block, set(failed), preference=self._preference(ef, ranking)
-                )
-            except DecodingError as exc:
-                raise FileSystemError(
-                    f"no helper set can rebuild block {block} of {file_name!r} "
-                    f"(unreadable blocks: {sorted(failed)})",
-                    file=file_name,
-                    block=block,
-                    cause="helpers_exhausted",
-                ) from exc
-            key = (id(ef.code), block, plan.helpers)
-            buckets.setdefault(key, []).append((file_name, block, ef, plan))
-
-        tracer = get_tracer()
-        reports: list[RepairReport] = []
-        with tracer.span(
-            "repair.bulk", category="repair", targets=len(targets),
-            buckets=len(buckets), clock=self.dfs.clock,
-        ):
-            for (_, block, helpers), entries in buckets.items():
-                with tracer.span(
-                    "repair.bucket", category="repair", block=block,
-                    files=len(entries), helpers=list(helpers), clock=self.dfs.clock,
-                ):
-                    block_bytes = entries[0][2].block_size * entries[0][2].code.gf.dtype.itemsize
-                    # One code, target and helper set per bucket: one set of fractions.
-                    fractions = entries[0][3].read_fractions
-                    availables = []
-                    accounting = []
-                    ready = []
-                    with tracer.span(
-                        "repair.helper_reads", category="repair", clock=self.dfs.clock
-                    ):
-                        for file_name, _, ef, plan in entries:
-                            helper_servers = {ef.server_of(h) for h in plan.helpers}
-                            self.admission.acquire(
-                                {
-                                    s: sum(
-                                        fractions[h] * block_bytes
-                                        for h in plan.helpers
-                                        if ef.server_of(h) == s
-                                    )
-                                    / self.cluster.server(s).disk_bandwidth
-                                    for s in helper_servers
-                                }
-                            )
-                            available: dict[int, object] = {}
-                            bytes_by_server: dict[int, int] = {}
-                            try:
-                                for h in plan.helpers:
-                                    server = ef.server_of(h)
-                                    available[h] = self.dfs.client.get(
-                                        server, file_name, h, fractions[h]
-                                    )
-                                    bytes_by_server[server] = bytes_by_server.get(server, 0) + int(
-                                        fractions[h] * block_bytes
-                                    )
-                            except BlockUnavailableError:
-                                # The per-block path owns the re-planning loop.
-                                fallback.append((file_name, block))
-                                continue
-                            availables.append(available)
-                            accounting.append(bytes_by_server)
-                            ready.append((file_name, ef, plan))
-                    if not ready:
-                        continue
-                    code = ready[0][1].code
-                    hits_before = code.plan_cache_info()["hits"]
-                    with tracer.span("repair.decode", category="repair", files=len(ready)):
-                        rebuilt = pipeline.batch_reconstruct(
-                            code, block, helpers, availables, metrics=self.dfs.metrics
-                        )
-                    self.dfs.metrics.add(
-                        "plan_cache_hits", code.plan_cache_info()["hits"] - hits_before
-                    )
-                    for (file_name, ef, plan), built, bytes_by_server in zip(
-                        ready, rebuilt, accounting
-                    ):
-                        reports.append(
-                            self._install_rebuilt(
-                                ef, file_name, block, built, plan, bytes_by_server, None, ranking
-                            )
-                        )
-        for file_name, block in fallback:
-            reports.append(self._repair_block(file_name, block, None, ranking))
-        return reports
-
-    def repair_server(self, server_id: int, batch: bool = False) -> ServerRepairReport:
+    def repair_server(self, server_id: int, batch: bool = True) -> ServerRepairReport:
         """Rebuild every block lost with one server.
 
-        With ``batch=True`` every lost block across all files is
-        collected first and routed through :meth:`repair_blocks_bulk`, so
-        striped files sharing a code rebuild in fused kernel calls; the
-        default repairs file by file (the seed path).
+        Every lost block across all files is collected first and rebuilt
+        in one :meth:`repair_blocks_bulk` call, so striped files sharing a
+        code rebuild in fused kernel calls.
         """
+        # ``batch`` is unused: benchmarks/e2e/io_workloads.py:157 still
+        # passes it, and that file is the yardstick no PR it measures may
+        # edit.  The next [benchmark] PR drops the argument there, then here.
         tracer = get_tracer()
         with tracer.span(
-            "repair.server", category="repair", server=server_id,
-            batch=batch, clock=self.dfs.clock,
+            "repair.server", category="repair", server=server_id, clock=self.dfs.clock
         ) as sp:
-            report = ServerRepairReport(server=server_id)
-            lost: list[tuple[str, int]] = []
-            for name in self.dfs.list_files():
-                ef = self.dfs.file(name)
-                for b in sorted(ef.blocks_on_server(server_id)):
-                    if (
-                        self.cluster.server(server_id).failed
-                        or server_id in self.quarantine
-                        or not self.dfs.store.holds(server_id, name, b)
-                    ):
-                        lost.append((name, b))
+            gone = self.cluster.server(server_id).failed or server_id in self.quarantine
+            lost = [
+                (name, b)
+                for name in self.dfs.list_files()
+                for b in sorted(self.dfs.file(name).blocks_on_server(server_id))
+                if gone or not self.dfs.store.holds(server_id, name, b)
+            ]
             sp.set(blocks=len(lost))
-            if batch:
-                report.reports.extend(self.repair_blocks_bulk(lost))
-            else:
-                ranking = self._rank_servers()
-                for name, b in lost:
-                    report.reports.append(self._repair_block(name, b, None, ranking))
-            return report
+            return ServerRepairReport(server=server_id, reports=self.repair_blocks_bulk(lost))
 
-    def repair_all(self, batch: bool = False) -> list[RepairReport]:
+    def repair_all(self) -> list[RepairReport]:
         """Sweep the namespace and rebuild everything missing.
 
         Files are repaired most-at-risk first: a stripe with two dead
         blocks is one failure from the edge of its tolerance, so it jumps
         the queue ahead of stripes missing a single block — the triage
-        production repair pipelines perform.  ``batch=True`` fuses
-        same-pattern reconstructions within each risk tier.
+        production repair pipelines perform.  Same-pattern
+        reconstructions fuse within each risk tier.
         """
-        damaged: list[tuple[int, str, list[int]]] = []
+        tiers: dict[int, list[tuple[str, int]]] = {}
         for name in self.dfs.list_files():
-            ef = self.dfs.file(name)
-            dead = sorted(self._dead_blocks(ef))
+            dead = sorted(self._dead_blocks(self.dfs.file(name)))
             if dead:
-                damaged.append((-len(dead), name, dead))
-        damaged.sort()
-        if batch:
-            tiers: dict[int, list[tuple[str, int]]] = {}
-            for risk, name, dead in damaged:
-                tiers.setdefault(risk, []).extend((name, b) for b in dead)
-            out: list[RepairReport] = []
-            for risk in sorted(tiers):
-                out.extend(self.repair_blocks_bulk(tiers[risk]))
-            return out
-        out = []
-        for _, name, dead in damaged:
-            for b in dead:
-                out.append(self.repair_block(name, b))
+                tiers.setdefault(-len(dead), []).extend((name, b) for b in dead)
+        out: list[RepairReport] = []
+        for risk in sorted(tiers):
+            out.extend(self.repair_blocks_bulk(tiers[risk]))
         return out

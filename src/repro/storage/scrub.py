@@ -44,8 +44,8 @@ class ScrubReport:
         quarantined_servers: breaker-open servers past the grace period
             whose blocks were routed through repair.
         quarantine_repairs: the repairs performed for quarantined blocks.
-        reverified: rebuilt blocks whose fresh checksum was re-verified
-            after a batched heal.
+        reverified: rebuilt blocks whose fresh checksum verified after
+            the heal.
     """
 
     blocks_checked: int = 0
@@ -91,80 +91,53 @@ class Scrubber:
         self.health = health or dfs.health
         self.breaker_grace = breaker_grace
 
-    def scrub(self, heal: bool = True, batch: bool = False) -> ScrubReport:
+    def scrub(self, heal: bool = True) -> ScrubReport:
         """Verify every block of every file; optionally repair corruption.
 
-        Corrupted blocks are dropped (their data cannot be trusted) and
-        rebuilt from healthy peers through the code's repair plan.
-
-        With ``batch=True`` healing is deferred: corrupt copies are still
-        dropped the moment they are detected, but the rebuilds are
-        collected across the whole walk and fused through
-        :meth:`~repro.storage.repair.RepairManager.repair_blocks_bulk`
-        (stripe groups sharing a code and corruption pattern rebuild in
-        one kernel call), then every rebuilt block's fresh checksum is
-        re-verified in place (``reverified`` / the ``scrub_reverified``
-        metric).
+        Corrupt copies are dropped the moment they are detected (their
+        data cannot be trusted); the rebuilds are collected across the
+        whole walk and go through the repair pipeline together, each back
+        onto the server that held it (stripe groups sharing a code and
+        corruption pattern rebuild in one kernel call), then every rebuilt
+        block's fresh checksum is verified in place (``reverified`` / the
+        ``scrub_reverified`` metric).
         """
         with get_tracer().span(
-            "scrub.pass", category="scrub", heal=heal, batch=batch,
-            clock=self.dfs.clock,
+            "scrub.pass", category="scrub", heal=heal, clock=self.dfs.clock
         ) as sp:
-            report = ScrubReport()
-            deferred: list[tuple[str, int]] | None = [] if batch else None
-            for name in self.dfs.list_files():
-                self._scrub_into(name, report, heal, deferred)
-            self._heal_deferred(report, deferred)
-            self.repair.quarantine -= report.quarantined_servers
+            report = self._scrub(self.dfs.list_files(), heal)
             sp.set(checked=report.blocks_checked, corrupted=len(report.corrupted))
             return report
 
-    def scrub_file(self, name: str, heal: bool = True, batch: bool = False) -> ScrubReport:
+    def scrub_file(self, name: str, heal: bool = True) -> ScrubReport:
         """Scrub a single file."""
-        report = ScrubReport()
-        deferred: list[tuple[str, int]] | None = [] if batch else None
-        self._scrub_into(name, report, heal, deferred)
-        self._heal_deferred(report, deferred)
-        self.repair.quarantine -= report.quarantined_servers
-        return report
+        return self._scrub([name], heal)
 
     # ----------------------------------------------------------- internals
 
-    def _heal_deferred(self, report: ScrubReport, deferred: list[tuple[str, int]] | None) -> None:
-        """Batched heal: fused rebuild, then re-verify every new copy."""
-        if not deferred:
-            return
-        with get_tracer().span(
-            "scrub.heal", category="scrub", blocks=len(deferred), clock=self.dfs.clock
-        ):
-            repairs = self.repair.repair_blocks_bulk(deferred)
-            report.repairs.extend(repairs)
-            for rep in repairs:
-                if self.dfs.store.verify(rep.target_server, rep.file, rep.block):
-                    report.reverified += 1
-                    self.dfs.metrics.add("scrub_reverified", 1, rep.target_server)
+    def _scrub(self, names: list[str], heal: bool) -> ScrubReport:
+        report = ScrubReport()
+        dropped: list[tuple[str, int, int]] = []
+        tracer = get_tracer()
+        for name in names:
+            with tracer.span("scrub.file", category="scrub", file=name, clock=self.dfs.clock):
+                self._scrub_into(name, report, heal, dropped)
+        if dropped:
+            with tracer.span(
+                "scrub.heal", category="scrub", blocks=len(dropped), clock=self.dfs.clock
+            ):
+                report.repairs = self.repair.repair_blocks_bulk(dropped)
+                for rep in report.repairs:
+                    if self.dfs.store.verify(rep.target_server, rep.file, rep.block):
+                        report.reverified += 1
+                        self.dfs.metrics.add("scrub_reverified", 1, rep.target_server)
+        self.repair.quarantine -= report.quarantined_servers
+        return report
 
     def _scrub_into(
-        self,
-        name: str,
-        report: ScrubReport,
-        heal: bool,
-        deferred: list[tuple[str, int]] | None = None,
+        self, name: str, report: ScrubReport, heal: bool, dropped: list[tuple[str, int, int]]
     ) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("scrub.file", category="scrub", file=name, clock=self.dfs.clock):
-                self._scrub_into_impl(name, report, heal, deferred)
-        else:
-            self._scrub_into_impl(name, report, heal, deferred)
-
-    def _scrub_into_impl(
-        self,
-        name: str,
-        report: ScrubReport,
-        heal: bool,
-        deferred: list[tuple[str, int]] | None = None,
-    ) -> None:
+        """Verify one file's blocks; drop corrupt copies into ``dropped``."""
         ef = self.dfs.file(name)
         for block, server in sorted(ef.placement.items()):
             if self.dfs.cluster.server(server).failed:
@@ -190,10 +163,7 @@ class Scrubber:
             self.dfs.metrics.add("corruptions_detected", 1, server)
             if heal:
                 self.dfs.store.drop(server, name, block)
-                if deferred is not None:
-                    deferred.append((name, block))
-                else:
-                    report.repairs.append(self.repair.repair_block(name, block, server))
+                dropped.append((name, block, server))
 
     def _quarantine_heal(self, name: str, block: int, server: int, report: ScrubReport, heal: bool) -> None:
         """Rebuild one block away from a breaker-quarantined server."""

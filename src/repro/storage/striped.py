@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
-from repro.codes.base import DecodingError
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
-from repro.storage.blockstore import BlockUnavailableError
 from repro.storage.filesystem import DistributedFileSystem, FileSystemError
 
 
@@ -89,7 +87,6 @@ class StripedFileSystem:
         code_factory,
         max_block_bytes: int = 1 << 20,
         placement: PlacementPolicy | None = None,
-        batch: bool = True,
     ) -> StripedFileMeta:
         """Write a payload as rotated stripe groups.
 
@@ -102,15 +99,13 @@ class StripedFileSystem:
             max_block_bytes: cap on each stored block's size.
             placement: base placement policy; the group index is used as
                 a rotation offset so groups land on different servers.
-            batch: encode all full groups through **one** fused kernel
-                call instead of one encode per group; a ragged tail group
-                rides separately.  ``False`` restores the per-group seed
-                path.
 
-        Every group is written with the one code object the filesystem
-        keeps for the factory's parameter set, so the compiled encode
-        plan and any decode / repair plans are built once and shared by
-        all groups — and by every other file with those parameters.
+        All full groups are encoded through **one** fused kernel call; a
+        ragged tail group rides separately.  Every group is written with
+        the one code object the filesystem keeps for the factory's
+        parameter set, so the compiled encode plan and any decode / repair
+        plans are built once and shared by all groups — and by every other
+        file with those parameters.
         """
         if name in self.striped:
             raise FileSystemError(f"striped file {name!r} already exists")
@@ -129,17 +124,10 @@ class StripedFileSystem:
         )
         with get_tracer().span(
             "sfs.write_file", category="storage", file=name,
-            bytes=len(data), groups=group_count, batch=batch,
+            bytes=len(data), groups=group_count,
             clock=getattr(self.dfs, "clock", None),
         ):
-            if batch and group_count > 1:
-                self._write_batched(name, data, code, meta, placement)
-            else:
-                view = memoryview(data)
-                for i in range(group_count):
-                    chunk = view[i * group_payload : (i + 1) * group_payload]
-                    pol = placement or RoundRobinPlacement(offset=i * code.n)
-                    self.dfs.write_file(group_name(name, i), chunk, code=code, placement=pol)
+            self._write_batched(name, data, code, meta, placement)
         self.striped[name] = meta
         return meta
 
@@ -203,32 +191,33 @@ class StripedFileSystem:
             remaining -= take
         return bytes(out)
 
-    def read_file(self, name: str, batch: bool = True) -> bytes:
+    def read_file(self, name: str) -> bytes:
         """Read the whole file through a preallocated output buffer.
 
         The output is one ``bytearray`` sized from ``meta.original_size``;
         each group's stripes land in it directly (zero-copy where the
-        stripe grid maps 1:1 onto output bytes).  With ``batch=True``
-        groups that need a degraded decode are bucketed by their chosen
-        survivor set and decoded in one fused kernel call per bucket.
-        ``batch=False`` keeps per-group reads but still assembles into the
-        preallocated buffer instead of ``b"".join``.
+        stripe grid maps 1:1 onto output bytes).  Groups with unreadable
+        stripes are recovered together once every group has been read:
+        :meth:`DistributedFileSystem._recover` fuses those that lost the
+        same block, or decode from the same survivors, into one kernel
+        call per failure pattern.
         """
         meta = self.file(name)
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(
                 "sfs.read_file", category="storage", file=name,
-                bytes=meta.original_size, groups=meta.group_count, batch=batch,
+                bytes=meta.original_size, groups=meta.group_count,
                 clock=getattr(self.dfs, "clock", None),
             ):
-                return self._read_file(meta, name, batch)
-        return self._read_file(meta, name, batch)
+                return self._read_file(meta)
+        return self._read_file(meta)
 
-    def _read_file(self, meta: StripedFileMeta, name: str, batch: bool) -> bytes:
+    def _read_file(self, meta: StripedFileMeta) -> bytes:
         buf = bytearray(meta.original_size)
         view = memoryview(buf)
-        pending: list[tuple[object, np.ndarray, list[int], memoryview | None]] = []
+        pending: list[tuple[object, np.ndarray, list[int]]] = []
+        spills: list[memoryview | None] = []
         pos = 0
         for g in meta.group_names():
             ef = self.dfs.file(g)
@@ -245,16 +234,20 @@ class StripedFileSystem:
             else:
                 grid = np.zeros((ef.code.data_stripe_total, ef.stripe_size), dtype=ef.code.gf.dtype)
                 spill = target
-            if batch:
-                missing = self.dfs._read_available_stripes(ef, grid)
-                if missing:
-                    pending.append((ef, grid, missing, spill))
-                    continue
+            missing = self.dfs._read_available_stripes(ef, grid)
+            if missing:
+                pending.append((ef, grid, missing))
+                spills.append(spill)
             else:
-                self.dfs._read_all_stripes(ef, out=grid)
-            self._finish_group(ef, grid, spill)
+                self._finish_group(ef, grid, spill)
         if pending:
-            self._batch_degraded_decode(pending)
+            with get_tracer().span(
+                "sfs.batch_degraded_decode", category="coding", groups=len(pending),
+                clock=getattr(self.dfs, "clock", None),
+            ):
+                self.dfs._recover(pending)
+            for (ef, grid, _), spill in zip(pending, spills):
+                self._finish_group(ef, grid, spill)
         return bytes(buf)
 
     def _finish_group(self, ef, grid: np.ndarray, spill) -> None:
@@ -264,99 +257,6 @@ class StripedFileSystem:
         else:
             np.frombuffer(spill, dtype=np.uint8)[:] = grid.reshape(-1)[: ef.original_size]
             self.metrics.add("bytes_copied", ef.original_size)
-
-    def _batch_degraded_decode(self, pending) -> None:
-        """Recover all groups with missing stripes, fused per failure pattern.
-
-        A group that lost one block is rebuilt from that block's repair
-        helpers; groups are bucketed by ``(code instance, block,
-        helpers)`` — the repair-storm shape, where every group lost the
-        same server — and each bucket runs as one compiled reconstruct
-        apply.  Everything else (several lost blocks, no local plan) is
-        bucketed by its chosen survivor set and decoded in full, one
-        compiled decode apply per bucket.  A group whose block reads fail
-        mid-bucket falls back to the per-file degraded decode, which
-        re-plans around flaky helpers.
-        """
-        tracer = get_tracer()
-        span = tracer.span(
-            "sfs.batch_degraded_decode", category="coding", groups=len(pending),
-            clock=getattr(self.dfs, "clock", None),
-        )
-        with span:
-            self._batch_degraded_decode_impl(pending)
-
-    def _batch_degraded_decode_impl(self, pending) -> None:
-        dfs = self.dfs
-        repair_plans: dict = {}
-        local: dict[tuple[int, int, tuple[int, ...]], list] = {}
-        full: list = []
-        for entry in pending:
-            ef, _, missing, _ = entry
-            plan = dfs._plan_local_repair(ef, missing, repair_plans)
-            if plan is None:
-                full.append(entry)
-            else:
-                local.setdefault((id(ef.code), plan.target, plan.helpers), []).append(entry)
-        for (_, block, helpers), members in local.items():
-            good, availables = self._read_bucket(members, helpers, full)
-            if not good:
-                continue
-            code = good[0][0].code
-            rebuilt = pipeline.batch_reconstruct(
-                code, block, helpers, availables, metrics=self.metrics
-            )
-            layout = code.read_plan()
-            for (ef, grid, _, spill), rows in zip(good, rebuilt):
-                layout.scatter_block(block, rows, grid)
-                dfs.metrics.add("degraded_reads", 1)
-                self._finish_group(ef, grid, spill)
-
-        decodes: dict[tuple[int, tuple[int, ...]], list] = {}
-        fallback: list = []
-        for entry in full:
-            ef = entry[0]
-            try:
-                chosen = dfs._plan_decode_blocks(ef)
-            except DecodingError:
-                # Let the per-file path raise with its richer context.
-                fallback.append(entry)
-                continue
-            decodes.setdefault((id(ef.code), tuple(sorted(chosen))), []).append(entry)
-        for (_, ids), members in decodes.items():
-            good, availables = self._read_bucket(members, ids, fallback)
-            if not good:
-                continue
-            decoded = pipeline.batch_decode(good[0][0].code, availables, metrics=self.metrics)
-            for (ef, grid, missing, spill), grid_out in zip(good, decoded):
-                grid[missing] = grid_out[missing]
-                dfs.metrics.add("degraded_reads", 1)
-                self._finish_group(ef, grid, spill)
-        for ef, grid, missing, spill in fallback:
-            decoded = dfs._degraded_decode(ef)
-            grid[missing] = decoded[missing]
-            self._finish_group(ef, grid, spill)
-
-    def _read_bucket(self, members, blocks, failed: list) -> tuple[list, list]:
-        """Read ``blocks`` of every member group of one bucket.
-
-        Returns the groups whose reads all succeeded and their
-        ``{block: rows}`` mappings; a group with an unreadable block is
-        appended to ``failed`` for the next, more tolerant stage.
-        """
-        client = self.dfs.client
-        good: list = []
-        availables: list[dict[int, np.ndarray]] = []
-        for entry in members:
-            ef = entry[0]
-            try:
-                available = {b: client.get(ef.server_of(b), ef.name, b) for b in blocks}
-            except BlockUnavailableError:
-                failed.append(entry)
-                continue
-            good.append(entry)
-            availables.append(available)
-        return good, availables
 
     def delete_file(self, name: str) -> None:
         meta = self.file(name)

@@ -1,21 +1,24 @@
 """Property tests for the batched multi-stripe coding pipeline.
 
-The batched pipeline must be an *optimisation*, never a semantic change:
-for every code family, every fused operation — encode, decode,
-reconstruct, striped write/read, bulk repair, batched scrub heal — must
-produce bytes identical to the per-group seed path, including ragged
-tails, single-group files, server failures and transiently flaky
-helpers.
+The batched pipeline is the storage layer's only coding path and must
+never be a semantic change: for every code family, every fused operation
+— encode, decode, reconstruct, striped write/read, bulk repair, scrub
+heal — must produce bytes identical to the codes layer's per-group
+``encode`` / ``decode`` / ``reconstruct``, including ragged tails,
+single-group files, server failures and transiently flaky helpers.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
+from repro.gf import GF256, GF65536
 from repro.storage import (
     DistributedFileSystem,
     RepairManager,
@@ -23,9 +26,8 @@ from repro.storage import (
     StripedFileSystem,
     pipeline,
 )
-from repro.storage.pipeline import ParallelBatchEncoder
 from repro.storage.striped import group_name
-from tests.conftest import payload_bytes
+from tests.conftest import codes_layer_read, group_grid, payload_bytes, stored_block
 
 CODES = [
     ("rs", lambda: ReedSolomonCode(4, 2)),
@@ -33,11 +35,6 @@ CODES = [
     ("galloper", lambda: GalloperCode(4, 2, 1)),
 ]
 IDS = [c[0] for c in CODES]
-
-
-def rs42_factory():
-    """Module-level (picklable) factory for the process-pool tier."""
-    return ReedSolomonCode(4, 2)
 
 
 def make_grids(code, widths, seed=3):
@@ -153,26 +150,21 @@ class TestStripedBatched:
         assert meta.group_count > 1
         assert meta.original_size % meta.group_payload != 0  # tail exercised
         assert sfs.read_file("f") == payload
-        assert sfs.read_file("f", batch=False) == payload
+        assert codes_layer_read(dfs, meta.group_names()) == payload
 
     def test_batched_write_matches_per_group_write(self, name, make):
+        """The per-group write is the codes layer's: every group's stored
+        blocks are ``code.encode`` of that group's stripe grid."""
         payload = payload_bytes(90_000, seed=4)
-        stored = {}
-        for batch in (False, True):
-            cluster = Cluster.homogeneous(30)
-            dfs = DistributedFileSystem(cluster)
-            sfs = StripedFileSystem(dfs)
-            meta = sfs.write_file("f", payload, make, max_block_bytes=4096, batch=batch)
-            stored[batch] = {
-                g: {b: np.asarray(dfs.client.get(ef.server_of(b), g, b)).copy()
-                    for b in ef.placement}
-                for g in meta.group_names()
-                for ef in [dfs.file(g)]
-            }
-        assert stored[False].keys() == stored[True].keys()
-        for g in stored[False]:
-            for b in stored[False][g]:
-                assert np.array_equal(stored[False][g][b], stored[True][g][b]), (g, b)
+        dfs = DistributedFileSystem(Cluster.homogeneous(30))
+        meta = StripedFileSystem(dfs).write_file("f", payload, make, max_block_bytes=4096)
+        assert meta.group_count > 1 and meta.original_size % meta.group_payload  # full groups + tail
+        for i, g in enumerate(meta.group_names()):
+            ef = dfs.file(g)
+            blocks = ef.code.encode(group_grid(payload, meta, i, ef.code))
+            assert sorted(ef.placement) == list(range(ef.code.n))
+            for b in ef.placement:
+                assert np.array_equal(stored_block(dfs, ef, b), blocks[b]), (g, b)
 
     def test_single_group_file(self, name, make):
         cluster = Cluster.homogeneous(30)
@@ -187,12 +179,12 @@ class TestStripedBatched:
         ef = dfs.file(group_name("f", 0))
         cluster.fail(ef.server_of(0))
         assert sfs.read_file("f") == payload
-        assert sfs.read_file("f", batch=False) == payload
+        assert codes_layer_read(dfs, meta.group_names()) == payload
         assert dfs.metrics.total("degraded_reads") > 0
 
     def test_batched_read_with_flaky_helper(self, name, make):
         # Block 1's server answers every read with a transient error; the
-        # batched degraded path must fall back and still be byte-exact.
+        # degraded read must plan around it and still be byte-exact.
         probe = make()
         cluster = Cluster.homogeneous(30)
         dfs = DistributedFileSystem(cluster)
@@ -232,7 +224,7 @@ class TestBulkRepair:
         cluster, dfs, sfs, meta, payload = build_striped(make)
         victim = dfs.file(group_name("f", 0)).server_of(0)
         cluster.fail(victim)
-        report = RepairManager(dfs).repair_server(victim, batch=True)
+        report = RepairManager(dfs).repair_server(victim)
         assert report.blocks_rebuilt > 0
         assert dfs.metrics.total("batch_applies") > 0
         for g in meta.group_names():
@@ -241,17 +233,27 @@ class TestBulkRepair:
         assert sfs.read_file("f") == payload
 
     def test_batched_repair_matches_unbatched_accounting(self, name, make):
-        outcomes = {}
-        for batch in (False, True):
-            cluster, dfs, sfs, meta, payload = build_striped(make)
-            victim = dfs.file(group_name("f", 0)).server_of(0)
-            cluster.fail(victim)
-            report = RepairManager(dfs).repair_server(victim, batch=batch)
-            assert sfs.read_file("f") == payload
-            outcomes[batch] = {
-                (r.file, r.block, r.helpers, r.bytes_read) for r in report.reports
-            }
-        assert outcomes[False] == outcomes[True]
+        """The unbatched reference is the codes layer's: every rebuilt block
+        is ``code.reconstruct`` of its plan's helpers, and every report
+        carries ``code.repair_plan``'s accounting."""
+        cluster, dfs, sfs, meta, payload = build_striped(make)
+        victim = dfs.file(group_name("f", 0)).server_of(0)
+        lost = {
+            (g, b) for g in meta.group_names() for b in dfs.file(g).blocks_on_server(victim)
+        }
+        cluster.fail(victim)
+        report = RepairManager(dfs).repair_server(victim)
+        assert {(r.file, r.block) for r in report.reports} == lost and len(lost) > 1
+        for r in report.reports:
+            ef = dfs.file(r.file)
+            plan = ef.code.repair_plan(r.block, {r.block})
+            block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
+            assert (r.helpers, r.bytes_read) == (plan.helpers, plan.bytes_read(block_bytes))
+            assert r.bytes_written == block_bytes and r.target_server == ef.server_of(r.block)
+            helpers = {h: stored_block(dfs, ef, h) for h in plan.helpers}
+            want, _ = ef.code.reconstruct(r.block, helpers, plan)
+            assert np.array_equal(stored_block(dfs, ef, r.block), want)
+        assert sfs.read_file("f") == payload
 
     def test_bulk_repair_with_flaky_helper_falls_back(self, name, make):
         cluster, dfs, sfs, meta, payload = build_striped(make)
@@ -261,39 +263,9 @@ class TestBulkRepair:
         cluster.fail(victim)
         model = FaultModel(TransientErrors(rate=1.0, servers=frozenset({helper})))
         dfs.store.install_faults(model, dfs.clock)
-        report = RepairManager(dfs).repair_server(victim, batch=True)
+        report = RepairManager(dfs).repair_server(victim)
         assert report.blocks_rebuilt > 0
         assert sfs.read_file("f") == payload
-
-
-# ------------------------------------------------------- process-pool tier
-
-
-class TestParallelBatchEncoder:
-    def test_matches_in_process_batch(self):
-        code = rs42_factory()
-        grids = make_grids(code, [32] * 8, seed=21)
-        expected = pipeline.batch_encode(code, grids)
-        with ParallelBatchEncoder(rs42_factory, workers=2) as enc:
-            got = enc.encode(grids)
-        assert len(got) == len(expected)
-        for a, b in zip(expected, got):
-            assert np.array_equal(a, b)
-
-    def test_small_batches_stay_in_process(self):
-        code = rs42_factory()
-        grids = make_grids(code, [16], seed=22)
-        enc = ParallelBatchEncoder(rs42_factory, workers=4)
-        try:
-            got = enc.encode(grids)
-            assert enc._pool is None  # never forked
-            assert np.array_equal(got[0], code.encode(grids[0]))
-        finally:
-            enc.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelBatchEncoder(rs42_factory, workers=0)
 
 
 # --------------------------------------------------------------- scrubbing
@@ -305,24 +277,32 @@ class TestBatchedScrubHeal:
         for i in (0, 1):
             ef = dfs.file(group_name("f", i))
             dfs.store.corrupt(ef.server_of(2), ef.name, 2, offset=3)
-        report = Scrubber(dfs).scrub(batch=True)
+        report = Scrubber(dfs).scrub()
         assert len(report.corrupted) == 2
         assert len(report.repairs) == 2
         assert report.reverified == 2
         assert dfs.metrics.total("scrub_reverified") == 2
         assert sfs.read_file("f") == payload
-        assert Scrubber(dfs).scrub(batch=True).healthy
+        assert Scrubber(dfs).scrub().healthy
 
     def test_batch_heal_matches_unbatched(self):
-        healed = {}
-        for batch in (False, True):
-            cluster, dfs, sfs, meta, payload = build_striped(lambda: PyramidCode(4, 2, 1))
-            ef = dfs.file(group_name("f", 1))
-            dfs.store.corrupt(ef.server_of(0), ef.name, 0)
-            report = Scrubber(dfs).scrub(batch=batch)
-            assert sfs.read_file("f") == payload
-            healed[batch] = {(r.file, r.block, r.helpers) for r in report.repairs}
-        assert healed[False] == healed[True]
+        """The unbatched reference is the codes layer's ``repair_plan`` /
+        ``reconstruct``, and the heal lands where the corrupt copy was."""
+        cluster, dfs, sfs, meta, payload = build_striped(lambda: PyramidCode(4, 2, 1))
+        ef = dfs.file(group_name("f", 1))
+        server = ef.server_of(0)
+        pristine = stored_block(dfs, ef, 0).copy()
+        dfs.store.corrupt(server, ef.name, 0)
+        assert not np.array_equal(stored_block(dfs, ef, 0), pristine)
+        report = Scrubber(dfs).scrub()
+        plan = ef.code.repair_plan(0, {0})
+        assert [(r.file, r.block, r.helpers) for r in report.repairs] == [(ef.name, 0, plan.helpers)]
+        assert report.repairs[0].bytes_read == plan.bytes_read(pristine.nbytes)
+        assert ef.server_of(0) == server  # healed where it was
+        helpers = {h: stored_block(dfs, ef, h) for h in plan.helpers}
+        assert np.array_equal(stored_block(dfs, ef, 0), ef.code.reconstruct(0, helpers, plan)[0])
+        assert np.array_equal(stored_block(dfs, ef, 0), pristine)
+        assert sfs.read_file("f") == payload
 
 
 # ------------------------------------------------------------ stats helper
@@ -336,3 +316,87 @@ def test_run_striped_stats_smoke():
     assert stats["derived"]["groups_per_apply"] >= 1.0
     assert stats["derived"]["zero_copy_fraction"] > 0.5
     assert stats["metrics"]["batch_applies"] >= 1
+
+
+# ------------------------------------------- one pipeline, any batch size
+
+
+FIELDS = {"gf8": GF256, "gf16": GF65536}
+FAMILIES = {
+    "rs": lambda gf: ReedSolomonCode(4, 2, gf=gf),
+    "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
+    "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
+}
+STRIPE = 16  # symbols per stripe: small blocks, the property is about paths not bytes
+
+
+@st.composite
+def damaged_striped_files(draw):
+    """A striped file's shape plus the servers that crashed and the one that errors."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    groups = draw(st.sampled_from([1, 2, 5]))  # 5 comes with a ragged tail
+    code = FAMILIES[family](FIELDS[field])
+    servers = list(range(2 * code.n))
+    failed = draw(st.lists(st.sampled_from(servers), max_size=code.n - code.k, unique=True))
+    flaky = draw(st.none() | st.sampled_from([s for s in servers if s not in failed]))
+    return family, field, groups, tuple(failed), flaky
+
+
+def build_damaged(family, field, groups, failed, flaky):
+    code = FAMILIES[family](FIELDS[field])
+    cluster = Cluster.homogeneous(2 * code.n)
+    dfs = DistributedFileSystem(cluster)
+    sfs = StripedFileSystem(dfs)
+    group_bytes = code.data_stripe_total * STRIPE
+    size = groups * group_bytes - (group_bytes // 2 + 3 if groups == 5 else 0)
+    payload = payload_bytes(size, seed=groups)
+    meta = sfs.write_file("f", payload, lambda: code, max_block_bytes=code.N * STRIPE)
+    assert meta.group_count == groups
+    for server in failed:
+        cluster.fail(server)
+    if flaky is not None:
+        faults = FaultModel(TransientErrors(rate=1.0, servers=frozenset({flaky})))
+        dfs.store.install_faults(faults, dfs.clock)
+    return cluster, dfs, sfs, meta, payload
+
+
+@given(damaged_striped_files(), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_batch_size_reads_and_repairs_alike(shape, data):
+    *_, failed, flaky = shape
+    cluster, dfs, sfs, meta, payload = build_damaged(*shape)
+    unreadable = set(failed) | {flaky}
+    for g in meta.group_names():
+        ef = dfs.file(g)
+        assume(ef.code.can_decode([b for b, s in ef.placement.items() if s not in unreadable]))
+
+    # Every whole-file read path, one group or many, is byte-exact.
+    assert sfs.read_file("f") == payload
+    pos = 0
+    for g in meta.group_names():
+        ef = dfs.file(g)
+        chunk = payload[pos : pos + ef.original_size]
+        pos += ef.original_size
+        assert dfs.read_file(g) == chunk
+        buf = bytearray(ef.original_size)
+        assert dfs.read_file_into(g, buf) == len(buf) and bytes(buf) == chunk
+
+    # One target rebuilt alone and inside an N-target batch: equal reports.
+    lost = [(g, b) for s in failed[:1] for g in meta.group_names()
+            for b in dfs.file(g).blocks_on_server(s)]
+    if lost:
+        alone = data.draw(st.sampled_from(lost))
+        bulk = RepairManager(build_damaged(*shape)[1]).repair_blocks_bulk(lost)
+        assert [(r.file, r.block) for r in bulk] and {(r.file, r.block) for r in bulk} == set(lost)
+        (twin,) = [r for r in bulk if (r.file, r.block) == alone]
+        assert RepairManager(build_damaged(*shape)[1]).repair_block(*alone) == twin
+
+    # repair_all() leaves nothing for the next read to recover.
+    dead = sum(s in failed for g in meta.group_names() for s in dfs.file(g).placement.values())
+    assert len(RepairManager(dfs).repair_all()) == dead
+    dfs.store.install_faults(None)  # the flaky server recovers; let its breaker close
+    dfs.clock.advance(dfs.health.reset_timeout)
+    dfs.metrics.reset()
+    assert sfs.read_file("f") == payload
+    assert dfs.metrics.total("degraded_reads") == 0

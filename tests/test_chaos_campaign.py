@@ -1,5 +1,10 @@
 """Seeded chaos smoke campaign (the ``chaos``-marked CI slice)."""
 
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.chaos import CAMPAIGN_CODES, baseline_read_latency, run_campaign, run_schedule
@@ -38,3 +43,21 @@ def test_single_schedule_run():
     assert result.reads == 4
     assert result.repairs_throttled_storm > 0
     assert baseline_read_latency(make) > 0
+
+
+def test_run_chaos_gates_on_the_committed_record():
+    """``benchmarks/run_chaos.py`` compares a run with its committed twin."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("run_chaos", root / "benchmarks" / "run_chaos.py")
+    run_chaos = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_chaos)
+
+    committed = json.loads((root / "BENCH_chaos.json").read_text())["runs"]
+    latest = committed[-1]
+    assert run_chaos.drift(latest, committed) == []
+    moved = copy.deepcopy(latest)
+    moved["metrics"]["retries"] += 1
+    moved["per_code"]["rs(4,2)"]["degraded_read_overhead"] *= 2
+    names = [line.split(":")[0] for line in run_chaos.drift(moved, committed)]
+    assert names == ["retries", "rs(4,2)"]
+    assert run_chaos.drift({**latest, "schedules": latest["schedules"] + 1}, committed) is None

@@ -120,6 +120,59 @@ class TestEncodeDecodeRepair:
         assert run("decode", tmp_path, tmp_path / "out.bin") == 2
 
 
+class TestDamagedBlockDirectories:
+    """What a user can do to a block directory ends in ``error: ...`` and
+    exit status 2, never in a traceback."""
+
+    @pytest.fixture
+    def blocks(self, tmp_path, payload):
+        directory = tmp_path / "blocks"
+        assert run("encode", payload[0], directory) == 0  # galloper(4,2,1): tolerates any 2
+        return directory
+
+    def assert_error(self, capsys, status, *words):
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for word in words:
+            assert word in err
+
+    def test_decode_past_the_tolerance(self, blocks, tmp_path, capsys):
+        for b in (0, 1, 2, 3):
+            (blocks / f"block_{b:03d}.bin").unlink()
+        self.assert_error(capsys, run("decode", blocks, tmp_path / "out.bin"), "cannot decode")
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_decode_and_repair_with_no_blocks_left(self, blocks, tmp_path, capsys):
+        for path in blocks.glob("block_*.bin"):
+            path.unlink()
+        self.assert_error(capsys, run("decode", blocks, tmp_path / "out.bin"), "no blocks")
+        self.assert_error(capsys, run("repair", blocks, 0), "cannot repair block 0")
+
+    def test_repair_past_the_tolerance(self, blocks, capsys):
+        for b in (0, 1, 2, 3):
+            (blocks / f"block_{b:03d}.bin").unlink()
+        self.assert_error(capsys, run("repair", blocks, 0), "block 0")
+        assert not (blocks / "block_000.bin").exists()
+
+    @pytest.mark.parametrize("resize", [lambda raw: raw[:-5], lambda raw: raw + b"\0"],
+                             ids=["truncated", "oversized"])
+    def test_block_file_of_the_wrong_size(self, blocks, tmp_path, capsys, resize):
+        victim = blocks / "block_003.bin"
+        victim.write_bytes(resize(victim.read_bytes()))
+        self.assert_error(capsys, run("decode", blocks, tmp_path / "out.bin"), "block_003.bin", "bytes")
+        self.assert_error(capsys, run("repair", blocks, 0), "block_003.bin")
+        # Excluding the damaged block is the way out, and still decodes.
+        assert run("decode", blocks, tmp_path / "out.bin", "--exclude", "3") == 0
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"code": "rs"}', "\udcff"],
+                             ids=["malformed", "not-an-object", "missing-fields", "not-utf8"])
+    def test_unreadable_manifest(self, blocks, tmp_path, capsys, text):
+        (blocks / "manifest.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        self.assert_error(capsys, run("decode", blocks, tmp_path / "out.bin"), "manifest.json")
+        self.assert_error(capsys, run("repair", blocks, 0), "manifest.json")
+
+
 class TestInfoAnalyze:
     def test_info_runs(self, capsys):
         assert run("info", "--code", "galloper", "--k", "4", "--l", "2", "--g", "1") == 0

@@ -451,9 +451,12 @@ class TestTraceWorkload:
         # repair helpers, fused across groups — no full decode
         assert {"sfs.read_file", "sfs.batch_degraded_decode"} <= names
         (degraded,) = tracer.find("sfs.batch_degraded_decode")
-        assert any(s.parent is degraded for s in tracer.find("pipeline.batch_reconstruct"))
-        assert "pipeline.batch_decode" not in names
-        # bulk repair tree: server → bulk → bucket → reads/decode/write
+        (local,) = tracer.find("dfs.local_repair")
+        assert local.parent is degraded and local.attrs["files"] == degraded.attrs["groups"]
+        (reconstruct,) = [s for s in tracer.find("pipeline.batch_reconstruct") if s.parent is local]
+        assert reconstruct.attrs["groups"] == degraded.attrs["groups"]
+        assert not {"pipeline.batch_decode", "dfs.degraded_decode"} & names
+        # repair tree: server → bulk → bucket → reads/decode/write
         assert {"repair.server", "repair.bulk", "repair.bucket",
                 "repair.helper_reads", "repair.decode", "repair.write",
                 "pipeline.batch_reconstruct"} <= names
@@ -473,7 +476,9 @@ class TestTraceWorkload:
         with use_tracer(tracer):
             assert sfs.read_file("f") == payload
         (degraded,) = tracer.find("sfs.batch_degraded_decode")
-        assert any(s.parent is degraded for s in tracer.find("pipeline.batch_decode"))
+        (decode_stage,) = tracer.find("dfs.degraded_decode")
+        assert decode_stage.parent is degraded
+        assert any(s.parent is decode_stage for s in tracer.find("pipeline.batch_decode"))
 
     def test_repair_tree_nesting(self, striped_trace):
         tracer, _ = striped_trace

@@ -11,7 +11,7 @@ with and without a ragged (padded) tail:
   knows nothing of the plan;
 * a single lost block is rebuilt from exactly its repair-plan helpers
   (checked per server against the disk-read accounting), fused across
-  groups by ``pipeline.batch_reconstruct`` in the striped layer;
+  the groups of a striped read by ``pipeline.batch_reconstruct``;
 * failure patterns the local path cannot serve fall back to the full
   decode and stay byte-exact, and a corrupted row inside a run is caught
   by its CRC.
@@ -33,7 +33,7 @@ from repro.gf import GF256, GF65536
 from repro.obs import Tracer, use_tracer
 from repro.storage import DistributedFileSystem, StripedFileSystem
 from repro.storage.striped import group_name
-from tests.conftest import payload_bytes
+from tests.conftest import codes_layer_read, payload_bytes
 
 CODES = {
     "rs": lambda gf: ReedSolomonCode(4, 3, gf=gf),
@@ -198,8 +198,7 @@ def test_striped_reads_match_the_payload(code_name, ragged):
     code = make_code(code_name)
     _, dfs, sfs, payload = write_striped(code, ragged, seed=2)
     assert b"".join(reference_read(dfs, dfs.file(g)) for g in sfs.file("s").group_names()) == payload
-    assert sfs.read_file("s", batch=True) == payload
-    assert sfs.read_file("s", batch=False) == payload
+    assert sfs.read_file("s") == payload
     rng = np.random.default_rng(12)
     for _ in range(15):
         offset = int(rng.integers(0, len(payload)))
@@ -325,14 +324,21 @@ def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragge
             dfs, names, victim, decoded
         )
         assert dfs.metrics.total("degraded_reads") == len(degraded)
-        # One fused reconstruct per distinct lost block index with a local
-        # plan and no full decode; the rest are fused per survivor set.
+        # One fused reconstruct (under its own ``dfs.local_repair``) per
+        # distinct lost block index with a local plan and no full decode;
+        # the rest go through one ``dfs.degraded_decode`` whose single
+        # ``batch_decode`` fuses them per survivor set.
         local = {b for _, b in degraded if repairs_locally(code, b)}
-        assert len(tracer.find("pipeline.batch_reconstruct")) == len(local)
+        (recovery,) = tracer.find("sfs.batch_degraded_decode") if degraded else (None,)
+        reconstructs = tracer.find("pipeline.batch_reconstruct")
+        assert len(reconstructs) == len(tracer.find("dfs.local_repair")) == len(local)
+        assert all(s.parent.name == "dfs.local_repair" and s.parent.parent is recovery for s in reconstructs)
         survivor_sets = {tuple(sorted(decoded[name])) for name, b in degraded if b not in local}
-        assert len(tracer.find("pipeline.batch_decode")) == len(survivor_sets)
-        assert not tracer.find("dfs.degraded_decode")
-        assert sfs.read_file("s", batch=False) == payload
+        decodes = tracer.find("pipeline.batch_decode")
+        assert len(decodes) == len(tracer.find("dfs.degraded_decode")) == (1 if survivor_sets else 0)
+        assert sum(s.attrs["buckets"] for s in decodes) == len(survivor_sets)
+        assert all(s.parent.name == "dfs.degraded_decode" and s.parent.parent is recovery for s in decodes)
+        assert codes_layer_read(dfs, names) == payload
 
 
 def test_repair_plans_are_memoised_across_the_groups_of_one_read(monkeypatch):

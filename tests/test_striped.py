@@ -5,9 +5,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
+from repro.faults import FaultModel
+from repro.faults.model import TransientErrors
 from repro.gf import GF65536
 from repro.mapreduce import DataBlockInputFormat, MapReduceRuntime
 from repro.mapreduce.workloads import generate_text, wordcount_job, wordcount_reference
+from repro.obs import Tracer, use_tracer
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
 from repro.storage.striped import StripedFileSystem, StripedInputFormat, group_name
 from tests.conftest import payload_bytes
@@ -163,23 +166,27 @@ class TestSharedPlans:
         codes = {id(sfs.dfs.file(g).code) for g in meta.group_names()}
         assert len(codes) == 1  # compiled plans shared by every group
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_files_with_equal_parameters_share_one_code_instance(self, sfs, batch):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_files_with_equal_parameters_share_one_code_instance(self, sfs, fused):
         # The factory builds a fresh object per file; the filesystem keeps
-        # the first and hands it to every later group, batched or not.
+        # the first and hands it to every later group, whether the group
+        # arrives pre-encoded from the fused encode (whole groups only) or
+        # through the single-group write (one short group).
+        total = galloper_factory().data_stripe_total
+        size = 4 * (4 * 16_384 // total * total) if fused else 30_000
         for name, seed in (("f", 22), ("g", 24)):
-            sfs.write_file(
-                name, payload_bytes(300_000, seed=seed), galloper_factory,
-                max_block_bytes=16_384, batch=batch,
+            meta = sfs.write_file(
+                name, payload_bytes(size, seed=seed), galloper_factory, max_block_bytes=16_384
             )
-        sfs.write_file("p", payload_bytes(300_000, seed=25), pyramid_factory, max_block_bytes=16_384)
+            assert (meta.group_count, size % meta.group_payload == 0) == ((4, True) if fused else (1, False))
+        sfs.write_file("p", payload_bytes(size, seed=25), pyramid_factory, max_block_bytes=16_384)
 
         def codes_of(name):
             return {id(sfs.dfs.file(g).code) for g in sfs.file(name).group_names()}
 
         assert len(codes_of("f") | codes_of("g")) == 1
         assert codes_of("p").isdisjoint(codes_of("f"))
-        assert sfs.read_file("g") == payload_bytes(300_000, seed=24)
+        assert sfs.read_file("g") == payload_bytes(size, seed=24)
 
     def test_shared_code_repair_storm_hits_plan_cache(self, sfs):
         payload = payload_bytes(300_000, seed=23)
@@ -187,15 +194,19 @@ class TestSharedPlans:
         meta = sfs.file("f")
         rm = RepairManager(sfs.dfs)
         # Lose block 0 of every group: same (target, helpers) pattern, so
-        # the shared code compiles one plan and every later group hits it.
+        # the shared code compiles one plan and one fused apply rebuilds
+        # every group.
         for g in meta.group_names():
             ef = sfs.dfs.file(g)
             sfs.dfs.store.drop(ef.server_of(0), g, 0)
-        rm.repair_all()
+        code = sfs.dfs.file(meta.group_names()[0]).code
+        code.clear_plan_cache()
+        applies = sfs.dfs.metrics.total("batch_applies")
+        assert len(rm.repair_all()) == meta.group_count
+        assert code.plan_cache_info()["misses"] == 1
+        assert sfs.dfs.metrics.total("batch_applies") == applies + 1
+        assert sfs.dfs.metrics.total("batch_groups") >= meta.group_count
         assert sfs.read_file("f") == payload
-        info = sfs.dfs.file(meta.group_names()[0]).code.plan_cache_info()
-        assert info["misses"] >= 1
-        assert info["hits"] >= meta.group_count - 1
 
 
 WIDE_FIELD_CODES = {
@@ -209,17 +220,32 @@ class TestWideField:
     """GF(2^16) groups hold one payload byte per 16-bit symbol; the whole-file
     read once sized its output in bytes and its groups in symbols."""
 
-    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("local", [True, False])
     @pytest.mark.parametrize("code_name", sorted(WIDE_FIELD_CODES))
-    def test_read_file_clean_and_one_server_down(self, code_name, batch):
+    def test_read_file_clean_and_one_server_down(self, code_name, local):
+        """Both stages of the degraded read over the wide field: the lost
+        block rebuilt from its helpers (``local``), or — one of those
+        helpers answering every read with an error — decoded in full."""
         cluster = Cluster.homogeneous(9)
-        sfs = StripedFileSystem(DistributedFileSystem(cluster))
+        dfs = DistributedFileSystem(cluster)
+        sfs = StripedFileSystem(dfs)
         payload = payload_bytes(100_000, seed=31)
         meta = sfs.write_file("f", payload, WIDE_FIELD_CODES[code_name], max_block_bytes=8192)
         assert meta.group_count > 1  # full groups and a ragged tail
-        assert sfs.read_file("f", batch=batch) == payload
+        assert sfs.read_file("f") == payload
         assert sfs.read_bytes("f", 0, len(payload)) == payload
 
-        cluster.fail(sfs.dfs.file(group_name("f", 0)).server_of(0))
-        assert sfs.read_file("f", batch=batch) == payload
-        assert sfs.dfs.metrics.total("degraded_reads") >= 1
+        group0 = dfs.file(group_name("f", 0))
+        cluster.fail(group0.server_of(0))
+        if not local:
+            helper = group0.code.repair_plan(0).helpers[0]
+            flaky = frozenset({group0.server_of(helper)})
+            dfs.store.install_faults(FaultModel(TransientErrors(rate=1.0, servers=flaky)), dfs.clock)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert sfs.read_file("f") == payload
+        if local:
+            assert tracer.find("pipeline.batch_reconstruct") and not tracer.find("pipeline.batch_decode")
+        else:
+            assert tracer.find("pipeline.batch_decode") and dfs.metrics.total("retries") > 0
+        assert dfs.metrics.total("degraded_reads") >= 1
