@@ -10,7 +10,7 @@ and generates whole chaos scenarios mixing crash traces with transient
 faults (:mod:`repro.faults.schedule`).
 """
 
-from repro.faults.clock import SimClock, VirtualClock
+from repro.faults.clock import VirtualClock
 from repro.faults.model import (
     CLEAN,
     FaultComponent,
@@ -31,7 +31,6 @@ from repro.faults.schedule import (
 )
 
 __all__ = [
-    "SimClock",
     "VirtualClock",
     "CLEAN",
     "FaultComponent",

@@ -4,18 +4,16 @@ Retry backoff, circuit-breaker reset timeouts and fault windows all need
 a notion of *now*.  Real wall-clock time would make tests slow and flaky,
 so the storage layer runs on a :class:`VirtualClock` by default: a
 monotonically advancing float that read latencies and backoff sleeps are
-added to.  :class:`SimClock` adapts the discrete-event
-:class:`~repro.sim.engine.Simulation` to the same two-method protocol so
-chaos campaigns can share time with an event-driven phase.
+added to.  A caller that owns the timeline (the serving gateway, the
+reliability simulator) *pins* the clock to each operation's start and
+reads the operation's duration off it afterwards.
 """
 
 from __future__ import annotations
 
-from repro.sim.engine import Simulation
-
 
 class VirtualClock:
-    """A free-running simulated clock: ``now`` plus explicit ``advance``."""
+    """A simulated clock: ``now``, explicit ``advance``, and ``pin``."""
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
@@ -30,29 +28,10 @@ class VirtualClock:
             self._now += dt
         return self._now
 
+    def pin(self, instant: float) -> None:
+        """Set the clock to ``instant``, which may be earlier than ``now``."""
+        self._now = float(instant)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualClock(now={self._now:.6f})"
 
-
-class SimClock:
-    """Adapter exposing a :class:`Simulation` through the clock protocol.
-
-    ``advance`` runs the simulation forward, so events scheduled inside
-    the window (crashes, recoveries) fire at their proper instants while
-    a synchronous read path sleeps through a backoff delay.
-    """
-
-    def __init__(self, sim: Simulation):
-        self.sim = sim
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def advance(self, dt: float) -> float:
-        if dt > 0:
-            self.sim.run(until=self.sim.now + dt)
-        return self.sim.now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now={self.sim.now:.6f})"

@@ -11,7 +11,7 @@ defenses (admission-filtered caching, request coalescing, hedging).
 
 from repro.serving.cache import FrequencySketch, HotBlockCache
 from repro.serving.coalesce import RequestCoalescer
-from repro.serving.gateway import GatewayConfig, ScratchClock, ServingError, ServingGateway
+from repro.serving.gateway import GatewayConfig, ServingError, ServingGateway
 from repro.serving.qos import TenantLease, TenantThrottle
 from repro.serving.workload import (
     FlashCrowd,
@@ -27,7 +27,6 @@ __all__ = [
     "HotBlockCache",
     "RequestCoalescer",
     "GatewayConfig",
-    "ScratchClock",
     "ServingError",
     "ServingGateway",
     "TenantLease",

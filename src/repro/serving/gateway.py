@@ -31,15 +31,15 @@ is the block and nothing changes; with Galloper's ``N = 7`` a request
 costs one disk IO per block it touches instead of one per stripe, and a
 hedge costs its group a stripe each instead of a block each.
 
-Disk time is modeled per server as a FIFO pipe: each read occupies the
-holder's disk for its (fault-inflated) service time, so queueing delay
-— the thing Zipf skew actually causes — emerges rather than being
-assumed.  The actual byte transfer still goes through the
+Disk time is modeled per server as a FIFO pipe (a
+:class:`~repro.sim.resources.ThroughputResource`): each read occupies
+the holder's disk for its (fault-inflated) service time, so queueing
+delay — the thing Zipf skew actually causes — emerges rather than being
+assumed.  The byte transfer goes through the DFS's own
 :class:`~repro.storage.resilient.ResilientBlockClient` (checksums,
-retries, timeouts, same-path hedging), promoted from the repair layer
-into the serving path; its service time is measured on a scratch clock
-pinned to the request's sim-time start and replayed as pipe occupancy
-on the simulation timeline.
+retries, timeouts, same-path hedging), clock and health monitor: the
+clock is pinned to the instant the read reaches the head of its disk's
+queue, and what the client adds to it is the read's pipe occupancy.
 """
 
 from __future__ import annotations
@@ -55,38 +55,14 @@ from repro.serving.cache import HotBlockCache
 from repro.serving.coalesce import RequestCoalescer
 from repro.serving.qos import TenantLease, TenantThrottle
 from repro.sim.aio import SimLoop
+from repro.sim.resources import ThroughputResource
 from repro.storage.blockstore import BlockUnavailableError
 from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
-from repro.storage.health import HealthMonitor
 from repro.storage.repair import DECODE_RATE
-from repro.storage.resilient import ResilientBlockClient, RetryPolicy
 
 
 class ServingError(FileSystemError):
     """A request the gateway could not serve (unrecoverable extent)."""
-
-
-class ScratchClock:
-    """A settable virtual clock for measuring one read's service time.
-
-    Unlike :class:`~repro.faults.clock.VirtualClock` it can be *pinned*
-    to an arbitrary instant: before each disk read the gateway sets it
-    to the read's sim-time start, so time-windowed fault components
-    (gray slowdowns, latency storms) fire against the serving timeline,
-    and the resilient client's backoff/timeout arithmetic measures the
-    read's service duration in place.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def pin(self, instant: float) -> None:
-        self.now = float(instant)
-
-    def advance(self, dt: float) -> float:
-        if dt > 0:
-            self.now += dt
-        return self.now
 
 
 @dataclass(frozen=True)
@@ -105,7 +81,6 @@ class GatewayConfig:
         tenant_limits: per-tenant cap overrides.
         lease_estimate: tenant-lease self-expiry (request time estimate).
         slo: latency SLO threshold for attainment accounting.
-        retry_policy: resilient-client knobs for the serving path.
     """
 
     cache_entries: int = 512
@@ -117,7 +92,6 @@ class GatewayConfig:
     tenant_limits: dict = field(default_factory=dict)
     lease_estimate: float = 0.05
     slo: float = 0.1
-    retry_policy: RetryPolicy | None = None
 
 
 class ServingGateway:
@@ -153,27 +127,14 @@ class ServingGateway:
             limits=self.config.tenant_limits,
             metrics=self.metrics,
         )
-        # The serving path's resilient client runs on a scratch clock
-        # pinned to each read's sim-time start: service durations are
-        # *measured* there (including retries, backoff and same-path
-        # hedges) and replayed as disk occupancy on the sim timeline.
-        self._scratch = ScratchClock()
-        self.client = ResilientBlockClient(
-            dfs.store,
-            health=HealthMonitor(self._scratch, metrics=self.metrics),
-            policy=self.config.retry_policy,
-            clock=self._scratch,
-            metrics=self.metrics,
-        )
-        # Fault windows must fire against serving time, not the DFS's
-        # idle setup clock.
-        if dfs.store.fault_model is not None:
-            dfs.store.clock = self._scratch
-        #: Per-server disk FIFO: the sim time each disk next falls idle.
-        self._busy_until: dict[int, float] = defaultdict(float)
-        #: Per server, bytes of rebuilt blocks assigned to it and not yet
-        #: written (so not yet in ``_busy_until``).
-        self._writes_assigned: dict[int, int] = defaultdict(int)
+        # The DFS's own client, on the DFS's clock (which its store's fault
+        # windows and its monitor's breaker timeouts read): pinned to each
+        # read's sim-time start, it measures the service time, retries,
+        # backoff and same-path hedges included.
+        self.client = dfs.client
+        #: Per-server disk FIFO; ``pledged`` counts the bytes of rebuilt
+        #: blocks assigned to a server and not yet written.
+        self._pipes: dict[int, ThroughputResource] = {}
         self._tenant_tracks: dict[str, int] = {}
         #: Per tenant, the name of its latency histogram.
         self._tenant_latency: dict[str, str] = {}
@@ -192,27 +153,34 @@ class ServingGateway:
 
     # ----------------------------------------------------------- disk model
 
+    def _pipe(self, server_id: int) -> ThroughputResource:
+        """The server's disk FIFO (made on first use: clusters grow)."""
+        pipe = self._pipes.get(server_id)
+        if pipe is None:
+            bandwidth = self.dfs.cluster.server(server_id).disk_bandwidth
+            pipe = self._pipes[server_id] = ThroughputResource(self.loop.sim, bandwidth)
+        return pipe
+
     def queue_wait(self, server_id: int) -> float:
         """Sim seconds a read issued now would wait for this disk."""
-        return max(0.0, self._busy_until[server_id] - self.loop.now)
+        return self._pipe(server_id).wait()
 
     async def _disk_read(self, server_id: int, op):
         """Run one resilient read against a server's FIFO disk.
 
         ``op`` is a synchronous callable performing the actual store
-        read through :attr:`client`; its scratch-clock elapsed time is
-        the service duration, charged as pipe occupancy behind whatever
-        is already queued on that disk.  Returns the payload after the
-        simulated completion instant.
+        read through :attr:`client`; the time it takes on the DFS clock,
+        pinned to the instant the read reaches the head of the disk's
+        queue, is the service duration the pipe is occupied for.  Returns
+        the payload after the simulated completion instant.
         """
-        issued = self.loop.now
-        start = max(issued, self._busy_until[server_id])
-        self._scratch.pin(start)
+        pipe = self._pipe(server_id)
+        clock = self.dfs.clock
+        start = pipe.head()
+        clock.pin(start)
         data = op()  # raises BlockUnavailableError on unreadable blocks
-        service = (self._scratch.now - start) + self.config.request_overhead
-        done = start + service
-        self._busy_until[server_id] = done
-        self.metrics.observe("serving_disk_wait_s", start - issued)
+        done = pipe.commit(start, (clock.now - start) + self.config.request_overhead)
+        self.metrics.observe("serving_disk_wait_s", start - self.loop.now)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.sim_span(
@@ -325,12 +293,8 @@ class ServingGateway:
         for h, _, count in plan.helper_rows.reads(row0, nrows):
             ios[h] += 1
             rows[h] += count
-        # Summed in this order so that one whole-block row (N = 1) predicts
-        # to the bit what a whole-block helper read did.
         etas = {
-            h: self.queue_wait(ef.server_of(h))
-            + ios[h] * self.config.request_overhead
-            + rows[h] * stripe_bytes / self.dfs.cluster.server(ef.server_of(h)).disk_bandwidth
+            h: self._pipe(ef.server_of(h)).eta(rows[h] * stripe_bytes, ios[h], self.config.request_overhead)
             for h in ios
         }
         slowest = max(etas, key=etas.__getitem__)
@@ -382,12 +346,8 @@ class ServingGateway:
                 return await self._decode_fallback(ef, fs0, nrows)
 
         threshold = self.config.hedge_threshold
-        itemsize = ef.code.gf.dtype.itemsize
-        expected = (
-            self.queue_wait(server)
-            + self.config.request_overhead
-            + nrows * ef.stripe_size * itemsize
-            / self.dfs.cluster.server(server).disk_bandwidth
+        expected = self._pipe(server).eta(
+            nrows * ef.stripe_size * ef.code.gf.dtype.itemsize, 1, self.config.request_overhead
         )
         if (
             threshold is None
@@ -585,7 +545,8 @@ class ServingGateway:
             target = self._replacement_server(ef)
             # The write is charged to the target's disk only once the block
             # is rebuilt; until then rebuilds admitted alongside must see it.
-            self._writes_assigned[target] += nbytes
+            pipe = self._pipe(target)
+            pipe.pledged += nbytes
             try:
                 unreadable = self.dfs._unreadable_blocks(ef)
                 default = ef.code.repair_plan(block, unreadable)
@@ -601,7 +562,7 @@ class ServingGateway:
                 rebuilt, _ = ef.code.reconstruct(block, dict(zip(plan.helpers, blocks)), plan)
                 await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
             finally:
-                self._writes_assigned[target] -= nbytes
+                pipe.pledged -= nbytes
             await self._disk_write(target, ef.name, block, rebuilt)
             ef.placement[block] = target
             self.metrics.add("serving_repair_blocks", 1)
@@ -622,22 +583,17 @@ class ServingGateway:
         candidates = [s for s in alive if s.server_id not in used] or alive
         if not candidates:
             raise ServingError("no live server to rebuild onto", file=ef.name, cause="no_target")
-        return min(
-            candidates,
-            key=lambda s: (
-                self.queue_wait(s.server_id)
-                + self._writes_assigned[s.server_id] / s.disk_bandwidth,
-                self._busy_until[s.server_id],
-                s.server_id,
-            ),
-        ).server_id
+
+        def soonest(server) -> tuple[float, float, int]:
+            pipe = self._pipe(server.server_id)
+            return pipe.eta(pipe.pledged), pipe.free_at, server.server_id
+
+        return min(candidates, key=soonest).server_id
 
     async def _disk_write(self, server: int, name: str, block: int, payload: np.ndarray) -> None:
         def op():
             self.dfs.store.put(server, name, block, payload)
-            self._scratch.advance(
-                payload.nbytes / self.dfs.cluster.server(server).disk_bandwidth
-            )
+            self.dfs.clock.advance(payload.nbytes / self._pipe(server).bandwidth)
 
         await self._disk_read(server, op)
 

@@ -65,6 +65,8 @@ class TenantThrottle:
         self.metrics = metrics or MetricsRegistry()
         self._leases = LeaseTable()
         self._waiters: dict[str, deque] = {}
+        #: Per tenant, the name of its wait histogram.
+        self._tenant_wait: dict[str, str] = {}
 
     def cap(self, tenant: str) -> int:
         return self.limits.get(tenant, self.max_inflight)
@@ -104,7 +106,10 @@ class TenantThrottle:
                 queue.remove(fut)
         waited = self.loop.now - submitted
         self.metrics.observe("tenant_throttle_wait_s", waited)
-        self.metrics.observe(f"tenant_throttle_wait_s[{tenant}]", waited)
+        tenant_wait = self._tenant_wait.get(tenant)
+        if tenant_wait is None:
+            tenant_wait = self._tenant_wait[tenant] = f"tenant_throttle_wait_s[{tenant}]"
+        self.metrics.observe(tenant_wait, waited)
         handle = self._leases.grant(tenant, self.loop.now + duration)
         return TenantLease(tenant=tenant, handle=handle)
 

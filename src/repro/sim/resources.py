@@ -101,6 +101,10 @@ class ThroughputResource:
     Requests are served FIFO; each occupies the pipe for
     ``nbytes / bandwidth`` seconds.  This models a disk spindle or a NIC:
     concurrent requests see queueing delay rather than magic parallelism.
+
+    A request whose service time is only known once it is served (a
+    fault-inflated read) takes its turn in two steps, :meth:`head` then
+    :meth:`commit`; :meth:`transfer` is both for a size known up front.
     """
 
     def __init__(self, sim: Simulation, bandwidth: float, name: str = "pipe"):
@@ -109,8 +113,31 @@ class ThroughputResource:
         self.sim = sim
         self.bandwidth = bandwidth
         self.name = name
-        self._free_at = 0.0
+        #: Sim time the pipe next falls idle.
+        self.free_at = 0.0
+        #: Bytes promised to the pipe and not yet queued; callers keep it.
+        self.pledged = 0
         self.bytes_moved = 0
+
+    def wait(self) -> float:
+        """Seconds a request issued now would queue before it is served."""
+        return max(0.0, self.free_at - self.sim.now)
+
+    def eta(self, nbytes: float, ios: int = 0, overhead: float = 0.0) -> float:
+        """Seconds until ``nbytes`` asked for now in ``ios`` requests of
+        ``overhead`` fixed seconds each are served (seeded results depend
+        on this summation order to the bit)."""
+        return self.wait() + ios * overhead + nbytes / self.bandwidth
+
+    def head(self) -> float:
+        """The instant a request issued now reaches the head of the queue."""
+        return max(self.sim.now, self.free_at)
+
+    def commit(self, start: float, service: float) -> float:
+        """Occupy the pipe for ``service`` seconds from ``start``, which
+        :meth:`head` gave with nothing queued since; returns the completion."""
+        self.free_at = start + service
+        return self.free_at
 
     def transfer(
         self, nbytes: float, on_done: Callable[[float], None], name: str = "", delay: float = 0.0
@@ -125,9 +152,8 @@ class ThroughputResource:
             raise SimulationError(f"{self.name}: negative transfer size")
         if delay < 0:
             raise SimulationError(f"{self.name}: negative transfer delay")
-        start = max(self.sim.now, self._free_at)
-        done = start + delay + nbytes / self.bandwidth
-        self._free_at = done
+        start = self.head()
+        done = self.commit(start + delay, nbytes / self.bandwidth)  # the seek comes first
         self.bytes_moved += int(nbytes)
         tracer = get_tracer()
         if tracer.enabled:

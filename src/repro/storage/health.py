@@ -24,7 +24,7 @@ Consumers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.clock import VirtualClock
 from repro.storage.metrics import MetricsRegistry
@@ -165,13 +165,6 @@ class HealthMonitor:
         h.probe_inflight = True
         return True
 
-    def open_duration(self, server_id: int) -> float:
-        """Seconds the breaker has currently been open (0 when not open)."""
-        h = self.server(server_id)
-        if h.state != OPEN:
-            return 0.0
-        return self.clock.now - h.opened_at
-
     def quarantined(self, server_id: int, grace: float) -> bool:
         """True when the breaker has been open longer than ``grace``."""
         h = self.server(server_id)
@@ -203,27 +196,3 @@ class HealthMonitor:
             for sid, h in sorted(self._servers.items())
         }
 
-
-@dataclass
-class _NullHealth:
-    """Stand-in when no monitor is wired: everything is always healthy."""
-
-    clock: object = field(default_factory=VirtualClock)
-
-    def record_success(self, server_id, latency=0.0):
-        pass
-
-    def record_error(self, server_id):
-        pass
-
-    def allow_request(self, server_id):
-        return True
-
-    def is_open(self, server_id):
-        return False
-
-    def rank(self, server_ids):
-        return list(server_ids)
-
-    def healthy(self, server_ids):
-        return list(server_ids)

@@ -15,7 +15,7 @@ the behaviour a production DFS client exhibits:
   threshold (but under the timeout), a speculative second read is
   issued and the earlier completion wins.  With erasure-coded single
   copies the hedge re-issues against the same server (a second I/O
-  path); callers holding true replicas can pass alternates.
+  path).
 * **Circuit-breaker fast-fail** — reads against a server whose breaker
   is open are rejected immediately (``cause="breaker_open"``) so the
   filesystem falls straight to degraded decode instead of burning the
@@ -114,7 +114,7 @@ class ResilientBlockClient:
 
     # ------------------------------------------------------------- internals
 
-    def _read(self, server_id: int, file_name: str, block_id: int, op, alternates=()) -> np.ndarray:
+    def _read(self, server_id: int, file_name: str, block_id: int, op) -> np.ndarray:
         policy = self.policy
         if not self.health.allow_request(server_id):
             self.metrics.add("breaker_fastfails", 1, server_id)
@@ -174,7 +174,7 @@ class ResilientBlockClient:
                         file=file_name, block=block_id, latency=latency,
                         clock=self.clock,
                     )
-                data, latency = self._hedge(server_id, data, latency, base, op, alternates)
+                data, latency = self._hedge(server_id, data, latency, base, op)
             self.clock.advance(latency)
             self.metrics.observe("read_latency_s", latency)
             self.health.record_success(server_id, latency)
@@ -192,7 +192,7 @@ class ResilientBlockClient:
         """Expected clean transfer time for the bytes just read."""
         return np.asarray(data).nbytes / self.store.cluster.server(server_id).disk_bandwidth
 
-    def _hedge(self, server_id: int, data, latency: float, base: float, op, alternates):
+    def _hedge(self, server_id: int, data, latency: float, base: float, op):
         """Launch a speculative second read; earliest completion wins.
 
         The hedge fires once the primary has been outstanding for the
@@ -200,9 +200,8 @@ class ResilientBlockClient:
         completion time is that launch instant plus its own latency.
         """
         self.metrics.add("hedged_reads", 1, server_id)
-        hedge_op = alternates[0] if alternates else op
         try:
-            data2, lat2 = hedge_op()
+            data2, lat2 = op()
         except TransientReadError:
             return data, latency  # the hedge lost by failing; primary stands
         # Exactly one of the two completed payloads survives; the other

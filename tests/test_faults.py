@@ -16,7 +16,39 @@ from repro.faults.model import (
 )
 from repro.faults.schedule import bound_concurrent_crashes
 from repro.storage import DistributedFileSystem, TransientReadError
+from repro.storage.health import HealthMonitor
 from tests.conftest import payload_bytes
+
+
+class TestVirtualClock:
+    def test_pin_and_advance(self):
+        clock = VirtualClock()
+        clock.pin(5.0)
+        assert clock.now == 5.0
+        clock.advance(0.25)
+        assert clock.now == 5.25
+        clock.advance(-1.0)  # negative advances are ignored
+        assert clock.now == 5.25
+
+    def test_pin_backwards(self):
+        # The gateway does this: a read on an idle disk starts earlier than
+        # the previous read, which had queued behind others.
+        clock = VirtualClock(start=2.0)
+        clock.pin(0.5)
+        assert clock.now == 0.5
+        assert clock.advance(0.25) == 0.75
+
+    def test_open_breaker_stays_open_across_a_backward_pin(self):
+        clock = VirtualClock()
+        health = HealthMonitor(clock, consecutive_limit=1, reset_timeout=1.0)
+        clock.pin(5.0)
+        health.record_error(3)
+        clock.pin(4.0)
+        assert health.is_open(3) and not health.allow_request(3)
+        clock.pin(5.5)
+        assert health.is_open(3)
+        clock.pin(6.0)
+        assert not health.is_open(3)
 
 
 class TestDecisions:

@@ -5,7 +5,10 @@ import pytest
 from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode, ReplicationCode
 from repro.core import GalloperCode
+from repro.faults import VirtualClock
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
+from repro.storage.metrics import MetricsRegistry
+from repro.storage.repair import RepairAdmissionController
 from tests.conftest import payload_bytes
 
 
@@ -170,3 +173,44 @@ class TestPlanCacheMetrics:
         # reads — and every reconstruct, the first included, then hits it.
         assert dfs.metrics.total("plan_cache_hits") == 3
         assert ef.code.plan_cache_info()["misses"] == 1
+
+
+class TestRepairAdmission:
+    def _controller(self, cap=2):
+        clock, metrics = VirtualClock(), MetricsRegistry()
+        return clock, metrics, RepairAdmissionController(clock, cap, metrics=metrics)
+
+    def test_under_the_cap_grants_at_once(self):
+        clock, metrics, admission = self._controller()
+        clock.pin(10.0)
+        assert admission.acquire({1: 5.0, 2: 3.0}) == 10.0
+        assert admission.acquire({1: 1.0}) == 10.0
+        assert admission.inflight(1) == 2 and admission.inflight(2) == 1
+        assert admission.waits == 0 and metrics.total("repairs_throttled") == 0
+        assert metrics.histogram("repair_wait_s").max == 0.0
+
+    def test_cap_binds_and_the_grant_is_the_earliest_expiry(self):
+        clock, metrics, admission = self._controller()
+        clock.pin(10.0)
+        admission.acquire({1: 5.0})  # until 15
+        admission.acquire({1: 2.0})  # until 12
+        assert admission.acquire({1: 1.0}) == 12.0  # waits for the lease that ends first
+        assert clock.now == 12.0
+        assert admission.inflight(1) == 2  # the 15 and the new 13
+        assert admission.waits == 1 and metrics.total("repairs_throttled") == 1
+        wait, inflight = metrics.histogram("repair_wait_s"), metrics.histogram("repair_inflight")
+        assert (wait.count, wait.max) == (3, 2.0)
+        assert (inflight.count, inflight.max) == (3, 2.0)  # depth seen on arrival
+
+    def test_several_servers_wait_for_the_latest_of_their_earliest_free_instants(self):
+        clock, metrics, admission = self._controller(cap=1)
+        admission.acquire({1: 4.0, 2: 7.0, 3: 1.0})
+        # A caller that owns the timeline pins the clock before each acquire;
+        # the post-acquire ``now`` is the grant, not elapsed time.
+        clock.pin(2.0)
+        assert admission.acquire({1: 1.0, 2: 1.0, 3: 1.0}) == 7.0
+        assert metrics.total("repairs_throttled") == 1  # one throttled repair, two waits inside it
+        assert metrics.histogram("repair_wait_s").max == 5.0
+        clock.pin(3.0)  # the next event may be earlier than the last grant
+        assert admission.acquire({4: 1.0}) == 3.0
+        assert admission.acquire({3: 1.0}) == 8.0  # behind the lease granted at 7

@@ -17,14 +17,13 @@ from repro.cluster.placement import RandomPlacement
 from repro.cluster.topology import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
-from repro.faults.model import FaultModel, GraySlowdown, LatencySpikes
+from repro.faults.model import FaultModel, GraySlowdown, LatencySpikes, TransientErrors
 from repro.serving import (
     FlashCrowd,
     FrequencySketch,
     GatewayConfig,
     HotBlockCache,
     RequestCoalescer,
-    ScratchClock,
     ServingError,
     ServingGateway,
     TenantThrottle,
@@ -223,18 +222,21 @@ class TestTenantThrottle:
 # ------------------------------------------------------------------ gateway
 
 
-class TestScratchClock:
-    def test_pin_and_advance(self):
-        clock = ScratchClock()
-        clock.pin(5.0)
-        assert clock.now == 5.0
-        clock.advance(0.25)
-        assert clock.now == 5.25
-        clock.advance(-1.0)  # negative advances are ignored
-        assert clock.now == 5.25
-
-
 class TestGatewayReads:
+    def test_serves_through_the_dfs_own_client_clock_and_monitor(self):
+        faults = FaultModel(TransientErrors(rate=1.0, servers=frozenset({0})), seed=1)
+        gateway = make_gateway(fault_model=faults)
+        dfs = gateway.dfs
+        assert gateway.client is dfs.client and dfs.client.health is dfs.health
+        assert dfs.store.clock is dfs.clock and dfs.client.clock is dfs.clock
+        payload = put_file(gateway, CODES["galloper"])
+        assert dfs.file("alpha/f0").server_of(0) == 0
+        # Every attempt on server 0 fails: the serving read falls back to the
+        # repair group, and what it learnt is there for every user of the DFS.
+        assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
+        assert dfs.health.is_open(0)
+        assert dfs.health.rank(range(12))[-1] == 0
+
     @pytest.mark.parametrize("code_name", CODES, ids=CODES.keys())
     def test_roundtrip_byte_exact(self, code_name):
         gateway = make_gateway()
@@ -404,17 +406,31 @@ class TestDegradedServing:
         gateway, payload, ef, plan = self._lost_holder()
         helper, named = plan.helper_rows.rows[0][0]
         gateway.dfs.store.corrupt(ef.server_of(helper), ef.name, helper, offset=named * ef.stripe_size + 5)
+        planned = []
+        plan_decode_blocks = gateway.dfs._plan_decode_blocks
+
+        def record(*args):
+            planned.append(plan_decode_blocks(*args))
+            return planned[-1]
+
+        gateway.dfs._plan_decode_blocks = record
         # The row's CRC fails on every retry, the group repair gives up on
-        # that helper, and the stripe is decoded from verified blocks instead.
+        # that helper, and the stripe is decoded from verified blocks instead:
+        # the retries opened the server's breaker in the monitor the decode
+        # planner ranks by, so it does not pick that helper a second time.
         assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
         assert gateway.metrics.total("checksum_failures") > 0
-        assert gateway.metrics.total("decode_replans") > 0
+        assert gateway.dfs.health.is_open(ef.server_of(helper))
+        assert len(planned) == 1 and helper not in planned[0]
+        assert gateway.metrics.total("decode_replans") == 0
+        assert gateway.metrics.total("breaker_fastfails") == 0
+        assert gateway.metrics.total("blocks_read") == 10
         assert gateway.counters()["reads_ok"] == 1
 
     def test_dead_holder_read_routes_around_a_slow_group_mate(self):
         gateway, payload, ef, plan = self._lost_holder()
         slow = ef.server_of(plan.helpers[0])
-        gateway._busy_until[slow] = gateway.loop.now + 1.0
+        gateway._pipe(slow).free_at = gateway.loop.now + 1.0
         assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
         # The group would have waited a second for that disk; a wider
         # helper set that skips it answers in milliseconds.
@@ -452,7 +468,7 @@ class TestHedgedServing:
         primary = gateway.dfs.file("alpha/f0").server_of(block)
         # A deep primary queue: the predicted completion exceeds both the
         # hedge threshold and the repair group's predicted decode time.
-        gateway._busy_until[primary] = gateway.loop.now + 1.0
+        gateway._pipe(primary).free_at = gateway.loop.now + 1.0
         return gateway, payload
 
     def test_hedge_fires_and_wins_byte_exact(self):
@@ -497,7 +513,7 @@ class TestHedgedServing:
         gateway, payload = self._deep_queue_gateway()
         ef = gateway.dfs.file("alpha/f0")
         mate = ef.server_of(ef.code.repair_plan(0).helpers[0])
-        gateway._busy_until[mate] = gateway.loop.now + 2.0
+        gateway._pipe(mate).free_at = gateway.loop.now + 2.0
         assert run(gateway.loop, gateway.read("alpha", "f0", 0, 100)) == payload[:100]
         assert gateway.counters()["hedges_fired"] == 0
         assert gateway.loop.now >= 1.0
@@ -513,7 +529,7 @@ class TestHedgedServing:
         payload = put_file(gateway, CODES["galloper"])
         block, _row = gateway.dfs.stripe_holders("alpha/f0")[0]
         primary = gateway.dfs.file("alpha/f0").server_of(block)
-        gateway._busy_until[primary] = gateway.loop.now + 1.0
+        gateway._pipe(primary).free_at = gateway.loop.now + 1.0
         assert run(gateway.loop, gateway.read("alpha", "f0", 0, 1024)) == payload[:1024]
         assert gateway.counters()["hedges_fired"] == 0
 
@@ -599,7 +615,7 @@ class TestRepairAsServing:
         ef = gateway.dfs.file("alpha/f0")
         default = ef.code.repair_plan(0)
         slow = ef.server_of(default.helpers[0])  # a group mate; for RS one of the first k
-        gateway._busy_until[slow] = gateway.loop.now + 1.0
+        gateway._pipe(slow).free_at = gateway.loop.now + 1.0
         assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
         assert gateway.loop.now < 0.5
         assert slow not in gateway.metrics.by_server("disk_bytes_read")
@@ -615,7 +631,7 @@ class TestRepairAsServing:
         gateway, payloads = self._lost_server("rs", files=3, hedge_threshold=0.005)
         for server in (5, 6):  # with block 0: k = 4 blocks left, all of them needed
             gateway.dfs.cluster.fail(server)
-        gateway._busy_until[1] = gateway.loop.now + 1.0
+        gateway._pipe(1).free_at = gateway.loop.now + 1.0
         assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
         assert gateway.loop.now >= 1.0
         assert gateway.metrics.by_server("disk_bytes_read")[1] > 0
@@ -668,7 +684,7 @@ class TestRepairAsServing:
         # Servers 7-11 hold no block of these files and are all idle: four
         # rebuilds admitted in the same instant must not share a disk.
         assert len(set(targets)) == 4 and set(targets) <= {7, 8, 9, 10, 11}
-        assert not any(gateway._writes_assigned.values())
+        assert not any(pipe.pledged for pipe in gateway._pipes.values())
 
     def test_a_server_with_a_block_of_the_file_is_the_last_resort(self):
         gateway, _ = self._lost_server("galloper", files=2, servers=7)

@@ -334,3 +334,53 @@ class TestThroughputResource:
         sim.schedule(5.0, lambda: pipe.transfer(10, lambda t: done.append(t)))
         sim.run()
         assert done == [6.0]
+
+    def test_wait_and_eta_price_the_queue(self):
+        sim = Simulation()
+        pipe = ThroughputResource(sim, bandwidth=100.0)
+        assert pipe.wait() == 0.0 and pipe.eta(50) == 0.5
+        pipe.transfer(200, lambda t: None)
+        assert pipe.free_at == 2.0 and pipe.wait() == 2.0
+        assert pipe.eta(50, ios=2, overhead=0.25) == 3.0
+        sim.run(until=1.5)
+        assert pipe.wait() == 0.5
+        sim.run(until=4.0)
+        assert pipe.wait() == 0.0  # never negative once the pipe is idle
+
+    def test_reservation_and_transfer_share_one_fifo(self):
+        sim = Simulation()
+        pipe = ThroughputResource(sim, bandwidth=100.0)
+        pipe.transfer(100, lambda t: None)
+        start = pipe.head()
+        assert start == 1.0  # behind the transfer
+        # The service time is whatever the caller measured once at the head.
+        assert pipe.commit(start, 0.75) == 1.75
+        times = []
+        assert pipe.transfer(25, times.append, delay=0.5) == 2.5  # starts at the reservation's done
+        sim.run()
+        assert times == [2.5] and pipe.head() == sim.now == 2.5
+        assert pipe.bytes_moved == 125  # a reservation moves no counted bytes
+
+    @pytest.mark.parametrize(
+        "stripe_bytes, rows, ios",
+        [(2048, 1, 1), (293, 3, 2)],
+        ids=["N=1 (RS: a row is the block)", "N=7 (Galloper: rows of a block)"],
+    )
+    def test_eta_is_the_gateway_arithmetic_to_the_bit(self, stripe_bytes, rows, ios):
+        # The three sums the serving gateway used to spell out, in their
+        # summation order; seeded serving results depend on every bit.
+        sim = Simulation()
+        bandwidth, overhead = 150e6 / 1.1, 500e-6
+        pipe = ThroughputResource(sim, bandwidth=bandwidth)
+        sim.run(until=0.0101)
+        pipe.free_at = 0.0123456789
+        pipe.pledged = 7 * stripe_bytes
+        wait = max(0.0, pipe.free_at - sim.now)
+        assert pipe.wait() == wait
+        helper_eta = wait + ios * overhead + rows * stripe_bytes / bandwidth
+        assert pipe.eta(rows * stripe_bytes, ios, overhead) == helper_eta
+        itemsize = 1  # GF(2^8) symbols
+        primary_eta = wait + overhead + rows * stripe_bytes * itemsize / bandwidth
+        assert pipe.eta(rows * stripe_bytes * itemsize, 1, overhead) == primary_eta
+        write_eta = wait + pipe.pledged / bandwidth
+        assert pipe.eta(pipe.pledged) == write_eta
