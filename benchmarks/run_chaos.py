@@ -2,9 +2,8 @@
 
 Runs the seeded gray-failure campaign from :mod:`repro.bench.chaos` —
 crash traces composed with flaky, gray, spiky and silently-corrupting
-servers, driven against RS/Pyramid/Galloper files with repairs and a
-throttled reconstruction storm — and appends one run record to
-``BENCH_chaos.json`` at the repository root.
+servers, driven against RS/Pyramid/Galloper files with repairs — and
+appends one run record to ``BENCH_chaos.json`` at the repository root.
 
 Usage::
 
@@ -25,8 +24,8 @@ Headline fields (also printed):
 * ``degraded_read_overhead`` — per-code mean chaos read latency over the
   clean-cluster baseline.
 * the resilience counters (``retries``, ``hedged_reads``,
-  ``breaker_opens``, ``repairs_throttled``, ...) aggregated across the
-  whole campaign.
+  ``breaker_opens``, ``reconstructions``, ...) aggregated across the
+  whole campaign, each counted by the campaign's own filesystems.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ fast-fails included) or fail loudly with a
 campaign failure.
 
 The campaign also measures the *latency cost* of resilience: the mean
-simulated read time under chaos over the clean-cluster baseline, and it
-folds a throttled reconstruction storm
-(:func:`~repro.storage.recovery.simulate_server_recovery`) into each
-schedule so admission control is exercised under genuine concurrency.
+simulated read time under chaos over the clean-cluster baseline.  Every
+counter in the record is one the campaign's own filesystem produced;
+its repairs run one after another, so nothing here throttles them (the
+gateway's repair tenant and the reliability simulator are where repairs
+are concurrent — ``docs/ROBUSTNESS.md``).
 
 ``benchmarks/run_chaos.py`` wraps :func:`run_campaign` into the
 ``BENCH_chaos.json`` trajectory file; the ``chaos``-marked smoke test
@@ -33,7 +34,6 @@ from repro.codes.base import DecodingError
 from repro.core import GalloperCode
 from repro.faults import ChaosSchedule, generate_schedules
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
-from repro.storage.recovery import simulate_server_recovery
 
 #: Servers per campaign cluster — enough spares to re-home every block of
 #: the widest code (n = 7) after repeated crashes.
@@ -46,10 +46,6 @@ CAMPAIGN_CODES = [
     ("pyramid(4,2,1)", lambda: PyramidCode(4, 2, 1)),
     ("galloper(4,2,1)", lambda: GalloperCode(4, 2, 1)),
 ]
-
-STORM_BLOCK_BYTES = 4 << 20
-STORM_LOST_BLOCKS = 12
-STORM_READ_CAP = 2
 
 
 def _payload(seed: int, size: int = 12_000) -> bytes:
@@ -68,7 +64,6 @@ class ScheduleResult:
     unavailable: int = 0
     crashes_applied: int = 0
     repair_failures: int = 0
-    repairs_throttled_storm: int = 0
     read_latencies: list[float] = field(default_factory=list)
     metrics: dict[str, float] = field(default_factory=dict)
 
@@ -95,7 +90,6 @@ def run_schedule(
     checkpoints: int = 8,
     retry_rounds: int = 8,
     retry_step: float = 2.0,
-    storm: bool = True,
 ) -> ScheduleResult:
     """Drive one schedule against one code; returns the run's accounting.
 
@@ -144,21 +138,6 @@ def run_schedule(
     runner.advance_to(cluster, schedule.horizon * 10)
     result.crashes_applied = sum(1 for _, kind, _ in runner.applied if kind == "crash")
 
-    if storm:
-        # Admission control needs genuinely concurrent repairs, which the
-        # sequential checkpoint loop never produces: fold in an event-driven
-        # reconstruction storm with a per-server read cap.
-        outcome = simulate_server_recovery(
-            make_code(),
-            lost_blocks=STORM_LOST_BLOCKS,
-            num_servers=NUM_SERVERS,
-            block_bytes=STORM_BLOCK_BYTES,
-            seed=schedule.seed,
-            max_repair_reads_per_server=STORM_READ_CAP,
-        )
-        result.repairs_throttled_storm = outcome.repairs_throttled
-        dfs.metrics.add("repairs_throttled", outcome.repairs_throttled)
-
     result.metrics = dfs.metrics.snapshot()
     return result
 
@@ -169,14 +148,14 @@ def run_campaign(
     base_seed: int = 2018,
     checkpoints: int = 8,
     horizon: float = 30.0,
-    storm: bool = True,
 ) -> dict:
     """Run the full campaign; returns the aggregate record.
 
     The record's headline fields are the acceptance criteria of the
     resilience layer: ``mismatches`` must be 0, and the ``retries`` /
-    ``hedged_reads`` / ``breaker_opens`` / ``repairs_throttled`` totals
-    must all be nonzero (each fault class was actually exercised).
+    ``hedged_reads`` / ``breaker_opens`` / ``degraded_reads`` /
+    ``reconstructions`` totals must all be nonzero (each fault class was
+    actually exercised).
     """
     plans = generate_schedules(range(NUM_SERVERS), schedules, base_seed=base_seed, horizon=horizon)
     totals: dict[str, float] = {}
@@ -187,7 +166,7 @@ def run_campaign(
         baseline = baseline_read_latency(make_code)
         latencies: list[float] = []
         for schedule in plans:
-            r = run_schedule(schedule, code_name, make_code, checkpoints=checkpoints, storm=storm)
+            r = run_schedule(schedule, code_name, make_code, checkpoints=checkpoints)
             runs.append(r)
             latencies.append(r.mean_read_latency)
             for name, value in r.metrics.items():
@@ -208,7 +187,6 @@ def run_campaign(
         "read_timeouts",
         "breaker_opens",
         "breaker_fastfails",
-        "repairs_throttled",
         "decode_replans",
         "repair_replans",
         "transient_read_errors",

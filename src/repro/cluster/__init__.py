@@ -1,6 +1,6 @@
 """Cluster model: heterogeneous servers, placement, failures."""
 
-from repro.cluster.failure import FailureEvent, FailureInjector, poisson_failure_trace
+from repro.cluster.failure import FailureEvent, poisson_failure_trace
 from repro.cluster.placement import (
     CopysetPlacement,
     GroupAwarePlacement,
@@ -17,7 +17,6 @@ from repro.cluster.topology import DEFAULT_BLOCK_SIZE, Cluster, ClusterError
 
 __all__ = [
     "FailureEvent",
-    "FailureInjector",
     "poisson_failure_trace",
     "CopysetPlacement",
     "GroupAwarePlacement",

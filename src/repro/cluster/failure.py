@@ -1,18 +1,17 @@
-"""Failure injection.
+"""Failure traces.
 
 Commodity-hardware clusters fail constantly (paper Sec. I); the repair
 pipeline and the degraded-read path are exercised by injecting crashes.
-Two tools: an immediate injector for tests, and a Poisson-process trace
-generator for longer simulated campaigns.
+This module generates Poisson-process crash traces for simulated
+campaigns; a trace is applied by scheduling ``cluster.fail`` /
+``cluster.recover`` on the simulation
+(:class:`~repro.faults.schedule.ChaosRunner` does it for chaos schedules).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-from repro.cluster.topology import Cluster
-from repro.sim.engine import Simulation
 
 
 @dataclass(frozen=True)
@@ -22,29 +21,6 @@ class FailureEvent:
     time: float
     server_id: int
     recover_at: float | None = None
-
-
-class FailureInjector:
-    """Schedules crash/recover events on a simulation."""
-
-    def __init__(self, sim: Simulation, cluster: Cluster):
-        self.sim = sim
-        self.cluster = cluster
-        self.injected: list[FailureEvent] = []
-
-    def crash_at(self, time: float, server_id: int, recover_after: float | None = None) -> FailureEvent:
-        ev = FailureEvent(
-            time=time,
-            server_id=server_id,
-            recover_at=None if recover_after is None else time + recover_after,
-        )
-        self.sim.schedule_at(time, lambda: self.cluster.fail(server_id), name=f"crash:{server_id}")
-        if ev.recover_at is not None:
-            self.sim.schedule_at(
-                ev.recover_at, lambda: self.cluster.recover(server_id), name=f"recover:{server_id}"
-            )
-        self.injected.append(ev)
-        return ev
 
 
 def poisson_failure_trace(

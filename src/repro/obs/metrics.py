@@ -15,6 +15,21 @@ Both are dependency-free so any layer can import them without cycles.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
+
+def nearest_rank(n: int, p: float) -> int:
+    """1-based nearest rank of the ``p``-th percentile (0 < p <= 100)
+    among ``n`` sorted values: ``ceil(n * p / 100)``, at least 1.
+
+    ``p`` is taken as the decimal it prints as, so the 99.9th percentile
+    of 1 000 values is rank 999; in binary floating point
+    ``99.9 / 100 * 1000`` lands just above 999 and its ceiling is one
+    too high.
+    """
+    return max(1, math.ceil(n * Fraction(str(p)) / 100))
+
 
 class Histogram:
     """A streaming distribution with bounded memory.
@@ -59,8 +74,7 @@ class Histogram:
         if self._dirty:
             self._values.sort()
             self._dirty = False
-        rank = max(1, -(-len(self._values) * p // 100))  # ceil without float drift
-        return self._values[int(rank) - 1]
+        return self._values[nearest_rank(len(self._values), p) - 1]
 
     def summary(self) -> dict:
         """The single-snapshot view: count, sum, extremes, p50/p95/p99."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.metrics import nearest_rank
 from repro.serving.gateway import ServingError, ServingGateway
 from repro.sim.aio import SimLoop
 
@@ -96,9 +97,7 @@ class WorkloadResult:
         """Nearest-rank percentile over all request latencies."""
         if not self.latencies:
             return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(1, int(np.ceil(q / 100.0 * len(ordered))))
-        return ordered[rank - 1]
+        return sorted(self.latencies)[nearest_rank(len(self.latencies), q) - 1]
 
     def availability(self) -> float:
         total = len(self.latencies) + self.failures

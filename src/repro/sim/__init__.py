@@ -2,7 +2,7 @@
 
 from repro.sim.aio import SimFuture, SimLoop, SimTask
 from repro.sim.engine import Simulation, SimulationError
-from repro.sim.resources import SlotResource, ThroughputResource
+from repro.sim.resources import ThroughputResource
 
 __all__ = [
     "SimFuture",
@@ -10,6 +10,5 @@ __all__ = [
     "SimTask",
     "Simulation",
     "SimulationError",
-    "SlotResource",
     "ThroughputResource",
 ]

@@ -1,10 +1,8 @@
 """Queued resources for the simulation engine.
 
-A :class:`SlotResource` models a server's task slots (Hadoop map/reduce
-slots): requests acquire a slot for a caller-computed duration and queue
-FIFO when all slots are busy.  A :class:`ThroughputResource` models a
-shared pipe (disk or NIC) processed serially: each request occupies the
-pipe for ``bytes / bandwidth`` seconds.  Both invoke a completion callback
+A :class:`ThroughputResource` models a shared pipe (disk or NIC)
+processed serially: each request occupies the pipe for
+``bytes / bandwidth`` seconds.  Its completion callback is invoked
 through the simulation, never synchronously, so callers observe a
 consistent event ordering.
 """
@@ -12,87 +10,10 @@ consistent event ordering.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.obs.trace import get_tracer
 from repro.sim.engine import Simulation, SimulationError
-
-
-@dataclass
-class _SlotRequest:
-    duration: float
-    on_done: Callable[[float], None]
-    name: str
-    submitted: float = 0.0
-
-
-class SlotResource:
-    """``capacity`` parallel slots with a FIFO wait queue.
-
-    When a metrics registry is attached, every submit records the queue
-    depth it observed (``slot_queue_depth``) and every start records how
-    long the request waited for a slot (``slot_wait_s``) — the
-    resource-wait histograms of the observability layer.  Waits also
-    surface as sim-time spans when tracing is on.
-    """
-
-    def __init__(self, sim: Simulation, capacity: int, name: str = "slots", metrics=None):
-        if capacity < 1:
-            raise SimulationError(f"{name}: capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.metrics = metrics
-        self._busy = 0
-        self._queue: deque[_SlotRequest] = deque()
-        #: Total busy-time accumulated, for utilization accounting.
-        self.busy_time = 0.0
-
-    @property
-    def in_use(self) -> int:
-        return self._busy
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    def submit(self, duration: float, on_done: Callable[[float], None], name: str = "") -> None:
-        """Run a task of ``duration`` when a slot frees up.
-
-        ``on_done`` receives the completion time.
-        """
-        if duration < 0:
-            raise SimulationError(f"{self.name}: negative task duration")
-        req = _SlotRequest(duration=duration, on_done=on_done, name=name, submitted=self.sim.now)
-        if self.metrics is not None:
-            self.metrics.observe("slot_queue_depth", float(len(self._queue)))
-        if self._busy < self.capacity:
-            self._start(req)
-        else:
-            self._queue.append(req)
-
-    def _start(self, req: _SlotRequest) -> None:
-        wait = self.sim.now - req.submitted
-        if self.metrics is not None:
-            self.metrics.observe("slot_wait_s", wait)
-        if wait > 0:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.sim_span(
-                    f"{self.name}.wait", "sim.wait", req.submitted, self.sim.now, task=req.name
-                )
-        self._busy += 1
-        self.busy_time += req.duration
-
-        def finish():
-            self._busy -= 1
-            req.on_done(self.sim.now)
-            if self._queue and self._busy < self.capacity:
-                self._start(self._queue.popleft())
-
-        self.sim.schedule(req.duration, finish, name=f"{self.name}:{req.name}")
 
 
 class ThroughputResource:

@@ -210,13 +210,9 @@ class BlockStore:
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
 
-    def _faulted(self, server_id: int, file_name: str, block_id: int, view: np.ndarray, nbytes: int):
-        """Apply the fault model to one read; returns ``(data, latency)``.
-
-        ``nbytes`` is the byte count actually transferred (it may be a
-        fraction of ``view``); latency and fault sampling are charged on
-        it, corruption applies to the returned data.
-        """
+    def _faulted(self, server_id: int, file_name: str, block_id: int, view: np.ndarray):
+        """Apply the fault model to one read of ``view``; returns ``(data, latency)``."""
+        nbytes = view.nbytes
         latency = nbytes / self.cluster.server(server_id).disk_bandwidth
         if self.fault_model is None:
             return view, latency
@@ -240,39 +236,32 @@ class BlockStore:
     # ------------------------------------------------------------- read path
 
     def timed_get(
-        self, server_id: int, file_name: str, block_id: int, fraction: float = 1.0, verify: bool = False
+        self, server_id: int, file_name: str, block_id: int, verify: bool = False
     ) -> tuple[np.ndarray, float]:
         """Read one block; returns ``(data, simulated latency seconds)``.
 
-        With ``verify=True`` every row of the returned payload — the
-        whole block, whatever ``fraction`` the accounting is charged for
-        — is checked against its write-time CRC; a mismatch raises
-        :class:`TransientReadError` (``cause="checksum"``) since a retry
-        will read the intact copy.
+        With ``verify=True`` every row of the block is checked against
+        its write-time CRC; a mismatch raises :class:`TransientReadError`
+        (``cause="checksum"``) since a retry will read the intact copy.
         """
         self._check_up(server_id, file_name, block_id)
         block = self._stored(server_id, file_name, block_id)
-        if not 0 < fraction <= 1.0:
-            raise StorageError(f"invalid read fraction {fraction}")
-        nrows = max(1, round(block.shape[0] * fraction)) if block.ndim == 2 else block.shape[0]
-        view = block[:nrows] if fraction < 1.0 else block
-        self.metrics.add("disk_bytes_read", view.nbytes, server_id)
+        self.metrics.add("disk_bytes_read", block.nbytes, server_id)
         self.metrics.add("blocks_read", 1, server_id)
-        # Full content returned; accounting reflects the fraction.
-        data, latency = self._faulted(server_id, file_name, block_id, block, view.nbytes)
+        data, latency = self._faulted(server_id, file_name, block_id, block)
         self.metrics.add("read_latency", latency, server_id)
         if verify:
             self._check_rows(server_id, file_name, block_id, data, 0)
         return data, latency
 
-    def get(self, server_id: int, file_name: str, block_id: int, fraction: float = 1.0) -> np.ndarray:
-        """Read one block (or a leading fraction of it) from a server.
+    def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
+        """Read one block from a server.
 
         Raises:
             BlockUnavailableError: server down or block missing.
             TransientReadError: injected retryable failure.
         """
-        data, _ = self.timed_get(server_id, file_name, block_id, fraction)
+        data, _ = self.timed_get(server_id, file_name, block_id)
         return data
 
     def timed_read_rows(
@@ -292,7 +281,7 @@ class BlockStore:
         view = block[start : start + count]
         self.metrics.add("disk_bytes_read", view.nbytes, server_id)
         self.metrics.add("blocks_read", 1 if count else 0, server_id)
-        data, latency = self._faulted(server_id, file_name, block_id, view, view.nbytes)
+        data, latency = self._faulted(server_id, file_name, block_id, view)
         self.metrics.add("read_latency", latency, server_id)
         if verify:
             self._check_rows(server_id, file_name, block_id, data, start)

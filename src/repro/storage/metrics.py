@@ -46,8 +46,10 @@ class MetricsRegistry:
       ``corrupted_returns`` — injected faults observed at the store
     * ``read_latency`` — cumulative simulated read seconds
     * ``decode_replans`` / ``repair_replans`` — fallback re-planning
-    * ``repairs_throttled`` / ``blocks_quarantined`` — admission control
-      and scrubber quarantine
+    * ``blocks_quarantined`` — scrubber quarantine
+    * ``repairs_throttled`` — repairs that waited on
+      :class:`~repro.storage.repair.RepairAdmissionController` (the
+      reliability simulator's registry only)
 
     Batched-pipeline counters (see ``docs/PERFORMANCE.md``):
 
@@ -65,10 +67,10 @@ class MetricsRegistry:
     Observability additions (see ``docs/OBSERVABILITY.md``):
 
     * **Histograms** (:meth:`observe`) — ``read_latency_s`` (per-read
-      simulated latency), ``repair_wait_s`` (admission-control stalls),
-      ``repair_inflight`` (helper leases held at grant time),
-      ``slot_queue_depth`` / ``slot_wait_s`` and
-      ``scheduler_queue_depth`` (task queueing).
+      simulated latency), ``scheduler_queue_depth`` (task queueing) and,
+      from the reliability simulator's admission controller only,
+      ``repair_wait_s`` (stalls) and ``repair_inflight`` (helper leases
+      held at grant time).
     * **Gauges** (:meth:`set_gauge`) — ``plan_cache_hit_ratio``.
 
     :meth:`snapshot` stays counters-only (the stable schema existing

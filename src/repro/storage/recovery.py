@@ -19,7 +19,6 @@ the quantity that drives the MTTDL difference measured in
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.codes.base import ErasureCode
@@ -39,15 +38,12 @@ class RecoveryOutcome:
         bytes_read: total helper bytes read.
         bytes_read_by_server: per-helper-server read volume.
         max_server_load: largest per-server read volume (the hotspot).
-        repairs_throttled: helper reads deferred by admission control
-            (0 when the storm runs unthrottled).
     """
 
     makespan: float
     repair_times: list[float] = field(default_factory=list)
     bytes_read: int = 0
     bytes_read_by_server: dict[int, int] = field(default_factory=dict)
-    repairs_throttled: int = 0
 
     @property
     def max_server_load(self) -> int:
@@ -65,9 +61,6 @@ def simulate_server_recovery(
     block_bytes: int = 64 * MB,
     disk_bandwidth: float = 100 * MB,
     seed: int = 0,
-    max_repair_reads_per_server: int | None = None,
-    batch_groups: int = 1,
-    seek_time: float = 0.0,
 ) -> RecoveryOutcome:
     """Simulate rebuilding ``lost_blocks`` stripes after one server failure.
 
@@ -77,84 +70,19 @@ def simulate_server_recovery(
     ``num_servers - 1`` survivors.  Rebuilt blocks are written round-robin
     across the survivors.
 
-    ``max_repair_reads_per_server`` enables admission control: at most
-    that many repair reads may be queued on one server's disk at a time;
-    excess reads wait their turn (counted in ``repairs_throttled``), so a
-    storm leaves disk time for foreground traffic instead of burying
-    every spindle under the full repair backlog at t=0.
-
-    ``batch_groups`` models the batched repair pipeline: up to that many
-    repairs of the *same* lost block index coalesce into one batch, and
-    within a batch all reads hitting the same helper server merge into a
-    single sequential transfer paying ``seek_time`` once instead of once
-    per repair.  ``seek_time`` is the fixed per-request disk occupancy
-    (seek + request setup) in seconds; block writes always pay it.  The
-    defaults (``batch_groups=1, seek_time=0.0``) reproduce the
-    unbatched storm event-for-event.
-
     Returns the storm's timing and load profile.
     """
     if num_servers <= code.n:
         raise ValueError(f"need more than {code.n} servers, got {num_servers}")
-    if batch_groups < 1:
-        raise ValueError("batch_groups must be >= 1")
-    if seek_time < 0:
-        raise ValueError("seek_time must be >= 0")
     rng = random.Random(seed)
     sim = Simulation()
     survivors = list(range(num_servers - 1))  # server num_servers-1 failed
     disks = {s: ThroughputResource(sim, disk_bandwidth, name=f"disk{s}") for s in survivors}
 
     outcome = RecoveryOutcome(makespan=0.0)
-    pending: dict[int, int] = {}  # repair id -> outstanding transfers
+    pending: dict[int, int] = {}  # repair id -> outstanding reads
     finish: dict[int, float] = {}
 
-    # Admission control: per-server in-flight read counts and FIFO wait
-    # queues.  A completed read admits the next deferred one.
-    inflight: dict[int, int] = {s: 0 for s in survivors}
-    deferred: dict[int, deque] = {s: deque() for s in survivors}
-
-    def submit_read(server: int, nbytes: int, cb, name: str) -> None:
-        if max_repair_reads_per_server is not None and inflight[server] >= max_repair_reads_per_server:
-            outcome.repairs_throttled += 1
-            deferred[server].append((nbytes, cb, name))
-            return
-        inflight[server] += 1
-
-        def done(t: float, _server=server, _cb=cb) -> None:
-            inflight[_server] -= 1
-            if deferred[_server]:
-                nb, next_cb, nm = deferred[_server].popleft()
-                submit_read(_server, nb, next_cb, nm)
-            _cb(t)
-
-        disks[server].transfer(nbytes, done, name=name, delay=seek_time)
-
-    def flush_batch(members: list[tuple[int, list[tuple[int, int]], int]]) -> None:
-        """Submit one batch: same-server reads merge into one transfer."""
-        agg: dict[int, int] = {}
-        for _, reads, _ in members:
-            for server, nbytes in reads:
-                agg[server] = agg.get(server, 0) + nbytes
-        batch_id = members[0][0]
-        pending[batch_id] = len(agg)
-
-        def on_read_done(t: float) -> None:
-            pending[batch_id] -= 1
-            if pending[batch_id] == 0:
-                # All inputs present: write every rebuilt block of the batch.
-                for rid, _, write_server in members:
-                    disks[write_server].transfer(
-                        block_bytes,
-                        lambda wt, _rid=rid: finish.__setitem__(_rid, wt),
-                        name=f"write{rid}",
-                        delay=seek_time,
-                    )
-
-        for server, nbytes in agg.items():
-            submit_read(server, nbytes, on_read_done, name=f"read{batch_id}")
-
-    batches: dict[int, list[tuple[int, list[tuple[int, int]], int]]] = {}
     for i in range(lost_blocks):
         target_block = i % code.n
         plan = code.repair_plan(target_block)
@@ -164,7 +92,17 @@ def simulate_server_recovery(
         server_of = dict(zip(other_blocks, holders))
         writer = survivors[i % len(survivors)]
 
-        reads = []
+        def on_read_done(t: float, _rid=i, _writer=writer) -> None:
+            pending[_rid] -= 1
+            if pending[_rid] == 0:
+                # All inputs present: write the rebuilt block.
+                disks[_writer].transfer(
+                    block_bytes,
+                    lambda wt: finish.__setitem__(_rid, wt),
+                    name=f"write{_rid}",
+                )
+
+        pending[i] = len(plan.helpers)
         fractions = plan.read_fractions
         for helper in plan.helpers:
             nbytes = int(fractions[helper] * block_bytes)
@@ -173,13 +111,7 @@ def simulate_server_recovery(
             outcome.bytes_read_by_server[server] = (
                 outcome.bytes_read_by_server.get(server, 0) + nbytes
             )
-            reads.append((server, nbytes))
-
-        batches.setdefault(target_block, []).append((i, reads, writer))
-        if len(batches[target_block]) >= batch_groups:
-            flush_batch(batches.pop(target_block))
-    for target_block in sorted(batches):
-        flush_batch(batches[target_block])
+            disks[server].transfer(nbytes, on_read_done, name=f"read{i}")
 
     sim.run()
     outcome.repair_times = [finish[i] for i in sorted(finish)]

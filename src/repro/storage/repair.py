@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.topology import Cluster, Server
 from repro.codes.base import DecodingError, RepairPlan
 from repro.obs.trace import get_tracer
@@ -109,6 +111,11 @@ class RepairAdmissionController:
     earliest lease expiry) instead of piling on — counted in the
     ``repairs_throttled`` metric.  The cap is per server, so a storm
     degrades into bounded waves rather than an unbounded burst.
+
+    Its user is the reliability simulator, whose repairs overlap.
+    :class:`RepairManager` reads one helper after another on the clock
+    each read advances, so a lease taken there has always expired by the
+    next rebuild and it takes none.
     """
 
     def __init__(
@@ -276,9 +283,6 @@ class RepairManager:
             blocks by their server's disk bandwidth so the parallel read
             phase is bounded by a fast disk, not the slowest.  Servers
             with open circuit breakers sort last regardless of speed.
-        admission: throttle bounding concurrent repair reads per server;
-            default builds one on the filesystem's clock (raise its cap
-            to effectively disable throttling).
 
     Attributes:
         quarantine: server ids treated as dead for planning — their
@@ -287,16 +291,10 @@ class RepairManager:
             servers here to route their blocks through repair.
     """
 
-    def __init__(
-        self,
-        dfs: DistributedFileSystem,
-        prefer_fast_helpers: bool = True,
-        admission: RepairAdmissionController | None = None,
-    ):
+    def __init__(self, dfs: DistributedFileSystem, prefer_fast_helpers: bool = True):
         self.dfs = dfs
         self.cluster: Cluster = dfs.cluster
         self.prefer_fast_helpers = prefer_fast_helpers
-        self.admission = admission or RepairAdmissionController(dfs.clock, metrics=dfs.metrics)
         self.quarantine: set[int] = set()
 
     def _avoid(self, server_id: int) -> bool:
@@ -391,10 +389,8 @@ class RepairManager:
                             block=job.block,
                             cause="helpers_exhausted",
                         ) from exc
-                    bucket = buckets.setdefault((id(job.ef.code), job.block, plan.helpers), [])
-                    # One plan object per bucket: equal plans, one set of fractions.
-                    job.plan = bucket[0].plan if bucket else plan
-                    bucket.append(job)
+                    job.plan = plan
+                    buckets.setdefault((id(job.ef.code), job.block, plan.helpers), []).append(job)
                 pending = []
                 for (_, block, helpers), jobs in buckets.items():
                     with tracer.span(
@@ -405,8 +401,10 @@ class RepairManager:
                         with tracer.span(
                             "repair.helper_reads", category="repair", clock=self.dfs.clock
                         ):
+                            # Equal plans name equal rows: asked once per bucket.
+                            reads = jobs[0].plan.helper_rows.reads(0, jobs[0].ef.code.N)
                             for job in jobs:
-                                (ready if self._read_helpers(job) else pending).append(job)
+                                (ready if self._read_helpers(job, reads) else pending).append(job)
                         if not ready:
                             continue
                         # Reconstruction goes through the code's compiled-plan
@@ -427,30 +425,31 @@ class RepairManager:
                             reports.append(self._install_rebuilt(job, built, ranking))
         return reports
 
-    def _read_helpers(self, job: _Rebuild) -> bool:
-        """Admit and read the helpers of ``job.plan``; ``False`` to re-plan.
+    def _read_helpers(self, job: _Rebuild, reads) -> bool:
+        """Read ``reads``, the helper rows ``job.plan`` names; ``False`` to re-plan.
 
-        A helper that cannot be read joins ``job.unreadable`` for the
-        next round's plan.
+        A helper named whole is one block read.  One named in part (the
+        rotated baseline) is one row read per run into a zero block: the
+        rows left zero are the ones the reconstruction has zero
+        coefficients for.  ``job.bytes_by_server`` is what the reads
+        returned.  A helper that cannot be read joins ``job.unreadable``
+        for the next round's plan.
 
         Raises:
             FileSystemError: after :data:`MAX_HELPER_REPLANS` re-plans.
         """
-        ef, plan = job.ef, job.plan
-        fractions = plan.read_fractions
-        block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
-        self.admission.acquire(
-            {
-                s: sum(fractions[h] * block_bytes for h in plan.helpers if ef.server_of(h) == s)
-                / self.cluster.server(s).disk_bandwidth
-                for s in {ef.server_of(h) for h in plan.helpers}
-            }
-        )
+        ef, N = job.ef, job.ef.code.N
         job.available, job.bytes_by_server = {}, {}
-        for h in plan.helpers:
+        for h, row0, nrows in reads:
             server = ef.server_of(h)
             try:
-                job.available[h] = self.dfs.client.get(server, job.file, h, fractions[h])
+                if nrows == N:
+                    data = job.available[h] = self.dfs.client.get(server, job.file, h)
+                else:
+                    data = self.dfs.client.read_rows(server, job.file, h, row0, nrows)
+                    if h not in job.available:
+                        job.available[h] = np.zeros((N, data.shape[1]), dtype=data.dtype)
+                    job.available[h][row0 : row0 + nrows] = data
             except BlockUnavailableError as exc:
                 job.unreadable.add(h)
                 job.replans += 1
@@ -464,9 +463,7 @@ class RepairManager:
                         cause="helpers_exhausted",
                     ) from exc
                 return False
-            job.bytes_by_server[server] = job.bytes_by_server.get(server, 0) + int(
-                fractions[h] * block_bytes
-            )
+            job.bytes_by_server[server] = job.bytes_by_server.get(server, 0) + data.nbytes
         return True
 
     def _install_rebuilt(self, job: _Rebuild, rebuilt, ranking: _ServerRanking) -> RepairReport:

@@ -104,12 +104,12 @@ class ResilientBlockClient:
             lambda: self.store.timed_read_rows(server_id, file_name, block_id, start, count, verify=self.verify),
         )
 
-    def get(self, server_id: int, file_name: str, block_id: int, fraction: float = 1.0) -> np.ndarray:
+    def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
         return self._read(
             server_id,
             file_name,
             block_id,
-            lambda: self.store.timed_get(server_id, file_name, block_id, fraction, verify=self.verify),
+            lambda: self.store.timed_get(server_id, file_name, block_id, verify=self.verify),
         )
 
     # ------------------------------------------------------------- internals

@@ -6,7 +6,6 @@ from repro.cluster import (
     Cluster,
     ClusterError,
     CopysetPlacement,
-    FailureInjector,
     PerformanceAwarePlacement,
     PlacementError,
     RandomPlacement,
@@ -150,11 +149,13 @@ class TestPlacement:
 
 
 class TestFailureInjection:
+    # A crash is an event on the simulation that calls ``cluster.fail``;
+    # there is no injector object in between.
+
     def test_crash_at(self):
         sim = Simulation()
         c = Cluster.homogeneous(3)
-        inj = FailureInjector(sim, c)
-        inj.crash_at(5.0, 1)
+        sim.schedule_at(5.0, lambda: c.fail(1), name="crash:1")
         sim.run(until=4.0)
         assert not c.server(1).failed
         sim.run()
@@ -163,9 +164,8 @@ class TestFailureInjection:
     def test_crash_with_recovery(self):
         sim = Simulation()
         c = Cluster.homogeneous(3)
-        inj = FailureInjector(sim, c)
-        ev = inj.crash_at(2.0, 0, recover_after=3.0)
-        assert ev.recover_at == 5.0
+        sim.schedule_at(2.0, lambda: c.fail(0), name="crash:0")
+        sim.schedule_at(5.0, lambda: c.recover(0), name="recover:0")
         sim.run(until=3.0)
         assert c.server(0).failed
         sim.run()

@@ -304,6 +304,28 @@ class TestHistogram:
         assert len(hist._values) == 10    # percentile buffer bounded
         assert hist.percentile(100) == 9  # over the sampled prefix
 
+    @pytest.mark.parametrize("n", [1_000, 6_000, 360_000])
+    def test_fractional_percentiles_rank_exactly(self, n):
+        """``ceil(n * q / 100)`` with q read as a decimal: the 99.9th of
+        1 000 is the 999th.  (``99.9 / 100 * n`` in binary floating point
+        lands just above the integer whenever 1 000 divides n, and its
+        ceiling is one rank too high.  ``q / 100`` for q = 50, 95, 99
+        rounds *down*, so those ranks were always exact.)"""
+        from repro.serving import WorkloadResult
+
+        values = [float(v) for v in range(1, n + 1)]  # the value at rank r is r
+        hist = Histogram(max_samples=n)
+        for v in values:
+            hist.observe(v)
+        result = WorkloadResult(latencies=values[::-1])
+        for q, rank in ((50, n // 2), (95, n * 95 // 100), (99, n * 99 // 100), (99.9, n * 999 // 1000)):
+            assert hist.percentile(q) == rank
+            assert result.percentile(q) == rank
+        from repro.obs.metrics import nearest_rank  # the one rank function under both
+
+        assert nearest_rank(n, 99.9) == n * 999 // 1000
+        assert nearest_rank(7, 99.9) == 7 and nearest_rank(1_000, 0.01) == 1  # ceil, at least 1
+
 
 class TestGauge:
     def test_last_value_wins(self):

@@ -214,3 +214,132 @@ class TestRepairAdmission:
         clock.pin(3.0)  # the next event may be earlier than the last grant
         assert admission.acquire({4: 1.0}) == 3.0
         assert admission.acquire({3: 1.0}) == 8.0  # behind the lease granted at 7
+
+
+def _accounting_code(name, gf):
+    from repro.codes import RotatedPyramidCode
+
+    return {
+        "rs": lambda: ReedSolomonCode(6, 4, gf=gf),
+        "pyramid": lambda: PyramidCode(4, 2, 1, gf=gf),
+        "galloper": lambda: GalloperCode(4, 2, 1, gf=gf),
+        "galloper-lp": lambda: GalloperCode(
+            4, 2, 1, performances=[1.0, 0.4, 1.0, 0.4, 1.0, 1.0, 0.4], gf=gf
+        ),
+        "rotated": lambda: RotatedPyramidCode(4, 2, 1, gf=gf),
+    }[name]()
+
+
+class TestRepairAccounting:
+    """What a repair reports reading is what the store handed back."""
+
+    @pytest.mark.parametrize("field", ["gf256", "gf65536"])
+    @pytest.mark.parametrize("name", ["rs", "pyramid", "galloper", "galloper-lp", "rotated"])
+    def test_report_plan_counter_and_returned_bytes_agree(self, name, field, monkeypatch):
+        from repro.gf import GF256, GF65536
+
+        code = _accounting_code(name, GF256 if field == "gf256" else GF65536)
+        cluster = Cluster.homogeneous(12)
+        dfs = DistributedFileSystem(cluster)
+        rm = RepairManager(dfs)
+        payload = payload_bytes(28_000, seed=21)
+        ef = dfs.write_file("f", payload, code=code)
+        block_bytes = ef.block_size * code.gf.dtype.itemsize
+
+        returned = []
+        for op in ("timed_get", "timed_read_rows"):
+            real = getattr(dfs.store, op)
+
+            def counted(*args, _real=real, **kwargs):
+                data, latency = _real(*args, **kwargs)
+                returned.append(data.nbytes)
+                return data, latency
+
+            monkeypatch.setattr(dfs.store, op, counted)
+
+        for block in range(code.n):
+            victim = ef.server_of(block)
+            cluster.fail(victim)
+            plan = code.repair_plan(block, {block})
+            before = dfs.metrics.total("disk_bytes_read")
+            del returned[:]
+            report = rm.repair_block("f", block)
+            assert report.helpers == plan.helpers
+            assert (
+                report.bytes_read
+                == sum(report.bytes_read_by_server.values())
+                == dfs.metrics.total("disk_bytes_read") - before
+                == plan.bytes_read(block_bytes)
+                == sum(returned)
+            ), (name, field, block)
+            cluster.recover(victim)
+            dfs.store.drop_server(victim)
+        assert dfs.read_file("f") == payload
+        if name == "rotated":  # the one code whose plans name helpers in part
+            assert min(code.repair_plan(0, {0}).read_fractions.values()) < 1.0
+
+
+class TestPartialHelperReads:
+    """A plan that names some rows of a helper reads those rows and no others."""
+
+    def _lose_block_0(self):
+        import numpy as np
+
+        from repro.codes import RotatedPyramidCode
+
+        cluster = Cluster.homogeneous(12)
+        dfs = DistributedFileSystem(cluster)
+        code = RotatedPyramidCode(4, 2, 1)
+        ef = dfs.write_file("f", payload_bytes(28_000, seed=17), code=code)
+        truth = np.array(dfs.store.get(ef.server_of(0), "f", 0))
+        reads = code.repair_plan(0, {0}).helper_rows.reads(0, code.N)
+        helper = next(h for h, _, nrows in reads if nrows < code.N)
+        named = {r for h, row0, nrows in reads if h == helper for r in range(row0, row0 + nrows)}
+        assert 0 < len(named) < code.N
+        cluster.fail(ef.server_of(0))
+        return dfs, ef, truth, helper, named
+
+    def _rows_read(self, dfs, monkeypatch, server):
+        rows = set()
+        real = dfs.store.timed_read_rows
+
+        def logged(server_id, file_name, block_id, start, count, **kwargs):
+            if server_id == server:
+                rows.update(range(start, start + count))
+            return real(server_id, file_name, block_id, start, count, **kwargs)
+
+        monkeypatch.setattr(dfs.store, "timed_read_rows", logged)
+        return rows
+
+    def test_rot_in_a_row_the_plan_does_not_name_is_never_read(self, monkeypatch):
+        import numpy as np
+
+        dfs, ef, truth, helper, named = self._lose_block_0()
+        server, row_symbols = ef.server_of(helper), truth.shape[1]
+        spare = min(set(range(ef.code.N)) - named)
+        dfs.store.corrupt(server, "f", helper, offset=spare * row_symbols + 3)
+        assert not dfs.store.verify(server, "f", helper)
+        rows = self._rows_read(dfs, monkeypatch, server)
+        whole_block_reads = dfs.metrics.by_server("blocks_read").get(server, 0)
+        report = RepairManager(dfs).repair_block("f", 0)
+        assert np.array_equal(dfs.store.get(report.target_server, "f", 0), truth)
+        assert rows == named
+        assert dfs.metrics.total("checksum_failures") == 0
+        assert dfs.metrics.total("retries") == dfs.metrics.total("repair_replans") == 0
+        assert helper in report.helpers
+        assert dfs.metrics.by_server("blocks_read")[server] - whole_block_reads == len(
+            [r for r in named if r - 1 not in named]
+        )  # one read per run of named rows
+
+    def test_rot_in_a_named_row_is_caught_and_planned_around(self):
+        import numpy as np
+
+        dfs, ef, truth, helper, named = self._lose_block_0()
+        server, row_symbols = ef.server_of(helper), truth.shape[1]
+        dfs.store.corrupt(server, "f", helper, offset=min(named) * row_symbols + 3)
+        report = RepairManager(dfs).repair_block("f", 0)
+        assert np.array_equal(dfs.store.get(report.target_server, "f", 0), truth)
+        assert dfs.metrics.total("checksum_failures") >= 1
+        assert dfs.metrics.total("retries") >= 1  # the rot is on disk: retries cannot clear it ...
+        assert dfs.metrics.total("repair_replans") >= 1  # ... so the repair goes round it
+        assert helper not in report.helpers

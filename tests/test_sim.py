@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import Simulation, SimulationError, SlotResource, ThroughputResource
+from repro.sim import Simulation, SimulationError, ThroughputResource
 
 
 class TestSimulation:
@@ -264,46 +264,6 @@ class TestSimulation:
         sim.run()
         assert sim.events_processed == n + len(live) - 1
         assert sim.pending_events == 0 and sim._heap == []
-
-
-class TestSlotResource:
-    def test_parallel_up_to_capacity(self):
-        sim = Simulation()
-        res = SlotResource(sim, capacity=2)
-        finishes = {}
-        for name in ("a", "b", "c"):
-            res.submit(10.0, lambda t, n=name: finishes.__setitem__(n, t), name)
-        sim.run()
-        # a and b run together; c waits for a slot.
-        assert finishes["a"] == 10.0
-        assert finishes["b"] == 10.0
-        assert finishes["c"] == 20.0
-
-    def test_fifo_queue(self):
-        sim = Simulation()
-        res = SlotResource(sim, capacity=1)
-        order = []
-        for name, dur in (("a", 5.0), ("b", 1.0), ("c", 1.0)):
-            res.submit(dur, lambda t, n=name: order.append(n), name)
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-    def test_busy_time_accounting(self):
-        sim = Simulation()
-        res = SlotResource(sim, capacity=4)
-        for _ in range(3):
-            res.submit(2.0, lambda t: None)
-        sim.run()
-        assert res.busy_time == 6.0
-
-    def test_capacity_validation(self):
-        with pytest.raises(SimulationError):
-            SlotResource(Simulation(), capacity=0)
-
-    def test_negative_duration_rejected(self):
-        res = SlotResource(Simulation(), capacity=1)
-        with pytest.raises(SimulationError):
-            res.submit(-1.0, lambda t: None)
 
 
 class TestThroughputResource:

@@ -149,24 +149,41 @@ class TestBlockStore:
 
     @pytest.mark.parametrize("fraction", [1.0, 3 / 7])
     def test_verified_read_checks_every_row_it_returns(self, setup, fraction):
-        """A fractional read returns the whole block (only its accounting is
-        fractional), so ``verify=True`` must check the whole block."""
+        """A whole-block read verifies every row of the block; a row read
+        verifies exactly the rows it returns, and bills exactly those."""
         _, store = setup
         block = np.random.default_rng(5).integers(0, 256, size=(7, 64), dtype=np.uint8)
         store.put(0, "f", 0, block)
-        data, _ = store.timed_get(0, "f", 0, fraction, verify=True)
-        assert np.array_equal(data, block)
-        store.install_faults(FaultModel(SilentCorruption(rate=1.0), seed=1))
+        nrows = round(7 * fraction)
+
+        def read(verify):
+            if nrows == 7:
+                return store.timed_get(0, "f", 0, verify=verify)
+            return store.timed_read_rows(0, "f", 0, 2, nrows, verify=verify)
+
+        expect = block if nrows == 7 else block[2 : 2 + nrows]
         before = store.metrics.total("disk_bytes_read")
+        data, _ = read(True)
+        assert np.array_equal(data, expect)
+        assert data.nbytes == store.metrics.total("disk_bytes_read") - before == nrows * 64
+        # Rot in the last row: caught by every read that returns that row, and only those.
+        store.corrupt(0, "f", 0, offset=6 * 64 + 5)
+        if nrows == 7:
+            with pytest.raises(TransientReadError, match="stripe 6 of block"):
+                read(True)
+        else:
+            assert np.array_equal(read(True)[0], expect)
+        store.put(0, "f", 0, block)
+        # A transfer that alters its first byte is caught whichever rows it carries.
+        store.install_faults(FaultModel(SilentCorruption(rate=1.0), seed=1))
+        failures = store.metrics.total("checksum_failures")
         with pytest.raises(TransientReadError) as caught:
-            store.timed_get(0, "f", 0, fraction, verify=True)
+            read(True)
         assert caught.value.cause == "checksum"
-        assert store.metrics.total("checksum_failures") == 1
-        # Accounting still reflects the fraction: 3 of 7 rows, or all of them.
-        assert store.metrics.total("disk_bytes_read") - before == round(7 * fraction) * 64
+        assert store.metrics.total("checksum_failures") == failures + 1
         # Unverified reads hand the altered bytes on, as before.
-        data, _ = store.timed_get(0, "f", 0, fraction)
-        assert not np.array_equal(data, block)
+        data, _ = read(False)
+        assert not np.array_equal(data, expect)
 
     def test_read_rows_range_checked(self, setup):
         _, store = setup
