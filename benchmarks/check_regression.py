@@ -191,12 +191,40 @@ CEILINGS = {
     "p99_zipf_galloper": 0.25,
     "p99_chaos_galloper": 1.0,
     # Galloper's whole-file read makes 7 range reads per group against
-    # Reed-Solomon's 4, so 1.75 is the floor of the first ratio; a
-    # per-stripe read loop (28 calls) or a full decode where a local
-    # repair would do put them at 4-6.
+    # Reed-Solomon's 4, so 1.75 is the floor of the first ratio (the
+    # reads are what a small group's time is made of: assembling the
+    # bytes costs the two codes about the same); a per-stripe read loop
+    # (28 calls) or a full decode where a local repair would do put them
+    # at 4-6.  Both are *time ratios*: they also rise when Reed-Solomon
+    # gets faster, which is why the gate prints the two times behind
+    # each (:func:`read_times`).
     "galloper_read_vs_rs": 2.5,
     "galloper_degraded_read_vs_rs": 3.0,
 }
+
+#: The ``end_to_end`` field each read-time ratio divides, Galloper's over
+#: Reed-Solomon's.
+RATIO_TIMES = {
+    "galloper_read_vs_rs": "read_batched_s",
+    "galloper_degraded_read_vs_rs": "degraded_read_batched_s",
+}
+
+
+def read_times(record: dict, metric: str) -> str:
+    """``galloper X ms / rs Y ms``: the numerator and denominator of a read-time ratio.
+
+    A ratio alone cannot say which side moved.  The times are in the
+    record's ``end_to_end`` rows; the top level of a trajectory file has
+    none, and its headline is the latest full run's.
+    """
+    rows = record.get("end_to_end")
+    if rows is None:
+        full = [run for run in record.get("runs", []) if not run.get("quick")]
+        rows = full[-1].get("end_to_end", []) if full else []
+    seconds = {row.get("code"): row.get(RATIO_TIMES[metric]) for row in rows}
+    if seconds.get("galloper") is None or seconds.get("rs") is None:
+        return "times not recorded"
+    return f"galloper {seconds['galloper'] * 1e3:.3f} ms / rs {seconds['rs'] * 1e3:.3f} ms"
 
 
 def compare(
@@ -400,6 +428,8 @@ def main(argv: list[str] | None = None) -> int:
             got = fresh.get(metric)
             if isinstance(base, (int, float)) and isinstance(got, (int, float)):
                 print(f"{name}.{metric}: fresh {got:.4f} vs baseline {base:.4f}")
+                if metric in RATIO_TIMES:
+                    print(f"    fresh {read_times(fresh, metric)}; baseline {read_times(baseline, metric)}")
     if failures:
         print("\nREGRESSION GATE FAILED:", file=sys.stderr)
         for line in failures:

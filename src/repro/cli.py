@@ -298,6 +298,10 @@ def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, s
     first group's block 0, bulk-repairs it, and reports the shared
     code's plan-cache counters plus the filesystem metrics.  Importable
     by benchmarks and tests; ``repro stats`` prints it as JSON.
+    ``derived.zero_copy_fraction`` is the share of written and read-back
+    payload bytes that moved as views (1.0 over GF(2^8), ragged tail
+    included); the rest were widened or narrowed between bytes and a
+    wider field's symbols — the only copy ``bytes_copied`` counts.
     """
     from repro.cluster.topology import Cluster
     from repro.gf import kernel_bytes_info, kernel_selection_info, reset_kernel_selection

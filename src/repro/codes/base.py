@@ -253,8 +253,8 @@ class ReadPlan:
 
     A *run* is ``(block, row0, nrows, stripe0)``: rows ``row0 ..
     row0 + nrows`` of ``block`` store file stripes ``stripe0 ..
-    stripe0 + nrows`` verbatim, so one range read and one slice
-    assignment move the whole run.  Galloper and Pyramid layouts give
+    stripe0 + nrows`` verbatim, so one range read returns the whole
+    run, as one piece of the file.  Galloper and Pyramid layouts give
     one run per data-carrying block; the rotated-RAID baseline scatters
     its stripes into runs of length one.
 
@@ -266,8 +266,8 @@ class ReadPlan:
         holders: ``holders[file_stripe]`` is the ``(block, row)`` that
             serves the stripe.  Where several blocks store one stripe
             (replication) the highest-numbered block serves it.
-        block_runs: per block, the runs it serves — where its original
-            data goes in the stripe grid.
+        block_runs: per block, the runs it serves — which of its rows
+            are which file stripes.
     """
 
     runs: tuple[tuple[int, int, int, int], ...]
@@ -323,11 +323,6 @@ class ReadPlan:
             lo, hi = max(start, fs0), min(stop, fs0 + nrows)
             if lo < hi:
                 yield block, row0 + lo - fs0, hi - lo, lo
-
-    def scatter_block(self, block: int, rows: np.ndarray, grid: np.ndarray) -> None:
-        """Copy a block's original-data rows to their place in the stripe grid."""
-        for _, row0, nrows, fs0 in self.block_runs[block]:
-            grid[fs0 : fs0 + nrows] = rows[row0 : row0 + nrows]
 
 
 class ErasureCode(abc.ABC):

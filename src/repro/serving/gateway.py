@@ -57,7 +57,13 @@ from repro.serving.qos import TenantLease, TenantThrottle
 from repro.sim.aio import SimLoop
 from repro.sim.resources import ThroughputResource
 from repro.storage.blockstore import BlockUnavailableError
-from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
+from repro.storage.filesystem import (
+    DistributedFileSystem,
+    EncodedFile,
+    FileSystemError,
+    _join_symbols,
+    _symbol_chunks,
+)
 from repro.storage.repair import DECODE_RATE
 
 
@@ -485,12 +491,13 @@ class ServingGateway:
                     f"read of {key!r} for tenant {tenant!r} failed: {exc}",
                     file=ef.name, cause="unavailable",
                 ) from exc
-            # Trim the end stripes before joining: the extent is a fraction
-            # of a stripe where a row is a whole block.
-            pieces = [np.asarray(r).reshape(-1) for rows in runs for r in rows]
-            pieces[-1] = pieces[-1][: offset + length - last * ef.stripe_size]
-            pieces[0] = pieces[0][offset - first * ef.stripe_size :]
-            payload = np.concatenate(pieces).astype(np.uint8, copy=False).tobytes()
+            payload = _join_symbols(
+                _symbol_chunks(
+                    [row for rows in runs for row in rows],
+                    offset - first * ef.stripe_size,
+                    (last + 1) * ef.stripe_size - offset - length,
+                )
+            )
         finally:
             self.throttle.release(lease)
         latency = self.loop.now - t_arrival

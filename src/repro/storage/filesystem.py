@@ -62,6 +62,53 @@ class FileSystemError(StorageError):
         return {"file": self.file, "block": self.block, "server": self.server, "cause": self.cause}
 
 
+#: Rows narrower than this are gathered by one ``np.concatenate`` instead of
+#: being handed to ``join`` one by one: below about a kilobyte a piece costs
+#: more as an object (a view, a buffer export) than its bytes cost to copy.
+_SMALL_ROW_BYTES = 1024
+
+
+def _symbol_chunks(pieces, head: int = 0, tail: int = 0) -> list[np.ndarray]:
+    """``pieces`` as contiguous 1-D chunks, less ``head`` symbols off the
+    front (under a stripe: the start of an extent) and ``tail`` off the
+    back (the end of an extent, the padding behind a file).
+
+    A piece is what a read returned: a view of stored rows, or a slice of
+    what a degraded read rebuilt.  Pieces are not copied (narrow rows
+    apart): a contiguous one is one chunk, and one whose block is a column
+    slice of a batched encode, so not one buffer, contributes its rows.
+    """
+    first = pieces[0]
+    if len(pieces) > 1 and first.shape[-1] * first.itemsize < _SMALL_ROW_BYTES:
+        chunks = [np.concatenate(pieces).reshape(-1)]
+    else:
+        chunks = []
+        for piece in pieces:
+            if piece.flags.c_contiguous:
+                chunks.append(piece.reshape(-1))
+            elif piece.ndim == 2 and piece.strides[1] == piece.itemsize:
+                chunks.extend(piece)
+            else:
+                chunks.append(np.ascontiguousarray(piece).reshape(-1))
+    while tail > 0:
+        last = chunks.pop()
+        if last.size > tail:
+            chunks.append(last[:-tail])
+        tail -= last.size
+    if head:
+        chunks[0] = chunks[0][head:]
+    return chunks
+
+
+def _join_symbols(chunks: list[np.ndarray]) -> bytes:
+    """The chunks as one ``bytes``, one byte per symbol: the single pass
+    that delivers a read.  Symbols of a wider field are narrowed first (a
+    payload byte per symbol is what every field stores)."""
+    if chunks and chunks[0].itemsize != 1:
+        chunks = [chunk.astype(np.uint8) for chunk in chunks]
+    return b"".join(chunks)
+
+
 @dataclass
 class EncodedFile:
     """Metadata of one stored file.
@@ -337,80 +384,86 @@ class DistributedFileSystem:
         """
         return dict(enumerate(self.file(name).code.read_plan().holders))
 
-    def read_file(self, name: str) -> bytes:
-        """Read a whole file back, degraded-decoding if servers are down."""
+    def _open(self, name: str) -> EncodedFile:
+        """The file, for reading its content (every read entry point starts here)."""
         ef = self.file(name)
+        if ef.tags.get("virtual"):
+            raise FileSystemError(
+                f"file {name!r} is virtual: it has geometry and placement but no content",
+                file=name, cause="virtual",
+            )
+        return ef
+
+    def read_file(self, name: str) -> bytes:
+        """Read a whole file back, degraded-decoding if servers are down.
+
+        The bytes are assembled in one pass: the CRC-verified row views
+        the reads returned (and, degraded, slices of what was rebuilt),
+        less the padding behind the last stripe, joined straight into the
+        ``bytes`` returned — no staging buffer, no stripe grid.
+        """
+        ef = self._open(name)
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name,
             bytes=ef.original_size, clock=self.clock,
         ):
-            grid = self._read_all_stripes(ef)
-            # One payload byte per symbol, whatever the field's width.
-            return grid.reshape(-1)[: ef.original_size].astype(np.uint8).tobytes()
+            return _join_symbols(self._file_chunks(ef))
 
     def read_file_into(self, name: str, out) -> int:
         """Read a whole file directly into a caller-supplied buffer.
 
         ``out`` is a writable buffer (``bytearray`` / ``memoryview``) of
-        at least the file's byte length.  When the stripe grid maps 1:1
-        onto the output bytes (GF(2^8) symbols, no padding tail) the
-        stripes are read *into the buffer itself* — no intermediate grid,
-        no ``tobytes`` copy; otherwise one trailing copy of the payload
-        prefix (narrowed to bytes over a wider field) remains.  Both
-        cases are accounted in the ``bytes_moved_zero_copy`` /
-        ``bytes_copied`` metrics.
+        at least the file's byte length.  Each piece the reads returned
+        is copied once, from the stored rows into its place in ``out``
+        (symbols of a wider field are narrowed by that same assignment);
+        nothing is staged in between.
 
         Returns the number of bytes written.
         """
-        ef = self.file(name)
+        ef = self._open(name)
         nbytes = ef.original_size
-        view = memoryview(out)[:nbytes]
+        target = np.frombuffer(memoryview(out)[:nbytes], dtype=np.uint8)
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name, bytes=nbytes, clock=self.clock
         ):
-            return self._read_file_into(ef, view, nbytes)
-
-    def _read_file_into(self, ef: EncodedFile, view: memoryview, nbytes: int) -> int:
-        if ef.code.gf.q == 8 and ef.original_size == ef.padded_size:
-            grid = np.frombuffer(view, dtype=np.uint8).reshape(
-                ef.code.data_stripe_total, ef.stripe_size
-            )
-            self._read_all_stripes(ef, out=grid)
-            self.metrics.add("bytes_moved_zero_copy", nbytes)
-        else:
-            grid = self._read_all_stripes(ef)
-            np.frombuffer(view, dtype=np.uint8)[:] = grid.reshape(-1)[: ef.original_size]
-            self.metrics.add("bytes_copied", nbytes)
+            pos = 0
+            for chunk in self._file_chunks(ef):
+                target[pos : pos + chunk.size] = chunk
+                pos += chunk.size
+        self._count_delivered(ef.code, nbytes)
         return nbytes
 
-    def _read_all_stripes(self, ef: EncodedFile, out: np.ndarray | None = None) -> np.ndarray:
-        total = ef.code.data_stripe_total
-        if out is None:
-            out = np.zeros((total, ef.stripe_size), dtype=ef.code.gf.dtype)
-        missing = self._read_available_stripes(ef, out)
-        if missing:
-            self._recover([(ef, out, missing)])
-        return out
+    def _count_delivered(self, code: ErasureCode, nbytes: int) -> None:
+        """Account a whole-file read: narrowed symbols crossed a copy, bytes did not."""
+        self.metrics.add("bytes_moved_zero_copy" if code.gf.q == 8 else "bytes_copied", nbytes)
 
-    def _read_available_stripes(self, ef: EncodedFile, out: np.ndarray) -> list[int]:
-        """Fill ``out`` with directly-readable stripes; return the misses.
+    def _file_chunks(self, ef: EncodedFile) -> list[np.ndarray]:
+        """The file's payload symbols, in order, as chunks ready to join."""
+        pieces = self._read_available_stripes(ef)
+        if any(piece is None for piece in pieces):
+            self._recover([(ef, pieces)])
+        return _symbol_chunks(pieces, 0, ef.padded_size - ef.original_size)
 
-        One range read and one slice assignment per run of the code's
-        :class:`~repro.codes.base.ReadPlan`.  Rows of ``out`` whose run
-        could not be read (server down, retries exhausted) are left
-        untouched and their indices returned for the caller to hand to
-        :meth:`_recover` — one file at a time here, every degraded stripe
-        group of a file at once from the striped layer.
+    def _read_available_stripes(self, ef: EncodedFile) -> list[np.ndarray | None]:
+        """One piece per run of the code's read plan, in file-stripe order.
+
+        A piece is the CRC-verified row view the resilient client handed
+        back for the run's one range read — the stored rows themselves,
+        not a copy: a stored array is never written in place (``put`` and
+        ``corrupt`` replace it), so a held view cannot change under the
+        reader.  A run that could not be read (server down, retries
+        exhausted) is ``None``, for :meth:`_recover` to fill — one file
+        at a time here, every degraded stripe group of a file at once
+        from the striped layer.
         """
-        missing: list[int] = []
-        for block, row0, nrows, fs0 in ef.code.read_plan().runs:
+        pieces: list[np.ndarray | None] = []
+        read_rows = self.client.read_rows
+        for block, row0, nrows, _ in ef.code.read_plan().runs:
             try:
-                out[fs0 : fs0 + nrows] = self.client.read_rows(
-                    ef.placement[block], ef.name, block, row0, nrows
-                )
+                pieces.append(read_rows(ef.placement[block], ef.name, block, row0, nrows))
             except BlockUnavailableError:
-                missing.extend(range(fs0, fs0 + nrows))
-        return missing
+                pieces.append(None)
+        return pieces
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""
@@ -420,10 +473,10 @@ class DistributedFileSystem:
             if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
         )
 
-    def _plan_local_repair(self, ef: EncodedFile, missing: list[int], memo: dict):
-        """The repair plan of the one block behind ``missing``, else ``None``.
+    def _plan_local_repair(self, ef: EncodedFile, pieces: list, memo: dict):
+        """The repair plan of the one block behind the ``None`` pieces, else ``None``.
 
-        A degraded read whose missing stripes all sit in one block needs
+        A degraded read whose missing runs all sit in one block needs
         that block only: its :class:`~repro.codes.base.RepairPlan` names
         the helpers (the ``k/l`` group mates for Pyramid and Galloper),
         far fewer rows to read and rebuild than the full decode.  ``None``
@@ -440,8 +493,7 @@ class DistributedFileSystem:
         but not the ones that failed, nor the ``k``-helper rule above.
         """
         code = ef.code
-        holders = code.read_plan().holders
-        owners = {holders[fs][0] for fs in missing}
+        owners = {run[0] for run, piece in zip(code.read_plan().runs, pieces) if piece is None}
         if len(owners) != 1:
             return None
         (block,) = owners
@@ -455,12 +507,18 @@ class DistributedFileSystem:
             memo[key] = plan if plan is not None and len(plan.helpers) <= code.k else None
         return memo[key]
 
-    def _recover(self, entries: list[tuple[EncodedFile, np.ndarray, list[int]]]) -> None:
-        """Fill the ``missing`` stripes of each ``(file, grid, missing)`` entry.
+    def _recover(self, entries: list[tuple[EncodedFile, list]]) -> None:
+        """Fill the ``None`` pieces of each ``(file, pieces)`` entry.
+
+        ``pieces`` is what :meth:`_read_available_stripes` returned for
+        the file: one slot per run of the read plan, ``None`` where the
+        run could not be read.  Exactly those slots are replaced, by
+        slices of what is rebuilt here — nothing is written into a grid,
+        and a piece that was read stays the view it was.
 
         The entries share one code: they are one file, or the degraded
-        stripe groups of one striped file.  Those whose missing stripes
-        sit in one block with a local plan are bucketed by ``(block,
+        stripe groups of one striped file.  Those whose missing runs sit
+        in one block with a local plan are bucketed by ``(block,
         helpers)`` — after a server failure every group lands in one
         bucket — and each bucket is rebuilt from its helpers in one fused
         reconstruct.  Everything else, and any entry one of whose helpers
@@ -469,12 +527,12 @@ class DistributedFileSystem:
         survivors.  A whole-file read is a batch of one.
         """
         code = entries[0][0].code
-        layout = code.read_plan()
+        runs = code.read_plan().runs
         plans: dict = {}
         local: dict[tuple[int, tuple[int, ...]], list] = {}
         full: list = []
         for entry in entries:
-            plan = self._plan_local_repair(entry[0], entry[2], plans)
+            plan = self._plan_local_repair(*entry, plans)
             if plan is None:
                 full.append(entry)
             else:
@@ -500,13 +558,17 @@ class DistributedFileSystem:
                 rebuilt = pipeline.batch_reconstruct(
                     code, block, helpers, availables, metrics=self.metrics
                 )
-            for (_, grid, _), rows in zip(good, rebuilt):
-                layout.scatter_block(block, rows, grid)
+            for (_, pieces), rows in zip(good, rebuilt):
+                for i, (_, row0, nrows, _) in enumerate(runs):
+                    if pieces[i] is None:
+                        pieces[i] = rows[row0 : row0 + nrows]
                 self.metrics.add("degraded_reads", 1)
         if full:
-            decoded = self._degraded_decode(*(ef for ef, _, _ in full))
-            for (_, grid, missing), grid_out in zip(full, decoded):
-                grid[missing] = grid_out[missing]
+            decoded = self._degraded_decode(*(ef for ef, _ in full))
+            for (_, pieces), grid in zip(full, decoded):
+                for i, (_, _, nrows, fs0) in enumerate(runs):
+                    if pieces[i] is None:
+                        pieces[i] = grid[fs0 : fs0 + nrows]
 
     def _degraded_decode(self, *files: EncodedFile) -> list[np.ndarray]:
         """Decode each file's full stripe grid from a *minimal* set of survivors.
@@ -585,36 +647,41 @@ class DistributedFileSystem:
         from the helper rows it depends on, and only when that fails is
         the whole file decoded.
         """
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "dfs.read_stripes", category="storage", file=name,
-                start=start, count=count, clock=self.clock,
-            ):
-                return self._read_stripes(name, start, count)
-        return self._read_stripes(name, start, count)
+        ef = self._open(name)
+        pieces = self._read_stripes(ef, start, count)
+        return np.concatenate(pieces) if pieces else np.empty((0, ef.stripe_size), ef.code.gf.dtype)
 
-    def _read_stripes(self, name: str, start: int, count: int) -> np.ndarray:
-        ef = self.file(name)
+    def _read_stripes(self, ef: EncodedFile, start: int, count: int) -> list[np.ndarray]:
+        """The pieces of file stripes ``[start, start + count)``: per run
+        of the read plan within the range, the row view read or the rows
+        rebuilt."""
         total = ef.code.data_stripe_total
         if start < 0 or start + count > total:
             raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
-        out = np.zeros((count, ef.stripe_size), dtype=ef.code.gf.dtype)
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span(
+                "dfs.read_stripes", category="storage", file=ef.name,
+                start=start, count=count, clock=self.clock,
+            ):
+                return self._read_runs(ef, start, count)
+        return self._read_runs(ef, start, count)
+
+    def _read_runs(self, ef: EncodedFile, start: int, count: int) -> list[np.ndarray]:
+        """:meth:`_read_stripes` proper, inside its span."""
+        pieces: list[np.ndarray] = []
         decoded: np.ndarray | None = None
         for block, row0, nrows, fs0 in ef.code.read_plan().runs_within(start, start + count):
-            lo = fs0 - start
             try:
-                out[lo : lo + nrows] = self.client.read_rows(
-                    ef.placement[block], name, block, row0, nrows
-                )
+                rows = self.client.read_rows(ef.placement[block], ef.name, block, row0, nrows)
             except BlockUnavailableError:
                 rows = self._rebuild_rows(ef, block, row0, nrows)
                 if rows is None:
                     if decoded is None:
                         (decoded,) = self._degraded_decode(ef)
                     rows = decoded[fs0 : fs0 + nrows]
-                out[lo : lo + nrows] = rows
-        return out
+            pieces.append(rows)
+        return pieces
 
     def _rebuild_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray | None:
         """Rows of an unreadable block from the helper rows they depend on.
@@ -649,18 +716,17 @@ class DistributedFileSystem:
         semantics — record readers rely on this when completing a trailing
         record.
         """
-        ef = self.file(name)
+        ef = self._open(name)
         if offset < 0:
             raise FileSystemError("negative offset")
         length = max(0, min(length, ef.original_size - offset))
         if length == 0:
             return b""
-        first = offset // ef.stripe_size
-        last = (offset + length - 1) // ef.stripe_size
-        stripes = self.read_stripes(name, first, last - first + 1)
-        flat = stripes.reshape(-1)
-        lo = offset - first * ef.stripe_size
-        return flat[lo : lo + length].astype(np.uint8).tobytes()
+        size = ef.stripe_size
+        first = offset // size
+        stop = (offset + length - 1) // size + 1
+        pieces = self._read_stripes(ef, first, stop - first)
+        return _join_symbols(_symbol_chunks(pieces, offset - first * size, stop * size - offset - length))
 
     # ------------------------------------------------------------ inventory
 

@@ -57,8 +57,13 @@ class MetricsRegistry:
       stripe groups they covered; ``batch_groups / batch_applies`` is the
       mean fusion width (groups per apply)
     * ``bytes_moved_zero_copy`` / ``bytes_copied`` — payload bytes that
-      travelled as views into caller buffers vs. bytes that crossed an
-      intermediate copy (dtype widening, unaligned tails)
+      travelled as views between the caller and the disks (a write
+      encoded from a view of the payload and stored as views of the
+      batched output; a whole-file read delivered in one pass from the
+      stored rows) vs. bytes that crossed a conversion on the way:
+      widening to a wider field's symbols on write, narrowing back to a
+      byte per symbol on read — and nothing else; padding is trimmed,
+      not copied
     * ``plan_cache_hits`` — compiled-plan cache hits observed by the
       repair pipeline
     * ``scrub_reverified`` — rebuilt blocks whose fresh checksum the

@@ -26,7 +26,12 @@ from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
-from repro.storage.filesystem import DistributedFileSystem, FileSystemError
+from repro.storage.filesystem import (
+    DistributedFileSystem,
+    FileSystemError,
+    _join_symbols,
+    _symbol_chunks,
+)
 
 
 def group_name(name: str, index: int) -> str:
@@ -176,7 +181,7 @@ class StripedFileSystem:
         if offset < 0:
             raise FileSystemError("negative offset")
         length = max(0, min(length, meta.original_size - offset))
-        out = bytearray()
+        parts: list[bytes] = []
         pos = offset
         remaining = length
         while remaining > 0:
@@ -186,21 +191,24 @@ class StripedFileSystem:
             take = min(remaining, inner.original_size - inner_off)
             if take <= 0:  # pragma: no cover - defensive
                 break
-            out += self.dfs.read_bytes(group_name(name, g), inner_off, take)
+            parts.append(self.dfs.read_bytes(group_name(name, g), inner_off, take))
             pos += take
             remaining -= take
-        return bytes(out)
+        return b"".join(parts)  # an extent inside one group is returned as it came
 
     def read_file(self, name: str) -> bytes:
-        """Read the whole file through a preallocated output buffer.
+        """Read the whole file: collect every group's pieces, join once.
 
-        The output is one ``bytearray`` sized from ``meta.original_size``;
-        each group's stripes land in it directly (zero-copy where the
-        stripe grid maps 1:1 onto output bytes).  Groups with unreadable
-        stripes are recovered together once every group has been read:
+        A group contributes the row views its reads returned
+        (:meth:`DistributedFileSystem._read_available_stripes`), less the
+        padding behind its last stripe; the one ``b"".join`` over all of
+        them is the only pass over the payload — no output buffer is
+        allocated, zeroed or copied beforehand.  Groups with unreadable
+        runs are recovered together once every group has been read:
         :meth:`DistributedFileSystem._recover` fuses those that lost the
         same block, or decode from the same survivors, into one kernel
-        call per failure pattern.
+        call per failure pattern, and their pieces are slices of what it
+        rebuilt.
         """
         meta = self.file(name)
         tracer = get_tracer()
@@ -214,49 +222,22 @@ class StripedFileSystem:
         return self._read_file(meta)
 
     def _read_file(self, meta: StripedFileMeta) -> bytes:
-        buf = bytearray(meta.original_size)
-        view = memoryview(buf)
-        pending: list[tuple[object, np.ndarray, list[int]]] = []
-        spills: list[memoryview | None] = []
-        pos = 0
+        groups = []
         for g in meta.group_names():
             ef = self.dfs.file(g)
-            # A group stores one payload byte per symbol, whatever the
-            # field's width, so its share of the output is counted in
-            # symbols; only byte-wide symbols can land in it directly.
-            target = view[pos : pos + ef.original_size]
-            pos += ef.original_size
-            if ef.code.gf.q == 8 and ef.original_size == ef.padded_size:
-                grid = np.frombuffer(target, dtype=np.uint8).reshape(
-                    ef.code.data_stripe_total, ef.stripe_size
-                )
-                spill = None
-            else:
-                grid = np.zeros((ef.code.data_stripe_total, ef.stripe_size), dtype=ef.code.gf.dtype)
-                spill = target
-            missing = self.dfs._read_available_stripes(ef, grid)
-            if missing:
-                pending.append((ef, grid, missing))
-                spills.append(spill)
-            else:
-                self._finish_group(ef, grid, spill)
+            groups.append((ef, self.dfs._read_available_stripes(ef)))
+        pending = [entry for entry in groups if any(piece is None for piece in entry[1])]
         if pending:
             with get_tracer().span(
                 "sfs.batch_degraded_decode", category="coding", groups=len(pending),
                 clock=getattr(self.dfs, "clock", None),
             ):
                 self.dfs._recover(pending)
-            for (ef, grid, _), spill in zip(pending, spills):
-                self._finish_group(ef, grid, spill)
-        return bytes(buf)
-
-    def _finish_group(self, ef, grid: np.ndarray, spill) -> None:
-        """Account a completed group; copy out of the side grid if needed."""
-        if spill is None:
-            self.metrics.add("bytes_moved_zero_copy", ef.original_size)
-        else:
-            np.frombuffer(spill, dtype=np.uint8)[:] = grid.reshape(-1)[: ef.original_size]
-            self.metrics.add("bytes_copied", ef.original_size)
+        chunks: list[np.ndarray] = []
+        for ef, pieces in groups:
+            chunks += _symbol_chunks(pieces, 0, ef.padded_size - ef.original_size)
+        self.dfs._count_delivered(groups[0][0].code, meta.original_size)
+        return _join_symbols(chunks)
 
     def delete_file(self, name: str) -> None:
         meta = self.file(name)

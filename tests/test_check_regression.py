@@ -122,6 +122,31 @@ class TestCompare:
         improved = {**good, "galloper_read_vs_rs": 1.2, "galloper_degraded_read_vs_rs": 1.3}
         assert cr.compare("striped", good, improved) == []
 
+    def test_read_time_ratios_come_with_both_times(self, striped_baseline, capsys, tmp_path):
+        """A time ratio rises when Reed-Solomon gets faster: the gate prints
+        numerator and denominator, fresh and committed, beside each."""
+        run = {
+            "galloper_read_vs_rs": 2.0,
+            "end_to_end": [
+                {"code": "rs", "read_batched_s": 0.0004, "degraded_read_batched_s": 0.0006},
+                {"code": "galloper", "read_batched_s": 0.0008, "degraded_read_batched_s": 0.0015},
+            ],
+        }
+        assert cr.read_times(run, "galloper_read_vs_rs") == "galloper 0.800 ms / rs 0.400 ms"
+        assert cr.read_times(run, "galloper_degraded_read_vs_rs") == "galloper 1.500 ms / rs 0.600 ms"
+        # A trajectory file's top level is the latest full run's headline.
+        full = [r for r in striped_baseline["runs"] if not r.get("quick")][-1]
+        assert cr.read_times(striped_baseline, "galloper_read_vs_rs") == cr.read_times(
+            full, "galloper_read_vs_rs"
+        )
+        assert cr.read_times({"runs": [], **READ_RATIOS}, "galloper_read_vs_rs") == "times not recorded"
+        fresh = tmp_path / "s.json"
+        fresh.write_text(json.dumps(striped_baseline))
+        assert cr.main(["--only", "striped", "--fresh-striped", str(fresh)]) == 0
+        out = capsys.readouterr().out
+        times = cr.read_times(full, "galloper_degraded_read_vs_rs")
+        assert f"    fresh {times}; baseline {times}" in out and "ms / rs" in times
+
     def test_missing_metric_flagged(self, kernels_baseline):
         fresh = {k: v for k, v in kernels_baseline.items() if k != "plan_cache_speedup"}
         fails = cr.compare("kernels", kernels_baseline, fresh)
