@@ -7,7 +7,6 @@ transient server failures.
 """
 
 from repro.analysis.availability import AvailabilityReport, availability
-from repro.analysis.campaign import CampaignResult, simulate_durability
 from repro.analysis.failures import SurvivalProfile, pattern_census, survival_profile
 from repro.analysis.reliability import (
     HOURS_PER_YEAR,
@@ -22,8 +21,6 @@ from repro.analysis.reliability import (
 
 __all__ = [
     "AvailabilityReport",
-    "CampaignResult",
-    "simulate_durability",
     "availability",
     "SurvivalProfile",
     "pattern_census",

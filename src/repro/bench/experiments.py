@@ -590,16 +590,15 @@ def extension_update_cost() -> Table:
 def extension_durability_campaign(trials: int = 200, seed: int = 7) -> Table:
     """Monte Carlo durability vs the analytic Markov MTTDL.
 
-    Uses deliberately flaky hardware (100 h MTBF, 1 MB/s repair) so
-    losses are observable; the empirical estimator should agree with the
-    CTMC model within a small factor.
+    The reliability simulator in its validation regime
+    (:func:`repro.reliability.campaign.simulate_validation`: deliberately
+    flaky hardware, 100 h MTBF and 1 MB/s repair, so losses are
+    observable); the empirical estimator should agree with the CTMC model
+    within a small factor.
     """
-    from repro.analysis import ReliabilityParameters, mttdl_hours
-    from repro.analysis.campaign import simulate_durability
+    from repro.analysis import mttdl_hours
+    from repro.reliability.campaign import VALIDATION_PARAMS, simulate_validation
 
-    flaky = ReliabilityParameters(
-        disk_mtbf_hours=100, repair_bandwidth=1 << 20, block_size_bytes=256 << 20
-    )
     table = Table(
         title="Extension — Monte Carlo durability vs Markov model (flaky hardware)",
         columns=("code", "losses", "loss_prob", "empirical_mttdl_h", "analytic_mttdl_h"),
@@ -609,13 +608,13 @@ def extension_durability_campaign(trials: int = 200, seed: int = 7) -> Table:
         ("pyramid(4,2,1)", PyramidCode(4, 2, 1)),
         ("galloper(4,2,1)", GalloperCode(4, 2, 1)),
     ):
-        res = simulate_durability(code, flaky, trials=trials, horizon_years=2, seed=seed)
+        res = simulate_validation(code, trials=trials, horizon_years=2, seed=seed)
         table.add(
             code=name,
             losses=res.losses,
-            loss_prob=res.loss_probability,
-            empirical_mttdl_h=res.empirical_mttdl_hours,
-            analytic_mttdl_h=mttdl_hours(code, flaky),
+            loss_prob=res.loss_fraction,
+            empirical_mttdl_h=res.mttdl_hours,
+            analytic_mttdl_h=mttdl_hours(code, VALIDATION_PARAMS),
         )
     table.note(f"{trials} trials x 2 simulated years; MTBF 100 h, 1 MB/s repair bandwidth")
     return table

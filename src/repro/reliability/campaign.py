@@ -16,7 +16,9 @@ statistics are observable in seconds of wall time.  A separate
 *validation* run — single RS stripe, independent exponential failures,
 one repair crew — is the configuration where the analytic Markov chain
 (:func:`repro.analysis.reliability.mttdl_hours`) is exact, and the
-campaign cross-checks the simulator against it.
+campaign cross-checks the simulator against it; the ``campaign`` figure
+(:func:`repro.bench.extension_durability_campaign`) runs the same regime
+for RS, Pyramid and Galloper through :func:`simulate_validation`.
 
 Everything is seeded; ``run_reliability_campaign`` is bit-reproducible
 for a given (quick, seed) pair, which is what lets
@@ -28,9 +30,10 @@ from __future__ import annotations
 from repro.analysis.reliability import ReliabilityParameters, mttdl_hours
 from repro.cluster.placement import CopysetPlacement, RandomPlacement, SpreadPlacement
 from repro.codes import CarouselCode, PyramidCode, ReedSolomonCode
+from repro.codes.base import ErasureCode
 from repro.core import GalloperCode
 from repro.reliability.lifetime import ExponentialLifetime, WeibullLifetime
-from repro.reliability.simulator import ReliabilityConfig, simulate_reliability
+from repro.reliability.simulator import ReliabilityConfig, ReliabilityResult, simulate_reliability
 from repro.storage.metrics import MetricsRegistry
 
 __all__ = ["CAMPAIGN_CODES", "run_reliability_campaign", "run_validation"]
@@ -59,12 +62,12 @@ SCRUB_INTERVAL_HOURS = 336.0
 NUM_RACKS = 4
 SERVERS_PER_RACK = 6
 
-#: Validation constants: the regime where the Markov model is exact
+#: Validation hardware: the regime where the Markov model is exact
 #: (independent exponential failures, one repair crew, instant disk
-#: replacement) with hardware flaky enough that losses are frequent.
-VALIDATION_MTBF_HOURS = 100.0
-VALIDATION_BLOCK_BYTES = 256 << 20
-VALIDATION_BANDWIDTH = 1 << 20
+#: replacement) with disks flaky enough that losses are frequent.
+VALIDATION_PARAMS = ReliabilityParameters(
+    disk_mtbf_hours=100.0, block_size_bytes=256 << 20, repair_bandwidth=1 << 20
+)
 
 
 def _lifetimes(quick: bool) -> list[tuple[str, object]]:
@@ -85,31 +88,25 @@ def _placements(seed: int) -> list[tuple[str, object]]:
     ]
 
 
-def run_validation(quick: bool = True, seed: int = 2026) -> dict:
-    """Simulated vs analytic MTTDL where the Markov assumptions hold.
+def simulate_validation(
+    code: ErasureCode, *, trials: int, horizon_years: float, seed: int
+) -> ReliabilityResult:
+    """``trials`` lifetimes of one stripe of ``code`` on the validation hardware.
 
-    Single RS(4, 2) stripe, exponential lifetimes, independent failures
-    (no racks, no LSEs, no machine crashes), instant replacement, one
-    repair crew — the simulator should land within a small factor of
-    ``mttdl_hours``.  ``agreement`` is ``min(ratio, 1/ratio)``: 1.0 is
-    perfect, and any drift (either direction) pulls it toward 0.
+    One server per block, exponential lifetimes, independent failures
+    (no racks, no LSEs), instant replacement, one repair crew: the
+    assumptions under which :data:`VALIDATION_PARAMS` give the exact
+    ``mttdl_hours``.
     """
-    code = ReedSolomonCode(4, 2)
-    params = ReliabilityParameters(
-        disk_mtbf_hours=VALIDATION_MTBF_HOURS,
-        block_size_bytes=VALIDATION_BLOCK_BYTES,
-        repair_bandwidth=VALIDATION_BANDWIDTH,
-    )
     config = ReliabilityConfig(
-        horizon_years=1.0,
-        disk_lifetime=ExponentialLifetime(VALIDATION_MTBF_HOURS),
+        horizon_years=horizon_years,
+        disk_lifetime=ExponentialLifetime(VALIDATION_PARAMS.disk_mtbf_hours),
         replacement_hours=0.0,
-        block_size_bytes=VALIDATION_BLOCK_BYTES,
-        repair_bandwidth=VALIDATION_BANDWIDTH,
+        block_size_bytes=VALIDATION_PARAMS.block_size_bytes,
+        repair_bandwidth=VALIDATION_PARAMS.repair_bandwidth,
         max_concurrent_repairs=1,
     )
-    trials = 250 if quick else 800
-    result = simulate_reliability(
+    return simulate_reliability(
         code,
         RandomPlacement(seed=seed),
         config,
@@ -119,7 +116,20 @@ def run_validation(quick: bool = True, seed: int = 2026) -> dict:
         trials=trials,
         seed=seed,
     )
-    analytic = mttdl_hours(code, params)
+
+
+def run_validation(quick: bool = True, seed: int = 2026) -> dict:
+    """Simulated vs analytic MTTDL where the Markov assumptions hold.
+
+    A single RS(4, 2) stripe for a year through :func:`simulate_validation`
+    — the simulator should land within a small factor of
+    ``mttdl_hours``.  ``agreement`` is ``min(ratio, 1/ratio)``: 1.0 is
+    perfect, and any drift (either direction) pulls it toward 0.
+    """
+    code = ReedSolomonCode(4, 2)
+    trials = 250 if quick else 800
+    result = simulate_validation(code, trials=trials, horizon_years=1.0, seed=seed)
+    analytic = mttdl_hours(code, VALIDATION_PARAMS)
     ratio = result.mttdl_hours / analytic if result.losses else float("inf")
     agreement = min(ratio, 1.0 / ratio) if result.losses else 0.0
     return {
@@ -155,8 +165,6 @@ def run_reliability_campaign(quick: bool = True, seed: int = 2026) -> dict:
     configs: list[dict] = []
     nines: dict[tuple[str, str, str], float] = {}
     by_key: dict[tuple[str, str, str], dict] = {}
-    decode_caches: dict[str, dict] = {}
-    plan_caches: dict[str, dict] = {}
 
     for code_name, make_code in CAMPAIGN_CODES:
         code = make_code()
@@ -185,8 +193,6 @@ def run_reliability_campaign(quick: bool = True, seed: int = 2026) -> dict:
                     trials=trials,
                     seed=seed,
                     metrics=metrics,
-                    decode_cache=decode_caches.setdefault(code_name, {}),
-                    plan_cache=plan_caches.setdefault(code_name, {}),
                 )
                 entry = result.summary()
                 entry.update(

@@ -17,11 +17,13 @@ This module simulates exactly that, event-driven on the shared
 :class:`~repro.sim.engine.Simulation` heap (time unit: **hours**), and
 reuses the storage layer's
 :class:`~repro.storage.repair.RepairAdmissionController` so repairs and
-scrub scans compete for the same per-server tokens they do in the
-workload simulations.  Stripes are tracked combinatorially — block
-states, not payload bytes — so multi-decade campaigns with thousands of
-failure events run in seconds while preserving the code's exact
-decodability via :meth:`~repro.codes.base.ErasureCode.can_decode`.
+scrub scans compete for the same per-server tokens: each asks for its
+leases at its event's instant and is scheduled to finish a duration
+after the grant the controller computes.  Stripes are tracked
+combinatorially — block states, not payload bytes — so multi-decade
+campaigns with thousands of failure events run in seconds while
+preserving the code's exact decodability via
+:meth:`~repro.codes.base.ErasureCode.can_decode`.
 
 Loss semantics are *factual*: a stripe is lost the instant the blocks
 that are neither destroyed nor latently corrupt stop being decodable,
@@ -41,7 +43,6 @@ from repro.analysis.reliability import HOURS_PER_YEAR
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.topology import Cluster
 from repro.codes.base import DecodingError, ErasureCode, RepairPlan
-from repro.faults.clock import VirtualClock
 from repro.reliability.lifetime import LifetimeModel
 from repro.sim.engine import Simulation
 from repro.storage.metrics import MetricsRegistry
@@ -50,6 +51,10 @@ from repro.storage.repair import RepairAdmissionController
 __all__ = ["ReliabilityConfig", "ReliabilityResult", "simulate_reliability"]
 
 SECONDS_PER_HOUR = 3600.0
+
+#: Bytes/second a scrub scan reads per server (sequential local reads —
+#: faster than repair's cross-server traffic).
+SCRUB_BANDWIDTH = 200 << 20
 
 
 @dataclass(frozen=True)
@@ -64,11 +69,6 @@ class ReliabilityConfig:
             installed; rebuilt blocks are written back to the same server
             slot, so placement-policy invariants (copyset membership,
             rack spread) hold for the whole campaign.
-        machine_lifetime: optional distribution of *transient* machine
-            crashes — blocks survive but are unavailable for
-            ``machine_downtime_hours`` (no data loss by themselves, but
-            they stall repairs and widen the degraded window).
-        machine_downtime_hours: outage length per machine crash.
         rack_mtbf_hours: per-rack mean time between correlated rack
             events (power/switch domain); ``None`` disables them.
         rack_downtime_hours: how long a failed rack stays dark.
@@ -82,9 +82,6 @@ class ReliabilityConfig:
         scrub_interval_hours: period of the scrubbing schedule; ``None``
             disables scrubbing (latent errors then only surface via
             repair reads).
-        scrub_bandwidth: bytes/second a scrub scan reads per server
-            (sequential local reads — typically faster than repair's
-            cross-server traffic).
         block_size_bytes: size of one coded block.
         repair_bandwidth: bytes/second one repair stream moves.
         max_inflight_per_server: admission-controller token cap — the
@@ -97,14 +94,11 @@ class ReliabilityConfig:
     horizon_years: float = 10.0
     disk_lifetime: LifetimeModel = None  # type: ignore[assignment]
     replacement_hours: float = 24.0
-    machine_lifetime: LifetimeModel | None = None
-    machine_downtime_hours: float = 2.0
     rack_mtbf_hours: float | None = None
     rack_downtime_hours: float = 8.0
     rack_kill_fraction: float = 0.0
     lse_rate_per_block_hour: float = 0.0
     scrub_interval_hours: float | None = None
-    scrub_bandwidth: float = 200 << 20
     block_size_bytes: int = 256 << 20
     repair_bandwidth: float = 50 << 20
     max_inflight_per_server: int = 4
@@ -139,7 +133,6 @@ class ReliabilityResult:
     stripe_hours: float = 0.0
     degraded_stripe_hours: float = 0.0
     disk_failures: int = 0
-    machine_failures: int = 0
     rack_events: int = 0
     racked_disks_killed: int = 0
     repairs_completed: int = 0
@@ -206,7 +199,6 @@ class ReliabilityResult:
             "stripe_hours": self.stripe_hours,
             "degraded_stripe_hours": self.degraded_stripe_hours,
             "disk_failures": self.disk_failures,
-            "machine_failures": self.machine_failures,
             "rack_events": self.rack_events,
             "racked_disks_killed": self.racked_disks_killed,
             "repairs_completed": self.repairs_completed,
@@ -225,7 +217,6 @@ class ReliabilityResult:
 class _ServerState:
     rack: int
     disk_ok: bool = True
-    machine_down: bool = False
     rack_down: bool = False
     #: Bumped on every disk death; a repair that started against an
     #: older epoch discovers at completion that its target died again.
@@ -233,7 +224,7 @@ class _ServerState:
 
     @property
     def available(self) -> bool:
-        return self.disk_ok and not self.machine_down and not self.rack_down
+        return self.disk_ok and not self.rack_down
 
 
 @dataclass
@@ -269,26 +260,21 @@ class _Trial:
         rng: random.Random,
         result: ReliabilityResult,
         metrics: MetricsRegistry,
-        decode_cache: dict,
-        plan_cache: dict,
+        decode_memo: dict,
+        plan_memo: dict,
     ):
         self.code = code
         self.cfg = config
         self.rng = rng
         self.result = result
         self.metrics = metrics
-        self._decode_cache = decode_cache
-        self._plan_cache = plan_cache
+        self._decode_memo = decode_memo
+        self._plan_memo = plan_memo
 
         self.sim = Simulation()
         self.horizon = config.horizon_years * HOURS_PER_YEAR
-        # The admission controller "waits" by advancing its clock; here that
-        # must only compute the grant instant, not move simulated time, so
-        # the clock is pinned to the event time (seconds) before each acquire.
-        self._lease_clock = VirtualClock()
-        self.controller = RepairAdmissionController(
-            self._lease_clock, config.max_inflight_per_server, metrics=metrics
-        )
+        # The controller thinks in seconds; it is asked at the event's instant.
+        self.controller = RepairAdmissionController(config.max_inflight_per_server, metrics=metrics)
         self.block_read_seconds = config.block_size_bytes / config.repair_bandwidth
 
         self.servers: dict[int, _ServerState] = {
@@ -316,20 +302,20 @@ class _Trial:
 
     def _decodable(self, bad: set[int]) -> bool:
         key = frozenset(bad)
-        hit = self._decode_cache.get(key)
+        hit = self._decode_memo.get(key)
         if hit is None:
             alive = [b for b in range(self.code.n) if b not in key]
-            hit = self._decode_cache[key] = self.code.can_decode(alive)
+            hit = self._decode_memo[key] = self.code.can_decode(alive)
         return hit
 
     def _plan(self, target: int, failed: frozenset[int]) -> RepairPlan | None:
         key = (target, failed)
-        if key not in self._plan_cache:
+        if key not in self._plan_memo:
             try:
-                self._plan_cache[key] = self.code.repair_plan(target, failed)
+                self._plan_memo[key] = self.code.repair_plan(target, failed)
             except DecodingError:
-                self._plan_cache[key] = None
-        return self._plan_cache[key]
+                self._plan_memo[key] = None
+        return self._plan_memo[key]
 
     # ------------------------------------------------------- degraded windows
 
@@ -431,14 +417,11 @@ class _Trial:
             st.placement[h]: fractions[h] * self.block_read_seconds for h in plan.helpers
         }
         bytes_read = sum(fractions.values()) * self.cfg.block_size_bytes
-        # Same serialization the analytic model charges: helper reads
-        # plus the rebuilt block's write, one stream.
-        duration_s = bytes_read / self.cfg.repair_bandwidth + self.block_read_seconds
+        duration_s = self._repair_seconds(bytes_read)
         leases = dict(read_seconds)
         leases[target_sid] = max(leases.get(target_sid, 0.0), duration_s)
 
-        self._lease_clock.pin(self.sim.now * SECONDS_PER_HOUR)
-        grant_s = self.controller.acquire(leases)
+        grant_s = self.controller.acquire(self.sim.now * SECONDS_PER_HOUR, leases)
         done_h = (grant_s + duration_s) / SECONDS_PER_HOUR
         self.inflight += 1
         epoch = target.epoch
@@ -448,6 +431,13 @@ class _Trial:
             name=f"repair:{stripe_idx}.{block}",
         )
         return True
+
+    def _repair_seconds(self, bytes_read: float) -> float:
+        """How long one rebuild takes: the same serialization the analytic
+        model charges — helper reads plus the rebuilt block's write, one
+        stream — but a fixed duration where the Markov chain draws an
+        exponential one with this mean."""
+        return bytes_read / self.cfg.repair_bandwidth + self.block_read_seconds
 
     def _repair_done(
         self, stripe_idx: int, block: int, target_sid: int, epoch: int, bytes_read: float
@@ -512,33 +502,6 @@ class _Trial:
         when = self.sim.now + delay
         if when <= self.horizon:
             self.sim.schedule(delay, lambda: self._kill_disk(sid), name=f"disk:{sid}")
-
-    # ------------------------------------------------------- machine crashes
-
-    def _schedule_machine_failure(self, sid: int) -> None:
-        model = self.cfg.machine_lifetime
-        if model is None:
-            return
-        delay = model.sample(self.rng)
-        if self.sim.now + delay <= self.horizon:
-            self.sim.schedule(delay, lambda: self._machine_down(sid), name=f"machine:{sid}")
-
-    def _machine_down(self, sid: int) -> None:
-        state = self.servers[sid]
-        state.machine_down = True
-        self.result.machine_failures += 1
-        for stripe_idx, _ in self.by_server[sid]:
-            self._refresh_degraded(self.stripes[stripe_idx])
-        self.sim.schedule(
-            self.cfg.machine_downtime_hours, lambda: self._machine_up(sid), name=f"machine_up:{sid}"
-        )
-
-    def _machine_up(self, sid: int) -> None:
-        self.servers[sid].machine_down = False
-        for stripe_idx, _ in self.by_server[sid]:
-            self._refresh_degraded(self.stripes[stripe_idx])
-        self._schedule_machine_failure(sid)
-        self._pump()
 
     # ------------------------------------------------------------ rack events
 
@@ -616,9 +579,8 @@ class _Trial:
             state = self.servers[sid]
             if not state.available or not blocks:
                 continue
-            scan_s = len(blocks) * self.cfg.block_size_bytes / self.cfg.scrub_bandwidth
-            self._lease_clock.pin(self.sim.now * SECONDS_PER_HOUR)
-            grant_s = self.controller.acquire({sid: scan_s})
+            scan_s = len(blocks) * self.cfg.block_size_bytes / SCRUB_BANDWIDTH
+            grant_s = self.controller.acquire(self.sim.now * SECONDS_PER_HOUR, {sid: scan_s})
             done_h = (grant_s + scan_s) / SECONDS_PER_HOUR
             epoch = state.epoch
             self.sim.schedule_at(
@@ -647,7 +609,6 @@ class _Trial:
     def run(self) -> None:
         for sid in self.servers:
             self._schedule_disk_failure(sid)
-            self._schedule_machine_failure(sid)
         for rack in self.racks:
             self._schedule_rack_failure(rack)
         self._schedule_lse()
@@ -679,25 +640,22 @@ def simulate_reliability(
     trials: int = 1,
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
-    decode_cache: dict | None = None,
-    plan_cache: dict | None = None,
 ) -> ReliabilityResult:
     """Run ``trials`` seeded cluster lifetimes and aggregate the outcome.
 
     Each trial builds a fresh ``num_racks x servers_per_rack`` cluster,
     places ``stripes`` stripes through ``placement``, and plays
     ``config.horizon_years`` of failures forward on the event heap.
-    Caches for decodability and repair plans may be shared across calls
-    (they are keyed purely on failure patterns) to amortize the rank
-    computations over a whole campaign sweep.
+    The trials share one memo of decodability and one of repair plans,
+    both keyed purely on failure patterns.
 
     Determinism: trial ``i`` uses ``random.Random(f"{seed}:{i}")``, so
     results are bit-identical across runs and platforms for a given
     (code, placement, config, seed).
     """
     metrics = metrics or MetricsRegistry()
-    decode_cache = {} if decode_cache is None else decode_cache
-    plan_cache = {} if plan_cache is None else plan_cache
+    decode_memo: dict[frozenset[int], bool] = {}
+    plan_memo: dict[tuple[int, frozenset[int]], RepairPlan | None] = {}
     result = ReliabilityResult(
         code=repr(code),
         trials=trials,
@@ -709,7 +667,7 @@ def simulate_reliability(
         rng = random.Random(f"{seed}:{trial}")
         _Trial(
             code, cluster, placement, config, stripes, rng, result, metrics,
-            decode_cache, plan_cache,
+            decode_memo, plan_memo,
         ).run()
     snap = metrics.snapshot()
     gauges = {

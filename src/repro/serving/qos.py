@@ -7,8 +7,8 @@ degrades into bounded waves (see
 gateway reuses the same :class:`~repro.storage.repair.LeaseTable`
 bookkeeping, keyed by *tenant* instead of server and waited on
 *asynchronously*: a request over its tenant's in-flight cap parks its
-coroutine until the earliest lease expires, rather than advancing a
-shared clock — hundreds of other requests keep flowing meanwhile.
+coroutine until the earliest lease expires, rather than being handed a
+later grant instant — hundreds of other requests keep flowing meanwhile.
 
 Because repair traffic enters the gateway as just another tenant (the
 ``repair`` tenant in the chaos scenario), repair and foreground reads

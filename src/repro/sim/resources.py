@@ -60,21 +60,12 @@ class ThroughputResource:
         self.free_at = start + service
         return self.free_at
 
-    def transfer(
-        self, nbytes: float, on_done: Callable[[float], None], name: str = "", delay: float = 0.0
-    ) -> float:
-        """Enqueue a transfer; returns its completion time.
-
-        ``delay`` adds fixed pipe occupancy in seconds on top of the
-        bandwidth-proportional time — a seek / per-request overhead —
-        without counting towards ``bytes_moved``.
-        """
+    def transfer(self, nbytes: float, on_done: Callable[[float], None], name: str = "") -> float:
+        """Enqueue a transfer; returns its completion time."""
         if nbytes < 0:
             raise SimulationError(f"{self.name}: negative transfer size")
-        if delay < 0:
-            raise SimulationError(f"{self.name}: negative transfer delay")
         start = self.head()
-        done = self.commit(start + delay, nbytes / self.bandwidth)  # the seek comes first
+        done = self.commit(start, nbytes / self.bandwidth)
         self.bytes_moved += int(nbytes)
         tracer = get_tracer()
         if tracer.enabled:

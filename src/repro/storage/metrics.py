@@ -47,7 +47,7 @@ class MetricsRegistry:
     * ``read_latency`` — cumulative simulated read seconds
     * ``decode_replans`` / ``repair_replans`` — fallback re-planning
     * ``blocks_quarantined`` — scrubber quarantine
-    * ``repairs_throttled`` — repairs that waited on
+    * ``repairs_throttled`` — repairs granted later than requested by
       :class:`~repro.storage.repair.RepairAdmissionController` (the
       reliability simulator's registry only)
 
@@ -74,8 +74,8 @@ class MetricsRegistry:
     * **Histograms** (:meth:`observe`) — ``read_latency_s`` (per-read
       simulated latency), ``scheduler_queue_depth`` (task queueing) and,
       from the reliability simulator's admission controller only,
-      ``repair_wait_s`` (stalls) and ``repair_inflight`` (helper leases
-      held at grant time).
+      ``repair_wait_s`` (request to grant) and ``repair_inflight`` (most
+      leases held on a named server at the request instant).
     * **Gauges** (:meth:`set_gauge`) — ``plan_cache_hit_ratio``.
 
     :meth:`snapshot` stays counters-only (the stable schema existing

@@ -36,7 +36,7 @@ class LeaseTable:
     """Expiring token leases keyed by an arbitrary hashable.
 
     The primitive under both repair admission control (keys = helper
-    server ids, synchronous clock-advancing waits) and the serving
+    server ids, grants computed from a request instant) and the serving
     gateway's per-tenant QoS throttle (keys = tenant names, coroutine
     waits on the sim loop).  A lease is a bare expiry timestamp; holders
     may also release early by handle, which the serving path uses when a
@@ -107,10 +107,18 @@ class RepairAdmissionController:
     helper at once; without admission control those reads starve
     foreground traffic.  Each repair leases one token per helper server
     for the repair's estimated duration; when a server's tokens are
-    exhausted the repair *waits* (advancing the shared clock to the
-    earliest lease expiry) instead of piling on — counted in the
-    ``repairs_throttled`` metric.  The cap is per server, so a storm
-    degrades into bounded waves rather than an unbounded burst.
+    exhausted the repair is granted later, at the first instant a token
+    frees, instead of piling on — counted in the ``repairs_throttled``
+    metric.  The cap is per server, so a storm degrades into bounded
+    waves rather than an unbounded burst.
+
+    Nothing here waits or owns a clock: :meth:`acquire` is told when the
+    request is made and answers when it is granted.  A lease counts
+    against its server from the request that takes it until it expires,
+    so every lease that may overlap a grant is seen by it, and no server
+    ever holds more than ``max_inflight_per_server`` live leases.  That
+    needs request instants that never decrease — leases are pruned only
+    up to the latest one — and :meth:`acquire` refuses one that does.
 
     Its user is the reliability simulator, whose repairs overlap.
     :class:`RepairManager` reads one helper after another on the clock
@@ -118,65 +126,55 @@ class RepairAdmissionController:
     next rebuild and it takes none.
     """
 
-    def __init__(
-        self,
-        clock,
-        max_inflight_per_server: int = 4,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, max_inflight_per_server: int = 4, metrics: MetricsRegistry | None = None):
         if max_inflight_per_server < 1:
             raise ValueError("max_inflight_per_server must be >= 1")
-        self.clock = clock
         self.max_inflight_per_server = max_inflight_per_server
         self.metrics = metrics or MetricsRegistry()
         self._leases = LeaseTable()
+        #: The latest request instant; leases are pruned up to it, never past.
+        self._now = 0.0
         self.waits = 0
 
-    def _active(self, server_id: int) -> list[float]:
-        return self._leases.active(server_id, self.clock.now)
-
     def inflight(self, server_id: int) -> int:
-        """Repair-read leases currently held on one server."""
-        return len(self._active(server_id))
+        """Repair-read leases held on one server at the latest request instant."""
+        return self._leases.count(server_id, self._now)
 
-    def acquire(self, server_durations: dict[int, float]) -> float:
+    def acquire(self, now: float, server_durations: dict[int, float]) -> float:
         """Lease one token per server for the given durations.
 
-        Blocks (in simulated time) until every server has a free token;
-        returns the clock time the leases were granted.
+        ``now`` is the instant of the request.  The grant is the earliest
+        instant at or after it at which every named server has a free
+        token; each lease runs from the grant for its duration.
+
+        Raises:
+            ValueError: when ``now`` is earlier than a previous request.
         """
-        submitted = self.clock.now
+        if now < self._now:
+            raise ValueError(f"request at {now} precedes the previous one at {self._now}")
+        self._now = now
+        cap = self.max_inflight_per_server
+        grant, depth = now, 0
+        for sid in server_durations:
+            live = sorted(self._leases.active(sid, now))
+            depth = max(depth, len(live))
+            if len(live) >= cap:  # a token frees once all but cap - 1 have expired
+                grant = max(grant, live[len(live) - cap])
         if server_durations:
-            self.metrics.observe(
-                "repair_inflight",
-                max(float(self.inflight(sid)) for sid in server_durations),
-            )
-        throttled = False
-        while True:
-            contended = [
-                min(self._active(sid))
-                for sid in server_durations
-                if len(self._active(sid)) >= self.max_inflight_per_server
-            ]
-            if not contended:
-                break
-            if not throttled:
-                throttled = True
-                self.waits += 1
-                self.metrics.add("repairs_throttled", 1)
-            self.clock.advance(min(contended) - self.clock.now)
-        now = self.clock.now
-        self.metrics.observe("repair_wait_s", now - submitted)
-        if throttled:
+            self.metrics.observe("repair_inflight", float(depth))
+        self.metrics.observe("repair_wait_s", grant - now)
+        if grant > now:
+            self.waits += 1
+            self.metrics.add("repairs_throttled", 1)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.sim_span(
-                    "repair.throttle_wait", "repair", submitted, now,
+                    "repair.throttle_wait", "repair", now, grant,
                     servers=sorted(server_durations),
                 )
         for sid, duration in server_durations.items():
-            self._leases.grant(sid, now + duration)
-        return now
+            self._leases.grant(sid, grant + duration)
+        return grant
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ def payload_bytes(size: int, seed: int = 0) -> bytes:
     """Deterministic pseudo-random byte payload."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+
+
+def max_live_leases(intervals: dict[object, list[tuple[float, float]]]) -> int:
+    """Most leases any one key holds at once, replayed from its
+    ``(grant, expiry)`` intervals; a lease ending at an instant is gone by
+    a grant at that instant."""
+    most = 0
+    for spans in intervals.values():
+        live: list[float] = []
+        for grant, expiry in sorted(spans):
+            while live and live[0] <= grant:
+                heapq.heappop(live)
+            heapq.heappush(live, expiry)
+            most = max(most, len(live))
+    return most
 
 
 # The codes layer is the reference the storage pipeline is held to: these

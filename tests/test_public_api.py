@@ -15,7 +15,6 @@ import pytest
 PUBLIC_API = {
     "repro.analysis": [
         "AvailabilityReport",
-        "CampaignResult",
         "HOURS_PER_YEAR",
         "ReliabilityParameters",
         "SurvivalProfile",
@@ -27,7 +26,6 @@ PUBLIC_API = {
         "mttdl_hours",
         "mttdl_years",
         "pattern_census",
-        "simulate_durability",
         "survival_profile",
     ],
     "repro.reliability": [
@@ -172,17 +170,16 @@ OPTIONS = {
     "repro.storage:BlockStore.timed_get": "self, server_id, file_name, block_id, verify",
     "repro.storage:RetryPolicy": "max_attempts, base_delay, max_delay, jitter, read_timeout, hedge_threshold",
     "repro.storage:simulate_server_recovery": "code, lost_blocks, num_servers, block_bytes, disk_bandwidth, seed",
-    "repro.storage:RepairAdmissionController": "clock, max_inflight_per_server, metrics",
-    "repro.storage:RepairAdmissionController.acquire": "self, server_durations",
-    "repro.sim:ThroughputResource.transfer": "self, nbytes, on_done, name, delay",
+    "repro.storage:RepairAdmissionController": "max_inflight_per_server, metrics",
+    "repro.storage:RepairAdmissionController.acquire": "self, now, server_durations",
+    "repro.sim:ThroughputResource.transfer": "self, nbytes, on_done, name",
     "repro.reliability:simulate_reliability": (
-        "code, placement, config, num_racks, servers_per_rack, stripes, trials, seed, metrics, "
-        "decode_cache, plan_cache"
+        "code, placement, config, num_racks, servers_per_rack, stripes, trials, seed, metrics"
     ),
     "repro.reliability:ReliabilityConfig": (
-        "horizon_years, disk_lifetime, replacement_hours, machine_lifetime, machine_downtime_hours, "
+        "horizon_years, disk_lifetime, replacement_hours, "
         "rack_mtbf_hours, rack_downtime_hours, rack_kill_fraction, lse_rate_per_block_hour, "
-        "scrub_interval_hours, scrub_bandwidth, block_size_bytes, repair_bandwidth, "
+        "scrub_interval_hours, block_size_bytes, repair_bandwidth, "
         "max_inflight_per_server, max_concurrent_repairs"
     ),
     "repro.serving:ServingGateway": "dfs, loop, config",

@@ -8,7 +8,10 @@ cluster time (~15s), so these run in the nightly job via
 import pytest
 
 from repro.cli import main as cli_main
+from repro.codes import PyramidCode, ReedSolomonCode
 from repro.reliability import run_reliability_campaign, run_validation
+from repro.reliability.campaign import simulate_validation
+from repro.reliability.simulator import _Trial
 
 pytestmark = pytest.mark.reliability
 
@@ -81,6 +84,38 @@ class TestValidationRun:
         v = run_validation(quick=True, seed=7)
         assert v["losses"] > 0
         assert 1 / 4 < v["ratio"] < 4
+
+    def test_exponential_repair_durations_close_the_gap(self, monkeypatch):
+        """The explanation of ``analytic_agreement``, tested: the Markov
+        chain draws each repair's duration from an exponential, the
+        simulator does not.  Give the simulator exponential durations of
+        the same mean and the two agree; with fixed ones they do not.
+
+        Seeds 2026 / 7 / 11 read 0.99 / 0.87 / 0.96 exponential against
+        0.59 / 0.45 / 0.35 fixed on the full (800-trial) validation run; at
+        250 trials the two ranges overlap, so only the full run decides.
+        """
+        fixed = run_validation(quick=False, seed=2026)["agreement"]
+        mean_seconds = _Trial._repair_seconds
+
+        def exponential(trial, bytes_read):
+            return trial.rng.expovariate(1.0 / mean_seconds(trial, bytes_read))
+
+        monkeypatch.setattr(_Trial, "_repair_seconds", exponential)
+        drawn = run_validation(quick=False, seed=2026)["agreement"]
+        assert fixed <= 0.70
+        assert drawn >= 0.85
+
+    def test_lrc_loses_no_more_stripes_than_rs(self):
+        """Local repairs shrink the window a second and third failure must
+        land in: in the validation regime (independent failures, one crew)
+        Pyramid(4, 2, 1) loses no more stripes than RS(4, 2), the pair the
+        ``campaign`` figure compares.  Tier-1 checks it on 100 one-year
+        trials (``test_campaign.py``); this repeats it on 300 of two."""
+        rs = simulate_validation(ReedSolomonCode(4, 2), trials=300, horizon_years=2.0, seed=4)
+        lrc = simulate_validation(PyramidCode(4, 2, 1), trials=300, horizon_years=2.0, seed=4)
+        assert rs.losses > 0
+        assert lrc.losses <= rs.losses
 
 
 class TestCLI:

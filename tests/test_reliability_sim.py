@@ -2,17 +2,18 @@
 
 Everything here is seeded and runs in seconds: lifetime-model
 calibration, simulator determinism, the analytic cross-validation
-satellite, correlated rack-failure placement behaviour, and the latent
-sector error / scrub detection channels.  The long-horizon campaign
-assertions live in ``test_reliability_long.py`` behind the
-``reliability`` marker.
+satellite, correlated rack-failure placement behaviour and the
+admission cap under it, and the latent sector error / scrub detection
+channels.  The validation regime the ``campaign`` figure runs is tested
+in ``test_campaign.py``; the long-horizon campaign assertions live in
+``test_reliability_long.py`` behind the ``reliability`` marker.
 """
 
 import random
 
 import pytest
 
-from repro.analysis.reliability import ReliabilityParameters, mttdl_hours
+from repro.analysis.reliability import mttdl_hours
 from repro.cluster import RandomPlacement, RoundRobinPlacement, SpreadPlacement
 from repro.codes import ReedSolomonCode
 from repro.reliability import (
@@ -21,6 +22,9 @@ from repro.reliability import (
     WeibullLifetime,
     simulate_reliability,
 )
+from repro.reliability.campaign import VALIDATION_PARAMS, simulate_validation
+from repro.storage.repair import RepairAdmissionController
+from tests.conftest import max_live_leases
 
 GB = 1 << 30
 MB = 1 << 20
@@ -154,30 +158,8 @@ class TestSimulator:
         pinned seed makes the check exact-deterministic in CI.
         """
         code = ReedSolomonCode(4, 2)
-        config = ReliabilityConfig(
-            horizon_years=1.0,
-            disk_lifetime=ExponentialLifetime(100.0),
-            replacement_hours=0.0,
-            block_size_bytes=256 * MB,
-            repair_bandwidth=MB,
-            max_concurrent_repairs=1,
-        )
-        r = simulate_reliability(
-            code,
-            RandomPlacement(seed=0),
-            config,
-            num_racks=1,
-            servers_per_rack=code.n,
-            stripes=1,
-            trials=200,
-            seed=2026,
-        )
-        analytic = mttdl_hours(
-            code,
-            ReliabilityParameters(
-                disk_mtbf_hours=100.0, block_size_bytes=256 * MB, repair_bandwidth=MB
-            ),
-        )
+        r = simulate_validation(code, trials=200, horizon_years=1.0, seed=2026)
+        analytic = mttdl_hours(code, VALIDATION_PARAMS)
         assert r.losses >= 5  # enough events for the estimate to mean anything
         ratio = r.mttdl_hours / analytic
         assert 1 / 3 < ratio < 3
@@ -238,6 +220,31 @@ class TestCorrelatedFailures:
         assert r.max_repair_queue_depth > 1
         assert r.metrics["repair_wait_p99_s"] > 0.0
         assert r.degraded_stripe_hours > 0.0
+
+    def test_admission_cap_holds_at_every_grant(self, monkeypatch):
+        """Replay every lease a rack-storm run is granted: no server ever
+        holds more than ``max_inflight_per_server`` at once.  A controller
+        that prunes leases up to a grant instead of the request instant
+        lets 7 through here: the next event, earlier than that grant, no
+        longer sees the leases still running at its own instant."""
+        intervals: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        acquire = RepairAdmissionController.acquire
+
+        def recorded(controller, now, server_durations):
+            grant = acquire(controller, now, server_durations)
+            for sid, duration in server_durations.items():
+                intervals.setdefault((id(controller), sid), []).append((grant, grant + duration))
+            return grant
+
+        monkeypatch.setattr(RepairAdmissionController, "acquire", recorded)
+        r = _run(
+            ReedSolomonCode(4, 3),
+            SpreadPlacement(seed=4),
+            self._rack_config(repair_bandwidth=10 * MB, block_size_bytes=GB),
+            seed=4,
+        )
+        assert r.metrics["repairs_throttled"] > 0  # the cap binds
+        assert max_live_leases(intervals) == 4
 
 
 class TestLatentErrorsAndScrub:

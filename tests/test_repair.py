@@ -1,15 +1,16 @@
 """Tests for the repair pipeline."""
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode, ReplicationCode
 from repro.core import GalloperCode
-from repro.faults import VirtualClock
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
 from repro.storage.metrics import MetricsRegistry
 from repro.storage.repair import RepairAdmissionController
-from tests.conftest import payload_bytes
+from tests.conftest import max_live_leases, payload_bytes
 
 
 @pytest.fixture
@@ -177,43 +178,73 @@ class TestPlanCacheMetrics:
 
 class TestRepairAdmission:
     def _controller(self, cap=2):
-        clock, metrics = VirtualClock(), MetricsRegistry()
-        return clock, metrics, RepairAdmissionController(clock, cap, metrics=metrics)
+        metrics = MetricsRegistry()
+        return metrics, RepairAdmissionController(cap, metrics=metrics)
 
     def test_under_the_cap_grants_at_once(self):
-        clock, metrics, admission = self._controller()
-        clock.pin(10.0)
-        assert admission.acquire({1: 5.0, 2: 3.0}) == 10.0
-        assert admission.acquire({1: 1.0}) == 10.0
+        metrics, admission = self._controller()
+        assert admission.acquire(10.0, {1: 5.0, 2: 3.0}) == 10.0
+        assert admission.acquire(10.0, {1: 1.0}) == 10.0
         assert admission.inflight(1) == 2 and admission.inflight(2) == 1
         assert admission.waits == 0 and metrics.total("repairs_throttled") == 0
         assert metrics.histogram("repair_wait_s").max == 0.0
 
     def test_cap_binds_and_the_grant_is_the_earliest_expiry(self):
-        clock, metrics, admission = self._controller()
-        clock.pin(10.0)
-        admission.acquire({1: 5.0})  # until 15
-        admission.acquire({1: 2.0})  # until 12
-        assert admission.acquire({1: 1.0}) == 12.0  # waits for the lease that ends first
-        assert clock.now == 12.0
-        assert admission.inflight(1) == 2  # the 15 and the new 13
+        metrics, admission = self._controller()
+        admission.acquire(10.0, {1: 5.0})  # until 15
+        admission.acquire(10.0, {1: 2.0})  # until 12
+        assert admission.acquire(10.0, {1: 1.0}) == 12.0  # granted when the lease that ends first does
+        # At the request instant the table holds the 15, the 12 and the 12-13
+        # granted ahead: three counted, never more than two live at once.
+        assert admission.inflight(1) == 3
         assert admission.waits == 1 and metrics.total("repairs_throttled") == 1
         wait, inflight = metrics.histogram("repair_wait_s"), metrics.histogram("repair_inflight")
         assert (wait.count, wait.max) == (3, 2.0)
         assert (inflight.count, inflight.max) == (3, 2.0)  # depth seen on arrival
 
     def test_several_servers_wait_for_the_latest_of_their_earliest_free_instants(self):
-        clock, metrics, admission = self._controller(cap=1)
-        admission.acquire({1: 4.0, 2: 7.0, 3: 1.0})
-        # A caller that owns the timeline pins the clock before each acquire;
-        # the post-acquire ``now`` is the grant, not elapsed time.
-        clock.pin(2.0)
-        assert admission.acquire({1: 1.0, 2: 1.0, 3: 1.0}) == 7.0
-        assert metrics.total("repairs_throttled") == 1  # one throttled repair, two waits inside it
+        metrics, admission = self._controller(cap=1)
+        admission.acquire(0.0, {1: 4.0, 2: 7.0, 3: 1.0})
+        assert admission.acquire(2.0, {1: 1.0, 2: 1.0, 3: 1.0}) == 7.0
+        assert metrics.total("repairs_throttled") == 1  # one throttled repair, two busy servers
         assert metrics.histogram("repair_wait_s").max == 5.0
-        clock.pin(3.0)  # the next event may be earlier than the last grant
-        assert admission.acquire({4: 1.0}) == 3.0
-        assert admission.acquire({3: 1.0}) == 8.0  # behind the lease granted at 7
+        # The next request may come before the last grant.
+        assert admission.acquire(3.0, {4: 1.0}) == 3.0
+        assert admission.acquire(3.0, {3: 1.0}) == 8.0  # behind the lease granted at 7
+
+    def test_a_request_before_an_earlier_grant_sees_the_leases_it_raced_past(self):
+        metrics, admission = self._controller(cap=2)
+        admission.acquire(0.0, {1: 10.0})
+        admission.acquire(0.0, {1: 10.0})
+        assert admission.acquire(0.0, {1: 1.0}) == 10.0  # both tokens held until 10
+        # At 2 the two leases ending at 10 are still live: granting now
+        # would put three on server 1.
+        assert admission.acquire(2.0, {1: 1.0}) == 10.0
+        assert admission.inflight(1) == 4
+
+    def test_request_instants_never_decrease(self):
+        metrics, admission = self._controller()
+        admission.acquire(5.0, {1: 1.0})
+        assert admission.acquire(5.0, {1: 1.0}) == 5.0  # the same instant again is fine
+        with pytest.raises(ValueError, match="precedes"):
+            admission.acquire(4.0, {1: 1.0})
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_live_leases_never_exceed_the_cap(self, cap):
+        """Replay every grant: at no grant instant does any server hold
+        more than ``cap`` leases whose interval covers it."""
+        rng = random.Random(cap)
+        _, admission = self._controller(cap)
+        intervals: dict[int, list[tuple[float, float]]] = {}
+        now = 0.0
+        for _ in range(400):
+            now += rng.expovariate(4.0)
+            durations = {s: rng.uniform(0.1, 3.0) for s in rng.sample(range(6), rng.randint(1, 4))}
+            grant = admission.acquire(now, durations)
+            assert grant >= now
+            for s, d in durations.items():
+                intervals.setdefault(s, []).append((grant, grant + d))
+        assert max_live_leases(intervals) == cap
 
 
 def _accounting_code(name, gf):

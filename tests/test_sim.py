@@ -316,9 +316,9 @@ class TestThroughputResource:
         # The service time is whatever the caller measured once at the head.
         assert pipe.commit(start, 0.75) == 1.75
         times = []
-        assert pipe.transfer(25, times.append, delay=0.5) == 2.5  # starts at the reservation's done
+        assert pipe.transfer(25, times.append) == 2.0  # starts at the reservation's done
         sim.run()
-        assert times == [2.5] and pipe.head() == sim.now == 2.5
+        assert times == [2.0] and pipe.head() == sim.now == 2.0
         assert pipe.bytes_moved == 125  # a reservation moves no counted bytes
 
     @pytest.mark.parametrize(
