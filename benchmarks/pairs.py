@@ -1,0 +1,120 @@
+"""Alternating parent / change pairs of the end-to-end benchmark, judged by ``compare.py``.
+
+Usage::
+
+    python3 benchmarks/pairs.py --parent REV --change REV --workload W --seeds A-B
+        [--seconds S] [--workdir DIR]
+
+Clones both revisions from this repository into a work directory (a local
+``git clone``, nothing is fetched), then for each seed runs
+``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone, the
+parent first on even-numbered pairs and the change first on odd ones.  Each
+side runs from its own fresh clone, so neither measures a long-lived working
+tree.  Prints, per end-to-end metric, in how many pairs the change read
+better than the parent, and ends with ``compare.py parent.json change.json``
+(exit status included).  The records stay in ``--workdir`` (a new temporary
+directory by default) for later comparisons.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+E2E = pathlib.Path("benchmarks") / "e2e"
+
+
+def seed_range(text: str) -> list[int]:
+    """``"1001-1010"`` -> ``[1001, ..., 1010]``; a single number is one seed."""
+    lo, _, hi = text.partition("-")
+    first, last = int(lo), int(hi or lo)
+    if last < first:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return list(range(first, last + 1))
+
+
+def clone(rev: str, into: pathlib.Path) -> str:
+    """A fresh clone of this repository at ``rev``; returns the commit checked out."""
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(REPO), str(into)], check=True)
+    subprocess.run(["git", "-C", str(into), "checkout", "--quiet", "--detach", rev], check=True)
+    return subprocess.run(
+        ["git", "-C", str(into), "rev-parse", "--short", "HEAD"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float | None, out: pathlib.Path) -> None:
+    cmd = [sys.executable, str(E2E / "run.py"), "--workload", workload, "--seed", str(seed), "--out", str(out)]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        raise SystemExit(f"run.py failed in {checkout} (seed {seed}, exit {proc.returncode})")
+
+
+def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkout: pathlib.Path) -> None:
+    """Per end-to-end metric: pairs in which the change read better, worse, the same."""
+    sys.path.insert(0, str(checkout / E2E))
+    import declared
+
+    better = {name: direction for name, _, direction, _, _ in declared.END_TO_END}
+    runs_a = json.loads(parent.read_text())["runs"]
+    runs_b = json.loads(change.read_text())["runs"]
+    print(f"== pairs ({len(runs_a)}), change against parent, {workload}")
+    for metric, direction in better.items():
+        pairs = [
+            (a["workloads"][workload]["end_to_end"].get(metric), b["workloads"][workload]["end_to_end"].get(metric))
+            for a, b in zip(runs_a, runs_b)
+        ]
+        pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
+        if not pairs:
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        ahead = sum(sign * (y - x) > 0 for x, y in pairs)
+        behind = sum(sign * (y - x) < 0 for x, y in pairs)
+        print(f"   {metric:<24} ahead {ahead:2d}  behind {behind:2d}  tied {len(pairs) - ahead - behind:2d}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision measured as the base (A)")
+    parser.add_argument("--change", required=True, help="revision measured against it (B)")
+    parser.add_argument("--workload", required=True, help="one run.py workload (not 'all')")
+    parser.add_argument("--seeds", required=True, type=seed_range, help="A-B: one pair per seed")
+    parser.add_argument("--seconds", type=float, help="passed to run.py (its default otherwise)")
+    parser.add_argument("--workdir", type=pathlib.Path, help="a directory without earlier clones, for the clones and records (default: a new temp dir)")
+    args = parser.parse_args(argv)
+
+    work = args.workdir or pathlib.Path(tempfile.mkdtemp(prefix="pairs-"))
+    work.mkdir(parents=True, exist_ok=True)
+    sides = {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        checkout = work / side
+        sha = clone(rev, checkout)
+        record = work / f"{side}.json"
+        record.unlink(missing_ok=True)
+        sides[side] = (checkout, record)
+        print(f"{side}: {rev} = {sha} in {checkout}")
+    for index, seed in enumerate(args.seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            checkout, record = sides[side]
+            run_once(checkout, args.workload, seed, args.seconds, record)
+        print(f"pair {index + 1}/{len(args.seeds)}: seed {seed}, {order[0]} first", flush=True)
+
+    (_, parent_json), (change_dir, change_json) = sides["parent"], sides["change"]
+    pair_wins(parent_json, change_json, args.workload, change_dir)
+    sys.stdout.flush()
+    return subprocess.run(
+        [sys.executable, str(change_dir / E2E / "compare.py"), str(parent_json), str(change_json)],
+        cwd=change_dir / E2E,
+    ).returncode
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

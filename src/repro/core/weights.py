@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.codes.base import ParameterError
 from repro.codes.structure import LRCStructure
@@ -42,6 +41,10 @@ def solve_throttle_lp(structure: LRCStructure, performances) -> list[float]:
     Implements the linear programs of Sec. IV-C (``l == 0``) and Sec. V-B
     (``l > 0``).  Returns the *effective performances* ``p_i - d_i``.
     """
+    # Imported here, not at module level: it is most of ``import repro``'s
+    # time, and uniform weights never solve an LP.
+    from scipy.optimize import linprog
+
     p = np.asarray(list(performances), dtype=float)
     n = structure.n
     if p.shape != (n,):

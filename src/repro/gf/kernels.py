@@ -386,7 +386,11 @@ class CodingPlan:
         data = validate_symbols(self.gf, data, "data")
         s = data.shape[1]
         if out is None:
-            out = np.zeros((self.m, s), dtype=self.gf.dtype)
+            # Every row with a non-zero coefficient is written in full by
+            # the copies or the dense kernel; only all-zero rows need zeros.
+            out = np.empty((self.m, s), dtype=self.gf.dtype)
+            if self._zero_rows.size:
+                out[self._zero_rows] = 0
         elif out.shape != (self.m, s) or out.dtype != self.gf.dtype:
             raise GFError(f"output buffer must be {(self.m, s)} of {self.gf.dtype}")
         if s == 0:

@@ -21,7 +21,8 @@ needs the two hot loops in real machine code:
 
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
-Barrett reduction).  It is compiled only where the compiler targets
+Barrett reduction), or of every row of many row ranges in one call (a
+batched read).  It is compiled only where the compiler targets
 PCLMUL (:attr:`NativeBackend.has_crc32`); everywhere else the store
 stays on ``zlib.crc32``, whose values it reproduces bit for bit.
 
@@ -87,6 +88,8 @@ int repro_native_simd(void);
 int repro_native_clmul(void);
 void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
+void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
+                        uint32_t *out);
 void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                       const uint8_t *data, ptrdiff_t dstride,
                       const int32_t *cols,
@@ -458,6 +461,20 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
         out[r] = ~crc32_bytes(crc, p + body, row_bytes - body);
     }
 }
+
+/* repro_crc32_rows over many row ranges, their CRCs back to back in `out`.
+ * Range r starts at bases[r]; `geometry` holds three int64 per range:
+ * row stride, rows, bytes per row. */
+void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
+                        uint32_t *out)
+{
+    size_t r;
+    for (r = 0; r < nranges; r++, geometry += 3) {
+        repro_crc32_rows((const uint8_t *)bases[r], (ptrdiff_t)geometry[0],
+                         (size_t)geometry[1], (size_t)geometry[2], out);
+        out += geometry[1];
+    }
+}
 #endif
 """.replace("@CRC_TABLE@", _crc_table_c())
 
@@ -639,19 +656,55 @@ class NativeBackend:
         row stride (a column slice of a batched encode); anything else
         is copied first.  Only valid when :attr:`has_crc32`.
         """
+        return self.crc32_rows_in_place(rows)[0]
+
+    def crc32_rows_in_place(self, rows: np.ndarray) -> tuple[list[int], object]:
+        """:meth:`crc32_rows`, and the handle the kernel read the rows
+        through: a ``char[]`` on row 0 that keeps the array's buffer alive
+        (plus ``r * rows.strides[0]``, row ``r``; :meth:`crc32_ranges`
+        takes it), or ``None`` when the rows were copied first."""
         if rows.ndim != 2:
             raise ValueError(f"crc32_rows expects a 2-D array, got shape {rows.shape}")
         ffi = self._ffi
         n, width = rows.shape
+        handle = None
         if rows.flags.c_contiguous:
-            base = ffi.from_buffer(rows)
+            handle = base = ffi.from_buffer(rows)
+        elif rows.strides[1] == rows.itemsize:
+            handle = base = ffi.from_buffer(rows[0])
         else:
-            if rows.strides[1] != rows.itemsize:
-                rows = np.ascontiguousarray(rows)
-            base = ffi.from_buffer(rows[0])
+            rows = np.ascontiguousarray(rows)
+            base = ffi.from_buffer(rows)
         out = ffi.new(self._crc_out, n)
         self._lib.repro_crc32_rows(base, rows.strides[0], n, width * rows.itemsize, out)
-        return ffi.unpack(out, n)
+        return ffi.unpack(out, n), handle
+
+    def row_buffer(self, rows: np.ndarray):
+        """The handle :meth:`crc32_rows_in_place` returns, without the
+        CRCs, for a non-empty 2-D array whose rows are each contiguous
+        (``strides[1] == itemsize``; the caller checks)."""
+        return self._ffi.from_buffer(rows[0])
+
+    def crc32_ranges(self, bases: list, geometry: list[int]) -> list[int]:
+        """:meth:`crc32_rows` of many row ranges in one C call, the CRCs of
+        every row of every range back to back.
+
+        ``bases[r]`` points at range ``r``'s first row (a handle from
+        :meth:`crc32_rows_in_place` or :meth:`row_buffer` plus a byte
+        offset) and ``geometry``
+        holds three ints per range: row stride, row count, bytes per row.
+        The caller keeps every range inside the array its handle came
+        from.  Only valid when :attr:`has_crc32`.
+        """
+        if len(geometry) != 3 * len(bases):
+            raise ValueError(f"crc32_ranges expects 3 ints per range, got {len(geometry)} for {len(bases)}")
+        ffi = self._ffi
+        total = sum(geometry[1::3])
+        out = ffi.new(self._crc_out, total)
+        self._lib.repro_crc32_ranges(
+            ffi.new("char *[]", bases), ffi.new("int64_t[]", geometry), len(bases), out
+        )
+        return ffi.unpack(out, total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         simd = "avx2" if self.simd_level >= 2 else "scalar"

@@ -17,9 +17,11 @@ Integrity is one store of per-stripe-row CRC-32s (``zlib``'s polynomial
 and values), written in the single pass :meth:`BlockStore.put` makes
 over a block; a whole block verifies as "every row matches".  Where the
 native kernel library carries its carry-less-multiply CRC kernel, row
-runs large enough to repay the call go through it in one C call;
-everything else, and every host without it, uses ``zlib.crc32`` — the
-stored values are the same either way.
+runs large enough to repay the call go through it in one C call — and a
+batch of row-range reads checks all its ranges in one call
+(:meth:`BlockStore._range_reader`); everything else, and every host
+without it, uses ``zlib.crc32`` — the stored values are the same either
+way.
 """
 
 from __future__ import annotations
@@ -114,14 +116,16 @@ class BlockStore:
         # at put() time (the analog of HDFS's per-chunk checksum file).
         # Verified reads check the rows they return against these; the
         # scrubber checks all of a block's rows to catch silent
-        # corruption (bit rot, torn writes).
-        self._row_checksums: dict[int, dict[tuple[str, int], list[int]]] = {
+        # corruption (bit rot, torn writes).  Each entry is ``(crcs,
+        # block, handle)``: the handle is the native kernel's on the
+        # rows of ``block`` (or ``None``), which a batched read reuses
+        # while ``block`` is still the one stored (see _clean_ranges).
+        self._row_checksums: dict[int, dict[tuple[str, int], tuple[list[int], np.ndarray, object]]] = {
             s.server_id: {} for s in cluster
         }
         backend = get_backend()
-        self._native_row_crcs = (
-            backend.crc32_rows if backend is not None and backend.has_crc32 else None
-        )
+        self._crc_backend = backend if backend is not None and backend.has_crc32 else None
+        self._native_row_crcs = self._crc_backend and self._crc_backend.crc32_rows
         # Fault-injection hook: a FaultModel plus the clock that scopes
         # its time-windowed components.  None = clean hardware.
         self.fault_model = None
@@ -175,7 +179,7 @@ class BlockStore:
         payload = np.asarray(payload)
         key = (file_name, block_id)
         self._disk(server_id)[key] = payload
-        self._row_checksums[server_id][key] = self._row_crcs(payload)
+        self._row_checksums[server_id][key] = self._checksum_entry(payload)
         self.metrics.add("disk_bytes_written", payload.nbytes, server_id)
         self.metrics.add("blocks_written", 1, server_id)
 
@@ -188,10 +192,19 @@ class BlockStore:
             return self._native_row_crcs(rows)
         return _zlib_row_crcs(rows)
 
+    def _checksum_entry(self, block: np.ndarray) -> tuple[list[int], np.ndarray, object]:
+        """The ``_row_checksums`` entry ``put`` keeps for ``block``: its row
+        CRCs as :meth:`_row_crcs` computes them, and the handle the native
+        kernel read 2-D rows through, kept rather than asked for again."""
+        if block.ndim == 2 and self._native_row_crcs is not None and block.nbytes >= _NATIVE_CRC_MIN_BYTES:
+            crcs, handle = self._crc_backend.crc32_rows_in_place(block)
+            return crcs, block, handle
+        return self._row_crcs(block), block, None
+
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
         """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""
         got = self._row_crcs(np.asarray(data))
-        expect = self._row_checksums[server_id][(file_name, block_id)][start : start + len(got)]
+        expect = self._row_checksums[server_id][(file_name, block_id)][0][start : start + len(got)]
         if got == expect:
             return
         bad = next((i for i, (g, e) in enumerate(zip(got, expect)) if g != e), len(expect))
@@ -272,20 +285,113 @@ class BlockStore:
         ``verify=True`` checks each returned stripe against its per-row
         write-time CRC (the HDFS per-chunk checksum analog).  A block
         that is not 2-D is a single checksummed stripe: only a read of
-        all of it verifies.
+        all of it verifies.  A batch of one :meth:`_range_reader` read.
         """
-        self._check_up(server_id, file_name, block_id)
-        block = self._stored(server_id, file_name, block_id)
-        if start < 0 or start + count > block.shape[0]:
-            raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
-        view = block[start : start + count]
-        self.metrics.add("disk_bytes_read", view.nbytes, server_id)
-        self.metrics.add("blocks_read", 1 if count else 0, server_id)
-        data, latency = self._faulted(server_id, file_name, block_id, view)
-        self.metrics.add("read_latency", latency, server_id)
-        if verify:
-            self._check_rows(server_id, file_name, block_id, data, start)
-        return data, latency
+        return self._range_reader([(server_id, file_name, block_id, start, count)], verify)(0)
+
+    def _range_reader(self, ranges: list[tuple], verify: bool):
+        """Bind a batch of row-range reads; returns ``read(i) -> (rows, latency)``.
+
+        ``ranges[i]`` is ``(server, file, block, row0, nrows)``, and each
+        ``read(i)`` is one attempt at it, raising as
+        :meth:`timed_read_rows` does: the up / missing / range checks, the
+        ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
+        the fault draw and, with ``verify``, the CRC check.  Only lookups
+        are bound once per batch, and the CRC check is shared: the stored
+        rows of every range are checked against their write-time CRCs
+        before the first attempt, in one pass (:meth:`_clean_ranges`).
+        That verdict holds for every attempt that returns those rows
+        verbatim — the store does not change during a batch, and a stored
+        array is never written in place (``put`` and ``corrupt`` replace
+        it) — so only a copy the fault model corrupted, or rows the shared
+        pass did not vouch for, are checked where they are read.
+        """
+        disks = self._disks
+        blocks: list[np.ndarray | None] = []
+        views: list[np.ndarray | None] = []
+        for server_id, file_name, block_id, start, count in ranges:
+            disk = disks.get(server_id)
+            block = disk.get((file_name, block_id)) if disk is not None else None
+            if block is not None and (start < 0 or start + count > block.shape[0]):
+                block = None
+            blocks.append(block)
+            views.append(block[start : start + count] if block is not None else None)
+        # A lone range is checked where it is read: the shared pass would be
+        # the same single CRC call plus the bookkeeping that shares it.
+        clean = self._clean_ranges(ranges, blocks, views) if verify and len(ranges) > 1 else None
+        server_of = self.cluster.server
+        add = self.metrics.add
+        faulted = self._faulted if self.fault_model is not None else None
+
+        def read(i: int) -> tuple[np.ndarray, float]:
+            server_id, file_name, block_id, start, count = ranges[i]
+            server = server_of(server_id)
+            if server.failed:
+                self._check_up(server_id, file_name, block_id)
+            view = views[i]
+            if view is None:
+                block = self._stored(server_id, file_name, block_id)
+                raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
+            nbytes = view.nbytes
+            add("disk_bytes_read", nbytes, server_id)
+            add("blocks_read", 1 if count else 0, server_id)
+            if faulted is None:
+                data, latency = view, nbytes / server.disk_bandwidth
+            else:
+                data, latency = faulted(server_id, file_name, block_id, view)
+            add("read_latency", latency, server_id)
+            if verify and (clean is None or data is not view or not clean[i]):
+                self._check_rows(server_id, file_name, block_id, data, start)
+            return data, latency
+
+        return read
+
+    def _clean_ranges(self, ranges: list[tuple], blocks: list, views: list) -> list[bool]:
+        """Per range: do its stored rows match their write-time CRCs?
+
+        Every held range of 2-D rows is checked in one pass: one native
+        call for the batch, or ``zlib`` row by row without the native
+        kernel.  The kernel reads a block's rows through the handle its
+        ``_row_checksums`` entry keeps: the one ``put`` got from hashing
+        the block, or one taken here — and kept — when ``put`` hashed
+        with ``zlib`` or the stored array has been replaced since.
+        ``False`` is "not vouched for": a mismatch, a 1-D block, rows the
+        kernel cannot address, a range that is not held.
+        """
+        backend = self._crc_backend
+        checksums = self._row_checksums
+        wanted: list[tuple[int, list[int]]] = []
+        got: list[int] = []
+        bases: list = []
+        geometry: list[int] = []
+        for i, view in enumerate(views):
+            if view is None or view.ndim != 2:
+                continue
+            server_id, file_name, block_id, start, count = ranges[i]
+            key = (file_name, block_id)
+            crcs, owner, handle = checksums[server_id][key]
+            if backend is None:
+                got += _zlib_row_crcs(view)
+            else:
+                block = blocks[i]
+                if owner is not block or handle is None:
+                    if not len(block) or block.strides[1] != block.itemsize:
+                        continue
+                    handle = backend.row_buffer(block)
+                    checksums[server_id][key] = (crcs, block, handle)
+                stride = block.strides[0]
+                bases.append(handle + start * stride)
+                geometry += (stride, count, block.shape[1] * block.itemsize)
+            wanted.append((i, crcs[start : start + count]))
+        if bases:
+            got = backend.crc32_ranges(bases, geometry)
+        clean = [False] * len(ranges)
+        pos = 0
+        for i, want in wanted:
+            stop = pos + len(want)
+            clean[i] = got[pos:stop] == want
+            pos = stop
+        return clean
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
         """Read ``count`` stripes starting at ``start`` from one block."""
@@ -305,7 +411,7 @@ class BlockStore:
         block = self._stored(server_id, file_name, block_id)
         self.metrics.add("disk_bytes_read", block.nbytes, server_id)
         self.metrics.add("scrub_bytes", block.nbytes, server_id)
-        return self._row_crcs(block) == self._row_checksums[server_id][(file_name, block_id)]
+        return self._row_crcs(block) == self._row_checksums[server_id][(file_name, block_id)][0]
 
     def corrupt(self, server_id: int, file_name: str, block_id: int, offset: int = 0) -> None:
         """Flip one byte of a stored block *without* updating the checksum.

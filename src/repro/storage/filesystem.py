@@ -439,31 +439,37 @@ class DistributedFileSystem:
 
     def _file_chunks(self, ef: EncodedFile) -> list[np.ndarray]:
         """The file's payload symbols, in order, as chunks ready to join."""
-        pieces = self._read_available_stripes(ef)
+        (pieces,) = self._read_available_stripes(ef)
         if any(piece is None for piece in pieces):
             self._recover([(ef, pieces)])
         return _symbol_chunks(pieces, 0, ef.padded_size - ef.original_size)
 
-    def _read_available_stripes(self, ef: EncodedFile) -> list[np.ndarray | None]:
-        """One piece per run of the code's read plan, in file-stripe order.
+    def _read_available_stripes(self, *files: EncodedFile) -> list[list[np.ndarray | None]]:
+        """Per file, one piece per run of its code's read plan, in file-stripe order.
 
-        A piece is the CRC-verified row view the resilient client handed
-        back for the run's one range read — the stored rows themselves,
-        not a copy: a stored array is never written in place (``put`` and
-        ``corrupt`` replace it), so a held view cannot change under the
-        reader.  A run that could not be read (server down, retries
-        exhausted) is ``None``, for :meth:`_recover` to fill — one file
-        at a time here, every degraded stripe group of a file at once
-        from the striped layer.
+        Every run of every file is one range of a single batched client
+        read (:meth:`ResilientBlockClient._read_ranges`): one CRC pass,
+        lookups bound once, each range retried on its own.  A piece is
+        the CRC-verified row view the client handed back — the stored
+        rows themselves, not a copy: a stored array is never written in
+        place (``put`` and ``corrupt`` replace it), so a held view cannot
+        change under the reader.  A run that could not be read (server
+        down, retries exhausted) is ``None``, for :meth:`_recover` to
+        fill.  A whole-file read is a batch of one file; a striped read
+        batches all its groups.
         """
-        pieces: list[np.ndarray | None] = []
-        read_rows = self.client.read_rows
-        for block, row0, nrows, _ in ef.code.read_plan().runs:
-            try:
-                pieces.append(read_rows(ef.placement[block], ef.name, block, row0, nrows))
-            except BlockUnavailableError:
-                pieces.append(None)
-        return pieces
+        ranges = [
+            (ef.placement[block], ef.name, block, row0, nrows)
+            for ef in files
+            for block, row0, nrows, _ in ef.code.read_plan().runs
+        ]
+        pieces = self.client._read_ranges(ranges)
+        out: list[list[np.ndarray | None]] = []
+        stop = 0
+        for ef in files:
+            start, stop = stop, stop + len(ef.code.read_plan().runs)
+            out.append(pieces[start:stop])
+        return out
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""

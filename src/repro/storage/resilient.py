@@ -24,6 +24,13 @@ the behaviour a production DFS client exhibits:
 All outcomes feed the :class:`~repro.storage.health.HealthMonitor`, and
 the counters (``retries``, ``hedged_reads``, ``read_timeouts``,
 ``breaker_fastfails``) land in the shared metrics registry.
+
+There is one retry loop, and it runs over a batch: a whole-file or
+striped read hands the client every row range at once
+(``_read_ranges``), so lookups are bound and the CRC check is paid once
+per read rather than once per range.  ``read_rows`` is a batch of one
+range and ``get`` runs the same loop over one whole block.  Each range
+still takes every step above, in order.
 """
 
 from __future__ import annotations
@@ -97,100 +104,141 @@ class ResilientBlockClient:
     # ------------------------------------------------------------- read API
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
-        return self._read(
-            server_id,
-            file_name,
-            block_id,
-            lambda: self.store.timed_read_rows(server_id, file_name, block_id, start, count, verify=self.verify),
-        )
+        (rows,) = self._read_ranges([(server_id, file_name, block_id, start, count)], strict=True)
+        return rows
 
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
-        return self._read(
-            server_id,
-            file_name,
-            block_id,
-            lambda: self.store.timed_get(server_id, file_name, block_id, verify=self.verify),
+        (data,) = self._read_each(
+            [(server_id, file_name, block_id)],
+            lambda _: self.store.timed_get(server_id, file_name, block_id, verify=self.verify),
+            strict=True,
         )
+        return data
+
+    def _read_ranges(self, ranges: list[tuple], strict: bool = False) -> list[np.ndarray | None]:
+        """Read ``(server, file, block, row0, nrows)`` row ranges, in order.
+
+        Returns per range the CRC-verified row view, or ``None`` for one
+        that could not be read (``strict``: raise instead).  Every range
+        goes through the steps a lone :meth:`read_rows` takes, in the same
+        order; the batch shares the lookups and the CRC pass
+        (:meth:`BlockStore._range_reader`).  :meth:`read_rows` is a batch
+        of one.
+        """
+        return self._read_each(ranges, self.store._range_reader(ranges, self.verify), strict)
 
     # ------------------------------------------------------------- internals
 
-    def _read(self, server_id: int, file_name: str, block_id: int, op) -> np.ndarray:
+    def _read_each(self, targets: list[tuple], attempt, strict: bool) -> list[np.ndarray | None]:
+        """The retry loop, for each of ``targets`` in turn.
+
+        ``targets[i]`` starts ``(server, file, block, ...)`` and
+        ``attempt(i)`` is one try at it, returning ``(data, latency)``.
+        Per target: the breaker check, then tries with jittered backoff
+        between them — a transient error or a latency past the timeout
+        fails a try — a hedge for a slow success, the clock advance, the
+        ``read_latency_s`` sample and the health update.  A target that
+        cannot be read is ``None``, or with ``strict`` raises.
+        """
+        # Bound once for the batch: what every successful read touches.
+        # The retry, timeout, hedge and breaker paths look theirs up.
         policy = self.policy
-        if not self.health.allow_request(server_id):
-            self.metrics.add("breaker_fastfails", 1, server_id)
-            raise BlockUnavailableError(
-                f"server {server_id} circuit breaker is open",
-                server=server_id,
-                file=file_name,
-                block=block_id,
-                cause="breaker_open",
-            )
-        tracer = get_tracer()
-        last_exc: BlockUnavailableError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                delay = policy.backoff(attempt - 1, self._rng)
-                self.backoff_history.append(delay)
-                self.clock.advance(delay)
-                self.metrics.add("retries", 1, server_id)
-                if tracer.enabled:
-                    tracer.instant(
-                        "resilient.retry", category="resilient", server=server_id,
-                        file=file_name, block=block_id, attempt=attempt,
-                        clock=self.clock,
-                    )
-            try:
-                data, latency = op()
-            except TransientReadError as exc:
-                self.health.record_error(server_id)
-                last_exc = exc
-                continue
-            base = self._expected_latency(server_id, data)
-            if latency - base >= policy.read_timeout:
-                # The caller gives up at the deadline; the stuck read is
-                # abandoned and charged as an error against the server.
-                self.metrics.add("read_timeouts", 1, server_id)
-                if tracer.enabled:
-                    tracer.instant(
-                        "resilient.timeout", category="resilient", server=server_id,
-                        file=file_name, block=block_id, latency=latency,
-                        clock=self.clock,
-                    )
-                self.health.record_error(server_id)
-                self.clock.advance(base + policy.read_timeout)
-                last_exc = BlockUnavailableError(
-                    f"read of ({file_name!r}, {block_id}) from server {server_id} "
-                    f"timed out after {policy.read_timeout}s over the expected {base:.4f}s",
+        max_attempts, read_timeout, hedge_threshold = (
+            policy.max_attempts, policy.read_timeout, policy.hedge_threshold,
+        )
+        allow, record_success = self.health.allow_request, self.health.record_success
+        observe, advance = self.metrics.observe, self.clock.advance
+        server_of = self.store.cluster.server
+        out: list[np.ndarray | None] = []
+        for i, target in enumerate(targets):
+            server_id, file_name, block_id = target[0], target[1], target[2]
+            failure = None
+            if not allow(server_id):
+                self.metrics.add("breaker_fastfails", 1, server_id)
+                failure = BlockUnavailableError(
+                    f"server {server_id} circuit breaker is open",
                     server=server_id,
                     file=file_name,
                     block=block_id,
-                    cause="timeout",
+                    cause="breaker_open",
                 )
-                continue
-            if policy.hedge_threshold is not None and latency - base > policy.hedge_threshold:
-                if tracer.enabled:
-                    tracer.instant(
-                        "resilient.hedge", category="resilient", server=server_id,
-                        file=file_name, block=block_id, latency=latency,
-                        clock=self.clock,
+            else:
+                last_exc: BlockUnavailableError | None = None
+                for n in range(1, max_attempts + 1):
+                    if n > 1:
+                        delay = policy.backoff(n - 1, self._rng)
+                        self.backoff_history.append(delay)
+                        advance(delay)
+                        self.metrics.add("retries", 1, server_id)
+                        tracer = get_tracer()
+                        if tracer.enabled:
+                            tracer.instant(
+                                "resilient.retry", category="resilient", server=server_id,
+                                file=file_name, block=block_id, attempt=n,
+                                clock=self.clock,
+                            )
+                    try:
+                        data, latency = attempt(i)
+                    except TransientReadError as exc:
+                        self.health.record_error(server_id)
+                        last_exc = exc
+                        continue
+                    except BlockUnavailableError as exc:  # down or not held: no retry helps
+                        failure = exc
+                        break
+                    # The expected clean transfer time for the bytes read.
+                    base = data.nbytes / server_of(server_id).disk_bandwidth
+                    if latency - base >= read_timeout:
+                        # The caller gives up at the deadline; the stuck read is
+                        # abandoned and charged as an error against the server.
+                        self.metrics.add("read_timeouts", 1, server_id)
+                        tracer = get_tracer()
+                        if tracer.enabled:
+                            tracer.instant(
+                                "resilient.timeout", category="resilient", server=server_id,
+                                file=file_name, block=block_id, latency=latency,
+                                clock=self.clock,
+                            )
+                        self.health.record_error(server_id)
+                        advance(base + read_timeout)
+                        last_exc = BlockUnavailableError(
+                            f"read of ({file_name!r}, {block_id}) from server {server_id} "
+                            f"timed out after {read_timeout}s over the expected {base:.4f}s",
+                            server=server_id,
+                            file=file_name,
+                            block=block_id,
+                            cause="timeout",
+                        )
+                        continue
+                    if hedge_threshold is not None and latency - base > hedge_threshold:
+                        tracer = get_tracer()
+                        if tracer.enabled:
+                            tracer.instant(
+                                "resilient.hedge", category="resilient", server=server_id,
+                                file=file_name, block=block_id, latency=latency,
+                                clock=self.clock,
+                            )
+                        data, latency = self._hedge(server_id, data, latency, base, lambda: attempt(i))
+                    advance(latency)
+                    observe("read_latency_s", latency)
+                    record_success(server_id, latency)
+                    out.append(data)
+                    break
+                else:
+                    failure = BlockUnavailableError(
+                        f"read of ({file_name!r}, {block_id}) from server {server_id} "
+                        f"failed after {max_attempts} attempts ({last_exc and last_exc.cause})",
+                        server=server_id,
+                        file=file_name,
+                        block=block_id,
+                        cause="retries_exhausted",
                     )
-                data, latency = self._hedge(server_id, data, latency, base, op)
-            self.clock.advance(latency)
-            self.metrics.observe("read_latency_s", latency)
-            self.health.record_success(server_id, latency)
-            return data
-        raise BlockUnavailableError(
-            f"read of ({file_name!r}, {block_id}) from server {server_id} "
-            f"failed after {policy.max_attempts} attempts ({last_exc and last_exc.cause})",
-            server=server_id,
-            file=file_name,
-            block=block_id,
-            cause="retries_exhausted",
-        ) from last_exc
-
-    def _expected_latency(self, server_id: int, data) -> float:
-        """Expected clean transfer time for the bytes just read."""
-        return np.asarray(data).nbytes / self.store.cluster.server(server_id).disk_bandwidth
+                    failure.__cause__ = last_exc
+            if failure is not None:
+                if strict:
+                    raise failure
+                out.append(None)
+        return out
 
     def _hedge(self, server_id: int, data, latency: float, base: float, op):
         """Launch a speculative second read; earliest completion wins.

@@ -199,8 +199,9 @@ class StripedFileSystem:
     def read_file(self, name: str) -> bytes:
         """Read the whole file: collect every group's pieces, join once.
 
-        A group contributes the row views its reads returned
-        (:meth:`DistributedFileSystem._read_available_stripes`), less the
+        Every run of every group is read in one batch
+        (:meth:`DistributedFileSystem._read_available_stripes`), and a
+        group contributes the row views its runs returned, less the
         padding behind its last stripe; the one ``b"".join`` over all of
         them is the only pass over the payload — no output buffer is
         allocated, zeroed or copied beforehand.  Groups with unreadable
@@ -222,10 +223,8 @@ class StripedFileSystem:
         return self._read_file(meta)
 
     def _read_file(self, meta: StripedFileMeta) -> bytes:
-        groups = []
-        for g in meta.group_names():
-            ef = self.dfs.file(g)
-            groups.append((ef, self.dfs._read_available_stripes(ef)))
+        files = [self.dfs.file(g) for g in meta.group_names()]
+        groups = list(zip(files, self.dfs._read_available_stripes(*files)))
         pending = [entry for entry in groups if any(piece is None for piece in entry[1])]
         if pending:
             with get_tracer().span(

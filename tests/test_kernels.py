@@ -239,6 +239,25 @@ class TestApplyBatchWidthRule:
         for seg, got in zip(segs, outs):
             assert np.array_equal(got, mat_data_product_reference(GF256, coeffs, seg))
 
+    @pytest.mark.parametrize("gf", FIELDS, ids=["gf256", "gf65536"])
+    @pytest.mark.parametrize("kind", ["native", "native-xor", "table", "xor"])
+    @pytest.mark.parametrize("s", [37, SMALL_PRODUCT_ELEMS + 33], ids=["small", "large"])
+    def test_apply_writes_every_row_it_does_not_zero(self, gf, kind, s):
+        """``apply`` allocates without zero-filling: only all-zero coefficient
+        rows are zeroed, so every other row must be written in full — which
+        a caller's ``out`` full of all-ones symbols shows, row by row."""
+        coeffs, plan = self._plan(gf, kind)
+        data = random_symbols(gf, (5, s), seed=s)
+        want = mat_data_product_reference(gf, coeffs, data)
+        assert np.array_equal(plan.apply(data), mat_data_product(gf, coeffs, data))
+        assert np.array_equal(plan.apply(data), want)
+        ones = np.full((6, s), gf.size - 1, dtype=gf.dtype)
+        got = plan.apply(data, out=ones)
+        zero_rows = ~coeffs.any(axis=1)
+        assert got is ones and zero_rows.any() and not zero_rows.all()
+        assert np.array_equal(got[~zero_rows], want[~zero_rows])
+        assert (got[zero_rows] == gf.size - 1).all()  # left as the caller set them
+
     def test_out_buffer_checked(self):
         _, plan = self._plan(GF256, "table")
         segs = [random_symbols(GF256, (5, w), seed=w) for w in (10, 20)]

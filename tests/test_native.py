@@ -248,6 +248,114 @@ class TestCrc32Rows:
         with pytest.raises(ValueError):
             backend.crc32_rows(np.zeros(64, dtype=np.uint8))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 70), st.sampled_from((1 << 10, 9_363, 16_380))),  # row bytes
+                st.integers(1, 9),  # rows
+                st.sampled_from([np.uint8, np.uint16]),
+                st.sampled_from(["contiguous", "column-slice"]),
+                st.integers(0, 15),  # misalignment of the buffer
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8), st.integers(0, 9)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ranges_equal_zlib_row_by_row(self, blocks, picks, seed):
+        """Many row ranges, of blocks with their own base, row stride, row
+        width (rows under 64 bytes, tails under 16) and symbol size — one C
+        call, every row's CRC back to back."""
+        backend = nat.get_backend()
+        rng = np.random.default_rng(seed)
+        arrays = []
+        for row_bytes, nrows, dtype, layout, misalign in blocks:
+            itemsize = np.dtype(dtype).itemsize
+            width = max(1, row_bytes // itemsize)
+            row_stride = width * itemsize if layout == "contiguous" else 3 * width * itemsize + 5
+            raw = np.frombuffer(rng.bytes(misalign + nrows * row_stride), dtype=np.uint8)
+            arrays.append(
+                np.ndarray((nrows, width), dtype=dtype, buffer=raw, offset=misalign, strides=(row_stride, itemsize))
+            )
+        handles = [backend.row_buffer(a) for a in arrays]
+        bases, geometry, want = [], [], []
+        for which, start, count in picks:
+            a = arrays[which % len(arrays)]
+            start = start % a.shape[0]
+            count = min(count, a.shape[0] - start)
+            bases.append(handles[which % len(arrays)] + start * a.strides[0])
+            geometry += (a.strides[0], count, a.shape[1] * a.itemsize)
+            want += [zlib.crc32(row.tobytes()) for row in a[start : start + count]]
+        assert backend.crc32_ranges(bases, geometry) == want
+        for a in arrays:  # the handle put keeps is the one crc32_ranges takes
+            crcs, handle = backend.crc32_rows_in_place(a)
+            assert crcs == [zlib.crc32(row.tobytes()) for row in a]
+            assert backend.crc32_ranges([handle], [a.strides[0], a.shape[0], a.shape[1] * a.itemsize]) == crcs
+
+    def test_copied_rows_keep_no_handle_and_bad_geometry_is_refused(self):
+        backend = nat.get_backend()
+        strided = np.arange(4 * 30, dtype=np.uint8).reshape(4, 30)[:, ::3]  # each row copied before hashing
+        crcs, handle = backend.crc32_rows_in_place(strided)
+        assert handle is None and crcs == [zlib.crc32(row.tobytes()) for row in strided]
+        assert backend.crc32_ranges([], []) == []
+        with pytest.raises(ValueError):
+            backend.crc32_ranges([backend.row_buffer(np.zeros((2, 8), dtype=np.uint8))], [8, 2])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_a_batch_checked_by_zlib_reads_and_judges_alike(monkeypatch, dtype):
+    """The same batch through the native CRC pass and through the ``zlib``
+    fallback: the same views, the same verdicts, the same reads — rows
+    under 64 bytes, 1-D and column-slice blocks, rot, a range not held."""
+    from repro.cluster import Cluster
+    from repro.storage import BlockStore, StorageError
+
+    def store(native: bool) -> BlockStore:
+        try:
+            with monkeypatch.context() as env:  # the run's own setting comes back on exit
+                if not native:
+                    env.setenv("REPRO_NATIVE_DISABLE", "1")
+                reset_native_backend()
+                s = BlockStore(Cluster.homogeneous(2))
+        finally:
+            reset_native_backend()
+        wide = np.random.default_rng(3).integers(0, 1 << 8 * np.dtype(dtype).itemsize, size=(7, 9_000)).astype(dtype)
+        s.put(0, "slice", 0, wide[:, 100:4_700])
+        s.put(0, "small", 0, np.ascontiguousarray(wide[:, :21]))
+        s.put(1, "flat", 0, wide[0, :500])
+        s.put(1, "rot", 0, np.ascontiguousarray(wide[:, 5_000:9_000]))
+        s.corrupt(1, "rot", 0, offset=2 * 4_000 + 7)
+        return s
+
+    ranges = [
+        (0, "slice", 0, 2, 3), (0, "small", 0, 0, 7), (1, "flat", 0, 0, 500), (1, "rot", 0, 0, 2),
+        (1, "rot", 0, 1, 3), (0, "slice", 0, 6, 1), (0, "ghost", 0, 0, 1), (0, "small", 0, 5, 4),
+    ]
+    outcomes, verdicts = [], []
+    for native in ([True, False] if nat.native_available() and nat.get_backend().has_crc32 else [False]):
+        s = store(native)
+        assert (s._crc_backend is not None) == native
+        blocks = [s._disks[srv].get((f, b)) for srv, f, b, _, _ in ranges]
+        views = [
+            blk[r0 : r0 + n] if blk is not None and r0 + n <= blk.shape[0] else None
+            for blk, (_, _, _, r0, n) in zip(blocks, ranges)
+        ]
+        verdicts.append(s._clean_ranges(ranges, blocks, views))
+        read = s._range_reader(ranges, verify=True)
+        got = []
+        for i in range(len(ranges)):
+            try:
+                data, _ = read(i)
+                got.append(data.tobytes())
+            except StorageError as exc:
+                got.append((type(exc).__name__, str(exc)))
+        outcomes.append(got)
+    assert verdicts[-1] == [True, True, False, True, False, True, False, False]  # 1-D, rot, not held: False
+    assert all(v == verdicts[0] for v in verdicts) and all(o == outcomes[0] for o in outcomes)
+    assert [type(o) for o in outcomes[0]] == [bytes, bytes, bytes, bytes, tuple, bytes, tuple, tuple]
+
 
 class TestPoolKnob:
     def test_default_budget(self, monkeypatch):
@@ -341,7 +449,7 @@ class TestFallback:
         assert store._native_row_crcs is None  # bound once, at construction
         block = _random(GF65536, (7, 9_363), seed=71)
         store.put(0, "f", 0, block)
-        assert store._row_checksums[0][("f", 0)] == [zlib.crc32(row) for row in block]
+        assert store._row_checksums[0][("f", 0)][0] == [zlib.crc32(row) for row in block]
         assert store.verify(0, "f", 0)
 
     def test_forced_numpy_tiers_never_bind_backend(self):

@@ -282,7 +282,7 @@ def test_bytes_read_before_a_later_write_never_change():
     payload = payload_bytes(code.data_stripe_total * WIDE, seed=4)
     ef = dfs.write_file("f", payload, code=code)
     server = ef.server_of(0)
-    pieces = dfs._read_available_stripes(ef)
+    (pieces,) = dfs._read_available_stripes(ef)
     assert np.shares_memory(pieces[0], stored_block(dfs, ef, 0))  # views, not copies
     held = [piece.copy() for piece in pieces]
 

@@ -1,0 +1,149 @@
+"""A batched read is its ranges read one at a time.
+
+``DistributedFileSystem._read_available_stripes`` reads every run of every
+file it is given as one ``ResilientBlockClient._read_ranges`` batch: one CRC
+pass over all of it, lookups bound once.  Each range still takes every step
+a lone ``client.read_rows`` takes, once each and in the same order — the
+breaker check, the up / missing / range checks, the three store counters,
+the fault draw, timeout / hedge / retry with backoff, the clock advance, the
+``read_latency_s`` sample and the health update.  So twin filesystems built
+from the same seed, one reading in a batch and one range by range, end in
+the same state, on clean hardware and under every fault this stack models.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import Cluster
+from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
+from repro.core import GalloperCode
+from repro.faults import FaultModel
+from repro.faults.model import GraySlowdown, LatencySpikes, SilentCorruption, TransientErrors
+from repro.gf import GF256, GF65536
+from repro.storage import BlockUnavailableError, DistributedFileSystem, StripedFileSystem
+from tests.conftest import payload_bytes
+
+CODES = {
+    "rs": lambda gf: ReedSolomonCode(4, 3, gf=gf),
+    "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
+    "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
+    "rotated": lambda gf: RotatedPyramidCode(4, 2, 1, gf=gf),
+}
+FIELDS = {"gf8": GF256, "gf16": GF65536}
+CONDITIONS = ("clean", "faults", "rot", "crashed", "breaker_open")
+
+
+def faults() -> FaultModel:
+    """Retryable errors, corrupted transfers, spikes past the hedge threshold
+    and past the timeout, and one gray server."""
+    return FaultModel(
+        TransientErrors(rate=0.25),
+        SilentCorruption(rate=0.15),
+        LatencySpikes(rate=0.15, latency=0.08),
+        LatencySpikes(rate=0.05, latency=0.7),
+        GraySlowdown(servers=frozenset({3}), extra_latency=0.06),
+        seed=29,
+    )
+
+
+def twin(code_name: str, field: str, condition: str):
+    """A filesystem with plain files on both sides of the native CRC size
+    (contiguous blocks) and a striped file (column slices), broken the way
+    ``condition`` says; returns it and the files to read."""
+    code = CODES[code_name](FIELDS[field])
+    cluster = Cluster.homogeneous(3 * code.n)
+    dfs = DistributedFileSystem(cluster, fault_model=faults() if condition == "faults" else None)
+    sfs = StripedFileSystem(dfs)
+    total = code.data_stripe_total
+    for stripe in (24, 2_400):
+        dfs.write_file(f"plain-{stripe}", payload_bytes(total * stripe - 7, seed=stripe), code=code)
+    block = code.N * 1_300
+    sfs.write_file("striped", payload_bytes(3 * code.k * block - 101, seed=5), lambda: code, max_block_bytes=block)
+    files = [dfs.file(name) for name in dfs.list_files()]
+    victim = files[0].server_of(files[0].code.read_plan().runs[0][0])
+    if condition == "rot":
+        for ef in files[::2]:
+            for block_id in (0, code.n - 1):
+                dfs.store.corrupt(ef.server_of(block_id), ef.name, block_id, offset=11)
+    elif condition == "crashed":
+        cluster.fail(victim)
+    elif condition == "breaker_open":
+        for _ in range(dfs.health.consecutive_limit):
+            dfs.health.record_error(victim)
+        assert dfs.health.is_open(victim)
+    return dfs, files
+
+
+def one_at_a_time(dfs, files) -> list[list]:
+    """The range-by-range read: one ``client.read_rows`` per run."""
+    out = []
+    for ef in files:
+        pieces = []
+        for block, row0, nrows, _ in ef.code.read_plan().runs:
+            try:
+                pieces.append(dfs.client.read_rows(ef.placement[block], ef.name, block, row0, nrows))
+            except BlockUnavailableError:
+                pieces.append(None)
+        out.append(pieces)
+    return out
+
+
+def state(dfs) -> dict:
+    metrics = dfs.metrics
+    return {
+        "counters": {name: (total, metrics.by_server(name)) for name, total in metrics.snapshot().items()},
+        "health": dfs.health.snapshot(),
+        "transitions": list(dfs.health.transitions),
+        "clock": dfs.clock.now,
+        "backoff": list(dfs.client.backoff_history),
+        "latencies": list(metrics.histogram("read_latency_s")._values),  # in observation order
+        "faults": dfs.store.fault_model.describe() if dfs.store.fault_model else None,
+    }
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("code_name", CODES)
+def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
+    batched, files = twin(code_name, field, condition)
+    looped, twin_files = twin(code_name, field, condition)
+    for _ in range(2):  # the second pass reuses the row handles the first one took after rot
+        got = batched._read_available_stripes(*files)
+        want = one_at_a_time(looped, twin_files)
+        assert [[p is None for p in pieces] for pieces in got] == [[p is None for p in pieces] for pieces in want]
+        for pieces, expect in zip(got, want):
+            for piece, other in zip(pieces, expect):
+                assert piece is None or np.array_equal(piece, other)
+        assert state(batched) == state(looped)
+    missing = sum(p is None for pieces in got for p in pieces)
+    if condition == "clean":
+        assert missing == 0
+    elif condition != "faults":  # what broke is read as missing, not retried into success
+        assert missing > 0
+    else:  # every kind of fault was drawn
+        counters = state(batched)["counters"]
+        for name in ("retries", "hedged_reads", "read_timeouts", "checksum_failures", "transient_read_errors"):
+            assert counters[name][0] > 0, name
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_striped_read_is_one_batch(field, monkeypatch):
+    """Clean or degraded, a striped read makes one batch for all its groups."""
+    code = CODES["galloper"](FIELDS[field])
+    dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
+    sfs = StripedFileSystem(dfs)
+    payload = payload_bytes(5 * code.k * code.N * 300 + 17, seed=9)  # five full groups and a tail
+    sfs.write_file("s", payload, lambda: code, max_block_bytes=code.N * 300)
+    batches = []
+    real = dfs.client._read_ranges
+
+    def counted(ranges, *args, **kwargs):
+        batches.append(len(ranges))
+        return real(ranges, *args, **kwargs)
+
+    monkeypatch.setattr(dfs.client, "_read_ranges", counted)
+    assert sfs.read_file("s") == payload
+    dfs.cluster.fail(dfs.file(sfs.file("s").group_names()[0]).server_of(0))
+    assert sfs.read_file("s") == payload
+    runs = sfs.file("s").group_count * len(code.read_plan().runs)
+    assert batches == [runs, runs]

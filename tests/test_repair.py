@@ -261,6 +261,25 @@ def _accounting_code(name, gf):
     }[name]()
 
 
+def on_range_read(dfs, monkeypatch, hook):
+    """Call ``hook((server, file, block, row0, nrows), rows)`` on every row
+    range the store hands back — through ``timed_read_rows`` or a client
+    batch alike, both of which bind their reads in ``_range_reader``."""
+    real = dfs.store._range_reader
+
+    def binding(ranges, verify):
+        read = real(ranges, verify)
+
+        def logged(i):
+            data, latency = read(i)
+            hook(ranges[i], data)
+            return data, latency
+
+        return logged
+
+    monkeypatch.setattr(dfs.store, "_range_reader", binding)
+
+
 class TestRepairAccounting:
     """What a repair reports reading is what the store handed back."""
 
@@ -278,15 +297,15 @@ class TestRepairAccounting:
         block_bytes = ef.block_size * code.gf.dtype.itemsize
 
         returned = []
-        for op in ("timed_get", "timed_read_rows"):
-            real = getattr(dfs.store, op)
+        real_get = dfs.store.timed_get
 
-            def counted(*args, _real=real, **kwargs):
-                data, latency = _real(*args, **kwargs)
-                returned.append(data.nbytes)
-                return data, latency
+        def counted_get(*args, **kwargs):
+            data, latency = real_get(*args, **kwargs)
+            returned.append(data.nbytes)
+            return data, latency
 
-            monkeypatch.setattr(dfs.store, op, counted)
+        monkeypatch.setattr(dfs.store, "timed_get", counted_get)
+        on_range_read(dfs, monkeypatch, lambda target, data: returned.append(data.nbytes))
 
         for block in range(code.n):
             victim = ef.server_of(block)
@@ -332,14 +351,13 @@ class TestPartialHelperReads:
 
     def _rows_read(self, dfs, monkeypatch, server):
         rows = set()
-        real = dfs.store.timed_read_rows
 
-        def logged(server_id, file_name, block_id, start, count, **kwargs):
+        def logged(target, data):
+            server_id, _, _, start, count = target
             if server_id == server:
                 rows.update(range(start, start + count))
-            return real(server_id, file_name, block_id, start, count, **kwargs)
 
-        monkeypatch.setattr(dfs.store, "timed_read_rows", logged)
+        on_range_read(dfs, monkeypatch, logged)
         return rows
 
     def test_rot_in_a_row_the_plan_does_not_name_is_never_read(self, monkeypatch):

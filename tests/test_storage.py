@@ -87,7 +87,7 @@ class TestBlockStore:
         assert block.flags.c_contiguous == (layout == "contiguous")
         assert block[0].flags.c_contiguous == (layout != "strided-rows")
         store.put(0, "f", 0, block)
-        assert store._row_checksums[0][("f", 0)] == [zlib.crc32(row.tobytes()) for row in block]
+        assert store._row_checksums[0][("f", 0)][0] == [zlib.crc32(row.tobytes()) for row in block]
         assert not hasattr(store, "_checksums")  # nothing checksums the block a second time
         assert store.verify(0, "f", 0)
         data, _ = store.timed_get(0, "f", 0, verify=True)

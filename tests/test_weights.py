@@ -161,3 +161,31 @@ class TestAssignWeights:
 
     def test_uniform_performances_helper(self):
         assert uniform_performances(LRCStructure(4, 2, 1)) == [1.0] * 7
+
+
+def test_uniform_weights_never_import_the_lp_solver():
+    """``scipy.optimize`` is most of ``import repro``'s time and only a
+    non-uniform weight assignment needs it: a fresh interpreter that imports
+    the package and builds a uniform Galloper code has not loaded it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    probe = (
+        "import sys, repro\n"
+        "assert 'scipy.optimize' not in sys.modules, 'import repro'\n"
+        "from repro.core import GalloperCode\n"
+        "GalloperCode(4, 2, 1)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'uniform GalloperCode(4, 2, 1)'\n"
+        "from repro.core.weights import solve_throttle_lp\n"
+        "from repro.codes import LRCStructure\n"
+        "solve_throttle_lp(LRCStructure(4, 2, 1), [1, 2, 1, 2, 1, 1, 1])\n"
+        "assert 'scipy.optimize' in sys.modules, 'an LP solve'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
