@@ -11,9 +11,12 @@ Clones both revisions from this repository into a work directory (a local
 parent first on even-numbered pairs and the change first on odd ones.  Each
 side runs from its own fresh clone, so neither measures a long-lived working
 tree.  Prints, per end-to-end metric, in how many pairs the change read
-better than the parent, and ends with ``compare.py parent.json change.json``
-(exit status included).  The records stay in ``--workdir`` (a new temporary
-directory by default) for later comparisons.
+better than the parent, then ``compare.py parent.json change.json`` (whose
+exit status it returns), and last, per seed, the deterministic leaves that
+differ between the two records: every declared metric whose unit is not a
+wall-clock one (``WALL_UNITS``), ``eff.*`` and ``bench.*`` excluded — the
+counts and sim-clock values the seed alone decides.  The records stay in
+``--workdir`` (a new temporary directory by default) for later comparisons.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 E2E = pathlib.Path("benchmarks") / "e2e"
+
+#: Units of wall-clock measurements.  A metric in any other unit is a count,
+#: a ratio of counts or a sim-clock value: equal seeds give equal values.
+WALL_UNITS = frozenset({"s", "ms", "MB", "MB/s", "kops/s", "req/s", "1/s"})
 
 
 def seed_range(text: str) -> list[int]:
@@ -57,11 +64,16 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float | 
         raise SystemExit(f"run.py failed in {checkout} (seed {seed}, exit {proc.returncode})")
 
 
-def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkout: pathlib.Path) -> None:
-    """Per end-to-end metric: pairs in which the change read better, worse, the same."""
+def _declared(checkout: pathlib.Path):
     sys.path.insert(0, str(checkout / E2E))
     import declared
 
+    return declared
+
+
+def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkout: pathlib.Path) -> None:
+    """Per end-to-end metric: pairs in which the change read better, worse, the same."""
+    declared = _declared(checkout)
     better = {name: direction for name, _, direction, _, _ in declared.END_TO_END}
     runs_a = json.loads(parent.read_text())["runs"]
     runs_b = json.loads(change.read_text())["runs"]
@@ -78,6 +90,38 @@ def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkou
         ahead = sum(sign * (y - x) > 0 for x, y in pairs)
         behind = sum(sign * (y - x) < 0 for x, y in pairs)
         print(f"   {metric:<24} ahead {ahead:2d}  behind {behind:2d}  tied {len(pairs) - ahead - behind:2d}")
+
+
+def deterministic_leaves(declared) -> dict[str, str]:
+    """Declared metric -> the record section holding it, for every metric
+    the seed alone decides (``eff.*`` and ``bench.*`` are wall-clock shares)."""
+    leaves = {name: "end_to_end" for name, unit, *_ in declared.END_TO_END if unit not in WALL_UNITS}
+    leaves.update({name: "per_layer" for name, unit, *_ in declared.PER_LAYER if unit not in WALL_UNITS})
+    return {name: section for name, section in leaves.items() if not name.startswith(("eff.", "bench."))}
+
+
+def leaf_differences(parent: pathlib.Path, change: pathlib.Path, workload: str, checkout: pathlib.Path) -> None:
+    """Per seed: the deterministic leaves the two records disagree on.
+
+    A leaf neither record carries (a per-layer metric of an untraced run)
+    is not compared; one that only one of them carries differs.
+    """
+    leaves = deterministic_leaves(_declared(checkout))
+    runs_a = json.loads(parent.read_text())["runs"]
+    runs_b = json.loads(change.read_text())["runs"]
+    print(f"== deterministic leaves, change against parent, {workload}")
+    for a, b in zip(runs_a, runs_b):
+        was, now = a["workloads"][workload], b["workloads"][workload]
+        values = {
+            name: (was.get(section, {}).get(name), now.get(section, {}).get(name))
+            for name, section in leaves.items()
+        }
+        values = {name: pair for name, pair in values.items() if pair != (None, None)}
+        moved = {name: pair for name, pair in values.items() if pair[0] != pair[1]}
+        verdict = f"{len(moved)} of {len(values)} differ" if moved else f"all {len(values)} identical"
+        print(f"   seed {b['provenance']['seed']}: {verdict}")
+        for name, (x, y) in moved.items():
+            print(f"      {name:<52} {x} -> {y}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,10 +154,12 @@ def main(argv: list[str] | None = None) -> int:
     (_, parent_json), (change_dir, change_json) = sides["parent"], sides["change"]
     pair_wins(parent_json, change_json, args.workload, change_dir)
     sys.stdout.flush()
-    return subprocess.run(
+    status = subprocess.run(
         [sys.executable, str(change_dir / E2E / "compare.py"), str(parent_json), str(change_json)],
         cwd=change_dir / E2E,
     ).returncode
+    leaf_differences(parent_json, change_json, args.workload, change_dir)
+    return status
 
 
 if __name__ == "__main__":

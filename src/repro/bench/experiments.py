@@ -553,8 +553,8 @@ def extension_degraded_read(payload_kb: int = 256) -> Table:
             row[label] = dfs.metrics.total("disk_bytes_read") / (payload_kb * 1024)
         table.add(**row)
     table.note(
-        "one lost block is rebuilt from its repair helpers (the k/l group mates for "
-        "Pyramid/Galloper, k blocks otherwise); several lost blocks decode from a greedy "
+        "one lost block's data rows are rebuilt from the rows of its repair helpers they need "
+        "(the k/l group mates for Pyramid/Galloper, k blocks otherwise); several lost blocks decode from a greedy "
         "minimal decodable subset; both on top of the direct reads of the surviving data"
     )
     return table

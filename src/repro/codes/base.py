@@ -134,23 +134,28 @@ class HelperRows:
     _plans: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def compile(cls, gf: GF, helpers: tuple[int, ...], coeffs: np.ndarray, N: int) -> HelperRows:
+    def compile(cls, compiled: CodingPlan, helpers: tuple[int, ...], N: int) -> HelperRows:
+        """The rows behind ``compiled``, a whole-block reconstruct; when it
+        names every helper row, it is the plan of all ``N`` rows."""
         rows, row_coeffs = [], []
         named: dict[int, set[int]] = {h: set() for h in helpers}
-        for coeff_row in coeffs:
+        for coeff_row in compiled.coeffs:
             cols = np.nonzero(coeff_row)[0].tolist()
             pairs = tuple((helpers[c // N], c % N) for c in cols)
             for helper, row in pairs:
                 named[helper].add(row)
             rows.append(pairs)
             row_coeffs.append(coeff_row[cols])
-        return cls(
-            gf=gf,
+        helper_rows = cls(
+            gf=compiled.gf,
             helpers=helpers,
             rows=tuple(rows),
             coeffs=tuple(row_coeffs),
             fractions={h: len(named[h]) / N for h in helpers},
         )
+        if all(len(named[h]) == N for h in helpers):
+            helper_rows._plans[0, N] = compiled
+        return helper_rows
 
     def reads(self, row0: int, nrows: int) -> tuple[tuple[int, int, int], ...]:
         """The ``(helper, row0, nrows)`` range reads that rebuild target
@@ -170,20 +175,27 @@ class HelperRows:
             reads = self._reads[key] = tuple(runs)
         return reads
 
+    def plan(self, row0: int, nrows: int) -> CodingPlan:
+        """The one product every rebuild of target rows ``row0 .. row0 +
+        nrows`` applies: their coefficients over the rows :meth:`reads`
+        names, stacked in read order."""
+        key = (row0, nrows)
+        plan = self._plans.get(key)
+        if plan is None:
+            column = {}
+            for helper, first, count in self.reads(row0, nrows):
+                for row in range(first, first + count):
+                    column[helper, row] = len(column)
+            coeffs = np.zeros((nrows, len(column)), dtype=self.gf.dtype)
+            for i, row in enumerate(range(row0, row0 + nrows)):
+                coeffs[i, [column[pair] for pair in self.rows[row]]] = self.coeffs[row]
+            plan = self._plans[key] = CodingPlan(self.gf, coeffs)
+        return plan
+
     def rebuild(self, row0: int, nrows: int, chunks) -> np.ndarray:
         """Target rows ``row0 .. row0 + nrows`` from ``chunks``, the row
         arrays read for :meth:`reads` of the same range, in its order."""
-        have = {}
-        for (helper, first, count), chunk in zip(self.reads(row0, nrows), chunks):
-            for i in range(count):
-                have[helper, first + i] = chunk[i]
-        out = np.empty((nrows, np.shape(chunks[0])[-1]), dtype=self.gf.dtype)
-        for i, row in enumerate(range(row0, row0 + nrows)):
-            plan = self._plans.get(row)
-            if plan is None:
-                plan = self._plans[row] = CodingPlan(self.gf, self.coeffs[row][None, :])
-            plan.apply(np.stack([have[pair] for pair in self.rows[row]]), out=out[i : i + 1])
-        return out
+        return self.plan(row0, nrows).apply(np.concatenate(chunks))
 
 
 class ReconstructPlan(CodingPlan):
@@ -266,14 +278,11 @@ class ReadPlan:
         holders: ``holders[file_stripe]`` is the ``(block, row)`` that
             serves the stripe.  Where several blocks store one stripe
             (replication) the highest-numbered block serves it.
-        block_runs: per block, the runs it serves — which of its rows
-            are which file stripes.
     """
 
     runs: tuple[tuple[int, int, int, int], ...]
     starts: tuple[int, ...]
     holders: tuple[tuple[int, int], ...]
-    block_runs: tuple[tuple[tuple[int, int, int, int], ...], ...]
 
     @classmethod
     def compile(cls, block_infos, total: int) -> ReadPlan:
@@ -298,14 +307,7 @@ class ReadPlan:
                     runs[-1] = (b, row0, nrows + 1, fs0)
                     continue
             runs.append((block, row, 1, fs))
-        return cls(
-            runs=tuple(runs),
-            starts=tuple(r[3] for r in runs),
-            holders=tuple(holders),
-            block_runs=tuple(
-                tuple(r for r in runs if r[0] == info.index) for info in block_infos
-            ),
-        )
+        return cls(runs=tuple(runs), starts=tuple(r[3] for r in runs), holders=tuple(holders))
 
     def holder(self, file_stripe: int) -> tuple[int, int] | None:
         """``(block, row)`` serving a file stripe, else ``None``."""
@@ -592,9 +594,7 @@ class ErasureCode(abc.ABC):
         """
         compiled = self.compile_reconstruct(target, helpers)
         if compiled.helper_rows is None:
-            compiled.helper_rows = HelperRows.compile(
-                self.gf, tuple(helpers), compiled.coeffs, self.N
-            )
+            compiled.helper_rows = HelperRows.compile(compiled, tuple(helpers), self.N)
         return compiled.helper_rows
 
     # ------------------------------------------------------------ operations

@@ -206,11 +206,19 @@ class ServingGateway:
             server, lambda: self.client.read_rows(server, ef.name, block, row0, nrows)
         )
 
-    async def _helper_block(self, ef: EncodedFile, block: int) -> np.ndarray:
-        server = ef.server_of(block)
-        return await self._disk_read(
-            server, lambda: self.client.get(server, ef.name, block)
-        )
+    async def _rebuild_rows(self, ef: EncodedFile, plan, row0: int, nrows: int) -> np.ndarray:
+        """Rows ``row0 .. row0 + nrows`` of ``plan.target`` from the helper
+        rows they depend on: one disk IO per range ``plan.helper_rows``
+        reads, all in flight at once, then the range's one compiled
+        product and its decode time."""
+        helper_rows = plan.helper_rows
+        reads = [
+            self.loop.create_task(self._read_rows(ef, h, first, count), name=f"helper:{h}")
+            for h, first, count in helper_rows.reads(row0, nrows)
+        ]
+        rebuilt = helper_rows.rebuild(row0, nrows, await self.loop.gather(*reads))
+        await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
+        return rebuilt
 
     async def _degraded_rows(
         self, ef: EncodedFile, block: int, row0: int, nrows: int, fastest: bool = False
@@ -230,17 +238,16 @@ class ServingGateway:
         plan = ef.code.repair_plan(block, unreadable)
         if fastest:
             plan = self._fastest_plan(ef, plan, row0, nrows, unreadable)
-        helper_rows = plan.helper_rows
-        reads = [
-            self.loop.create_task(self._read_rows(ef, h, first, count), name=f"helper:{h}")
-            for h, first, count in helper_rows.reads(row0, nrows)
-        ]
-        rebuilt = helper_rows.rebuild(row0, nrows, await self.loop.gather(*reads))
-        await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
-        return rebuilt
+        return await self._rebuild_rows(ef, plan, row0, nrows)
 
     async def _decode_fallback(self, ef: EncodedFile, fs0: int, nrows: int) -> np.ndarray:
-        """Last resort: decode the stripes from any decodable block subset."""
+        """Last resort: decode the stripes from any decodable block subset,
+        each read whole."""
+
+        async def read_block(block: int) -> np.ndarray:
+            server = ef.server_of(block)
+            return await self._disk_read(server, lambda: self.client.get(server, ef.name, block))
+
         excluded: set[int] = set()
         while True:
             try:
@@ -252,7 +259,7 @@ class ServingGateway:
                     file=ef.name, cause="undecodable",
                 ) from exc
             reads = [
-                self.loop.create_task(self._helper_block(ef, b), name=f"decode:{b}")
+                self.loop.create_task(read_block(b), name=f"decode:{b}")
                 for b in chosen
             ]
             try:
@@ -561,13 +568,7 @@ class ServingGateway:
                 if plan is not default:
                     self.metrics.add("serving_repair_replans", 1)
                 self.metrics.add("serving_repair_helper_blocks", len(plan.helpers))
-                reads = [
-                    self.loop.create_task(self._helper_block(ef, h), name=f"repair:{h}")
-                    for h in plan.helpers
-                ]
-                blocks = await self.loop.gather(*reads)
-                rebuilt, _ = ef.code.reconstruct(block, dict(zip(plan.helpers, blocks)), plan)
-                await self.loop.sleep(rebuilt.nbytes / DECODE_RATE)
+                rebuilt = await self._rebuild_rows(ef, plan, 0, ef.code.N)
             finally:
                 pipe.pledged -= nbytes
             await self._disk_write(target, ef.name, block, rebuilt)

@@ -480,38 +480,41 @@ class DistributedFileSystem:
         )
 
     def _plan_local_repair(self, ef: EncodedFile, pieces: list, memo: dict):
-        """The repair plan of the one block behind the ``None`` pieces, else ``None``.
+        """``(plan, row0, nrows)`` rebuilding the ``None`` pieces, else ``None``.
 
         A degraded read whose missing runs all sit in one block needs
-        that block only: its :class:`~repro.codes.base.RepairPlan` names
-        the helpers (the ``k/l`` group mates for Pyramid and Galloper),
-        far fewer rows to read and rebuild than the full decode.  ``None``
-        sends the read to :meth:`_plan_decode_blocks` and the full decode
-        instead: the stripes span several blocks, no helper set rebuilds
-        the block, or the plan names more than ``k`` helpers.  Helpers
-        are read whole, so every byte that reaches the user passed its
-        CRC, whatever ``read_fractions`` the plan carries for repair
-        accounting — which is why a plan that takes a fraction of nearly
-        every survivor (the rotated baseline) costs more here than the
-        minimal decodable subset and is declined.  ``memo`` shares the
-        verdict between the groups of one striped read, keyed by ``(block,
-        unreadable)``: the code remembers its fallback searches,
-        but not the ones that failed, nor the ``k``-helper rule above.
+        rows ``row0 .. row0 + nrows`` of it (a lost block's data rows),
+        rebuilt from the helper rows its
+        :class:`~repro.codes.base.RepairPlan` names for them — far fewer
+        than the full decode reads.  ``None`` sends the read to the full
+        decode: the stripes span several blocks, or no helper set rebuilds
+        the block.  ``memo`` shares the plan between the groups of one
+        striped read, keyed by ``(block, unreadable)``.
         """
         code = ef.code
-        owners = {run[0] for run, piece in zip(code.read_plan().runs, pieces) if piece is None}
-        if len(owners) != 1:
+        missing = [run for run, piece in zip(code.read_plan().runs, pieces) if piece is None]
+        if len({run[0] for run in missing}) != 1:
             return None
-        (block,) = owners
+        block = missing[0][0]
         unreadable = self._unreadable_blocks(ef) | {block}
         key = (block, unreadable)
         if key not in memo:
             try:
-                plan = code.repair_plan(block, unreadable)
+                memo[key] = code.repair_plan(block, unreadable)
             except DecodingError:
-                plan = None
-            memo[key] = plan if plan is not None and len(plan.helpers) <= code.k else None
-        return memo[key]
+                memo[key] = None
+        if memo[key] is None:
+            return None
+        row0 = min(run[1] for run in missing)
+        return memo[key], row0, max(run[1] + run[2] for run in missing) - row0
+
+    def _read_helper_rows(self, ef: EncodedFile, reads) -> list[np.ndarray]:
+        """The helper rows ``reads`` names (``HelperRows.reads``), in one
+        batch that raises at the first helper it cannot read."""
+        placement, name = ef.placement, ef.name
+        return self.client._read_ranges(
+            [(placement[h], name, h, first, count) for h, first, count in reads], strict=True
+        )
 
     def _recover(self, entries: list[tuple[EncodedFile, list]]) -> None:
         """Fill the ``None`` pieces of each ``(file, pieces)`` entry.
@@ -524,9 +527,9 @@ class DistributedFileSystem:
 
         The entries share one code: they are one file, or the degraded
         stripe groups of one striped file.  Those whose missing runs sit
-        in one block with a local plan are bucketed by ``(block,
-        helpers)`` — after a server failure every group lands in one
-        bucket — and each bucket is rebuilt from its helpers in one fused
+        in one block are bucketed by ``(block, helpers, rows)`` — after a
+        server failure every group lands in one bucket — and each bucket
+        reads the helper rows it needs and rebuilds in one fused
         reconstruct.  Everything else, and any entry one of whose helpers
         could not be read, is decoded in full from minimal survivor sets
         by :meth:`_degraded_decode`, which re-plans around flaky
@@ -535,39 +538,38 @@ class DistributedFileSystem:
         code = entries[0][0].code
         runs = code.read_plan().runs
         plans: dict = {}
-        local: dict[tuple[int, tuple[int, ...]], list] = {}
+        local: dict[tuple, list] = {}
         full: list = []
         for entry in entries:
-            plan = self._plan_local_repair(*entry, plans)
-            if plan is None:
+            rebuild = self._plan_local_repair(*entry, plans)
+            if rebuild is None:
                 full.append(entry)
             else:
-                local.setdefault((plan.target, plan.helpers), []).append(entry)
-        for (block, helpers), members in local.items():
+                plan, row0, nrows = rebuild
+                local.setdefault((plan.target, plan.helpers, row0, nrows), []).append(entry)
+        for (block, helpers, row0, nrows), members in local.items():
             with get_tracer().span(
                 "dfs.local_repair", category="storage", block=block,
-                helpers=list(helpers), files=len(members), clock=self.clock,
+                helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,
             ):
+                reads = code.compile_helper_rows(block, helpers).reads(row0, nrows)
                 good: list = []
-                availables: list[dict[int, np.ndarray]] = []
+                chunks: list[list[np.ndarray]] = []
                 for entry in members:
-                    ef = entry[0]
                     try:
-                        availables.append(
-                            {h: self.client.get(ef.server_of(h), ef.name, h) for h in helpers}
-                        )
+                        chunks.append(self._read_helper_rows(entry[0], reads))
                         good.append(entry)
                     except BlockUnavailableError:
                         full.append(entry)
                 if not good:
                     continue
                 rebuilt = pipeline.batch_reconstruct(
-                    code, block, helpers, availables, metrics=self.metrics
+                    code, block, helpers, chunks, metrics=self.metrics, rows=(row0, nrows)
                 )
             for (_, pieces), rows in zip(good, rebuilt):
-                for i, (_, row0, nrows, _) in enumerate(runs):
+                for i, (_, r0, n, _) in enumerate(runs):
                     if pieces[i] is None:
-                        pieces[i] = rows[row0 : row0 + nrows]
+                        pieces[i] = rows[r0 - row0 : r0 - row0 + n]
                 self.metrics.add("degraded_reads", 1)
         if full:
             decoded = self._degraded_decode(*(ef for ef, _ in full))
@@ -694,10 +696,10 @@ class DistributedFileSystem:
 
         An extent needs the rows it covers, not the file: the block's
         repair plan names, per row, the rows of each helper it is a
-        combination of, and only those are read (CRC-verified like any
-        row read).  ``None`` — no plan, or a helper row cannot be read —
-        sends the caller to the whole-file decode, which re-plans around
-        flaky survivors.
+        combination of, and only those are read, in one batch
+        (:meth:`_read_helper_rows`).  ``None`` — no plan, or a helper row
+        cannot be read — sends the caller to the whole-file decode, which
+        re-plans around flaky survivors.
         """
         with get_tracer().span(
             "dfs.row_repair", category="storage", file=ef.name, block=block,
@@ -706,10 +708,7 @@ class DistributedFileSystem:
             try:
                 plan = ef.code.repair_plan(block, self._unreadable_blocks(ef) | {block})
                 helper_rows = plan.helper_rows
-                chunks = [
-                    self.client.read_rows(ef.server_of(h), ef.name, h, first, count)
-                    for h, first, count in helper_rows.reads(row0, nrows)
-                ]
+                chunks = self._read_helper_rows(ef, helper_rows.reads(row0, nrows))
             except (DecodingError, BlockUnavailableError):
                 return None
             self.metrics.add("degraded_reads", 1)

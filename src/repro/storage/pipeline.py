@@ -22,8 +22,9 @@ once either way).  The per-group methods on
 * :func:`batch_encode` — one generator product for every full group.
 * :func:`batch_decode` — groups are bucketed by availability pattern
   (the compiled-plan cache key); each bucket decodes in one apply.
-* :func:`batch_reconstruct` — same-pattern block rebuilds across groups
-  fuse into one reconstruction product (the repair-storm steady state).
+* :func:`batch_reconstruct` — rebuilds of the same rows of the same lost
+  block across groups fuse into one product (the repair-storm steady
+  state, and a degraded read after a server failure).
 
 Ragged tails are first-class: segments of different stripe widths mix
 freely in one batch (columns concatenate regardless of per-group S), so
@@ -35,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.base import ErasureCode
-from repro.gf.kernels import CodingPlan
 from repro.obs.trace import get_tracer
 from repro.storage.metrics import MetricsRegistry
 
@@ -117,28 +117,33 @@ def batch_reconstruct(
     helpers,
     availables,
     metrics: MetricsRegistry | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
-    """Rebuild the same lost block of many groups in one fused apply.
+    """Rebuild the same lost rows of many groups in one fused apply.
 
     All groups share ``(target, helpers)`` — the shape of a repair storm,
     where every group of every striped file loses the same block index to
-    the dead server.  ``availables`` is one ``{helper id: (N, S_i)}``
-    mapping per group; the result is one ``(N, S_i)`` rebuilt block per
-    group, in input order.
+    the dead server — and ``rows = (row0, nrows)`` (default: the whole
+    block).  ``availables`` is, per group, the row arrays read for
+    ``helper_rows.reads(row0, nrows)`` in order, or a ``{helper id: (N,
+    S_i)}`` mapping of whole blocks to slice them from; the result is
+    one ``(nrows, S_i)`` array per group, in input order.
     """
-    helpers = tuple(helpers)
-    compiled: CodingPlan = code.compile_reconstruct(target, helpers)
+    helper_rows = code.compile_helper_rows(target, tuple(helpers))
+    row0, nrows = rows or (0, code.N)
+    reads = helper_rows.reads(row0, nrows)
     segments = []
     for available in availables:
-        segments.append(
-            np.concatenate(
-                [np.asarray(available[h]).reshape(code.N, -1) for h in helpers], axis=0
-            )
-        )
+        if isinstance(available, dict):
+            available = [
+                np.asarray(available[h]).reshape(code.N, -1)[first : first + count]
+                for h, first, count in reads
+            ]
+        segments.append(np.concatenate(available))
     with get_tracer().span(
         "pipeline.batch_reconstruct", category="pipeline",
         groups=len(segments), target=target,
     ):
-        outs = compiled.apply_batch(segments)
+        outs = helper_rows.plan(row0, nrows).apply_batch(segments)
     _count_batch(metrics, len(segments))
     return outs

@@ -13,8 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cluster.topology import Cluster, Server
 from repro.codes.base import DecodingError, RepairPlan
 from repro.obs.trace import get_tracer
@@ -256,8 +254,9 @@ class _Rebuild:
         unreadable: blocks no plan may name — the file's dead blocks,
             then every helper whose read failed for this rebuild.
         replans: how many helpers it has re-planned around.
-        plan / available / bytes_by_server: the current round's plan,
-            the helper stripes read under it and their per-server bytes.
+        plan / chunks / bytes_by_server: the current round's plan, the
+            helper rows read under it (``plan.helper_rows.reads(0, N)``,
+            in order) and their per-server bytes.
     """
 
     file: str
@@ -267,7 +266,7 @@ class _Rebuild:
     unreadable: set[int]
     replans: int = 0
     plan: RepairPlan | None = None
-    available: dict[int, object] = field(default_factory=dict)
+    chunks: list = field(default_factory=list)
     bytes_by_server: dict[int, int] = field(default_factory=dict)
 
 
@@ -414,7 +413,7 @@ class RepairManager:
                         with tracer.span("repair.decode", category="repair", files=len(ready)):
                             rebuilt = pipeline.batch_reconstruct(
                                 code, block, helpers,
-                                [job.available for job in ready], metrics=self.dfs.metrics,
+                                [job.chunks for job in ready], metrics=self.dfs.metrics,
                             )
                         self.dfs.metrics.add(
                             "plan_cache_hits", code.plan_cache_info()["hits"] - hits_before
@@ -424,43 +423,34 @@ class RepairManager:
         return reports
 
     def _read_helpers(self, job: _Rebuild, reads) -> bool:
-        """Read ``reads``, the helper rows ``job.plan`` names; ``False`` to re-plan.
+        """Read ``reads``, the helper rows ``job.plan`` names, into
+        ``job.chunks`` in one batch; ``False`` to re-plan.
 
-        A helper named whole is one block read.  One named in part (the
-        rotated baseline) is one row read per run into a zero block: the
-        rows left zero are the ones the reconstruction has zero
-        coefficients for.  ``job.bytes_by_server`` is what the reads
-        returned.  A helper that cannot be read joins ``job.unreadable``
-        for the next round's plan.
+        The batch stops at the first helper that cannot be read, which
+        joins ``job.unreadable`` for the next round's plan.
 
         Raises:
             FileSystemError: after :data:`MAX_HELPER_REPLANS` re-plans.
         """
-        ef, N = job.ef, job.ef.code.N
-        job.available, job.bytes_by_server = {}, {}
-        for h, row0, nrows in reads:
+        ef = job.ef
+        try:
+            job.chunks = self.dfs._read_helper_rows(ef, reads)
+        except BlockUnavailableError as exc:
+            job.unreadable.add(exc.block)
+            job.replans += 1
+            self.dfs.metrics.add("repair_replans", 1)
+            if job.replans > MAX_HELPER_REPLANS:
+                raise FileSystemError(
+                    f"repair of block {job.block} of {job.file!r} gave up after "
+                    f"{job.replans} helper re-plans",
+                    file=job.file,
+                    block=job.block,
+                    cause="helpers_exhausted",
+                ) from exc
+            return False
+        job.bytes_by_server = {}
+        for (h, _, _), data in zip(reads, job.chunks):
             server = ef.server_of(h)
-            try:
-                if nrows == N:
-                    data = job.available[h] = self.dfs.client.get(server, job.file, h)
-                else:
-                    data = self.dfs.client.read_rows(server, job.file, h, row0, nrows)
-                    if h not in job.available:
-                        job.available[h] = np.zeros((N, data.shape[1]), dtype=data.dtype)
-                    job.available[h][row0 : row0 + nrows] = data
-            except BlockUnavailableError as exc:
-                job.unreadable.add(h)
-                job.replans += 1
-                self.dfs.metrics.add("repair_replans", 1)
-                if job.replans > MAX_HELPER_REPLANS:
-                    raise FileSystemError(
-                        f"repair of block {job.block} of {job.file!r} gave up after "
-                        f"{job.replans} helper re-plans",
-                        file=job.file,
-                        block=job.block,
-                        cause="helpers_exhausted",
-                    ) from exc
-                return False
             job.bytes_by_server[server] = job.bytes_by_server.get(server, 0) + data.nbytes
         return True
 

@@ -200,6 +200,13 @@ def test_whole_stripe_reads_return_fresh_arrays():
 # ``Galloper/RS/Pyramid(4, ...)`` over GF(2^8), a plain file and a striped
 # one (3 groups, ragged tail, 24-byte stripes), the server of block 0 down;
 # recorded at the parent commit by running ``io_counters`` there.
+# The Galloper cell was re-recorded when a degraded whole-file read began
+# to read, of block 0's group mates, only the rows its four data rows are
+# rebuilt from (``helper_rows.reads(0, 4)``) instead of both blocks whole:
+# each of the three whole-file reads (plain, ``read_file_into``, striped
+# group 0) reads 4 of 7 rows from servers 1 and 2 (885 -> 675 bytes each),
+# and server 2's named rows are two runs, one range each (9 -> 12 reads).
+# The RS and Pyramid cells (a row is the block) did not move.
 PARENT_COUNTERS = {
     "rs": {
         "blocks_read": {1: 12, 2: 10, 3: 11, 4: 4, 7: 2, 8: 2, 9: 2, 10: 3, 14: 2, 15: 2, 16: 2, 17: 1},
@@ -215,11 +222,11 @@ PARENT_COUNTERS = {
     },
     "galloper": {
         "blocks_read": {
-            1: 8, 2: 9, 3: 7, 4: 6, 5: 7, 6: 7, 7: 2, 8: 2, 9: 2, 10: 2, 11: 2, 12: 2, 13: 2, 14: 3, 15: 2,
+            1: 8, 2: 12, 3: 7, 4: 6, 5: 7, 6: 7, 7: 2, 8: 2, 9: 2, 10: 2, 11: 2, 12: 2, 13: 2, 14: 3, 15: 2,
             16: 2, 17: 2, 18: 2, 19: 1, 20: 1
         },
         "disk_bytes_read": {
-            1: 885, 2: 885, 3: 633, 4: 564, 5: 587, 6: 470, 7: 192, 8: 192, 9: 192, 10: 192, 11: 192, 12: 192,
+            1: 675, 2: 675, 3: 633, 4: 564, 5: 587, 6: 470, 7: 192, 8: 192, 9: 192, 10: 192, 11: 192, 12: 192,
             13: 192, 14: 144, 15: 60, 16: 96, 17: 96, 18: 96, 19: 48, 20: 48
         },
         "degraded_reads": 4,

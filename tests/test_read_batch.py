@@ -128,7 +128,8 @@ def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_a_striped_read_is_one_batch(field, monkeypatch):
-    """Clean or degraded, a striped read makes one batch for all its groups."""
+    """Clean or degraded, a striped read makes one batch for all its groups;
+    a degraded group then reads its helper rows in one strict batch of its own."""
     code = CODES["galloper"](FIELDS[field])
     dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     sfs = StripedFileSystem(dfs)
@@ -137,13 +138,16 @@ def test_a_striped_read_is_one_batch(field, monkeypatch):
     batches = []
     real = dfs.client._read_ranges
 
-    def counted(ranges, *args, **kwargs):
-        batches.append(len(ranges))
-        return real(ranges, *args, **kwargs)
+    def counted(ranges, strict=False):
+        batches.append((len(ranges), strict))
+        return real(ranges, strict)
 
     monkeypatch.setattr(dfs.client, "_read_ranges", counted)
     assert sfs.read_file("s") == payload
-    dfs.cluster.fail(dfs.file(sfs.file("s").group_names()[0]).server_of(0))
+    victim = dfs.file(sfs.file("s").group_names()[0]).server_of(0)
+    degraded = [name for name in sfs.file("s").group_names() if dfs.file(name).blocks_on_server(victim)]
+    dfs.cluster.fail(victim)
     assert sfs.read_file("s") == payload
     runs = sfs.file("s").group_count * len(code.read_plan().runs)
-    assert batches == [runs, runs]
+    helper_ranges = len(code.repair_plan(0).helper_rows.reads(0, code.block_infos[0].data_stripes))
+    assert batches == [(runs, False), (runs, False)] + [(helper_ranges, True)] * len(degraded)

@@ -1,17 +1,18 @@
 """Read plans: run-coalesced reads and locality-aware degraded reads.
 
 Seeded property tests over RS(4,3), Pyramid(4,2,1), Galloper(4,2,1) with
-uniform and heterogeneous weights and the rotated-RAID baseline (scattered
-``file_stripes``: every run has length one), over GF(2^8) and GF(2^16),
-with and without a ragged (padded) tail:
+uniform and heterogeneous weights, Carousel(4,2) and the rotated-RAID
+baseline (scattered ``file_stripes``: every run has length one), over
+GF(2^8) and GF(2^16), with and without a ragged (padded) tail:
 
 * the compiled runs cover every file stripe exactly once and agree with
   ``BlockInfo.file_stripes``;
 * every read path returns the bytes of a per-stripe reference read that
   knows nothing of the plan;
-* a single lost block is rebuilt from exactly its repair-plan helpers
-  (checked per server against the disk-read accounting), fused across
-  the groups of a striped read by ``pipeline.batch_reconstruct``;
+* a single lost block is rebuilt from exactly the helper rows its repair
+  plan names for its lost data rows (checked per server against the
+  disk-read accounting), fused across the groups of a striped read by
+  ``pipeline.batch_reconstruct``;
 * failure patterns the local path cannot serve fall back to the full
   decode and stay byte-exact, and a corrupted row inside a run is caught
   by its CRC.
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
+from repro.codes import CarouselCode, PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.codes.base import BlockInfo, CodeError, DecodingError, ReadPlan
 from repro.core import GalloperCode
 from repro.faults import FaultModel
@@ -40,6 +41,7 @@ CODES = {
     "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
     "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
     "galloper-hetero": lambda gf: GalloperCode(4, 2, 1, performances=[2, 1, 1, 2, 1, 1, 1], gf=gf),
+    "carousel": lambda gf: CarouselCode(4, 2, gf=gf),
     "rotated": lambda gf: RotatedPyramidCode(4, 2, 1, gf=gf),
 }
 FIELDS = {"gf8": GF256, "gf16": GF65536}
@@ -53,6 +55,21 @@ STRIPE = 24  # symbols per stripe of the single-codeword files
 
 def make_code(code_name, field="gf8"):
     return CODES[code_name](FIELDS[field])
+
+
+def block_runs(code, block: int) -> list:
+    """The runs of the read plan ``block`` serves: which of its rows are which file stripes."""
+    return [run for run in code.read_plan().runs if run[0] == block]
+
+
+def data_row_reads(code, block: int):
+    """What a whole-file read that lost only ``block`` reads to rebuild it:
+    the helper rows its repair plan names for the block's data rows (its
+    top ``data_stripes``), ``(helper, row0, nrows)`` each."""
+    data_rows = code.block_infos[block].data_stripes
+    if not data_rows:
+        return ()
+    return code.repair_plan(block, {block}).helper_rows.reads(0, data_rows)
 
 
 def file_size(code, ragged: bool) -> int:
@@ -117,7 +134,7 @@ def test_runs_cover_every_stripe_once_and_match_block_infos(code_name, field):
         assert code.block_infos[block].file_stripes[row] == fs
     assert plan.holder(-1) is None and plan.holder(code.data_stripe_total) is None
     for info in code.block_infos:
-        rows = [row0 + i for _, row0, nrows, _ in plan.block_runs[info.index] for i in range(nrows)]
+        rows = [row0 + i for _, row0, nrows, _ in block_runs(code, info.index) for i in range(nrows)]
         assert sorted(rows) == list(range(info.data_stripes))
     assert code.read_plan() is plan  # compiled once per code object
 
@@ -220,93 +237,58 @@ def test_striped_extent_reads_over_the_wide_field(code_name):
 # -------------------------------------- (c) single loss: helpers and nothing else
 
 
-def repairs_locally(code, block: int) -> bool:
-    """Whether a read that lost only ``block`` rebuilds it from its repair helpers.
-
-    Helpers are read whole, so a plan naming more than ``k`` of them (the
-    rotated baseline takes a fraction of 5 survivors) costs more than the
-    minimal decodable subset and the read decodes in full instead.
-    """
-    return len(code.repair_plan(block, {block}).helpers) <= code.k
-
-
-def spy_on_decode_plans(dfs, monkeypatch) -> dict[str, list[int]]:
-    """Record, per file name, the survivors ``_plan_decode_blocks`` chose for the full decode."""
-    chosen: dict[str, list[int]] = {}
-    real = dfs._plan_decode_blocks
-
-    def spy(ef, *args):
-        chosen[ef.name] = real(ef, *args)
-        return chosen[ef.name]
-
-    monkeypatch.setattr(dfs, "_plan_decode_blocks", spy)
-    return chosen
-
-
-def expected_disk_reads(dfs, names, dead_server: int, decoded: dict[str, list[int]]) -> dict[int, float]:
+def expected_disk_reads(dfs, names, dead_server: int) -> dict[int, float]:
     """Bytes each server serves in a degraded whole-file read after one server died.
 
     Every surviving data-carrying block serves its runs once, and a group
-    that lost a data-carrying block reads whole either that block's repair
-    helpers or, when those outnumber ``k``, the minimal decodable subset
-    recorded in ``decoded`` — nothing else.
+    that lost a data-carrying block reads, from that block's repair
+    helpers, the rows its plan names for the lost data rows — nothing
+    else.
     """
     expect: dict[int, float] = defaultdict(float)
     for name in names:
         ef = dfs.file(name)
         code = ef.code
-        itemsize = code.gf.dtype.itemsize
+        row_bytes = ef.stripe_size * code.gf.dtype.itemsize
         lost = ef.blocks_on_server(dead_server)
         for info in code.block_infos:
             if info.index not in lost:
-                expect[ef.server_of(info.index)] += info.data_stripes * ef.stripe_size * itemsize
+                expect[ef.server_of(info.index)] += info.data_stripes * row_bytes
         for b in lost:
-            if not code.block_infos[b].data_stripes:
-                continue
-            if repairs_locally(code, b):
-                whole = code.repair_plan(b, {b}).helpers
-            else:
-                whole = decoded[name]
-                assert code.can_decode(whole) and b not in whole
-                assert len(whole) == code.k or not code.can_decode(whole[:-1])  # no block too many
-            for h in whole:
-                expect[ef.server_of(h)] += ef.block_size * itemsize
+            for h, _, count in data_row_reads(code, b):
+                expect[ef.server_of(h)] += count * row_bytes
     return {server: nbytes for server, nbytes in expect.items() if nbytes}
 
 
 @code_matrix
 @field_matrix
 @tail_matrix
-def test_single_loss_reads_exactly_the_repair_helpers(code_name, field, ragged, monkeypatch):
+def test_single_loss_reads_exactly_the_repair_helpers(code_name, field, ragged):
+    """... and of each helper exactly the rows the lost data rows need."""
     for lost in range(make_code(code_name, field).n):
         code = make_code(code_name, field)
         cluster, dfs, ef, payload = write(code, ragged, seed=lost)
-        decoded = spy_on_decode_plans(dfs, monkeypatch)
         victim = ef.server_of(lost)
         cluster.fail(victim)
         carries_data = code.block_infos[lost].data_stripes > 0
-        local = repairs_locally(code, lost)
         for read in (lambda: dfs.read_file("f"), lambda: read_into(dfs, "f")):
             dfs.metrics.reset()
             tracer = Tracer()
             with use_tracer(tracer):
                 assert read() == payload
-            assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(
-                dfs, ["f"], victim, decoded
-            )
-            assert len(tracer.find("dfs.local_repair")) == (1 if carries_data and local else 0)
-            assert len(tracer.find("dfs.degraded_decode")) == (1 if carries_data and not local else 0)
+            assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, ["f"], victim)
+            assert len(tracer.find("dfs.local_repair")) == (1 if carries_data else 0)
+            assert not tracer.find("dfs.degraded_decode")
             assert dfs.metrics.total("degraded_reads") == (1 if carries_data else 0)
         assert dfs.read_bytes("f", 5, 3 * STRIPE) == payload[5 : 5 + 3 * STRIPE]
 
 
 @code_matrix
 @tail_matrix
-def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragged, monkeypatch):
+def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragged):
     for lost in range(make_code(code_name).n):
         code = make_code(code_name)
         cluster, dfs, sfs, payload = write_striped(code, ragged, groups=4, seed=lost)
-        decoded = spy_on_decode_plans(dfs, monkeypatch)
         names = sfs.file("s").group_names()
         victim = dfs.file(names[0]).server_of(lost)
         cluster.fail(victim)
@@ -320,25 +302,49 @@ def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragge
         tracer = Tracer()
         with use_tracer(tracer):
             assert sfs.read_file("s") == payload
-        assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(
-            dfs, names, victim, decoded
-        )
+        assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, names, victim)
         assert dfs.metrics.total("degraded_reads") == len(degraded)
         # One fused reconstruct (under its own ``dfs.local_repair``) per
-        # distinct lost block index with a local plan and no full decode;
-        # the rest go through one ``dfs.degraded_decode`` whose single
-        # ``batch_decode`` fuses them per survivor set.
-        local = {b for _, b in degraded if repairs_locally(code, b)}
+        # distinct lost block index, and no full decode.
         (recovery,) = tracer.find("sfs.batch_degraded_decode") if degraded else (None,)
         reconstructs = tracer.find("pipeline.batch_reconstruct")
-        assert len(reconstructs) == len(tracer.find("dfs.local_repair")) == len(local)
+        assert len(reconstructs) == len(tracer.find("dfs.local_repair")) == len({b for _, b in degraded})
         assert all(s.parent.name == "dfs.local_repair" and s.parent.parent is recovery for s in reconstructs)
-        survivor_sets = {tuple(sorted(decoded[name])) for name, b in degraded if b not in local}
-        decodes = tracer.find("pipeline.batch_decode")
-        assert len(decodes) == len(tracer.find("dfs.degraded_decode")) == (1 if survivor_sets else 0)
-        assert sum(s.attrs["buckets"] for s in decodes) == len(survivor_sets)
-        assert all(s.parent.name == "dfs.degraded_decode" and s.parent.parent is recovery for s in decodes)
+        assert not tracer.find("dfs.degraded_decode") and not tracer.find("pipeline.batch_decode")
         assert codes_layer_read(dfs, names) == payload
+
+
+@pytest.mark.parametrize(
+    "code_name, helper_rows, whole_helper_rows",
+    [
+        ("rs", 4, 4),
+        ("pyramid", 2, 2),
+        ("galloper", 8, 14),
+        ("galloper-hetero", None, None),
+        ("carousel", 8, 12),
+        ("rotated", 8, None),
+    ],
+)
+def test_a_lost_data_block_costs_the_helper_rows_of_its_data_rows(code_name, helper_rows, whole_helper_rows):
+    """Per lost data block (structural role ``data``), a whole-file read
+    reads the helper rows behind its data rows only: Galloper 8 of the 14
+    rows its plan's helpers hold, Carousel 8 of 12, the rotated baseline 8
+    where a full decode reads 28; Reed-Solomon and Pyramid (``N = 1``)
+    read their helpers whole, as before."""
+    code = make_code(code_name)
+    for info in code.block_infos:
+        if info.role != "data":
+            continue
+        plan = code.repair_plan(info.index, {info.index})
+        got = sum(count for _, _, count in data_row_reads(code, info.index))
+        if code_name != "rotated":  # whose rows each have their own helper servers
+            assert got == info.data_stripes * len(plan.helpers)  # one row per helper per data row
+        if helper_rows is not None:
+            assert got == helper_rows
+        if whole_helper_rows is not None:
+            assert len(plan.helpers) * code.N == whole_helper_rows
+    if code_name == "rotated":
+        assert code.k * code.N == 28  # the decode a whole-file read made before
 
 
 def test_repair_plans_are_memoised_across_the_groups_of_one_read(monkeypatch):
@@ -415,7 +421,7 @@ def test_degraded_extent_reads_only_the_helper_rows_it_needs(code_name, field):
     """An extent inside a lost block costs the rows its stripes depend on, not a decode of the file."""
     for lost in range(make_code(code_name, field).n):
         code = make_code(code_name, field)
-        runs = code.read_plan().block_runs[lost]
+        runs = block_runs(code, lost)
         if not runs:
             continue
         cluster, dfs, ef, payload = write(code, ragged=True, seed=lost)
@@ -440,7 +446,7 @@ def test_degraded_extent_read_falls_back_to_the_decode_when_a_helper_row_fails(c
     code = make_code(code_name)
     helper = code.repair_plan(0).helpers[0]
     probe = write(code, ragged=False)[2]
-    faults = FaultModel(WholeBlockReadErrors(servers=frozenset({probe.server_of(helper)})), seed=4)
+    faults = FaultModel(ReadErrors(servers=frozenset({probe.server_of(helper)})), seed=4)
     cluster, dfs, ef, payload = write(code, ragged=False, fault_model=faults)
     cluster.fail(ef.server_of(0))
     tracer = Tracer()
@@ -460,38 +466,39 @@ def test_more_losses_than_the_code_tolerates_fail_loudly():
 
 
 @dataclass(frozen=True)
-class WholeBlockReadErrors(FaultComponent):
-    """Every read of at least ``min_bytes`` fails: a helper that serves its rows but not its block."""
-
-    min_bytes: int = 0
+class ReadErrors(FaultComponent):
+    """Every read fails, on the component's servers from its ``start`` on."""
 
     def sample(self, rng, server_id, nbytes, now):
-        return FaultDecision(error=nbytes >= self.min_bytes)
+        return FaultDecision(error=True)
 
 
-def write_with_flaky_helper(code):
-    """A striped file whose group 0 lost block 0 and cannot read one helper of it whole.
+def write_with_flaky_helper(code, striped: bool):
+    """A striped file whose group 0 lost block 0, and the last helper of
+    block 0's plan failing every read from the instant the read of what
+    survives ends — of the whole striped file, or of group 0 alone.
 
-    The helper is the one carrying the least data: its rows (if it has
-    any) stay readable, so block 0 is the only block with missing stripes
-    and the local plan is tried — and fails on the helper read.
+    The helper's own runs are read before that, so block 0 is the only
+    block with missing stripes and the local rebuild is tried — and fails
+    on the helper's rows, after the other helpers were read.
     """
-    helper = min(code.repair_plan(0).helpers, key=lambda h: code.block_infos[h].data_stripes)
-    probe = write_striped(code, ragged=False)[1]
-    flaky_server = probe.file(group_name("s", 0)).server_of(helper)
-    faults = FaultModel(
-        WholeBlockReadErrors(servers=frozenset({flaky_server}), min_bytes=code.N * STRIPE), seed=4
-    )
-    cluster, dfs, sfs, payload = write_striped(code, ragged=False, fault_model=faults)
-    group0 = dfs.file(group_name("s", 0))
-    assert group0.server_of(helper) == flaky_server
-    cluster.fail(group0.server_of(0))
-    return dfs, sfs, payload, group0
+    helper = code.repair_plan(0).helpers[-1]
+
+    def lose_block_0(**dfs_kwargs):
+        cluster, dfs, sfs, payload = write_striped(code, ragged=False, **dfs_kwargs)
+        group0 = dfs.file(group_name("s", 0))
+        cluster.fail(group0.server_of(0))
+        return dfs, sfs, payload, group0
+
+    probe, sfs, _, group0 = lose_block_0()
+    probe._read_available_stripes(*([probe.file(g) for g in sfs.file("s").group_names()] if striped else [group0]))
+    flaky = ReadErrors(servers=frozenset({group0.server_of(helper)}), start=probe.clock.now)
+    return lose_block_0(fault_model=FaultModel(flaky, seed=4))
 
 
 @pytest.mark.parametrize("code_name", ["rs", "pyramid", "galloper"])
 def test_helper_exhausting_its_retries_mid_bucket_falls_back(code_name):
-    dfs, sfs, payload, _ = write_with_flaky_helper(make_code(code_name))
+    dfs, sfs, payload, _ = write_with_flaky_helper(make_code(code_name), striped=True)
     tracer = Tracer()
     with use_tracer(tracer):
         assert sfs.read_file("s") == payload
@@ -499,7 +506,7 @@ def test_helper_exhausting_its_retries_mid_bucket_falls_back(code_name):
     assert not tracer.find("pipeline.batch_reconstruct")  # the bucket's only group dropped out
     assert tracer.find("pipeline.batch_decode")  # ... and was decoded in full
 
-    dfs, _, payload, group0 = write_with_flaky_helper(make_code(code_name))
+    dfs, _, payload, group0 = write_with_flaky_helper(make_code(code_name), striped=False)
     tracer = Tracer()
     with use_tracer(tracer):
         assert read_into(dfs, group0.name) == payload[: group0.original_size]

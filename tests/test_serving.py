@@ -597,13 +597,13 @@ class TestRepairAsServing:
     def test_rebuilds_run_concurrently_up_to_the_repair_cap(self, cap):
         gateway, payloads = self._lost_server("galloper", tenant_limits={"repair": cap})
         held = []
-        get = gateway.client.get
+        read_rows = gateway.client.read_rows
 
-        def sampling_get(*args, **kwargs):
+        def sampling_read(*args, **kwargs):
             held.append(gateway.throttle.inflight("repair"))
-            return get(*args, **kwargs)
+            return read_rows(*args, **kwargs)
 
-        gateway.client.get = sampling_get
+        gateway.client.read_rows = sampling_read
         assert run(gateway.loop, gateway.repair_server(0)) == len(payloads)
         assert max(held) == cap
         assert gateway.counters()["throttle_waits"] > 0
