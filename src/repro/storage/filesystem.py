@@ -552,7 +552,8 @@ class DistributedFileSystem:
                 "dfs.local_repair", category="storage", block=block,
                 helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,
             ):
-                reads = code.compile_helper_rows(block, helpers).reads(row0, nrows)
+                helper_rows = code.compile_helper_rows(block, helpers)
+                reads = helper_rows.reads(row0, nrows)
                 good: list = []
                 chunks: list[list[np.ndarray]] = []
                 for entry in members:
@@ -563,8 +564,8 @@ class DistributedFileSystem:
                         full.append(entry)
                 if not good:
                     continue
-                rebuilt = pipeline.batch_reconstruct(
-                    code, block, helpers, chunks, metrics=self.metrics, rows=(row0, nrows)
+                rebuilt = pipeline._batch_rebuild_rows(
+                    helper_rows, block, row0, nrows, chunks, self.metrics
                 )
             for (_, pieces), rows in zip(good, rebuilt):
                 for i, (_, r0, n, _) in enumerate(runs):

@@ -117,29 +117,31 @@ def batch_reconstruct(
     helpers,
     availables,
     metrics: MetricsRegistry | None = None,
-    rows: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
-    """Rebuild the same lost rows of many groups in one fused apply.
+    """Rebuild the same lost block of many groups in one fused apply.
 
     All groups share ``(target, helpers)`` — the shape of a repair storm,
     where every group of every striped file loses the same block index to
-    the dead server — and ``rows = (row0, nrows)`` (default: the whole
-    block).  ``availables`` is, per group, the row arrays read for
-    ``helper_rows.reads(row0, nrows)`` in order, or a ``{helper id: (N,
-    S_i)}`` mapping of whole blocks to slice them from; the result is
-    one ``(nrows, S_i)`` array per group, in input order.
+    the dead server.  ``availables`` is, per group, the row arrays read
+    for ``helper_rows.reads(0, N)`` in order, or a ``{helper id: (N,
+    S_i)}`` mapping of whole blocks to slice them from; the result is one
+    ``(N, S_i)`` rebuilt block per group, in input order.
     """
     helper_rows = code.compile_helper_rows(target, tuple(helpers))
-    row0, nrows = rows or (0, code.N)
-    reads = helper_rows.reads(row0, nrows)
-    segments = []
-    for available in availables:
-        if isinstance(available, dict):
-            available = [
-                np.asarray(available[h]).reshape(code.N, -1)[first : first + count]
-                for h, first, count in reads
-            ]
-        segments.append(np.concatenate(available))
+    reads = helper_rows.reads(0, code.N)
+    chunks = [
+        [np.asarray(a[h]).reshape(code.N, -1)[first : first + count] for h, first, count in reads]
+        if isinstance(a, dict) else a
+        for a in availables
+    ]
+    return _batch_rebuild_rows(helper_rows, target, 0, code.N, chunks, metrics)
+
+
+def _batch_rebuild_rows(helper_rows, target: int, row0: int, nrows: int, chunks, metrics=None):
+    """:func:`batch_reconstruct` of rows ``row0 .. row0 + nrows``, for a
+    caller that holds ``helper_rows`` already: ``chunks`` is, per group,
+    the row arrays read for ``helper_rows.reads(row0, nrows)``."""
+    segments = [np.concatenate(c) for c in chunks]
     with get_tracer().span(
         "pipeline.batch_reconstruct", category="pipeline",
         groups=len(segments), target=target,

@@ -14,8 +14,9 @@ GF(2^8) and GF(2^16), with and without a ragged (padded) tail:
   disk-read accounting), fused across the groups of a striped read by
   ``pipeline.batch_reconstruct``;
 * failure patterns the local path cannot serve fall back to the full
-  decode and stay byte-exact, and a corrupted row inside a run is caught
-  by its CRC.
+  decode of a minimal decodable subset, read whole and fused per
+  survivor set, and stay byte-exact; a corrupted row inside a run is
+  caught by its CRC.
 """
 
 from collections import defaultdict
@@ -62,14 +63,15 @@ def block_runs(code, block: int) -> list:
     return [run for run in code.read_plan().runs if run[0] == block]
 
 
-def data_row_reads(code, block: int):
-    """What a whole-file read that lost only ``block`` reads to rebuild it:
-    the helper rows its repair plan names for the block's data rows (its
-    top ``data_stripes``), ``(helper, row0, nrows)`` each."""
+def data_row_reads(code, block: int, lost=frozenset()):
+    """What a whole-file read that lost ``block`` (and the blocks in
+    ``lost``, which carry no data) reads to rebuild it: the helper rows
+    its repair plan names for the block's data rows (its top
+    ``data_stripes``), ``(helper, row0, nrows)`` each."""
     data_rows = code.block_infos[block].data_stripes
     if not data_rows:
         return ()
-    return code.repair_plan(block, {block}).helper_rows.reads(0, data_rows)
+    return code.repair_plan(block, {block, *lost}).helper_rows.reads(0, data_rows)
 
 
 def file_size(code, ragged: bool) -> int:
@@ -237,27 +239,58 @@ def test_striped_extent_reads_over_the_wide_field(code_name):
 # -------------------------------------- (c) single loss: helpers and nothing else
 
 
-def expected_disk_reads(dfs, names, dead_server: int) -> dict[int, float]:
-    """Bytes each server serves in a degraded whole-file read after one server died.
+def spy_on_decode_plans(dfs, monkeypatch) -> dict[str, list[int]]:
+    """Record, per file name, the survivors ``_plan_decode_blocks`` chose for the full decode."""
+    chosen: dict[str, list[int]] = {}
+    real = dfs._plan_decode_blocks
 
-    Every surviving data-carrying block serves its runs once, and a group
+    def spy(ef, *args):
+        chosen[ef.name] = real(ef, *args)
+        return chosen[ef.name]
+
+    monkeypatch.setattr(dfs, "_plan_decode_blocks", spy)
+    return chosen
+
+
+def expected_disk_reads(dfs, names, dead_servers, decoded=None) -> dict[int, float]:
+    """Bytes each server serves in a degraded whole-file read after ``dead_servers`` died.
+
+    Every surviving data-carrying block serves its runs once.  A group
+    that the full decode served (its name is in ``decoded``) then reads
+    whole the minimal decodable subset recorded there; any other group
     that lost a data-carrying block reads, from that block's repair
     helpers, the rows its plan names for the lost data rows — nothing
     else.
     """
+    decoded = decoded or {}
     expect: dict[int, float] = defaultdict(float)
     for name in names:
         ef = dfs.file(name)
         code = ef.code
-        row_bytes = ef.stripe_size * code.gf.dtype.itemsize
-        lost = ef.blocks_on_server(dead_server)
+        itemsize = code.gf.dtype.itemsize
+        row_bytes = ef.stripe_size * itemsize
+        lost = {b for server in dead_servers for b in ef.blocks_on_server(server)}
         for info in code.block_infos:
             if info.index not in lost:
                 expect[ef.server_of(info.index)] += info.data_stripes * row_bytes
+        if name in decoded:
+            whole = decoded[name]
+            assert code.can_decode(whole) and not lost & set(whole)
+            assert len(whole) == code.k or not code.can_decode(whole[:-1])  # no block too many
+            for h in whole:
+                expect[ef.server_of(h)] += ef.block_size * itemsize
+            continue
         for b in lost:
-            for h, _, count in data_row_reads(code, b):
+            for h, _, count in data_row_reads(code, b, lost - {b}):
                 expect[ef.server_of(h)] += count * row_bytes
     return {server: nbytes for server, nbytes in expect.items() if nbytes}
+
+
+#: Helper rows a whole-file read reads per lost block of role ``data``:
+#: Galloper 8 of the 14 rows its two group mates hold, Carousel 8 of 12,
+#: the rotated baseline 8 where it decoded 28 (``k * N``) before; RS and
+#: Pyramid (``N = 1``) read their ``k`` and ``k / l`` helpers whole.
+HELPER_ROWS_PER_LOST_DATA_BLOCK = {"rs": 4, "pyramid": 2, "galloper": 8, "carousel": 8, "rotated": 8}
 
 
 @code_matrix
@@ -270,13 +303,19 @@ def test_single_loss_reads_exactly_the_repair_helpers(code_name, field, ragged):
         cluster, dfs, ef, payload = write(code, ragged, seed=lost)
         victim = ef.server_of(lost)
         cluster.fail(victim)
-        carries_data = code.block_infos[lost].data_stripes > 0
+        info = code.block_infos[lost]
+        carries_data = info.data_stripes > 0
+        row_bytes = ef.stripe_size * code.gf.dtype.itemsize
+        survivors_bytes = (code.data_stripe_total - info.data_stripes) * row_bytes
         for read in (lambda: dfs.read_file("f"), lambda: read_into(dfs, "f")):
             dfs.metrics.reset()
             tracer = Tracer()
             with use_tracer(tracer):
                 assert read() == payload
-            assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, ["f"], victim)
+            assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, ["f"], {victim})
+            if info.role == "data" and code_name in HELPER_ROWS_PER_LOST_DATA_BLOCK:
+                helper_bytes = dfs.metrics.total("disk_bytes_read") - survivors_bytes
+                assert helper_bytes == HELPER_ROWS_PER_LOST_DATA_BLOCK[code_name] * row_bytes
             assert len(tracer.find("dfs.local_repair")) == (1 if carries_data else 0)
             assert not tracer.find("dfs.degraded_decode")
             assert dfs.metrics.total("degraded_reads") == (1 if carries_data else 0)
@@ -302,7 +341,7 @@ def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragge
         tracer = Tracer()
         with use_tracer(tracer):
             assert sfs.read_file("s") == payload
-        assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, names, victim)
+        assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, names, {victim})
         assert dfs.metrics.total("degraded_reads") == len(degraded)
         # One fused reconstruct (under its own ``dfs.local_repair``) per
         # distinct lost block index, and no full decode.
@@ -312,39 +351,6 @@ def test_striped_single_loss_is_fused_through_batch_reconstruct(code_name, ragge
         assert all(s.parent.name == "dfs.local_repair" and s.parent.parent is recovery for s in reconstructs)
         assert not tracer.find("dfs.degraded_decode") and not tracer.find("pipeline.batch_decode")
         assert codes_layer_read(dfs, names) == payload
-
-
-@pytest.mark.parametrize(
-    "code_name, helper_rows, whole_helper_rows",
-    [
-        ("rs", 4, 4),
-        ("pyramid", 2, 2),
-        ("galloper", 8, 14),
-        ("galloper-hetero", None, None),
-        ("carousel", 8, 12),
-        ("rotated", 8, None),
-    ],
-)
-def test_a_lost_data_block_costs_the_helper_rows_of_its_data_rows(code_name, helper_rows, whole_helper_rows):
-    """Per lost data block (structural role ``data``), a whole-file read
-    reads the helper rows behind its data rows only: Galloper 8 of the 14
-    rows its plan's helpers hold, Carousel 8 of 12, the rotated baseline 8
-    where a full decode reads 28; Reed-Solomon and Pyramid (``N = 1``)
-    read their helpers whole, as before."""
-    code = make_code(code_name)
-    for info in code.block_infos:
-        if info.role != "data":
-            continue
-        plan = code.repair_plan(info.index, {info.index})
-        got = sum(count for _, _, count in data_row_reads(code, info.index))
-        if code_name != "rotated":  # whose rows each have their own helper servers
-            assert got == info.data_stripes * len(plan.helpers)  # one row per helper per data row
-        if helper_rows is not None:
-            assert got == helper_rows
-        if whole_helper_rows is not None:
-            assert len(plan.helpers) * code.N == whole_helper_rows
-    if code_name == "rotated":
-        assert code.k * code.N == 28  # the decode a whole-file read made before
 
 
 def test_repair_plans_are_memoised_across_the_groups_of_one_read(monkeypatch):
@@ -367,26 +373,46 @@ def test_repair_plans_are_memoised_across_the_groups_of_one_read(monkeypatch):
 # --------------------------------------------- (d) fall back to the full decode
 
 
-@pytest.mark.parametrize("code_name", ["rs", "pyramid", "galloper", "galloper-hetero"])
+@code_matrix
 @tail_matrix
-def test_two_lost_data_blocks_fall_back_to_the_full_decode(code_name, ragged):
+def test_two_lost_data_blocks_fall_back_to_the_full_decode(code_name, ragged, monkeypatch):
+    """Each decoded file reads a minimal decodable subset whole, and a
+    striped read fuses its decodes into one ``batch_decode`` with one
+    bucket per distinct survivor set."""
     code = make_code(code_name)
     cluster, dfs, ef, payload = write(code, ragged)
-    cluster.fail(ef.server_of(0))
-    cluster.fail(ef.server_of(1))
+    decoded = spy_on_decode_plans(dfs, monkeypatch)
+    dead = {ef.server_of(0), ef.server_of(1)}
+    for server in dead:
+        cluster.fail(server)
+    dfs.metrics.reset()
     tracer = Tracer()
     with use_tracer(tracer):
         assert dfs.read_file("f") == payload
-    assert tracer.find("dfs.degraded_decode") and not tracer.find("dfs.local_repair")
+    assert list(decoded) == ["f"]
+    assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, ["f"], dead, decoded)
+    (decode,) = tracer.find("pipeline.batch_decode")
+    assert decode.attrs["buckets"] == 1 and decode.parent.name == "dfs.degraded_decode"
+    assert not tracer.find("dfs.local_repair")
 
     cluster, dfs, sfs, payload = write_striped(code, ragged)
+    decoded = spy_on_decode_plans(dfs, monkeypatch)
+    names = sfs.file("s").group_names()
     group0 = dfs.file(group_name("s", 0))
-    cluster.fail(group0.server_of(0))
-    cluster.fail(group0.server_of(1))
+    dead = {group0.server_of(0), group0.server_of(1)}
+    for server in dead:
+        cluster.fail(server)
+    dfs.metrics.reset()
     tracer = Tracer()
     with use_tracer(tracer):
         assert sfs.read_file("s") == payload
-    assert tracer.find("pipeline.batch_decode")
+    assert group0.name in decoded
+    assert dfs.metrics.by_server("disk_bytes_read") == expected_disk_reads(dfs, names, dead, decoded)
+    (recovery,) = tracer.find("sfs.batch_degraded_decode")
+    (decode,) = tracer.find("pipeline.batch_decode")
+    assert decode.attrs["buckets"] == len({tuple(sorted(chosen)) for chosen in decoded.values()})
+    assert decode.parent.name == "dfs.degraded_decode" and decode.parent.parent is recovery
+    assert codes_layer_read(dfs, names) == payload
 
 
 @pytest.mark.parametrize("code_name", ["pyramid", "galloper"])

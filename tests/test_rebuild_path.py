@@ -24,34 +24,16 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.codes import CarouselCode, PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.codes.base import ErasureCode
-from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
-from repro.gf import GF256, GF65536, random_symbols
+from repro.gf import random_symbols
 from repro.obs import Tracer, use_tracer
 from repro.serving import GatewayConfig, ServingGateway
 from repro.storage import DistributedFileSystem, RepairManager, Scrubber, StripedFileSystem
 from tests.conftest import payload_bytes
 from tests.test_read_batch import state
-
-CODES = {
-    "rs": lambda gf: ReedSolomonCode(4, 3, gf=gf),
-    "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
-    "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
-    "galloper-hetero": lambda gf: GalloperCode(4, 2, 1, performances=[2, 1, 1, 2, 1, 1, 1], gf=gf),
-    "carousel": lambda gf: CarouselCode(4, 2, gf=gf),
-    "rotated": lambda gf: RotatedPyramidCode(4, 2, 1, gf=gf),
-}
-FIELDS = {"gf8": GF256, "gf16": GF65536}
-
-code_matrix = pytest.mark.parametrize("code_name", CODES)
-field_matrix = pytest.mark.parametrize("field", FIELDS)
-
-
-def make_code(code_name, field="gf8"):
-    return CODES[code_name](FIELDS[field])
+from tests.test_read_plan import FIELDS, code_matrix, field_matrix, make_code
 
 
 def _refuse(*args, **kwargs):
@@ -181,7 +163,7 @@ def twin(code_name: str, field: str):
     """A plain and a striped file, block 0's server down and the server of
     the last helper of block 0's plan failing every read: the rebuild reads
     the other helpers, then gives up on that one (retries, backoff, breaker)."""
-    code = CODES[code_name](FIELDS[field])
+    code = make_code(code_name, field)
     helper = code.repair_plan(0, {0}).helpers[-1]
     assert code.block_infos[helper].data_stripes == 0  # a parity: no clean read touches it
     cluster = Cluster.homogeneous(3 * code.n)

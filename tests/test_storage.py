@@ -382,11 +382,9 @@ class TestCodeInterning:
         for i, name in enumerate(names):
             assert dfs.read_file(name) == payload_bytes(5_600, seed=i)
         after = code.plan_cache_info()
-        # One repair plan compiled for the four files.  Each read looks it
-        # up twice — for the helper rows to read, then to rebuild them — so
-        # every lookup but the first hits.
+        # One repair plan compiled for the four files, then three hits.
         assert after["misses"] - before["misses"] == 1
-        assert after["hits"] - before["hits"] == 2 * len(names) - 1
+        assert after["hits"] - before["hits"] == len(names) - 1
 
     def test_different_parameters_stay_distinct(self, dfs):
         from repro.gf import GF65536
