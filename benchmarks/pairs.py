@@ -118,7 +118,12 @@ def leaf_differences(parent: pathlib.Path, change: pathlib.Path, workload: str, 
         }
         values = {name: pair for name, pair in values.items() if pair != (None, None)}
         moved = {name: pair for name, pair in values.items() if pair[0] != pair[1]}
-        verdict = f"{len(moved)} of {len(values)} differ" if moved else f"all {len(values)} identical"
+        if not values:
+            verdict = "no deterministic leaf in either record (an untraced *_io run has none)"
+        elif moved:
+            verdict = f"{len(moved)} of {len(values)} differ"
+        else:
+            verdict = f"all {len(values)} identical"
         print(f"   seed {b['provenance']['seed']}: {verdict}")
         for name, (x, y) in moved.items():
             print(f"      {name:<52} {x} -> {y}")
