@@ -10,9 +10,12 @@ Clones both revisions from this repository into a work directory (a local
 ``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone, the
 parent first on even-numbered pairs and the change first on odd ones.  Each
 side runs from its own fresh clone, so neither measures a long-lived working
-tree.  Prints, per end-to-end metric, in how many pairs the change read
-better than the parent, then ``compare.py parent.json change.json`` (whose
-exit status it returns), and last, per seed, the deterministic leaves that
+tree.  Prints the gain test per end-to-end metric (each side's median and
+quartiles, change over parent, the pairs the change is ahead / behind /
+tied in, and whether the rule for claiming a gain holds: ahead in at least
+nine tenths of the pairs, medians apart by more than the parent's quartile
+distance), then ``compare.py parent.json change.json`` (whose exit status
+it returns), and last, per seed, the deterministic leaves that
 differ between the two records: every declared metric whose unit is not a
 wall-clock one (``WALL_UNITS``), ``eff.*`` and ``bench.*`` excluded — the
 counts and sim-clock values the seed alone decides.  The records stay in
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -71,14 +75,27 @@ def _declared(checkout: pathlib.Path):
     return declared
 
 
-def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkout: pathlib.Path) -> None:
-    """Per end-to-end metric: pairs in which the change read better, worse, the same."""
-    declared = _declared(checkout)
-    better = {name: direction for name, _, direction, _, _ in declared.END_TO_END}
-    runs_a = json.loads(parent.read_text())["runs"]
-    runs_b = json.loads(change.read_text())["runs"]
-    print(f"== pairs ({len(runs_a)}), change against parent, {workload}")
-    for metric, direction in better.items():
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)``, cut as ``compare.py`` and the records cut them."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def gain_test(runs_a: list[dict], runs_b: list[dict], workload: str, directions: dict[str, str]) -> list[dict]:
+    """The gain test per end-to-end metric both sides carry.
+
+    ``directions`` maps a metric to ``"higher"`` or ``"lower"`` (is better).
+    A row holds each side's ``(q1, median, q3)``, ``ratio`` = change median
+    over parent median, the pairs the change is ``ahead`` / ``behind`` /
+    ``tied`` in, and ``gain``: whether the rule for claiming a gain holds —
+    ahead in at least nine tenths of the pairs (ties count for neither),
+    and the medians apart, in the better direction, by more than the
+    distance between the parent's quartiles.
+    """
+    rows = []
+    for metric, direction in directions.items():
         pairs = [
             (a["workloads"][workload]["end_to_end"].get(metric), b["workloads"][workload]["end_to_end"].get(metric))
             for a, b in zip(runs_a, runs_b)
@@ -89,7 +106,31 @@ def pair_wins(parent: pathlib.Path, change: pathlib.Path, workload: str, checkou
         sign = 1.0 if direction == "higher" else -1.0
         ahead = sum(sign * (y - x) > 0 for x, y in pairs)
         behind = sum(sign * (y - x) < 0 for x, y in pairs)
-        print(f"   {metric:<24} ahead {ahead:2d}  behind {behind:2d}  tied {len(pairs) - ahead - behind:2d}")
+        parent, change = quartiles([x for x, _ in pairs]), quartiles([y for _, y in pairs])
+        rows.append({
+            "metric": metric,
+            "parent": parent,
+            "change": change,
+            "ratio": change[1] / parent[1] if parent[1] else None,
+            "ahead": ahead,
+            "behind": behind,
+            "tied": len(pairs) - ahead - behind,
+            "gain": 10 * ahead >= 9 * len(pairs) and sign * (change[1] - parent[1]) > parent[2] - parent[0],
+        })
+    return rows
+
+
+def print_gain_test(rows: list[dict], pairs: int, workload: str) -> None:
+    print(f"== gain test ({pairs} pairs), change against parent, {workload}: median [q1 .. q3]")
+    for row in rows:
+        (pq1, pm, pq3), (cq1, cm, cq3) = row["parent"], row["change"]
+        ratio = f"{row['ratio']:7.3f}" if row["ratio"] is not None else "    n/a"
+        print(
+            f"   {row['metric']:<20} parent {pm:10.5g} [{pq1:.5g} .. {pq3:.5g}]"
+            f"  change {cm:10.5g} [{cq1:.5g} .. {cq3:.5g}]  change/parent {ratio}"
+            f"  ahead {row['ahead']:2d} behind {row['behind']:2d} tied {row['tied']:2d}"
+            f"  {'gain rule holds' if row['gain'] else 'no gain'}"
+        )
 
 
 def deterministic_leaves(declared) -> dict[str, str]:
@@ -157,7 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {index + 1}/{len(args.seeds)}: seed {seed}, {order[0]} first", flush=True)
 
     (_, parent_json), (change_dir, change_json) = sides["parent"], sides["change"]
-    pair_wins(parent_json, change_json, args.workload, change_dir)
+    directions = {name: direction for name, _, direction, _, _ in _declared(change_dir).END_TO_END}
+    runs_a = json.loads(parent_json.read_text())["runs"]
+    runs_b = json.loads(change_json.read_text())["runs"]
+    print_gain_test(gain_test(runs_a, runs_b, args.workload, directions), len(runs_a), args.workload)
     sys.stdout.flush()
     status = subprocess.run(
         [sys.executable, str(change_dir / E2E / "compare.py"), str(parent_json), str(change_json)],

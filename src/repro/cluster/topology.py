@@ -26,6 +26,9 @@ class Cluster:
         if len(set(ids)) != len(ids):
             raise ClusterError("duplicate server ids")
         self.servers: dict[int, Server] = {s.server_id: s for s in servers}
+        # Every server in id order, sorted once: ``add_server`` appends the
+        # next free id, which is the largest.
+        self._by_id: list[Server] = sorted(self.servers.values(), key=lambda s: s.server_id)
 
     # ------------------------------------------------------------ factories
 
@@ -71,7 +74,7 @@ class Cluster:
 
     def alive(self) -> list[Server]:
         """Servers currently up, in id order."""
-        return [s for s in sorted(self.servers.values(), key=lambda s: s.server_id) if not s.failed]
+        return [s for s in self._by_id if not s.failed]
 
     def alive_ids(self) -> list[int]:
         return [s.server_id for s in self.alive()]
@@ -103,6 +106,7 @@ class Cluster:
         new_id = max(self.servers) + 1 if self.servers else 0
         srv = Server(server_id=new_id, **server_kwargs)
         self.servers[new_id] = srv
+        self._by_id.append(srv)
         return srv
 
 

@@ -17,11 +17,12 @@ Integrity is one store of per-stripe-row CRC-32s (``zlib``'s polynomial
 and values), written in the single pass :meth:`BlockStore.put` makes
 over a block; a whole block verifies as "every row matches".  Where the
 native kernel library carries its carry-less-multiply CRC kernel, row
-runs large enough to repay the call go through it in one C call — and a
-batch of row-range reads checks all its ranges in one call
-(:meth:`BlockStore._range_reader`); everything else, and every host
-without it, uses ``zlib.crc32`` — the stored values are the same either
-way.
+runs large enough to repay the call go through it in one C call — a
+batch of writes hashes all its blocks in one call
+(:meth:`BlockStore._put_many`), and a batch of row-range reads checks
+all its ranges in one call (:meth:`BlockStore._range_reader`);
+everything else, and every host without it, uses ``zlib.crc32`` — the
+stored values are the same either way.
 """
 
 from __future__ import annotations
@@ -167,21 +168,55 @@ class BlockStore:
         return disk[key]
 
     def put(self, server_id: int, file_name: str, block_id: int, payload: np.ndarray) -> None:
-        """Write one block to a server's disk."""
-        if self.cluster.server(server_id).failed:
-            raise BlockUnavailableError(
-                f"server {server_id} is down; cannot write",
-                server=server_id,
-                file=file_name,
-                block=block_id,
-                cause="server_down",
-            )
-        payload = np.asarray(payload)
-        key = (file_name, block_id)
-        self._disk(server_id)[key] = payload
-        self._row_checksums[server_id][key] = self._checksum_entry(payload)
-        self.metrics.add("disk_bytes_written", payload.nbytes, server_id)
-        self.metrics.add("blocks_written", 1, server_id)
+        """Write one block to a server's disk: a batch of one :meth:`_put_many`."""
+        self._put_many(((server_id, file_name, block_id, payload),))
+
+    def _put_many(self, items) -> None:
+        """Write a batch of blocks; ``items[i]`` is ``(server, file, block, payload)``.
+
+        Each block takes ``put``'s steps in order: the down-server check,
+        which raises before that block is stored (the blocks before it
+        stay stored and counted), the store, the checksum entry.  What the
+        batch shares changes nothing that is stored: the row CRCs of every
+        block the native kernel can take in place come from one call
+        (:meth:`_batch_checksum_entries`; a lone block keeps
+        :meth:`_checksum_entry`'s own call), and the write counters are
+        added once per server, servers in the order they first appear.
+        """
+        entries = self._batch_checksum_entries(items) if len(items) > 1 else None
+        server_of = self.cluster.server
+        checksums = self._row_checksums
+        written: dict[int, list[int]] = {}
+        try:
+            for i, (server_id, file_name, block_id, payload) in enumerate(items):
+                if server_of(server_id).failed:
+                    raise BlockUnavailableError(
+                        f"server {server_id} is down; cannot write",
+                        server=server_id,
+                        file=file_name,
+                        block=block_id,
+                        cause="server_down",
+                    )
+                entry = entries[i] if entries is not None else None
+                if entry is None:
+                    payload = np.asarray(payload)
+                    entry = self._checksum_entry(payload)
+                else:
+                    payload = entry[1]
+                key = (file_name, block_id)
+                self._disk(server_id)[key] = payload
+                checksums[server_id][key] = entry
+                tally = written.get(server_id)
+                if tally is None:
+                    written[server_id] = [payload.nbytes, 1]
+                else:
+                    tally[0] += payload.nbytes
+                    tally[1] += 1
+        finally:
+            add = self.metrics.add
+            for server_id, (nbytes, count) in written.items():
+                add("disk_bytes_written", nbytes, server_id)
+                add("blocks_written", count, server_id)
 
     # ------------------------------------------------------------- integrity
 
@@ -200,6 +235,39 @@ class BlockStore:
             crcs, handle = self._crc_backend.crc32_rows_in_place(block)
             return crcs, block, handle
         return self._row_crcs(block), block, None
+
+    def _batch_checksum_entries(self, items) -> list | None:
+        """Per item of a :meth:`_put_many` batch, the entry :meth:`_checksum_entry`
+        would make, for every 2-D block of at least ``_NATIVE_CRC_MIN_BYTES``
+        whose rows are each contiguous: all of them hashed in one
+        ``crc32_ranges`` call, each through a :meth:`row_buffer` handle that
+        its entry keeps for later batched reads.  ``None`` for every other
+        item (``_checksum_entry`` hashes those), or for all when no block
+        qualifies or there is no native kernel.
+        """
+        if self._native_row_crcs is None:
+            return None
+        backend = self._crc_backend
+        entries: list = [None] * len(items)
+        hashed: list[tuple[int, np.ndarray, object]] = []
+        bases: list = []
+        geometry: list[int] = []
+        for i, item in enumerate(items):
+            block = np.asarray(item[3])
+            if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
+                handle = backend.row_buffer(block)
+                hashed.append((i, block, handle))
+                bases.append(handle)
+                geometry += (block.strides[0], block.shape[0], block.shape[1] * block.itemsize)
+        if not bases:
+            return None
+        crcs = backend.crc32_ranges(bases, geometry)
+        pos = 0
+        for i, block, handle in hashed:
+            stop = pos + block.shape[0]
+            entries[i] = (crcs[pos:stop], block, handle)
+            pos = stop
+        return entries
 
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
         """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""

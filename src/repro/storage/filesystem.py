@@ -258,21 +258,7 @@ class DistributedFileSystem:
 
         with tracer.span("dfs.encode", category="coding", file=name, bytes=grid.nbytes):
             blocks = code.encode(grid)
-        placement_map = {b: servers[b] for b in range(code.n)}
-        with tracer.span(
-            "dfs.store_blocks", category="storage", file=name, blocks=code.n, clock=self.clock
-        ):
-            for b in range(code.n):
-                self.store.put(servers[b], name, b, blocks[b])
-        ef = EncodedFile(
-            name=name,
-            code=code,
-            placement=placement_map,
-            stripe_size=grid.shape[1],
-            original_size=original_size,
-        )
-        self.files[name] = ef
-        return ef
+        return self._store_files(code, [(name, blocks, servers, original_size)])[0]
 
     def write_virtual_file(
         self,
@@ -328,34 +314,61 @@ class DistributedFileSystem:
 
         ``blocks`` is the ``(n, N, S)`` array a (possibly fused)
         :meth:`~repro.codes.base.ErasureCode.encode` produced; views into
-        a larger batched output are stored as-is — no per-block copy.
+        a larger batched output are stored as-is — no per-block copy.  A
+        batch of one :meth:`_write_encoded_many`.
         """
-        if name in self.files:
-            raise FileSystemError(f"file {name!r} already exists")
-        if blocks.ndim != 3 or blocks.shape[:2] != (code.n, code.N):
-            raise FileSystemError(
-                f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
-            )
+        return self._write_encoded_many(code, [(name, blocks, original_size, placement)])[0]
+
+    def _write_encoded_many(self, code: ErasureCode, entries) -> list[EncodedFile]:
+        """:meth:`write_encoded` for many files of one code, in one store batch.
+
+        ``entries[i]`` is ``(name, blocks, original_size, placement)``.
+        Every name and block shape is checked before anything is placed or
+        stored, so a rejected batch stores and registers nothing.  Each
+        file is placed on its own (one ``dfs.place`` span each); every
+        block of every file is then stored by one ``BlockStore._put_many``.
+        """
+        for name, blocks, _, _ in entries:
+            if name in self.files:
+                raise FileSystemError(f"file {name!r} already exists")
+            if blocks.ndim != 3 or blocks.shape[:2] != (code.n, code.N):
+                raise FileSystemError(
+                    f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
+                )
         code = self._intern_code(code)
-        placement = placement or RoundRobinPlacement()
         tracer = get_tracer()
-        with tracer.span("dfs.place", category="storage", file=name):
-            servers = placement.place(self.cluster, code.n)
-        with tracer.span(
-            "dfs.store_blocks", category="storage", file=name, blocks=code.n, clock=self.clock
+        placed = []
+        for name, blocks, original_size, placement in entries:
+            with tracer.span("dfs.place", category="storage", file=name):
+                servers = (placement or RoundRobinPlacement()).place(self.cluster, code.n)
+            placed.append((name, blocks, servers, original_size))
+        files = self._store_files(code, placed)
+        self.metrics.add("bytes_moved_zero_copy", sum(blocks.nbytes for _, blocks, _, _ in entries))
+        return files
+
+    def _store_files(self, code: ErasureCode, placed) -> list[EncodedFile]:
+        """Store the blocks of placed files in one store batch, then register them.
+
+        ``placed[i]`` is ``(name, blocks, servers, original_size)``: block
+        ``b`` of ``blocks`` goes to ``servers[b]``.
+        """
+        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(code.n)]
+        with get_tracer().span(
+            "dfs.store_blocks", category="storage", files=len(placed), blocks=len(items), clock=self.clock
         ):
-            for b in range(code.n):
-                self.store.put(servers[b], name, b, blocks[b])
-        self.metrics.add("bytes_moved_zero_copy", blocks.nbytes)
-        ef = EncodedFile(
-            name=name,
-            code=code,
-            placement={b: servers[b] for b in range(code.n)},
-            stripe_size=blocks.shape[2],
-            original_size=original_size,
-        )
-        self.files[name] = ef
-        return ef
+            self.store._put_many(items)
+        files = []
+        for name, blocks, servers, original_size in placed:
+            ef = EncodedFile(
+                name=name,
+                code=code,
+                placement={b: servers[b] for b in range(code.n)},
+                stripe_size=blocks.shape[2],
+                original_size=original_size,
+            )
+            self.files[name] = ef
+            files.append(ef)
+        return files
 
     @staticmethod
     def _as_symbols(code: ErasureCode, payload) -> np.ndarray:

@@ -127,6 +127,11 @@ class StripedFileSystem:
             group_payload=group_payload,
             group_count=group_count,
         )
+        # Every group name is checked before the first group is stored, so
+        # a write that would clash stores and registers nothing.
+        taken = next((g for g in meta.group_names() if g in self.dfs.files), None)
+        if taken is not None:
+            raise FileSystemError(f"file {taken!r} already exists")
         with get_tracer().span(
             "sfs.write_file", category="storage", file=name,
             bytes=len(data), groups=group_count,
@@ -137,11 +142,13 @@ class StripedFileSystem:
         return meta
 
     def _write_batched(self, name, data, code, meta: StripedFileMeta, placement) -> None:
-        """Encode every full group in one fused kernel call.
+        """Encode every full group in one fused kernel call, store them in one batch.
 
         The payload is viewed as a ``(groups, k*N, S)`` stack without
         copying (``np.frombuffer`` over the caller's bytes); the batch
-        apply stacks group columns once and runs one generator product.
+        apply stacks group columns once and runs one generator product,
+        and every block of every full group is stored by one
+        :meth:`DistributedFileSystem._write_encoded_many`.
         The final short group — whose stripe width differs after padding
         — is the ragged tail and takes the ordinary single-group path
         with the same shared code.
@@ -157,11 +164,10 @@ class StripedFileSystem:
                 grids = grids.astype(code.gf.dtype)
                 self.metrics.add("bytes_copied", grids.nbytes)
             blocks = pipeline.batch_encode(code, list(grids), metrics=self.metrics)
-            for i in range(full):
-                pol = placement or RoundRobinPlacement(offset=i * code.n)
-                self.dfs.write_encoded(
-                    group_name(name, i), code, blocks[i], original_size=gp, placement=pol
-                )
+            self.dfs._write_encoded_many(code, [
+                (group_name(name, i), blocks[i], gp, placement or RoundRobinPlacement(offset=i * code.n))
+                for i in range(full)
+            ])
         if full < meta.group_count:
             tail = arr[full * gp :]
             pol = placement or RoundRobinPlacement(offset=full * code.n)

@@ -1,6 +1,8 @@
 """Tests for the cluster model: servers, topology, placement, failures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -67,6 +69,29 @@ class TestCluster:
         srv = c.add_server(cpu_speed=2.0)
         assert srv.server_id == 2
         assert c.server(2).cpu_speed == 2.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 30), min_size=2, max_size=8, unique=True).filter(lambda ids: ids != sorted(ids)),
+        steps=st.lists(st.tuples(st.sampled_from(["fail", "recover", "add"]), st.integers(0, 99)), max_size=30),
+    )
+    def test_alive_is_the_up_servers_in_id_order(self, ids, steps):
+        """Against a ``sorted()`` reference, for a cluster built from servers
+        given out of id order; iteration keeps insertion order."""
+        c = Cluster([Server(i) for i in ids])
+        order = list(ids)
+        for op, pick in steps:
+            if op == "add":
+                order.append(c.add_server().server_id)
+            else:
+                srv = c.server(order[pick % len(order)])
+                if op == "fail" and not srv.failed:
+                    c.fail(srv.server_id)
+                elif op == "recover" and srv.failed:
+                    c.recover(srv.server_id)
+            assert c.alive() == [s for s in sorted(c.servers.values(), key=lambda s: s.server_id) if not s.failed]
+            assert c.alive_ids() == [s.server_id for s in c.alive()]
+            assert [s.server_id for s in c] == order
 
 
 class TestPlacement:
