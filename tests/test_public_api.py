@@ -1,8 +1,10 @@
-"""The exported names of the packages callers import from, and the options
-of the entry points that carry them, against committed lists.
+"""The exported names of the packages callers import from, the options
+of the entry points that carry them, and the public methods of the
+storage classes, against committed lists.
 
 An export added or dropped shows up as a one-line diff to ``PUBLIC_API``
-below, an option added or dropped as a one-line diff to ``OPTIONS``,
+below, an option added or dropped as a one-line diff to ``OPTIONS``, a
+method as a one-line diff to ``METHODS``,
 where a reviewer sees it; nothing else checks the "no new public name,
 option or constructor argument" ground rule of the simplification issues.
 """
@@ -191,6 +193,42 @@ OPTIONS = {
     "repro.bench.chaos:run_campaign": "schedules, base_seed, checkpoints, horizon",
 }
 
+#: ``module:class`` -> its public methods (callable attributes without a
+#: leading underscore), one per line so an addition or removal is one line.
+METHODS = {
+    "repro.storage:DistributedFileSystem": [
+        "delete_file",
+        "file",
+        "list_files",
+        "read_bytes",
+        "read_file",
+        "read_file_into",
+        "read_stripes",
+        "stripe_holders",
+        "write_encoded",
+        "write_file",
+        "write_virtual_file",
+    ],
+    "repro.storage:StripedFileSystem": [
+        "delete_file",
+        "file",
+        "list_files",
+        "read_bytes",
+        "read_file",
+        "write_file",
+    ],
+    "repro.storage:EncodedFile": [
+        "blocks_on_server",
+        "server_of",
+        "stripe_holder",
+    ],
+    "repro.codes.base:ReadPlan": [
+        "compile",
+        "holder",
+        "runs_within",
+    ],
+}
+
 
 @pytest.mark.parametrize("module", PUBLIC_API)
 def test_exports_match_the_committed_list(module):
@@ -212,3 +250,11 @@ def test_options_match_the_committed_list(entry):
     for name in path.split("."):
         target = getattr(target, name)
     assert ", ".join(inspect.signature(target).parameters) == OPTIONS[entry]
+
+
+@pytest.mark.parametrize("entry", METHODS)
+def test_public_methods_match_the_committed_list(entry):
+    module, _, name = entry.partition(":")
+    cls = getattr(importlib.import_module(module), name)
+    public = [attr for attr in dir(cls) if not attr.startswith("_") and callable(getattr(cls, attr))]
+    assert public == METHODS[entry]
