@@ -309,12 +309,6 @@ class ReadPlan:
             runs.append((block, row, 1, fs))
         return cls(runs=tuple(runs), starts=tuple(r[3] for r in runs), holders=tuple(holders))
 
-    def holder(self, file_stripe: int) -> tuple[int, int] | None:
-        """``(block, row)`` serving a file stripe, else ``None``."""
-        if 0 <= file_stripe < len(self.holders):
-            return self.holders[file_stripe]
-        return None
-
     def runs_within(self, start: int, stop: int):
         """The runs covering file stripes ``[start, stop)``, clipped to it."""
         runs = self.runs

@@ -2,11 +2,19 @@
 
 ``write_file`` encodes a payload with any :class:`~repro.codes.base.ErasureCode`
 and spreads the blocks over distinct servers; ``read_file`` reassembles
-the payload, transparently falling back to decoding when servers are down
-(a *degraded read*).  ``read_stripes`` / ``read_bytes`` serve arbitrary
-extents of the original file — this is the primitive the MapReduce input
-formats are built on, equivalent to the paper's custom ``FileInputFormat``
-that knows the boundary between original and parity data in each block.
+the payload, transparently rebuilding what it cannot read when servers
+are down (a *degraded read*).  ``read_stripes`` / ``read_bytes`` serve
+arbitrary extents of the original file — this is the primitive the
+MapReduce input formats are built on, equivalent to the paper's custom
+``FileInputFormat`` that knows the boundary between original and parity
+data in each block.
+
+Every read, whole file or extent, plain or striped, is one routine
+(:meth:`DistributedFileSystem._read`): the runs of the code's read plan
+the read covers are read in one batch, the runs that could not be read
+are filled by :meth:`DistributedFileSystem._recover` (a local rebuild
+from the helper rows of one lost block, else a full decode), and the
+pieces are joined once into the bytes returned.
 
 When a file is written with a Galloper code and no explicit weights, the
 filesystem closes the loop the paper describes: it asks the placement
@@ -17,6 +25,7 @@ assignment for exactly those servers, and only then constructs the code.
 from __future__ import annotations
 
 import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +153,6 @@ class EncodedFile:
     def blocks_on_server(self, server_id: int) -> list[int]:
         return [b for b, s in self.placement.items() if s == server_id]
 
-    def stripe_holder(self, file_stripe: int) -> tuple[int, int] | None:
-        """``(block, row)`` storing a file stripe verbatim, else ``None``."""
-        return self.code.read_plan().holder(file_stripe)
-
 
 class DistributedFileSystem:
     """Files encoded over a cluster's block stores.
@@ -229,24 +234,9 @@ class DistributedFileSystem:
         servers chosen by the placement policy — the hook Galloper codes
         use to match weights to servers.
         """
-        if name in self.files:
-            raise FileSystemError(f"file {name!r} already exists")
-        if (code is None) == (code_factory is None):
-            raise FileSystemError("pass exactly one of code / code_factory")
-        placement = placement or RoundRobinPlacement()
-
         tracer = get_tracer()
         with tracer.span("dfs.place", category="storage", file=name):
-            if code_factory is not None:
-                # Two-phase: probe how many blocks by building with uniform
-                # performance, then rebuild with the placed servers' metrics.
-                probe = code_factory(None)
-                servers = placement.place(self.cluster, probe.n)
-                perf = self.cluster.performance_vector(servers, performance_metric)
-                code = code_factory(perf)
-            else:
-                servers = placement.place(self.cluster, code.n)
-        code = self._intern_code(code)
+            code, servers = self._place_new_file(name, code, code_factory, placement, performance_metric)
 
         payload = self._as_symbols(code, payload)
         original_size = payload.size
@@ -276,19 +266,7 @@ class DistributedFileSystem:
         file provides exactly that.  Reading a virtual file's content
         raises :class:`FileSystemError`.
         """
-        if name in self.files:
-            raise FileSystemError(f"file {name!r} already exists")
-        if (code is None) == (code_factory is None):
-            raise FileSystemError("pass exactly one of code / code_factory")
-        placement = placement or RoundRobinPlacement()
-        if code_factory is not None:
-            probe = code_factory(None)
-            servers = placement.place(self.cluster, probe.n)
-            perf = self.cluster.performance_vector(servers, performance_metric)
-            code = code_factory(perf)
-        else:
-            servers = placement.place(self.cluster, code.n)
-        code = self._intern_code(code)
+        code, servers = self._place_new_file(name, code, code_factory, placement, performance_metric)
         total = code.data_stripe_total
         padded = max(total, int(np.ceil(size_bytes / total) * total))
         ef = EncodedFile(
@@ -301,6 +279,28 @@ class DistributedFileSystem:
         )
         self.files[name] = ef
         return ef
+
+    def _place_new_file(
+        self, name: str, code, code_factory, placement, performance_metric: str
+    ) -> tuple[ErasureCode, list[int]]:
+        """``(code, servers)`` for a new file: the checks and the placement
+        :meth:`write_file` and :meth:`write_virtual_file` share.
+
+        With a ``code_factory`` placement is two-phase: probe how many
+        blocks by building with uniform performance, then rebuild with the
+        placed servers' metrics.
+        """
+        if name in self.files:
+            raise FileSystemError(f"file {name!r} already exists")
+        if (code is None) == (code_factory is None):
+            raise FileSystemError("pass exactly one of code / code_factory")
+        placement = placement or RoundRobinPlacement()
+        if code_factory is not None:
+            servers = placement.place(self.cluster, code_factory(None).n)
+            code = code_factory(self.cluster.performance_vector(servers, performance_metric))
+        else:
+            servers = placement.place(self.cluster, code.n)
+        return self._intern_code(code), servers
 
     def write_encoded(
         self,
@@ -408,7 +408,7 @@ class DistributedFileSystem:
         return ef
 
     def read_file(self, name: str) -> bytes:
-        """Read a whole file back, degraded-decoding if servers are down.
+        """Read a whole file back, rebuilding what servers that are down hold.
 
         The bytes are assembled in one pass: the CRC-verified row views
         the reads returned (and, degraded, slices of what was rebuilt),
@@ -420,7 +420,7 @@ class DistributedFileSystem:
             "dfs.read_file", category="storage", file=name,
             bytes=ef.original_size, clock=self.clock,
         ):
-            return _join_symbols(self._file_chunks(ef))
+            return _join_symbols(self._read([ef]))
 
     def read_file_into(self, name: str, out) -> int:
         """Read a whole file directly into a caller-supplied buffer.
@@ -440,27 +440,97 @@ class DistributedFileSystem:
             "dfs.read_file", category="storage", file=name, bytes=nbytes, clock=self.clock
         ):
             pos = 0
-            for chunk in self._file_chunks(ef):
+            for chunk in self._read([ef]):
                 target[pos : pos + chunk.size] = chunk
                 pos += chunk.size
-        self._count_delivered(ef.code, nbytes)
         return nbytes
 
-    def _count_delivered(self, code: ErasureCode, nbytes: int) -> None:
-        """Account a whole-file read: narrowed symbols crossed a copy, bytes did not."""
-        self.metrics.add("bytes_moved_zero_copy" if code.gf.q == 8 else "bytes_copied", nbytes)
+    def read_stripes(self, name: str, start: int, count: int) -> np.ndarray:
+        """Read ``count`` file stripes starting at ``start``, as a fresh grid."""
+        ef = self._open(name)
+        total = ef.code.data_stripe_total
+        if start < 0 or start + count > total:
+            raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
+        size = ef.stripe_size
+        chunks = self._read([ef], start * size, (start + count) * size)
+        return np.concatenate(chunks or [np.empty(0, ef.code.gf.dtype)]).reshape(count, size)
 
-    def _file_chunks(self, ef: EncodedFile) -> list[np.ndarray]:
-        """The file's payload symbols, in order, as chunks ready to join."""
-        (pieces,) = self._read_available_stripes(ef)
-        if any(piece is None for piece in pieces):
-            self._recover([(ef, pieces)])
-        return _symbol_chunks(pieces, 0, ef.padded_size - ef.original_size)
+    def read_bytes(self, name: str, offset: int, length: int) -> bytes:
+        """Read an arbitrary byte extent of the original file.
 
-    def _read_available_stripes(self, *files: EncodedFile) -> list[list[np.ndarray | None]]:
-        """Per file, one piece per run of its code's read plan, in file-stripe order.
+        Reads past the end of the file are truncated, matching POSIX
+        semantics — record readers rely on this when completing a trailing
+        record.
+        """
+        ef = self._open(name)
+        if offset < 0:
+            raise FileSystemError("negative offset")
+        length = max(0, min(length, ef.original_size - offset))
+        if length == 0:
+            return b""
+        return _join_symbols(self._read([ef], offset, offset + length))
 
-        Every run of every file is one range of a single batched client
+    def _read(
+        self, files: list[EncodedFile], lo: int = 0, hi: int | None = None,
+        degraded_span: str | None = None,
+    ) -> list[np.ndarray]:
+        """The read routine: symbols of ``files`` laid end to end, as chunks ready to join.
+
+        ``files`` is one plain file or the stripe groups of a striped one.
+        Without ``hi`` every file is read whole: the runs of its code's
+        read plan, less the padding behind its last stripe, and the bytes
+        are counted as delivered.  Else symbols ``lo .. hi`` are read: per
+        file the runs within the extent (:meth:`ReadPlan.runs_within`),
+        less the symbols before ``lo`` in the first stripe and after
+        ``hi`` in the last.  Then every run of every file is read in one
+        batch (:meth:`_read_available_stripes`), the runs that could not be
+        read are filled together by :meth:`_recover` (under a span named
+        ``degraded_span``, if given), and each file's pieces are cut into
+        chunks (:func:`_symbol_chunks`) — views of the stored rows or of
+        what was rebuilt, nothing staged.
+        """
+        spans = []
+        if hi is None:
+            for ef in files:
+                spans.append((ef, ef.code.read_plan().runs, 0, ef.padded_size - ef.original_size))
+        else:
+            base = 0
+            for ef in files:
+                # Only a last file has padding, and only read_stripes reads it.
+                first_symbol, stop_symbol = max(lo - base, 0), min(hi - base, ef.padded_size)
+                base += ef.original_size
+                if first_symbol >= stop_symbol:
+                    continue
+                size = ef.stripe_size
+                first, stop = first_symbol // size, -(-stop_symbol // size)
+                runs = tuple(ef.code.read_plan().runs_within(first, stop))
+                spans.append((ef, runs, first_symbol - first * size, stop * size - stop_symbol))
+        pieces = self._read_available_stripes(*[(ef, runs) for ef, runs, _, _ in spans])
+        pending = [
+            (ef, runs, got)
+            for (ef, runs, _, _), got in zip(spans, pieces)
+            if any(piece is None for piece in got)
+        ]
+        if pending:
+            recovery = get_tracer().span(
+                degraded_span, category="coding", groups=len(pending), clock=self.clock
+            ) if degraded_span else nullcontext()
+            with recovery:
+                self._recover(pending)
+        chunks: list[np.ndarray] = []
+        for (_, _, head, tail), got in zip(spans, pieces):
+            chunks += _symbol_chunks(got, head, tail)
+        if hi is None:
+            code = files[0].code
+            nbytes = sum(ef.original_size for ef in files)
+            # Narrowed symbols crossed a copy on the way out, bytes did not.
+            self.metrics.add("bytes_moved_zero_copy" if code.gf.q == 8 else "bytes_copied", nbytes)
+        return chunks
+
+    def _read_available_stripes(self, *spans) -> list[list[np.ndarray | None]]:
+        """Per ``(file, runs)`` span, one piece per run of read-plan runs, in order.
+
+        Every run of every span is one range of a single batched client
         read (:meth:`ResilientBlockClient._read_ranges`): one CRC pass,
         lookups bound once, each range retried on its own.  A piece is
         the CRC-verified row view the client handed back — the stored
@@ -468,19 +538,19 @@ class DistributedFileSystem:
         place (``put`` and ``corrupt`` replace it), so a held view cannot
         change under the reader.  A run that could not be read (server
         down, retries exhausted) is ``None``, for :meth:`_recover` to
-        fill.  A whole-file read is a batch of one file; a striped read
-        batches all its groups.
+        fill.  A plain read is a batch of one span; a striped read
+        batches every group it touches.
         """
         ranges = [
             (ef.placement[block], ef.name, block, row0, nrows)
-            for ef in files
-            for block, row0, nrows, _ in ef.code.read_plan().runs
+            for ef, runs in spans
+            for block, row0, nrows, _ in runs
         ]
         pieces = self.client._read_ranges(ranges)
         out: list[list[np.ndarray | None]] = []
         stop = 0
-        for ef in files:
-            start, stop = stop, stop + len(ef.code.read_plan().runs)
+        for _, runs in spans:
+            start, stop = stop, stop + len(runs)
             out.append(pieces[start:stop])
         return out
 
@@ -492,8 +562,8 @@ class DistributedFileSystem:
             if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
         )
 
-    def _plan_local_repair(self, ef: EncodedFile, pieces: list, memo: dict):
-        """``(plan, row0, nrows)`` rebuilding the ``None`` pieces, else ``None``.
+    def _plan_local_repair(self, ef: EncodedFile, runs, pieces: list, memo: dict):
+        """``(plan, row0, nrows)`` rebuilding the ``None`` pieces of ``runs``, else ``None``.
 
         A degraded read whose missing runs all sit in one block needs
         rows ``row0 .. row0 + nrows`` of it (a lost block's data rows),
@@ -505,7 +575,7 @@ class DistributedFileSystem:
         striped read, keyed by ``(block, unreadable)``.
         """
         code = ef.code
-        missing = [run for run, piece in zip(code.read_plan().runs, pieces) if piece is None]
+        missing = [run for run, piece in zip(runs, pieces) if piece is None]
         if len({run[0] for run in missing}) != 1:
             return None
         block = missing[0][0]
@@ -529,11 +599,12 @@ class DistributedFileSystem:
             [(placement[h], name, h, first, count) for h, first, count in reads], strict=True
         )
 
-    def _recover(self, entries: list[tuple[EncodedFile, list]]) -> None:
-        """Fill the ``None`` pieces of each ``(file, pieces)`` entry.
+    def _recover(self, entries: list[tuple[EncodedFile, tuple, list]]) -> None:
+        """Fill the ``None`` pieces of each ``(file, runs, pieces)`` entry.
 
         ``pieces`` is what :meth:`_read_available_stripes` returned for
-        the file: one slot per run of the read plan, ``None`` where the
+        the file's ``runs`` (every run of its read plan, or those within an
+        extent): one slot per run, ``None`` where the
         run could not be read.  Exactly those slots are replaced, by
         slices of what is rebuilt here — nothing is written into a grid,
         and a piece that was read stays the view it was.
@@ -546,10 +617,9 @@ class DistributedFileSystem:
         reconstruct.  Everything else, and any entry one of whose helpers
         could not be read, is decoded in full from minimal survivor sets
         by :meth:`_degraded_decode`, which re-plans around flaky
-        survivors.  A whole-file read is a batch of one.
+        survivors.  A plain read is a batch of one.
         """
         code = entries[0][0].code
-        runs = code.read_plan().runs
         plans: dict = {}
         local: dict[tuple, list] = {}
         full: list = []
@@ -580,14 +650,14 @@ class DistributedFileSystem:
                 rebuilt = pipeline._batch_rebuild_rows(
                     helper_rows, block, row0, nrows, chunks, self.metrics
                 )
-            for (_, pieces), rows in zip(good, rebuilt):
+            for (_, runs, pieces), rows in zip(good, rebuilt):
                 for i, (_, r0, n, _) in enumerate(runs):
                     if pieces[i] is None:
                         pieces[i] = rows[r0 - row0 : r0 - row0 + n]
                 self.metrics.add("degraded_reads", 1)
         if full:
-            decoded = self._degraded_decode(*(ef for ef, _ in full))
-            for (_, pieces), grid in zip(full, decoded):
+            decoded = self._degraded_decode(*(ef for ef, _, _ in full))
+            for (_, runs, pieces), grid in zip(full, decoded):
                 for i, (_, _, nrows, fs0) in enumerate(runs):
                     if pieces[i] is None:
                         pieces[i] = grid[fs0 : fs0 + nrows]
@@ -660,92 +730,6 @@ class DistributedFileSystem:
             f"cannot decode {ef.name!r}: surviving blocks {sorted(candidates)} "
             f"(after excluding {sorted(excluded)}) do not determine the data"
         )
-
-    def read_stripes(self, name: str, start: int, count: int) -> np.ndarray:
-        """Read ``count`` file stripes starting at ``start``.
-
-        Stripes stored verbatim on live servers are read directly (grouped
-        into per-block range reads); a run that cannot be read is rebuilt
-        from the helper rows it depends on, and only when that fails is
-        the whole file decoded.
-        """
-        ef = self._open(name)
-        pieces = self._read_stripes(ef, start, count)
-        return np.concatenate(pieces) if pieces else np.empty((0, ef.stripe_size), ef.code.gf.dtype)
-
-    def _read_stripes(self, ef: EncodedFile, start: int, count: int) -> list[np.ndarray]:
-        """The pieces of file stripes ``[start, start + count)``: per run
-        of the read plan within the range, the row view read or the rows
-        rebuilt."""
-        total = ef.code.data_stripe_total
-        if start < 0 or start + count > total:
-            raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "dfs.read_stripes", category="storage", file=ef.name,
-                start=start, count=count, clock=self.clock,
-            ):
-                return self._read_runs(ef, start, count)
-        return self._read_runs(ef, start, count)
-
-    def _read_runs(self, ef: EncodedFile, start: int, count: int) -> list[np.ndarray]:
-        """:meth:`_read_stripes` proper, inside its span."""
-        pieces: list[np.ndarray] = []
-        decoded: np.ndarray | None = None
-        for block, row0, nrows, fs0 in ef.code.read_plan().runs_within(start, start + count):
-            try:
-                rows = self.client.read_rows(ef.placement[block], ef.name, block, row0, nrows)
-            except BlockUnavailableError:
-                rows = self._rebuild_rows(ef, block, row0, nrows)
-                if rows is None:
-                    if decoded is None:
-                        (decoded,) = self._degraded_decode(ef)
-                    rows = decoded[fs0 : fs0 + nrows]
-            pieces.append(rows)
-        return pieces
-
-    def _rebuild_rows(self, ef: EncodedFile, block: int, row0: int, nrows: int) -> np.ndarray | None:
-        """Rows of an unreadable block from the helper rows they depend on.
-
-        An extent needs the rows it covers, not the file: the block's
-        repair plan names, per row, the rows of each helper it is a
-        combination of, and only those are read, in one batch
-        (:meth:`_read_helper_rows`).  ``None`` — no plan, or a helper row
-        cannot be read — sends the caller to the whole-file decode, which
-        re-plans around flaky survivors.
-        """
-        with get_tracer().span(
-            "dfs.row_repair", category="storage", file=ef.name, block=block,
-            row=row0, rows=nrows, clock=self.clock,
-        ):
-            try:
-                plan = ef.code.repair_plan(block, self._unreadable_blocks(ef) | {block})
-                helper_rows = plan.helper_rows
-                chunks = self._read_helper_rows(ef, helper_rows.reads(row0, nrows))
-            except (DecodingError, BlockUnavailableError):
-                return None
-            self.metrics.add("degraded_reads", 1)
-            return helper_rows.rebuild(row0, nrows, chunks)
-
-    def read_bytes(self, name: str, offset: int, length: int) -> bytes:
-        """Read an arbitrary byte extent of the original file.
-
-        Reads past the end of the file are truncated, matching POSIX
-        semantics — record readers rely on this when completing a trailing
-        record.
-        """
-        ef = self._open(name)
-        if offset < 0:
-            raise FileSystemError("negative offset")
-        length = max(0, min(length, ef.original_size - offset))
-        if length == 0:
-            return b""
-        size = ef.stripe_size
-        first = offset // size
-        stop = (offset + length - 1) // size + 1
-        pieces = self._read_stripes(ef, first, stop - first)
-        return _join_symbols(_symbol_chunks(pieces, offset - first * size, stop * size - offset - length))
 
     # ------------------------------------------------------------ inventory
 

@@ -14,6 +14,12 @@ work) spreads across the cluster.  The wrapper exposes the same
 ``read_bytes`` / ``file().original_size`` surface the record readers and
 input formats consume, so MapReduce jobs run over striped files
 unchanged (via :class:`StripedInputFormat`).
+
+A striped read has no loop of its own: the whole file, or the groups an
+extent touches, are handed to the filesystem's one read routine
+(:meth:`~repro.storage.filesystem.DistributedFileSystem._read`) as one
+payload laid end to end — one batch for every run, one recovery for
+every degraded group, one join.
 """
 
 from __future__ import annotations
@@ -26,12 +32,11 @@ from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
-from repro.storage.filesystem import (
-    DistributedFileSystem,
-    FileSystemError,
-    _join_symbols,
-    _symbol_chunks,
-)
+from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _join_symbols
+
+
+#: The span a striped read recovers its degraded groups under.
+_DEGRADED_SPAN = "sfs.batch_degraded_decode"
 
 
 def group_name(name: str, index: int) -> str:
@@ -182,67 +187,47 @@ class StripedFileSystem:
             raise FileSystemError(f"no striped file {name!r}") from None
 
     def read_bytes(self, name: str, offset: int, length: int) -> bytes:
-        """Read an arbitrary extent, stitching across stripe groups."""
+        """Read an arbitrary extent: the groups it touches, read as one payload.
+
+        One call of the filesystem's read routine
+        (:meth:`DistributedFileSystem._read`): the runs within the extent
+        of every group it touches are read in one batch, and the groups
+        with runs it could not read are recovered together.
+        """
         meta = self.file(name)
         if offset < 0:
             raise FileSystemError("negative offset")
         length = max(0, min(length, meta.original_size - offset))
-        parts: list[bytes] = []
-        pos = offset
-        remaining = length
-        while remaining > 0:
-            g = meta.group_of_offset(pos)
-            inner_off = pos - g * meta.group_payload
-            inner = self.dfs.file(group_name(name, g))
-            take = min(remaining, inner.original_size - inner_off)
-            if take <= 0:  # pragma: no cover - defensive
-                break
-            parts.append(self.dfs.read_bytes(group_name(name, g), inner_off, take))
-            pos += take
-            remaining -= take
-        return b"".join(parts)  # an extent inside one group is returned as it came
+        if length == 0:
+            return b""
+        first, last = meta.group_of_offset(offset), meta.group_of_offset(offset + length - 1)
+        files = [self.dfs.file(group_name(name, g)) for g in range(first, last + 1)]
+        base = first * meta.group_payload
+        return _join_symbols(
+            self.dfs._read(files, offset - base, offset + length - base, _DEGRADED_SPAN)
+        )
 
     def read_file(self, name: str) -> bytes:
-        """Read the whole file: collect every group's pieces, join once.
+        """Read the whole file: every group's pieces, joined once.
 
-        Every run of every group is read in one batch
-        (:meth:`DistributedFileSystem._read_available_stripes`), and a
-        group contributes the row views its runs returned, less the
-        padding behind its last stripe; the one ``b"".join`` over all of
-        them is the only pass over the payload — no output buffer is
-        allocated, zeroed or copied beforehand.  Groups with unreadable
-        runs are recovered together once every group has been read:
+        Every run of every group is read in one batch, and a group
+        contributes the row views its runs returned, less the padding
+        behind its last stripe; the one ``b"".join`` over all of them is
+        the only pass over the payload — no output buffer is allocated,
+        zeroed or copied beforehand.  Groups with unreadable runs are
+        recovered together once every group has been read:
         :meth:`DistributedFileSystem._recover` fuses those that lost the
         same block, or decode from the same survivors, into one kernel
         call per failure pattern, and their pieces are slices of what it
         rebuilt.
         """
         meta = self.file(name)
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "sfs.read_file", category="storage", file=name,
-                bytes=meta.original_size, groups=meta.group_count,
-                clock=getattr(self.dfs, "clock", None),
-            ):
-                return self._read_file(meta)
-        return self._read_file(meta)
-
-    def _read_file(self, meta: StripedFileMeta) -> bytes:
         files = [self.dfs.file(g) for g in meta.group_names()]
-        groups = list(zip(files, self.dfs._read_available_stripes(*files)))
-        pending = [entry for entry in groups if any(piece is None for piece in entry[1])]
-        if pending:
-            with get_tracer().span(
-                "sfs.batch_degraded_decode", category="coding", groups=len(pending),
-                clock=getattr(self.dfs, "clock", None),
-            ):
-                self.dfs._recover(pending)
-        chunks: list[np.ndarray] = []
-        for ef, pieces in groups:
-            chunks += _symbol_chunks(pieces, 0, ef.padded_size - ef.original_size)
-        self.dfs._count_delivered(groups[0][0].code, meta.original_size)
-        return _join_symbols(chunks)
+        with get_tracer().span(
+            "sfs.read_file", category="storage", file=name,
+            bytes=meta.original_size, groups=meta.group_count, clock=self.dfs.clock,
+        ):
+            return _join_symbols(self.dfs._read(files, degraded_span=_DEGRADED_SPAN))
 
     def delete_file(self, name: str) -> None:
         meta = self.file(name)

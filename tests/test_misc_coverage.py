@@ -22,17 +22,15 @@ class TestEncodedFileHelpers:
             assert b in ef.blocks_on_server(server)
 
     def test_stripe_holder(self, ef):
-        total = ef.code.data_stripe_total
-        for fs in range(total):
-            holder = ef.stripe_holder(fs)
-            assert holder is not None
-            block, row = holder
+        holders = ef.code.read_plan().holders
+        assert len(holders) == ef.code.data_stripe_total
+        for fs, (block, row) in enumerate(holders):
             assert ef.code.block_infos[block].file_stripes[row] == fs
 
     def test_stripe_holder_missing(self):
         dfs = DistributedFileSystem(Cluster.homogeneous(8))
         ef = dfs.write_file("f", payload_bytes(4_000, seed=41), code=ReedSolomonCode(4, 2))
-        assert ef.stripe_holder(99) is None
+        assert 99 not in dfs.stripe_holders("f") and len(dfs.stripe_holders("f")) == ef.code.data_stripe_total
 
     def test_padded_size(self, ef):
         assert ef.padded_size >= ef.original_size

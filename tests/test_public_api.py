@@ -220,11 +220,9 @@ METHODS = {
     "repro.storage:EncodedFile": [
         "blocks_on_server",
         "server_of",
-        "stripe_holder",
     ],
     "repro.codes.base:ReadPlan": [
         "compile",
-        "holder",
         "runs_within",
     ],
 }

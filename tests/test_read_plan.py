@@ -131,10 +131,9 @@ def test_runs_cover_every_stripe_once_and_match_block_infos(code_name, field):
             covered.append(fs0 + i)
     assert covered == list(range(code.data_stripe_total))  # once each, in file order
     assert plan.starts == tuple(run[3] for run in plan.runs)
-    for fs in range(code.data_stripe_total):
-        block, row = plan.holder(fs)
+    assert len(plan.holders) == code.data_stripe_total
+    for fs, (block, row) in enumerate(plan.holders):
         assert code.block_infos[block].file_stripes[row] == fs
-    assert plan.holder(-1) is None and plan.holder(code.data_stripe_total) is None
     for info in code.block_infos:
         rows = [row0 + i for _, row0, nrows, _ in block_runs(code, info.index) for i in range(nrows)]
         assert sorted(rows) == list(range(info.data_stripes))
@@ -463,7 +462,7 @@ def test_degraded_extent_reads_only_the_helper_rows_it_needs(code_name, field):
         with use_tracer(tracer):
             assert dfs.read_bytes("f", lo, hi - lo) == payload[lo:hi]
         assert dfs.metrics.by_server("disk_bytes_read") == expect
-        assert len(tracer.find("dfs.row_repair")) == 1 and not tracer.find("dfs.degraded_decode")
+        assert len(tracer.find("dfs.local_repair")) == 1 and not tracer.find("dfs.degraded_decode")
         assert dfs.metrics.total("degraded_reads") == 1
 
 
@@ -476,10 +475,10 @@ def test_degraded_extent_read_falls_back_to_the_decode_when_a_helper_row_fails(c
     cluster, dfs, ef, payload = write(code, ragged=False, fault_model=faults)
     cluster.fail(ef.server_of(0))
     tracer = Tracer()
-    with use_tracer(tracer):
-        assert dfs.read_bytes("f", 5, STRIPE) == payload[5 : 5 + STRIPE]
+    with use_tracer(tracer):  # inside block 0's first stripe: the helper's own runs are not read
+        assert dfs.read_bytes("f", 5, STRIPE - 10) == payload[5 : STRIPE - 5]
     assert dfs.metrics.total("retries") > 0
-    assert tracer.find("dfs.row_repair") and tracer.find("dfs.degraded_decode")
+    assert tracer.find("dfs.local_repair") and tracer.find("dfs.degraded_decode")
 
 
 def test_more_losses_than_the_code_tolerates_fail_loudly():
@@ -517,7 +516,8 @@ def write_with_flaky_helper(code, striped: bool):
         return dfs, sfs, payload, group0
 
     probe, sfs, _, group0 = lose_block_0()
-    probe._read_available_stripes(*([probe.file(g) for g in sfs.file("s").group_names()] if striped else [group0]))
+    files = [probe.file(g) for g in sfs.file("s").group_names()] if striped else [group0]
+    probe._read_available_stripes(*[(ef, code.read_plan().runs) for ef in files])
     flaky = ReadErrors(servers=frozenset({group0.server_of(helper)}), start=probe.clock.now)
     return lose_block_0(fault_model=FaultModel(flaky, seed=4))
 

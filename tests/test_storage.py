@@ -333,11 +333,8 @@ class TestFileSystem:
         assert all(not dfs.store.holds(s, "v", b) for b, s in ef.placement.items())
 
     def test_stripe_holder_lookup(self, dfs):
-        ef = dfs.write_file("f", payload_bytes(2800, seed=9), code=GalloperCode(4, 2, 1))
-        holder = ef.stripe_holder(0)
-        assert holder is not None
-        block, row = holder
-        assert row == 0 and block == 0
+        dfs.write_file("f", payload_bytes(2800, seed=9), code=GalloperCode(4, 2, 1))
+        assert dfs.stripe_holders("f")[0] == (0, 0)
 
     def test_read_stripes_range_checked(self, dfs):
         dfs.write_file("f", payload_bytes(2800, seed=10), code=GalloperCode(4, 2, 1))
