@@ -365,9 +365,10 @@ class BlockStore:
         :meth:`timed_read_rows` does: the up / missing / range checks, the
         ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
         the fault draw and, with ``verify``, the CRC check.  Only lookups
-        are bound once per batch, and the CRC check is shared: the stored
-        rows of every range are checked against their write-time CRCs
-        before the first attempt, in one pass (:meth:`_clean_ranges`).
+        are bound once per batch, and the CRC check of a batch of at least
+        ``_NATIVE_CRC_MIN_BYTES`` is shared: the stored rows of every
+        range are checked against their write-time CRCs before the first
+        attempt, in one pass (:meth:`_clean_ranges`).
         That verdict holds for every attempt that returns those rows
         verbatim — the store does not change during a batch, and a stored
         array is never written in place (``put`` and ``corrupt`` replace
@@ -377,16 +378,22 @@ class BlockStore:
         disks = self._disks
         blocks: list[np.ndarray | None] = []
         views: list[np.ndarray | None] = []
+        nbytes = 0
         for server_id, file_name, block_id, start, count in ranges:
             disk = disks.get(server_id)
             block = disk.get((file_name, block_id)) if disk is not None else None
             if block is not None and (start < 0 or start + count > block.shape[0]):
                 block = None
             blocks.append(block)
-            views.append(block[start : start + count] if block is not None else None)
+            view = block[start : start + count] if block is not None else None
+            views.append(view)
+            nbytes += view.nbytes if view is not None else 0
         # A lone range is checked where it is read: the shared pass would be
-        # the same single CRC call plus the bookkeeping that shares it.
-        clean = self._clean_ranges(ranges, blocks, views) if verify and len(ranges) > 1 else None
+        # the same single CRC call plus the bookkeeping that shares it.  So
+        # is a batch of fewer bytes than a native call is worth (an
+        # extent's few rows): its bookkeeping costs more than it saves.
+        shared = verify and len(ranges) > 1 and nbytes >= _NATIVE_CRC_MIN_BYTES
+        clean = self._clean_ranges(ranges, blocks, views) if shared else None
         server_of = self.cluster.server
         add = self.metrics.add
         faulted = self._faulted if self.fault_model is not None else None
