@@ -14,7 +14,7 @@ locality of Pyramid/Galloper codes lives).
 from __future__ import annotations
 
 import abc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -309,16 +309,21 @@ class ReadPlan:
             runs.append((block, row, 1, fs))
         return cls(runs=tuple(runs), starts=tuple(r[3] for r in runs), holders=tuple(holders))
 
-    def runs_within(self, start: int, stop: int):
-        """The runs covering file stripes ``[start, stop)``, clipped to it."""
-        runs = self.runs
-        for i in range(max(0, bisect_right(self.starts, start) - 1), len(runs)):
-            block, row0, nrows, fs0 = runs[i]
-            if fs0 >= stop:
-                break
-            lo, hi = max(start, fs0), min(stop, fs0 + nrows)
-            if lo < hi:
-                yield block, row0 + lo - fs0, hi - lo, lo
+    def runs_within(self, start: int, stop: int) -> list[tuple[int, int, int, int]]:
+        """The runs covering file stripes ``[start, stop)``, clipped to it
+        (``0 <= start <= stop <=`` the stripe total): a slice of
+        :attr:`runs`, its first and last run cut to the range."""
+        if start >= stop:
+            return []
+        starts = self.starts
+        runs = list(self.runs[bisect_right(starts, start) - 1 : bisect_left(starts, stop)])
+        block, row0, nrows, fs0 = runs[0]
+        if fs0 < start:
+            runs[0] = block, row0 + start - fs0, nrows - start + fs0, start
+        block, row0, nrows, fs0 = runs[-1]
+        if fs0 + nrows > stop:
+            runs[-1] = block, row0, stop - fs0, fs0
+        return runs
 
 
 class ErasureCode(abc.ABC):

@@ -24,9 +24,11 @@ assignment for exactly those servers, and only then constructs the code.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +77,10 @@ class FileSystemError(StorageError):
 #: being handed to ``join`` one by one: below about a kilobyte a piece costs
 #: more as an object (a view, a buffer export) than its bytes cost to copy.
 _SMALL_ROW_BYTES = 1024
+
+
+#: ``piece is None`` without a Python frame: every read asks it of every piece.
+_is_missing = partial(operator.is_, None)
 
 
 def _symbol_chunks(pieces, head: int = 0, tail: int = 0) -> list[np.ndarray]:
@@ -489,28 +495,25 @@ class DistributedFileSystem:
         chunks (:func:`_symbol_chunks`) — views of the stored rows or of
         what was rebuilt, nothing staged.
         """
-        spans = []
+        spans: list[tuple[EncodedFile, list]] = []
+        trims: list[tuple[int, int]] = []
         if hi is None:
             for ef in files:
-                spans.append((ef, ef.code.read_plan().runs, 0, ef.padded_size - ef.original_size))
+                spans.append((ef, ef.code.read_plan().runs))
+                trims.append((0, ef.padded_size - ef.original_size))
         else:
             base = 0
             for ef in files:
                 # Only a last file has padding, and only read_stripes reads it.
                 first_symbol, stop_symbol = max(lo - base, 0), min(hi - base, ef.padded_size)
                 base += ef.original_size
-                if first_symbol >= stop_symbol:
-                    continue
-                size = ef.stripe_size
-                first, stop = first_symbol // size, -(-stop_symbol // size)
-                runs = tuple(ef.code.read_plan().runs_within(first, stop))
-                spans.append((ef, runs, first_symbol - first * size, stop * size - stop_symbol))
-        pieces = self._read_available_stripes(*[(ef, runs) for ef, runs, _, _ in spans])
-        pending = [
-            (ef, runs, got)
-            for (ef, runs, _, _), got in zip(spans, pieces)
-            if any(piece is None for piece in got)
-        ]
+                if first_symbol < stop_symbol:
+                    size = ef.stripe_size
+                    first, stop = first_symbol // size, -(-stop_symbol // size)
+                    spans.append((ef, ef.code.read_plan().runs_within(first, stop)))
+                    trims.append((first_symbol - first * size, stop * size - stop_symbol))
+        pieces = self._read_available_stripes(spans)
+        pending = [(ef, runs, got) for (ef, runs), got in zip(spans, pieces) if any(map(_is_missing, got))]
         if pending:
             recovery = get_tracer().span(
                 degraded_span, category="coding", groups=len(pending), clock=self.clock
@@ -518,7 +521,7 @@ class DistributedFileSystem:
             with recovery:
                 self._recover(pending)
         chunks: list[np.ndarray] = []
-        for (_, _, head, tail), got in zip(spans, pieces):
+        for (head, tail), got in zip(trims, pieces):
             chunks += _symbol_chunks(got, head, tail)
         if hi is None:
             code = files[0].code
@@ -527,7 +530,7 @@ class DistributedFileSystem:
             self.metrics.add("bytes_moved_zero_copy" if code.gf.q == 8 else "bytes_copied", nbytes)
         return chunks
 
-    def _read_available_stripes(self, *spans) -> list[list[np.ndarray | None]]:
+    def _read_available_stripes(self, spans) -> list[list[np.ndarray | None]]:
         """Per ``(file, runs)`` span, one piece per run of read-plan runs, in order.
 
         Every run of every span is one range of a single batched client
@@ -547,6 +550,8 @@ class DistributedFileSystem:
             for block, row0, nrows, _ in runs
         ]
         pieces = self.client._read_ranges(ranges)
+        if len(spans) == 1:
+            return [pieces]
         out: list[list[np.ndarray | None]] = []
         stop = 0
         for _, runs in spans:

@@ -200,9 +200,10 @@ class StripedFileSystem:
         length = max(0, min(length, meta.original_size - offset))
         if length == 0:
             return b""
-        first, last = meta.group_of_offset(offset), meta.group_of_offset(offset + length - 1)
+        group_payload = meta.group_payload
+        first, last = offset // group_payload, (offset + length - 1) // group_payload
         files = [self.dfs.file(group_name(name, g)) for g in range(first, last + 1)]
-        base = first * meta.group_payload
+        base = first * group_payload
         return _join_symbols(
             self.dfs._read(files, offset - base, offset + length - base, _DEGRADED_SPAN)
         )

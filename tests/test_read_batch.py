@@ -108,7 +108,7 @@ def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
     batched, files = twin(code_name, field, condition)
     looped, twin_files = twin(code_name, field, condition)
     for _ in range(2):  # the second pass reuses the row handles the first one took after rot
-        got = batched._read_available_stripes(*[(ef, ef.code.read_plan().runs) for ef in files])
+        got = batched._read_available_stripes([(ef, ef.code.read_plan().runs) for ef in files])
         want = one_at_a_time(looped, twin_files)
         assert [[p is None for p in pieces] for pieces in got] == [[p is None for p in pieces] for pieces in want]
         for pieces, expect in zip(got, want):

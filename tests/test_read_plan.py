@@ -517,7 +517,7 @@ def write_with_flaky_helper(code, striped: bool):
 
     probe, sfs, _, group0 = lose_block_0()
     files = [probe.file(g) for g in sfs.file("s").group_names()] if striped else [group0]
-    probe._read_available_stripes(*[(ef, code.read_plan().runs) for ef in files])
+    probe._read_available_stripes([(ef, code.read_plan().runs) for ef in files])
     flaky = ReadErrors(servers=frozenset({group0.server_of(helper)}), start=probe.clock.now)
     return lose_block_0(fault_model=FaultModel(flaky, seed=4))
 
