@@ -455,11 +455,12 @@ class DistributedFileSystem:
         """Read ``count`` file stripes starting at ``start``, as a fresh grid."""
         ef = self._open(name)
         total = ef.code.data_stripe_total
-        if start < 0 or start + count > total:
+        if start < 0 or count < 0 or start + count > total:
             raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
         size = ef.stripe_size
-        chunks = self._read([ef], start * size, (start + count) * size)
-        return np.concatenate(chunks or [np.empty(0, ef.code.gf.dtype)]).reshape(count, size)
+        if not count:
+            return np.empty((0, size), ef.code.gf.dtype)
+        return np.concatenate(self._read([ef], start * size, (start + count) * size)).reshape(count, size)
 
     def read_bytes(self, name: str, offset: int, length: int) -> bytes:
         """Read an arbitrary byte extent of the original file.
@@ -485,10 +486,12 @@ class DistributedFileSystem:
         ``files`` is one plain file or the stripe groups of a striped one.
         Without ``hi`` every file is read whole: the runs of its code's
         read plan, less the padding behind its last stripe, and the bytes
-        are counted as delivered.  Else symbols ``lo .. hi`` are read: per
-        file the runs within the extent (:meth:`ReadPlan.runs_within`),
-        less the symbols before ``lo`` in the first stripe and after
-        ``hi`` in the last.  Then every run of every file is read in one
+        are counted as delivered.  Else symbols ``lo .. hi`` are read,
+        ``lo`` in the first file and ``hi`` in the last (in its padding
+        only for :meth:`read_stripes`): per file the runs within the
+        extent (:meth:`ReadPlan.runs_within`), less the symbols before
+        ``lo`` in the first stripe and after ``hi`` in the last.  Then
+        every run of every file is read in one
         batch (:meth:`_read_available_stripes`), the runs that could not be
         read are filled together by :meth:`_recover` (under a span named
         ``degraded_span``, if given), and each file's pieces are cut into
@@ -502,16 +505,13 @@ class DistributedFileSystem:
                 spans.append((ef, ef.code.read_plan().runs))
                 trims.append((0, ef.padded_size - ef.original_size))
         else:
-            base = 0
             for ef in files:
-                # Only a last file has padding, and only read_stripes reads it.
-                first_symbol, stop_symbol = max(lo - base, 0), min(hi - base, ef.padded_size)
-                base += ef.original_size
-                if first_symbol < stop_symbol:
-                    size = ef.stripe_size
-                    first, stop = first_symbol // size, -(-stop_symbol // size)
-                    spans.append((ef, ef.code.read_plan().runs_within(first, stop)))
-                    trims.append((first_symbol - first * size, stop * size - stop_symbol))
+                size = ef.stripe_size
+                end = min(hi, ef.padded_size)
+                first, stop = lo // size, -(-end // size)
+                spans.append((ef, ef.code.read_plan().runs_within(first, stop)))
+                trims.append((lo - first * size, stop * size - end))
+                lo, hi = 0, hi - ef.original_size
         pieces = self._read_available_stripes(spans)
         pending = [(ef, runs, got) for (ef, runs), got in zip(spans, pieces) if any(map(_is_missing, got))]
         if pending:

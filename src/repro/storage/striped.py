@@ -60,9 +60,6 @@ class StripedFileMeta:
     group_count: int
     tags: dict = field(default_factory=dict)
 
-    def group_of_offset(self, offset: int) -> int:
-        return min(offset // self.group_payload, self.group_count - 1)
-
     def group_names(self) -> list[str]:
         return [group_name(self.name, i) for i in range(self.group_count)]
 
