@@ -311,12 +311,12 @@ class ReadPlan:
 
     def runs_within(self, start: int, stop: int) -> list[tuple[int, int, int, int]]:
         """The runs covering file stripes ``[start, stop)``, clipped to it
-        (``0 <= start <= stop <=`` the stripe total): a slice of
-        :attr:`runs`, its first and last run cut to the range."""
+        (``start <`` the stripe total): a slice of :attr:`runs`, its first
+        and last run cut to the range."""
         if start >= stop:
             return []
         starts = self.starts
-        runs = list(self.runs[bisect_right(starts, start) - 1 : bisect_left(starts, stop)])
+        runs = list(self.runs[max(bisect_right(starts, start) - 1, 0) : bisect_left(starts, stop)])
         block, row0, nrows, fs0 = runs[0]
         if fs0 < start:
             runs[0] = block, row0 + start - fs0, nrows - start + fs0, start
