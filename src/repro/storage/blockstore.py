@@ -365,10 +365,11 @@ class BlockStore:
         :meth:`timed_read_rows` does: the up / missing / range checks, the
         ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
         the fault draw and, with ``verify``, the CRC check.  Only lookups
-        are bound once per batch, and the CRC check of a batch of at least
-        ``_NATIVE_CRC_MIN_BYTES`` is shared: the stored rows of every
-        range are checked against their write-time CRCs before the first
-        attempt, in one pass (:meth:`_clean_ranges`).
+        are bound once per batch, and the CRC check of a batch of three
+        ranges or more and at least ``_NATIVE_CRC_MIN_BYTES`` is shared:
+        the stored rows of every range are checked against their
+        write-time CRCs before the first attempt, in one pass
+        (:meth:`_clean_ranges`).
         That verdict holds for every attempt that returns those rows
         verbatim — the store does not change during a batch, and a stored
         array is never written in place (``put`` and ``corrupt`` replace
@@ -390,9 +391,10 @@ class BlockStore:
             nbytes += view.nbytes if view is not None else 0
         # A lone range is checked where it is read: the shared pass would be
         # the same single CRC call plus the bookkeeping that shares it.  So
-        # is a batch of fewer bytes than a native call is worth (an
-        # extent's few rows): its bookkeeping costs more than it saves.
-        shared = verify and len(ranges) > 1 and nbytes >= _NATIVE_CRC_MIN_BYTES
+        # are two ranges, and a batch of fewer bytes than a native call is
+        # worth (an extent's few rows): the bookkeeping costs more than it
+        # saves.
+        shared = verify and len(ranges) > 2 and nbytes >= _NATIVE_CRC_MIN_BYTES
         clean = self._clean_ranges(ranges, blocks, views) if shared else None
         server_of = self.cluster.server
         add = self.metrics.add

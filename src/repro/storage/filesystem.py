@@ -29,6 +29,7 @@ import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -505,16 +506,17 @@ class DistributedFileSystem:
                 spans.append((ef, ef.code.read_plan().runs))
                 trims.append((0, ef.padded_size - ef.original_size))
         else:
+            last = files[-1]
             for ef in files:
                 size = ef.stripe_size
-                end = min(hi, ef.padded_size)
+                end = hi if ef is last else ef.original_size
                 first, stop = lo // size, -(-end // size)
                 spans.append((ef, ef.code.read_plan().runs_within(first, stop)))
                 trims.append((lo - first * size, stop * size - end))
                 lo, hi = 0, hi - ef.original_size
         pieces = self._read_available_stripes(spans)
-        pending = [(ef, runs, got) for (ef, runs), got in zip(spans, pieces) if any(map(_is_missing, got))]
-        if pending:
+        if any(map(_is_missing, chain.from_iterable(pieces))):
+            pending = [(ef, runs, got) for (ef, runs), got in zip(spans, pieces) if any(map(_is_missing, got))]
             recovery = get_tracer().span(
                 degraded_span, category="coding", groups=len(pending), clock=self.clock
             ) if degraded_span else nullcontext()
