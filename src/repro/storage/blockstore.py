@@ -366,10 +366,9 @@ class BlockStore:
         ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
         the fault draw and, with ``verify``, the CRC check.  Only lookups
         are bound once per batch, and the CRC check of a batch of three
-        ranges or more and at least ``_NATIVE_CRC_MIN_BYTES`` is shared:
-        the stored rows of every range are checked against their
-        write-time CRCs before the first attempt, in one pass
-        (:meth:`_clean_ranges`).
+        ranges or more is shared: the stored rows of every range are
+        checked against their write-time CRCs before the first attempt,
+        in one pass (:meth:`_clean_ranges`).
         That verdict holds for every attempt that returns those rows
         verbatim — the store does not change during a batch, and a stored
         array is never written in place (``put`` and ``corrupt`` replace
@@ -379,23 +378,17 @@ class BlockStore:
         disks = self._disks
         blocks: list[np.ndarray | None] = []
         views: list[np.ndarray | None] = []
-        nbytes = 0
         for server_id, file_name, block_id, start, count in ranges:
             disk = disks.get(server_id)
             block = disk.get((file_name, block_id)) if disk is not None else None
             if block is not None and (start < 0 or start + count > block.shape[0]):
                 block = None
             blocks.append(block)
-            view = block[start : start + count] if block is not None else None
-            views.append(view)
-            nbytes += view.nbytes if view is not None else 0
-        # A lone range is checked where it is read: the shared pass would be
-        # the same single CRC call plus the bookkeeping that shares it.  So
-        # are two ranges, and a batch of fewer bytes than a native call is
-        # worth (an extent's few rows): the bookkeeping costs more than it
-        # saves.
-        shared = verify and len(ranges) > 2 and nbytes >= _NATIVE_CRC_MIN_BYTES
-        clean = self._clean_ranges(ranges, blocks, views) if shared else None
+            views.append(block[start : start + count] if block is not None else None)
+        # One or two ranges (a lone read, an extent's runs) are checked where
+        # they are read: the shared pass would cost its bookkeeping on top
+        # of the same CRC work.
+        clean = self._clean_ranges(ranges, blocks, views) if verify and len(ranges) > 2 else None
         server_of = self.cluster.server
         add = self.metrics.add
         faulted = self._faulted if self.fault_model is not None else None
