@@ -501,7 +501,8 @@ class DistributedFileSystem:
         """
         spans: list[tuple[EncodedFile, list]] = []
         trims: list[tuple[int, int]] = []
-        if hi is None:
+        whole = hi is None
+        if whole:
             for ef in files:
                 spans.append((ef, ef.code.read_plan().runs))
                 trims.append((0, ef.padded_size - ef.original_size))
@@ -525,7 +526,7 @@ class DistributedFileSystem:
         chunks: list[np.ndarray] = []
         for (head, tail), got in zip(trims, pieces):
             chunks += _symbol_chunks(got, head, tail)
-        if hi is None:
+        if whole:
             code = files[0].code
             nbytes = sum(ef.original_size for ef in files)
             # Narrowed symbols crossed a copy on the way out, bytes did not.
