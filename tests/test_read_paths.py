@@ -29,7 +29,7 @@ from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
 from repro.gf import GF256, GF65536
 from repro.obs import Tracer, use_tracer
-from repro.storage import DistributedFileSystem, StripedFileSystem
+from repro.storage import DistributedFileSystem, FileSystemError, StripedFileSystem
 from tests.conftest import payload_bytes
 
 CODES = {
@@ -256,3 +256,17 @@ def test_every_whole_file_read_counts_its_bytes_once(field):
     assert dfs.read_bytes("f", 0, len(payload)) == payload
     dfs.read_stripes("f", 0, code.data_stripe_total)
     assert dfs.metrics.total(moved) == 0  # extents and stripe grids count nothing
+
+
+def test_read_stripes_checks_its_range_and_returns_a_fresh_grid():
+    code = make_code("galloper", "gf8")
+    _, dfs, _, payload, _ = build(code, striped=False, seed=6)
+    total = code.data_stripe_total
+    for start, count in ((-1, 2), (3, -1), (total - 1, 2)):
+        with pytest.raises(FileSystemError):
+            dfs.read_stripes("f", start, count)
+    assert dfs.read_stripes("f", total, 0).shape == (0, STRIPE)
+    grid = dfs.read_stripes("f", 2, 5)
+    assert stripes_as_bytes(grid) == payload[2 * STRIPE : 7 * STRIPE]
+    grid[:] = 0  # the caller's own array
+    assert dfs.read_bytes("f", 2 * STRIPE, 5 * STRIPE) == payload[2 * STRIPE : 7 * STRIPE]
