@@ -492,9 +492,9 @@ class DistributedFileSystem:
         only for :meth:`read_stripes`): per file the runs within the
         extent (:meth:`ReadPlan.runs_within`), less the symbols before
         ``lo`` in the first stripe and after ``hi`` in the last.  Then
-        every run of every file is read in one
-        batch (:meth:`_read_available_stripes`), the runs that could not be
-        read are filled together by :meth:`_recover` (under a span named
+        every run of every file is read in one batch
+        (:meth:`_read_available_stripes`), the runs that could not be read
+        are filled together by :meth:`_recover` (under a span named
         ``degraded_span``, if given), and each file's pieces are cut into
         chunks (:func:`_symbol_chunks`) — views of the stored rows or of
         what was rebuilt, nothing staged.
