@@ -167,6 +167,9 @@ PUBLIC_API = {
 OPTIONS = {
     "repro.storage:DistributedFileSystem": "cluster, metrics, fault_model, clock, health, retry_policy",
     "repro.storage:RepairManager": "dfs, prefer_fast_helpers",
+    "repro.storage:ResilientBlockClient": "store, health, policy, clock, metrics, seed, verify",
+    "repro.storage:HealthMonitor": "clock, alpha, error_threshold, consecutive_limit, reset_timeout, metrics",
+    "repro.storage:Scrubber": "dfs, repair, health, breaker_grace",
     "repro.storage:ResilientBlockClient.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.timed_get": "self, server_id, file_name, block_id, verify",
@@ -220,6 +223,29 @@ METHODS = {
     "repro.storage:EncodedFile": [
         "blocks_on_server",
         "server_of",
+    ],
+    "repro.storage:HealthMonitor": [
+        "allow_request",
+        "healthy",
+        "is_open",
+        "quarantined",
+        "rank",
+        "record_error",
+        "record_success",
+        "score",
+        "server",
+        "snapshot",
+        "state",
+    ],
+    "repro.storage:RepairManager": [
+        "repair_all",
+        "repair_block",
+        "repair_blocks_bulk",
+        "repair_server",
+    ],
+    "repro.storage:Scrubber": [
+        "scrub",
+        "scrub_file",
     ],
     "repro.codes.base:ReadPlan": [
         "compile",
