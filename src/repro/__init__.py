@@ -47,7 +47,6 @@ from repro.storage import (
     MetricsRegistry,
     RepairManager,
     ResilientBlockClient,
-    RetryPolicy,
 )
 
 __version__ = "1.0.0"
@@ -78,6 +77,5 @@ __all__ = [
     "MetricsRegistry",
     "RepairManager",
     "ResilientBlockClient",
-    "RetryPolicy",
     "__version__",
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,31 +74,33 @@ class ServingError(FileSystemError):
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Serving knobs.
+    """Serving knobs, and the constants every gateway shares.
 
     Attributes:
         cache_entries: hot-stripe cache capacity (entries).
-        cache_sample_period: TinyLFU aging period (accesses).
-        cache_hit_latency: simulated seconds to serve from cache.
-        request_overhead: fixed per-disk-read occupancy (seek + RPC).
         hedge_threshold: predicted primary completion (queue wait plus
             clean service) above which a degraded-decode hedge is raced
             against the primary; ``None`` disables serving-path hedges.
         max_inflight_per_tenant: default QoS cap per tenant.
         tenant_limits: per-tenant cap overrides.
+
+    Class constants (not constructor arguments):
+        cache_sample_period: TinyLFU aging period (accesses).
+        cache_hit_latency: simulated seconds to serve from cache.
+        request_overhead: fixed per-disk-read occupancy (seek + RPC).
         lease_estimate: tenant-lease self-expiry (request time estimate).
         slo: latency SLO threshold for attainment accounting.
     """
 
     cache_entries: int = 512
-    cache_sample_period: int = 4096
-    cache_hit_latency: float = 100e-6
-    request_overhead: float = 500e-6
     hedge_threshold: float | None = 0.02
     max_inflight_per_tenant: int = 64
     tenant_limits: dict = field(default_factory=dict)
-    lease_estimate: float = 0.05
-    slo: float = 0.1
+    cache_sample_period: ClassVar[int] = 4096
+    cache_hit_latency: ClassVar[float] = 100e-6
+    request_overhead: ClassVar[float] = 500e-6
+    lease_estimate: ClassVar[float] = 0.05
+    slo: ClassVar[float] = 0.1
 
 
 class ServingGateway:

@@ -13,7 +13,7 @@ from repro.storage.repair import (
     ServerRepairReport,
 )
 from repro.storage.recovery import RecoveryOutcome, simulate_server_recovery
-from repro.storage.resilient import ResilientBlockClient, RetryPolicy
+from repro.storage.resilient import ResilientBlockClient
 from repro.storage.scrub import ScrubReport, Scrubber
 from repro.storage.striped import StripedFileMeta, StripedFileSystem, StripedInputFormat
 
@@ -41,7 +41,6 @@ __all__ = [
     "RecoveryOutcome",
     "simulate_server_recovery",
     "ResilientBlockClient",
-    "RetryPolicy",
     "ScrubReport",
     "Scrubber",
     "StripedFileMeta",

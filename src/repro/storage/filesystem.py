@@ -42,7 +42,7 @@ from repro.storage import pipeline
 from repro.storage.blockstore import BlockStore, BlockUnavailableError, StorageError
 from repro.storage.health import HealthMonitor
 from repro.storage.metrics import MetricsRegistry
-from repro.storage.resilient import ResilientBlockClient, RetryPolicy
+from repro.storage.resilient import ResilientBlockClient
 
 
 class FileSystemError(StorageError):
@@ -168,42 +168,24 @@ class DistributedFileSystem:
     (checksum verification, retry with backoff, hedging, circuit-breaker
     fast-fail) feeding a per-server :class:`~repro.storage.health.HealthMonitor`.
     On clean hardware (no ``fault_model``) the resilient path is
-    behaviour-identical to a direct store read.
+    behaviour-identical to a direct store read.  The filesystem owns its
+    metrics registry (``metrics``), its virtual clock (``clock``: latency
+    accounting, backoff and breaker timeouts) and its monitor (``health``).
 
     Args:
         cluster: servers to spread blocks over.
-        metrics: shared accounting registry.
         fault_model: optional :class:`~repro.faults.model.FaultModel`
             installed on the block store.
-        clock: time source for latency accounting, backoff and breaker
-            timeouts (default: a fresh virtual clock).
-        health: share a monitor across components; default builds one.
-        retry_policy: knobs for the resilient client.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        metrics: MetricsRegistry | None = None,
-        *,
-        fault_model=None,
-        clock=None,
-        health: HealthMonitor | None = None,
-        retry_policy: RetryPolicy | None = None,
-    ):
+    def __init__(self, cluster: Cluster, *, fault_model=None):
         self.cluster = cluster
-        self.metrics = metrics or MetricsRegistry()
-        self.clock = clock or VirtualClock()
+        self.metrics = MetricsRegistry()
+        self.clock = VirtualClock()
         self.store = BlockStore(cluster, self.metrics)
         self.store.install_faults(fault_model, self.clock)
-        self.health = health or HealthMonitor(self.clock, metrics=self.metrics)
-        self.client = ResilientBlockClient(
-            self.store,
-            health=self.health,
-            policy=retry_policy,
-            clock=self.clock,
-            metrics=self.metrics,
-        )
+        self.health = HealthMonitor(self.clock, metrics=self.metrics)
+        self.client = ResilientBlockClient(self.store, health=self.health, clock=self.clock)
         self.files: dict[str, EncodedFile] = {}
         # One code object per parameter set among the files held; an
         # entry dies with the last file (or caller) that refers to it.

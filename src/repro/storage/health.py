@@ -18,8 +18,11 @@ Consumers:
   avoids breaker-open servers and prefers statistically healthy ones.
 * :class:`~repro.storage.repair.RepairManager` — helper preference and
   rebuild-target choice.
-* :class:`~repro.storage.scrub.Scrubber` — quarantine-aware skip
-  accounting and grace-period healing.
+* :class:`~repro.storage.scrub.Scrubber` — skips (and counts) the
+  blocks of breaker-open servers.
+
+The breaker's settings are the module constants below; one value of
+each is in use.
 """
 
 from __future__ import annotations
@@ -33,6 +36,17 @@ from repro.storage.metrics import MetricsRegistry
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: EWMA smoothing factor for both latency and error rate.
+ALPHA = 0.3
+#: Smoothed error rate above which a breaker opens (besides the
+#: consecutive-error trigger).
+ERROR_THRESHOLD = 0.5
+#: Consecutive errors that open a breaker outright (a burst signal,
+#: faster than the EWMA).
+CONSECUTIVE_LIMIT = 3
+#: Seconds an open breaker waits before admitting a half-open probe.
+RESET_TIMEOUT = 1.0
 
 
 @dataclass
@@ -59,31 +73,11 @@ class HealthMonitor:
     Args:
         clock: time source for breaker timeouts (default: fresh
             :class:`~repro.faults.clock.VirtualClock`).
-        alpha: EWMA smoothing factor for both latency and error rate.
-        error_threshold: smoothed error rate above which the breaker
-            opens (in addition to the consecutive-error trigger).
-        consecutive_limit: consecutive errors that open the breaker
-            outright (a burst signal, faster than the EWMA).
-        reset_timeout: seconds an open breaker waits before admitting a
-            half-open probe.
         metrics: registry receiving ``breaker_opens`` / ``breaker_closes``.
     """
 
-    def __init__(
-        self,
-        clock=None,
-        *,
-        alpha: float = 0.3,
-        error_threshold: float = 0.5,
-        consecutive_limit: int = 3,
-        reset_timeout: float = 1.0,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, clock=None, *, metrics: MetricsRegistry | None = None):
         self.clock = clock or VirtualClock()
-        self.alpha = alpha
-        self.error_threshold = error_threshold
-        self.consecutive_limit = consecutive_limit
-        self.reset_timeout = reset_timeout
         self.metrics = metrics or MetricsRegistry()
         self._servers: dict[int, ServerHealth] = {}
         self.transitions: list[tuple[float, int, str]] = []
@@ -99,8 +93,8 @@ class HealthMonitor:
         h = self.server(server_id)
         h.successes += 1
         h.consecutive_errors = 0
-        h.ewma_latency = (1 - self.alpha) * h.ewma_latency + self.alpha * latency
-        h.error_rate = (1 - self.alpha) * h.error_rate
+        h.ewma_latency = (1 - ALPHA) * h.ewma_latency + ALPHA * latency
+        h.error_rate = (1 - ALPHA) * h.error_rate
         if h.state in (HALF_OPEN, OPEN):
             # A successful read (the half-open probe, or a read that
             # slipped through) heals the breaker.
@@ -112,12 +106,12 @@ class HealthMonitor:
         h = self.server(server_id)
         h.errors += 1
         h.consecutive_errors += 1
-        h.error_rate = (1 - self.alpha) * h.error_rate + self.alpha
+        h.error_rate = (1 - ALPHA) * h.error_rate + ALPHA
         if h.state == HALF_OPEN:
             # Failed probe: back to open, restart the timeout.
             self._transition(server_id, h, OPEN)
         elif h.state == CLOSED and (
-            h.consecutive_errors >= self.consecutive_limit or h.error_rate > self.error_threshold
+            h.consecutive_errors >= CONSECUTIVE_LIMIT or h.error_rate > ERROR_THRESHOLD
         ):
             self._transition(server_id, h, OPEN)
         h.probe_inflight = False
@@ -141,7 +135,7 @@ class HealthMonitor:
         h = self.server(server_id)
         if h.state != OPEN:
             return False
-        return self.clock.now - h.opened_at < self.reset_timeout
+        return self.clock.now - h.opened_at < RESET_TIMEOUT
 
     def allow_request(self, server_id: int) -> bool:
         """Gate one read attempt (mutating: may move open → half-open).
@@ -154,7 +148,7 @@ class HealthMonitor:
         if h.state == CLOSED:
             return True
         if h.state == OPEN:
-            if self.clock.now - h.opened_at < self.reset_timeout:
+            if self.clock.now - h.opened_at < RESET_TIMEOUT:
                 return False
             self._transition(server_id, h, HALF_OPEN)
             h.probe_inflight = True
@@ -165,11 +159,6 @@ class HealthMonitor:
         h.probe_inflight = True
         return True
 
-    def quarantined(self, server_id: int, grace: float) -> bool:
-        """True when the breaker has been open longer than ``grace``."""
-        h = self.server(server_id)
-        return h.state == OPEN and self.clock.now - h.opened_at >= grace
-
     def score(self, server_id: int) -> float:
         h = self.server(server_id)
         penalty = 100.0 if h.state == OPEN else (1.0 if h.state == HALF_OPEN else 0.0)
@@ -178,10 +167,6 @@ class HealthMonitor:
     def rank(self, server_ids) -> list[int]:
         """Server ids ordered healthiest first (stable on ties by id)."""
         return sorted(server_ids, key=lambda sid: (self.score(sid), sid))
-
-    def healthy(self, server_ids) -> list[int]:
-        """The subset whose breakers are not open, healthiest first."""
-        return [sid for sid in self.rank(server_ids) if not self.is_open(sid)]
 
     def snapshot(self) -> dict[int, dict]:
         """Per-server health summary for reports."""

@@ -46,7 +46,6 @@ class MetricsRegistry:
       ``corrupted_returns`` — injected faults observed at the store
     * ``read_latency`` — cumulative simulated read seconds
     * ``decode_replans`` / ``repair_replans`` — fallback re-planning
-    * ``blocks_quarantined`` — scrubber quarantine
     * ``repairs_throttled`` — repairs granted later than requested by
       :class:`~repro.storage.repair.RepairAdmissionController` (the
       reliability simulator's registry only)

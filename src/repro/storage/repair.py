@@ -228,16 +228,16 @@ class ServerRepairReport:
 class _ServerRanking:
     """How one repair call ranks servers, taken once when the call starts.
 
-    Ranking is by quarantine and circuit-breaker state, which a call asks
+    Ranking is by circuit-breaker state and disk speed, which a call asks
     about once per server here instead of once per server per rebuilt
     block.  A helper that turns unreadable during the call is still
     re-planned around, by the rebuild loop that catches its error.
 
     Attributes:
-        targets: live, unquarantined servers, breaker-closed first, then
-            by id — the order rebuilt blocks are offered homes in.
+        targets: live servers, breaker-closed first, then by id — the
+            order rebuilt blocks are offered homes in.
         helper_key: per server, the sort key of a helper block stored
-            there (avoided servers last, then fastest disk first).
+            there (breaker-open servers last, then fastest disk first).
     """
 
     targets: tuple[Server, ...]
@@ -273,57 +273,35 @@ class _Rebuild:
 class RepairManager:
     """Rebuilds lost blocks using each code's repair plan.
 
+    Where the code has freedom in helper choice (Reed-Solomon repairs,
+    degraded-group fallbacks), helper blocks are ranked by their server's
+    disk bandwidth, so the parallel read phase is bounded by a fast disk,
+    not the slowest.  Servers with open circuit breakers sort last
+    regardless of speed.
+
     Args:
         dfs: the filesystem to repair.
-        prefer_fast_helpers: when the code has freedom in helper choice
-            (Reed-Solomon repairs, degraded-group fallbacks), rank helper
-            blocks by their server's disk bandwidth so the parallel read
-            phase is bounded by a fast disk, not the slowest.  Servers
-            with open circuit breakers sort last regardless of speed.
-
-    Attributes:
-        quarantine: server ids treated as dead for planning — their
-            blocks count as lost, and they are never used as helpers or
-            rebuild targets.  The scrubber parks breaker-quarantined
-            servers here to route their blocks through repair.
     """
 
-    def __init__(self, dfs: DistributedFileSystem, prefer_fast_helpers: bool = True):
+    def __init__(self, dfs: DistributedFileSystem):
         self.dfs = dfs
         self.cluster: Cluster = dfs.cluster
-        self.prefer_fast_helpers = prefer_fast_helpers
-        self.quarantine: set[int] = set()
-
-    def _avoid(self, server_id: int) -> bool:
-        """Servers repairs should not lean on: quarantined or breaker-open."""
-        return server_id in self.quarantine or self.dfs.health.is_open(server_id)
 
     def _rank_servers(self) -> _ServerRanking:
         """The ranking every public repair entry point takes once and hands down."""
         is_open = self.dfs.health.is_open
         return _ServerRanking(
             targets=tuple(
-                sorted(
-                    (s for s in self.cluster.alive() if s.server_id not in self.quarantine),
-                    key=lambda s: (is_open(s.server_id), s.server_id),
-                )
+                sorted(self.cluster.alive(), key=lambda s: (is_open(s.server_id), s.server_id))
             ),
             helper_key={
-                s.server_id: (self._avoid(s.server_id), -s.disk_bandwidth) for s in self.cluster
+                s.server_id: (is_open(s.server_id), -s.disk_bandwidth) for s in self.cluster
             },
         )
 
-    def _preference(self, ef: EncodedFile, ranking: _ServerRanking) -> list[int] | None:
-        if not self.prefer_fast_helpers:
-            return None
+    def _preference(self, ef: EncodedFile, ranking: _ServerRanking) -> list[int]:
         placement, key = ef.placement, ranking.helper_key
         return sorted(placement, key=lambda b: key[placement[b]])
-
-    def _dead_blocks(self, ef: EncodedFile) -> set[int]:
-        """Blocks to rebuild: unreadable, or parked on a quarantined server."""
-        return set(self.dfs._unreadable_blocks(ef)) | {
-            b for b, server in ef.placement.items() if server in self.quarantine
-        }
 
     def repair_block(self, file_name: str, block: int, target_server: int | None = None) -> RepairReport:
         """Rebuild one block and install it on a live server.
@@ -356,7 +334,7 @@ class RepairManager:
         pending: list[_Rebuild] = []
         for file_name, block, *where in targets:
             ef = self.dfs.file(file_name)
-            failed = self._dead_blocks(ef)
+            failed = set(self.dfs._unreadable_blocks(ef))
             if block not in failed:
                 raise FileSystemError(
                     f"block {block} of {file_name!r} is not lost",
@@ -534,7 +512,7 @@ class RepairManager:
         with tracer.span(
             "repair.server", category="repair", server=server_id, clock=self.dfs.clock
         ) as sp:
-            gone = self.cluster.server(server_id).failed or server_id in self.quarantine
+            gone = self.cluster.server(server_id).failed
             lost = [
                 (name, b)
                 for name in self.dfs.list_files()
@@ -555,7 +533,7 @@ class RepairManager:
         """
         tiers: dict[int, list[tuple[str, int]]] = {}
         for name in self.dfs.list_files():
-            dead = sorted(self._dead_blocks(self.dfs.file(name)))
+            dead = sorted(self.dfs._unreadable_blocks(self.dfs.file(name)))
             if dead:
                 tiers.setdefault(-len(dead), []).extend((name, b) for b in dead)
         out: list[RepairReport] = []

@@ -6,7 +6,7 @@ the behaviour a production DFS client exhibits:
 
 * **Checksum verification** on every read, so silent corruption becomes
   a retryable error instead of wrong bytes.
-* **Per-read timeouts** — a read slower than ``read_timeout`` counts as
+* **Per-read timeouts** — a read slower than :data:`READ_TIMEOUT` counts as
   a failure (the caller cannot wait forever on a gray disk).
 * **Capped exponential backoff with jitter** between retries, on the
   virtual clock, so chaos campaigns measure realistic latency inflation
@@ -36,7 +36,6 @@ still takes every step above, in order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,60 +43,43 @@ from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
 from repro.storage.blockstore import BlockStore, BlockUnavailableError, TransientReadError
 from repro.storage.health import HealthMonitor
-from repro.storage.metrics import MetricsRegistry
+
+#: Total tries per read (1 = no retries).
+MAX_ATTEMPTS = 4
+#: First backoff delay, seconds; it doubles per retry up to :data:`MAX_DELAY`.
+BASE_DELAY = 0.01
+#: Backoff cap, seconds.
+MAX_DELAY = 0.25
+#: Proportional jitter: each delay is multiplied by ``1 + U(0, JITTER)``
+#: from the client's seeded RNG.
+JITTER = 0.5
+#: *Excess* latency (observed minus the expected disk transfer time for
+#: the bytes returned) at which an attempt counts as failed — a deadline
+#: relative to the size of the read, so big blocks don't spuriously time out.
+READ_TIMEOUT = 0.5
+#: Excess latency above which a speculative second read is launched.
+HEDGE_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Knobs of the resilient read loop.
-
-    Attributes:
-        max_attempts: total tries per read (1 = no retries).
-        base_delay: first backoff delay, seconds.
-        max_delay: backoff cap.
-        jitter: proportional jitter — each delay is multiplied by
-            ``1 + U(0, jitter)`` from the client's seeded RNG.
-        read_timeout: *excess* latency (observed minus the expected disk
-            transfer time for the bytes returned) at which an attempt
-            counts as failed — a deadline relative to the size of the
-            read, so big blocks don't spuriously time out.
-        hedge_threshold: excess latency above which a speculative second
-            read is launched; ``None`` disables hedging.
-    """
-
-    max_attempts: int = 4
-    base_delay: float = 0.01
-    max_delay: float = 0.25
-    jitter: float = 0.5
-    read_timeout: float = 0.5
-    hedge_threshold: float | None = 0.05
-
-    def backoff(self, retry: int, rng: random.Random) -> float:
-        """Delay before the ``retry``-th retry (1-based), jittered."""
-        delay = min(self.max_delay, self.base_delay * (2 ** (retry - 1)))
-        return delay * (1.0 + self.jitter * rng.random())
+def _backoff(retry: int, rng: random.Random) -> float:
+    """Delay before the ``retry``-th retry (1-based), jittered."""
+    delay = min(MAX_DELAY, BASE_DELAY * (2 ** (retry - 1)))
+    return delay * (1.0 + JITTER * rng.random())
 
 
 class ResilientBlockClient:
-    """Retry/hedge wrapper over one :class:`BlockStore`."""
+    """Retry/hedge wrapper over one :class:`BlockStore`, verifying every read.
 
-    def __init__(
-        self,
-        store: BlockStore,
-        health: HealthMonitor | None = None,
-        policy: RetryPolicy | None = None,
-        clock=None,
-        metrics: MetricsRegistry | None = None,
-        seed: int = 0,
-        verify: bool = True,
-    ):
+    The retry, timeout and hedge settings are the module constants
+    above; backoff jitter draws from an RNG seeded with 0.
+    """
+
+    def __init__(self, store: BlockStore, health: HealthMonitor | None = None, clock=None):
         self.store = store
         self.clock = clock or VirtualClock()
         self.health = health or HealthMonitor(self.clock, metrics=store.metrics)
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or store.metrics
-        self.verify = verify
-        self._rng = random.Random(seed)
+        self.metrics = store.metrics
+        self._rng = random.Random(0)
         #: Every backoff delay slept, for timing regression tests.
         self.backoff_history: list[float] = []
 
@@ -110,7 +92,7 @@ class ResilientBlockClient:
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
         (data,) = self._read_each(
             [(server_id, file_name, block_id)],
-            lambda _: self.store.timed_get(server_id, file_name, block_id, verify=self.verify),
+            lambda _: self.store.timed_get(server_id, file_name, block_id, verify=True),
             strict=True,
         )
         return data
@@ -125,7 +107,7 @@ class ResilientBlockClient:
         (:meth:`BlockStore._range_reader`).  :meth:`read_rows` is a batch
         of one.
         """
-        return self._read_each(ranges, self.store._range_reader(ranges, self.verify), strict)
+        return self._read_each(ranges, self.store._range_reader(ranges, True), strict)
 
     # ------------------------------------------------------------- internals
 
@@ -142,10 +124,6 @@ class ResilientBlockClient:
         """
         # Bound once for the batch: what every successful read touches.
         # The retry, timeout, hedge and breaker paths look theirs up.
-        policy = self.policy
-        max_attempts, read_timeout, hedge_threshold = (
-            policy.max_attempts, policy.read_timeout, policy.hedge_threshold,
-        )
         allow, record_success = self.health.allow_request, self.health.record_success
         observe, advance = self.metrics.observe, self.clock.advance
         server_of = self.store.cluster.server
@@ -164,9 +142,9 @@ class ResilientBlockClient:
                 )
             else:
                 last_exc: BlockUnavailableError | None = None
-                for n in range(1, max_attempts + 1):
+                for n in range(1, MAX_ATTEMPTS + 1):
                     if n > 1:
-                        delay = policy.backoff(n - 1, self._rng)
+                        delay = _backoff(n - 1, self._rng)
                         self.backoff_history.append(delay)
                         advance(delay)
                         self.metrics.add("retries", 1, server_id)
@@ -188,7 +166,7 @@ class ResilientBlockClient:
                         break
                     # The expected clean transfer time for the bytes read.
                     base = data.nbytes / server_of(server_id).disk_bandwidth
-                    if latency - base >= read_timeout:
+                    if latency - base >= READ_TIMEOUT:
                         # The caller gives up at the deadline; the stuck read is
                         # abandoned and charged as an error against the server.
                         self.metrics.add("read_timeouts", 1, server_id)
@@ -200,17 +178,17 @@ class ResilientBlockClient:
                                 clock=self.clock,
                             )
                         self.health.record_error(server_id)
-                        advance(base + read_timeout)
+                        advance(base + READ_TIMEOUT)
                         last_exc = BlockUnavailableError(
                             f"read of ({file_name!r}, {block_id}) from server {server_id} "
-                            f"timed out after {read_timeout}s over the expected {base:.4f}s",
+                            f"timed out after {READ_TIMEOUT}s over the expected {base:.4f}s",
                             server=server_id,
                             file=file_name,
                             block=block_id,
                             cause="timeout",
                         )
                         continue
-                    if hedge_threshold is not None and latency - base > hedge_threshold:
+                    if latency - base > HEDGE_THRESHOLD:
                         tracer = get_tracer()
                         if tracer.enabled:
                             tracer.instant(
@@ -227,7 +205,7 @@ class ResilientBlockClient:
                 else:
                     failure = BlockUnavailableError(
                         f"read of ({file_name!r}, {block_id}) from server {server_id} "
-                        f"failed after {max_attempts} attempts ({last_exc and last_exc.cause})",
+                        f"failed after {MAX_ATTEMPTS} attempts ({last_exc and last_exc.cause})",
                         server=server_id,
                         file=file_name,
                         block=block_id,
@@ -244,7 +222,7 @@ class ResilientBlockClient:
         """Launch a speculative second read; earliest completion wins.
 
         The hedge fires once the primary has been outstanding for the
-        expected transfer time plus ``hedge_threshold``, so its
+        expected transfer time plus :data:`HEDGE_THRESHOLD`, so its
         completion time is that launch instant plus its own latency.
         """
         self.metrics.add("hedged_reads", 1, server_id)
@@ -255,7 +233,7 @@ class ResilientBlockClient:
         # Exactly one of the two completed payloads survives; the other
         # is discarded (the serving-path tests pin this accounting).
         self.metrics.add("hedged_losers_discarded", 1, server_id)
-        hedged_completion = base + self.policy.hedge_threshold + lat2
+        hedged_completion = base + HEDGE_THRESHOLD + lat2
         if hedged_completion < latency:
             self.metrics.add("hedged_wins", 1, server_id)
             return data2, hedged_completion

@@ -11,11 +11,8 @@ group-local repair.
 
 The scrubber is breaker-aware: blocks on servers whose circuit breaker
 is open are not verified (the breaker already distrusts the path) and
-are accounted separately from crashed servers.  With a ``breaker_grace``
-period configured, a server whose breaker has stayed open longer than
-the grace is treated as lost — its blocks are quarantined and rebuilt
-elsewhere through the repair pipeline, the storage analog of evicting a
-gray node.
+are accounted separately from crashed servers.  Once the breaker's reset
+timeout has passed they are verified again like any other block.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from dataclasses import dataclass, field
 from repro.obs.trace import get_tracer
 from repro.storage.blockstore import BlockUnavailableError
 from repro.storage.filesystem import DistributedFileSystem
-from repro.storage.health import HealthMonitor
 from repro.storage.repair import RepairManager, RepairReport
 
 
@@ -38,12 +34,9 @@ class ScrubReport:
         blocks_skipped_crashed: blocks on crashed (fail-stop) servers —
             the repair pipeline's job, not the scrubber's.
         blocks_skipped_breaker: blocks on up-but-distrusted servers whose
-            circuit breaker is open (and still within any grace period).
+            circuit breaker is open.
         corrupted: (file, block) pairs that failed verification.
         repairs: the repairs performed for corrupted blocks.
-        quarantined_servers: breaker-open servers past the grace period
-            whose blocks were routed through repair.
-        quarantine_repairs: the repairs performed for quarantined blocks.
         reverified: rebuilt blocks whose fresh checksum verified after
             the heal.
     """
@@ -53,8 +46,6 @@ class ScrubReport:
     blocks_skipped_breaker: int = 0
     corrupted: list[tuple[str, int]] = field(default_factory=list)
     repairs: list[RepairReport] = field(default_factory=list)
-    quarantined_servers: set[int] = field(default_factory=set)
-    quarantine_repairs: list[RepairReport] = field(default_factory=list)
     reverified: int = 0
 
     @property
@@ -71,25 +62,13 @@ class Scrubber:
     """Namespace-wide checksum verification with automatic healing.
 
     Args:
-        dfs: the filesystem to scrub.
-        repair: repair pipeline for corrupted/quarantined blocks.
-        health: breaker state source (default: the filesystem's monitor).
-        breaker_grace: seconds a breaker may stay open before the
-            scrubber quarantines the server and rebuilds its blocks
-            elsewhere; ``None`` disables quarantine healing.
+        dfs: the filesystem to scrub; its monitor says which breakers are
+            open, and its repair pipeline heals what is corrupt.
     """
 
-    def __init__(
-        self,
-        dfs: DistributedFileSystem,
-        repair: RepairManager | None = None,
-        health: HealthMonitor | None = None,
-        breaker_grace: float | None = None,
-    ):
+    def __init__(self, dfs: DistributedFileSystem):
         self.dfs = dfs
-        self.repair = repair or RepairManager(dfs)
-        self.health = health or dfs.health
-        self.breaker_grace = breaker_grace
+        self.repair = RepairManager(dfs)
 
     def scrub(self, heal: bool = True) -> ScrubReport:
         """Verify every block of every file; optionally repair corruption.
@@ -131,7 +110,6 @@ class Scrubber:
                     if self.dfs.store.verify(rep.target_server, rep.file, rep.block):
                         report.reverified += 1
                         self.dfs.metrics.add("scrub_reverified", 1, rep.target_server)
-        self.repair.quarantine -= report.quarantined_servers
         return report
 
     def _scrub_into(
@@ -143,13 +121,8 @@ class Scrubber:
             if self.dfs.cluster.server(server).failed:
                 report.blocks_skipped_crashed += 1
                 continue
-            if self.health.is_open(server):
-                if self.breaker_grace is not None and self.health.quarantined(
-                    server, self.breaker_grace
-                ):
-                    self._quarantine_heal(name, block, server, report, heal)
-                else:
-                    report.blocks_skipped_breaker += 1
+            if self.dfs.health.is_open(server):
+                report.blocks_skipped_breaker += 1
                 continue
             try:
                 ok = self.dfs.store.verify(server, name, block)
@@ -164,17 +137,3 @@ class Scrubber:
             if heal:
                 self.dfs.store.drop(server, name, block)
                 dropped.append((name, block, server))
-
-    def _quarantine_heal(self, name: str, block: int, server: int, report: ScrubReport, heal: bool) -> None:
-        """Rebuild one block away from a breaker-quarantined server."""
-        report.quarantined_servers.add(server)
-        self.dfs.metrics.add("blocks_quarantined", 1, server)
-        if not heal:
-            return
-        # While the server is in the repair manager's quarantine set its
-        # blocks count as lost and it is never picked as helper/target.
-        self.repair.quarantine.add(server)
-        report.quarantine_repairs.append(self.repair.repair_block(name, block))
-        # The stale copy stays on the gray server's disk; drop it so a
-        # later recovery of that server doesn't resurrect old data.
-        self.dfs.store.drop(server, name, block)

@@ -26,6 +26,7 @@ from repro.storage import (
     StripedFileSystem,
     pipeline,
 )
+from repro.storage.health import RESET_TIMEOUT
 from repro.storage.striped import group_name
 from tests.conftest import codes_layer_read, group_grid, payload_bytes, stored_block
 
@@ -400,7 +401,7 @@ def test_any_batch_size_reads_and_repairs_alike(shape, data):
     dead = sum(s in failed for g in meta.group_names() for s in dfs.file(g).placement.values())
     assert len(RepairManager(dfs).repair_all()) == dead
     dfs.store.install_faults(None)  # the flaky server recovers; let its breaker close
-    dfs.clock.advance(dfs.health.reset_timeout)
+    dfs.clock.advance(RESET_TIMEOUT)
     dfs.metrics.reset()
     assert sfs.read_file("f") == payload
     assert dfs.metrics.total("degraded_reads") == 0

@@ -16,7 +16,7 @@ from repro.faults.model import (
 )
 from repro.faults.schedule import bound_concurrent_crashes
 from repro.storage import DistributedFileSystem, TransientReadError
-from repro.storage.health import HealthMonitor
+from repro.storage.health import CONSECUTIVE_LIMIT, HealthMonitor
 from tests.conftest import payload_bytes
 
 
@@ -40,9 +40,10 @@ class TestVirtualClock:
 
     def test_open_breaker_stays_open_across_a_backward_pin(self):
         clock = VirtualClock()
-        health = HealthMonitor(clock, consecutive_limit=1, reset_timeout=1.0)
+        health = HealthMonitor(clock)
         clock.pin(5.0)
-        health.record_error(3)
+        for _ in range(CONSECUTIVE_LIMIT):
+            health.record_error(3)
         clock.pin(4.0)
         assert health.is_open(3) and not health.allow_request(3)
         clock.pin(5.5)

@@ -61,7 +61,6 @@ PUBLIC_API = {
         "RepairPlan",
         "ReplicationCode",
         "ResilientBlockClient",
-        "RetryPolicy",
         "RotatedPyramidCode",
         "RoundRobinPlacement",
         "Server",
@@ -88,7 +87,6 @@ PUBLIC_API = {
         "RepairManager",
         "RepairReport",
         "ResilientBlockClient",
-        "RetryPolicy",
         "ScrubReport",
         "Scrubber",
         "ServerHealth",
@@ -165,15 +163,14 @@ PUBLIC_API = {
 
 #: ``module:callable`` -> its parameter names, in order.
 OPTIONS = {
-    "repro.storage:DistributedFileSystem": "cluster, metrics, fault_model, clock, health, retry_policy",
-    "repro.storage:RepairManager": "dfs, prefer_fast_helpers",
-    "repro.storage:ResilientBlockClient": "store, health, policy, clock, metrics, seed, verify",
-    "repro.storage:HealthMonitor": "clock, alpha, error_threshold, consecutive_limit, reset_timeout, metrics",
-    "repro.storage:Scrubber": "dfs, repair, health, breaker_grace",
+    "repro.storage:DistributedFileSystem": "cluster, fault_model",
+    "repro.storage:RepairManager": "dfs",
+    "repro.storage:ResilientBlockClient": "store, health, clock",
+    "repro.storage:HealthMonitor": "clock, metrics",
+    "repro.storage:Scrubber": "dfs",
     "repro.storage:ResilientBlockClient.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.timed_get": "self, server_id, file_name, block_id, verify",
-    "repro.storage:RetryPolicy": "max_attempts, base_delay, max_delay, jitter, read_timeout, hedge_threshold",
     "repro.storage:simulate_server_recovery": "code, lost_blocks, num_servers, block_bytes, disk_bandwidth, seed",
     "repro.storage:RepairAdmissionController": "max_inflight_per_server, metrics",
     "repro.storage:RepairAdmissionController.acquire": "self, now, server_durations",
@@ -188,10 +185,7 @@ OPTIONS = {
         "max_inflight_per_server, max_concurrent_repairs"
     ),
     "repro.serving:ServingGateway": "dfs, loop, config",
-    "repro.serving:GatewayConfig": (
-        "cache_entries, cache_sample_period, cache_hit_latency, request_overhead, hedge_threshold, "
-        "max_inflight_per_tenant, tenant_limits, lease_estimate, slo"
-    ),
+    "repro.serving:GatewayConfig": "cache_entries, hedge_threshold, max_inflight_per_tenant, tenant_limits",
     "repro.bench.chaos:run_schedule": "schedule, code_name, make_code, checkpoints, retry_rounds, retry_step",
     "repro.bench.chaos:run_campaign": "schedules, base_seed, checkpoints, horizon",
 }
@@ -226,9 +220,7 @@ METHODS = {
     ],
     "repro.storage:HealthMonitor": [
         "allow_request",
-        "healthy",
         "is_open",
-        "quarantined",
         "rank",
         "record_error",
         "record_success",

@@ -21,6 +21,7 @@ from repro.faults import FaultModel
 from repro.faults.model import GraySlowdown, LatencySpikes, SilentCorruption, TransientErrors
 from repro.gf import GF256, GF65536
 from repro.storage import BlockUnavailableError, DistributedFileSystem, StripedFileSystem
+from repro.storage.health import CONSECUTIVE_LIMIT
 from tests.conftest import payload_bytes
 
 CODES = {
@@ -68,7 +69,7 @@ def twin(code_name: str, field: str, condition: str):
     elif condition == "crashed":
         cluster.fail(victim)
     elif condition == "breaker_open":
-        for _ in range(dfs.health.consecutive_limit):
+        for _ in range(CONSECUTIVE_LIMIT):
             dfs.health.record_error(victim)
         assert dfs.health.is_open(victim)
     return dfs, files

@@ -15,8 +15,9 @@ from repro.storage import (
     BlockUnavailableError,
     DistributedFileSystem,
     HealthMonitor,
-    RetryPolicy,
 )
+from repro.storage import resilient
+from repro.storage.health import CONSECUTIVE_LIMIT
 from tests.conftest import payload_bytes
 
 
@@ -38,40 +39,38 @@ class Burst:
         return self.decision
 
 
-def make_env(fault_model=None, policy=None, servers=8):
+def make_env(fault_model=None, servers=8):
     cluster = Cluster.homogeneous(servers)
-    dfs = DistributedFileSystem(cluster, fault_model=fault_model, retry_policy=policy)
+    dfs = DistributedFileSystem(cluster, fault_model=fault_model)
     payload = payload_bytes(6_000, seed=13)
     ef = dfs.write_file("f", payload, code=ReedSolomonCode(4, 2))
     return dfs, ef, payload
 
 
 class TestBackoffPolicy:
-    def test_exponential_capped_without_jitter(self):
-        policy = RetryPolicy(base_delay=0.01, max_delay=0.05, jitter=0.0)
+    def test_exponential_capped_without_jitter(self, monkeypatch):
+        monkeypatch.setattr(resilient, "JITTER", 0.0)
         rng = random.Random(0)
-        delays = [policy.backoff(r, rng) for r in range(1, 6)]
-        assert delays == pytest.approx([0.01, 0.02, 0.04, 0.05, 0.05])
+        delays = [resilient._backoff(r, rng) for r in range(1, 8)]
+        # BASE_DELAY 10 ms doubling, capped at MAX_DELAY 250 ms.
+        assert delays == pytest.approx([0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25])
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay=0.01, jitter=0.5)
         rng = random.Random(1)
         for r in range(1, 20):
-            base = min(policy.max_delay, policy.base_delay * 2 ** (r - 1))
-            d = policy.backoff(r, rng)
-            assert base <= d <= base * 1.5
+            base = min(resilient.MAX_DELAY, resilient.BASE_DELAY * 2 ** (r - 1))
+            d = resilient._backoff(r, rng)
+            assert base <= d <= base * (1 + resilient.JITTER)
 
     def test_backoff_timing_on_virtual_clock(self):
         """The clock advances by exactly the recorded backoff delays when
         every attempt fails before returning data."""
-        dfs, ef, _ = make_env(
-            FaultModel(TransientErrors(rate=1.0)), policy=RetryPolicy(max_attempts=4)
-        )
+        dfs, ef, _ = make_env(FaultModel(TransientErrors(rate=1.0)))
         bad = ef.server_of(0)
         with pytest.raises(BlockUnavailableError) as exc:
             dfs.client.get(bad, "f", 0)
         assert exc.value.cause == "retries_exhausted"
-        assert len(dfs.client.backoff_history) == 3  # max_attempts - 1
+        assert len(dfs.client.backoff_history) == resilient.MAX_ATTEMPTS - 1 == 3
         assert dfs.clock.now == pytest.approx(sum(dfs.client.backoff_history))
         assert dfs.metrics.total("retries") == 3
 
@@ -105,18 +104,20 @@ class TestRetries:
 
 class TestTimeouts:
     def test_slow_read_times_out(self):
-        policy = RetryPolicy(max_attempts=2, read_timeout=0.1, hedge_threshold=None)
-        dfs, ef, _ = make_env(FaultModel(GraySlowdown(extra_latency=0.5)), policy=policy)
+        # 0.8 s of excess latency is past READ_TIMEOUT (0.5 s) on every try.
+        dfs, ef, _ = make_env(FaultModel(GraySlowdown(extra_latency=0.8)))
         with pytest.raises(BlockUnavailableError) as exc:
             dfs.client.get(ef.server_of(0), "f", 0)
         assert exc.value.cause == "retries_exhausted"
-        assert dfs.metrics.total("read_timeouts") == 2
+        assert dfs.metrics.total("read_timeouts") == resilient.MAX_ATTEMPTS
+        assert dfs.metrics.total("hedged_reads") == 0  # a timed-out try is never hedged
 
-    def test_big_blocks_do_not_spuriously_time_out(self):
+    def test_big_blocks_do_not_spuriously_time_out(self, monkeypatch):
         """The deadline applies to *excess* latency, so a block whose clean
-        transfer time exceeds read_timeout still succeeds."""
+        transfer time exceeds READ_TIMEOUT still succeeds."""
+        monkeypatch.setattr(resilient, "READ_TIMEOUT", 0.001)
         cluster = Cluster.homogeneous(8)
-        dfs = DistributedFileSystem(cluster, retry_policy=RetryPolicy(read_timeout=0.001))
+        dfs = DistributedFileSystem(cluster)
         payload = payload_bytes(2_000_000, seed=3)  # ~0.019s clean transfer
         ef = dfs.write_file("big", payload, code=ReedSolomonCode(4, 2))
         assert dfs.client.get(ef.server_of(0), "big", 0) is not None
@@ -126,8 +127,8 @@ class TestTimeouts:
 class TestCircuitBreaker:
     def test_state_machine_transitions(self):
         clock = VirtualClock()
-        health = HealthMonitor(clock, consecutive_limit=3, reset_timeout=1.0)
-        for _ in range(3):
+        health = HealthMonitor(clock)
+        for _ in range(CONSECUTIVE_LIMIT):
             health.record_error(7)
         assert health.state(7) == OPEN
         assert health.is_open(7)
@@ -143,9 +144,9 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = VirtualClock()
-        health = HealthMonitor(clock, consecutive_limit=2, reset_timeout=1.0)
-        health.record_error(0)
-        health.record_error(0)
+        health = HealthMonitor(clock)
+        for _ in range(CONSECUTIVE_LIMIT):
+            health.record_error(0)
         clock.advance(2.0)
         assert health.allow_request(0)
         health.record_error(0)
@@ -154,8 +155,9 @@ class TestCircuitBreaker:
 
     def test_half_open_admits_single_probe(self):
         clock = VirtualClock()
-        health = HealthMonitor(clock, consecutive_limit=1, reset_timeout=1.0)
-        health.record_error(0)
+        health = HealthMonitor(clock)
+        for _ in range(CONSECUTIVE_LIMIT):
+            health.record_error(0)
         clock.advance(2.0)
         assert health.allow_request(0)  # the probe
         assert not health.allow_request(0)  # concurrent traffic still blocked
@@ -187,10 +189,8 @@ class TestCircuitBreaker:
 
 class TestHedging:
     def test_hedge_wins_over_one_off_straggler(self):
-        policy = RetryPolicy(read_timeout=1.0, hedge_threshold=0.05)
-        dfs, ef, payload = make_env(
-            FaultModel(Burst(1, FaultDecision(extra_latency=0.3))), policy=policy
-        )
+        # 0.3 s of excess latency: past HEDGE_THRESHOLD, under READ_TIMEOUT.
+        dfs, ef, payload = make_env(FaultModel(Burst(1, FaultDecision(extra_latency=0.3))))
         t0 = dfs.clock.now
         data = dfs.client.get(ef.server_of(0), "f", 0)
         assert data is not None
@@ -201,17 +201,10 @@ class TestHedging:
 
     def test_hedge_loses_against_consistently_gray_server(self):
         """Hedging can't help when the second path is just as slow."""
-        policy = RetryPolicy(read_timeout=1.0, hedge_threshold=0.05)
-        dfs, ef, _ = make_env(FaultModel(GraySlowdown(extra_latency=0.2)), policy=policy)
+        dfs, ef, _ = make_env(FaultModel(GraySlowdown(extra_latency=0.2)))
         dfs.client.get(ef.server_of(0), "f", 0)
         assert dfs.metrics.total("hedged_reads") == 1
         assert dfs.metrics.total("hedged_wins") == 0
-
-    def test_hedging_disabled(self):
-        policy = RetryPolicy(read_timeout=1.0, hedge_threshold=None)
-        dfs, ef, _ = make_env(FaultModel(GraySlowdown(extra_latency=0.2)), policy=policy)
-        dfs.client.get(ef.server_of(0), "f", 0)
-        assert dfs.metrics.total("hedged_reads") == 0
 
 
 class TestCleanPathEquivalence:

@@ -331,9 +331,12 @@ class TestHealthAwarePlacement:
     def _monitor(open_server):
         from repro.faults import VirtualClock
         from repro.storage import HealthMonitor
+        from repro.storage.health import CONSECUTIVE_LIMIT
 
-        health = HealthMonitor(VirtualClock(), consecutive_limit=1, reset_timeout=1e9)
-        health.record_error(open_server)
+        # The monitor's clock never moves, so the breaker stays open.
+        health = HealthMonitor(VirtualClock())
+        for _ in range(CONSECUTIVE_LIMIT):
+            health.record_error(open_server)
         return health
 
     def test_breaker_open_server_does_not_steal(self):

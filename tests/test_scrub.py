@@ -6,6 +6,7 @@ from repro.cluster import Cluster
 from repro.codes import ReedSolomonCode
 from repro.core import GalloperCode
 from repro.storage import DistributedFileSystem, Scrubber
+from repro.storage.health import CONSECUTIVE_LIMIT, RESET_TIMEOUT
 from tests.conftest import payload_bytes
 
 
@@ -100,6 +101,34 @@ class TestScrubber:
         report = Scrubber(dfs).scrub()
         assert report.blocks_skipped == 1
         assert report.blocks_checked == 6
+
+    def test_skips_breaker_open_servers_until_the_reset_timeout(self, env):
+        _, dfs, ef, payload = env
+        server = ef.server_of(3)
+        dfs.store.corrupt(server, "f", 3, offset=9)  # rot the skip must not see
+        for _ in range(CONSECUTIVE_LIMIT):
+            dfs.health.record_error(server)
+        assert dfs.health.is_open(server)
+        dfs.metrics.reset()
+
+        report = Scrubber(dfs).scrub()
+        assert report.blocks_skipped_breaker == 1
+        assert report.blocks_skipped_crashed == 0
+        assert report.blocks_checked == 6
+        assert report.corrupted == [] and report.repairs == []
+        for name in ("disk_bytes_read", "scrub_bytes"):
+            charged = dfs.metrics.by_server(name)
+            assert server not in charged and len(charged) == 6
+
+        dfs.clock.advance(RESET_TIMEOUT)
+        assert not dfs.health.is_open(server)
+        report = Scrubber(dfs).scrub()
+        assert report.blocks_skipped == 0
+        assert report.blocks_checked == 7
+        assert report.corrupted == [("f", 3)]
+        assert report.repairs[0].target_server == server and report.reverified == 1
+        assert dfs.metrics.by_server("scrub_bytes")[server] > 0
+        assert dfs.read_file("f") == payload
 
     def test_scrub_single_file(self, env):
         _, dfs, ef, payload = env

@@ -282,7 +282,7 @@ class TestGatewayReads:
         assert gateway.metrics.total("serving_cache_misses") == misses
 
     def test_concurrent_same_stripe_reads_coalesce(self):
-        gateway = make_gateway(cache_entries=1, cache_sample_period=10)
+        gateway = make_gateway(cache_entries=1)
         payload = put_file(gateway, CODES["galloper"], size=2048)
 
         async def both():
