@@ -21,8 +21,7 @@ Consumers:
 * :class:`~repro.storage.scrub.Scrubber` — skips (and counts) the
   blocks of breaker-open servers.
 
-The breaker's settings are the module constants below; one value of
-each is in use.
+The breaker's settings are the module constants below.
 """
 
 from __future__ import annotations
