@@ -4,11 +4,13 @@ storage classes, against committed lists.
 
 An export added or dropped shows up as a one-line diff to ``PUBLIC_API``
 below, an option added or dropped as a one-line diff to ``OPTIONS``, a
-method as a one-line diff to ``METHODS``,
+method as a one-line diff to ``METHODS``, a report field as a one-line
+diff to ``FIELDS``,
 where a reviewer sees it; nothing else checks the "no new public name,
 option or constructor argument" ground rule of the simplification issues.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -174,6 +176,7 @@ OPTIONS = {
     "repro.storage:simulate_server_recovery": "code, lost_blocks, num_servers, block_bytes, disk_bandwidth, seed",
     "repro.storage:RepairAdmissionController": "max_inflight_per_server, metrics",
     "repro.storage:RepairAdmissionController.acquire": "self, now, server_durations",
+    "repro.sim:ThroughputResource": "sim, bandwidth, name",
     "repro.sim:ThroughputResource.transfer": "self, nbytes, on_done, name",
     "repro.reliability:simulate_reliability": (
         "code, placement, config, num_racks, servers_per_rack, stripes, trials, seed, metrics"
@@ -246,6 +249,30 @@ METHODS = {
 }
 
 
+#: ``module:class`` -> the public fields and properties of a result
+#: dataclass, one per line.
+FIELDS = {
+    "repro.storage:RepairReport": [
+        "block",
+        "bytes_read",
+        "bytes_read_by_server",
+        "bytes_written",
+        "cross_rack_bytes",
+        "estimated_time",
+        "file",
+        "helpers",
+        "target_server",
+    ],
+    "repro.storage:ServerRepairReport": [
+        "blocks_rebuilt",
+        "bytes_read",
+        "estimated_time",
+        "reports",
+        "server",
+    ],
+}
+
+
 @pytest.mark.parametrize("module", PUBLIC_API)
 def test_exports_match_the_committed_list(module):
     exported = importlib.import_module(module).__all__
@@ -274,3 +301,12 @@ def test_public_methods_match_the_committed_list(entry):
     cls = getattr(importlib.import_module(module), name)
     public = [attr for attr in dir(cls) if not attr.startswith("_") and callable(getattr(cls, attr))]
     assert public == METHODS[entry]
+
+
+@pytest.mark.parametrize("entry", FIELDS)
+def test_result_fields_match_the_committed_list(entry):
+    module, _, name = entry.partition(":")
+    cls = getattr(importlib.import_module(module), name)
+    fields = [f.name for f in dataclasses.fields(cls)]
+    properties = [attr for attr, value in vars(cls).items() if isinstance(value, property)]
+    assert sorted(fields + properties) == FIELDS[entry]
