@@ -111,6 +111,12 @@ class ReliabilityConfig:
             raise ValueError("rack_kill_fraction must be in [0, 1]")
         if self.horizon_years <= 0:
             raise ValueError("horizon_years must be positive")
+        if self.replacement_hours < 0:
+            raise ValueError("replacement_hours must be non-negative")
+        if self.block_size_bytes <= 0:
+            raise ValueError("block_size_bytes must be positive")
+        if self.repair_bandwidth <= 0:
+            raise ValueError("repair_bandwidth must be positive")
 
 
 @dataclass

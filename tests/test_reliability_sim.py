@@ -93,6 +93,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ReliabilityConfig(disk_lifetime=ExponentialLifetime(100.0), horizon_years=0.0)
 
+    @pytest.mark.parametrize(
+        "knob", [{"repair_bandwidth": 0}, {"block_size_bytes": 0}, {"replacement_hours": -1}]
+    )
+    def test_degenerate_parameters_rejected_up_front(self, knob):
+        """Each of these used to get through and fail mid-run (a division
+        by zero, a repair or a replacement scheduled in the past)."""
+        with pytest.raises(ValueError):
+            ReliabilityConfig(disk_lifetime=ExponentialLifetime(100.0), **knob)
+
 
 def _run(code, placement, config, **kw):
     kw.setdefault("num_racks", 4)
