@@ -1,44 +1,39 @@
 """Queued resources for the simulation engine.
 
 A :class:`ThroughputResource` models a shared pipe (disk or NIC)
-processed serially: each request occupies the pipe for
-``bytes / bandwidth`` seconds.  Its completion callback is invoked
-through the simulation, never synchronously, so callers observe a
-consistent event ordering.
+processed serially: each request occupies the pipe for its service
+time, ``bytes / bandwidth`` seconds for a clean transfer.  It is the
+disk of every server behind the serving gateway, which awaits each
+request's completion on its :class:`~repro.sim.aio.SimLoop`; repair
+storms run there too (``ServingGateway.repair_server``).
 """
 
 from __future__ import annotations
 
-import zlib
-from collections.abc import Callable
-
-from repro.obs.trace import get_tracer
 from repro.sim.engine import Simulation, SimulationError
 
 
 class ThroughputResource:
     """A serially-shared pipe with fixed bandwidth (bytes/second).
 
-    Requests are served FIFO; each occupies the pipe for
-    ``nbytes / bandwidth`` seconds.  This models a disk spindle or a NIC:
-    concurrent requests see queueing delay rather than magic parallelism.
+    Requests are served FIFO; each occupies the pipe for its service
+    time.  This models a disk spindle or a NIC: concurrent requests see
+    queueing delay rather than magic parallelism.
 
-    A request whose service time is only known once it is served (a
-    fault-inflated read) takes its turn in two steps, :meth:`head` then
-    :meth:`commit`; :meth:`transfer` is both for a size known up front.
+    A request takes its turn in two steps, :meth:`head` then
+    :meth:`commit`, so its service time (a fault-inflated read, say) may
+    be known only once it is served.
     """
 
-    def __init__(self, sim: Simulation, bandwidth: float, name: str = "pipe"):
+    def __init__(self, sim: Simulation, bandwidth: float):
         if bandwidth <= 0:
-            raise SimulationError(f"{name}: bandwidth must be positive")
+            raise SimulationError("bandwidth must be positive")
         self.sim = sim
         self.bandwidth = bandwidth
-        self.name = name
         #: Sim time the pipe next falls idle.
         self.free_at = 0.0
         #: Bytes promised to the pipe and not yet queued; callers keep it.
         self.pledged = 0
-        self.bytes_moved = 0
 
     def wait(self) -> float:
         """Seconds a request issued now would queue before it is served."""
@@ -59,22 +54,3 @@ class ThroughputResource:
         :meth:`head` gave with nothing queued since; returns the completion."""
         self.free_at = start + service
         return self.free_at
-
-    def transfer(self, nbytes: float, on_done: Callable[[float], None], name: str = "") -> float:
-        """Enqueue a transfer; returns its completion time."""
-        if nbytes < 0:
-            raise SimulationError(f"{self.name}: negative transfer size")
-        start = self.head()
-        done = self.commit(start, nbytes / self.bandwidth)
-        self.bytes_moved += int(nbytes)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Pipe occupancy on the sim timeline, one track per resource
-            # (disk/NIC rows in the trace viewer).
-            tracer.sim_span(
-                name or "transfer", "sim.io", start, done,
-                track=zlib.crc32(self.name.encode()) % 997,
-                track_name=self.name, bytes=int(nbytes),
-            )
-        self.sim.schedule_at(done, lambda: on_done(done), name=f"{self.name}:{name}")
-        return done

@@ -12,7 +12,6 @@ from repro.storage.repair import (
     RepairReport,
     ServerRepairReport,
 )
-from repro.storage.recovery import RecoveryOutcome, simulate_server_recovery
 from repro.storage.resilient import ResilientBlockClient
 from repro.storage.scrub import ScrubReport, Scrubber
 from repro.storage.striped import StripedFileMeta, StripedFileSystem, StripedInputFormat
@@ -38,8 +37,6 @@ __all__ = [
     "RepairManager",
     "RepairReport",
     "ServerRepairReport",
-    "RecoveryOutcome",
-    "simulate_server_recovery",
     "ResilientBlockClient",
     "ScrubReport",
     "Scrubber",

@@ -5,7 +5,10 @@ The repair manager asks each file's code for a
 :class:`~repro.codes.base.RepairPlan` — locally repairable codes answer
 with their small group (low disk I/O, the point of Fig. 1b/Fig. 8) —
 reads the helpers, reconstructs, writes the block to a live server, and
-returns byte-exact accounting plus an analytic time estimate.
+returns byte-exact accounting.  How long a repair takes is measured, not
+estimated: the DFS clock advances by each helper read's service time, and
+a whole-server rebuild under disk contention runs on the serving
+gateway's per-server pipes (``ServingGateway.repair_server``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSys
 from repro.storage.metrics import MetricsRegistry
 
 #: Decode throughput of one baseline CPU, bytes/second.  Only relative
-#: magnitudes matter in the benches; this anchors time estimates.
+#: magnitudes matter in the benches; this anchors the serving gateway's
+#: decode time.
 DECODE_RATE = 400 * (1 << 20)
 
 #: How many times one block rebuild may re-plan around an unreadable
@@ -186,8 +190,6 @@ class RepairReport:
         bytes_read: total disk bytes read across helpers.
         bytes_read_by_server: per-helper breakdown.
         bytes_written: size of the rebuilt block.
-        estimated_time: analytic completion time (parallel helper reads,
-            then network transfer, then decode compute, then write).
         target_server: where the block now lives.
     """
 
@@ -197,7 +199,6 @@ class RepairReport:
     bytes_read: int
     bytes_read_by_server: dict[int, int]
     bytes_written: int
-    estimated_time: float
     target_server: int
     #: Helper bytes that crossed a rack boundary on their way to the
     #: rebuilt block — the aggregation-network cost of the repair.
@@ -218,10 +219,6 @@ class ServerRepairReport:
     @property
     def blocks_rebuilt(self) -> int:
         return len(self.reports)
-
-    @property
-    def estimated_time(self) -> float:
-        return sum(r.estimated_time for r in self.reports)
 
 
 @dataclass(frozen=True)
@@ -449,18 +446,7 @@ class RepairManager:
         ef.placement[block] = target_server
         self.dfs.metrics.add("reconstructions", 1)
 
-        read_times = [
-            nbytes / self.cluster.server(s).disk_bandwidth for s, nbytes in bytes_by_server.items()
-        ]
-        total_read = sum(bytes_by_server.values())
-        target = self.cluster.server(target_server)
-        est = (
-            max(read_times, default=0.0)
-            + total_read / target.network_bandwidth
-            + total_read / (DECODE_RATE * target.cpu_speed)
-            + block_bytes / target.disk_bandwidth
-        )
-        target_rack = target.rack
+        target_rack = self.cluster.server(target_server).rack
         cross_rack = sum(
             nbytes
             for s, nbytes in bytes_by_server.items()
@@ -470,10 +456,9 @@ class RepairManager:
             file=file_name,
             block=block,
             helpers=job.plan.helpers,
-            bytes_read=total_read,
+            bytes_read=sum(bytes_by_server.values()),
             bytes_read_by_server=bytes_by_server,
             bytes_written=block_bytes,
-            estimated_time=est,
             target_server=target_server,
             cross_rack_bytes=cross_rack,
         )

@@ -84,7 +84,6 @@ PUBLIC_API = {
         "LeaseTable",
         "MetricsRegistry",
         "OPEN",
-        "RecoveryOutcome",
         "RepairAdmissionController",
         "RepairManager",
         "RepairReport",
@@ -99,7 +98,6 @@ PUBLIC_API = {
         "StripedInputFormat",
         "TransientReadError",
         "pipeline",
-        "simulate_server_recovery",
     ],
     "repro.serving": [
         "FlashCrowd",
@@ -173,11 +171,9 @@ OPTIONS = {
     "repro.storage:ResilientBlockClient.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.get": "self, server_id, file_name, block_id",
     "repro.storage:BlockStore.timed_get": "self, server_id, file_name, block_id, verify",
-    "repro.storage:simulate_server_recovery": "code, lost_blocks, num_servers, block_bytes, disk_bandwidth, seed",
     "repro.storage:RepairAdmissionController": "max_inflight_per_server, metrics",
     "repro.storage:RepairAdmissionController.acquire": "self, now, server_durations",
-    "repro.sim:ThroughputResource": "sim, bandwidth, name",
-    "repro.sim:ThroughputResource.transfer": "self, nbytes, on_done, name",
+    "repro.sim:ThroughputResource": "sim, bandwidth",
     "repro.reliability:simulate_reliability": (
         "code, placement, config, num_racks, servers_per_rack, stripes, trials, seed, metrics"
     ),
@@ -258,7 +254,6 @@ FIELDS = {
         "bytes_read_by_server",
         "bytes_written",
         "cross_rack_bytes",
-        "estimated_time",
         "file",
         "helpers",
         "target_server",
@@ -266,7 +261,6 @@ FIELDS = {
     "repro.storage:ServerRepairReport": [
         "blocks_rebuilt",
         "bytes_read",
-        "estimated_time",
         "reports",
         "server",
     ],

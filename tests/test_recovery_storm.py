@@ -1,93 +1,132 @@
-"""Tests for the server-recovery storm simulation."""
+"""Tests for the server-recovery storm: one server's blocks rebuilt at
+once through the serving gateway, on its shared per-server disk pipes."""
 
 import pytest
 
+from repro.bench.experiments import _STORM_BLOCK, _recovery_storm
+from repro.cluster import Cluster, PlacementError
 from repro.codes import PyramidCode, ReedSolomonCode, ReplicationCode
 from repro.core import GalloperCode
-from repro.storage.recovery import simulate_server_recovery
+
+#: The figure's disks: one block read takes 0.64 s, as 64 MB at 100 MB/s.
+BANDWIDTH = _STORM_BLOCK / 0.64
+
+
+def storm(code, lost_blocks, num_servers, seed, bandwidth=BANDWIDTH):
+    """The storm's makespan, disk bytes read per server, and the rest."""
+    cluster = Cluster.homogeneous(num_servers, disk_bandwidth=bandwidth)
+    gateway, payloads, lost = _recovery_storm(code, cluster, lost_blocks, seed)
+    read = {s: int(b) for s, b in gateway.metrics.by_server("disk_bytes_read").items()}
+    return gateway.loop.now, read, gateway, payloads, lost
 
 
 class TestRecoveryStorm:
     def test_deterministic(self):
         code = PyramidCode(4, 2, 1)
-        a = simulate_server_recovery(code, 20, 15, seed=7)
-        b = simulate_server_recovery(code, 20, 15, seed=7)
-        assert a.makespan == b.makespan
-        assert a.repair_times == b.repair_times
+        a = storm(code, 20, 15, seed=7)
+        b = storm(PyramidCode(4, 2, 1), 20, 15, seed=7)
+        assert a[:2] == b[:2]
+        assert a[2].counters() == b[2].counters()
 
     def test_seed_changes_placement(self):
-        code = PyramidCode(4, 2, 1)
-        a = simulate_server_recovery(code, 20, 15, seed=1)
-        b = simulate_server_recovery(code, 20, 15, seed=2)
-        assert a.bytes_read == b.bytes_read  # same plans ...
-        assert a.bytes_read_by_server != b.bytes_read_by_server  # ... different spread
+        a = storm(PyramidCode(4, 2, 1), 20, 15, seed=1)
+        b = storm(PyramidCode(4, 2, 1), 20, 15, seed=2)
+        assert a[1] != b[1]  # a different spread of helper reads
 
     def test_all_repairs_complete(self):
+        """Every block the victim held is rebuilt elsewhere, and every file
+        reads back byte-identical without it."""
         code = GalloperCode(4, 2, 1)
-        o = simulate_server_recovery(code, 33, 12, seed=3)
-        assert len(o.repair_times) == 33
-        assert o.makespan == max(o.repair_times)
-        assert all(t > 0 for t in o.repair_times)
+        _, _, gateway, payloads, lost = storm(code, 33, 12, seed=3)
+        dfs = gateway.dfs
+        victim = 11
+        assert sum(map(len, lost.values())) == 33
+        assert gateway.counters()["repair_blocks"] == 33
+        assert gateway.metrics.total("serving_repair_failures") == 0
+        for name, payload in payloads.items():
+            assert not dfs.file(name).blocks_on_server(victim)
+            assert dfs.read_file(name) == payload
 
     def test_locality_beats_rs(self):
-        rs = simulate_server_recovery(ReedSolomonCode(4, 2), 60, 20, seed=3)
-        lrc = simulate_server_recovery(PyramidCode(4, 2, 1), 60, 20, seed=3)
-        assert lrc.makespan < rs.makespan
-        assert lrc.bytes_read < rs.bytes_read
-        assert lrc.max_server_load <= rs.max_server_load
+        rs = storm(ReedSolomonCode(4, 2), 60, 20, seed=3)
+        lrc = storm(PyramidCode(4, 2, 1), 60, 20, seed=3)
+        assert lrc[0] < rs[0]
+        assert sum(lrc[1].values()) < sum(rs[1].values())
+        assert max(lrc[1].values()) <= max(rs[1].values())
 
     def test_replication_fastest(self):
-        rep = simulate_server_recovery(ReplicationCode(4, 3), 60, 20, seed=3)
-        lrc = simulate_server_recovery(PyramidCode(4, 2, 1), 60, 20, seed=3)
-        assert rep.makespan < lrc.makespan
+        rep = storm(ReplicationCode(4, 3), 60, 20, seed=3)
+        lrc = storm(PyramidCode(4, 2, 1), 60, 20, seed=3)
+        assert rep[0] < lrc[0]
 
     def test_galloper_matches_pyramid(self):
-        g = simulate_server_recovery(GalloperCode(4, 2, 1), 40, 18, seed=5)
-        p = simulate_server_recovery(PyramidCode(4, 2, 1), 40, 18, seed=5)
-        assert g.bytes_read == p.bytes_read
-        assert g.makespan == pytest.approx(p.makespan)
+        g = storm(GalloperCode(4, 2, 1), 40, 18, seed=5)
+        p = storm(PyramidCode(4, 2, 1), 40, 18, seed=5)
+        assert sum(g[1].values()) == sum(p[1].values())
+        assert g[0] == pytest.approx(p[0])
 
     def test_more_bandwidth_faster(self):
         code = PyramidCode(4, 2, 1)
-        slow = simulate_server_recovery(code, 30, 15, disk_bandwidth=50 << 20, seed=1)
-        fast = simulate_server_recovery(code, 30, 15, disk_bandwidth=200 << 20, seed=1)
-        assert fast.makespan < slow.makespan
+        slow = storm(code, 30, 15, seed=1, bandwidth=BANDWIDTH / 2)
+        fast = storm(PyramidCode(4, 2, 1), 30, 15, seed=1, bandwidth=BANDWIDTH * 2)
+        assert fast[0] < slow[0]
 
     def test_byte_accounting_matches_plans(self):
         code = PyramidCode(4, 2, 1)
-        block = 64 << 20
-        o = simulate_server_recovery(code, code.n, 15, block_bytes=block, seed=2)
-        expect = sum(code.repair_plan(b).bytes_read(block) for b in range(code.n))
-        assert o.bytes_read == expect
+        _, read, gateway, _, lost = storm(code, 21, 15, seed=2)
+        assert gateway.counters()["repair_replans"] == 0
+        expect = sum(
+            code.repair_plan(b, {b}).bytes_read(_STORM_BLOCK)
+            for blocks in lost.values()
+            for b in blocks
+        )
+        assert sum(read.values()) == expect
 
     def test_requires_enough_servers(self):
-        with pytest.raises(ValueError):
-            simulate_server_recovery(PyramidCode(4, 2, 1), 10, 7)
+        with pytest.raises(PlacementError):
+            storm(PyramidCode(4, 2, 1), 10, 6, seed=0)
 
     def test_zero_blocks(self):
-        o = simulate_server_recovery(PyramidCode(4, 2, 1), 0, 10)
-        assert o.makespan == 0.0
-        assert o.bytes_read == 0
+        """A victim that holds nothing: no file is written, nothing rebuilt."""
+        makespan, read, gateway, payloads, _ = storm(PyramidCode(4, 2, 1), 0, 10, seed=0)
+        assert makespan == 0.0
+        assert read == {}
+        assert gateway.counters()["repair_blocks"] == 0
+        assert payloads == {}
 
     @pytest.mark.parametrize(
-        "code, makespan, mean_repair, bytes_read, hotspot, times_sha",
+        "code, makespan, bytes_read, hotspot",
         [
-            (ReedSolomonCode(4, 2), 14.720000000000004, 9.74933333333333, 16106127360, 1275068416, "d5b371eabaeca579"),
-            (PyramidCode(4, 2, 1), 10.88, 6.112, 9126805504, 939524096, "30c4364e8de1051e"),
-            (GalloperCode(4, 2, 1), 10.88, 6.112, 9126805504, 939524096, "30c4364e8de1051e"),
-            (ReplicationCode(4, 3), 5.76, 3.3920000000000003, 4026531840, 402653184, "9a5aef876edfb3ce"),
+            (ReedSolomonCode(4, 2), 14.73150000000001, 240, 20),
+            (PyramidCode(4, 2, 1), 9.6075, 136, 12),
+            (GalloperCode(4, 2, 1), 9.6075, 136, 12),
+            (ReplicationCode(4, 3), 5.764499999999998, 60, 6),
         ],
         ids=["rs", "pyramid", "galloper", "replication"],
     )
-    def test_storm_figure_is_pinned(self, code, makespan, mean_repair, bytes_read, hotspot, times_sha):
+    def test_storm_figure_is_pinned(self, code, makespan, bytes_read, hotspot):
         """``extension_recovery_storm``'s four rows (60 blocks, 20 servers,
-        seed 3), recorded before the storm lost its admission and batching
-        options: the plain storm is the same storm, event for event."""
-        import hashlib
-        import struct
+        seed 3): makespan, and blocks read in all and from the busiest
+        server; every file reads back afterwards.
 
-        o = simulate_server_recovery(code, 60, 20, seed=3)
-        assert (o.makespan, o.mean_repair_time) == (makespan, mean_repair)
-        assert (o.bytes_read, o.max_server_load) == (bytes_read, hotspot)
-        packed = struct.pack(f"<{len(o.repair_times)}d", *o.repair_times)
-        assert hashlib.sha256(packed).hexdigest()[:16] == times_sha
+        The event-driven storm simulator this replaced (it lost a
+        rotating block index per stripe, held on random survivors, and
+        wrote rebuilt blocks round-robin) gave, in 64 MB blocks::
+
+            code          makespan_s          mean_repair_s       bytes_read   hotspot
+            rs            14.720000000000004  9.74933333333333    16106127360  1275068416
+            pyramid       10.88               6.112               9126805504   939524096
+            galloper      10.88               6.112               9126805504   939524096
+            replication   5.76                3.3920000000000003  4026531840   402653184
+
+        that is 240 / 136 / 136 / 60 blocks read and hotspots of 19 / 14
+        / 14 / 6 blocks.  Here the DFS places the files (which block a
+        file loses is random, not rotating) and the gateway writes each
+        rebuilt block to the server whose disk frees up soonest.
+        """
+        makespan_s, read, gateway, payloads, _ = storm(code, 60, 20, seed=3)
+        assert makespan_s == makespan
+        assert sum(read.values()) == bytes_read * _STORM_BLOCK
+        assert max(read.values()) == hotspot * _STORM_BLOCK
+        for name, payload in payloads.items():
+            assert gateway.dfs.read_file(name) == payload

@@ -103,11 +103,21 @@ class TestBlockRepair:
         assert dfs.metrics.total("checksum_failures") == dfs.metrics.total("corrupted_returns")
         assert dfs.metrics.total("retries") + dfs.metrics.total("repair_replans") >= 1
 
-    def test_estimated_time_positive(self, setup):
+    def test_repair_time_is_the_clock_advance(self, setup):
+        """A repair takes the DFS clock forward by its helper reads'
+        service times: the bytes each helper server gave, at its disk's
+        bandwidth."""
         cluster, dfs, rm = setup
         ef = dfs.write_file("f", payload_bytes(14_000, seed=7), code=GalloperCode(4, 2, 1))
         cluster.fail(ef.server_of(2))
-        assert rm.repair_block("f", 2).estimated_time > 0
+        before = dfs.clock.now
+        report = rm.repair_block("f", 2)
+        read_time = sum(
+            nbytes / cluster.server(s).disk_bandwidth
+            for s, nbytes in report.bytes_read_by_server.items()
+        )
+        assert read_time > 0
+        assert dfs.clock.now - before == pytest.approx(read_time)
 
 
 class TestServerRepair:

@@ -69,7 +69,7 @@ class TestRepairManagerIntegration:
         assert {4, 5} <= set(report.helpers)
         assert dfs.read_file("f") == payload
 
-    def test_estimated_time_improves_with_preference(self):
+    def test_repair_time_improves_with_preference(self):
         # One slow disk among the code's default helper set; preference
         # swaps it for the spare fast block 5.
         cluster = hetero_disks([1.0, 0.05, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
@@ -79,14 +79,14 @@ class TestRepairManagerIntegration:
         default = ef.code.repair_plan(0, {0}).helpers
         bandwidth = {b: cluster.server(s).disk_bandwidth for b, s in ef.placement.items()}
         cluster.fail(ef.server_of(0))
+        before = dfs.clock.now
         report = RepairManager(dfs).repair_block("f", 0)
         assert 1 in default and 1 not in report.helpers
 
-        # The estimate is read phase + network + decode + write; only the
-        # read phase (whole blocks, bounded by the slowest helper disk)
-        # depends on the helper set.
-        def read_phase(helpers):
-            return max(report.bytes_written / bandwidth[h] for h in helpers)
+        # The repair's time is the DFS clock advance: its helper reads,
+        # one whole block each at that helper's disk bandwidth.
+        def read_time(helpers):
+            return sum(report.bytes_written / bandwidth[h] for h in helpers)
 
-        with_default = report.estimated_time - read_phase(report.helpers) + read_phase(default)
-        assert report.estimated_time < with_default
+        assert dfs.clock.now - before == pytest.approx(read_time(report.helpers))
+        assert read_time(report.helpers) < read_time(default)

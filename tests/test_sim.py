@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import Simulation, SimulationError, ThroughputResource
+from repro.sim import SimLoop, Simulation, SimulationError, ThroughputResource
 
 
 class TestSimulation:
@@ -267,21 +267,16 @@ class TestSimulation:
 
 
 class TestThroughputResource:
+    @staticmethod
+    def request(pipe, service: float) -> float:
+        """Take a turn on the pipe: its completion instant."""
+        return pipe.commit(pipe.head(), service)
+
     def test_serial_transfers(self):
         sim = Simulation()
         pipe = ThroughputResource(sim, bandwidth=100.0)
-        times = []
-        pipe.transfer(200, lambda t: times.append(t))
-        pipe.transfer(100, lambda t: times.append(t))
-        sim.run()
-        assert times == [2.0, 3.0]
-
-    def test_bytes_accounting(self):
-        sim = Simulation()
-        pipe = ThroughputResource(sim, bandwidth=10.0)
-        pipe.transfer(50, lambda t: None)
-        sim.run()
-        assert pipe.bytes_moved == 50
+        assert self.request(pipe, 200 / pipe.bandwidth) == 2.0
+        assert self.request(pipe, 100 / pipe.bandwidth) == 3.0
 
     def test_bandwidth_validation(self):
         with pytest.raises(SimulationError):
@@ -291,7 +286,7 @@ class TestThroughputResource:
         sim = Simulation()
         pipe = ThroughputResource(sim, bandwidth=10.0)
         done = []
-        sim.schedule(5.0, lambda: pipe.transfer(10, lambda t: done.append(t)))
+        sim.schedule(5.0, lambda: done.append(self.request(pipe, 10 / pipe.bandwidth)))
         sim.run()
         assert done == [6.0]
 
@@ -299,7 +294,7 @@ class TestThroughputResource:
         sim = Simulation()
         pipe = ThroughputResource(sim, bandwidth=100.0)
         assert pipe.wait() == 0.0 and pipe.eta(50) == 0.5
-        pipe.transfer(200, lambda t: None)
+        self.request(pipe, 200 / pipe.bandwidth)
         assert pipe.free_at == 2.0 and pipe.wait() == 2.0
         assert pipe.eta(50, ios=2, overhead=0.25) == 3.0
         sim.run(until=1.5)
@@ -308,18 +303,28 @@ class TestThroughputResource:
         assert pipe.wait() == 0.0  # never negative once the pipe is idle
 
     def test_reservation_and_transfer_share_one_fifo(self):
-        sim = Simulation()
-        pipe = ThroughputResource(sim, bandwidth=100.0)
-        pipe.transfer(100, lambda t: None)
-        start = pipe.head()
-        assert start == 1.0  # behind the transfer
-        # The service time is whatever the caller measured once at the head.
-        assert pipe.commit(start, 0.75) == 1.75
-        times = []
-        assert pipe.transfer(25, times.append) == 2.0  # starts at the reservation's done
-        sim.run()
-        assert times == [2.0] and pipe.head() == sim.now == 2.0
-        assert pipe.bytes_moved == 125  # a reservation moves no counted bytes
+        """A request whose service time is measured at the head of the
+        queue and one priced by its size up front queue in one FIFO, and
+        a coroutine awaiting each wakes at its completion."""
+        loop = SimLoop()
+        pipe = ThroughputResource(loop.sim, bandwidth=100.0)
+        woke = []
+
+        async def reservation():
+            start = pipe.head()
+            # The service time is whatever the caller measured once at the head.
+            await loop.sleep_until(pipe.commit(start, 0.75))
+            woke.append(("reservation", start, loop.now))
+
+        async def transfer(nbytes):
+            start = pipe.head()
+            await loop.sleep_until(pipe.commit(start, nbytes / pipe.bandwidth))
+            woke.append(("transfer", start, loop.now))
+
+        tasks = [transfer(100), reservation(), transfer(25)]
+        loop.run_until_complete(loop.gather(*map(loop.create_task, tasks)))
+        assert woke == [("transfer", 0.0, 1.0), ("reservation", 1.0, 1.75), ("transfer", 1.75, 2.0)]
+        assert pipe.head() == loop.now == 2.0
 
     @pytest.mark.parametrize(
         "stripe_bytes, rows, ios",
