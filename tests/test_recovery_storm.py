@@ -39,7 +39,7 @@ class TestRecoveryStorm:
         code = GalloperCode(4, 2, 1)
         _, _, gateway, payloads, lost = storm(code, 33, 12, seed=3)
         dfs = gateway.dfs
-        victim = 11
+        victim = 11  # the last of the 12 servers
         assert sum(map(len, lost.values())) == 33
         assert gateway.counters()["repair_blocks"] == 33
         assert gateway.metrics.total("serving_repair_failures") == 0
