@@ -22,8 +22,7 @@ def storm(code, lost_blocks, num_servers, seed, bandwidth=BANDWIDTH):
 
 class TestRecoveryStorm:
     def test_deterministic(self):
-        code = PyramidCode(4, 2, 1)
-        a = storm(code, 20, 15, seed=7)
+        a = storm(PyramidCode(4, 2, 1), 20, 15, seed=7)
         b = storm(PyramidCode(4, 2, 1), 20, 15, seed=7)
         assert a[:2] == b[:2]
         assert a[2].counters() == b[2].counters()
@@ -66,8 +65,7 @@ class TestRecoveryStorm:
         assert g[0] == pytest.approx(p[0])
 
     def test_more_bandwidth_faster(self):
-        code = PyramidCode(4, 2, 1)
-        slow = storm(code, 30, 15, seed=1, bandwidth=BANDWIDTH / 2)
+        slow = storm(PyramidCode(4, 2, 1), 30, 15, seed=1, bandwidth=BANDWIDTH / 2)
         fast = storm(PyramidCode(4, 2, 1), 30, 15, seed=1, bandwidth=BANDWIDTH * 2)
         assert fast[0] < slow[0]
 
