@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
@@ -711,6 +712,24 @@ class NativeBackend:
         return f"NativeBackend({simd}, {self.so_path})"
 
 
+def _dlopen(ffi, so_path: Path):
+    """``ffi.dlopen(so_path)``, refusing a 64-bit ELF file cut short first.
+
+    The ELF header says where the section header table ends, which is the
+    end of the file the linker wrote; mapping a shorter file can kill the
+    process with SIGBUS instead of failing to load.
+    """
+    with open(so_path, "rb") as f:
+        head = f.read(64)
+    if len(head) == 64 and head[:5] == b"\x7fELF\x02":
+        order = "<" if head[5] == 1 else ">"
+        (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+        shentsize, shnum = struct.unpack_from(order + "HH", head, 0x3A)
+        if os.path.getsize(so_path) < shoff + shentsize * shnum:
+            raise OSError(f"cannot load library {so_path}: file is truncated")
+    return ffi.dlopen(str(so_path))
+
+
 # Resolution is process-wide and memoized: None = not yet resolved; the
 # tuple holds (backend-or-None, reason).  `reset_native_backend` clears
 # it for tests that simulate a missing toolchain.
@@ -725,19 +744,32 @@ def _resolve() -> tuple[NativeBackend | None, str]:
         import cffi
     except ImportError:
         return None, "cffi is not installed"
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
     try:
         if _compiler() is None:
             # No toolchain — but any cached artifact built from this exact
-            # source/ABI (by whichever compiler) is safe to dlopen.
+            # source/ABI (by whichever compiler) is safe to dlopen.  One
+            # that does not load (a half-written or truncated file) is
+            # passed over for the next.
             hits = sorted((_cache_root() / _source_key()).glob("*/repro_native.so"))
             if not hits:
                 return None, "no C compiler on PATH (cc/gcc/clang) and $CC unset"
-            so_path = hits[0]
-        else:
-            so_path = _build_shared_object(_cache_root() / native_build_key())
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(str(so_path))
+            for so_path in hits:
+                try:
+                    return NativeBackend(ffi, _dlopen(ffi, so_path), so_path), ""
+                except OSError as exc:
+                    failure = exc
+            raise failure
+        build_dir = _cache_root() / native_build_key()
+        so_path = _build_shared_object(build_dir)
+        try:
+            lib = _dlopen(ffi, so_path)
+        except OSError:
+            # A cached artifact that does not load is rebuilt, once.
+            so_path.unlink(missing_ok=True)
+            so_path = _build_shared_object(build_dir)
+            lib = _dlopen(ffi, so_path)
         return NativeBackend(ffi, lib, so_path), ""
     except (NativeBuildError, OSError) as exc:
         return None, str(exc)

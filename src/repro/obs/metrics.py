@@ -63,6 +63,24 @@ class Histogram:
             self._values.append(value)
             self._dirty = True
 
+    def _observe_all(self, values: list[float]) -> None:
+        """:meth:`observe` each of ``values`` (floats) in turn, in one call."""
+        if not values:
+            return
+        total, low, high = self.total, self.min, self.max
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count += len(values)
+        self.total, self.min, self.max = total, low, high
+        room = self.max_samples - len(self._values)
+        if room > 0:
+            self._values += values[:room]
+            self._dirty = True
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

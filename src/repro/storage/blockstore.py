@@ -307,7 +307,7 @@ class BlockStore:
                 file=file_name,
                 block=block_id,
             )
-        if decision.corrupt:
+        if decision.corrupt and nbytes:  # an empty transfer has no byte to flip
             self.metrics.add("corrupted_returns", 1, server_id)
             view = view.copy()
             raw = view.reshape(-1).view(np.uint8)
@@ -355,43 +355,75 @@ class BlockStore:
         that is not 2-D is a single checksummed stripe: only a read of
         all of it verifies.  A batch of one :meth:`_range_reader` read.
         """
-        return self._range_reader([(server_id, file_name, block_id, start, count)], verify)(0)
+        read, _ = self._range_reader([(server_id, file_name, block_id, start, count)], verify)
+        return read(0)
 
     def _range_reader(self, ranges: list[tuple], verify: bool):
-        """Bind a batch of row-range reads; returns ``read(i) -> (rows, latency)``.
+        """Bind a batch of row-range reads; returns ``(read, plain)``.
 
         ``ranges[i]`` is ``(server, file, block, row0, nrows)``, and each
-        ``read(i)`` is one attempt at it, raising as
-        :meth:`timed_read_rows` does: the up / missing / range checks, the
-        ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
-        the fault draw and, with ``verify``, the CRC check.  Only lookups
-        are bound once per batch, and the CRC check of a batch of three
-        ranges or more is shared: the stored rows of every range are
-        checked against their write-time CRCs before the first attempt,
-        in one pass (:meth:`_clean_ranges`).
+        ``read(i)`` is one attempt at it, returning ``(rows, latency)`` or
+        raising as :meth:`timed_read_rows` does: the up / missing / range
+        checks, the ``disk_bytes_read`` / ``blocks_read`` / ``read_latency``
+        counters, the fault draw and, with ``verify``, the CRC check.  Only
+        lookups are bound once per batch, and the CRC check is made before
+        the first attempt: for a batch of three ranges or more in one
+        shared pass over every range (:meth:`_clean_ranges`), for one or
+        two ranges (a lone read, an extent's runs) range by range — and
+        there only where no fault model is installed, so a range whose
+        every attempt draws a fault is checked where it is read.
         That verdict holds for every attempt that returns those rows
         verbatim — the store does not change during a batch, and a stored
         array is never written in place (``put`` and ``corrupt`` replace
-        it) — so only a copy the fault model corrupted, or rows the shared
-        pass did not vouch for, are checked where they are read.
+        it) — so only a copy the fault model corrupted, or rows the check
+        did not vouch for, are checked where they are read.
+
+        ``plain[i]`` is ``(rows, nbytes, latency)`` for a range whose
+        attempt is already known to succeed unchanged: no fault model,
+        server up, one or more held rows of a 2-D block, and with
+        ``verify`` rows the check vouched for.  ``read(i)`` would return
+        those rows at ``nbytes / disk_bandwidth`` after adding ``nbytes``,
+        one block and that latency to the three counters; a caller that
+        takes ``plain[i]`` makes those steps itself.  ``None`` for every
+        other range, and ``plain`` is ``None`` when a fault model is
+        installed.
         """
         disks = self._disks
+        faulted = self._faulted if self.fault_model is not None else None
+        servers = self.cluster.servers
+        checksums = self._row_checksums
+        # One or two ranges are checked range by range: the shared pass would
+        # cost its bookkeeping on top of the same CRC work.
+        own_check = verify and len(ranges) <= 2
         blocks: list[np.ndarray | None] = []
         views: list[np.ndarray | None] = []
+        plain: list[tuple | None] = []
         for server_id, file_name, block_id, start, count in ranges:
             disk = disks.get(server_id)
             block = disk.get((file_name, block_id)) if disk is not None else None
-            if block is not None and (start < 0 or start + count > block.shape[0]):
+            if block is not None and (start < 0 or start + count > len(block)):
                 block = None
+            view = block[start : start + count] if block is not None else None
             blocks.append(block)
-            views.append(block[start : start + count] if block is not None else None)
-        # One or two ranges (a lone read, an extent's runs) are checked where
-        # they are read: the shared pass would cost its bookkeeping on top
-        # of the same CRC work.
-        clean = self._clean_ranges(ranges, blocks, views) if verify and len(ranges) > 2 else None
+            views.append(view)
+            booked = None
+            if faulted is None and count and view is not None and view.ndim == 2:
+                server = servers[server_id]
+                if not server.failed and (
+                    not own_check
+                    or self._row_crcs(view) == checksums[server_id][(file_name, block_id)][0][start : start + count]
+                ):
+                    nbytes = view.nbytes
+                    booked = (view, nbytes, nbytes / server.disk_bandwidth)
+            plain.append(booked)
+        # Per range: rows the check vouched for, which an attempt that returns
+        # them verbatim need not check again.
+        vouched = plain
+        if verify and not own_check:
+            vouched = self._clean_ranges(ranges, blocks, views)
+            plain = [booked if clean else None for booked, clean in zip(plain, vouched)]
         server_of = self.cluster.server
         add = self.metrics.add
-        faulted = self._faulted if self.fault_model is not None else None
 
         def read(i: int) -> tuple[np.ndarray, float]:
             server_id, file_name, block_id, start, count = ranges[i]
@@ -410,11 +442,11 @@ class BlockStore:
             else:
                 data, latency = faulted(server_id, file_name, block_id, view)
             add("read_latency", latency, server_id)
-            if verify and (clean is None or data is not view or not clean[i]):
+            if verify and (data is not view or not vouched[i]):
                 self._check_rows(server_id, file_name, block_id, data, start)
             return data, latency
 
-        return read
+        return read, plain if faulted is None else None
 
     def _clean_ranges(self, ranges: list[tuple], blocks: list, views: list) -> list[bool]:
         """Per range: do its stored rows match their write-time CRCs?
@@ -430,7 +462,8 @@ class BlockStore:
         """
         backend = self._crc_backend
         checksums = self._row_checksums
-        wanted: list[tuple[int, list[int]]] = []
+        wanted: list[tuple[int, int]] = []
+        expected: list[int] = []
         got: list[int] = []
         bases: list = []
         geometry: list[int] = []
@@ -452,14 +485,19 @@ class BlockStore:
                 stride = block.strides[0]
                 bases.append(handle + start * stride)
                 geometry += (stride, count, block.shape[1] * block.itemsize)
-            wanted.append((i, crcs[start : start + count]))
+            wanted.append((i, count))
+            expected += crcs[start : start + count]
         if bases:
             got = backend.crc32_ranges(bases, geometry)
         clean = [False] * len(ranges)
+        if got == expected:  # the common case: every row checked matches
+            for i, _ in wanted:
+                clean[i] = True
+            return clean
         pos = 0
-        for i, want in wanted:
-            stop = pos + len(want)
-            clean[i] = got[pos:stop] == want
+        for i, count in wanted:
+            stop = pos + count
+            clean[i] = got[pos:stop] == expected[pos:stop]
             pos = stop
         return clean
 

@@ -90,6 +90,13 @@ class MetricsRegistry:
     def add(self, name: str, amount: float = 1.0, server_id: int | None = None) -> None:
         self._counters[name].add(amount, server_id)
 
+    def _read_counters(self) -> tuple[Counter, Counter, Counter]:
+        """The ``disk_bytes_read``, ``blocks_read`` and ``read_latency``
+        counters themselves, created as :meth:`add` would: for a reader
+        that adds to them in a loop without a call per add."""
+        counters = self._counters
+        return counters["disk_bytes_read"], counters["blocks_read"], counters["read_latency"]
+
     def total(self, name: str) -> float:
         return self._counters[name].total
 

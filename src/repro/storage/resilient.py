@@ -31,6 +31,17 @@ striped read hands the client every row range at once
 per read rather than once per range.  ``read_rows`` is a batch of one
 range and ``get`` runs the same loop over one whole block.  Each range
 still takes every step above, in order.
+
+Most ranges of a read on healthy hardware are *plain*: no fault model,
+the server up and its breaker closed, the rows held and vouched for by
+the CRC check.  Such a range cannot retry, time out, hedge or move a
+breaker, so every step it takes is an addition — to three store
+counters, the latency histogram, the clock and its server's health.
+The loop makes those additions in locals, in the order the range's
+steps would make them, and writes them back before any other range
+takes its steps and at the end of the batch: the counters, samples,
+health, breaker transitions and clock end bit-identical to range by
+range, without a function call per plain range.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ import numpy as np
 from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
 from repro.storage.blockstore import BlockStore, BlockUnavailableError, TransientReadError
-from repro.storage.health import HealthMonitor
+from repro.storage import health as health_module
+from repro.storage.health import CLOSED, HealthMonitor
 
 #: Total tries per read (1 = no retries).
 MAX_ATTEMPTS = 4
@@ -104,14 +116,15 @@ class ResilientBlockClient:
         that could not be read (``strict``: raise instead).  Every range
         goes through the steps a lone :meth:`read_rows` takes, in the same
         order; the batch shares the lookups and the CRC pass
-        (:meth:`BlockStore._range_reader`).  :meth:`read_rows` is a batch
-        of one.
+        (:meth:`BlockStore._range_reader`), and books its plain ranges in
+        one pass (:meth:`_read_each`).  :meth:`read_rows` is a batch of one.
         """
-        return self._read_each(ranges, self.store._range_reader(ranges, True), strict)
+        read, plain = self.store._range_reader(ranges, True)
+        return self._read_each(ranges, read, strict, plain)
 
     # ------------------------------------------------------------- internals
 
-    def _read_each(self, targets: list[tuple], attempt, strict: bool) -> list[np.ndarray | None]:
+    def _read_each(self, targets: list[tuple], attempt, strict: bool, plain=None) -> list[np.ndarray | None]:
         """The retry loop, for each of ``targets`` in turn.
 
         ``targets[i]`` starts ``(server, file, block, ...)`` and
@@ -121,18 +134,71 @@ class ResilientBlockClient:
         fails a try — a hedge for a slow success, the clock advance, the
         ``read_latency_s`` sample and the health update.  A target that
         cannot be read is ``None``, or with ``strict`` raises.
+
+        ``plain[i]``, when given and not ``None``, is ``(data, nbytes,
+        latency)`` of a target whose attempt cannot fail, time out or
+        hedge (see :meth:`BlockStore._range_reader`).  While its server's
+        breaker is closed, such a target cannot retry or move the breaker
+        either, and every step it takes is an addition: to the store's
+        ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
+        the histogram, the clock and its server's health.  Those are made
+        here in locals, in the order the steps would make them, and written
+        back before any other target takes its steps and at the end — so
+        every float sums in the same order and ends bit-identical.
+        ``plain[i]`` is looked at only for a target booked this way.
         """
-        # Bound once for the batch: what every successful read touches.
-        # The retry, timeout, hedge and breaker paths look theirs up.
-        allow, record_success = self.health.allow_request, self.health.record_success
-        observe, advance = self.metrics.observe, self.clock.advance
-        server_of = self.store.cluster.server
+        health, metrics, clock = self.health, self.metrics, self.clock
+        # The book of plain targets: their servers' health, and once the
+        # first is booked, the three store counters, the factors of
+        # record_success's averages and the running totals.  A closed
+        # breaker has no probe in flight, so record_success would leave
+        # ``probe_inflight`` and ``state`` as they are.
+        states: dict = {}
+        counters = None
+        booking = False
         out: list[np.ndarray | None] = []
         for i, target in enumerate(targets):
-            server_id, file_name, block_id = target[0], target[1], target[2]
+            server_id = target[0]
+            booked = None
+            if plain is not None:
+                h = states.get(server_id)
+                if h is None:
+                    h = states[server_id] = health.server(server_id)
+                if h.state == CLOSED:
+                    booked = plain[i]
+            if booked is not None:
+                data, nbytes, latency = booked
+                if not booking:
+                    if counters is None:
+                        counters = read_bytes, read_blocks, read_time = metrics._read_counters()
+                        by_bytes, by_blocks, by_time = read_bytes.by_server, read_blocks.by_server, read_time.by_server
+                        keep, alpha = 1 - health_module.ALPHA, health_module.ALPHA
+                    bytes_total, blocks_total, time_total = read_bytes.total, read_blocks.total, read_time.total
+                    now = clock.now
+                    samples = []
+                    booking = True
+                bytes_total += nbytes
+                by_bytes[server_id] += nbytes
+                blocks_total += 1
+                by_blocks[server_id] += 1
+                time_total += latency
+                by_time[server_id] += latency
+                if latency > 0:
+                    now += latency
+                samples.append(latency)
+                h.successes += 1
+                h.consecutive_errors = 0
+                h.ewma_latency = keep * h.ewma_latency + alpha * latency
+                h.error_rate = keep * h.error_rate
+                out.append(data)
+                continue
+            if booking:
+                self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
+                booking = False
+            file_name, block_id = target[1], target[2]
             failure = None
-            if not allow(server_id):
-                self.metrics.add("breaker_fastfails", 1, server_id)
+            if not health.allow_request(server_id):
+                metrics.add("breaker_fastfails", 1, server_id)
                 failure = BlockUnavailableError(
                     f"server {server_id} circuit breaker is open",
                     server=server_id,
@@ -146,39 +212,39 @@ class ResilientBlockClient:
                     if n > 1:
                         delay = _backoff(n - 1, self._rng)
                         self.backoff_history.append(delay)
-                        advance(delay)
-                        self.metrics.add("retries", 1, server_id)
+                        clock.advance(delay)
+                        metrics.add("retries", 1, server_id)
                         tracer = get_tracer()
                         if tracer.enabled:
                             tracer.instant(
                                 "resilient.retry", category="resilient", server=server_id,
                                 file=file_name, block=block_id, attempt=n,
-                                clock=self.clock,
+                                clock=clock,
                             )
                     try:
                         data, latency = attempt(i)
                     except TransientReadError as exc:
-                        self.health.record_error(server_id)
+                        health.record_error(server_id)
                         last_exc = exc
                         continue
                     except BlockUnavailableError as exc:  # down or not held: no retry helps
                         failure = exc
                         break
                     # The expected clean transfer time for the bytes read.
-                    base = data.nbytes / server_of(server_id).disk_bandwidth
+                    base = data.nbytes / self.store.cluster.server(server_id).disk_bandwidth
                     if latency - base >= READ_TIMEOUT:
                         # The caller gives up at the deadline; the stuck read is
                         # abandoned and charged as an error against the server.
-                        self.metrics.add("read_timeouts", 1, server_id)
+                        metrics.add("read_timeouts", 1, server_id)
                         tracer = get_tracer()
                         if tracer.enabled:
                             tracer.instant(
                                 "resilient.timeout", category="resilient", server=server_id,
                                 file=file_name, block=block_id, latency=latency,
-                                clock=self.clock,
+                                clock=clock,
                             )
-                        self.health.record_error(server_id)
-                        advance(base + READ_TIMEOUT)
+                        health.record_error(server_id)
+                        clock.advance(base + READ_TIMEOUT)
                         last_exc = BlockUnavailableError(
                             f"read of ({file_name!r}, {block_id}) from server {server_id} "
                             f"timed out after {READ_TIMEOUT}s over the expected {base:.4f}s",
@@ -194,12 +260,12 @@ class ResilientBlockClient:
                             tracer.instant(
                                 "resilient.hedge", category="resilient", server=server_id,
                                 file=file_name, block=block_id, latency=latency,
-                                clock=self.clock,
+                                clock=clock,
                             )
                         data, latency = self._hedge(server_id, data, latency, base, lambda: attempt(i))
-                    advance(latency)
-                    observe("read_latency_s", latency)
-                    record_success(server_id, latency)
+                    clock.advance(latency)
+                    metrics.observe("read_latency_s", latency)
+                    health.record_success(server_id, latency)
                     out.append(data)
                     break
                 else:
@@ -216,7 +282,21 @@ class ResilientBlockClient:
                 if strict:
                     raise failure
                 out.append(None)
+            # Their tracebacks hold this frame: kept past their target, they
+            # would keep it, and what it holds, until the cyclic collector runs.
+            failure = last_exc = None
+        if booking:
+            self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
         return out
+
+    def _write_back(self, counters, bytes_total, blocks_total, time_total, samples: list[float], now: float) -> None:
+        """Store what :meth:`_read_each` booked for a run of plain targets:
+        the totals of the three store counters (their by-server values are
+        added in place), the ``read_latency_s`` samples and the clock."""
+        read_bytes, read_blocks, read_time = counters
+        read_bytes.total, read_blocks.total, read_time.total = bytes_total, blocks_total, time_total
+        self.metrics.histogram("read_latency_s")._observe_all(samples)
+        self.clock.pin(now)
 
     def _hedge(self, server_id: int, data, latency: float, base: float, op):
         """Launch a speculative second read; earliest completion wins.

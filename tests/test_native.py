@@ -6,7 +6,11 @@ that exercise the compiled kernels skip themselves when
 tests simulate the compiler-less host explicitly.
 """
 
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +347,7 @@ def test_a_batch_checked_by_zlib_reads_and_judges_alike(monkeypatch, dtype):
             for blk, (_, _, _, r0, n) in zip(blocks, ranges)
         ]
         verdicts.append(s._clean_ranges(ranges, blocks, views))
-        read = s._range_reader(ranges, verify=True)
+        read, _ = s._range_reader(ranges, verify=True)
         got = []
         for i in range(len(ranges)):
             try:
@@ -434,6 +438,37 @@ class TestFallback:
         finally:
             monkeypatch.undo()
             reset_native_backend()
+
+    def test_a_cache_entry_that_does_not_load_is_passed_over(self, tmp_path):
+        """A truncated ``repro_native.so`` in the cache does not turn the tier
+        off: with a compiler it is rebuilt, without one the next cached
+        build of the same source is loaded."""
+        if nat._compiler() is None or nat._disabled():
+            pytest.skip("needs a C compiler and the native tier enabled")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, REPRO_NATIVE_CACHE=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = (
+            "from repro.gf import native as n\n"
+            "assert n.native_available(), n.native_unavailable_reason()\n"
+            "print(n.get_backend().so_path)\n"
+        )
+
+        def resolve(**extra):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(env, **extra), timeout=600
+            )
+            assert proc.returncode == 0, proc.stderr
+            return Path(proc.stdout.strip())
+
+        built = resolve()
+        intact = built.read_bytes()
+        built.write_bytes(intact[: len(intact) // 3])
+        assert resolve() == built and built.read_bytes() != intact[: len(intact) // 3]  # rebuilt in place
+        stale = built.parent.parent / "0" / "repro_native.so"  # sorts before every toolchain key
+        stale.parent.mkdir()
+        stale.write_bytes(intact[:100])
+        assert resolve(CC=str(tmp_path / "no-such-cc")) == built
 
     def test_block_store_without_a_backend_checksums_with_zlib(self, monkeypatch):
         from repro.cluster import Cluster

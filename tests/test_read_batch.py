@@ -13,6 +13,8 @@ the same state, on clean hardware and under every fault this stack models.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
@@ -20,8 +22,8 @@ from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import GraySlowdown, LatencySpikes, SilentCorruption, TransientErrors
 from repro.gf import GF256, GF65536
-from repro.storage import BlockUnavailableError, DistributedFileSystem, StripedFileSystem
-from repro.storage.health import CONSECUTIVE_LIMIT
+from repro.storage import BlockUnavailableError, DistributedFileSystem, StorageError, StripedFileSystem
+from repro.storage.health import CONSECUTIVE_LIMIT, RESET_TIMEOUT
 from tests.conftest import payload_bytes
 
 CODES = {
@@ -152,3 +154,131 @@ def test_a_striped_read_is_one_batch(field, monkeypatch):
     runs = sfs.file("s").group_count * len(code.read_plan().runs)
     helper_ranges = len(code.repair_plan(0).helper_rows.reads(0, code.block_infos[0].data_stripes))
     assert batches == [(runs, False), (runs, False)] + [(helper_ranges, True)] * len(degraded)
+
+
+# --------------------------------------------------------------------------
+# Plain ranges booked in one pass against the step-by-step bookkeeping.
+
+BOOKED_CODE = GalloperCode(4, 2, 1)
+
+range_specs = st.tuples(
+    st.integers(0, 1),  # file
+    st.integers(0, BOOKED_CODE.n - 1),  # block
+    st.sampled_from([0, 0, 0, 0, 1, 2]),  # server: the holder, one holding nothing, one holding another block
+    st.sampled_from(["rows"] * 6 + ["zero", "past_end"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+setups = st.fixed_dictionaries({
+    "native": st.booleans(),
+    "faults": st.sampled_from([False, False, False, True]),
+    "down": st.sampled_from([None, None, 0, 3]),  # a block whose server is failed
+    "breaker": st.sampled_from([None, "open", "half_open"]),
+    "breaker_block": st.integers(0, BOOKED_CODE.n - 1),
+    "rot": st.lists(st.tuples(st.integers(0, 1), st.integers(0, BOOKED_CODE.n - 1), st.integers(0, 10**6)), max_size=3),
+    "batches": st.lists(
+        st.tuples(st.lists(range_specs, min_size=1, max_size=6), st.booleans()), min_size=1, max_size=4
+    ),
+})
+
+
+def booked_twin(setup: dict, step_by_step: bool):
+    """A filesystem broken the way ``setup`` says; with ``step_by_step`` its
+    store marks no range plain, so every range takes its full step."""
+    code = BOOKED_CODE
+    cluster = Cluster.homogeneous(code.n + 1)  # the last server holds nothing
+    dfs = DistributedFileSystem(cluster, fault_model=faults() if setup["faults"] else None)
+    store = dfs.store
+    if not setup["native"]:  # the store a host without the native kernel builds: zlib only
+        store._crc_backend = store._native_row_crcs = None
+    for i, stripe in enumerate((24, 1_200)):
+        dfs.write_file(f"f{i}", payload_bytes(code.data_stripe_total * stripe, seed=i), code=code)
+    for file, block, offset in setup["rot"]:
+        ef = dfs.file(f"f{file}")
+        store.corrupt(ef.server_of(block), ef.name, block, offset=offset)
+    if setup["down"] is not None:
+        cluster.fail(dfs.file("f0").server_of(setup["down"]))
+    if setup["breaker"] is not None:
+        server = dfs.file("f1").server_of(setup["breaker_block"])
+        for _ in range(CONSECUTIVE_LIMIT):
+            dfs.health.record_error(server)
+        if setup["breaker"] == "half_open":
+            dfs.clock.advance(RESET_TIMEOUT)  # the next read there is the probe
+    if step_by_step:
+        real = store._range_reader
+        store._range_reader = lambda ranges, verify: (real(ranges, verify)[0], None)
+    return dfs
+
+
+def batch_ranges(dfs, specs) -> list[tuple]:
+    n, rows = BOOKED_CODE.n, BOOKED_CODE.N
+    ranges = []
+    for file, block, where, kind, a, b in specs:
+        holder = dfs.file(f"f{file}").server_of(block)
+        server = (holder, n, (holder + 1) % n)[where]
+        row0 = a % rows
+        nrows = {"rows": 1 + b % (rows - row0), "zero": 0, "past_end": rows - row0 + 1}[kind]
+        ranges.append((server, f"f{file}", block, row0, nrows))
+    return ranges
+
+
+def ledger(dfs) -> dict:
+    """Everything a read books, floats as ``float.hex``."""
+    metrics = dfs.metrics
+    hist = metrics._histograms.get("read_latency_s")
+    return {
+        "counters": {
+            name: (float(c.total).hex(), {s: float(v).hex() for s, v in c.by_server.items()})
+            for name, c in metrics._counters.items()
+        },
+        "histogram": hist and (
+            hist.count, hist.total.hex(), hist.min.hex(), hist.max.hex(), [v.hex() for v in hist._values]
+        ),
+        "health": {
+            s: {k: v.hex() if isinstance(v, float) else v for k, v in h.items()}
+            for s, h in dfs.health.snapshot().items()
+        },
+        "transitions": [(t.hex(), s, state) for t, s, state in dfs.health.transitions],
+        "clock": dfs.clock.now.hex(),
+        "backoff": [d.hex() for d in dfs.client.backoff_history],
+    }
+
+
+def outcome(dfs, ranges, strict):
+    try:
+        return dfs.client._read_ranges(ranges, strict), None
+    except BlockUnavailableError as exc:
+        return None, (type(exc).__name__, str(exc), exc.context())
+    except StorageError as exc:  # a range past the end of its block raises, strict or not
+        return None, (type(exc).__name__, str(exc))
+
+
+def test_a_corrupt_draw_on_a_zero_row_read_returns_no_rows():
+    """A transfer of no bytes has nothing to corrupt: the read returns its
+    empty rows instead of failing to flip a byte."""
+    code = BOOKED_CODE
+    dfs = DistributedFileSystem(Cluster.homogeneous(code.n), fault_model=FaultModel(SilentCorruption(rate=1.0), seed=1))
+    ef = dfs.write_file("f", payload_bytes(code.data_stripe_total * 24, seed=3), code=code)
+    (rows,) = dfs.client._read_ranges([(ef.server_of(0), "f", 0, 2, 0)], strict=True)
+    assert rows.shape == (0, 24)
+    assert dfs.metrics.total("corrupted_returns") == 0
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(setup=setups)
+def test_plain_ranges_booked_in_one_pass_match_the_step_by_step_books(setup):
+    """Batches of one, two and more ranges mixing plain ones with ranges on a
+    failed server, behind an open or half-open breaker, with rot, not held,
+    out of bounds or of zero rows, or under a fault model, strict or not:
+    the same pieces and the same books, bit for bit, after every batch."""
+    booked = booked_twin(setup, step_by_step=False)
+    stepped = booked_twin(setup, step_by_step=True)
+    for specs, strict in setup["batches"]:
+        got, got_error = outcome(booked, batch_ranges(booked, specs), strict)
+        want, want_error = outcome(stepped, batch_ranges(stepped, specs), strict)
+        assert got_error == want_error
+        if got is not None:
+            assert [p is None for p in got] == [p is None for p in want]
+            assert all(p is None or np.array_equal(p, q) for p, q in zip(got, want))
+        assert ledger(booked) == ledger(stepped)
+    assert booked.metrics.snapshot_all() == stepped.metrics.snapshot_all()

@@ -274,18 +274,31 @@ def _accounting_code(name, gf):
 def on_range_read(dfs, monkeypatch, hook):
     """Call ``hook((server, file, block, row0, nrows), rows)`` on every row
     range the store hands back — through ``timed_read_rows`` or a client
-    batch alike, both of which bind their reads in ``_range_reader``."""
+    batch alike, both of which bind their reads in ``_range_reader``: as
+    an attempt ``read(i)``, or as a plain range's ``plain[i]``, which the
+    client looks at only to return those rows."""
     real = dfs.store._range_reader
 
+    class Handed(list):
+        def __init__(self, plain, ranges):
+            super().__init__(plain)
+            self.ranges = ranges
+
+        def __getitem__(self, i):
+            booked = super().__getitem__(i)
+            if booked is not None:
+                hook(self.ranges[i], booked[0])
+            return booked
+
     def binding(ranges, verify):
-        read = real(ranges, verify)
+        read, plain = real(ranges, verify)
 
         def logged(i):
             data, latency = read(i)
             hook(ranges[i], data)
             return data, latency
 
-        return logged
+        return logged, plain if plain is None else Handed(plain, ranges)
 
     monkeypatch.setattr(dfs.store, "_range_reader", binding)
 
