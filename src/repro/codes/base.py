@@ -194,8 +194,9 @@ class HelperRows:
 
     def rebuild(self, row0: int, nrows: int, chunks) -> np.ndarray:
         """Target rows ``row0 .. row0 + nrows`` from ``chunks``, the row
-        arrays read for :meth:`reads` of the same range, in its order."""
-        return self.plan(row0, nrows).apply(np.concatenate(chunks))
+        arrays read for :meth:`reads` of the same range, in its order
+        (the product reads them where they lie)."""
+        return self.plan(row0, nrows).apply(list(chunks))
 
 
 class ReconstructPlan(CodingPlan):
@@ -257,6 +258,9 @@ class DecodePlan:
     ids: tuple[int, ...]
     rows: np.ndarray
     plan: CodingPlan
+    # ``rows`` as ``(block, first row, count)`` runs of consecutive rows
+    # of one block: the row slices :meth:`ErasureCode.decode` hands over.
+    _runs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,10 +553,18 @@ class ErasureCode(abc.ABC):
                 f"{self.name}: blocks {list(ids)} cannot decode the original data"
             ) from exc
         sel = order[picked]
+        runs: list[tuple[int, int, int]] = []
+        for i in sel.tolist():
+            block, row = ids[i // self.N], i % self.N
+            if runs and runs[-1][0] == block and runs[-1][1] + runs[-1][2] == row:
+                runs[-1] = (block, runs[-1][1], runs[-1][2] + 1)
+            else:
+                runs.append((block, row, 1))
         plan = DecodePlan(
             ids=ids,
             rows=sel,
             plan=CodingPlan(self.gf, inverse(self.gf, rows[sel])),
+            _runs=tuple(runs),
         )
         return self._plan_store(key, plan)
 
@@ -629,10 +641,16 @@ class ErasureCode(abc.ABC):
         if not available:
             raise DecodingError("no blocks available")
         dp = self.compile_decode(available)
-        stripes = np.concatenate(
-            [np.asarray(available[b]).reshape(self.N, -1) for b in dp.ids], axis=0
-        )
-        return dp.plan.apply(stripes[dp.rows])
+        return dp.plan.apply(self._decode_rows(dp, available))
+
+    def _decode_rows(self, dp: DecodePlan, available) -> list[np.ndarray]:
+        """The rows ``dp`` decodes from, where they lie: one row slice of
+        an available block per run of consecutive rows."""
+        N = self.N
+        return [
+            np.asarray(available[block]).reshape(N, -1)[first : first + count]
+            for block, first, count in dp._runs
+        ]
 
     @staticmethod
     def _is_identity_row(row: np.ndarray) -> bool:
@@ -720,10 +738,9 @@ class ErasureCode(abc.ABC):
         if missing:
             raise DecodingError(f"repair plan for block {target} needs unavailable blocks {missing}")
         compiled = self.compile_reconstruct(target, plan.helpers)
-        stripes = np.concatenate(
-            [np.asarray(available[h]).reshape(self.N, -1) for h in plan.helpers], axis=0
+        rebuilt = compiled.apply(
+            [np.asarray(available[h]).reshape(self.N, -1) for h in plan.helpers]
         )
-        rebuilt = compiled.apply(stripes)
         return rebuilt, plan
 
     # --------------------------------------------------------------- checks

@@ -158,6 +158,8 @@ def validate_symbols(gf: GF, arr: np.ndarray, what: str) -> np.ndarray:
     out-of-field value (uint8 for GF(2^8), uint16 for GF(2^16)), which
     keeps the hot encode/decode paths scan-free.
     """
+    if arr.dtype == gf.dtype:
+        return arr
     if arr.dtype.kind not in "iu":
         raise GFError(f"{what} must be an integer symbol array, got dtype {arr.dtype}")
     if arr.dtype.kind == "i" or np.iinfo(arr.dtype).max >= gf.size:
@@ -243,8 +245,12 @@ class CodingPlan:
         self.m, self.n = coeffs.shape
 
         nnz = np.count_nonzero(coeffs, axis=1)
-        first_nz = np.argmax(coeffs != 0, axis=1)
-        is_copy = (nnz == 1) & (coeffs[np.arange(self.m), first_nz] == 1)
+        if self.n:
+            first_nz = np.argmax(coeffs != 0, axis=1)
+            is_copy = (nnz == 1) & (coeffs[np.arange(self.m), first_nz] == 1)
+        else:  # over zero inputs every row is all-zero: argmax has nothing to scan
+            first_nz = np.zeros(self.m, dtype=np.intp)
+            is_copy = np.zeros(self.m, dtype=bool)
         self._zero_rows = np.nonzero(nnz == 0)[0]
         self._copy_dst = np.nonzero(is_copy)[0]
         self._copy_src = first_nz[self._copy_dst]
@@ -374,17 +380,16 @@ class CodingPlan:
 
     # -------------------------------------------------------------- apply
 
-    def apply(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Compute ``coeffs @ data`` over the field for a ``(n, S)`` payload."""
-        data = np.asarray(data)
-        if data.ndim != 2:
-            raise GFError("mat_data_product expects 2-D coeffs and 2-D data")
-        if data.shape[0] != self.n:
-            raise GFError(
-                f"dimension mismatch: coeffs is {self.coeffs.shape}, data has {data.shape[0]} rows"
-            )
-        data = validate_symbols(self.gf, data, "data")
-        s = data.shape[1]
+    def apply(self, data, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``coeffs @ data`` over the field for a ``(n, S)`` payload.
+
+        ``data`` is one 2-D array, or a list of 2-D arrays of one width
+        whose rows, laid end to end, are the ``n`` input rows — the
+        helper rows of a rebuild where they were read.  The native
+        kernels read such rows in place; every other path stacks them
+        first (see :meth:`_compute`).
+        """
+        rows, s = self._input_rows(data)
         if out is None:
             # Every row with a non-zero coefficient is written in full by
             # the copies or the dense kernel; only all-zero rows need zeros.
@@ -395,6 +400,7 @@ class CodingPlan:
             raise GFError(f"output buffer must be {(self.m, s)} of {self.gf.dtype}")
         if s == 0:
             return out
+        nbytes = (self.n * s + out.size) * self.gf.dtype.itemsize
         tracer = get_tracer()
         profiler = get_profiler()
         if tracer.enabled or profiler.enabled:
@@ -403,31 +409,58 @@ class CodingPlan:
             t0 = perf_counter()
             with tracer.span(
                 "gf.apply", category="gf", kernel=kernel,
-                rows=self.m, data_rows=self.n, columns=s,
-                bytes=data.nbytes + out.nbytes,
+                rows=self.m, data_rows=self.n, columns=s, bytes=nbytes,
             ):
-                self._compute(data, out, s)
+                self._compute(rows, out, s, nbytes)
             if profiler.enabled:
-                profiler.record(kernel, perf_counter() - t0, data.nbytes + out.nbytes)
+                profiler.record(kernel, perf_counter() - t0, nbytes)
         else:
-            self._compute(data, out, s)
+            self._compute(rows, out, s, nbytes)
         return out
 
-    def _compute(self, data: np.ndarray, out: np.ndarray, s: int) -> None:
-        """The uninstrumented kernel body: copies, then the dense product."""
-        if self._copy_runs is not None:
-            for dst_sl, src_sl in self._copy_runs:
-                out[dst_sl] = data[src_sl]
-        elif self._copy_dst.size:
-            out[self._copy_dst] = data[self._copy_src]
-        if not self._dense_dst.size:
-            _selection_bytes["copy"] += data.nbytes + out.nbytes
+    def _input_rows(self, data) -> tuple[list[np.ndarray], int]:
+        """``data`` (see :meth:`apply`) as a list of 2-D arrays of field
+        symbols holding the ``n`` input rows end to end, and their width."""
+        rows, nrows, width = [], 0, None
+        for chunk in data if isinstance(data, list) else (data,):
+            chunk = np.asarray(chunk)
+            if chunk.ndim != 2:
+                raise GFError("mat_data_product expects 2-D coeffs and 2-D data")
+            height, w = chunk.shape
+            if width is None:
+                width = w
+            elif w != width:
+                raise GFError(f"input rows of one product must share one width, got {width} and {w}")
+            nrows += height
+            rows.append(validate_symbols(self.gf, chunk, "data"))
+        if nrows != self.n:
+            raise GFError(
+                f"dimension mismatch: coeffs is {self.coeffs.shape}, data has {nrows} rows"
+            )
+        return rows, width or 0
+
+    def _compute(self, rows: list[np.ndarray], out: np.ndarray, s: int, nbytes: int) -> None:
+        """The uninstrumented kernel body: copies, then the dense product.
+
+        The native kernels take ``rows`` as they lie.  The numpy tiers,
+        the direct path for short stripes and a copy-only plan take one
+        array, so several row arrays are stacked for them first.
+        """
+        dense = self._dense_dst.size
+        native = bool(dense) and s >= SMALL_PRODUCT_ELEMS
+        if native:
+            self._decide_tier()
+            native = self._native_backend is not None
+        if len(rows) > 1 and not native:
+            rows = [np.concatenate(rows)]
+        self._copy_rows(rows, out)
+        if not dense:
+            _selection_bytes["copy"] += nbytes
             return
         if s < SMALL_PRODUCT_ELEMS:
-            _selection_bytes["direct-small"] += data.nbytes + out.nbytes
-            self._apply_dense_direct(data, out)
+            _selection_bytes["direct-small"] += nbytes
+            self._apply_dense_direct(rows[0], out)
             return
-        self._decide_tier()
         if not self._tier_counted:
             self._tier_counted = True
             _selection_counts[self.kernel] += 1
@@ -435,18 +468,41 @@ class CodingPlan:
                 _selection_counts["xor_fallbacks"] += 1
             if self._native_fallback:
                 _selection_counts["native_fallbacks"] += 1
-        _selection_bytes[self.kernel] += data.nbytes + out.nbytes
+        _selection_bytes[self.kernel] += nbytes
         if self._schedule is not None:
             if self._native_backend is not None:
                 self._schedule.execute_native(
-                    self._native_backend, data, self._dense_cols, self._dense_dst, out
+                    self._native_backend, rows, self._dense_cols, self._dense_dst, out
                 )
             else:
-                self._schedule.execute(data, self._dense_cols, self._dense_dst, out)
+                self._schedule.execute(rows[0], self._dense_cols, self._dense_dst, out)
         elif self._native_backend is not None:
-            self._apply_dense_native(data, out)
+            self._apply_dense_native(rows, out)
         else:
-            self._apply_dense_packed(data, out)
+            self._apply_dense_packed(rows[0], out)
+
+    def _copy_rows(self, rows: list[np.ndarray], out: np.ndarray) -> None:
+        """The identity coefficient rows: ``out[d] = input row s``, run by
+        run, each run split where it crosses from one row array to the next."""
+        runs = self._copy_runs
+        if runs is None:
+            if len(rows) == 1:
+                if self._copy_dst.size:
+                    out[self._copy_dst] = rows[0][self._copy_src]
+                return
+            runs = [
+                (slice(d, d + 1), slice(c, c + 1))
+                for d, c in zip(self._copy_dst.tolist(), self._copy_src.tolist())
+            ]
+        first = 0
+        for chunk in rows:
+            last = first + chunk.shape[0]
+            for dst_sl, src_sl in runs:
+                lo, hi = max(src_sl.start, first), min(src_sl.stop, last)
+                if lo < hi:
+                    shift = dst_sl.start - src_sl.start
+                    out[lo + shift : hi + shift] = chunk[lo - first : hi - first]
+            first = last
 
     __call__ = apply
 
@@ -457,34 +513,31 @@ class CodingPlan:
 
         ``segments`` is a sequence of ``(n, S_i)`` payloads sharing this
         plan's coefficient matrix — e.g. the stripe grids of every group
-        of a striped file.  The per-segment results are returned as
+        of a striped file — each one 2-D array or a list of row arrays as
+        :meth:`apply` takes it.  The per-segment results are returned as
         zero-copy column views into one ``(m, sum(S_i))`` output.
 
         How a segment gets there depends on its width alone.  One that
-        already fills a kernel cache block (:meth:`_cache_block_elems`)
-        is applied where it lies, straight into its column slice: the
-        kernels split such a stripe into blocks themselves, so staging it
-        first would only add a pass over the payload.  Runs of narrower
-        segments are column-concatenated and pushed through one
-        :meth:`apply` (one table walk, one chunk loop, one set of scratch
-        buffers instead of one per segment), which is what amortises the
-        per-call cost of small stripe groups.
+        already fills a kernel cache block (:meth:`_cache_block_elems`),
+        or stands alone between such segments, is applied as given,
+        straight into its column slice: the kernels split a stripe into
+        blocks themselves, and the native ones read its rows where they
+        lie.  Runs of narrower segments are column-stacked straight from
+        their rows (one copy) and pushed through one :meth:`apply` (one
+        table walk, one chunk loop, one set of scratch buffers instead of
+        one per segment), which is what amortises the per-call cost of
+        small stripe groups.
 
         ``out`` may pre-allocate the shared output buffer; as with
         :meth:`apply`, rows of an all-zero coefficient row are then left
         as the caller set them.
         """
-        segs = [np.asarray(s) for s in segments]
-        if not segs:
+        members = [self._input_rows(seg) for seg in segments]
+        if not members:
             return []
-        for s in segs:
-            if s.ndim != 2 or s.shape[0] != self.n:
-                raise GFError(
-                    f"apply_batch expects (n={self.n}, S) segments, got shape {s.shape}"
-                )
         bounds = [0]
-        for s in segs:
-            bounds.append(bounds[-1] + s.shape[1])
+        for _, width in members:
+            bounds.append(bounds[-1] + width)
         shape = (self.m, bounds[-1])
         if out is None:
             out = np.empty(shape, dtype=self.gf.dtype)
@@ -494,15 +547,45 @@ class CodingPlan:
             raise GFError(f"output buffer must be {shape} of {self.gf.dtype}")
         wide = self._cache_block_elems()
         i = 0
-        while i < len(segs):
+        while i < len(members):
             j = i + 1
-            if segs[i].shape[1] < wide:
-                while j < len(segs) and segs[j].shape[1] < wide:
+            if members[i][1] < wide:
+                while j < len(members) and members[j][1] < wide:
                     j += 1
-            data = segs[i] if j == i + 1 else np.concatenate(segs[i:j], axis=1)
+            if j == i + 1:
+                rows = members[i][0]
+                data = rows if len(rows) != 1 else rows[0]
+            else:
+                data = self._stack(members[i:j])
             self.apply(data, out=out[:, bounds[i] : bounds[j]])
             i = j
         return [out[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _stack(self, members: list[tuple[list[np.ndarray], int]]) -> np.ndarray:
+        """Column-stack the input rows of several segments (``(rows, width)``
+        as :meth:`_input_rows` returns them) into one array, copying each
+        row once.
+
+        Segments cut into row arrays alike (2-D grids, or the equal helper
+        reads of one rebuild bucket) take one ``np.concatenate`` per row
+        array; any other mix is copied array by array.
+        """
+        stacked = np.empty((self.n, sum(width for _, width in members)), dtype=self.gf.dtype)
+        heights = [chunk.shape[0] for chunk in members[0][0]]
+        if all([chunk.shape[0] for chunk in rows] == heights for rows, _ in members):
+            top = 0
+            for p, height in enumerate(heights):
+                np.concatenate([rows[p] for rows, _ in members], axis=1, out=stacked[top : top + height])
+                top += height
+            return stacked
+        left = 0
+        for rows, width in members:
+            top = 0
+            for chunk in rows:
+                stacked[top : top + chunk.shape[0], left : left + width] = chunk
+                top += chunk.shape[0]
+            left += width
+        return stacked
 
     def _cache_block_elems(self) -> int:
         """Symbols per row in one kernel cache block.
@@ -612,8 +695,9 @@ class CodingPlan:
         self._native_cols = np.ascontiguousarray(self._dense_cols, dtype=np.int32)
         self._native_rows = np.ascontiguousarray(self._dense_dst, dtype=np.int32)
 
-    def _apply_dense_native(self, data: np.ndarray, out: np.ndarray) -> None:
-        """Dense product through the generated-C gather kernel.
+    def _apply_dense_native(self, rows: list[np.ndarray], out: np.ndarray) -> None:
+        """Dense product through the generated-C gather kernel, which reads
+        the input rows where they lie.
 
         Cache-blocked with the shared pool budget: one block keeps every
         output-row segment plus the streaming data row inside ~L2, so a
@@ -621,24 +705,21 @@ class CodingPlan:
         """
         if self._native_tables is None:
             self._build_native_tables()
-        itemsize = self.gf.dtype.itemsize
-        if data.strides[-1] != itemsize:
-            data = np.ascontiguousarray(data)
         out_view = out
-        copy_back = out.strides[-1] != itemsize
+        copy_back = out.strides[-1] != self.gf.dtype.itemsize
         if copy_back:
             out_view = np.ascontiguousarray(out)
         block = self._cache_block_elems()
         if self.gf.q == 8:
             (tables,) = self._native_tables
             self._native_backend.gf8_gather(
-                tables, self._sub, data, self._native_cols,
+                tables, self._sub, rows, self._native_cols,
                 out_view, self._native_rows, block,
             )
         else:
             lo, hi = self._native_tables
             self._native_backend.gf16_gather(
-                lo, hi, self._sub, data, self._native_cols,
+                lo, hi, self._sub, rows, self._native_cols,
                 out_view, self._native_rows, block,
             )
         if copy_back:

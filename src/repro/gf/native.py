@@ -19,6 +19,13 @@ needs the two hot loops in real machine code:
   rows) executed chunk-by-chunk in C, with the same scratch-pool budget
   as the numpy executor (``REPRO_POOL_KB``).
 
+Both read their input rows through a table of row pointers, one per
+input row of the plan, which the C side expands from per-array ``(base,
+row stride, rows)`` ranges (as the CRC kernel below takes its row
+ranges).  A 2-D payload is one range; the helper rows of a rebuild,
+read from several blocks, are one range per read, handed over where
+they lie instead of being stacked into one array first.
+
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
 Barrett reduction), or of every row of many row ranges in one call (a
@@ -91,28 +98,26 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
-void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
-                      const uint8_t *data, ptrdiff_t dstride,
+int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
+                     char **bases, const int64_t *geometry, size_t nranges,
+                     const int32_t *cols,
+                     uint8_t *out, ptrdiff_t ostride,
+                     const int32_t *rows,
+                     int32_t m, int32_t n, size_t s, size_t block);
+int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
+                      const uint16_t *coeffs,
+                      char **bases, const int64_t *geometry, size_t nranges,
                       const int32_t *cols,
-                      uint8_t *out, ptrdiff_t ostride,
+                      uint16_t *out, ptrdiff_t ostride,
                       const int32_t *rows,
-                      int32_t m, int32_t n, size_t s, size_t block,
-                      uint8_t *started);
-void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
-                       const uint16_t *coeffs,
-                       const uint16_t *data, ptrdiff_t dstride,
-                       const int32_t *cols,
-                       uint16_t *out, ptrdiff_t ostride,
-                       const int32_t *rows,
-                       int32_t m, int32_t n, size_t s, size_t block,
-                       uint8_t *started);
-void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
-                    const int32_t *cols,
-                    uint8_t *out, ptrdiff_t ostride,
-                    const int32_t *rows,
-                    uint8_t *pool, size_t block_bytes,
-                    const int32_t *prog, int32_t n_insn,
-                    size_t nbytes, int32_t qbits, uint32_t red);
+                      int32_t m, int32_t n, size_t s, size_t block);
+int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
+                   const int32_t *cols,
+                   uint8_t *out, ptrdiff_t ostride,
+                   const int32_t *rows,
+                   uint8_t *pool, size_t block_bytes,
+                   const int32_t *prog, int32_t n_insn,
+                   size_t nbytes, int32_t qbits, uint32_t red);
 """
 
 
@@ -133,6 +138,7 @@ def _crc_table_c() -> str:
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__AVX2__)
@@ -146,6 +152,37 @@ int repro_native_simd(void)
 #else
     return 1;
 #endif
+}
+
+/* --------------------------------------------------------- input rows */
+
+/* The gather and XOR kernels read a plan's input rows where they lie,
+ * through a table of row pointers.  The caller passes the rows as
+ * `nranges` row ranges laid end to end -- a 2-D array is one range --
+ * range r starting at bases[r], geometry[2r] bytes from one row to the
+ * next, geometry[2r + 1] rows. */
+static size_t range_rows(const int64_t *geometry, size_t nranges)
+{
+    size_t r, total = 0;
+    for (r = 0; r < nranges; r++) total += (size_t)geometry[2 * r + 1];
+    return total;
+}
+
+/* A malloc'ed table of one pointer per input row with `extra` bytes of
+ * scratch after it (at row + range_rows(...)); NULL when out of memory. */
+static const uint8_t **row_table(char **bases, const int64_t *geometry,
+                                 size_t nranges, size_t extra)
+{
+    size_t r, i = 0;
+    const uint8_t **row = malloc(range_rows(geometry, nranges) * sizeof *row + extra + 1);
+    if (!row) return NULL;
+    for (r = 0; r < nranges; r++) {
+        const uint8_t *p = (const uint8_t *)bases[r];
+        int64_t k;
+        for (k = 0; k < geometry[2 * r + 1]; k++, p += geometry[2 * r])
+            row[i++] = p;
+    }
+    return row;
 }
 
 /* ------------------------------------------------------------- gather */
@@ -195,24 +232,27 @@ static void mla8_block(uint8_t *dst, const uint8_t *src, const uint8_t *tab,
 #endif
 
 /* Cache-blocked (m x n) GF(2^8) product: for each L2-sized column block,
- * walk the data rows once; every output-row segment stays resident across
- * the walk.  `started` is an m-byte scratch marking rows whose first
- * product already landed. */
-void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
-                      const uint8_t *data, ptrdiff_t dstride,
-                      const int32_t *cols,
-                      uint8_t *out, ptrdiff_t ostride,
-                      const int32_t *rows,
-                      int32_t m, int32_t n, size_t s, size_t block,
-                      uint8_t *started)
+ * walk the input rows cols[0..n) once; every output-row segment stays
+ * resident across the walk.  `started` marks rows whose first product
+ * already landed.  Returns -1 when the row table cannot be allocated. */
+int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
+                     char **bases, const int64_t *geometry, size_t nranges,
+                     const int32_t *cols,
+                     uint8_t *out, ptrdiff_t ostride,
+                     const int32_t *rows,
+                     int32_t m, int32_t n, size_t s, size_t block)
 {
+    const uint8_t **row = row_table(bases, geometry, nranges, (size_t)m);
+    uint8_t *started;
     size_t s0;
+    if (!row) return -1;
+    started = (uint8_t *)(row + range_rows(geometry, nranges));
     for (s0 = 0; s0 < s; s0 += block) {
         size_t w = (s - s0 < block) ? s - s0 : block;
         int32_t i, j;
         memset(started, 0, (size_t)m);
         for (j = 0; j < n; j++) {
-            const uint8_t *src = data + (ptrdiff_t)cols[j] * dstride + (ptrdiff_t)s0;
+            const uint8_t *src = row[cols[j]] + s0;
             for (i = 0; i < m; i++) {
                 uint8_t c = coeffs[(size_t)i * (size_t)n + (size_t)j];
                 uint8_t *dst;
@@ -225,10 +265,13 @@ void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
             }
         }
     }
+    free(row);
+    return 0;
 }
 
 /* GF(2^16): split-table product c*x == lo[x & 0xff] ^ hi[x >> 8].
- * Strides and counts are in uint16 elements. */
+ * The output stride and all counts are in uint16 elements (the input row
+ * ranges, as everywhere, in bytes). */
 static void mla16(uint16_t *dst, const uint16_t *src,
                   const uint16_t *lo, const uint16_t *hi, size_t w, int acc)
 {
@@ -239,22 +282,25 @@ static void mla16(uint16_t *dst, const uint16_t *src,
         for (t = 0; t < w; t++) dst[t] = (uint16_t)(lo[src[t] & 0xff] ^ hi[src[t] >> 8]);
 }
 
-void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
-                       const uint16_t *coeffs,
-                       const uint16_t *data, ptrdiff_t dstride,
-                       const int32_t *cols,
-                       uint16_t *out, ptrdiff_t ostride,
-                       const int32_t *rows,
-                       int32_t m, int32_t n, size_t s, size_t block,
-                       uint8_t *started)
+int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
+                      const uint16_t *coeffs,
+                      char **bases, const int64_t *geometry, size_t nranges,
+                      const int32_t *cols,
+                      uint16_t *out, ptrdiff_t ostride,
+                      const int32_t *rows,
+                      int32_t m, int32_t n, size_t s, size_t block)
 {
+    const uint8_t **row = row_table(bases, geometry, nranges, (size_t)m);
+    uint8_t *started;
     size_t s0;
+    if (!row) return -1;
+    started = (uint8_t *)(row + range_rows(geometry, nranges));
     for (s0 = 0; s0 < s; s0 += block) {
         size_t w = (s - s0 < block) ? s - s0 : block;
         int32_t i, j;
         memset(started, 0, (size_t)m);
         for (j = 0; j < n; j++) {
-            const uint16_t *src = data + (ptrdiff_t)cols[j] * dstride + (ptrdiff_t)s0;
+            const uint16_t *src = (const uint16_t *)row[cols[j]] + s0;
             for (i = 0; i < m; i++) {
                 size_t e = (size_t)i * (size_t)n + (size_t)j;
                 uint16_t *dst;
@@ -265,6 +311,8 @@ void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
             }
         }
     }
+    free(row);
+    return 0;
 }
 
 /* ---------------------------------------------------- XOR-schedule exec */
@@ -308,42 +356,46 @@ static void vdouble16(uint16_t *dst, const uint16_t *src, size_t w,
     }
 }
 
-static uint8_t *xref(int32_t base, int32_t row, size_t s0,
-                     const uint8_t *data, ptrdiff_t dstride, const int32_t *cols,
+static uint8_t *xref(int32_t base, int32_t r, size_t s0,
+                     const uint8_t **row, const int32_t *cols,
                      uint8_t *out, ptrdiff_t ostride, const int32_t *rows,
                      uint8_t *pool, size_t block_bytes)
 {
     if (base == 0)
-        return (uint8_t *)data + (ptrdiff_t)cols[row] * dstride + (ptrdiff_t)s0;
+        return (uint8_t *)row[cols[r]] + s0;
     if (base == 1)
-        return out + (ptrdiff_t)rows[row] * ostride + (ptrdiff_t)s0;
-    return pool + (size_t)row * block_bytes;
+        return out + (ptrdiff_t)rows[r] * ostride + (ptrdiff_t)s0;
+    return pool + (size_t)r * block_bytes;
 }
 
 /* Execute a flattened XOR program chunk by chunk.  Pool rows hold one
  * chunk's worth of ladder lanes / CSE intermediates and are recomputed
- * per chunk; data and output rows are addressed at the chunk offset.
- * Strides are in bytes; `nbytes` is the full row length in bytes. */
-void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
-                    const int32_t *cols,
-                    uint8_t *out, ptrdiff_t ostride,
-                    const int32_t *rows,
-                    uint8_t *pool, size_t block_bytes,
-                    const int32_t *prog, int32_t n_insn,
-                    size_t nbytes, int32_t qbits, uint32_t red)
+ * per chunk; input and output rows are addressed at the chunk offset.
+ * Strides are in bytes; `nbytes` is the full row length in bytes.
+ * Returns -1 when the row table cannot be allocated. */
+int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
+                   const int32_t *cols,
+                   uint8_t *out, ptrdiff_t ostride,
+                   const int32_t *rows,
+                   uint8_t *pool, size_t block_bytes,
+                   const int32_t *prog, int32_t n_insn,
+                   size_t nbytes, int32_t qbits, uint32_t red)
 {
     size_t block = block_bytes ? block_bytes : nbytes;
     size_t s0;
-    if (!nbytes) return;
+    const uint8_t **row;
+    if (!nbytes) return 0;
+    row = row_table(bases, geometry, nranges, 0);
+    if (!row) return -1;
     for (s0 = 0; s0 < nbytes; s0 += block) {
         size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
         int32_t p;
         for (p = 0; p < n_insn; p++) {
             const int32_t *ins = prog + (size_t)p * 7;
-            uint8_t *dst = xref(ins[1], ins[2], s0, data, dstride, cols,
+            uint8_t *dst = xref(ins[1], ins[2], s0, row, cols,
                                 out, ostride, rows, pool, block_bytes);
             const uint8_t *a = (ins[0] == 0) ? 0 :
-                xref(ins[3], ins[4], s0, data, dstride, cols,
+                xref(ins[3], ins[4], s0, row, cols,
                      out, ostride, rows, pool, block_bytes);
             switch (ins[0]) {
             case 0:  /* ZERO */
@@ -353,7 +405,7 @@ void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
                 memcpy(dst, a, w);
                 break;
             case 2: {  /* XOR2 */
-                const uint8_t *b = xref(ins[5], ins[6], s0, data, dstride, cols,
+                const uint8_t *b = xref(ins[5], ins[6], s0, row, cols,
                                         out, ostride, rows, pool, block_bytes);
                 vxor2(dst, a, b, w);
                 break;
@@ -371,6 +423,8 @@ void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
             }
         }
     }
+    free(row);
+    return 0;
 }
 
 /* -------------------------------------------------------------- CRC-32 */
@@ -597,58 +651,83 @@ class NativeBackend:
     # ------------------------------------------------------------ helpers
 
     def _ptr(self, ctype: str, arr: np.ndarray):
-        return self._ffi.cast(ctype, arr.ctypes.data)
+        """A ``ctype`` (``"uint8_t[]"``, ...) over C-contiguous ``arr``;
+        the cdata keeps the array alive."""
+        return self._ffi.from_buffer(ctype, arr)
+
+    def _row_ranges(self, chunks) -> tuple[list, list[int]]:
+        """The ``bases`` and ``geometry`` the gather and XOR kernels take:
+        one range per non-empty array of ``chunks``, whose rows laid end
+        to end are the plan's input rows (a 2-D payload is one chunk).
+
+        Rows are read where they lie, whatever the row stride (a column
+        slice of a batched encode, the rows of a helper read); a chunk
+        whose rows are not each contiguous is copied first.
+        """
+        from_buffer = self._ffi.from_buffer
+        bases, geometry = [], []
+        for chunk in chunks:
+            if not chunk.shape[0]:
+                continue
+            if chunk.strides[1] != chunk.itemsize:
+                chunk = np.ascontiguousarray(chunk)
+            bases.append(from_buffer(chunk[0]))
+            geometry += (chunk.strides[0], chunk.shape[0])
+        return bases, geometry
 
     # ------------------------------------------------------------- kernels
 
-    def gf8_gather(self, tables, coeffs, data, cols, out, rows, block: int) -> None:
-        """``out[rows] (+)= tables @ data[cols]`` over GF(2^8), cache-blocked."""
-        m, n = coeffs.shape
-        started = np.empty(m, dtype=np.uint8)
-        self._lib.repro_gf8_gather(
-            self._ptr("const uint8_t *", tables),
-            self._ptr("const uint8_t *", coeffs),
-            self._ptr("const uint8_t *", data), data.strides[0],
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint8_t *", out), out.strides[0],
-            self._ptr("const int32_t *", rows),
-            m, n, data.shape[1], block,
-            self._ptr("uint8_t *", started),
-        )
+    def gf8_gather(self, tables, coeffs, chunks, cols, out, rows, block: int) -> None:
+        """``out[rows] (+)= tables @ input[cols]`` over GF(2^8), cache-blocked.
 
-    def gf16_gather(self, lo, hi, coeffs, data, cols, out, rows, block: int) -> None:
-        """Split-table GF(2^16) product; strides/counts in uint16 elements."""
+        The input rows are those of ``chunks`` laid end to end
+        (:meth:`_row_ranges`); ``out``'s rows must each be contiguous.
+        """
         m, n = coeffs.shape
-        started = np.empty(m, dtype=np.uint8)
-        self._lib.repro_gf16_gather(
-            self._ptr("const uint16_t *", lo),
-            self._ptr("const uint16_t *", hi),
-            self._ptr("const uint16_t *", coeffs),
-            self._ptr("const uint16_t *", data), data.strides[0] // 2,
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint16_t *", out), out.strides[0] // 2,
-            self._ptr("const int32_t *", rows),
-            m, n, data.shape[1], block,
-            self._ptr("uint8_t *", started),
-        )
+        bases, geometry = self._row_ranges(chunks)
+        p = self._ptr
+        if self._lib.repro_gf8_gather(
+            p("uint8_t[]", tables), p("uint8_t[]", coeffs),
+            bases, geometry, len(bases),
+            p("int32_t[]", cols),
+            p("uint8_t[]", out[0]), out.strides[0],
+            p("int32_t[]", rows),
+            m, n, out.shape[1], block,
+        ):
+            raise MemoryError("native gather: no memory for the row table")
 
-    def xor_exec(self, prog, data, cols, out, rows, pool, block_bytes: int,
+    def gf16_gather(self, lo, hi, coeffs, chunks, cols, out, rows, block: int) -> None:
+        """Split-table GF(2^16) :meth:`gf8_gather`; the output stride and
+        counts go to C in uint16 elements."""
+        m, n = coeffs.shape
+        bases, geometry = self._row_ranges(chunks)
+        p = self._ptr
+        if self._lib.repro_gf16_gather(
+            p("uint16_t[]", lo), p("uint16_t[]", hi), p("uint16_t[]", coeffs),
+            bases, geometry, len(bases),
+            p("int32_t[]", cols),
+            p("uint16_t[]", out[0]), out.strides[0] // 2,
+            p("int32_t[]", rows),
+            m, n, out.shape[1], block,
+        ):
+            raise MemoryError("native gather: no memory for the row table")
+
+    def xor_exec(self, prog, chunks, cols, out, rows, pool, block_bytes: int,
                  nbytes: int, qbits: int, red: int) -> None:
-        """Run a flattened XOR program (see :data:`OP_ZERO` .. :data:`OP_DOUBLE`)."""
-        pool_ptr = (
-            self._ptr("uint8_t *", pool)
-            if pool is not None
-            else self._ffi.NULL
-        )
-        self._lib.repro_xor_exec(
-            self._ptr("const uint8_t *", data), data.strides[0],
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint8_t *", out), out.strides[0],
-            self._ptr("const int32_t *", rows),
-            pool_ptr, block_bytes,
-            self._ptr("const int32_t *", prog), prog.size // INSN_WORDS,
+        """Run a flattened XOR program (see :data:`OP_ZERO` .. :data:`OP_DOUBLE`)
+        over the input rows of ``chunks`` (:meth:`_row_ranges`)."""
+        bases, geometry = self._row_ranges(chunks)
+        p = self._ptr
+        if self._lib.repro_xor_exec(
+            bases, geometry, len(bases),
+            p("int32_t[]", cols),
+            p("uint8_t[]", out[0]), out.strides[0],
+            p("int32_t[]", rows),
+            self._ffi.NULL if pool is None else p("uint8_t[]", pool), block_bytes,
+            p("int32_t[]", prog), prog.size // INSN_WORDS,
             nbytes, qbits, red,
-        )
+        ):
+            raise MemoryError("native XOR schedule: no memory for the row table")
 
     def crc32_rows(self, rows: np.ndarray) -> list[int]:
         """``[zlib.crc32(row) for row in rows]`` of a 2-D array in one C call.

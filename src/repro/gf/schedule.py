@@ -408,23 +408,25 @@ class XorSchedule:
     def execute_native(
         self,
         backend,
-        data: np.ndarray,
+        data,
         cols: np.ndarray,
         dst_rows: np.ndarray,
         out: np.ndarray,
     ) -> None:
         """Run the schedule through a :class:`repro.gf.native.NativeBackend`.
 
-        Same contract as :meth:`execute`, byte-identical output.  Rows of
-        ``data``/``out`` must be contiguous (``CodingPlan`` guarantees
-        this; standalone callers get a copy made for them).
+        Same contract as :meth:`execute`, byte-identical output, except
+        that ``data`` may also be a list of 2-D arrays whose rows, laid
+        end to end, are the payload rows: the C executor reads them where
+        they lie.  Rows are read in place when each is contiguous; the
+        backend copies any other first, and an ``out`` whose rows are not
+        is written through a copy.
         """
-        S = data.shape[1]
+        S = out.shape[1]
         if S == 0 or self.m == 0:
             return
+        rows = data if isinstance(data, list) else [data]
         itemsize = self.gf.dtype.itemsize
-        if data.strides[-1] != itemsize:
-            data = np.ascontiguousarray(data)
         out_view = out
         copy_back = out.strides[-1] != itemsize
         if copy_back:
@@ -441,7 +443,7 @@ class XorSchedule:
             pool = None
         backend.xor_exec(
             prog,
-            data,
+            rows,
             np.ascontiguousarray(cols, dtype=np.int32),
             out_view,
             np.ascontiguousarray(dst_rows, dtype=np.int32),

@@ -14,10 +14,9 @@ for the same reason; this module does it at the systems layer.
 Striped writes, whole-file degraded reads, repairs and scrub heals all
 come through here, a single group, block or file as a batch of one
 (which costs what the codes layer's ``encode`` / ``decode`` /
-``reconstruct`` cost: the helpers are stacked once and the plan applied
-once either way).  The per-group methods on
-:class:`~repro.codes.base.ErasureCode` are the reference the tests and
-``benchmarks/run_striped.py`` compare against:
+``reconstruct`` cost: the plan is applied once either way).  The
+per-group methods on :class:`~repro.codes.base.ErasureCode` are the
+reference the tests and ``benchmarks/run_striped.py`` compare against:
 
 * :func:`batch_encode` — one generator product for every full group.
 * :func:`batch_decode` — groups are bucketed by availability pattern
@@ -29,6 +28,13 @@ once either way).  The per-group methods on
 Ragged tails are first-class: segments of different stripe widths mix
 freely in one batch (columns concatenate regardless of per-group S), so
 the final short group of a file rides in the same kernel call.
+
+Helper rows are never stacked here.  Each group's rows go to
+:meth:`~repro.gf.kernels.CodingPlan.apply_batch` as the list of arrays
+they were read into (a decode's as row slices of its survivors), and the
+native kernels read them where they lie.  Only a run of narrow groups is
+column-stacked, by ``apply_batch`` and straight from those rows, and the
+numpy tiers stack each product's rows first: one copy either way.
 """
 
 from __future__ import annotations
@@ -97,14 +103,7 @@ def batch_decode(
     ):
         for ids, members in buckets.items():
             dp = code.compile_decode(ids)
-            segments = []
-            for i in members:
-                available = availables[i]
-                stripes = np.concatenate(
-                    [np.asarray(available[b]).reshape(code.N, -1) for b in dp.ids], axis=0
-                )
-                segments.append(stripes[dp.rows])
-            outs = dp.plan.apply_batch(segments)
+            outs = dp.plan.apply_batch([code._decode_rows(dp, availables[i]) for i in members])
             _count_batch(metrics, len(members))
             for i, grid in zip(members, outs):
                 results[i] = grid
@@ -140,12 +139,12 @@ def batch_reconstruct(
 def _batch_rebuild_rows(helper_rows, target: int, row0: int, nrows: int, chunks, metrics=None):
     """:func:`batch_reconstruct` of rows ``row0 .. row0 + nrows``, for a
     caller that holds ``helper_rows`` already: ``chunks`` is, per group,
-    the row arrays read for ``helper_rows.reads(row0, nrows)``."""
-    segments = [np.concatenate(c) for c in chunks]
+    the row arrays read for ``helper_rows.reads(row0, nrows)``, handed to
+    the product as they lie."""
     with get_tracer().span(
         "pipeline.batch_reconstruct", category="pipeline",
-        groups=len(segments), target=target,
+        groups=len(chunks), target=target,
     ):
-        outs = helper_rows.plan(row0, nrows).apply_batch(segments)
-    _count_batch(metrics, len(segments))
+        outs = helper_rows.plan(row0, nrows).apply_batch(chunks)
+    _count_batch(metrics, len(chunks))
     return outs

@@ -304,8 +304,10 @@ class RepairManager:
         """Rebuild one block and install it on a live server.
 
         Raises:
-            FileSystemError: when no live server can host the block (the
-                standard one-block-per-server rule is enforced).
+            FileSystemError: when no live server can host the block, or
+                ``target_server`` cannot (it is unknown, down or holds
+                another block of the file): the standard one-block-per-server
+                rule is enforced.
         """
         return self.repair_blocks_bulk([(file_name, block, target_server)])[0]
 
@@ -326,9 +328,16 @@ class RepairManager:
         unreadable set, up to :data:`MAX_HELPER_REPLANS` times.
 
         Returns one report per rebuilt block, bucket by bucket.
+
+        Raises:
+            FileSystemError: ``cause="no_target"`` for a target server
+                that is unknown, down, holds another live block of the
+                file or is named for two of its blocks — before any
+                helper is read.
         """
         ranking = self._rank_servers()
         pending: list[_Rebuild] = []
+        claimed: set[tuple[str, int]] = set()
         for file_name, block, *where in targets:
             ef = self.dfs.file(file_name)
             failed = set(self.dfs._unreadable_blocks(ef))
@@ -339,7 +348,10 @@ class RepairManager:
                     block=block,
                     cause="not_lost",
                 )
-            pending.append(_Rebuild(file_name, block, where[0] if where else None, ef, failed))
+            target = where[0] if where else None
+            if target is not None:
+                self._check_target(ef, block, target, claimed)
+            pending.append(_Rebuild(file_name, block, target, ef, failed))
 
         tracer = get_tracer()
         reports: list[RepairReport] = []
@@ -462,6 +474,33 @@ class RepairManager:
             target_server=target_server,
             cross_rack_bytes=cross_rack,
         )
+
+    def _check_target(self, ef: EncodedFile, block: int, server: int, claimed: set) -> None:
+        """Refuse an explicit target that would break the one-block-per-server
+        rule; ``claimed`` holds the ``(file, server)`` pairs of the batch's
+        earlier targets."""
+        host = self.cluster.servers.get(server)
+        if host is None:
+            why = "is not in the cluster"
+        elif host.failed:
+            why = "is down"
+        elif (ef.name, server) in claimed:
+            why = "is the target of another of its blocks"
+        else:
+            held = [
+                b for b, s in ef.placement.items()
+                if s == server and b != block and self.dfs.store.holds(s, ef.name, b)
+            ]
+            why = f"holds its block {held[0]}" if held else None
+        if why is not None:
+            raise FileSystemError(
+                f"cannot install block {block} of {ef.name!r} on server {server}: the server {why}",
+                file=ef.name,
+                block=block,
+                server=server,
+                cause="no_target",
+            )
+        claimed.add((ef.name, server))
 
     def _pick_target(self, ef: EncodedFile, prefer_rack: int | None, ranking: _ServerRanking) -> int:
         """A live unused server, preferring the lost block's old rack so

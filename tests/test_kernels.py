@@ -7,9 +7,11 @@ hits on repeated patterns, fresh plans when availability changes, LRU
 eviction, and the DecodingError paths for singular availability.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.gf.kernels as kernels_mod
@@ -266,6 +268,152 @@ class TestApplyBatchWidthRule:
         with pytest.raises(GFError):
             plan.apply_batch(segs, out=np.zeros((6, 30), dtype=np.uint16))
         assert plan.apply_batch([]) == []
+
+
+def _split_rows(backing, width, offset, cuts):
+    """Columns ``offset .. offset + width`` of ``backing`` as row arrays cut
+    at ``cuts``: a row stride wider than the rows, as a column slice of a
+    batched encode has."""
+    view = backing[:, offset : offset + width]
+    bounds = [0, *cuts, view.shape[0]]
+    return [view[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _draw_rows(data, gf, n, width):
+    """``n`` input rows of ``width`` symbols as one or several arrays (some
+    possibly empty), with a row stride of ``width`` or wider."""
+    pad = data.draw(st.sampled_from([0, 0, 1, 64]), label="pad")
+    offset = data.draw(st.integers(0, pad), label="offset")
+    backing = random_symbols(gf, (n, width + pad), seed=data.draw(st.integers(0, 2**16), label="seed"))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts"))
+    return _split_rows(backing, width, offset, cuts)
+
+
+class TestRowListInput:
+    """A plan's input may be row arrays where they lie (the helper rows of
+    a rebuild): on every tier the product, the tier chosen and the bytes
+    booked are those of ``apply(np.concatenate(rows))``."""
+
+    KINDS = ("table", "xor", "native", "auto")
+
+    @staticmethod
+    def _coeffs(data, gf, n):
+        m = data.draw(st.integers(1, 6), label="m")
+        coeffs = random_symbols(gf, (m, n), seed=data.draw(st.integers(0, 2**16), label="coeff seed"))
+        if data.draw(st.booleans(), label="0/1"):  # XOR-parity shaped
+            coeffs = (coeffs & 1).astype(gf.dtype)
+        for row in range(m):
+            kind = data.draw(st.sampled_from(["dense", "dense", "copy", "zero"]), label=f"row {row}")
+            if kind != "dense":
+                coeffs[row] = 0
+            if kind == "copy":
+                coeffs[row, data.draw(st.integers(0, n - 1), label=f"source {row}")] = 1
+        return coeffs
+
+    @staticmethod
+    def _width(data, block):
+        return data.draw(
+            st.one_of(
+                st.integers(1, SMALL_PRODUCT_ELEMS - 1),
+                st.integers(SMALL_PRODUCT_ELEMS, block - 1),
+                st.integers(block, block + 3_000),
+            ),
+            label="width",
+        )
+
+    @staticmethod
+    def _booked(fn):
+        before = (kernels_mod.kernel_bytes_info(), kernels_mod.kernel_selection_info())
+        out = fn()
+        after = (kernels_mod.kernel_bytes_info(), kernels_mod.kernel_selection_info())
+        return out, [{k: a[k] - b[k] for k in a} for a, b in zip(after, before)]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_apply_of_row_arrays_is_apply_of_their_stack(self, monkeypatch, data):
+        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        gf = data.draw(st.sampled_from(FIELDS), label="field")
+        kind = data.draw(st.sampled_from(self.KINDS), label="kernel")
+        n = data.draw(st.integers(1, 7), label="n")
+        coeffs = self._coeffs(data, gf, n)
+        stacked_plan, rows_plan = CodingPlan(gf, coeffs, kernel=kind), CodingPlan(gf, coeffs, kernel=kind)
+        rows = _draw_rows(data, gf, n, self._width(data, stacked_plan._cache_block_elems()))
+        want, want_booked = self._booked(lambda: stacked_plan.apply(np.concatenate(rows)))
+        got, got_booked = self._booked(lambda: rows_plan.apply(rows))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_booked == want_booked
+        if rows[0].shape[1] < 64:
+            assert np.array_equal(want, mat_data_product_reference(gf, coeffs, np.concatenate(rows)))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_apply_batch_of_row_arrays_is_apply_batch_of_their_stacks(self, monkeypatch, data):
+        """Lone, narrow and wide members mixed, some given as one array,
+        some as one row array against many."""
+        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        gf = data.draw(st.sampled_from(FIELDS), label="field")
+        kind = data.draw(st.sampled_from(self.KINDS), label="kernel")
+        n = data.draw(st.integers(1, 5), label="n")
+        coeffs = self._coeffs(data, gf, n)
+        stacked_plan, rows_plan = CodingPlan(gf, coeffs, kernel=kind), CodingPlan(gf, coeffs, kernel=kind)
+        block = stacked_plan._cache_block_elems()
+        members = []
+        for i in range(data.draw(st.integers(1, 5), label="members")):
+            rows = _draw_rows(data, gf, n, self._width(data, block))
+            members.append(np.concatenate(rows) if data.draw(st.booleans(), label=f"2-D {i}") else rows)
+        stacks = [m if isinstance(m, np.ndarray) else np.concatenate(m) for m in members]
+        want, want_booked = self._booked(lambda: stacked_plan.apply_batch(stacks))
+        got, got_booked = self._booked(lambda: rows_plan.apply_batch(members))
+        assert len(got) == len(want)
+        for g, w, stack in zip(got, want, stacks):
+            assert np.array_equal(g, w)
+            assert np.array_equal(g, stacked_plan.apply(stack))
+        assert got_booked == want_booked
+
+    @pytest.mark.parametrize("name", ["rs", "pyramid", "galloper"])
+    def test_a_lone_rebuild_stacks_nothing(self, name):
+        """A lone 1 MB rebuild through the native tier allocates its output
+        and no stacked copy of the helper rows it reads."""
+        from repro.storage import pipeline
+
+        code = {"rs": ReedSolomonCode(4, 3), "pyramid": PyramidCode(4, 2, 1), "galloper": GalloperCode(4, 2, 1)}[name]
+        helpers = code.repair_plan(0).helpers
+        helper_rows = code.compile_helper_rows(0, helpers)
+        if helper_rows.plan(0, code.N).kernel not in ("native", "native-xor"):
+            pytest.skip("the numpy tiers stack their input by design")
+        width = (1 << 20) // code.N
+        blocks = code.encode(random_symbols(code.gf, (code.data_stripe_total, width), seed=31))
+        chunks = [blocks[h][first : first + count] for h, first, count in helper_rows.reads(0, code.N)]
+        pipeline._batch_rebuild_rows(helper_rows, 0, 0, code.N, [chunks])  # warm: tables, row table
+        tracemalloc.start()
+        try:
+            (rebuilt,) = pipeline._batch_rebuild_rows(helper_rows, 0, 0, code.N, [chunks])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rebuilt, blocks[0])
+        assert peak <= 1.1 * rebuilt.nbytes
+
+
+class TestZeroInputs:
+    """A product over zero input rows is a zero grid of the data's width."""
+
+    @pytest.mark.parametrize("gf", FIELDS, ids=["gf256", "gf65536"])
+    def test_a_product_over_no_inputs_is_zero(self, gf):
+        got = mat_data_product(gf, np.zeros((3, 0), dtype=gf.dtype), np.zeros((0, 10), dtype=gf.dtype))
+        assert got.shape == (3, 10) and got.dtype == gf.dtype and not got.any()
+        plan = CodingPlan(gf, np.zeros((3, 0), dtype=gf.dtype))
+        assert plan.apply([]).shape == (3, 0)
+        assert not plan.apply([np.zeros((0, 7), dtype=gf.dtype)]).any()
+        assert [o.shape for o in plan.apply_batch([[], np.zeros((0, 5), dtype=gf.dtype)])] == [(3, 0), (3, 5)]
+
+    @pytest.mark.parametrize("gf", FIELDS, ids=["gf256", "gf65536"])
+    def test_rebuilding_no_rows_from_no_rows(self, gf):
+        code = GalloperCode(4, 2, 1, gf=gf) if gf is GF256 else ReedSolomonCode(4, 2, gf=gf)
+        helper_rows = code.repair_plan(0).helper_rows
+        assert helper_rows.reads(0, 0) == ()
+        got = helper_rows.rebuild(0, 0, [])
+        assert got.shape == (0, 0) and got.dtype == gf.dtype
 
 
 class TestValidation:

@@ -75,6 +75,36 @@ class TestBlockRepair:
         report = rm.repair_block("f", 3)
         assert report.target_server not in used_before - {ef.server_of(3)}
 
+    def test_an_explicit_target_keeps_one_block_per_server(self):
+        """A target that is unknown, down, already holds a block of the
+        file or is named twice is refused before any helper is read: no
+        counter, clock or placement moves, and a good target still works."""
+        cluster = Cluster.homogeneous(10)
+        dfs = DistributedFileSystem(cluster)
+        rm = RepairManager(dfs)
+        payload = payload_bytes(14_000, seed=13)
+        ef = dfs.write_file("f", payload, code=GalloperCode(4, 2, 1))
+        cluster.fail(ef.server_of(0))
+        cluster.fail(ef.server_of(1))
+        spares = sorted(set(cluster.servers) - set(ef.placement.values()))
+        cluster.fail(spares[0])
+        placement, counters, now = dict(ef.placement), dfs.metrics.snapshot(), dfs.clock.now
+        bad = {
+            "holds block 2": [("f", 0, ef.server_of(2))],
+            "down": [("f", 0, spares[0])],
+            "unknown": [("f", 0, 99)],
+            "named twice": [("f", 0, spares[1]), ("f", 1, spares[1])],
+        }
+        for why, targets in bad.items():
+            with pytest.raises(FileSystemError) as err:
+                rm.repair_blocks_bulk(targets)
+            assert err.value.cause == "no_target", why
+            assert (ef.placement, dfs.metrics.snapshot(), dfs.clock.now) == (placement, counters, now), why
+        report = rm.repair_block("f", 0, target_server=spares[1])
+        assert report.target_server == spares[1] == ef.placement[0]
+        assert len(set(ef.placement.values())) == len(ef.placement)
+        assert dfs.read_file("f") == payload
+
     @pytest.mark.parametrize("rate", [1.0, 0.5], ids=["always", "half the time"])
     def test_corrupting_helper_never_reaches_a_rebuilt_block(self, setup, rate):
         """The rotated baseline reads its helpers fractionally; such a read
