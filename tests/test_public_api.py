@@ -159,39 +159,488 @@ PUBLIC_API = {
         "SpreadPlacement",
         "poisson_failure_trace",
     ],
+    "repro.mapreduce": [
+        "Assignment",
+        "CostModel",
+        "DataBlockInputFormat",
+        "FixedLengthRecordReader",
+        "GalloperInputFormat",
+        "InputFormat",
+        "InputSplit",
+        "JobResult",
+        "JobSpec",
+        "LineRecordReader",
+        "LocalityScheduler",
+        "MapReduceRuntime",
+        "RecordReader",
+        "ScheduledTask",
+        "SchedulingError",
+        "TaskRecord",
+        "WholeSplitReader",
+        "workloads",
+    ],
+    "repro.gf": [
+        "CodingPlan",
+        "DEFAULT_PRIMITIVE_POLYS",
+        "GF",
+        "GF256",
+        "GF65536",
+        "GFError",
+        "KERNEL_CHOICES",
+        "SUPPORTED_WIDTHS",
+        "SingularMatrixError",
+        "TableGenerationError",
+        "XorSchedule",
+        "axpy",
+        "bit_lanes_needed",
+        "bitmatrix_density",
+        "bytes_to_symbols",
+        "cauchy",
+        "coeff_bitmatrix",
+        "companion_matrix",
+        "current_kernel_choice",
+        "dot",
+        "double_symbols",
+        "exp_log_tables",
+        "expand_by_identity",
+        "express_rows",
+        "field_for_code_width",
+        "full_mul_table",
+        "generate_exp_log",
+        "identity",
+        "inverse",
+        "inverse_table",
+        "is_invertible",
+        "kernel_bytes_info",
+        "kernel_selection_info",
+        "lane_selection_matrix",
+        "mat_data_product",
+        "mat_data_product_reference",
+        "matmul",
+        "native_available",
+        "native_unavailable_reason",
+        "pool_budget_bytes",
+        "predicted_win",
+        "random_symbols",
+        "rank",
+        "reset_kernel_selection",
+        "reset_native_backend",
+        "rows_in_rowspace",
+        "scal",
+        "select_independent_rows",
+        "solve",
+        "solve_consistent",
+        "split_product_tables",
+        "symbols_to_bytes",
+        "take_rows",
+        "validate_symbols",
+        "vandermonde",
+        "xor_rows",
+    ],
+    "repro.codes": [
+        "BlockInfo",
+        "CarouselCode",
+        "CodeError",
+        "DecodingError",
+        "ErasureCode",
+        "GroupRepairMixin",
+        "LRCStructure",
+        "ParameterError",
+        "PyramidCode",
+        "ROLE_DATA",
+        "ROLE_GLOBAL_PARITY",
+        "ROLE_LOCAL_PARITY",
+        "ROLE_REPLICA",
+        "ReedSolomonCode",
+        "RepairPlan",
+        "ReplicationCode",
+        "RotatedPyramidCode",
+        "UpdatePlan",
+        "apply_update",
+        "pyramid_generator",
+        "rs_generator",
+        "update_cost",
+        "update_plan",
+    ],
 }
 
-#: ``module:callable`` -> its parameter names, in order.
+#: ``module:callable`` -> its parameter names, in order, one per line so
+#: an option added or dropped is one line.
 OPTIONS = {
-    "repro.storage:DistributedFileSystem": "cluster, fault_model",
-    "repro.storage:RepairManager": "dfs",
-    "repro.storage:ResilientBlockClient": "store, health, clock",
-    "repro.storage:HealthMonitor": "clock, metrics",
-    "repro.storage:Scrubber": "dfs",
-    "repro.storage:ResilientBlockClient.get": "self, server_id, file_name, block_id",
-    "repro.storage:BlockStore.get": "self, server_id, file_name, block_id",
-    "repro.storage:BlockStore.timed_get": "self, server_id, file_name, block_id, verify",
-    "repro.storage:RepairAdmissionController": "max_inflight_per_server, metrics",
-    "repro.storage:RepairAdmissionController.acquire": "self, now, server_durations",
-    "repro.sim:ThroughputResource": "sim, bandwidth",
-    "repro.reliability:simulate_reliability": (
-        "code, placement, config, num_racks, servers_per_rack, stripes, trials, seed, metrics"
-    ),
-    "repro.reliability:ReliabilityConfig": (
-        "horizon_years, disk_lifetime, replacement_hours, "
-        "rack_mtbf_hours, rack_downtime_hours, rack_kill_fraction, lse_rate_per_block_hour, "
-        "scrub_interval_hours, block_size_bytes, repair_bandwidth, "
-        "max_inflight_per_server, max_concurrent_repairs"
-    ),
-    "repro.serving:ServingGateway": "dfs, loop, config",
-    "repro.serving:GatewayConfig": "cache_entries, hedge_threshold, max_inflight_per_tenant, tenant_limits",
-    "repro.bench.chaos:run_schedule": "schedule, code_name, make_code, checkpoints, retry_rounds, retry_step",
-    "repro.bench.chaos:run_campaign": "schedules, base_seed, checkpoints, horizon",
+    "repro.analysis:mttdl_hours": [
+        "code",
+        "params",
+        "profile",
+    ],
+    "repro.codes:apply_update": [
+        "code",
+        "blocks",
+        "file_stripe",
+        "new_value",
+        "old_value",
+    ],
+    "repro.faults:VirtualClock": [
+        "start",
+    ],
+    "repro.sim:SimLoop": [
+        "sim",
+    ],
+    "repro.gf:GF": [
+        "q",
+        "primitive_poly",
+    ],
+    "repro.gf:GF.asarray": [
+        "self",
+        "data",
+        "copy",
+    ],
+    "repro.gf:field_for_code_width": [
+        "total_blocks",
+        "stripes_per_block",
+    ],
+    "repro.storage:DistributedFileSystem.write_encoded": [
+        "self",
+        "name",
+        "code",
+        "blocks",
+        "original_size",
+        "placement",
+    ],
+    "repro.storage:RepairManager.repair_block": [
+        "self",
+        "file_name",
+        "block",
+        "target_server",
+    ],
+    "repro.storage:StripedFileMeta": [
+        "name",
+        "original_size",
+        "group_payload",
+        "group_count",
+        "tags",
+    ],
+    "repro.serving:populate": [
+        "gateway",
+        "spec",
+        "make_code",
+        "seed",
+        "placement",
+    ],
+    "repro.serving:file_payload": [
+        "tenant",
+        "index",
+        "size",
+        "seed",
+    ],
+    "repro.mapreduce.workloads:grep_job": [
+        "input_file",
+        "pattern",
+        "num_reducers",
+    ],
+    "repro.reliability:WeibullLifetime.infant_mortality": [
+        "mean_hours",
+        "shape",
+    ],
+    "repro.reliability:WeibullLifetime.wear_out": [
+        "mean_hours",
+        "shape",
+    ],
+    "repro.storage:DistributedFileSystem": [
+        "cluster",
+        "fault_model",
+    ],
+    "repro.storage:RepairManager": [
+        "dfs",
+    ],
+    "repro.storage:ResilientBlockClient": [
+        "store",
+        "health",
+        "clock",
+    ],
+    "repro.storage:HealthMonitor": [
+        "clock",
+        "metrics",
+    ],
+    "repro.storage:Scrubber": [
+        "dfs",
+    ],
+    "repro.storage:ResilientBlockClient.get": [
+        "self",
+        "server_id",
+        "file_name",
+        "block_id",
+    ],
+    "repro.storage:BlockStore.get": [
+        "self",
+        "server_id",
+        "file_name",
+        "block_id",
+    ],
+    "repro.storage:BlockStore.timed_get": [
+        "self",
+        "server_id",
+        "file_name",
+        "block_id",
+        "verify",
+    ],
+    "repro.storage:RepairAdmissionController": [
+        "max_inflight_per_server",
+        "metrics",
+    ],
+    "repro.storage:RepairAdmissionController.acquire": [
+        "self",
+        "now",
+        "server_durations",
+    ],
+    "repro.sim:ThroughputResource": [
+        "sim",
+        "bandwidth",
+    ],
+    "repro.reliability:simulate_reliability": [
+        "code",
+        "placement",
+        "config",
+        "num_racks",
+        "servers_per_rack",
+        "stripes",
+        "trials",
+        "seed",
+        "metrics",
+    ],
+    "repro.reliability:ReliabilityConfig": [
+        "horizon_years",
+        "disk_lifetime",
+        "replacement_hours",
+        "rack_mtbf_hours",
+        "rack_downtime_hours",
+        "rack_kill_fraction",
+        "lse_rate_per_block_hour",
+        "scrub_interval_hours",
+        "block_size_bytes",
+        "repair_bandwidth",
+        "max_inflight_per_server",
+        "max_concurrent_repairs",
+    ],
+    "repro.serving:ServingGateway": [
+        "dfs",
+        "loop",
+        "config",
+    ],
+    "repro.serving:GatewayConfig": [
+        "cache_entries",
+        "hedge_threshold",
+        "max_inflight_per_tenant",
+        "tenant_limits",
+    ],
+    "repro.bench.chaos:run_schedule": [
+        "schedule",
+        "code_name",
+        "make_code",
+        "checkpoints",
+        "retry_rounds",
+        "retry_step",
+    ],
+    "repro.bench.chaos:run_campaign": [
+        "schedules",
+        "base_seed",
+        "checkpoints",
+        "horizon",
+    ],
+    "repro.mapreduce:MapReduceRuntime": [
+        "dfs",
+        "cost",
+        "allow_remote",
+        "execute",
+        "locality_delay",
+        "speculative",
+    ],
+    "repro.mapreduce:CostModel": [
+        "map_rate",
+        "reduce_rate",
+        "task_overhead",
+        "shuffle_parallelism",
+    ],
+    "repro.mapreduce:LocalityScheduler": [
+        "sim",
+        "cluster",
+        "slots_attr",
+        "allow_remote",
+        "locality_delay",
+        "speculative",
+        "health",
+        "max_task_retries",
+        "metrics",
+    ],
+    "repro.mapreduce:InputFormat": [
+        "max_split_bytes",
+    ],
+    "repro.mapreduce:DataBlockInputFormat": [
+        "max_split_bytes",
+    ],
+    "repro.mapreduce:GalloperInputFormat": [
+        "max_split_bytes",
+    ],
+    "repro.storage:StripedInputFormat": [
+        "inner",
+        "max_split_bytes",
+    ],
+    "repro.mapreduce.workloads:generate_text": [
+        "size_bytes",
+        "seed",
+        "words_per_line",
+    ],
+    "repro.cluster:Server": [
+        "server_id",
+        "cpu_speed",
+        "disk_bandwidth",
+        "network_bandwidth",
+        "map_slots",
+        "reduce_slots",
+        "failed",
+        "rack",
+        "tags",
+    ],
+    "repro.cluster:RackAwarePlacement": [
+        "structure",
+        "spread_groups",
+    ],
+    "repro.cluster:PerformanceAwarePlacement": [
+        "metric",
+        "parity_last",
+    ],
+    "repro.cluster:poisson_failure_trace": [
+        "server_ids",
+        "horizon",
+        "mtbf",
+        "seed",
+        "mttr",
+    ],
+    "repro.faults:generate_schedule": [
+        "server_ids",
+        "seed",
+        "horizon",
+        "mtbf",
+        "mttr",
+        "max_concurrent_crashes",
+        "flaky_servers",
+        "flaky_error_rate",
+        "gray_servers",
+        "gray_latency",
+        "error_rate",
+        "spike_rate",
+        "spike_latency",
+        "corruption_rate",
+    ],
+    "repro.faults:ChaosSchedule": [
+        "seed",
+        "horizon",
+        "crashes",
+        "components",
+        "max_concurrent_crashes",
+    ],
+    "repro.obs.metrics:Histogram": [
+        "max_samples",
+    ],
+    "repro.obs.profile:profiled": [
+        "reset",
+    ],
+    "repro.gf:pool_budget_bytes": [
+    ],
+    "repro.gf:vandermonde": [
+        "gf",
+        "rows",
+        "cols",
+        "points",
+    ],
+    "repro.codes:rs_generator": [
+        "gf",
+        "k",
+        "r",
+        "construction",
+    ],
+    "repro.codes:pyramid_generator": [
+        "gf",
+        "structure",
+        "construction",
+    ],
+    "repro.codes:ReedSolomonCode": [
+        "k",
+        "r",
+        "gf",
+        "construction",
+    ],
+    "repro.codes:PyramidCode": [
+        "k",
+        "l",
+        "g",
+        "gf",
+        "construction",
+        "all_symbol",
+    ],
+    "repro.codes:RotatedPyramidCode": [
+        "k",
+        "l",
+        "g",
+        "gf",
+        "construction",
+    ],
+    "repro.codes:CarouselCode": [
+        "k",
+        "r",
+        "gf",
+        "construction",
+    ],
+    "repro.core:GalloperCode": [
+        "k",
+        "l",
+        "g",
+        "weights",
+        "performances",
+        "gf",
+        "construction",
+        "all_symbol",
+    ],
+    "repro.analysis:survival_profile": [
+        "code",
+        "max_failures",
+    ],
+    "repro.analysis:ReliabilityParameters": [
+        "disk_mtbf_hours",
+        "block_size_bytes",
+        "repair_bandwidth",
+        "concurrent_repairs",
+    ],
+    "repro.bench.chaos:baseline_read_latency": [
+        "make_code",
+        "payload_size",
+    ],
+    "repro.storage:Scrubber.scrub": [
+        "self",
+        "heal",
+    ],
+    "repro.storage:Scrubber.scrub_file": [
+        "self",
+        "name",
+        "heal",
+    ],
+    "repro.sim:Simulation.run": [
+        "self",
+        "until",
+    ],
+    "repro.sim:SimLoop.run": [
+        "self",
+        "until",
+    ],
 }
 
 #: ``module:class`` -> its public methods (callable attributes without a
 #: leading underscore), one per line so an addition or removal is one line.
 METHODS = {
+    "repro.faults:FaultModel": [
+        "compose",
+        "describe",
+        "on_read",
+    ],
     "repro.storage:DistributedFileSystem": [
         "delete_file",
         "file",
@@ -242,6 +691,38 @@ METHODS = {
         "compile",
         "runs_within",
     ],
+    "repro.mapreduce:LocalityScheduler": [
+        "effective_assignments",
+        "handle_server_failure",
+        "reset",
+        "run_phase",
+    ],
+    "repro.serving:ServingGateway": [
+        "counters",
+        "put",
+        "qualify",
+        "queue_wait",
+        "read",
+        "repair_server",
+    ],
+    "repro.gf:GF": [
+        "add",
+        "asarray",
+        "check",
+        "div",
+        "generator_power",
+        "inv",
+        "mul",
+        "mul_arrays",
+        "pow",
+        "scalar_mul_array",
+        "sub",
+    ],
+    "repro.faults:ChaosSchedule": [
+        "describe",
+        "fault_model",
+        "runner",
+    ],
 }
 
 
@@ -263,6 +744,28 @@ FIELDS = {
         "bytes_read",
         "reports",
         "server",
+    ],
+    "repro.mapreduce:JobResult": [
+        "avg_map_time",
+        "avg_reduce_time",
+        "job",
+        "job_time",
+        "map_phase_time",
+        "num_map_tasks",
+        "output",
+        "reduce_phase_time",
+        "shuffle_time",
+        "speculative_copies",
+        "tasks",
+    ],
+    "repro.mapreduce:Assignment": [
+        "failed",
+        "finish",
+        "local",
+        "server",
+        "speculative",
+        "start",
+        "task",
     ],
 }
 
@@ -286,7 +789,7 @@ def test_options_match_the_committed_list(entry):
     target = importlib.import_module(module)
     for name in path.split("."):
         target = getattr(target, name)
-    assert ", ".join(inspect.signature(target).parameters) == OPTIONS[entry]
+    assert list(inspect.signature(target).parameters) == OPTIONS[entry]
 
 
 @pytest.mark.parametrize("entry", METHODS)
