@@ -70,20 +70,19 @@ class SurvivalProfile:
         return t
 
 
-def survival_profile(code: ErasureCode, max_failures: int | None = None) -> SurvivalProfile:
-    """Enumerate erasure patterns of ``code`` up to ``max_failures``.
+def survival_profile(code: ErasureCode) -> SurvivalProfile:
+    """Enumerate erasure patterns of ``code`` up to ``n - k`` failures
+    (beyond that, rank is impossible anyway).
 
     The enumeration stops early once no pattern of some size survives
     (every superset is fatal too).  Cost is ``C(n, j)`` rank computations
     per level — fine for the paper-scale codes (n <= ~15).
     """
     n = code.n
-    if max_failures is None:
-        max_failures = n - code.k  # beyond this, rank is impossible anyway
     survivable = [1]
     fatal_ext: list[int] = []
     alive_patterns: list[tuple[int, ...]] = [()]
-    for j in range(1, max_failures + 1):
+    for j in range(1, n - code.k + 1):
         next_alive: set[tuple[int, ...]] = set()
         fatal_here = 0
         for pattern in alive_patterns:

@@ -39,14 +39,13 @@ class ReliabilityParameters:
             percent of servers per month).
         block_size_bytes: size of one coded block.
         repair_bandwidth: bytes/second a repair job can read from helpers.
-        concurrent_repairs: how many blocks rebuild in parallel after
-            co-located failures.
+
+    Blocks lost together rebuild one at a time.
     """
 
     disk_mtbf_hours: float = 100_000.0
     block_size_bytes: int = 256 << 20
     repair_bandwidth: float = 50 << 20
-    concurrent_repairs: int = 1
 
 
 def average_repair_reads(code: ErasureCode) -> float:
@@ -100,7 +99,7 @@ def mttdl_hours(
         if j < J:
             upper[j] = fail_rate * (1 - fatal)
         # Fatal transitions leave the transient set (no column).
-        repair = mu_f * min(j, params.concurrent_repairs) if j else Fraction(0)
+        repair = mu_f if j else Fraction(0)
         lower[j] = repair
         diag[j] = -(fail_rate + repair)
     for j in range(1, size):  # Thomas elimination, exact

@@ -47,10 +47,18 @@ CAMPAIGN_CODES = [
     ("galloper(4,2,1)", lambda: GalloperCode(4, 2, 1)),
 ]
 
+#: Bytes of the one file each run writes and reads back.
+PAYLOAD_BYTES = 12_000
 
-def _payload(seed: int, size: int = 12_000) -> bytes:
+#: Read attempts per checkpoint, and the sim seconds the clock advances
+#: after each one that cannot decode.
+RETRY_ROUNDS = 8
+RETRY_STEP = 2.0
+
+
+def _payload(seed: int) -> bytes:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    return rng.integers(0, 256, size=PAYLOAD_BYTES, dtype=np.uint8).tobytes()
 
 
 @dataclass
@@ -72,11 +80,11 @@ class ScheduleResult:
         return sum(self.read_latencies) / len(self.read_latencies) if self.read_latencies else 0.0
 
 
-def baseline_read_latency(make_code, payload_size: int = 12_000) -> float:
+def baseline_read_latency(make_code) -> float:
     """Simulated ``read_file`` time on a clean, fault-free cluster."""
     cluster = Cluster.homogeneous(NUM_SERVERS)
     dfs = DistributedFileSystem(cluster)
-    dfs.write_file("chaos", _payload(0, payload_size), code=make_code())
+    dfs.write_file("chaos", _payload(0), code=make_code())
     t0 = dfs.clock.now
     dfs.read_file("chaos")
     return dfs.clock.now - t0
@@ -88,8 +96,6 @@ def run_schedule(
     make_code,
     *,
     checkpoints: int = 8,
-    retry_rounds: int = 8,
-    retry_step: float = 2.0,
 ) -> ScheduleResult:
     """Drive one schedule against one code; returns the run's accounting.
 
@@ -116,13 +122,13 @@ def run_schedule(
 
         t0 = dfs.clock.now
         data = None
-        for _ in range(retry_rounds):
+        for _ in range(RETRY_ROUNDS):
             runner.advance_to(cluster, dfs.clock.now)
             try:
                 data = dfs.read_file("chaos")
                 break
             except DecodingError:
-                dfs.clock.advance(retry_step)
+                dfs.clock.advance(RETRY_STEP)
         result.reads += 1
         result.read_latencies.append(dfs.clock.now - t0)
         if data is None:

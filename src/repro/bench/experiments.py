@@ -35,7 +35,6 @@ from repro.core.weights import solve_throttle_lp
 from repro.codes.structure import LRCStructure
 from repro.gf import CodingPlan, random_symbols
 from repro.mapreduce import (
-    CostModel,
     DataBlockInputFormat,
     GalloperInputFormat,
     MapReduceRuntime,

@@ -43,7 +43,14 @@ def poisson_failure_trace(
 
     Returns:
         Events sorted by time.
+
+    Raises:
+        ValueError: ``mtbf`` or ``mttr`` is not positive.
     """
+    if not mtbf > 0:
+        raise ValueError(f"mtbf must be positive, got {mtbf}")
+    if mttr is not None and not mttr > 0:
+        raise ValueError(f"mttr must be positive, got {mttr}")
     rng = random.Random(seed)
     events: list[FailureEvent] = []
     for sid in server_ids:

@@ -204,7 +204,6 @@ class GroupAwarePlacement(PlacementPolicy):
         # Snake-deal the fastest servers across groups, filling each
         # group's data members before its parity slot.
         seats: list[list[int]] = [list(g) for g in groups]
-        order = list(range(len(seats)))
         idx = 0
         direction = 1
         for sid in ranked:
@@ -234,7 +233,6 @@ class GroupAwarePlacement(PlacementPolicy):
         for b in ungrouped + [b for g in seats for b in g]:
             if b not in assignment:
                 assignment[b] = remaining.pop(0)
-        del order
         return [assignment[b] for b in range(st.n)]
 
 
@@ -252,9 +250,8 @@ class RackAwarePlacement(PlacementPolicy):
     to yet another rack when one is available.
     """
 
-    def __init__(self, structure, spread_groups: bool = True):
+    def __init__(self, structure):
         self.structure = structure
-        self.spread_groups = spread_groups
 
     def place(self, cluster: Cluster, num_blocks: int) -> list[int]:
         st = self.structure
@@ -271,8 +268,7 @@ class RackAwarePlacement(PlacementPolicy):
         assignment: dict[int, int] = {}
         used: set[int] = set()
         for i, unit in enumerate(units):
-            rack = rack_ids[i % len(rack_ids)] if self.spread_groups else rack_ids[0]
-            # Find a rack (starting from the preferred one) with room.
+            # Find a rack (starting from the i-th) with room.
             placed = False
             for attempt in range(len(rack_ids)):
                 candidate = rack_ids[(i + attempt) % len(rack_ids)]
@@ -287,7 +283,6 @@ class RackAwarePlacement(PlacementPolicy):
                 raise PlacementError(
                     f"no rack has {len(unit)} free servers for repair group {i}"
                 )
-            del rack
         return [assignment[b] for b in range(st.n)]
 
 
@@ -298,14 +293,13 @@ class PerformanceAwarePlacement(PlacementPolicy):
     this policy returns alive servers sorted by descending performance so
     that block ``i``'s weight is computed from the server that will
     actually store it.  The paper additionally suggests placing global
-    parity blocks on the *slowest* servers (Sec. VII-A): pass
-    ``parity_last=True`` and the caller's block order (data/local first,
-    global parity last) lines up with the speed ranking.
+    parity blocks on the *slowest* servers (Sec. VII-A): the codes' block
+    order (data/local first, global parity last) lines up with the speed
+    ranking.
     """
 
-    def __init__(self, metric: str = "cpu_speed", parity_last: bool = True):
+    def __init__(self, metric: str = "cpu_speed"):
         self.metric = metric
-        self.parity_last = parity_last
 
     def place(self, cluster: Cluster, num_blocks: int) -> list[int]:
         alive = self._require(cluster, num_blocks)

@@ -10,7 +10,7 @@ sequential-disk throughput, or CPU throughput when CPU-bound); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MB = 1 << 20
 GB = 1 << 30
@@ -27,7 +27,6 @@ class Server:
         disk_bandwidth: sequential disk throughput in bytes/second.
         network_bandwidth: NIC throughput in bytes/second.
         map_slots: concurrent map tasks the server runs (cores).
-        reduce_slots: concurrent reduce tasks.
         failed: crash-state flag, toggled by the failure injector.
     """
 
@@ -36,12 +35,10 @@ class Server:
     disk_bandwidth: float = 100 * MB
     network_bandwidth: float = 1 * GB
     map_slots: int = 2
-    reduce_slots: int = 1
     failed: bool = False
     #: Failure/locality domain; traffic between racks crosses the
     #: aggregation network (rack 0 by default: a single-rack cluster).
     rack: int = 0
-    tags: dict = field(default_factory=dict)
 
     def performance(self, metric: str = "cpu_speed") -> float:
         """The scalar performance measurement used for weight assignment."""

@@ -24,7 +24,7 @@ class CarouselCode(GalloperCode):
 
     name = "carousel"
 
-    def __init__(self, k: int, r: int, gf: GF | None = None, construction: str = "cauchy"):
+    def __init__(self, k: int, r: int, gf: GF | None = None):
         self.r = r
         super().__init__(
             k,
@@ -32,7 +32,6 @@ class CarouselCode(GalloperCode):
             r,
             weights=[Fraction(k, k + r)] * (k + r),
             gf=gf,
-            construction=construction,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

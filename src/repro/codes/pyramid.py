@@ -25,7 +25,7 @@ from repro.codes.structure import GroupRepairMixin, LRCStructure
 from repro.gf import GF
 
 
-def pyramid_generator(gf: GF, structure: LRCStructure, construction: str = "cauchy") -> np.ndarray:
+def pyramid_generator(gf: GF, structure: LRCStructure) -> np.ndarray:
     """Build the ``(k+l+g, k)`` block-level Pyramid generator, group-major.
 
     This is the construction of Huang et al.: start from a (k, g+1)
@@ -41,7 +41,7 @@ def pyramid_generator(gf: GF, structure: LRCStructure, construction: str = "cauc
     """
     k, l, g = structure.k, structure.l, structure.g
     # One extra parity beyond g: its split becomes the local parities.
-    rs = rs_generator(gf, k, g + 1, construction) if l else rs_generator(gf, k, g, construction)
+    rs = rs_generator(gf, k, g + 1) if l else rs_generator(gf, k, g)
     rows = np.zeros((structure.n, k), dtype=gf.dtype)
     data_blocks = structure.data_blocks()
     for pos, b in enumerate(data_blocks):
@@ -82,7 +82,6 @@ class PyramidCode(GroupRepairMixin, ErasureCode):
         l: int,
         g: int,
         gf: GF | None = None,
-        construction: str = "cauchy",
         all_symbol: bool = False,
     ):
         self.gf = gf or default_field()
@@ -92,8 +91,7 @@ class PyramidCode(GroupRepairMixin, ErasureCode):
         self.g = g
         self.n = self.structure.n
         self.N = 1
-        self.construction = construction
-        self.generator = pyramid_generator(self.gf, self.structure, construction)
+        self.generator = pyramid_generator(self.gf, self.structure)
         self.block_infos = []
         for b in range(self.n):
             role = self.structure.role_of(b)

@@ -44,7 +44,7 @@ class RotatedPyramidCode(ErasureCode):
 
     name = "rotated-pyramid"
 
-    def __init__(self, k: int, l: int, g: int, gf: GF | None = None, construction: str = "cauchy"):
+    def __init__(self, k: int, l: int, g: int, gf: GF | None = None):
         self.gf = gf or default_field()
         self.structure = LRCStructure(k, l, g)
         self.k = k
@@ -52,7 +52,7 @@ class RotatedPyramidCode(ErasureCode):
         self.g = g
         self.n = self.structure.n
         self.N = self.n
-        pyr = pyramid_generator(self.gf, self.structure, construction)
+        pyr = pyramid_generator(self.gf, self.structure)
         n, N = self.n, self.N
         gen = np.zeros((n * N, k * N), dtype=self.gf.dtype)
         data_pos = {b: p for p, b in enumerate(self.structure.data_blocks())}

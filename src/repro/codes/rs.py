@@ -2,15 +2,11 @@
 
 A ``(k, r)`` Reed-Solomon code turns ``k`` data blocks into ``k + r``
 blocks such that *any* ``k`` of them recover the data (the MDS property).
-Two constructions are provided:
-
-* ``cauchy`` (default): parity rows from a normalized Cauchy matrix.  Every
-  square submatrix of a Cauchy matrix is nonsingular, so the systematic
-  code is MDS by construction.  The normalization scales rows and columns
-  so the first parity row is all ones — for ``r = 1`` this degenerates to
-  the XOR code used by the paper's examples (RAID-5, local parities).
-* ``vandermonde``: the classical polynomial-evaluation view; the generator
-  is ``V @ inv(V[:k])`` for a Vandermonde matrix on distinct points.
+The parity rows come from a normalized Cauchy matrix.  Every square
+submatrix of a Cauchy matrix is nonsingular, so the systematic code is
+MDS by construction.  The normalization scales rows and columns so the
+first parity row is all ones — for ``r = 1`` this degenerates to the XOR
+code used by the paper's examples (RAID-5, local parities).
 """
 
 from __future__ import annotations
@@ -25,10 +21,10 @@ from repro.codes.base import (
     ParameterError,
     default_field,
 )
-from repro.gf import GF, cauchy, inverse, matmul, vandermonde
+from repro.gf import GF, cauchy
 
 
-def rs_generator(gf: GF, k: int, r: int, construction: str = "cauchy") -> np.ndarray:
+def rs_generator(gf: GF, k: int, r: int) -> np.ndarray:
     """Build the ``(k + r, k)`` systematic generator of a (k, r) RS code."""
     if k < 1 or r < 0:
         raise ParameterError(f"invalid Reed-Solomon parameters k={k}, r={r}")
@@ -37,27 +33,18 @@ def rs_generator(gf: GF, k: int, r: int, construction: str = "cauchy") -> np.nda
     top = np.eye(k, dtype=gf.dtype)
     if r == 0:
         return top
-    if construction == "cauchy":
-        # x-points for parity rows, y-points for data columns, disjoint sets.
-        xs = list(range(k, k + r))
-        ys = list(range(k))
-        c = cauchy(gf, xs, ys)
-        # Normalize so the first parity row is all ones (XOR parity):
-        # scale each column j by 1/c[0, j], then each row i by 1/c'[i, 0].
-        # Row/column scaling by nonzero constants preserves the MDS property.
-        for j in range(k):
-            col_scale = gf.inv(int(c[0, j]))
-            c[:, j] = gf.scalar_mul_array(col_scale, c[:, j])
-        for i in range(1, r):
-            row_scale = gf.inv(int(c[i, 0]))
-            c[i] = gf.scalar_mul_array(row_scale, c[i])
-        parity = c
-    elif construction == "vandermonde":
-        v = vandermonde(gf, k + r, k)
-        parity = matmul(gf, v[k:], inverse(gf, v[:k]))
-    else:
-        raise ParameterError(f"unknown Reed-Solomon construction {construction!r}")
-    return np.concatenate([top, parity], axis=0)
+    # x-points for parity rows, y-points for data columns, disjoint sets.
+    c = cauchy(gf, list(range(k, k + r)), list(range(k)))
+    # Normalize so the first parity row is all ones (XOR parity):
+    # scale each column j by 1/c[0, j], then each row i by 1/c'[i, 0].
+    # Row/column scaling by nonzero constants preserves the MDS property.
+    for j in range(k):
+        col_scale = gf.inv(int(c[0, j]))
+        c[:, j] = gf.scalar_mul_array(col_scale, c[:, j])
+    for i in range(1, r):
+        row_scale = gf.inv(int(c[i, 0]))
+        c[i] = gf.scalar_mul_array(row_scale, c[i])
+    return np.concatenate([top, c], axis=0)
 
 
 class ReedSolomonCode(ErasureCode):
@@ -65,7 +52,7 @@ class ReedSolomonCode(ErasureCode):
 
     name = "reed-solomon"
 
-    def __init__(self, k: int, r: int, gf: GF | None = None, construction: str = "cauchy"):
+    def __init__(self, k: int, r: int, gf: GF | None = None):
         self.gf = gf or default_field()
         if r < 1:
             raise ParameterError("Reed-Solomon needs at least one parity block")
@@ -73,8 +60,7 @@ class ReedSolomonCode(ErasureCode):
         self.r = r
         self.n = k + r
         self.N = 1
-        self.construction = construction
-        self.generator = rs_generator(self.gf, k, r, construction)
+        self.generator = rs_generator(self.gf, k, r)
         self.block_infos = [
             BlockInfo(
                 index=i,
@@ -88,4 +74,4 @@ class ReedSolomonCode(ErasureCode):
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReedSolomonCode(k={self.k}, r={self.r}, {self.construction})"
+        return f"ReedSolomonCode(k={self.k}, r={self.r})"

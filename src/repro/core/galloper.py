@@ -69,7 +69,6 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
             neither is given the cluster is treated as homogeneous and
             every block gets weight ``k / (k + l + g)``.
         gf: arithmetic context (GF(2^8) by default, as the paper).
-        construction: Reed-Solomon flavour for the underlying Pyramid code.
     """
 
     name = "galloper"
@@ -82,7 +81,6 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
         weights=None,
         performances=None,
         gf: GF | None = None,
-        construction: str = "cauchy",
         all_symbol: bool = False,
     ):
         if weights is not None and performances is not None:
@@ -93,13 +91,12 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
         self.l = l
         self.g = g
         self.n = self.structure.n
-        self.construction = construction
         if weights is not None:
             self.assignment = finalize(self.structure, [Fraction(w) for w in weights])
         else:
             self.assignment = assign_weights(self.structure, performances)
         self.N = self.assignment.N
-        self.pyramid_block_generator = pyramid_generator(self.gf, self.structure, construction)
+        self.pyramid_block_generator = pyramid_generator(self.gf, self.structure)
         self._build()
         if not self.verify_systematic():  # pragma: no cover - construction invariant
             raise ConstructionError("generator is not systematic on the advertised stripes")

@@ -8,9 +8,8 @@ gray slowdowns, background error/spike/corruption rates).  Schedules are
 pure functions of their seed, so a campaign of N schedules is exactly
 reproducible from N integers — the property the chaos CI job asserts.
 
-The crash trace is pruned so that at most ``max_concurrent_crashes``
-servers are ever down at once; campaigns pick that bound from the
-weakest code under test (an RS(n, k) file tolerates ``n - k`` losses).
+The crash trace is pruned so that at most ``MAX_CONCURRENT_CRASHES``
+servers are ever down at once, a bound every code under test survives.
 """
 
 from __future__ import annotations
@@ -28,6 +27,23 @@ from repro.faults.model import (
     SilentCorruption,
     TransientErrors,
 )
+
+#: Per-server mean time between crashes and mean time to recover (s).
+MTBF = 60.0
+MTTR = 10.0
+#: Servers down at once, at most (the crash trace is pruned to it).
+MAX_CONCURRENT_CRASHES = 1
+#: Servers that get a high-error window, and its error rate.
+FLAKY_SERVERS = 1
+FLAKY_ERROR_RATE = 0.85
+#: Servers that get an up-but-slow window, and its extra latency (s).
+GRAY_SERVERS = 1
+GRAY_LATENCY = 0.08
+#: Cluster-wide background rates for the whole horizon.
+ERROR_RATE = 0.08
+SPIKE_RATE = 0.05
+SPIKE_LATENCY = 0.06
+CORRUPTION_RATE = 0.02
 
 
 def bound_concurrent_crashes(events: list[FailureEvent], limit: int) -> list[FailureEvent]:
@@ -53,14 +69,12 @@ class ChaosSchedule:
         crashes: crash/recover trace, already concurrency-bounded.
         components: transient-fault behaviours for the
             :class:`~repro.faults.model.FaultModel`.
-        max_concurrent_crashes: the bound the trace was pruned to.
     """
 
     seed: int
     horizon: float
     crashes: tuple[FailureEvent, ...]
     components: tuple[FaultComponent, ...]
-    max_concurrent_crashes: int = 1
 
     def fault_model(self) -> FaultModel:
         """A fresh seeded model for this schedule's transient faults."""
@@ -68,15 +82,6 @@ class ChaosSchedule:
 
     def runner(self) -> "ChaosRunner":
         return ChaosRunner(self)
-
-    def describe(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "crashes": len(self.crashes),
-            "components": [type(c).__name__ for c in self.components],
-            "max_concurrent_crashes": self.max_concurrent_crashes,
-        }
 
 
 @dataclass
@@ -125,75 +130,51 @@ class ChaosRunner:
         return len(self._timeline) - self._cursor
 
 
-def generate_schedule(
-    server_ids,
-    seed: int,
-    *,
-    horizon: float = 30.0,
-    mtbf: float = 60.0,
-    mttr: float | None = 10.0,
-    max_concurrent_crashes: int = 1,
-    flaky_servers: int = 1,
-    flaky_error_rate: float = 0.85,
-    gray_servers: int = 1,
-    gray_latency: float = 0.08,
-    error_rate: float = 0.08,
-    spike_rate: float = 0.05,
-    spike_latency: float = 0.06,
-    corruption_rate: float = 0.02,
-) -> ChaosSchedule:
+def generate_schedule(server_ids, seed: int, *, horizon: float = 30.0) -> ChaosSchedule:
     """Derive one schedule from a seed.
 
     The background rates apply cluster-wide for the whole horizon; on top,
-    ``flaky_servers`` random servers get a high-error window (the burst
-    that trips circuit breakers) and ``gray_servers`` get an up-but-slow
+    ``FLAKY_SERVERS`` random servers get a high-error window (the burst
+    that trips circuit breakers) and ``GRAY_SERVERS`` get an up-but-slow
     window (the hedging trigger).  Windows land in the middle half of the
     horizon so campaigns see clean, faulty, and recovered phases.
     """
     server_ids = list(server_ids)
     rng = random.Random(seed)
     crashes = bound_concurrent_crashes(
-        poisson_failure_trace(server_ids, horizon, mtbf, seed=rng.randrange(1 << 30), mttr=mttr),
-        max_concurrent_crashes,
+        poisson_failure_trace(server_ids, horizon, MTBF, seed=rng.randrange(1 << 30), mttr=MTTR),
+        MAX_CONCURRENT_CRASHES,
     )
 
-    components: list[FaultComponent] = []
-    if error_rate:
-        components.append(TransientErrors(rate=error_rate))
-    if spike_rate:
-        components.append(LatencySpikes(rate=spike_rate, latency=spike_latency))
-    if corruption_rate:
-        components.append(SilentCorruption(rate=corruption_rate))
+    components: list[FaultComponent] = [
+        TransientErrors(rate=ERROR_RATE),
+        LatencySpikes(rate=SPIKE_RATE, latency=SPIKE_LATENCY),
+        SilentCorruption(rate=CORRUPTION_RATE),
+    ]
 
-    targets = rng.sample(server_ids, min(len(server_ids), flaky_servers + gray_servers))
-    for sid in targets[:flaky_servers]:
+    targets = rng.sample(server_ids, min(len(server_ids), FLAKY_SERVERS + GRAY_SERVERS))
+    for sid in targets[:FLAKY_SERVERS]:
         start = rng.uniform(0.1 * horizon, 0.4 * horizon)
         components.append(
             TransientErrors(
-                rate=flaky_error_rate,
+                rate=FLAKY_ERROR_RATE,
                 servers=frozenset({sid}),
                 start=start,
                 until=start + rng.uniform(0.2 * horizon, 0.4 * horizon),
             )
         )
-    for sid in targets[flaky_servers:]:
+    for sid in targets[FLAKY_SERVERS:]:
         start = rng.uniform(0.1 * horizon, 0.4 * horizon)
         components.append(
             GraySlowdown(
-                extra_latency=gray_latency,
+                extra_latency=GRAY_LATENCY,
                 servers=frozenset({sid}),
                 start=start,
                 until=start + rng.uniform(0.2 * horizon, 0.4 * horizon),
             )
         )
 
-    return ChaosSchedule(
-        seed=seed,
-        horizon=horizon,
-        crashes=tuple(crashes),
-        components=tuple(components),
-        max_concurrent_crashes=max_concurrent_crashes,
-    )
+    return ChaosSchedule(seed=seed, horizon=horizon, crashes=tuple(crashes), components=tuple(components))
 
 
 def generate_schedules(server_ids, count: int, base_seed: int = 0, **kwargs) -> list[ChaosSchedule]:

@@ -105,10 +105,6 @@ class GF:
             return 0
         return int(self.exp[(self.log[a] * n) % self.order])
 
-    def generator_power(self, n: int) -> int:
-        """The n-th power of the field's primitive element alpha."""
-        return int(self.exp[n % self.order])
-
     # ------------------------------------------------------------- array helpers
 
     def asarray(self, data, copy: bool = False) -> np.ndarray:

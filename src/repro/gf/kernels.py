@@ -53,7 +53,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.gf.field import GF, GFError
-from repro.gf.schedule import XorSchedule, pool_budget_bytes, predicted_win
+from repro.gf import schedule as _schedule
+from repro.gf.schedule import XorSchedule, predicted_win
 from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
 
@@ -595,7 +596,7 @@ class CodingPlan:
         native kernels split a stripe at this width; :meth:`apply_batch`
         stops staging segments at it, for every tier alike.
         """
-        block = pool_budget_bytes() // (self.gf.dtype.itemsize * (self._dense_dst.size + 1))
+        block = _schedule.POOL_BUDGET_BYTES // (self.gf.dtype.itemsize * (self._dense_dst.size + 1))
         return max(4096, block & ~63)
 
     def _apply_dense_direct(self, data: np.ndarray, out: np.ndarray) -> None:

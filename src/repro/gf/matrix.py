@@ -116,29 +116,6 @@ def is_invertible(gf: GF, a: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and rank(gf, a) == a.shape[0]
 
 
-def vandermonde(gf: GF, rows: int, cols: int, points: Sequence[int] | None = None) -> np.ndarray:
-    """Vandermonde matrix ``V[i, j] = x_i^j`` over the field.
-
-    Any ``cols`` rows of a Vandermonde matrix on distinct points are
-    linearly independent, which is what makes the derived Reed-Solomon
-    generator MDS.
-    """
-    if points is None:
-        if rows > gf.size:
-            raise GFError(f"need {rows} distinct points but GF(2^{gf.q}) has only {gf.size}")
-        points = list(range(rows))
-    if len(points) != rows or len(set(points)) != rows:
-        raise GFError("Vandermonde evaluation points must be distinct and match the row count")
-    out = np.zeros((rows, cols), dtype=gf.dtype)
-    for i, x in enumerate(points):
-        gf.check(x)
-        acc = 1
-        for j in range(cols):
-            out[i, j] = acc
-            acc = gf.mul(acc, x)
-    return out
-
-
 def cauchy(gf: GF, x_points: Sequence[int], y_points: Sequence[int]) -> np.ndarray:
     """Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)``; every square submatrix
     of a Cauchy matrix is invertible, so it is MDS by construction."""

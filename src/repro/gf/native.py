@@ -17,7 +17,7 @@ needs the two hot loops in real machine code:
   :class:`repro.gf.schedule.XorSchedule` lowered to a flat instruction
   array (ZERO / COPY / XOR2 / XACC / DOUBLE over data / output / pool
   rows) executed chunk-by-chunk in C, with the same scratch-pool budget
-  as the numpy executor (``REPRO_POOL_KB``).
+  as the numpy executor (``schedule.POOL_BUDGET_BYTES``).
 
 Both read their input rows through a table of row pointers, one per
 input row of the plan, which the C side expands from per-array ``(base,

@@ -28,8 +28,6 @@ the pool and run full-width XORs straight between data and output rows.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.gf.bitmatrix import double_symbols, lane_selection_matrix
@@ -38,7 +36,6 @@ from repro.gf.field import GF, GFError
 __all__ = [
     "XorSchedule",
     "predicted_win",
-    "pool_budget_bytes",
     "GATHER_PASSES",
     "GATHER_PASSES_SPLIT16",
     "DOUBLE_PASSES",
@@ -66,41 +63,11 @@ COPY_PASSES = 2.0
 #: the battle-tested table path.
 XOR_MARGIN = 0.85
 
-#: Default scratch-pool byte budget for one execution chunk (~1.5 MiB,
-#: matching the table kernel's gather working set).  Tunable via the
-#: ``REPRO_POOL_KB`` env knob — see :func:`pool_budget_bytes`.
-_POOL_BUDGET_BYTES = 3 << 19
-
-#: Bounds for ``REPRO_POOL_KB``: below 64 KiB the chunk floor makes the
-#: knob a no-op; past 1 GiB it stops being a *cache* budget.
-_POOL_KB_MIN = 64
-_POOL_KB_MAX = 1 << 20
-
-
-def pool_budget_bytes() -> int:
-    """The scratch-pool/cache-block byte budget, from ``REPRO_POOL_KB``.
-
-    Shared by the XOR-schedule executor (scratch pool sizing) and the
-    native tier (cache-block width), so one knob tunes both working sets
-    to the host's L2.  Read at schedule-compile / apply time, validated
-    like ``REPRO_KERNEL``: a non-integer or out-of-range value raises
-    :class:`~repro.gf.field.GFError` instead of silently running with a
-    default.  Unset (or empty) means the ~1.5 MiB default.
-    """
-    raw = os.environ.get("REPRO_POOL_KB", "").strip()
-    if not raw:
-        return _POOL_BUDGET_BYTES
-    try:
-        kb = int(raw)
-    except ValueError:
-        raise GFError(
-            f"REPRO_POOL_KB={raw!r} is not an integer KiB count"
-        ) from None
-    if not _POOL_KB_MIN <= kb <= _POOL_KB_MAX:
-        raise GFError(
-            f"REPRO_POOL_KB={kb} outside [{_POOL_KB_MIN}, {_POOL_KB_MAX}] KiB"
-        )
-    return kb << 10
+#: Scratch-pool byte budget for one execution chunk (~1.5 MiB, matching
+#: the table kernel's gather working set).  Shared by the XOR-schedule
+#: executor (scratch pool sizing) and the native tier (cache-block
+#: width), so one number sizes both working sets to the host's L2.
+POOL_BUDGET_BYTES = 3 << 19
 
 #: Safety valve on CSE iterations; real plans terminate far earlier.
 _MAX_CSE_OPS_FACTOR = 8
@@ -288,7 +255,7 @@ class XorSchedule:
         }
 
         itemsize = gf.dtype.itemsize
-        chunk = (pool_budget_bytes() // (itemsize * max(1, pool_rows))) & ~7
+        chunk = (POOL_BUDGET_BYTES // (itemsize * max(1, pool_rows))) & ~7
         chunk = max(4096, chunk)
         return cls(gf, m, n, ladder, inter_ops, outputs, pool_rows, chunk, stats)
 
@@ -434,7 +401,7 @@ class XorSchedule:
         prog, pool_rows = self._native_program()
         nbytes = S * itemsize
         if pool_rows:
-            block = pool_budget_bytes() // pool_rows
+            block = POOL_BUDGET_BYTES // pool_rows
             block = max(4096 * itemsize, block & ~63)
             block = min(block, -(-nbytes // 8) * 8)
             pool = np.empty(pool_rows * block, dtype=np.uint8)

@@ -8,7 +8,7 @@ from repro.mapreduce.records import (
     RecordReader,
     WholeSplitReader,
 )
-from repro.mapreduce.runtime import CostModel, MapReduceRuntime
+from repro.mapreduce.runtime import MapReduceRuntime
 from repro.mapreduce.scheduler import Assignment, LocalityScheduler, ScheduledTask, SchedulingError
 from repro.mapreduce import workloads
 
@@ -24,7 +24,6 @@ __all__ = [
     "LineRecordReader",
     "RecordReader",
     "WholeSplitReader",
-    "CostModel",
     "MapReduceRuntime",
     "Assignment",
     "LocalityScheduler",

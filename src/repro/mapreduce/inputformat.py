@@ -12,8 +12,8 @@ repairable codes and over Galloper codes is *where map tasks can run*
   boundary comes from the code's :class:`~repro.codes.base.BlockInfo`), so
   all ``k + l + g`` servers run map tasks, sized by the block's weight.
 
-Both formats can subdivide splits to a maximum size, mirroring Hadoop's
-HDFS-block-bounded splits.
+Each split is one whole block extent, the unit whose locality hint the
+scheduler honours.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class InputSplit:
 class InputFormat:
     """Base: computes splits for a file."""
 
-    def __init__(self, max_split_bytes: int | None = None):
-        self.max_split_bytes = max_split_bytes
-
     def splits(self, dfs: DistributedFileSystem, file_name: str) -> list[InputSplit]:
         ef = dfs.file(file_name)
         raw = self._block_extents(ef)
@@ -61,15 +58,7 @@ class InputFormat:
             end = min((start_stripe + n_stripes) * ef.stripe_size, ef.original_size)
             if end <= start:
                 continue
-            server = ef.server_of(block)
-            if self.max_split_bytes:
-                pos = start
-                while pos < end:
-                    nxt = min(pos + self.max_split_bytes, end)
-                    out.append(InputSplit(file_name, pos, nxt, server, block))
-                    pos = nxt
-            else:
-                out.append(InputSplit(file_name, start, end, server, block))
+            out.append(InputSplit(file_name, start, end, ef.server_of(block), block))
         return out
 
     def _block_extents(self, ef: EncodedFile) -> list[tuple[int, int, int]]:

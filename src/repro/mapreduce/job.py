@@ -81,11 +81,6 @@ class JobResult:
         return mean(d) if d else 0.0
 
     @property
-    def avg_reduce_time(self) -> float:
-        d = self._durations("reduce")
-        return mean(d) if d else 0.0
-
-    @property
     def num_map_tasks(self) -> int:
         return sum(1 for t in self.tasks if t.kind == "map")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.cluster.server import MB
 from repro.mapreduce.inputformat import InputFormat, InputSplit
@@ -33,34 +32,20 @@ from repro.sim.engine import Simulation
 from repro.storage.filesystem import DistributedFileSystem
 
 
-@dataclass
-class CostModel:
-    """Throughput constants of the timing model (bytes/second, seconds)."""
-
-    map_rate: float = 10 * MB        # mapper processing rate per slot at cpu 1.0
-    reduce_rate: float = 20 * MB     # reducer processing rate at cpu 1.0
-    task_overhead: float = 1.0       # JVM-ish startup cost per task
-    shuffle_parallelism: float = 1.0 # effective concurrent fetch streams
+#: Throughput constants of the timing model (bytes/second, seconds).
+MAP_RATE = 10 * MB  # mapper processing rate per slot at cpu 1.0
+REDUCE_RATE = 20 * MB  # reducer processing rate at cpu 1.0
+TASK_OVERHEAD = 1.0  # JVM-ish startup cost per task
+SHUFFLE_PARALLELISM = 1.0  # effective concurrent fetch streams
 
 
 class MapReduceRuntime:
     """Runs jobs over one DFS."""
 
-    def __init__(
-        self,
-        dfs: DistributedFileSystem,
-        cost: CostModel | None = None,
-        allow_remote: bool = True,
-        execute: bool = True,
-        locality_delay: float = 0.0,
-        speculative: bool = False,
-    ):
+    def __init__(self, dfs: DistributedFileSystem, execute: bool = True, speculative: bool = False):
         self.dfs = dfs
         self.cluster = dfs.cluster
-        self.cost = cost or CostModel()
-        self.allow_remote = allow_remote
         self.execute = execute
-        self.locality_delay = locality_delay
         self.speculative = speculative
 
     # ---------------------------------------------------------------- phases
@@ -132,9 +117,6 @@ class MapReduceRuntime:
         scheduler = LocalityScheduler(
             sim,
             self.cluster,
-            "map_slots",
-            self.allow_remote,
-            self.locality_delay,
             self.speculative,
             health=getattr(self.dfs, "health", None),
             metrics=getattr(self.dfs, "metrics", None),
@@ -165,7 +147,7 @@ class MapReduceRuntime:
         for r in range(spec.num_reducers):
             srv = self.cluster.server(reducer_servers[r])
             shuffle_times.append(
-                shuffle_bytes[r] / (srv.network_bandwidth * self.cost.shuffle_parallelism)
+                shuffle_bytes[r] / (srv.network_bandwidth * SHUFFLE_PARALLELISM)
             )
         shuffle_time = max(shuffle_times, default=0.0)
         shuffle_end = map_end + shuffle_time
@@ -175,7 +157,7 @@ class MapReduceRuntime:
         reduce_finish = shuffle_end
         for r in range(spec.num_reducers):
             srv = self.cluster.server(reducer_servers[r])
-            dur = self.cost.task_overhead + shuffle_bytes[r] / (self.cost.reduce_rate * srv.cpu_speed)
+            dur = TASK_OVERHEAD + shuffle_bytes[r] / (REDUCE_RATE * srv.cpu_speed)
             records.append(
                 TaskRecord(
                     task_id=f"reduce-{r}",
@@ -205,11 +187,9 @@ class MapReduceRuntime:
     # -------------------------------------------------------------- helpers
 
     def _map_duration_fn(self, split: InputSplit):
-        cost = self.cost
-
         def duration(server_id: int, local: bool) -> float:
             srv = self.cluster.server(server_id)
-            t = cost.task_overhead + split.length / (cost.map_rate * srv.cpu_speed)
+            t = TASK_OVERHEAD + split.length / (MAP_RATE * srv.cpu_speed)
             if not local:
                 # Non-local task: the split is fetched over the network first.
                 t += split.length / srv.network_bandwidth

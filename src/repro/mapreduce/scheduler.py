@@ -2,19 +2,16 @@
 
 Map tasks prefer the server storing their split (Hadoop's data-locality
 rule, paper Sec. I).  Each server runs at most ``map_slots`` tasks at a
-time; when a server has free slots and no local work left it may *steal*
+time; when a server has free slots and no local work left it *steals*
 a pending task whose own server is saturated or dead, paying a network
 read for the split — Hadoop's non-local scheduling.  The whole phase runs
 on the deterministic event engine, so identical inputs produce identical
 schedules.
 
-The scheduler is failure- and health-aware: a
+The scheduler is health-aware: a
 :class:`~repro.storage.health.HealthMonitor` (optional) steers placement
 away from servers with open circuit breakers — their pending tasks are
-immediately stealable, and they never steal remote work — and
-:meth:`LocalityScheduler.handle_server_failure` re-queues the attempts a
-crashed server was running, capped per task before the task fails
-terminally.
+immediately stealable, and they never steal remote work.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.sim.engine import Simulation
 
 
 class SchedulingError(RuntimeError):
-    """Raised when tasks cannot complete (stranded or retries exhausted)."""
+    """Raised when tasks cannot be scheduled on any live server."""
 
 
 @dataclass
@@ -52,9 +49,6 @@ class Assignment:
     finish: float
     local: bool
     speculative: bool = False
-    #: Set when the attempt's server crashed before the finish time; a
-    #: failed attempt never counts as the task's completion.
-    failed: bool = False
 
 
 class LocalityScheduler:
@@ -64,24 +58,13 @@ class LocalityScheduler:
         self,
         sim: Simulation,
         cluster: Cluster,
-        slots_attr: str = "map_slots",
-        allow_remote: bool = True,
-        locality_delay: float = 0.0,
         speculative: bool = False,
         health=None,
-        max_task_retries: int = 2,
         metrics=None,
     ):
         """Args:
             sim: event engine the phase runs on.
-            cluster: servers providing slots.
-            slots_attr: which slot count to use ("map_slots"/"reduce_slots").
-            allow_remote: permit non-local execution at all.
-            locality_delay: *delay scheduling* (Zaharia et al. [35]): an
-                idle server holds off stealing a remote task for this many
-                seconds after the phase starts, giving local slots a
-                chance to free up first.  Tasks whose preferred server is
-                dead are exempt — waiting cannot help them.
+            cluster: servers providing ``map_slots`` slots each.
             speculative: launch backup copies of straggling tasks on idle
                 servers (Hadoop's speculative execution).  A task
                 completes at its earliest attempt's finish; the duplicate
@@ -89,117 +72,53 @@ class LocalityScheduler:
             health: optional :class:`~repro.storage.health.HealthMonitor`;
                 breaker-open servers neither steal remote tasks nor pin
                 their own pending tasks to locality.
-            max_task_retries: re-queues one task survives (after server
-                failures) before it fails terminally.
             metrics: optional :class:`~repro.storage.metrics.MetricsRegistry`;
                 each dispatch observes the pending-queue depth
                 (``scheduler_queue_depth`` histogram).
         """
         self.sim = sim
         self.cluster = cluster
-        self.allow_remote = allow_remote
-        self.locality_delay = locality_delay
         self.speculative = speculative
         self.health = health
-        self.max_task_retries = max_task_retries
         self.metrics = metrics
-        self._slots = {s.server_id: getattr(s, slots_attr) for s in cluster.alive()}
+        self._slots = {s.server_id: s.map_slots for s in cluster.alive()}
         self._pending: list[ScheduledTask] = []
         self.assignments: list[Assignment] = []
-        self._phase_start = 0.0
-        self._retry_scheduled: set[int] = set()
         self._attempts: dict[str, list[Assignment]] = {}
-        self.task_retries: dict[str, int] = {}
-        self.failed_tasks: list[ScheduledTask] = []
 
     def reset(self) -> None:
-        """Clear per-phase bookkeeping (retry state, attempts, failures)."""
+        """Clear per-phase bookkeeping (pending tasks and attempts)."""
         self._pending = []
         self.assignments = []
         self._attempts = {}
-        self._retry_scheduled.clear()
-        self.task_retries = {}
-        self.failed_tasks = []
 
     def run_phase(self, tasks: list[ScheduledTask]) -> list[Assignment]:
         """Run all tasks to completion; returns their assignments.
 
         Raises:
-            SchedulingError: tasks stranded without a live server, or a
-                task exhausted its retry budget after server failures.
+            SchedulingError: tasks stranded without a live server that
+                may run them.
         """
         # Large tasks first within each server's queue, like Hadoop's
         # split-size-descending task ordering.
         self.reset()
         self._pending = sorted(tasks, key=lambda t: -t.input_bytes)
-        self._phase_start = self.sim.now
         for sid in self._dispatch_order():
             self._dispatch(sid)
         self.sim.run()
         if self._pending:
             stranded = [t.task_id for t in self._pending]
             raise SchedulingError(f"tasks could not be scheduled: {stranded}")
-        if self.failed_tasks:
-            failed = [t.task_id for t in self.failed_tasks]
-            raise SchedulingError(
-                f"tasks failed terminally after {self.max_task_retries} retries: {failed}"
-            )
         return self.assignments
 
     def effective_assignments(self) -> dict[str, Assignment]:
-        """Winning attempt per task (the earliest non-failed finish)."""
-        out: dict[str, Assignment] = {}
-        for tid, attempts in self._attempts.items():
-            live = [a for a in attempts if not a.failed]
-            if live:
-                out[tid] = min(live, key=lambda a: a.finish)
-        return out
+        """Winning attempt per task (the earliest finish)."""
+        return {tid: min(attempts, key=lambda a: a.finish) for tid, attempts in self._attempts.items()}
 
     @property
     def speculative_copies(self) -> int:
         """Backup attempts launched (their work is wasted when they lose)."""
         return sum(len(a) - 1 for a in self._attempts.values())
-
-    # ------------------------------------------------------------- failures
-
-    def handle_server_failure(self, server_id: int) -> list[str]:
-        """A server crashed mid-phase: re-queue what it was running.
-
-        Its slots are withdrawn, in-flight attempts on it are marked
-        failed, and each affected task is re-queued unless another live
-        attempt (a speculative copy) is still running or its retry budget
-        is exhausted — then it lands in :attr:`failed_tasks` terminally.
-
-        Returns the task ids re-queued.
-        """
-        self._slots.pop(server_id, None)
-        self._retry_scheduled.discard(server_id)
-        now = self.sim.now
-        requeued: list[str] = []
-        for a in self.assignments:
-            if a.server != server_id or a.failed or a.finish <= now:
-                continue
-            a.failed = True
-            others = [
-                x
-                for x in self._attempts.get(a.task.task_id, [])
-                if x is not a and not x.failed and x.finish > now
-            ]
-            done = any(x.finish <= now for x in self._attempts.get(a.task.task_id, []) if not x.failed)
-            if others or done:
-                continue  # a speculative twin survives, or it already finished
-            retries = self.task_retries.get(a.task.task_id, 0) + 1
-            self.task_retries[a.task.task_id] = retries
-            if retries > self.max_task_retries:
-                self.failed_tasks.append(a.task)
-                continue
-            self._pending.append(a.task)
-            requeued.append(a.task.task_id)
-        if requeued:
-            self._pending.sort(key=lambda t: -t.input_bytes)
-            for sid in self._dispatch_order():
-                self._dispatch(sid)
-        return requeued
 
     # ----------------------------------------------------------- internals
 
@@ -223,7 +142,6 @@ class LocalityScheduler:
                 task, local = self._pick_speculative(server_id)
                 speculative = task is not None
             if task is None:
-                self._maybe_schedule_retry(server_id)
                 return
             if not speculative:
                 self._pending.remove(task)
@@ -251,11 +169,10 @@ class LocalityScheduler:
         now = self.sim.now
         best: Assignment | None = None
         best_gain = 0.0
-        for tid, attempts in self._attempts.items():
-            live = [a for a in attempts if not a.failed]
-            if len(live) != 1 or len(attempts) > len(live):
-                continue  # one backup max, like Hadoop; failed attempts burn it
-            primary = live[0]
+        for attempts in self._attempts.values():
+            if len(attempts) != 1:
+                continue  # one backup max, like Hadoop
+            primary = attempts[0]
             if primary.finish <= now or primary.server == server_id:
                 continue
             new_finish = now + primary.task.duration_fn(server_id, False)
@@ -267,8 +184,6 @@ class LocalityScheduler:
         return best.task, False
 
     def _complete(self, server_id: int) -> None:
-        if server_id not in self._slots:
-            return  # the server failed mid-task; its attempt was re-queued
         self._slots[server_id] += 1
         self._dispatch(server_id)
         # A freed slot may also unblock stealing elsewhere — but stealing
@@ -278,40 +193,17 @@ class LocalityScheduler:
         for task in self._pending:
             if task.preferred_server == server_id:
                 return task, True
-        if not self.allow_remote or self._breaker_open(server_id):
+        if self._breaker_open(server_id):
             # A distrusted server keeps serving its local data but does
             # not pull extra remote work onto a failing disk.
             return None, False
-        waited = self.sim.now - self._phase_start
         for task in self._pending:
             owner = task.preferred_server
-            owner_dead = (
+            if (
                 owner not in self._slots
                 or self.cluster.server(owner).failed
                 or self._breaker_open(owner)
-            )
-            if owner_dead:
-                return task, False  # waiting cannot make this task local
-            if self._slots.get(owner, 0) == 0 and waited >= self.locality_delay:
-                return task, False
+                or self._slots[owner] == 0
+            ):
+                return task, False  # its owner is dead, distrusted or saturated
         return None, False
-
-    def _maybe_schedule_retry(self, server_id: int) -> None:
-        """Re-dispatch once the locality-delay window expires.
-
-        The pending marker is dropped when the retry fires, so the server
-        can re-arm a retry in a later wait window instead of leaking an
-        entry for the rest of the phase.
-        """
-        if not self.allow_remote or not self._pending:
-            return
-        remaining = self._phase_start + self.locality_delay - self.sim.now
-        if remaining <= 0 or server_id in self._retry_scheduled:
-            return
-        self._retry_scheduled.add(server_id)
-
-        def fire(sid=server_id) -> None:
-            self._retry_scheduled.discard(sid)
-            self._dispatch(sid)
-
-        self.sim.schedule(remaining, fire, name=f"locality-delay:{server_id}")

@@ -23,6 +23,9 @@ _VOCABULARY = (
     "reduce shuffle failure tolerance storage overhead disk network"
 ).split()
 
+#: Words per generated line of wordcount text.
+WORDS_PER_LINE = 10
+
 TERASORT_RECORD_SIZE = 100
 TERASORT_KEY_SIZE = 10
 
@@ -30,13 +33,13 @@ TERASORT_KEY_SIZE = 10
 # ----------------------------------------------------------------- wordcount
 
 
-def generate_text(size_bytes: int, seed: int = 0, words_per_line: int = 10) -> bytes:
+def generate_text(size_bytes: int, seed: int = 0) -> bytes:
     """Deterministic text of roughly ``size_bytes`` newline-separated words."""
     rng = random.Random(seed)
     lines = []
     total = 0
     while total < size_bytes:
-        line = " ".join(rng.choice(_VOCABULARY) for _ in range(words_per_line))
+        line = " ".join(rng.choice(_VOCABULARY) for _ in range(WORDS_PER_LINE))
         lines.append(line)
         total += len(line) + 1
     blob = "\n".join(lines).encode()

@@ -31,23 +31,26 @@ def nearest_rank(n: int, p: float) -> int:
     return max(1, math.ceil(n * Fraction(str(p)) / 100))
 
 
+#: Raw values a :class:`Histogram` keeps for its percentiles.
+MAX_SAMPLES = 100_000
+
+
 class Histogram:
     """A streaming distribution with bounded memory.
 
     ``count``/``sum``/``min``/``max`` are exact over every observation;
-    percentiles are computed over the first ``max_samples`` raw values
+    percentiles are computed over the first ``MAX_SAMPLES`` raw values
     (workloads in this repo stay far below the cap — it exists so a
     pathological loop cannot exhaust memory).
     """
 
-    __slots__ = ("count", "total", "min", "max", "max_samples", "_values", "_dirty")
+    __slots__ = ("count", "total", "min", "max", "_values", "_dirty")
 
-    def __init__(self, max_samples: int = 100_000):
+    def __init__(self):
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.max_samples = max_samples
         self._values: list[float] = []
         self._dirty = False
 
@@ -59,7 +62,7 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if len(self._values) < self.max_samples:
+        if len(self._values) < MAX_SAMPLES:
             self._values.append(value)
             self._dirty = True
 
@@ -76,7 +79,7 @@ class Histogram:
                 high = value
         self.count += len(values)
         self.total, self.min, self.max = total, low, high
-        room = self.max_samples - len(self._values)
+        room = MAX_SAMPLES - len(self._values)
         if room > 0:
             self._values += values[:room]
             self._dirty = True

@@ -66,14 +66,14 @@ def get_profiler() -> KernelProfiler:
 
 
 @contextmanager
-def profiled(reset: bool = True):
-    """Enable the profiler for a block; restores the previous state after.
+def profiled():
+    """Enable the profiler for a block, from zero; restores the previous
+    enabled state after.
 
     Yields the profiler so callers can snapshot inside or after the block.
     """
     prev = _PROFILER.enabled
-    if reset:
-        _PROFILER.reset()
+    _PROFILER.reset()
     _PROFILER.enabled = True
     try:
         yield _PROFILER

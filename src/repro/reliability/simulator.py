@@ -56,6 +56,10 @@ SECONDS_PER_HOUR = 3600.0
 #: faster than repair's cross-server traffic).
 SCRUB_BANDWIDTH = 200 << 20
 
+#: Admission-controller token cap: the per-server bound on concurrent
+#: repair/scrub leases.
+MAX_INFLIGHT_PER_SERVER = 4
+
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
@@ -84,8 +88,6 @@ class ReliabilityConfig:
             repair reads).
         block_size_bytes: size of one coded block.
         repair_bandwidth: bytes/second one repair stream moves.
-        max_inflight_per_server: admission-controller token cap — the
-            per-server bound on concurrent repair/scrub leases.
         max_concurrent_repairs: optional cluster-wide repair concurrency
             cap.  Set to 1 to mimic the analytic model's single repair
             crew when cross-validating against ``mttdl_hours``.
@@ -101,7 +103,6 @@ class ReliabilityConfig:
     scrub_interval_hours: float | None = None
     block_size_bytes: int = 256 << 20
     repair_bandwidth: float = 50 << 20
-    max_inflight_per_server: int = 4
     max_concurrent_repairs: int | None = None
 
     def __post_init__(self):
@@ -280,7 +281,7 @@ class _Trial:
         self.sim = Simulation()
         self.horizon = config.horizon_years * HOURS_PER_YEAR
         # The controller thinks in seconds; it is asked at the event's instant.
-        self.controller = RepairAdmissionController(config.max_inflight_per_server, metrics=metrics)
+        self.controller = RepairAdmissionController(MAX_INFLIGHT_PER_SERVER, metrics=metrics)
         self.block_read_seconds = config.block_size_bytes / config.repair_bandwidth
 
         self.servers: dict[int, _ServerState] = {

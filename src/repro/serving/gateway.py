@@ -170,10 +170,6 @@ class ServingGateway:
             pipe = self._pipes[server_id] = ThroughputResource(self.loop.sim, bandwidth)
         return pipe
 
-    def queue_wait(self, server_id: int) -> float:
-        """Sim seconds a read issued now would wait for this disk."""
-        return self._pipe(server_id).wait()
-
     async def _disk_read(self, server_id: int, op):
         """Run one resilient read against a server's FIFO disk.
 

@@ -237,9 +237,9 @@ class SimLoop:
 
     # -------------------------------------------------------------- running
 
-    def run(self, until: float | None = None) -> float:
-        """Drive the simulation until idle (or ``until``); returns sim time."""
-        return self.sim.run(until=until)
+    def run(self) -> float:
+        """Drive the simulation until idle; returns sim time."""
+        return self.sim.run()
 
     def run_until_complete(self, task: SimFuture) -> object:
         """Run the simulation until ``task`` resolves; returns its result."""

@@ -115,7 +115,13 @@ class Simulation:
         """Process events until the heap drains or ``until`` is reached.
 
         Returns the simulation time afterwards.
+
+        Raises:
+            SimulationError: ``until`` lies before the current time — the
+                clock never runs backwards.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run until {until}s: the clock is already at {self._now}s")
         tracer = get_tracer()
         traced = tracer.enabled
         heap = self._heap
@@ -141,7 +147,7 @@ class Simulation:
             else:
                 ev.action()
         if until is not None:
-            self._now = max(self._now, until)
+            self._now = until
         return self._now
 
     def peek(self) -> float | None:

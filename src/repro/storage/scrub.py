@@ -70,8 +70,8 @@ class Scrubber:
         self.dfs = dfs
         self.repair = RepairManager(dfs)
 
-    def scrub(self, heal: bool = True) -> ScrubReport:
-        """Verify every block of every file; optionally repair corruption.
+    def scrub(self) -> ScrubReport:
+        """Verify every block of every file and repair corruption.
 
         Corrupt copies are dropped the moment they are detected (their
         data cannot be trusted); the rebuilds are collected across the
@@ -82,25 +82,25 @@ class Scrubber:
         ``scrub_reverified`` metric).
         """
         with get_tracer().span(
-            "scrub.pass", category="scrub", heal=heal, clock=self.dfs.clock
+            "scrub.pass", category="scrub", clock=self.dfs.clock
         ) as sp:
-            report = self._scrub(self.dfs.list_files(), heal)
+            report = self._scrub(self.dfs.list_files())
             sp.set(checked=report.blocks_checked, corrupted=len(report.corrupted))
             return report
 
-    def scrub_file(self, name: str, heal: bool = True) -> ScrubReport:
+    def scrub_file(self, name: str) -> ScrubReport:
         """Scrub a single file."""
-        return self._scrub([name], heal)
+        return self._scrub([name])
 
     # ----------------------------------------------------------- internals
 
-    def _scrub(self, names: list[str], heal: bool) -> ScrubReport:
+    def _scrub(self, names: list[str]) -> ScrubReport:
         report = ScrubReport()
         dropped: list[tuple[str, int, int]] = []
         tracer = get_tracer()
         for name in names:
             with tracer.span("scrub.file", category="scrub", file=name, clock=self.dfs.clock):
-                self._scrub_into(name, report, heal, dropped)
+                self._scrub_into(name, report, dropped)
         if dropped:
             with tracer.span(
                 "scrub.heal", category="scrub", blocks=len(dropped), clock=self.dfs.clock
@@ -112,9 +112,7 @@ class Scrubber:
                         self.dfs.metrics.add("scrub_reverified", 1, rep.target_server)
         return report
 
-    def _scrub_into(
-        self, name: str, report: ScrubReport, heal: bool, dropped: list[tuple[str, int, int]]
-    ) -> None:
+    def _scrub_into(self, name: str, report: ScrubReport, dropped: list[tuple[str, int, int]]) -> None:
         """Verify one file's blocks; drop corrupt copies into ``dropped``."""
         ef = self.dfs.file(name)
         for block, server in sorted(ef.placement.items()):
@@ -134,6 +132,5 @@ class Scrubber:
                 continue
             report.corrupted.append((name, block))
             self.dfs.metrics.add("corruptions_detected", 1, server)
-            if heal:
-                self.dfs.store.drop(server, name, block)
-                dropped.append((name, block, server))
+            self.dfs.store.drop(server, name, block)
+            dropped.append((name, block, server))

@@ -238,30 +238,19 @@ class StripedFileSystem:
 
 
 class StripedInputFormat(InputFormat):
-    """Splits for striped files: inner-format splits, globally offset.
+    """Splits for striped files: Galloper splits, globally offset.
 
-    Wraps any single-codeword input format (Galloper by default) and
-    shifts each group's splits by the group's base offset, preserving the
-    locality hints.
+    Applies :class:`~repro.mapreduce.inputformat.GalloperInputFormat` to
+    each group and shifts its splits by the group's base offset,
+    preserving the locality hints.
     """
-
-    def __init__(self, inner: InputFormat | None = None, max_split_bytes: int | None = None):
-        super().__init__(max_split_bytes)
-        self.inner = inner or GalloperInputFormat()
 
     def splits(self, sfs: StripedFileSystem, file_name: str) -> list[InputSplit]:
         meta = sfs.file(file_name)
+        inner = GalloperInputFormat()
         out: list[InputSplit] = []
         for i in range(meta.group_count):
             base = i * meta.group_payload
-            for s in self.inner.splits(sfs.dfs, group_name(file_name, i)):
-                start, end = base + s.start, base + s.end
-                if self.max_split_bytes:
-                    pos = start
-                    while pos < end:
-                        nxt = min(pos + self.max_split_bytes, end)
-                        out.append(InputSplit(file_name, pos, nxt, s.server, s.block))
-                        pos = nxt
-                else:
-                    out.append(InputSplit(file_name, start, end, s.server, s.block))
+            for s in inner.splits(sfs.dfs, group_name(file_name, i)):
+                out.append(InputSplit(file_name, base + s.start, base + s.end, s.server, s.block))
         return out

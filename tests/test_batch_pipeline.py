@@ -18,7 +18,7 @@ from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
-from repro.gf import GF256, GF65536
+from repro.gf import GF256, GF65536, schedule
 from repro.storage import (
     DistributedFileSystem,
     RepairManager,
@@ -105,7 +105,7 @@ class TestPrimitives:
         blocks they return are column slices the store can checksum."""
         from repro.obs.trace import Tracer, use_tracer
 
-        monkeypatch.setenv("REPRO_POOL_KB", "64")  # cache block <= 32 768 symbols
+        monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)  # cache block <= 32 768 symbols
         code = make()
         grids = make_grids(code, [40_000, 64, 0, 33_000, 31, 35_000])
         per_group = [code.encode(g) for g in grids]

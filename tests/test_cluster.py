@@ -219,3 +219,10 @@ class TestFailureInjection:
         for e in trace:
             if e.recover_at is not None:
                 assert e.recover_at > e.time
+
+    @pytest.mark.parametrize("rates", [{"mtbf": 0}, {"mtbf": -5}, {"mtbf": 50, "mttr": 0}, {"mtbf": 50, "mttr": -1}])
+    def test_poisson_trace_rejects_degenerate_rates(self, rates):
+        """A zero rate used to raise ``ZeroDivisionError`` and a negative
+        MTBF to return crashes at negative times."""
+        with pytest.raises(ValueError):
+            poisson_failure_trace(range(3), horizon=500, seed=1, **rates)

@@ -14,6 +14,7 @@ from repro.faults.model import (
     SilentCorruption,
     TransientErrors,
 )
+from repro.faults import schedule
 from repro.faults.schedule import bound_concurrent_crashes
 from repro.storage import DistributedFileSystem, TransientReadError
 from repro.storage.health import CONSECUTIVE_LIMIT, HealthMonitor
@@ -153,16 +154,19 @@ class TestSchedules:
         assert [s.seed for s in schedules] == [100, 101, 102, 103, 104]
         assert len({s.components for s in schedules}) > 1
 
-    def test_crash_bound_respected(self):
-        for sched in generate_schedules(range(10), 10, mtbf=5.0, max_concurrent_crashes=2):
+    def test_crash_bound_respected(self, monkeypatch):
+        monkeypatch.setattr(schedule, "MTBF", 5.0)
+        monkeypatch.setattr(schedule, "MAX_CONCURRENT_CRASHES", 2)
+        for sched in generate_schedules(range(10), 10):
             down: dict[int, float] = {}
             for ev in sorted(sched.crashes, key=lambda e: e.time):
                 down = {s: r for s, r in down.items() if r > ev.time}
                 down[ev.server_id] = float("inf") if ev.recover_at is None else ev.recover_at
                 assert len(down) <= 2
 
-    def test_runner_applies_events_once(self):
-        sched = generate_schedule(range(6), 3, mtbf=5.0, horizon=20.0)
+    def test_runner_applies_events_once(self, monkeypatch):
+        monkeypatch.setattr(schedule, "MTBF", 5.0)
+        sched = generate_schedule(range(6), 3, horizon=20.0)
         assert sched.crashes  # mtbf far below horizon: crashes exist
         cluster = Cluster.homogeneous(6)
         runner = sched.runner()

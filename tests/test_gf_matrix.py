@@ -20,7 +20,6 @@ from repro.gf import (
     solve,
     solve_consistent,
     take_rows,
-    vandermonde,
 )
 
 
@@ -106,17 +105,6 @@ class TestSolve:
 
 
 class TestStructuredMatrices:
-    def test_vandermonde_any_k_rows_invertible(self, gf):
-        v = vandermonde(gf, 7, 4)
-        from itertools import combinations
-
-        for rows in combinations(range(7), 4):
-            assert is_invertible(gf, v[list(rows)]), rows
-
-    def test_vandermonde_bad_points(self, gf):
-        with pytest.raises(GFError):
-            vandermonde(gf, 3, 2, points=[1, 1, 2])
-
     def test_cauchy_every_submatrix_invertible(self, gf):
         c = cauchy(gf, [10, 11, 12], [1, 2, 3, 4])
         from itertools import combinations

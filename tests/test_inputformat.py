@@ -84,12 +84,6 @@ class TestGalloperInputFormat:
 
 
 class TestSubSplitting:
-    def test_max_split_bytes(self, dfs):
-        ef = dfs.write_file("f", payload_bytes(16_000, seed=10), code=ReedSolomonCode(4, 2))
-        splits = DataBlockInputFormat(max_split_bytes=1000).splits(dfs, "f")
-        assert all(s.length <= 1000 for s in splits)
-        assert sum(s.length for s in splits) == ef.original_size
-
     def test_empty_trailing_extent_skipped(self, dfs):
         # Tiny payload: padding means later blocks' extents fall past EOF.
         dfs.write_file("f", b"ab", code=GalloperCode(4, 2, 1))

@@ -30,6 +30,7 @@ from repro.gf import (
     split_product_tables,
     validate_symbols,
 )
+from repro.gf import schedule
 from repro.gf.kernels import SMALL_PRODUCT_ELEMS
 
 FIELDS = [GF256, GF65536]
@@ -204,7 +205,7 @@ class TestApplyBatchWidthRule:
     def test_mixed_widths_match_per_segment_apply(self, monkeypatch, gf, kind, traced, given_out):
         from repro.obs.trace import Tracer, use_tracer
 
-        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         coeffs, plan = self._plan(gf, kind)
         if native_available():
             assert plan.kernel == {"table": "packed-full"}.get(kind, kind)
@@ -331,7 +332,7 @@ class TestRowListInput:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_apply_of_row_arrays_is_apply_of_their_stack(self, monkeypatch, data):
-        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         gf = data.draw(st.sampled_from(FIELDS), label="field")
         kind = data.draw(st.sampled_from(self.KINDS), label="kernel")
         n = data.draw(st.integers(1, 7), label="n")
@@ -350,7 +351,7 @@ class TestRowListInput:
     def test_apply_batch_of_row_arrays_is_apply_batch_of_their_stacks(self, monkeypatch, data):
         """Lone, narrow and wide members mixed, some given as one array,
         some as one row array against many."""
-        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         gf = data.draw(st.sampled_from(FIELDS), label="field")
         kind = data.draw(st.sampled_from(self.KINDS), label="kernel")
         n = data.draw(st.integers(1, 5), label="n")

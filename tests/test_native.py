@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.gf import (
     GF256,
     GF65536,
-    GFError,
     CodingPlan,
     XorSchedule,
     kernel_bytes_info,
@@ -28,16 +27,17 @@ from repro.gf import (
     mat_data_product_reference,
     native_available,
     native_unavailable_reason,
-    pool_budget_bytes,
     random_symbols,
     reset_kernel_selection,
     reset_native_backend,
 )
 from repro.gf import native as nat
+from repro.gf import schedule
 
 # The native build cache and kernel-selection counters are process-global
-# (and several tests flip REPRO_* env knobs); under pytest-xdist's
-# --dist loadgroup this pins every such test onto one worker.
+# (and several tests flip REPRO_* env knobs or patch the pool budget
+# constant); under pytest-xdist's --dist loadgroup this pins every such
+# test onto one worker.
 pytestmark = pytest.mark.xdist_group("kernel-global-state")
 
 LARGE = 20_000  # comfortably past SMALL_PRODUCT_ELEMS, several cache blocks
@@ -362,29 +362,6 @@ def test_a_batch_checked_by_zlib_reads_and_judges_alike(monkeypatch, dtype):
 
 
 class TestPoolKnob:
-    def test_default_budget(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_KB", raising=False)
-        assert pool_budget_bytes() == 3 << 19
-
-    def test_valid_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_KB", "256")
-        assert pool_budget_bytes() == 256 << 10
-
-    @pytest.mark.parametrize("bad", ["sixty-four", "1.5", ""])
-    def test_non_integer_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_POOL_KB", bad)
-        if bad.strip():
-            with pytest.raises(GFError):
-                pool_budget_bytes()
-        else:
-            assert pool_budget_bytes() == 3 << 19  # empty means default
-
-    @pytest.mark.parametrize("bad", ["63", "0", "-1", str((1 << 20) + 1)])
-    def test_out_of_range_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_POOL_KB", bad)
-        with pytest.raises(GFError):
-            pool_budget_bytes()
-
     @needs_native
     def test_tiny_pool_still_byte_exact(self, monkeypatch):
         # A 64 KiB budget forces many cache blocks per stripe on both
@@ -393,7 +370,7 @@ class TestPoolKnob:
         dense = _random(gf, (4, 50), seed=37) | 1
         parity = np.ones((2, 50), dtype=np.uint8)
         payload = _random(gf, (50, LARGE), seed=41)
-        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         for coeffs in (dense, parity):
             got = CodingPlan(gf, coeffs, kernel="native").apply(payload)
             want = mat_data_product_reference(gf, coeffs, payload)

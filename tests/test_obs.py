@@ -17,6 +17,7 @@ from repro.cli import main, run_striped_stats, run_traced_striped
 from repro.cluster import Cluster
 from repro.core import GalloperCode
 from repro.obs import Tracer, profiled, use_tracer
+from repro.obs import metrics
 from repro.obs.metrics import Gauge, Histogram
 from repro.obs.profile import KernelProfiler, get_profiler
 from repro.obs.trace import NULL_TRACER, NullTracer, get_tracer, set_tracer
@@ -294,8 +295,9 @@ class TestHistogram:
         hist.observe(2)  # re-dirty after a percentile query
         assert hist.percentile(100) == 9
 
-    def test_bounded_buffer_keeps_exact_aggregates(self):
-        hist = Histogram(max_samples=10)
+    def test_bounded_buffer_keeps_exact_aggregates(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", 10)
+        hist = Histogram()
         for v in range(100):
             hist.observe(v)
         assert hist.count == 100          # exact beyond the cap
@@ -305,7 +307,7 @@ class TestHistogram:
         assert hist.percentile(100) == 9  # over the sampled prefix
 
     @pytest.mark.parametrize("n", [1_000, 6_000, 360_000])
-    def test_fractional_percentiles_rank_exactly(self, n):
+    def test_fractional_percentiles_rank_exactly(self, n, monkeypatch):
         """``ceil(n * q / 100)`` with q read as a decimal: the 99.9th of
         1 000 is the 999th.  (``99.9 / 100 * n`` in binary floating point
         lands just above the integer whenever 1 000 divides n, and its
@@ -314,7 +316,8 @@ class TestHistogram:
         from repro.serving import WorkloadResult
 
         values = [float(v) for v in range(1, n + 1)]  # the value at rank r is r
-        hist = Histogram(max_samples=n)
+        monkeypatch.setattr(metrics, "MAX_SAMPLES", n)
+        hist = Histogram()
         for v in values:
             hist.observe(v)
         result = WorkloadResult(latencies=values[::-1])

@@ -161,7 +161,6 @@ PUBLIC_API = {
     ],
     "repro.mapreduce": [
         "Assignment",
-        "CostModel",
         "DataBlockInputFormat",
         "FixedLengthRecordReader",
         "GalloperInputFormat",
@@ -219,7 +218,6 @@ PUBLIC_API = {
         "matmul",
         "native_available",
         "native_unavailable_reason",
-        "pool_budget_bytes",
         "predicted_win",
         "random_symbols",
         "rank",
@@ -234,7 +232,6 @@ PUBLIC_API = {
         "symbols_to_bytes",
         "take_rows",
         "validate_symbols",
-        "vandermonde",
         "xor_rows",
     ],
     "repro.codes": [
@@ -418,7 +415,6 @@ OPTIONS = {
         "scrub_interval_hours",
         "block_size_bytes",
         "repair_bandwidth",
-        "max_inflight_per_server",
         "max_concurrent_repairs",
     ],
     "repro.serving:ServingGateway": [
@@ -437,8 +433,6 @@ OPTIONS = {
         "code_name",
         "make_code",
         "checkpoints",
-        "retry_rounds",
-        "retry_step",
     ],
     "repro.bench.chaos:run_campaign": [
         "schedules",
@@ -448,46 +442,27 @@ OPTIONS = {
     ],
     "repro.mapreduce:MapReduceRuntime": [
         "dfs",
-        "cost",
-        "allow_remote",
         "execute",
-        "locality_delay",
         "speculative",
-    ],
-    "repro.mapreduce:CostModel": [
-        "map_rate",
-        "reduce_rate",
-        "task_overhead",
-        "shuffle_parallelism",
     ],
     "repro.mapreduce:LocalityScheduler": [
         "sim",
         "cluster",
-        "slots_attr",
-        "allow_remote",
-        "locality_delay",
         "speculative",
         "health",
-        "max_task_retries",
         "metrics",
     ],
     "repro.mapreduce:InputFormat": [
-        "max_split_bytes",
     ],
     "repro.mapreduce:DataBlockInputFormat": [
-        "max_split_bytes",
     ],
     "repro.mapreduce:GalloperInputFormat": [
-        "max_split_bytes",
     ],
     "repro.storage:StripedInputFormat": [
-        "inner",
-        "max_split_bytes",
     ],
     "repro.mapreduce.workloads:generate_text": [
         "size_bytes",
         "seed",
-        "words_per_line",
     ],
     "repro.cluster:Server": [
         "server_id",
@@ -495,18 +470,14 @@ OPTIONS = {
         "disk_bandwidth",
         "network_bandwidth",
         "map_slots",
-        "reduce_slots",
         "failed",
         "rack",
-        "tags",
     ],
     "repro.cluster:RackAwarePlacement": [
         "structure",
-        "spread_groups",
     ],
     "repro.cluster:PerformanceAwarePlacement": [
         "metric",
-        "parity_last",
     ],
     "repro.cluster:poisson_failure_trace": [
         "server_ids",
@@ -519,62 +490,36 @@ OPTIONS = {
         "server_ids",
         "seed",
         "horizon",
-        "mtbf",
-        "mttr",
-        "max_concurrent_crashes",
-        "flaky_servers",
-        "flaky_error_rate",
-        "gray_servers",
-        "gray_latency",
-        "error_rate",
-        "spike_rate",
-        "spike_latency",
-        "corruption_rate",
     ],
     "repro.faults:ChaosSchedule": [
         "seed",
         "horizon",
         "crashes",
         "components",
-        "max_concurrent_crashes",
     ],
     "repro.obs.metrics:Histogram": [
-        "max_samples",
     ],
     "repro.obs.profile:profiled": [
-        "reset",
-    ],
-    "repro.gf:pool_budget_bytes": [
-    ],
-    "repro.gf:vandermonde": [
-        "gf",
-        "rows",
-        "cols",
-        "points",
     ],
     "repro.codes:rs_generator": [
         "gf",
         "k",
         "r",
-        "construction",
     ],
     "repro.codes:pyramid_generator": [
         "gf",
         "structure",
-        "construction",
     ],
     "repro.codes:ReedSolomonCode": [
         "k",
         "r",
         "gf",
-        "construction",
     ],
     "repro.codes:PyramidCode": [
         "k",
         "l",
         "g",
         "gf",
-        "construction",
         "all_symbol",
     ],
     "repro.codes:RotatedPyramidCode": [
@@ -582,13 +527,11 @@ OPTIONS = {
         "l",
         "g",
         "gf",
-        "construction",
     ],
     "repro.codes:CarouselCode": [
         "k",
         "r",
         "gf",
-        "construction",
     ],
     "repro.core:GalloperCode": [
         "k",
@@ -597,31 +540,25 @@ OPTIONS = {
         "weights",
         "performances",
         "gf",
-        "construction",
         "all_symbol",
     ],
     "repro.analysis:survival_profile": [
         "code",
-        "max_failures",
     ],
     "repro.analysis:ReliabilityParameters": [
         "disk_mtbf_hours",
         "block_size_bytes",
         "repair_bandwidth",
-        "concurrent_repairs",
     ],
     "repro.bench.chaos:baseline_read_latency": [
         "make_code",
-        "payload_size",
     ],
     "repro.storage:Scrubber.scrub": [
         "self",
-        "heal",
     ],
     "repro.storage:Scrubber.scrub_file": [
         "self",
         "name",
-        "heal",
     ],
     "repro.sim:Simulation.run": [
         "self",
@@ -629,7 +566,6 @@ OPTIONS = {
     ],
     "repro.sim:SimLoop.run": [
         "self",
-        "until",
     ],
 }
 
@@ -693,7 +629,6 @@ METHODS = {
     ],
     "repro.mapreduce:LocalityScheduler": [
         "effective_assignments",
-        "handle_server_failure",
         "reset",
         "run_phase",
     ],
@@ -701,7 +636,6 @@ METHODS = {
         "counters",
         "put",
         "qualify",
-        "queue_wait",
         "read",
         "repair_server",
     ],
@@ -710,7 +644,6 @@ METHODS = {
         "asarray",
         "check",
         "div",
-        "generator_power",
         "inv",
         "mul",
         "mul_arrays",
@@ -719,7 +652,6 @@ METHODS = {
         "sub",
     ],
     "repro.faults:ChaosSchedule": [
-        "describe",
         "fault_model",
         "runner",
     ],
@@ -747,7 +679,6 @@ FIELDS = {
     ],
     "repro.mapreduce:JobResult": [
         "avg_map_time",
-        "avg_reduce_time",
         "job",
         "job_time",
         "map_phase_time",
@@ -759,7 +690,6 @@ FIELDS = {
         "tasks",
     ],
     "repro.mapreduce:Assignment": [
-        "failed",
         "finish",
         "local",
         "server",

@@ -22,6 +22,7 @@ from repro.reliability import (
     WeibullLifetime,
     simulate_reliability,
 )
+from repro.reliability import simulator
 from repro.reliability.campaign import VALIDATION_PARAMS, simulate_validation
 from repro.storage.repair import RepairAdmissionController
 from tests.conftest import max_live_leases
@@ -213,16 +214,15 @@ class TestCorrelatedFailures:
         assert r.disk_failures == r.racked_disks_killed  # no independent deaths
         assert r.repairs_completed > 0
 
-    def test_repair_storm_waits_on_admission(self):
+    def test_repair_storm_waits_on_admission(self, monkeypatch):
         """A rack kill floods repairs; per-server token caps make the
         storm queue, which the admission controller's wait histogram and
         the queue-depth gauge both witness."""
+        monkeypatch.setattr(simulator, "MAX_INFLIGHT_PER_SERVER", 1)
         r = _run(
             ReedSolomonCode(4, 3),
             SpreadPlacement(seed=4),
-            self._rack_config(
-                max_inflight_per_server=1, repair_bandwidth=10 * MB, block_size_bytes=GB
-            ),
+            self._rack_config(repair_bandwidth=10 * MB, block_size_bytes=GB),
             stripes=30,
             seed=4,
         )
@@ -232,7 +232,7 @@ class TestCorrelatedFailures:
 
     def test_admission_cap_holds_at_every_grant(self, monkeypatch):
         """Replay every lease a rack-storm run is granted: no server ever
-        holds more than ``max_inflight_per_server`` at once.  A controller
+        holds more than ``MAX_INFLIGHT_PER_SERVER`` at once.  A controller
         that prunes leases up to a grant instead of the request instant
         lets 7 through here: the next event, earlier than that grant, no
         longer sees the leases still running at its own instant."""

@@ -6,7 +6,6 @@ from repro.cluster import Cluster
 from repro.codes import PyramidCode
 from repro.core import GalloperCode
 from repro.mapreduce import (
-    CostModel,
     DataBlockInputFormat,
     GalloperInputFormat,
     MapReduceRuntime,
@@ -18,6 +17,7 @@ from repro.mapreduce.workloads import (
     wordcount_job,
     wordcount_reference,
 )
+from repro.mapreduce import runtime
 from repro.storage import DistributedFileSystem
 
 
@@ -58,11 +58,6 @@ class TestRealExecution:
         res = rt.run(grep_job("text", "stripe"), GalloperInputFormat())
         assert res.output["stripe"] == grep_reference(text, "stripe")
 
-    def test_sub_split_execution_still_exact(self, env):
-        _, dfs, text = env
-        rt = MapReduceRuntime(dfs)
-        res = rt.run(wordcount_job("text"), GalloperInputFormat(max_split_bytes=2000))
-        assert res.output == wordcount_reference(text)
 
 
 class TestTimingModel:
@@ -110,12 +105,13 @@ class TestTimingModel:
         res = rt.run(wordcount_job("text", num_reducers=3), GalloperInputFormat())
         assert sum(1 for t in res.tasks if t.kind == "reduce") == 3
 
-    def test_cost_model_override(self, env):
+    def test_cost_model_override(self, env, monkeypatch):
         _, dfs, _ = env
-        slow = MapReduceRuntime(dfs, cost=CostModel(map_rate=1 << 20), execute=False)
-        fast = MapReduceRuntime(dfs, cost=CostModel(map_rate=100 << 20), execute=False)
-        s = slow.run(wordcount_job("text"), GalloperInputFormat())
-        f = fast.run(wordcount_job("text"), GalloperInputFormat())
+        rt = MapReduceRuntime(dfs, execute=False)
+        monkeypatch.setattr(runtime, "MAP_RATE", 1 << 20)
+        s = rt.run(wordcount_job("text"), GalloperInputFormat())
+        monkeypatch.setattr(runtime, "MAP_RATE", 100 << 20)
+        f = rt.run(wordcount_job("text"), GalloperInputFormat())
         assert s.map_phase_time > f.map_phase_time
 
     def test_no_splits_raises(self, env):

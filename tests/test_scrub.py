@@ -77,15 +77,6 @@ class TestScrubber:
         assert dfs.store.verify(server, "f", 2)
         assert dfs.read_file("f") == payload
 
-    def test_detect_without_heal(self, env):
-        _, dfs, ef, _ = env
-        server = ef.server_of(6)
-        dfs.store.corrupt(server, "f", 6)
-        report = Scrubber(dfs).scrub(heal=False)
-        assert report.corrupted == [("f", 6)]
-        assert not report.repairs
-        assert not dfs.store.verify(server, "f", 6)
-
     def test_multiple_corruptions(self, env):
         _, dfs, ef, payload = env
         dfs.store.corrupt(ef.server_of(0), "f", 0)

@@ -49,6 +49,20 @@ class TestSimulation:
         sim.run()
         assert log == [1, 5]
 
+    def test_run_until_never_moves_the_clock_back(self):
+        """``until`` before now is refused, like scheduling in the past: a
+        zero-delay event must not fire before an instant already seen."""
+        sim = Simulation()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(sim.now))
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert sim.now == 2.0
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0, 5.0]
+
     def test_cancel(self):
         sim = Simulation()
         log = []

@@ -137,25 +137,6 @@ class TestStripedMapReduce:
         splits = StripedInputFormat().splits(sfs, "t")
         assert len(splits) == meta.group_count * 7
 
-    def test_inner_format_pluggable(self, sfs):
-        text = generate_text(150_000, seed=13)
-        sfs.write_file(
-            "t", text, lambda: PyramidCode(4, 2, 1), max_block_bytes=16_384
-        )
-        splits = StripedInputFormat(inner=DataBlockInputFormat()).splits(sfs, "t")
-        meta = sfs.file("t")
-        assert len(splits) == meta.group_count * 4  # data blocks only
-
-    def test_sub_splitting(self, sfs):
-        text = generate_text(150_000, seed=14)
-        sfs.write_file("t", text, galloper_factory, max_block_bytes=16_384)
-        splits = StripedInputFormat(max_split_bytes=4_000).splits(sfs, "t")
-        assert all(s.length <= 4_000 for s in splits)
-        res = MapReduceRuntime(sfs).run(
-            wordcount_job("t"), StripedInputFormat(max_split_bytes=4_000)
-        )
-        assert res.output == wordcount_reference(text)
-
 
 class TestSharedPlans:
     def test_groups_share_one_code_instance(self, sfs):

@@ -110,7 +110,7 @@ class TestRepairProperties:
         report = Scrubber(dfs).scrub()
         assert report.corrupted == [("f", block)]
         assert dfs.read_file("f") == payload
-        assert Scrubber(dfs).scrub(heal=False).healthy
+        assert Scrubber(dfs).scrub().healthy
 
 
 class TestRecordTiling:
