@@ -60,7 +60,6 @@ def average_repair_reads(code: ErasureCode) -> float:
 def mttdl_hours(
     code: ErasureCode,
     params: ReliabilityParameters | None = None,
-    profile: SurvivalProfile | None = None,
 ) -> float:
     """Mean time to data loss of one stripe, in hours.
 
@@ -69,7 +68,7 @@ def mttdl_hours(
     ``t[0]``.
     """
     params = params or ReliabilityParameters()
-    profile = profile or survival_profile(code)
+    profile = survival_profile(code)
     lam = 1.0 / params.disk_mtbf_hours
 
     repair_blocks = average_repair_reads(code)

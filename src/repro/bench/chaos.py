@@ -47,6 +47,9 @@ CAMPAIGN_CODES = [
     ("galloper(4,2,1)", lambda: GalloperCode(4, 2, 1)),
 ]
 
+#: Simulated seconds each schedule runs for.
+HORIZON = 30.0
+
 #: Bytes of the one file each run writes and reads back.
 PAYLOAD_BYTES = 12_000
 
@@ -153,7 +156,6 @@ def run_campaign(
     schedules: int = 50,
     base_seed: int = 2018,
     checkpoints: int = 8,
-    horizon: float = 30.0,
 ) -> dict:
     """Run the full campaign; returns the aggregate record.
 
@@ -163,7 +165,7 @@ def run_campaign(
     ``reconstructions`` totals must all be nonzero (each fault class was
     actually exercised).
     """
-    plans = generate_schedules(range(NUM_SERVERS), schedules, base_seed=base_seed, horizon=horizon)
+    plans = generate_schedules(range(NUM_SERVERS), schedules, base_seed=base_seed, horizon=HORIZON)
     totals: dict[str, float] = {}
     per_code: dict[str, dict] = {}
     runs: list[ScheduleResult] = []
@@ -204,7 +206,7 @@ def run_campaign(
         "schedules": schedules,
         "base_seed": base_seed,
         "checkpoints": checkpoints,
-        "horizon": horizon,
+        "horizon": HORIZON,
         "codes": [name for name, _ in CAMPAIGN_CODES],
         "runs": len(runs),
         "reads": sum(r.reads for r in runs),

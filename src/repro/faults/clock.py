@@ -15,8 +15,8 @@ from __future__ import annotations
 class VirtualClock:
     """A simulated clock: ``now``, explicit ``advance``, and ``pin``."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -150,14 +150,6 @@ class FaultModel:
         self.injected_corruptions = 0
         self.injected_latency = 0.0
 
-    @classmethod
-    def compose(cls, *models: "FaultModel", seed: int = 0) -> "FaultModel":
-        """Flatten several models into one (their seeds are replaced)."""
-        comps: list[FaultComponent] = []
-        for m in models:
-            comps.extend(m.components)
-        return cls(*comps, seed=seed)
-
     def on_read(self, server_id: int, nbytes: int, now: float = 0.0) -> FaultDecision:
         """Sample the composite decision for one read."""
         self.decisions += 1

@@ -2,8 +2,9 @@
 
 A :class:`GF` instance bundles the tables of :mod:`repro.gf.tables` with
 scalar and vectorized arithmetic.  All coding-layer code receives a ``GF``
-object rather than touching tables directly, so the field width (and the
-primitive polynomial) is a single switch.
+object rather than touching tables directly, so the field width is a
+single switch (each width has one primitive polynomial,
+:data:`~repro.gf.tables.DEFAULT_PRIMITIVE_POLYS`).
 
 Addition in GF(2^q) is XOR; the interesting operations are multiplication,
 division and exponentiation, implemented through discrete logs.  For q <= 8
@@ -27,17 +28,17 @@ class GF:
 
     Args:
         q: symbol width in bits (2, 4, 8 or 16).
-        primitive_poly: optional override of the field's primitive
-            polynomial, with the leading bit included (e.g. ``0x11d``).
 
     Attributes:
         q: symbol width in bits.
+        primitive_poly: the width's default primitive polynomial, with
+            the leading bit included (e.g. ``0x11d``).
         size: number of field elements, ``2**q``.
         order: size of the multiplicative group, ``2**q - 1``.
         dtype: numpy dtype used for symbol arrays.
     """
 
-    def __init__(self, q: int = 8, primitive_poly: int | None = None):
+    def __init__(self, q: int = 8):
         if q not in _tables.SUPPORTED_WIDTHS:
             raise _tables.TableGenerationError(
                 f"unsupported symbol width {q}; choose one of {_tables.SUPPORTED_WIDTHS}"
@@ -45,9 +46,7 @@ class GF:
         self.q = q
         self.size = 1 << q
         self.order = self.size - 1
-        self.primitive_poly = (
-            primitive_poly if primitive_poly is not None else _tables.DEFAULT_PRIMITIVE_POLYS[q]
-        )
+        self.primitive_poly = _tables.DEFAULT_PRIMITIVE_POLYS[q]
         self.exp, self.log = _tables.exp_log_tables(q, self.primitive_poly)
         self.inv_table = _tables.inverse_table(q, self.primitive_poly)
         self.dtype = _tables._dtype_for(q)
@@ -107,18 +106,15 @@ class GF:
 
     # ------------------------------------------------------------- array helpers
 
-    def asarray(self, data, copy: bool = False) -> np.ndarray:
-        """Coerce ``data`` to a numpy array of this field's dtype.
+    def asarray(self, data) -> np.ndarray:
+        """A fresh numpy array of this field's dtype holding ``data``.
 
         Values are validated to be within the field.
         """
         arr = np.array(data, dtype=np.int64, copy=True)
         if arr.size and (arr.min() < 0 or arr.max() >= self.size):
             raise GFError(f"array contains values outside GF(2^{self.q})")
-        out = arr.astype(self.dtype)
-        if copy:
-            out = out.copy()
-        return out
+        return arr.astype(self.dtype)
 
     def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field multiplication of two symbol arrays."""
@@ -166,14 +162,13 @@ GF256 = GF(8)
 GF65536 = GF(16)
 
 
-def field_for_code_width(total_blocks: int, stripes_per_block: int = 1) -> GF:
+def field_for_code_width(total_blocks: int) -> GF:
     """Pick the smallest supported field that accommodates a code.
 
     The paper (Sec. VI) notes GF(2^8) suffices while ``k + l + g < 2^8``;
-    wider codes need GF(2^16).  ``stripes_per_block`` is accepted for
-    callers that need distinct evaluation points per stripe row.
+    wider codes need GF(2^16).
     """
-    needed = max(total_blocks, stripes_per_block) + 1
+    needed = total_blocks + 1
     if needed <= 256:
         return GF256
     if needed <= 65536:

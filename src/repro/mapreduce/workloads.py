@@ -125,8 +125,11 @@ def terasort_job(input_file: str, num_reducers: int = 4) -> JobSpec:
 # ---------------------------------------------------------------------- grep
 
 
-def grep_job(input_file: str, pattern: str, num_reducers: int = 1) -> JobSpec:
-    """Count lines matching a regex — the classic third Hadoop example."""
+def grep_job(input_file: str, pattern: str) -> JobSpec:
+    """Count lines matching a regex — the classic third Hadoop example.
+
+    Every match emits the one key ``pattern``, so one reducer does.
+    """
     compiled = re.compile(pattern.encode())
 
     def mapper(record: bytes):
@@ -139,7 +142,7 @@ def grep_job(input_file: str, pattern: str, num_reducers: int = 1) -> JobSpec:
         mapper=mapper,
         reducer=lambda key, values: sum(values),
         record_reader=LineRecordReader(),
-        num_reducers=num_reducers,
+        num_reducers=1,
         map_output_ratio=0.01,
     )
 

@@ -26,6 +26,10 @@ import random
 
 __all__ = ["LifetimeModel", "ExponentialLifetime", "WeibullLifetime"]
 
+#: Weibull shapes of the two named regimes.
+INFANT_MORTALITY_SHAPE = 0.7
+WEAR_OUT_SHAPE = 2.0
+
 
 class LifetimeModel(abc.ABC):
     """Distribution of a component's time-to-failure, in hours."""
@@ -100,18 +104,14 @@ class WeibullLifetime(LifetimeModel):
         return cls(mean_hours / math.gamma(1.0 + 1.0 / shape), shape)
 
     @classmethod
-    def infant_mortality(cls, mean_hours: float, shape: float = 0.7) -> "WeibullLifetime":
-        """Decreasing hazard: early deaths dominate (burn-in regime)."""
-        if shape >= 1.0:
-            raise ValueError("infant mortality needs shape < 1")
-        return cls.from_mean(mean_hours, shape)
+    def infant_mortality(cls, mean_hours: float) -> "WeibullLifetime":
+        """Decreasing hazard (shape 0.7 < 1): early deaths dominate (burn-in regime)."""
+        return cls.from_mean(mean_hours, INFANT_MORTALITY_SHAPE)
 
     @classmethod
-    def wear_out(cls, mean_hours: float, shape: float = 2.0) -> "WeibullLifetime":
-        """Increasing hazard: old components die together (fleet aging)."""
-        if shape <= 1.0:
-            raise ValueError("wear-out needs shape > 1")
-        return cls.from_mean(mean_hours, shape)
+    def wear_out(cls, mean_hours: float) -> "WeibullLifetime":
+        """Increasing hazard (shape 2 > 1): old components die together (fleet aging)."""
+        return cls.from_mean(mean_hours, WEAR_OUT_SHAPE)
 
     def sample(self, rng: random.Random) -> float:
         return rng.weibullvariate(self.scale_hours, self.shape)

@@ -31,6 +31,9 @@ from repro.obs.metrics import nearest_rank
 from repro.serving.gateway import ServingError, ServingGateway
 from repro.sim.aio import SimLoop
 
+#: Mixed into every catalog file's payload seed.
+PAYLOAD_SEED = 1234
+
 
 @dataclass(frozen=True)
 class FlashCrowd:
@@ -193,7 +196,7 @@ class WorkloadGenerator:
 
 
 def populate(
-    gateway: ServingGateway, spec: WorkloadSpec, make_code, seed: int = 1234, placement=None
+    gateway: ServingGateway, spec: WorkloadSpec, make_code, placement=None
 ) -> None:
     """Write every tenant's catalog through the gateway.
 
@@ -209,13 +212,13 @@ def populate(
     """
     for t, tenant in enumerate(spec.tenants):
         for i in range(spec.files_per_tenant):
-            payload = file_payload(tenant, i, spec.file_size, seed)
+            payload = file_payload(tenant, i, spec.file_size)
             gateway.put(tenant, spec.key(i), payload, code=make_code(), placement=placement)
 
 
-def file_payload(tenant: str, index: int, size: int, seed: int = 1234) -> bytes:
+def file_payload(tenant: str, index: int, size: int) -> bytes:
     """The deterministic content of one catalog file."""
-    mix = (hash_str(tenant) * 1000003 + index) ^ seed
+    mix = (hash_str(tenant) * 1000003 + index) ^ PAYLOAD_SEED
     rng = np.random.default_rng(mix & 0x7FFFFFFF)
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 

@@ -150,8 +150,8 @@ class SimTask(SimFuture):
 class SimLoop:
     """Coroutine front end over one :class:`Simulation`."""
 
-    def __init__(self, sim: Simulation | None = None):
-        self.sim = sim or Simulation()
+    def __init__(self):
+        self.sim = Simulation()
         self.tasks_started = 0
 
     @property

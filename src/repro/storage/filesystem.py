@@ -297,7 +297,6 @@ class DistributedFileSystem:
         code: ErasureCode,
         blocks: np.ndarray,
         original_size: int,
-        placement: PlacementPolicy | None = None,
     ) -> EncodedFile:
         """Register and store pre-encoded blocks (the batched-write path).
 
@@ -306,7 +305,7 @@ class DistributedFileSystem:
         a larger batched output are stored as-is — no per-block copy.  A
         batch of one :meth:`_write_encoded_many`.
         """
-        return self._write_encoded_many(code, [(name, blocks, original_size, placement)])[0]
+        return self._write_encoded_many(code, [(name, blocks, original_size, None)])[0]
 
     def _write_encoded_many(self, code: ErasureCode, entries) -> list[EncodedFile]:
         """:meth:`write_encoded` for many files of one code, in one store batch.

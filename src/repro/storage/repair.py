@@ -300,16 +300,14 @@ class RepairManager:
         placement, key = ef.placement, ranking.helper_key
         return sorted(placement, key=lambda b: key[placement[b]])
 
-    def repair_block(self, file_name: str, block: int, target_server: int | None = None) -> RepairReport:
+    def repair_block(self, file_name: str, block: int) -> RepairReport:
         """Rebuild one block and install it on a live server.
 
         Raises:
-            FileSystemError: when no live server can host the block, or
-                ``target_server`` cannot (it is unknown, down or holds
-                another block of the file): the standard one-block-per-server
-                rule is enforced.
+            FileSystemError: when no live server can host the block: the
+                standard one-block-per-server rule is enforced.
         """
-        return self.repair_blocks_bulk([(file_name, block, target_server)])[0]
+        return self.repair_blocks_bulk([(file_name, block)])[0]
 
     def repair_blocks_bulk(self, targets: list[tuple]) -> list[RepairReport]:
         """Rebuild many lost blocks, fusing same-pattern reconstructions.

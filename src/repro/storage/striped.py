@@ -24,7 +24,7 @@ every degraded group, one join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class StripedFileMeta:
     original_size: int
     group_payload: int
     group_count: int
-    tags: dict = field(default_factory=dict)
 
     def group_names(self) -> list[str]:
         return [group_name(self.name, i) for i in range(self.group_count)]

@@ -267,7 +267,6 @@ OPTIONS = {
     "repro.analysis:mttdl_hours": [
         "code",
         "params",
-        "profile",
     ],
     "repro.codes:apply_update": [
         "code",
@@ -277,23 +276,18 @@ OPTIONS = {
         "old_value",
     ],
     "repro.faults:VirtualClock": [
-        "start",
     ],
     "repro.sim:SimLoop": [
-        "sim",
     ],
     "repro.gf:GF": [
         "q",
-        "primitive_poly",
     ],
     "repro.gf:GF.asarray": [
         "self",
         "data",
-        "copy",
     ],
     "repro.gf:field_for_code_width": [
         "total_blocks",
-        "stripes_per_block",
     ],
     "repro.storage:DistributedFileSystem.write_encoded": [
         "self",
@@ -301,46 +295,38 @@ OPTIONS = {
         "code",
         "blocks",
         "original_size",
-        "placement",
     ],
     "repro.storage:RepairManager.repair_block": [
         "self",
         "file_name",
         "block",
-        "target_server",
     ],
     "repro.storage:StripedFileMeta": [
         "name",
         "original_size",
         "group_payload",
         "group_count",
-        "tags",
     ],
     "repro.serving:populate": [
         "gateway",
         "spec",
         "make_code",
-        "seed",
         "placement",
     ],
     "repro.serving:file_payload": [
         "tenant",
         "index",
         "size",
-        "seed",
     ],
     "repro.mapreduce.workloads:grep_job": [
         "input_file",
         "pattern",
-        "num_reducers",
     ],
     "repro.reliability:WeibullLifetime.infant_mortality": [
         "mean_hours",
-        "shape",
     ],
     "repro.reliability:WeibullLifetime.wear_out": [
         "mean_hours",
-        "shape",
     ],
     "repro.storage:DistributedFileSystem": [
         "cluster",
@@ -438,7 +424,6 @@ OPTIONS = {
         "schedules",
         "base_seed",
         "checkpoints",
-        "horizon",
     ],
     "repro.mapreduce:MapReduceRuntime": [
         "dfs",
@@ -573,7 +558,6 @@ OPTIONS = {
 #: leading underscore), one per line so an addition or removal is one line.
 METHODS = {
     "repro.faults:FaultModel": [
-        "compose",
         "describe",
         "on_read",
     ],

@@ -67,10 +67,6 @@ class TestLifetimeModels:
             ExponentialLifetime(0.0)
         with pytest.raises(ValueError):
             WeibullLifetime(1_000.0, -1.0)
-        with pytest.raises(ValueError):
-            WeibullLifetime.infant_mortality(1_000.0, shape=1.5)
-        with pytest.raises(ValueError):
-            WeibullLifetime.wear_out(1_000.0, shape=0.5)
 
     def test_describe(self):
         d = WeibullLifetime.wear_out(500.0).describe()

@@ -100,7 +100,7 @@ class TestBlockRepair:
                 rm.repair_blocks_bulk(targets)
             assert err.value.cause == "no_target", why
             assert (ef.placement, dfs.metrics.snapshot(), dfs.clock.now) == (placement, counters, now), why
-        report = rm.repair_block("f", 0, target_server=spares[1])
+        [report] = rm.repair_blocks_bulk([("f", 0, spares[1])])
         assert report.target_server == spares[1] == ef.placement[0]
         assert len(set(ef.placement.values())) == len(ef.placement)
         assert dfs.read_file("f") == payload
