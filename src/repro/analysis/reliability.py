@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.analysis.failures import SurvivalProfile, survival_profile
+from repro.analysis.failures import survival_profile
 from repro.codes.base import ErasureCode
 
 HOURS_PER_YEAR = 24 * 365

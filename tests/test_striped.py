@@ -8,7 +8,7 @@ from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
 from repro.gf import GF65536
-from repro.mapreduce import DataBlockInputFormat, MapReduceRuntime
+from repro.mapreduce import MapReduceRuntime
 from repro.mapreduce.workloads import generate_text, wordcount_job, wordcount_reference
 from repro.obs import Tracer, use_tracer
 from repro.storage import DistributedFileSystem, FileSystemError, RepairManager
