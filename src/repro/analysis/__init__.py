@@ -7,11 +7,10 @@ transient server failures.
 """
 
 from repro.analysis.availability import AvailabilityReport, availability
-from repro.analysis.failures import SurvivalProfile, pattern_census, survival_profile
+from repro.analysis.failures import SurvivalProfile, survival_profile
 from repro.analysis.reliability import (
     HOURS_PER_YEAR,
     ReliabilityParameters,
-    annual_loss_probability,
     annual_repair_traffic_bytes,
     average_repair_reads,
     durability_nines,
@@ -23,11 +22,9 @@ __all__ = [
     "AvailabilityReport",
     "availability",
     "SurvivalProfile",
-    "pattern_census",
     "survival_profile",
     "HOURS_PER_YEAR",
     "ReliabilityParameters",
-    "annual_loss_probability",
     "annual_repair_traffic_bytes",
     "average_repair_reads",
     "durability_nines",

@@ -10,7 +10,6 @@ models in the sibling modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from repro.codes.base import ErasureCode
@@ -33,10 +32,6 @@ class SurvivalProfile:
     n: int
     survivable: tuple[int, ...]
     fatal_extensions: tuple[int, ...]
-
-    @property
-    def max_failures(self) -> int:
-        return len(self.survivable) - 1
 
     def survival_fraction(self, j: int) -> float:
         """P(survive | exactly j random failures)."""
@@ -106,15 +101,3 @@ def survival_profile(code: ErasureCode) -> SurvivalProfile:
     return SurvivalProfile(
         n=n, survivable=tuple(survivable), fatal_extensions=tuple(fatal_ext)
     )
-
-
-def pattern_census(code: ErasureCode, failures: int) -> tuple[int, int]:
-    """(survivable, total) count of exactly-``failures`` patterns."""
-    total = 0
-    ok = 0
-    for lost in combinations(range(code.n), failures):
-        total += 1
-        survivors = [b for b in range(code.n) if b not in lost]
-        if code.can_decode(survivors):
-            ok += 1
-    return ok, total

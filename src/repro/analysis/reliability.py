@@ -131,18 +131,6 @@ def annual_repair_traffic_bytes(
     return failures_per_year * average_repair_reads(code) * params.block_size_bytes
 
 
-def annual_loss_probability(code: ErasureCode, params: ReliabilityParameters | None = None) -> float:
-    """P(a stripe loses data within one year).
-
-    Absorption of the reliability CTMC is asymptotically exponential, so
-    the loss probability over a year is ``1 - exp(-1 / MTTDL_years)`` —
-    the raw number behind :func:`durability_nines`, exposed for callers
-    that need probabilities rather than log-scale nines.
-    """
-    years = mttdl_years(code, params)
-    return float(-np.expm1(-1.0 / years))
-
-
 def durability_nines(code: ErasureCode, params: ReliabilityParameters | None = None) -> float:
     """'Number of nines' of 1-year durability: ``log10(MTTDL_years)``.
 
@@ -150,7 +138,6 @@ def durability_nines(code: ErasureCode, params: ReliabilityParameters | None = N
     so this matches ``-log10 P(loss in a year)``.  The value is *signed*:
     a code whose MTTDL is under a year comes out negative (a stripe
     expected to die monthly scores about -1.1), so fragile codes stay
-    distinguishable instead of all flooring at zero nines.  For the
-    exact probability use :func:`annual_loss_probability`.
+    distinguishable instead of all flooring at zero nines.
     """
     return float(np.log10(mttdl_years(code, params)))

@@ -647,35 +647,6 @@ FIGURES = {
 }
 
 
-def cmd_reliability(args, out=None) -> int:
-    """Years-scale durability campaign (code x placement x lifetime)."""
-    out = out or sys.stdout
-    from repro.reliability import run_reliability_campaign
-
-    record = run_reliability_campaign(quick=not args.full, seed=args.seed)
-    if args.out:
-        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {args.out}", file=out)
-    summary = {
-        "configs": len(record["configs"]),
-        "codes": record["codes"],
-        "placements": record["placements"],
-        "lifetimes": record["lifetimes"],
-        "analytic_agreement": record["analytic_agreement"],
-        "rack_placement_nines_gain": record["rack_placement_nines_gain"],
-        "spread_placement_nines_gain": record["spread_placement_nines_gain"],
-        "locality_repair_ratio": record["locality_repair_ratio"],
-        "locality_risk_ratio": record["locality_risk_ratio"],
-        "pyramid_vs_rs_nines_gain": record["pyramid_vs_rs_nines_gain"],
-        "nines": {
-            f"{c['code']}/{c['placement']}/{c['lifetime']}": round(c["nines"], 3)
-            for c in record["configs"]
-        },
-    }
-    print(json.dumps(summary, indent=2), file=out)
-    return 0
-
-
 def cmd_figures(args, out=None) -> int:
     out = out or sys.stdout
     import repro.bench as bench
@@ -734,14 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated figure ids (e.g. fig9,fig10)")
     p.add_argument("--block-mb", type=int, default=2, help="block MB for timing figures")
     p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser(
-        "reliability", help="years-scale durability campaign (codes x placements x lifetimes)"
-    )
-    p.add_argument("--full", action="store_true", help="full sweep (minutes) instead of quick")
-    p.add_argument("--seed", type=int, default=2026, help="campaign seed (default 2026)")
-    p.add_argument("--out", help="write the full campaign record as JSON to this path")
-    p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("serve", help="multi-tenant Zipf workload through the serving gateway")
     _add_code_args(p)

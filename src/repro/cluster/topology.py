@@ -26,8 +26,7 @@ class Cluster:
         if len(set(ids)) != len(ids):
             raise ClusterError("duplicate server ids")
         self.servers: dict[int, Server] = {s.server_id: s for s in servers}
-        # Every server in id order, sorted once: ``add_server`` appends the
-        # next free id, which is the largest.
+        # Every server in id order, sorted once.
         self._by_id: list[Server] = sorted(self.servers.values(), key=lambda s: s.server_id)
 
     # ------------------------------------------------------------ factories
@@ -100,14 +99,6 @@ class Cluster:
         if not srv.failed:
             raise ClusterError(f"server {server_id} is not failed")
         srv.failed = False
-
-    def add_server(self, **server_kwargs) -> Server:
-        """Provision a fresh server (repair target), with the next free id."""
-        new_id = max(self.servers) + 1 if self.servers else 0
-        srv = Server(server_id=new_id, **server_kwargs)
-        self.servers[new_id] = srv
-        self._by_id.append(srv)
-        return srv
 
 
 DEFAULT_BLOCK_SIZE = 64 * MB

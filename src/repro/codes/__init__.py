@@ -24,7 +24,7 @@ from repro.codes.raid import RotatedPyramidCode
 from repro.codes.replication import ReplicationCode
 from repro.codes.rs import ReedSolomonCode, rs_generator
 from repro.codes.structure import GroupRepairMixin, LRCStructure
-from repro.codes.update import UpdatePlan, apply_update, update_cost, update_plan
+from repro.codes.update import UpdatePlan, update_cost, update_plan
 
 __all__ = [
     "ROLE_DATA",
@@ -47,7 +47,6 @@ __all__ = [
     "GroupRepairMixin",
     "LRCStructure",
     "UpdatePlan",
-    "apply_update",
     "update_cost",
     "update_plan",
 ]

@@ -91,17 +91,6 @@ class BlockInfo:
         """Fraction of the block occupied by original data (the weight w_i)."""
         return self.data_stripes / self.total_stripes
 
-    @property
-    def file_offset(self) -> int | None:
-        """First file-stripe index, or None when the block holds no data."""
-        return self.file_stripes[0] if self.file_stripes else None
-
-    @property
-    def contiguous(self) -> bool:
-        """True when the block's data maps to one contiguous file extent."""
-        fs = self.file_stripes
-        return all(fs[i + 1] == fs[i] + 1 for i in range(len(fs) - 1))
-
 
 @dataclass(frozen=True, eq=False)
 class HelperRows:
@@ -384,42 +373,6 @@ class ErasureCode(abc.ABC):
         """
         return sum(1 for info in self.block_infos if info.data_stripes > 0)
 
-    def data_extent(self, block: int) -> tuple[int, int]:
-        """``(file_offset, stripe_count)`` of the original data in a block.
-
-        This is what the paper's custom Hadoop ``FileInputFormat`` exposes:
-        the boundary between original data and parity data inside a block.
-        """
-        info = self.block_infos[block]
-        if info.data_stripes == 0:
-            return (0, 0)
-        if not info.contiguous:
-            raise CodeError(
-                f"block {block} stores a non-contiguous file extent; use block_infos[...].file_stripes"
-            )
-        return (info.file_offset or 0, info.data_stripes)
-
-    # ------------------------------------------------------------- payloads
-
-    def stripes_from_payload(self, payload) -> np.ndarray:
-        """Shape arbitrary payload symbols into the ``(k*N, S)`` stripe grid.
-
-        The payload length must be divisible by ``k*N`` so that all stripes
-        have equal size (the paper pads files to this boundary before
-        encoding; padding is the caller's responsibility here so that
-        tests stay byte-exact).
-        """
-        arr = np.asarray(payload)
-        if arr.dtype == object:
-            raise CodeError("payload must be a numeric symbol array")
-        flat = arr.reshape(-1).astype(self.gf.dtype)
-        total = self.data_stripe_total
-        if flat.size % total:
-            raise CodeError(
-                f"payload of {flat.size} symbols is not divisible into {total} equal stripes"
-            )
-        return flat.reshape(total, flat.size // total)
-
     # ----------------------------------------------------------- plan cache
 
     #: Maximum number of compiled decode / repair plans retained per code
@@ -613,8 +566,6 @@ class ErasureCode(abc.ABC):
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode the ``(k*N, S)`` stripe grid into ``(n, N, S)`` blocks."""
         data = np.asarray(data)
-        if data.ndim == 1:
-            data = self.stripes_from_payload(data)
         if data.shape[0] != self.data_stripe_total:
             raise CodeError(
                 f"{self.name}: expected {self.data_stripe_total} data stripes, got {data.shape[0]}"

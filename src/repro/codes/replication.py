@@ -82,9 +82,5 @@ class ReplicationCode(ErasureCode):
     def storage_overhead(self) -> float:
         return float(self.factor)
 
-    def failure_tolerance(self) -> int:
-        """Arbitrary-failure tolerance (any factor-1 blocks may fail)."""
-        return self.factor - 1
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReplicationCode(k={self.k}, factor={self.factor})"

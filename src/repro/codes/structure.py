@@ -91,17 +91,6 @@ class LRCStructure:
         """Group id of the global-parity group, or None."""
         return self.l if self.all_symbol else None
 
-    @property
-    def locality(self) -> int:
-        """Blocks read to repair a data / local-parity block."""
-        return self.group_data if self.l else self.k
-
-    def max_locality(self) -> int:
-        """Worst-case repair fan-in over all blocks."""
-        if self.all_symbol:
-            return max(self.locality, self.g)
-        return max(self.locality, self.k) if self.g else self.locality
-
     # ------------------------------------------------------------- indexing
 
     def role_of(self, block: int) -> str:
@@ -147,9 +136,6 @@ class LRCStructure:
     def data_blocks(self) -> list[int]:
         """Block indices with the data role, in file order."""
         return [b for b in range(self.n) if self.role_of(b) == ROLE_DATA]
-
-    def local_parity_blocks(self) -> list[int]:
-        return [b for b in range(self.n) if self.role_of(b) == ROLE_LOCAL_PARITY]
 
     def global_parity_blocks(self) -> list[int]:
         return [b for b in range(self.n) if self.role_of(b) == ROLE_GLOBAL_PARITY]

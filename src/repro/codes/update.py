@@ -1,4 +1,4 @@
-"""In-place updates: propagate small writes to parity without re-encoding.
+"""Update plans: which stored stripes a small write touches.
 
 Storage systems rarely rewrite whole stripes; a write to one data stripe
 must *delta-update* every stripe that linearly depends on it.  For a
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codes.base import CodeError, ErasureCode
-from repro.gf import GFError
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class UpdatePlan:
     def blocks_touched(self) -> int:
         return len({b for b, _, _ in self.touched})
 
-    def bytes_written(self, stripe_bytes: int) -> int:
-        return self.stripes_touched * stripe_bytes
-
 
 def update_plan(code: ErasureCode, file_stripe: int) -> UpdatePlan:
     """Which stored stripes depend on one file stripe."""
@@ -59,50 +55,6 @@ def update_plan(code: ErasureCode, file_stripe: int) -> UpdatePlan:
         block, row = divmod(int(i), code.N)
         touched.append((block, row, int(col[i])))
     return UpdatePlan(file_stripe=file_stripe, touched=tuple(touched))
-
-
-def apply_update(
-    code: ErasureCode,
-    blocks: np.ndarray,
-    file_stripe: int,
-    new_value: np.ndarray,
-    old_value: np.ndarray | None = None,
-) -> UpdatePlan:
-    """Apply a single-stripe write to an encoded block array, in place.
-
-    Args:
-        code: the code that produced ``blocks``.
-        blocks: ``(n, N, S)`` encoded stripes, modified in place.
-        file_stripe: which file stripe is written.
-        new_value: the stripe's new ``(S,)`` content.
-        old_value: the previous content; if omitted it is read from the
-            stripe's verbatim copy in ``blocks`` (systematic codes store
-            every file stripe somewhere).
-
-    Returns:
-        The :class:`UpdatePlan` that was applied (for cost accounting).
-    """
-    plan = update_plan(code, file_stripe)
-    new_value = np.asarray(new_value, dtype=code.gf.dtype)
-    if old_value is None:
-        old_value = _verbatim_copy(code, blocks, file_stripe)
-    delta = np.bitwise_xor(new_value, np.asarray(old_value, dtype=code.gf.dtype))
-    if new_value.shape != blocks.shape[2:]:
-        raise GFError(
-            f"stripe update of shape {new_value.shape} does not match stripe size {blocks.shape[2:]}"
-        )
-    for block, row, coeff in plan.touched:
-        scaled = code.gf.scalar_mul_array(coeff, delta)
-        np.bitwise_xor(blocks[block, row], scaled, out=blocks[block, row])
-    return plan
-
-
-def _verbatim_copy(code: ErasureCode, blocks: np.ndarray, file_stripe: int) -> np.ndarray:
-    for info in code.block_infos:
-        for row, fs in enumerate(info.file_stripes):
-            if fs == file_stripe:
-                return blocks[info.index, row].copy()
-    raise CodeError(f"file stripe {file_stripe} has no verbatim copy; pass old_value explicitly")
 
 
 def update_cost(code: ErasureCode) -> dict[str, float]:

@@ -18,7 +18,6 @@ from repro.core.weights import (
     finalize,
     rationalize,
     solve_throttle_lp,
-    uniform_performances,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "finalize",
     "rationalize",
     "solve_throttle_lp",
-    "uniform_performances",
 ]

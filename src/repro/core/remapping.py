@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf import GF, expand_by_identity, inverse, matmul, take_rows
+from repro.gf import GF, inverse, matmul
 from repro.gf.matrix import SingularMatrixError
 
 from repro.codes.base import CodeError
@@ -28,8 +28,12 @@ class RemappingError(CodeError):
 
 
 def expanded_generator(gf: GF, block_generator: np.ndarray, stripes: int) -> np.ndarray:
-    """Expand a block-level generator to stripe level (``G (x) I_N``)."""
-    return expand_by_identity(gf, block_generator, stripes)
+    """Expand a block-level generator to stripe level (``G (x) I_N``).
+
+    Each entry ``g`` becomes ``g * I_N``; over GF that is the integer
+    Kronecker product, since it only multiplies by 0 and 1.
+    """
+    return np.kron(np.asarray(block_generator, dtype=gf.dtype), np.eye(stripes, dtype=gf.dtype))
 
 
 def change_basis(gf: GF, stripe_generator: np.ndarray, chosen_rows) -> np.ndarray:
@@ -54,7 +58,7 @@ def change_basis(gf: GF, stripe_generator: np.ndarray, chosen_rows) -> np.ndarra
         raise RemappingError(
             f"need exactly {stripe_generator.shape[1]} chosen rows, got {len(chosen)}"
         )
-    basis = take_rows(stripe_generator, chosen)
+    basis = stripe_generator[chosen]
     try:
         basis_inv = inverse(gf, basis)
     except SingularMatrixError as exc:

@@ -30,11 +30,6 @@ class WeightError(ParameterError):
     """Raised when a weight vector violates the construction's constraints."""
 
 
-def uniform_performances(structure: LRCStructure) -> list[float]:
-    """Homogeneous cluster: every server has unit performance."""
-    return [1.0] * structure.n
-
-
 def solve_throttle_lp(structure: LRCStructure, performances) -> list[float]:
     """Minimize total throttling so that proportional weights are feasible.
 

@@ -16,7 +16,6 @@ from repro.faults.model import (
     FaultComponent,
     FaultDecision,
     FaultModel,
-    FaultStats,
     GraySlowdown,
     LatencySpikes,
     SilentCorruption,
@@ -36,7 +35,6 @@ __all__ = [
     "FaultComponent",
     "FaultDecision",
     "FaultModel",
-    "FaultStats",
     "GraySlowdown",
     "LatencySpikes",
     "SilentCorruption",

@@ -18,7 +18,7 @@ t=2 and t=10" or "rack-wide flakiness for the first five seconds".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,6 @@ class FaultComponent:
 
     def sample(self, rng: random.Random, server_id: int, nbytes: int, now: float) -> FaultDecision:
         raise NotImplementedError
-
-
-def _scope(servers) -> frozenset[int] | None:
-    return None if servers is None else frozenset(servers)
 
 
 @dataclass(frozen=True)
@@ -164,36 +160,6 @@ class FaultModel:
         self.injected_latency += decision.extra_latency
         return decision
 
-    def describe(self) -> dict:
-        """Summary of the configuration and what has been injected so far."""
-        return {
-            "seed": self.seed,
-            "components": [type(c).__name__ for c in self.components],
-            "decisions": self.decisions,
-            "injected_errors": self.injected_errors,
-            "injected_corruptions": self.injected_corruptions,
-            "injected_latency": self.injected_latency,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = ", ".join(type(c).__name__ for c in self.components)
         return f"FaultModel([{names}], seed={self.seed})"
-
-
-@dataclass
-class FaultStats:
-    """Mutable tally used by campaign code when aggregating many models."""
-
-    decisions: int = 0
-    errors: int = 0
-    corruptions: int = 0
-    latency: float = 0.0
-    models: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def absorb(self, model: FaultModel) -> None:
-        self.models += 1
-        self.decisions += model.decisions
-        self.errors += model.injected_errors
-        self.corruptions += model.injected_corruptions
-        self.latency += model.injected_latency

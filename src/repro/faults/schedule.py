@@ -125,10 +125,6 @@ class ChaosRunner:
         self.applied.extend(fired)
         return fired
 
-    @property
-    def pending(self) -> int:
-        return len(self._timeline) - self._cursor
-
 
 def generate_schedule(server_ids, seed: int, *, horizon: float = 30.0) -> ChaosSchedule:
     """Derive one schedule from a seed.

@@ -5,20 +5,20 @@ codes — performs its symbol arithmetic through the objects exported here.
 """
 
 from repro.gf.bitmatrix import (
-    bit_lanes_needed,
     bitmatrix_density,
     coeff_bitmatrix,
     companion_matrix,
     double_symbols,
     lane_selection_matrix,
 )
-from repro.gf.field import GF, GF256, GF65536, GFError, field_for_code_width
+from repro.gf.field import GF, GF256, GF65536, GFError
 from repro.gf.kernels import (
     KERNEL_CHOICES,
     CodingPlan,
     current_kernel_choice,
     kernel_bytes_info,
     kernel_selection_info,
+    mat_data_product,
     mat_data_product_reference,
     reset_kernel_selection,
     split_product_tables,
@@ -33,7 +33,6 @@ from repro.gf.schedule import XorSchedule, predicted_win
 from repro.gf.matrix import (
     SingularMatrixError,
     cauchy,
-    expand_by_identity,
     identity,
     inverse,
     is_invertible,
@@ -42,9 +41,7 @@ from repro.gf.matrix import (
     rank,
     rows_in_rowspace,
     select_independent_rows,
-    solve,
     solve_consistent,
-    take_rows,
 )
 from repro.gf.tables import (
     DEFAULT_PRIMITIVE_POLYS,
@@ -55,27 +52,16 @@ from repro.gf.tables import (
     generate_exp_log,
     inverse_table,
 )
-from repro.gf.vector import (
-    axpy,
-    bytes_to_symbols,
-    dot,
-    mat_data_product,
-    random_symbols,
-    scal,
-    symbols_to_bytes,
-    xor_rows,
-)
+from repro.gf.vector import axpy, random_symbols
 
 __all__ = [
     "GF",
     "GF256",
     "GF65536",
     "GFError",
-    "field_for_code_width",
     "CodingPlan",
     "KERNEL_CHOICES",
     "XorSchedule",
-    "bit_lanes_needed",
     "bitmatrix_density",
     "coeff_bitmatrix",
     "companion_matrix",
@@ -94,7 +80,6 @@ __all__ = [
     "validate_symbols",
     "SingularMatrixError",
     "cauchy",
-    "expand_by_identity",
     "identity",
     "inverse",
     "is_invertible",
@@ -103,9 +88,7 @@ __all__ = [
     "rank",
     "rows_in_rowspace",
     "select_independent_rows",
-    "solve",
     "solve_consistent",
-    "take_rows",
     "DEFAULT_PRIMITIVE_POLYS",
     "SUPPORTED_WIDTHS",
     "TableGenerationError",
@@ -114,11 +97,6 @@ __all__ = [
     "generate_exp_log",
     "inverse_table",
     "axpy",
-    "bytes_to_symbols",
-    "dot",
     "mat_data_product",
     "random_symbols",
-    "scal",
-    "symbols_to_bytes",
-    "xor_rows",
 ]

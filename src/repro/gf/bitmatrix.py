@@ -36,7 +36,6 @@ __all__ = [
     "coeff_bitmatrix",
     "bitmatrix_density",
     "lane_selection_matrix",
-    "bit_lanes_needed",
     "double_symbols",
 ]
 
@@ -124,19 +123,6 @@ def lane_selection_matrix(gf: GF, coeffs: np.ndarray) -> np.ndarray:
     for b in range(w):
         bits[:, b::w] = (c >> b) & 1
     return bits
-
-
-def bit_lanes_needed(gf: GF, coeffs: np.ndarray) -> list[int]:
-    """Per data column, the OR of all coefficient bit patterns using it.
-
-    Bit ``b`` of entry ``j`` set means some output needs the lane
-    ``data[j] * alpha^b`` — the doubling ladder for column ``j`` must
-    climb to the highest set bit.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    if coeffs.ndim != 2:
-        raise GFError("bit_lanes_needed expects a 2-D coefficient matrix")
-    return [int(np.bitwise_or.reduce(coeffs[:, j])) for j in range(coeffs.shape[1])]
 
 
 # ------------------------------------------------------- doubling primitive

@@ -62,12 +62,6 @@ class GF:
             raise GFError(f"{a} is not an element of GF(2^{self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition (XOR); also serves as subtraction."""
-        return self.check(a) ^ self.check(b)
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         """Field multiplication of two scalars."""
         self.check(a)
@@ -106,26 +100,6 @@ class GF:
 
     # ------------------------------------------------------------- array helpers
 
-    def asarray(self, data) -> np.ndarray:
-        """A fresh numpy array of this field's dtype holding ``data``.
-
-        Values are validated to be within the field.
-        """
-        arr = np.array(data, dtype=np.int64, copy=True)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.size):
-            raise GFError(f"array contains values outside GF(2^{self.q})")
-        return arr.astype(self.dtype)
-
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field multiplication of two symbol arrays."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self.mul_table is not None:
-            return self.mul_table[a, b]
-        out = self.exp[self.log[a.astype(np.int64)] + self.log[b.astype(np.int64)]]
-        out = np.where((a == 0) | (b == 0), 0, out)
-        return out.astype(self.dtype)
-
     def scalar_mul_array(self, c: int, v: np.ndarray) -> np.ndarray:
         """Multiply every element of ``v`` by the scalar ``c``."""
         self.check(c)
@@ -144,35 +118,9 @@ class GF:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GF(2^{self.q}, poly={self.primitive_poly:#x})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GF)
-            and other.q == self.q
-            and other.primitive_poly == self.primitive_poly
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.primitive_poly))
-
 
 #: Shared default field: GF(2^8), the paper's choice.
 GF256 = GF(8)
 
 #: Wider field for constructions with k + l + g >= 256.
 GF65536 = GF(16)
-
-
-def field_for_code_width(total_blocks: int) -> GF:
-    """Pick the smallest supported field that accommodates a code.
-
-    The paper (Sec. VI) notes GF(2^8) suffices while ``k + l + g < 2^8``;
-    wider codes need GF(2^16).
-    """
-    needed = total_blocks + 1
-    if needed <= 256:
-        return GF256
-    if needed <= 65536:
-        return GF65536
-    raise _tables.TableGenerationError(
-        f"codes with {total_blocks} blocks exceed GF(2^16); not supported"
-    )

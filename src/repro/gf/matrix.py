@@ -102,14 +102,6 @@ def inverse(gf: GF, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(work[:, n:])
 
 
-def solve(gf: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for square nonsingular ``a``; ``b`` may be a matrix."""
-    b = np.asarray(b)
-    rhs = b[:, None] if b.ndim == 1 else b
-    x = matmul(gf, inverse(gf, a), rhs)
-    return x[:, 0] if b.ndim == 1 else x
-
-
 def is_invertible(gf: GF, a: np.ndarray) -> bool:
     """True when the square matrix ``a`` is nonsingular over the field."""
     a = np.asarray(a)
@@ -130,38 +122,6 @@ def cauchy(gf: GF, x_points: Sequence[int], y_points: Sequence[int]) -> np.ndarr
         for j, y in enumerate(ys):
             out[i, j] = gf.inv(x ^ y)
     return out
-
-
-def expand_by_identity(gf: GF, a: np.ndarray, n: int) -> np.ndarray:
-    """Kronecker product ``a (x) I_n``: replace each entry g with ``g * I_n``.
-
-    This is the stripe expansion of the paper's Sec. III-C / VI: a block-level
-    generator becomes a stripe-level generator once each block is split into
-    ``n`` stripes.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise GFError("expand_by_identity expects a 2-D matrix")
-    if n < 1:
-        raise GFError("expansion factor must be >= 1")
-    rows, cols = a.shape
-    out = np.zeros((rows * n, cols * n), dtype=gf.dtype)
-    for i in range(rows):
-        for j in range(cols):
-            g = int(a[i, j])
-            if g:
-                idx = np.arange(n)
-                out[i * n + idx, j * n + idx] = g
-    return out
-
-
-def take_rows(a: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """Select (and order) rows of a matrix; bounds-checked convenience."""
-    a = np.asarray(a)
-    idx = np.asarray(list(rows), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise GFError("row selection out of range")
-    return a[idx]
 
 
 def select_independent_rows(gf: GF, a: np.ndarray, need: int) -> list[int]:

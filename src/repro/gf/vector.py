@@ -1,22 +1,16 @@
-"""Vectorized GF(2^q) kernels used by the coding hot paths.
+"""Vector helpers over GF(2^q): axpy accumulation and random symbols.
 
-These are the Python/numpy equivalents of the ISA-L kernels the paper's C++
-implementation uses: scalar-times-vector, axpy accumulation, and the
-matrix-times-data product that implements encoding, decoding and
-reconstruction.  Data buffers are numpy arrays whose dtype matches the
-field's symbol width (uint8 for GF(2^8)).
+The matrix-times-data product that implements encoding, decoding and
+reconstruction is :func:`repro.gf.kernels.mat_data_product` (exported as
+``repro.gf.mat_data_product``).  Data buffers are numpy arrays whose
+dtype matches the field's symbol width (uint8 for GF(2^8)).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.field import GF, GF256, GFError
-
-
-def scal(gf: GF, c: int, v: np.ndarray) -> np.ndarray:
-    """Return ``c * v`` over the field (new array)."""
-    return gf.scalar_mul_array(c, v)
+from repro.gf.field import GF, GFError
 
 
 def axpy(gf: GF, c: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -35,74 +29,7 @@ def axpy(gf: GF, c: int, x: np.ndarray, y: np.ndarray) -> None:
     np.bitwise_xor(y, gf.scalar_mul_array(c, x), out=y)
 
 
-def dot(gf: GF, a: np.ndarray, b: np.ndarray) -> int:
-    """Inner product of two 1-D symbol vectors over the field."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise GFError(f"dot requires equal-length 1-D vectors, got {a.shape} and {b.shape}")
-    prod = gf.mul_arrays(a, b)
-    return int(np.bitwise_xor.reduce(prod)) if prod.size else 0
-
-
-def mat_data_product(gf: GF, coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Compute ``coeffs @ data`` over GF, the universal coding kernel.
-
-    Args:
-        gf: the arithmetic context.
-        coeffs: ``(m, n)`` matrix of field symbols (the generator / decoding
-            matrix, or a slice of it).
-        data: ``(n, S)`` array whose rows are stripes of payload symbols.
-
-    Returns:
-        ``(m, S)`` array of ``gf.dtype``: each output row is the GF-linear
-        combination of the data rows given by the corresponding coefficient
-        row.
-
-    This delegates to the batched gather kernels of :mod:`repro.gf.kernels`
-    (full-table gathers for q <= 8, split tables for GF(2^16)); callers
-    that reuse one matrix should compile a
-    :class:`~repro.gf.kernels.CodingPlan` instead.
-    """
-    from repro.gf.kernels import mat_data_product as _batched
-
-    return _batched(gf, coeffs, data)
-
-
-def xor_rows(rows: np.ndarray) -> np.ndarray:
-    """XOR-fold a stack of stripe rows (the parity kernel for XOR codes)."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise GFError("xor_rows expects a 2-D stack of rows")
-    return np.bitwise_xor.reduce(rows, axis=0)
-
-
 def random_symbols(gf: GF, shape, seed: int | None = None) -> np.ndarray:
     """Uniformly random field symbols, for tests and synthetic payloads."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, gf.size, size=shape, dtype=np.uint32).astype(gf.dtype)
-
-
-def bytes_to_symbols(gf: GF, payload: bytes) -> np.ndarray:
-    """View a byte string as a vector of field symbols.
-
-    For GF(2^8) this is a direct byte view.  For GF(2^16) the payload length
-    must be even; pairs of bytes form one little-endian symbol.
-    """
-    if gf is GF256 or gf.q == 8:
-        return np.frombuffer(payload, dtype=np.uint8).copy()
-    if gf.q == 16:
-        if len(payload) % 2:
-            raise GFError("GF(2^16) payloads must contain an even number of bytes")
-        return np.frombuffer(payload, dtype="<u2").copy()
-    raise GFError(f"no byte mapping for GF(2^{gf.q})")
-
-
-def symbols_to_bytes(gf: GF, symbols: np.ndarray) -> bytes:
-    """Inverse of :func:`bytes_to_symbols`."""
-    symbols = np.asarray(symbols)
-    if gf.q == 8:
-        return symbols.astype(np.uint8).tobytes()
-    if gf.q == 16:
-        return symbols.astype("<u2").tobytes()
-    raise GFError(f"no byte mapping for GF(2^{gf.q})")

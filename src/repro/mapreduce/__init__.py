@@ -6,7 +6,6 @@ from repro.mapreduce.records import (
     FixedLengthRecordReader,
     LineRecordReader,
     RecordReader,
-    WholeSplitReader,
 )
 from repro.mapreduce.runtime import MapReduceRuntime
 from repro.mapreduce.scheduler import Assignment, LocalityScheduler, ScheduledTask, SchedulingError
@@ -23,7 +22,6 @@ __all__ = [
     "FixedLengthRecordReader",
     "LineRecordReader",
     "RecordReader",
-    "WholeSplitReader",
     "MapReduceRuntime",
     "Assignment",
     "LocalityScheduler",

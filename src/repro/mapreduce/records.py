@@ -119,13 +119,3 @@ class FixedLengthRecordReader(RecordReader):
                 break  # trailing partial record is dropped
             yield dfs.read_bytes(file_name, lo, rs)
             rec += 1
-
-
-class WholeSplitReader(RecordReader):
-    """One record per split — raw byte-stream workloads."""
-
-    def records(self, dfs, file_name: str, start: int, end: int) -> Iterator[bytes]:
-        size = dfs.file(file_name).original_size
-        end = min(end, size)
-        if end > start:
-            yield dfs.read_bytes(file_name, start, end - start)

@@ -34,19 +34,9 @@ WEAR_OUT_SHAPE = 2.0
 class LifetimeModel(abc.ABC):
     """Distribution of a component's time-to-failure, in hours."""
 
-    name: str = "lifetime"
-
     @abc.abstractmethod
     def sample(self, rng: random.Random) -> float:
         """Draw one lifetime (hours since install) from the model."""
-
-    @abc.abstractmethod
-    def mean_hours(self) -> float:
-        """Expected lifetime — the MTBF this model is calibrated to."""
-
-    def describe(self) -> dict:
-        """JSON-friendly description for campaign records."""
-        return {"model": self.name, "mean_hours": self.mean_hours()}
 
 
 class ExponentialLifetime(LifetimeModel):
@@ -57,8 +47,6 @@ class ExponentialLifetime(LifetimeModel):
     cross-validation anchor for the simulator.
     """
 
-    name = "exponential"
-
     def __init__(self, mtbf_hours: float):
         if mtbf_hours <= 0:
             raise ValueError(f"mtbf_hours must be positive, got {mtbf_hours}")
@@ -66,9 +54,6 @@ class ExponentialLifetime(LifetimeModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mtbf_hours)
-
-    def mean_hours(self) -> float:
-        return self.mtbf_hours
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExponentialLifetime(mtbf_hours={self.mtbf_hours:g})"
@@ -82,8 +67,6 @@ class WeibullLifetime(LifetimeModel):
             have failed by this age).
         shape: the Weibull ``beta`` — < 1 infant mortality, > 1 wear-out.
     """
-
-    name = "weibull"
 
     def __init__(self, scale_hours: float, shape: float):
         if scale_hours <= 0:
@@ -115,15 +98,6 @@ class WeibullLifetime(LifetimeModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.weibullvariate(self.scale_hours, self.shape)
-
-    def mean_hours(self) -> float:
-        return self.scale_hours * math.gamma(1.0 + 1.0 / self.shape)
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out["shape"] = self.shape
-        out["scale_hours"] = self.scale_hours
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WeibullLifetime(scale_hours={self.scale_hours:g}, shape={self.shape:g})"

@@ -118,6 +118,16 @@ class ReliabilityConfig:
             raise ValueError("block_size_bytes must be positive")
         if self.repair_bandwidth <= 0:
             raise ValueError("repair_bandwidth must be positive")
+        if self.rack_mtbf_hours is not None and self.rack_mtbf_hours <= 0:
+            raise ValueError("rack_mtbf_hours must be positive")
+        if self.rack_downtime_hours < 0:
+            raise ValueError("rack_downtime_hours must be non-negative")
+        if self.lse_rate_per_block_hour < 0:
+            raise ValueError("lse_rate_per_block_hour must be non-negative")
+        if self.scrub_interval_hours is not None and self.scrub_interval_hours <= 0:
+            raise ValueError("scrub_interval_hours must be positive")
+        if self.max_concurrent_repairs is not None and self.max_concurrent_repairs < 1:
+            raise ValueError("max_concurrent_repairs must be at least 1")
 
 
 @dataclass

@@ -80,12 +80,6 @@ class HotBlockCache:
         self.sketch = FrequencySketch(sample_period=sample_period)
         self._entries: OrderedDict[object, object] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
     def get(self, key):
         """The cached value, or ``None`` on miss.  Records the access."""
         self.sketch.record(key)
@@ -120,10 +114,6 @@ class HotBlockCache:
         self.metrics.add("serving_cache_admissions", 1)
         self.metrics.set_gauge("serving_cache_fill", len(self._entries) / self.capacity)
         return True
-
-    def invalidate(self, key) -> None:
-        """Drop one entry (post-repair re-placement, tests)."""
-        self._entries.pop(key, None)
 
     def hit_ratio(self) -> float:
         hits = self.metrics.total("serving_cache_hits")

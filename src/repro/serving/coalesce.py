@@ -24,10 +24,6 @@ class RequestCoalescer:
         self.metrics = metrics or MetricsRegistry()
         self._inflight: dict[object, SimFuture] = {}
 
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
     def lease(self, key) -> tuple[bool, SimFuture]:
         """``(is_leader, future)`` for one read of ``key``.
 

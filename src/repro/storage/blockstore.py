@@ -85,10 +85,6 @@ class BlockUnavailableError(StorageError):
         self.block = block
         self.cause = cause
 
-    def context(self) -> dict:
-        """The structured fields, for logs and campaign records."""
-        return {"server": self.server, "file": self.file, "block": self.block, "cause": self.cause}
-
 
 class TransientReadError(BlockUnavailableError):
     """A retryable read failure (injected I/O error or checksum mismatch).
@@ -548,12 +544,5 @@ class BlockStore:
         self._row_checksums[server_id].clear()
         return lost
 
-    def blocks_on(self, server_id: int) -> list[tuple[str, int]]:
-        """Keys of all blocks on one server."""
-        return sorted(self._disk(server_id).keys())
-
     def holds(self, server_id: int, file_name: str, block_id: int) -> bool:
         return (file_name, block_id) in self._disk(server_id)
-
-    def used_bytes(self, server_id: int) -> int:
-        return sum(v.nbytes for v in self._disk(server_id).values())

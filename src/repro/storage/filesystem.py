@@ -70,9 +70,6 @@ class FileSystemError(StorageError):
         self.server = server
         self.cause = cause
 
-    def context(self) -> dict:
-        return {"file": self.file, "block": self.block, "server": self.server, "cause": self.cause}
-
 
 #: Rows narrower than this are gathered by one ``np.concatenate`` instead of
 #: being handed to ``join`` one by one: below about a kilobyte a piece costs
@@ -724,9 +721,3 @@ class DistributedFileSystem:
 
     def list_files(self) -> list[str]:
         return sorted(self.files)
-
-    def delete_file(self, name: str) -> None:
-        ef = self.file(name)
-        for b, server in ef.placement.items():
-            self.store.drop(server, name, b)
-        del self.files[name]

@@ -126,9 +126,6 @@ class HealthMonitor:
 
     # --------------------------------------------------------------- queries
 
-    def state(self, server_id: int) -> str:
-        return self.server(server_id).state
-
     def is_open(self, server_id: int) -> bool:
         """Non-mutating: True while the breaker rejects ordinary reads."""
         h = self.server(server_id)
@@ -166,17 +163,3 @@ class HealthMonitor:
     def rank(self, server_ids) -> list[int]:
         """Server ids ordered healthiest first (stable on ties by id)."""
         return sorted(server_ids, key=lambda sid: (self.score(sid), sid))
-
-    def snapshot(self) -> dict[int, dict]:
-        """Per-server health summary for reports."""
-        return {
-            sid: {
-                "state": h.state,
-                "ewma_latency": h.ewma_latency,
-                "error_rate": h.error_rate,
-                "successes": h.successes,
-                "errors": h.errors,
-            }
-            for sid, h in sorted(self._servers.items())
-        }
-

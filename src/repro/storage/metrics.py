@@ -126,10 +126,6 @@ class MetricsRegistry:
         else:
             gauge.set(value)
 
-    def gauge(self, name: str) -> float:
-        g = self._gauges.get(name)
-        return g.value if g is not None else 0.0
-
     def reset(self) -> None:
         self._counters.clear()
         self._histograms.clear()

@@ -213,10 +213,6 @@ class ServerRepairReport:
     reports: list[RepairReport] = field(default_factory=list)
 
     @property
-    def bytes_read(self) -> int:
-        return sum(r.bytes_read for r in self.reports)
-
-    @property
     def blocks_rebuilt(self) -> int:
         return len(self.reports)
 

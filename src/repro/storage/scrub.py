@@ -48,15 +48,6 @@ class ScrubReport:
     repairs: list[RepairReport] = field(default_factory=list)
     reverified: int = 0
 
-    @property
-    def blocks_skipped(self) -> int:
-        """Total unverified blocks, regardless of why."""
-        return self.blocks_skipped_crashed + self.blocks_skipped_breaker
-
-    @property
-    def healthy(self) -> bool:
-        return not self.corrupted
-
 
 class Scrubber:
     """Namespace-wide checksum verification with automatic healing.
@@ -87,10 +78,6 @@ class Scrubber:
             report = self._scrub(self.dfs.list_files())
             sp.set(checked=report.blocks_checked, corrupted=len(report.corrupted))
             return report
-
-    def scrub_file(self, name: str) -> ScrubReport:
-        """Scrub a single file."""
-        return self._scrub([name])
 
     # ----------------------------------------------------------- internals
 

@@ -226,15 +226,6 @@ class StripedFileSystem:
         ):
             return _join_symbols(self.dfs._read(files, degraded_span=_DEGRADED_SPAN))
 
-    def delete_file(self, name: str) -> None:
-        meta = self.file(name)
-        for g in meta.group_names():
-            self.dfs.delete_file(g)
-        del self.striped[name]
-
-    def list_files(self) -> list[str]:
-        return sorted(self.striped)
-
 
 class StripedInputFormat(InputFormat):
     """Splits for striped files: Galloper splits, globally offset.

@@ -74,6 +74,13 @@ def stored_block(dfs, ef, block: int) -> np.ndarray:
     return dfs.store._stored(ef.server_of(block), ef.name, block)
 
 
+def forget_file(dfs, name: str) -> None:
+    """Take a file out of ``dfs``: drop its blocks and its namespace entry."""
+    for block, server in dfs.file(name).placement.items():
+        dfs.store.drop(server, name, block)
+    del dfs.files[name]
+
+
 def stored_survivors(dfs, ef) -> dict[int, np.ndarray]:
     """Every block of ``ef`` still held by a live server."""
     unreadable = dfs._unreadable_blocks(ef)
@@ -88,6 +95,15 @@ def codes_layer_read(dfs, names) -> bytes:
         grid = ef.code.decode(stored_survivors(dfs, ef))
         out.append(grid.reshape(-1)[: ef.original_size].astype(np.uint8).tobytes())
     return b"".join(out)
+
+
+def apply_update_plan(code, blocks: np.ndarray, file_stripe: int, delta: np.ndarray) -> None:
+    """Add ``coefficient * delta`` in place to each stored stripe of ``(n, N, S)``
+    ``blocks`` that ``update_plan(code, file_stripe)`` names."""
+    from repro.codes.update import update_plan
+
+    for block, row, coeff in update_plan(code, file_stripe).touched:
+        np.bitwise_xor(blocks[block, row], code.gf.scalar_mul_array(coeff, delta), out=blocks[block, row])
 
 
 def group_grid(payload: bytes, meta, index: int, code) -> np.ndarray:

@@ -43,11 +43,6 @@ class TestStructure:
         assert st.group_of(4) == 0  # GP group is group 0 when l == 0
         assert st.group_members(0) == [4, 5, 6]
 
-    def test_max_locality(self):
-        assert LRCStructure(4, 2, 2, all_symbol=True).max_locality() == 2
-        assert LRCStructure(4, 2, 2).max_locality() == 4
-        assert LRCStructure(6, 3, 2, all_symbol=True).max_locality() == 2
-
     def test_requires_global_parity(self):
         with pytest.raises(ParameterError):
             LRCStructure(4, 2, 0, all_symbol=True)

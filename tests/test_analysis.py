@@ -1,23 +1,29 @@
 """Tests for the reliability/availability analysis subsystem."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from repro.analysis import (
     ReliabilityParameters,
-    annual_loss_probability,
     annual_repair_traffic_bytes,
     availability,
     average_repair_reads,
     durability_nines,
     mttdl_hours,
     mttdl_years,
-    pattern_census,
     survival_profile,
 )
 from repro.codes import PyramidCode, ReedSolomonCode, ReplicationCode
 from repro.core import GalloperCode
+
+
+def pattern_census(code, failures: int) -> tuple[int, int]:
+    """(survivable, total) count of exactly-``failures`` patterns, by ``can_decode`` on each."""
+    patterns = list(combinations(range(code.n), failures))
+    ok = sum(code.can_decode([b for b in range(code.n) if b not in lost]) for lost in patterns)
+    return ok, len(patterns)
 
 
 class TestSurvivalProfile:
@@ -116,19 +122,6 @@ class TestMTTDL:
         # Still consistent with the signed definition.
         assert nines == pytest.approx(
             __import__("math").log10(mttdl_years(code, flaky)), rel=1e-9
-        )
-
-    def test_annual_loss_probability(self):
-        flaky = ReliabilityParameters(
-            disk_mtbf_hours=100.0, repair_bandwidth=1 << 20, block_size_bytes=256 << 20
-        )
-        fragile = annual_loss_probability(ReedSolomonCode(4, 1), flaky)
-        durable = annual_loss_probability(ReedSolomonCode(4, 3))
-        assert 0.0 < durable < fragile < 1.0
-        # For a very durable code the probability ~ 1 / MTTDL_years, so
-        # -log10(p) matches the nines.
-        assert -__import__("math").log10(durable) == pytest.approx(
-            durability_nines(ReedSolomonCode(4, 3)), rel=1e-3
         )
 
     def test_all_symbol_durability_tradeoff(self):

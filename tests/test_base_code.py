@@ -87,14 +87,11 @@ class TestInterfaceContract:
         total = plan.bytes_read(1000)
         assert total == int(sum(plan.read_fractions[h] * 1000 for h in plan.helpers))
 
-    def test_encode_accepts_flat_payload(self, code):
-        flat = random_symbols(code.gf, code.data_stripe_total * 5, seed=7)
-        blocks = code.encode(flat)
-        assert blocks.shape == (code.n, code.N, 5)
 
     def test_payload_divisibility_enforced(self, code):
+        """A grid whose row count is not the code's k*N data stripes is refused."""
         with pytest.raises(CodeError):
-            code.stripes_from_payload(np.zeros(code.data_stripe_total * 2 + 1, dtype=np.uint8))
+            code.encode(np.zeros((code.data_stripe_total * 2 + 1, 4), dtype=np.uint8))
 
 
 class TestDecodeWithExtraBlocks:
@@ -121,11 +118,3 @@ class TestBlockInfoValidation:
                 total_stripes=4,
                 file_stripes=(0,),
             )
-
-    def test_contiguity_detection(self):
-        from repro.codes.base import BlockInfo
-
-        a = BlockInfo(0, "data", None, 3, 4, (5, 6, 7))
-        b = BlockInfo(0, "data", None, 3, 4, (5, 7, 9))
-        assert a.contiguous and a.file_offset == 5
-        assert not b.contiguous

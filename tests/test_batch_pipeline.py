@@ -288,7 +288,7 @@ class TestBatchedScrubHeal:
         assert report.reverified == 2
         assert dfs.metrics.total("scrub_reverified") == 2
         assert sfs.read_file("f") == payload
-        assert Scrubber(dfs).scrub().healthy
+        assert Scrubber(dfs).scrub().corrupted == []
 
     def test_batch_heal_matches_unbatched(self):
         """The unbatched reference is the codes layer's ``repair_plan`` /

@@ -114,8 +114,6 @@ class TestFaultModel:
         assert model.decisions == 3
         assert model.injected_errors == 3
         assert model.injected_latency == pytest.approx(0.3)
-        desc = model.describe()
-        assert desc["components"] == ["TransientErrors", "GraySlowdown"]
 
 
 class TestCrashBounding:
@@ -165,7 +163,6 @@ class TestSchedules:
         cluster = Cluster.homogeneous(6)
         runner = sched.runner()
         fired = runner.advance_to(cluster, sched.horizon + 100.0)
-        assert runner.pending == 0
         assert runner.advance_to(cluster, sched.horizon + 200.0) == []
         # Every fired event actually toggled a server.
         assert len(fired) == len(runner.applied)

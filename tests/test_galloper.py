@@ -24,7 +24,7 @@ class TestSpecialCase:
         assert [i.data_stripes for i in toy.block_infos] == [6, 6, 6, 6, 4]
 
     def test_file_offsets_sequential(self, toy):
-        offsets = [i.file_offset for i in toy.block_infos]
+        offsets = [i.file_stripes[0] for i in toy.block_infos]
         assert offsets == [0, 6, 12, 18, 24]
 
     def test_systematic(self, toy):

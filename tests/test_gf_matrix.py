@@ -7,7 +7,6 @@ from repro.gf import (
     GFError,
     SingularMatrixError,
     cauchy,
-    expand_by_identity,
     express_rows,
     identity,
     inverse,
@@ -17,9 +16,7 @@ from repro.gf import (
     rank,
     rows_in_rowspace,
     select_independent_rows,
-    solve,
     solve_consistent,
-    take_rows,
 )
 
 
@@ -89,21 +86,6 @@ class TestRank:
         assert rank(gf, np.zeros((0, 4), dtype=np.uint8)) == 0
 
 
-class TestSolve:
-    def test_solve_vector(self, gf):
-        a = random_invertible(gf, 4, seed=10)
-        x = random_symbols(gf, 4, seed=11)
-        b = matmul(gf, a, x[:, None])[:, 0]
-        got = solve(gf, a, b)
-        assert np.array_equal(got, x)
-
-    def test_solve_matrix_rhs(self, gf):
-        a = random_invertible(gf, 4, seed=12)
-        x = random_symbols(gf, (4, 3), seed=13)
-        b = matmul(gf, a, x)
-        assert np.array_equal(solve(gf, a, b), x)
-
-
 class TestStructuredMatrices:
     def test_cauchy_every_submatrix_invertible(self, gf):
         c = cauchy(gf, [10, 11, 12], [1, 2, 3, 4])
@@ -118,23 +100,6 @@ class TestStructuredMatrices:
         with pytest.raises(GFError):
             cauchy(gf, [1, 2], [2, 3])
 
-    def test_expand_by_identity_structure(self, gf):
-        a = np.array([[1, 2], [0, 3]], dtype=np.uint8)
-        e = expand_by_identity(gf, a, 3)
-        assert e.shape == (6, 6)
-        assert np.array_equal(e[:3, :3], 1 * np.eye(3, dtype=np.uint8))
-        assert np.array_equal(e[:3, 3:], 2 * np.eye(3, dtype=np.uint8))
-        assert not e[3:, :3].any()
-
-    def test_expand_preserves_invertibility(self, gf):
-        a = random_invertible(gf, 3, seed=14)
-        e = expand_by_identity(gf, a, 4)
-        assert is_invertible(gf, e)
-
-    def test_take_rows_bounds(self, gf):
-        m = identity(gf, 3)
-        with pytest.raises(GFError):
-            take_rows(m, [5])
 
 
 class TestRowSelection:

@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 
 from repro.gf import (
-    GF256,
-    GF65536,
     GFError,
     axpy,
-    bytes_to_symbols,
-    dot,
     mat_data_product,
     random_symbols,
-    scal,
-    symbols_to_bytes,
-    xor_rows,
 )
 
 
-class TestScalAxpy:
-    def test_scal_zero_and_one(self, gf):
-        v = random_symbols(gf, 64, seed=1)
-        assert not scal(gf, 0, v).any()
-        assert np.array_equal(scal(gf, 1, v), v)
+def _dot(gf, a, b) -> int:
+    """Scalar reference inner product: one ``gf.mul`` per term, XOR-summed."""
+    out = 0
+    for x, y in zip(a, b):
+        out ^= gf.mul(int(x), int(y))
+    return out
 
+
+class TestScalAxpy:
     def test_axpy_accumulates(self, gf):
         x = random_symbols(gf, 32, seed=2)
         y = random_symbols(gf, 32, seed=3)
@@ -51,21 +47,6 @@ class TestScalAxpy:
             axpy(gf, 1, np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
 
 
-class TestDot:
-    def test_dot_known(self, gf):
-        a = np.array([1, 2, 0], dtype=np.uint8)
-        b = np.array([3, 3, 9], dtype=np.uint8)
-        assert dot(gf, a, b) == 3 ^ gf.mul(2, 3)
-
-    def test_dot_empty(self, gf):
-        assert dot(gf, np.array([], dtype=np.uint8), np.array([], dtype=np.uint8)) == 0
-
-    def test_dot_rejects_matrices(self, gf):
-        m = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(GFError):
-            dot(gf, m, m)
-
-
 class TestMatDataProduct:
     def test_identity(self, gf):
         data = random_symbols(gf, (5, 40), seed=8)
@@ -78,7 +59,7 @@ class TestMatDataProduct:
         out = mat_data_product(gf, coeffs, data)
         for i in range(4):
             for col in range(17):
-                assert out[i, col] == dot(gf, coeffs[i], data[:, col])
+                assert out[i, col] == _dot(gf, coeffs[i], data[:, col])
 
     def test_zero_rows_skipped(self, gf):
         coeffs = np.zeros((3, 4), dtype=np.uint8)
@@ -91,7 +72,7 @@ class TestMatDataProduct:
         out = mat_data_product(gf16, coeffs, data)
         for i in range(3):
             for col in range(5):
-                assert out[i, col] == dot(gf16, coeffs[i], data[:, col])
+                assert out[i, col] == _dot(gf16, coeffs[i], data[:, col])
 
     def test_dimension_mismatch(self, gf):
         with pytest.raises(GFError):
@@ -109,34 +90,6 @@ class TestMatDataProduct:
         lhs = mat_data_product(gf, coeffs, a ^ b)
         rhs = mat_data_product(gf, coeffs, a) ^ mat_data_product(gf, coeffs, b)
         assert np.array_equal(lhs, rhs)
-
-
-class TestXorRows:
-    def test_xor_rows(self, gf):
-        rows = random_symbols(gf, (4, 10), seed=17)
-        expect = rows[0] ^ rows[1] ^ rows[2] ^ rows[3]
-        assert np.array_equal(xor_rows(rows), expect)
-
-    def test_xor_rows_requires_2d(self, gf):
-        with pytest.raises(GFError):
-            xor_rows(np.zeros(4, dtype=np.uint8))
-
-
-class TestByteMapping:
-    def test_gf256_roundtrip(self):
-        payload = bytes(range(256))
-        syms = bytes_to_symbols(GF256, payload)
-        assert symbols_to_bytes(GF256, syms) == payload
-
-    def test_gf65536_roundtrip(self):
-        payload = bytes(range(200)) * 2
-        syms = bytes_to_symbols(GF65536, payload)
-        assert syms.dtype == np.uint16
-        assert symbols_to_bytes(GF65536, syms) == payload
-
-    def test_gf65536_odd_length_rejected(self):
-        with pytest.raises(GFError):
-            bytes_to_symbols(GF65536, b"abc")
 
 
 class TestRandomSymbols:

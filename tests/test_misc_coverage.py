@@ -79,13 +79,6 @@ class TestHarness:
 
 
 class TestStructureEdges:
-    def test_max_locality_variants(self):
-        from repro.codes import LRCStructure
-
-        assert LRCStructure(4, 0, 2).max_locality() == 4
-        assert LRCStructure(4, 2, 1).max_locality() == 4  # global parity dominates
-        assert LRCStructure(8, 2, 1).max_locality() == 8
-
     def test_mirror_groups(self):
         """l == k gives per-block mirrors (locality 1)."""
         code = PyramidCode(4, 4, 1)

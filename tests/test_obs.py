@@ -380,7 +380,7 @@ class TestMetricsRegistry:
 
     def test_gauge_default_and_reset(self):
         reg = MetricsRegistry()
-        assert reg.gauge("missing") == 0.0
+        assert reg.snapshot_all()["gauges"] == {}
         reg.set_gauge("x", 2.0)
         reg.add("c", 1)
         reg.observe("h", 1)

@@ -22,14 +22,12 @@ PUBLIC_API = {
         "HOURS_PER_YEAR",
         "ReliabilityParameters",
         "SurvivalProfile",
-        "annual_loss_probability",
         "annual_repair_traffic_bytes",
         "availability",
         "average_repair_reads",
         "durability_nines",
         "mttdl_hours",
         "mttdl_years",
-        "pattern_census",
         "survival_profile",
     ],
     "repro.reliability": [
@@ -122,7 +120,6 @@ PUBLIC_API = {
         "FaultComponent",
         "FaultDecision",
         "FaultModel",
-        "FaultStats",
         "GraySlowdown",
         "LatencySpikes",
         "SilentCorruption",
@@ -175,7 +172,6 @@ PUBLIC_API = {
         "ScheduledTask",
         "SchedulingError",
         "TaskRecord",
-        "WholeSplitReader",
         "workloads",
     ],
     "repro.gf": [
@@ -191,19 +187,14 @@ PUBLIC_API = {
         "TableGenerationError",
         "XorSchedule",
         "axpy",
-        "bit_lanes_needed",
         "bitmatrix_density",
-        "bytes_to_symbols",
         "cauchy",
         "coeff_bitmatrix",
         "companion_matrix",
         "current_kernel_choice",
-        "dot",
         "double_symbols",
         "exp_log_tables",
-        "expand_by_identity",
         "express_rows",
-        "field_for_code_width",
         "full_mul_table",
         "generate_exp_log",
         "identity",
@@ -224,15 +215,10 @@ PUBLIC_API = {
         "reset_kernel_selection",
         "reset_native_backend",
         "rows_in_rowspace",
-        "scal",
         "select_independent_rows",
-        "solve",
         "solve_consistent",
         "split_product_tables",
-        "symbols_to_bytes",
-        "take_rows",
         "validate_symbols",
-        "xor_rows",
     ],
     "repro.codes": [
         "BlockInfo",
@@ -253,11 +239,28 @@ PUBLIC_API = {
         "ReplicationCode",
         "RotatedPyramidCode",
         "UpdatePlan",
-        "apply_update",
         "pyramid_generator",
         "rs_generator",
         "update_cost",
         "update_plan",
+    ],
+    "repro.core": [
+        "ConstructionError",
+        "GalloperCode",
+        "LayoutError",
+        "RemappingError",
+        "Selection",
+        "WeightAssignment",
+        "WeightError",
+        "assign_weights",
+        "change_basis",
+        "expanded_generator",
+        "finalize",
+        "rationalize",
+        "rotation_permutation",
+        "sequential_selection",
+        "solve_throttle_lp",
+        "verify_identity_rows",
     ],
 }
 
@@ -268,26 +271,12 @@ OPTIONS = {
         "code",
         "params",
     ],
-    "repro.codes:apply_update": [
-        "code",
-        "blocks",
-        "file_stripe",
-        "new_value",
-        "old_value",
-    ],
     "repro.faults:VirtualClock": [
     ],
     "repro.sim:SimLoop": [
     ],
     "repro.gf:GF": [
         "q",
-    ],
-    "repro.gf:GF.asarray": [
-        "self",
-        "data",
-    ],
-    "repro.gf:field_for_code_width": [
-        "total_blocks",
     ],
     "repro.storage:DistributedFileSystem.write_encoded": [
         "self",
@@ -541,10 +530,6 @@ OPTIONS = {
     "repro.storage:Scrubber.scrub": [
         "self",
     ],
-    "repro.storage:Scrubber.scrub_file": [
-        "self",
-        "name",
-    ],
     "repro.sim:Simulation.run": [
         "self",
         "until",
@@ -558,11 +543,9 @@ OPTIONS = {
 #: leading underscore), one per line so an addition or removal is one line.
 METHODS = {
     "repro.faults:FaultModel": [
-        "describe",
         "on_read",
     ],
     "repro.storage:DistributedFileSystem": [
-        "delete_file",
         "file",
         "list_files",
         "read_bytes",
@@ -575,9 +558,7 @@ METHODS = {
         "write_virtual_file",
     ],
     "repro.storage:StripedFileSystem": [
-        "delete_file",
         "file",
-        "list_files",
         "read_bytes",
         "read_file",
         "write_file",
@@ -594,8 +575,6 @@ METHODS = {
         "record_success",
         "score",
         "server",
-        "snapshot",
-        "state",
     ],
     "repro.storage:RepairManager": [
         "repair_all",
@@ -605,7 +584,6 @@ METHODS = {
     ],
     "repro.storage:Scrubber": [
         "scrub",
-        "scrub_file",
     ],
     "repro.codes.base:ReadPlan": [
         "compile",
@@ -624,20 +602,133 @@ METHODS = {
         "repair_server",
     ],
     "repro.gf:GF": [
-        "add",
-        "asarray",
         "check",
         "div",
         "inv",
         "mul",
-        "mul_arrays",
         "pow",
         "scalar_mul_array",
-        "sub",
     ],
     "repro.faults:ChaosSchedule": [
         "fault_model",
         "runner",
+    ],
+    "repro.sim:Simulation": [
+        "run",
+        "schedule",
+        "schedule_at",
+    ],
+    "repro.reliability:LifetimeModel": [
+        "sample",
+    ],
+    "repro.reliability:ExponentialLifetime": [
+        "sample",
+    ],
+    "repro.reliability:WeibullLifetime": [
+        "from_mean",
+        "infant_mortality",
+        "sample",
+        "wear_out",
+    ],
+    "repro.codes:UpdatePlan": [
+    ],
+    "repro.cluster:Cluster": [
+        "alive",
+        "alive_ids",
+        "fail",
+        "heterogeneous",
+        "homogeneous",
+        "performance_vector",
+        "racked",
+        "racks",
+        "recover",
+        "server",
+    ],
+    "repro.codes:ErasureCode": [
+        "block_rows",
+        "can_decode",
+        "clear_plan_cache",
+        "compile_decode",
+        "compile_encode",
+        "compile_helper_rows",
+        "compile_reconstruct",
+        "decode",
+        "encode",
+        "parallelism",
+        "plan_cache_info",
+        "read_plan",
+        "reconstruct",
+        "repair_plan",
+        "rows_for_blocks",
+        "storage_overhead",
+        "verify_systematic",
+    ],
+    "repro.codes:ReplicationCode": [
+        "block_rows",
+        "can_decode",
+        "clear_plan_cache",
+        "compile_decode",
+        "compile_encode",
+        "compile_helper_rows",
+        "compile_reconstruct",
+        "copies_of",
+        "decode",
+        "encode",
+        "parallelism",
+        "plan_cache_info",
+        "read_plan",
+        "reconstruct",
+        "repair_plan",
+        "rows_for_blocks",
+        "storage_overhead",
+        "verify_systematic",
+    ],
+    "repro.codes.structure:LRCStructure": [
+        "data_blocks",
+        "data_position",
+        "failure_tolerance",
+        "global_parity_blocks",
+        "group_data_count",
+        "group_members",
+        "group_of",
+        "role_of",
+    ],
+    "repro.storage:BlockStore": [
+        "corrupt",
+        "drop",
+        "drop_server",
+        "get",
+        "holds",
+        "install_faults",
+        "put",
+        "read_rows",
+        "timed_get",
+        "timed_read_rows",
+        "verify",
+    ],
+    "repro.storage:MetricsRegistry": [
+        "add",
+        "by_server",
+        "histogram",
+        "observe",
+        "reset",
+        "set_gauge",
+        "snapshot",
+        "snapshot_all",
+        "total",
+    ],
+    "repro.serving:HotBlockCache": [
+        "get",
+        "hit_ratio",
+        "offer",
+    ],
+    "repro.storage:BlockUnavailableError": [
+        "add_note",
+        "with_traceback",
+    ],
+    "repro.storage:FileSystemError": [
+        "add_note",
+        "with_traceback",
     ],
 }
 
@@ -657,7 +748,6 @@ FIELDS = {
     ],
     "repro.storage:ServerRepairReport": [
         "blocks_rebuilt",
-        "bytes_read",
         "reports",
         "server",
     ],
@@ -680,6 +770,50 @@ FIELDS = {
         "speculative",
         "start",
         "task",
+    ],
+    "repro.analysis:SurvivalProfile": [
+        "fatal_extensions",
+        "n",
+        "survivable",
+    ],
+    "repro.codes:UpdatePlan": [
+        "blocks_touched",
+        "file_stripe",
+        "stripes_touched",
+        "touched",
+    ],
+    "repro.codes.structure:LRCStructure": [
+        "all_symbol",
+        "g",
+        "gp_group_index",
+        "group_data",
+        "group_size",
+        "k",
+        "l",
+        "n",
+        "num_repair_groups",
+    ],
+    "repro.faults:ChaosRunner": [
+        "_cursor",
+        "_timeline",
+        "schedule",
+    ],
+    "repro.storage:ScrubReport": [
+        "blocks_checked",
+        "blocks_skipped_breaker",
+        "blocks_skipped_crashed",
+        "corrupted",
+        "repairs",
+        "reverified",
+    ],
+    "repro.codes.base:BlockInfo": [
+        "data_fraction",
+        "data_stripes",
+        "file_stripes",
+        "group",
+        "index",
+        "role",
+        "total_stripes",
     ],
 }
 

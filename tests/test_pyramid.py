@@ -7,6 +7,7 @@ import pytest
 
 from repro.codes import DecodingError, PyramidCode
 from repro.codes.pyramid import pyramid_generator
+from repro.codes.base import ROLE_LOCAL_PARITY
 from repro.codes.structure import LRCStructure
 from repro.gf import GF256, random_symbols, rows_in_rowspace
 
@@ -31,7 +32,7 @@ class TestGenerator:
         st = LRCStructure(6, 3, 2)
         g = pyramid_generator(gf, st)
         total = np.zeros(6, dtype=np.uint8)
-        for lp in st.local_parity_blocks():
+        for lp in (b for b in range(st.n) if st.role_of(b) == ROLE_LOCAL_PARITY):
             total ^= g[lp]
         assert np.array_equal(total, np.ones(6, dtype=np.uint8))
 

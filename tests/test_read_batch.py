@@ -11,6 +11,8 @@ from the same seed, one reading in a batch and one range by range, end in
 the same state, on clean hardware and under every fault this stack models.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -91,16 +93,28 @@ def one_at_a_time(dfs, files) -> list[list]:
     return out
 
 
+def health_state(health) -> dict[int, dict]:
+    """Every field of every server's breaker and EWMA state, by server id."""
+    return {sid: dataclasses.asdict(h) for sid, h in sorted(health._servers.items())}
+
+
+def fault_tallies(model) -> tuple | None:
+    """What a fault model has drawn and injected so far."""
+    if model is None:
+        return None
+    return (model.decisions, model.injected_errors, model.injected_corruptions, model.injected_latency)
+
+
 def state(dfs) -> dict:
     metrics = dfs.metrics
     return {
         "counters": {name: (total, metrics.by_server(name)) for name, total in metrics.snapshot().items()},
-        "health": dfs.health.snapshot(),
+        "health": health_state(dfs.health),
         "transitions": list(dfs.health.transitions),
         "clock": dfs.clock.now,
         "backoff": list(dfs.client.backoff_history),
         "latencies": list(metrics.histogram("read_latency_s")._values),  # in observation order
-        "faults": dfs.store.fault_model.describe() if dfs.store.fault_model else None,
+        "faults": fault_tallies(dfs.store.fault_model),
     }
 
 
@@ -236,7 +250,7 @@ def ledger(dfs) -> dict:
         ),
         "health": {
             s: {k: v.hex() if isinstance(v, float) else v for k, v in h.items()}
-            for s, h in dfs.health.snapshot().items()
+            for s, h in health_state(dfs.health).items()
         },
         "transitions": [(t.hex(), s, state) for t, s, state in dfs.health.transitions],
         "clock": dfs.clock.now.hex(),
@@ -248,7 +262,7 @@ def outcome(dfs, ranges, strict):
     try:
         return dfs.client._read_ranges(ranges, strict), None
     except BlockUnavailableError as exc:
-        return None, (type(exc).__name__, str(exc), exc.context())
+        return None, (type(exc).__name__, str(exc), vars(exc))
     except StorageError as exc:  # a range past the end of its block raises, strict or not
         return None, (type(exc).__name__, str(exc))
 

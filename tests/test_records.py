@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.codes import ReedSolomonCode
 from repro.core import GalloperCode
-from repro.mapreduce import FixedLengthRecordReader, LineRecordReader, WholeSplitReader
+from repro.mapreduce import FixedLengthRecordReader, LineRecordReader
 from repro.storage import DistributedFileSystem
 
 
@@ -107,20 +107,6 @@ class TestFixedLengthRecords:
     def test_invalid_record_size(self):
         with pytest.raises(ValueError):
             FixedLengthRecordReader(0)
-
-
-class TestWholeSplitReader:
-    def test_one_record_per_split(self):
-        payload = bytes(range(100))
-        dfs = make_dfs(payload)
-        recs = collect(WholeSplitReader(), dfs, [(0, 40), (40, 100)])
-        assert recs == [payload[:40], payload[40:]]
-
-    def test_clamps_to_eof(self):
-        payload = b"hello"
-        dfs = make_dfs(payload)
-        recs = list(WholeSplitReader().records(dfs, "f", 0, 100))
-        assert recs == [b"hello"]
 
 
 class TestReadersOverDegradedFiles:

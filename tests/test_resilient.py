@@ -94,11 +94,10 @@ class TestRetries:
         bad = ef.server_of(1)
         with pytest.raises(BlockUnavailableError) as exc:
             dfs.client.get(bad, "f", 1)
-        ctx = exc.value.context()
-        assert ctx["server"] == bad
-        assert ctx["file"] == "f"
-        assert ctx["block"] == 1
-        assert ctx["cause"] == "retries_exhausted"
+        assert exc.value.server == bad
+        assert exc.value.file == "f"
+        assert exc.value.block == 1
+        assert exc.value.cause == "retries_exhausted"
         assert exc.value.__cause__ is not None  # chains the last attempt
 
 
@@ -130,15 +129,15 @@ class TestCircuitBreaker:
         health = HealthMonitor(clock)
         for _ in range(CONSECUTIVE_LIMIT):
             health.record_error(7)
-        assert health.state(7) == OPEN
+        assert health.server(7).state == OPEN
         assert health.is_open(7)
         assert not health.allow_request(7)
         clock.advance(1.5)
         assert not health.is_open(7)  # timeout elapsed: probe allowed
         assert health.allow_request(7)
-        assert health.state(7) == HALF_OPEN
+        assert health.server(7).state == HALF_OPEN
         health.record_success(7, 0.01)
-        assert health.state(7) == CLOSED
+        assert health.server(7).state == CLOSED
         states = [s for _, sid, s in health.transitions if sid == 7]
         assert states == [OPEN, HALF_OPEN, CLOSED]
 
@@ -150,7 +149,7 @@ class TestCircuitBreaker:
         clock.advance(2.0)
         assert health.allow_request(0)
         health.record_error(0)
-        assert health.state(0) == OPEN
+        assert health.server(0).state == OPEN
         assert health.is_open(0)
 
     def test_half_open_admits_single_probe(self):
@@ -167,7 +166,7 @@ class TestCircuitBreaker:
         bad = ef.server_of(0)
         with pytest.raises(BlockUnavailableError):
             dfs.client.get(bad, "f", 0)  # 4 errors > consecutive limit
-        assert dfs.health.state(bad) == OPEN
+        assert dfs.health.server(bad).state == OPEN
         assert dfs.metrics.total("breaker_opens") == 1
         with pytest.raises(BlockUnavailableError) as exc:
             dfs.client.get(bad, "f", 0)
@@ -180,10 +179,10 @@ class TestCircuitBreaker:
         bad = ef.server_of(0)
         with pytest.raises(BlockUnavailableError):
             dfs.client.get(bad, "f", 0)
-        assert dfs.health.state(bad) == OPEN
+        assert dfs.health.server(bad).state == OPEN
         dfs.clock.advance(2.0)  # past the reset timeout and the fault window
         assert dfs.client.get(bad, "f", 0) is not None  # half-open probe wins
-        assert dfs.health.state(bad) == CLOSED
+        assert dfs.health.server(bad).state == CLOSED
         assert dfs.metrics.total("breaker_closes") == 1
 
 
@@ -213,4 +212,4 @@ class TestCleanPathEquivalence:
         assert dfs.read_file("f") == payload
         for name in ("retries", "hedged_reads", "read_timeouts", "breaker_opens"):
             assert dfs.metrics.total(name) == 0
-        assert dfs.health.state(ef.server_of(0)) == CLOSED
+        assert dfs.health.server(ef.server_of(0)).state == CLOSED

@@ -83,24 +83,6 @@ class TestCode:
         with pytest.raises(CodeError):
             code.encode(random_symbols(code.gf, (5, 10), seed=4))
 
-    def test_payload_reshaping(self):
-        code = ReedSolomonCode(4, 2)
-        flat = random_symbols(code.gf, 4 * 25, seed=5)
-        blocks = code.encode(flat)
-        assert blocks.shape == (6, 1, 25)
-
-    def test_payload_must_divide(self):
-        code = ReedSolomonCode(4, 2)
-        from repro.codes.base import CodeError
-
-        with pytest.raises(CodeError):
-            code.stripes_from_payload(np.zeros(10, dtype=np.uint8))
-
-    def test_data_extent(self):
-        code = ReedSolomonCode(4, 2)
-        assert code.data_extent(2) == (2, 1)
-        assert code.data_extent(5) == (0, 0)
-
     def test_can_decode(self):
         code = ReedSolomonCode(4, 2)
         assert code.can_decode([0, 1, 2, 3])

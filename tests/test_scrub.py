@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.codes import ReedSolomonCode
 from repro.core import GalloperCode
 from repro.storage import DistributedFileSystem, Scrubber
 from repro.storage.health import CONSECUTIVE_LIMIT, RESET_TIMEOUT
@@ -60,9 +59,9 @@ class TestScrubber:
     def test_clean_namespace(self, env):
         _, dfs, _, _ = env
         report = Scrubber(dfs).scrub()
-        assert report.healthy
+        assert report.corrupted == []
         assert report.blocks_checked == 7
-        assert report.blocks_skipped == 0
+        assert report.blocks_skipped_crashed + report.blocks_skipped_breaker == 0
 
     def test_detects_and_heals(self, env):
         _, dfs, ef, payload = env
@@ -90,7 +89,7 @@ class TestScrubber:
         cluster, dfs, ef, _ = env
         cluster.fail(ef.server_of(0))
         report = Scrubber(dfs).scrub()
-        assert report.blocks_skipped == 1
+        assert report.blocks_skipped_crashed + report.blocks_skipped_breaker == 1
         assert report.blocks_checked == 6
 
     def test_skips_breaker_open_servers_until_the_reset_timeout(self, env):
@@ -114,21 +113,12 @@ class TestScrubber:
         dfs.clock.advance(RESET_TIMEOUT)
         assert not dfs.health.is_open(server)
         report = Scrubber(dfs).scrub()
-        assert report.blocks_skipped == 0
+        assert report.blocks_skipped_crashed + report.blocks_skipped_breaker == 0
         assert report.blocks_checked == 7
         assert report.corrupted == [("f", 3)]
         assert report.repairs[0].target_server == server and report.reverified == 1
         assert dfs.metrics.by_server("scrub_bytes")[server] > 0
         assert dfs.read_file("f") == payload
-
-    def test_scrub_single_file(self, env):
-        _, dfs, ef, payload = env
-        dfs.write_file("g", payload_bytes(8_000, seed=22), code=ReedSolomonCode(4, 2))
-        dfs.store.corrupt(ef.server_of(1), "f", 1)
-        report = Scrubber(dfs).scrub_file("g")
-        assert report.healthy  # only 'g' was scanned
-        report = Scrubber(dfs).scrub_file("f")
-        assert report.corrupted == [("f", 1)]
 
     def test_scrub_bytes_accounted(self, env):
         _, dfs, _, _ = env

@@ -104,10 +104,10 @@ class TestHotBlockCache:
         cache.get("c")  # c seen once
         # c (freq 1) displaces the cold LRU victim b (freq 0)...
         assert cache.offer("c", "C") is True
-        assert "b" not in cache and "c" in cache
+        assert "b" not in cache._entries and "c" in cache._entries
         # ...but an unseen d cannot displace warm a.
         assert cache.offer("d", "D") is False
-        assert "a" in cache and "d" not in cache
+        assert "a" in cache._entries and "d" not in cache._entries
         assert cache.metrics.total("serving_cache_evictions") == 1
         assert cache.metrics.total("serving_cache_rejections") == 1
 
@@ -116,13 +116,6 @@ class TestHotBlockCache:
         cache.offer("k", "old")
         assert cache.offer("k", "new") is True
         assert cache.get("k") == "new"
-
-    def test_invalidate(self):
-        cache = HotBlockCache(2, metrics=MetricsRegistry())
-        cache.offer("k", "V")
-        cache.invalidate("k")
-        assert "k" not in cache
-        cache.invalidate("k")  # idempotent
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -137,12 +130,12 @@ class TestRequestCoalescer:
         loop = SimLoop()
         co = RequestCoalescer(loop, metrics=MetricsRegistry())
         leader, fut = co.lease("s")
-        assert leader and co.inflight == 1
+        assert leader and len(co._inflight) == 1
         follower, fut2 = co.lease("s")
         assert not follower and fut2 is fut
         co.complete("s", 42)
         assert fut.result() == 42
-        assert co.inflight == 0
+        assert not co._inflight
         assert co.metrics.total("serving_coalesced_reads") == 1
 
     def test_failure_propagates_to_followers(self):

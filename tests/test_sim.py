@@ -63,14 +63,6 @@ class TestSimulation:
         sim.run()
         assert fired == [2.0, 5.0]
 
-    def test_cancel(self):
-        sim = Simulation()
-        log = []
-        ev = sim.schedule(1.0, lambda: log.append("x"))
-        sim.cancel(ev)
-        sim.run()
-        assert log == []
-
     def test_negative_delay_rejected(self):
         sim = Simulation()
         with pytest.raises(SimulationError):
@@ -83,14 +75,6 @@ class TestSimulation:
         sim.run()
         assert times == [4.0]
 
-    def test_peek(self):
-        sim = Simulation()
-        assert sim.peek() is None
-        ev = sim.schedule(2.0, lambda: None)
-        assert sim.peek() == 2.0
-        sim.cancel(ev)
-        assert sim.peek() is None
-
     def test_determinism(self):
         def run_once():
             sim = Simulation()
@@ -101,79 +85,6 @@ class TestSimulation:
             return trace
 
         assert run_once() == run_once()
-
-    def test_cancel_is_lazy_until_compaction(self):
-        sim = Simulation()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-        for ev in events[:4]:
-            sim.cancel(ev)
-        # Below the compaction floor: tombstones stay in the heap, but
-        # the live-event count already excludes them.
-        assert len(sim._heap) == 10
-        assert sim.pending_events == 6
-
-    def test_mass_cancellation_compacts_heap(self):
-        sim = Simulation()
-        keep = sim.schedule(1000.0, lambda: None)
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(200)]
-        for ev in events:
-            sim.cancel(ev)
-        # Cancelled majority past the floor: the heap shrank in place.
-        assert len(sim._heap) < 100
-        assert sim.pending_events == 1
-        assert sim.peek() == 1000.0
-        sim.cancel(keep)
-        assert sim.peek() is None
-
-    def test_peek_skips_cancelled_head_without_firing(self):
-        sim = Simulation()
-        log = []
-        first = sim.schedule(1.0, lambda: log.append("dead"))
-        sim.schedule(2.0, lambda: log.append("live"))
-        sim.cancel(first)
-        assert sim.peek() == 2.0
-        sim.run()
-        assert log == ["live"]
-
-    def test_cancel_twice_is_idempotent(self):
-        sim = Simulation()
-        log = []
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: log.append(sim.now))
-        sim.cancel(ev)
-        sim.cancel(ev)
-        assert sim.pending_events == 1
-        sim.run()
-        assert log == [2.0]
-
-    def test_compaction_preserves_fifo_determinism(self):
-        def run_once(compact: bool):
-            sim = Simulation()
-            trace = []
-            doomed = []
-            for i in range(5):
-                sim.schedule(1.0, lambda i=i: trace.append(i))
-                doomed.extend(sim.schedule(3.0, lambda: trace.append(-1)) for _ in range(40))
-            if compact:
-                for ev in doomed:
-                    sim.cancel(ev)
-            sim.run(until=2.0)
-            return trace
-
-        assert run_once(compact=True) == run_once(compact=False) == [0, 1, 2, 3, 4]
-
-    def test_run_until_with_cancelled_frontier(self):
-        sim = Simulation()
-        log = []
-        ev = sim.schedule(1.0, lambda: log.append("x"))
-        sim.cancel(ev)
-        sim.schedule(5.0, lambda: log.append("y"))
-        sim.run(until=3.0)
-        # The cancelled head must not drag `now` forward past `until`.
-        assert sim.now == 3.0
-        assert log == []
-        sim.run()
-        assert log == ["y"]
 
     def test_ordering_never_compares_actions(self):
         """The heap orders (time, seq) prefixes; it must never fall through
@@ -212,72 +123,6 @@ class TestSimulation:
         sim.run()
         assert fired == sorted((delay, seq) for seq, delay in enumerate(delays))
         assert sim.events_processed == 10_000
-
-    def test_cancelling_inside_an_action_compacts_mid_run(self):
-        """``run()`` keeps working on the one heap when an action cancels
-        enough events to compact it under its feet."""
-        sim = Simulation()
-        fired = []
-        doomed = [
-            sim.schedule(2.0 + i, lambda i=i: fired.append(("doomed", i)))
-            for i in range(4 * Simulation.COMPACT_MIN)
-        ]
-        survivors = [3.5, 9.25, 2.0, 400.0]
-        for when in survivors:
-            sim.schedule_at(when, lambda when=when: fired.append(("survivor", when)))
-        sizes = {}
-
-        def purge():
-            sizes["before"] = len(sim._heap)
-            for ev in doomed:
-                sim.cancel(ev)
-            sizes["after"] = len(sim._heap)
-            # Scheduled after the rebuild: lost if run() still drained the old list.
-            sim.schedule(0.5, lambda: fired.append(("late", sim.now)))
-            sim.schedule_at(9.25, lambda: fired.append(("late", sim.now)))
-
-        sim.schedule(1.0, purge)
-        sim.run()
-        assert sizes["after"] < sizes["before"] // 2  # it did compact, inside run()
-        assert fired == [
-            ("late", 1.5), ("survivor", 2.0), ("survivor", 3.5),
-            ("survivor", 9.25), ("late", 9.25), ("survivor", 400.0),
-        ]
-        assert sim.pending_events == 0
-
-    def test_cancelling_a_fired_event_counts_nothing(self):
-        """A handle whose event already ran is inert: cancelling it — later,
-        twice, or from inside its own action — is not a cancellation, so
-        ``pending_events`` stays the number of live heap entries and the
-        heap is never compacted for tombstones that do not exist."""
-        sim = Simulation()
-        n = 2 * Simulation.COMPACT_MIN
-        handles = []
-
-        def cancel_myself(i):
-            sim.cancel(handles[i])  # from inside the event's own action
-            assert sim.pending_events == len(sim._heap) >= 0
-
-        for i in range(n):
-            handles.append(sim.schedule(float(i + 1), lambda i=i: cancel_myself(i)))
-        live = [sim.schedule(1000.0 + i, lambda: None) for i in range(5)]
-        compactions = []
-        compact = sim._compact
-        sim._compact = lambda: (compactions.append(sim.now), compact())
-        sim.run(until=500.0)
-        assert sim.events_processed == n
-        for ev in handles:  # after the fact, and twice
-            sim.cancel(ev)
-            sim.cancel(ev)
-        assert compactions == []
-        assert sim.pending_events == len(sim._heap) == len(live)
-        # Real cancellations still count, exactly once each.
-        sim.cancel(live[0])
-        sim.cancel(live[0])
-        assert sim.pending_events == len(live) - 1
-        sim.run()
-        assert sim.events_processed == n + len(live) - 1
-        assert sim.pending_events == 0 and sim._heap == []
 
 
 class TestThroughputResource:

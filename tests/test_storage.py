@@ -19,7 +19,7 @@ from repro.storage import (
     MetricsRegistry,
     TransientReadError,
 )
-from tests.conftest import payload_bytes
+from tests.conftest import forget_file, payload_bytes
 
 
 class TestMetrics:
@@ -207,12 +207,8 @@ class TestBlockStore:
         store.put(3, "f", 0, np.zeros((1, 1), dtype=np.uint8))
         store.put(3, "f", 1, np.zeros((1, 1), dtype=np.uint8))
         assert store.drop_server(3) == 2
-        assert store.blocks_on(3) == []
+        assert not store.holds(3, "f", 0) and not store.holds(3, "f", 1)
 
-    def test_used_bytes(self, setup):
-        _, store = setup
-        store.put(0, "a", 0, np.zeros((2, 8), dtype=np.uint8))
-        assert store.used_bytes(0) == 16
 
 
 class TestFileSystem:
@@ -317,13 +313,6 @@ class TestFileSystem:
 
         dfs.write_file("f", payload_bytes(7000, seed=8), code_factory=factory)
         assert seen[-1] == [1, 1, 1, 1, 0.4, 0.4, 0.4]
-
-    def test_delete_file(self, dfs):
-        ef = dfs.write_file("f", b"q" * 1000, code=ReedSolomonCode(4, 2))
-        server0 = ef.server_of(0)
-        dfs.delete_file("f")
-        assert dfs.list_files() == []
-        assert not dfs.store.holds(server0, "f", 0)
 
     def test_virtual_file(self, dfs):
         ef = dfs.write_virtual_file("v", 7 * 450 * (1 << 20) // 7 * 4, code=GalloperCode(4, 2, 1))
@@ -436,7 +425,7 @@ class TestCodeInterning:
         import gc
 
         dfs.write_file("f", payload_bytes(2_800, seed=8), code=GalloperCode(4, 2, 1))
-        dfs.delete_file("f")
+        forget_file(dfs, "f")
         gc.collect()
         fresh = GalloperCode(4, 2, 1)
         assert dfs.write_file("g", payload_bytes(2_800, seed=9), code=fresh).code is fresh

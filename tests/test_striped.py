@@ -80,15 +80,6 @@ class TestWriteRead:
         with pytest.raises(FileSystemError):
             sfs.write_file("f", b"y" * 100, galloper_factory)
 
-    def test_delete(self, sfs):
-        sfs.write_file("f", payload_bytes(100_000, seed=7), galloper_factory, max_block_bytes=16_384)
-        groups = sfs.file("f").group_names()
-        sfs.delete_file("f")
-        assert sfs.list_files() == []
-        for g in groups:
-            with pytest.raises(FileSystemError):
-                sfs.dfs.file(g)
-
     def test_missing_file(self, sfs):
         with pytest.raises(FileSystemError):
             sfs.read_file("ghost")

@@ -69,11 +69,6 @@ class TestGroupMajorOrdering:
 
 
 class TestDerivedQuantities:
-    def test_locality(self):
-        assert LRCStructure(4, 2, 1).locality == 2
-        assert LRCStructure(6, 2, 2).locality == 3
-        assert LRCStructure(4, 0, 2).locality == 4
-
     def test_failure_tolerance(self):
         assert LRCStructure(4, 2, 1).failure_tolerance() == 2
         assert LRCStructure(4, 0, 2).failure_tolerance() == 2

@@ -1,13 +1,14 @@
-"""Property-based tests for in-place parity updates."""
+"""Property-based tests for update plans."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codes import PyramidCode, ReedSolomonCode
-from repro.codes.update import apply_update, update_plan
+from repro.codes.update import update_plan
 from repro.core import GalloperCode
 from repro.gf import random_symbols
+from tests.conftest import apply_update_plan
 
 CODES = {
     "rs": lambda: ReedSolomonCode(4, 2),
@@ -38,7 +39,7 @@ class TestUpdateProperties:
         for stripe_raw, seed in updates:
             stripe = stripe_raw % total
             new_value = random_symbols(code.gf, 6, seed=seed)
-            apply_update(code, blocks, stripe, new_value)
+            apply_update_plan(code, blocks, stripe, new_value ^ data[stripe])
             data[stripe] = new_value
         assert np.array_equal(blocks, code.encode(data))
 
@@ -60,14 +61,3 @@ class TestUpdateProperties:
             if fs == stripe
         ]
         assert holders and all(h in unit_targets for h in holders)
-
-    @settings(**settings_kwargs)
-    @given(code_name=st.sampled_from(sorted(CODES)), stripe_raw=st.integers(min_value=0, max_value=1000))
-    def test_noop_update_changes_nothing(self, code_name, stripe_raw):
-        code = CODES[code_name]()
-        stripe = stripe_raw % code.data_stripe_total
-        data = random_symbols(code.gf, (code.data_stripe_total, 4), seed=2)
-        blocks = code.encode(data)
-        before = blocks.copy()
-        apply_update(code, blocks, stripe, data[stripe])
-        assert np.array_equal(blocks, before)

@@ -11,7 +11,6 @@ from repro.core.weights import (
     finalize,
     rationalize,
     solve_throttle_lp,
-    uniform_performances,
 )
 
 
@@ -159,8 +158,6 @@ class TestAssignWeights:
         assert wa.weights[0] > wa.weights[4]
         assert sum(wa.weights) == 4
 
-    def test_uniform_performances_helper(self):
-        assert uniform_performances(LRCStructure(4, 2, 1)) == [1.0] * 7
 
 
 def test_uniform_weights_never_import_the_lp_solver():
