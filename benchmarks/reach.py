@@ -20,7 +20,7 @@ below with one of the census reasons:
 
 Usage::
 
-    python benchmarks/reach.py                 # the census table (~5 min)
+    python benchmarks/reach.py                 # the census table (~2.5 min)
     python benchmarks/reach.py --check         # exit 1 on an unlisted unreached function
     python benchmarks/reach.py --tests         # add a tier-1 column (test-only vs nothing)
     python benchmarks/reach.py --only figures,cli-info --out reach.json
@@ -194,24 +194,22 @@ def functions() -> dict[tuple[str, int, str], tuple[str, int]]:
     found, keys = {}, set()
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-
-        def walk(node, prefix):
+        pending = [(ast.parse(path.read_text(), str(path)), "")]
+        while pending:
+            node, prefix = pending.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                    qualname = f"{prefix}{child.name}"
-                    key = f"{module}:{qualname}"
-                    if key in keys:  # a property setter, or a def in each branch of an if
+                    key = f"{module}:{prefix}{child.name}"
+                    if key in keys:  # a property setter, or a def per branch of an if
                         key = f"{key}@{first}"
                     keys.add(key)
                     found[(str(path), first, child.name)] = (key, child.end_lineno - first + 1)
-                    walk(child, f"{qualname}.")
+                    pending.append((child, f"{prefix}{child.name}."))
                 elif isinstance(child, ast.ClassDef):
-                    walk(child, f"{prefix}{child.name}.")
+                    pending.append((child, f"{prefix}{child.name}."))
                 else:
-                    walk(child, prefix)
-
-        walk(ast.parse(path.read_text(), str(path)), "")
+                    pending.append((child, prefix))
     return found
 
 
