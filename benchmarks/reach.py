@@ -15,7 +15,7 @@ below with one of the census reasons:
 * ``b`` fault, error or validation path;
 * ``c`` oracle: tests check other code against it;
 * ``d`` test hook;
-* ``e`` a ``__repr__`` or an abstract stub;
+* ``e`` a ``__repr__`` / ``__str__``, an abstract method or a null-object no-op;
 * ``f`` reached by a named driver that is not in the quick list.
 
 Usage::
