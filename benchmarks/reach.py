@@ -9,7 +9,9 @@ subcommand, ``run_{striped,kernels,reliability,serving}.py --quick``,
 ``run_chaos.py`` and ``benchmarks/e2e/run.py --workload all --smoke``.
 
 A function no driver enters must be deleted or be listed in ``KEPT``
-below with one of the census reasons:
+below, which is the one record of what stays and why.  ``--check`` also
+fails on a ``KEPT`` entry that is gone or that a driver now enters, so
+the list stays exact.  Each entry names one of the census reasons:
 
 * ``a`` yardstick target: ``benchmarks/e2e/layers.py`` wraps it by name;
 * ``b`` fault, error or validation path;
@@ -21,9 +23,8 @@ below with one of the census reasons:
 Usage::
 
     python benchmarks/reach.py                 # the census table (~2.5 min)
-    python benchmarks/reach.py --check         # exit 1 on an unlisted unreached function
-    python benchmarks/reach.py --tests         # add a tier-1 column (test-only vs nothing)
-    python benchmarks/reach.py --only figures,cli-info --out reach.json
+    python benchmarks/reach.py --check         # exit 1 when the run and KEPT disagree
+    python benchmarks/reach.py --tests --out reach.json   # add a tier-1 column (test-only vs nothing)
 
 The drivers run in a temporary directory and write their outputs there;
 nothing is written into the repository unless ``--out`` names a path in
@@ -231,11 +232,11 @@ def _run(runs: list[tuple[str, ...]], tmp: pathlib.Path, env: dict[str, str]) ->
     return entered
 
 
-def census(names: list[str], tests: bool) -> dict[str, dict]:
-    """``module:qualname`` -> ``{"lines", "drivers", "tests"}`` over the named drivers."""
+def census(tests: bool) -> dict[str, dict]:
+    """``module:qualname`` -> ``{"lines", "drivers", "tests"}`` over every driver."""
     index = functions()
     table = {key: {"lines": lines, "drivers": [], "tests": False} for key, lines in index.values()}
-    plan = [(name, DRIVERS[name]) for name in names] + ([("tests", TESTS)] if tests else [])
+    plan = [*DRIVERS.items()] + ([("tests", TESTS)] if tests else [])
     with tempfile.TemporaryDirectory(prefix="reach-") as root:
         root = pathlib.Path(root)
         # The repository root is on the path for tier-1's ``from tests.conftest import ...``.
@@ -258,7 +259,11 @@ def census(names: list[str], tests: bool) -> dict[str, dict]:
 
 
 def report(table: dict[str, dict], tests: bool) -> list[str]:
-    """Print the census; return the unreached functions that are on no list."""
+    """Print the census; return where it and ``KEPT`` disagree.
+
+    That is every unreached function ``KEPT`` does not list, and every
+    ``KEPT`` entry that is gone from ``src/repro`` or now has a driver.
+    """
     reached = [key for key, row in table.items() if row["drivers"]]
     unreached = sorted(key for key, row in table.items() if not row["drivers"])
     for key in sorted(table):
@@ -277,33 +282,28 @@ def report(table: dict[str, dict], tests: bool) -> list[str]:
             f"nothing: {len(unreached) - len(only)} "
             f"({sum(table[k]['lines'] for k in unreached if k not in only)} lines)"
         )
-    stale = sorted(key for key in KEPT if key not in table or table[key]["drivers"])
-    for key in stale:
-        print(f"note: KEPT entry {key} is gone or now has a driver")
-    return [key for key in unreached if key not in KEPT]
+    unlisted = [f"{key}: no driver enters it and KEPT does not list it" for key in unreached if key not in KEPT]
+    stale = [
+        f"{key}: KEPT lists it but it is gone or now has a driver"
+        for key in sorted(KEPT)
+        if key not in table or table[key]["drivers"]
+    ]
+    return unlisted + stale
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="exit 1 on an unreached function not in KEPT")
+    parser.add_argument("--check", action="store_true", help="exit 1 when the run and KEPT disagree")
     parser.add_argument("--tests", action="store_true", help="also run tier-1 under the collector")
-    parser.add_argument("--only", help="comma-separated driver names (default: all)")
     parser.add_argument("--out", type=pathlib.Path, help="write the census as JSON to this path")
     args = parser.parse_args(argv)
-    names = args.only.split(",") if args.only else list(DRIVERS)
-    unknown = [name for name in names if name not in DRIVERS]
-    if unknown:
-        parser.error(f"unknown driver(s) {unknown}; known: {list(DRIVERS)}")
-    table = census(names, args.tests)
-    unlisted = report(table, args.tests)
+    table = census(args.tests)
+    mismatches = report(table, args.tests)
     if args.out:
-        args.out.write_text(json.dumps({"drivers": names, "functions": table}, indent=1, sort_keys=True) + "\n")
-    if args.check and unlisted:
-        print(f"FAIL: {len(unlisted)} function(s) no driver enters and KEPT does not list:", file=sys.stderr)
-        for key in unlisted:
-            print(f"  {key}", file=sys.stderr)
-        return 1
-    return 0
+        args.out.write_text(json.dumps({"drivers": list(DRIVERS), "functions": table}, indent=1, sort_keys=True) + "\n")
+    for line in mismatches:
+        print(f"{'FAIL' if args.check else 'note'}: {line}", file=sys.stderr)
+    return 1 if args.check and mismatches else 0
 
 
 if __name__ == "__main__":
