@@ -530,7 +530,7 @@ class DistributedFileSystem:
             for ef, runs in spans
             for block, row0, nrows, _ in runs
         ]
-        pieces = self.client._read_ranges(ranges)
+        pieces, _ = self.client._read_ranges(ranges)
         if len(spans) == 1:
             return [pieces]
         out: list[list[np.ndarray | None]] = []
@@ -577,13 +577,24 @@ class DistributedFileSystem:
         row0 = min(run[1] for run in missing)
         return memo[key], row0, max(run[1] + run[2] for run in missing) - row0
 
-    def _read_helper_rows(self, ef: EncodedFile, reads) -> list[np.ndarray]:
-        """The helper rows ``reads`` names (``HelperRows.reads``), in one
-        batch that raises at the first helper it cannot read."""
-        placement, name = ef.placement, ef.name
-        return self.client._read_ranges(
-            [(placement[h], name, h, first, count) for h, first, count in reads], strict=True
-        )
+    def _read_helper_rows(self, entries) -> list[list[np.ndarray | None]]:
+        """Per ``(file, reads)`` entry, the helper rows ``reads`` names
+        (``HelperRows.reads``), in order; every entry in one client batch.
+
+        An entry stops at its first helper that cannot be read: that one
+        and the helpers after it are ``None``, and are not attempted.  The
+        other entries are read all the same.
+        """
+        ranges = [
+            (ef.placement[h], ef.name, h, first, count) for ef, reads in entries for h, first, count in reads
+        ]
+        pieces, _ = self.client._read_ranges(ranges, [len(reads) for _, reads in entries])
+        out: list[list[np.ndarray | None]] = []
+        stop = 0
+        for _, reads in entries:
+            start, stop = stop, stop + len(reads)
+            out.append(pieces[start:stop])
+        return out
 
     def _recover(self, entries: list[tuple[EncodedFile, tuple, list]]) -> None:
         """Fill the ``None`` pieces of each ``(file, runs, pieces)`` entry.
@@ -598,10 +609,11 @@ class DistributedFileSystem:
         The entries share one code: they are one file, or the degraded
         stripe groups of one striped file.  Those whose missing runs sit
         in one block are bucketed by ``(block, helpers, rows)`` — after a
-        server failure every group lands in one bucket — and each bucket
-        reads the helper rows it needs and rebuilds in one fused
-        reconstruct.  Everything else, and any entry one of whose helpers
-        could not be read, is decoded in full from minimal survivor sets
+        server failure every group lands in one bucket.  The helper rows
+        of every bucket are read in one batch (:meth:`_read_helper_rows`;
+        an entry stops at its first unreadable helper), then each bucket
+        rebuilds in one fused reconstruct.  Everything else, and any entry
+        one of whose helpers could not be read, is decoded in full from minimal survivor sets
         by :meth:`_degraded_decode`, which re-plans around flaky
         survivors.  A plain read is a batch of one.
         """
@@ -616,25 +628,31 @@ class DistributedFileSystem:
             else:
                 plan, row0, nrows = rebuild
                 local.setdefault((plan.target, plan.helpers, row0, nrows), []).append(entry)
+        compiled = {}
+        for block, helpers, row0, nrows in local:
+            helper_rows = code.compile_helper_rows(block, helpers)
+            compiled[block, helpers, row0, nrows] = helper_rows, helper_rows.reads(row0, nrows)
+        got = iter(self._read_helper_rows(
+            [(entry[0], compiled[key][1]) for key, members in local.items() for entry in members]
+        ))
         for (block, helpers, row0, nrows), members in local.items():
             with get_tracer().span(
                 "dfs.local_repair", category="storage", block=block,
                 helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,
             ):
-                helper_rows = code.compile_helper_rows(block, helpers)
-                reads = helper_rows.reads(row0, nrows)
                 good: list = []
                 chunks: list[list[np.ndarray]] = []
                 for entry in members:
-                    try:
-                        chunks.append(self._read_helper_rows(entry[0], reads))
-                        good.append(entry)
-                    except BlockUnavailableError:
+                    rows = next(got)
+                    if any(map(_is_missing, rows)):
                         full.append(entry)
+                    else:
+                        good.append(entry)
+                        chunks.append(rows)
                 if not good:
                     continue
                 rebuilt = pipeline._batch_rebuild_rows(
-                    helper_rows, block, row0, nrows, chunks, self.metrics
+                    compiled[block, helpers, row0, nrows][0], block, row0, nrows, chunks, self.metrics
                 )
             for (_, runs, pieces), rows in zip(good, rebuilt):
                 for i, (_, r0, n, _) in enumerate(runs):

@@ -247,20 +247,16 @@ class _Rebuild:
         unreadable: blocks no plan may name — the file's dead blocks,
             then every helper whose read failed for this rebuild.
         replans: how many helpers it has re-planned around.
-        plan / chunks / bytes_by_server: the current round's plan, the
-            helper rows read under it (``plan.helper_rows.reads(0, N)``,
-            in order) and their per-server bytes.
+        plan: the current round's plan.
     """
 
     file: str
     block: int
     target_server: int | None
     ef: EncodedFile
-    unreadable: set[int]
+    unreadable: frozenset[int]
     replans: int = 0
     plan: RepairPlan | None = None
-    chunks: list = field(default_factory=list)
-    bytes_by_server: dict[int, int] = field(default_factory=dict)
 
 
 class RepairManager:
@@ -292,9 +288,9 @@ class RepairManager:
             },
         )
 
-    def _preference(self, ef: EncodedFile, ranking: _ServerRanking) -> list[int]:
+    def _preference(self, ef: EncodedFile, ranking: _ServerRanking) -> tuple[int, ...]:
         placement, key = ef.placement, ranking.helper_key
-        return sorted(placement, key=lambda b: key[placement[b]])
+        return tuple(sorted(placement, key=lambda b: key[placement[b]]))
 
     def repair_block(self, file_name: str, block: int) -> RepairReport:
         """Rebuild one block and install it on a live server.
@@ -310,32 +306,60 @@ class RepairManager:
 
         ``targets`` are ``(file, block)`` or ``(file, block, target
         server)`` tuples; without a target server the block goes to a
-        spare picked when it is installed.  Every target is planned, then
-        targets are grouped by ``(code instance, block index, helper
-        set)`` — after one server failure every stripe group of a striped
-        file lands in the same bucket — and each bucket's reconstruction
-        runs as **one** compiled-plan apply over the column-concatenated
-        helper stripes of all its files (ragged stripe widths mix freely).
-        Helper reads go through the resilient client; a target one of
-        whose helpers exhausts its retries (flaky disk, tripped breaker,
-        fresh crash) goes round again with that helper added to its
-        unreadable set, up to :data:`MAX_HELPER_REPLANS` times.
+        spare picked when it is installed.  Each file's placement is
+        scanned once, for its unreadable blocks and the servers its live
+        blocks are on.  Then the targets go in rounds.  A round plans
+        every target (plans are memoised by code, block, unreadable set
+        and helper preference) and groups them by ``(code instance, block
+        index, helper set)`` — after one server failure every stripe group
+        of a striped file lands in the same bucket.  It reads the helper
+        rows of every target in **one** client batch, bucket by bucket and
+        target by target; a target's reads stop at its first helper that
+        cannot be read (flaky disk, tripped breaker, fresh crash), and the
+        rest of the batch is read all the same.  Each bucket's
+        reconstruction then runs as **one** compiled-plan apply over the
+        column-concatenated helper stripes of all its files (ragged stripe
+        widths mix freely), and every rebuilt block is stored by **one**
+        store batch, on targets picked against a running per-file set of
+        servers in use.  A target whose read stopped goes round again with
+        that helper added to its unreadable set, up to
+        :data:`MAX_HELPER_REPLANS` times; a round in which one runs out
+        raises before it stores anything.
 
-        Returns one report per rebuilt block, bucket by bucket.
+        Returns one report per rebuilt block, round by round, bucket by
+        bucket.
 
         Raises:
-            FileSystemError: ``cause="no_target"`` for a target server
-                that is unknown, down, holds another live block of the
-                file or is named for two of its blocks — before any
-                helper is read.
+            FileSystemError: ``cause="repeated"`` for a ``(file, block)``
+                named twice, ``cause="not_lost"`` for a block that is not
+                lost, and ``cause="no_target"`` for a target server that is
+                unknown, down, holds another live block of the file or is
+                named for two of its blocks — all before any helper is
+                read.
         """
         ranking = self._rank_servers()
+        # Per file: its unreadable blocks, and the servers in use — those of
+        # its live blocks, then every target a block of it is installed on.
+        scans: dict[str, tuple[frozenset[int], set[int]]] = {}
         pending: list[_Rebuild] = []
-        claimed: set[tuple[str, int]] = set()
+        named: set[tuple[str, int]] = set()
         for file_name, block, *where in targets:
+            if (file_name, block) in named:
+                raise FileSystemError(
+                    f"block {block} of {file_name!r} is named twice",
+                    file=file_name,
+                    block=block,
+                    cause="repeated",
+                )
+            named.add((file_name, block))
             ef = self.dfs.file(file_name)
-            failed = set(self.dfs._unreadable_blocks(ef))
-            if block not in failed:
+            scan = scans.get(file_name)
+            if scan is None:
+                unreadable = self.dfs._unreadable_blocks(ef)
+                scan = scans[file_name] = unreadable, {
+                    s for b, s in ef.placement.items() if b not in unreadable
+                }
+            if block not in scan[0]:
                 raise FileSystemError(
                     f"block {block} of {file_name!r} is not lost",
                     file=file_name,
@@ -344,148 +368,172 @@ class RepairManager:
                 )
             target = where[0] if where else None
             if target is not None:
-                self._check_target(ef, block, target, claimed)
-            pending.append(_Rebuild(file_name, block, target, ef, failed))
+                self._check_target(ef, block, target, scan)
+            pending.append(_Rebuild(file_name, block, target, ef, scan[0]))
 
         tracer = get_tracer()
+        metrics = self.dfs.metrics
+        plans: dict[tuple, RepairPlan] = {}
         reports: list[RepairReport] = []
         with tracer.span(
             "repair.bulk", category="repair", targets=len(targets), clock=self.dfs.clock
         ):
             while pending:
+                preferences: dict[str, tuple[int, ...]] = {}
                 buckets: dict[tuple[int, int, tuple[int, ...]], list[_Rebuild]] = {}
                 for job in pending:
-                    try:
-                        plan = job.ef.code.repair_plan(
-                            job.block, job.unreadable, preference=self._preference(job.ef, ranking)
-                        )
-                    except DecodingError as exc:
-                        raise FileSystemError(
-                            f"no helper set can rebuild block {job.block} of {job.file!r} "
-                            f"(unreadable blocks: {sorted(job.unreadable)})",
-                            file=job.file,
-                            block=job.block,
-                            cause="helpers_exhausted",
-                        ) from exc
+                    code = job.ef.code
+                    preference = preferences.get(job.file)
+                    if preference is None:
+                        preference = preferences[job.file] = self._preference(job.ef, ranking)
+                    key = (id(code), job.block, job.unreadable, preference)
+                    plan = plans.get(key)
+                    if plan is None:
+                        try:
+                            plan = plans[key] = code.repair_plan(
+                                job.block, job.unreadable, preference=preference
+                            )
+                        except DecodingError as exc:
+                            raise FileSystemError(
+                                f"no helper set can rebuild block {job.block} of {job.file!r} "
+                                f"(unreadable blocks: {sorted(job.unreadable)})",
+                                file=job.file,
+                                block=job.block,
+                                cause="helpers_exhausted",
+                            ) from exc
                     job.plan = plan
-                    buckets.setdefault((id(job.ef.code), job.block, plan.helpers), []).append(job)
+                    buckets.setdefault((id(code), job.block, plan.helpers), []).append(job)
                 pending = []
-                for (_, block, helpers), jobs in buckets.items():
+                # Equal plans name equal rows: asked once per bucket.
+                reads = [jobs[0].plan.helper_rows.reads(0, jobs[0].ef.code.N) for jobs in buckets.values()]
+                with tracer.span("repair.helper_reads", category="repair", clock=self.dfs.clock):
+                    got = iter(self.dfs._read_helper_rows(
+                        [(job.ef, rows) for rows, jobs in zip(reads, buckets.values()) for job in jobs]
+                    ))
+                rebuilt: list[tuple[_Rebuild, dict[int, int], object]] = []
+                for rows, ((_, block, helpers), jobs) in zip(reads, buckets.items()):
+                    ready: list[tuple[_Rebuild, list]] = []
+                    for job in jobs:
+                        chunks = next(got)
+                        failed = next((h for (h, _, _), c in zip(rows, chunks) if c is None), None)
+                        if failed is None:
+                            ready.append((job, chunks))
+                        else:
+                            self._replan(job, failed)
+                            pending.append(job)
+                    if not ready:
+                        continue
                     with tracer.span(
                         "repair.bucket", category="repair", block=block,
                         files=len(jobs), helpers=list(helpers), clock=self.dfs.clock,
                     ):
-                        ready: list[_Rebuild] = []
-                        with tracer.span(
-                            "repair.helper_reads", category="repair", clock=self.dfs.clock
-                        ):
-                            # Equal plans name equal rows: asked once per bucket.
-                            reads = jobs[0].plan.helper_rows.reads(0, jobs[0].ef.code.N)
-                            for job in jobs:
-                                (ready if self._read_helpers(job, reads) else pending).append(job)
-                        if not ready:
-                            continue
                         # Reconstruction goes through the code's compiled-plan
                         # cache: one compile serves every member of the bucket
                         # and every later bucket of the same pattern.  Surface
                         # cache effectiveness through the filesystem metrics.
-                        code = ready[0].ef.code
+                        code = ready[0][0].ef.code
                         hits_before = code.plan_cache_info()["hits"]
                         with tracer.span("repair.decode", category="repair", files=len(ready)):
-                            rebuilt = pipeline.batch_reconstruct(
+                            built = pipeline.batch_reconstruct(
                                 code, block, helpers,
-                                [job.chunks for job in ready], metrics=self.dfs.metrics,
+                                [chunks for _, chunks in ready], metrics=metrics,
                             )
-                        self.dfs.metrics.add(
-                            "plan_cache_hits", code.plan_cache_info()["hits"] - hits_before
-                        )
-                        for job, built in zip(ready, rebuilt):
-                            reports.append(self._install_rebuilt(job, built, ranking))
+                        metrics.add("plan_cache_hits", code.plan_cache_info()["hits"] - hits_before)
+                    for (job, chunks), data in zip(ready, built):
+                        by_server: dict[int, int] = {}
+                        for (h, _, _), piece in zip(rows, chunks):
+                            server = job.ef.placement[h]
+                            by_server[server] = by_server.get(server, 0) + piece.nbytes
+                        rebuilt.append((job, by_server, data))
+                if rebuilt:
+                    reports += self._install(rebuilt, scans, ranking)
         return reports
 
-    def _read_helpers(self, job: _Rebuild, reads) -> bool:
-        """Read ``reads``, the helper rows ``job.plan`` names, into
-        ``job.chunks`` in one batch; ``False`` to re-plan.
-
-        The batch stops at the first helper that cannot be read, which
-        joins ``job.unreadable`` for the next round's plan.
+    def _replan(self, job: _Rebuild, helper: int) -> None:
+        """Add an unreadable ``helper`` to ``job``'s unreadable set for its next round.
 
         Raises:
             FileSystemError: after :data:`MAX_HELPER_REPLANS` re-plans.
         """
-        ef = job.ef
-        try:
-            job.chunks = self.dfs._read_helper_rows(ef, reads)
-        except BlockUnavailableError as exc:
-            job.unreadable.add(exc.block)
-            job.replans += 1
-            self.dfs.metrics.add("repair_replans", 1)
-            if job.replans > MAX_HELPER_REPLANS:
-                raise FileSystemError(
-                    f"repair of block {job.block} of {job.file!r} gave up after "
-                    f"{job.replans} helper re-plans",
-                    file=job.file,
-                    block=job.block,
-                    cause="helpers_exhausted",
-                ) from exc
-            return False
-        job.bytes_by_server = {}
-        for (h, _, _), data in zip(reads, job.chunks):
-            server = ef.server_of(h)
-            job.bytes_by_server[server] = job.bytes_by_server.get(server, 0) + data.nbytes
-        return True
+        job.unreadable = job.unreadable | {helper}
+        job.replans += 1
+        self.dfs.metrics.add("repair_replans", 1)
+        if job.replans > MAX_HELPER_REPLANS:
+            raise FileSystemError(
+                f"repair of block {job.block} of {job.file!r} gave up after "
+                f"{job.replans} helper re-plans",
+                file=job.file,
+                block=job.block,
+                cause="helpers_exhausted",
+            )
 
-    def _install_rebuilt(self, job: _Rebuild, rebuilt, ranking: _ServerRanking) -> RepairReport:
-        """Store a rebuilt block, update placement, and build the report."""
-        ef, file_name, block = job.ef, job.file, job.block
-        bytes_by_server, target_server = job.bytes_by_server, job.target_server
-        block_bytes = ef.block_size * ef.code.gf.dtype.itemsize
-        if target_server is None:
-            old_server = ef.placement.get(block)
-            prefer_rack = self.cluster.server(old_server).rack if old_server is not None else None
-            target_server = self._pick_target(ef, prefer_rack, ranking)
-        tracer = get_tracer()
-        with tracer.span(
-            "repair.write", category="repair", target=target_server, bytes=block_bytes
+    def _install(self, rebuilt, scans: dict, ranking: _ServerRanking) -> list[RepairReport]:
+        """Store a round's rebuilt blocks in one store batch, move their
+        placement and build their reports.
+
+        ``rebuilt[i]`` is ``(job, helper bytes by server, rebuilt block)``.
+        A block without a target server goes to a live server its file does
+        not use yet, preferring the lost block's old rack so rack-aware
+        layouts keep their group-per-rack structure; among rack-equals the
+        statistically healthiest server wins (no point rebuilding onto a
+        disk the breaker just gave up on).  Each pick joins its file's
+        servers in use, so two blocks of a file never share a server.
+        """
+        servers = self.cluster.servers
+        items = []
+        for job, _, data in rebuilt:
+            target = job.target_server
+            if target is None:
+                used = scans[job.file][1]
+                free = [s for s in ranking.targets if s.server_id not in used]
+                if not free:
+                    raise FileSystemError(
+                        f"no spare server to host a rebuilt block of {job.file!r}",
+                        file=job.file,
+                        cause="no_target",
+                    )
+                prefer_rack = servers[job.ef.placement[job.block]].rack
+                target = next((s for s in free if s.rack == prefer_rack), free[0]).server_id
+                used.add(target)
+            items.append((target, job.file, job.block, data))
+        with get_tracer().span(
+            "repair.write", category="repair", blocks=len(items), clock=self.dfs.clock
         ):
-            self.dfs.store.put(target_server, file_name, block, rebuilt)
-        ef.placement[block] = target_server
-        self.dfs.metrics.add("reconstructions", 1)
+            self.dfs.store._put_many(items)
+        self.dfs.metrics.add("reconstructions", len(items))
+        reports = []
+        for (target, file_name, block, data), (job, by_server, _) in zip(items, rebuilt):
+            job.ef.placement[block] = target
+            target_rack = servers[target].rack
+            reports.append(RepairReport(
+                file=file_name,
+                block=block,
+                helpers=job.plan.helpers,
+                bytes_read=sum(by_server.values()),
+                bytes_read_by_server=by_server,
+                bytes_written=data.nbytes,
+                target_server=target,
+                cross_rack_bytes=sum(
+                    nbytes for s, nbytes in by_server.items() if servers[s].rack != target_rack
+                ),
+            ))
+        return reports
 
-        target_rack = self.cluster.server(target_server).rack
-        cross_rack = sum(
-            nbytes
-            for s, nbytes in bytes_by_server.items()
-            if self.cluster.server(s).rack != target_rack
-        )
-        return RepairReport(
-            file=file_name,
-            block=block,
-            helpers=job.plan.helpers,
-            bytes_read=sum(bytes_by_server.values()),
-            bytes_read_by_server=bytes_by_server,
-            bytes_written=block_bytes,
-            target_server=target_server,
-            cross_rack_bytes=cross_rack,
-        )
-
-    def _check_target(self, ef: EncodedFile, block: int, server: int, claimed: set) -> None:
+    def _check_target(self, ef: EncodedFile, block: int, server: int, scan) -> None:
         """Refuse an explicit target that would break the one-block-per-server
-        rule; ``claimed`` holds the ``(file, server)`` pairs of the batch's
-        earlier targets."""
+        rule; ``scan`` is the file's ``(unreadable blocks, servers in use)``,
+        and the target joins the servers in use."""
+        unreadable, used = scan
         host = self.cluster.servers.get(server)
         if host is None:
             why = "is not in the cluster"
         elif host.failed:
             why = "is down"
-        elif (ef.name, server) in claimed:
-            why = "is the target of another of its blocks"
+        elif server in used:
+            held = [b for b, s in ef.placement.items() if s == server and b not in unreadable]
+            why = f"holds its block {held[0]}" if held else "is the target of another of its blocks"
         else:
-            held = [
-                b for b, s in ef.placement.items()
-                if s == server and b != block and self.dfs.store.holds(s, ef.name, b)
-            ]
-            why = f"holds its block {held[0]}" if held else None
+            why = None
         if why is not None:
             raise FileSystemError(
                 f"cannot install block {block} of {ef.name!r} on server {server}: the server {why}",
@@ -494,34 +542,18 @@ class RepairManager:
                 server=server,
                 cause="no_target",
             )
-        claimed.add((ef.name, server))
-
-    def _pick_target(self, ef: EncodedFile, prefer_rack: int | None, ranking: _ServerRanking) -> int:
-        """A live unused server, preferring the lost block's old rack so
-        rack-aware layouts keep their group-per-rack structure; among
-        rack-equals the statistically healthiest server wins (no point
-        rebuilding onto a disk the breaker just gave up on)."""
-        used = {
-            s
-            for b, s in ef.placement.items()
-            if not self.cluster.server(s).failed and self.dfs.store.holds(s, ef.name, b)
-        }
-        free = [s for s in ranking.targets if s.server_id not in used]
-        if not free:
-            raise FileSystemError(
-                f"no spare server to host a rebuilt block of {ef.name!r}",
-                file=ef.name,
-                cause="no_target",
-            )
-        in_rack = (s for s in free if s.rack == prefer_rack)
-        return next(in_rack, free[0]).server_id
+        used.add(server)
 
     def repair_server(self, server_id: int, batch: bool = True) -> ServerRepairReport:
         """Rebuild every block lost with one server.
 
         Every lost block across all files is collected first and rebuilt
-        in one :meth:`repair_blocks_bulk` call, so striped files sharing a
-        code rebuild in fused kernel calls.
+        in one :meth:`repair_blocks_bulk` call: a round plans every block,
+        reads the helper rows of all of them in one client batch (in
+        bucket-then-block order; a block's reads stop at its first
+        unreadable helper, and it goes round again), rebuilds each bucket
+        of same-pattern blocks in one fused kernel call and stores every
+        rebuilt block in one store batch.
         """
         # ``batch`` is unused: benchmarks/e2e/io_workloads.py:157 still
         # passes it, and that file is the yardstick no PR it measures may

@@ -47,6 +47,8 @@ range, without a function call per plain range.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,34 +100,41 @@ class ResilientBlockClient:
     # ------------------------------------------------------------- read API
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
-        (rows,) = self._read_ranges([(server_id, file_name, block_id, start, count)], strict=True)
+        (rows,), failures = self._read_ranges([(server_id, file_name, block_id, start, count)])
+        if failures:
+            raise failures[0]
         return rows
 
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
-        (data,) = self._read_each(
+        (data,), failures = self._read_each(
             [(server_id, file_name, block_id)],
             lambda _: self.store.timed_get(server_id, file_name, block_id, verify=True),
-            strict=True,
         )
+        if failures:
+            raise failures[0]
         return data
 
-    def _read_ranges(self, ranges: list[tuple], strict: bool = False) -> list[np.ndarray | None]:
+    def _read_ranges(self, ranges: list[tuple], groups: list[int] | None = None):
         """Read ``(server, file, block, row0, nrows)`` row ranges, in order.
 
-        Returns per range the CRC-verified row view, or ``None`` for one
-        that could not be read (``strict``: raise instead).  Every range
-        goes through the steps a lone :meth:`read_rows` takes, in the same
-        order; the batch shares the lookups and the CRC pass
+        Returns ``(pieces, failures)``: per range the CRC-verified row
+        view, or ``None`` for one that could not be read, and the error of
+        each range that could not, in order.  ``groups``, when given, cuts
+        the ranges into consecutive groups of those lengths: the ranges of
+        a group after its first unreadable one are not attempted (no fault
+        draw, no clock advance) and are ``None`` too.  Every attempted
+        range goes through the steps a lone :meth:`read_rows` takes, in the
+        same order; the batch shares the lookups and the CRC pass
         (:meth:`BlockStore._range_reader`), and books its plain ranges in
         one pass (:meth:`_read_each`).  :meth:`read_rows` is a batch of one.
         """
         read, plain = self.store._range_reader(ranges, True)
-        return self._read_each(ranges, read, strict, plain)
+        return self._read_each(ranges, read, plain, groups)
 
     # ------------------------------------------------------------- internals
 
-    def _read_each(self, targets: list[tuple], attempt, strict: bool, plain=None) -> list[np.ndarray | None]:
-        """The retry loop, for each of ``targets`` in turn.
+    def _read_each(self, targets: list[tuple], attempt, plain=None, groups: list[int] | None = None):
+        """The retry loop, for each of ``targets`` in turn; returns ``(out, failures)``.
 
         ``targets[i]`` starts ``(server, file, block, ...)`` and
         ``attempt(i)`` is one try at it, returning ``(data, latency)``.
@@ -133,7 +142,10 @@ class ResilientBlockClient:
         between them — a transient error or a latency past the timeout
         fails a try — a hedge for a slow success, the clock advance, the
         ``read_latency_s`` sample and the health update.  A target that
-        cannot be read is ``None``, or with ``strict`` raises.
+        cannot be read is ``None`` in ``out`` and its error joins
+        ``failures`` (without a traceback, so it holds no frame).  With
+        ``groups`` (consecutive group lengths), the targets of a group
+        after its first unreadable one take no step and are ``None``.
 
         ``plain[i]``, when given and not ``None``, is ``(data, nbytes,
         latency)`` of a target whose attempt cannot fail, time out or
@@ -157,7 +169,14 @@ class ResilientBlockClient:
         counters = None
         booking = False
         out: list[np.ndarray | None] = []
+        failures: list[BlockUnavailableError] = []
+        # Targets before ``resume`` belong to a group that has stopped.
+        ends = list(accumulate(groups)) if groups else None
+        resume = 0
         for i, target in enumerate(targets):
+            if i < resume:
+                out.append(None)
+                continue
             server_id = target[0]
             booked = None
             if plain is not None:
@@ -277,17 +296,18 @@ class ResilientBlockClient:
                         block=block_id,
                         cause="retries_exhausted",
                     )
-                    failure.__cause__ = last_exc
+                    failure.__cause__ = last_exc.with_traceback(None)
             if failure is not None:
-                if strict:
-                    raise failure
+                failures.append(failure.with_traceback(None))
                 out.append(None)
+                if ends is not None:
+                    resume = ends[bisect_right(ends, i)]
             # Their tracebacks hold this frame: kept past their target, they
             # would keep it, and what it holds, until the cyclic collector runs.
             failure = last_exc = None
         if booking:
             self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
-        return out
+        return out, failures
 
     def _write_back(self, counters, bytes_total, blocks_total, time_total, samples: list[float], now: float) -> None:
         """Store what :meth:`_read_each` booked for a run of plain targets:

@@ -146,7 +146,8 @@ def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
 @pytest.mark.parametrize("field", FIELDS)
 def test_a_striped_read_is_one_batch(field, monkeypatch):
     """Clean or degraded, a striped read makes one batch for all its groups;
-    a degraded group then reads its helper rows in one strict batch of its own."""
+    the degraded groups then read their helper rows in one batch, each group
+    stopping at its first helper that cannot be read."""
     code = CODES["galloper"](FIELDS[field])
     dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     sfs = StripedFileSystem(dfs)
@@ -155,9 +156,9 @@ def test_a_striped_read_is_one_batch(field, monkeypatch):
     batches = []
     real = dfs.client._read_ranges
 
-    def counted(ranges, strict=False):
-        batches.append((len(ranges), strict))
-        return real(ranges, strict)
+    def counted(ranges, groups=None):
+        batches.append((len(ranges), groups))
+        return real(ranges, groups)
 
     monkeypatch.setattr(dfs.client, "_read_ranges", counted)
     assert sfs.read_file("s") == payload
@@ -167,7 +168,7 @@ def test_a_striped_read_is_one_batch(field, monkeypatch):
     assert sfs.read_file("s") == payload
     runs = sfs.file("s").group_count * len(code.read_plan().runs)
     helper_ranges = len(code.repair_plan(0).helper_rows.reads(0, code.block_infos[0].data_stripes))
-    assert batches == [(runs, False), (runs, False)] + [(helper_ranges, True)] * len(degraded)
+    assert batches == [(runs, None), (runs, None), (helper_ranges * len(degraded), [helper_ranges] * len(degraded))]
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +192,8 @@ setups = st.fixed_dictionaries({
     "breaker_block": st.integers(0, BOOKED_CODE.n - 1),
     "rot": st.lists(st.tuples(st.integers(0, 1), st.integers(0, BOOKED_CODE.n - 1), st.integers(0, 10**6)), max_size=3),
     "batches": st.lists(
-        st.tuples(st.lists(range_specs, min_size=1, max_size=6), st.booleans()), min_size=1, max_size=4
+        st.tuples(st.lists(range_specs, min_size=1, max_size=6), st.lists(st.integers(1, 3), max_size=6)),
+        min_size=1, max_size=4,
     ),
 })
 
@@ -258,13 +260,22 @@ def ledger(dfs) -> dict:
     }
 
 
-def outcome(dfs, ranges, strict):
+def outcome(dfs, ranges, cuts):
+    """The batch read with no groups (``cuts`` empty), or cut into groups of
+    the lengths ``cuts`` gives, the last group taking what is left."""
+    groups = None
+    if cuts:
+        groups, left = [], len(ranges)
+        for cut in cuts:
+            if left:
+                groups.append(min(cut, left))
+                left -= groups[-1]
+        groups[-1] += left
     try:
-        return dfs.client._read_ranges(ranges, strict), None
-    except BlockUnavailableError as exc:
-        return None, (type(exc).__name__, str(exc), vars(exc))
-    except StorageError as exc:  # a range past the end of its block raises, strict or not
+        pieces, failures = dfs.client._read_ranges(ranges, groups)
+    except StorageError as exc:  # a range past the end of its block raises, grouped or not
         return None, (type(exc).__name__, str(exc))
+    return pieces, [(type(exc).__name__, str(exc), vars(exc)) for exc in failures]
 
 
 def test_a_corrupt_draw_on_a_zero_row_read_returns_no_rows():
@@ -273,7 +284,7 @@ def test_a_corrupt_draw_on_a_zero_row_read_returns_no_rows():
     code = BOOKED_CODE
     dfs = DistributedFileSystem(Cluster.homogeneous(code.n), fault_model=FaultModel(SilentCorruption(rate=1.0), seed=1))
     ef = dfs.write_file("f", payload_bytes(code.data_stripe_total * 24, seed=3), code=code)
-    (rows,) = dfs.client._read_ranges([(ef.server_of(0), "f", 0, 2, 0)], strict=True)
+    rows = dfs.client.read_rows(ef.server_of(0), "f", 0, 2, 0)
     assert rows.shape == (0, 24)
     assert dfs.metrics.total("corrupted_returns") == 0
 
@@ -283,13 +294,14 @@ def test_a_corrupt_draw_on_a_zero_row_read_returns_no_rows():
 def test_plain_ranges_booked_in_one_pass_match_the_step_by_step_books(setup):
     """Batches of one, two and more ranges mixing plain ones with ranges on a
     failed server, behind an open or half-open breaker, with rot, not held,
-    out of bounds or of zero rows, or under a fault model, strict or not:
-    the same pieces and the same books, bit for bit, after every batch."""
+    out of bounds or of zero rows, or under a fault model, in groups that
+    stop at their first failure or not: the same pieces and the same books,
+    bit for bit, after every batch."""
     booked = booked_twin(setup, step_by_step=False)
     stepped = booked_twin(setup, step_by_step=True)
-    for specs, strict in setup["batches"]:
-        got, got_error = outcome(booked, batch_ranges(booked, specs), strict)
-        want, want_error = outcome(stepped, batch_ranges(stepped, specs), strict)
+    for specs, cuts in setup["batches"]:
+        got, got_error = outcome(booked, batch_ranges(booked, specs), cuts)
+        want, want_error = outcome(stepped, batch_ranges(stepped, specs), cuts)
         assert got_error == want_error
         if got is not None:
             assert [p is None for p in got] == [p is None for p in want]

@@ -15,7 +15,12 @@ compiled product per row range.  Checked here:
 * Reed-Solomon and Pyramid (``N = 1``: a row is the block) read what they
   read when degraded reads and repairs fetched whole helpers one
   ``client.get`` at a time: twin filesystems, one of them reading that
-  way, end in the same state when a helper fails mid-rebuild.
+  way, end in the same state when a helper fails mid-rebuild;
+* every code, Galloper included, reads what one ``client.read_rows`` per
+  named range would read, in plan order, each rebuild stopping at its
+  first unreadable helper: a whole-server repair whose lost blocks fall in
+  several buckets, one batch for all of them, ends in the state of a twin
+  reading range by range when a helper of a rebuild mid-batch fails.
 """
 
 from collections import defaultdict
@@ -30,7 +35,7 @@ from repro.faults.model import TransientErrors
 from repro.gf import random_symbols
 from repro.obs import Tracer, use_tracer
 from repro.serving import GatewayConfig, ServingGateway
-from repro.storage import DistributedFileSystem, RepairManager, Scrubber, StripedFileSystem
+from repro.storage import BlockUnavailableError, DistributedFileSystem, RepairManager, Scrubber, StripedFileSystem
 from tests.conftest import payload_bytes
 from tests.test_read_batch import state
 from tests.test_read_plan import FIELDS, code_matrix, field_matrix, make_code
@@ -183,9 +188,18 @@ def read_helpers_one_get_at_a_time(dfs, monkeypatch):
     batch: one ``client.get`` per helper, in plan order, stopping at the
     first that fails.  With ``N = 1`` every named range is a whole helper."""
 
-    def one_at_a_time(ef, reads):
-        assert all(first == 0 and count == ef.code.N == 1 for _, first, count in reads)
-        return [dfs.client.get(ef.server_of(h), ef.name, h) for h, _, _ in reads]
+    def one_at_a_time(entries):
+        out = []
+        for ef, reads in entries:
+            assert all(first == 0 and count == ef.code.N == 1 for _, first, count in reads)
+            got = []
+            for h, _, _ in reads:
+                try:
+                    got.append(dfs.client.get(ef.server_of(h), ef.name, h))
+                except BlockUnavailableError:
+                    break
+            out.append(got + [None] * (len(reads) - len(got)))
+        return out
 
     monkeypatch.setattr(dfs, "_read_helper_rows", one_at_a_time)
 
@@ -215,3 +229,76 @@ def test_rs_and_pyramid_read_as_they_did_when_a_helper_fails_mid_rebuild(code_na
     counters = state(batched)["counters"]
     assert counters["retries"][0] > 0 and counters["breaker_opens"][0] > 0
     assert tracer.find("dfs.local_repair") and tracer.find("dfs.degraded_decode")
+
+
+# ------------------------- a batch of rebuilds is its ranges one at a time
+
+
+def read_helpers_one_range_at_a_time(dfs, monkeypatch):
+    """The reference for a batch of rebuilds: one ``client.read_rows`` per
+    named range, rebuild by rebuild in plan order, each rebuild stopping at
+    its first range that cannot be read."""
+
+    def one_at_a_time(entries):
+        out = []
+        for ef, reads in entries:
+            got = []
+            for h, first, count in reads:
+                try:
+                    got.append(dfs.client.read_rows(ef.server_of(h), ef.name, h, first, count))
+                except BlockUnavailableError:
+                    break
+            out.append(got + [None] * (len(reads) - len(got)))
+        return out
+
+    monkeypatch.setattr(dfs, "_read_helper_rows", one_at_a_time)
+
+
+def server_loss_twin(code_name: str, field: str):
+    """A striped file over ``n + 2`` servers, so each group holds a different
+    block on server 0; server 0 is down, and the server of one helper of a
+    rebuild in the middle of the repair's batch fails every read.  Returns
+    the filesystem, its striped filesystem, the rebuilds in batch order and
+    the payload."""
+    code = make_code(code_name, field)
+    cluster = Cluster.homogeneous(code.n + 2)
+    dfs = DistributedFileSystem(cluster)
+    sfs = StripedFileSystem(dfs)
+    block = code.N * 60
+    payload = payload_bytes(9 * code.k * block - 55, seed=4)
+    sfs.write_file("s", payload, lambda: code, max_block_bytes=block)
+    lost = [(name, b) for name in dfs.list_files() for b in dfs.file(name).blocks_on_server(0)]
+    plans = {b: code.repair_plan(b, {b}) for _, b in lost}
+    buckets: dict[int, list] = {}
+    for name, b in lost:
+        buckets.setdefault(b, []).append(name)
+    order = [(name, b) for b, names in buckets.items() for name in names]
+    name, b = order[len(order) // 2]
+    first_servers = {dfs.file(order[0][0]).server_of(h) for h in plans[order[0][1]].helpers}
+    flaky = next(
+        s for s in (dfs.file(name).server_of(h) for h in plans[b].helpers) if s not in first_servers
+    )
+    dfs.store.install_faults(FaultModel(TransientErrors(rate=1.0, servers=frozenset({flaky})), seed=5))
+    cluster.fail(0)
+    return dfs, sfs, order, payload
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("code_name", ["rs", "pyramid", "galloper", "rotated"])
+def test_a_server_repair_reads_as_one_range_at_a_time_when_a_helper_fails_mid_batch(code_name, field, monkeypatch):
+    batched, batched_sfs, order, payload = server_loss_twin(code_name, field)
+    looped, looped_sfs, _, _ = server_loss_twin(code_name, field)
+    assert len({b for _, b in order}) >= 3  # the lost blocks fall in three buckets or more
+    read_helpers_one_range_at_a_time(looped, monkeypatch)
+
+    def run(dfs, sfs) -> list:
+        report = RepairManager(dfs).repair_server(0)
+        return [(r.file, r.block, r.helpers, r.bytes_read_by_server, r.target_server) for r in report.reports]
+
+    got = run(batched, batched_sfs)
+    assert got == run(looped, looped_sfs)
+    assert state(batched) == state(looped)
+    assert batched_sfs.read_file("s") == looped_sfs.read_file("s") == payload
+    # The rebuild mid-batch gave up on its flaky helper and was re-planned.
+    counters = state(batched)["counters"]
+    assert counters["repair_replans"][0] > 0 and counters["retries"][0] > 0

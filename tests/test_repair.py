@@ -105,6 +105,20 @@ class TestBlockRepair:
         assert len(set(ef.placement.values())) == len(ef.placement)
         assert dfs.read_file("f") == payload
 
+    def test_a_block_named_twice_is_refused_before_any_read(self, setup):
+        """Rebuilt twice, a block would land on two servers and leave one
+        copy orphaned: a repeated ``(file, block)`` is refused up front."""
+        cluster, dfs, rm = setup
+        ef = dfs.write_file("f", payload_bytes(7_000, seed=13), code=GalloperCode(4, 2, 1))
+        cluster.fail(ef.server_of(0))
+        before = dfs.metrics.snapshot()
+        with pytest.raises(FileSystemError) as exc:
+            rm.repair_blocks_bulk([("f", 0), ("f", 0)])
+        assert exc.value.cause == "repeated"
+        assert dfs.metrics.snapshot() == before  # nothing read, nothing written
+        (report,) = rm.repair_blocks_bulk([("f", 0)])
+        assert [s for s in cluster.alive_ids() if dfs.store.holds(s, "f", 0)] == [report.target_server]
+
     @pytest.mark.parametrize("rate", [1.0, 0.5], ids=["always", "half the time"])
     def test_corrupting_helper_never_reaches_a_rebuilt_block(self, setup, rate):
         """The rotated baseline reads its helpers fractionally; such a read
