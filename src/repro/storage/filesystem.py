@@ -113,6 +113,15 @@ def _symbol_chunks(pieces, head: int = 0, tail: int = 0) -> list[np.ndarray]:
     return chunks
 
 
+def _cut(pieces: list, lengths: list[int]) -> list[list]:
+    """``pieces`` cut into consecutive lists of ``lengths`` items."""
+    out, stop = [], 0
+    for n in lengths:
+        start, stop = stop, stop + n
+        out.append(pieces[start:stop])
+    return out
+
+
 def _join_symbols(chunks: list[np.ndarray]) -> bytes:
     """The chunks as one ``bytes``, one byte per symbol: the single pass
     that delivers a read.  Symbols of a wider field are narrowed first (a
@@ -533,20 +542,12 @@ class DistributedFileSystem:
         pieces, _ = self.client._read_ranges(ranges)
         if len(spans) == 1:
             return [pieces]
-        out: list[list[np.ndarray | None]] = []
-        stop = 0
-        for _, runs in spans:
-            start, stop = stop, stop + len(runs)
-            out.append(pieces[start:stop])
-        return out
+        return _cut(pieces, [len(runs) for _, runs in spans])
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""
-        return frozenset(
-            b
-            for b, server in ef.placement.items()
-            if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
-        )
+        server, holds, name = self.cluster.server, self.store.holds, ef.name
+        return frozenset(b for b, s in ef.placement.items() if server(s).failed or not holds(s, name, b))
 
     def _plan_local_repair(self, ef: EncodedFile, runs, pieces: list, memo: dict):
         """``(plan, row0, nrows)`` rebuilding the ``None`` pieces of ``runs``, else ``None``.
@@ -588,13 +589,8 @@ class DistributedFileSystem:
         ranges = [
             (ef.placement[h], ef.name, h, first, count) for ef, reads in entries for h, first, count in reads
         ]
-        pieces, _ = self.client._read_ranges(ranges, [len(reads) for _, reads in entries])
-        out: list[list[np.ndarray | None]] = []
-        stop = 0
-        for _, reads in entries:
-            start, stop = stop, stop + len(reads)
-            out.append(pieces[start:stop])
-        return out
+        lengths = [len(reads) for _, reads in entries]
+        return _cut(self.client._read_ranges(ranges, lengths)[0], lengths)
 
     def _recover(self, entries: list[tuple[EncodedFile, tuple, list]]) -> None:
         """Fill the ``None`` pieces of each ``(file, runs, pieces)`` entry.
@@ -610,12 +606,12 @@ class DistributedFileSystem:
         stripe groups of one striped file.  Those whose missing runs sit
         in one block are bucketed by ``(block, helpers, rows)`` — after a
         server failure every group lands in one bucket.  The helper rows
-        of every bucket are read in one batch (:meth:`_read_helper_rows`;
-        an entry stops at its first unreadable helper), then each bucket
-        rebuilds in one fused reconstruct.  Everything else, and any entry
-        one of whose helpers could not be read, is decoded in full from minimal survivor sets
-        by :meth:`_degraded_decode`, which re-plans around flaky
-        survivors.  A plain read is a batch of one.
+        of every bucket are read in one batch (:meth:`_read_helper_rows`),
+        then each bucket rebuilds in one fused reconstruct.  Everything
+        else, and any entry one of whose helpers could not be read, is
+        decoded in full from minimal survivor sets by
+        :meth:`_degraded_decode`, which re-plans around flaky survivors.
+        A plain read is a batch of one.
         """
         code = entries[0][0].code
         plans: dict = {}

@@ -307,35 +307,31 @@ class RepairManager:
         ``targets`` are ``(file, block)`` or ``(file, block, target
         server)`` tuples; without a target server the block goes to a
         spare picked when it is installed.  Each file's placement is
-        scanned once, for its unreadable blocks and the servers its live
-        blocks are on.  Then the targets go in rounds.  A round plans
-        every target (plans are memoised by code, block, unreadable set
-        and helper preference) and groups them by ``(code instance, block
-        index, helper set)`` — after one server failure every stripe group
-        of a striped file lands in the same bucket.  It reads the helper
-        rows of every target in **one** client batch, bucket by bucket and
-        target by target; a target's reads stop at its first helper that
-        cannot be read (flaky disk, tripped breaker, fresh crash), and the
-        rest of the batch is read all the same.  Each bucket's
-        reconstruction then runs as **one** compiled-plan apply over the
-        column-concatenated helper stripes of all its files (ragged stripe
-        widths mix freely), and every rebuilt block is stored by **one**
-        store batch, on targets picked against a running per-file set of
-        servers in use.  A target whose read stopped goes round again with
-        that helper added to its unreadable set, up to
-        :data:`MAX_HELPER_REPLANS` times; a round in which one runs out
-        raises before it stores anything.
+        scanned once.  Then the targets go in rounds.  A round plans every
+        target (memoised per code, block, unreadable set and helper
+        preference) and buckets them by ``(code instance, block index,
+        helper set)`` — after one server failure every stripe group of a
+        striped file lands in one bucket.  It reads the helper rows of
+        every target in **one** client batch, bucket by bucket, target by
+        target; a target's reads stop at its first helper that cannot be
+        read (flaky disk, tripped breaker, fresh crash), the others' go on.
+        Each bucket is rebuilt by **one** compiled-plan apply over the
+        column-concatenated helper stripes of its files (ragged widths mix
+        freely), and the round stores every rebuilt block in **one** store
+        batch.  A target whose reads stopped goes round again with that
+        helper unreadable, up to :data:`MAX_HELPER_REPLANS` times.  A round
+        that gives up on a target, or finds no spare for one, raises
+        before it stores anything.
 
         Returns one report per rebuilt block, round by round, bucket by
         bucket.
 
         Raises:
             FileSystemError: ``cause="repeated"`` for a ``(file, block)``
-                named twice, ``cause="not_lost"`` for a block that is not
-                lost, and ``cause="no_target"`` for a target server that is
-                unknown, down, holds another live block of the file or is
-                named for two of its blocks — all before any helper is
-                read.
+                named twice, ``"not_lost"`` for a block that is not lost,
+                ``"no_target"`` for a target server that is unknown, down,
+                holds another live block of the file or is named for two of
+                its blocks — all before any helper is read.
         """
         ranking = self._rank_servers()
         # Per file: its unreadable blocks, and the servers in use — those of
@@ -468,16 +464,15 @@ class RepairManager:
             )
 
     def _install(self, rebuilt, scans: dict, ranking: _ServerRanking) -> list[RepairReport]:
-        """Store a round's rebuilt blocks in one store batch, move their
-        placement and build their reports.
+        """Store a round's ``(job, helper bytes by server, rebuilt block)``
+        in one store batch, move their placement and build their reports.
 
-        ``rebuilt[i]`` is ``(job, helper bytes by server, rebuilt block)``.
         A block without a target server goes to a live server its file does
-        not use yet, preferring the lost block's old rack so rack-aware
-        layouts keep their group-per-rack structure; among rack-equals the
+        not use, preferring the lost block's old rack so rack-aware layouts
+        keep their group-per-rack structure; among rack-equals the
         statistically healthiest server wins (no point rebuilding onto a
         disk the breaker just gave up on).  Each pick joins its file's
-        servers in use, so two blocks of a file never share a server.
+        servers in use (``scans``), so two blocks never share a server.
         """
         servers = self.cluster.servers
         items = []
@@ -485,15 +480,16 @@ class RepairManager:
             target = job.target_server
             if target is None:
                 used = scans[job.file][1]
-                free = [s for s in ranking.targets if s.server_id not in used]
-                if not free:
+                free = (s for s in ranking.targets if s.server_id not in used)
+                first = next(free, None)
+                if first is None:
                     raise FileSystemError(
                         f"no spare server to host a rebuilt block of {job.file!r}",
                         file=job.file,
                         cause="no_target",
                     )
-                prefer_rack = servers[job.ef.placement[job.block]].rack
-                target = next((s for s in free if s.rack == prefer_rack), free[0]).server_id
+                rack = servers[job.ef.placement[job.block]].rack
+                target = (first if first.rack == rack else next((s for s in free if s.rack == rack), first)).server_id
                 used.add(target)
             items.append((target, job.file, job.block, data))
         with get_tracer().span(
@@ -548,12 +544,11 @@ class RepairManager:
         """Rebuild every block lost with one server.
 
         Every lost block across all files is collected first and rebuilt
-        in one :meth:`repair_blocks_bulk` call: a round plans every block,
-        reads the helper rows of all of them in one client batch (in
-        bucket-then-block order; a block's reads stop at its first
-        unreadable helper, and it goes round again), rebuilds each bucket
-        of same-pattern blocks in one fused kernel call and stores every
-        rebuilt block in one store batch.
+        in one :meth:`repair_blocks_bulk` call.  Its round reads the helper
+        rows of every block in one client batch, bucket by bucket (a
+        block's reads stop at its first unreadable helper, and it goes
+        round again), rebuilds each bucket of same-pattern blocks in one
+        fused kernel call and stores every rebuilt block in one store batch.
         """
         # ``batch`` is unused: benchmarks/e2e/io_workloads.py:157 still
         # passes it, and that file is the yardstick no PR it measures may
@@ -563,12 +558,12 @@ class RepairManager:
             "repair.server", category="repair", server=server_id, clock=self.dfs.clock
         ) as sp:
             gone = self.cluster.server(server_id).failed
-            lost = [
+            lost = sorted(
                 (name, b)
-                for name in self.dfs.list_files()
-                for b in sorted(self.dfs.file(name).blocks_on_server(server_id))
-                if gone or not self.dfs.store.holds(server_id, name, b)
-            ]
+                for name, ef in self.dfs.files.items()
+                for b, s in ef.placement.items()
+                if s == server_id and (gone or not self.dfs.store.holds(server_id, name, b))
+            )
             sp.set(blocks=len(lost))
             return ServerRepairReport(server=server_id, reports=self.repair_blocks_bulk(lost))
 
