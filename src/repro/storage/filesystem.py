@@ -546,8 +546,11 @@ class DistributedFileSystem:
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""
-        server, holds, name = self.cluster.server, self.store.holds, ef.name
-        return frozenset(b for b, s in ef.placement.items() if server(s).failed or not holds(s, name, b))
+        return frozenset(
+            b
+            for b, server in ef.placement.items()
+            if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
+        )
 
     def _plan_local_repair(self, ef: EncodedFile, runs, pieces: list, memo: dict):
         """``(plan, row0, nrows)`` rebuilding the ``None`` pieces of ``runs``, else ``None``.

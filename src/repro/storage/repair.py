@@ -20,7 +20,6 @@ from repro.cluster.topology import Cluster, Server
 from repro.codes.base import DecodingError, RepairPlan
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
-from repro.storage.blockstore import BlockUnavailableError
 from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
 from repro.storage.metrics import MetricsRegistry
 
