@@ -291,12 +291,12 @@ def test_a_server_repair_reads_as_one_range_at_a_time_when_a_helper_fails_mid_ba
     assert len({b for _, b in order}) >= 3  # the lost blocks fall in three buckets or more
     read_helpers_one_range_at_a_time(looped, monkeypatch)
 
-    def run(dfs, sfs) -> list:
+    def run(dfs) -> list:
         report = RepairManager(dfs).repair_server(0)
         return [(r.file, r.block, r.helpers, r.bytes_read_by_server, r.target_server) for r in report.reports]
 
-    got = run(batched, batched_sfs)
-    assert got == run(looped, looped_sfs)
+    got = run(batched)
+    assert got == run(looped)
     assert state(batched) == state(looped)
     assert batched_sfs.read_file("s") == looped_sfs.read_file("s") == payload
     # The rebuild mid-batch gave up on its flaky helper and was re-planned.
