@@ -30,7 +30,9 @@ striped read hands the client every row range at once
 (``_read_ranges``), so lookups are bound and the CRC check is paid once
 per read rather than once per range.  ``read_rows`` is a batch of one
 range and ``get`` runs the same loop over one whole block.  Each range
-still takes every step above, in order.
+still takes every step above, in order.  A batch may be cut into groups
+(the helper rows of one rebuild each): a group stops at its first range
+that cannot be read, and its later ranges take no step.
 
 Most ranges of a read on healthy hardware are *plain*: no fault model,
 the server up and its breaker closed, the rows held and vouched for by
