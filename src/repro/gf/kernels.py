@@ -68,6 +68,15 @@ GATHER_CHUNK_WORDS = 3 << 16
 #: building (and paying for) packed gather tables.
 SMALL_PRODUCT_ELEMS = 1024
 
+#: Narrowest segment, in symbols, that :meth:`CodingPlan.apply_batch`
+#: codes through the native segment table where it lies instead of
+#: column-stacking it with its neighbours.  Below it a segment's own pass
+#: costs more than its share of a stack (``docs/PERFORMANCE.md``, "A
+#: striped write in one pass"); at or above :data:`SMALL_PRODUCT_ELEMS`,
+#: every segment in the table is booked as its own :meth:`CodingPlan.apply`
+#: would book it.
+_SEGMENT_MIN_ELEMS = 1024
+
 #: Maximum number of full 65536-entry packed tables a GF(2^16) plan may
 #: hold (512 KiB each — 32 MiB total); larger plans use split tables.
 FULL_TABLE_LIMIT = 64
@@ -402,22 +411,27 @@ class CodingPlan:
         if s == 0:
             return out
         nbytes = (self.n * s + out.size) * self.gf.dtype.itemsize
+        self._run(s, nbytes, lambda: self._compute(rows, out, s, nbytes))
+        return out
+
+    def _run(self, columns: int, nbytes: int, compute) -> None:
+        """``compute()``, under a ``gf.apply`` span and the kernel profiler
+        when either is on."""
         tracer = get_tracer()
         profiler = get_profiler()
-        if tracer.enabled or profiler.enabled:
-            kind = self.kernel
-            kernel = kind if kind == "copy" or s >= SMALL_PRODUCT_ELEMS else "direct-small"
-            t0 = perf_counter()
-            with tracer.span(
-                "gf.apply", category="gf", kernel=kernel,
-                rows=self.m, data_rows=self.n, columns=s, bytes=nbytes,
-            ):
-                self._compute(rows, out, s, nbytes)
-            if profiler.enabled:
-                profiler.record(kernel, perf_counter() - t0, nbytes)
-        else:
-            self._compute(rows, out, s, nbytes)
-        return out
+        if not (tracer.enabled or profiler.enabled):
+            compute()
+            return
+        kind = self.kernel
+        kernel = kind if kind == "copy" or columns >= SMALL_PRODUCT_ELEMS else "direct-small"
+        t0 = perf_counter()
+        with tracer.span(
+            "gf.apply", category="gf", kernel=kernel,
+            rows=self.m, data_rows=self.n, columns=columns, bytes=nbytes,
+        ):
+            compute()
+        if profiler.enabled:
+            profiler.record(kernel, perf_counter() - t0, nbytes)
 
     def _input_rows(self, data) -> tuple[list[np.ndarray], int]:
         """``data`` (see :meth:`apply`) as a list of 2-D arrays of field
@@ -440,28 +454,49 @@ class CodingPlan:
             )
         return rows, width or 0
 
+    def _native_ready(self) -> bool:
+        """Whether the dense rows run on a native kernel (tier decided)."""
+        if not self._dense_dst.size:
+            return False
+        self._decide_tier()
+        return self._native_backend is not None
+
     def _compute(self, rows: list[np.ndarray], out: np.ndarray, s: int, nbytes: int) -> None:
         """The uninstrumented kernel body: copies, then the dense product.
 
-        The native kernels take ``rows`` as they lie.  The numpy tiers,
-        the direct path for short stripes and a copy-only plan take one
-        array, so several row arrays are stacked for them first.
+        The native kernels take ``rows`` as they lie and make the copies
+        themselves.  The numpy tiers, the direct path for short stripes
+        and a copy-only plan take one array, so several row arrays are
+        stacked for them first.
         """
-        dense = self._dense_dst.size
-        native = bool(dense) and s >= SMALL_PRODUCT_ELEMS
-        if native:
-            self._decide_tier()
-            native = self._native_backend is not None
-        if len(rows) > 1 and not native:
+        if s >= SMALL_PRODUCT_ELEMS and self._native_ready():
+            self._book(nbytes)
+            out_view = out
+            if out.strides[-1] != self.gf.dtype.itemsize:
+                out_view = np.ascontiguousarray(out)
+            self._native_segments(rows, out_view, [0], [out_view.strides[0], s * self.gf.dtype.itemsize])
+            if out_view is not out:
+                out[...] = out_view
+            return
+        if len(rows) > 1:
             rows = [np.concatenate(rows)]
         self._copy_rows(rows, out)
-        if not dense:
+        if not self._dense_dst.size:
             _selection_bytes["copy"] += nbytes
             return
         if s < SMALL_PRODUCT_ELEMS:
             _selection_bytes["direct-small"] += nbytes
             self._apply_dense_direct(rows[0], out)
             return
+        self._book(nbytes)
+        if self._schedule is not None:
+            self._schedule.execute(rows[0], self._dense_cols, self._dense_dst, out)
+        else:
+            self._apply_dense_packed(rows[0], out)
+
+    def _book(self, nbytes: int) -> None:
+        """Count a dense product of ``nbytes`` on this plan's tier (and
+        the plan itself, at its first)."""
         if not self._tier_counted:
             self._tier_counted = True
             _selection_counts[self.kernel] += 1
@@ -470,17 +505,6 @@ class CodingPlan:
             if self._native_fallback:
                 _selection_counts["native_fallbacks"] += 1
         _selection_bytes[self.kernel] += nbytes
-        if self._schedule is not None:
-            if self._native_backend is not None:
-                self._schedule.execute_native(
-                    self._native_backend, rows, self._dense_cols, self._dense_dst, out
-                )
-            else:
-                self._schedule.execute(rows[0], self._dense_cols, self._dense_dst, out)
-        elif self._native_backend is not None:
-            self._apply_dense_native(rows, out)
-        else:
-            self._apply_dense_packed(rows[0], out)
 
     def _copy_rows(self, rows: list[np.ndarray], out: np.ndarray) -> None:
         """The identity coefficient rows: ``out[d] = input row s``, run by
@@ -507,60 +531,87 @@ class CodingPlan:
 
     __call__ = apply
 
-    def apply_batch(
-        self, segments, out: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Apply the plan to many column-segments sharing one output.
+    def apply_batch(self, segments) -> list[np.ndarray]:
+        """Apply the plan to many segments, their results in one buffer.
 
         ``segments`` is a sequence of ``(n, S_i)`` payloads sharing this
         plan's coefficient matrix — e.g. the stripe grids of every group
         of a striped file — each one 2-D array or a list of row arrays as
-        :meth:`apply` takes it.  The per-segment results are returned as
-        zero-copy column views into one ``(m, sum(S_i))`` output.
+        :meth:`apply` takes it.  One ``(m, S_i)`` result comes back per
+        segment, each a view into one shared buffer.
 
-        How a segment gets there depends on its width alone.  One that
-        already fills a kernel cache block (:meth:`_cache_block_elems`),
-        or stands alone between such segments, is applied as given,
-        straight into its column slice: the kernels split a stripe into
-        blocks themselves, and the native ones read its rows where they
-        lie.  Runs of narrower segments are column-stacked straight from
-        their rows (one copy) and pushed through one :meth:`apply` (one
-        table walk, one chunk loop, one set of scratch buffers instead of
-        one per segment), which is what amortises the per-call cost of
-        small stripe groups.
-
-        ``out`` may pre-allocate the shared output buffer; as with
-        :meth:`apply`, rows of an all-zero coefficient row are then left
-        as the caller set them.
+        How a segment gets there depends on its width alone.  On a native
+        tier, every segment at least :data:`_SEGMENT_MIN_ELEMS` wide is
+        coded by one kernel call over a segment table: its rows are read
+        where they lie and its result is written contiguously into the
+        buffer — a C-contiguous array, with nothing staged.  The numpy
+        tiers take one array per product, so there only a segment that
+        fills a kernel cache block (:meth:`_cache_block_elems`) is applied
+        on its own, straight into its part of the buffer.  Runs of
+        narrower segments are column-stacked straight from their rows (one
+        copy) and pushed through one :meth:`apply` (one table walk, one
+        chunk loop, one set of scratch buffers instead of one per
+        segment), which is what amortises the per-call cost of small
+        stripe groups; their results are column slices of the run's part
+        of the buffer.  A narrow segment alone between wide ones is
+        applied as given.
         """
         members = [self._input_rows(seg) for seg in segments]
         if not members:
             return []
-        bounds = [0]
-        for _, width in members:
-            bounds.append(bounds[-1] + width)
-        shape = (self.m, bounds[-1])
-        if out is None:
-            out = np.empty(shape, dtype=self.gf.dtype)
-            if self._zero_rows.size:
-                out[self._zero_rows] = 0
-        elif out.shape != shape or out.dtype != self.gf.dtype:
-            raise GFError(f"output buffer must be {shape} of {self.gf.dtype}")
-        wide = self._cache_block_elems()
-        i = 0
+        native = self._native_ready()
+        wide = _SEGMENT_MIN_ELEMS if native else self._cache_block_elems()
+        m = self.m
+        make = np.zeros if self._zero_rows.size else np.empty
+        buf = make(m * sum(width for _, width in members), dtype=self.gf.dtype)
+        results = []
+        table = []  # (rows, width, offset) of each segment coded in the native call
+        pos = i = 0
         while i < len(members):
+            rows, width = members[i]
             j = i + 1
-            if members[i][1] < wide:
+            if width < wide:
                 while j < len(members) and members[j][1] < wide:
                     j += 1
-            if j == i + 1:
-                rows = members[i][0]
-                data = rows if len(rows) != 1 else rows[0]
+                width = sum(w for _, w in members[i:j])
+            region = buf[pos : pos + m * width].reshape(m, width)
+            if j > i + 1:
+                self.apply(self._stack(members[i:j]), out=region)
+                left = 0
+                for _, w in members[i:j]:
+                    results.append(region[:, left : left + w])
+                    left += w
             else:
-                data = self._stack(members[i:j])
-            self.apply(data, out=out[:, bounds[i] : bounds[j]])
+                results.append(region)
+                if native and width >= wide:
+                    table.append((rows, width, pos))
+                else:
+                    self.apply(rows if len(rows) != 1 else rows[0], out=region)
+            pos += m * width
             i = j
-        return [out[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        if table:
+            self._apply_segments(table, buf)
+        return results
+
+    def _apply_segments(self, table, buf: np.ndarray) -> None:
+        """One native call over :meth:`apply_batch`'s segment table:
+        ``table[g]`` is ``(rows, width, offset)``, segment ``g``'s input
+        row arrays and its ``(m, width)`` result at symbol ``offset`` of
+        ``buf``.  Booked and traced as one :meth:`apply` of every column."""
+        itemsize = self.gf.dtype.itemsize
+        chunks, offsets, oshape = [], [], []
+        for rows, width, offset in table:
+            chunks += rows
+            offsets.append(offset * itemsize)
+            oshape += (width * itemsize, width * itemsize)
+        columns = sum(oshape[1::2]) // itemsize
+        nbytes = (self.n + self.m) * columns * itemsize
+
+        def compute():
+            self._book(nbytes)
+            self._native_segments(chunks, buf, offsets, oshape)
+
+        self._run(columns, nbytes, compute)
 
     def _stack(self, members: list[tuple[list[np.ndarray], int]]) -> np.ndarray:
         """Column-stack the input rows of several segments (``(rows, width)``
@@ -676,15 +727,24 @@ class CodingPlan:
                 out[rows[base : base + count], s0 : s0 + w] = lane_view[:, :count].T
 
     def _build_native_tables(self) -> None:
-        """Per-coefficient product tables in the native kernels' layout.
+        """The native kernels' operands: int32 dense columns and rows, the
+        identity rows as flat ``(out row, input row)`` pairs, and for the
+        gather kernels per-coefficient product tables.
 
         GF(2^8): one contiguous ``(m, n_used, 256)`` uint8 block, rows of
         the field's full mul table.  GF(2^16): ISA-L split lo/hi tables,
         ``(m, n_used, 256)`` uint16 each — the full 65536-entry table
         would blow the cache budget the native tier exists to respect.
         """
+        self._native_cols = np.ascontiguousarray(self._dense_cols, dtype=np.int32)
+        self._native_rows = np.ascontiguousarray(self._dense_dst, dtype=np.int32)
+        self._native_copies = np.ascontiguousarray(
+            np.stack([self._copy_dst, self._copy_src], axis=1).reshape(-1), dtype=np.int32
+        )
         sub = self._sub
-        if self.gf.q == 8:
+        if self._schedule is not None:
+            self._native_tables = ()
+        elif self.gf.q == 8:
             self._native_tables = (np.ascontiguousarray(self.gf.mul_table[sub]),)
         else:
             lo, hi = split_product_tables(self.gf, sub.reshape(-1))
@@ -693,38 +753,32 @@ class CodingPlan:
                 np.ascontiguousarray(lo.reshape(shape)),
                 np.ascontiguousarray(hi.reshape(shape)),
             )
-        self._native_cols = np.ascontiguousarray(self._dense_cols, dtype=np.int32)
-        self._native_rows = np.ascontiguousarray(self._dense_dst, dtype=np.int32)
 
-    def _apply_dense_native(self, rows: list[np.ndarray], out: np.ndarray) -> None:
-        """Dense product through the generated-C gather kernel, which reads
-        the input rows where they lie.
+    def _native_segments(self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int]) -> None:
+        """Copies and dense product of one or more segments in one call of
+        the native gather or XOR kernel, which reads the input rows where
+        they lie.
 
-        Cache-blocked with the shared pool budget: one block keeps every
-        output-row segment plus the streaming data row inside ~L2, so a
-        multi-MB stripe never materialises a full-width intermediate.
+        The input rows of every segment are those of ``chunks`` laid end
+        to end; segment ``g``'s output starts ``offsets[g]`` bytes into
+        ``out``, ``oshape[2g]`` bytes from row to row and ``oshape[2g +
+        1]`` bytes wide.  The gather kernels are cache-blocked with the
+        shared pool budget: one block keeps every output-row segment plus
+        the streaming data row inside ~L2, so a multi-MB stripe never
+        materialises a full-width intermediate.
         """
         if self._native_tables is None:
             self._build_native_tables()
-        out_view = out
-        copy_back = out.strides[-1] != self.gf.dtype.itemsize
-        if copy_back:
-            out_view = np.ascontiguousarray(out)
-        block = self._cache_block_elems()
-        if self.gf.q == 8:
+        backend = self._native_backend
+        operands = (chunks, self._native_cols, self._native_rows, self._native_copies, out, offsets, oshape)
+        if self._schedule is not None:
+            self._schedule.execute_native(backend, *operands)
+        elif self.gf.q == 8:
             (tables,) = self._native_tables
-            self._native_backend.gf8_gather(
-                tables, self._sub, rows, self._native_cols,
-                out_view, self._native_rows, block,
-            )
+            backend.gf8_gather(tables, self._sub, *operands, self._cache_block_elems())
         else:
             lo, hi = self._native_tables
-            self._native_backend.gf16_gather(
-                lo, hi, self._sub, rows, self._native_cols,
-                out_view, self._native_rows, block,
-            )
-        if copy_back:
-            out[...] = out_view
+            backend.gf16_gather(lo, hi, self._sub, *operands, self._cache_block_elems())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CodingPlan({self.m}x{self.n} over GF(2^{self.gf.q}), kernel={self.kernel})"

@@ -100,24 +100,22 @@ void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
-                     const int32_t *cols,
-                     uint8_t *out, ptrdiff_t ostride,
-                     const int32_t *rows,
-                     int32_t m, int32_t n, size_t s, size_t block);
+                     const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
+                     const int32_t *copies, int32_t ncopy,
+                     char **outs, const int64_t *oshape, size_t nseg, size_t block);
 int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                       const uint16_t *coeffs,
                       char **bases, const int64_t *geometry, size_t nranges,
-                      const int32_t *cols,
-                      uint16_t *out, ptrdiff_t ostride,
-                      const int32_t *rows,
-                      int32_t m, int32_t n, size_t s, size_t block);
+                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
+                      const int32_t *copies, int32_t ncopy,
+                      char **outs, const int64_t *oshape, size_t nseg, size_t block);
 int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
-                   const int32_t *cols,
-                   uint8_t *out, ptrdiff_t ostride,
-                   const int32_t *rows,
+                   const int32_t *cols, const int32_t *rows,
+                   const int32_t *copies, int32_t ncopy,
+                   char **outs, const int64_t *oshape, size_t nseg,
                    uint8_t *pool, size_t block_bytes,
                    const int32_t *prog, int32_t n_insn,
-                   size_t nbytes, int32_t qbits, uint32_t red);
+                   int32_t qbits, uint32_t red);
 """
 
 
@@ -156,11 +154,14 @@ int repro_native_simd(void)
 
 /* --------------------------------------------------------- input rows */
 
-/* The gather and XOR kernels read a plan's input rows where they lie,
- * through a table of row pointers.  The caller passes the rows as
- * `nranges` row ranges laid end to end -- a 2-D array is one range --
- * range r starting at bases[r], geometry[2r] bytes from one row to the
- * next, geometry[2r + 1] rows. */
+/* The gather and XOR kernels code `nseg` segments with one plan in one
+ * call, reading every input row where it lies through a table of row
+ * pointers.  The caller passes the rows as `nranges` row ranges laid end
+ * to end -- a 2-D array is one range -- range r starting at bases[r],
+ * geometry[2r] bytes from one row to the next, geometry[2r + 1] rows.
+ * Segment g's input rows are the g-th nin = (rows of all ranges) / nseg
+ * of them.  Segment g's output starts at outs[g], oshape[2g] bytes from
+ * one output row to the next and oshape[2g + 1] bytes wide. */
 static size_t range_rows(const int64_t *geometry, size_t nranges)
 {
     size_t r, total = 0;
@@ -183,6 +184,16 @@ static const uint8_t **row_table(char **bases, const int64_t *geometry,
             row[i++] = p;
     }
     return row;
+}
+
+/* The identity rows of a plan: out row copies[2c] = input row
+ * copies[2c + 1], `nbytes` bytes each. */
+static void copy_rows(const uint8_t **in, const int32_t *copies, int32_t ncopy,
+                      uint8_t *out, ptrdiff_t ostride, size_t nbytes)
+{
+    int32_t c;
+    for (c = 0; c < ncopy; c++)
+        memcpy(out + (ptrdiff_t)copies[2 * c] * ostride, in[copies[2 * c + 1]], nbytes);
 }
 
 /* ------------------------------------------------------------- gather */
@@ -231,37 +242,43 @@ static void mla8_block(uint8_t *dst, const uint8_t *src, const uint8_t *tab,
 #define mla8_block mla8_scalar
 #endif
 
-/* Cache-blocked (m x n) GF(2^8) product: for each L2-sized column block,
- * walk the input rows cols[0..n) once; every output-row segment stays
- * resident across the walk.  `started` marks rows whose first product
- * already landed.  Returns -1 when the row table cannot be allocated. */
+/* Cache-blocked (m x n) GF(2^8) product per segment: for each L2-sized
+ * column block, walk the input rows cols[0..n) once; every output-row
+ * segment stays resident across the walk.  `started` marks rows whose
+ * first product already landed.  Returns -1 when the row table cannot
+ * be allocated. */
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
-                     const int32_t *cols,
-                     uint8_t *out, ptrdiff_t ostride,
-                     const int32_t *rows,
-                     int32_t m, int32_t n, size_t s, size_t block)
+                     const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
+                     const int32_t *copies, int32_t ncopy,
+                     char **outs, const int64_t *oshape, size_t nseg, size_t block)
 {
+    size_t nin = nseg ? range_rows(geometry, nranges) / nseg : 0;
     const uint8_t **row = row_table(bases, geometry, nranges, (size_t)m);
     uint8_t *started;
-    size_t s0;
+    size_t g;
     if (!row) return -1;
-    started = (uint8_t *)(row + range_rows(geometry, nranges));
-    for (s0 = 0; s0 < s; s0 += block) {
-        size_t w = (s - s0 < block) ? s - s0 : block;
-        int32_t i, j;
-        memset(started, 0, (size_t)m);
-        for (j = 0; j < n; j++) {
-            const uint8_t *src = row[cols[j]] + s0;
-            for (i = 0; i < m; i++) {
-                uint8_t c = coeffs[(size_t)i * (size_t)n + (size_t)j];
-                uint8_t *dst;
-                if (!c) continue;
-                dst = out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0;
-                mla8_block(dst, src,
-                           tables + ((size_t)i * (size_t)n + (size_t)j) * 256,
-                           w, started[i]);
-                started[i] = 1;
+    started = (uint8_t *)(row + nin * nseg);
+    for (g = 0; g < nseg; g++) {
+        const uint8_t **in = row + g * nin;
+        uint8_t *out = (uint8_t *)outs[g];
+        ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
+        size_t s = (size_t)oshape[2 * g + 1], s0;
+        copy_rows(in, copies, ncopy, out, ostride, s);
+        for (s0 = 0; s0 < s; s0 += block) {
+            size_t w = (s - s0 < block) ? s - s0 : block;
+            int32_t i, j;
+            memset(started, 0, (size_t)m);
+            for (j = 0; j < n; j++) {
+                const uint8_t *src = in[cols[j]] + s0;
+                for (i = 0; i < m; i++) {
+                    uint8_t c = coeffs[(size_t)i * (size_t)n + (size_t)j];
+                    if (!c) continue;
+                    mla8_block(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src,
+                               tables + ((size_t)i * (size_t)n + (size_t)j) * 256,
+                               w, started[i]);
+                    started[i] = 1;
+                }
             }
         }
     }
@@ -270,8 +287,8 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
 }
 
 /* GF(2^16): split-table product c*x == lo[x & 0xff] ^ hi[x >> 8].
- * The output stride and all counts are in uint16 elements (the input row
- * ranges, as everywhere, in bytes). */
+ * Block widths and counts are in uint16 elements (row ranges and output
+ * shapes, as everywhere, in bytes). */
 static void mla16(uint16_t *dst, const uint16_t *src,
                   const uint16_t *lo, const uint16_t *hi, size_t w, int acc)
 {
@@ -285,29 +302,35 @@ static void mla16(uint16_t *dst, const uint16_t *src,
 int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                       const uint16_t *coeffs,
                       char **bases, const int64_t *geometry, size_t nranges,
-                      const int32_t *cols,
-                      uint16_t *out, ptrdiff_t ostride,
-                      const int32_t *rows,
-                      int32_t m, int32_t n, size_t s, size_t block)
+                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
+                      const int32_t *copies, int32_t ncopy,
+                      char **outs, const int64_t *oshape, size_t nseg, size_t block)
 {
+    size_t nin = nseg ? range_rows(geometry, nranges) / nseg : 0;
     const uint8_t **row = row_table(bases, geometry, nranges, (size_t)m);
     uint8_t *started;
-    size_t s0;
+    size_t g;
     if (!row) return -1;
-    started = (uint8_t *)(row + range_rows(geometry, nranges));
-    for (s0 = 0; s0 < s; s0 += block) {
-        size_t w = (s - s0 < block) ? s - s0 : block;
-        int32_t i, j;
-        memset(started, 0, (size_t)m);
-        for (j = 0; j < n; j++) {
-            const uint16_t *src = (const uint16_t *)row[cols[j]] + s0;
-            for (i = 0; i < m; i++) {
-                size_t e = (size_t)i * (size_t)n + (size_t)j;
-                uint16_t *dst;
-                if (!coeffs[e]) continue;
-                dst = out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0;
-                mla16(dst, src, lo + e * 256, hi + e * 256, w, started[i]);
-                started[i] = 1;
+    started = (uint8_t *)(row + nin * nseg);
+    for (g = 0; g < nseg; g++) {
+        const uint8_t **in = row + g * nin;
+        uint8_t *out = (uint8_t *)outs[g];
+        ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
+        size_t s = (size_t)oshape[2 * g + 1] / 2, s0;
+        copy_rows(in, copies, ncopy, out, ostride, 2 * s);
+        for (s0 = 0; s0 < s; s0 += block) {
+            size_t w = (s - s0 < block) ? s - s0 : block;
+            int32_t i, j;
+            memset(started, 0, (size_t)m);
+            for (j = 0; j < n; j++) {
+                const uint16_t *src = (const uint16_t *)in[cols[j]] + s0;
+                for (i = 0; i < m; i++) {
+                    size_t e = (size_t)i * (size_t)n + (size_t)j;
+                    if (!coeffs[e]) continue;
+                    mla16((uint16_t *)(out + (ptrdiff_t)rows[i] * ostride) + s0, src,
+                          lo + e * 256, hi + e * 256, w, started[i]);
+                    started[i] = 1;
+                }
             }
         }
     }
@@ -357,69 +380,75 @@ static void vdouble16(uint16_t *dst, const uint16_t *src, size_t w,
 }
 
 static uint8_t *xref(int32_t base, int32_t r, size_t s0,
-                     const uint8_t **row, const int32_t *cols,
+                     const uint8_t **in, const int32_t *cols,
                      uint8_t *out, ptrdiff_t ostride, const int32_t *rows,
                      uint8_t *pool, size_t block_bytes)
 {
     if (base == 0)
-        return (uint8_t *)row[cols[r]] + s0;
+        return (uint8_t *)in[cols[r]] + s0;
     if (base == 1)
         return out + (ptrdiff_t)rows[r] * ostride + (ptrdiff_t)s0;
     return pool + (size_t)r * block_bytes;
 }
 
-/* Execute a flattened XOR program chunk by chunk.  Pool rows hold one
- * chunk's worth of ladder lanes / CSE intermediates and are recomputed
- * per chunk; input and output rows are addressed at the chunk offset.
- * Strides are in bytes; `nbytes` is the full row length in bytes.
- * Returns -1 when the row table cannot be allocated. */
+/* Execute a flattened XOR program per segment, chunk by chunk.  Pool rows
+ * hold one chunk's worth of ladder lanes / CSE intermediates and are
+ * recomputed per chunk; input and output rows are addressed at the chunk
+ * offset.  block_bytes == 0 runs each segment in one pass.  Returns -1
+ * when the row table cannot be allocated. */
 int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
-                   const int32_t *cols,
-                   uint8_t *out, ptrdiff_t ostride,
-                   const int32_t *rows,
+                   const int32_t *cols, const int32_t *rows,
+                   const int32_t *copies, int32_t ncopy,
+                   char **outs, const int64_t *oshape, size_t nseg,
                    uint8_t *pool, size_t block_bytes,
                    const int32_t *prog, int32_t n_insn,
-                   size_t nbytes, int32_t qbits, uint32_t red)
+                   int32_t qbits, uint32_t red)
 {
-    size_t block = block_bytes ? block_bytes : nbytes;
-    size_t s0;
-    const uint8_t **row;
-    if (!nbytes) return 0;
-    row = row_table(bases, geometry, nranges, 0);
+    size_t nin = nseg ? range_rows(geometry, nranges) / nseg : 0;
+    const uint8_t **row = row_table(bases, geometry, nranges, 0);
+    size_t g;
     if (!row) return -1;
-    for (s0 = 0; s0 < nbytes; s0 += block) {
-        size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
-        int32_t p;
-        for (p = 0; p < n_insn; p++) {
-            const int32_t *ins = prog + (size_t)p * 7;
-            uint8_t *dst = xref(ins[1], ins[2], s0, row, cols,
-                                out, ostride, rows, pool, block_bytes);
-            const uint8_t *a = (ins[0] == 0) ? 0 :
-                xref(ins[3], ins[4], s0, row, cols,
-                     out, ostride, rows, pool, block_bytes);
-            switch (ins[0]) {
-            case 0:  /* ZERO */
-                memset(dst, 0, w);
-                break;
-            case 1:  /* COPY */
-                memcpy(dst, a, w);
-                break;
-            case 2: {  /* XOR2 */
-                const uint8_t *b = xref(ins[5], ins[6], s0, row, cols,
-                                        out, ostride, rows, pool, block_bytes);
-                vxor2(dst, a, b, w);
-                break;
-            }
-            case 3:  /* XACC */
-                vxacc(dst, a, w);
-                break;
-            case 4:  /* DOUBLE */
-                if (qbits <= 8)
-                    vdouble8(dst, a, w, qbits, red);
-                else
-                    vdouble16((uint16_t *)dst, (const uint16_t *)a, w / 2,
-                              qbits, red);
-                break;
+    for (g = 0; g < nseg; g++) {
+        const uint8_t **in = row + g * nin;
+        uint8_t *out = (uint8_t *)outs[g];
+        ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
+        size_t nbytes = (size_t)oshape[2 * g + 1], s0;
+        size_t block = block_bytes ? block_bytes : nbytes;
+        copy_rows(in, copies, ncopy, out, ostride, nbytes);
+        for (s0 = 0; s0 < nbytes; s0 += block) {
+            size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
+            int32_t p;
+            for (p = 0; p < n_insn; p++) {
+                const int32_t *ins = prog + (size_t)p * 7;
+                uint8_t *dst = xref(ins[1], ins[2], s0, in, cols,
+                                    out, ostride, rows, pool, block_bytes);
+                const uint8_t *a = (ins[0] == 0) ? 0 :
+                    xref(ins[3], ins[4], s0, in, cols,
+                         out, ostride, rows, pool, block_bytes);
+                switch (ins[0]) {
+                case 0:  /* ZERO */
+                    memset(dst, 0, w);
+                    break;
+                case 1:  /* COPY */
+                    memcpy(dst, a, w);
+                    break;
+                case 2: {  /* XOR2 */
+                    const uint8_t *b = xref(ins[5], ins[6], s0, in, cols,
+                                            out, ostride, rows, pool, block_bytes);
+                    vxor2(dst, a, b, w);
+                    break;
+                }
+                case 3:  /* XACC */
+                    vxacc(dst, a, w);
+                    break;
+                case 4:  /* DOUBLE */
+                    if (qbits <= 8)
+                        vdouble8(dst, a, w, qbits, red);
+                    else
+                        vdouble16((uint16_t *)dst, (const uint16_t *)a, w / 2,
+                                  qbits, red);
+                    break;
+                }
             }
         }
     }
@@ -658,7 +687,8 @@ class NativeBackend:
     def _row_ranges(self, chunks) -> tuple[list, list[int]]:
         """The ``bases`` and ``geometry`` the gather and XOR kernels take:
         one range per non-empty array of ``chunks``, whose rows laid end
-        to end are the plan's input rows (a 2-D payload is one chunk).
+        to end are the input rows of every segment, segment by segment (a
+        2-D payload is one chunk).
 
         Rows are read where they lie, whatever the row stride (a column
         slice of a batched encode, the rows of a helper read); a chunk
@@ -675,57 +705,71 @@ class NativeBackend:
             geometry += (chunk.strides[0], chunk.shape[0])
         return bases, geometry
 
+    def _outputs(self, out, offsets: list[int]) -> tuple[object, object]:
+        """The ``outs`` table of the kernels: segment ``g``'s output starts
+        ``offsets[g]`` bytes into ``out`` (a flat buffer, or a 2-D output
+        whose rows are each contiguous, through its row 0).  Returns the
+        table and the handle it points into; keep both for the call."""
+        handle = self._ffi.from_buffer(out if out.ndim == 1 else out[0])
+        return self._ffi.new("char *[]", [handle + off for off in offsets]), handle
+
     # ------------------------------------------------------------- kernels
 
-    def gf8_gather(self, tables, coeffs, chunks, cols, out, rows, block: int) -> None:
-        """``out[rows] (+)= tables @ input[cols]`` over GF(2^8), cache-blocked.
+    def gf8_gather(self, tables, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
+        """``out[rows] = tables @ input[cols]`` over GF(2^8) for every
+        segment, cache-blocked, after the identity rows ``copies`` (``(out
+        row, input row)`` pairs, flat).
 
         The input rows are those of ``chunks`` laid end to end
-        (:meth:`_row_ranges`); ``out``'s rows must each be contiguous.
+        (:meth:`_row_ranges`), ``len(offsets)`` equal shares of them.
+        Segment ``g``'s output starts ``offsets[g]`` bytes into ``out``
+        (:meth:`_outputs`), ``oshape[2g]`` bytes from row to row and
+        ``oshape[2g + 1]`` bytes wide.
         """
         m, n = coeffs.shape
         bases, geometry = self._row_ranges(chunks)
+        outs, _handle = self._outputs(out, offsets)
         p = self._ptr
         if self._lib.repro_gf8_gather(
             p("uint8_t[]", tables), p("uint8_t[]", coeffs),
             bases, geometry, len(bases),
-            p("int32_t[]", cols),
-            p("uint8_t[]", out[0]), out.strides[0],
-            p("int32_t[]", rows),
-            m, n, out.shape[1], block,
+            p("int32_t[]", cols), p("int32_t[]", rows), m, n,
+            p("int32_t[]", copies), copies.size // 2,
+            outs, oshape, len(offsets), block,
         ):
             raise MemoryError("native gather: no memory for the row table")
 
-    def gf16_gather(self, lo, hi, coeffs, chunks, cols, out, rows, block: int) -> None:
-        """Split-table GF(2^16) :meth:`gf8_gather`; the output stride and
-        counts go to C in uint16 elements."""
+    def gf16_gather(self, lo, hi, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
+        """Split-table GF(2^16) :meth:`gf8_gather`; ``block`` counts uint16
+        elements."""
         m, n = coeffs.shape
         bases, geometry = self._row_ranges(chunks)
+        outs, _handle = self._outputs(out, offsets)
         p = self._ptr
         if self._lib.repro_gf16_gather(
             p("uint16_t[]", lo), p("uint16_t[]", hi), p("uint16_t[]", coeffs),
             bases, geometry, len(bases),
-            p("int32_t[]", cols),
-            p("uint16_t[]", out[0]), out.strides[0] // 2,
-            p("int32_t[]", rows),
-            m, n, out.shape[1], block,
+            p("int32_t[]", cols), p("int32_t[]", rows), m, n,
+            p("int32_t[]", copies), copies.size // 2,
+            outs, oshape, len(offsets), block,
         ):
             raise MemoryError("native gather: no memory for the row table")
 
-    def xor_exec(self, prog, chunks, cols, out, rows, pool, block_bytes: int,
-                 nbytes: int, qbits: int, red: int) -> None:
+    def xor_exec(self, prog, chunks, cols, rows, copies, out, offsets, oshape, pool,
+                 block_bytes: int, qbits: int, red: int) -> None:
         """Run a flattened XOR program (see :data:`OP_ZERO` .. :data:`OP_DOUBLE`)
-        over the input rows of ``chunks`` (:meth:`_row_ranges`)."""
+        over every segment, laid out as :meth:`gf8_gather` takes them."""
         bases, geometry = self._row_ranges(chunks)
+        outs, _handle = self._outputs(out, offsets)
         p = self._ptr
         if self._lib.repro_xor_exec(
             bases, geometry, len(bases),
-            p("int32_t[]", cols),
-            p("uint8_t[]", out[0]), out.strides[0],
-            p("int32_t[]", rows),
+            p("int32_t[]", cols), p("int32_t[]", rows),
+            p("int32_t[]", copies), copies.size // 2,
+            outs, oshape, len(offsets),
             self._ffi.NULL if pool is None else p("uint8_t[]", pool), block_bytes,
             p("int32_t[]", prog), prog.size // INSN_WORDS,
-            nbytes, qbits, red,
+            qbits, red,
         ):
             raise MemoryError("native XOR schedule: no memory for the row table")
 
@@ -762,7 +806,8 @@ class NativeBackend:
     def row_buffer(self, rows: np.ndarray):
         """The handle :meth:`crc32_rows_in_place` returns, without the
         CRCs, for a non-empty 2-D array whose rows are each contiguous
-        (``strides[1] == itemsize``; the caller checks)."""
+        (``strides[1] == itemsize``; the caller checks), or for a
+        C-contiguous stack of such blocks: a ``char[]`` on ``rows[0]``."""
         return self._ffi.from_buffer(rows[0])
 
     def crc32_ranges(self, bases: list, geometry: list[int]) -> list[int]:

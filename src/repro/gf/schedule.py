@@ -372,56 +372,33 @@ class XorSchedule:
         self._native_prog = (prog, pool_rows)
         return self._native_prog
 
-    def execute_native(
-        self,
-        backend,
-        data,
-        cols: np.ndarray,
-        dst_rows: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Run the schedule through a :class:`repro.gf.native.NativeBackend`.
+    def execute_native(self, backend, chunks, cols, dst_rows, copies, out, offsets, oshape) -> None:
+        """Run the schedule through a :class:`repro.gf.native.NativeBackend`
+        over one or more segments in one call; byte-identical to
+        :meth:`execute` segment by segment.
 
-        Same contract as :meth:`execute`, byte-identical output, except
-        that ``data`` may also be a list of 2-D arrays whose rows, laid
-        end to end, are the payload rows: the C executor reads them where
-        they lie.  Rows are read in place when each is contiguous; the
-        backend copies any other first, and an ``out`` whose rows are not
-        is written through a copy.
+        The arguments are those of the backend's ``xor_exec``: the input
+        rows of every segment are the rows of ``chunks`` laid end to end
+        (read where they lie), ``cols`` / ``dst_rows`` are int32, and
+        segment ``g``'s output starts ``offsets[g]`` bytes into ``out``,
+        ``oshape[2g]`` bytes from row to row and ``oshape[2g + 1]`` bytes
+        wide, each output row contiguous.  The identity rows ``copies``
+        (flat int32 ``(out row, input row)`` pairs) are copied first.
         """
-        S = out.shape[1]
-        if S == 0 or self.m == 0:
-            return
-        rows = data if isinstance(data, list) else [data]
-        itemsize = self.gf.dtype.itemsize
-        out_view = out
-        copy_back = out.strides[-1] != itemsize
-        if copy_back:
-            out_view = np.ascontiguousarray(out)
         prog, pool_rows = self._native_program()
-        nbytes = S * itemsize
         if pool_rows:
+            widest = max(oshape[1::2])
             block = POOL_BUDGET_BYTES // pool_rows
-            block = max(4096 * itemsize, block & ~63)
-            block = min(block, -(-nbytes // 8) * 8)
+            block = max(4096 * self.gf.dtype.itemsize, block & ~63)
+            block = min(block, -(-widest // 8) * 8)
             pool = np.empty(pool_rows * block, dtype=np.uint8)
         else:
-            block = 0  # the C side runs the whole stripe in one pass
+            block = 0  # the C side runs each segment in one pass
             pool = None
         backend.xor_exec(
-            prog,
-            rows,
-            np.ascontiguousarray(cols, dtype=np.int32),
-            out_view,
-            np.ascontiguousarray(dst_rows, dtype=np.int32),
-            pool,
-            block,
-            nbytes,
-            self.gf.q,
-            int(self.gf.primitive_poly) & (self.gf.size - 1),
+            prog, chunks, cols, dst_rows, copies, out, offsets, oshape, pool, block,
+            self.gf.q, int(self.gf.primitive_poly) & (self.gf.size - 1),
         )
-        if copy_back:
-            out[...] = out_view
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats

@@ -167,7 +167,7 @@ class BlockStore:
         """Write one block to a server's disk: a batch of one :meth:`_put_many`."""
         self._put_many(((server_id, file_name, block_id, payload),))
 
-    def _put_many(self, items) -> None:
+    def _put_many(self, items, parents=None) -> None:
         """Write a batch of blocks; ``items[i]`` is ``(server, file, block, payload)``.
 
         Each block takes ``put``'s steps in order: the down-server check,
@@ -178,8 +178,14 @@ class BlockStore:
         (:meth:`_batch_checksum_entries`; a lone block keeps
         :meth:`_checksum_entry`'s own call), and the write counters are
         added once per server, servers in the order they first appear.
+
+        ``parents``, when given, are the arrays whose blocks the payloads
+        are, in order: ``items`` holds ``parents[0][0], parents[0][1], ...,
+        parents[1][0], ...`` (a file's encoded ``(n, N, S)`` blocks per
+        parent), which lets a C-contiguous parent be hashed as one row
+        range through one handle.
         """
-        entries = self._batch_checksum_entries(items) if len(items) > 1 else None
+        entries = self._batch_checksum_entries(items, parents) if len(items) > 1 else None
         server_of = self.cluster.server
         checksums = self._row_checksums
         written: dict[int, list[int]] = {}
@@ -232,37 +238,63 @@ class BlockStore:
             return crcs, block, handle
         return self._row_crcs(block), block, None
 
-    def _batch_checksum_entries(self, items) -> list | None:
+    def _batch_checksum_entries(self, items, parents=None) -> list | None:
         """Per item of a :meth:`_put_many` batch, the entry :meth:`_checksum_entry`
         would make, for every 2-D block of at least ``_NATIVE_CRC_MIN_BYTES``
         whose rows are each contiguous: all of them hashed in one
-        ``crc32_ranges`` call, each through a :meth:`row_buffer` handle that
-        its entry keeps for later batched reads.  ``None`` for every other
-        item (``_checksum_entry`` hashes those), or for all when no block
+        ``crc32_ranges`` call.  ``None`` for every other item
+        (``_checksum_entry`` hashes those), or for all when no block
         qualifies or there is no native kernel.
+
+        Without ``parents`` each block is one range, read through a
+        :meth:`row_buffer` handle its entry keeps for later batched reads.
+        A C-contiguous parent (see :meth:`_put_many`) is one range instead,
+        read through one handle: its first block's entry keeps that handle
+        and every later block's a pointer ``b * block bytes`` past it.  Such
+        a pointer owns nothing; the stored block it points into is what
+        keeps the memory, and the entry holds that block.
         """
         if self._native_row_crcs is None:
             return None
         backend = self._crc_backend
         entries: list = [None] * len(items)
-        hashed: list[tuple[int, np.ndarray, object]] = []
+        hashed: list[tuple[int, int, int, object, int]] = []  # first item, blocks, rows each, handle, block stride
         bases: list = []
         geometry: list[int] = []
-        for i, item in enumerate(items):
-            block = np.asarray(item[3])
-            if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
-                handle = backend.row_buffer(block)
-                hashed.append((i, block, handle))
-                bases.append(handle)
-                geometry += (block.strides[0], block.shape[0], block.shape[1] * block.itemsize)
+
+        def each_block(first: int, count: int) -> None:
+            for i in range(first, first + count):
+                block = np.asarray(items[i][3])
+                if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
+                    handle = backend.row_buffer(block)
+                    hashed.append((i, 1, block.shape[0], handle, 0))
+                    bases.append(handle)
+                    geometry.extend((block.strides[0], block.shape[0], block.shape[1] * block.itemsize))
+
+        if parents is None:
+            each_block(0, len(items))
+        else:
+            first = 0
+            for stack in parents:
+                count, rows, width = stack.shape
+                if not stack.flags.c_contiguous:
+                    each_block(first, count)
+                elif count and stack.nbytes >= count * _NATIVE_CRC_MIN_BYTES:
+                    handle = backend.row_buffer(stack)
+                    row_bytes = width * stack.itemsize
+                    hashed.append((first, count, rows, handle, rows * row_bytes))
+                    bases.append(handle)
+                    geometry += (row_bytes, count * rows, row_bytes)
+                first += count
         if not bases:
             return None
         crcs = backend.crc32_ranges(bases, geometry)
         pos = 0
-        for i, block, handle in hashed:
-            stop = pos + block.shape[0]
-            entries[i] = (crcs[pos:stop], block, handle)
-            pos = stop
+        for first, count, rows, handle, stride in hashed:
+            for b in range(count):
+                stop = pos + rows
+                entries[first + b] = (crcs[pos:stop], np.asarray(items[first + b][3]), handle + b * stride if b else handle)
+                pos = stop
         return entries
 
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:

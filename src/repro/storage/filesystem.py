@@ -309,18 +309,19 @@ class DistributedFileSystem:
         ``blocks`` is the ``(n, N, S)`` array a (possibly fused)
         :meth:`~repro.codes.base.ErasureCode.encode` produced; views into
         a larger batched output are stored as-is — no per-block copy.  A
-        batch of one :meth:`_write_encoded_many`.
+        batch of one :meth:`_write_encoded_many`, placed round-robin.
         """
         return self._write_encoded_many(code, [(name, blocks, original_size, None)])[0]
 
     def _write_encoded_many(self, code: ErasureCode, entries) -> list[EncodedFile]:
         """:meth:`write_encoded` for many files of one code, in one store batch.
 
-        ``entries[i]`` is ``(name, blocks, original_size, placement)``.
-        Every name and block shape is checked before anything is placed or
-        stored, so a rejected batch stores and registers nothing.  Each
-        file is placed on its own (one ``dfs.place`` span each); every
-        block of every file is then stored by one ``BlockStore._put_many``.
+        ``entries[i]`` is ``(name, blocks, original_size, servers)``: block
+        ``b`` goes to ``servers[b]``, or with ``servers`` ``None`` the file
+        is placed round-robin (one ``dfs.place`` span).  Every name and
+        block shape is checked before anything is placed or stored, so a
+        rejected batch stores and registers nothing; every block of every
+        file is then stored by one ``BlockStore._put_many``.
         """
         for name, blocks, _, _ in entries:
             if name in self.files:
@@ -330,38 +331,39 @@ class DistributedFileSystem:
                     f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
                 )
         code = self._intern_code(code)
-        tracer = get_tracer()
         placed = []
-        for name, blocks, original_size, placement in entries:
-            with tracer.span("dfs.place", category="storage", file=name):
-                servers = (placement or RoundRobinPlacement()).place(self.cluster, code.n)
+        for name, blocks, original_size, servers in entries:
+            if servers is None:
+                with get_tracer().span("dfs.place", category="storage", file=name):
+                    servers = RoundRobinPlacement().place(self.cluster, code.n)
             placed.append((name, blocks, servers, original_size))
         files = self._store_files(code, placed)
         self.metrics.add("bytes_moved_zero_copy", sum(blocks.nbytes for _, blocks, _, _ in entries))
         return files
 
     def _store_files(self, code: ErasureCode, placed) -> list[EncodedFile]:
-        """Store the blocks of placed files in one store batch, then register them.
+        """Store the blocks of placed files in one store batch, then register
+        them in one pass.
 
         ``placed[i]`` is ``(name, blocks, servers, original_size)``: block
-        ``b`` of ``blocks`` goes to ``servers[b]``.
+        ``b`` of ``blocks`` goes to ``servers[b]``.  Each file's ``blocks``
+        are the batch's parents (``BlockStore._put_many``): a file whose
+        blocks lie in one C-contiguous array is hashed as one row range.
         """
-        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(code.n)]
+        n = code.n
+        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(n)]
         with get_tracer().span(
             "dfs.store_blocks", category="storage", files=len(placed), blocks=len(items), clock=self.clock
         ):
-            self.store._put_many(items)
-        files = []
-        for name, blocks, servers, original_size in placed:
-            ef = EncodedFile(
-                name=name,
-                code=code,
-                placement={b: servers[b] for b in range(code.n)},
-                stripe_size=blocks.shape[2],
-                original_size=original_size,
+            self.store._put_many(items, [blocks for _, blocks, _, _ in placed])
+        files = [
+            EncodedFile(
+                name=name, code=code, placement=dict(enumerate(servers[:n])),
+                stripe_size=blocks.shape[2], original_size=original_size,
             )
-            self.files[name] = ef
-            files.append(ef)
+            for name, blocks, servers, original_size in placed
+        ]
+        self.files.update((ef.name, ef) for ef in files)
         return files
 
     @staticmethod

@@ -92,7 +92,6 @@ class StripedFileSystem:
         payload,
         code_factory,
         max_block_bytes: int = 1 << 20,
-        placement: PlacementPolicy | None = None,
     ) -> StripedFileMeta:
         """Write a payload as rotated stripe groups.
 
@@ -103,15 +102,15 @@ class StripedFileSystem:
                 factory keeps the API uniform with performance-aware
                 construction.
             max_block_bytes: cap on each stored block's size.
-            placement: base placement policy; the group index is used as
-                a rotation offset so groups land on different servers.
 
-        All full groups are encoded through **one** fused kernel call; a
-        ragged tail group rides separately.  Every group is written with
-        the one code object the filesystem keeps for the factory's
-        parameter set, so the compiled encode plan and any decode / repair
-        plans are built once and shared by all groups — and by every other
-        file with those parameters.
+        Group ``i`` is placed round-robin from server ``i * n`` on (over
+        the alive servers, in id order), so groups land on different
+        servers.  All full groups are encoded through **one** fused kernel
+        call; a ragged tail group rides separately.  Every group is
+        written with the one code object the filesystem keeps for the
+        factory's parameter set, so the compiled encode plan and any
+        decode / repair plans are built once and shared by all groups —
+        and by every other file with those parameters.
         """
         if name in self.striped:
             raise FileSystemError(f"striped file {name!r} already exists")
@@ -138,18 +137,21 @@ class StripedFileSystem:
             bytes=len(data), groups=group_count,
             clock=getattr(self.dfs, "clock", None),
         ):
-            self._write_batched(name, data, code, meta, placement)
+            self._write_batched(name, data, code, meta)
         self.striped[name] = meta
         return meta
 
-    def _write_batched(self, name, data, code, meta: StripedFileMeta, placement) -> None:
+    def _write_batched(self, name, data, code, meta: StripedFileMeta) -> None:
         """Encode every full group in one fused kernel call, store them in one batch.
 
         The payload is viewed as a ``(groups, k*N, S)`` stack without
-        copying (``np.frombuffer`` over the caller's bytes); the batch
-        apply stacks group columns once and runs one generator product,
-        and every block of every full group is stored by one
-        :meth:`DistributedFileSystem._write_encoded_many`.
+        copying (``np.frombuffer`` over the caller's bytes).  On a native
+        tier the batch apply reads every group's rows there and writes
+        each group's blocks contiguously into one buffer, so nothing is
+        staged and each group's blocks are hashed as one row range; the
+        numpy tiers stack the groups' columns first.  Every full group is
+        placed from one ``alive_ids()`` and all of them are stored and
+        registered by one :meth:`DistributedFileSystem._write_encoded_many`.
         The final short group — whose stripe width differs after padding
         — is the ragged tail and takes the ordinary single-group path
         with the same shared code.
@@ -159,19 +161,24 @@ class StripedFileSystem:
         stripe = gp // total
         full = len(data) // gp
         arr = np.frombuffer(data, dtype=np.uint8)
+        n = code.n
         if full:
             grids = arr[: full * gp].reshape(full, total, stripe)
             if grids.dtype != code.gf.dtype:
                 grids = grids.astype(code.gf.dtype)
                 self.metrics.add("bytes_copied", grids.nbytes)
             blocks = pipeline.batch_encode(code, list(grids), metrics=self.metrics)
-            self.dfs._write_encoded_many(code, [
-                (group_name(name, i), blocks[i], gp, placement or RoundRobinPlacement(offset=i * code.n))
-                for i in range(full)
-            ])
+            with get_tracer().span("dfs.place", category="storage", file=name, files=full):
+                # RoundRobinPlacement(offset=i * n) for every group i, from one alive_ids().
+                alive = PlacementPolicy._require(self.cluster, n)
+                ring, size = alive + alive, len(alive)
+                servers = [ring[i * n % size : i * n % size + n] for i in range(full)]
+            self.dfs._write_encoded_many(
+                code, [(group_name(name, i), blocks[i], gp, servers[i]) for i in range(full)]
+            )
         if full < meta.group_count:
             tail = arr[full * gp :]
-            pol = placement or RoundRobinPlacement(offset=full * code.n)
+            pol = RoundRobinPlacement(offset=full * n)
             self.dfs.write_file(group_name(name, full), tail, code=code, placement=pol)
 
     # -------------------------------------------------------------- read

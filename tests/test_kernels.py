@@ -31,7 +31,7 @@ from repro.gf import (
     validate_symbols,
 )
 from repro.gf import schedule
-from repro.gf.kernels import SMALL_PRODUCT_ELEMS
+from repro.gf.kernels import _SEGMENT_MIN_ELEMS, SMALL_PRODUCT_ELEMS
 
 FIELDS = [GF256, GF65536]
 
@@ -177,14 +177,22 @@ class TestIdentityRuns:
 
 
 class TestApplyBatchWidthRule:
-    """Wide segments are applied where they lie, narrow runs are stacked;
-    the bytes are those of per-segment ``apply`` either way."""
+    """On a native tier, segments at least ``_SEGMENT_MIN_ELEMS`` wide are
+    coded by one segment-table call, each into its own contiguous part of
+    the shared buffer; on the numpy tiers only segments that fill a cache
+    block are applied on their own.  Narrow runs are stacked either way,
+    and the bytes are those of per-segment ``apply``."""
 
     #: Widths around the cache block of a 3-dense-row plan under a 64 KiB
-    #: pool (16 384 symbols of GF(2^8), 8 192 of GF(2^16)).
-    WIDTHS = (20_000, 300, 5_000, 0, 16_384, 41, 33_000, 16_383, 700)
-    #: ... which split into these ``apply`` calls over GF(2^8).
-    CALLS = (20_000, 5_300, 16_384, 41, 33_000, 17_083)
+    #: pool (16 384 symbols of GF(2^8), 8 192 of GF(2^16)) and around the
+    #: segment-table threshold (1 024 symbols).
+    WIDTHS = (20_000, 300, 5_000, 0, 16_384, 41, 33_000, 16_383, 700, 1_023, 1_024)
+    #: ... which split into these ``apply`` calls on the numpy tiers over GF(2^8),
+    CALLS = (20_000, 5_300, 16_384, 41, 33_000, 19_130)
+    #: and on a native tier, over either field, into these ``apply`` calls
+    #: and one segment-table call over these widths.
+    NATIVE_CALLS = (300, 0, 41, 1_723)
+    TABLE = (20_000, 5_000, 16_384, 33_000, 16_383, 1_024)
 
     def _plan(self, gf, kind):
         coeffs = random_symbols(gf, (6, 5), seed=21) | 1
@@ -201,35 +209,40 @@ class TestApplyBatchWidthRule:
     @pytest.mark.parametrize("gf", FIELDS, ids=["gf256", "gf65536"])
     @pytest.mark.parametrize("kind", ["native", "native-xor", "table", "xor"])
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    @pytest.mark.parametrize("given_out", [False, True], ids=["fresh-out", "out="])
-    def test_mixed_widths_match_per_segment_apply(self, monkeypatch, gf, kind, traced, given_out):
+    def test_mixed_widths_match_per_segment_apply(self, monkeypatch, gf, kind, traced):
         from repro.obs.trace import Tracer, use_tracer
 
         monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         coeffs, plan = self._plan(gf, kind)
+        native = native_available() and kind.startswith("native")
         if native_available():
             assert plan.kernel == {"table": "packed-full"}.get(kind, kind)
         segs = [random_symbols(gf, (5, w), seed=w) for w in self.WIDTHS]
         want = [mat_data_product_reference(gf, coeffs, seg) for seg in segs]
-        stacked = plan.apply(np.concatenate(segs, axis=1))
-        calls = []
-        apply = plan.apply
+        calls, table = [], []
+        apply, segments = plan.apply, plan._apply_segments
         plan.apply = lambda data, out=None: (calls.append(data.shape[1]), apply(data, out=out))[1]
-        total = sum(self.WIDTHS)
-        out = np.zeros((6, total), dtype=gf.dtype) if given_out else None
+        plan._apply_segments = lambda rows, buf: (table.extend(w for _, w, _ in rows), segments(rows, buf))[1]
         if traced:
             with use_tracer(Tracer()):
-                got = plan.apply_batch(segs, out=out)
+                got = plan.apply_batch(segs)
         else:
-            got = plan.apply_batch(segs, out=out)
+            got = plan.apply_batch(segs)
         assert [g.shape for g in got] == [w.shape for w in want]
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        shared = got[0].base if got[0].base is not None else got[0]
-        assert shared.shape == (6, total) and np.array_equal(shared, stacked)
-        assert out is None or shared is out
-        if gf is GF256:  # routed by width alone: same calls traced or not, on every tier
-            assert tuple(calls) == self.CALLS
+        # One buffer of 6 x total symbols holds every result.
+        shared = got[0].base
+        assert shared.shape == (6 * sum(self.WIDTHS),)
+        assert all(g.base is shared for g in got)
+        if native:
+            assert (tuple(calls), tuple(table)) == (self.NATIVE_CALLS, self.TABLE)
+            for g, w in zip(got, self.WIDTHS):
+                assert g.flags.c_contiguous == (w in self.TABLE or w in (300, 0, 41))
+        else:
+            assert not table
+            if gf is GF256:  # routed by width alone: same calls traced or not
+                assert tuple(calls) == self.CALLS
 
     def test_all_narrow_is_one_stacked_apply(self):
         coeffs, plan = self._plan(GF256, "table")
@@ -263,11 +276,11 @@ class TestApplyBatchWidthRule:
 
     def test_out_buffer_checked(self):
         _, plan = self._plan(GF256, "table")
-        segs = [random_symbols(GF256, (5, w), seed=w) for w in (10, 20)]
+        seg = random_symbols(GF256, (5, 10), seed=10)
         with pytest.raises(GFError):
-            plan.apply_batch(segs, out=np.zeros((6, 31), dtype=np.uint8))
+            plan.apply(seg, out=np.zeros((6, 11), dtype=np.uint8))
         with pytest.raises(GFError):
-            plan.apply_batch(segs, out=np.zeros((6, 30), dtype=np.uint16))
+            plan.apply(seg, out=np.zeros((6, 10), dtype=np.uint16))
         assert plan.apply_batch([]) == []
 
 
@@ -298,10 +311,10 @@ class TestRowListInput:
     KINDS = ("table", "xor", "native", "auto")
 
     @staticmethod
-    def _coeffs(data, gf, n):
+    def _coeffs(data, gf, n, parity=None):
         m = data.draw(st.integers(1, 6), label="m")
         coeffs = random_symbols(gf, (m, n), seed=data.draw(st.integers(0, 2**16), label="coeff seed"))
-        if data.draw(st.booleans(), label="0/1"):  # XOR-parity shaped
+        if parity or (parity is None and data.draw(st.booleans(), label="0/1")):  # XOR-parity shaped
             coeffs = (coeffs & 1).astype(gf.dtype)
         for row in range(m):
             kind = data.draw(st.sampled_from(["dense", "dense", "copy", "zero"]), label=f"row {row}")
@@ -312,14 +325,11 @@ class TestRowListInput:
         return coeffs
 
     @staticmethod
-    def _width(data, block):
-        return data.draw(
-            st.one_of(
-                st.integers(1, SMALL_PRODUCT_ELEMS - 1),
-                st.integers(SMALL_PRODUCT_ELEMS, block - 1),
-                st.integers(block, block + 3_000),
-            ),
-            label="width",
+    def _widths(block):
+        return st.one_of(
+            st.integers(1, SMALL_PRODUCT_ELEMS - 1),
+            st.integers(SMALL_PRODUCT_ELEMS, block - 1),
+            st.integers(block, block + 3_000),
         )
 
     @staticmethod
@@ -338,7 +348,7 @@ class TestRowListInput:
         n = data.draw(st.integers(1, 7), label="n")
         coeffs = self._coeffs(data, gf, n)
         stacked_plan, rows_plan = CodingPlan(gf, coeffs, kernel=kind), CodingPlan(gf, coeffs, kernel=kind)
-        rows = _draw_rows(data, gf, n, self._width(data, stacked_plan._cache_block_elems()))
+        rows = _draw_rows(data, gf, n, data.draw(self._widths(stacked_plan._cache_block_elems()), label="width"))
         want, want_booked = self._booked(lambda: stacked_plan.apply(np.concatenate(rows)))
         got, got_booked = self._booked(lambda: rows_plan.apply(rows))
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -346,29 +356,47 @@ class TestRowListInput:
         if rows[0].shape[1] < 64:
             assert np.array_equal(want, mat_data_product_reference(gf, coeffs, np.concatenate(rows)))
 
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_apply_batch_of_row_arrays_is_apply_batch_of_their_stacks(self, monkeypatch, data):
-        """Lone, narrow and wide members mixed, some given as one array,
-        some as one row array against many."""
+        """Lone, narrow and wide members mixed, widths on both sides of the
+        segment-table threshold and of a cache block, empty ones too, some
+        given as one array, some as row arrays cut anywhere with a row
+        stride wider than the rows.  Each result is per-segment ``apply``'s
+        and the table oracle's; on a native tier, each segment at least
+        ``_SEGMENT_MIN_ELEMS`` wide is coded in place, its result contiguous."""
         monkeypatch.setattr(schedule, "POOL_BUDGET_BYTES", 64 << 10)
         gf = data.draw(st.sampled_from(FIELDS), label="field")
-        kind = data.draw(st.sampled_from(self.KINDS), label="kernel")
+        kind = data.draw(st.sampled_from((*self.KINDS, "native-xor")), label="kernel")
         n = data.draw(st.integers(1, 5), label="n")
-        coeffs = self._coeffs(data, gf, n)
+        # "native-xor": XOR-parity shaped coefficients, which the native tier runs as a schedule.
+        coeffs = self._coeffs(data, gf, n, parity=True if kind == "native-xor" else None)
+        kind = kind.removesuffix("-xor")
         stacked_plan, rows_plan = CodingPlan(gf, coeffs, kernel=kind), CodingPlan(gf, coeffs, kernel=kind)
         block = stacked_plan._cache_block_elems()
         members = []
         for i in range(data.draw(st.integers(1, 5), label="members")):
-            rows = _draw_rows(data, gf, n, self._width(data, block))
+            width = data.draw(
+                st.one_of(
+                    st.just(0),
+                    st.integers(_SEGMENT_MIN_ELEMS - 40, _SEGMENT_MIN_ELEMS + 40),
+                    self._widths(block),
+                ),
+                label=f"width {i}",
+            )
+            rows = _draw_rows(data, gf, n, width)
             members.append(np.concatenate(rows) if data.draw(st.booleans(), label=f"2-D {i}") else rows)
         stacks = [m if isinstance(m, np.ndarray) else np.concatenate(m) for m in members]
         want, want_booked = self._booked(lambda: stacked_plan.apply_batch(stacks))
         got, got_booked = self._booked(lambda: rows_plan.apply_batch(members))
         assert len(got) == len(want)
+        in_place = rows_plan.kernel in ("native", "native-xor")
         for g, w, stack in zip(got, want, stacks):
             assert np.array_equal(g, w)
             assert np.array_equal(g, stacked_plan.apply(stack))
+            assert np.array_equal(g, mat_data_product_reference(gf, coeffs, stack))
+            if in_place and stack.shape[1] >= _SEGMENT_MIN_ELEMS:
+                assert g.flags.c_contiguous
         assert got_booked == want_booked
 
     @pytest.mark.parametrize("name", ["rs", "pyramid", "galloper"])

@@ -178,8 +178,24 @@ class TestByteExactness:
         want = np.zeros((3, 12_345), dtype=gf.dtype)
         schedule.execute(payload, cols, rows, want)
         got = np.zeros_like(want)
-        schedule.execute_native(nat.get_backend(), payload, cols, rows, got)
+        i32 = np.int32
+        row_bytes = got.strides[0]
+        schedule.execute_native(
+            nat.get_backend(), [payload], cols.astype(i32), rows.astype(i32), np.zeros(0, i32),
+            got, [0], [row_bytes, row_bytes],
+        )
         assert np.array_equal(got, want)
+        # Two segments (column halves) in one call, each result contiguous in one buffer.
+        half = 6_000
+        flat = np.zeros(want.size, dtype=gf.dtype)
+        itemsize = gf.dtype.itemsize
+        schedule.execute_native(
+            nat.get_backend(), [payload[:, :half], payload[:, half:]], cols.astype(i32), rows.astype(i32),
+            np.zeros(0, i32), flat, [0, 3 * half * itemsize],
+            [half * itemsize, half * itemsize, (12_345 - half) * itemsize, (12_345 - half) * itemsize],
+        )
+        assert np.array_equal(flat[: 3 * half].reshape(3, half), want[:, :half])
+        assert np.array_equal(flat[3 * half :].reshape(3, -1), want[:, half:])
 
     def test_single_block_reconstruct(self):
         from repro.codes import ReedSolomonCode

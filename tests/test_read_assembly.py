@@ -49,7 +49,6 @@ from repro.storage import (
     RepairManager,
     Scrubber,
     StripedFileSystem,
-    pipeline,
 )
 from repro.storage.filesystem import _SMALL_ROW_BYTES
 from repro.storage.striped import group_name
@@ -83,7 +82,7 @@ def file_sizes(code, stripe: int) -> dict[str, int]:
 
 
 def write_files(dfs, code, stripe: int) -> dict[str, bytes]:
-    """Every size class, stored contiguously and as column slices of one batched encode."""
+    """Every size class, stored contiguously and as column slices of one encode of two files side by side."""
     payloads = {}
     for label, size in file_sizes(code, stripe).items():
         name = f"contig-{label}-{stripe}"
@@ -92,7 +91,9 @@ def write_files(dfs, code, stripe: int) -> dict[str, bytes]:
     total = code.data_stripe_total
     pair = [payload_bytes(total * stripe, seed=stripe + i) for i in (1, 2)]
     grids = [np.frombuffer(p, dtype=np.uint8).astype(code.gf.dtype).reshape(total, stripe) for p in pair]
-    for i, (payload, blocks) in enumerate(zip(pair, pipeline.batch_encode(code, grids))):
+    both = code.encode(np.concatenate(grids, axis=1))
+    for i, payload in enumerate(pair):
+        blocks = both[:, :, i * stripe : (i + 1) * stripe]
         cut = (0, stripe + 5)[i]  # the second one carries padding behind its last stripe
         name = f"sliced-{i}-{stripe}"
         payloads[name] = payload[: len(payload) - cut]
@@ -102,7 +103,7 @@ def write_files(dfs, code, stripe: int) -> dict[str, bytes]:
 
 
 def write_striped(sfs, code, stripe: int) -> bytes:
-    """Three groups, the last one short and padded: full groups are column slices, the tail contiguous."""
+    """Three groups, the last one short and padded: full groups from one batched encode, the tail on its own."""
     block = code.N * stripe
     payload = payload_bytes(3 * code.k * block - (code.k * block // 2 + 11), seed=stripe)
     sfs.write_file(f"striped-{stripe}", payload, lambda: code, max_block_bytes=block)

@@ -53,7 +53,7 @@ def faults() -> FaultModel:
 
 def twin(code_name: str, field: str, condition: str):
     """A filesystem with plain files on both sides of the native CRC size
-    (contiguous blocks) and a striped file (column slices), broken the way
+    (contiguous blocks) and a striped file (one batched encode), broken the way
     ``condition`` says; returns it and the files to read."""
     code = CODES[code_name](FIELDS[field])
     cluster = Cluster.homogeneous(3 * code.n)
