@@ -36,9 +36,11 @@ from repro.gf.native import get_backend
 from repro.storage.metrics import MetricsRegistry
 
 #: Row runs shorter than this stay on ``zlib``: a call into the native
-#: library costs about a microsecond before its first byte, which
-#: ``zlib`` spends checksumming ~4 KiB.
-_NATIVE_CRC_MIN_BYTES = 8 << 10
+#: library costs 2-3 µs before its first byte, about what ``zlib``
+#: (~2-3 GB/s, plus a Python step per row) spends on 3 KiB in one row.
+#: From 4 KiB on the native call is ahead in every shape measured
+#: (``docs/PERFORMANCE.md``, "A striped write in one pass").
+_NATIVE_CRC_MIN_BYTES = 4 << 10
 
 
 def _zlib_row_crcs(rows: np.ndarray) -> list[int]:

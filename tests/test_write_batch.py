@@ -11,6 +11,7 @@ twin filesystems, one writing in a batch and one group by group, end
 alike.
 """
 
+import gc
 import zlib
 
 import numpy as np
@@ -22,7 +23,15 @@ from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.core import GalloperCode
 from repro.gf import GF256, GF65536
-from repro.storage import BlockStore, DistributedFileSystem, FileSystemError, StorageError, StripedFileSystem
+from repro.storage import (
+    BlockStore,
+    DistributedFileSystem,
+    FileSystemError,
+    Scrubber,
+    StorageError,
+    StripedFileSystem,
+)
+from repro.storage.health import RESET_TIMEOUT
 from tests.conftest import forget_file, payload_bytes
 
 SERVERS = 4
@@ -45,7 +54,7 @@ def fresh_store(native: bool, down: int | None) -> BlockStore:
 
 @st.composite
 def blocks(draw) -> np.ndarray:
-    """u8 / u16 blocks of every shape a store is given, below and above 8 KiB."""
+    """u8 / u16 blocks of every shape a store is given, below and above 4 KiB."""
     dtype = draw(st.sampled_from([np.uint8, np.uint16]))
     rows = draw(st.integers(1, 7))
     cols = draw(st.sampled_from([1, 5, 300, 1_200, 4_700]))
@@ -137,7 +146,7 @@ CODES = {
     "rotated": lambda gf: RotatedPyramidCode(4, 2, 1, gf=gf),
 }
 FIELDS = {"gf8": GF256, "gf16": GF65536}
-BLOCK = 7 * 1_300  # divides into N rows for every code; over 8 KiB
+BLOCK = 7 * 1_300  # divides into N rows for every code; over 4 KiB
 
 
 def written(dfs) -> dict:
@@ -180,11 +189,89 @@ def test_a_striped_write_hashes_its_full_groups_in_one_call(monkeypatch):
     for name in ("crc32_ranges", "crc32_rows_in_place"):
         real = getattr(backend, name)
         monkeypatch.setattr(backend, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    payload = payload_bytes(5 * code.k * BLOCK + 3_001, seed=4)  # the tail's blocks are under 8 KiB
+    payload = payload_bytes(5 * code.k * BLOCK + 3_001, seed=4)  # the tail's blocks are under 4 KiB
     StripedFileSystem(dfs).write_file("s", payload, lambda: code, max_block_bytes=BLOCK)
     assert calls == ["crc32_ranges"]
     dfs.store.put(0, "lone", 0, np.zeros((7, 1_300), dtype=np.uint8))  # a batch of one keeps its own call
     assert calls == ["crc32_ranges", "crc32_rows_in_place"]
+
+
+def stored_ranges(dfs) -> tuple[list, list]:
+    """Every stored 2-D block of ``dfs`` as a whole-block read range, and the block."""
+    store = dfs.store
+    ranges = [
+        (server, *key, 0, block.shape[0])
+        for server, disk in store._disks.items()
+        for key, block in disk.items()
+        if block.ndim == 2
+    ]
+    return ranges, [store._disks[r[0]][r[1:3]] for r in ranges]
+
+
+@pytest.mark.skipif(not NATIVE, reason="needs the native CRC kernel")
+def test_handles_into_a_shared_buffer_outlive_the_writer():
+    """A batched striped write keeps, per block, a checksum handle that
+    points into the batch's one encode buffer, each owning nothing but the
+    first of its file's.  With every array and handle the writer held
+    gone and the freed memory written over, batched reads still vouch for
+    every block through those handles, and ``verify`` passes; a corrupted
+    block fails its read's checksum and is recovered, and the block the
+    scrubber rebuilds in its place is hashed afresh."""
+    code = GalloperCode(4, 2, 1)
+    dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
+    sfs = StripedFileSystem(dfs)
+    payload = payload_bytes(6 * code.k * BLOCK, seed=6)  # six full groups, no tail
+    sfs.write_file("s", payload, lambda: code, max_block_bytes=BLOCK)
+    store = dfs.store
+    ranges, held = stored_ranges(dfs)
+    assert len(ranges) == 6 * code.n
+    # Ids, not the handles: holding one here would keep alive what it points into.
+    kept = {r[:3]: id(store._row_checksums[r[0]][r[1:3]][2]) for r in ranges}
+    assert id(None) not in kept.values()
+    group_bytes = code.n * BLOCK
+
+    def scribble():
+        """Drop what this test holds of the write, collect, and fill memory
+        of the sizes the write allocated with a byte no block is made of."""
+        gc.collect()
+        return [np.full(size, 0xA5, dtype=np.uint8) for size in (group_bytes, BLOCK, 6 * group_bytes) * 8]
+
+    del held
+    junk = scribble()
+    ranges, held = stored_ranges(dfs)
+    assert all(store._clean_ranges(ranges, held, held))
+    assert all(id(store._row_checksums[r[0]][r[1:3]][2]) == kept[r[:3]] for r in ranges)  # no handle retaken
+    assert all(store.verify(*r[:3]) for r in ranges)
+
+    # Rot the block whose entry owns its file's handle: its next read fails the
+    # checksum and is recovered, and the read takes a fresh handle for it.
+    ef = dfs.file("s#g0000")
+    victim = (ef.server_of(0), "s#g0000", 0)
+    store.corrupt(*victim, offset=5)
+    assert sfs.read_file("s") == payload
+    assert dfs.metrics.total("checksum_failures") >= 1
+    del held, junk
+    junk = scribble()
+    ranges, held = stored_ranges(dfs)
+    clean = store._clean_ranges(ranges, held, held)
+    assert [r[:3] for r, ok in zip(ranges, clean) if not ok] == [victim]
+    assert [r[:3] for r in ranges if not store.verify(*r[:3])] == [victim]
+
+    # The scrubber rebuilds the rotten block (once the read's failures have
+    # cooled off the server's breaker); the rebuilt block is hashed afresh.
+    dfs.clock.advance(RESET_TIMEOUT)
+    assert Scrubber(dfs).scrub().corrupted == [("s#g0000", 0)]
+    crcs, owner, _ = store._row_checksums[victim[0]][victim[1:]]
+    assert owner is store._disks[victim[0]][victim[1:]]
+    assert crcs == [zlib.crc32(row.tobytes()) for row in owner]
+    del held, junk
+    junk = scribble()
+    ranges, held = stored_ranges(dfs)
+    assert all(store._clean_ranges(ranges, held, held))
+    assert all(store.verify(*r[:3]) for r in ranges)
+    failures = dfs.metrics.total("checksum_failures")
+    assert sfs.read_file("s") == payload
+    assert dfs.metrics.total("checksum_failures") == failures
 
 
 @pytest.mark.parametrize("clash", ["a full group", "the ragged tail"])
