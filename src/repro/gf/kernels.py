@@ -559,7 +559,7 @@ class CodingPlan:
         members = [self._input_rows(seg) for seg in segments]
         if not members:
             return []
-        native = self._native_ready()
+        native = any(width >= _SEGMENT_MIN_ELEMS for _, width in members) and self._native_ready()
         wide = _SEGMENT_MIN_ELEMS if native else self._cache_block_elems()
         m = self.m
         make = np.zeros if self._zero_rows.size else np.empty
@@ -754,7 +754,9 @@ class CodingPlan:
                 np.ascontiguousarray(hi.reshape(shape)),
             )
 
-    def _native_segments(self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int]) -> None:
+    def _native_segments(
+        self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int]
+    ) -> None:
         """Copies and dense product of one or more segments in one call of
         the native gather or XOR kernel, which reads the input rows where
         they lie.

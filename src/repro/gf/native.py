@@ -19,12 +19,18 @@ needs the two hot loops in real machine code:
   rows) executed chunk-by-chunk in C, with the same scratch-pool budget
   as the numpy executor (``schedule.POOL_BUDGET_BYTES``).
 
-Both read their input rows through a table of row pointers, one per
-input row of the plan, which the C side expands from per-array ``(base,
-row stride, rows)`` ranges (as the CRC kernel below takes its row
-ranges).  A 2-D payload is one range; the helper rows of a rebuild,
-read from several blocks, are one range per read, handed over where
-they lie instead of being stacked into one array first.
+Both code one or more *segments* with one plan in one call — the
+pointer-table shape of ISA-L's ``ec_encode_data``, which takes any number
+of stripes at once.  They read their input rows through a table of row
+pointers, one per input row of every segment, which the C side expands
+from per-array ``(base, row stride, rows)`` ranges (as the CRC kernel
+below takes its row ranges).  A 2-D payload is one range; the helper
+rows of a rebuild, read from several blocks, are one range per read,
+handed over where they lie instead of being stacked into one array
+first.  Each segment has its own output base, row stride and width, so
+a batch of stripe groups lands each group's result in its own
+contiguous part of one buffer, and each kernel makes a plan's identity
+rows (row copies) itself.
 
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
@@ -258,7 +264,7 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
     uint8_t *started;
     size_t g;
     if (!row) return -1;
-    started = (uint8_t *)(row + nin * nseg);
+    started = (uint8_t *)(row + range_rows(geometry, nranges));
     for (g = 0; g < nseg; g++) {
         const uint8_t **in = row + g * nin;
         uint8_t *out = (uint8_t *)outs[g];
@@ -311,7 +317,7 @@ int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
     uint8_t *started;
     size_t g;
     if (!row) return -1;
-    started = (uint8_t *)(row + nin * nseg);
+    started = (uint8_t *)(row + range_rows(geometry, nranges));
     for (g = 0; g < nseg; g++) {
         const uint8_t **in = row + g * nin;
         uint8_t *out = (uint8_t *)outs[g];

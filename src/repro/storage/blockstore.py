@@ -19,10 +19,13 @@ over a block; a whole block verifies as "every row matches".  Where the
 native kernel library carries its carry-less-multiply CRC kernel, row
 runs large enough to repay the call go through it in one C call — a
 batch of writes hashes all its blocks in one call
-(:meth:`BlockStore._put_many`), and a batch of row-range reads checks
-all its ranges in one call (:meth:`BlockStore._range_reader`);
-everything else, and every host without it, uses ``zlib.crc32`` — the
-stored values are the same either way.
+(:meth:`BlockStore._put_many`; a file whose blocks lie in one array, as
+a striped write's groups do, is one row range read through one handle,
+its blocks' entries keeping offsets into it), and a batch of row-range
+reads checks all its ranges in one call (:meth:`BlockStore._range_reader`)
+through the handles the write kept; everything else, and every host
+without it, uses ``zlib.crc32`` — the stored values are the same either
+way.
 """
 
 from __future__ import annotations
@@ -263,31 +266,26 @@ class BlockStore:
         hashed: list[tuple[int, int, int, object, int]] = []  # first item, blocks, rows each, handle, block stride
         bases: list = []
         geometry: list[int] = []
-
-        def each_block(first: int, count: int) -> None:
-            for i in range(first, first + count):
-                block = np.asarray(items[i][3])
-                if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
-                    handle = backend.row_buffer(block)
-                    hashed.append((i, 1, block.shape[0], handle, 0))
-                    bases.append(handle)
-                    geometry.extend((block.strides[0], block.shape[0], block.shape[1] * block.itemsize))
-
-        if parents is None:
-            each_block(0, len(items))
-        else:
-            first = 0
-            for stack in parents:
-                count, rows, width = stack.shape
-                if not stack.flags.c_contiguous:
-                    each_block(first, count)
-                elif count and stack.nbytes >= count * _NATIVE_CRC_MIN_BYTES:
+        first = 0
+        for stack in [None] * len(items) if parents is None else parents:
+            count = 1 if stack is None else len(stack)
+            if stack is not None and stack.flags.c_contiguous:
+                rows, width = stack.shape[1:]
+                if count and stack.nbytes >= count * _NATIVE_CRC_MIN_BYTES:
                     handle = backend.row_buffer(stack)
                     row_bytes = width * stack.itemsize
                     hashed.append((first, count, rows, handle, rows * row_bytes))
                     bases.append(handle)
                     geometry += (row_bytes, count * rows, row_bytes)
-                first += count
+            else:
+                for i in range(first, first + count):
+                    block = np.asarray(items[i][3])
+                    if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
+                        handle = backend.row_buffer(block)
+                        hashed.append((i, 1, block.shape[0], handle, 0))
+                        bases.append(handle)
+                        geometry += (block.strides[0], block.shape[0], block.shape[1] * block.itemsize)
+            first += count
         if not bases:
             return None
         crcs = backend.crc32_ranges(bases, geometry)
@@ -295,7 +293,8 @@ class BlockStore:
         for first, count, rows, handle, stride in hashed:
             for b in range(count):
                 stop = pos + rows
-                entries[first + b] = (crcs[pos:stop], np.asarray(items[first + b][3]), handle + b * stride if b else handle)
+                block = np.asarray(items[first + b][3])
+                entries[first + b] = (crcs[pos:stop], block, handle + b * stride if b else handle)
                 pos = stop
         return entries
 

@@ -350,15 +350,14 @@ class DistributedFileSystem:
         are the batch's parents (``BlockStore._put_many``): a file whose
         blocks lie in one C-contiguous array is hashed as one row range.
         """
-        n = code.n
-        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(n)]
+        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(code.n)]
         with get_tracer().span(
             "dfs.store_blocks", category="storage", files=len(placed), blocks=len(items), clock=self.clock
         ):
             self.store._put_many(items, [blocks for _, blocks, _, _ in placed])
         files = [
             EncodedFile(
-                name=name, code=code, placement=dict(enumerate(servers[:n])),
+                name=name, code=code, placement=dict(enumerate(servers)),
                 stripe_size=blocks.shape[2], original_size=original_size,
             )
             for name, blocks, servers, original_size in placed

@@ -5,9 +5,10 @@ one code instance.  Coding them one at a time costs N interpreter
 round-trips, N small kernel launches and N sets of scratch buffers —
 exactly the per-call overhead the accelerated GF kernels
 (``repro.gf.kernels``) were built to amortize.  Because every group
-shares the same coefficient matrix, the payload columns of all N groups
-can be stacked side by side into one 2D GF array and pushed through
-**one** :meth:`~repro.gf.kernels.CodingPlan.apply_batch` per operation.
+shares the same coefficient matrix, all N groups go through **one**
+:meth:`~repro.gf.kernels.CodingPlan.apply_batch` per operation — as ISA-L's
+``ec_encode_data`` codes any number of stripes through pointer tables in
+one call.
 Repair-bandwidth literature amortizes repair over many codewords at once
 for the same reason; this module does it at the systems layer.
 
@@ -29,12 +30,17 @@ Ragged tails are first-class: segments of different stripe widths mix
 freely in one batch (columns concatenate regardless of per-group S), so
 the final short group of a file rides in the same kernel call.
 
-Helper rows are never stacked here.  Each group's rows go to
-:meth:`~repro.gf.kernels.CodingPlan.apply_batch` as the list of arrays
-they were read into (a decode's as row slices of its survivors), and the
-native kernels read them where they lie.  Only a run of narrow groups is
-column-stacked, by ``apply_batch`` and straight from those rows, and the
-numpy tiers stack each product's rows first: one copy either way.
+Nothing is stacked here.  Each group's rows go to
+:meth:`~repro.gf.kernels.CodingPlan.apply_batch` where they lie — a
+write's grids as views of the caller's payload, a rebuild's helper rows
+as the list of arrays they were read into, a decode's as row slices of
+its survivors.  On a native tier every group at least
+``_SEGMENT_MIN_ELEMS`` symbols wide is coded by one kernel call over a
+segment table, its result written contiguously into one shared buffer,
+so a striped write's blocks are each one C-contiguous array.  Only a run
+of narrower groups is column-stacked, by ``apply_batch`` and straight
+from those rows, and the numpy tiers stack each product's rows first:
+one copy either way.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ def batch_encode(
     """Encode many ``(k*N, S_i)`` stripe grids in one fused kernel call.
 
     Returns one ``(n, N, S_i)`` block array per grid, as zero-copy views
-    into the shared batched output.
+    into the shared batched output (each C-contiguous where
+    :meth:`~repro.gf.kernels.CodingPlan.apply_batch` coded its grid in
+    place).
     """
     grids = [np.asarray(g) for g in grids]
     total = code.data_stripe_total
