@@ -47,10 +47,16 @@ class RoundRobinPlacement(PlacementPolicy):
         self.offset = offset
 
     def place(self, cluster: Cluster, num_blocks: int) -> list[int]:
-        alive = self._require(cluster, num_blocks)
-        start = self.offset % len(alive)
-        rotated = alive[start:] + alive[:start]
-        return rotated[:num_blocks]
+        return _round_robin(cluster, num_blocks, [self.offset])[0]
+
+
+def _round_robin(cluster: Cluster, num_blocks: int, offsets) -> list[list[int]]:
+    """:class:`RoundRobinPlacement` at each of ``offsets``, all from one
+    ``alive_ids()``: ``num_blocks`` alive servers from ``offset`` on,
+    wrapping round."""
+    alive = PlacementPolicy._require(cluster, num_blocks)
+    ring = alive + alive
+    return [ring[offset % len(alive) : offset % len(alive) + num_blocks] for offset in offsets]
 
 
 class RandomPlacement(PlacementPolicy):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
+from repro.cluster.placement import RoundRobinPlacement, _round_robin
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
@@ -169,10 +169,7 @@ class StripedFileSystem:
                 self.metrics.add("bytes_copied", grids.nbytes)
             blocks = pipeline.batch_encode(code, list(grids), metrics=self.metrics)
             with get_tracer().span("dfs.place", category="storage", file=name, files=full):
-                # RoundRobinPlacement(offset=i * n) for every group i, from one alive_ids().
-                alive = PlacementPolicy._require(self.cluster, n)
-                ring, size = alive + alive, len(alive)
-                servers = [ring[i * n % size : i * n % size + n] for i in range(full)]
+                servers = _round_robin(self.cluster, n, range(0, full * n, n))
             self.dfs._write_encoded_many(
                 code, [(group_name(name, i), blocks[i], gp, servers[i]) for i in range(full)]
             )
