@@ -818,6 +818,52 @@ def _frozen_run(
     }
 
 
+class TestSameInstantReads:
+    """A one-run read beside other requests at the instants its run starts
+    and ends.  Galloper 8 KiB files: block ``b`` holds file stripes
+    ``4b .. 4b + 3`` as its rows 0-3, each block on its own server."""
+
+    @staticmethod
+    def _clients(gateway, extents, probe=lambda: None):
+        """Start one client per ``(name, first stripe, stripes)`` at 0; each
+        notes its name, when its read ended and ``probe()`` then."""
+        done = []
+
+        async def client(name, first, count):
+            stripe = gateway.dfs.file("alpha/f0").stripe_size
+            await gateway.read("alpha", "f0", first * stripe, count * stripe)
+            done.append((name, gateway.loop.now, probe()))
+
+        for name, first, count in extents:
+            gateway.loop.create_task(client(name, first, count))
+        gateway.loop.run()
+        return done
+
+    def test_run_starting_while_another_requests_runs_are_queued(self):
+        # "two" spans blocks 0 and 1 (two runs); "one" reads rows 2-3 of
+        # block 1.  Both start at 0: the runs of "two" were queued first, so
+        # they take block 1's disk first and "one" waits behind them.
+        gateway = make_gateway()
+        put_file(gateway, CODES["galloper"])
+        done = self._clients(gateway, [("two", 2, 4), ("one", 6, 2)])
+        assert [name for name, _, _ in done] == ["two", "one"]
+        assert done[0][1] < done[1][1]
+        assert gateway.metrics.total("blocks_read") == 3
+        assert gateway.metrics.histogram("serving_disk_wait_s").max > 0
+
+    def test_runs_ending_at_one_instant(self):
+        # Two one-run reads of two rows on two idle disks end at one
+        # instant; each request finishes after both runs published their
+        # rows to the cache.
+        gateway = make_gateway()
+        put_file(gateway, CODES["galloper"])
+        done = self._clients(
+            gateway, [("a", 0, 2), ("b", 8, 2)], lambda: gateway.metrics.total("serving_cache_admissions")
+        )
+        assert [(name, admitted) for name, _, admitted in done] == [("a", 4), ("b", 4)]
+        assert done[0][1] == done[1][1]
+
+
 class TestFrozenEventOrder:
     """Every sim-clock result is a function of the order events fire in, so a
     rewrite that keeps (time, seq) order reproduces these to the last bit:

@@ -353,3 +353,100 @@ class TestResumption:
         names = [s.name for s in tracer.spans if s.category == "sim"]
         # Two first steps, the sleep timer, then one resumption each.
         assert names == ["task:parent", "task:child", "sleep", "task:child", "task:parent"]
+
+
+class TestSameInstantOrder:
+    """Who goes first among events due at one instant.
+
+    The orders below are the ``(time, seq)`` orders of a loop that takes
+    every hop (each sleep a timer event plus a resumption event, each task
+    start and each resumption an event of its own).  A loop that skips a
+    hop must skip only one whose event would have been dispatched next
+    anyway, so every order here stays as it is.
+    """
+
+    def test_two_sleeps_ending_at_one_instant(self, loop):
+        # Both timers fire before either sleeper resumes: the first to
+        # wake already sees the other's sleep over.
+        naps = {}
+        order = []
+
+        async def after(name):
+            order.append((f"after {name}", loop.now))
+
+        async def sleeper(name, other):
+            naps[name] = loop.sleep(1.0)
+            await naps[name]
+            order.append((name, loop.now, naps[other].done()))
+            loop.create_task(after(name))
+
+        loop.create_task(sleeper("a", "b"))
+        loop.create_task(sleeper("b", "a"))
+        loop.run()
+        assert order == [("a", 1.0, True), ("b", 1.0, True), ("after a", 1.0), ("after b", 1.0)]
+
+    def test_sleep_waking_while_other_events_are_due(self, loop):
+        # A zero-delay event already queued at the instant, and a timer of
+        # the same instant scheduled after the sleep's, both go first: the
+        # timer because the engine dispatches every timer due at an instant
+        # before the events queued at it.
+        order = []
+
+        async def sleeper():
+            await loop.sleep(1.0)
+            order.append(("sleeper", loop.now))
+
+        def first_at_one():
+            order.append(("earlier timer", loop.now))
+            loop.sim.schedule(0.0, lambda: order.append(("zero-delay", loop.now)))
+
+        async def main():
+            loop.sim.schedule(1.0, first_at_one)
+            loop.create_task(sleeper())
+            await loop.sleep(0.5)
+            loop.sim.schedule(0.5, lambda: order.append(("later timer", loop.now)))
+
+        loop.create_task(main())
+        loop.run()
+        assert order == [("earlier timer", 1.0), ("later timer", 1.0), ("zero-delay", 1.0), ("sleeper", 1.0)]
+
+    def test_future_resolved_by_a_handler_that_keeps_running(self, loop):
+        # The waiter resumes after the resolver returns, and before an
+        # event the resolver scheduled after resolving.
+        gate = loop.future("gate")
+        order = []
+
+        async def waiter():
+            order.append(("waiter", await gate, loop.now))
+
+        def resolve():
+            gate.set_result("open")
+            order.append(("resolver", loop.now))
+            loop.sim.schedule(0.0, lambda: order.append(("scheduled after", loop.now)))
+
+        loop.create_task(waiter())
+        loop.sim.schedule(2.0, resolve)
+        loop.run()
+        assert order == [("resolver", 2.0), ("waiter", "open", 2.0), ("scheduled after", 2.0)]
+
+    def test_gather_resolved_by_the_last_of_several_same_instant_tasks(self, loop):
+        # The gatherer resumes after everything the parts queued while
+        # they finished, not on the stack of the last one.
+        order = []
+
+        async def part(i):
+            await loop.sleep(1.0)
+            order.append((f"part {i}", loop.now))
+            if i == 0:
+                loop.sim.schedule(0.0, lambda: order.append(("queued by part 0", loop.now)))
+            return i
+
+        async def main():
+            got = await loop.gather(*(loop.create_task(part(i)) for i in range(3)))
+            order.append(("gathered", got, loop.now))
+
+        loop.run_until_complete(loop.create_task(main()))
+        assert order == [
+            ("part 0", 1.0), ("part 1", 1.0), ("part 2", 1.0),
+            ("queued by part 0", 1.0), ("gathered", [0, 1, 2], 1.0),
+        ]
