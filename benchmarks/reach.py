@@ -8,6 +8,12 @@ are the five ``examples/``, ``python -m repro figures``, each CLI
 subcommand, ``run_{striped,kernels,reliability,serving}.py --quick``,
 ``run_chaos.py`` and ``benchmarks/e2e/run.py --workload all --smoke``.
 
+The census reads ``src/repro`` once before the drivers run, and each
+driver imports it as it is when that driver starts, so an edit during the
+run would make the edited file's functions look unreached.  Every parsed
+file is hashed when it is read and again after the last driver; on a
+difference the run exits 2 naming the changed files, with no census.
+
 A function no driver enters must be deleted or be listed in ``KEPT``
 below, which is the one record of what stays and why.  ``--check`` also
 fails on a ``KEPT`` entry that is gone or that a driver now enters, so
@@ -24,6 +30,7 @@ Usage::
 
     python benchmarks/reach.py                 # the census table (~2.5 min)
     python benchmarks/reach.py --check         # exit 1 when the run and KEPT disagree
+                                               # (exit 2: src/repro changed during the run)
     python benchmarks/reach.py --tests --out reach.json   # add a tier-1 column (test-only vs nothing)
 
 The drivers run in a temporary directory and write their outputs there;
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -187,15 +195,18 @@ KEPT: dict[str, str] = {
 }
 
 
-def functions() -> dict[tuple[str, int, str], tuple[str, int]]:
-    """``(file, first line, name)`` of every def in ``src/repro`` -> ``(module:qualname, lines)``.
+def functions() -> tuple[dict[tuple[str, int, str], tuple[str, int]], dict[str, str]]:
+    """``(file, first line, name)`` of every def in ``src/repro`` -> ``(module:qualname, lines)``,
+    and the digest of every file parsed (:func:`digests`).
 
     The first line is the first decorator's, as in ``co_firstlineno``.
     """
-    found, keys = {}, set()
+    found, keys, hashes = {}, set(), {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-        pending = [(ast.parse(path.read_text(), str(path)), "")]
+        source = path.read_bytes()
+        hashes[str(path)] = hashlib.sha256(source).hexdigest()
+        pending = [(ast.parse(source, str(path)), "")]
         while pending:
             node, prefix = pending.pop()
             for child in ast.iter_child_nodes(node):
@@ -211,7 +222,17 @@ def functions() -> dict[tuple[str, int, str], tuple[str, int]]:
                     pending.append((child, f"{prefix}{child.name}."))
                 else:
                     pending.append((child, prefix))
-    return found
+    return found, hashes
+
+
+def digests() -> dict[str, str]:
+    """Path -> SHA-256 of every ``.py`` file under ``src/repro``."""
+    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def changed_files(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """The files added, removed or edited between two :func:`digests`."""
+    return sorted(path for path in before.keys() | after.keys() if before.get(path) != after.get(path))
 
 
 def _run(runs: list[tuple[str, ...]], tmp: pathlib.Path, env: dict[str, str]) -> set[tuple[str, int, str]]:
@@ -232,9 +253,10 @@ def _run(runs: list[tuple[str, ...]], tmp: pathlib.Path, env: dict[str, str]) ->
     return entered
 
 
-def census(tests: bool) -> dict[str, dict]:
-    """``module:qualname`` -> ``{"lines", "drivers", "tests"}`` over every driver."""
-    index = functions()
+def census(tests: bool) -> tuple[dict[str, dict], list[str]]:
+    """``module:qualname`` -> ``{"lines", "drivers", "tests"}`` over every driver,
+    and the files under ``src/repro`` that changed while the drivers ran."""
+    index, hashes = functions()
     table = {key: {"lines": lines, "drivers": [], "tests": False} for key, lines in index.values()}
     plan = [*DRIVERS.items()] + ([("tests", TESTS)] if tests else [])
     with tempfile.TemporaryDirectory(prefix="reach-") as root:
@@ -255,7 +277,7 @@ def census(tests: bool) -> dict[str, dict]:
                 else:
                     table[key]["drivers"].append(name)
             print(f"  {name}: {len(hits)} functions, {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    return table
+    return table, changed_files(hashes, digests())
 
 
 def report(table: dict[str, dict], tests: bool) -> list[str]:
@@ -297,7 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tests", action="store_true", help="also run tier-1 under the collector")
     parser.add_argument("--out", type=pathlib.Path, help="write the census as JSON to this path")
     args = parser.parse_args(argv)
-    table = census(args.tests)
+    table, changed = census(args.tests)
+    if changed:
+        print(
+            f"error: {', '.join(changed)} changed while the drivers ran, so the census would "
+            "be wrong; rerun it on a tree nobody is editing",
+            file=sys.stderr,
+        )
+        return 2
     mismatches = report(table, args.tests)
     if args.out:
         args.out.write_text(json.dumps({"drivers": list(DRIVERS), "functions": table}, indent=1, sort_keys=True) + "\n")

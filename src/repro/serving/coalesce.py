@@ -34,7 +34,7 @@ class RequestCoalescer:
         if fut is not None:
             self.metrics.add("serving_coalesced_reads", 1)
             return False, fut
-        fut = self.loop.future(name=f"coalesce:{key}")
+        fut = self.loop.future(name="coalesce")
         self._inflight[key] = fut
         return True, fut
 

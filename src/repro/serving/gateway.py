@@ -212,7 +212,7 @@ class ServingGateway:
         product and its decode time."""
         helper_rows = plan.helper_rows
         reads = [
-            self.loop.create_task(self._read_rows(ef, h, first, count), name=f"helper:{h}")
+            self.loop.create_task(self._read_rows(ef, h, first, count), name="helper")
             for h, first, count in helper_rows.reads(row0, nrows)
         ]
         rebuilt = helper_rows.rebuild(row0, nrows, await self.loop.gather(*reads))
@@ -258,7 +258,7 @@ class ServingGateway:
                     file=ef.name, cause="undecodable",
                 ) from exc
             reads = [
-                self.loop.create_task(read_block(b), name=f"decode:{b}")
+                self.loop.create_task(read_block(b), name="decode")
                 for b in chosen
             ]
             try:
@@ -458,6 +458,24 @@ class ServingGateway:
             out[i : i + len(rows)] = rows
         return out
 
+    async def _lone_run(self, ef: EncodedFile, block: int, row0: int, nrows: int, fs0: int) -> list:
+        """:meth:`_run` in the calling task, in the order a task of its own
+        and a gather of it would give.
+
+        That task's start would be queued now, and the caller resumed by
+        an event queued as the run ends; each of the two turns is taken
+        only when something else is due at its instant (with nothing else
+        due, the hop's event would be dispatched next anyway).
+        """
+        await self.loop._take_turn()
+        try:
+            rows = await self._run(ef, block, row0, nrows, fs0)
+        except Exception:
+            await self.loop._take_turn()
+            raise
+        await self.loop._take_turn()
+        return rows
+
     # --------------------------------------------------------- request path
 
     async def read(
@@ -472,7 +490,9 @@ class ServingGateway:
         unrecoverable.
         """
         t_arrival = self.loop.now
-        lease = await self.throttle.acquire(tenant, self.config.lease_estimate)
+        lease = self.throttle._admit(tenant, self.config.lease_estimate, t_arrival)
+        if lease is None:
+            lease = await self.throttle.acquire(tenant, self.config.lease_estimate)
         try:
             ef = self.dfs.file(self.qualify(tenant, key))
             if length is None:
@@ -482,12 +502,14 @@ class ServingGateway:
                 return b""
             first = offset // ef.stripe_size
             last = (offset + length - 1) // ef.stripe_size
-            fetches = [
-                self.loop.create_task(self._run(ef, block, row0, nrows, fs0), name="run")
-                for block, row0, nrows, fs0 in ef.code.read_plan().runs_within(first, last + 1)
-            ]
+            runs = ef.code.read_plan().runs_within(first, last + 1)
             try:
-                runs = await self.loop.gather(*fetches)
+                if len(runs) == 1:
+                    runs = [await self._lone_run(ef, *runs[0])]
+                else:
+                    runs = await self.loop.gather(
+                        *(self.loop.create_task(self._run(ef, *run), name="run") for run in runs)
+                    )
             except ServingError:
                 self.metrics.add("serving_reads_failed", 1)
                 raise

@@ -74,6 +74,25 @@ class TenantThrottle:
     def inflight(self, tenant: str) -> int:
         return self._leases.count(tenant, self.loop.now)
 
+    def _admit(self, tenant: str, duration: float, since: float) -> TenantLease | None:
+        """The lease of a request submitted at ``since``, granted now if
+        ``tenant`` is under its cap; ``None`` if it is at it.
+
+        A plain call, no coroutine: under the cap, admission waits for
+        nothing.  The gateway's reads ask here first and call
+        :meth:`acquire` only to wait.
+        """
+        now = self.loop.now
+        if self._leases.count(tenant, now) >= self.cap(tenant):
+            return None
+        waited = now - since
+        self.metrics.observe("tenant_throttle_wait_s", waited)
+        tenant_wait = self._tenant_wait.get(tenant)
+        if tenant_wait is None:
+            tenant_wait = self._tenant_wait[tenant] = f"tenant_throttle_wait_s[{tenant}]"
+        self.metrics.observe(tenant_wait, waited)
+        return TenantLease(tenant=tenant, handle=self._leases.grant(tenant, now + duration))
+
     async def acquire(self, tenant: str, duration: float) -> TenantLease:
         """Admit one request, waiting while the tenant is at its cap.
 
@@ -83,13 +102,12 @@ class TenantThrottle:
         :meth:`release` the moment the request completes.
         """
         submitted = self.loop.now
-        cap = self.cap(tenant)
-        throttled = False
-        while self._leases.count(tenant, self.loop.now) >= cap:
-            if not throttled:
-                throttled = True
-                self.metrics.add("tenant_throttle_waits", 1)
-            fut = self.loop.future(name=f"throttle:{tenant}")
+        lease = self._admit(tenant, duration, submitted)
+        if lease is not None:
+            return lease
+        self.metrics.add("tenant_throttle_waits", 1)
+        while lease is None:
+            fut = self.loop.future(name="throttle")
             self._waiters.setdefault(tenant, deque()).append(fut)
             # An early release wakes the head waiter immediately; the
             # timer below bounds the wait at the earliest lease expiry.
@@ -98,20 +116,14 @@ class TenantThrottle:
                 self.loop.sim.schedule(
                     max(1e-9, expiry - self.loop.now),
                     lambda f=fut: f.done() or f.set_result(None),
-                    name=f"throttle-expiry:{tenant}",
+                    name="throttle-expiry",
                 )
             await fut
             queue = self._waiters.get(tenant)
             if queue and fut in queue:
                 queue.remove(fut)
-        waited = self.loop.now - submitted
-        self.metrics.observe("tenant_throttle_wait_s", waited)
-        tenant_wait = self._tenant_wait.get(tenant)
-        if tenant_wait is None:
-            tenant_wait = self._tenant_wait[tenant] = f"tenant_throttle_wait_s[{tenant}]"
-        self.metrics.observe(tenant_wait, waited)
-        handle = self._leases.grant(tenant, self.loop.now + duration)
-        return TenantLease(tenant=tenant, handle=handle)
+            lease = self._admit(tenant, duration, submitted)
+        return lease
 
     def release(self, lease: TenantLease) -> None:
         """Return a lease ahead of its expiry (idempotent)."""

@@ -15,10 +15,19 @@ implements the minimal awaitable protocol directly on the sim engine:
   parks a coroutine on the event heap, ``gather`` joins a batch,
   ``first_success`` races hedged attempts.
 
-Determinism: every resumption goes through ``Simulation.schedule`` at
-the current instant, so tasks interleave in FIFO (time, seq) order and
-repeated runs with the same seeds produce identical traces — the same
-property the rest of the engine guarantees, extended to coroutines.
+Determinism: tasks interleave in the engine's FIFO ``(time, seq)``
+order, so repeated runs with the same seeds produce identical traces —
+the same property the rest of the engine guarantees, extended to
+coroutines.  A task's start and each resumption are events at the
+current instant (*hops*: they only hand control on), and a hop is
+skipped only when it cannot change that order.  A resolution that is the
+last thing an event does — a sleep's timer, a task's last step — steps
+the one task it wakes right there when nothing else is due at that
+instant, since the resumption it would queue is then the next event
+dispatched anyway; with anything else due, the resumption is queued.
+``SimLoop._take_turn`` lets a task do work it would have handed to a
+task of its own under the same rule: it takes the turn that task's
+start would have taken only when something else is due.
 There is no cancellation: a losing hedge runs to completion (its disk
 time was genuinely consumed) and its result is discarded by the caller.
 """
@@ -30,6 +39,19 @@ from collections.abc import Callable, Coroutine
 from repro.sim.engine import Simulation, SimulationError
 
 _PENDING = object()
+_INF = float("inf")
+
+
+class _Turn:
+    """Awaited by a task, queues the task's next step at the current instant."""
+
+    __slots__ = ()
+
+    def __await__(self):
+        yield self
+
+
+_TURN = _Turn()
 
 
 class SimFuture:
@@ -71,7 +93,42 @@ class SimFuture:
 
     def _wake(self) -> None:
         """``set_result(None)`` as a bound method: what a sleep timer schedules."""
-        self.set_result(None)
+        self._settle(None, None)
+
+    def _settle(self, value, exc: BaseException | None) -> None:
+        """Resolve, as the last thing the current event does (a sleep's
+        timer, a task's last step).
+
+        If nothing else is due at this instant and resolving queues one
+        task step — the resumption of a task parked on this future, or on
+        a gather this completes — that step would be the next event
+        dispatched anyway, so it runs here, in this event.
+        """
+        sim = self.loop.sim
+        if sim._due():
+            self._resolve(value, exc)
+            return
+        callbacks = self._callbacks
+        if len(callbacks) == 1 and getattr(callbacks[0], "__func__", None) is SimTask._resume:
+            # One task parked here: hand it the outcome without queueing.
+            task = callbacks[0].__self__
+            self._callbacks = []
+            if exc is None:
+                self._result = task._wake_value = value
+            else:
+                self._exception = task._wake_exc = exc
+            task._step()
+            return
+        self._resolve(value, exc)
+        ready = sim._ready
+        if len(ready) == 1 and getattr(ready[0][0], "__func__", None) is SimTask._step:
+            ready.popleft()[0]()
+
+    def _resolve(self, value, exc: BaseException | None) -> None:
+        if exc is None:
+            self.set_result(value)
+        else:
+            self.set_exception(exc)
 
     def _fire(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
@@ -98,24 +155,24 @@ class SimTask(SimFuture):
     (FIFO with everything else scheduled now), matching asyncio's
     create-then-run-soon semantics; each ``await`` on a
     :class:`SimFuture` parks it until that future resolves, and
-    resumptions are likewise deferred through the event heap so the
-    completer's stack never nests task bodies.
+    resumptions are likewise deferred through the engine (unless nothing
+    else is due as a sleep's timer or a task's last step wakes it: see
+    :meth:`SimFuture._settle`).
 
     A resumption is the bound :meth:`_step` scheduled under the task's
-    one event name; what to resume *with* waits on the task itself
+    name; what to resume *with* waits on the task itself
     (``_wake_value`` / ``_wake_exc``), so no event allocates a closure.
     A task awaits one future at a time, so one pair of slots suffices.
     """
 
-    __slots__ = ("coro", "_event_name", "_wake_value", "_wake_exc")
+    __slots__ = ("coro", "_wake_value", "_wake_exc")
 
     def __init__(self, loop: "SimLoop", coro: Coroutine, name: str = ""):
         super().__init__(loop, name or getattr(coro, "__name__", "task"))
         self.coro = coro
-        self._event_name = f"task:{self.name}"
         self._wake_value = None
         self._wake_exc: BaseException | None = None
-        loop.sim.schedule(0.0, self._step, self._event_name)
+        loop.sim.schedule(0.0, self._step, self.name)
 
     def _step(self) -> None:
         value, exc = self._wake_value, self._wake_exc
@@ -125,12 +182,15 @@ class SimTask(SimFuture):
         try:
             awaited = self.coro.throw(exc) if exc is not None else self.coro.send(value)
         except StopIteration as stop:
-            self.set_result(stop.value)
+            self._settle(stop.value, None)
             return
         except BaseException as failure:  # noqa: BLE001 - tasks capture any failure
-            self.set_exception(failure)
+            self._settle(None, failure)
             return
         if not isinstance(awaited, SimFuture):
+            if awaited is _TURN:
+                self.loop.sim.schedule(0.0, self._step, self.name)
+                return
             self.coro.close()
             self.set_exception(
                 SimulationError(
@@ -144,7 +204,7 @@ class SimTask(SimFuture):
     def _resume(self, fut: SimFuture) -> None:
         self._wake_value = fut._result  # the pending marker when it failed; never sent
         self._wake_exc = fut._exception
-        self.loop.sim.schedule(0.0, self._step, self._event_name)
+        self.loop.sim.schedule(0.0, self._step, self.name)
 
 
 class SimLoop:
@@ -152,7 +212,6 @@ class SimLoop:
 
     def __init__(self):
         self.sim = Simulation()
-        self.tasks_started = 0
 
     @property
     def now(self) -> float:
@@ -162,7 +221,6 @@ class SimLoop:
 
     def create_task(self, coro: Coroutine, name: str = "") -> SimTask:
         """Start a coroutine concurrently; returns its task/future."""
-        self.tasks_started += 1
         return SimTask(self, coro, name=name)
 
     def future(self, name: str = "") -> SimFuture:
@@ -171,13 +229,27 @@ class SimLoop:
     # ------------------------------------------------------------- awaiting
 
     def sleep(self, delay: float) -> SimFuture:
-        """An awaitable that resolves ``delay`` sim-seconds from now."""
+        """An awaitable that resolves ``delay`` sim-seconds from now (now
+        when ``delay`` is negative).
+
+        Raises:
+            SimulationError: ``delay`` is NaN or infinite.
+        """
+        if delay < 0.0 and delay != -_INF:
+            delay = 0.0
         fut = SimFuture(self, name="sleep")
-        self.sim.schedule(max(0.0, delay), fut._wake, "sleep")
+        self.sim.schedule(delay, fut._wake, "sleep")
         return fut
 
     def sleep_until(self, when: float) -> SimFuture:
         return self.sleep(when - self.sim.now)
+
+    async def _take_turn(self) -> None:
+        """Go on after every event already due at this instant, as the
+        first step of a task created now would; at once when nothing else
+        is due, since that step would then be the next event anyway."""
+        if self.sim._due():
+            await _TURN
 
     def gather(self, *futures: SimFuture) -> SimFuture:
         """Join a batch: resolves with the list of results, in order.

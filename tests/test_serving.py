@@ -914,6 +914,20 @@ class TestFrozenEventOrder:
     went.  Pyramid's rose: its twelve rebuilds now land inside 7 ms instead
     of being spread over 0.4 s, and the requests of that instant queue
     behind four concurrent helper reads instead of one.
+
+    ``events`` alone was re-recorded when the engine stopped dispatching
+    the hops that cannot change the order: a sleep timer or a task's last
+    step steps the task it wakes in its own event when nothing else is
+    due, and a one-run read runs its run in its own task.  Every digest,
+    sum, counter, end time and repair result stayed as it was:
+
+    ========  ==============  ==============
+    cell      clean           crash + repair
+    ========  ==============  ==============
+    RS        1744 -> 977     2098 -> 1286
+    Pyramid   1744 -> 977     2055 -> 1230
+    Galloper  2190 -> 1302    2743 -> 1672
+    ========  ==============  ==============
     """
 
     def test_rs_clean_run(self):
@@ -922,7 +936,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.07960916310913893,
             "latency_sha256": "f987ccaecea5b8aa80c17d3582cca562722d928a348d339a7080fe7a472cd2e2",
             "failures": 0,
-            "events": 1744,
+            "events": 977,
             "end": 1.5476395873458872,
             "repair": {},
             "counters": {
@@ -938,7 +952,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.5330057929681841,
             "latency_sha256": "3a2185c5628182344abf596f9d431bb8bbdf42831bc52ffb6d4ecd4158d5c836",
             "failures": 0,
-            "events": 2098,
+            "events": 1286,
             "end": 1.627639587345887,
             "repair": {"rebuilt": 12, "done": 0.20878799928517394},
             "counters": {
@@ -957,7 +971,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.07960916310913893,
             "latency_sha256": "f987ccaecea5b8aa80c17d3582cca562722d928a348d339a7080fe7a472cd2e2",
             "failures": 0,
-            "events": 1744,
+            "events": 977,
             "end": 1.5476395873458872,
             "repair": {},
             "counters": {
@@ -973,7 +987,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.3708878320822648,
             "latency_sha256": "6dd89fc8bc8fde25cf40694909d8369c7e65ebff32148f385f1445e238a0f084",
             "failures": 0,
-            "events": 2055,
+            "events": 1230,
             "end": 1.627639587345887,
             "repair": {"rebuilt": 12, "done": 0.20660156249999997},
             "counters": {
@@ -992,7 +1006,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.11826725540606475,
             "latency_sha256": "974bb3654bf09b8f0e9825852552bb1060dde9685eae0acdc329884020786c71",
             "failures": 0,
-            "events": 2190,
+            "events": 1302,
             "end": 1.5474610404403695,
             "repair": {},
             "counters": {
@@ -1008,7 +1022,7 @@ class TestFrozenEventOrder:
             "latency_sum": 0.4425166690525075,
             "latency_sha256": "58259f38d78331be4d8230e16e3c8e88f0281e4890e1f852da48c54f4c01442f",
             "failures": 0,
-            "events": 2743,
+            "events": 1672,
             "end": 2.1992145793562656,
             "repair": {"rebuilt": 12, "done": 0.2552892985343933},
             "counters": {

@@ -68,6 +68,44 @@ class TestSimulation:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # NaN compares false with everything: on the heap it would fire
+        # out of order with the clock reading NaN.
+        sim = Simulation()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: fired.append(sim.now))
+        sim.schedule(0.5, lambda: fired.append(sim.now))
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0]
+
+    def test_infinite_delay_rejected(self):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("inf"), lambda: None)
+        assert sim.run() == 0.0
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_non_finite_instant_rejected(self, when):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(when, lambda: None)
+        assert sim.run() == 0.0
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_non_finite_until_rejected(self, until):
+        # The run neither drains the heap nor moves the clock.
+        sim = Simulation()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert fired == [] and sim.now == 0.0
+        sim.run()
+        assert fired == [1.0]
+
     def test_schedule_at(self):
         sim = Simulation()
         times = []

@@ -114,6 +114,19 @@ class TestTasks:
         with pytest.raises(SimulationError, match="still pending"):
             loop.run_until_complete(task)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_sleep_rejected(self, loop, delay):
+        with pytest.raises(SimulationError):
+            loop.sleep(delay)
+
+    def test_sleep_into_the_past_ends_now(self, loop):
+        async def late():
+            await loop.sleep(1.0)
+            await loop.sleep_until(0.25)
+            return loop.now
+
+        assert loop.run_until_complete(loop.create_task(late())) == 1.0
+
     def test_deterministic_fifo_at_same_instant(self):
         # Two identical loops must produce identical interleavings.
         def trace():
@@ -351,8 +364,10 @@ class TestResumption:
         with use_tracer(tracer):
             assert loop.run_until_complete(loop.create_task(parent(), name="parent")) == 8
         names = [s.name for s in tracer.spans if s.category == "sim"]
-        # Two first steps, the sleep timer, then one resumption each.
-        assert names == ["task:parent", "task:child", "sleep", "task:child", "task:parent"]
+        # Two first steps, then the sleep timer.  Nothing else is due at
+        # 1.0, so the timer steps the child in its own event, and the
+        # child's last step steps the parent: neither resumption is queued.
+        assert names == ["parent", "child", "sleep"]
 
 
 class TestSameInstantOrder:
