@@ -918,8 +918,8 @@ class TestFrozenEventOrder:
     ``events`` alone was re-recorded when the engine stopped dispatching
     the hops that cannot change the order: a sleep timer or a task's last
     step steps the task it wakes in its own event when nothing else is
-    due, and a one-run read runs its run in its own task.  Every digest,
-    sum, counter, end time and repair result stayed as it was:
+    due, and a read with one run runs it in the read's own task.  Every
+    digest, sum, counter, end time and repair result stayed as it was:
 
     ========  ==============  ==============
     cell      clean           crash + repair
