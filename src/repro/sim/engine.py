@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import deque
 from collections.abc import Callable
 
 from repro.obs.trace import get_tracer
 
-_INF = math.inf
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
