@@ -26,7 +26,8 @@ def test_an_edit_after_indexing_is_named(tmp_path, monkeypatch):
 
 
 def test_a_changed_tree_exits_2_without_a_census(monkeypatch, capsys):
-    monkeypatch.setattr(reach, "census", lambda tests: ({"repro.a:f": {"lines": 2, "drivers": [], "tests": False}}, ["a.py"]))
+    table = {"repro.a:f": {"lines": 2, "drivers": [], "tests": False}}
+    monkeypatch.setattr(reach, "census", lambda tests: (table, ["a.py"]))
     assert reach.main(["--check"]) == 2
     err = capsys.readouterr().err
     assert "a.py changed while the drivers ran" in err and "rerun" in err
