@@ -10,7 +10,9 @@ Clones both revisions from this repository into a work directory (a local
 ``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone, the
 parent first on even-numbered pairs and the change first on odd ones.  Each
 side runs from its own fresh clone, so neither measures a long-lived working
-tree.  Prints the gain test per end-to-end metric (each side's median and
+tree, and each clone is warmed first, untimed: its bytecode is compiled and
+its native library built where ``run.py`` loads it from, so the first timed
+run does not pay for either in ``setup_s``.  Prints the gain test per end-to-end metric (each side's median and
 quartiles, change over parent, the pairs the change is ahead / behind /
 tied in, and whether the rule for claiming a gain holds: ahead in at least
 nine tenths of the pairs, medians apart by more than the parent's quartile
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -56,6 +59,19 @@ def clone(rev: str, into: pathlib.Path) -> str:
     return subprocess.run(
         ["git", "-C", str(into), "rev-parse", "--short", "HEAD"], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def warm(checkout: pathlib.Path) -> None:
+    """Compile ``checkout``'s bytecode and build its native library, as the
+    first ``run.py`` there would inside its timed set-up (the library goes
+    where ``run.py`` puts it unless ``REPRO_NATIVE_CACHE`` says otherwise)."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env.setdefault("REPRO_NATIVE_CACHE", str(checkout / ".bench_build" / "repro-native"))
+    code = (
+        "import compileall; compileall.compile_dir('src', quiet=1); compileall.compile_dir('benchmarks/e2e', quiet=1); "
+        "from repro.gf import native_available; native_available()"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, check=True)
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float | None, out: pathlib.Path) -> None:
@@ -186,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     for side, rev in (("parent", args.parent), ("change", args.change)):
         checkout = work / side
         sha = clone(rev, checkout)
+        warm(checkout)
         record = work / f"{side}.json"
         record.unlink(missing_ok=True)
         sides[side] = (checkout, record)

@@ -23,9 +23,9 @@ Headline fields (also printed):
 * ``unavailable`` — reads that stayed undecodable through all retries.
 * ``degraded_read_overhead`` — per-code mean chaos read latency over the
   clean-cluster baseline.
-* the resilience counters (``retries``, ``hedged_reads``,
-  ``breaker_opens``, ``reconstructions``, ...) aggregated across the
-  whole campaign, each counted by the campaign's own filesystems.
+* the resilience counters (``retries``, ``breaker_opens``,
+  ``reconstructions``, ...) aggregated across the whole campaign, each
+  counted by the campaign's own filesystems.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ scenarios — crash/recover traces composed with flaky, gray, spiky and
 corrupting servers — against a live filesystem per code family, reading
 the file back at checkpoints throughout the scenario and repairing
 crash-lost blocks as it goes.  Every read must be byte-identical to the
-original payload (degraded decodes, retries, hedges and breaker
-fast-fails included) or fail loudly with a
+original payload (degraded decodes, retries and breaker fast-fails
+included) or fail loudly with a
 :class:`~repro.codes.base.DecodingError`; silently wrong bytes are a
 campaign failure.
 
@@ -161,7 +161,7 @@ def run_campaign(
 
     The record's headline fields are the acceptance criteria of the
     resilience layer: ``mismatches`` must be 0, and the ``retries`` /
-    ``hedged_reads`` / ``breaker_opens`` / ``degraded_reads`` /
+    ``breaker_opens`` / ``degraded_reads`` /
     ``reconstructions`` totals must all be nonzero (each fault class was
     actually exercised).
     """
@@ -190,8 +190,6 @@ def run_campaign(
 
     interesting = (
         "retries",
-        "hedged_reads",
-        "hedged_wins",
         "read_timeouts",
         "breaker_opens",
         "breaker_fastfails",

@@ -37,9 +37,9 @@ the holder's disk for its (fault-inflated) service time, so queueing
 delay — the thing Zipf skew actually causes — emerges rather than being
 assumed.  The byte transfer goes through the DFS's own
 :class:`~repro.storage.resilient.ResilientBlockClient` (checksums,
-retries, timeouts, same-path hedging), clock and health monitor: the
-clock is pinned to the instant the read reaches the head of its disk's
-queue, and what the client adds to it is the read's pipe occupancy.
+retries, timeouts), clock and health monitor: the clock is pinned to
+the instant the read reaches the head of its disk's queue, and what the
+client adds to it is the read's pipe occupancy.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class ServingGateway:
         )
         # The DFS's own client, on the DFS's clock (which its store's fault
         # windows and its monitor's breaker timeouts read): pinned to each
-        # read's sim-time start, it measures the service time, retries,
-        # backoff and same-path hedges included.
+        # read's sim-time start, it measures the service time, retries
+        # and backoff included.
         self.client = dfs.client
         #: Per-server disk FIFO; ``pledged`` counts the bytes of rebuilt
         #: blocks assigned to a server and not yet written.
@@ -645,9 +645,6 @@ class ServingGateway:
             "hedges_fired": count("serving_hedges_fired"),
             "hedges_won": count("serving_hedges_won"),
             "hedge_losers_discarded": count("serving_hedge_losers_discarded"),
-            "client_hedged_reads": count("hedged_reads"),
-            "client_hedged_wins": count("hedged_wins"),
-            "client_hedged_losers_discarded": count("hedged_losers_discarded"),
             "degraded_reads": count("serving_degraded_reads"),
             "throttle_waits": count("tenant_throttle_waits"),
             "repair_blocks": count("serving_repair_blocks"),

@@ -675,7 +675,9 @@ class DistributedFileSystem:
         only those are read.  A survivor that fails mid-read (transient
         faults exhaust the client's retries, or its server crashes
         between planning and reading) is excluded and that file's
-        selection re-planned, so degraded reads survive flaky helpers.
+        selection re-planned, so degraded reads survive flaky helpers; a
+        block already read that the new selection still names is not read
+        again.
         The files share one code (they are one file, or the stripe groups
         of one striped file); those that end up on the same survivor set
         decode in one fused apply.
@@ -688,11 +690,14 @@ class DistributedFileSystem:
             for ef in files:
                 self.metrics.add("degraded_reads", 1)
                 excluded: set[int] = set()
+                read: dict[int, np.ndarray] = {}
                 while True:
-                    available: dict[int, np.ndarray] = {}
-                    for b in self._plan_decode_blocks(ef, excluded):
+                    chosen = self._plan_decode_blocks(ef, excluded)
+                    for b in chosen:
+                        if b in read:
+                            continue
                         try:
-                            available[b] = self.client.get(ef.server_of(b), ef.name, b)
+                            read[b] = self.client.get(ef.server_of(b), ef.name, b)
                         except BlockUnavailableError:
                             excluded.add(b)
                             self.metrics.add("decode_replans", 1)
@@ -700,7 +705,7 @@ class DistributedFileSystem:
                     else:
                         break
                 replans += len(excluded)
-                survivors.append(available)
+                survivors.append({b: read[b] for b in chosen})
             sp.set(replans=replans)
             return pipeline.batch_decode(files[0].code, survivors, metrics=self.metrics)
 

@@ -40,7 +40,6 @@ class MetricsRegistry:
     Resilience counters (see ``docs/ROBUSTNESS.md``):
 
     * ``retries`` / ``read_timeouts`` — resilient-client retry loop
-    * ``hedged_reads`` / ``hedged_wins`` — speculative second reads
     * ``breaker_opens`` / ``breaker_closes`` / ``breaker_fastfails``
     * ``transient_read_errors`` / ``checksum_failures`` /
       ``corrupted_returns`` — injected faults observed at the store

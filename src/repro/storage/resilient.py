@@ -1,4 +1,4 @@
-"""Resilient block reads: timeouts, retry with backoff, hedging, fast-fail.
+"""Resilient block reads: timeouts, retry with backoff, fast-fail.
 
 The raw :class:`~repro.storage.blockstore.BlockStore` surfaces every
 fault the installed model injects.  This client turns those faults into
@@ -11,19 +11,16 @@ the behaviour a production DFS client exhibits:
 * **Capped exponential backoff with jitter** between retries, on the
   virtual clock, so chaos campaigns measure realistic latency inflation
   without wall-clock sleeps.
-* **Hedged reads** — when the first attempt is slower than the hedge
-  threshold (but under the timeout), a speculative second read is
-  issued and the earlier completion wins.  With erasure-coded single
-  copies the hedge re-issues against the same server (a second I/O
-  path).
 * **Circuit-breaker fast-fail** — reads against a server whose breaker
   is open are rejected immediately (``cause="breaker_open"``) so the
   filesystem falls straight to degraded decode instead of burning the
   full retry budget per stripe.
 
 All outcomes feed the :class:`~repro.storage.health.HealthMonitor`, and
-the counters (``retries``, ``hedged_reads``, ``read_timeouts``,
-``breaker_fastfails``) land in the shared metrics registry.
+the counters (``retries``, ``read_timeouts``, ``breaker_fastfails``)
+land in the shared metrics registry.  A slow read that succeeds under
+the timeout stands: reading around a slow server is the gateway's
+degraded-read hedge, over the other servers of the repair group.
 
 There is one retry loop, and it runs over a batch: a whole-file or
 striped read hands the client every row range at once
@@ -36,7 +33,7 @@ that cannot be read, and its later ranges take no step.
 
 Most ranges of a read on healthy hardware are *plain*: no fault model,
 the server up and its breaker closed, the rows held and vouched for by
-the CRC check.  Such a range cannot retry, time out, hedge or move a
+the CRC check.  Such a range cannot retry, time out or move a
 breaker, so every step it takes is an addition — to three store
 counters, the latency histogram, the clock and its server's health.
 The loop makes those additions in locals, in the order the range's
@@ -73,8 +70,6 @@ JITTER = 0.5
 #: the bytes returned) at which an attempt counts as failed — a deadline
 #: relative to the size of the read, so big blocks don't spuriously time out.
 READ_TIMEOUT = 0.5
-#: Excess latency above which a speculative second read is launched.
-HEDGE_THRESHOLD = 0.05
 
 
 def _backoff(retry: int, rng: random.Random) -> float:
@@ -84,9 +79,9 @@ def _backoff(retry: int, rng: random.Random) -> float:
 
 
 class ResilientBlockClient:
-    """Retry/hedge wrapper over one :class:`BlockStore`, verifying every read.
+    """Retry wrapper over one :class:`BlockStore`, verifying every read.
 
-    The retry, timeout and hedge settings are the module constants
+    The retry and timeout settings are the module constants
     above; backoff jitter draws from an RNG seeded with 0.
     """
 
@@ -96,8 +91,6 @@ class ResilientBlockClient:
         self.health = health or HealthMonitor(self.clock, metrics=store.metrics)
         self.metrics = store.metrics
         self._rng = random.Random(0)
-        #: Every backoff delay slept, for timing regression tests.
-        self.backoff_history: list[float] = []
 
     # ------------------------------------------------------------- read API
 
@@ -142,7 +135,7 @@ class ResilientBlockClient:
         ``attempt(i)`` is one try at it, returning ``(data, latency)``.
         Per target: the breaker check, then tries with jittered backoff
         between them — a transient error or a latency past the timeout
-        fails a try — a hedge for a slow success, the clock advance, the
+        fails a try — then for the try that succeeds the clock advance, the
         ``read_latency_s`` sample and the health update.  A target that
         cannot be read is ``None`` in ``out`` and its error joins
         ``failures`` (without a traceback, so it holds no frame).  With
@@ -150,8 +143,8 @@ class ResilientBlockClient:
         after its first unreadable one take no step and are ``None``.
 
         ``plain[i]``, when given and not ``None``, is ``(data, nbytes,
-        latency)`` of a target whose attempt cannot fail, time out or
-        hedge (see :meth:`BlockStore._range_reader`).  While its server's
+        latency)`` of a target whose attempt cannot fail or time out
+        (see :meth:`BlockStore._range_reader`).  While its server's
         breaker is closed, such a target cannot retry or move the breaker
         either, and every step it takes is an addition: to the store's
         ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
@@ -231,9 +224,7 @@ class ResilientBlockClient:
                 last_exc: BlockUnavailableError | None = None
                 for n in range(1, MAX_ATTEMPTS + 1):
                     if n > 1:
-                        delay = _backoff(n - 1, self._rng)
-                        self.backoff_history.append(delay)
-                        clock.advance(delay)
+                        clock.advance(_backoff(n - 1, self._rng))
                         metrics.add("retries", 1, server_id)
                         tracer = get_tracer()
                         if tracer.enabled:
@@ -275,15 +266,6 @@ class ResilientBlockClient:
                             cause="timeout",
                         )
                         continue
-                    if latency - base > HEDGE_THRESHOLD:
-                        tracer = get_tracer()
-                        if tracer.enabled:
-                            tracer.instant(
-                                "resilient.hedge", category="resilient", server=server_id,
-                                file=file_name, block=block_id, latency=latency,
-                                clock=clock,
-                            )
-                        data, latency = self._hedge(server_id, data, latency, base, lambda: attempt(i))
                     clock.advance(latency)
                     metrics.observe("read_latency_s", latency)
                     health.record_success(server_id, latency)
@@ -319,24 +301,3 @@ class ResilientBlockClient:
         read_bytes.total, read_blocks.total, read_time.total = bytes_total, blocks_total, time_total
         self.metrics.histogram("read_latency_s")._observe_all(samples)
         self.clock.pin(now)
-
-    def _hedge(self, server_id: int, data, latency: float, base: float, op):
-        """Launch a speculative second read; earliest completion wins.
-
-        The hedge fires once the primary has been outstanding for the
-        expected transfer time plus :data:`HEDGE_THRESHOLD`, so its
-        completion time is that launch instant plus its own latency.
-        """
-        self.metrics.add("hedged_reads", 1, server_id)
-        try:
-            data2, lat2 = op()
-        except TransientReadError:
-            return data, latency  # the hedge lost by failing; primary stands
-        # Exactly one of the two completed payloads survives; the other
-        # is discarded (the serving-path tests pin this accounting).
-        self.metrics.add("hedged_losers_discarded", 1, server_id)
-        hedged_completion = base + HEDGE_THRESHOLD + lat2
-        if hedged_completion < latency:
-            self.metrics.add("hedged_wins", 1, server_id)
-            return data2, hedged_completion
-        return data, latency

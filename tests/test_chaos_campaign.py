@@ -20,7 +20,7 @@ def test_smoke_campaign_is_byte_exact_and_exercises_every_defence():
     # Every resilience mechanism actually fired during the campaign, each
     # counted by the campaign's own filesystem.
     for counter in (
-        "retries", "hedged_reads", "breaker_opens", "checksum_failures",
+        "retries", "breaker_opens", "checksum_failures",
         "degraded_reads", "reconstructions",
     ):
         assert record["metrics"][counter] > 0, counter

@@ -223,8 +223,7 @@ class TestStatsSchema:
     SERVING_KEYS = {
         "cache_hits", "cache_misses", "cache_admissions", "cache_rejections",
         "cache_evictions", "coalesced_reads", "hedges_fired", "hedges_won",
-        "hedge_losers_discarded", "client_hedged_reads", "client_hedged_wins",
-        "client_hedged_losers_discarded", "degraded_reads", "throttle_waits",
+        "hedge_losers_discarded", "degraded_reads", "throttle_waits",
         "repair_blocks", "repair_replans", "repair_helper_blocks",
         "reads_ok", "reads_failed", "slo_ok", "unavailable",
         "requests", "failures", "p99", "cache_hit_ratio",

@@ -8,6 +8,7 @@ cannot determine the data.  Silently wrong bytes are never acceptable.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,6 +120,28 @@ def test_flaky_helper_triggers_decode_replan():
     assert dfs.read_file("f") == payload
     assert dfs.metrics.total("decode_replans") >= 1
     assert dfs.metrics.total("retries") >= 1
+
+
+def test_decode_replan_keeps_the_survivors_it_read(monkeypatch):
+    """A survivor whose server crashes between planning and reading is
+    excluded, and the re-planned decode reads only what it has not read
+    yet: one ``client.get`` per block."""
+    cluster, dfs, ef, payload = build(lambda: ReedSolomonCode(4, 3))
+    cluster.fail(ef.server_of(0))
+    cluster.fail(ef.server_of(1))  # two lost data blocks: a full decode
+    gets = Counter()
+    real = dfs.client.get
+
+    def get(server, name, block):
+        gets[block] += 1
+        if block == 3:  # the second block the plan names, after block 2
+            cluster.fail(server)
+        return real(server, name, block)
+
+    monkeypatch.setattr(dfs.client, "get", get)
+    assert dfs.read_file("f") == payload
+    assert dfs.metrics.total("decode_replans") == 1
+    assert gets == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
 
 @pytest.mark.parametrize("name,make", CODES, ids=IDS)

@@ -1,4 +1,5 @@
-"""The gain test ``benchmarks/pairs.py`` prints, on two synthetic records."""
+"""``benchmarks/pairs.py``: the gain test it prints, on two synthetic records,
+and the untimed warm-up of each clone."""
 
 import importlib.util
 import statistics
@@ -57,3 +58,40 @@ def test_a_metric_one_side_lacks_is_left_out():
     parent = runs({"write_MBps": [1.0, 2.0]})
     change = runs({"read_MBps": [1.0, 2.0]})
     assert pairs.gain_test(parent, change, "striped_io", DIRECTIONS) == []
+
+
+def test_each_clone_is_warmed_before_the_first_timed_run(tmp_path, monkeypatch):
+    events = []
+
+    class FirstRun(Exception):
+        pass
+
+    def run_once(checkout, *_):
+        events.append(("run", checkout.name))
+        raise FirstRun
+
+    monkeypatch.setattr(pairs, "clone", lambda rev, into: events.append(("clone", into.name)) or rev)
+    monkeypatch.setattr(pairs, "warm", lambda checkout: events.append(("warm", checkout.name)))
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["--parent", "a", "--change", "b", "--workload", "bulk_io", "--seeds", "1-2", "--workdir", str(tmp_path)]
+    try:
+        pairs.main(argv)
+    except FirstRun:
+        pass
+    assert events == [("clone", "parent"), ("warm", "parent"), ("clone", "change"), ("warm", "change"), ("run", "parent")]
+
+
+def test_warming_builds_where_run_py_loads_from(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.delenv("REPRO_NATIVE_CACHE", raising=False)
+    monkeypatch.setattr(pairs.subprocess, "run", lambda cmd, **kw: calls.append((cmd, kw)))
+    pairs.warm(tmp_path)
+    ((cmd, kw),) = calls
+    assert kw["cwd"] == tmp_path and kw["check"]
+    assert kw["env"]["PYTHONPATH"] == str(tmp_path / "src")
+    # benchmarks/e2e/run.py's default, which it sets before importing repro.
+    assert kw["env"]["REPRO_NATIVE_CACHE"] == str(tmp_path / ".bench_build" / "repro-native")
+    assert '"REPRO_NATIVE_CACHE", str(REPO_ROOT / ".bench_build" / "repro-native")' in (
+        REPO_ROOT / "benchmarks" / "e2e" / "run.py"
+    ).read_text()
+    assert "native_available()" in cmd[-1] and "compileall" in cmd[-1]

@@ -5,7 +5,7 @@ file it is given as one ``ResilientBlockClient._read_ranges`` batch: one CRC
 pass over all of it, lookups bound once.  Each range still takes every step
 a lone ``client.read_rows`` takes, once each and in the same order — the
 breaker check, the up / missing / range checks, the three store counters,
-the fault draw, timeout / hedge / retry with backoff, the clock advance, the
+the fault draw, timeout / retry with backoff, the clock advance, the
 ``read_latency_s`` sample and the health update.  So twin filesystems built
 from the same seed, one reading in a batch and one range by range, end in
 the same state, on clean hardware and under every fault this stack models.
@@ -39,8 +39,8 @@ CONDITIONS = ("clean", "faults", "rot", "crashed", "breaker_open")
 
 
 def faults() -> FaultModel:
-    """Retryable errors, corrupted transfers, spikes past the hedge threshold
-    and past the timeout, and one gray server."""
+    """Retryable errors, corrupted transfers, spikes under and past the
+    timeout, and one gray server."""
     return FaultModel(
         TransientErrors(rate=0.25),
         SilentCorruption(rate=0.15),
@@ -112,7 +112,7 @@ def state(dfs) -> dict:
         "health": health_state(dfs.health),
         "transitions": list(dfs.health.transitions),
         "clock": dfs.clock.now,
-        "backoff": list(dfs.client.backoff_history),
+        "backoff_rng": dfs.client._rng.getstate(),
         "latencies": list(metrics.histogram("read_latency_s")._values),  # in observation order
         "faults": fault_tallies(dfs.store.fault_model),
     }
@@ -139,7 +139,7 @@ def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
         assert missing > 0
     else:  # every kind of fault was drawn
         counters = state(batched)["counters"]
-        for name in ("retries", "hedged_reads", "read_timeouts", "checksum_failures", "transient_read_errors"):
+        for name in ("retries", "read_timeouts", "checksum_failures", "transient_read_errors"):
             assert counters[name][0] > 0, name
 
 
@@ -256,7 +256,7 @@ def ledger(dfs) -> dict:
         },
         "transitions": [(t.hex(), s, state) for t, s, state in dfs.health.transitions],
         "clock": dfs.clock.now.hex(),
-        "backoff": [d.hex() for d in dfs.client.backoff_history],
+        "backoff_rng": dfs.client._rng.getstate(),
     }
 
 

@@ -9,6 +9,7 @@ the deterministic :func:`file_payload` the workload uses.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -350,8 +351,7 @@ class TestGatewayReads:
         assert set(gateway.counters()) == {
             "cache_hits", "cache_misses", "cache_admissions", "cache_rejections",
             "cache_evictions", "coalesced_reads", "hedges_fired", "hedges_won",
-            "hedge_losers_discarded", "client_hedged_reads", "client_hedged_wins",
-            "client_hedged_losers_discarded", "degraded_reads", "throttle_waits",
+            "hedge_losers_discarded", "degraded_reads", "throttle_waits",
             "repair_blocks", "repair_replans", "repair_helper_blocks",
             "reads_ok", "reads_failed", "slo_ok", "unavailable",
         }
@@ -526,19 +526,36 @@ class TestHedgedServing:
         assert run(gateway.loop, gateway.read("alpha", "f0", 0, 1024)) == payload[:1024]
         assert gateway.counters()["hedges_fired"] == 0
 
-    def test_byte_exact_under_gray_slowdown(self):
-        # Client-level (same-server) hedges: a cluster-wide gray slowdown
-        # pushes every read past the resilient client's hedge threshold;
-        # responses stay byte-exact and each read counts exactly once.
+    def test_byte_exact_under_gray_slowdown(self, monkeypatch):
+        # A cluster-wide gray slowdown, under the client's timeout, slows
+        # every read alike: responses stay byte-exact, and each try reads
+        # a block from the store once, drawing one fault decision.
         fault_model = FaultModel(
             GraySlowdown(extra_latency=0.08), seed=11
         )
         gateway = make_gateway(fault_model=fault_model)
         payload = put_file(gateway, CODES["galloper"])
+        store = gateway.dfs.store
+        real = store._range_reader
+        reads = Counter()
+
+        def counted(ranges, verify):
+            read, plain = real(ranges, verify)
+
+            def attempt(i):
+                reads[ranges[i][2]] += 1
+                return read(i)
+
+            return attempt, plain
+
+        monkeypatch.setattr(store, "_range_reader", counted)
         for _ in range(3):
             assert run(gateway.loop, gateway.read("alpha", "f0")) == payload
         counters = gateway.counters()
-        assert counters["client_hedged_reads"] > 0
+        # The first read misses the cache on every block; the others hit it.
+        assert reads == {block: 1 for block in range(gateway.dfs.file("alpha/f0").code.n)}
+        assert fault_model.decisions == sum(reads.values())
+        assert gateway.metrics.total("retries") == 0
         assert counters["reads_ok"] == 3
         assert counters["reads_failed"] == 0
 
@@ -928,6 +945,47 @@ class TestFrozenEventOrder:
     Pyramid   1744 -> 977     2055 -> 1230
     Galloper  2190 -> 1302    2743 -> 1672
     ========  ==============  ==============
+
+    The three crash-and-repair cells were re-recorded when the resilient
+    client stopped re-reading a slow read's own server.  Each read of the
+    gray server (0.08 s over, past the old 0.05 s client hedge threshold)
+    drew a second fault decision for a re-read that never won (11, 15 and
+    27 per cell, the deleted ``client_hedged_reads`` and
+    ``client_hedged_losers_discarded`` keys).  Without those draws the
+    seeded fault stream shifts, and each cell's 1 % latency spikes
+    (0.05 s) land on other reads; every moved field follows from where:
+
+    ========  ================  ============  ==============================
+    cell      ``latency_sum``   ``events``    spike and what it moved
+    ========  ================  ============  ==============================
+    RS        0.5330 -> 0.3853  1286 -> 1341  server 8 at 0.249 s -> server
+                                              2 at 0.283 s: gateway hedges
+                                              (all won) 6 -> 9, degraded
+                                              reads 7 -> 10, coalesced 2 ->
+                                              4, cache hits / misses /
+                                              admissions / rejections /
+                                              evictions 148 / 134 / 37 / 95
+                                              / 21 -> 150 / 132 / 36 / 92 /
+                                              20
+    Pyramid   0.3709 -> 0.4153  1230 -> 1257  server 6 at 0.345 s -> server
+                                              4 at 0.417 s: hedges 12 ->
+                                              15, degraded reads 12 -> 15,
+                                              coalesced 2 -> 3, cache hits
+                                              / misses / admissions /
+                                              evictions 148 / 134 / 36 / 20
+                                              -> 146 / 136 / 37 / 21
+    Galloper  0.4425 -> 0.4534  1672 -> 1646  the spike on server 5 at
+                                              0.204 s, a repair helper
+                                              read, is gone: ``repair.done``
+                                              0.2553 -> 0.2066; one lands
+                                              on the gray server at 0.749 s
+                                              and ``end`` moves 2.1992 ->
+                                              2.2492; hedges and degraded
+                                              reads 32 -> 28
+    ========  ================  ============  ==============================
+
+    RS's and Pyramid's ``end`` and repair results, and Galloper's cache
+    counters, did not move.
     """
 
     def test_rs_clean_run(self):
@@ -949,18 +1007,17 @@ class TestFrozenEventOrder:
     def test_rs_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True, code="rs") == {
             "latencies": 200,
-            "latency_sum": 0.5330057929681841,
-            "latency_sha256": "3a2185c5628182344abf596f9d431bb8bbdf42831bc52ffb6d4ecd4158d5c836",
+            "latency_sum": 0.3852817699728165,
+            "latency_sha256": "1c393ca647365749f9b8e87a4a1073d8c2b5451425c86d82a740496c8cbf4516",
             "failures": 0,
-            "events": 1286,
+            "events": 1341,
             "end": 1.627639587345887,
             "repair": {"rebuilt": 12, "done": 0.20878799928517394},
             "counters": {
-                "cache_hits": 148, "cache_misses": 134, "cache_admissions": 37,
-                "cache_rejections": 95, "cache_evictions": 21, "coalesced_reads": 2,
-                "hedges_fired": 6, "hedges_won": 6, "hedge_losers_discarded": 6,
-                "client_hedged_reads": 11, "client_hedged_losers_discarded": 11,
-                "degraded_reads": 7, "throttle_waits": 7, "repair_blocks": 12,
+                "cache_hits": 150, "cache_misses": 132, "cache_admissions": 36,
+                "cache_rejections": 92, "cache_evictions": 20, "coalesced_reads": 4,
+                "hedges_fired": 9, "hedges_won": 9, "hedge_losers_discarded": 9,
+                "degraded_reads": 10, "throttle_waits": 7, "repair_blocks": 12,
                 "repair_replans": 5, "repair_helper_blocks": 48, "reads_ok": 200, "slo_ok": 200,
             },
         }
@@ -984,18 +1041,17 @@ class TestFrozenEventOrder:
     def test_pyramid_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True, code="pyramid") == {
             "latencies": 200,
-            "latency_sum": 0.3708878320822648,
-            "latency_sha256": "6dd89fc8bc8fde25cf40694909d8369c7e65ebff32148f385f1445e238a0f084",
+            "latency_sum": 0.4153039816598205,
+            "latency_sha256": "5ec7ae5de71fbd6e82140aaa34ae12508b660c2d70170f4b3f741fbdf8031573",
             "failures": 0,
-            "events": 1230,
+            "events": 1257,
             "end": 1.627639587345887,
             "repair": {"rebuilt": 12, "done": 0.20660156249999997},
             "counters": {
-                "cache_hits": 148, "cache_misses": 134, "cache_admissions": 36,
-                "cache_rejections": 96, "cache_evictions": 20, "coalesced_reads": 2,
-                "hedges_fired": 12, "hedges_won": 12, "hedge_losers_discarded": 12,
-                "client_hedged_reads": 15, "client_hedged_losers_discarded": 15,
-                "degraded_reads": 12, "throttle_waits": 7, "repair_blocks": 12,
+                "cache_hits": 146, "cache_misses": 136, "cache_admissions": 37,
+                "cache_rejections": 96, "cache_evictions": 21, "coalesced_reads": 3,
+                "hedges_fired": 15, "hedges_won": 15, "hedge_losers_discarded": 15,
+                "degraded_reads": 15, "throttle_waits": 7, "repair_blocks": 12,
                 "repair_replans": 1, "repair_helper_blocks": 26, "reads_ok": 200, "slo_ok": 200,
             },
         }
@@ -1019,18 +1075,17 @@ class TestFrozenEventOrder:
     def test_crash_and_repair_tenant_under_faults(self):
         assert _frozen_run(chaos=True) == {
             "latencies": 200,
-            "latency_sum": 0.4425166690525075,
-            "latency_sha256": "58259f38d78331be4d8230e16e3c8e88f0281e4890e1f852da48c54f4c01442f",
+            "latency_sum": 0.45341785261674855,
+            "latency_sha256": "8807b334f54533f3f05521c7a20923d582e0ea1f3960801b8f0c032915fbb146",
             "failures": 0,
-            "events": 1672,
-            "end": 2.1992145793562656,
-            "repair": {"rebuilt": 12, "done": 0.2552892985343933},
+            "events": 1646,
+            "end": 2.249214579356266,
+            "repair": {"rebuilt": 12, "done": 0.20660185575485226},
             "counters": {
                 "cache_hits": 74, "cache_misses": 811, "cache_admissions": 110,
                 "cache_rejections": 691, "cache_evictions": 94, "coalesced_reads": 10,
-                "hedges_fired": 32, "hedges_won": 32, "hedge_losers_discarded": 32,
-                "client_hedged_reads": 27, "client_hedged_losers_discarded": 27,
-                "degraded_reads": 32, "throttle_waits": 7, "repair_blocks": 12,
+                "hedges_fired": 28, "hedges_won": 28, "hedge_losers_discarded": 28,
+                "degraded_reads": 28, "throttle_waits": 7, "repair_blocks": 12,
                 "repair_replans": 1, "repair_helper_blocks": 26, "reads_ok": 200, "slo_ok": 200,
             },
         }
