@@ -7,21 +7,22 @@ Usage::
 
 Clones both revisions from this repository into a work directory (a local
 ``git clone``, nothing is fetched), then for each seed runs
-``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone, the
-parent first on even-numbered pairs and the change first on odd ones.  Each
-side runs from its own fresh clone, so neither measures a long-lived working
-tree, and each clone is warmed first, untimed: its bytecode is compiled and
-its native library built where ``run.py`` loads it from, so the first timed
-run does not pay for either in ``setup_s``.  Prints the gain test per end-to-end metric (each side's median and
-quartiles, change over parent, the pairs the change is ahead / behind /
-tied in, and whether the rule for claiming a gain holds: ahead in at least
-nine tenths of the pairs, medians apart by more than the parent's quartile
-distance), then ``compare.py parent.json change.json`` (whose exit status
-it returns), and last, per seed, the deterministic leaves that
-differ between the two records: every declared metric whose unit is not a
-wall-clock one (``WALL_UNITS``), ``eff.*`` and ``bench.*`` excluded — the
-counts and sim-clock values the seed alone decides.  The records stay in
-``--workdir`` (a new temporary directory by default) for later comparisons.
+``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone,
+the parent first on even-numbered pairs and the change first on odd ones.
+Each side runs from its own fresh clone, so neither measures a long-lived
+working tree, and each clone is warmed first, untimed: its bytecode is
+compiled and its native library built where ``run.py`` loads it from, so the
+first timed run does not pay for either in ``setup_s``.  Prints the gain
+test per end-to-end metric (each side's median and quartiles, change over
+parent, the pairs the change is ahead / behind / tied in, and whether the
+rule for claiming a gain holds: ahead in at least nine tenths of the pairs,
+medians apart by more than the parent's quartile distance), then
+``compare.py parent.json change.json`` (whose exit status it returns), and
+last, per seed, the deterministic leaves that differ between the two
+records: every declared metric whose unit is not a wall-clock one
+(``WALL_UNITS``), ``eff.*`` and ``bench.*`` excluded — the counts and
+sim-clock values the seed alone decides.  The records stay in ``--workdir``
+(a new temporary directory by default) for later comparisons.
 """
 
 from __future__ import annotations

@@ -78,7 +78,9 @@ def test_each_clone_is_warmed_before_the_first_timed_run(tmp_path, monkeypatch):
         pairs.main(argv)
     except FirstRun:
         pass
-    assert events == [("clone", "parent"), ("warm", "parent"), ("clone", "change"), ("warm", "change"), ("run", "parent")]
+    assert events == [
+        ("clone", "parent"), ("warm", "parent"), ("clone", "change"), ("warm", "change"), ("run", "parent"),
+    ]
 
 
 def test_warming_builds_where_run_py_loads_from(tmp_path, monkeypatch):

@@ -974,13 +974,13 @@ class TestFrozenEventOrder:
                                               / misses / admissions /
                                               evictions 148 / 134 / 36 / 20
                                               -> 146 / 136 / 37 / 21
-    Galloper  0.4425 -> 0.4534  1672 -> 1646  the spike on server 5 at
-                                              0.204 s, a repair helper
-                                              read, is gone: ``repair.done``
-                                              0.2553 -> 0.2066; one lands
-                                              on the gray server at 0.749 s
-                                              and ``end`` moves 2.1992 ->
-                                              2.2492; hedges and degraded
+    Galloper  0.4425 -> 0.4534  1672 -> 1646  servers 5 at 0.204 s (inside
+                                              the repair window) and 6 at
+                                              0.424 s -> servers 2 at 0.479
+                                              s and 1 at 0.749 s:
+                                              ``repair.done`` 0.2553 ->
+                                              0.2066, ``end`` 2.1992 ->
+                                              2.2492, hedges and degraded
                                               reads 32 -> 28
     ========  ================  ============  ==============================
 
