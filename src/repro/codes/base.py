@@ -14,6 +14,7 @@ locality of Pyramid/Galloper codes lives).
 from __future__ import annotations
 
 import abc
+import weakref
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -319,6 +320,22 @@ class ReadPlan:
         return runs
 
 
+class _Built:
+    """One parameter set's construction products, shared read-only by
+    every code built from it, and the content key they fix."""
+
+    __slots__ = ("attrs", "content_key", "__weakref__")
+
+    def __init__(self, attrs: dict, content_key: tuple):
+        self.attrs = attrs
+        self.content_key = content_key
+
+
+#: Construction products by normalised constructor arguments.  Each code
+#: holds its entry, so an entry lives while some code built from it does.
+_BUILT: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class ErasureCode(abc.ABC):
     """A systematic stripe-level linear erasure code.
 
@@ -333,16 +350,21 @@ class ErasureCode(abc.ABC):
 
     The input file is modelled as ``k*N`` stripes (``k`` blocks' worth of
     data); :meth:`encode` maps it to ``n`` blocks of ``N`` stripes.
+    Each of them builds its products through :meth:`_construct`, so a
+    parameter set is built once while some code built from it lives.
     """
 
     name: str = "erasure-code"
+
+    #: The attributes :meth:`_construct`'s ``build`` sets and the memo shares.
+    _shared: tuple[str, ...] = ("generator", "block_infos")
 
     gf: GF
     k: int
     n: int
     N: int
     generator: np.ndarray
-    block_infos: list[BlockInfo]
+    block_infos: tuple[BlockInfo, ...]
 
     # ------------------------------------------------------------ geometry
 
@@ -372,6 +394,29 @@ class ErasureCode(abc.ABC):
         available without extra network transfer (Fig. 2).
         """
         return sum(1 for info in self.block_infos if info.data_stripes > 0)
+
+    def _construct(self, params: tuple, build) -> None:
+        """Set the :attr:`_shared` attributes: ``build()`` sets them on the
+        first code of its parameter set, the later ones copy its products.
+
+        ``params`` are the normalised constructor arguments, less class
+        and field, which the key adds.  Every code of the set holds the
+        same objects, so arrays are made read-only (the rest are tuples
+        and scalars); plan caches stay per code.
+        """
+        key = (type(self), self.gf.q, self.gf.primitive_poly) + params
+        built = _BUILT.get(key)
+        if built is None:
+            build()
+            attrs = {name: getattr(self, name) for name in self._shared}
+            for value in attrs.values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+            built = _BUILT[key] = _Built(attrs, self._content_key())
+        else:
+            self.__dict__.update(built.attrs)
+            self.__dict__["_content_key_cache"] = built.content_key
+        self.__dict__["_built"] = built
 
     # ----------------------------------------------------------- plan cache
 
@@ -459,11 +504,11 @@ class ErasureCode(abc.ABC):
         Class, field, stripes per block, generator and block layout fix
         every product, plan and layout a code computes, so a holder of
         many equal codes (the filesystem) can keep one and share its
-        compiled plans.  Built once per object: like the layout, the
-        generator is fixed at construction.  The key is looked up on
-        every write, so it holds only what hashes in C (ints, strings,
-        bytes and tuples of them), not the field or the ``BlockInfo``
-        dataclasses themselves.
+        compiled plans.  Built once per parameter set (:meth:`_construct`),
+        whose codes share the key object, so the bytes' hash is taken
+        once.  The key is looked up on every write, so it holds only what
+        hashes in C (ints, strings, bytes and tuples of them), not the
+        field or the ``BlockInfo`` dataclasses themselves.
         """
         key = self.__dict__.get("_content_key_cache")
         if key is None:

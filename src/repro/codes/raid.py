@@ -43,6 +43,7 @@ class RotatedPyramidCode(ErasureCode):
     """
 
     name = "rotated-pyramid"
+    _shared = ("generator", "block_infos", "_stored", "_row_of")
 
     def __init__(self, k: int, l: int, g: int, gf: GF | None = None):
         self.gf = gf or default_field()
@@ -52,15 +53,19 @@ class RotatedPyramidCode(ErasureCode):
         self.g = g
         self.n = self.structure.n
         self.N = self.n
+        self._construct((k, l, g), self._build)
+
+    def _build(self) -> None:
+        k = self.k
         pyr = pyramid_generator(self.gf, self.structure)
         n, N = self.n, self.N
         gen = np.zeros((n * N, k * N), dtype=self.gf.dtype)
         data_pos = {b: p for p, b in enumerate(self.structure.data_blocks())}
         infos = []
-        #: Per server, the (logical block, stripe row) of each stored row,
-        #: and which stored row holds each stripe row.
-        self._stored: list[list[tuple[int, int]]] = []
-        self._row_of: list[dict[int, int]] = []
+        # Per server, the (logical block, stripe row) of each stored row,
+        # and which stored row holds each stripe row.
+        stored: list[tuple[tuple[int, int], ...]] = []
+        row_of: list[dict[int, int]] = []
         for s in range(n):
             file_stripes = []
             rows_here = []  # (logical block, row) in row order
@@ -68,11 +73,11 @@ class RotatedPyramidCode(ErasureCode):
                 logical = (s + t) % n
                 rows_here.append((logical, t))
             # Data stripes first (rotated to the top), parity stripes after.
-            ordered = sorted(
+            ordered = tuple(sorted(
                 rows_here, key=lambda bt: (self.structure.role_of(bt[0]) != ROLE_DATA, bt[1])
-            )
-            self._stored.append(ordered)
-            self._row_of.append({t: row for row, (_, t) in enumerate(ordered)})
+            ))
+            stored.append(ordered)
+            row_of.append({t: row for row, (_, t) in enumerate(ordered)})
             for new_row, (logical, t) in enumerate(ordered):
                 row = gen[s * N + new_row]
                 for j in range(k):
@@ -92,7 +97,9 @@ class RotatedPyramidCode(ErasureCode):
                 )
             )
         self.generator = gen
-        self.block_infos = infos
+        self.block_infos = tuple(infos)
+        self._stored = tuple(stored)
+        self._row_of = tuple(row_of)
 
     def _row_sources(self, target: int) -> list[list[int]]:
         """Per stored row of ``target``, the servers whose stripe of the

@@ -43,9 +43,12 @@ class ReplicationCode(ErasureCode):
         self.factor = factor
         self.n = k * factor
         self.N = 1
-        eye = np.eye(k, dtype=self.gf.dtype)
-        self.generator = np.concatenate([eye] * factor, axis=0)
-        self.block_infos = [
+        self._construct((k, factor), self._build)
+
+    def _build(self) -> None:
+        k = self.k
+        self.generator = np.concatenate([np.eye(k, dtype=self.gf.dtype)] * self.factor, axis=0)
+        self.block_infos = tuple(
             BlockInfo(
                 index=i,
                 role=ROLE_DATA if i < k else ROLE_REPLICA,
@@ -55,7 +58,7 @@ class ReplicationCode(ErasureCode):
                 file_stripes=(i % k,),
             )
             for i in range(self.n)
-        ]
+        )
 
     def copies_of(self, logical: int) -> list[int]:
         """All block indices storing copies of one logical block."""

@@ -60,8 +60,12 @@ class ReedSolomonCode(ErasureCode):
         self.r = r
         self.n = k + r
         self.N = 1
-        self.generator = rs_generator(self.gf, k, r)
-        self.block_infos = [
+        self._construct((k, r), self._build)
+
+    def _build(self) -> None:
+        k = self.k
+        self.generator = rs_generator(self.gf, k, self.r)
+        self.block_infos = tuple(
             BlockInfo(
                 index=i,
                 role=ROLE_DATA if i < k else ROLE_GLOBAL_PARITY,
@@ -71,7 +75,7 @@ class ReedSolomonCode(ErasureCode):
                 file_stripes=(i,) if i < k else (),
             )
             for i in range(self.n)
-        ]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReedSolomonCode(k={self.k}, r={self.r})"

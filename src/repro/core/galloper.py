@@ -16,14 +16,19 @@ remapped so the chosen stripes become the data.  Because the walk selects
 exactly ``k`` stripes in every stripe row, and stripe rows are independent
 Reed-Solomon codewords, the basis change factors into ``N`` small
 ``k x k`` inversions — the ``Gg @ inv(Gg0)`` of Sec. VI computed without
-ever materializing the ``kN x kN`` inverse.  Stripes are then rotated so
-data sits at the top of each block.
+ever materializing the ``kN x kN`` inverse.  Each of them only inverts the
+chosen parity rows on the data columns left unchosen (at most ``g x g``,
+:func:`_over_chosen`).  Stripes are then rotated so data sits at the top
+of each block.
 
 **Step 2 (Sec. V-A)** splices in the ``l`` local parity blocks (the XOR of
 their group's blocks, stripe row by stripe row) and remaps once more
 inside every group of ``k/l + 1`` blocks, choosing ``w_i * N`` stripes per
 block among the first ``w_g * N`` rows.  The second basis change factors
-the same way, into ``w_g * N`` inversions of size ``k/l``.
+the same way, into ``w_g * N`` inversions of size ``k/l`` (each down to
+the one XOR row when it is chosen, and shared by groups that choose
+alike), assembled into a sparse ``kN x kN`` substitution matrix that is
+applied over its nonzeros.
 
 The resulting generator is checked to be systematic on the advertised
 stripe positions at construction time.
@@ -46,8 +51,7 @@ from repro.codes.pyramid import pyramid_generator
 from repro.codes.structure import GroupRepairMixin, LRCStructure
 from repro.core.layout import Selection, rotation_permutation, sequential_selection
 from repro.core.weights import WeightAssignment, assign_weights, finalize
-from repro.gf import GF, inverse, matmul
-from repro.gf.kernels import mat_data_product
+from repro.gf import GF, inverse
 
 
 class ConstructionError(CodeError):
@@ -72,6 +76,7 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
     """
 
     name = "galloper"
+    _shared = ("assignment", "N", "pyramid_block_generator", "generator", "block_infos")
 
     def __init__(
         self,
@@ -91,19 +96,31 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
         self.l = l
         self.g = g
         self.n = self.structure.n
+        # Normalised as the construction reads them: equal weights or
+        # performances make equal codes.
         if weights is not None:
-            self.assignment = finalize(self.structure, [Fraction(w) for w in weights])
+            weights = tuple(Fraction(w) for w in weights)
+        elif performances is not None:
+            performances = tuple(float(p) for p in performances)
+        self._construct(
+            (k, l, g, all_symbol, weights, performances),
+            lambda: self._build(weights, performances),
+        )
+
+    # ------------------------------------------------------------ construction
+
+    def _build(self, weights, performances) -> None:
+        if weights is not None:
+            self.assignment = finalize(self.structure, weights)
         else:
             self.assignment = assign_weights(self.structure, performances)
         self.N = self.assignment.N
         self.pyramid_block_generator = pyramid_generator(self.gf, self.structure)
-        self._build()
+        self._remap()
         if not self.verify_systematic():  # pragma: no cover - construction invariant
             raise ConstructionError("generator is not systematic on the advertised stripes")
 
-    # ------------------------------------------------------------ construction
-
-    def _build(self) -> None:
+    def _remap(self) -> None:
         st = self.structure
         N = self.N
         counts = self.assignment.counts
@@ -136,14 +153,7 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
             )
         sel1 = sequential_selection(step1_counts, N)
 
-        g1 = self._remap_rowwise(
-            block_gen=rs_blk,
-            selection=sel1,
-            row_limit=N,
-            total_rows=N,
-            num_cols=self.k * N,
-            col_base=_prefix_sums(step1_counts),
-        )
+        g1 = self._remap_rowwise(rs_blk, sel1, _prefix_sums(step1_counts))
         # Rotate chosen stripes to the top of every step-1 block.
         for b in range(rs_blk.shape[0]):
             perm = rotation_permutation(sel1.per_block[b], N)
@@ -194,6 +204,9 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
                 m[src + idx, dst + idx] = 1
 
         selections2: dict[int, Selection] = {}
+        # Groups of one size share their chosen-row patterns (all of them
+        # under uniform weights), and with them the inverses.
+        inverses: dict[tuple, np.ndarray] = {}
         for j in range(st.num_repair_groups):
             members = st.group_members(j)  # data-carrying members then parity
             gd = st.group_data_count(j)
@@ -208,25 +221,27 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
             if row_limit == 0:
                 continue
             # Per stripe row p, the group's k/l+1 stripes obey the (k/l, 1)
-            # XOR code over the k/l step-1 data stripes in that row.
+            # XOR code over the k/l step-1 data stripes in that row; the
+            # inverse of the chosen rows is the top gd rows of the code
+            # written over them.
             gp_small = np.concatenate(
                 [np.eye(gd, dtype=self.gf.dtype), np.ones((1, gd), dtype=self.gf.dtype)], axis=0
             )
             for p in range(row_limit):
                 choosers = sel2.choosers_by_row[p]  # member positions, |.| == k/l
-                sub_inv = inverse(self.gf, gp_small[list(choosers)])
+                sub_inv = inverses.get((gd, choosers))
+                if sub_inv is None:
+                    sub_inv = inverses[gd, choosers] = _over_chosen(self.gf, gp_small, choosers)[:gd]
                 old_cols = [col1[step1_index[d]] + p for d in members[:-1]]
                 new_cols = [
                     col2[members[mpos]] + sel2.ordinal(mpos, p) for mpos in choosers
                 ]
-                for a, oc in enumerate(old_cols):
-                    for bb, nc in enumerate(new_cols):
-                        m[oc, nc] = sub_inv[a, bb]
+                m[np.ix_(old_cols, new_cols)] = sub_inv
 
         # The step-2 basis change is the construction's one large product
-        # ((n*N, k*N) x (k*N, k*N)); run it through the batched gather
-        # kernel so wide fields use split tables instead of log/antilog.
-        gen = mat_data_product(self.gf, ghat, m)
+        # ((n*N, k*N) x (k*N, k*N)); both sides are sparse (about 1 % and
+        # 0.3 % nonzero at (48, 4, 4)), so it runs over the nonzeros.
+        gen = _sparse_product(self.gf, ghat, m)
 
         # Rotate the step-2 chosen stripes to the top of every grouped block.
         for b in range(self.n):
@@ -241,54 +256,44 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
         self._set_block_infos([counts[b] for b in range(self.n)])
 
     def _remap_rowwise(
-        self,
-        block_gen: np.ndarray,
-        selection: Selection,
-        row_limit: int,
-        total_rows: int,
-        num_cols: int,
-        col_base: list[int],
+        self, block_gen: np.ndarray, selection: Selection, col_base: list[int]
     ) -> np.ndarray:
         """Step-1 basis change, factored per stripe row.
 
         For stripe row ``t`` the chosen stripes are ``k`` codeword symbols
         of the block-level Reed-Solomon code; expressing all ``k + g``
-        symbols of that row over the chosen ones is a small
-        ``(k+g, k) @ inv(k, k)`` product.  Assembling those per-row
-        matrices into the stripe-level generator yields exactly
-        ``Gg @ inv(Gg0)`` (cross-checked against
+        symbols of that row over the chosen ones is the small
+        ``(k+g, k) @ inv(k, k)`` product :func:`_over_chosen` returns.
+        Assembling those per-row matrices into the stripe-level generator
+        yields exactly ``Gg @ inv(Gg0)`` (cross-checked against
         :func:`repro.core.remapping.change_basis` in the tests).
         """
         nblocks, k = block_gen.shape
-        out = np.zeros((nblocks * total_rows, num_cols), dtype=self.gf.dtype)
+        N = self.N
+        out = np.zeros((nblocks * N, k * N), dtype=self.gf.dtype)
         ordinals = [
             {row: o for o, row in enumerate(rows)} for rows in selection.per_block
         ]
-        for t in range(row_limit):
+        rows = np.arange(nblocks) * N
+        for t in range(N):
             choosers = selection.choosers_by_row[t]
-            sub_inv = inverse(self.gf, block_gen[list(choosers)])
-            a_t = matmul(self.gf, block_gen, sub_inv)
             cols = [col_base[b] + ordinals[b][t] for b in choosers]
-            for b in range(nblocks):
-                out[b * total_rows + t, cols] = a_t[b]
+            out[np.ix_(rows + t, cols)] = _over_chosen(self.gf, block_gen, choosers)
         return out
 
     def _set_block_infos(self, counts) -> None:
         offsets = _prefix_sums(list(counts))
-        infos = []
-        for b in range(self.n):
-            c = int(counts[b])
-            infos.append(
-                BlockInfo(
-                    index=b,
-                    role=self.structure.role_of(b),
-                    group=self.structure.group_of(b),
-                    data_stripes=c,
-                    total_stripes=self.N,
-                    file_stripes=tuple(range(offsets[b], offsets[b] + c)),
-                )
+        self.block_infos = tuple(
+            BlockInfo(
+                index=b,
+                role=self.structure.role_of(b),
+                group=self.structure.group_of(b),
+                data_stripes=int(c),
+                total_stripes=self.N,
+                file_stripes=tuple(range(offsets[b], offsets[b] + int(c))),
             )
-        self.block_infos = infos
+            for b, c in enumerate(counts)
+        )
 
     # ---------------------------------------------------------------- helpers
 
@@ -304,6 +309,53 @@ class GalloperCode(GroupRepairMixin, ErasureCode):
         )
 
 
+def _over_chosen(gf: GF, gen: np.ndarray, chosen) -> np.ndarray:
+    """``gen @ inv(gen[chosen])`` for ``gen = [I_k; parity]``: every row of
+    ``gen`` written over its ``k`` rows ``chosen``, in that order.
+
+    Only the chosen parity rows take an inversion: on the ``free``
+    columns, which no chosen identity row covers, they form a square
+    matrix (at most ``g x g``) whose inverse gives every row's
+    coefficients over them; a row's coefficients over the chosen identity
+    rows are then what is left of it on their columns once those parity
+    rows are taken out.
+    """
+    k = gen.shape[1]
+    chosen = np.asarray(chosen)
+    is_data = chosen < k
+    data = chosen[is_data]
+    picked = gen[chosen[~is_data]]
+    free = np.ones(k, dtype=bool)
+    free[data] = False
+    over_picked = _product(gf, gen[:, free], inverse(gf, picked[:, free]))
+    out = np.empty((gen.shape[0], k), dtype=gf.dtype)
+    out[:, is_data] = gen[:, data] ^ _product(gf, over_picked, picked[:, data])
+    out[:, ~is_data] = over_picked
+    return out
+
+
+def _product(gf: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over GF for small matrices: every term at once."""
+    terms = gf.exp[gf.log[a][:, :, None] + gf.log[b][None, :, :]]
+    terms[(a == 0)[:, :, None] | (b == 0)[None, :, :]] = 0
+    return np.bitwise_xor.reduce(terms, axis=1)
+
+
+def _sparse_product(gf: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over GF from the nonzeros of both: one term per nonzero
+    ``a[i, c]`` and nonzero ``b[c, j]``, XORed into ``[i, j]``."""
+    ai, ac = np.nonzero(a)
+    bc, bj = np.nonzero(b)  # row-major, so bc is sorted
+    first = np.searchsorted(bc, ac)
+    counts = np.searchsorted(bc, ac, side="right") - first
+    # Each term's index into b's nonzeros: row c's run, entry by entry.
+    pick = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    logs = np.repeat(gf.log[a[ai, ac]], counts) + gf.log[b[bc, bj]][pick]
+    out = np.zeros(a.shape[0] * b.shape[1], dtype=gf.dtype)
+    np.bitwise_xor.at(out, np.repeat(ai, counts) * b.shape[1] + bj[pick], gf.exp[logs])
+    return out.reshape(a.shape[0], b.shape[1])
+
+
 def _prefix_sums(counts: list[int]) -> list[int]:
     out = [0]
     for c in counts:
@@ -314,6 +366,5 @@ def _prefix_sums(counts: list[int]) -> list[int]:
 def _permute_rows(block: np.ndarray, perm: list[int]) -> np.ndarray:
     """Return a copy of ``block`` with row ``t`` moved to ``perm[t]``."""
     out = np.empty_like(block)
-    for old, new in enumerate(perm):
-        out[new] = block[old]
+    out[perm] = block
     return out

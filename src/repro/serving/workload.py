@@ -200,10 +200,14 @@ def populate(
 ) -> None:
     """Write every tenant's catalog through the gateway.
 
-    ``make_code()`` is called once per file, but the filesystem keeps one
-    code object per parameter set: files whose codes have equal
-    generators and layouts share the first one written, and its compiled
-    plans.  What is per file is the placement and the stripe size.
+    ``make_code()`` is called once per file, but only the first call
+    builds anything: while the filesystem holds that code, equal
+    constructor arguments return a code sharing its generator and layout
+    (:mod:`repro.codes` builds each parameter set once).  The filesystem
+    keeps one code object per parameter set: files whose codes have
+    equal generators and layouts share the first one written, and its
+    compiled plans.  What is per file is the placement and the stripe
+    size.
     Payloads are deterministic per (tenant, file) so correctness checks
     can regenerate expected bytes.  Pass a *shared* placement policy
     instance (e.g. a seeded

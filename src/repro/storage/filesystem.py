@@ -209,7 +209,9 @@ class DistributedFileSystem:
         repair plans instead of one per file.  What stays per file is
         what :class:`EncodedFile` records: placement and stripe size.
         Galloper codes built for different server performances have
-        different generators and never alias.
+        different generators and never alias.  Codes built with equal
+        arguments hold one content key object, whose generator bytes
+        were hashed once, when the first of them was built.
         """
         return self._codes.setdefault(code._content_key(), code)
 

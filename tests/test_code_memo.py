@@ -7,12 +7,18 @@ land on the same generator and layout.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro import GalloperCode, PyramidCode, ReedSolomonCode
-from repro.gf import GF65536
+from repro.codes import CarouselCode, ParameterError, RotatedPyramidCode, base, rs_generator
+from repro.core import galloper
+from repro.gf import GF256, GF65536, inverse, mat_data_product
 
 #: The Fig. 10 cluster: four full-speed servers and three at 40 %.
 FIG10_PERFORMANCES = [1.0] * 4 + [0.4] * 3
@@ -56,3 +62,93 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_content_key_is_pinned(name):
     assert content_digest(BUILDS[name]()) == PINNED[name]
+
+
+def test_equal_arguments_share_one_product_and_keep_their_own_plans():
+    a = GalloperCode(4, 2, 1)
+    b = GalloperCode(4, 2, 1, weights=[Fraction(4, 7)] * 7)
+    c = GalloperCode(4, 2, 1, weights=["4/7"] * 7)
+    assert b.generator is c.generator and b.block_infos is c.block_infos
+    assert b.assignment is c.assignment
+    assert b._content_key() is c._content_key()
+    # Other arguments, same code: a product of its own, equal content.
+    assert a.generator is not b.generator
+    assert a._content_key() == b._content_key()
+    b.compile_decode([1, 2, 3, 4, 5])
+    assert b.plan_cache_info()["misses"] == 1
+    assert c.plan_cache_info() == {**b.plan_cache_info(), "size": 0, "misses": 0}
+    assert c.compile_encode() is not b.compile_encode()
+
+
+def test_a_hit_builds_nothing(monkeypatch):
+    keep = GalloperCode(4, 2, 1, performances=FIG10_PERFORMANCES)
+    calls = []
+    monkeypatch.setattr(GalloperCode, "_remap", lambda self: calls.append(self))
+    again = GalloperCode(4, 2, 1, performances=np.array(FIG10_PERFORMANCES))
+    assert calls == [] and again.generator is keep.generator
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (lambda: GalloperCode(4, 2, 1), lambda: GalloperCode(4, 2, 1, performances=FIG10_PERFORMANCES)),
+        (
+            lambda: GalloperCode(4, 2, 1, performances=FIG10_PERFORMANCES),
+            lambda: GalloperCode(4, 2, 1, performances=[1.0] * 5 + [0.4] * 2),
+        ),
+        (lambda: GalloperCode(4, 2, 1), lambda: GalloperCode(4, 2, 1, gf=GF65536)),
+        (lambda: ReedSolomonCode(4, 3), lambda: ReedSolomonCode(4, 3, gf=GF65536)),
+        (lambda: PyramidCode(4, 2, 2), lambda: PyramidCode(4, 2, 2, all_symbol=True)),
+        (lambda: CarouselCode(4, 3), lambda: GalloperCode(4, 0, 3, weights=[Fraction(4, 7)] * 7)),
+    ],
+)
+def test_different_codes_never_alias(first, second):
+    one, other = first(), second()
+    assert one._built is not other._built
+    assert one._content_key() != other._content_key()
+
+
+@pytest.mark.parametrize("name", ["rs(4,3)", "pyramid(4,2,1)", "galloper(4,2,1)"])
+def test_shared_arrays_reject_writes(name):
+    code = BUILDS[name]()
+    arrays = [code.generator] + ([code.pyramid_block_generator] if hasattr(code, "assignment") else [])
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0, 0] ^= 1
+    assert isinstance(code.block_infos, tuple)
+
+
+def test_an_entry_dies_with_the_last_code_holding_it():
+    first = RotatedPyramidCode(4, 2, 1)
+    second = RotatedPyramidCode(4, 2, 1)
+    entry = weakref.ref(first._built)
+    assert second._built is entry()
+    del first
+    gc.collect()
+    assert entry() is not None
+    del second
+    gc.collect()
+    assert entry() is None
+    assert not any(key[0] is RotatedPyramidCode for key in base._BUILT)
+
+
+def test_a_failed_construction_stores_nothing():
+    with pytest.raises(ParameterError):
+        GalloperCode(4, 2, 1, weights=[Fraction(1)] * 7)
+    assert not any(key[0] is GalloperCode and key[5] == (Fraction(1),) * 7 for key in base._BUILT)
+
+
+@pytest.mark.parametrize("gf", [GF256, GF65536], ids=["gf8", "gf16"])
+def test_products_match_the_compiled_kernel(gf):
+    rng = np.random.default_rng(5)
+    a = rng.integers(1, gf.size, size=(40, 30)).astype(gf.dtype) * (rng.random((40, 30)) < 0.1)
+    b = rng.integers(1, gf.size, size=(30, 20)).astype(gf.dtype) * (rng.random((30, 20)) < 0.2)
+    a, b = a.astype(gf.dtype), b.astype(gf.dtype)
+    assert np.array_equal(galloper._sparse_product(gf, a, b), mat_data_product(gf, a, b))
+    assert np.array_equal(galloper._product(gf, a, b), mat_data_product(gf, a, b))
+    # [I_k; parity] over k of its rows, as the literal inverse writes it.
+    k, g = 6, 3
+    gen = np.concatenate([np.eye(k, dtype=gf.dtype), rs_generator(gf, k, g)[k:]])
+    for chosen in [(0, 1, 2, 3, 4, 5), (6, 1, 7, 3, 8, 5), (8, 7, 6, 0, 1, 2)]:
+        literal = mat_data_product(gf, gen, inverse(gf, gen[list(chosen)]))
+        assert np.array_equal(galloper._over_chosen(gf, gen, chosen), literal)
