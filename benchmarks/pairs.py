@@ -15,8 +15,9 @@ compiled and its native library built where ``run.py`` loads it from, so the
 first timed run does not pay for either in ``setup_s``.  Prints the gain
 test per end-to-end metric (each side's median and quartiles, change over
 parent, the pairs the change is ahead / behind / tied in, and whether the
-rule for claiming a gain holds: ahead in at least nine tenths of the pairs,
-medians apart by more than the parent's quartile distance), then
+rule for claiming a gain holds: at least ``MIN_PAIRS`` pairs, ahead in at
+least nine tenths of them, medians apart by more than the parent's quartile
+distance; with fewer pairs it says so instead of judging), then
 ``compare.py parent.json change.json`` (whose exit status it returns), and
 last, per seed, the deterministic leaves that differ between the two
 records: every declared metric whose unit is not a wall-clock one
@@ -42,6 +43,10 @@ E2E = pathlib.Path("benchmarks") / "e2e"
 #: Units of wall-clock measurements.  A metric in any other unit is a count,
 #: a ratio of counts or a sim-clock value: equal seeds give equal values.
 WALL_UNITS = frozenset({"s", "ms", "MB", "MB/s", "kops/s", "req/s", "1/s"})
+
+#: Fewer pairs than this support no claim: three of three ahead would pass
+#: the nine-tenths rule by chance one time in eight.
+MIN_PAIRS = 10
 
 
 def seed_range(text: str) -> list[int]:
@@ -107,9 +112,9 @@ def gain_test(runs_a: list[dict], runs_b: list[dict], workload: str, directions:
     A row holds each side's ``(q1, median, q3)``, ``ratio`` = change median
     over parent median, the pairs the change is ``ahead`` / ``behind`` /
     ``tied`` in, and ``gain``: whether the rule for claiming a gain holds —
-    ahead in at least nine tenths of the pairs (ties count for neither),
-    and the medians apart, in the better direction, by more than the
-    distance between the parent's quartiles.
+    at least :data:`MIN_PAIRS` pairs, ahead in at least nine tenths of them
+    (ties count for neither), and the medians apart, in the better
+    direction, by more than the distance between the parent's quartiles.
     """
     rows = []
     for metric, direction in directions.items():
@@ -132,7 +137,9 @@ def gain_test(runs_a: list[dict], runs_b: list[dict], workload: str, directions:
             "ahead": ahead,
             "behind": behind,
             "tied": len(pairs) - ahead - behind,
-            "gain": 10 * ahead >= 9 * len(pairs) and sign * (change[1] - parent[1]) > parent[2] - parent[0],
+            "gain": len(pairs) >= MIN_PAIRS
+            and 10 * ahead >= 9 * len(pairs)
+            and sign * (change[1] - parent[1]) > parent[2] - parent[0],
         })
     return rows
 
@@ -142,11 +149,16 @@ def print_gain_test(rows: list[dict], pairs: int, workload: str) -> None:
     for row in rows:
         (pq1, pm, pq3), (cq1, cm, cq3) = row["parent"], row["change"]
         ratio = f"{row['ratio']:7.3f}" if row["ratio"] is not None else "    n/a"
+        count = row["ahead"] + row["behind"] + row["tied"]
+        if count < MIN_PAIRS:
+            verdict = f"too few pairs for a claim ({count} < {MIN_PAIRS})"
+        else:
+            verdict = "gain rule holds" if row["gain"] else "no gain"
         print(
             f"   {row['metric']:<20} parent {pm:10.5g} [{pq1:.5g} .. {pq3:.5g}]"
             f"  change {cm:10.5g} [{cq1:.5g} .. {cq3:.5g}]  change/parent {ratio}"
             f"  ahead {row['ahead']:2d} behind {row['behind']:2d} tied {row['tied']:2d}"
-            f"  {'gain rule holds' if row['gain'] else 'no gain'}"
+            f"  {verdict}"
         )
 
 

@@ -97,3 +97,14 @@ def test_warming_builds_where_run_py_loads_from(tmp_path, monkeypatch):
         REPO_ROOT / "benchmarks" / "e2e" / "run.py"
     ).read_text()
     assert "native_available()" in cmd[-1] and "compileall" in cmd[-1]
+
+
+def test_fewer_than_ten_pairs_support_no_claim(capsys):
+    parent = runs({"write_MBps": [700.0, 710.0, 720.0]})
+    change = runs({"write_MBps": [900.0, 910.0, 920.0]})  # all three ahead, far outside the spread
+    rows = pairs.gain_test(parent, change, "striped_io", DIRECTIONS)
+    assert rows[0]["ahead"] == 3 and not rows[0]["gain"]
+    pairs.print_gain_test(rows, 3, "striped_io")
+    out = capsys.readouterr().out
+    assert "too few pairs for a claim (3 < 10)" in out
+    assert "gain rule holds" not in out and "no gain" not in out
