@@ -41,10 +41,11 @@ stays on ``zlib.crc32``, whose values it reproduces bit for bit.
 
 The shared object is built lazily on first use: the generated C source
 is compiled with the host toolchain (``cc``/``gcc``/``clang``,
-``-O3 -march=native`` with a portable retry) into a per-source-version
-build directory under ``~/.cache/repro-native`` (override with
-``REPRO_NATIVE_CACHE``), then loaded through :mod:`cffi`'s ABI mode.
-Later processes dlopen the cached artifact without recompiling.
+``-O3 -march=native`` with a portable retry) into a build directory per
+source version and host CPU feature set under ``~/.cache/repro-native``
+(override with ``REPRO_NATIVE_CACHE``), then loaded through :mod:`cffi`'s
+ABI mode.  Later processes on a CPU with the same features dlopen the
+cached artifact without recompiling.
 
 Everything degrades transparently: no compiler, no cffi, a failed build,
 or ``REPRO_NATIVE_DISABLE=1`` all make :func:`get_backend` return
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -573,9 +575,26 @@ class NativeBuildError(RuntimeError):
     """Raised internally when the shared object cannot be produced."""
 
 
+def _cpu_features() -> str:
+    """The host CPU's feature flags, which ``-march=native`` compiles for:
+    the ``flags`` (x86) or ``Features`` (Arm) line of ``/proc/cpuinfo``,
+    else the machine and processor names."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                name, _, value = line.partition(":")
+                if name.strip() in ("flags", "Features"):
+                    return " ".join(sorted(value.split()))
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
 def _source_key() -> str:
-    """Hash of the generated C + cdef ABI: the correctness-critical half."""
-    blob = "\0".join((_ABI_TAG, _C_SOURCE, _CDEF))
+    """Hash of the generated C, the cdef ABI and the CPU features: the
+    correctness-critical half (an artifact built for instructions the
+    host lacks dies of SIGILL)."""
+    blob = "\0".join((_ABI_TAG, _C_SOURCE, _CDEF, _cpu_features()))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -596,11 +615,13 @@ def _toolchain_key() -> str:
 def native_build_key() -> str:
     """Relative cache path for this build: ``<source-key>/<toolchain-key>``.
 
-    The outer level hashes the generated C and the cdef ABI — anything
-    that could make a stale shared object unsafe to dlopen.  The inner
-    level hashes the compiler identity, which only affects codegen
-    quality; a compiler-less host may therefore safely dlopen *any*
-    cached artifact under the current source key (see :func:`_resolve`).
+    The outer level hashes the generated C, the cdef ABI and the host's
+    CPU features — anything that could make a shared object unsafe to
+    dlopen here, a stale one or one built on a CPU with instructions
+    this one lacks.  The inner level hashes the compiler identity, which
+    only affects codegen quality; a compiler-less host may therefore
+    safely dlopen *any* cached artifact under its own outer key (see
+    :func:`_resolve`), and never one built for other CPU features.
     """
     return f"{_source_key()}/{_toolchain_key()}"
 
@@ -879,7 +900,8 @@ def _resolve() -> tuple[NativeBackend | None, str]:
     try:
         if _compiler() is None:
             # No toolchain — but any cached artifact built from this exact
-            # source/ABI (by whichever compiler) is safe to dlopen.  One
+            # source/ABI for these CPU features (by whichever compiler) is
+            # safe to dlopen.  One
             # that does not load (a half-written or truncated file) is
             # passed over for the next.
             hits = sorted((_cache_root() / _source_key()).glob("*/repro_native.so"))

@@ -432,6 +432,33 @@ class TestFallback:
             monkeypatch.undo()
             reset_native_backend()
 
+    def test_cpu_features_key_the_artifact(self, monkeypatch, tmp_path):
+        """An artifact compiled with ``-march=native`` runs only on a CPU
+        with the features it was built for: another feature set gets
+        another directory, and a compiler-less host never loads one built
+        for other features, even an intact one."""
+        backend = nat.get_backend()  # resolved for this host, before any patch
+        monkeypatch.setattr(nat, "_cpu_features", lambda: "avx2 pclmulqdq sse4_2")
+        here = nat.native_build_key()
+        monkeypatch.setattr(nat, "_cpu_features", lambda: "avx2 avx512f pclmulqdq sse4_2")
+        there = nat.native_build_key()
+        assert here.split("/")[0] != there.split("/")[0]
+        assert here.split("/")[1] == there.split("/")[1]  # one compiler
+        foreign = tmp_path / there / "repro_native.so"
+        foreign.parent.mkdir(parents=True)
+        foreign.write_bytes(backend.so_path.read_bytes() if backend else b"\x7fELF")
+        monkeypatch.setattr(nat, "_cpu_features", lambda: "avx2 pclmulqdq sse4_2")
+        monkeypatch.setattr(nat, "_compiler", lambda: None)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
+        reset_native_backend()
+        try:
+            assert not native_available()
+            assert "no C compiler" in native_unavailable_reason()
+        finally:
+            monkeypatch.undo()
+            reset_native_backend()
+
     def test_a_cache_entry_that_does_not_load_is_passed_over(self, tmp_path):
         """A truncated ``repro_native.so`` in the cache does not turn the tier
         off: with a compiler it is rebuilt, without one the next cached
