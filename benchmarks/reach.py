@@ -144,7 +144,6 @@ KEPT: dict[str, str] = {
     "repro.storage.filesystem:DistributedFileSystem.write_encoded": "a",
     "repro.storage.repair:RepairAdmissionController.inflight": "a",
     # (b) fault, error or validation paths.
-    "repro.obs.trace:Tracer.instant": "b",  # a traced retry or timeout; no traced driver draws either
     "repro.serving.gateway:ServingGateway._decode_fallback": "b",
     "repro.serving.gateway:ServingGateway._decode_fallback.read_block": "b",
     "repro.sim.aio:SimFuture.set_exception": "b",

@@ -420,7 +420,7 @@ def cmd_serve(args, out=None) -> int:
 
     from repro.cluster.placement import RandomPlacement
     from repro.cluster.topology import Cluster
-    from repro.faults.model import FaultModel, GraySlowdown, LatencySpikes
+    from repro.faults.model import FaultModel, GraySlowdown, LatencySpikes, TransientErrors
     from repro.obs import Tracer, use_tracer
     from repro.serving import (
         FlashCrowd,
@@ -437,6 +437,10 @@ def cmd_serve(args, out=None) -> int:
         fault_model = FaultModel(
             GraySlowdown(servers=frozenset({1}), extra_latency=0.08),
             LatencySpikes(rate=0.002, latency=0.05),
+            # Retried read errors, and stuck reads past the client's
+            # READ_TIMEOUT (0.5 s) that it abandons.
+            TransientErrors(rate=0.01),
+            LatencySpikes(servers=frozenset({2}), rate=0.05, latency=1.0),
             seed=args.seed,
         )
     spec = WorkloadSpec(

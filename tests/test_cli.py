@@ -300,6 +300,12 @@ class TestServeCommand:
         assert payload["counters"]["repair_blocks"] > 0
         assert payload["availability"] >= 0.9
 
+    def test_chaos_trace_carries_retries_and_timeouts(self, capsys, tmp_path):
+        trace = tmp_path / "chaos.json"
+        self._serve(capsys, "--chaos", "--trace", trace)
+        names = {s.get("name") for s in json.loads(trace.read_text())["traceEvents"]}
+        assert {"resilient.retry", "resilient.timeout"} <= names
+
     def test_trace_export(self, capsys, tmp_path):
         trace = tmp_path / "serve.json"
         assert run("serve", "--clients", 10, "--think", "0.05",
