@@ -154,7 +154,7 @@ KEPT: dict[str, str] = {
     "repro.core.remapping:verify_identity_rows": "c",
     "repro.gf.field:GF.div": "c",
     "repro.gf.field:GF.pow": "c",
-    "repro.gf.kernels:mat_data_product": "c",  # the one-shot product Galloper's construction products are checked against
+    "repro.gf.kernels:mat_data_product": "c",  # Galloper's construction products are checked against it
     "repro.gf.matrix:is_invertible": "c",
     "repro.gf.matrix:matmul": "c",  # change_basis's product
     "repro.gf.matrix:rows_in_rowspace": "c",

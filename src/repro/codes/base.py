@@ -322,13 +322,14 @@ class ReadPlan:
 
 class _Built:
     """One parameter set's construction products, shared read-only by
-    every code built from it, and the content key they fix."""
+    every code built from it, and the content key they fix (made when
+    first asked for)."""
 
     __slots__ = ("attrs", "content_key", "__weakref__")
 
-    def __init__(self, attrs: dict, content_key: tuple):
+    def __init__(self, attrs: dict):
         self.attrs = attrs
-        self.content_key = content_key
+        self.content_key: tuple | None = None
 
 
 #: Construction products by normalised constructor arguments.  Each code
@@ -412,10 +413,9 @@ class ErasureCode(abc.ABC):
             for value in attrs.values():
                 if isinstance(value, np.ndarray):
                     value.setflags(write=False)
-            built = _BUILT[key] = _Built(attrs, self._content_key())
+            built = _BUILT[key] = _Built(attrs)
         else:
             self.__dict__.update(built.attrs)
-            self.__dict__["_content_key_cache"] = built.content_key
         self.__dict__["_built"] = built
 
     # ----------------------------------------------------------- plan cache
@@ -504,21 +504,23 @@ class ErasureCode(abc.ABC):
         Class, field, stripes per block, generator and block layout fix
         every product, plan and layout a code computes, so a holder of
         many equal codes (the filesystem) can keep one and share its
-        compiled plans.  Built once per parameter set (:meth:`_construct`),
+        compiled plans.  Made once per parameter set (:meth:`_construct`),
         whose codes share the key object, so the bytes' hash is taken
         once.  The key is looked up on every write, so it holds only what
         hashes in C (ints, strings, bytes and tuples of them), not the
         field or the ``BlockInfo`` dataclasses themselves.
         """
-        key = self.__dict__.get("_content_key_cache")
-        if key is None:
+        built = self.__dict__.get("_built")
+        if built is None:  # a code that set its attributes without _construct
+            built = self.__dict__["_built"] = _Built({})
+        if built.content_key is None:
             generator = np.ascontiguousarray(self.generator)
-            key = self.__dict__["_content_key_cache"] = (
+            built.content_key = (
                 type(self), self.gf.q, self.gf.primitive_poly, self.N,
                 generator.shape, generator.tobytes(),
                 tuple((info.role, info.group, info.file_stripes) for info in self.block_infos),
             )
-        return key
+        return built.content_key
 
     def compile_decode(self, available_ids) -> DecodePlan:
         """Compile (or fetch from cache) the decode for one availability set.
