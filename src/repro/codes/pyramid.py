@@ -94,19 +94,22 @@ class PyramidCode(GroupRepairMixin, ErasureCode):
         self._construct((k, l, g, all_symbol), self._build)
 
     def _build(self) -> None:
-        st = self.structure
-        self.generator = pyramid_generator(self.gf, st)
-        self.block_infos = tuple(
-            BlockInfo(
-                index=b,
-                role=st.role_of(b),
-                group=st.group_of(b),
-                data_stripes=1 if st.role_of(b) == "data" else 0,
-                total_stripes=1,
-                file_stripes=(st.data_position(b),) if st.role_of(b) == "data" else (),
+        self.generator = pyramid_generator(self.gf, self.structure)
+        infos = []
+        for b in range(self.n):
+            role = self.structure.role_of(b)
+            is_data = role == "data"
+            infos.append(
+                BlockInfo(
+                    index=b,
+                    role=role,
+                    group=self.structure.group_of(b),
+                    data_stripes=1 if is_data else 0,
+                    total_stripes=1,
+                    file_stripes=(self.structure.data_position(b),) if is_data else (),
+                )
             )
-            for b in range(self.n)
-        )
+        self.block_infos = tuple(infos)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PyramidCode(k={self.k}, l={self.l}, g={self.g})"

@@ -901,9 +901,8 @@ def _resolve() -> tuple[NativeBackend | None, str]:
         if _compiler() is None:
             # No toolchain — but any cached artifact built from this exact
             # source/ABI for these CPU features (by whichever compiler) is
-            # safe to dlopen.  One
-            # that does not load (a half-written or truncated file) is
-            # passed over for the next.
+            # safe to dlopen.  One that does not load (a half-written or
+            # truncated file) is passed over for the next.
             hits = sorted((_cache_root() / _source_key()).glob("*/repro_native.so"))
             if not hits:
                 return None, "no C compiler on PATH (cc/gcc/clang) and $CC unset"
