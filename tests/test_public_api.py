@@ -220,6 +220,20 @@ PUBLIC_API = {
         "split_product_tables",
         "validate_symbols",
     ],
+    "repro.obs": [
+        "Gauge",
+        "Histogram",
+        "KernelProfiler",
+        "NULL_TRACER",
+        "NullTracer",
+        "Span",
+        "Tracer",
+        "get_profiler",
+        "get_tracer",
+        "profiled",
+        "set_tracer",
+        "use_tracer",
+    ],
     "repro.codes": [
         "BlockInfo",
         "CarouselCode",
