@@ -143,9 +143,9 @@ KEPT: dict[str, str] = {
     "repro.storage.filesystem:DistributedFileSystem.stripe_holders": "a",
     "repro.storage.filesystem:DistributedFileSystem.write_encoded": "a",
     "repro.storage.repair:RepairAdmissionController.inflight": "a",
+    "repro.storage.resilient:ResilientBlockClient.get": "a",
     # (b) fault, error or validation paths.
     "repro.serving.gateway:ServingGateway._decode_fallback": "b",
-    "repro.serving.gateway:ServingGateway._decode_fallback.read_block": "b",
     "repro.sim.aio:SimFuture.set_exception": "b",
     "repro.storage.filesystem:FileSystemError.__init__": "b",
     # (c) oracles the tests check other code against.
@@ -161,7 +161,6 @@ KEPT: dict[str, str] = {
     # (d) test hooks.
     "repro.gf.native:reset_native_backend": "d",
     "repro.obs.trace:Tracer.children_of": "d",
-    "repro.obs.trace:Tracer.find": "d",
     "repro.obs.trace:set_tracer": "d",
     # (e) __repr__ / __str__, abstract methods and the null tracer's no-ops.
     "repro.bench.harness:Table.__str__": "e",
@@ -181,7 +180,6 @@ KEPT: dict[str, str] = {
     "repro.mapreduce.records:RecordReader.records": "e",
     "repro.obs.metrics:Gauge.__repr__": "e",
     "repro.obs.metrics:Histogram.__repr__": "e",
-    "repro.obs.profile:KernelProfiler.__repr__": "e",
     "repro.obs.trace:NullTracer.instant": "e",
     "repro.obs.trace:NullTracer.sim_span": "e",
     "repro.obs.trace:Span.__repr__": "e",

@@ -290,27 +290,20 @@ def cmd_analyze(args, out=None) -> int:
     return 0
 
 
-def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, seed: int = 0) -> dict:
-    """Seeded in-memory striped workload; returns the stats payload.
+def _seeded_striped(code_factory, name: str, groups: int, block_bytes: int, seed: int, degraded_read: bool = False):
+    """The seeded striped set-up ``repro stats`` and ``repro trace striped``
+    share; returns ``(dfs, meta, size, victim, repaired)``.
 
-    Writes a ~``groups``-group striped file (with a ragged tail) through
-    the batched pipeline, reads it back, fails the server holding the
-    first group's block 0, bulk-repairs it, and reports the shared
-    code's plan-cache counters plus the filesystem metrics.  Importable
-    by benchmarks and tests; ``repro stats`` prints it as JSON.
-    ``derived.zero_copy_fraction`` is the share of written and read-back
-    payload bytes that moved as views (1.0 over GF(2^8), ragged tail
-    included); the rest were widened or narrowed between bytes and a
-    wider field's symbols — the only copy ``bytes_copied`` counts.
+    Writes a ~``groups``-group striped file ``name`` (with a ragged tail)
+    through the batched pipeline and reads it back, fails the server
+    holding the first group's block 0 (with ``degraded_read``, reads the
+    file around it), bulk-repairs that server and reads the file back
+    again.  Each read must return the payload.
     """
     from repro.cluster.topology import Cluster
-    from repro.gf import kernel_bytes_info, kernel_selection_info, reset_kernel_selection
     from repro.storage import DistributedFileSystem, RepairManager, StripedFileSystem
     from repro.storage.striped import group_name
 
-    # Zero the process-wide tier counters so the payload reflects this
-    # workload alone (deterministic across repeated invocations).
-    reset_kernel_selection()
     probe = code_factory()
     itemsize = probe.gf.dtype.itemsize
     stripe = max(1, block_bytes // (probe.N * itemsize))
@@ -322,17 +315,41 @@ def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, s
     cluster = Cluster.homogeneous(max(30, 3 * probe.n))
     dfs = DistributedFileSystem(cluster)
     sfs = StripedFileSystem(dfs)
-    meta = sfs.write_file("stats", payload, code_factory, max_block_bytes=block_bytes)
-    if sfs.read_file("stats") != payload:
-        raise CLIError("stats workload read-back mismatch")
-    first = dfs.file(group_name("stats", 0))
-    code = first.code
+    meta = sfs.write_file(name, payload, code_factory, max_block_bytes=block_bytes)
 
-    victim = first.server_of(0)
+    def read_back(when: str) -> None:
+        if sfs.read_file(name) != payload:
+            raise CLIError(f"{name} workload read mismatch {when}")
+
+    read_back("after the write")
+    victim = dfs.file(group_name(name, 0)).server_of(0)
     cluster.fail(victim)
+    if degraded_read:
+        read_back("with a server down")
     repaired = RepairManager(dfs).repair_server(victim)
-    if sfs.read_file("stats") != payload:
-        raise CLIError("stats workload read-back mismatch after repair")
+    read_back("after repair")
+    return dfs, meta, size, victim, repaired
+
+
+def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, seed: int = 0) -> dict:
+    """Seeded in-memory striped workload; returns the stats payload.
+
+    The :func:`_seeded_striped` set-up, reporting the shared code's
+    plan-cache counters plus the filesystem metrics.  Importable by
+    benchmarks and tests; ``repro stats`` prints it as JSON.
+    ``derived.zero_copy_fraction`` is the share of written and read-back
+    payload bytes that moved as views (1.0 over GF(2^8), ragged tail
+    included); the rest were widened or narrowed between bytes and a
+    wider field's symbols — the only copy ``bytes_copied`` counts.
+    """
+    from repro.gf import kernel_bytes_info, kernel_selection_info, reset_kernel_selection
+    from repro.storage.striped import group_name
+
+    # Zero the process-wide tier counters so the payload reflects this
+    # workload alone (deterministic across repeated invocations).
+    reset_kernel_selection()
+    dfs, meta, size, _, repaired = _seeded_striped(code_factory, "stats", groups, block_bytes, seed)
+    code = dfs.file(group_name("stats", 0)).code
 
     cache = code.plan_cache_info()
     lookups = cache["hits"] + cache["misses"]
@@ -508,37 +525,16 @@ def cmd_serve(args, out=None) -> int:
 def run_traced_striped(code_factory, groups: int = 8, block_bytes: int = 4096, seed: int = 0) -> dict:
     """Seeded striped workload exercising every traced path.
 
-    Ordered so the span tree covers the full block lifecycle: batched
-    write (encode → place → store), clean read, server failure, a
-    **degraded** read off the surviving blocks, bulk repair, and a final
-    verify read.  Returns summary facts for the CLI to print; run it
-    under :func:`repro.obs.use_tracer` to capture the trace.
+    The :func:`_seeded_striped` set-up with a degraded read, so the span
+    tree covers the full block lifecycle: batched write (encode → place
+    → store), clean read, server failure, a **degraded** read off the
+    surviving blocks, bulk repair, and a final verify read.  Returns
+    summary facts for the CLI to print; run it under
+    :func:`repro.obs.use_tracer` to capture the trace.
     """
-    from repro.cluster.topology import Cluster
-    from repro.storage import DistributedFileSystem, RepairManager, StripedFileSystem
-    from repro.storage.striped import group_name
-
-    probe = code_factory()
-    itemsize = probe.gf.dtype.itemsize
-    stripe = max(1, block_bytes // (probe.N * itemsize))
-    group_payload = probe.data_stripe_total * stripe * itemsize
-    size = groups * group_payload - group_payload // 2
-    rng = np.random.default_rng(seed)
-    payload = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-
-    cluster = Cluster.homogeneous(max(30, 3 * probe.n))
-    dfs = DistributedFileSystem(cluster)
-    sfs = StripedFileSystem(dfs)
-    meta = sfs.write_file("traced", payload, code_factory, max_block_bytes=block_bytes)
-    if sfs.read_file("traced") != payload:
-        raise CLIError("traced workload clean read mismatch")
-    victim = dfs.file(group_name("traced", 0)).server_of(0)
-    cluster.fail(victim)
-    if sfs.read_file("traced") != payload:
-        raise CLIError("traced workload degraded read mismatch")
-    repaired = RepairManager(dfs).repair_server(victim)
-    if sfs.read_file("traced") != payload:
-        raise CLIError("traced workload post-repair read mismatch")
+    dfs, meta, size, victim, repaired = _seeded_striped(
+        code_factory, "traced", groups, block_bytes, seed, degraded_read=True
+    )
     return {
         "groups": meta.group_count,
         "payload_bytes": size,
@@ -607,11 +603,28 @@ def cmd_trace(args, out=None) -> int:
     return 0
 
 
+def _kernel_profile(tracer) -> dict:
+    """Per kernel label, sorted: the calls, wall seconds and bytes of the
+    tracer's ``gf.apply`` spans, and the MB/s they make."""
+    totals: dict[str, list] = {}
+    for span in tracer.find("gf.apply"):
+        entry = totals.setdefault(span.attrs["kernel"], [0, 0.0, 0])
+        entry[0] += 1
+        entry[1] += span.wall_dur
+        entry[2] += span.attrs["bytes"]
+    return {
+        kernel: {"calls": calls, "seconds": seconds, "bytes": nbytes,
+                 "mb_per_s": nbytes / float(1 << 20) / seconds if seconds > 0 else 0.0}
+        for kernel, (calls, seconds, nbytes) in sorted(totals.items())
+    }
+
+
 def cmd_metrics(args, out=None) -> int:
     out = out or sys.stdout
-    from repro.obs import profiled
+    from repro.obs import Tracer, use_tracer
 
-    with profiled() as profiler:
+    tracer = Tracer()
+    with use_tracer(tracer):
         result = run_striped_stats(
             lambda: build_code(args),
             groups=args.groups,
@@ -622,7 +635,7 @@ def cmd_metrics(args, out=None) -> int:
         "code": result["code"],
         "metrics": result["metrics_all"],
         "plan_cache": result["plan_cache"],
-        "kernel_profile": profiler.snapshot(),
+        "kernel_profile": _kernel_profile(tracer),
         "derived": result["derived"],
     }
     print(json.dumps(payload, indent=2), file=out)

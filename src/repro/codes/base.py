@@ -322,14 +322,12 @@ class ReadPlan:
 
 class _Built:
     """One parameter set's construction products, shared read-only by
-    every code built from it, and the content key they fix (made when
-    first asked for)."""
+    every code built from it: the identity holders of codes key them by."""
 
-    __slots__ = ("attrs", "content_key", "__weakref__")
+    __slots__ = ("attrs", "__weakref__")
 
     def __init__(self, attrs: dict):
         self.attrs = attrs
-        self.content_key: tuple | None = None
 
 
 #: Construction products by normalised constructor arguments.  Each code
@@ -497,30 +495,6 @@ class ErasureCode(abc.ABC):
                 self.block_infos, self.data_stripe_total
             )
         return plan
-
-    def _content_key(self) -> tuple:
-        """What two interchangeable code objects have in common.
-
-        Class, field, stripes per block, generator and block layout fix
-        every product, plan and layout a code computes, so a holder of
-        many equal codes (the filesystem) can keep one and share its
-        compiled plans.  Made once per parameter set (:meth:`_construct`),
-        whose codes share the key object, so the bytes' hash is taken
-        once.  The key is looked up on every write, so it holds only what
-        hashes in C (ints, strings, bytes and tuples of them), not the
-        field or the ``BlockInfo`` dataclasses themselves.
-        """
-        built = self.__dict__.get("_built")
-        if built is None:  # a code that set its attributes without _construct
-            built = self.__dict__["_built"] = _Built({})
-        if built.content_key is None:
-            generator = np.ascontiguousarray(self.generator)
-            built.content_key = (
-                type(self), self.gf.q, self.gf.primitive_poly, self.N,
-                generator.shape, generator.tobytes(),
-                tuple((info.role, info.group, info.file_stripes) for info in self.block_infos),
-            )
-        return built.content_key
 
     def compile_decode(self, available_ids) -> DecodePlan:
         """Compile (or fetch from cache) the decode for one availability set.

@@ -48,14 +48,12 @@ matrix; :func:`mat_data_product` is the one-shot convenience on top of it.
 from __future__ import annotations
 
 import os
-from time import perf_counter
 
 import numpy as np
 
 from repro.gf.field import GF, GFError
 from repro.gf import schedule as _schedule
 from repro.gf.schedule import XorSchedule, predicted_win
-from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
 
 #: Scratch budget for one gather chunk, in 64-bit words (~1.5 MiB).  The
@@ -415,23 +413,19 @@ class CodingPlan:
         return out
 
     def _run(self, columns: int, nbytes: int, compute) -> None:
-        """``compute()``, under a ``gf.apply`` span and the kernel profiler
-        when either is on."""
+        """``compute()``, under a ``gf.apply`` span when tracing is on: the
+        one record of a kernel's label, wall time and bytes."""
         tracer = get_tracer()
-        profiler = get_profiler()
-        if not (tracer.enabled or profiler.enabled):
+        if not tracer.enabled:
             compute()
             return
         kind = self.kernel
         kernel = kind if kind == "copy" or columns >= SMALL_PRODUCT_ELEMS else "direct-small"
-        t0 = perf_counter()
         with tracer.span(
             "gf.apply", category="gf", kernel=kernel,
             rows=self.m, data_rows=self.n, columns=columns, bytes=nbytes,
         ):
             compute()
-        if profiler.enabled:
-            profiler.record(kernel, perf_counter() - t0, nbytes)
 
     def _input_rows(self, data) -> tuple[list[np.ndarray], int]:
         """``data`` (see :meth:`apply`) as a list of 2-D arrays of field

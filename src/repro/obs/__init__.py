@@ -1,11 +1,10 @@
-"""Unified observability: tracing, metrics primitives, profiling hooks.
+"""Unified observability: tracing and metrics primitives.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy, the metrics
 glossary and how to open an exported trace in Perfetto.
 """
 
 from repro.obs.metrics import Gauge, Histogram
-from repro.obs.profile import KernelProfiler, get_profiler, profiled
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -19,14 +18,11 @@ from repro.obs.trace import (
 __all__ = [
     "Gauge",
     "Histogram",
-    "KernelProfiler",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
-    "get_profiler",
     "get_tracer",
-    "profiled",
     "set_tracer",
     "use_tracer",
 ]

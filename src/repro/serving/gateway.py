@@ -241,12 +241,7 @@ class ServingGateway:
 
     async def _decode_fallback(self, ef: EncodedFile, fs0: int, nrows: int) -> np.ndarray:
         """Last resort: decode the stripes from any decodable block subset,
-        each read whole."""
-
-        async def read_block(block: int) -> np.ndarray:
-            server = ef.server_of(block)
-            return await self._disk_read(server, lambda: self.client.get(server, ef.name, block))
-
+        each read whole: one disk IO of every row of each block."""
         excluded: set[int] = set()
         while True:
             try:
@@ -258,7 +253,7 @@ class ServingGateway:
                     file=ef.name, cause="undecodable",
                 ) from exc
             reads = [
-                self.loop.create_task(read_block(b), name="decode")
+                self.loop.create_task(self._read_rows(ef, b, 0, ef.code.N), name="decode")
                 for b in chosen
             ]
             try:

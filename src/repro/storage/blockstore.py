@@ -350,19 +350,21 @@ class BlockStore:
     ) -> tuple[np.ndarray, float]:
         """Read one block; returns ``(data, simulated latency seconds)``.
 
-        With ``verify=True`` every row of the block is checked against
-        its write-time CRC; a mismatch raises :class:`TransientReadError`
+        A row-range read over every row (:meth:`_whole`): with
+        ``verify=True`` every row is checked against its write-time CRC,
+        and a mismatch raises :class:`TransientReadError`
         (``cause="checksum"``) since a retry will read the intact copy.
         """
-        self._check_up(server_id, file_name, block_id)
-        block = self._stored(server_id, file_name, block_id)
-        self.metrics.add("disk_bytes_read", block.nbytes, server_id)
-        self.metrics.add("blocks_read", 1, server_id)
-        data, latency = self._faulted(server_id, file_name, block_id, block)
-        self.metrics.add("read_latency", latency, server_id)
-        if verify:
-            self._check_rows(server_id, file_name, block_id, data, 0)
-        return data, latency
+        read, _ = self._range_reader([self._whole(server_id, file_name, block_id)], verify)
+        return read(0)
+
+    def _whole(self, server_id: int, file_name: str, block_id: int) -> tuple:
+        """The ``(server, file, block, 0, rows)`` range of every row of a
+        stored block; a block not held has no rows (reading it raises
+        ``cause="missing"``, or ``"server_down"`` first)."""
+        disk = self._disks.get(server_id)
+        block = disk.get((file_name, block_id)) if disk is not None else None
+        return server_id, file_name, block_id, 0, 0 if block is None else len(block)
 
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
         """Read one block from a server.

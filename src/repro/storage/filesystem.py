@@ -39,7 +39,7 @@ from repro.codes.base import DecodingError, ErasureCode
 from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
-from repro.storage.blockstore import BlockStore, BlockUnavailableError, StorageError
+from repro.storage.blockstore import BlockStore, StorageError
 from repro.storage.health import HealthMonitor
 from repro.storage.metrics import MetricsRegistry
 from repro.storage.resilient import ResilientBlockClient
@@ -202,18 +202,17 @@ class DistributedFileSystem:
     def _intern_code(self, code: ErasureCode) -> ErasureCode:
         """The code object this filesystem keeps for ``code``'s parameter set.
 
-        Equal parameters — same class, field, stripes per block,
-        generator and block layout — mean equal behaviour, so every file
-        written with them shares the first such object written here, and
-        with it one encode plan, one read plan and one LRU of decode and
-        repair plans instead of one per file.  What stays per file is
-        what :class:`EncodedFile` records: placement and stripe size.
-        Galloper codes built for different server performances have
-        different generators and never alias.  Codes built with equal
-        arguments hold one content key object, whose generator bytes
-        were hashed once, when the first of them was built.
+        Codes built from equal constructor arguments share one
+        construction entry (``code._built``, see
+        :meth:`ErasureCode._construct`) and so behave alike: every file
+        written with one of them shares the first such object written
+        here, and with it one encode plan, one read plan and one LRU of
+        decode and repair plans instead of one per file.  What stays per
+        file is what :class:`EncodedFile` records: placement and stripe
+        size.  Codes built from other arguments keep objects of their own,
+        even where their generators happen to be equal.
         """
-        return self._codes.setdefault(code._content_key(), code)
+        return self._codes.setdefault(code._built, code)
 
     def write_file(
         self,
@@ -674,12 +673,13 @@ class DistributedFileSystem:
         Reading every surviving block would work but wastes disk I/O;
         instead blocks are added greedily — data-heavy blocks first,
         healthier servers breaking ties — until the subset decodes, and
-        only those are read.  A survivor that fails mid-read (transient
-        faults exhaust the client's retries, or its server crashes
-        between planning and reading) is excluded and that file's
-        selection re-planned, so degraded reads survive flaky helpers; a
-        block already read that the new selection still names is not read
-        again.
+        only those are read, every row of each, in one client batch of one
+        group (:meth:`ResilientBlockClient._read_ranges`).  The batch stops
+        at the first survivor that cannot be read (transient faults
+        exhaust the client's retries, or its server crashed after
+        planning), which is excluded and that file's selection re-planned,
+        so degraded reads survive flaky helpers; a block already read that
+        the new selection still names is not read again.
         The files share one code (they are one file, or the stripe groups
         of one striped file); those that end up on the same survivor set
         decode in one fused apply.
@@ -695,17 +695,16 @@ class DistributedFileSystem:
                 read: dict[int, np.ndarray] = {}
                 while True:
                     chosen = self._plan_decode_blocks(ef, excluded)
-                    for b in chosen:
-                        if b in read:
-                            continue
-                        try:
-                            read[b] = self.client.get(ef.server_of(b), ef.name, b)
-                        except BlockUnavailableError:
-                            excluded.add(b)
-                            self.metrics.add("decode_replans", 1)
-                            break
-                    else:
+                    unread = [b for b in chosen if b not in read]
+                    pieces, failures = self.client._read_ranges(
+                        [(ef.placement[b], ef.name, b, 0, ef.code.N) for b in unread], [len(unread)]
+                    )
+                    stop = list(map(_is_missing, pieces)).index(True) if failures else len(unread)
+                    read.update(zip(unread[:stop], pieces))
+                    if not failures:
                         break
+                    excluded.add(unread[stop])
+                    self.metrics.add("decode_replans", 1)
                 replans += len(excluded)
                 survivors.append({b: read[b] for b in chosen})
             sp.set(replans=replans)

@@ -26,7 +26,7 @@ There is one retry loop, and it runs over a batch: a whole-file or
 striped read hands the client every row range at once
 (``_read_ranges``), so lookups are bound and the CRC check is paid once
 per read rather than once per range.  ``read_rows`` is a batch of one
-range and ``get`` runs the same loop over one whole block.  Each range
+range, and ``get`` a ``read_rows`` of every row of a block.  Each range
 still takes every step above, in order.  A batch may be cut into groups
 (the helper rows of one rebuild each): a group stops at its first range
 that cannot be read, and its later ranges take no step.
@@ -101,61 +101,41 @@ class ResilientBlockClient:
         return rows
 
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
-        (data,), failures = self._read_each(
-            [(server_id, file_name, block_id)],
-            lambda _: self.store.timed_get(server_id, file_name, block_id, verify=True),
-        )
-        if failures:
-            raise failures[0]
-        return data
+        """Read a whole block: a :meth:`read_rows` of every row it holds."""
+        return self.read_rows(*self.store._whole(server_id, file_name, block_id))
 
     def _read_ranges(self, ranges: list[tuple], groups: list[int] | None = None):
-        """Read ``(server, file, block, row0, nrows)`` row ranges, in order.
+        """Read ``(server, file, block, row0, nrows)`` row ranges, in order:
+        the one retry loop.  :meth:`read_rows` is a batch of one.
 
         Returns ``(pieces, failures)``: per range the CRC-verified row
         view, or ``None`` for one that could not be read, and the error of
-        each range that could not, in order.  ``groups``, when given, cuts
-        the ranges into consecutive groups of those lengths: the ranges of
-        a group after its first unreadable one are not attempted (no fault
-        draw, no clock advance) and are ``None`` too.  Every attempted
-        range goes through the steps a lone :meth:`read_rows` takes, in the
-        same order; the batch shares the lookups and the CRC pass
-        (:meth:`BlockStore._range_reader`), and books its plain ranges in
-        one pass (:meth:`_read_each`).  :meth:`read_rows` is a batch of one.
+        each range that could not, in order (without a traceback, so it
+        holds no frame).  ``groups``, when given, cuts the ranges into
+        consecutive groups of those lengths: the ranges of a group after
+        its first unreadable one are not attempted (no fault draw, no clock
+        advance) and are ``None`` too.  The batch shares the lookups and
+        the CRC pass (:meth:`BlockStore._range_reader`, whose ``read(i)``
+        is one attempt at range ``i``).  Per range: the breaker check, then
+        attempts with jittered backoff between them — a transient error or
+        a latency past the timeout fails one — then for the attempt that
+        succeeds the clock advance, the ``read_latency_s`` sample and the
+        health update.
+
+        A range the store marks plain (``plain[i]`` is ``(data, nbytes,
+        latency)``: its attempt cannot fail or time out) cannot retry or
+        move its breaker either while that is closed, and every step it
+        takes is an addition: to the store's ``disk_bytes_read`` /
+        ``blocks_read`` / ``read_latency`` counters, the histogram, the
+        clock and its server's health.  Those are made here in locals, in
+        the order the steps would make them, and written back before any
+        other range takes its steps and at the end — so every float sums
+        in the same order and ends bit-identical.  ``plain[i]`` is looked
+        at only for a range booked this way.
         """
-        read, plain = self.store._range_reader(ranges, True)
-        return self._read_each(ranges, read, plain, groups)
-
-    # ------------------------------------------------------------- internals
-
-    def _read_each(self, targets: list[tuple], attempt, plain=None, groups: list[int] | None = None):
-        """The retry loop, for each of ``targets`` in turn; returns ``(out, failures)``.
-
-        ``targets[i]`` starts ``(server, file, block, ...)`` and
-        ``attempt(i)`` is one try at it, returning ``(data, latency)``.
-        Per target: the breaker check, then tries with jittered backoff
-        between them — a transient error or a latency past the timeout
-        fails a try — then for the try that succeeds the clock advance, the
-        ``read_latency_s`` sample and the health update.  A target that
-        cannot be read is ``None`` in ``out`` and its error joins
-        ``failures`` (without a traceback, so it holds no frame).  With
-        ``groups`` (consecutive group lengths), the targets of a group
-        after its first unreadable one take no step and are ``None``.
-
-        ``plain[i]``, when given and not ``None``, is ``(data, nbytes,
-        latency)`` of a target whose attempt cannot fail or time out
-        (see :meth:`BlockStore._range_reader`).  While its server's
-        breaker is closed, such a target cannot retry or move the breaker
-        either, and every step it takes is an addition: to the store's
-        ``disk_bytes_read`` / ``blocks_read`` / ``read_latency`` counters,
-        the histogram, the clock and its server's health.  Those are made
-        here in locals, in the order the steps would make them, and written
-        back before any other target takes its steps and at the end — so
-        every float sums in the same order and ends bit-identical.
-        ``plain[i]`` is looked at only for a target booked this way.
-        """
+        attempt, plain = self.store._range_reader(ranges, True)
         health, metrics, clock = self.health, self.metrics, self.clock
-        # The book of plain targets: their servers' health, and once the
+        # The book of plain ranges: their servers' health, and once the
         # first is booked, the three store counters, the factors of
         # record_success's averages and the running totals.  A closed
         # breaker has no probe in flight, so record_success would leave
@@ -165,10 +145,10 @@ class ResilientBlockClient:
         booking = False
         out: list[np.ndarray | None] = []
         failures: list[BlockUnavailableError] = []
-        # Targets before ``resume`` belong to a group that has stopped.
+        # Ranges before ``resume`` belong to a group that has stopped.
         ends = list(accumulate(groups)) if groups else None
         resume = 0
-        for i, target in enumerate(targets):
+        for i, target in enumerate(ranges):
             if i < resume:
                 out.append(None)
                 continue
@@ -294,7 +274,7 @@ class ResilientBlockClient:
         return out, failures
 
     def _write_back(self, counters, bytes_total, blocks_total, time_total, samples: list[float], now: float) -> None:
-        """Store what :meth:`_read_each` booked for a run of plain targets:
+        """Store what :meth:`_read_ranges` booked for a run of plain ranges:
         the totals of the three store counters (their by-server values are
         added in place), the ``read_latency_s`` samples and the clock."""
         read_bytes, read_blocks, read_time = counters

@@ -107,10 +107,11 @@ class StripedFileSystem:
         the alive servers, in id order), so groups land on different
         servers.  All full groups are encoded through **one** fused kernel
         call; a ragged tail group rides separately.  Every group is
-        written with the one code object the filesystem keeps for the
-        factory's parameter set, so the compiled encode plan and any
-        decode / repair plans are built once and shared by all groups —
-        and by every other file with those parameters.
+        written with the one code object the filesystem keeps for codes
+        built from the factory's constructor arguments, so the compiled
+        encode plan and any decode / repair plans are built once and
+        shared by all groups — and by every other file written with a
+        code built from those arguments.
         """
         if name in self.striped:
             raise FileSystemError(f"striped file {name!r} already exists")

@@ -1,8 +1,9 @@
 """Codes built once per parameter set.
 
-The content key names everything a code computes from, so its digest
-pins each construction bit for bit: a faster or shared construction must
-land on the same generator and layout.
+A code's content — class, field, stripes per block, generator and block
+layout — is everything it computes from, so its digest pins each
+construction bit for bit: a faster or shared construction must land on
+the same generator and layout.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ FIG10_PERFORMANCES = [1.0] * 4 + [0.4] * 3
 
 
 def content_digest(code) -> str:
-    """sha256 of ``code._content_key()``: class, field, N, generator, layout."""
-    cls, q, poly, N, shape, generator, layout = code._content_key()
+    """sha256 of a code's class, field, N, generator and block layout."""
+    cls, generator = type(code), np.ascontiguousarray(code.generator)
+    layout = tuple((info.role, info.group, info.file_stripes) for info in code.block_infos)
     digest = hashlib.sha256(
-        repr((cls.__module__, cls.__qualname__, q, poly, N, shape, layout)).encode()
+        repr((cls.__module__, cls.__qualname__, code.gf.q, code.gf.primitive_poly, code.N,
+              generator.shape, layout)).encode()
     )
-    digest.update(generator)
+    digest.update(generator.tobytes())
     return digest.hexdigest()
 
 
@@ -70,10 +73,10 @@ def test_equal_arguments_share_one_product_and_keep_their_own_plans():
     c = GalloperCode(4, 2, 1, weights=["4/7"] * 7)
     assert b.generator is c.generator and b.block_infos is c.block_infos
     assert b.assignment is c.assignment
-    assert b._content_key() is c._content_key()
+    assert b._built is c._built
     # Other arguments, same code: a product of its own, equal content.
-    assert a.generator is not b.generator
-    assert a._content_key() == b._content_key()
+    assert a.generator is not b.generator and a._built is not b._built
+    assert content_digest(a) == content_digest(b)
     b.compile_decode([1, 2, 3, 4, 5])
     assert b.plan_cache_info()["misses"] == 1
     assert c.plan_cache_info() == {**b.plan_cache_info(), "size": 0, "misses": 0}
@@ -105,7 +108,7 @@ def test_a_hit_builds_nothing(monkeypatch):
 def test_different_codes_never_alias(first, second):
     one, other = first(), second()
     assert one._built is not other._built
-    assert one._content_key() != other._content_key()
+    assert content_digest(one) != content_digest(other)
 
 
 @pytest.mark.parametrize("name", ["rs(4,3)", "pyramid(4,2,1)", "galloper(4,2,1)"])

@@ -20,6 +20,7 @@ from repro.core import GalloperCode
 from repro.faults import FaultModel
 from repro.faults.model import TransientErrors
 from repro.storage import DistributedFileSystem, RepairManager
+from repro.storage.resilient import MAX_ATTEMPTS
 from tests.conftest import payload_bytes
 
 CODES = [
@@ -122,26 +123,20 @@ def test_flaky_helper_triggers_decode_replan():
     assert dfs.metrics.total("retries") >= 1
 
 
-def test_decode_replan_keeps_the_survivors_it_read(monkeypatch):
-    """A survivor whose server crashes between planning and reading is
+def test_decode_replan_keeps_the_survivors_it_read():
+    """A survivor that cannot be read stops the decode's batch; it is
     excluded, and the re-planned decode reads only what it has not read
-    yet: one ``client.get`` per block."""
+    yet: every other block once, counted by ``blocks_read`` per server."""
     cluster, dfs, ef, payload = build(lambda: ReedSolomonCode(4, 3))
     cluster.fail(ef.server_of(0))
-    cluster.fail(ef.server_of(1))  # two lost data blocks: a full decode
-    gets = Counter()
-    real = dfs.client.get
-
-    def get(server, name, block):
-        gets[block] += 1
-        if block == 3:  # the second block the plan names, after block 2
-            cluster.fail(server)
-        return real(server, name, block)
-
-    monkeypatch.setattr(dfs.client, "get", get)
+    cluster.fail(ef.server_of(1))  # two lost data blocks: a full decode off blocks 2, 3, 4, 5
+    dfs.store.install_faults(flaky(ef.server_of(5)), dfs.clock)  # the last block the plan names
     assert dfs.read_file("f") == payload
     assert dfs.metrics.total("decode_replans") == 1
-    assert gets == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+    reads = Counter({b: 1 for b in (4, 6)})  # the decode's reads, one per block
+    reads.update({2: 2, 3: 2})  # data blocks: once by the file's runs, once by the decode
+    reads[5] = MAX_ATTEMPTS  # every try of the unreadable one, and no second read
+    assert dfs.metrics.by_server("blocks_read") == {ef.server_of(b): n for b, n in reads.items()}
 
 
 @pytest.mark.parametrize("name,make", CODES, ids=IDS)

@@ -114,6 +114,27 @@ class TestKernelEquivalence:
         plan = CodingPlan(GF65536, random_symbols(GF65536, (4, 6), seed=8), kernel="table")
         assert plan.kernel == "packed-full"
 
+    @pytest.mark.parametrize(
+        "make, tables, label",
+        [
+            (lambda: GalloperCode(4, 2, 1, gf=GF65536), 168, "packed-split"),
+            (lambda: ReedSolomonCode(6, 4, gf=GF65536), 6, "packed-full"),
+            (lambda: ReedSolomonCode(12, 4, gf=GF65536), 12, "packed-full"),
+        ],
+        ids=["galloper(4,2,1)", "rs(6,4)", "rs(12,4)"],
+    )
+    def test_real_encode_plans_take_the_faster_table(self, make, tables, label):
+        """The size rule at the committed limit, on real GF(2^16) encode plans:
+        each takes the table measured faster for its shape (split tables
+        for Galloper's 168 full ones, full tables for RS; ``docs/PERFORMANCE.md``,
+        "One mechanism per job")."""
+        code = make()
+        plan = CodingPlan(code.gf, code.generator, kernel="table")
+        assert plan._dense_cols.size * plan._groups == tables
+        assert plan.kernel == label
+        grid = random_symbols(code.gf, (code.data_stripe_total, SMALL_PRODUCT_ELEMS), seed=12)
+        assert np.array_equal(plan.apply(grid), code.encode(grid).reshape(code.n * code.N, -1))
+
     def test_spans_multiple_chunks(self):
         """Stripes longer than one gather chunk are stitched correctly."""
         coeffs = random_symbols(GF256, (5, 4), seed=9)

@@ -1,10 +1,10 @@
-"""Tests for the observability layer: tracer, metrics, kernel profiler.
+"""Tests for the observability layer: tracer, metrics, kernel time.
 
 Covers the guarantees docs/OBSERVABILITY.md makes: span nesting and the
 dual-clock export, the Chrome-trace JSON shape, the disabled-tracing
 no-op path (byte-identical workload output, nothing retained), histogram
-percentiles, the registry's single snapshot API, kernel profiling
-through ``CodingPlan.apply``, and the span tree the ``repro trace``
+percentiles, the registry's single snapshot API, kernel time from the
+``gf.apply`` spans of ``CodingPlan.apply``, and the span tree the ``repro trace``
 workload emits across the full block lifecycle.
 """
 
@@ -13,13 +13,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main, run_striped_stats, run_traced_striped
+from repro.cli import _kernel_profile, main, run_striped_stats, run_traced_striped
 from repro.cluster import Cluster
 from repro.core import GalloperCode
-from repro.obs import Tracer, profiled, use_tracer
+from repro.obs import Tracer, use_tracer
 from repro.obs import metrics
 from repro.obs.metrics import Gauge, Histogram
-from repro.obs.profile import KernelProfiler, get_profiler
 from repro.obs.trace import NULL_TRACER, NullTracer, get_tracer, set_tracer
 from repro.storage import DistributedFileSystem, StripedFileSystem
 from repro.storage.metrics import MetricsRegistry
@@ -388,54 +387,45 @@ class TestMetricsRegistry:
         assert reg.snapshot_all() == {"counters": {}, "histograms": {}, "gauges": {}}
 
 
-# ----------------------------------------------------------------- profiler
+# -------------------------------------------------------------- kernel time
 
 
-class TestKernelProfiler:
+class TestKernelTimeFromSpans:
+    """Each kernel apply is recorded once, by its ``gf.apply`` span."""
+
     def test_aggregation_and_throughput(self):
-        prof = KernelProfiler()
-        prof.record("packed-full", 0.5, 1 << 20)
-        prof.record("packed-full", 0.5, 1 << 20)
-        prof.record("copy", 0.0, 4096)
-        snap = prof.snapshot()
-        assert snap["packed-full"] == {
+        tracer = Tracer()
+        for kernel, seconds, nbytes in [
+            ("packed-full", 0.5, 1 << 20), ("packed-full", 0.5, 1 << 20), ("copy", 0.0, 4096),
+        ]:
+            with tracer.span("gf.apply", category="gf", kernel=kernel, bytes=nbytes) as span:
+                pass
+            span.wall_dur = seconds
+        with tracer.span("dfs.read_file", kernel="not a kernel", bytes=1):
+            pass
+        profile = _kernel_profile(tracer)
+        assert list(profile) == ["copy", "packed-full"]
+        assert profile["packed-full"] == {
             "calls": 2, "seconds": 1.0, "bytes": 2 << 20, "mb_per_s": pytest.approx(2.0),
         }
-        assert snap["copy"]["mb_per_s"] == 0.0  # zero elapsed, no div-by-zero
-        prof.reset()
-        assert prof.snapshot() == {}
-
-    def test_profiled_scopes_and_restores(self):
-        assert get_profiler().enabled is False
-        with profiled() as prof:
-            assert prof is get_profiler()
-            assert prof.enabled is True
-        assert get_profiler().enabled is False
+        assert profile["copy"]["mb_per_s"] == 0.0  # zero elapsed, no div-by-zero
 
     def test_coding_plan_apply_records(self):
         code = GalloperCode(4, 2, 1)
         rows = code.data_stripe_total
         grid = (np.arange(rows * 2048, dtype=np.int64).reshape(rows, 2048)
                 % int(code.gf.order)).astype(code.gf.dtype)
-        with profiled() as prof:
+        tracer = Tracer()
+        with use_tracer(tracer):
             code.encode(grid)
-        snap = prof.snapshot()
-        assert snap, "encode recorded no kernel calls"
+        spans = tracer.find("gf.apply")
+        assert spans, "encode recorded no kernel calls"
         known = {"copy", "packed-full", "packed-split", "direct-small", "xor",
                  "native", "native-xor"}
-        assert set(snap) <= known
-        for entry in snap.values():
-            assert set(entry) == {"calls", "seconds", "bytes", "mb_per_s"}
-            assert entry["calls"] >= 1
-            assert entry["bytes"] > 0
-
-    def test_disabled_by_default_records_nothing(self):
-        prof = get_profiler()
-        prof.reset()
-        code = GalloperCode(4, 2, 1)
-        grid = np.zeros((code.data_stripe_total, 64), dtype=code.gf.dtype)
-        code.encode(grid)
-        assert prof.snapshot() == {}
+        assert {span.attrs["kernel"] for span in spans} <= known
+        for span in spans:
+            assert span.attrs["bytes"] > 0
+            assert span.wall_dur >= 0.0
 
 
 class TestPlanCacheInfo:
@@ -559,6 +549,6 @@ class TestTraceCLI:
         assert set(payload) == {"code", "metrics", "plan_cache", "kernel_profile", "derived"}
         assert set(payload["metrics"]) == {"counters", "histograms", "gauges"}
         assert "plan_cache_hit_ratio" in payload["metrics"]["gauges"]
-        assert payload["kernel_profile"], "profiler captured no kernels"
+        assert payload["kernel_profile"], "no gf.apply span was recorded"
         for entry in payload["kernel_profile"].values():
             assert {"calls", "seconds", "bytes", "mb_per_s"} == set(entry)

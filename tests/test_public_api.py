@@ -223,14 +223,11 @@ PUBLIC_API = {
     "repro.obs": [
         "Gauge",
         "Histogram",
-        "KernelProfiler",
         "NULL_TRACER",
         "NullTracer",
         "Span",
         "Tracer",
-        "get_profiler",
         "get_tracer",
-        "profiled",
         "set_tracer",
         "use_tracer",
     ],
@@ -486,8 +483,6 @@ OPTIONS = {
         "components",
     ],
     "repro.obs.metrics:Histogram": [
-    ],
-    "repro.obs.profile:profiled": [
     ],
     "repro.codes:rs_generator": [
         "gf",

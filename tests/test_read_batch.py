@@ -308,3 +308,97 @@ def test_plain_ranges_booked_in_one_pass_match_the_step_by_step_books(setup):
             assert all(p is None or np.array_equal(p, q) for p, q in zip(got, want))
         assert ledger(booked) == ledger(stepped)
     assert booked.metrics.snapshot_all() == stepped.metrics.snapshot_all()
+
+
+# --------------------------------------------------------------------------
+# A whole-block read is a row-range read over every row.
+
+WHOLE_CODES = {
+    "rs": lambda: ReedSolomonCode(4, 3),
+    "pyramid": lambda: PyramidCode(4, 2, 1),
+    "galloper": lambda: GalloperCode(4, 2, 1),
+}
+FAULT_COMPONENTS = {
+    "none": None,
+    "transient": TransientErrors(rate=0.4),
+    "corruption": SilentCorruption(rate=0.4),
+    "spikes": LatencySpikes(rate=0.3, latency=0.7),  # past the read timeout
+    "gray": GraySlowdown(servers=frozenset({1, 2}), extra_latency=0.06),
+}
+
+whole_reads = st.fixed_dictionaries({
+    "code": st.sampled_from(sorted(WHOLE_CODES)),
+    "fault": st.sampled_from(sorted(FAULT_COMPONENTS)),
+    "level": st.sampled_from(["client", "store"]),
+    "down": st.sampled_from([None, None, 0, 3]),  # a block whose server is failed
+    "rot": st.sampled_from([None, None, 1, 4]),  # a block with a flipped byte on disk
+    "reads": st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+})
+
+
+def whole_twin(setup: dict):
+    """A file of ``setup["code"]`` and a 1-D block (one checksummed row) on
+    a spare server, under the fault component ``setup["fault"]``, broken
+    the way ``setup`` says; returns the filesystem and the blocks to read."""
+    code = WHOLE_CODES[setup["code"]]()
+    cluster = Cluster.homogeneous(code.n + 1)
+    component = FAULT_COMPONENTS[setup["fault"]]
+    dfs = DistributedFileSystem(cluster, fault_model=component and FaultModel(component, seed=43))
+    ef = dfs.write_file("f", payload_bytes(code.data_stripe_total * 600 - 5, seed=8), code=code)
+    dfs.store.put(code.n, "flat", 0, np.arange(5_000, dtype=np.uint16).astype(np.uint8))
+    if setup["rot"] is not None:
+        dfs.store.corrupt(ef.server_of(setup["rot"]), "f", setup["rot"], offset=77)
+    if setup["down"] is not None:
+        cluster.fail(ef.server_of(setup["down"]))
+    targets = [(ef.server_of(b), "f", b) for b in range(code.n)] + [(code.n, "flat", 0)]
+    return dfs, targets
+
+
+def read_whole(dfs, level: str, target: tuple, as_rows: bool):
+    """One read of every row of ``target``: whole (``get`` / ``timed_get``)
+    or as the row range ``(0, rows)``; returns its bytes and latency, or
+    the cause of its failure."""
+    rows = len(dfs.store._disks[target[0]][target[1:]])
+    try:
+        if level == "client":
+            data = dfs.client.read_rows(*target, 0, rows) if as_rows else dfs.client.get(*target)
+            latency = None
+        elif as_rows:
+            data, latency = dfs.store.timed_read_rows(*target, 0, rows, verify=True)
+        else:
+            data, latency = dfs.store.timed_get(*target, verify=True)
+    except BlockUnavailableError as exc:
+        return "failed", exc.cause, exc.server, exc.block
+    return np.asarray(data).tobytes(), latency
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(setup=whole_reads)
+def test_a_whole_block_read_is_a_read_of_every_row(setup):
+    """RS, Pyramid and Galloper blocks and a 1-D block, clean and under each
+    fault component, with a server down or rot on disk: reading a block
+    whole and reading rows ``(0, rows)`` of it return the same bytes and
+    leave the same counters by server, clock, health and fault draws."""
+    whole, targets = whole_twin(setup)
+    rows, _ = whole_twin(setup)
+    for pick in setup["reads"]:
+        target = targets[pick % len(targets)]
+        assert read_whole(whole, setup["level"], target, False) == read_whole(rows, setup["level"], target, True)
+        assert state(whole) == state(rows)
+
+
+@pytest.mark.parametrize("level", ["client", "store"])
+def test_a_whole_block_read_names_why_it_failed(level):
+    code = GalloperCode(4, 2, 1)
+    cluster = Cluster.homogeneous(code.n)
+    dfs = DistributedFileSystem(cluster)
+    ef = dfs.write_file("f", payload_bytes(code.data_stripe_total * 60, seed=2), code=code)
+    read = dfs.client.get if level == "client" else dfs.store.timed_get
+    with pytest.raises(BlockUnavailableError) as missing:
+        read(ef.server_of(1), "f", 0)
+    assert (missing.value.cause, missing.value.server, missing.value.block) == ("missing", ef.server_of(1), 0)
+    cluster.fail(ef.server_of(2))
+    with pytest.raises(BlockUnavailableError) as down:
+        read(ef.server_of(2), "f", 2)
+    assert (down.value.cause, down.value.server, down.value.block) == ("server_down", ef.server_of(2), 2)
+    assert dfs.metrics.total("blocks_read") == 0

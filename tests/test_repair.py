@@ -317,8 +317,9 @@ def _accounting_code(name, gf):
 
 def on_range_read(dfs, monkeypatch, hook):
     """Call ``hook((server, file, block, row0, nrows), rows)`` on every row
-    range the store hands back — through ``timed_read_rows`` or a client
-    batch alike, both of which bind their reads in ``_range_reader``: as
+    range the store hands back — through ``timed_read_rows``, a whole-block
+    ``timed_get`` or a client batch alike, each of which binds its reads in
+    ``_range_reader``: as
     an attempt ``read(i)``, or as a plain range's ``plain[i]``, which the
     client looks at only to return those rows."""
     real = dfs.store._range_reader
@@ -364,14 +365,6 @@ class TestRepairAccounting:
         block_bytes = ef.block_size * code.gf.dtype.itemsize
 
         returned = []
-        real_get = dfs.store.timed_get
-
-        def counted_get(*args, **kwargs):
-            data, latency = real_get(*args, **kwargs)
-            returned.append(data.nbytes)
-            return data, latency
-
-        monkeypatch.setattr(dfs.store, "timed_get", counted_get)
         on_range_read(dfs, monkeypatch, lambda target, data: returned.append(data.nbytes))
 
         for block in range(code.n):

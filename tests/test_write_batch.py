@@ -153,7 +153,7 @@ def written(dfs) -> dict:
     store = dfs.store
     return {
         "files": [
-            (name, ef.placement, ef.stripe_size, ef.original_size, ef.code._content_key())
+            (name, ef.placement, ef.stripe_size, ef.original_size, ef.code._built)
             for name, ef in dfs.files.items()
         ],
         "blocks": [
