@@ -10,7 +10,8 @@ payload (the ``(k*N, S)`` grid encoded) per shape::
 
     PYTHONPATH=src python benchmarks/table_speeds.py
 
-Each figure is the median over the rounds of the best of a few applies.
+Each figure is the median over the rounds of the best of a few applies,
+with the range over the rounds in brackets.
 """
 
 from __future__ import annotations
