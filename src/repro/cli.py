@@ -290,18 +290,16 @@ def cmd_analyze(args, out=None) -> int:
     return 0
 
 
-def _seeded_striped(code_factory, name: str, groups: int, block_bytes: int, seed: int, degraded_read: bool = False):
+def _seeded_striped(code_factory, name: str, groups: int, block_bytes: int, seed: int):
     """The seeded striped set-up ``repro stats`` and ``repro trace striped``
-    share; returns ``(dfs, meta, size, victim, repaired)``.
+    share; returns ``(dfs, sfs, payload, meta, size, victim)``.
 
     Writes a ~``groups``-group striped file ``name`` (with a ragged tail)
-    through the batched pipeline and reads it back, fails the server
-    holding the first group's block 0 (with ``degraded_read``, reads the
-    file around it), bulk-repairs that server and reads the file back
-    again.  Each read must return the payload.
+    through the batched pipeline, reads it back and fails ``victim``, the
+    server holding the first group's block 0.
     """
     from repro.cluster.topology import Cluster
-    from repro.storage import DistributedFileSystem, RepairManager, StripedFileSystem
+    from repro.storage import DistributedFileSystem, StripedFileSystem
     from repro.storage.striped import group_name
 
     probe = code_factory()
@@ -316,26 +314,19 @@ def _seeded_striped(code_factory, name: str, groups: int, block_bytes: int, seed
     dfs = DistributedFileSystem(cluster)
     sfs = StripedFileSystem(dfs)
     meta = sfs.write_file(name, payload, code_factory, max_block_bytes=block_bytes)
-
-    def read_back(when: str) -> None:
-        if sfs.read_file(name) != payload:
-            raise CLIError(f"{name} workload read mismatch {when}")
-
-    read_back("after the write")
+    if sfs.read_file(name) != payload:
+        raise CLIError(f"{name} workload clean read mismatch")
     victim = dfs.file(group_name(name, 0)).server_of(0)
     cluster.fail(victim)
-    if degraded_read:
-        read_back("with a server down")
-    repaired = RepairManager(dfs).repair_server(victim)
-    read_back("after repair")
-    return dfs, meta, size, victim, repaired
+    return dfs, sfs, payload, meta, size, victim
 
 
 def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, seed: int = 0) -> dict:
     """Seeded in-memory striped workload; returns the stats payload.
 
-    The :func:`_seeded_striped` set-up, reporting the shared code's
-    plan-cache counters plus the filesystem metrics.  Importable by
+    The :func:`_seeded_striped` set-up, then a bulk repair of the failed
+    server and a read-back, reporting the shared code's plan-cache
+    counters plus the filesystem metrics.  Importable by
     benchmarks and tests; ``repro stats`` prints it as JSON.
     ``derived.zero_copy_fraction`` is the share of written and read-back
     payload bytes that moved as views (1.0 over GF(2^8), ragged tail
@@ -343,12 +334,16 @@ def run_striped_stats(code_factory, groups: int = 16, block_bytes: int = 4096, s
     wider field's symbols — the only copy ``bytes_copied`` counts.
     """
     from repro.gf import kernel_bytes_info, kernel_selection_info, reset_kernel_selection
+    from repro.storage import RepairManager
     from repro.storage.striped import group_name
 
     # Zero the process-wide tier counters so the payload reflects this
     # workload alone (deterministic across repeated invocations).
     reset_kernel_selection()
-    dfs, meta, size, _, repaired = _seeded_striped(code_factory, "stats", groups, block_bytes, seed)
+    dfs, sfs, payload, meta, size, victim = _seeded_striped(code_factory, "stats", groups, block_bytes, seed)
+    repaired = RepairManager(dfs).repair_server(victim)
+    if sfs.read_file("stats") != payload:
+        raise CLIError("stats workload read-back mismatch after repair")
     code = dfs.file(group_name("stats", 0)).code
 
     cache = code.plan_cache_info()
@@ -525,16 +520,21 @@ def cmd_serve(args, out=None) -> int:
 def run_traced_striped(code_factory, groups: int = 8, block_bytes: int = 4096, seed: int = 0) -> dict:
     """Seeded striped workload exercising every traced path.
 
-    The :func:`_seeded_striped` set-up with a degraded read, so the span
-    tree covers the full block lifecycle: batched write (encode → place
-    → store), clean read, server failure, a **degraded** read off the
-    surviving blocks, bulk repair, and a final verify read.  Returns
-    summary facts for the CLI to print; run it under
-    :func:`repro.obs.use_tracer` to capture the trace.
+    The :func:`_seeded_striped` set-up, then a degraded read, a bulk
+    repair and a read-back, so the span tree covers the full block
+    lifecycle: batched write (encode → place → store), clean read, server
+    failure, a **degraded** read off the surviving blocks, bulk repair,
+    and a final verify read.  Returns summary facts for the CLI to print;
+    run it under :func:`repro.obs.use_tracer` to capture the trace.
     """
-    dfs, meta, size, victim, repaired = _seeded_striped(
-        code_factory, "traced", groups, block_bytes, seed, degraded_read=True
-    )
+    from repro.storage import RepairManager
+
+    dfs, sfs, payload, meta, size, victim = _seeded_striped(code_factory, "traced", groups, block_bytes, seed)
+    if sfs.read_file("traced") != payload:
+        raise CLIError("traced workload degraded read mismatch")
+    repaired = RepairManager(dfs).repair_server(victim)
+    if sfs.read_file("traced") != payload:
+        raise CLIError("traced workload post-repair read mismatch")
     return {
         "groups": meta.group_count,
         "payload_bytes": size,

@@ -124,18 +124,19 @@ def test_flaky_helper_triggers_decode_replan():
 
 
 def test_decode_replan_keeps_the_survivors_it_read():
-    """A survivor that cannot be read stops the decode's batch; it is
-    excluded, and the re-planned decode reads only what it has not read
-    yet: every other block once, counted by ``blocks_read`` per server."""
+    """A survivor that cannot be read stops the decode's batch: the
+    survivors after it are not attempted. It is excluded, and the
+    re-planned decode reads only what it has not read yet: every other
+    block once, counted by ``blocks_read`` per server."""
     cluster, dfs, ef, payload = build(lambda: ReedSolomonCode(4, 3))
     cluster.fail(ef.server_of(0))
     cluster.fail(ef.server_of(1))  # two lost data blocks: a full decode off blocks 2, 3, 4, 5
-    dfs.store.install_faults(flaky(ef.server_of(5)), dfs.clock)  # the last block the plan names
+    dfs.store.install_faults(flaky(ef.server_of(4)), dfs.clock)  # the first parity the plan names
     assert dfs.read_file("f") == payload
     assert dfs.metrics.total("decode_replans") == 1
-    reads = Counter({b: 1 for b in (4, 6)})  # the decode's reads, one per block
-    reads.update({2: 2, 3: 2})  # data blocks: once by the file's runs, once by the decode
-    reads[5] = MAX_ATTEMPTS  # every try of the unreadable one, and no second read
+    reads = Counter({2: 2, 3: 2})  # data blocks: once by the file's runs, once by the decode
+    reads[4] = MAX_ATTEMPTS  # every try of the unreadable one, and no second read
+    reads.update({5: 1, 6: 1})  # after it: not tried in the failed batch, read once on the re-plan
     assert dfs.metrics.by_server("blocks_read") == {ef.server_of(b): n for b, n in reads.items()}
 
 
