@@ -43,6 +43,10 @@ Headline fields (also printed):
   the size test that decides it (0.97 here).
   Recorded only when the library carries the kernel
   (``native_crc32_available``: x86 with PCLMUL).
+
+Each run record also carries ``simd_level`` (when a toolchain is
+available): 3 for the GFNI / VPCLMULQDQ kernels, 2 for AVX2, 1 for plain
+C — the host's ISA path, not a gated metric.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from repro.bench.experiments import (
 )
 from repro.cluster import Cluster
 from repro.gf import native_available, native_unavailable_reason
+from repro.gf.native import get_backend
 from repro.storage import BlockStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -172,6 +177,9 @@ def run(quick: bool = False) -> dict:
         "wide_stripe": {"note": wide.notes, "rows": wide.rows},
     }
     if record["native_available"]:
+        # Which ISA path the kernels ran (see NativeBackend.simd_level), so
+        # trajectories from different hosts can be told apart.
+        record["simd_level"] = get_backend().simd_level
         record["native_wide_speedup"] = min(r["native_speedup"] for r in wide.rows)
         record["native_wide_gbps"] = min(r["native_gb_s"] for r in wide.rows)
         record.update(crc32_rows_metrics(repeats=5 if quick else 15))

@@ -52,6 +52,7 @@ import os
 import numpy as np
 
 from repro.gf.field import GF, GFError
+from repro.gf import native as _native
 from repro.gf import schedule as _schedule
 from repro.gf.schedule import XorSchedule, predicted_win
 from repro.obs.trace import get_tracer
@@ -331,8 +332,6 @@ class CodingPlan:
             # Bind the process-wide native backend (compiled / dlopen'ed
             # on first demand).  Forced "native" without a usable
             # toolchain degrades to the numpy tiers and is counted.
-            from repro.gf import native as _native
-
             self._native_backend = _native.get_backend()
             if self._native_backend is None and self._choice == "native":
                 self._native_fallback = True
@@ -739,7 +738,8 @@ class CodingPlan:
         if self._schedule is not None:
             self._native_tables = ()
         elif self.gf.q == 8:
-            self._native_tables = (np.ascontiguousarray(self.gf.mul_table[sub]),)
+            tables = np.ascontiguousarray(self.gf.mul_table[sub])
+            self._native_tables = (tables, _native.gf8_vector_operands(tables))
         else:
             lo, hi = split_product_tables(self.gf, sub.reshape(-1))
             shape = (*sub.shape, 256)
@@ -770,8 +770,8 @@ class CodingPlan:
         if self._schedule is not None:
             self._schedule.execute_native(backend, *operands)
         elif self.gf.q == 8:
-            (tables,) = self._native_tables
-            backend.gf8_gather(tables, self._sub, *operands, self._cache_block_elems())
+            tables, vec = self._native_tables
+            backend.gf8_gather(tables, vec, self._sub, *operands, self._cache_block_elems())
         else:
             lo, hi = self._native_tables
             backend.gf16_gather(lo, hi, self._sub, *operands, self._cache_block_elems())

@@ -106,7 +106,7 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
-int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
+int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
                      const int32_t *copies, int32_t ncopy,
@@ -141,6 +141,21 @@ def _crc_table_c() -> str:
     )
 
 
+def _fold_constants(bits: int) -> str:
+    """The ``_mm_set_epi64x`` operands that fold a 128-bit lane of zlib's
+    bit-reflected CRC-32 ``bits`` bits forward: ``x^(bits - 32)`` and
+    ``x^(bits + 32)`` modulo the polynomial, each bit-reflected into 33
+    bits (high lane first)."""
+
+    def reflected(power: int) -> int:
+        rem = 1
+        for _ in range(power):
+            rem = (rem << 1) ^ (0x104C11DB7 if rem & (1 << 31) else 0)
+        return int(f"{rem:032b}"[::-1], 2) << 1
+
+    return f"0x{reflected(bits - 32):09x}, 0x{reflected(bits + 32):09x}"
+
+
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
@@ -151,9 +166,21 @@ _C_SOURCE = r"""
 #include <immintrin.h>
 #endif
 
+/* The host's full vector width: GF(2^8) products by GFNI and the CRC-32
+ * fold by VPCLMULQDQ, both on 512-bit registers. */
+#if defined(__GFNI__) && defined(__AVX512BW__) && defined(__VPCLMULQDQ__) \
+    && defined(__PCLMUL__) && defined(__SSE4_1__)
+#define WIDE 1
+#else
+#define WIDE 0
+#endif
+
+/* 3: the wide kernels; 2: AVX2 (pshufb products); 1: plain C. */
 int repro_native_simd(void)
 {
-#if defined(__AVX2__)
+#if WIDE
+    return 3;
+#elif defined(__AVX2__)
     return 2;
 #else
     return 1;
@@ -195,98 +222,166 @@ static const uint8_t **row_table(char **bases, const int64_t *geometry,
 }
 
 /* The identity rows of a plan: out row copies[2c] = input row
- * copies[2c + 1], `nbytes` bytes each. */
+ * copies[2c + 1], `nbytes` bytes each from byte `off` on. */
 static void copy_rows(const uint8_t **in, const int32_t *copies, int32_t ncopy,
-                      uint8_t *out, ptrdiff_t ostride, size_t nbytes)
+                      uint8_t *out, ptrdiff_t ostride, size_t off, size_t nbytes)
 {
     int32_t c;
     for (c = 0; c < ncopy; c++)
-        memcpy(out + (ptrdiff_t)copies[2 * c] * ostride, in[copies[2 * c + 1]], nbytes);
+        memcpy(out + (ptrdiff_t)copies[2 * c] * ostride + (ptrdiff_t)off,
+               in[copies[2 * c + 1]] + off, nbytes);
 }
 
 /* ------------------------------------------------------------- gather */
 
-/* dst[t] (^)= tab[src[t]] over one cache block; tab is one coefficient's
- * 256-entry product table.  acc == 0 stores (the first product of an
- * output row lands directly, no zero-fill pass), acc != 0 accumulates. */
-static void mla8_scalar(uint8_t *dst, const uint8_t *src, const uint8_t *tab,
-                        size_t w, int acc)
+/* A cache block of the GF(2^8) gather is at most GATHER_BLOCK bytes per
+ * row: every input row of a block stays in L2 while each dense output row
+ * of it is computed from them in turn. */
+#define GATHER_BLOCK 32768
+
+/* Bytes per coefficient in the vector kernels' operands: the products of
+ * the 16 low nibbles, of the 16 high nibbles, then the coefficient's 8x8
+ * GF(2) matrix as vgf2p8affineqb takes it (a little-endian uint64). */
+#define VEC_OPERAND 40
+
+/* dst[t] = sum over q < k of c_q * src[q][t], t < w: one dense output row
+ * over one cache block from its k nonzero terms, c_q given by op[q] (the
+ * coefficient's 256-entry product table in plain C, its VEC_OPERAND
+ * record in the vector kernels). */
+#if WIDE
+/* GFNI: multiplying by c is the linear map of c's bit matrix, one
+ * vgf2p8affineqb per 64 symbols; the accumulators stay in registers and
+ * each 64-byte chunk of the row is stored once, the tail under a mask. */
+#define GATHER_VECTOR 1
+
+static inline __m512i mul8(const uint8_t *op, __m512i x)
 {
-    size_t t;
-    if (acc)
-        for (t = 0; t < w; t++) dst[t] ^= tab[src[t]];
-    else
-        for (t = 0; t < w; t++) dst[t] = tab[src[t]];
+    uint64_t a;
+    memcpy(&a, op + 32, sizeof a);
+    return _mm512_gf2p8affine_epi64_epi8(x, _mm512_set1_epi64((long long)a), 0);
 }
 
-#if defined(__AVX2__)
-/* ISA-L style nibble split: c*x == c*(x_lo) ^ c*(x_hi << 4), each term a
- * 16-entry table -> one pshufb per nibble, 32 symbols per iteration. */
-static void mla8_block(uint8_t *dst, const uint8_t *src, const uint8_t *tab,
-                       size_t w, int acc)
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
 {
-    uint8_t hi_tab[16];
-    __m256i lo_t, hi_t, mask;
-    size_t t = 0;
-    int v;
-    if (w < 32) { mla8_scalar(dst, src, tab, w, acc); return; }
-    for (v = 0; v < 16; v++) hi_tab[v] = tab[v << 4];
-    lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)tab));
-    hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)hi_tab));
-    mask = _mm256_set1_epi8(0x0f);
-    for (; t + 32 <= w; t += 32) {
-        __m256i x = _mm256_loadu_si256((const __m256i *)(src + t));
-        __m256i lo = _mm256_and_si256(x, mask);
-        __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), mask);
-        __m256i p = _mm256_xor_si256(_mm256_shuffle_epi8(lo_t, lo),
-                                     _mm256_shuffle_epi8(hi_t, hi));
-        if (acc)
-            p = _mm256_xor_si256(p, _mm256_loadu_si256((const __m256i *)(dst + t)));
-        _mm256_storeu_si256((__m256i *)(dst + t), p);
+    size_t t = 0, q;
+    for (; t + 128 <= w; t += 128) {
+        __m512i a0 = _mm512_setzero_si512(), a1 = a0;
+        for (q = 0; q < k; q++) {
+            a0 = _mm512_xor_si512(a0, mul8(op[q], _mm512_loadu_si512(src[q] + t)));
+            a1 = _mm512_xor_si512(a1, mul8(op[q], _mm512_loadu_si512(src[q] + t + 64)));
+        }
+        _mm512_storeu_si512(dst + t, a0);
+        _mm512_storeu_si512(dst + t + 64, a1);
     }
-    if (t < w) mla8_scalar(dst + t, src + t, tab, w - t, acc);
+    for (; t < w; t += 64) {
+        __mmask64 mask = w - t >= 64 ? ~(__mmask64)0 : ((__mmask64)1 << (w - t)) - 1;
+        __m512i a = _mm512_setzero_si512();
+        for (q = 0; q < k; q++)
+            a = _mm512_xor_si512(a, mul8(op[q], _mm512_maskz_loadu_epi8(mask, src[q] + t)));
+        _mm512_mask_storeu_epi8(dst + t, mask, a);
+    }
+}
+#elif defined(__AVX2__)
+/* ISA-L style nibble split: c*x == c*(x_lo) ^ c*(x_hi << 4), each term a
+ * 16-entry table -> one pshufb per nibble, 32 symbols per shuffle; the
+ * accumulators stay in registers, 64 symbols at a time. */
+#define GATHER_VECTOR 1
+
+static inline __m256i mul8(const uint8_t *op, __m256i x)
+{
+    const __m256i nibble = _mm256_set1_epi8(0x0f);
+    __m256i lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)op));
+    __m256i hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)(op + 16)));
+    return _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo_t, _mm256_and_si256(x, nibble)),
+        _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble)));
+}
+
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
+{
+    size_t t = 0, q;
+    for (; t + 64 <= w; t += 64) {
+        __m256i a0 = _mm256_setzero_si256(), a1 = a0;
+        for (q = 0; q < k; q++) {
+            a0 = _mm256_xor_si256(a0, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t))));
+            a1 = _mm256_xor_si256(a1, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t + 32))));
+        }
+        _mm256_storeu_si256((__m256i *)(dst + t), a0);
+        _mm256_storeu_si256((__m256i *)(dst + t + 32), a1);
+    }
+    for (; t + 32 <= w; t += 32) {
+        __m256i a = _mm256_setzero_si256();
+        for (q = 0; q < k; q++)
+            a = _mm256_xor_si256(a, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t))));
+        _mm256_storeu_si256((__m256i *)(dst + t), a);
+    }
+    for (; t < w; t++) {
+        uint8_t a = 0;
+        for (q = 0; q < k; q++) {
+            uint8_t x = src[q][t];
+            a ^= op[q][x & 15] ^ op[q][16 + (x >> 4)];
+        }
+        dst[t] = a;
+    }
 }
 #else
-#define mla8_block mla8_scalar
+/* Plain C: one table pass per term, the first storing, the rest
+ * accumulating. */
+#define GATHER_VECTOR 0
+
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
+{
+    size_t t, q;
+    if (!k) memset(dst, 0, w);
+    for (q = 0; q < k; q++) {
+        const uint8_t *s = src[q], *tab = op[q];
+        if (q)
+            for (t = 0; t < w; t++) dst[t] ^= tab[s[t]];
+        else
+            for (t = 0; t < w; t++) dst[t] = tab[s[t]];
+    }
+}
 #endif
 
-/* Cache-blocked (m x n) GF(2^8) product per segment: for each L2-sized
- * column block, walk the input rows cols[0..n) once; every output-row
- * segment stays resident across the walk.  `started` marks rows whose
- * first product already landed.  Returns -1 when the row table cannot
- * be allocated. */
-int repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
+/* Cache-blocked (m x n) GF(2^8) product per segment: per block of at most
+ * GATHER_BLOCK bytes a row, make the identity copies, then compute each
+ * dense output row from its nonzero terms and store it once.  `tables`
+ * holds each coefficient's 256-entry product table, `vec` its
+ * VEC_OPERAND record; the kernel reads the one it was compiled for.
+ * Returns -1 when the row table cannot be allocated. */
+int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
                      const int32_t *copies, int32_t ncopy,
                      char **outs, const int64_t *oshape, size_t nseg, size_t block)
 {
-    size_t nin = nseg ? range_rows(geometry, nranges) / nseg : 0;
-    const uint8_t **row = row_table(bases, geometry, nranges, (size_t)m);
-    uint8_t *started;
+    size_t nrow = range_rows(geometry, nranges);
+    size_t nin = nseg ? nrow / nseg : 0;
+    const uint8_t **row = row_table(bases, geometry, nranges, 2 * (size_t)n * sizeof *row);
+    const uint8_t **src, **op;
     size_t g;
     if (!row) return -1;
-    started = (uint8_t *)(row + range_rows(geometry, nranges));
+    src = row + nrow;
+    op = src + n;
+    if (block > GATHER_BLOCK) block = GATHER_BLOCK;
     for (g = 0; g < nseg; g++) {
         const uint8_t **in = row + g * nin;
         uint8_t *out = (uint8_t *)outs[g];
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t s = (size_t)oshape[2 * g + 1], s0;
-        copy_rows(in, copies, ncopy, out, ostride, s);
         for (s0 = 0; s0 < s; s0 += block) {
             size_t w = (s - s0 < block) ? s - s0 : block;
             int32_t i, j;
-            memset(started, 0, (size_t)m);
-            for (j = 0; j < n; j++) {
-                const uint8_t *src = in[cols[j]] + s0;
-                for (i = 0; i < m; i++) {
-                    uint8_t c = coeffs[(size_t)i * (size_t)n + (size_t)j];
-                    if (!c) continue;
-                    mla8_block(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src,
-                               tables + ((size_t)i * (size_t)n + (size_t)j) * 256,
-                               w, started[i]);
-                    started[i] = 1;
+            copy_rows(in, copies, ncopy, out, ostride, s0, w);
+            for (i = 0; i < m; i++) {
+                size_t k = 0;
+                for (j = 0; j < n; j++) {
+                    size_t e = (size_t)i * (size_t)n + (size_t)j;
+                    if (!coeffs[e]) continue;
+                    src[k] = in[cols[j]] + s0;
+                    op[k++] = GATHER_VECTOR ? vec + e * VEC_OPERAND : tables + e * 256;
                 }
+                dot8(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src, op, k, w);
             }
         }
     }
@@ -325,7 +420,7 @@ int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
         uint8_t *out = (uint8_t *)outs[g];
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t s = (size_t)oshape[2 * g + 1] / 2, s0;
-        copy_rows(in, copies, ncopy, out, ostride, 2 * s);
+        copy_rows(in, copies, ncopy, out, ostride, 0, 2 * s);
         for (s0 = 0; s0 < s; s0 += block) {
             size_t w = (s - s0 < block) ? s - s0 : block;
             int32_t i, j;
@@ -422,7 +517,7 @@ int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t nbytes = (size_t)oshape[2 * g + 1], s0;
         size_t block = block_bytes ? block_bytes : nbytes;
-        copy_rows(in, copies, ncopy, out, ostride, nbytes);
+        copy_rows(in, copies, ncopy, out, ostride, 0, nbytes);
         for (s0 = 0; s0 < nbytes; s0 += block) {
             size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
             int32_t p;
@@ -500,24 +595,62 @@ static inline __m128i crc_fold(__m128i a, __m128i k, __m128i next)
                          next);
 }
 
+#if WIDE
+/* crc_fold in each of the four 128-bit lanes of a 512-bit register. */
+static inline __m512i crc_fold512(__m512i a, __m512i k, __m512i next)
+{
+    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(a, k, 0x00),
+                                     _mm512_clmulepi64_epi128(a, k, 0x11), next, 0x96);
+}
+#endif
+
 /* Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
  * bit-reflected form: four 128-bit lanes folded 512 bits at a time, then
- * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  `crc` is the
- * running (inverted) register; n >= 64 and a multiple of 16. */
+ * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  With the
+ * wide kernels, a run of 256 bytes or more is first folded by four
+ * 512-bit accumulators (sixteen lanes), 2048 bits a step, and then into
+ * the four lanes the 128-bit loop carries on from.  `crc` is the running
+ * (inverted) register; n >= 64 and a multiple of 16. */
 static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n)
 {
-    const __m128i k512 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
-    const __m128i k128 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k512 = _mm_set_epi64x(@FOLD_512@);
+    const __m128i k128 = _mm_set_epi64x(@FOLD_128@);
     const __m128i k64 = _mm_set_epi64x(0, 0x163cd6124);
     const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
     const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
-    __m128i x0 = _mm_loadu_si128((const __m128i *)p);
-    __m128i x1 = _mm_loadu_si128((const __m128i *)(p + 16));
-    __m128i x2 = _mm_loadu_si128((const __m128i *)(p + 32));
-    __m128i x3 = _mm_loadu_si128((const __m128i *)(p + 48));
-    __m128i t;
-    x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128((int)crc));
-    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    __m128i x0, x1, x2, x3, t;
+#if WIDE
+    if (n >= 256) {
+        const __m512i k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(@FOLD_2048@));
+        const __m512i k512x4 = _mm512_broadcast_i32x4(k512);
+        __m512i z0 = _mm512_loadu_si512(p), z1 = _mm512_loadu_si512(p + 64);
+        __m512i z2 = _mm512_loadu_si512(p + 128), z3 = _mm512_loadu_si512(p + 192);
+        z0 = _mm512_xor_si512(z0, _mm512_inserti32x4(_mm512_setzero_si512(),
+                                                      _mm_cvtsi32_si128((int)crc), 0));
+        for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+            z0 = crc_fold512(z0, k2048, _mm512_loadu_si512(p));
+            z1 = crc_fold512(z1, k2048, _mm512_loadu_si512(p + 64));
+            z2 = crc_fold512(z2, k2048, _mm512_loadu_si512(p + 128));
+            z3 = crc_fold512(z3, k2048, _mm512_loadu_si512(p + 192));
+        }
+        z0 = crc_fold512(z0, k512x4, z1);
+        z0 = crc_fold512(z0, k512x4, z2);
+        z0 = crc_fold512(z0, k512x4, z3);
+        x0 = _mm512_extracti32x4_epi32(z0, 0);
+        x1 = _mm512_extracti32x4_epi32(z0, 1);
+        x2 = _mm512_extracti32x4_epi32(z0, 2);
+        x3 = _mm512_extracti32x4_epi32(z0, 3);
+    } else
+#endif
+    {
+        x0 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p), _mm_cvtsi32_si128((int)crc));
+        x1 = _mm_loadu_si128((const __m128i *)(p + 16));
+        x2 = _mm_loadu_si128((const __m128i *)(p + 32));
+        x3 = _mm_loadu_si128((const __m128i *)(p + 48));
+        p += 64;
+        n -= 64;
+    }
+    for (; n >= 64; p += 64, n -= 64) {
         x0 = crc_fold(x0, k512, _mm_loadu_si128((const __m128i *)p));
         x1 = crc_fold(x1, k512, _mm_loadu_si128((const __m128i *)(p + 16)));
         x2 = crc_fold(x2, k512, _mm_loadu_si128((const __m128i *)(p + 32)));
@@ -568,7 +701,27 @@ void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
     }
 }
 #endif
-""".replace("@CRC_TABLE@", _crc_table_c())
+""".replace("@CRC_TABLE@", _crc_table_c()).replace(
+    "@FOLD_2048@", _fold_constants(2048)).replace(
+    "@FOLD_512@", _fold_constants(512)).replace(
+    "@FOLD_128@", _fold_constants(128))
+
+
+def gf8_vector_operands(tables: np.ndarray) -> np.ndarray:
+    """The vector gather kernels' operand of each GF(2^8) coefficient,
+    from its 256-entry product table (``tables[..., x] == c * x``): 40
+    bytes, the products of the 16 low nibbles, of the 16 high nibbles
+    (``c * (v << 4)``), then the 8x8 GF(2) matrix of ``x -> c * x`` as
+    ``vgf2p8affineqb`` reads it: byte ``7 - i`` masks the input bits that
+    output bit ``i`` sums."""
+    ops = np.empty((*tables.shape[:-1], 40), dtype=np.uint8)
+    ops[..., :16] = tables[..., :16]
+    ops[..., 16:32] = tables[..., ::16]
+    bit = np.arange(8, dtype=np.uint8)
+    columns = tables[..., 1 << bit]  # column j: c * x^j
+    bits = (columns[..., None, :] >> bit[:, None]) & 1  # [..., i, j]: bit i of column j
+    ops[..., 32:] = (bits << bit).sum(axis=-1, dtype=np.uint8)[..., ::-1]
+    return ops
 
 
 class NativeBuildError(RuntimeError):
@@ -697,7 +850,9 @@ class NativeBackend:
         self._ffi = ffi
         self._lib = lib
         self.so_path = so_path
-        #: 2 when the library was compiled with AVX2, 1 for plain C.
+        #: 3 when the library carries the wide kernels (GFNI products and
+        #: the VPCLMULQDQ CRC-32 fold on 512-bit registers), 2 when it was
+        #: compiled with AVX2, 1 for plain C.
         self.simd_level = int(lib.repro_native_simd())
         #: Whether the library carries the PCLMULQDQ CRC-32 kernel
         #: (:meth:`crc32_rows`); without it callers stay on ``zlib``.
@@ -742,10 +897,12 @@ class NativeBackend:
 
     # ------------------------------------------------------------- kernels
 
-    def gf8_gather(self, tables, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
-        """``out[rows] = tables @ input[cols]`` over GF(2^8) for every
+    def gf8_gather(self, tables, vec, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
+        """``out[rows] = coeffs @ input[cols]`` over GF(2^8) for every
         segment, cache-blocked, after the identity rows ``copies`` (``(out
-        row, input row)`` pairs, flat).
+        row, input row)`` pairs, flat).  ``tables`` holds each
+        coefficient's product table and ``vec`` its vector operands
+        (:func:`gf8_vector_operands`), both made once per plan.
 
         The input rows are those of ``chunks`` laid end to end
         (:meth:`_row_ranges`), ``len(offsets)`` equal shares of them.
@@ -758,7 +915,7 @@ class NativeBackend:
         outs, _handle = self._outputs(out, offsets)
         p = self._ptr
         if self._lib.repro_gf8_gather(
-            p("uint8_t[]", tables), p("uint8_t[]", coeffs),
+            p("uint8_t[]", tables), p("uint8_t[]", vec), p("uint8_t[]", coeffs),
             bases, geometry, len(bases),
             p("int32_t[]", cols), p("int32_t[]", rows), m, n,
             p("int32_t[]", copies), copies.size // 2,
@@ -859,7 +1016,7 @@ class NativeBackend:
         return ffi.unpack(out, total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        simd = "avx2" if self.simd_level >= 2 else "scalar"
+        simd = {3: "avx512-gfni", 2: "avx2"}.get(self.simd_level, "scalar")
         return f"NativeBackend({simd}, {self.so_path})"
 
 

@@ -7,6 +7,7 @@ tests simulate the compiler-less host explicitly.
 """
 
 import os
+import platform
 import subprocess
 import sys
 import zlib
@@ -78,7 +79,8 @@ class TestBuild:
         backend = nat.get_backend()
         assert backend.so_path.exists()
         assert backend.so_path.parent == nat._cache_root() / nat.native_build_key()
-        assert backend.simd_level >= 1
+        assert backend.simd_level in (1, 2, 3)
+        assert {1: "scalar", 2: "avx2", 3: "avx512-gfni"}[backend.simd_level] in repr(backend)
 
     def test_build_key_is_stable_and_content_addressed(self):
         key = nat.native_build_key()
@@ -322,6 +324,93 @@ class TestCrc32Rows:
         assert backend.crc32_ranges([], []) == []
         with pytest.raises(ValueError):
             backend.crc32_ranges([backend.row_buffer(np.zeros((2, 8), dtype=np.uint8))], [8, 2])
+
+
+@pytest.fixture(scope="module")
+def avx2_backend(tmp_path_factory):
+    """The generated C built a second time without AVX-512, GFNI or
+    VPCLMULQDQ and loaded through the module's cdef: the kernels a host
+    without the wide ones runs (level 2 on an AVX2 host)."""
+    cffi = pytest.importorskip("cffi")
+    cc = nat._compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the AVX2 build's flags are x86 flags")
+    build = tmp_path_factory.mktemp("avx2")
+    c_path, so_path = build / "repro_native.c", build / "repro_native.so"
+    c_path.write_text(nat._C_SOURCE)
+    flags = ["-O3", "-march=native", "-mno-avx512f", "-mno-gfni", "-mno-vpclmulqdq", "-fPIC", "-shared"]
+    proc = subprocess.run([cc, *flags, str(c_path), "-o", str(so_path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ffi = cffi.FFI()
+    ffi.cdef(nat._CDEF)
+    return nat.NativeBackend(ffi, nat._dlopen(ffi, so_path), so_path)
+
+
+def _isa_backends(request) -> list:
+    """The default build (the wide kernels, on a host that has them) and
+    the AVX2 build, each when it exists here."""
+    backends = [request.getfixturevalue("avx2_backend")]
+    if native_available():
+        backends.insert(0, nat.get_backend())
+    return backends
+
+
+def _one_loss_plans():
+    """The encode and the decode after losing block 0 of each e2e code."""
+    from repro.codes import PyramidCode, ReedSolomonCode
+    from repro.core import GalloperCode
+
+    for code in (ReedSolomonCode(4, 3), PyramidCode(4, 2, 1), GalloperCode(4, 2, 1)):
+        yield pytest.param(code.generator, id=f"{code.name}-encode")
+        yield pytest.param(code.compile_decode(range(1, code.n)).plan.coeffs, id=f"{code.name}-decode")
+
+
+class TestIsaPaths:
+    """Both ISA paths of the generated C on one host: the gather and the
+    CRC-32 of the default build and of the AVX2 build agree with the
+    numpy table tier and with ``zlib`` at every width, ragged tails and
+    the 512-bit fold included."""
+
+    WIDTHS = (1, 31, 63, 64, 65, 2_340, 16_380, 1_048_572)
+
+    def test_avx2_build_reports_its_level(self, avx2_backend):
+        assert avx2_backend.simd_level in (1, 2)
+        if native_available() and nat.get_backend().simd_level == 3:
+            assert {"gfni", "avx512bw", "vpclmulqdq"} <= set(nat._cpu_features().split())
+            assert nat.get_backend().has_crc32
+
+    @pytest.mark.parametrize("coeffs", _one_loss_plans())
+    def test_gather_matches_the_table_tier(self, request, coeffs):
+        backends = _isa_backends(request)
+        rng = np.random.default_rng(coeffs.size)
+        for width in self.WIDTHS:
+            backing = rng.integers(0, 256, size=(coeffs.shape[1], width + 9), dtype=np.uint8)
+            rows = backing[:, 3 : 3 + width]  # unaligned, rows apart by more than their width
+            want = CodingPlan(GF256, coeffs, kernel="table").apply(np.ascontiguousarray(rows))
+            for backend in backends:
+                plan = CodingPlan(GF256, coeffs, kernel="native")
+                plan._decide_tier()  # then pinned to the gather on this build
+                plan._schedule, plan._native_backend = None, backend
+                out = np.zeros((coeffs.shape[0], width + 5), dtype=np.uint8)[:, 5:]
+                plan._native_segments([rows], out, [0], [out.strides[0], width])
+                assert np.array_equal(out, want), (backend, width)
+
+    def test_crc32_matches_zlib(self, request):
+        widths = [*range(1, 301), 4_096, 16_380]
+        rng = np.random.default_rng(5)
+        for backend in _isa_backends(request):
+            if not backend.has_crc32:
+                continue
+            for width in widths:
+                backing = rng.integers(0, 256, size=(3, width + 11), dtype=np.uint8)
+                rows = backing[:, 7 : 7 + width]
+                want = [zlib.crc32(row.tobytes()) for row in rows]
+                assert backend.crc32_rows(rows) == want, (backend, width)
+                handle = backend.row_buffer(rows)
+                geometry = [rows.strides[0], 2, width, rows.strides[0], 1, width]
+                assert backend.crc32_ranges([handle + rows.strides[0], handle], geometry) == want[1:] + want[:1]
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
