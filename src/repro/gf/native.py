@@ -6,13 +6,17 @@ through ufunc passes and gather intermediates; ISA-L-class throughput
 needs the two hot loops in real machine code:
 
 * **gather-multiply-accumulate** — the packed multi-lane product of
-  :class:`repro.gf.kernels.CodingPlan`, as a C loop over per-coefficient
-  product tables.  On AVX2 hosts the GF(2^8) kernel runs the classic
-  ISA-L ``pshufb`` nibble split (two 16-entry shuffles per 32 symbols);
-  GF(2^16) uses the split lo/hi byte tables.  Both are cache-blocked so
-  a multi-MB stripe streams through an L2-sized working set: the block
-  loop is outermost and every output row segment stays resident across
-  the data-row walk.
+  :class:`repro.gf.kernels.CodingPlan`.  GF(2^8) runs one cache block
+  (at most 32 KiB of every row) at a time: it makes the block's identity
+  copies, then computes each dense output row in register accumulators
+  from its nonzero terms and stores every 64-byte chunk once, the tail
+  under a mask.  The product is picked at compile time: with GFNI on
+  AVX-512BW, multiplying by ``c`` is one ``vgf2p8affineqb`` per 64
+  symbols with ``c``'s 8x8 bit matrix; on AVX2, the ISA-L ``pshufb``
+  nibble split (two 16-entry shuffles per 32 symbols); in plain C, one
+  256-entry table pass per term.  Matrices and nibble tables are made
+  once per plan (:func:`gf8_vector_operands`).  GF(2^16) uses split
+  lo/hi byte tables, cache-blocked at the width the plan gives.
 * **XOR-schedule execution** — the compiled program of
   :class:`repro.gf.schedule.XorSchedule` lowered to a flat instruction
   array (ZERO / COPY / XOR2 / XACC / DOUBLE over data / output / pool
@@ -35,9 +39,14 @@ rows (row copies) itself.
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
 Barrett reduction), or of every row of many row ranges in one call (a
-batched read).  It is compiled only where the compiler targets
+batched read).  Where VPCLMULQDQ runs on 512-bit registers, a row of 256
+bytes or more is first folded 256 bytes a step by four 512-bit
+accumulators; the fold constants are derived from the polynomial
+(:func:`_fold_constants`).  It is compiled only where the compiler targets
 PCLMUL (:attr:`NativeBackend.has_crc32`); everywhere else the store
 stays on ``zlib.crc32``, whose values it reproduces bit for bit.
+:attr:`NativeBackend.simd_level` says which of these paths a build
+carries: 3 for GFNI and the 512-bit fold, 2 for AVX2, 1 for plain C.
 
 The shared object is built lazily on first use: the generated C source
 is compiled with the host toolchain (``cc``/``gcc``/``clang``,
