@@ -1,4 +1,4 @@
-"""Both native tiers on every plan the ``*_io`` workloads compile.
+"""The native kernels' speeds: both tiers on every ``*_io`` plan, and CRC-32.
 
 For RS(4,3), Pyramid(4,2,1) and Galloper(4,2,1) this takes the encode plan
 and, for each block ``b`` a lost server may hold, the decode from the other
@@ -8,9 +8,10 @@ XOR schedule run in C (``native-xor``), alternating the two, at the
 segment widths of ``bulk_io`` (two groups of 1 MiB blocks) and of
 ``striped_io`` (128 groups of 16 KiB blocks), through ``apply_batch`` as
 the pipeline calls it.  It prints GB/s of input rows per tier and width
-and the tier ``kernel="auto"`` picks::
+and the tier ``kernel="auto"`` picks, then ``crc32_rows`` GB/s per row
+size over about 1 MiB of rows (in cache) and 16 MiB (past L2)::
 
-    PYTHONPATH=src python benchmarks/native_tiers.py [--library SO]
+    PYTHONPATH=src python benchmarks/native_speeds.py [--library SO]
 
 ``--library`` loads another build of this revision's generated C (say one
 compiled with ``-mno-avx512f -mno-gfni -mno-vpclmulqdq``) in place of the
@@ -39,6 +40,11 @@ CODES = {
 }
 #: Block bytes and groups of the two workloads (blocks a multiple of 7).
 WIDTHS = {"bulk": ((1 << 20) // 7 * 7, 2), "striped": ((16 << 10) // 7 * 7, 128)}
+#: CRC row sizes: a short row, the 2 340- and 16 380-byte rows of
+#: ``striped_io``'s Galloper and RS blocks, Galloper's 9 363-byte serving
+#: stripe, a 64 KiB serving block, a Galloper and an RS ``bulk_io`` row.
+CRC_ROWS = (256, 2_340, 9_363, 16_380, 65_536, 149_796, 1_048_572)
+CRC_TOTALS = {"in cache": 1 << 20, "past L2": 16 << 20}
 ROUNDS = 7
 REPEATS = 3
 
@@ -64,13 +70,19 @@ def pinned(coeffs, backend, schedule: bool) -> CodingPlan:
     return plan
 
 
-def best_seconds(plan, segments) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        plan.apply_batch(segments)
-        best = min(best, time.perf_counter() - start)
-    return best
+def median_best(*calls) -> list[float]:
+    """Seconds per call: the median over the rounds of its best of
+    ``REPEATS`` runs, the calls taking turns round by round."""
+    rounds = [[] for _ in calls]
+    for _ in range(ROUNDS):
+        for call, times in zip(calls, rounds):
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                call()
+                best = min(best, time.perf_counter() - start)
+            times.append(best)
+    return [statistics.median(times) for times in rounds]
 
 
 def load(path: pathlib.Path):
@@ -104,14 +116,21 @@ def main(argv: list[str] | None = None) -> int:
             for block, groups in WIDTHS.values():
                 width = block // code.N
                 segments = [rng.integers(0, 256, size=(coeffs.shape[1], width), dtype=np.uint8) for _ in range(groups)]
-                runs = {tier: pinned(coeffs, backend, tier == "native-xor") for tier in tiers}
-                seconds = {tier: [] for tier in tiers}
-                for _ in range(ROUNDS):
-                    for tier, plan in runs.items():
-                        seconds[tier].append(best_seconds(plan, segments))
+                runs = [pinned(coeffs, backend, tier == "native-xor") for tier in tiers]
+                seconds = median_best(*(lambda plan=plan: plan.apply_batch(segments) for plan in runs))
                 nbytes = sum(seg.nbytes for seg in segments)
-                cells += [f"{nbytes / statistics.median(seconds[tier]) / 1e9:.2f}" for tier in tiers]
+                cells += [f"{nbytes / t / 1e9:.2f}" for t in seconds]
             print(f"| {name} | {label} | `{pick}` | " + " | ".join(cells) + " |", flush=True)
+    if backend.has_crc32:
+        print("\n| row bytes | " + " | ".join(f"GB/s, {label}" for label in CRC_TOTALS) + " |")
+        print("|---" * (1 + len(CRC_TOTALS)) + "|")
+        for row_bytes in CRC_ROWS:
+            cells = []
+            for total in CRC_TOTALS.values():
+                rows = rng.integers(0, 256, size=(max(1, total // row_bytes), row_bytes), dtype=np.uint8)
+                (seconds,) = median_best(lambda: backend.crc32_rows(rows))
+                cells.append(f"{rows.nbytes / seconds / 1e9:.1f}")
+            print(f"| {row_bytes} | " + " | ".join(cells) + " |", flush=True)
     return 0
 
 

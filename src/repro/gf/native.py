@@ -616,11 +616,11 @@ static inline __m512i crc_fold512(__m512i a, __m512i k, __m512i next)
 /* Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
  * bit-reflected form: four 128-bit lanes folded 512 bits at a time, then
  * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  With the
- * wide kernels, a run of 256 bytes or more is first folded by four
- * 512-bit accumulators (sixteen lanes), 2048 bits a step, and then into
- * the four lanes the 128-bit loop carries on from.  `crc` is the running
- * (inverted) register; n >= 64 and a multiple of 16. */
-static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n)
+ * wide kernels and `wide` set, a run of 256 bytes or more is first folded
+ * by four 512-bit accumulators (sixteen lanes), 2048 bits a step, and then
+ * into the four lanes the 128-bit loop carries on from.  `crc` is the
+ * running (inverted) register; n >= 64 and a multiple of 16. */
+static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n, int wide)
 {
     const __m128i k512 = _mm_set_epi64x(@FOLD_512@);
     const __m128i k128 = _mm_set_epi64x(@FOLD_128@);
@@ -629,7 +629,7 @@ static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n)
     const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
     __m128i x0, x1, x2, x3, t;
 #if WIDE
-    if (n >= 256) {
+    if (wide && n >= 256) {
         const __m512i k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(@FOLD_2048@));
         const __m512i k512x4 = _mm512_broadcast_i32x4(k512);
         __m512i z0 = _mm512_loadu_si512(p), z1 = _mm512_loadu_si512(p + 64);
@@ -682,18 +682,29 @@ static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n)
     return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x0, t), 1);
 }
 
-/* out[r] = zlib crc32 of the row_bytes bytes at base + r * row_stride. */
-void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
-                      size_t nrows, size_t row_bytes, uint32_t *out)
+/* 512-bit instructions pay only in a call long enough to amortise the
+ * core's switch to them: a call over fewer bytes than this (a served read
+ * checks one row of at most 64 KiB) stays on the 128-bit fold. */
+#define WIDE_CALL_BYTES (256 << 10)
+
+static void crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                       size_t nrows, size_t row_bytes, uint32_t *out, int wide)
 {
     size_t r;
     for (r = 0; r < nrows; r++) {
         const uint8_t *p = base + (ptrdiff_t)r * row_stride;
         size_t body = row_bytes >= 64 ? row_bytes & ~(size_t)15 : 0;
         uint32_t crc = 0xffffffffu;
-        if (body) crc = crc32_clmul(crc, p, body);
+        if (body) crc = crc32_clmul(crc, p, body, wide);
         out[r] = ~crc32_bytes(crc, p + body, row_bytes - body);
     }
+}
+
+/* out[r] = zlib crc32 of the row_bytes bytes at base + r * row_stride. */
+void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                      size_t nrows, size_t row_bytes, uint32_t *out)
+{
+    crc32_rows(base, row_stride, nrows, row_bytes, out, nrows * row_bytes >= WIDE_CALL_BYTES);
 }
 
 /* repro_crc32_rows over many row ranges, their CRCs back to back in `out`.
@@ -702,10 +713,12 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out)
 {
-    size_t r;
+    size_t r, total = 0;
+    for (r = 0; r < nranges; r++)
+        total += (size_t)geometry[3 * r + 1] * (size_t)geometry[3 * r + 2];
     for (r = 0; r < nranges; r++, geometry += 3) {
-        repro_crc32_rows((const uint8_t *)bases[r], (ptrdiff_t)geometry[0],
-                         (size_t)geometry[1], (size_t)geometry[2], out);
+        crc32_rows((const uint8_t *)bases[r], (ptrdiff_t)geometry[0], (size_t)geometry[1],
+                   (size_t)geometry[2], out, total >= WIDE_CALL_BYTES);
         out += geometry[1];
     }
 }

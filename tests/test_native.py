@@ -398,19 +398,25 @@ class TestIsaPaths:
                 assert np.array_equal(out, want), (backend, width)
 
     def test_crc32_matches_zlib(self, request):
-        widths = [*range(1, 301), 4_096, 16_380]
+        """Every width by itself (a short call: the 128-bit fold), and all
+        of them in one ``crc32_ranges`` call with a 256 KiB block (a long
+        call: the 512-bit fold where the build has it)."""
         rng = np.random.default_rng(5)
+        blocks = [
+            rng.integers(0, 256, size=(3, width + 11), dtype=np.uint8)[:, 7 : 7 + width]  # unaligned rows
+            for width in [*range(1, 301), 4_096, 16_380]
+        ]
+        filler = rng.integers(0, 256, size=(2, (128 << 10) + 3), dtype=np.uint8)
+        want = [[zlib.crc32(row.tobytes()) for row in rows] for rows in [*blocks, filler]]
         for backend in _isa_backends(request):
             if not backend.has_crc32:
                 continue
-            for width in widths:
-                backing = rng.integers(0, 256, size=(3, width + 11), dtype=np.uint8)
-                rows = backing[:, 7 : 7 + width]
-                want = [zlib.crc32(row.tobytes()) for row in rows]
-                assert backend.crc32_rows(rows) == want, (backend, width)
-                handle = backend.row_buffer(rows)
-                geometry = [rows.strides[0], 2, width, rows.strides[0], 1, width]
-                assert backend.crc32_ranges([handle + rows.strides[0], handle], geometry) == want[1:] + want[:1]
+            bases, geometry = [], []
+            for rows, crcs in zip([*blocks, filler], want):
+                assert backend.crc32_rows(rows) == crcs, (backend, rows.shape)
+                bases.append(backend.row_buffer(rows))
+                geometry += (rows.strides[0], rows.shape[0], rows.shape[1])
+            assert backend.crc32_ranges(bases, geometry) == [crc for crcs in want for crc in crcs], backend
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
