@@ -57,7 +57,7 @@ def plans(code):
     for b in range(code.n):
         yield f"decode -{b}", code.compile_decode([i for i in range(code.n) if i != b]).plan.coeffs
         helpers = code.repair_plan(b).helpers
-        yield f"rebuild {b}", code.compile_reconstruct(b, helpers).plan.coeffs
+        yield f"rebuild {b}", code.compile_reconstruct(b, helpers).coeffs
 
 
 def pinned(coeffs, backend, schedule: bool) -> CodingPlan:

@@ -9,12 +9,13 @@ needs the two hot loops in real machine code:
   :class:`repro.gf.kernels.CodingPlan`.  GF(2^8) runs one cache block
   (at most 32 KiB of every row) at a time: it makes the block's identity
   copies, then computes each dense output row in register accumulators
-  from its nonzero terms and stores every 64-byte chunk once, the tail
-  under a mask.  The product is picked at compile time: with GFNI on
-  AVX-512BW, multiplying by ``c`` is one ``vgf2p8affineqb`` per 64
-  symbols with ``c``'s 8x8 bit matrix; on AVX2, the ISA-L ``pshufb``
-  nibble split (two 16-entry shuffles per 32 symbols); in plain C, one
-  256-entry table pass per term.  Matrices and nibble tables are made
+  from its nonzero terms and stores every vector of it once.  The
+  product is picked at compile time: with GFNI on AVX-512BW, multiplying
+  by ``c`` is one ``vgf2p8affineqb`` per 64 symbols with ``c``'s 8x8 bit
+  matrix, the row's tail under a byte mask; on AVX2, the ISA-L
+  ``pshufb`` nibble split (two 16-entry shuffles per 32 symbols), 128
+  symbols per pass over the terms; in plain C, one 256-entry table pass
+  per term.  Matrices and nibble tables are made
   once per plan (:func:`gf8_vector_operands`).  GF(2^16) uses split
   lo/hi byte tables, cache-blocked at the width the plan gives.
 * **XOR-schedule execution** — the compiled program of
@@ -39,10 +40,11 @@ rows (row copies) itself.
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
 Barrett reduction), or of every row of many row ranges in one call (a
-batched read).  Where VPCLMULQDQ runs on 512-bit registers, a row of 256
-bytes or more is first folded 256 bytes a step by four 512-bit
-accumulators; the fold constants are derived from the polynomial
-(:func:`_fold_constants`).  It is compiled only where the compiler targets
+batched read).  Where VPCLMULQDQ runs on 512-bit registers, a call over
+256 KiB or more first folds each row of 256 bytes or more 256 bytes a
+step by four 512-bit accumulators; shorter calls (a served read checks
+one row) stay on 128-bit registers.  The fold constants are derived from
+the polynomial (:func:`_fold_constants`).  It is compiled only where the compiler targets
 PCLMUL (:attr:`NativeBackend.has_crc32`); everywhere else the store
 stays on ``zlib.crc32``, whose values it reproduces bit for bit.
 :attr:`NativeBackend.simd_level` says which of these paths a build
@@ -293,14 +295,19 @@ static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k
 #elif defined(__AVX2__)
 /* ISA-L style nibble split: c*x == c*(x_lo) ^ c*(x_hi << 4), each term a
  * 16-entry table -> one pshufb per nibble, 32 symbols per shuffle; the
- * accumulators stay in registers, 64 symbols at a time. */
+ * accumulators stay in registers, AVX2_CHUNK vectors at a time, so a
+ * term's tables are loaded once per chunk. */
 #define GATHER_VECTOR 1
+#define AVX2_CHUNK 4
 
-static inline __m256i mul8(const uint8_t *op, __m256i x)
+static inline __m256i nibble_table(const uint8_t *p)
+{
+    return _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)p));
+}
+
+static inline __m256i mul8(__m256i lo_t, __m256i hi_t, __m256i x)
 {
     const __m256i nibble = _mm256_set1_epi8(0x0f);
-    __m256i lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)op));
-    __m256i hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)(op + 16)));
     return _mm256_xor_si256(
         _mm256_shuffle_epi8(lo_t, _mm256_and_si256(x, nibble)),
         _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble)));
@@ -309,19 +316,25 @@ static inline __m256i mul8(const uint8_t *op, __m256i x)
 static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
 {
     size_t t = 0, q;
-    for (; t + 64 <= w; t += 64) {
-        __m256i a0 = _mm256_setzero_si256(), a1 = a0;
+    int v;
+    for (; t + 32 * AVX2_CHUNK <= w; t += 32 * AVX2_CHUNK) {
+        __m256i a[AVX2_CHUNK];
+        for (v = 0; v < AVX2_CHUNK; v++) a[v] = _mm256_setzero_si256();
         for (q = 0; q < k; q++) {
-            a0 = _mm256_xor_si256(a0, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t))));
-            a1 = _mm256_xor_si256(a1, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t + 32))));
+            __m256i lo_t = nibble_table(op[q]), hi_t = nibble_table(op[q] + 16);
+            for (v = 0; v < AVX2_CHUNK; v++)
+                a[v] = _mm256_xor_si256(a[v], mul8(lo_t, hi_t,
+                    _mm256_loadu_si256((const __m256i *)(src[q] + t + 32 * v))));
         }
-        _mm256_storeu_si256((__m256i *)(dst + t), a0);
-        _mm256_storeu_si256((__m256i *)(dst + t + 32), a1);
+        for (v = 0; v < AVX2_CHUNK; v++) _mm256_storeu_si256((__m256i *)(dst + t + 32 * v), a[v]);
     }
-    for (; t + 32 <= w; t += 32) {
+    for (; t < w && w >= 32; t += 32) {
         __m256i a = _mm256_setzero_si256();
+        if (t + 32 > w)
+            t = w - 32;  /* overlap the last chunk: rewritten symbols get equal values */
         for (q = 0; q < k; q++)
-            a = _mm256_xor_si256(a, mul8(op[q], _mm256_loadu_si256((const __m256i *)(src[q] + t))));
+            a = _mm256_xor_si256(a, mul8(nibble_table(op[q]), nibble_table(op[q] + 16),
+                                         _mm256_loadu_si256((const __m256i *)(src[q] + t))));
         _mm256_storeu_si256((__m256i *)(dst + t), a);
     }
     for (; t < w; t++) {
@@ -365,13 +378,30 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
                      char **outs, const int64_t *oshape, size_t nseg, size_t block)
 {
     size_t nrow = range_rows(geometry, nranges);
-    size_t nin = nseg ? nrow / nseg : 0;
-    const uint8_t **row = row_table(bases, geometry, nranges, 2 * (size_t)n * sizeof *row);
-    const uint8_t **src, **op;
-    size_t g;
+    size_t nin = nseg ? nrow / nseg : 0, mn = (size_t)m * (size_t)n, nz = 0, g;
+    /* Scratch after the row pointers: per nonzero coefficient, row by row,
+     * its operand and input row; where each output row's terms end; one
+     * row's source pointers. */
+    const uint8_t **row = row_table(bases, geometry, nranges,
+                                    (mn + (size_t)n) * sizeof *row + (size_t)m * sizeof(size_t)
+                                    + mn * sizeof(int32_t));
+    const uint8_t **op, **src;
+    size_t *end;
+    int32_t *term, i, j;
     if (!row) return -1;
-    src = row + nrow;
-    op = src + n;
+    op = row + nrow;
+    src = op + mn;
+    end = (size_t *)(src + n);
+    term = (int32_t *)(end + m);
+    for (i = 0; i < m; i++) {
+        for (j = 0; j < n; j++) {
+            size_t e = (size_t)i * (size_t)n + (size_t)j;
+            if (!coeffs[e]) continue;
+            term[nz] = cols[j];
+            op[nz++] = GATHER_VECTOR ? vec + e * VEC_OPERAND : tables + e * 256;
+        }
+        end[i] = nz;
+    }
     if (block > GATHER_BLOCK) block = GATHER_BLOCK;
     for (g = 0; g < nseg; g++) {
         const uint8_t **in = row + g * nin;
@@ -379,18 +409,13 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t s = (size_t)oshape[2 * g + 1], s0;
         for (s0 = 0; s0 < s; s0 += block) {
-            size_t w = (s - s0 < block) ? s - s0 : block;
-            int32_t i, j;
+            size_t w = (s - s0 < block) ? s - s0 : block, q = 0;
             copy_rows(in, copies, ncopy, out, ostride, s0, w);
             for (i = 0; i < m; i++) {
-                size_t k = 0;
-                for (j = 0; j < n; j++) {
-                    size_t e = (size_t)i * (size_t)n + (size_t)j;
-                    if (!coeffs[e]) continue;
-                    src[k] = in[cols[j]] + s0;
-                    op[k++] = GATHER_VECTOR ? vec + e * VEC_OPERAND : tables + e * 256;
-                }
-                dot8(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src, op, k, w);
+                size_t k;
+                for (k = 0; q + k < end[i]; k++) src[k] = in[term[q + k]] + s0;
+                dot8(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src, op + q, k, w);
+                q = end[i];
             }
         }
     }
@@ -628,6 +653,7 @@ static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n, int wide)
     const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
     const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
     __m128i x0, x1, x2, x3, t;
+    (void)wide;  /* read only by the wide kernels */
 #if WIDE
     if (wide && n >= 256) {
         const __m512i k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(@FOLD_2048@));
