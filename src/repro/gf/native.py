@@ -255,10 +255,16 @@ static void copy_rows(const uint8_t **in, const int32_t *copies, int32_t ncopy,
  * GF(2) matrix as vgf2p8affineqb takes it (a little-endian uint64). */
 #define VEC_OPERAND 40
 
-/* dst[t] = sum over q < k of c_q * src[q][t], t < w: one dense output row
- * over one cache block from its k nonzero terms, c_q given by op[q] (the
+/* At most this many terms go into one pass over an output row, so a pass
+ * reads few enough input rows at once for the prefetchers to follow; a
+ * row with more terms (a wide stripe's parity) is summed in passes. */
+#define GATHER_TERMS 4
+
+/* dst[t] (^)= sum over q < k of c_q * src[q][t], t < w: k terms of one
+ * dense output row over one cache block, c_q given by op[q] (the
  * coefficient's 256-entry product table in plain C, its VEC_OPERAND
- * record in the vector kernels). */
+ * record in the vector kernels).  acc == 0 stores the sum, acc != 0 adds
+ * it to what dst holds. */
 #if WIDE
 /* GFNI: multiplying by c is the linear map of c's bit matrix, one
  * vgf2p8affineqb per 64 symbols; the accumulators stay in registers and
@@ -272,11 +278,15 @@ static inline __m512i mul8(const uint8_t *op, __m512i x)
     return _mm512_gf2p8affine_epi64_epi8(x, _mm512_set1_epi64((long long)a), 0);
 }
 
-static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w, int acc)
 {
     size_t t = 0, q;
     for (; t + 128 <= w; t += 128) {
         __m512i a0 = _mm512_setzero_si512(), a1 = a0;
+        if (acc) {
+            a0 = _mm512_loadu_si512(dst + t);
+            a1 = _mm512_loadu_si512(dst + t + 64);
+        }
         for (q = 0; q < k; q++) {
             a0 = _mm512_xor_si512(a0, mul8(op[q], _mm512_loadu_si512(src[q] + t)));
             a1 = _mm512_xor_si512(a1, mul8(op[q], _mm512_loadu_si512(src[q] + t + 64)));
@@ -286,7 +296,7 @@ static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k
     }
     for (; t < w; t += 64) {
         __mmask64 mask = w - t >= 64 ? ~(__mmask64)0 : ((__mmask64)1 << (w - t)) - 1;
-        __m512i a = _mm512_setzero_si512();
+        __m512i a = acc ? _mm512_maskz_loadu_epi8(mask, dst + t) : _mm512_setzero_si512();
         for (q = 0; q < k; q++)
             a = _mm512_xor_si512(a, mul8(op[q], _mm512_maskz_loadu_epi8(mask, src[q] + t)));
         _mm512_mask_storeu_epi8(dst + t, mask, a);
@@ -313,13 +323,31 @@ static inline __m256i mul8(__m256i lo_t, __m256i hi_t, __m256i x)
         _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble)));
 }
 
-static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
+/* The 32 symbols of the row at t: what dst holds there (acc) or zero,
+ * plus every term's product. */
+static inline __m256i dot8_vector(const uint8_t *dst, const uint8_t **src, const uint8_t **op,
+                                  size_t k, size_t t, int acc)
 {
-    size_t t = 0, q;
+    __m256i a = acc ? _mm256_loadu_si256((const __m256i *)(dst + t)) : _mm256_setzero_si256();
+    size_t q;
+    for (q = 0; q < k; q++)
+        a = _mm256_xor_si256(a, mul8(nibble_table(op[q]), nibble_table(op[q] + 16),
+                                     _mm256_loadu_si256((const __m256i *)(src[q] + t))));
+    return a;
+}
+
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w, int acc)
+{
+    size_t t = 0, q, body = w & ~(size_t)31;
+    __m256i last = _mm256_setzero_si256();
     int v;
-    for (; t + 32 * AVX2_CHUNK <= w; t += 32 * AVX2_CHUNK) {
+    /* A ragged end is the row's last 32 symbols, computed before any store
+     * and stored last, over symbols the body already holds. */
+    if (body < w && w >= 32) last = dot8_vector(dst, src, op, k, w - 32, acc);
+    for (; t + 32 * AVX2_CHUNK <= body; t += 32 * AVX2_CHUNK) {
         __m256i a[AVX2_CHUNK];
-        for (v = 0; v < AVX2_CHUNK; v++) a[v] = _mm256_setzero_si256();
+        for (v = 0; v < AVX2_CHUNK; v++)
+            a[v] = acc ? _mm256_loadu_si256((const __m256i *)(dst + t + 32 * v)) : _mm256_setzero_si256();
         for (q = 0; q < k; q++) {
             __m256i lo_t = nibble_table(op[q]), hi_t = nibble_table(op[q] + 16);
             for (v = 0; v < AVX2_CHUNK; v++)
@@ -328,17 +356,14 @@ static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k
         }
         for (v = 0; v < AVX2_CHUNK; v++) _mm256_storeu_si256((__m256i *)(dst + t + 32 * v), a[v]);
     }
-    for (; t < w && w >= 32; t += 32) {
-        __m256i a = _mm256_setzero_si256();
-        if (t + 32 > w)
-            t = w - 32;  /* overlap the last chunk: rewritten symbols get equal values */
-        for (q = 0; q < k; q++)
-            a = _mm256_xor_si256(a, mul8(nibble_table(op[q]), nibble_table(op[q] + 16),
-                                         _mm256_loadu_si256((const __m256i *)(src[q] + t))));
-        _mm256_storeu_si256((__m256i *)(dst + t), a);
+    for (; t < body; t += 32)
+        _mm256_storeu_si256((__m256i *)(dst + t), dot8_vector(dst, src, op, k, t, acc));
+    if (body < w && w >= 32) {
+        _mm256_storeu_si256((__m256i *)(dst + w - 32), last);
+        return;
     }
     for (; t < w; t++) {
-        uint8_t a = 0;
+        uint8_t a = acc ? dst[t] : 0;
         for (q = 0; q < k; q++) {
             uint8_t x = src[q][t];
             a ^= op[q][x & 15] ^ op[q][16 + (x >> 4)];
@@ -347,17 +372,17 @@ static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k
     }
 }
 #else
-/* Plain C: one table pass per term, the first storing, the rest
- * accumulating. */
+/* Plain C: one table pass per term, the first storing unless acc, the
+ * rest accumulating. */
 #define GATHER_VECTOR 0
 
-static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w)
+static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k, size_t w, int acc)
 {
     size_t t, q;
-    if (!k) memset(dst, 0, w);
+    if (!k && !acc) memset(dst, 0, w);
     for (q = 0; q < k; q++) {
         const uint8_t *s = src[q], *tab = op[q];
-        if (q)
+        if (q || acc)
             for (t = 0; t < w; t++) dst[t] ^= tab[s[t]];
         else
             for (t = 0; t < w; t++) dst[t] = tab[s[t]];
@@ -412,10 +437,14 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
             size_t w = (s - s0 < block) ? s - s0 : block, q = 0;
             copy_rows(in, copies, ncopy, out, ostride, s0, w);
             for (i = 0; i < m; i++) {
-                size_t k;
-                for (k = 0; q + k < end[i]; k++) src[k] = in[term[q + k]] + s0;
-                dot8(out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0, src, op + q, k, w);
-                q = end[i];
+                uint8_t *dst = out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0;
+                size_t first = q;
+                do {
+                    size_t k = end[i] - q < GATHER_TERMS ? end[i] - q : GATHER_TERMS, r;
+                    for (r = 0; r < k; r++) src[r] = in[term[q + r]] + s0;
+                    dot8(dst, src, op + q, k, w, q > first);
+                    q += k;
+                } while (q < end[i]);
             }
         }
     }
