@@ -8,8 +8,12 @@ XOR schedule run in C (``native-xor``), alternating the two, at the
 segment widths of ``bulk_io`` (two groups of 1 MiB blocks) and of
 ``striped_io`` (128 groups of 16 KiB blocks), through ``apply_batch`` as
 the pipeline calls it.  It prints GB/s of input rows per tier and width
-and the tier ``kernel="auto"`` picks, then ``crc32_rows`` GB/s per row
-size over about 1 MiB of rows (in cache) and 16 MiB (past L2)::
+and the tier ``kernel="auto"`` picks.  Then, for each encode plan at both
+widths, the gather folding the CRC-32 of every row it writes (as a striped
+write stores its blocks) against the gather followed by one
+``crc32_ranges`` pass over its output, asserting that both give the same
+bytes and CRCs; last, ``crc32_rows`` GB/s per row size over about 1 MiB of
+rows (in cache) and 16 MiB (past L2)::
 
     PYTHONPATH=src python benchmarks/native_speeds.py [--library SO]
 
@@ -70,6 +74,20 @@ def pinned(coeffs, backend, schedule: bool) -> CodingPlan:
     return plan
 
 
+def gather_then_crc(plan: CodingPlan, grids: np.ndarray, backend) -> tuple[np.ndarray, list[int]]:
+    """The groups' blocks, then the CRC of every row in one ``crc32_ranges``
+    call over the whole output: the separate pass the fold replaces."""
+    (out,), _ = plan._apply_batch([grids])
+    rows = out.reshape(-1, out.shape[-1])
+    return out, backend.crc32_ranges([backend.row_buffer(rows)], [rows.strides[0], len(rows), rows.shape[1]])
+
+
+def gather_folding_crcs(plan: CodingPlan, grids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The groups' blocks and their row CRCs from one gather call."""
+    (out,), (crcs,) = plan._apply_batch([grids], crcs=True)
+    return out, crcs.tolist()
+
+
 def median_best(*calls) -> list[float]:
     """Seconds per call: the median over the rounds of its best of
     ``REPEATS`` runs, the calls taking turns round by round."""
@@ -122,6 +140,19 @@ def main(argv: list[str] | None = None) -> int:
                 cells += [f"{nbytes / t / 1e9:.2f}" for t in seconds]
             print(f"| {name} | {label} | `{pick}` | " + " | ".join(cells) + " |", flush=True)
     if backend.has_crc32:
+        print("\n| code | width | gather with row CRCs | gather, then `crc32_ranges` | x |")
+        print("|---" * 5 + "|")
+        for name, make in CODES.items():
+            code = make()
+            plan = pinned(code.generator, backend, schedule=False)
+            for width_name, (block, groups) in WIDTHS.items():
+                width = block // code.N
+                grids = rng.integers(0, 256, size=(groups, code.data_stripe_total, width), dtype=np.uint8)
+                folded, separate = gather_folding_crcs(plan, grids), gather_then_crc(plan, grids, backend)
+                assert np.array_equal(folded[0], separate[0]) and folded[1] == separate[1], (name, width_name)
+                seconds = median_best(lambda: gather_folding_crcs(plan, grids), lambda: gather_then_crc(plan, grids, backend))
+                cells = [f"{grids.nbytes / t / 1e9:.2f}" for t in seconds]
+                print(f"| {name} | {width_name} | " + " | ".join(cells) + f" | {seconds[1] / seconds[0]:.2f} |", flush=True)
         print("\n| row bytes | " + " | ".join(f"GB/s, {label}" for label in CRC_TOTALS) + " |")
         print("|---" * (1 + len(CRC_TOTALS)) + "|")
         for row_bytes in CRC_ROWS:

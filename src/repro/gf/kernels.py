@@ -76,6 +76,17 @@ SMALL_PRODUCT_ELEMS = 1024
 #: would book it.
 _SEGMENT_MIN_ELEMS = 1024
 
+#: What one nonzero term of the GF(2^8) gather costs on 512-bit registers
+#: (``NativeBackend.simd_level`` 3), in the XOR-schedule cost model's passes
+#: over the stripe.  There a product is one ``vgf2p8affineqb`` per 64
+#: symbols and up to four terms are summed in registers, so a row of three
+#: or more terms is cheaper gathered than XORed pass by pass; fitted
+#: against the C XOR executor on every ``*_io`` plan at 1.5-2.0 passes a
+#: term (``docs/PERFORMANCE.md``, "A striped write: each byte hashed in the
+#: gather, each batch stored once").  A schedule that costs no more than
+#: this keeps its plan.
+_WIDE_GATHER_PASSES = 2.0
+
 #: Maximum number of full 65536-entry packed tables a GF(2^16) plan may
 #: hold (512 KiB each — 32 MiB total); larger plans use split tables.
 FULL_TABLE_LIMIT = 64
@@ -340,10 +351,21 @@ class CodingPlan:
             return
         if predicted_win(self.gf, self._sub):
             schedule = XorSchedule.compile(self.gf, self._sub)
-            if schedule.wins:
+            if schedule.wins and not self._wide_gather_wins(schedule):
                 self._schedule = schedule
             else:
                 self._xor_fallback = True
+
+    def _wide_gather_wins(self, schedule: XorSchedule) -> bool:
+        """Whether the native GF(2^8) gather on 512-bit registers beats
+        ``schedule``: priced at :data:`_WIDE_GATHER_PASSES` per nonzero
+        coefficient, against the schedule's modelled cost.  The packed
+        table estimate the schedule is first held to prices a term ten
+        times higher, so this only ever takes plans from the schedule."""
+        backend = self._native_backend
+        if backend is None or backend.simd_level != 3 or self.gf.q != 8:
+            return False
+        return schedule.stats["cost_xor"] > _WIDE_GATHER_PASSES * np.count_nonzero(self._sub)
 
     @property
     def kernel(self) -> str:
@@ -549,82 +571,130 @@ class CodingPlan:
         of the buffer.  A narrow segment alone between wide ones is
         applied as given.
         """
-        members = [self._input_rows(seg) for seg in segments]
-        if not members:
-            return []
-        native = any(width >= _SEGMENT_MIN_ELEMS for _, width in members) and self._native_ready()
-        wide = _SEGMENT_MIN_ELEMS if native else self._cache_block_elems()
+        return self._apply_batch(segments)[0]
+
+    def _apply_batch(self, segments, crcs: bool = False) -> tuple[list[np.ndarray], list | None]:
+        """:meth:`apply_batch`, where an entry of ``segments`` may also be
+        a 3-D ``(count, n, S)`` array that :meth:`_in_place` says is coded
+        where it lies: ``count`` segments of one width whose rows, laid end
+        to end, are one row range (a striped write's full groups), and
+        whose result is one ``(count, m, S)`` block of the buffer.
+
+        With ``crcs``, also the CRC-32 of the result rows, per entry: a
+        uint32 array of ``zlib.crc32`` of each output row of each of its
+        segments, segment by segment, which the native GF(2^8) gather
+        folded as it wrote them, or ``None`` for an entry coded some other
+        way.  ``None`` in place of the list when the gather folded none
+        (another tier, or no CRC kernel compiled in)."""
         m = self.m
+        members = []  # (input row arrays, width, segments in a 3-D entry or 0)
+        for seg in segments:
+            if isinstance(seg, np.ndarray) and seg.ndim == 3:
+                count, height, width = seg.shape
+                if height != self.n:
+                    raise GFError(f"dimension mismatch: coeffs is {self.coeffs.shape}, data has {height} rows")
+                if not self._in_place(width):
+                    raise GFError(f"a stack of segments {width} wide is not coded in place")
+                members.append(([validate_symbols(self.gf, seg, "data").reshape(count * height, width)], width, count))
+            else:
+                members.append((*self._input_rows(seg), 0))
+        if not members:
+            return [], None
+        native = any(width >= _SEGMENT_MIN_ELEMS for _, width, _ in members) and self._native_ready()
+        wide = _SEGMENT_MIN_ELEMS if native else self._cache_block_elems()
         make = np.zeros if self._zero_rows.size else np.empty
-        buf = make(m * sum(width for _, width in members), dtype=self.gf.dtype)
+        buf = make(m * sum(width * (count or 1) for _, width, count in members), dtype=self.gf.dtype)
         results = []
-        table = []  # (rows, width, offset) of each segment coded in the native call
+        table = []  # (rows, width, offsets) of the segments coded in the native call
+        folded = []  # per entry: its segments in the native call, or None
         pos = i = 0
         while i < len(members):
-            rows, width = members[i]
+            rows, width, count = members[i]
+            segs = count or 1
             j = i + 1
             if width < wide:
                 while j < len(members) and members[j][1] < wide:
                     j += 1
-                width = sum(w for _, w in members[i:j])
-            region = buf[pos : pos + m * width].reshape(m, width)
+                width = sum(w for _, w, _ in members[i:j])
+            region = buf[pos : pos + m * width * segs]
             if j > i + 1:
+                region = region.reshape(m, width)
                 self.apply(self._stack(members[i:j]), out=region)
                 left = 0
-                for _, w in members[i:j]:
+                for _, w, _ in members[i:j]:
                     results.append(region[:, left : left + w])
                     left += w
+                folded += [None] * (j - i)
+            elif native and width >= wide:
+                results.append(region.reshape(count, m, width) if count else region.reshape(m, width))
+                table.append((rows, width, range(pos, pos + m * width * segs, m * width)))
+                folded.append(segs)
             else:
+                region = region.reshape(m, width)
                 results.append(region)
-                if native and width >= wide:
-                    table.append((rows, width, pos))
-                else:
-                    self.apply(rows if len(rows) != 1 else rows[0], out=region)
-            pos += m * width
+                self.apply(rows if len(rows) != 1 else rows[0], out=region)
+                folded.append(None)
+            pos += m * width * (count or 1)
             i = j
+        out_crcs = None
+        if crcs and table and self.gf.q == 8 and self._schedule is None and self._native_backend.has_crc32:
+            out_crcs = np.empty(sum(len(at) for _, _, at in table) * m, dtype=np.uint32)
         if table:
-            self._apply_segments(table, buf)
-        return results
+            self._apply_segments(table, buf, out_crcs)
+        if out_crcs is None:
+            return results, None
+        row_crcs, at = [], 0
+        for segs in folded:
+            row_crcs.append(None if segs is None else out_crcs[at : at + segs * m])
+            at += (segs or 0) * m
+        return results, row_crcs
 
-    def _apply_segments(self, table, buf: np.ndarray) -> None:
-        """One native call over :meth:`apply_batch`'s segment table:
-        ``table[g]`` is ``(rows, width, offset)``, segment ``g``'s input
-        row arrays and its ``(m, width)`` result at symbol ``offset`` of
-        ``buf``.  Booked and traced as one :meth:`apply` of every column."""
+    def _in_place(self, width: int) -> bool:
+        """Whether :meth:`apply_batch` codes a segment ``width`` symbols
+        wide where it lies, in the native segment table."""
+        return width >= _SEGMENT_MIN_ELEMS and self._native_ready()
+
+    def _apply_segments(self, table, buf: np.ndarray, crcs: np.ndarray | None = None) -> None:
+        """One native call over :meth:`_apply_batch`'s segment table:
+        ``table[g]`` is ``(rows, width, offsets)``, the input row arrays of
+        ``len(offsets)`` segments, whose ``(m, width)`` results start at
+        those symbols of ``buf``.  Booked and traced as one :meth:`apply`
+        of every column; ``crcs`` takes the result rows' CRCs
+        (:meth:`repro.gf.native.NativeBackend.gf8_gather`)."""
         itemsize = self.gf.dtype.itemsize
         chunks, offsets, oshape = [], [], []
-        for rows, width, offset in table:
+        for rows, width, at in table:
             chunks += rows
-            offsets.append(offset * itemsize)
-            oshape += (width * itemsize, width * itemsize)
+            offsets += range(at.start * itemsize, at.stop * itemsize, at.step * itemsize)
+            oshape += (width * itemsize, width * itemsize) * len(at)
         columns = sum(oshape[1::2]) // itemsize
         nbytes = (self.n + self.m) * columns * itemsize
 
         def compute():
             self._book(nbytes)
-            self._native_segments(chunks, buf, offsets, oshape)
+            self._native_segments(chunks, buf, offsets, oshape, crcs)
 
         self._run(columns, nbytes, compute)
 
-    def _stack(self, members: list[tuple[list[np.ndarray], int]]) -> np.ndarray:
-        """Column-stack the input rows of several segments (``(rows, width)``
-        as :meth:`_input_rows` returns them) into one array, copying each
-        row once.
+    def _stack(self, members: list[tuple]) -> np.ndarray:
+        """Column-stack the input rows of several segments (``(rows, width,
+        0)``, :meth:`_input_rows`' pair and no stack count) into one array,
+        copying each row once.
 
         Segments cut into row arrays alike (2-D grids, or the equal helper
         reads of one rebuild bucket) take one ``np.concatenate`` per row
         array; any other mix is copied array by array.
         """
-        stacked = np.empty((self.n, sum(width for _, width in members)), dtype=self.gf.dtype)
+        stacked = np.empty((self.n, sum(member[1] for member in members)), dtype=self.gf.dtype)
         heights = [chunk.shape[0] for chunk in members[0][0]]
-        if all([chunk.shape[0] for chunk in rows] == heights for rows, _ in members):
+        if all([chunk.shape[0] for chunk in member[0]] == heights for member in members):
             top = 0
             for p, height in enumerate(heights):
-                np.concatenate([rows[p] for rows, _ in members], axis=1, out=stacked[top : top + height])
+                np.concatenate([member[0][p] for member in members], axis=1, out=stacked[top : top + height])
                 top += height
             return stacked
         left = 0
-        for rows, width in members:
+        for rows, width, *_ in members:
             top = 0
             for chunk in rows:
                 stacked[top : top + chunk.shape[0], left : left + width] = chunk
@@ -749,7 +819,8 @@ class CodingPlan:
             )
 
     def _native_segments(
-        self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int]
+        self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int],
+        crcs: np.ndarray | None = None,
     ) -> None:
         """Copies and dense product of one or more segments in one call of
         the native gather or XOR kernel, which reads the input rows where
@@ -761,7 +832,8 @@ class CodingPlan:
         1]`` bytes wide.  The gather kernels are cache-blocked with the
         shared pool budget: one block keeps every output-row segment plus
         the streaming data row inside ~L2, so a multi-MB stripe never
-        materialises a full-width intermediate.
+        materialises a full-width intermediate.  ``crcs``, for the GF(2^8)
+        gather only, takes the CRC-32 of every output row.
         """
         if self._native_tables is None:
             self._build_native_tables()
@@ -771,7 +843,7 @@ class CodingPlan:
             self._schedule.execute_native(backend, *operands)
         elif self.gf.q == 8:
             tables, vec = self._native_tables
-            backend.gf8_gather(tables, vec, self._sub, *operands, self._cache_block_elems())
+            backend.gf8_gather(tables, vec, self._sub, *operands, self._cache_block_elems(), crcs)
         else:
             lo, hi = self._native_tables
             backend.gf16_gather(lo, hi, self._sub, *operands, self._cache_block_elems())

@@ -40,7 +40,10 @@ rows (row copies) itself.
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
 Barrett reduction), or of every row of many row ranges in one call (a
-batched read).  Where VPCLMULQDQ runs on 512-bit registers, a call over
+batched read).  The GF(2^8) gather can fold it too: after each cache block
+it carries every output row's running CRC over the block it has just
+written, so an encode hands the store its blocks' row CRCs without a
+second pass over them (``gf8_gather(..., crcs)``).  Where VPCLMULQDQ runs on 512-bit registers, a call over
 256 KiB or more first folds each row of 256 bytes or more 256 bytes a
 step by four 512-bit accumulators; shorter calls (a served read checks
 one row) stay on 128-bit registers.  The fold constants are derived from
@@ -121,7 +124,8 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
                      const int32_t *copies, int32_t ncopy,
-                     char **outs, const int64_t *oshape, size_t nseg, size_t block);
+                     char **outs, const int64_t *oshape, size_t nseg, size_t block,
+                     uint32_t *crcs, int32_t mout);
 int repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                       const uint16_t *coeffs,
                       char **bases, const int64_t *geometry, size_t nranges,
@@ -242,6 +246,172 @@ static void copy_rows(const uint8_t **in, const int32_t *copies, int32_t ncopy,
         memcpy(out + (ptrdiff_t)copies[2 * c] * ostride + (ptrdiff_t)off,
                in[copies[2 * c + 1]] + off, nbytes);
 }
+
+/* -------------------------------------------------------------- CRC-32 */
+
+/* The carry-less-multiply CRC-32 kernel: the block store's checksums, and
+ * the row CRCs the GF(2^8) gather can fold while it writes. */
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+#define CLMUL 1
+#else
+#define CLMUL 0
+#endif
+
+int repro_native_clmul(void)
+{
+    return CLMUL;
+}
+
+#if CLMUL
+#include <immintrin.h>
+
+/* zlib's CRC-32: reflected polynomial 0xEDB88320, register preset to and
+ * finally inverted with 0xffffffff.  The byte table finishes what the
+ * folding kernel leaves (tails under 16 bytes, rows under 64). */
+static const uint32_t crc_table[256] = {
+@CRC_TABLE@
+};
+
+static uint32_t crc32_bytes(uint32_t crc, const uint8_t *p, size_t n)
+{
+    while (n--) crc = crc_table[(crc ^ *p++) & 0xff] ^ (crc >> 8);
+    return crc;
+}
+
+/* Fold `a` forward by the distance encoded in `k` and absorb `next`:
+ * a.lo * k.lo ^ a.hi * k.hi ^ next (carry-less products). */
+static inline __m128i crc_fold(__m128i a, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         next);
+}
+
+#if WIDE
+/* crc_fold in each of the four 128-bit lanes of a 512-bit register. */
+static inline __m512i crc_fold512(__m512i a, __m512i k, __m512i next)
+{
+    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(a, k, 0x00),
+                                     _mm512_clmulepi64_epi128(a, k, 0x11), next, 0x96);
+}
+#endif
+
+/* Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
+ * bit-reflected form: four 128-bit lanes folded 512 bits at a time, then
+ * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  With the
+ * wide kernels and `wide` set, a run of 256 bytes or more is first folded
+ * by four 512-bit accumulators (sixteen lanes), 2048 bits a step, and then
+ * into the four lanes the 128-bit loop carries on from.  `crc` is the
+ * running (inverted) register; n >= 64 and a multiple of 16. */
+static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n, int wide)
+{
+    const __m128i k512 = _mm_set_epi64x(@FOLD_512@);
+    const __m128i k128 = _mm_set_epi64x(@FOLD_128@);
+    const __m128i k64 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    __m128i x0, x1, x2, x3, t;
+    (void)wide;  /* read only by the wide kernels */
+#if WIDE
+    if (wide && n >= 256) {
+        const __m512i k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(@FOLD_2048@));
+        const __m512i k512x4 = _mm512_broadcast_i32x4(k512);
+        __m512i z0 = _mm512_loadu_si512(p), z1 = _mm512_loadu_si512(p + 64);
+        __m512i z2 = _mm512_loadu_si512(p + 128), z3 = _mm512_loadu_si512(p + 192);
+        z0 = _mm512_xor_si512(z0, _mm512_inserti32x4(_mm512_setzero_si512(),
+                                                      _mm_cvtsi32_si128((int)crc), 0));
+        for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+            z0 = crc_fold512(z0, k2048, _mm512_loadu_si512(p));
+            z1 = crc_fold512(z1, k2048, _mm512_loadu_si512(p + 64));
+            z2 = crc_fold512(z2, k2048, _mm512_loadu_si512(p + 128));
+            z3 = crc_fold512(z3, k2048, _mm512_loadu_si512(p + 192));
+        }
+        z0 = crc_fold512(z0, k512x4, z1);
+        z0 = crc_fold512(z0, k512x4, z2);
+        z0 = crc_fold512(z0, k512x4, z3);
+        x0 = _mm512_extracti32x4_epi32(z0, 0);
+        x1 = _mm512_extracti32x4_epi32(z0, 1);
+        x2 = _mm512_extracti32x4_epi32(z0, 2);
+        x3 = _mm512_extracti32x4_epi32(z0, 3);
+    } else
+#endif
+    {
+        x0 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p), _mm_cvtsi32_si128((int)crc));
+        x1 = _mm_loadu_si128((const __m128i *)(p + 16));
+        x2 = _mm_loadu_si128((const __m128i *)(p + 32));
+        x3 = _mm_loadu_si128((const __m128i *)(p + 48));
+        p += 64;
+        n -= 64;
+    }
+    for (; n >= 64; p += 64, n -= 64) {
+        x0 = crc_fold(x0, k512, _mm_loadu_si128((const __m128i *)p));
+        x1 = crc_fold(x1, k512, _mm_loadu_si128((const __m128i *)(p + 16)));
+        x2 = crc_fold(x2, k512, _mm_loadu_si128((const __m128i *)(p + 32)));
+        x3 = crc_fold(x3, k512, _mm_loadu_si128((const __m128i *)(p + 48)));
+    }
+    x0 = crc_fold(x0, k128, x1);
+    x0 = crc_fold(x0, k128, x2);
+    x0 = crc_fold(x0, k128, x3);
+    for (; n >= 16; p += 16, n -= 16)
+        x0 = crc_fold(x0, k128, _mm_loadu_si128((const __m128i *)p));
+    /* 128 -> 64 bits */
+    t = _mm_clmulepi64_si128(x0, k128, 0x10);
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), t);
+    t = _mm_srli_si128(x0, 4);
+    x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0x00);
+    x0 = _mm_xor_si128(x0, t);
+    /* Barrett: 64 -> 32 bits with mu = poly.hi, P' = poly.lo */
+    t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x0, t), 1);
+}
+
+/* 512-bit instructions pay only in a call long enough to amortise the
+ * core's switch to them: a call over fewer bytes than this (a served read
+ * checks one row of at most 64 KiB) stays on the 128-bit fold. */
+#define WIDE_CALL_BYTES (256 << 10)
+
+/* The running (inverted) register `crc` carried over the n bytes at p:
+ * a row hashed in pieces, one after another, ends where one call over the
+ * whole row does. */
+static uint32_t crc32_run(uint32_t crc, const uint8_t *p, size_t n, int wide)
+{
+    size_t body = n >= 64 ? n & ~(size_t)15 : 0;
+    if (body) crc = crc32_clmul(crc, p, body, wide);
+    return crc32_bytes(crc, p + body, n - body);
+}
+
+static void crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                       size_t nrows, size_t row_bytes, uint32_t *out, int wide)
+{
+    size_t r;
+    for (r = 0; r < nrows; r++)
+        out[r] = ~crc32_run(0xffffffffu, base + (ptrdiff_t)r * row_stride, row_bytes, wide);
+}
+
+/* out[r] = zlib crc32 of the row_bytes bytes at base + r * row_stride. */
+void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
+                      size_t nrows, size_t row_bytes, uint32_t *out)
+{
+    crc32_rows(base, row_stride, nrows, row_bytes, out, nrows * row_bytes >= WIDE_CALL_BYTES);
+}
+
+/* repro_crc32_rows over many row ranges, their CRCs back to back in `out`.
+ * Range r starts at bases[r]; `geometry` holds three int64 per range:
+ * row stride, rows, bytes per row. */
+void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
+                        uint32_t *out)
+{
+    size_t r, total = 0;
+    for (r = 0; r < nranges; r++)
+        total += (size_t)geometry[3 * r + 1] * (size_t)geometry[3 * r + 2];
+    for (r = 0; r < nranges; r++, geometry += 3) {
+        crc32_rows((const uint8_t *)bases[r], (ptrdiff_t)geometry[0], (size_t)geometry[1],
+                   (size_t)geometry[2], out, total >= WIDE_CALL_BYTES);
+        out += geometry[1];
+    }
+}
+#endif
 
 /* ------------------------------------------------------------- gather */
 
@@ -395,15 +565,31 @@ static void dot8(uint8_t *dst, const uint8_t **src, const uint8_t **op, size_t k
  * dense output row from its nonzero terms and store it once.  `tables`
  * holds each coefficient's 256-entry product table, `vec` its
  * VEC_OPERAND record; the kernel reads the one it was compiled for.
+ *
+ * With `crcs` (and the CRC kernel compiled in), each block of each of the
+ * segment's `mout` output rows -- copies, dense rows and whatever else the
+ * caller left there -- is then folded into that row's running CRC-32
+ * while the block is still in cache: crcs[g * mout + r] ends as zlib's
+ * crc32 of segment g's output row r.  The fold is the 512-bit one when
+ * the call writes WIDE_CALL_BYTES or more.
  * Returns -1 when the row table cannot be allocated. */
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
                      const int32_t *copies, int32_t ncopy,
-                     char **outs, const int64_t *oshape, size_t nseg, size_t block)
+                     char **outs, const int64_t *oshape, size_t nseg, size_t block,
+                     uint32_t *crcs, int32_t mout)
 {
     size_t nrow = range_rows(geometry, nranges);
     size_t nin = nseg ? nrow / nseg : 0, mn = (size_t)m * (size_t)n, nz = 0, g;
+#if CLMUL
+    size_t written = 0;
+    int wide;
+    for (g = 0; g < nseg; g++) written += (size_t)mout * (size_t)oshape[2 * g + 1];
+    wide = written >= WIDE_CALL_BYTES;
+#else
+    crcs = NULL;
+#endif
     /* Scratch after the row pointers: per nonzero coefficient, row by row,
      * its operand and input row; where each output row's terms end; one
      * row's source pointers. */
@@ -433,6 +619,8 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
         uint8_t *out = (uint8_t *)outs[g];
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t s = (size_t)oshape[2 * g + 1], s0;
+        uint32_t *crc = crcs ? crcs + g * (size_t)mout : NULL;
+        for (i = 0; crc && i < mout; i++) crc[i] = 0xffffffffu;
         for (s0 = 0; s0 < s; s0 += block) {
             size_t w = (s - s0 < block) ? s - s0 : block, q = 0;
             copy_rows(in, copies, ncopy, out, ostride, s0, w);
@@ -446,7 +634,12 @@ int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *c
                     q += k;
                 } while (q < end[i]);
             }
+#if CLMUL
+            for (i = 0; crc && i < mout; i++)
+                crc[i] = crc32_run(crc[i], out + (ptrdiff_t)i * ostride + (ptrdiff_t)s0, w, wide);
+#endif
         }
+        for (i = 0; crc && i < mout; i++) crc[i] = ~crc[i];
     }
     free(row);
     return 0;
@@ -622,162 +815,6 @@ int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
     return 0;
 }
 
-/* -------------------------------------------------------------- CRC-32 */
-
-int repro_native_clmul(void)
-{
-#if defined(__PCLMUL__) && defined(__SSE4_1__)
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-#if defined(__PCLMUL__) && defined(__SSE4_1__)
-#include <immintrin.h>
-
-/* zlib's CRC-32: reflected polynomial 0xEDB88320, register preset to and
- * finally inverted with 0xffffffff.  The byte table finishes what the
- * folding kernel leaves (tails under 16 bytes, rows under 64). */
-static const uint32_t crc_table[256] = {
-@CRC_TABLE@
-};
-
-static uint32_t crc32_bytes(uint32_t crc, const uint8_t *p, size_t n)
-{
-    while (n--) crc = crc_table[(crc ^ *p++) & 0xff] ^ (crc >> 8);
-    return crc;
-}
-
-/* Fold `a` forward by the distance encoded in `k` and absorb `next`:
- * a.lo * k.lo ^ a.hi * k.hi ^ next (carry-less products). */
-static inline __m128i crc_fold(__m128i a, __m128i k, __m128i next)
-{
-    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
-                                       _mm_clmulepi64_si128(a, k, 0x11)),
-                         next);
-}
-
-#if WIDE
-/* crc_fold in each of the four 128-bit lanes of a 512-bit register. */
-static inline __m512i crc_fold512(__m512i a, __m512i k, __m512i next)
-{
-    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(a, k, 0x00),
-                                     _mm512_clmulepi64_epi128(a, k, 0x11), next, 0x96);
-}
-#endif
-
-/* Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
- * bit-reflected form: four 128-bit lanes folded 512 bits at a time, then
- * into one lane, 128 -> 64 -> 32 bits by Barrett reduction.  With the
- * wide kernels and `wide` set, a run of 256 bytes or more is first folded
- * by four 512-bit accumulators (sixteen lanes), 2048 bits a step, and then
- * into the four lanes the 128-bit loop carries on from.  `crc` is the
- * running (inverted) register; n >= 64 and a multiple of 16. */
-static uint32_t crc32_clmul(uint32_t crc, const uint8_t *p, size_t n, int wide)
-{
-    const __m128i k512 = _mm_set_epi64x(@FOLD_512@);
-    const __m128i k128 = _mm_set_epi64x(@FOLD_128@);
-    const __m128i k64 = _mm_set_epi64x(0, 0x163cd6124);
-    const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
-    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
-    __m128i x0, x1, x2, x3, t;
-    (void)wide;  /* read only by the wide kernels */
-#if WIDE
-    if (wide && n >= 256) {
-        const __m512i k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(@FOLD_2048@));
-        const __m512i k512x4 = _mm512_broadcast_i32x4(k512);
-        __m512i z0 = _mm512_loadu_si512(p), z1 = _mm512_loadu_si512(p + 64);
-        __m512i z2 = _mm512_loadu_si512(p + 128), z3 = _mm512_loadu_si512(p + 192);
-        z0 = _mm512_xor_si512(z0, _mm512_inserti32x4(_mm512_setzero_si512(),
-                                                      _mm_cvtsi32_si128((int)crc), 0));
-        for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
-            z0 = crc_fold512(z0, k2048, _mm512_loadu_si512(p));
-            z1 = crc_fold512(z1, k2048, _mm512_loadu_si512(p + 64));
-            z2 = crc_fold512(z2, k2048, _mm512_loadu_si512(p + 128));
-            z3 = crc_fold512(z3, k2048, _mm512_loadu_si512(p + 192));
-        }
-        z0 = crc_fold512(z0, k512x4, z1);
-        z0 = crc_fold512(z0, k512x4, z2);
-        z0 = crc_fold512(z0, k512x4, z3);
-        x0 = _mm512_extracti32x4_epi32(z0, 0);
-        x1 = _mm512_extracti32x4_epi32(z0, 1);
-        x2 = _mm512_extracti32x4_epi32(z0, 2);
-        x3 = _mm512_extracti32x4_epi32(z0, 3);
-    } else
-#endif
-    {
-        x0 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p), _mm_cvtsi32_si128((int)crc));
-        x1 = _mm_loadu_si128((const __m128i *)(p + 16));
-        x2 = _mm_loadu_si128((const __m128i *)(p + 32));
-        x3 = _mm_loadu_si128((const __m128i *)(p + 48));
-        p += 64;
-        n -= 64;
-    }
-    for (; n >= 64; p += 64, n -= 64) {
-        x0 = crc_fold(x0, k512, _mm_loadu_si128((const __m128i *)p));
-        x1 = crc_fold(x1, k512, _mm_loadu_si128((const __m128i *)(p + 16)));
-        x2 = crc_fold(x2, k512, _mm_loadu_si128((const __m128i *)(p + 32)));
-        x3 = crc_fold(x3, k512, _mm_loadu_si128((const __m128i *)(p + 48)));
-    }
-    x0 = crc_fold(x0, k128, x1);
-    x0 = crc_fold(x0, k128, x2);
-    x0 = crc_fold(x0, k128, x3);
-    for (; n >= 16; p += 16, n -= 16)
-        x0 = crc_fold(x0, k128, _mm_loadu_si128((const __m128i *)p));
-    /* 128 -> 64 bits */
-    t = _mm_clmulepi64_si128(x0, k128, 0x10);
-    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), t);
-    t = _mm_srli_si128(x0, 4);
-    x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0x00);
-    x0 = _mm_xor_si128(x0, t);
-    /* Barrett: 64 -> 32 bits with mu = poly.hi, P' = poly.lo */
-    t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
-    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
-    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x0, t), 1);
-}
-
-/* 512-bit instructions pay only in a call long enough to amortise the
- * core's switch to them: a call over fewer bytes than this (a served read
- * checks one row of at most 64 KiB) stays on the 128-bit fold. */
-#define WIDE_CALL_BYTES (256 << 10)
-
-static void crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
-                       size_t nrows, size_t row_bytes, uint32_t *out, int wide)
-{
-    size_t r;
-    for (r = 0; r < nrows; r++) {
-        const uint8_t *p = base + (ptrdiff_t)r * row_stride;
-        size_t body = row_bytes >= 64 ? row_bytes & ~(size_t)15 : 0;
-        uint32_t crc = 0xffffffffu;
-        if (body) crc = crc32_clmul(crc, p, body, wide);
-        out[r] = ~crc32_bytes(crc, p + body, row_bytes - body);
-    }
-}
-
-/* out[r] = zlib crc32 of the row_bytes bytes at base + r * row_stride. */
-void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
-                      size_t nrows, size_t row_bytes, uint32_t *out)
-{
-    crc32_rows(base, row_stride, nrows, row_bytes, out, nrows * row_bytes >= WIDE_CALL_BYTES);
-}
-
-/* repro_crc32_rows over many row ranges, their CRCs back to back in `out`.
- * Range r starts at bases[r]; `geometry` holds three int64 per range:
- * row stride, rows, bytes per row. */
-void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
-                        uint32_t *out)
-{
-    size_t r, total = 0;
-    for (r = 0; r < nranges; r++)
-        total += (size_t)geometry[3 * r + 1] * (size_t)geometry[3 * r + 2];
-    for (r = 0; r < nranges; r++, geometry += 3) {
-        crc32_rows((const uint8_t *)bases[r], (ptrdiff_t)geometry[0], (size_t)geometry[1],
-                   (size_t)geometry[2], out, total >= WIDE_CALL_BYTES);
-        out += geometry[1];
-    }
-}
-#endif
 """.replace("@CRC_TABLE@", _crc_table_c()).replace(
     "@FOLD_2048@", _fold_constants(2048)).replace(
     "@FOLD_512@", _fold_constants(512)).replace(
@@ -974,7 +1011,8 @@ class NativeBackend:
 
     # ------------------------------------------------------------- kernels
 
-    def gf8_gather(self, tables, vec, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
+    def gf8_gather(self, tables, vec, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int,
+                   crcs: np.ndarray | None = None) -> None:
         """``out[rows] = coeffs @ input[cols]`` over GF(2^8) for every
         segment, cache-blocked, after the identity rows ``copies`` (``(out
         row, input row)`` pairs, flat).  ``tables`` holds each
@@ -986,17 +1024,26 @@ class NativeBackend:
         Segment ``g``'s output starts ``offsets[g]`` bytes into ``out``
         (:meth:`_outputs`), ``oshape[2g]`` bytes from row to row and
         ``oshape[2g + 1]`` bytes wide.
+
+        ``crcs``, a uint32 array of ``len(offsets) * mout`` entries, takes
+        ``zlib.crc32`` of each segment's ``mout`` output rows, segment by
+        segment, folded block by block as the kernel writes them.  Only
+        valid when :attr:`has_crc32`.
         """
         m, n = coeffs.shape
         bases, geometry = self._row_ranges(chunks)
         outs, _handle = self._outputs(out, offsets)
         p = self._ptr
+        if crcs is None:
+            crc_out, mout = self._ffi.NULL, 0
+        else:
+            crc_out, mout = p("uint32_t[]", crcs), crcs.size // len(offsets)
         if self._lib.repro_gf8_gather(
             p("uint8_t[]", tables), p("uint8_t[]", vec), p("uint8_t[]", coeffs),
             bases, geometry, len(bases),
             p("int32_t[]", cols), p("int32_t[]", rows), m, n,
             p("int32_t[]", copies), copies.size // 2,
-            outs, oshape, len(offsets), block,
+            outs, oshape, len(offsets), block, crc_out, mout,
         ):
             raise MemoryError("native gather: no memory for the row table")
 

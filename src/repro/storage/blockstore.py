@@ -19,18 +19,22 @@ over a block; a whole block verifies as "every row matches".  Where the
 native kernel library carries its carry-less-multiply CRC kernel, row
 runs large enough to repay the call go through it in one C call — a
 batch of writes hashes all its blocks in one call
-(:meth:`BlockStore._put_many`; a file whose blocks lie in one array, as
-a striped write's groups do, is one row range read through one handle,
-its blocks' entries keeping offsets into it), and a batch of row-range
-reads checks all its ranges in one call (:meth:`BlockStore._range_reader`)
+(:meth:`BlockStore._put_many`; blocks that lie in one array, as a
+striped write's groups do, are one row range read through one handle,
+their entries keeping offsets into it), and a batch of row-range reads
+checks all its ranges in one call (:meth:`BlockStore._range_reader`)
 through the handles the write kept; everything else, and every host
 without it, uses ``zlib.crc32`` — the stored values are the same either
-way.
+way.  A striped write hands over the row CRCs its encode folded as it
+wrote the blocks, and the store hashes none of those rows again.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -119,9 +123,10 @@ class BlockStore:
         # Verified reads check the rows they return against these; the
         # scrubber checks all of a block's rows to catch silent
         # corruption (bit rot, torn writes).  Each entry is ``(crcs,
-        # block, handle)``: the handle is the native kernel's on the
-        # rows of ``block`` (or ``None``), which a batched read reuses
-        # while ``block`` is still the one stored (see _clean_ranges).
+        # block, where)``: where the native kernel reads the rows of
+        # ``block`` — a handle and a byte offset into it — (or ``None``),
+        # which a batched read reuses while ``block`` is still the one
+        # stored (see _clean_ranges).
         self._row_checksums: dict[int, dict[tuple[str, int], tuple[list[int], np.ndarray, object]]] = {
             s.server_id: {} for s in cluster
         }
@@ -172,58 +177,61 @@ class BlockStore:
         """Write one block to a server's disk: a batch of one :meth:`_put_many`."""
         self._put_many(((server_id, file_name, block_id, payload),))
 
-    def _put_many(self, items, parents=None) -> None:
+    def _put_many(self, items, parents=None, crcs=None) -> None:
         """Write a batch of blocks; ``items[i]`` is ``(server, file, block, payload)``.
 
-        Each block takes ``put``'s steps in order: the down-server check,
-        which raises before that block is stored (the blocks before it
-        stay stored and counted), the store, the checksum entry.  What the
-        batch shares changes nothing that is stored: the row CRCs of every
-        block the native kernel can take in place come from one call
-        (:meth:`_batch_checksum_entries`; a lone block keeps
-        :meth:`_checksum_entry`'s own call), and the write counters are
-        added once per server, servers in the order they first appear.
+        The batch stores what ``put`` on each item in turn would: every
+        block up to the first on a down server, each with its checksum
+        entry, and there it raises as ``put`` does (the blocks before it
+        stay stored and counted).  What the batch shares changes nothing
+        that is stored: each distinct server is checked once, every entry
+        is made by :meth:`_checksum_entries`, and the write
+        counters are added once per server, servers in the order they
+        first appear.
 
         ``parents``, when given, are the arrays whose blocks the payloads
         are, in order: ``items`` holds ``parents[0][0], parents[0][1], ...,
         parents[1][0], ...`` (a file's encoded ``(n, N, S)`` blocks per
         parent), which lets a C-contiguous parent be hashed as one row
-        range through one handle.
+        range through one handle.  ``crcs``, when given, holds per parent
+        (per item without ``parents``) a uint32 array of the CRC-32 of
+        every row of its blocks, block by block, as the encode folded them,
+        or ``None``: the store hashes none of those rows again.
         """
-        entries = self._batch_checksum_entries(items, parents) if len(items) > 1 else None
-        server_of = self.cluster.server
+        items = items if isinstance(items, list) else list(items)
+        targets = list(map(itemgetter(0), items))
+        servers = self.cluster.servers
+        stop = len(items)
+        for server_id in dict.fromkeys(targets):
+            server = servers.get(server_id)
+            if server is None or server.failed:
+                stop = min(stop, targets.index(server_id))
+        entries = self._checksum_entries(items, parents, crcs)
+        disks = self._disks
         checksums = self._row_checksums
-        written: dict[int, list[int]] = {}
+        written: dict[int, int] = {}
         try:
-            for i, (server_id, file_name, block_id, payload) in enumerate(items):
-                if server_of(server_id).failed:
-                    raise BlockUnavailableError(
-                        f"server {server_id} is down; cannot write",
-                        server=server_id,
-                        file=file_name,
-                        block=block_id,
-                        cause="server_down",
-                    )
-                entry = entries[i] if entries is not None else None
-                if entry is None:
-                    payload = np.asarray(payload)
-                    entry = self._checksum_entry(payload)
-                else:
-                    payload = entry[1]
+            for (server_id, file_name, block_id, _), entry in zip(items[:stop] if stop < len(items) else items, entries):
                 key = (file_name, block_id)
-                self._disk(server_id)[key] = payload
+                disks[server_id][key] = block = entry[1]
                 checksums[server_id][key] = entry
-                tally = written.get(server_id)
-                if tally is None:
-                    written[server_id] = [payload.nbytes, 1]
-                else:
-                    tally[0] += payload.nbytes
-                    tally[1] += 1
+                written[server_id] = written.get(server_id, 0) + block.nbytes
+            if stop < len(items):
+                server_id, file_name, block_id, _ = items[stop]
+                self.cluster.server(server_id)  # an unknown server raises here
+                raise BlockUnavailableError(
+                    f"server {server_id} is down; cannot write",
+                    server=server_id,
+                    file=file_name,
+                    block=block_id,
+                    cause="server_down",
+                )
         finally:
             add = self.metrics.add
-            for server_id, (nbytes, count) in written.items():
+            counts = Counter(targets[:stop])
+            for server_id, nbytes in written.items():
                 add("disk_bytes_written", nbytes, server_id)
-                add("blocks_written", count, server_id)
+                add("blocks_written", counts[server_id], server_id)
 
     # ------------------------------------------------------------- integrity
 
@@ -234,69 +242,85 @@ class BlockStore:
             return self._native_row_crcs(rows)
         return _zlib_row_crcs(rows)
 
-    def _checksum_entry(self, block: np.ndarray) -> tuple[list[int], np.ndarray, object]:
-        """The ``_row_checksums`` entry ``put`` keeps for ``block``: its row
-        CRCs as :meth:`_row_crcs` computes them, and the handle the native
-        kernel read 2-D rows through, kept rather than asked for again."""
-        if block.ndim == 2 and self._native_row_crcs is not None and block.nbytes >= _NATIVE_CRC_MIN_BYTES:
-            crcs, handle = self._crc_backend.crc32_rows_in_place(block)
-            return crcs, block, handle
-        return self._row_crcs(block), block, None
+    def _checksum_entries(self, items, parents=None, crcs=None) -> list[tuple]:
+        """The ``_row_checksums`` entry of each item of a :meth:`_put_many`
+        batch: ``(row CRCs, block, where)``.
 
-    def _batch_checksum_entries(self, items, parents=None) -> list | None:
-        """Per item of a :meth:`_put_many` batch, the entry :meth:`_checksum_entry`
-        would make, for every 2-D block of at least ``_NATIVE_CRC_MIN_BYTES``
-        whose rows are each contiguous: all of them hashed in one
-        ``crc32_ranges`` call.  ``None`` for every other item
-        (``_checksum_entry`` hashes those), or for all when no block
-        qualifies or there is no native kernel.
+        The row CRCs are the encode's where ``crcs`` has them (see
+        :meth:`_put_many`).  The rest are hashed here as :meth:`_row_crcs`
+        would: every 2-D block of at least ``_NATIVE_CRC_MIN_BYTES`` whose
+        rows are each contiguous in one native ``crc32_ranges`` call for
+        the batch (a lone block in one ``crc32_rows`` call), every other
+        block by itself.
 
-        Without ``parents`` each block is one range, read through a
-        :meth:`row_buffer` handle its entry keeps for later batched reads.
-        A C-contiguous parent (see :meth:`_put_many`) is one range instead,
-        read through one handle: its first block's entry keeps that handle
-        and every later block's a pointer ``b * block bytes`` past it.  Such
-        a pointer owns nothing; the stored block it points into is what
-        keeps the memory, and the entry holds that block.
+        ``where`` is where the native kernel reads the block's rows for a
+        later batched read (:meth:`_clean_ranges`): a handle and a byte
+        offset into it, for every block the kernel can read in place, else
+        ``None``.  A C-contiguous parent is one handle, its block ``b`` at
+        ``b * block bytes``, and one row range to hash; any other block has
+        a :meth:`row_buffer` handle of its own.  A handle owns nothing the
+        entry needs: the entry holds the block, which keeps its memory.
         """
-        if self._native_row_crcs is None:
-            return None
         backend = self._crc_backend
-        entries: list = [None] * len(items)
-        hashed: list[tuple[int, int, int, object, int]] = []  # first item, blocks, rows each, handle, block stride
+        count = len(items)
+        entry_crcs: list = [None] * count
+        where: list = [None] * count
+        blocks: list = [None] * count
+        hashed: list[tuple[int, int, int]] = []  # first item, blocks, rows each: rows the ranges call hashes
         bases: list = []
         geometry: list[int] = []
-        first = 0
-        for stack in [None] * len(items) if parents is None else parents:
-            count = 1 if stack is None else len(stack)
-            if stack is not None and stack.flags.c_contiguous:
-                rows, width = stack.shape[1:]
-                if count and stack.nbytes >= count * _NATIVE_CRC_MIN_BYTES:
-                    handle = backend.row_buffer(stack)
-                    row_bytes = width * stack.itemsize
-                    hashed.append((first, count, rows, handle, rows * row_bytes))
+        first = 0  # the parent's first item
+        for p, stack in enumerate([None] * count if parents is None else parents):
+            given = None if crcs is None else crcs[p]
+            if (
+                stack is not None and stack.ndim == 3 and len(stack) and stack.flags.c_contiguous
+                and backend is not None and stack.nbytes >= len(stack) * _NATIVE_CRC_MIN_BYTES
+            ):
+                many, nrows, width = stack.shape
+                stop = first + many
+                handle = backend.row_buffer(stack)
+                row_bytes = width * stack.itemsize
+                step = nrows * row_bytes
+                where[first:stop] = zip(repeat(handle), range(0, many * step, step))
+                blocks[first:stop] = map(itemgetter(3), items[first:stop])
+                if given is not None:
+                    entry_crcs[first:stop] = given.reshape(many, nrows).tolist()
+                else:
+                    hashed.append((first, many, nrows))
                     bases.append(handle)
-                    geometry += (row_bytes, count * rows, row_bytes)
-            else:
-                for i in range(first, first + count):
-                    block = np.asarray(items[i][3])
-                    if block.ndim == 2 and block.nbytes >= _NATIVE_CRC_MIN_BYTES and block.strides[1] == block.itemsize:
-                        handle = backend.row_buffer(block)
-                        hashed.append((i, 1, block.shape[0], handle, 0))
+                    geometry += (row_bytes, many * nrows, row_bytes)
+                first = stop
+                continue
+            stop = first + (1 if stack is None else len(stack))
+            if given is not None:
+                entry_crcs[first:stop] = given.reshape(stop - first, -1).tolist()
+            for i in range(first, stop):
+                block = blocks[i] = np.asarray(items[i][3])
+                if (
+                    backend is None or block.ndim != 2 or block.nbytes < _NATIVE_CRC_MIN_BYTES
+                    or block.strides[1] != block.itemsize
+                ):
+                    if given is None:
+                        entry_crcs[i] = self._row_crcs(block)
+                elif count == 1 and given is None:
+                    entry_crcs[i], handle = backend.crc32_rows_in_place(block)
+                    where[i] = (handle, 0)
+                else:
+                    handle = backend.row_buffer(block)
+                    where[i] = (handle, 0)
+                    if given is None:
+                        hashed.append((i, 1, block.shape[0]))
                         bases.append(handle)
                         geometry += (block.strides[0], block.shape[0], block.shape[1] * block.itemsize)
-            first += count
-        if not bases:
-            return None
-        crcs = backend.crc32_ranges(bases, geometry)
-        pos = 0
-        for first, count, rows, handle, stride in hashed:
-            for b in range(count):
-                stop = pos + rows
-                block = np.asarray(items[first + b][3])
-                entries[first + b] = (crcs[pos:stop], block, handle + b * stride if b else handle)
+            first = stop
+        if bases:
+            got = backend.crc32_ranges(bases, geometry)
+            pos = 0
+            for first, many, nrows in hashed:
+                stop = pos + many * nrows
+                entry_crcs[first : first + many] = [got[r : r + nrows] for r in range(pos, stop, nrows)]
                 pos = stop
-        return entries
+        return list(zip(entry_crcs, blocks, where))
 
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
         """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""
@@ -503,18 +527,19 @@ class BlockStore:
                 continue
             server_id, file_name, block_id, start, count = ranges[i]
             key = (file_name, block_id)
-            crcs, owner, handle = checksums[server_id][key]
+            crcs, owner, where = checksums[server_id][key]
             if backend is None:
                 got += _zlib_row_crcs(view)
             else:
                 block = blocks[i]
-                if owner is not block or handle is None:
+                if owner is not block or where is None:
                     if not len(block) or block.strides[1] != block.itemsize:
                         continue
-                    handle = backend.row_buffer(block)
-                    checksums[server_id][key] = (crcs, block, handle)
+                    where = (backend.row_buffer(block), 0)
+                    checksums[server_id][key] = (crcs, block, where)
+                handle, offset = where
                 stride = block.strides[0]
-                bases.append(handle + start * stride)
+                bases.append(handle + (offset + start * stride))
                 geometry += (stride, count, block.shape[1] * block.itemsize)
             wanted.append((i, count))
             expected += crcs[start : start + count]

@@ -29,7 +29,7 @@ import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -309,40 +309,25 @@ class DistributedFileSystem:
 
         ``blocks`` is the ``(n, N, S)`` array a (possibly fused)
         :meth:`~repro.codes.base.ErasureCode.encode` produced; views into
-        a larger batched output are stored as-is — no per-block copy.  A
-        batch of one :meth:`_write_encoded_many`, placed round-robin.
+        a larger batched output are stored as-is — no per-block copy.  The
+        name and block shape are checked before anything is placed or
+        stored; the file is placed round-robin and stored as a batch of
+        one file.
         """
-        return self._write_encoded_many(code, [(name, blocks, original_size, None)])[0]
-
-    def _write_encoded_many(self, code: ErasureCode, entries) -> list[EncodedFile]:
-        """:meth:`write_encoded` for many files of one code, in one store batch.
-
-        ``entries[i]`` is ``(name, blocks, original_size, servers)``: block
-        ``b`` goes to ``servers[b]``, or with ``servers`` ``None`` the file
-        is placed round-robin (one ``dfs.place`` span).  Every name and
-        block shape is checked before anything is placed or stored, so a
-        rejected batch stores and registers nothing; every block of every
-        file is then stored by one ``BlockStore._put_many``.
-        """
-        for name, blocks, _, _ in entries:
-            if name in self.files:
-                raise FileSystemError(f"file {name!r} already exists")
-            if blocks.ndim != 3 or blocks.shape[:2] != (code.n, code.N):
-                raise FileSystemError(
-                    f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
-                )
+        if name in self.files:
+            raise FileSystemError(f"file {name!r} already exists")
+        if blocks.ndim != 3 or blocks.shape[:2] != (code.n, code.N):
+            raise FileSystemError(
+                f"expected ({code.n}, {code.N}, S) blocks for {name!r}, got {blocks.shape}"
+            )
         code = self._intern_code(code)
-        placed = []
-        for name, blocks, original_size, servers in entries:
-            if servers is None:
-                with get_tracer().span("dfs.place", category="storage", file=name):
-                    servers = RoundRobinPlacement().place(self.cluster, code.n)
-            placed.append((name, blocks, servers, original_size))
-        files = self._store_files(code, placed)
-        self.metrics.add("bytes_moved_zero_copy", sum(blocks.nbytes for _, blocks, _, _ in entries))
-        return files
+        with get_tracer().span("dfs.place", category="storage", file=name):
+            servers = RoundRobinPlacement().place(self.cluster, code.n)
+        (ef,) = self._store_files(code, [(name, blocks, servers, original_size)])
+        self.metrics.add("bytes_moved_zero_copy", blocks.nbytes)
+        return ef
 
-    def _store_files(self, code: ErasureCode, placed) -> list[EncodedFile]:
+    def _store_files(self, code: ErasureCode, placed, parents=None, crcs=None) -> list[EncodedFile]:
         """Store the blocks of placed files in one store batch, then register
         them in one pass.
 
@@ -350,17 +335,27 @@ class DistributedFileSystem:
         ``b`` of ``blocks`` goes to ``servers[b]``.  Each file's ``blocks``
         are the batch's parents (``BlockStore._put_many``): a file whose
         blocks lie in one C-contiguous array is hashed as one row range.
+        ``parents`` may name other parents instead: arrays whose blocks,
+        laid end to end, are every file's blocks in order (a striped
+        write's full groups, one array).  ``crcs``, when given, holds per
+        parent the row CRCs of its blocks as the encode folded them
+        (``pipeline._encode``), or ``None``; the store hashes none of those
+        rows again.
         """
-        items = [(servers[b], name, b, blocks[b]) for name, blocks, servers, _ in placed for b in range(code.n)]
+        n = code.n
+        parents = parents or [blocks for _, blocks, _, _ in placed]
+        items = list(zip(
+            chain.from_iterable(servers for _, _, servers, _ in placed),
+            chain.from_iterable(repeat(name, n) for name, _, _, _ in placed),
+            list(range(n)) * len(placed),
+            chain.from_iterable(parents),
+        ))
         with get_tracer().span(
             "dfs.store_blocks", category="storage", files=len(placed), blocks=len(items), clock=self.clock
         ):
-            self.store._put_many(items, [blocks for _, blocks, _, _ in placed])
+            self.store._put_many(items, parents, crcs)
         files = [
-            EncodedFile(
-                name=name, code=code, placement=dict(enumerate(servers)),
-                stripe_size=blocks.shape[2], original_size=original_size,
-            )
+            EncodedFile(name, code, dict(enumerate(servers)), blocks.shape[2], original_size)
             for name, blocks, servers, original_size in placed
         ]
         self.files.update((ef.name, ef) for ef in files)

@@ -37,7 +37,9 @@ as the list of arrays they were read into, a decode's as row slices of
 its survivors.  On a native tier every group at least
 ``_SEGMENT_MIN_ELEMS`` symbols wide is coded by one kernel call over a
 segment table, its result written contiguously into one shared buffer,
-so a striped write's blocks are each one C-contiguous array.  Only a run
+so a striped write's blocks are each one C-contiguous array, and the
+GF(2^8) gather folds the CRC-32 of every row it writes for the store
+(:func:`_encode`).  Only a run
 of narrower groups is column-stacked, by ``apply_batch`` and straight
 from those rows, and the numpy tiers stack each product's rows first:
 one copy either way.
@@ -69,18 +71,59 @@ def batch_encode(
     :meth:`~repro.gf.kernels.CodingPlan.apply_batch` coded its grid in
     place).
     """
+    outs = _encode(code, grids, metrics)[0]
+    return [blocks for out in outs for blocks in (out if isinstance(out, list) or out.ndim == 4 else (out,))]
+
+
+def _encode(code: ErasureCode, grids, metrics: MetricsRegistry | None = None, crcs: bool = False):
+    """:func:`batch_encode` with one result per entry of ``grids``, and
+    with ``crcs`` the CRC-32 of every stored row, per entry: group by
+    group, block by block, stripe row by stripe row, as the block store
+    keeps them, folded by the kernel
+    (:meth:`~repro.gf.kernels.CodingPlan._apply_batch`; ``None`` for an
+    entry it did not fold, and in place of the list when it folded none).
+
+    An entry of ``grids`` may also be a ``(groups, k*N, S)`` stack: that
+    many groups of one width (a striped write's full groups).  Where the
+    native kernel codes them in place their rows are one row range to it,
+    and their result is the ``(groups, n, N, S)`` block of the buffer it
+    wrote them into; else they are coded group by group, and their result
+    is the list of their ``(n, N, S)`` blocks.
+    """
     grids = [np.asarray(g) for g in grids]
     total = code.data_stripe_total
     for g in grids:
-        if g.ndim != 2 or g.shape[0] != total:
+        if g.ndim not in (2, 3) or g.shape[-2] != total:
             raise ValueError(f"expected ({total}, S) stripe grids, got shape {g.shape}")
+    plan = code.compile_encode()
+    segments, spans = [], []  # spans: per grid, (first segment, groups) when coded group by group
+    for g in grids:
+        if g.ndim == 3 and not (len(g) and plan._in_place(g.shape[2])):
+            spans.append((len(segments), len(g)))
+            segments += list(g)
+        else:
+            spans.append(None)
+            segments.append(g)
+    groups = sum(len(g) if g.ndim == 3 else 1 for g in grids)
     with get_tracer().span(
-        "pipeline.batch_encode", category="pipeline", groups=len(grids),
+        "pipeline.batch_encode", category="pipeline", groups=groups,
         bytes=sum(g.nbytes for g in grids),
     ):
-        outs = code.compile_encode().apply_batch(grids)
-    _count_batch(metrics, len(grids))
-    return [o.reshape(code.n, code.N, o.shape[1]) for o in outs]
+        outs, row_crcs = plan._apply_batch(segments, crcs)
+    _count_batch(metrics, groups)
+    n, N = code.n, code.N
+    results, grid_crcs, at = [], [], 0
+    for g, span in zip(grids, spans):
+        if span is not None:
+            results.append([o.reshape(n, N, o.shape[1]) for o in outs[at : at + span[1]]])
+            grid_crcs.append(None)
+            at += span[1]
+        else:
+            out = outs[at]
+            results.append(out.reshape(len(out), n, N, out.shape[2]) if g.ndim == 3 else out.reshape(n, N, out.shape[1]))
+            grid_crcs.append(None if row_crcs is None else row_crcs[at])
+            at += 1
+    return results, None if row_crcs is None else grid_crcs
 
 
 def batch_decode(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.placement import RoundRobinPlacement, _round_robin
+from repro.cluster.placement import _round_robin
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
@@ -105,8 +105,8 @@ class StripedFileSystem:
 
         Group ``i`` is placed round-robin from server ``i * n`` on (over
         the alive servers, in id order), so groups land on different
-        servers.  All full groups are encoded through **one** fused kernel
-        call; a ragged tail group rides separately.  Every group is
+        servers.  Every group, a ragged tail included, is encoded through
+        **one** fused kernel call and stored in one batch.  Every group is
         written with the one code object the filesystem keeps for codes
         built from the factory's constructor arguments, so the compiled
         encode plan and any decode / repair plans are built once and
@@ -130,7 +130,8 @@ class StripedFileSystem:
         )
         # Every group name is checked before the first group is stored, so
         # a write that would clash stores and registers nothing.
-        taken = next((g for g in meta.group_names() if g in self.dfs.files), None)
+        names = meta.group_names()
+        taken = next((g for g in names if g in self.dfs.files), None)
         if taken is not None:
             raise FileSystemError(f"file {taken!r} already exists")
         with get_tracer().span(
@@ -138,46 +139,62 @@ class StripedFileSystem:
             bytes=len(data), groups=group_count,
             clock=getattr(self.dfs, "clock", None),
         ):
-            self._write_batched(name, data, code, meta)
+            self._write_batched(name, names, data, code, meta)
         self.striped[name] = meta
         return meta
 
-    def _write_batched(self, name, data, code, meta: StripedFileMeta) -> None:
-        """Encode every full group in one fused kernel call, store them in one batch.
+    def _write_batched(self, name, names, data, code, meta: StripedFileMeta) -> None:
+        """Encode every group in one fused kernel call, store them in one batch.
 
-        The payload is viewed as a ``(groups, k*N, S)`` stack without
-        copying (``np.frombuffer`` over the caller's bytes).  On a native
-        tier the batch apply reads every group's rows there and writes
-        each group's blocks contiguously into one buffer, so nothing is
-        staged and each group's blocks are hashed as one row range; the
-        numpy tiers stack the groups' columns first.  Every full group is
-        placed from one ``alive_ids()`` and all of them are stored and
-        registered by one :meth:`DistributedFileSystem._write_encoded_many`.
-        The final short group — whose stripe width differs after padding
-        — is the ragged tail and takes the ordinary single-group path
-        with the same shared code.
+        The full groups are viewed as one ``(groups, k*N, S)`` stack
+        without copying (``np.frombuffer`` over the caller's bytes), which
+        the native gather reads as one row range; the final short group,
+        whose stripe width differs after padding (the ragged tail), is
+        padded as :meth:`DistributedFileSystem.write_file` pads a file and
+        joins the same call.  The gather writes each group's blocks
+        contiguously into one buffer and folds the CRC-32 of every row it
+        writes, so nothing is staged and nothing is hashed twice (without
+        the native gather the store hashes the blocks as ``put`` would).
+        Every group is placed from one ``alive_ids()``, and all of them are
+        stored and registered by one
+        :meth:`DistributedFileSystem._store_files`.
         """
         gp = meta.group_payload
         total = code.data_stripe_total
-        stripe = gp // total
         full = len(data) // gp
         arr = np.frombuffer(data, dtype=np.uint8)
-        n = code.n
+        grids, sizes = [], [gp] * full
         if full:
-            grids = arr[: full * gp].reshape(full, total, stripe)
-            if grids.dtype != code.gf.dtype:
-                grids = grids.astype(code.gf.dtype)
-                self.metrics.add("bytes_copied", grids.nbytes)
-            blocks = pipeline.batch_encode(code, list(grids), metrics=self.metrics)
-            with get_tracer().span("dfs.place", category="storage", file=name, files=full):
-                servers = _round_robin(self.cluster, n, range(0, full * n, n))
-            self.dfs._write_encoded_many(
-                code, [(group_name(name, i), blocks[i], gp, servers[i]) for i in range(full)]
-            )
+            stack = arr[: full * gp].reshape(full, total, gp // total)
+            if stack.dtype != code.gf.dtype:
+                stack = stack.astype(code.gf.dtype)
+                self.metrics.add("bytes_copied", stack.nbytes)
+            grids.append(stack)
         if full < meta.group_count:
-            tail = arr[full * gp :]
-            pol = RoundRobinPlacement(offset=full * n)
-            self.dfs.write_file(group_name(name, full), tail, code=code, placement=pol)
+            tail = DistributedFileSystem._as_symbols(code, arr[full * gp :])
+            grid = np.zeros((total, max(1, -(-tail.size // total))), dtype=code.gf.dtype)
+            grid.reshape(-1)[: tail.size] = tail
+            grids.append(grid)
+            sizes.append(tail.size)
+        outs, crcs = pipeline._encode(code, grids, self.metrics, crcs=True)
+        # The store's parents: the full groups' blocks as one array where the
+        # kernel coded them in place (with their row CRCs), else each group's.
+        blocks, parents, parent_crcs = [], [], []
+        for out, row_crcs in zip(outs, crcs or [None] * len(outs)):
+            if isinstance(out, list):
+                blocks += out
+                parents += out
+                parent_crcs += [None] * len(out)
+            else:
+                blocks.extend(out if out.ndim == 4 else (out,))
+                parents.append(out.reshape(-1, *out.shape[-2:]))
+                parent_crcs.append(row_crcs)
+        n = code.n
+        with get_tracer().span("dfs.place", category="storage", file=name, files=meta.group_count):
+            servers = _round_robin(self.cluster, n, range(0, meta.group_count * n, n))
+        self.dfs._store_files(code, list(zip(names, blocks, servers, sizes)), parents, parent_crcs)
+        if full:
+            self.metrics.add("bytes_moved_zero_copy", full * blocks[0].nbytes)
 
     # -------------------------------------------------------------- read
 

@@ -42,6 +42,7 @@ from repro.gf import (
     reset_kernel_selection,
     validate_symbols,
 )
+from repro.gf.native import get_backend
 
 # REPRO_KERNEL knob tests and the selection counters touch process-global
 # kernel state; share an xdist serial group with tests/test_native.py.
@@ -59,6 +60,15 @@ def _auto(label: str) -> str:
     if not native_available():
         return label
     return {"xor": "native-xor", "packed-full": "native", "packed-split": "native"}[label]
+
+
+def _parity_label() -> str:
+    """The label auto mode gives a GF(2^8) parity row of ten terms: the
+    XOR schedule, except that the native gather on 512-bit registers
+    (``simd_level`` 3) sums three or more terms a row for less."""
+    if native_available() and get_backend().simd_level == 3:
+        return "native"
+    return _auto("xor")
 
 
 def _random(gf, shape, seed):
@@ -240,7 +250,7 @@ class TestCodingPlanXor:
 
     def test_auto_selects_xor_for_parity_and_table_for_cauchy(self):
         rs = ReedSolomonCode(10, 1)
-        assert CodingPlan(rs.gf, rs.generator).kernel == _auto("xor")
+        assert CodingPlan(rs.gf, rs.generator).kernel == _parity_label()
         gal = GalloperCode(4, 2, 1)
         assert CodingPlan(gal.gf, gal.generator).kernel == _auto("packed-full")
 
@@ -334,8 +344,9 @@ class TestSelectionCounters:
         dense = CodingPlan(gf, _random(gf, (4, 6), seed=41) | 1)
         dense.apply(_random(gf, (6, LARGE), seed=43))
         counts = kernel_selection_info()
-        assert counts[_auto("xor")] == 1
-        assert counts[_auto("packed-full")] == 1
+        assert xor_plan.kernel == _parity_label()
+        assert counts[_auto("xor")] == (_parity_label() == _auto("xor"))
+        assert counts[_auto("packed-full")] == 1 + (_parity_label() == _auto("packed-full"))
 
     def test_fallback_counter(self):
         # A shape that passes the optimistic pre-screen but loses after

@@ -243,7 +243,7 @@ class TestApplyBatchWidthRule:
         calls, table = [], []
         apply, segments = plan.apply, plan._apply_segments
         plan.apply = lambda data, out=None: (calls.append(data.shape[1]), apply(data, out=out))[1]
-        plan._apply_segments = lambda rows, buf: (table.extend(w for _, w, _ in rows), segments(rows, buf))[1]
+        plan._apply_segments = lambda rows, buf, *crcs: (table.extend(w for _, w, _ in rows), segments(rows, buf, *crcs))[1]
         if traced:
             with use_tracer(Tracer()):
                 got = plan.apply_batch(segs)

@@ -326,35 +326,66 @@ class TestCrc32Rows:
             backend.crc32_ranges([backend.row_buffer(np.zeros((2, 8), dtype=np.uint8))], [8, 2])
 
 
-@pytest.fixture(scope="module")
-def avx2_backend(tmp_path_factory):
-    """The generated C built a second time without AVX-512, GFNI or
-    VPCLMULQDQ and loaded through the module's cdef: the kernels a host
-    without the wide ones runs (level 2 on an AVX2 host)."""
+def _isa_build(tmp_path_factory, name: str, flags: list[str]):
+    """The generated C built a second time with ``-march=native`` less
+    ``flags``, loaded through the module's cdef."""
     cffi = pytest.importorskip("cffi")
     cc = nat._compiler()
     if cc is None:
         pytest.skip("no C compiler")
     if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("the AVX2 build's flags are x86 flags")
-    build = tmp_path_factory.mktemp("avx2")
+        pytest.skip("the ISA builds' flags are x86 flags")
+    build = tmp_path_factory.mktemp(name)
     c_path, so_path = build / "repro_native.c", build / "repro_native.so"
     c_path.write_text(nat._C_SOURCE)
-    flags = ["-O3", "-march=native", "-mno-avx512f", "-mno-gfni", "-mno-vpclmulqdq", "-fPIC", "-shared"]
-    proc = subprocess.run([cc, *flags, str(c_path), "-o", str(so_path)], capture_output=True, text=True, timeout=300)
+    cmd = [cc, "-O3", "-march=native", *flags, "-fPIC", "-shared", str(c_path), "-o", str(so_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     ffi = cffi.FFI()
     ffi.cdef(nat._CDEF)
     return nat.NativeBackend(ffi, nat._dlopen(ffi, so_path), so_path)
 
 
+@pytest.fixture(scope="module")
+def avx2_backend(tmp_path_factory):
+    """Without AVX-512, GFNI or VPCLMULQDQ: the kernels a host without the
+    wide ones runs (level 2 on an AVX2 host)."""
+    return _isa_build(tmp_path_factory, "avx2", ["-mno-avx512f", "-mno-gfni", "-mno-vpclmulqdq"])
+
+
+@pytest.fixture(scope="module")
+def plain_backend(tmp_path_factory):
+    """Without AVX2 or PCLMULQDQ either: plain C products and no CRC
+    kernel (``has_crc32`` false), as on a host without them."""
+    return _isa_build(
+        tmp_path_factory, "plain", ["-mno-avx2", "-mno-avx512f", "-mno-gfni", "-mno-vpclmulqdq", "-mno-pclmul"]
+    )
+
+
 def _isa_backends(request) -> list:
-    """The default build (the wide kernels, on a host that has them) and
-    the AVX2 build, each when it exists here."""
-    backends = [request.getfixturevalue("avx2_backend")]
+    """The default build (the wide kernels, on a host that has them), the
+    AVX2 build and the plain build, each when it exists here."""
+    backends = [request.getfixturevalue("avx2_backend"), request.getfixturevalue("plain_backend")]
     if native_available():
         backends.insert(0, nat.get_backend())
     return backends
+
+
+def _gather_plan(coeffs, backend) -> CodingPlan:
+    """A GF(2^8) plan over ``coeffs`` pinned to ``backend``'s gather."""
+    plan = CodingPlan(GF256, coeffs, kernel="native")
+    plan._decide_tier()
+    plan._schedule, plan._native_backend = None, backend
+    return plan
+
+
+def _encode_plans():
+    """The encode of each e2e code, RS / Pyramid / Galloper."""
+    from repro.codes import PyramidCode, ReedSolomonCode
+    from repro.core import GalloperCode
+
+    for code in (ReedSolomonCode(4, 3), PyramidCode(4, 2, 1), GalloperCode(4, 2, 1)):
+        yield pytest.param(code, id=code.name)
 
 
 def _one_loss_plans():
@@ -374,9 +405,11 @@ class TestIsaPaths:
     the 512-bit fold included."""
 
     WIDTHS = (1, 31, 63, 64, 65, 2_340, 16_380, 1_048_572)
+    CRC_WIDTHS = (1, 63, 64, 65, 2_340, 16_380, 40_000, 1_048_572)
 
-    def test_avx2_build_reports_its_level(self, avx2_backend):
+    def test_avx2_build_reports_its_level(self, avx2_backend, plain_backend):
         assert avx2_backend.simd_level in (1, 2)
+        assert plain_backend.simd_level == 1 and not plain_backend.has_crc32
         if native_available() and nat.get_backend().simd_level == 3:
             assert {"gfni", "avx512bw", "vpclmulqdq"} <= set(nat._cpu_features().split())
             assert nat.get_backend().has_crc32
@@ -390,12 +423,72 @@ class TestIsaPaths:
             rows = backing[:, 3 : 3 + width]  # unaligned, rows apart by more than their width
             want = CodingPlan(GF256, coeffs, kernel="table").apply(np.ascontiguousarray(rows))
             for backend in backends:
-                plan = CodingPlan(GF256, coeffs, kernel="native")
-                plan._decide_tier()  # then pinned to the gather on this build
-                plan._schedule, plan._native_backend = None, backend
+                plan = _gather_plan(coeffs, backend)
                 out = np.zeros((coeffs.shape[0], width + 5), dtype=np.uint8)[:, 5:]
                 plan._native_segments([rows], out, [0], [out.strides[0], width])
                 assert np.array_equal(out, want), (backend, width)
+
+    @pytest.mark.parametrize("code", _encode_plans())
+    def test_gather_folds_the_crc_of_every_row(self, request, code):
+        """Two segments in one gather call, each output row's CRC folded
+        block by block (identity copies and dense rows alike) equals
+        ``zlib.crc32`` of the row, on each build with the CRC kernel, at
+        every width: 40 000 bytes is a row over two cache blocks, 1 048 572
+        a call past the 512-bit fold's threshold.  Input rows unaligned
+        and apart by more than their width."""
+        rng = np.random.default_rng(code.n)
+        m, n = code.generator.shape
+        want_table = CodingPlan(GF256, code.generator, kernel="table")
+        for width in self.CRC_WIDTHS:
+            backing = rng.integers(0, 256, size=(2 * n, width + 9), dtype=np.uint8)
+            rows = [backing[:n, 3 : 3 + width], backing[n:, 3 : 3 + width]]
+            want = np.concatenate([want_table.apply(np.ascontiguousarray(r)) for r in rows])
+            crcs_want = [zlib.crc32(row.tobytes()) for row in want]
+            for backend in _isa_backends(request):
+                if not backend.has_crc32:
+                    continue
+                out = np.zeros(2 * m * width, dtype=np.uint8)
+                crcs = np.zeros(2 * m, dtype=np.uint32)
+                _gather_plan(code.generator, backend)._native_segments(
+                    rows, out, [0, m * width], [width, width] * 2, crcs
+                )
+                assert np.array_equal(out.reshape(2 * m, width), want), (backend, width)
+                assert crcs.tolist() == crcs_want, (backend, width)
+
+    @pytest.mark.parametrize("code", _encode_plans())
+    def test_every_build_stores_the_same_entries(self, request, code):
+        """A striped write's store batch on each build: the gather's row
+        CRCs where the build folds them (none without the CRC kernel, and
+        then the store hashes with ``zlib``), stored as entries equal to a
+        ``put`` per block on a store without the native kernel."""
+        from repro.cluster import Cluster
+        from repro.storage import BlockStore
+
+        stripe = 4_681  # every block over 4 KiB: kept where the native kernel reads it
+        grids = np.random.default_rng(7).integers(
+            0, 256, size=(3, code.data_stripe_total, stripe), dtype=np.uint8
+        )
+        reference = None
+        for backend in _isa_backends(request):
+            (out,), crcs = _gather_plan(code.generator, backend)._apply_batch([grids], crcs=True)
+            assert (crcs is not None) == backend.has_crc32, backend
+            blocks = out.reshape(-1, code.N, stripe)
+            items = [(b % 5, f"g{b // code.n}", b % code.n, block) for b, block in enumerate(blocks)]
+            store = BlockStore(Cluster.homogeneous(5))
+            store._crc_backend = backend if backend.has_crc32 else None
+            store._native_row_crcs = store._crc_backend and store._crc_backend.crc32_rows
+            store._put_many(items, [blocks], crcs)
+            if reference is None:
+                reference = BlockStore(Cluster.homogeneous(5))
+                reference._crc_backend = reference._native_row_crcs = None
+                for item in items:
+                    reference.put(*item)
+            for server in range(5):
+                assert {key: (entry[0], entry[1].tobytes()) for key, entry in store._row_checksums[server].items()} == {
+                    key: (entry[0], entry[1].tobytes()) for key, entry in reference._row_checksums[server].items()
+                }, backend
+                assert all((entry[2] is None) == (store._crc_backend is None)
+                           for entry in store._row_checksums[server].values())
 
     def test_crc32_matches_zlib(self, request):
         """Every width by itself (a short call: the 128-bit fold), and all
@@ -635,3 +728,44 @@ class TestCounters:
         assert bytes_info["native"] == 2 * per_apply
         assert bytes_info["native-xor"] == payload.nbytes + 2 * LARGE
         assert bytes_info["xor"] == 0
+
+
+def _io_plans():
+    """Every plan of the e2e codes with a dense product, as
+    ``benchmarks/native_speeds.py`` lists them: the encode, then the decode
+    and the rebuild after each single-block loss."""
+    from repro.codes import PyramidCode, ReedSolomonCode
+    from repro.core import GalloperCode
+
+    for code in (ReedSolomonCode(4, 3), PyramidCode(4, 2, 1), GalloperCode(4, 2, 1)):
+        yield f"{code.name} encode", code.generator
+        for b in range(code.n):
+            yield f"{code.name} decode -{b}", code.compile_decode([i for i in range(code.n) if i != b]).plan.coeffs
+            yield f"{code.name} rebuild {b}", code.compile_reconstruct(b, code.repair_plan(b).helpers).coeffs
+
+
+#: The tier ``kernel="auto"`` picks for each of them with the wide kernels:
+#: the gather for every RS(4,3) plan (its decodes and rebuilds sum four terms
+#: a row, 1.3-1.6x faster gathered at bulk width), the XOR schedule where a
+#: row sums two terms, which the schedule runs as fast.
+_XOR_PICKS = {
+    "pyramid decode -0", "pyramid rebuild 0", "pyramid decode -1", "pyramid rebuild 1",
+    "pyramid rebuild 2", "pyramid decode -3", "pyramid rebuild 3", "pyramid decode -4",
+    "pyramid rebuild 4", "pyramid rebuild 5",
+    "galloper decode -0", "galloper rebuild 0", "galloper rebuild 1", "galloper decode -2",
+    "galloper rebuild 2", "galloper rebuild 3", "galloper rebuild 4", "galloper rebuild 5",
+}
+
+
+@pytest.mark.skipif(
+    not (native_available() and nat.get_backend().simd_level == 3), reason="needs the wide kernels (simd_level 3)"
+)
+def test_wide_kernels_pick_the_faster_tier():
+    """Unpatched auto picks on a host with the wide kernels, pinned plan by
+    plan (``docs/PERFORMANCE.md``, "A striped write: each byte hashed in the
+    gather, each batch stored once")."""
+    picks = {label: CodingPlan(GF256, coeffs).kernel for label, coeffs in _io_plans()}
+    picks = {label: kind for label, kind in picks.items() if kind != "copy"}
+    assert len(picks) == 39
+    assert {label for label, kind in picks.items() if kind == "native-xor"} == _XOR_PICKS
+    assert {kind for label, kind in picks.items() if label not in _XOR_PICKS} == {"native"}

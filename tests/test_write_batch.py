@@ -1,30 +1,35 @@
 """A write stores all its blocks in one store batch.
 
 ``BlockStore._put_many`` hashes every block the native kernel can take in
-place in one ``crc32_ranges`` call and adds the write counters once per
-server, while each block still takes ``put``'s steps in order.  So a batch
-and a ``put`` per item end in the same store: the same arrays, the same
-row CRCs, the same counters by server in the same key order, the same
-partial store when a server is down mid-batch.  A striped write hands
-every full group to one ``DistributedFileSystem._write_encoded_many``;
-twin filesystems, one writing in a batch and one group by group, end
-alike.
+place in one ``crc32_ranges`` call, checks each server once and adds the
+write counters once per server, yet stores what a ``put`` per item would:
+the same arrays, the same row CRCs, the same counters by server in the same
+key order, the same partial store when a server is down mid-batch.  A
+striped write encodes every group, the ragged tail included, in one kernel
+call that folds each stored row's CRC as it writes it, and hands all of
+them to one ``DistributedFileSystem._store_files``; twin filesystems, one
+writing in a batch and one group by group, end alike, and so does a store
+given each codes-layer block by ``put``.
 """
 
 import gc
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro.cluster.placement import _round_robin
 from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.core import GalloperCode
 from repro.gf import GF256, GF65536
+from repro.gf.native import reset_native_backend
 from repro.storage import (
     BlockStore,
+    BlockUnavailableError,
     DistributedFileSystem,
     FileSystemError,
     Scrubber,
@@ -172,8 +177,8 @@ def test_a_striped_write_is_its_groups_one_at_a_time(code_name, field, monkeypat
     payload = payload_bytes(4 * code.k * BLOCK + 3_001, seed=3)  # four full groups and a tail
     batched = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     looped = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
-    whole = looped._write_encoded_many
-    monkeypatch.setattr(looped, "_write_encoded_many", lambda c, entries: [whole(c, [e])[0] for e in entries])
+    whole = looped._store_files
+    monkeypatch.setattr(looped, "_store_files", lambda c, placed, *_: [whole(c, [p])[0] for p in placed])
     for dfs in (batched, looped):
         StripedFileSystem(dfs).write_file("s", payload, lambda: code, max_block_bytes=BLOCK)
     assert len(batched.files) == 5
@@ -181,19 +186,110 @@ def test_a_striped_write_is_its_groups_one_at_a_time(code_name, field, monkeypat
 
 
 @pytest.mark.skipif(not NATIVE, reason="needs the native CRC kernel")
-def test_a_striped_write_hashes_its_full_groups_in_one_call(monkeypatch):
+def test_a_striped_write_hashes_no_row_twice(monkeypatch):
+    """The encode folds the CRC of every row it writes, so a striped write
+    makes no CRC call of its own: not for its full groups, nor for a tail
+    the kernel codes in place; a tail it codes some other way (under 1 024
+    symbols a stripe) is hashed by the store, here with ``zlib``.  A lone
+    ``put`` keeps its one call."""
     code = GalloperCode(4, 2, 1)
     dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     backend = dfs.store._crc_backend
     calls = []
-    for name in ("crc32_ranges", "crc32_rows_in_place"):
+    for name in ("crc32_ranges", "crc32_rows_in_place", "crc32_rows"):
         real = getattr(backend, name)
         monkeypatch.setattr(backend, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    payload = payload_bytes(5 * code.k * BLOCK + 3_001, seed=4)  # the tail's blocks are under 4 KiB
-    StripedFileSystem(dfs).write_file("s", payload, lambda: code, max_block_bytes=BLOCK)
-    assert calls == ["crc32_ranges"]
-    dfs.store.put(0, "lone", 0, np.zeros((7, 1_300), dtype=np.uint8))  # a batch of one keeps its own call
-    assert calls == ["crc32_ranges", "crc32_rows_in_place"]
+    sfs = StripedFileSystem(dfs)
+    for name, tail in (("short", 3_001), ("long", 37_001)):  # 108 and 1 322 symbols a tail stripe
+        payload = payload_bytes(5 * code.k * BLOCK + tail, seed=4)
+        sfs.write_file(name, payload, lambda: code, max_block_bytes=BLOCK)
+        assert calls == []
+        assert sfs.read_file(name) == payload
+        assert dfs.metrics.total("checksum_failures") == 0  # the read's CRC pass vouched for every row
+        calls.clear()
+    assert all(crcs == row_crcs(dfs.store._disks[s][key]) for s, key, crcs in held_crcs(dfs))
+    dfs.store.put(0, "lone", 0, np.zeros((7, 1_300), dtype=np.uint8))
+    assert calls == ["crc32_rows_in_place"]
+
+
+def held_crcs(dfs) -> list:
+    """``(server, key, row CRCs)`` of every block ``dfs`` stores."""
+    return [(s, key, entry[0]) for s, entries in dfs.store._row_checksums.items() for key, entry in entries.items()]
+
+
+@contextmanager
+def native_tier(native: bool, code):
+    """Run with the native backend, or as a host without one
+    (``REPRO_NATIVE_DISABLE=1``): ``code`` compiles its plans afresh on
+    the way in and again on the way out."""
+    with pytest.MonkeyPatch.context() as env:
+        if not native:
+            env.setenv("REPRO_NATIVE_DISABLE", "1")
+        reset_native_backend()
+        code.clear_plan_cache()
+        try:
+            yield
+        finally:
+            code.clear_plan_cache()
+    reset_native_backend()
+
+
+@pytest.mark.parametrize("native", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(
+    code_name=st.sampled_from(["rs", "pyramid", "galloper"]),
+    field=st.sampled_from(list(FIELDS)),
+    groups=st.integers(0, 3),
+    tail=st.sampled_from([0, 3_001, 37_001]),
+    block=st.sampled_from([700, BLOCK]),  # stripes under and over 1 024 symbols
+    down=st.none() | st.integers(0, 1_000),
+)
+def test_a_striped_write_stores_what_put_stores(native, code_name, field, groups, tail, block, down):
+    """Block for block, a striped write stores the bytes and the row CRCs
+    that ``BlockStore.put`` of each codes-layer block stores, and counts
+    them alike; with a server failing as the store batch starts, the blocks
+    before its first stay stored and counted, and none after it."""
+    assume(groups or tail)
+    code = CODES[code_name](FIELDS[field])
+    payload = payload_bytes(groups * code.k * block + tail, seed=groups * 7 + tail)
+    total = code.data_stripe_total
+    group_payload = code.k * block
+    with native_tier(native, code):
+        batched = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
+        reference = BlockStore(Cluster.homogeneous(3 * code.n))
+        count = -(-len(payload) // group_payload)
+        servers = _round_robin(reference.cluster, code.n, range(0, count * code.n, code.n))
+        items = []
+        for g in range(count):
+            symbols = np.frombuffer(payload[g * group_payload : (g + 1) * group_payload], dtype=np.uint8)
+            grid = np.zeros(max(total, -(-symbols.size // total) * total), dtype=code.gf.dtype)
+            grid[: symbols.size] = symbols
+            blocks = code.encode(grid.reshape(total, -1))
+            items += [(servers[g][b], f"s#g{g:04d}", b, blocks[b]) for b in range(code.n)]
+        if down is not None:
+            victim = items[down % len(items)][0]
+            reference.cluster.fail(victim)
+            put_many = batched.store._put_many
+
+            def failing(*args):
+                batched.cluster.fail(victim)  # after placement, as the batch starts
+                return put_many(*args)
+
+            batched.store._put_many = failing
+        sfs = StripedFileSystem(batched)
+        got = outcome(lambda: sfs.write_file("s", payload, lambda: code, max_block_bytes=block))
+        want = outcome(lambda: [reference.put(*item) for item in items])
+    assert got == want and (got is None) == (down is None)
+    if got is not None:
+        assert got[0] is BlockUnavailableError and not batched.files
+    for server in range(3 * code.n):
+        assert [(key, block.tobytes(), batched.store._row_checksums[server][key][0])
+                for key, block in batched.store._disks[server].items()] == [
+            (key, block.tobytes(), reference._row_checksums[server][key][0])
+            for key, block in reference._disks[server].items()
+        ]
+    for name in ("disk_bytes_written", "blocks_written"):
+        assert batched.metrics.by_server(name) == reference.metrics.by_server(name)
 
 
 def stored_ranges(dfs) -> tuple[list, list]:
