@@ -102,9 +102,9 @@ def crc32_rows_metrics(repeats: int) -> dict:
     best of ``repeats``; the values must agree.
     """
     native, plain = BlockStore(Cluster.homogeneous(1)), BlockStore(Cluster.homogeneous(1))
-    if native._native_row_crcs is None:
+    if native._crc_backend is None:
         return {"native_crc32_available": False}
-    plain._native_row_crcs = None
+    plain._crc_backend = None
     wide = np.random.default_rng(7).integers(0, 256, size=(4, 3 * MB), dtype=np.uint8)
     blocks = {
         "contiguous": np.ascontiguousarray(wide[:, :MB]),

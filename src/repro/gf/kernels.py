@@ -493,21 +493,20 @@ class CodingPlan:
             if out_view is not out:
                 out[...] = out_view
             return
-        if len(rows) > 1:
-            rows = [np.concatenate(rows)]
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
         self._copy_rows(rows, out)
         if not self._dense_dst.size:
             _selection_bytes["copy"] += nbytes
             return
         if s < SMALL_PRODUCT_ELEMS:
             _selection_bytes["direct-small"] += nbytes
-            self._apply_dense_direct(rows[0], out)
+            self._apply_dense_direct(rows, out)
             return
         self._book(nbytes)
         if self._schedule is not None:
-            self._schedule.execute(rows[0], self._dense_cols, self._dense_dst, out)
+            self._schedule.execute(rows, self._dense_cols, self._dense_dst, out)
         else:
-            self._apply_dense_packed(rows[0], out)
+            self._apply_dense_packed(rows, out)
 
     def _book(self, nbytes: int) -> None:
         """Count a dense product of ``nbytes`` on this plan's tier (and
@@ -521,28 +520,14 @@ class CodingPlan:
                 _selection_counts["native_fallbacks"] += 1
         _selection_bytes[self.kernel] += nbytes
 
-    def _copy_rows(self, rows: list[np.ndarray], out: np.ndarray) -> None:
-        """The identity coefficient rows: ``out[d] = input row s``, run by
-        run, each run split where it crosses from one row array to the next."""
-        runs = self._copy_runs
-        if runs is None:
-            if len(rows) == 1:
-                if self._copy_dst.size:
-                    out[self._copy_dst] = rows[0][self._copy_src]
-                return
-            runs = [
-                (slice(d, d + 1), slice(c, c + 1))
-                for d, c in zip(self._copy_dst.tolist(), self._copy_src.tolist())
-            ]
-        first = 0
-        for chunk in rows:
-            last = first + chunk.shape[0]
-            for dst_sl, src_sl in runs:
-                lo, hi = max(src_sl.start, first), min(src_sl.stop, last)
-                if lo < hi:
-                    shift = dst_sl.start - src_sl.start
-                    out[lo + shift : hi + shift] = chunk[lo - first : hi - first]
-            first = last
+    def _copy_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """The identity coefficient rows: ``out[d] = rows[s]``, run by run."""
+        if self._copy_runs is None:
+            if self._copy_dst.size:
+                out[self._copy_dst] = rows[self._copy_src]
+            return
+        for dst_sl, src_sl in self._copy_runs:
+            out[dst_sl] = rows[src_sl]
 
     __call__ = apply
 

@@ -1088,34 +1088,27 @@ class NativeBackend:
         row stride (a column slice of a batched encode); anything else
         is copied first.  Only valid when :attr:`has_crc32`.
         """
-        return self.crc32_rows_in_place(rows)[0]
-
-    def crc32_rows_in_place(self, rows: np.ndarray) -> tuple[list[int], object]:
-        """:meth:`crc32_rows`, and the handle the kernel read the rows
-        through: a ``char[]`` on row 0 that keeps the array's buffer alive
-        (plus ``r * rows.strides[0]``, row ``r``; :meth:`crc32_ranges`
-        takes it), or ``None`` when the rows were copied first."""
         if rows.ndim != 2:
             raise ValueError(f"crc32_rows expects a 2-D array, got shape {rows.shape}")
         ffi = self._ffi
         n, width = rows.shape
-        handle = None
         if rows.flags.c_contiguous:
-            handle = base = ffi.from_buffer(rows)
+            base = ffi.from_buffer(rows)
         elif rows.strides[1] == rows.itemsize:
-            handle = base = ffi.from_buffer(rows[0])
+            base = ffi.from_buffer(rows[0])
         else:
             rows = np.ascontiguousarray(rows)
             base = ffi.from_buffer(rows)
         out = ffi.new(self._crc_out, n)
         self._lib.repro_crc32_rows(base, rows.strides[0], n, width * rows.itemsize, out)
-        return ffi.unpack(out, n), handle
+        return ffi.unpack(out, n)
 
     def row_buffer(self, rows: np.ndarray):
-        """The handle :meth:`crc32_rows_in_place` returns, without the
-        CRCs, for a non-empty 2-D array whose rows are each contiguous
-        (``strides[1] == itemsize``; the caller checks), or for a
-        C-contiguous stack of such blocks: a ``char[]`` on ``rows[0]``."""
+        """The handle :meth:`crc32_ranges` reads rows through (plus ``r *
+        rows.strides[0]``, row ``r``), for a non-empty 2-D array whose rows
+        are each contiguous (``strides[1] == itemsize``; the caller
+        checks), or for a C-contiguous stack of such blocks: a ``char[]``
+        on ``rows[0]`` that keeps the array's buffer alive."""
         return self._ffi.from_buffer(rows[0])
 
     def crc32_ranges(self, bases: list, geometry: list[int]) -> list[int]:
@@ -1123,8 +1116,7 @@ class NativeBackend:
         every row of every range back to back.
 
         ``bases[r]`` points at range ``r``'s first row (a handle from
-        :meth:`crc32_rows_in_place` or :meth:`row_buffer` plus a byte
-        offset) and ``geometry``
+        :meth:`row_buffer` plus a byte offset) and ``geometry``
         holds three ints per range: row stride, row count, bytes per row.
         The caller keeps every range inside the array its handle came
         from.  Only valid when :attr:`has_crc32`.

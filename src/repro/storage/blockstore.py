@@ -13,20 +13,19 @@ simulated latency (base disk transfer time plus injected delay) and can
 verify returned payloads against write-time checksums, turning silent
 corruption into a retryable error for the resilient client above.
 
-Integrity is one store of per-stripe-row CRC-32s (``zlib``'s polynomial
-and values), written in the single pass :meth:`BlockStore.put` makes
-over a block; a whole block verifies as "every row matches".  Where the
-native kernel library carries its carry-less-multiply CRC kernel, row
-runs large enough to repay the call go through it in one C call — a
-batch of writes hashes all its blocks in one call
-(:meth:`BlockStore._put_many`; blocks that lie in one array, as a
-striped write's groups do, are one row range read through one handle,
-their entries keeping offsets into it), and a batch of row-range reads
-checks all its ranges in one call (:meth:`BlockStore._range_reader`)
-through the handles the write kept; everything else, and every host
+Integrity is one record per stored block: the block, the CRC-32 of each
+of its stripe rows (``zlib``'s polynomial and values) and where the
+native kernel reads its rows.  A whole block verifies as "every row
+matches".  Where the native kernel library carries its carry-less-multiply
+CRC kernel, row runs large enough to repay the call go through it in one
+C call — a batch of writes hashes all its blocks in one call
+(:meth:`BlockStore._put_many`; blocks that lie in one array, as a file's
+do, are one row range read through one handle), and a batch of row-range
+reads checks all its ranges in one call (:meth:`BlockStore._range_reader`)
+at the addresses the records keep; everything else, and every host
 without it, uses ``zlib.crc32`` — the stored values are the same either
-way.  A striped write hands over the row CRCs its encode folded as it
-wrote the blocks, and the store hashes none of those rows again.
+way.  A write hands over the row CRCs its encode folded as it wrote the
+blocks, and the store hashes none of those rows again.
 """
 
 from __future__ import annotations
@@ -114,25 +113,19 @@ class BlockStore:
     def __init__(self, cluster: Cluster, metrics: MetricsRegistry | None = None):
         self.cluster = cluster
         self.metrics = metrics or MetricsRegistry()
-        # server_id -> {(file_name, block_id): ndarray(N, S)}
-        self._disks: dict[int, dict[tuple[str, int], np.ndarray]] = {
-            s.server_id: {} for s in cluster
-        }
-        # CRC-32 of every stripe row of every stored block, written once
-        # at put() time (the analog of HDFS's per-chunk checksum file).
-        # Verified reads check the rows they return against these; the
-        # scrubber checks all of a block's rows to catch silent
-        # corruption (bit rot, torn writes).  Each entry is ``(crcs,
-        # block, where)``: where the native kernel reads the rows of
-        # ``block`` — a handle and a byte offset into it — (or ``None``),
-        # which a batched read reuses while ``block`` is still the one
-        # stored (see _clean_ranges).
-        self._row_checksums: dict[int, dict[tuple[str, int], tuple[list[int], np.ndarray, object]]] = {
+        # server_id -> {(file_name, block_id): (crcs, block, where)}: the
+        # stored ndarray(N, S), the CRC-32 of each of its stripe rows,
+        # written once when it is stored (the analog of HDFS's per-chunk
+        # checksum file), and the address the native kernel reads its row
+        # 0 at (``None`` where it cannot address them).  Verified reads
+        # check the rows they return against the CRCs; the scrubber checks
+        # all of a block's rows to catch silent corruption (bit rot, torn
+        # writes).  A record is never changed: put and corrupt replace it.
+        self._disks: dict[int, dict[tuple[str, int], tuple[list[int], np.ndarray, object]]] = {
             s.server_id: {} for s in cluster
         }
         backend = get_backend()
         self._crc_backend = backend if backend is not None and backend.has_crc32 else None
-        self._native_row_crcs = self._crc_backend and self._crc_backend.crc32_rows
         # Fault-injection hook: a FaultModel plus the clock that scopes
         # its time-windowed components.  None = clean hardware.
         self.fault_model = None
@@ -160,10 +153,11 @@ class BlockStore:
                 cause="server_down",
             )
 
-    def _stored(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
-        disk = self._disk(server_id)
+    def _stored(self, server_id: int, file_name: str, block_id: int) -> tuple:
+        """The ``(crcs, block, where)`` record of a held block."""
         key = (file_name, block_id)
-        if key not in disk:
+        record = self._disk(server_id).get(key)
+        if record is None:
             raise BlockUnavailableError(
                 f"block {key} not on server {server_id}",
                 server=server_id,
@@ -171,7 +165,7 @@ class BlockStore:
                 block=block_id,
                 cause="missing",
             )
-        return disk[key]
+        return record
 
     def put(self, server_id: int, file_name: str, block_id: int, payload: np.ndarray) -> None:
         """Write one block to a server's disk: a batch of one :meth:`_put_many`."""
@@ -181,13 +175,12 @@ class BlockStore:
         """Write a batch of blocks; ``items[i]`` is ``(server, file, block, payload)``.
 
         The batch stores what ``put`` on each item in turn would: every
-        block up to the first on a down server, each with its checksum
-        entry, and there it raises as ``put`` does (the blocks before it
-        stay stored and counted).  What the batch shares changes nothing
-        that is stored: each distinct server is checked once, every entry
-        is made by :meth:`_checksum_entries`, and the write
-        counters are added once per server, servers in the order they
-        first appear.
+        block up to the first on a down server, each as one record, and
+        there it raises as ``put`` does (the blocks before it stay stored
+        and counted).  What the batch shares changes nothing that is
+        stored: each distinct server is checked once, every record is made
+        by :meth:`_records`, and the write counters are added once per
+        server, servers in the order they first appear.
 
         ``parents``, when given, are the arrays whose blocks the payloads
         are, in order: ``items`` holds ``parents[0][0], parents[0][1], ...,
@@ -206,16 +199,13 @@ class BlockStore:
             server = servers.get(server_id)
             if server is None or server.failed:
                 stop = min(stop, targets.index(server_id))
-        entries = self._checksum_entries(items, parents, crcs)
+        records = self._records(items, parents, crcs)
         disks = self._disks
-        checksums = self._row_checksums
         written: dict[int, int] = {}
         try:
-            for (server_id, file_name, block_id, _), entry in zip(items[:stop] if stop < len(items) else items, entries):
-                key = (file_name, block_id)
-                disks[server_id][key] = block = entry[1]
-                checksums[server_id][key] = entry
-                written[server_id] = written.get(server_id, 0) + block.nbytes
+            for (server_id, file_name, block_id, _), record in zip(items[:stop], records):
+                disks[server_id][file_name, block_id] = record
+                written[server_id] = written.get(server_id, 0) + record[1].nbytes
             if stop < len(items):
                 server_id, file_name, block_id, _ = items[stop]
                 self.cluster.server(server_id)  # an unknown server raises here
@@ -238,94 +228,86 @@ class BlockStore:
     def _row_crcs(self, data: np.ndarray) -> list[int]:
         """CRC-32 of each stripe row; a block that is not 2-D is one row."""
         rows = data if data.ndim == 2 else data.reshape(1, -1)
-        if self._native_row_crcs is not None and rows.nbytes >= _NATIVE_CRC_MIN_BYTES:
-            return self._native_row_crcs(rows)
+        if self._crc_backend is not None and rows.nbytes >= _NATIVE_CRC_MIN_BYTES:
+            return self._crc_backend.crc32_rows(rows)
         return _zlib_row_crcs(rows)
 
-    def _checksum_entries(self, items, parents=None, crcs=None) -> list[tuple]:
-        """The ``_row_checksums`` entry of each item of a :meth:`_put_many`
-        batch: ``(row CRCs, block, where)``.
+    def _address(self, block: np.ndarray):
+        """Where the native kernel reads ``block``'s row 0 (a
+        :meth:`row_buffer` handle), for a non-empty 2-D block whose rows are
+        each contiguous on a store with the kernel; else ``None``."""
+        if self._crc_backend is None or block.ndim != 2 or not block.size or block.strides[1] != block.itemsize:
+            return None
+        return self._crc_backend.row_buffer(block)
+
+    def _records(self, items, parents=None, crcs=None) -> list[tuple]:
+        """The ``(row CRCs, block, where)`` record of each item of a
+        :meth:`_put_many` batch.
 
         The row CRCs are the encode's where ``crcs`` has them (see
         :meth:`_put_many`).  The rest are hashed here as :meth:`_row_crcs`
-        would: every 2-D block of at least ``_NATIVE_CRC_MIN_BYTES`` whose
-        rows are each contiguous in one native ``crc32_ranges`` call for
-        the batch (a lone block in one ``crc32_rows`` call), every other
-        block by itself.
+        would: every block the kernel addresses of at least
+        ``_NATIVE_CRC_MIN_BYTES`` in one native ``crc32_ranges`` call for
+        the batch, every other block by itself.
 
-        ``where`` is where the native kernel reads the block's rows for a
-        later batched read (:meth:`_clean_ranges`): a handle and a byte
-        offset into it, for every block the kernel can read in place, else
-        ``None``.  A C-contiguous parent is one handle, its block ``b`` at
-        ``b * block bytes``, and one row range to hash; any other block has
-        a :meth:`row_buffer` handle of its own.  A handle owns nothing the
-        entry needs: the entry holds the block, which keeps its memory.
+        ``where`` is the block's address, taken here once for every later
+        read: a C-contiguous parent is one handle, its block ``b`` at ``b *
+        block bytes``, and one row range to hash; any other block gets its
+        own (:meth:`_address`).  An address owns nothing the record needs:
+        the record holds the block, which keeps its memory.
         """
         backend = self._crc_backend
         count = len(items)
-        entry_crcs: list = [None] * count
+        blocks = [np.asarray(item[3]) for item in items]
+        row_crcs: list = [None] * count
         where: list = [None] * count
-        blocks: list = [None] * count
         hashed: list[tuple[int, int, int]] = []  # first item, blocks, rows each: rows the ranges call hashes
         bases: list = []
         geometry: list[int] = []
         first = 0  # the parent's first item
-        for p, stack in enumerate([None] * count if parents is None else parents):
+        for p, stack in enumerate(repeat(None, count) if parents is None else parents):
             given = None if crcs is None else crcs[p]
-            if (
-                stack is not None and stack.ndim == 3 and len(stack) and stack.flags.c_contiguous
-                and backend is not None and stack.nbytes >= len(stack) * _NATIVE_CRC_MIN_BYTES
-            ):
-                many, nrows, width = stack.shape
-                stop = first + many
-                handle = backend.row_buffer(stack)
-                row_bytes = width * stack.itemsize
-                step = nrows * row_bytes
-                where[first:stop] = zip(repeat(handle), range(0, many * step, step))
-                blocks[first:stop] = map(itemgetter(3), items[first:stop])
-                if given is not None:
-                    entry_crcs[first:stop] = given.reshape(many, nrows).tolist()
-                else:
-                    hashed.append((first, many, nrows))
-                    bases.append(handle)
-                    geometry += (row_bytes, many * nrows, row_bytes)
-                first = stop
-                continue
             stop = first + (1 if stack is None else len(stack))
             if given is not None:
-                entry_crcs[first:stop] = given.reshape(stop - first, -1).tolist()
-            for i in range(first, stop):
-                block = blocks[i] = np.asarray(items[i][3])
-                if (
-                    backend is None or block.ndim != 2 or block.nbytes < _NATIVE_CRC_MIN_BYTES
-                    or block.strides[1] != block.itemsize
-                ):
-                    if given is None:
-                        entry_crcs[i] = self._row_crcs(block)
-                elif count == 1 and given is None:
-                    entry_crcs[i], handle = backend.crc32_rows_in_place(block)
-                    where[i] = (handle, 0)
-                else:
-                    handle = backend.row_buffer(block)
-                    where[i] = (handle, 0)
-                    if given is None:
-                        hashed.append((i, 1, block.shape[0]))
-                        bases.append(handle)
-                        geometry += (block.strides[0], block.shape[0], block.shape[1] * block.itemsize)
+                row_crcs[first:stop] = given.reshape(stop - first, -1).tolist()
+            if (
+                stack is not None and backend is not None
+                and stack.ndim == 3 and stack.size and stack.flags.c_contiguous
+            ):
+                many, nrows, width = stack.shape
+                handle = backend.row_buffer(stack)
+                step = stack[0].nbytes
+                where[first:stop] = [handle + offset for offset in range(0, many * step, step)]
+                if given is None and step >= _NATIVE_CRC_MIN_BYTES:
+                    hashed.append((first, many, nrows))
+                    bases.append(handle)
+                    row_bytes = width * stack.itemsize
+                    geometry += (row_bytes, many * nrows, row_bytes)
+            else:
+                for i in range(first, stop):
+                    block = blocks[i]
+                    where[i] = address = self._address(block)
+                    if given is None and address is not None and block.nbytes >= _NATIVE_CRC_MIN_BYTES:
+                        hashed.append((i, 1, len(block)))
+                        bases.append(address)
+                        geometry += (block.strides[0], len(block), block.shape[1] * block.itemsize)
             first = stop
         if bases:
             got = backend.crc32_ranges(bases, geometry)
             pos = 0
             for first, many, nrows in hashed:
                 stop = pos + many * nrows
-                entry_crcs[first : first + many] = [got[r : r + nrows] for r in range(pos, stop, nrows)]
+                row_crcs[first : first + many] = [got[r : r + nrows] for r in range(pos, stop, nrows)]
                 pos = stop
-        return list(zip(entry_crcs, blocks, where))
+        return [
+            (self._row_crcs(block) if crcs is None else crcs, block, address)
+            for crcs, block, address in zip(row_crcs, blocks, where)
+        ]
 
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
         """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""
         got = self._row_crcs(np.asarray(data))
-        expect = self._row_checksums[server_id][(file_name, block_id)][0][start : start + len(got)]
+        expect = self._disks[server_id][file_name, block_id][0][start : start + len(got)]
         if got == expect:
             return
         bad = next((i for i, (g, e) in enumerate(zip(got, expect)) if g != e), len(expect))
@@ -387,8 +369,8 @@ class BlockStore:
         stored block; a block not held has no rows (reading it raises
         ``cause="missing"``, or ``"server_down"`` first)."""
         disk = self._disks.get(server_id)
-        block = disk.get((file_name, block_id)) if disk is not None else None
-        return server_id, file_name, block_id, 0, 0 if block is None else len(block)
+        record = disk.get((file_name, block_id)) if disk is not None else None
+        return server_id, file_name, block_id, 0, 0 if record is None else len(record[1])
 
     def get(self, server_id: int, file_name: str, block_id: int) -> np.ndarray:
         """Read one block from a server.
@@ -421,17 +403,20 @@ class BlockStore:
         raising as :meth:`timed_read_rows` does: the up / missing / range
         checks, the ``disk_bytes_read`` / ``blocks_read`` / ``read_latency``
         counters, the fault draw and, with ``verify``, the CRC check.  Only
-        lookups are bound once per batch, and the CRC check is made before
-        the first attempt: for a batch of three ranges or more in one
-        shared pass over every range (:meth:`_clean_ranges`), for one or
-        two ranges (a lone read, an extent's runs) range by range — and
-        there only where no fault model is installed, so a range whose
-        every attempt draws a fault is checked where it is read.
-        That verdict holds for every attempt that returns those rows
-        verbatim — the store does not change during a batch, and a stored
-        array is never written in place (``put`` and ``corrupt`` replace
-        it) — so only a copy the fault model corrupted, or rows the check
-        did not vouch for, are checked where they are read.
+        lookups are bound once per batch, one per range, and the CRC check
+        is made before the first attempt: for a batch of three ranges or
+        more in one shared pass over every held range of 2-D rows (one
+        native call at the addresses the records keep, or ``zlib`` row by
+        row without the kernel), for one or two ranges (a lone read, an
+        extent's runs) range by range — and there only where no fault
+        model is installed, so a range whose every attempt draws a fault is
+        checked where it is read.  That verdict holds for every attempt
+        that returns those rows verbatim — the store does not change during
+        a batch, and a stored array is never written in place (``put`` and
+        ``corrupt`` replace its record) — so only a copy the fault model
+        corrupted, or rows the check did not vouch for (a mismatch, a 1-D
+        block, rows the kernel cannot address), are checked where they are
+        read.
 
         ``plain[i]`` is ``(rows, nbytes, latency)`` for a range whose
         attempt is already known to succeed unchanged: no fault model,
@@ -446,36 +431,64 @@ class BlockStore:
         disks = self._disks
         faulted = self._faulted if self.fault_model is not None else None
         servers = self.cluster.servers
-        checksums = self._row_checksums
+        backend = self._crc_backend
         # One or two ranges are checked range by range: the shared pass would
         # cost its bookkeeping on top of the same CRC work.
         own_check = verify and len(ranges) <= 2
-        blocks: list[np.ndarray | None] = []
+        shared = verify and not own_check
         views: list[np.ndarray | None] = []
         plain: list[tuple | None] = []
-        for server_id, file_name, block_id, start, count in ranges:
+        # The shared pass: per range it checks, (range, rows); the rows'
+        # addresses and geometry for the native call; the CRCs they must have.
+        wanted: list[tuple[int, int]] = []
+        bases: list = []
+        geometry: list[int] = []
+        got: list[int] = []
+        expected: list[int] = []
+        for i, (server_id, file_name, block_id, start, count) in enumerate(ranges):
             disk = disks.get(server_id)
-            block = disk.get((file_name, block_id)) if disk is not None else None
-            if block is not None and (start < 0 or start + count > len(block)):
-                block = None
-            view = block[start : start + count] if block is not None else None
-            blocks.append(block)
+            record = disk.get((file_name, block_id)) if disk is not None else None
+            view = None
+            if record is not None:
+                crcs, block, where = record
+                if start >= 0 and start + count <= len(block):
+                    view = block[start : start + count]
             views.append(view)
+            if view is None or view.ndim != 2:
+                plain.append(None)
+                continue
             booked = None
-            if faulted is None and count and view is not None and view.ndim == 2:
+            if faulted is None and count:
                 server = servers[server_id]
-                if not server.failed and (
-                    not own_check
-                    or self._row_crcs(view) == checksums[server_id][(file_name, block_id)][0][start : start + count]
-                ):
+                if not server.failed and (not own_check or self._row_crcs(view) == crcs[start : start + count]):
                     nbytes = view.nbytes
                     booked = (view, nbytes, nbytes / server.disk_bandwidth)
             plain.append(booked)
+            if shared and (backend is None or where is not None):
+                if backend is None:
+                    got += _zlib_row_crcs(view)
+                else:
+                    stride = block.strides[0]
+                    bases.append(where + start * stride)
+                    geometry += (stride, count, block.shape[1] * block.itemsize)
+                wanted.append((i, count))
+                expected += crcs[start : start + count]
         # Per range: rows the check vouched for, which an attempt that returns
         # them verbatim need not check again.
         vouched = plain
-        if verify and not own_check:
-            vouched = self._clean_ranges(ranges, blocks, views)
+        if shared:
+            if bases:
+                got = backend.crc32_ranges(bases, geometry)
+            vouched = [False] * len(ranges)
+            if got == expected:  # the common case: every row checked matches
+                for i, _ in wanted:
+                    vouched[i] = True
+            else:
+                pos = 0
+                for i, count in wanted:
+                    stop = pos + count
+                    vouched[i] = got[pos:stop] == expected[pos:stop]
+                    pos = stop
             plain = [booked if clean else None for booked, clean in zip(plain, vouched)]
         server_of = self.cluster.server
         add = self.metrics.add
@@ -487,7 +500,7 @@ class BlockStore:
                 self._check_up(server_id, file_name, block_id)
             view = views[i]
             if view is None:
-                block = self._stored(server_id, file_name, block_id)
+                block = self._stored(server_id, file_name, block_id)[1]
                 raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
             nbytes = view.nbytes
             add("disk_bytes_read", nbytes, server_id)
@@ -502,60 +515,6 @@ class BlockStore:
             return data, latency
 
         return read, plain if faulted is None else None
-
-    def _clean_ranges(self, ranges: list[tuple], blocks: list, views: list) -> list[bool]:
-        """Per range: do its stored rows match their write-time CRCs?
-
-        Every held range of 2-D rows is checked in one pass: one native
-        call for the batch, or ``zlib`` row by row without the native
-        kernel.  The kernel reads a block's rows through the handle its
-        ``_row_checksums`` entry keeps: the one ``put`` got from hashing
-        the block, or one taken here — and kept — when ``put`` hashed
-        with ``zlib`` or the stored array has been replaced since.
-        ``False`` is "not vouched for": a mismatch, a 1-D block, rows the
-        kernel cannot address, a range that is not held.
-        """
-        backend = self._crc_backend
-        checksums = self._row_checksums
-        wanted: list[tuple[int, int]] = []
-        expected: list[int] = []
-        got: list[int] = []
-        bases: list = []
-        geometry: list[int] = []
-        for i, view in enumerate(views):
-            if view is None or view.ndim != 2:
-                continue
-            server_id, file_name, block_id, start, count = ranges[i]
-            key = (file_name, block_id)
-            crcs, owner, where = checksums[server_id][key]
-            if backend is None:
-                got += _zlib_row_crcs(view)
-            else:
-                block = blocks[i]
-                if owner is not block or where is None:
-                    if not len(block) or block.strides[1] != block.itemsize:
-                        continue
-                    where = (backend.row_buffer(block), 0)
-                    checksums[server_id][key] = (crcs, block, where)
-                handle, offset = where
-                stride = block.strides[0]
-                bases.append(handle + (offset + start * stride))
-                geometry += (stride, count, block.shape[1] * block.itemsize)
-            wanted.append((i, count))
-            expected += crcs[start : start + count]
-        if bases:
-            got = backend.crc32_ranges(bases, geometry)
-        clean = [False] * len(ranges)
-        if got == expected:  # the common case: every row checked matches
-            for i, _ in wanted:
-                clean[i] = True
-            return clean
-        pos = 0
-        for i, count in wanted:
-            stop = pos + count
-            clean[i] = got[pos:stop] == expected[pos:stop]
-            pos = stop
-        return clean
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
         """Read ``count`` stripes starting at ``start`` from one block."""
@@ -572,36 +531,38 @@ class BlockStore:
         compares what is *on disk*, not what a flaky transfer returns.
         """
         self._check_up(server_id, file_name, block_id)
-        block = self._stored(server_id, file_name, block_id)
+        crcs, block, _ = self._stored(server_id, file_name, block_id)
         self.metrics.add("disk_bytes_read", block.nbytes, server_id)
         self.metrics.add("scrub_bytes", block.nbytes, server_id)
-        return self._row_crcs(block) == self._row_checksums[server_id][(file_name, block_id)][0]
+        return self._row_crcs(block) == crcs
 
     def corrupt(self, server_id: int, file_name: str, block_id: int, offset: int = 0) -> None:
         """Flip one byte of a stored block *without* updating the checksum.
 
-        Failure-injection hook for tests and examples: models bit rot.
+        Failure-injection hook for tests and examples: models bit rot.  The
+        block's record is replaced: the same CRCs, a corrupted copy of the
+        block and that copy's address.
         """
         disk = self._disk(server_id)
         key = (file_name, block_id)
-        if key not in disk:
-            raise StorageError(f"cannot corrupt missing block {key}")
-        block = disk[key].copy()
+        record = disk.get(key)
+        if record is None or not record[1].size:
+            raise StorageError(f"cannot corrupt {'missing' if record is None else 'empty'} block {key}")
+        crcs, block, _ = record
+        block = block.copy()
         flat = block.reshape(-1)
         flat[offset % flat.size] ^= 0xFF
-        disk[key] = block
+        disk[key] = (crcs, block, self._address(block))
 
     def drop(self, server_id: int, file_name: str, block_id: int) -> None:
         """Remove a block (post-repair cleanup or deliberate loss)."""
         self._disk(server_id).pop((file_name, block_id), None)
-        self._row_checksums[server_id].pop((file_name, block_id), None)
 
     def drop_server(self, server_id: int) -> int:
         """Wipe a server's disk (permanent failure); returns blocks lost."""
         disk = self._disk(server_id)
         lost = len(disk)
         disk.clear()
-        self._row_checksums[server_id].clear()
         return lost
 
     def holds(self, server_id: int, file_name: str, block_id: int) -> bool:

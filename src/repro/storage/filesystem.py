@@ -14,7 +14,9 @@ Every read, whole file or extent, plain or striped, is one routine
 the read covers are read in one batch, the runs that could not be read
 are filled by :meth:`DistributedFileSystem._recover` (a local rebuild
 from the helper rows of one lost block, else a full decode), and the
-pieces are joined once into the bytes returned.
+pieces are joined once into the bytes returned.  Every write, plain or
+striped, is one routine too (:meth:`DistributedFileSystem._write`): one
+fused encode, one store batch.
 
 When a file is written with a Galloper code and no explicit weights, the
 filesystem closes the loop the paper describes: it asks the placement
@@ -131,6 +133,18 @@ def _join_symbols(chunks: list[np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
+def _grid(symbols: np.ndarray, total: int) -> np.ndarray:
+    """A file's symbols as its ``(total, S)`` stripe grid, ``S`` at least 1:
+    a view of them when they fill every stripe, else one zeroed grid with
+    them at its head (the padding the last stripe carries)."""
+    width = max(1, -(-symbols.size // total))
+    if symbols.size == total * width:
+        return symbols.reshape(total, width)
+    grid = np.zeros((total, width), dtype=symbols.dtype)
+    grid.reshape(-1)[: symbols.size] = symbols
+    return grid
+
+
 @dataclass
 class EncodedFile:
     """Metadata of one stored file.
@@ -223,28 +237,17 @@ class DistributedFileSystem:
         placement: PlacementPolicy | None = None,
         performance_metric: str = "cpu_speed",
     ) -> EncodedFile:
-        """Encode and store a file.
+        """Encode and store a file: a :meth:`_write` of one file.
 
         Either pass a ready ``code``, or a ``code_factory`` called as
         ``code_factory(performances)`` with the performance vector of the
         servers chosen by the placement policy — the hook Galloper codes
         use to match weights to servers.
         """
-        tracer = get_tracer()
-        with tracer.span("dfs.place", category="storage", file=name):
+        with get_tracer().span("dfs.place", category="storage", file=name):
             code, servers = self._place_new_file(name, code, code_factory, placement, performance_metric)
-
         payload = self._as_symbols(code, payload)
-        original_size = payload.size
-        total = code.data_stripe_total
-        padded = int(np.ceil(original_size / total) * total) if original_size else total
-        if padded != original_size:
-            payload = np.concatenate([payload, np.zeros(padded - original_size, dtype=code.gf.dtype)])
-        grid = payload.reshape(total, padded // total)
-
-        with tracer.span("dfs.encode", category="coding", file=name, bytes=grid.nbytes):
-            blocks = code.encode(grid)
-        return self._store_files(code, [(name, blocks, servers, original_size)])[0]
+        return self._write(code, [name], [_grid(payload, code.data_stripe_total)], [servers], [payload.size])[0]
 
     def write_virtual_file(
         self,
@@ -327,6 +330,31 @@ class DistributedFileSystem:
         self.metrics.add("bytes_moved_zero_copy", blocks.nbytes)
         return ef
 
+    def _write(self, code: ErasureCode, names, grids, servers, sizes) -> list[EncodedFile]:
+        """The write routine: encode ``grids`` in one fused kernel call and
+        store every file's blocks in one batch.
+
+        ``grids`` are ``(k*N, S)`` stripe grids, or ``(files, k*N, S)``
+        stacks of files of one width, laid end to end; file ``i`` is named
+        ``names[i]``, goes to ``servers[i]`` and holds ``sizes[i]`` symbols.
+        A plain write is a batch of one file.  The GF(2^8) gather folds the
+        CRC-32 of every row it writes, and the store hashes none of those
+        rows again; each grid's blocks, C-contiguous where the kernel coded
+        it in place, are one parent of the store batch.
+        """
+        outs, crcs = pipeline._encode(code, grids, self.metrics, crcs=True)
+        blocks, parents, parent_crcs = [], [], []
+        for out, row_crcs in zip(outs, crcs or repeat(None)):
+            if isinstance(out, list):  # coded group by group: a parent per group
+                blocks += out
+                parents += out
+                parent_crcs += [None] * len(out)
+            else:
+                blocks.extend(out if out.ndim == 4 else (out,))
+                parents.append(out.reshape(-1, *out.shape[-2:]))
+                parent_crcs.append(row_crcs)
+        return self._store_files(code, list(zip(names, blocks, servers, sizes)), parents, parent_crcs)
+
     def _store_files(self, code: ErasureCode, placed, parents=None, crcs=None) -> list[EncodedFile]:
         """Store the blocks of placed files in one store batch, then register
         them in one pass.
@@ -334,13 +362,13 @@ class DistributedFileSystem:
         ``placed[i]`` is ``(name, blocks, servers, original_size)``: block
         ``b`` of ``blocks`` goes to ``servers[b]``.  Each file's ``blocks``
         are the batch's parents (``BlockStore._put_many``): a file whose
-        blocks lie in one C-contiguous array is hashed as one row range.
-        ``parents`` may name other parents instead: arrays whose blocks,
-        laid end to end, are every file's blocks in order (a striped
-        write's full groups, one array).  ``crcs``, when given, holds per
-        parent the row CRCs of its blocks as the encode folded them
-        (``pipeline._encode``), or ``None``; the store hashes none of those
-        rows again.
+        blocks lie in one C-contiguous array is one handle and one row
+        range.  ``parents`` may name other parents instead: arrays whose
+        blocks, laid end to end, are every file's blocks in order (a
+        striped write's full groups, one array).  ``crcs``, when given,
+        holds per parent the row CRCs of its blocks as the encode folded
+        them (``pipeline._encode``), or ``None``; the store hashes none of
+        those rows again.
         """
         n = code.n
         parents = parents or [blocks for _, blocks, _, _ in placed]

@@ -31,8 +31,7 @@ import numpy as np
 from repro.cluster.placement import _round_robin
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
-from repro.storage import pipeline
-from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _join_symbols
+from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _grid, _join_symbols
 
 
 #: The span a striped read recovers its degraded groups under.
@@ -150,14 +149,9 @@ class StripedFileSystem:
         without copying (``np.frombuffer`` over the caller's bytes), which
         the native gather reads as one row range; the final short group,
         whose stripe width differs after padding (the ragged tail), is
-        padded as :meth:`DistributedFileSystem.write_file` pads a file and
-        joins the same call.  The gather writes each group's blocks
-        contiguously into one buffer and folds the CRC-32 of every row it
-        writes, so nothing is staged and nothing is hashed twice (without
-        the native gather the store hashes the blocks as ``put`` would).
-        Every group is placed from one ``alive_ids()``, and all of them are
-        stored and registered by one
-        :meth:`DistributedFileSystem._store_files`.
+        padded as :meth:`DistributedFileSystem.write_file` pads a file.
+        Every group is placed from one ``alive_ids()``, and the stack and
+        the tail are one :meth:`DistributedFileSystem._write`.
         """
         gp = meta.group_payload
         total = code.data_stripe_total
@@ -172,29 +166,14 @@ class StripedFileSystem:
             grids.append(stack)
         if full < meta.group_count:
             tail = DistributedFileSystem._as_symbols(code, arr[full * gp :])
-            grid = np.zeros((total, max(1, -(-tail.size // total))), dtype=code.gf.dtype)
-            grid.reshape(-1)[: tail.size] = tail
-            grids.append(grid)
+            grids.append(_grid(tail, total))
             sizes.append(tail.size)
-        outs, crcs = pipeline._encode(code, grids, self.metrics, crcs=True)
-        # The store's parents: the full groups' blocks as one array where the
-        # kernel coded them in place (with their row CRCs), else each group's.
-        blocks, parents, parent_crcs = [], [], []
-        for out, row_crcs in zip(outs, crcs or [None] * len(outs)):
-            if isinstance(out, list):
-                blocks += out
-                parents += out
-                parent_crcs += [None] * len(out)
-            else:
-                blocks.extend(out if out.ndim == 4 else (out,))
-                parents.append(out.reshape(-1, *out.shape[-2:]))
-                parent_crcs.append(row_crcs)
         n = code.n
         with get_tracer().span("dfs.place", category="storage", file=name, files=meta.group_count):
             servers = _round_robin(self.cluster, n, range(0, meta.group_count * n, n))
-        self.dfs._store_files(code, list(zip(names, blocks, servers, sizes)), parents, parent_crcs)
+        self.dfs._write(code, names, grids, servers, sizes)
         if full:
-            self.metrics.add("bytes_moved_zero_copy", full * blocks[0].nbytes)
+            self.metrics.add("bytes_moved_zero_copy", stack.nbytes // total * n * code.N)
 
     # -------------------------------------------------------------- read
 

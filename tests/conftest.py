@@ -71,7 +71,7 @@ def max_live_leases(intervals: dict[object, list[tuple[float, float]]]) -> int:
 
 def stored_block(dfs, ef, block: int) -> np.ndarray:
     """The copy of ``block`` on its server's disk, bypassing faults and accounting."""
-    return dfs.store._stored(ef.server_of(block), ef.name, block)
+    return dfs.store._stored(ef.server_of(block), ef.name, block)[1]
 
 
 def forget_file(dfs, name: str) -> None:

@@ -311,16 +311,21 @@ class TestCrc32Rows:
             geometry += (a.strides[0], count, a.shape[1] * a.itemsize)
             want += [zlib.crc32(row.tobytes()) for row in a[start : start + count]]
         assert backend.crc32_ranges(bases, geometry) == want
-        for a in arrays:  # the handle put keeps is the one crc32_ranges takes
-            crcs, handle = backend.crc32_rows_in_place(a)
+        for a, handle in zip(arrays, handles):  # the address a record keeps is the handle crc32_ranges takes
+            crcs = backend.crc32_rows(a)
             assert crcs == [zlib.crc32(row.tobytes()) for row in a]
             assert backend.crc32_ranges([handle], [a.strides[0], a.shape[0], a.shape[1] * a.itemsize]) == crcs
 
     def test_copied_rows_keep_no_handle_and_bad_geometry_is_refused(self):
+        from repro.cluster import Cluster
+        from repro.storage import BlockStore
+
         backend = nat.get_backend()
         strided = np.arange(4 * 30, dtype=np.uint8).reshape(4, 30)[:, ::3]  # each row copied before hashing
-        crcs, handle = backend.crc32_rows_in_place(strided)
-        assert handle is None and crcs == [zlib.crc32(row.tobytes()) for row in strided]
+        assert backend.crc32_rows(strided) == [zlib.crc32(row.tobytes()) for row in strided]
+        store = BlockStore(Cluster.homogeneous(1))
+        store.put(0, "f", 0, strided)
+        assert store._disks[0]["f", 0][2] is None  # rows the kernel cannot read in place get no address
         assert backend.crc32_ranges([], []) == []
         with pytest.raises(ValueError):
             backend.crc32_ranges([backend.row_buffer(np.zeros((2, 8), dtype=np.uint8))], [8, 2])
@@ -460,7 +465,8 @@ class TestIsaPaths:
         """A striped write's store batch on each build: the gather's row
         CRCs where the build folds them (none without the CRC kernel, and
         then the store hashes with ``zlib``), stored as entries equal to a
-        ``put`` per block on a store without the native kernel."""
+        ``put`` per block on a store without the native kernel, each with
+        an address wherever the store has the kernel."""
         from repro.cluster import Cluster
         from repro.storage import BlockStore
 
@@ -476,19 +482,18 @@ class TestIsaPaths:
             items = [(b % 5, f"g{b // code.n}", b % code.n, block) for b, block in enumerate(blocks)]
             store = BlockStore(Cluster.homogeneous(5))
             store._crc_backend = backend if backend.has_crc32 else None
-            store._native_row_crcs = store._crc_backend and store._crc_backend.crc32_rows
             store._put_many(items, [blocks], crcs)
             if reference is None:
                 reference = BlockStore(Cluster.homogeneous(5))
-                reference._crc_backend = reference._native_row_crcs = None
+                reference._crc_backend = None
                 for item in items:
                     reference.put(*item)
             for server in range(5):
-                assert {key: (entry[0], entry[1].tobytes()) for key, entry in store._row_checksums[server].items()} == {
-                    key: (entry[0], entry[1].tobytes()) for key, entry in reference._row_checksums[server].items()
+                assert {key: (record[0], record[1].tobytes()) for key, record in store._disks[server].items()} == {
+                    key: (record[0], record[1].tobytes()) for key, record in reference._disks[server].items()
                 }, backend
-                assert all((entry[2] is None) == (store._crc_backend is None)
-                           for entry in store._row_checksums[server].values())
+                assert all((record[2] is None) == (store._crc_backend is None)
+                           for record in store._disks[server].values())
 
     def test_crc32_matches_zlib(self, request):
         """Every width by itself (a short call: the 128-bit fold), and all
@@ -545,13 +550,8 @@ def test_a_batch_checked_by_zlib_reads_and_judges_alike(monkeypatch, dtype):
     for native in ([True, False] if nat.native_available() and nat.get_backend().has_crc32 else [False]):
         s = store(native)
         assert (s._crc_backend is not None) == native
-        blocks = [s._disks[srv].get((f, b)) for srv, f, b, _, _ in ranges]
-        views = [
-            blk[r0 : r0 + n] if blk is not None and r0 + n <= blk.shape[0] else None
-            for blk, (_, _, _, r0, n) in zip(blocks, ranges)
-        ]
-        verdicts.append(s._clean_ranges(ranges, blocks, views))
-        read, _ = s._range_reader(ranges, verify=True)
+        read, plain = s._range_reader(ranges, verify=True)
+        verdicts.append([booked is not None for booked in plain])  # clean hardware: plain is what the pass vouched for
         got = []
         for i in range(len(ranges)):
             try:
@@ -689,10 +689,10 @@ class TestFallback:
         finally:
             monkeypatch.undo()
             reset_native_backend()
-        assert store._native_row_crcs is None  # bound once, at construction
+        assert store._crc_backend is None  # bound once, at construction
         block = _random(GF65536, (7, 9_363), seed=71)
         store.put(0, "f", 0, block)
-        assert store._row_checksums[0][("f", 0)][0] == [zlib.crc32(row) for row in block]
+        assert store._disks[0]["f", 0] == ([zlib.crc32(row) for row in block], block, None)
         assert store.verify(0, "f", 0)
 
     def test_forced_numpy_tiers_never_bind_backend(self):

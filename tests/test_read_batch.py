@@ -206,7 +206,7 @@ def booked_twin(setup: dict, step_by_step: bool):
     dfs = DistributedFileSystem(cluster, fault_model=faults() if setup["faults"] else None)
     store = dfs.store
     if not setup["native"]:  # the store a host without the native kernel builds: zlib only
-        store._crc_backend = store._native_row_crcs = None
+        store._crc_backend = None
     for i, stripe in enumerate((24, 1_200)):
         dfs.write_file(f"f{i}", payload_bytes(code.data_stripe_total * stripe, seed=i), code=code)
     for file, block, offset in setup["rot"]:
@@ -358,7 +358,7 @@ def read_whole(dfs, level: str, target: tuple, as_rows: bool):
     """One read of every row of ``target``: whole (``get`` / ``timed_get``)
     or as the row range ``(0, rows)``; returns its bytes and latency, or
     the cause of its failure."""
-    rows = len(dfs.store._disks[target[0]][target[1:]])
+    rows = len(dfs.store._disks[target[0]][target[1:]][1])
     try:
         if level == "client":
             data = dfs.client.read_rows(*target, 0, rows) if as_rows else dfs.client.get(*target)

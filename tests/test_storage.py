@@ -17,6 +17,7 @@ from repro.storage import (
     DistributedFileSystem,
     FileSystemError,
     MetricsRegistry,
+    StorageError,
     TransientReadError,
 )
 from tests.conftest import forget_file, payload_bytes
@@ -69,11 +70,23 @@ class TestBlockStore:
         with pytest.raises(BlockUnavailableError):
             store.get(0, "ghost", 0)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0,)])
+    def test_corrupting_a_block_with_no_bytes_is_refused(self, setup, shape):
+        """A block with no byte to flip is named as a missing one is, and stays stored."""
+        _, store = setup
+        store.put(0, "f", 0, np.zeros(shape, dtype=np.uint8))
+        record = store._disks[0]["f", 0]
+        with pytest.raises(StorageError, match=r"cannot corrupt empty block \('f', 0\)"):
+            store.corrupt(0, "f", 0)
+        with pytest.raises(StorageError, match=r"cannot corrupt missing block \('g', 0\)"):
+            store.corrupt(0, "g", 0)
+        assert store._disks[0]["f", 0] is record and store.verify(0, "f", 0)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
     @pytest.mark.parametrize("width", [234, 16_384], ids=["small", "large"])
     @pytest.mark.parametrize("layout", ["contiguous", "column-slice", "strided-rows"])
     def test_stored_crcs_are_the_crcs_of_the_block_bytes(self, setup, dtype, width, layout):
-        """The one checksum store holds ``zlib``'s CRC-32 of each stripe
+        """The block's one record holds ``zlib``'s CRC-32 of each stripe
         row's bytes — whichever backend computed it, whatever the block's
         size and memory layout (a batched encode stores column slices)."""
         _, store = setup
@@ -87,8 +100,9 @@ class TestBlockStore:
         assert block.flags.c_contiguous == (layout == "contiguous")
         assert block[0].flags.c_contiguous == (layout != "strided-rows")
         store.put(0, "f", 0, block)
-        assert store._row_checksums[0][("f", 0)][0] == [zlib.crc32(row.tobytes()) for row in block]
-        assert not hasattr(store, "_checksums")  # nothing checksums the block a second time
+        crcs, stored, _ = store._disks[0]["f", 0]
+        assert stored is block and crcs == [zlib.crc32(row.tobytes()) for row in block]
+        assert not hasattr(store, "_row_checksums")  # nothing keeps the CRCs a second time
         assert store.verify(0, "f", 0)
         data, _ = store.timed_get(0, "f", 0, verify=True)
         assert np.array_equal(data, block)

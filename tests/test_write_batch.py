@@ -3,13 +3,14 @@
 ``BlockStore._put_many`` hashes every block the native kernel can take in
 place in one ``crc32_ranges`` call, checks each server once and adds the
 write counters once per server, yet stores what a ``put`` per item would:
-the same arrays, the same row CRCs, the same counters by server in the same
-key order, the same partial store when a server is down mid-batch.  A
-striped write encodes every group, the ragged tail included, in one kernel
-call that folds each stored row's CRC as it writes it, and hands all of
-them to one ``DistributedFileSystem._store_files``; twin filesystems, one
-writing in a batch and one group by group, end alike, and so does a store
-given each codes-layer block by ``put``.
+the same arrays, the same row CRCs, an address wherever ``put`` takes one,
+the same counters by server in the same key order, the same partial store
+when a server is down mid-batch.  Every write, plain or striped, is one
+``DistributedFileSystem._write``: one kernel call encodes every group (the
+ragged tail included) and folds each stored row's CRC as it writes it, and
+one ``_store_files`` stores them; twin filesystems, one writing in a batch
+and one group by group, end alike, and so does a store given each
+codes-layer block by ``put``.
 """
 
 import gc
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.placement import _round_robin
+from repro.cluster.placement import RoundRobinPlacement, _round_robin
 from repro.codes import PyramidCode, ReedSolomonCode, RotatedPyramidCode
 from repro.core import GalloperCode
 from repro.gf import GF256, GF65536
@@ -53,7 +54,7 @@ def fresh_store(native: bool, down: int | None) -> BlockStore:
         cluster.fail(down)
     store = BlockStore(cluster)
     if not native:
-        store._crc_backend = store._native_row_crcs = None
+        store._crc_backend = None
     return store
 
 
@@ -113,35 +114,40 @@ def test_a_batch_is_a_put_per_item(native, items, down):
     assert counters(batched) == counters(looped)
     for server in range(SERVERS):
         stored = batched._disks[server]
-        assert [(key, id(block)) for key, block in stored.items()] == [
-            (key, id(block)) for key, block in looped._disks[server].items()
+        assert [(key, id(record[1])) for key, record in stored.items()] == [
+            (key, id(record[1])) for key, record in looped._disks[server].items()
         ]  # the same array objects, in the same order
         for store in (batched, looped):
-            entries = store._row_checksums[server]
-            assert list(entries) == list(stored)
-            for key, (crcs, owner, _) in entries.items():
-                assert owner is stored[key] and crcs == row_crcs(owner)
-        assert [entry[2] is None for entry in batched._row_checksums[server].values()] == [
-            entry[2] is None for entry in looped._row_checksums[server].values()
-        ]  # a handle kept wherever put keeps one
+            for crcs, block, where in store._disks[server].values():
+                assert crcs == row_crcs(block)
+                assert (where is not None) == (native and addressable(block))  # an address wherever put takes one
 
-    # A later batched read vouches for the stored rows through the handles the write kept.
+    # A later batched read vouches for the stored rows at the addresses the
+    # write kept, and changes no record.
     verdicts = []
     for store in (batched, looped):
         ranges = [
-            (server, *key, 0, block.shape[0])
+            (server, *key, 0, record[1].shape[0])
             for server, disk in store._disks.items()
-            for key, block in disk.items()
-            if block.ndim == 2
+            for key, record in disk.items()
+            if record[1].ndim == 2
         ]
-        kept = {r[:3]: store._row_checksums[r[0]][r[1:3]][2] for r in ranges}
-        held = [store._disks[r[0]][r[1:3]] for r in ranges]
-        verdicts.append(store._clean_ranges(ranges, held, held))
-        for r, block, clean in zip(ranges, held, verdicts[-1]):
-            assert clean == (not native or block.strides[1] == block.itemsize)
-            if kept[r[:3]] is not None:
-                assert store._row_checksums[r[0]][r[1:3]][2] is kept[r[:3]]
+        records = {r[:3]: store._disks[r[0]][r[1:3]] for r in ranges}
+        _, plain = store._range_reader(ranges, verify=True)
+        verdicts.append([booked is not None for booked in plain])
+        for r, clean in zip(ranges, verdicts[-1]):
+            block = records[r[:3]][1]
+            # A batch of three ranges or more shares one pass, which vouches
+            # only for rows the kernel can address; one or two are each checked alone.
+            checked = len(ranges) <= 2 or not native or block.strides[1] == block.itemsize
+            assert clean == (r[0] != down and checked)
+            assert store._disks[r[0]][r[1:3]] is records[r[:3]]
     assert verdicts[0] == verdicts[1]
+
+
+def addressable(block: np.ndarray) -> bool:
+    """Whether the native kernel reads ``block``'s rows in place."""
+    return block.ndim == 2 and block.size > 0 and block.strides[1] == block.itemsize
 
 
 CODES = {
@@ -162,9 +168,9 @@ def written(dfs) -> dict:
             for name, ef in dfs.files.items()
         ],
         "blocks": [
-            (server, key, block.tobytes(), store._row_checksums[server][key][0])
+            (server, key, block.tobytes(), crcs)
             for server, disk in store._disks.items()
-            for key, block in disk.items()
+            for key, (crcs, block, _) in disk.items()
         ],
         "counters": counters(store),
     }
@@ -187,16 +193,16 @@ def test_a_striped_write_is_its_groups_one_at_a_time(code_name, field, monkeypat
 
 @pytest.mark.skipif(not NATIVE, reason="needs the native CRC kernel")
 def test_a_striped_write_hashes_no_row_twice(monkeypatch):
-    """The encode folds the CRC of every row it writes, so a striped write
-    makes no CRC call of its own: not for its full groups, nor for a tail
-    the kernel codes in place; a tail it codes some other way (under 1 024
-    symbols a stripe) is hashed by the store, here with ``zlib``.  A lone
-    ``put`` keeps its one call."""
+    """The encode folds the CRC of every row it writes, so a write makes no
+    CRC call of its own: not for a striped file's full groups, nor for a
+    tail or a plain file the kernel codes in place; a tail it codes some
+    other way (under 1 024 symbols a stripe) is hashed by the store, here
+    with ``zlib``.  A lone ``put`` is one ``crc32_ranges`` call."""
     code = GalloperCode(4, 2, 1)
     dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     backend = dfs.store._crc_backend
     calls = []
-    for name in ("crc32_ranges", "crc32_rows_in_place", "crc32_rows"):
+    for name in ("crc32_ranges", "crc32_rows"):
         real = getattr(backend, name)
         monkeypatch.setattr(backend, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     sfs = StripedFileSystem(dfs)
@@ -207,14 +213,14 @@ def test_a_striped_write_hashes_no_row_twice(monkeypatch):
         assert sfs.read_file(name) == payload
         assert dfs.metrics.total("checksum_failures") == 0  # the read's CRC pass vouched for every row
         calls.clear()
-    assert all(crcs == row_crcs(dfs.store._disks[s][key]) for s, key, crcs in held_crcs(dfs))
+    payload = payload_bytes(code.data_stripe_total * 1_300 - 5, seed=5)  # 1 300 symbols a stripe, padded
+    dfs.write_file("plain", payload, code=code)
+    assert calls == []
+    assert dfs.read_file("plain") == payload
+    calls.clear()
+    assert all(crcs == row_crcs(block) for disk in dfs.store._disks.values() for crcs, block, _ in disk.values())
     dfs.store.put(0, "lone", 0, np.zeros((7, 1_300), dtype=np.uint8))
-    assert calls == ["crc32_rows_in_place"]
-
-
-def held_crcs(dfs) -> list:
-    """``(server, key, row CRCs)`` of every block ``dfs`` stores."""
-    return [(s, key, entry[0]) for s, entries in dfs.store._row_checksums.items() for key, entry in entries.items()]
+    assert calls == ["crc32_ranges"]
 
 
 @contextmanager
@@ -243,29 +249,36 @@ def native_tier(native: bool, code):
     tail=st.sampled_from([0, 3_001, 37_001]),
     block=st.sampled_from([700, BLOCK]),  # stripes under and over 1 024 symbols
     down=st.none() | st.integers(0, 1_000),
+    plain=st.booleans(),
 )
-def test_a_striped_write_stores_what_put_stores(native, code_name, field, groups, tail, block, down):
-    """Block for block, a striped write stores the bytes and the row CRCs
-    that ``BlockStore.put`` of each codes-layer block stores, and counts
-    them alike; with a server failing as the store batch starts, the blocks
-    before its first stay stored and counted, and none after it."""
+def test_a_striped_write_stores_what_put_stores(native, code_name, field, groups, tail, block, down, plain):
+    """Block for block, a striped write — or a plain ``write_file`` of the
+    same payload, its stripes under or over 1 024 symbols, padded or not —
+    stores the bytes and the row CRCs that ``BlockStore.put`` of each
+    codes-layer block stores, and counts them alike; with a server failing
+    as the store batch starts, the blocks before its first stay stored and
+    counted, and none after it."""
     assume(groups or tail)
     code = CODES[code_name](FIELDS[field])
     payload = payload_bytes(groups * code.k * block + tail, seed=groups * 7 + tail)
     total = code.data_stripe_total
-    group_payload = code.k * block
+    group_payload = len(payload) if plain else code.k * block
     with native_tier(native, code):
         batched = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
         reference = BlockStore(Cluster.homogeneous(3 * code.n))
         count = -(-len(payload) // group_payload)
-        servers = _round_robin(reference.cluster, code.n, range(0, count * code.n, code.n))
+        if plain:
+            servers, names = [RoundRobinPlacement().place(reference.cluster, code.n)], ["s"]
+        else:
+            servers = _round_robin(reference.cluster, code.n, range(0, count * code.n, code.n))
+            names = [f"s#g{g:04d}" for g in range(count)]
         items = []
         for g in range(count):
             symbols = np.frombuffer(payload[g * group_payload : (g + 1) * group_payload], dtype=np.uint8)
             grid = np.zeros(max(total, -(-symbols.size // total) * total), dtype=code.gf.dtype)
             grid[: symbols.size] = symbols
             blocks = code.encode(grid.reshape(total, -1))
-            items += [(servers[g][b], f"s#g{g:04d}", b, blocks[b]) for b in range(code.n)]
+            items += [(servers[g][b], names[g], b, blocks[b]) for b in range(code.n)]
         if down is not None:
             victim = items[down % len(items)][0]
             reference.cluster.fail(victim)
@@ -276,17 +289,18 @@ def test_a_striped_write_stores_what_put_stores(native, code_name, field, groups
                 return put_many(*args)
 
             batched.store._put_many = failing
-        sfs = StripedFileSystem(batched)
-        got = outcome(lambda: sfs.write_file("s", payload, lambda: code, max_block_bytes=block))
+        if plain:
+            got = outcome(lambda: batched.write_file("s", payload, code=code))
+        else:
+            sfs = StripedFileSystem(batched)
+            got = outcome(lambda: sfs.write_file("s", payload, lambda: code, max_block_bytes=block))
         want = outcome(lambda: [reference.put(*item) for item in items])
     assert got == want and (got is None) == (down is None)
     if got is not None:
         assert got[0] is BlockUnavailableError and not batched.files
     for server in range(3 * code.n):
-        assert [(key, block.tobytes(), batched.store._row_checksums[server][key][0])
-                for key, block in batched.store._disks[server].items()] == [
-            (key, block.tobytes(), reference._row_checksums[server][key][0])
-            for key, block in reference._disks[server].items()
+        assert [(key, block.tobytes(), crcs) for key, (crcs, block, _) in batched.store._disks[server].items()] == [
+            (key, block.tobytes(), crcs) for key, (crcs, block, _) in reference._disks[server].items()
         ]
     for name in ("disk_bytes_written", "blocks_written"):
         assert batched.metrics.by_server(name) == reference.metrics.by_server(name)
@@ -296,23 +310,30 @@ def stored_ranges(dfs) -> tuple[list, list]:
     """Every stored 2-D block of ``dfs`` as a whole-block read range, and the block."""
     store = dfs.store
     ranges = [
-        (server, *key, 0, block.shape[0])
+        (server, *key, 0, record[1].shape[0])
         for server, disk in store._disks.items()
-        for key, block in disk.items()
-        if block.ndim == 2
+        for key, record in disk.items()
+        if record[1].ndim == 2
     ]
-    return ranges, [store._disks[r[0]][r[1:3]] for r in ranges]
+    return ranges, [store._disks[r[0]][r[1:3]][1] for r in ranges]
+
+
+def vouched(store: BlockStore, ranges: list) -> list[bool]:
+    """Per range, whether one batched verified read's CRC pass vouched for
+    its rows (on clean hardware with every server up: whether it is plain)."""
+    _, plain = store._range_reader(ranges, verify=True)
+    return [booked is not None for booked in plain]
 
 
 @pytest.mark.skipif(not NATIVE, reason="needs the native CRC kernel")
 def test_handles_into_a_shared_buffer_outlive_the_writer():
-    """A batched striped write keeps, per block, a checksum handle that
-    points into the batch's one encode buffer, each owning nothing but the
-    first of its file's.  With every array and handle the writer held
-    gone and the freed memory written over, batched reads still vouch for
-    every block through those handles, and ``verify`` passes; a corrupted
-    block fails its read's checksum and is recovered, and the block the
-    scrubber rebuilds in its place is hashed afresh."""
+    """A batched striped write keeps, per block, an address that points
+    into the batch's one encode buffer and owns nothing.  With every array
+    and handle the writer held gone and the freed memory written over,
+    batched reads still vouch for every block at those addresses, and
+    ``verify`` passes; a corrupted block gets a record of its own with a
+    fresh address, fails its read's checksum and is recovered, and the
+    block the scrubber rebuilds in its place is hashed afresh."""
     code = GalloperCode(4, 2, 1)
     dfs = DistributedFileSystem(Cluster.homogeneous(3 * code.n))
     sfs = StripedFileSystem(dfs)
@@ -321,8 +342,8 @@ def test_handles_into_a_shared_buffer_outlive_the_writer():
     store = dfs.store
     ranges, held = stored_ranges(dfs)
     assert len(ranges) == 6 * code.n
-    # Ids, not the handles: holding one here would keep alive what it points into.
-    kept = {r[:3]: id(store._row_checksums[r[0]][r[1:3]][2]) for r in ranges}
+    # Ids, not the addresses: holding one here would keep alive what it points into.
+    kept = {r[:3]: id(store._disks[r[0]][r[1:3]][2]) for r in ranges}
     assert id(None) not in kept.values()
     group_bytes = code.n * BLOCK
 
@@ -335,21 +356,22 @@ def test_handles_into_a_shared_buffer_outlive_the_writer():
     del held
     junk = scribble()
     ranges, held = stored_ranges(dfs)
-    assert all(store._clean_ranges(ranges, held, held))
-    assert all(id(store._row_checksums[r[0]][r[1:3]][2]) == kept[r[:3]] for r in ranges)  # no handle retaken
+    assert all(vouched(store, ranges))
+    assert all(id(store._disks[r[0]][r[1:3]][2]) == kept[r[:3]] for r in ranges)  # no address retaken
     assert all(store.verify(*r[:3]) for r in ranges)
 
-    # Rot the block whose entry owns its file's handle: its next read fails the
-    # checksum and is recovered, and the read takes a fresh handle for it.
+    # Rot the first block of a group: it is stored anew with a fresh address,
+    # and its next read fails the checksum and is recovered.
     ef = dfs.file("s#g0000")
     victim = (ef.server_of(0), "s#g0000", 0)
     store.corrupt(*victim, offset=5)
+    assert id(store._disks[victim[0]][victim[1:]][2]) != kept[victim]
     assert sfs.read_file("s") == payload
     assert dfs.metrics.total("checksum_failures") >= 1
     del held, junk
     junk = scribble()
     ranges, held = stored_ranges(dfs)
-    clean = store._clean_ranges(ranges, held, held)
+    clean = vouched(store, ranges)
     assert [r[:3] for r, ok in zip(ranges, clean) if not ok] == [victim]
     assert [r[:3] for r in ranges if not store.verify(*r[:3])] == [victim]
 
@@ -357,17 +379,53 @@ def test_handles_into_a_shared_buffer_outlive_the_writer():
     # cooled off the server's breaker); the rebuilt block is hashed afresh.
     dfs.clock.advance(RESET_TIMEOUT)
     assert Scrubber(dfs).scrub().corrupted == [("s#g0000", 0)]
-    crcs, owner, _ = store._row_checksums[victim[0]][victim[1:]]
-    assert owner is store._disks[victim[0]][victim[1:]]
+    crcs, owner, _ = store._disks[victim[0]][victim[1:]]
     assert crcs == [zlib.crc32(row.tobytes()) for row in owner]
     del held, junk
     junk = scribble()
     ranges, held = stored_ranges(dfs)
-    assert all(store._clean_ranges(ranges, held, held))
+    assert all(vouched(store, ranges))
     assert all(store.verify(*r[:3]) for r in ranges)
     failures = dfs.metrics.total("checksum_failures")
     assert sfs.read_file("s") == payload
     assert dfs.metrics.total("checksum_failures") == failures
+
+
+@pytest.mark.parametrize("native", BACKENDS)
+def test_a_batched_read_changes_no_record(native):
+    """Every block's record is made when it is stored, address included:
+    a batched verified read of small (``zlib``-hashed) and large blocks, of
+    a corrupted one, of a 1-D one, of rows out of range and of a block not
+    held replaces no record object and reads what a read range by range
+    reads."""
+    store = fresh_store(native, None)
+    rng = np.random.default_rng(9)
+    store.put(0, "small", 0, rng.integers(0, 256, size=(4, 100), dtype=np.uint8))
+    store.put(0, "large", 0, rng.integers(0, 256, size=(4, 3_000), dtype=np.uint8))
+    stack = rng.integers(0, 256, size=(3, 4, 1_500), dtype=np.uint8)  # one C-contiguous parent
+    store._put_many([(1, "parent", b, block) for b, block in enumerate(stack)], [stack])
+    store.put(1, "flat", 0, rng.integers(0, 256, size=5_000, dtype=np.uint8))
+    store.put(2, "rot", 0, rng.integers(0, 256, size=(4, 2_000), dtype=np.uint8))
+    store.corrupt(2, "rot", 0, offset=2_000 + 3)  # row 1
+    records = {(server, key): record for server, disk in store._disks.items() for key, record in disk.items()}
+    assert all((record[2] is not None) == (native and record[1].ndim == 2) for record in records.values())
+    ranges = [
+        (0, "small", 0, 0, 4), (0, "large", 0, 1, 3), (1, "parent", 1, 0, 4), (1, "parent", 2, 2, 2),
+        (1, "flat", 0, 0, 5_000), (2, "rot", 0, 0, 1), (2, "rot", 0, 0, 4),
+        (0, "large", 0, 3, 2), (3, "ghost", 0, 0, 1),
+    ]
+
+    def outcomes(read, count):
+        return [outcome(lambda i=i: read(i)) or read(i)[0].tobytes() for i in range(count)]
+
+    read, plain = store._range_reader(ranges, verify=True)
+    assert [booked is not None for booked in plain] == [True, True, True, True, False, True, False, False, False]
+    got = outcomes(read, len(ranges))
+    alone = [outcomes(store._range_reader([r], verify=True)[0], 1)[0] for r in ranges]
+    assert got == alone
+    assert [type(o) for o in got] == [bytes] * 6 + [tuple] * 3
+    assert {(server, key): record for server, disk in store._disks.items() for key, record in disk.items()} == records
+    assert all(store._disks[server][key] is record for (server, key), record in records.items())
 
 
 @pytest.mark.parametrize("clash", ["a full group", "the ragged tail"])
