@@ -12,8 +12,10 @@ and the tier ``kernel="auto"`` picks.  Then, for each encode plan at both
 widths, the gather folding the CRC-32 of every row it writes (as a striped
 write stores its blocks) against the gather followed by one
 ``crc32_ranges`` pass over its output, asserting that both give the same
-bytes and CRCs; last, ``crc32_rows`` GB/s per row size over about 1 MiB of
-rows (in cache) and 16 MiB (past L2)::
+bytes and CRCs, and the same for each rebuild plan on the XOR executor
+(which folds its output rows' CRCs as the gather does); last,
+``crc32_rows`` GB/s per row size over about 1 MiB of rows (in cache) and
+16 MiB (past L2)::
 
     PYTHONPATH=src python benchmarks/native_speeds.py [--library SO]
 
@@ -88,6 +90,21 @@ def gather_folding_crcs(plan: CodingPlan, grids: np.ndarray) -> tuple[np.ndarray
     return out, crcs.tolist()
 
 
+def xor_then_crc(plan: CodingPlan, segments, backend) -> tuple[list, list[int]]:
+    """A rebuild's blocks from the XOR executor, then the CRC of every row
+    in one ``crc32_ranges`` call over them: the pass the fold replaces."""
+    outs, _ = plan._apply_batch(segments)
+    bases = [backend.row_buffer(out) for out in outs]
+    geometry = [n for out in outs for n in (out.strides[0], len(out), out.shape[1])]
+    return outs, backend.crc32_ranges(bases, geometry)
+
+
+def xor_folding_crcs(plan: CodingPlan, segments) -> tuple[list, list[int]]:
+    """A rebuild's blocks and their row CRCs from one XOR-executor call."""
+    outs, crcs = plan._apply_batch(segments, crcs=True)
+    return outs, [crc for folded in crcs for crc in folded.tolist()]
+
+
 def median_best(*calls) -> list[float]:
     """Seconds per call: the median over the rounds of its best of
     ``REPEATS`` runs, the calls taking turns round by round."""
@@ -153,6 +170,27 @@ def main(argv: list[str] | None = None) -> int:
                 seconds = median_best(lambda: gather_folding_crcs(plan, grids), lambda: gather_then_crc(plan, grids, backend))
                 cells = [f"{grids.nbytes / t / 1e9:.2f}" for t in seconds]
                 print(f"| {name} | {width_name} | " + " | ".join(cells) + f" | {seconds[1] / seconds[0]:.2f} |", flush=True)
+        print("\n| code | plan | width | XOR executor with row CRCs | XOR executor, then `crc32_ranges` | x |")
+        print("|---" * 6 + "|")
+        for name, make in CODES.items():
+            code = make()
+            for label, coeffs in plans(code):
+                if not label.startswith("rebuild") or CodingPlan(GF256, coeffs).kernel == "copy":
+                    continue
+                plan = pinned(coeffs, backend, schedule=True)
+                for width_name, (block, groups) in WIDTHS.items():
+                    width = block // code.N
+                    segments = [rng.integers(0, 256, size=(coeffs.shape[1], width), dtype=np.uint8) for _ in range(groups)]
+                    folded, separate = xor_folding_crcs(plan, segments), xor_then_crc(plan, segments, backend)
+                    assert all(np.array_equal(a, b) for a, b in zip(folded[0], separate[0])), (name, label, width_name)
+                    assert folded[1] == separate[1], (name, label, width_name)
+                    seconds = median_best(
+                        lambda: xor_folding_crcs(plan, segments), lambda: xor_then_crc(plan, segments, backend)
+                    )
+                    nbytes = sum(seg.nbytes for seg in segments)
+                    cells = [f"{nbytes / t / 1e9:.2f}" for t in seconds]
+                    print(f"| {name} | {label} | {width_name} | " + " | ".join(cells)
+                          + f" | {seconds[1] / seconds[0]:.2f} |", flush=True)
         print("\n| row bytes | " + " | ".join(f"GB/s, {label}" for label in CRC_TOTALS) + " |")
         print("|---" * (1 + len(CRC_TOTALS)) + "|")
         for row_bytes in CRC_ROWS:

@@ -10,9 +10,10 @@ Clones both revisions from this repository into a work directory (a local
 ``benchmarks/e2e/run.py --workload W --seed N --out`` once in each clone,
 the parent first on even-numbered pairs and the change first on odd ones.
 Each side runs from its own fresh clone, so neither measures a long-lived
-working tree, and each clone is warmed first, untimed: its bytecode is
-compiled and its native library built where ``run.py`` loads it from, so the
-first timed run does not pay for either in ``setup_s``.  Prints the gain
+working tree, and each clone is warmed first, untimed, twice, the clones
+taking turns: its bytecode is compiled and its native library built where
+``run.py`` loads it from, so the first timed run does not pay for either in
+``setup_s``.  Prints the gain
 test per end-to-end metric (each side's median and quartiles, change over
 parent, the pairs the change is ahead / behind / tied in, and whether the
 rule for claiming a gain holds: at least ``MIN_PAIRS`` pairs, ahead in at
@@ -215,11 +216,15 @@ def main(argv: list[str] | None = None) -> int:
     for side, rev in (("parent", args.parent), ("change", args.change)):
         checkout = work / side
         sha = clone(rev, checkout)
-        warm(checkout)
         record = work / f"{side}.json"
         record.unlink(missing_ok=True)
         sides[side] = (checkout, record)
         print(f"{side}: {rev} = {sha} in {checkout}")
+    # Each clone is warmed twice, the two taking turns (parent, change,
+    # change, parent), so neither is always the one warmed last before the
+    # first timed run.
+    for side in ("parent", "change", "change", "parent"):
+        warm(sides[side][0])
     for index, seed in enumerate(args.seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:

@@ -320,7 +320,7 @@ class CodingPlan:
         # change under it mid-life.
         self._native_backend = None
         self._native_fallback = False
-        self._native_tables = None  # gf8: (tables,); gf16: (lo, hi)
+        self._native_call = None  # the kernel call, bound by _build_native_tables
 
     # ------------------------------------------------------------- tables
 
@@ -567,12 +567,14 @@ class CodingPlan:
 
         With ``crcs``, also the CRC-32 of the result rows, per entry: a
         uint32 array of ``zlib.crc32`` of each output row of each of its
-        segments, segment by segment, which the native GF(2^8) gather
-        folded as it wrote them, or ``None`` for an entry coded some other
-        way.  ``None`` in place of the list when the gather folded none
-        (another tier, or no CRC kernel compiled in)."""
+        segments, segment by segment, which the native GF(2^8) gather or
+        XOR executor folded as it wrote them (:meth:`_folds_crcs`), or
+        ``None`` for an entry coded some other way.  ``None`` in place of
+        the list when the kernel folded none (another tier, or no CRC
+        kernel compiled in)."""
         m = self.m
         members = []  # (input row arrays, width, segments in a 3-D entry or 0)
+        columns = widest = 0
         for seg in segments:
             if isinstance(seg, np.ndarray) and seg.ndim == 3:
                 count, height, width = seg.shape
@@ -581,16 +583,23 @@ class CodingPlan:
                 if not self._in_place(width):
                     raise GFError(f"a stack of segments {width} wide is not coded in place")
                 members.append(([validate_symbols(self.gf, seg, "data").reshape(count * height, width)], width, count))
+                columns += width * count
             else:
-                members.append((*self._input_rows(seg), 0))
+                rows, width = self._input_rows(seg)
+                members.append((rows, width, 0))
+                columns += width
+            widest = max(widest, width)
         if not members:
             return [], None
-        native = any(width >= _SEGMENT_MIN_ELEMS for _, width, _ in members) and self._native_ready()
+        native = widest >= _SEGMENT_MIN_ELEMS and self._native_ready()
         wide = _SEGMENT_MIN_ELEMS if native else self._cache_block_elems()
         make = np.zeros if self._zero_rows.size else np.empty
-        buf = make(m * sum(width * (count or 1) for _, width, count in members), dtype=self.gf.dtype)
+        buf = make(m * columns, dtype=self.gf.dtype)
+        itemsize = buf.itemsize
         results = []
-        table = []  # (rows, width, offsets) of the segments coded in the native call
+        # The segments coded in the native call: their input rows, and the
+        # byte offset, row stride and width of each one's output in buf.
+        chunks, offsets, oshape = [], [], []
         folded = []  # per entry: its segments in the native call, or None
         pos = i = 0
         while i < len(members):
@@ -612,20 +621,23 @@ class CodingPlan:
                 folded += [None] * (j - i)
             elif native and width >= wide:
                 results.append(region.reshape(count, m, width) if count else region.reshape(m, width))
-                table.append((rows, width, range(pos, pos + m * width * segs, m * width)))
+                chunks += rows
+                step = m * width * itemsize
+                offsets += range(pos * itemsize, pos * itemsize + step * segs, step)
+                oshape += (width * itemsize, width * itemsize) * segs
                 folded.append(segs)
             else:
                 region = region.reshape(m, width)
                 results.append(region)
                 self.apply(rows if len(rows) != 1 else rows[0], out=region)
                 folded.append(None)
-            pos += m * width * (count or 1)
+            pos += m * width * segs
             i = j
         out_crcs = None
-        if crcs and table and self.gf.q == 8 and self._schedule is None and self._native_backend.has_crc32:
-            out_crcs = np.empty(sum(len(at) for _, _, at in table) * m, dtype=np.uint32)
-        if table:
-            self._apply_segments(table, buf, out_crcs)
+        if crcs and offsets and self._folds_crcs():
+            out_crcs = np.empty(len(offsets) * m, dtype=np.uint32)
+        if offsets:
+            self._apply_segments(chunks, buf, offsets, oshape, out_crcs)
         if out_crcs is None:
             return results, None
         row_crcs, at = [], 0
@@ -639,19 +651,13 @@ class CodingPlan:
         wide where it lies, in the native segment table."""
         return width >= _SEGMENT_MIN_ELEMS and self._native_ready()
 
-    def _apply_segments(self, table, buf: np.ndarray, crcs: np.ndarray | None = None) -> None:
-        """One native call over :meth:`_apply_batch`'s segment table:
-        ``table[g]`` is ``(rows, width, offsets)``, the input row arrays of
-        ``len(offsets)`` segments, whose ``(m, width)`` results start at
-        those symbols of ``buf``.  Booked and traced as one :meth:`apply`
-        of every column; ``crcs`` takes the result rows' CRCs
-        (:meth:`repro.gf.native.NativeBackend.gf8_gather`)."""
-        itemsize = self.gf.dtype.itemsize
-        chunks, offsets, oshape = [], [], []
-        for rows, width, at in table:
-            chunks += rows
-            offsets += range(at.start * itemsize, at.stop * itemsize, at.step * itemsize)
-            oshape += (width * itemsize, width * itemsize) * len(at)
+    def _apply_segments(self, chunks, buf: np.ndarray, offsets, oshape, crcs: np.ndarray | None = None) -> None:
+        """One native call over :meth:`_apply_batch`'s segment table, laid
+        out as :meth:`_native_segments` takes it (the results' offsets,
+        row strides and widths in ``buf``, in bytes).  Booked and traced as
+        one :meth:`apply` of every column; ``crcs`` takes the result rows'
+        CRCs."""
+        itemsize = buf.itemsize
         columns = sum(oshape[1::2]) // itemsize
         nbytes = (self.n + self.m) * columns * itemsize
 
@@ -775,33 +781,45 @@ class CodingPlan:
                 out[rows[base : base + count], s0 : s0 + w] = lane_view[:, :count].T
 
     def _build_native_tables(self) -> None:
-        """The native kernels' operands: int32 dense columns and rows, the
-        identity rows as flat ``(out row, input row)`` pairs, and for the
-        gather kernels per-coefficient product tables.
+        """The native kernel call of this plan, its constant operands bound
+        once (:class:`repro.gf.native.NativeBackend`): int32 dense columns
+        and rows, the identity rows as flat ``(out row, input row)`` pairs,
+        and the XOR program or, for the gather kernels, per-coefficient
+        product tables.
 
         GF(2^8): one contiguous ``(m, n_used, 256)`` uint8 block, rows of
-        the field's full mul table.  GF(2^16): ISA-L split lo/hi tables,
-        ``(m, n_used, 256)`` uint16 each — the full 65536-entry table
-        would blow the cache budget the native tier exists to respect.
+        the field's full mul table, and its vector operands.  GF(2^16):
+        ISA-L split lo/hi tables, ``(m, n_used, 256)`` uint16 each — the
+        full 65536-entry table would blow the cache budget the native tier
+        exists to respect.
         """
-        self._native_cols = np.ascontiguousarray(self._dense_cols, dtype=np.int32)
-        self._native_rows = np.ascontiguousarray(self._dense_dst, dtype=np.int32)
-        self._native_copies = np.ascontiguousarray(
+        cols = np.ascontiguousarray(self._dense_cols, dtype=np.int32)
+        rows = np.ascontiguousarray(self._dense_dst, dtype=np.int32)
+        copies = np.ascontiguousarray(
             np.stack([self._copy_dst, self._copy_src], axis=1).reshape(-1), dtype=np.int32
         )
-        sub = self._sub
+        backend, sub = self._native_backend, self._sub
         if self._schedule is not None:
-            self._native_tables = ()
+            self._native_call = self._schedule._native_kernel(backend, cols, rows, copies)
         elif self.gf.q == 8:
             tables = np.ascontiguousarray(self.gf.mul_table[sub])
-            self._native_tables = (tables, _native.gf8_vector_operands(tables))
+            self._native_call = backend.gf8_gather(
+                tables, _native.gf8_vector_operands(tables), sub, cols, rows, copies, self._cache_block_elems()
+            )
         else:
             lo, hi = split_product_tables(self.gf, sub.reshape(-1))
             shape = (*sub.shape, 256)
-            self._native_tables = (
-                np.ascontiguousarray(lo.reshape(shape)),
-                np.ascontiguousarray(hi.reshape(shape)),
+            self._native_call = backend.gf16_gather(
+                np.ascontiguousarray(lo.reshape(shape)), np.ascontiguousarray(hi.reshape(shape)),
+                sub, cols, rows, copies, self._cache_block_elems(),
             )
+
+    def _folds_crcs(self) -> bool:
+        """Whether this plan's native kernel folds the CRC-32 of the rows it
+        writes: the GF(2^8) gather and the XOR executor of either field
+        (it folds each row's bytes), on a build with the CRC kernel (tier
+        decided, native)."""
+        return (self.gf.q == 8 or self._schedule is not None) and self._native_backend.has_crc32
 
     def _native_segments(
         self, chunks: list[np.ndarray], out: np.ndarray, offsets: list[int], oshape: list[int],
@@ -817,21 +835,15 @@ class CodingPlan:
         1]`` bytes wide.  The gather kernels are cache-blocked with the
         shared pool budget: one block keeps every output-row segment plus
         the streaming data row inside ~L2, so a multi-MB stripe never
-        materialises a full-width intermediate.  ``crcs``, for the GF(2^8)
-        gather only, takes the CRC-32 of every output row.
+        materialises a full-width intermediate.  ``crcs``, where
+        :meth:`_folds_crcs`, takes the CRC-32 of every output row.
         """
-        if self._native_tables is None:
+        if self._native_call is None:
             self._build_native_tables()
-        backend = self._native_backend
-        operands = (chunks, self._native_cols, self._native_rows, self._native_copies, out, offsets, oshape)
-        if self._schedule is not None:
-            self._schedule.execute_native(backend, *operands)
-        elif self.gf.q == 8:
-            tables, vec = self._native_tables
-            backend.gf8_gather(tables, vec, self._sub, *operands, self._cache_block_elems(), crcs)
+        if crcs is None:
+            self._native_call(chunks, out, offsets, oshape)
         else:
-            lo, hi = self._native_tables
-            backend.gf16_gather(lo, hi, self._sub, *operands, self._cache_block_elems())
+            self._native_call(chunks, out, offsets, oshape, crcs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CodingPlan({self.m}x{self.n} over GF(2^{self.gf.q}), kernel={self.kernel})"

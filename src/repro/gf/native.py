@@ -40,10 +40,14 @@ rows (row copies) itself.
 Beside them rides the block store's checksum: ``zlib``'s CRC-32 of every
 row of a block in one call, by PCLMULQDQ folding (four 128-bit lanes,
 Barrett reduction), or of every row of many row ranges in one call (a
-batched read).  The GF(2^8) gather can fold it too: after each cache block
-it carries every output row's running CRC over the block it has just
-written, so an encode hands the store its blocks' row CRCs without a
-second pass over them (``gf8_gather(..., crcs)``).  Where VPCLMULQDQ runs on 512-bit registers, a call over
+batched read).  The GF(2^8) gather and the XOR executor can fold it too:
+after each cache block (executor chunk) they carry every output row's
+running CRC over the block they have just written, so an encode or a
+rebuild hands the store its blocks' row CRCs without a second pass over
+them (the ``crcs`` argument of a kernel call).  Each kernel is bound to a
+plan's constant operands once (:meth:`NativeBackend.gf8_gather`,
+:meth:`NativeBackend.xor_exec`); a call hands over only the input rows and
+the outputs.  Where VPCLMULQDQ runs on 512-bit registers, a call over
 256 KiB or more first folds each row of 256 bytes or more 256 bytes a
 step by four 512-bit accumulators; shorter calls (a served read checks
 one row) stay on 128-bit registers.  The fold constants are derived from
@@ -136,9 +140,10 @@ int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
                    const int32_t *cols, const int32_t *rows,
                    const int32_t *copies, int32_t ncopy,
                    char **outs, const int64_t *oshape, size_t nseg,
-                   uint8_t *pool, size_t block_bytes,
+                   size_t pool_rows, size_t block_bytes,
                    const int32_t *prog, int32_t n_insn,
-                   int32_t qbits, uint32_t red);
+                   int32_t qbits, uint32_t red,
+                   uint32_t *crcs, int32_t mout);
 """
 
 
@@ -750,29 +755,63 @@ static uint8_t *xref(int32_t base, int32_t r, size_t s0,
     return pool + (size_t)r * block_bytes;
 }
 
-/* Execute a flattened XOR program per segment, chunk by chunk.  Pool rows
- * hold one chunk's worth of ladder lanes / CSE intermediates and are
- * recomputed per chunk; input and output rows are addressed at the chunk
- * offset.  block_bytes == 0 runs each segment in one pass.  Returns -1
- * when the row table cannot be allocated. */
+/* Execute a flattened XOR program per segment, chunk by chunk.  The
+ * `pool_rows` pool rows, allocated here, hold one chunk's worth of ladder
+ * lanes / CSE intermediates and are recomputed per chunk; input and output
+ * rows are addressed at the chunk offset.  A chunk is at most block_bytes
+ * wide and no wider than the widest segment rounded up to 8 bytes; a
+ * program without pool rows runs each segment in one pass.
+ *
+ * With `crcs` (and the CRC kernel compiled in), each chunk of each of the
+ * segment's `mout` output rows is folded into that row's running CRC-32
+ * once the program has written it, while the chunk is in cache, as
+ * repro_gf8_gather folds its blocks: crcs[g * mout + r] ends as zlib's
+ * crc32 of segment g's output row r.
+ * Returns -1 when the row table cannot be allocated. */
 int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
                    const int32_t *cols, const int32_t *rows,
                    const int32_t *copies, int32_t ncopy,
                    char **outs, const int64_t *oshape, size_t nseg,
-                   uint8_t *pool, size_t block_bytes,
+                   size_t pool_rows, size_t block_bytes,
                    const int32_t *prog, int32_t n_insn,
-                   int32_t qbits, uint32_t red)
+                   int32_t qbits, uint32_t red,
+                   uint32_t *crcs, int32_t mout)
 {
-    size_t nin = nseg ? range_rows(geometry, nranges) / nseg : 0;
-    const uint8_t **row = row_table(bases, geometry, nranges, 0);
-    size_t g;
+    size_t nrow = range_rows(geometry, nranges);
+    size_t nin = nseg ? nrow / nseg : 0, widest = 0, g;
+    const uint8_t **row;
+    uint8_t *pool;
+    int32_t i;
+#if CLMUL
+    size_t written = 0;
+    int wide;
+#else
+    crcs = NULL;
+#endif
+    for (g = 0; g < nseg; g++) {
+        size_t w = (size_t)oshape[2 * g + 1];
+        if (w > widest) widest = w;
+#if CLMUL
+        written += (size_t)mout * w;
+#endif
+    }
+#if CLMUL
+    wide = written >= WIDE_CALL_BYTES;
+#endif
+    widest = (widest + 7) & ~(size_t)7;
+    if (!pool_rows) block_bytes = 0;
+    else if (block_bytes > widest) block_bytes = widest;
+    row = row_table(bases, geometry, nranges, pool_rows * block_bytes + 64);
     if (!row) return -1;
+    pool = (uint8_t *)(((uintptr_t)(row + nrow) + 63) & ~(uintptr_t)63);
     for (g = 0; g < nseg; g++) {
         const uint8_t **in = row + g * nin;
         uint8_t *out = (uint8_t *)outs[g];
         ptrdiff_t ostride = (ptrdiff_t)oshape[2 * g];
         size_t nbytes = (size_t)oshape[2 * g + 1], s0;
         size_t block = block_bytes ? block_bytes : nbytes;
+        uint32_t *crc = crcs ? crcs + g * (size_t)mout : NULL;
+        for (i = 0; crc && i < mout; i++) crc[i] = 0xffffffffu;
         copy_rows(in, copies, ncopy, out, ostride, 0, nbytes);
         for (s0 = 0; s0 < nbytes; s0 += block) {
             size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
@@ -809,7 +848,12 @@ int repro_xor_exec(char **bases, const int64_t *geometry, size_t nranges,
                     break;
                 }
             }
+#if CLMUL
+            for (i = 0; crc && i < mout; i++)
+                crc[i] = crc32_run(crc[i], out + (ptrdiff_t)i * ostride + (ptrdiff_t)s0, w, wide);
+#endif
         }
+        for (i = 0; crc && i < mout; i++) crc[i] = ~crc[i];
     }
     free(row);
     return 0;
@@ -982,104 +1026,120 @@ class NativeBackend:
 
     def _row_ranges(self, chunks) -> tuple[list, list[int]]:
         """The ``bases`` and ``geometry`` the gather and XOR kernels take:
-        one range per non-empty array of ``chunks``, whose rows laid end
-        to end are the input rows of every segment, segment by segment (a
-        2-D payload is one chunk).
+        one range per array of ``chunks``, whose rows laid end to end are
+        the input rows of every segment, segment by segment (a 2-D payload
+        is one chunk).
 
         Rows are read where they lie, whatever the row stride (a column
-        slice of a batched encode, the rows of a helper read); a chunk
-        whose rows are not each contiguous is copied first.
+        slice of a batched encode, the rows of a helper read): a
+        C-contiguous chunk is one handle, any other its row 0's, and a
+        chunk whose rows are not each contiguous is copied first.
         """
         from_buffer = self._ffi.from_buffer
         bases, geometry = [], []
         for chunk in chunks:
-            if not chunk.shape[0]:
-                continue
-            if chunk.strides[1] != chunk.itemsize:
-                chunk = np.ascontiguousarray(chunk)
-            bases.append(from_buffer(chunk[0]))
-            geometry += (chunk.strides[0], chunk.shape[0])
+            if chunk.flags.c_contiguous:
+                bases.append(from_buffer(chunk))
+            else:
+                if not chunk.shape[0]:
+                    continue
+                if chunk.strides[1] != chunk.itemsize:
+                    chunk = np.ascontiguousarray(chunk)
+                bases.append(from_buffer(chunk[0]))
+            geometry += (chunk.strides[0], len(chunk))
         return bases, geometry
 
-    def _outputs(self, out, offsets: list[int]) -> tuple[object, object]:
+    def _outputs(self, out, offsets: list[int]) -> tuple[list, object]:
         """The ``outs`` table of the kernels: segment ``g``'s output starts
         ``offsets[g]`` bytes into ``out`` (a flat buffer, or a 2-D output
         whose rows are each contiguous, through its row 0).  Returns the
         table and the handle it points into; keep both for the call."""
         handle = self._ffi.from_buffer(out if out.ndim == 1 else out[0])
-        return self._ffi.new("char *[]", [handle + off for off in offsets]), handle
+        return [handle + off for off in offsets], handle
 
     # ------------------------------------------------------------- kernels
+    #
+    # Each kernel is bound to one plan's constant operands once, when the
+    # plan builds its native tables: the call it returns takes handles of
+    # the per-call arrays only (one row base and two ints per input chunk,
+    # the outputs).
 
-    def gf8_gather(self, tables, vec, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int,
-                   crcs: np.ndarray | None = None) -> None:
-        """``out[rows] = coeffs @ input[cols]`` over GF(2^8) for every
-        segment, cache-blocked, after the identity rows ``copies`` (``(out
-        row, input row)`` pairs, flat).  ``tables`` holds each
-        coefficient's product table and ``vec`` its vector operands
-        (:func:`gf8_vector_operands`), both made once per plan.
+    def gf8_gather(self, tables, vec, coeffs, cols, rows, copies, block: int):
+        """The GF(2^8) gather of one plan: ``out[rows] = coeffs @
+        input[cols]`` for every segment, cache-blocked at ``block`` symbols,
+        after the identity rows ``copies`` (``(out row, input row)`` pairs,
+        flat).  ``tables`` holds each coefficient's product table and
+        ``vec`` its vector operands (:func:`gf8_vector_operands`).
 
-        The input rows are those of ``chunks`` laid end to end
-        (:meth:`_row_ranges`), ``len(offsets)`` equal shares of them.
-        Segment ``g``'s output starts ``offsets[g]`` bytes into ``out``
-        (:meth:`_outputs`), ``oshape[2g]`` bytes from row to row and
-        ``oshape[2g + 1]`` bytes wide.
-
-        ``crcs``, a uint32 array of ``len(offsets) * mout`` entries, takes
-        ``zlib.crc32`` of each segment's ``mout`` output rows, segment by
-        segment, folded block by block as the kernel writes them.  Only
-        valid when :attr:`has_crc32`.
+        Returns ``run(chunks, out, offsets, oshape, crcs=None)``.  The input
+        rows are those of ``chunks`` laid end to end (:meth:`_row_ranges`),
+        ``len(offsets)`` equal shares of them.  Segment ``g``'s output
+        starts ``offsets[g]`` bytes into ``out`` (:meth:`_outputs`),
+        ``oshape[2g]`` bytes from row to row and ``oshape[2g + 1]`` bytes
+        wide.  ``crcs``, a uint32 array of ``len(offsets) * mout`` entries,
+        takes ``zlib.crc32`` of each segment's ``mout`` output rows,
+        segment by segment, folded block by block as the kernel writes
+        them; only valid when :attr:`has_crc32`.
         """
         m, n = coeffs.shape
-        bases, geometry = self._row_ranges(chunks)
-        outs, _handle = self._outputs(out, offsets)
         p = self._ptr
-        if crcs is None:
-            crc_out, mout = self._ffi.NULL, 0
-        else:
-            crc_out, mout = p("uint32_t[]", crcs), crcs.size // len(offsets)
-        if self._lib.repro_gf8_gather(
-            p("uint8_t[]", tables), p("uint8_t[]", vec), p("uint8_t[]", coeffs),
-            bases, geometry, len(bases),
-            p("int32_t[]", cols), p("int32_t[]", rows), m, n,
-            p("int32_t[]", copies), copies.size // 2,
-            outs, oshape, len(offsets), block, crc_out, mout,
-        ):
-            raise MemoryError("native gather: no memory for the row table")
+        head = (p("uint8_t[]", tables), p("uint8_t[]", vec), p("uint8_t[]", coeffs))
+        operands = (p("int32_t[]", cols), p("int32_t[]", rows), m, n, p("int32_t[]", copies), copies.size // 2)
+        call, crc_table = self._lib.repro_gf8_gather, self._crc_table
 
-    def gf16_gather(self, lo, hi, coeffs, chunks, cols, rows, copies, out, offsets, oshape, block: int) -> None:
-        """Split-table GF(2^16) :meth:`gf8_gather`; ``block`` counts uint16
-        elements."""
+        def run(chunks, out, offsets, oshape, crcs=None):
+            bases, geometry = self._row_ranges(chunks)
+            outs, _handle = self._outputs(out, offsets)
+            if call(*head, bases, geometry, len(bases), *operands,
+                    outs, oshape, len(outs), block, *crc_table(crcs, len(outs))):
+                raise MemoryError("native gather: no memory for the row table")
+
+        return run
+
+    def gf16_gather(self, lo, hi, coeffs, cols, rows, copies, block: int):
+        """The split-table GF(2^16) :meth:`gf8_gather` (``block`` counts
+        uint16 elements); its ``run`` takes no ``crcs``."""
         m, n = coeffs.shape
-        bases, geometry = self._row_ranges(chunks)
-        outs, _handle = self._outputs(out, offsets)
         p = self._ptr
-        if self._lib.repro_gf16_gather(
-            p("uint16_t[]", lo), p("uint16_t[]", hi), p("uint16_t[]", coeffs),
-            bases, geometry, len(bases),
-            p("int32_t[]", cols), p("int32_t[]", rows), m, n,
-            p("int32_t[]", copies), copies.size // 2,
-            outs, oshape, len(offsets), block,
-        ):
-            raise MemoryError("native gather: no memory for the row table")
+        head = (p("uint16_t[]", lo), p("uint16_t[]", hi), p("uint16_t[]", coeffs))
+        operands = (p("int32_t[]", cols), p("int32_t[]", rows), m, n, p("int32_t[]", copies), copies.size // 2)
+        call = self._lib.repro_gf16_gather
 
-    def xor_exec(self, prog, chunks, cols, rows, copies, out, offsets, oshape, pool,
-                 block_bytes: int, qbits: int, red: int) -> None:
-        """Run a flattened XOR program (see :data:`OP_ZERO` .. :data:`OP_DOUBLE`)
-        over every segment, laid out as :meth:`gf8_gather` takes them."""
-        bases, geometry = self._row_ranges(chunks)
-        outs, _handle = self._outputs(out, offsets)
+        def run(chunks, out, offsets, oshape):
+            bases, geometry = self._row_ranges(chunks)
+            outs, _handle = self._outputs(out, offsets)
+            if call(*head, bases, geometry, len(bases), *operands, outs, oshape, len(outs), block):
+                raise MemoryError("native gather: no memory for the row table")
+
+        return run
+
+    def xor_exec(self, prog, cols, rows, copies, pool_rows: int, block_bytes: int, qbits: int, red: int):
+        """The C executor of one flattened XOR program (see :data:`OP_ZERO`
+        .. :data:`OP_DOUBLE`): returns ``run(chunks, out, offsets, oshape,
+        crcs=None)``, laid out as :meth:`gf8_gather`'s, ``crcs`` included.
+        The executor allocates the program's ``pool_rows`` scratch rows,
+        one chunk of at most ``block_bytes`` (and of no more than the
+        widest segment) each."""
         p = self._ptr
-        if self._lib.repro_xor_exec(
-            bases, geometry, len(bases),
-            p("int32_t[]", cols), p("int32_t[]", rows),
-            p("int32_t[]", copies), copies.size // 2,
-            outs, oshape, len(offsets),
-            self._ffi.NULL if pool is None else p("uint8_t[]", pool), block_bytes,
-            p("int32_t[]", prog), prog.size // INSN_WORDS,
-            qbits, red,
-        ):
-            raise MemoryError("native XOR schedule: no memory for the row table")
+        operands = (p("int32_t[]", cols), p("int32_t[]", rows), p("int32_t[]", copies), copies.size // 2)
+        program = (pool_rows, block_bytes, p("int32_t[]", prog), prog.size // INSN_WORDS, qbits, red)
+        call, crc_table = self._lib.repro_xor_exec, self._crc_table
+
+        def run(chunks, out, offsets, oshape, crcs=None):
+            bases, geometry = self._row_ranges(chunks)
+            outs, _handle = self._outputs(out, offsets)
+            if call(bases, geometry, len(bases), *operands, outs, oshape, len(outs),
+                    *program, *crc_table(crcs, len(outs))):
+                raise MemoryError("native XOR schedule: no memory for the row table")
+
+        return run
+
+    def _crc_table(self, crcs: np.ndarray | None, segments: int) -> tuple:
+        """The ``crcs, mout`` arguments of a kernel call: ``NULL`` and 0
+        without ``crcs``, else its handle and rows per segment."""
+        if crcs is None:
+            return self._ffi.NULL, 0
+        return self._ffi.from_buffer("uint32_t[]", crcs), crcs.size // segments
 
     def crc32_rows(self, rows: np.ndarray) -> list[int]:
         """``[zlib.crc32(row) for row in rows]`` of a 2-D array in one C call.
@@ -1126,9 +1186,7 @@ class NativeBackend:
         ffi = self._ffi
         total = sum(geometry[1::3])
         out = ffi.new(self._crc_out, total)
-        self._lib.repro_crc32_ranges(
-            ffi.new("char *[]", bases), ffi.new("int64_t[]", geometry), len(bases), out
-        )
+        self._lib.repro_crc32_ranges(bases, geometry, len(bases), out)  # the lists pass as C arrays
         return ffi.unpack(out, total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -372,31 +372,25 @@ class XorSchedule:
         self._native_prog = (prog, pool_rows)
         return self._native_prog
 
-    def execute_native(self, backend, chunks, cols, dst_rows, copies, out, offsets, oshape) -> None:
-        """Run the schedule through a :class:`repro.gf.native.NativeBackend`
-        over one or more segments in one call; byte-identical to
-        :meth:`execute` segment by segment.
+    def _native_kernel(self, backend, cols, dst_rows, copies):
+        """The schedule bound to a :class:`repro.gf.native.NativeBackend`'s
+        C executor (``backend.xor_exec``): returns ``run(chunks, out,
+        offsets, oshape, crcs=None)``, byte-identical to :meth:`execute`
+        segment by segment.
 
-        The arguments are those of the backend's ``xor_exec``: the input
-        rows of every segment are the rows of ``chunks`` laid end to end
-        (read where they lie), ``cols`` / ``dst_rows`` are int32, and
-        segment ``g``'s output starts ``offsets[g]`` bytes into ``out``,
-        ``oshape[2g]`` bytes from row to row and ``oshape[2g + 1]`` bytes
-        wide, each output row contiguous.  The identity rows ``copies``
-        (flat int32 ``(out row, input row)`` pairs) are copied first.
+        ``cols`` / ``dst_rows`` are int32 and ``copies`` the identity rows
+        (flat int32 ``(out row, input row)`` pairs), copied first.  A call's
+        input rows are those of ``chunks`` laid end to end (read where they
+        lie), and segment ``g``'s output starts ``offsets[g]`` bytes into
+        ``out``, ``oshape[2g]`` bytes from row to row and ``oshape[2g + 1]``
+        bytes wide, each output row contiguous; ``crcs`` takes the CRC-32
+        of every output row.  The executor's chunk is the pool budget over
+        the pool rows, at least 4096 symbols and a multiple of 64 bytes.
         """
         prog, pool_rows = self._native_program()
-        if pool_rows:
-            widest = max(oshape[1::2])
-            block = POOL_BUDGET_BYTES // pool_rows
-            block = max(4096 * self.gf.dtype.itemsize, block & ~63)
-            block = min(block, -(-widest // 8) * 8)
-            pool = np.empty(pool_rows * block, dtype=np.uint8)
-        else:
-            block = 0  # the C side runs each segment in one pass
-            pool = None
-        backend.xor_exec(
-            prog, chunks, cols, dst_rows, copies, out, offsets, oshape, pool, block,
+        block = max(4096 * self.gf.dtype.itemsize, (POOL_BUDGET_BYTES // pool_rows) & ~63) if pool_rows else 0
+        return backend.xor_exec(
+            prog, cols, dst_rows, copies, pool_rows, block,
             self.gf.q, int(self.gf.primitive_poly) & (self.gf.size - 1),
         )
 

@@ -186,10 +186,13 @@ class BlockStore:
         are, in order: ``items`` holds ``parents[0][0], parents[0][1], ...,
         parents[1][0], ...`` (a file's encoded ``(n, N, S)`` blocks per
         parent), which lets a C-contiguous parent be hashed as one row
-        range through one handle.  ``crcs``, when given, holds per parent
-        (per item without ``parents``) a uint32 array of the CRC-32 of
-        every row of its blocks, block by block, as the encode folded them,
-        or ``None``: the store hashes none of those rows again.
+        range through one handle.  A parent may also be a list of
+        C-contiguous blocks with the same number of rows that lie end to
+        end in one buffer (a rebuild bucket's blocks, ragged widths and
+        all), or ``None`` for a lone item.  ``crcs``, when given, holds per
+        parent (per item without ``parents``) a uint32 array of the CRC-32
+        of every row of its blocks, block by block, as the kernel folded
+        them, or ``None``: the store hashes none of those rows again.
         """
         items = items if isinstance(items, list) else list(items)
         targets = list(map(itemgetter(0), items))
@@ -252,9 +255,11 @@ class BlockStore:
 
         ``where`` is the block's address, taken here once for every later
         read: a C-contiguous parent is one handle, its block ``b`` at ``b *
-        block bytes``, and one row range to hash; any other block gets its
-        own (:meth:`_address`).  An address owns nothing the record needs:
-        the record holds the block, which keeps its memory.
+        block bytes``, and one row range to hash; a list parent with its
+        CRCs given is one handle, each block at the bytes of the blocks
+        before it; any other block gets its own (:meth:`_address`).  An
+        address owns nothing the record needs: the record holds the block,
+        which keeps its memory.
         """
         backend = self._crc_backend
         count = len(items)
@@ -270,8 +275,14 @@ class BlockStore:
             stop = first + (1 if stack is None else len(stack))
             if given is not None:
                 row_crcs[first:stop] = given.reshape(stop - first, -1).tolist()
-            if (
-                stack is not None and backend is not None
+            bucket = isinstance(stack, list)
+            if bucket and given is not None and backend is not None:
+                handle, offset = backend.row_buffer(stack[0]), 0
+                for i, block in enumerate(stack, first):
+                    where[i] = handle + offset
+                    offset += block.nbytes
+            elif (
+                stack is not None and not bucket and backend is not None
                 and stack.ndim == 3 and stack.size and stack.flags.c_contiguous
             ):
                 many, nrows, width = stack.shape
@@ -303,6 +314,19 @@ class BlockStore:
             (self._row_crcs(block) if crcs is None else crcs, block, address)
             for crcs, block, address in zip(row_crcs, blocks, where)
         ]
+
+    def _scan(self, file_name: str, placement: dict) -> tuple[frozenset[int], set[int]]:
+        """Of a file's ``{block: server}`` placement, in one pass: the
+        blocks that cannot be read (their server is down or does not hold
+        them) and the servers of the others."""
+        servers, disks = self.cluster.servers, self._disks
+        lost, used = [], set()
+        for block_id, server_id in placement.items():
+            if servers[server_id].failed or (file_name, block_id) not in disks[server_id]:
+                lost.append(block_id)
+            else:
+                used.add(server_id)
+        return frozenset(lost), used
 
     def _check_rows(self, server_id: int, file_name: str, block_id: int, data, start: int) -> None:
         """Raise unless ``data`` matches the write-time CRCs from stripe ``start`` on."""
@@ -451,7 +475,9 @@ class BlockStore:
             view = None
             if record is not None:
                 crcs, block, where = record
-                if start >= 0 and start + count <= len(block):
+                if not start and count == len(block):  # every row: the stored array itself
+                    view = block
+                elif start >= 0 and start + count <= len(block):
                     view = block[start : start + count]
             views.append(view)
             if view is None or view.ndim != 2:
@@ -469,10 +495,10 @@ class BlockStore:
                     got += _zlib_row_crcs(view)
                 else:
                     stride = block.strides[0]
-                    bases.append(where + start * stride)
+                    bases.append(where + start * stride if start else where)
                     geometry += (stride, count, block.shape[1] * block.itemsize)
                 wanted.append((i, count))
-                expected += crcs[start : start + count]
+                expected += crcs if view is block else crcs[start : start + count]
         # Per range: rows the check vouched for, which an attempt that returns
         # them verbatim need not check again.
         vouched = plain

@@ -571,11 +571,7 @@ class DistributedFileSystem:
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""
-        return frozenset(
-            b
-            for b, server in ef.placement.items()
-            if self.cluster.server(server).failed or not self.store.holds(server, ef.name, b)
-        )
+        return self.store._scan(ef.name, ef.placement)[0]
 
     def _plan_local_repair(self, ef: EncodedFile, runs, pieces: list, memo: dict):
         """``(plan, row0, nrows)`` rebuilding the ``None`` pieces of ``runs``, else ``None``.

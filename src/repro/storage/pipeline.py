@@ -187,15 +187,27 @@ def batch_reconstruct(
     return _batch_rebuild_rows(helper_rows, target, 0, code.N, chunks, metrics)
 
 
-def _batch_rebuild_rows(helper_rows, target: int, row0: int, nrows: int, chunks, metrics=None):
+def _batch_rebuild_rows(helper_rows, target: int, row0: int, nrows: int, chunks, metrics=None, crcs: bool = False):
     """:func:`batch_reconstruct` of rows ``row0 .. row0 + nrows``, for a
     caller that holds ``helper_rows`` already: ``chunks`` is, per group,
     the row arrays read for ``helper_rows.reads(row0, nrows)``, handed to
-    the product as they lie."""
+    the product as they lie.
+
+    With ``crcs``, returns ``(blocks, row CRCs)`` as :func:`_encode` does
+    for a write: a uint32 array of the CRC-32 of every rebuilt row, group
+    by group, folded by the native kernel as it wrote them.  It is ``None``
+    unless the kernel folded every group's, and where it did the blocks
+    are each C-contiguous and lie end to end in one buffer, group by group
+    (a store parent, ``BlockStore._put_many``)."""
     with get_tracer().span(
         "pipeline.batch_reconstruct", category="pipeline",
         groups=len(chunks), target=target,
     ):
-        outs = helper_rows.plan(row0, nrows).apply_batch(chunks)
+        outs, row_crcs = helper_rows.plan(row0, nrows)._apply_batch(chunks, crcs)
     _count_batch(metrics, len(chunks))
-    return outs
+    if not crcs:
+        return outs
+    for folded in row_crcs or (None,):
+        if folded is None:
+            return outs, None
+    return outs, row_crcs[0] if len(row_crcs) == 1 else np.concatenate(row_crcs)

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster, Server
-from repro.codes.base import DecodingError, RepairPlan
+from repro.codes.base import DecodingError, HelperRows, RepairPlan
 from repro.obs.trace import get_tracer
 from repro.storage import pipeline
 from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
@@ -258,6 +258,24 @@ class _Rebuild:
     plan: RepairPlan | None = None
 
 
+@dataclass
+class _Bucket:
+    """The rebuilds of one round that share a code, a lost block index and
+    helpers: one compiled plan, one set of row reads, one product.
+
+    Attributes:
+        helper_rows: the plan's rows, looked up once for the bucket.
+        reads: ``helper_rows.reads(0, N)``, every member's helper reads.
+        jobs: the members, in the order they were planned.
+    """
+
+    block: int
+    helpers: tuple[int, ...]
+    helper_rows: HelperRows
+    reads: tuple[tuple[int, int, int], ...]
+    jobs: list[_Rebuild] = field(default_factory=list)
+
+
 class RepairManager:
     """Rebuilds lost blocks using each code's repair plan.
 
@@ -310,14 +328,16 @@ class RepairManager:
         target (memoised per code, block, unreadable set and helper
         preference) and buckets them by ``(code instance, block index,
         helper set)`` — after one server failure every stripe group of a
-        striped file lands in one bucket.  It reads the helper rows of
-        every target in **one** client batch, bucket by bucket, target by
-        target; a target's reads stop at its first helper that cannot be
-        read (flaky disk, tripped breaker, fresh crash), the others' go on.
-        Each bucket is rebuilt by **one** compiled-plan apply over the
-        column-concatenated helper stripes of its files (ragged widths mix
-        freely), and the round stores every rebuilt block in **one** store
-        batch.  A target whose reads stopped goes round again with that
+        striped file lands in one bucket — and a bucket looks its compiled
+        plan up once.  It reads the helper rows of every target in **one**
+        client batch, bucket by bucket, target by target; a target's reads
+        stop at its first helper that cannot be read (flaky disk, tripped
+        breaker, fresh crash), the others' go on.  Each bucket is rebuilt
+        by **one** compiled-plan apply over the helper rows of its files
+        (ragged widths mix freely), whose native kernel folds the CRC-32 of
+        every rebuilt row, and the round stores every rebuilt block in
+        **one** store batch, a bucket's blocks as one parent with those
+        CRCs.  A target whose reads stopped goes round again with that
         helper unreadable, up to :data:`MAX_HELPER_REPLANS` times.  A round
         that gives up on a target, or finds no spare for one, raises
         before it stores anything.
@@ -338,6 +358,7 @@ class RepairManager:
         scans: dict[str, tuple[frozenset[int], set[int]]] = {}
         pending: list[_Rebuild] = []
         named: set[tuple[str, int]] = set()
+        scan_placement = self.dfs.store._scan
         for file_name, block, *where in targets:
             if (file_name, block) in named:
                 raise FileSystemError(
@@ -350,10 +371,7 @@ class RepairManager:
             ef = self.dfs.file(file_name)
             scan = scans.get(file_name)
             if scan is None:
-                unreadable = self.dfs._unreadable_blocks(ef)
-                scan = scans[file_name] = unreadable, {
-                    s for b, s in ef.placement.items() if b not in unreadable
-                }
+                scan = scans[file_name] = scan_placement(file_name, ef.placement)
             if block not in scan[0]:
                 raise FileSystemError(
                     f"block {block} of {file_name!r} is not lost",
@@ -375,7 +393,7 @@ class RepairManager:
         ):
             while pending:
                 preferences: dict[str, tuple[int, ...]] = {}
-                buckets: dict[tuple[int, int, tuple[int, ...]], list[_Rebuild]] = {}
+                buckets: dict[tuple[int, int, tuple[int, ...]], _Bucket] = {}
                 for job in pending:
                     code = job.ef.code
                     preference = preferences.get(job.file)
@@ -397,49 +415,56 @@ class RepairManager:
                                 cause="helpers_exhausted",
                             ) from exc
                     job.plan = plan
-                    buckets.setdefault((id(code), job.block, plan.helpers), []).append(job)
+                    bucket = buckets.get((id(code), job.block, plan.helpers))
+                    if bucket is None:
+                        helper_rows = code.compile_helper_rows(job.block, plan.helpers)
+                        bucket = buckets[id(code), job.block, plan.helpers] = _Bucket(
+                            job.block, plan.helpers, helper_rows, helper_rows.reads(0, code.N)
+                        )
+                    bucket.jobs.append(job)
                 pending = []
-                # Equal plans name equal rows: asked once per bucket.
-                reads = [jobs[0].plan.helper_rows.reads(0, jobs[0].ef.code.N) for jobs in buckets.values()]
                 with tracer.span("repair.helper_reads", category="repair", clock=self.dfs.clock):
                     got = iter(self.dfs._read_helper_rows(
-                        [(job.ef, rows) for rows, jobs in zip(reads, buckets.values()) for job in jobs]
+                        [(job.ef, bucket.reads) for bucket in buckets.values() for job in bucket.jobs]
                     ))
-                rebuilt: list[tuple[_Rebuild, dict[int, int], object]] = []
-                for rows, ((_, block, helpers), jobs) in zip(reads, buckets.items()):
-                    ready: list[tuple[_Rebuild, list]] = []
-                    for job in jobs:
+                rebuilt: list[tuple] = []
+                for bucket in buckets.values():
+                    ready: list[_Rebuild] = []
+                    rows: list[list] = []
+                    for job in bucket.jobs:
                         chunks = next(got)
-                        failed = next((h for (h, _, _), c in zip(rows, chunks) if c is None), None)
-                        if failed is None:
-                            ready.append((job, chunks))
-                        else:
+                        if chunks and chunks[-1] is None:  # the reads stopped at an unreadable helper
+                            failed = next(h for (h, _, _), c in zip(bucket.reads, chunks) if c is None)
                             self._replan(job, failed)
                             pending.append(job)
+                        else:
+                            ready.append(job)
+                            rows.append(chunks)
                     if not ready:
                         continue
                     with tracer.span(
-                        "repair.bucket", category="repair", block=block,
-                        files=len(jobs), helpers=list(helpers), clock=self.dfs.clock,
+                        "repair.bucket", category="repair", block=bucket.block,
+                        files=len(bucket.jobs), helpers=list(bucket.helpers), clock=self.dfs.clock,
                     ):
-                        # Reconstruction goes through the code's compiled-plan
-                        # cache: one compile serves every member of the bucket
-                        # and every later bucket of the same pattern.  Surface
-                        # cache effectiveness through the filesystem metrics.
-                        code = ready[0][0].ef.code
-                        hits_before = code.plan_cache_info()["hits"]
+                        # One compiled plan serves every member of the bucket
+                        # (and every later bucket of the same pattern): the
+                        # filesystem metrics count each reuse.
                         with tracer.span("repair.decode", category="repair", files=len(ready)):
-                            built = pipeline.batch_reconstruct(
-                                code, block, helpers,
-                                [chunks for _, chunks in ready], metrics=metrics,
+                            blocks, crcs = pipeline._batch_rebuild_rows(
+                                bucket.helper_rows, bucket.block, 0, ready[0].ef.code.N,
+                                rows, metrics, crcs=True,
                             )
-                        metrics.add("plan_cache_hits", code.plan_cache_info()["hits"] - hits_before)
-                    for (job, chunks), data in zip(ready, built):
+                        metrics.add("plan_cache_hits", 1)
+                    helpers = [h for h, _, _ in bucket.reads]
+                    read_by_server = []
+                    for job, chunks in zip(ready, rows):
+                        placement = job.ef.placement
                         by_server: dict[int, int] = {}
-                        for (h, _, _), piece in zip(rows, chunks):
-                            server = job.ef.placement[h]
+                        for h, piece in zip(helpers, chunks):
+                            server = placement[h]
                             by_server[server] = by_server.get(server, 0) + piece.nbytes
-                        rebuilt.append((job, by_server, data))
+                        read_by_server.append(by_server)
+                    rebuilt.append((ready, read_by_server, blocks, crcs))
                 if rebuilt:
                     reports += self._install(rebuilt, scans, ranking)
         return reports
@@ -463,8 +488,10 @@ class RepairManager:
             )
 
     def _install(self, rebuilt, scans: dict, ranking: _ServerRanking) -> list[RepairReport]:
-        """Store a round's ``(job, helper bytes by server, rebuilt block)``
-        in one store batch, move their placement and build their reports.
+        """Store a round's buckets in one store batch, move their placement
+        and build their reports.  ``rebuilt`` holds per bucket ``(jobs,
+        helper bytes by server per job, rebuilt blocks, their row CRCs)``;
+        a bucket whose CRCs the kernel folded is one parent of the batch.
 
         A block without a target server goes to a live server its file does
         not use, preferring the lost block's old rack so rack-aware layouts
@@ -474,44 +501,55 @@ class RepairManager:
         servers in use (``scans``), so two blocks never share a server.
         """
         servers = self.cluster.servers
-        items = []
-        for job, _, data in rebuilt:
-            target = job.target_server
-            if target is None:
-                used = scans[job.file][1]
-                free = (s for s in ranking.targets if s.server_id not in used)
-                first = next(free, None)
-                if first is None:
-                    raise FileSystemError(
-                        f"no spare server to host a rebuilt block of {job.file!r}",
-                        file=job.file,
-                        cause="no_target",
-                    )
-                rack = servers[job.ef.placement[job.block]].rack
-                target = (first if first.rack == rack else next((s for s in free if s.rack == rack), first)).server_id
-                used.add(target)
-            items.append((target, job.file, job.block, data))
+        items, parents, crcs = [], [], []
+        for jobs, _, blocks, folded in rebuilt:
+            for job, data in zip(jobs, blocks):
+                target = job.target_server
+                if target is None:
+                    used = scans[job.file][1]
+                    free = (s for s in ranking.targets if s.server_id not in used)
+                    first = next(free, None)
+                    if first is None:
+                        raise FileSystemError(
+                            f"no spare server to host a rebuilt block of {job.file!r}",
+                            file=job.file,
+                            cause="no_target",
+                        )
+                    rack = servers[job.ef.placement[job.block]].rack
+                    if first.rack != rack:
+                        first = next((s for s in free if s.rack == rack), first)
+                    target = first.server_id
+                    used.add(target)
+                items.append((target, job.file, job.block, data))
+            if folded is None:
+                parents += [None] * len(blocks)
+                crcs += [None] * len(blocks)
+            else:
+                parents.append(blocks)
+                crcs.append(folded)
         with get_tracer().span(
             "repair.write", category="repair", blocks=len(items), clock=self.dfs.clock
         ):
-            self.dfs.store._put_many(items)
+            self.dfs.store._put_many(items, parents, crcs)
         self.dfs.metrics.add("reconstructions", len(items))
         reports = []
-        for (target, file_name, block, data), (job, by_server, _) in zip(items, rebuilt):
-            job.ef.placement[block] = target
-            target_rack = servers[target].rack
-            reports.append(RepairReport(
-                file=file_name,
-                block=block,
-                helpers=job.plan.helpers,
-                bytes_read=sum(by_server.values()),
-                bytes_read_by_server=by_server,
-                bytes_written=data.nbytes,
-                target_server=target,
-                cross_rack_bytes=sum(
-                    nbytes for s, nbytes in by_server.items() if servers[s].rack != target_rack
-                ),
-            ))
+        installed = iter(items)
+        for jobs, read_by_server, _, _ in rebuilt:
+            for job, by_server, (target, file_name, block, data) in zip(jobs, read_by_server, installed):
+                job.ef.placement[block] = target
+                target_rack = servers[target].rack
+                reports.append(RepairReport(
+                    file=file_name,
+                    block=block,
+                    helpers=job.plan.helpers,
+                    bytes_read=sum(by_server.values()),
+                    bytes_read_by_server=by_server,
+                    bytes_written=data.nbytes,
+                    target_server=target,
+                    cross_rack_bytes=sum(
+                        nbytes for s, nbytes in by_server.items() if servers[s].rack != target_rack
+                    ),
+                ))
         return reports
 
     def _check_target(self, ef: EncodedFile, block: int, server: int, scan) -> None:

@@ -243,7 +243,9 @@ class TestApplyBatchWidthRule:
         calls, table = [], []
         apply, segments = plan.apply, plan._apply_segments
         plan.apply = lambda data, out=None: (calls.append(data.shape[1]), apply(data, out=out))[1]
-        plan._apply_segments = lambda rows, buf, *crcs: (table.extend(w for _, w, _ in rows), segments(rows, buf, *crcs))[1]
+        plan._apply_segments = lambda chunks, buf, offsets, oshape, *crcs: (
+            table.extend(w // buf.itemsize for w in oshape[1::2]), segments(chunks, buf, offsets, oshape, *crcs)
+        )[1]
         if traced:
             with use_tracer(Tracer()):
                 got = plan.apply_batch(segs)

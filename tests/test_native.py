@@ -182,18 +182,15 @@ class TestByteExactness:
         got = np.zeros_like(want)
         i32 = np.int32
         row_bytes = got.strides[0]
-        schedule.execute_native(
-            nat.get_backend(), [payload], cols.astype(i32), rows.astype(i32), np.zeros(0, i32),
-            got, [0], [row_bytes, row_bytes],
-        )
+        run = schedule._native_kernel(nat.get_backend(), cols.astype(i32), rows.astype(i32), np.zeros(0, i32))
+        run([payload], got, [0], [row_bytes, row_bytes])
         assert np.array_equal(got, want)
         # Two segments (column halves) in one call, each result contiguous in one buffer.
         half = 6_000
         flat = np.zeros(want.size, dtype=gf.dtype)
         itemsize = gf.dtype.itemsize
-        schedule.execute_native(
-            nat.get_backend(), [payload[:, :half], payload[:, half:]], cols.astype(i32), rows.astype(i32),
-            np.zeros(0, i32), flat, [0, 3 * half * itemsize],
+        run(
+            [payload[:, :half], payload[:, half:]], flat, [0, 3 * half * itemsize],
             [half * itemsize, half * itemsize, (12_345 - half) * itemsize, (12_345 - half) * itemsize],
         )
         assert np.array_equal(flat[: 3 * half].reshape(3, half), want[:, :half])
@@ -376,12 +373,34 @@ def _isa_backends(request) -> list:
     return backends
 
 
-def _gather_plan(coeffs, backend) -> CodingPlan:
-    """A GF(2^8) plan over ``coeffs`` pinned to ``backend``'s gather."""
-    plan = CodingPlan(GF256, coeffs, kernel="native")
+def _gather_plan(coeffs, backend, gf=GF256) -> CodingPlan:
+    """A plan over ``coeffs`` (GF(2^8) unless ``gf``) pinned to ``backend``'s gather."""
+    plan = CodingPlan(gf, coeffs, kernel="native")
     plan._decide_tier()
     plan._schedule, plan._native_backend = None, backend
     return plan
+
+
+def _xor_plan(coeffs, backend, gf=GF256) -> CodingPlan:
+    """A plan over ``coeffs`` (GF(2^8) unless ``gf``) pinned to ``backend``'s XOR executor."""
+    plan = _gather_plan(coeffs, backend, gf)
+    plan._schedule = XorSchedule.compile(gf, plan._sub)
+    return plan
+
+
+def _reconstruct_plans():
+    """Every single-loss rebuild of each e2e code, RS / Pyramid / Galloper,
+    over GF(2^8) and over GF(2^16): the field and the reconstruct of block
+    ``b`` from its repair plan's helpers."""
+    from repro.codes import PyramidCode, ReedSolomonCode
+    from repro.core import GalloperCode
+
+    for gf in (GF256, GF65536):
+        for code in (ReedSolomonCode(4, 3, gf=gf), PyramidCode(4, 2, 1, gf=gf), GalloperCode(4, 2, 1, gf=gf)):
+            for b in range(code.n):
+                helpers = code.repair_plan(b).helpers
+                coeffs = code.compile_reconstruct(b, helpers).coeffs
+                yield pytest.param(gf, coeffs, id=f"{code.name}-gf{gf.q}-rebuild-{b}")
 
 
 def _encode_plans():
@@ -459,6 +478,38 @@ class TestIsaPaths:
                 )
                 assert np.array_equal(out.reshape(2 * m, width), want), (backend, width)
                 assert crcs.tolist() == crcs_want, (backend, width)
+
+    @pytest.mark.parametrize(("gf", "coeffs"), _reconstruct_plans())
+    def test_xor_executor_folds_the_crc_of_every_row(self, request, gf, coeffs):
+        """Each rebuild run on the XOR executor (LRC local repairs take it
+        under ``kernel="auto"``) folds, in one call over segments of ragged
+        widths, the CRC-32 of every output row, equal to ``zlib.crc32`` of
+        the row's bytes (uint16 rows included): a call under 256 KiB (the
+        128-bit fold) with a segment narrower than one executor chunk, and
+        a call over it (the 512-bit fold where the build has it) with
+        segments wider than a chunk.  Input rows unaligned and apart by
+        more than their width; the symbols are the table tier's.  A build
+        without the CRC kernel folds none."""
+        rng = np.random.default_rng(coeffs.size)
+        m, n = coeffs.shape
+        table = CodingPlan(gf, coeffs, kernel="table")
+        for widths in ((1_024, 4_099, 40_000), (1_100, 70_001, 270_000)):
+            segments = []
+            for width in widths:
+                backing = rng.integers(0, gf.size, size=(n, width + 9), dtype=gf.dtype)
+                segments.append(backing[:, 3 : 3 + width])
+            want = [table.apply(np.ascontiguousarray(seg)) for seg in segments]
+            for backend in _isa_backends(request):
+                plan = _xor_plan(coeffs, backend, gf)
+                assert plan._folds_crcs() == backend.has_crc32, backend
+                outs, crcs = plan._apply_batch(segments, crcs=True)
+                for out, rows in zip(outs, want):
+                    assert np.array_equal(out, rows), (backend, widths)
+                if not backend.has_crc32:
+                    assert crcs is None, backend
+                    continue
+                for folded, rows in zip(crcs, want):
+                    assert folded.tolist() == [zlib.crc32(row.tobytes()) for row in rows], (backend, widths)
 
     @pytest.mark.parametrize("code", _encode_plans())
     def test_every_build_stores_the_same_entries(self, request, code):

@@ -79,7 +79,9 @@ def test_each_clone_is_warmed_before_the_first_timed_run(tmp_path, monkeypatch):
     except FirstRun:
         pass
     assert events == [
-        ("clone", "parent"), ("warm", "parent"), ("clone", "change"), ("warm", "change"), ("run", "parent"),
+        ("clone", "parent"), ("clone", "change"),
+        ("warm", "parent"), ("warm", "change"), ("warm", "change"), ("warm", "parent"),
+        ("run", "parent"),
     ]
 
 

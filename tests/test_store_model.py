@@ -2,7 +2,8 @@
 
 Hypothesis drives a ``BlockStore`` through interleavings of writes (a lone
 ``put``, a ``_put_many`` batch over one C-contiguous parent with and
-without the encode's row CRCs), rot (``corrupt``), loss (``drop``,
+without the encode's row CRCs, and one over a repair bucket's blocks of
+several files as one list parent), rot (``corrupt``), loss (``drop``,
 ``drop_server``), server failure and recovery, verified reads (a lone
 ``read_rows``, a batch of three ranges or more through ``_range_reader``)
 and scrubs (``verify``), and checks every step against a dict model: each
@@ -181,6 +182,35 @@ class StoreMachine(RuleBasedStateMachine):
             self.store._put_many(items, [stack], crcs)
         for server, _, b, block in items[:stop]:
             self.held((server, file, b), block)
+
+    @rule(
+        block=st.integers(0, BLOCKS - 1),
+        homes=st.lists(servers, min_size=1, max_size=len(FILES)),
+        rows=st.integers(1, 3),
+        widths=st.lists(st.sampled_from([5, 1_300, 2_100]), min_size=len(FILES), max_size=len(FILES)),
+        given=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def put_bucket(self, block, homes, rows, widths, given, seed):
+        """The shape a repair bucket stores: block ``block`` of several
+        files, ``FILES[j]``'s on ``homes[j]``, as one list parent whose
+        blocks (ragged widths, one row count) lie end to end in one buffer;
+        ``given`` hands over the kernel's row CRCs."""
+        widths = widths[: len(homes)]
+        buf = np.random.default_rng(seed).integers(0, 256, size=rows * sum(widths), dtype=np.uint8)
+        bounds = np.cumsum([0, *widths]) * rows
+        blocks = [buf[lo:hi].reshape(rows, -1) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        items = [(server, FILES[j], block, blocks[j]) for j, server in enumerate(homes)]
+        crcs = [np.array([c for b in blocks for c in row_crcs(b)], dtype=np.uint32)] if given else None
+        stop = next((i for i, server in enumerate(homes) if server in self.down), len(items))
+        if stop < len(items):
+            with pytest.raises(BlockUnavailableError) as caught:
+                self.store._put_many(items, [blocks], crcs)
+            assert (caught.value.cause, caught.value.server, caught.value.file) == ("server_down", homes[stop], FILES[stop])
+        else:
+            self.store._put_many(items, [blocks], crcs)
+        for server, file, b, data in items[:stop]:
+            self.held((server, file, b), data)
 
     @rule(data=st.data(), offset=st.integers(0, 1 << 20))
     def corrupt(self, data, offset):
