@@ -20,7 +20,7 @@ from repro.storage import DistributedFileSystem, RepairManager, StripedFileSyste
 from tests.conftest import payload_bytes
 
 COUNTERS = (
-    "reconstructions", "repair_replans", "plan_cache_hits",
+    "reconstructions", "repair_replans",
     "disk_bytes_read", "blocks_read", "disk_bytes_written", "blocks_written",
 )
 
@@ -71,7 +71,6 @@ PINNED = [{'reports': [('p', 0, (1, 2), {1: 1998, 2: 1998}, 3, 0),
                        ('s#g0006', 6, (0, 1, 4, 3), {18: 315, 19: 315, 22: 315, 21: 315}, 1, 1260)],
            'counters': {'reconstructions': 4.0,
                         'repair_replans': 0.0,
-                        'plan_cache_hits': 4.0,
                         'disk_bytes_read': 13656.0,
                         'blocks_read': 10.0,
                         'disk_bytes_written': 110904.0,
@@ -86,7 +85,6 @@ PINNED = [{'reports': [('p', 0, (1, 2), {1: 1998, 2: 1998}, 3, 0),
                        ('s#g0006', 6, (0, 1, 4, 3), {18: 315, 19: 315, 22: 315, 21: 315}, 3, 1260)],
            'counters': {'reconstructions': 11.0,
                         'repair_replans': 0.0,
-                        'plan_cache_hits': 11.0,
                         'disk_bytes_read': 64500.0,
                         'blocks_read': 38.0,
                         'disk_bytes_written': 123615.0,
