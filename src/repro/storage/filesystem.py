@@ -14,9 +14,13 @@ Every read, whole file or extent, plain or striped, is one routine
 the read covers are read in one batch, the runs that could not be read
 are filled by :meth:`DistributedFileSystem._recover` (a local rebuild
 from the helper rows of one lost block, else a full decode), and the
-pieces are joined once into the bytes returned.  Every write, plain or
-striped, is one routine too (:meth:`DistributedFileSystem._write`): one
-fused encode, one store batch.
+pieces are joined once into the bytes returned.  Every rebuild of lost
+rows, for a degraded read or for a repair (so a scrub heal), is one
+routine (:meth:`DistributedFileSystem._rebuild`): one batch of helper
+rows, one fused product per bucket of same-pattern rebuilds.  Every
+write, plain or striped, is one routine too
+(:meth:`DistributedFileSystem._write`): one fused encode, one store
+batch.
 
 When a file is written with a Galloper code and no explicit weights, the
 filesystem closes the loop the paper describes: it asks the placement
@@ -573,34 +577,18 @@ class DistributedFileSystem:
         """Blocks whose server is down or no longer holds them."""
         return self.store._scan(ef.name, ef.placement)[0]
 
-    def _plan_local_repair(self, ef: EncodedFile, runs, pieces: list, memo: dict):
-        """``(plan, row0, nrows)`` rebuilding the ``None`` pieces of ``runs``, else ``None``.
-
-        A degraded read whose missing runs all sit in one block needs
-        rows ``row0 .. row0 + nrows`` of it (a lost block's data rows),
-        rebuilt from the helper rows its
-        :class:`~repro.codes.base.RepairPlan` names for them — far fewer
-        than the full decode reads.  ``None`` sends the read to the full
-        decode: the stripes span several blocks, or no helper set rebuilds
-        the block.  ``memo`` shares the plan between the groups of one
-        striped read, keyed by ``(block, unreadable)``.
-        """
-        code = ef.code
-        missing = [run for run, piece in zip(runs, pieces) if piece is None]
-        if len({run[0] for run in missing}) != 1:
-            return None
-        block = missing[0][0]
-        unreadable = self._unreadable_blocks(ef) | {block}
-        key = (block, unreadable)
+    def _repair_plan(self, memo: dict, code: ErasureCode, block: int, unreadable, preference=None):
+        """``code``'s repair plan for ``block`` around the ``unreadable``
+        blocks (``preference`` as :meth:`ErasureCode.repair_plan` takes
+        it), ``None`` where no helper set rebuilds it.  ``memo`` keeps the
+        plans of one read or repair, keyed by all four."""
+        key = (code, block, unreadable, preference)
         if key not in memo:
             try:
-                memo[key] = code.repair_plan(block, unreadable)
+                memo[key] = code.repair_plan(block, unreadable, preference=preference)
             except DecodingError:
                 memo[key] = None
-        if memo[key] is None:
-            return None
-        row0 = min(run[1] for run in missing)
-        return memo[key], row0, max(run[1] + run[2] for run in missing) - row0
+        return memo[key]
 
     def _read_helper_rows(self, entries) -> list[list[np.ndarray | None]]:
         """Per ``(file, reads)`` entry, the helper rows ``reads`` names
@@ -616,6 +604,64 @@ class DistributedFileSystem:
         lengths = [len(reads) for _, reads in entries]
         return _cut(self.client._read_ranges(ranges, lengths)[0], lengths)
 
+    def _rebuild(self, jobs, crcs: bool = False):
+        """The rebuild routine: rows of lost blocks, rebuilt from the helper
+        rows their repair plans name.
+
+        A job is ``(file, plan, row0, nrows, owner)``: rows ``row0 ..
+        row0 + nrows`` of ``plan.target`` of ``file``, for the caller's
+        ``owner``.  Jobs are bucketed by ``(code, target, helpers, row0,
+        nrows)`` — after a server failure every stripe group that lost the
+        same rows of the same block lands in one bucket — and a bucket
+        looks its compiled plan up once.  Every job's helper rows are read
+        in **one** client batch (:meth:`_read_helper_rows`), bucket by
+        bucket; a job's reads stop at its first helper that cannot be read
+        (server down, flaky disk, rot, an open breaker), the others' go
+        on.  Each bucket is one ``dfs.local_repair`` span, in which the jobs
+        that got every helper row are rebuilt by **one** fused product over
+        those rows (``pipeline._batch_rebuild_rows``).
+
+        Returns ``(rebuilt, stopped)``: per bucket with a job to rebuild,
+        ``(jobs, reads, pieces, rows, row CRCs)`` — the jobs rebuilt, the
+        ``(helper, first row, count)`` reads each made, the helper rows
+        each got, the rows rebuilt for each and, with ``crcs``, their
+        CRC-32s as the kernel folded them (as ``_batch_rebuild_rows``
+        returns them; else ``None``); and per job whose reads stopped,
+        ``(job, helper)``, the helper where they did.
+        """
+        buckets: dict[tuple, list] = {}
+        for job in jobs:
+            ef, plan, row0, nrows, _ = job
+            buckets.setdefault((ef.code, plan.target, plan.helpers, row0, nrows), []).append(job)
+        compiled = []
+        for code, block, helpers, row0, nrows in buckets:
+            helper_rows = code.compile_helper_rows(block, helpers)
+            compiled.append((helper_rows, helper_rows.reads(row0, nrows)))
+        got = iter(self._read_helper_rows(
+            [(job[0], reads) for (_, reads), members in zip(compiled, buckets.values()) for job in members]
+        ))
+        rebuilt, stopped = [], []
+        for (_, block, helpers, row0, nrows), members, (helper_rows, reads) in zip(
+            buckets, buckets.values(), compiled
+        ):
+            with get_tracer().span(
+                "dfs.local_repair", category="storage", block=block,
+                helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,
+            ):
+                ready, pieces = [], []
+                for job in members:
+                    rows = next(got)
+                    if rows and rows[-1] is None:
+                        stopped.append((job, next(h for (h, _, _), row in zip(reads, rows) if row is None)))
+                    else:
+                        ready.append(job)
+                        pieces.append(rows)
+                if not ready:
+                    continue
+                out = pipeline._batch_rebuild_rows(helper_rows, block, row0, nrows, pieces, self.metrics, crcs=crcs)
+            rebuilt.append((ready, reads, pieces, *(out if crcs else (out, None))))
+        return rebuilt, stopped
+
     def _recover(self, entries: list[tuple[EncodedFile, tuple, list]]) -> None:
         """Fill the ``None`` pieces of each ``(file, runs, pieces)`` entry.
 
@@ -627,58 +673,36 @@ class DistributedFileSystem:
         and a piece that was read stays the view it was.
 
         The entries share one code: they are one file, or the degraded
-        stripe groups of one striped file.  Those whose missing runs sit
-        in one block are bucketed by ``(block, helpers, rows)`` — after a
-        server failure every group lands in one bucket.  The helper rows
-        of every bucket are read in one batch (:meth:`_read_helper_rows`),
-        then each bucket rebuilds in one fused reconstruct.  Everything
-        else, and any entry one of whose helpers could not be read, is
-        decoded in full from minimal survivor sets by
-        :meth:`_degraded_decode`, which re-plans around flaky survivors.
-        A plain read is a batch of one.
+        stripe groups of one striped file.  An entry whose missing runs sit
+        in one block, which a repair plan rebuilds, is a job of the rebuild
+        routine (:meth:`_rebuild`) for the rows those runs span.  Every
+        other entry, then every job whose reads stopped, is decoded in full
+        from minimal survivor sets by :meth:`_degraded_decode`, which
+        re-plans around flaky survivors.  A plain read is a batch of one.
         """
-        code = entries[0][0].code
         plans: dict = {}
-        local: dict[tuple, list] = {}
+        jobs: list = []
         full: list = []
         for entry in entries:
-            rebuild = self._plan_local_repair(*entry, plans)
-            if rebuild is None:
+            ef, runs, pieces = entry
+            missing = [run for run, piece in zip(runs, pieces) if piece is None]
+            block = missing[0][0]
+            plan = None
+            if all(run[0] == block for run in missing):
+                plan = self._repair_plan(plans, ef.code, block, self._unreadable_blocks(ef) | {block})
+            if plan is None:
                 full.append(entry)
             else:
-                plan, row0, nrows = rebuild
-                local.setdefault((plan.target, plan.helpers, row0, nrows), []).append(entry)
-        compiled = {}
-        for block, helpers, row0, nrows in local:
-            helper_rows = code.compile_helper_rows(block, helpers)
-            compiled[block, helpers, row0, nrows] = helper_rows, helper_rows.reads(row0, nrows)
-        got = iter(self._read_helper_rows(
-            [(entry[0], compiled[key][1]) for key, members in local.items() for entry in members]
-        ))
-        for (block, helpers, row0, nrows), members in local.items():
-            with get_tracer().span(
-                "dfs.local_repair", category="storage", block=block,
-                helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,
-            ):
-                good: list = []
-                chunks: list[list[np.ndarray]] = []
-                for entry in members:
-                    rows = next(got)
-                    if any(map(_is_missing, rows)):
-                        full.append(entry)
-                    else:
-                        good.append(entry)
-                        chunks.append(rows)
-                if not good:
-                    continue
-                rebuilt = pipeline._batch_rebuild_rows(
-                    compiled[block, helpers, row0, nrows][0], block, row0, nrows, chunks, self.metrics
-                )
-            for (_, runs, pieces), rows in zip(good, rebuilt):
+                row0 = min(run[1] for run in missing)
+                jobs.append((ef, plan, row0, max(run[1] + run[2] for run in missing) - row0, entry))
+        rebuilt, stopped = self._rebuild(jobs)
+        for members, _, _, blocks, _ in rebuilt:
+            for (_, _, row0, _, (_, runs, pieces)), rows in zip(members, blocks):
                 for i, (_, r0, n, _) in enumerate(runs):
                     if pieces[i] is None:
                         pieces[i] = rows[r0 - row0 : r0 - row0 + n]
                 self.metrics.add("degraded_reads", 1)
+        full += [job[4] for job, _ in stopped]
         if full:
             decoded = self._degraded_decode(*(ef for ef, _, _ in full))
             for (_, runs, pieces), grid in zip(full, decoded):

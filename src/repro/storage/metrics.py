@@ -62,8 +62,6 @@ class MetricsRegistry:
       widening to a wider field's symbols on write, narrowing back to a
       byte per symbol on read — and nothing else; padding is trimmed,
       not copied
-    * ``plan_cache_hits`` — compiled-plan cache hits observed by the
-      repair pipeline
     * ``scrub_reverified`` — rebuilt blocks whose fresh checksum the
       scrubber re-verified after a batched heal
 
@@ -74,7 +72,10 @@ class MetricsRegistry:
       from the reliability simulator's admission controller only,
       ``repair_wait_s`` (request to grant) and ``repair_inflight`` (most
       leases held on a named server at the request instant).
-    * **Gauges** (:meth:`set_gauge`) — ``plan_cache_hit_ratio``.
+    * **Gauges** (:meth:`set_gauge`) — ``plan_cache_hit_ratio``, which
+      ``repro stats`` takes from the code's own record of its plan cache
+      (:meth:`~repro.codes.base.ErasureCode.plan_cache_info`), the one
+      record of plan-cache hits.
 
     :meth:`snapshot` stays counters-only (the stable schema existing
     callers consume); :meth:`snapshot_all` is the single API returning

@@ -4,8 +4,11 @@ When a server dies, every block it held must be rebuilt on a replacement.
 The repair manager asks each file's code for a
 :class:`~repro.codes.base.RepairPlan` — locally repairable codes answer
 with their small group (low disk I/O, the point of Fig. 1b/Fig. 8) —
-reads the helpers, reconstructs, writes the block to a live server, and
-returns byte-exact accounting.  How long a repair takes is measured, not
+has the filesystem's rebuild routine read the helpers and reconstruct
+(:meth:`~repro.storage.filesystem.DistributedFileSystem._rebuild`, which
+degraded reads use too), re-plans around a helper that could not be
+read, writes the blocks to live servers, and returns byte-exact
+accounting.  How long a repair takes is measured, not
 estimated: the DFS clock advances by each helper read's service time, and
 a whole-server rebuild under disk contention runs on the serving
 gateway's per-server pipes (``ServingGateway.repair_server``).
@@ -17,9 +20,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster, Server
-from repro.codes.base import DecodingError, HelperRows, RepairPlan
 from repro.obs.trace import get_tracer
-from repro.storage import pipeline
 from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
 from repro.storage.metrics import MetricsRegistry
 
@@ -246,7 +247,6 @@ class _Rebuild:
         unreadable: blocks no plan may name — the file's dead blocks,
             then every helper whose read failed for this rebuild.
         replans: how many helpers it has re-planned around.
-        plan: the current round's plan.
     """
 
     file: str
@@ -255,25 +255,6 @@ class _Rebuild:
     ef: EncodedFile
     unreadable: frozenset[int]
     replans: int = 0
-    plan: RepairPlan | None = None
-
-
-@dataclass
-class _Bucket:
-    """The rebuilds of one round that share a code, a lost block index and
-    helpers: one compiled plan, one set of row reads, one product.
-
-    Attributes:
-        helper_rows: the plan's rows, looked up once for the bucket.
-        reads: ``helper_rows.reads(0, N)``, every member's helper reads.
-        jobs: the members, in the order they were planned.
-    """
-
-    block: int
-    helpers: tuple[int, ...]
-    helper_rows: HelperRows
-    reads: tuple[tuple[int, int, int], ...]
-    jobs: list[_Rebuild] = field(default_factory=list)
 
 
 class RepairManager:
@@ -325,22 +306,21 @@ class RepairManager:
         server)`` tuples; without a target server the block goes to a
         spare picked when it is installed.  Each file's placement is
         scanned once.  Then the targets go in rounds.  A round plans every
-        target (memoised per code, block, unreadable set and helper
-        preference) and buckets them by ``(code instance, block index,
-        helper set)`` — after one server failure every stripe group of a
-        striped file lands in one bucket — and a bucket looks its compiled
-        plan up once.  It reads the helper rows of every target in **one**
-        client batch, bucket by bucket, target by target; a target's reads
-        stop at its first helper that cannot be read (flaky disk, tripped
-        breaker, fresh crash), the others' go on.  Each bucket is rebuilt
-        by **one** compiled-plan apply over the helper rows of its files
-        (ragged widths mix freely), whose native kernel folds the CRC-32 of
-        every rebuilt row, and the round stores every rebuilt block in
-        **one** store batch, a bucket's blocks as one parent with those
-        CRCs.  A target whose reads stopped goes round again with that
-        helper unreadable, up to :data:`MAX_HELPER_REPLANS` times.  A round
-        that gives up on a target, or finds no spare for one, raises
-        before it stores anything.
+        target (:meth:`DistributedFileSystem._repair_plan`, memoised per
+        code, block, unreadable set and helper preference) and hands every
+        block, all its rows, to the filesystem's rebuild routine
+        (:meth:`DistributedFileSystem._rebuild`), the one degraded reads
+        use: one client batch of helper rows for the round, one fused
+        product per bucket of same-pattern blocks — after one server
+        failure every stripe group of a striped file lands in one bucket —
+        whose native kernel folds the CRC-32 of every rebuilt row.  The
+        round stores every rebuilt block in **one** store batch, a bucket's
+        blocks as one parent with those CRCs.  A target whose reads stopped
+        at an unreadable helper (flaky disk, rot, tripped breaker, fresh
+        crash) goes round again with that helper unreadable, up to
+        :data:`MAX_HELPER_REPLANS` times.  A round that gives up on a
+        target, or finds no spare for one, raises before it stores
+        anything.
 
         Returns one report per rebuilt block, round by round, bucket by
         bucket.
@@ -384,87 +364,34 @@ class RepairManager:
                 self._check_target(ef, block, target, scan)
             pending.append(_Rebuild(file_name, block, target, ef, scan[0]))
 
-        tracer = get_tracer()
-        metrics = self.dfs.metrics
-        plans: dict[tuple, RepairPlan] = {}
+        plans: dict = {}
         reports: list[RepairReport] = []
-        with tracer.span(
+        with get_tracer().span(
             "repair.bulk", category="repair", targets=len(targets), clock=self.dfs.clock
         ):
             while pending:
                 preferences: dict[str, tuple[int, ...]] = {}
-                buckets: dict[tuple[int, int, tuple[int, ...]], _Bucket] = {}
+                jobs = []
                 for job in pending:
-                    code = job.ef.code
+                    ef = job.ef
                     preference = preferences.get(job.file)
                     if preference is None:
-                        preference = preferences[job.file] = self._preference(job.ef, ranking)
-                    key = (id(code), job.block, job.unreadable, preference)
-                    plan = plans.get(key)
+                        preference = preferences[job.file] = self._preference(ef, ranking)
+                    plan = self.dfs._repair_plan(plans, ef.code, job.block, job.unreadable, preference)
                     if plan is None:
-                        try:
-                            plan = plans[key] = code.repair_plan(
-                                job.block, job.unreadable, preference=preference
-                            )
-                        except DecodingError as exc:
-                            raise FileSystemError(
-                                f"no helper set can rebuild block {job.block} of {job.file!r} "
-                                f"(unreadable blocks: {sorted(job.unreadable)})",
-                                file=job.file,
-                                block=job.block,
-                                cause="helpers_exhausted",
-                            ) from exc
-                    job.plan = plan
-                    bucket = buckets.get((id(code), job.block, plan.helpers))
-                    if bucket is None:
-                        helper_rows = code.compile_helper_rows(job.block, plan.helpers)
-                        bucket = buckets[id(code), job.block, plan.helpers] = _Bucket(
-                            job.block, plan.helpers, helper_rows, helper_rows.reads(0, code.N)
+                        raise FileSystemError(
+                            f"no helper set can rebuild block {job.block} of {job.file!r} "
+                            f"(unreadable blocks: {sorted(job.unreadable)})",
+                            file=job.file,
+                            block=job.block,
+                            cause="helpers_exhausted",
                         )
-                    bucket.jobs.append(job)
+                    jobs.append((ef, plan, 0, ef.code.N, job))
+                rebuilt, stopped = self.dfs._rebuild(jobs, crcs=True)
                 pending = []
-                with tracer.span("repair.helper_reads", category="repair", clock=self.dfs.clock):
-                    got = iter(self.dfs._read_helper_rows(
-                        [(job.ef, bucket.reads) for bucket in buckets.values() for job in bucket.jobs]
-                    ))
-                rebuilt: list[tuple] = []
-                for bucket in buckets.values():
-                    ready: list[_Rebuild] = []
-                    rows: list[list] = []
-                    for job in bucket.jobs:
-                        chunks = next(got)
-                        if chunks and chunks[-1] is None:  # the reads stopped at an unreadable helper
-                            failed = next(h for (h, _, _), c in zip(bucket.reads, chunks) if c is None)
-                            self._replan(job, failed)
-                            pending.append(job)
-                        else:
-                            ready.append(job)
-                            rows.append(chunks)
-                    if not ready:
-                        continue
-                    with tracer.span(
-                        "repair.bucket", category="repair", block=bucket.block,
-                        files=len(bucket.jobs), helpers=list(bucket.helpers), clock=self.dfs.clock,
-                    ):
-                        # One compiled plan serves every member of the bucket
-                        # (and every later bucket of the same pattern): the
-                        # filesystem metrics count each reuse.
-                        with tracer.span("repair.decode", category="repair", files=len(ready)):
-                            blocks, crcs = pipeline._batch_rebuild_rows(
-                                bucket.helper_rows, bucket.block, 0, ready[0].ef.code.N,
-                                rows, metrics, crcs=True,
-                            )
-                        metrics.add("plan_cache_hits", 1)
-                    helpers = [h for h, _, _ in bucket.reads]
-                    read_by_server = []
-                    for job, chunks in zip(ready, rows):
-                        placement = job.ef.placement
-                        by_server: dict[int, int] = {}
-                        for h, piece in zip(helpers, chunks):
-                            server = placement[h]
-                            by_server[server] = by_server.get(server, 0) + piece.nbytes
-                        read_by_server.append(by_server)
-                    rebuilt.append((ready, read_by_server, blocks, crcs))
+                for (*_, job), helper in stopped:
+                    self._replan(job, helper)
+                    pending.append(job)
                 if rebuilt:
                     reports += self._install(rebuilt, scans, ranking)
         return reports
@@ -489,9 +416,11 @@ class RepairManager:
 
     def _install(self, rebuilt, scans: dict, ranking: _ServerRanking) -> list[RepairReport]:
         """Store a round's buckets in one store batch, move their placement
-        and build their reports.  ``rebuilt`` holds per bucket ``(jobs,
-        helper bytes by server per job, rebuilt blocks, their row CRCs)``;
-        a bucket whose CRCs the kernel folded is one parent of the batch.
+        and build their reports.  ``rebuilt`` is what
+        :meth:`DistributedFileSystem._rebuild` returned per bucket: a
+        bucket whose CRCs the kernel folded is one parent of the batch, and
+        a report's bytes are those of the helper rows its block was rebuilt
+        from.
 
         A block without a target server goes to a live server its file does
         not use, preferring the lost block's old rack so rack-aware layouts
@@ -502,8 +431,8 @@ class RepairManager:
         """
         servers = self.cluster.servers
         items, parents, crcs = [], [], []
-        for jobs, _, blocks, folded in rebuilt:
-            for job, data in zip(jobs, blocks):
+        for jobs, _, _, blocks, folded in rebuilt:
+            for (ef, _, _, _, job), data in zip(jobs, blocks):
                 target = job.target_server
                 if target is None:
                     used = scans[job.file][1]
@@ -515,7 +444,7 @@ class RepairManager:
                             file=job.file,
                             cause="no_target",
                         )
-                    rack = servers[job.ef.placement[job.block]].rack
+                    rack = servers[ef.placement[job.block]].rack
                     if first.rack != rack:
                         first = next((s for s in free if s.rack == rack), first)
                     target = first.server_id
@@ -534,14 +463,18 @@ class RepairManager:
         self.dfs.metrics.add("reconstructions", len(items))
         reports = []
         installed = iter(items)
-        for jobs, read_by_server, _, _ in rebuilt:
-            for job, by_server, (target, file_name, block, data) in zip(jobs, read_by_server, installed):
-                job.ef.placement[block] = target
+        for jobs, reads, pieces, _, _ in rebuilt:
+            for (ef, plan, _, _, _), rows, (target, file_name, block, data) in zip(jobs, pieces, installed):
+                by_server: dict[int, int] = {}
+                for (helper, _, _), row in zip(reads, rows):
+                    server = ef.placement[helper]
+                    by_server[server] = by_server.get(server, 0) + row.nbytes
+                ef.placement[block] = target
                 target_rack = servers[target].rack
                 reports.append(RepairReport(
                     file=file_name,
                     block=block,
-                    helpers=job.plan.helpers,
+                    helpers=plan.helpers,
                     bytes_read=sum(by_server.values()),
                     bytes_read_by_server=by_server,
                     bytes_written=data.nbytes,
@@ -581,11 +514,7 @@ class RepairManager:
         """Rebuild every block lost with one server.
 
         Every lost block across all files is collected first and rebuilt
-        in one :meth:`repair_blocks_bulk` call.  Its round reads the helper
-        rows of every block in one client batch, bucket by bucket (a
-        block's reads stop at its first unreadable helper, and it goes
-        round again), rebuilds each bucket of same-pattern blocks in one
-        fused kernel call and stores every rebuilt block in one store batch.
+        in one :meth:`repair_blocks_bulk` call.
         """
         # ``batch`` is unused: benchmarks/e2e/io_workloads.py:157 still
         # passes it, and that file is the yardstick no PR it measures may

@@ -4,8 +4,15 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.gf import GF256, GF65536, random_symbols
+
+#: Ten times the default examples and no deadline, for the nightly job
+#: (``--hypothesis-profile=nightly``); tier-1 runs the default profile.
+#: A test that sizes its own budget from ``settings.default`` (the
+#: filesystem model) scales with it.
+settings.register_profile("nightly", max_examples=1000, deadline=None)
 
 
 def pytest_addoption(parser):

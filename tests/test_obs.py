@@ -466,14 +466,13 @@ class TestTraceWorkload:
         # repair helpers, fused across groups — no full decode
         assert {"sfs.read_file", "sfs.batch_degraded_decode"} <= names
         (degraded,) = tracer.find("sfs.batch_degraded_decode")
-        (local,) = tracer.find("dfs.local_repair")
+        (local,) = [s for s in tracer.find("dfs.local_repair") if s.parent is degraded]
         assert local.parent is degraded and local.attrs["files"] == degraded.attrs["groups"]
         (reconstruct,) = [s for s in tracer.find("pipeline.batch_reconstruct") if s.parent is local]
         assert reconstruct.attrs["groups"] == degraded.attrs["groups"]
         assert not {"pipeline.batch_decode", "dfs.degraded_decode"} & names
-        # repair tree: server → bulk → bucket → reads/decode/write
-        assert {"repair.server", "repair.bulk", "repair.bucket",
-                "repair.helper_reads", "repair.decode", "repair.write",
+        # repair tree: server → bulk → local repair per bucket, then write
+        assert {"repair.server", "repair.bulk", "repair.write",
                 "pipeline.batch_reconstruct"} <= names
         assert summary["degraded_reads"] > 0
         assert summary["blocks_rebuilt"] > 0
@@ -496,14 +495,22 @@ class TestTraceWorkload:
         assert any(s.parent is decode_stage for s in tracer.find("pipeline.batch_decode"))
 
     def test_repair_tree_nesting(self, striped_trace):
+        """Repairs and degraded reads rebuild through one routine: one
+        ``dfs.local_repair`` per bucket, holding its one fused product."""
         tracer, _ = striped_trace
         (server,) = tracer.find("repair.server")
         (bulk,) = tracer.find("repair.bulk")
+        (degraded,) = tracer.find("sfs.batch_degraded_decode")
         assert bulk.parent is server
-        for bucket in tracer.find("repair.bucket"):
-            assert bucket.parent is bulk
-        for decode in tracer.find("repair.decode"):
-            assert decode.parent.name == "repair.bucket"
+        (write,) = tracer.find("repair.write")
+        assert write.parent is bulk
+        for caller in (bulk, degraded):
+            buckets = [s for s in tracer.find("dfs.local_repair") if s.parent is caller]
+            assert buckets
+            for bucket in buckets:
+                products = [s for s in tracer.spans if s.parent is bucket]
+                assert [s.name for s in products] == ["pipeline.batch_reconstruct"]
+        assert not {"repair.bucket", "repair.helper_reads", "repair.decode"} & {s.name for s in tracer.spans}
 
     def test_gf_applies_carry_kernel_attrs(self, striped_trace):
         tracer, _ = striped_trace
