@@ -633,17 +633,13 @@ class DistributedFileSystem:
         for job in jobs:
             ef, plan, row0, nrows, _ = job
             buckets.setdefault((ef.code, plan.target, plan.helpers, row0, nrows), []).append(job)
-        compiled = []
-        for code, block, helpers, row0, nrows in buckets:
+        planned = []
+        for (code, block, helpers, row0, nrows), members in buckets.items():
             helper_rows = code.compile_helper_rows(block, helpers)
-            compiled.append((helper_rows, helper_rows.reads(row0, nrows)))
-        got = iter(self._read_helper_rows(
-            [(job[0], reads) for (_, reads), members in zip(compiled, buckets.values()) for job in members]
-        ))
+            planned.append((block, helpers, row0, nrows, members, helper_rows, helper_rows.reads(row0, nrows)))
+        got = iter(self._read_helper_rows([(job[0], reads) for *_, members, _, reads in planned for job in members]))
         rebuilt, stopped = [], []
-        for (_, block, helpers, row0, nrows), members, (helper_rows, reads) in zip(
-            buckets, buckets.values(), compiled
-        ):
+        for block, helpers, row0, nrows, members, helper_rows, reads in planned:
             with get_tracer().span(
                 "dfs.local_repair", category="storage", block=block,
                 helpers=list(helpers), rows=nrows, files=len(members), clock=self.clock,

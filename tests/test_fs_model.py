@@ -205,7 +205,8 @@ class FileSystemMachine(RuleBasedStateMachine):
         first = data.draw(st.integers(0, meta.group_count - 3))
         last = data.draw(st.integers(first + 2, min(first + 3, meta.group_count - 1)))
         group = meta.group_names()[first]
-        lost = [s for b in range(self.code.n) if self.unavailable(group, b) for s in self.code.block_infos[b].file_stripes]
+        infos = self.code.block_infos
+        lost = [s for b in range(self.code.n) if self.unavailable(group, b) for s in infos[b].file_stripes]
         stripe = data.draw(st.sampled_from(lost or range(total)))
         offset = first * size + stripe * (size // total) + data.draw(st.integers(0, size // total - 1))
         length = last * size + data.draw(st.integers(1, size - 1)) - offset

@@ -4,7 +4,10 @@ Degraded whole-file reads, extents, ``RepairManager`` (and so scrub heals)
 and the serving gateway all rebuild rows ``row0 .. row0 + nrows`` of a lost
 block the same way: read the helper rows ``plan.helper_rows.reads(row0,
 nrows)`` names, and apply ``plan.helper_rows.plan(row0, nrows)`` — one
-compiled product per row range.  Checked here:
+compiled product per row range.  The first three are one routine,
+``DistributedFileSystem._rebuild``, which reads through
+``_read_helper_rows`` (patched below on a twin that reads range by range); the
+gateway drives its own rebuilds as tasks.  Checked here:
 
 * the range plan is what the oracle (``tests/test_helper_rows.py``) says a
   row rebuild is, and for all ``N`` rows of a plan that names every helper
