@@ -9,7 +9,9 @@ holds that contract:
   (empty, one byte, an exact multiple of ``k*N``, a padded tail, a striped
   file with a ragged last group) x failure mode (clean, one server down,
   two down so the file decodes in full, a helper that returns corrupted
-  data, a flaky survivor) x entry point, over blocks stored contiguously
+  data, a flaky survivor, a stored row gone rotten on the clean path,
+  checked by the native CRC kernel and by ``zlib``) x entry point, over
+  blocks stored contiguously
   (``write_file``) and as column slices of a batched encode
   (``write_encoded``), with narrow rows (gathered) and wide ones (joined
   row by row);
@@ -51,6 +53,7 @@ from repro.storage import (
     StripedFileSystem,
 )
 from repro.storage.filesystem import _SMALL_ROW_BYTES
+from repro.storage.health import RESET_TIMEOUT
 from repro.storage.striped import group_name
 from tests.conftest import payload_bytes, stored_block
 
@@ -64,7 +67,9 @@ CODES = {
     "replication": lambda gf: ReplicationCode(3, 3, gf=gf),
 }
 FIELDS = {"gf8": GF256, "gf16": GF65536}
-SCENARIOS = ("clean", "one_down", "two_down", "corrupting_helper", "flaky_survivor")
+SCENARIOS = (
+    "clean", "one_down", "two_down", "corrupting_helper", "flaky_survivor", "rotten_row", "rotten_row_zlib"
+)
 
 #: Symbols per stripe: narrow rows are gathered by one ``np.concatenate``,
 #: wide ones handed to ``join`` as they are — both sides of the rule.
@@ -110,10 +115,35 @@ def write_striped(sfs, code, stripe: int) -> bytes:
     return payload
 
 
+def rot_returned_rows(dfs) -> None:
+    """In every file, flip a byte of the first and of the last stored row a
+    clean read returns file bytes from: the file's first byte, and its last.
+    No fault model is involved, so every read finds the rot on the clean
+    path, where the rows are checked as they are read."""
+    for ef in dfs.files.values():
+        if not ef.original_size:
+            continue
+        holders = ef.code.read_plan().holders
+        size = ef.stripe_size
+        last = ef.original_size - 1
+        spots = {(*holders[0], 0), (*holders[last // size], last % size)}
+        for block, row, col in spots:
+            dfs.store.corrupt(ef.server_of(block), ef.name, block, offset=row * size + col)
+
+
 def apply_scenario(scenario: str, cluster, dfs, code) -> None:
     """Break the cluster the way the scenario says; block ``b`` of every plain file is on server ``b``."""
     serving = list(dict.fromkeys(run[0] for run in code.read_plan().runs))
     if scenario == "clean":
+        return
+    if scenario.startswith("rotten_row"):
+        rot_returned_rows(dfs)
+        if scenario == "rotten_row_zlib":
+            dfs.store._crc_backend = None
+        # Rot opens its server's breaker; reads a breaker timeout apart find
+        # it half-open, so no read sees more servers lost than its own rot.
+        read = dfs._read
+        dfs._read = lambda *args, **kwargs: (dfs.clock.advance(RESET_TIMEOUT), read(*args, **kwargs))[1]
         return
     cluster.fail(serving[0])
     if scenario == "two_down":
@@ -163,12 +193,19 @@ def test_every_read_is_byte_exact(code_name, field, scenario):
         assert dfs.read_bytes(name, 0, len(payload) + 9) == payload, name  # truncated at the end
         for offset, length in extents(len(payload), 4, seed=len(payload)) if payload else ():
             assert dfs.read_bytes(name, offset, length) == payload[offset : offset + length], (name, offset)
+        for offset in {0, max(len(payload) - 3, 0)} if payload else ():  # the rows holding both ends, in part
+            assert dfs.read_bytes(name, offset, 2) == payload[offset : offset + 2], (name, offset)
+    group_payload = code.k * code.N * WIDE
     for name, payload in striped.items():
         assert sfs.read_file(name) == payload, name
         for offset, length in extents(len(payload), 6, seed=len(payload)):
             assert sfs.read_bytes(name, offset, length) == payload[offset : offset + length], (name, offset)
+        for offset in (1, group_payload - 1, len(payload) - 2):  # within a group's first row, across groups, the end
+            assert sfs.read_bytes(name, offset, 3) == payload[offset : offset + 3], (name, offset)
     if scenario == "clean":
         assert dfs.metrics.total("degraded_reads") == 0
+    if scenario.startswith("rotten_row"):
+        assert dfs.metrics.total("checksum_failures") > 0
 
 
 def test_blocks_with_no_contiguous_rows_are_read_exactly():
