@@ -124,6 +124,8 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
+void repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                         char *dest, const int64_t *windows, uint32_t *out);
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
@@ -240,6 +242,12 @@ static const uint8_t **row_table(char **bases, const int64_t *geometry,
     }
     return row;
 }
+
+/* A cache block of the GF(2^8) gather is at most GATHER_BLOCK bytes per
+ * row: every input row of a block stays in L2 while each dense output row
+ * of it is computed from them in turn.  A delivering read copies blocks of
+ * the same size and hashes each while it is still in cache. */
+#define GATHER_BLOCK 32768
 
 /* The identity rows of a plan: out row copies[2c] = input row
  * copies[2c + 1], `nbytes` bytes each from byte `off` on. */
@@ -416,14 +424,43 @@ void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
         out += geometry[1];
     }
 }
+
+/* repro_crc32_ranges that also delivers: range r's rows, laid end to end,
+ * have their bytes windows[3r + 1] .. windows[3r + 2] copied to dest +
+ * windows[3r].  Each row is taken a block of at most GATHER_BLOCK bytes at
+ * a time: the part of the block inside the window is copied, then the
+ * whole block is folded into the row's CRC while it is still in cache, so
+ * every row is hashed whole and every byte returned is read once. */
+void repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                         char *dest, const int64_t *windows, uint32_t *out)
+{
+    size_t r, total = 0;
+    int wide;
+    for (r = 0; r < nranges; r++)
+        total += (size_t)geometry[3 * r + 1] * (size_t)geometry[3 * r + 2];
+    wide = total >= WIDE_CALL_BYTES;
+    for (r = 0; r < nranges; r++, geometry += 3, windows += 3) {
+        const uint8_t *row = (const uint8_t *)bases[r];
+        uint8_t *to = (uint8_t *)dest + windows[0];
+        size_t nrows = (size_t)geometry[1], width = (size_t)geometry[2];
+        size_t lo = (size_t)windows[1], hi = (size_t)windows[2], at, i;
+        /* at: where the row starts among the range's bytes */
+        for (i = 0, at = 0; i < nrows; i++, row += geometry[0], at += width) {
+            uint32_t crc = 0xffffffffu;
+            size_t s0;
+            for (s0 = 0; s0 < width; s0 += GATHER_BLOCK) {
+                size_t w = width - s0 < GATHER_BLOCK ? width - s0 : GATHER_BLOCK;
+                size_t a = at + s0 > lo ? at + s0 : lo, b = at + s0 + w < hi ? at + s0 + w : hi;
+                if (a < b) memcpy(to + (a - lo), row + (a - at), b - a);
+                crc = crc32_run(crc, row + s0, w, wide);
+            }
+            *out++ = ~crc;
+        }
+    }
+}
 #endif
 
 /* ------------------------------------------------------------- gather */
-
-/* A cache block of the GF(2^8) gather is at most GATHER_BLOCK bytes per
- * row: every input row of a block stays in L2 while each dense output row
- * of it is computed from them in turn. */
-#define GATHER_BLOCK 32768
 
 /* Bytes per coefficient in the vector kernels' operands: the products of
  * the 16 low nibbles, of the 16 high nibbles, then the coefficient's 8x8
@@ -1187,6 +1224,21 @@ class NativeBackend:
         total = sum(geometry[1::3])
         out = ffi.new(self._crc_out, total)
         self._lib.repro_crc32_ranges(bases, geometry, len(bases), out)  # the lists pass as C arrays
+        return ffi.unpack(out, total)
+
+    def crc32_deliver(self, bases: list, geometry: list[int], dest, windows: list[int]) -> list[int]:
+        """:meth:`crc32_ranges` that copies the bytes a read returns as it
+        hashes them: range ``r``'s rows laid end to end, bytes
+        ``windows[3r + 1]`` to ``windows[3r + 2]`` of them, land at byte
+        ``windows[3r]`` of ``dest`` (a buffer the caller may write, a new
+        ``bytes`` it is filling included, with every window inside it).
+        Every row is hashed whole, each cache block of it right after its
+        part of the window is copied.  Only valid when :attr:`has_crc32`.
+        """
+        ffi = self._ffi
+        total = sum(geometry[1::3])
+        out = ffi.new(self._crc_out, total)
+        self._lib.repro_crc32_deliver(bases, geometry, len(bases), ffi.from_buffer(dest), windows, out)
         return ffi.unpack(out, total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -58,18 +58,59 @@ from repro.serving.qos import TenantLease, TenantThrottle
 from repro.sim.aio import SimLoop
 from repro.sim.resources import ThroughputResource
 from repro.storage.blockstore import BlockUnavailableError
-from repro.storage.filesystem import (
-    DistributedFileSystem,
-    EncodedFile,
-    FileSystemError,
-    _join_symbols,
-    _symbol_chunks,
-)
+from repro.storage.filesystem import DistributedFileSystem, EncodedFile, FileSystemError
 from repro.storage.repair import DECODE_RATE
 
 
 class ServingError(FileSystemError):
     """A request the gateway could not serve (unrecoverable extent)."""
+
+
+#: Rows narrower than this are gathered by one ``np.concatenate`` instead of
+#: being handed to ``join`` one by one: below about a kilobyte a piece costs
+#: more as an object (a view, a buffer export) than its bytes cost to copy.
+_SMALL_ROW_BYTES = 1024
+
+
+def _symbol_chunks(pieces, head: int = 0, tail: int = 0) -> list[np.ndarray]:
+    """``pieces`` as contiguous 1-D chunks, less ``head`` symbols off the
+    front (under a stripe: the start of an extent) and ``tail`` off the
+    back (the end of an extent).
+
+    A piece is a row the gateway holds: read from a disk, taken from its
+    cache, or rebuilt.  Pieces are not copied (narrow rows apart): a
+    contiguous one is one chunk, and one whose rows are not one buffer
+    contributes its rows.
+    """
+    first = pieces[0]
+    if len(pieces) > 1 and first.shape[-1] * first.itemsize < _SMALL_ROW_BYTES:
+        chunks = [np.concatenate(pieces).reshape(-1)]
+    else:
+        chunks = []
+        for piece in pieces:
+            if piece.flags.c_contiguous:
+                chunks.append(piece.reshape(-1))
+            elif piece.ndim == 2 and piece.strides[1] == piece.itemsize:
+                chunks.extend(piece)
+            else:
+                chunks.append(np.ascontiguousarray(piece).reshape(-1))
+    while tail > 0:
+        last = chunks.pop()
+        if last.size > tail:
+            chunks.append(last[:-tail])
+        tail -= last.size
+    if head:
+        chunks[0] = chunks[0][head:]
+    return chunks
+
+
+def _join_symbols(chunks: list[np.ndarray]) -> bytes:
+    """The chunks as one ``bytes``, one byte per symbol.  Symbols of a
+    wider field are narrowed first (a payload byte per symbol is what every
+    field stores)."""
+    if chunks and chunks[0].itemsize != 1:
+        chunks = [chunk.astype(np.uint8) for chunk in chunks]
+    return b"".join(chunks)
 
 
 @dataclass(frozen=True)

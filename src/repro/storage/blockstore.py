@@ -419,7 +419,7 @@ class BlockStore:
         read, _ = self._range_reader([(server_id, file_name, block_id, start, count)], verify)
         return read(0)
 
-    def _range_reader(self, ranges: list[tuple], verify: bool):
+    def _range_reader(self, ranges: list[tuple], verify: bool, into=None):
         """Bind a batch of row-range reads; returns ``(read, plain)``.
 
         ``ranges[i]`` is ``(server, file, block, row0, nrows)``, and each
@@ -451,17 +451,35 @@ class BlockStore:
         takes ``plain[i]`` makes those steps itself.  ``None`` for every
         other range, and ``plain`` is ``None`` when a fault model is
         installed.
+
+        ``into``, given with ``verify`` on a store with the kernel by a read
+        that returns the rows' bytes, is ``(dest, windows)``: the output
+        (any buffer the kernel may write, a new ``bytes`` included) and
+        three ints per range, ``at, lo, hi`` — bytes ``lo .. hi`` of the
+        range's rows laid end to end belong at ``dest[at:]``.  Where no
+        fault model is installed the pass is then shared whatever the
+        batch's size, and it delivers: one ``crc32_deliver`` call copies
+        each window as it hashes the rows, so the read makes one pass over
+        the bytes it returns.  ``plain[i]`` is then not ``None`` only for a
+        range whose rows matched and whose window holds them; every other
+        window may hold anything, a mismatched range's bytes included.
         """
         disks = self._disks
         faulted = self._faulted if self.fault_model is not None else None
         servers = self.cluster.servers
         backend = self._crc_backend
-        # One or two ranges are checked range by range: the shared pass would
-        # cost its bookkeeping on top of the same CRC work.
-        own_check = verify and len(ranges) <= 2
+        deliver = into is not None and faulted is None
+        # One or two ranges are checked range by range unless they are
+        # delivered: the shared pass would cost its bookkeeping on top of the
+        # same CRC work.
+        own_check = verify and len(ranges) <= 2 and not deliver
         shared = verify and not own_check
         views: list[np.ndarray | None] = []
         plain: list[tuple | None] = []
+        # Per range: rows the shared pass checks, and so vouches for unless
+        # they mismatch — an attempt that returns them verbatim need not
+        # check them again.
+        vouched: list[bool] = []
         # The shared pass: per range it checks, (range, rows); the rows'
         # addresses and geometry for the native call; the CRCs they must have.
         wanted: list[tuple[int, int]] = []
@@ -482,15 +500,19 @@ class BlockStore:
             views.append(view)
             if view is None or view.ndim != 2:
                 plain.append(None)
+                vouched.append(False)
                 continue
+            server = servers[server_id]
+            # A down server's rows are not checked: every attempt there fails.
+            checked = shared and not server.failed and (backend is None or where is not None)
             booked = None
-            if faulted is None and count:
-                server = servers[server_id]
-                if not server.failed and (not own_check or self._row_crcs(view) == crcs[start : start + count]):
+            if faulted is None and count and not server.failed and (checked or not shared):
+                if not own_check or self._row_crcs(view) == crcs[start : start + count]:
                     nbytes = view.nbytes
                     booked = (view, nbytes, nbytes / server.disk_bandwidth)
             plain.append(booked)
-            if shared and (backend is None or where is not None):
+            vouched.append(checked)
+            if checked:
                 if backend is None:
                     got += _zlib_row_crcs(view)
                 else:
@@ -499,23 +521,24 @@ class BlockStore:
                     geometry += (stride, count, block.shape[1] * block.itemsize)
                 wanted.append((i, count))
                 expected += crcs if view is block else crcs[start : start + count]
-        # Per range: rows the check vouched for, which an attempt that returns
-        # them verbatim need not check again.
-        vouched = plain
-        if shared:
-            if bases:
+        if not shared:
+            vouched = plain  # each plain range's rows were checked where it was bound
+        else:
+            if bases and deliver:
+                dest, windows = into
+                if len(bases) < len(ranges):  # only the windows of the ranges checked
+                    windows = [w for i, _ in wanted for w in windows[3 * i : 3 * i + 3]]
+                got = backend.crc32_deliver(bases, geometry, dest, windows)
+            elif bases:
                 got = backend.crc32_ranges(bases, geometry)
-            vouched = [False] * len(ranges)
-            if got == expected:  # the common case: every row checked matches
-                for i, _ in wanted:
-                    vouched[i] = True
-            else:
+            if got != expected:  # not the common case: judge range by range
                 pos = 0
                 for i, count in wanted:
                     stop = pos + count
-                    vouched[i] = got[pos:stop] == expected[pos:stop]
+                    if got[pos:stop] != expected[pos:stop]:
+                        vouched[i] = False
+                        plain[i] = None
                     pos = stop
-            plain = [booked if clean else None for booked, clean in zip(plain, vouched)]
         server_of = self.cluster.server
         add = self.metrics.add
 

@@ -30,6 +30,7 @@ assignment for exactly those servers, and only then constructs the code.
 
 from __future__ import annotations
 
+import ctypes
 import operator
 import weakref
 from contextlib import nullcontext
@@ -77,46 +78,33 @@ class FileSystemError(StorageError):
         self.cause = cause
 
 
-#: Rows narrower than this are gathered by one ``np.concatenate`` instead of
-#: being handed to ``join`` one by one: below about a kilobyte a piece costs
-#: more as an object (a view, a buffer export) than its bytes cost to copy.
-_SMALL_ROW_BYTES = 1024
-
-
 #: ``piece is None`` without a Python frame: every read asks it of every piece.
 _is_missing = partial(operator.is_, None)
 
+#: ``PyBytes_FromStringAndSize(NULL, n)``: a new ``bytes`` of ``n`` unset
+#: bytes.  It is the C-API's way to build a bytes object whose contents the
+#: caller then writes, and the one case in which its documentation allows
+#: writing into one: nothing is zeroed, and nothing is copied again once a
+#: read has filled it.  A read fills it before anything else sees it.
+_new_bytes = ctypes.pythonapi.PyBytes_FromStringAndSize
+_new_bytes.restype = ctypes.py_object
+_new_bytes.argtypes = (ctypes.c_char_p, ctypes.c_ssize_t)
+_bytes_address = ctypes.pythonapi.PyBytes_AsString
+_bytes_address.restype = ctypes.c_void_p
+_bytes_address.argtypes = (ctypes.py_object,)
+_memory_view = ctypes.pythonapi.PyMemoryView_FromMemory
+_memory_view.restype = ctypes.py_object
+_memory_view.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int)
+_PYBUF_WRITE = 0x200
 
-def _symbol_chunks(pieces, head: int = 0, tail: int = 0) -> list[np.ndarray]:
-    """``pieces`` as contiguous 1-D chunks, less ``head`` symbols off the
-    front (under a stripe: the start of an extent) and ``tail`` off the
-    back (the end of an extent, the padding behind a file).
 
-    A piece is what a read returned: a view of stored rows, or a slice of
-    what a degraded read rebuilt.  Pieces are not copied (narrow rows
-    apart): a contiguous one is one chunk, and one whose block is a column
-    slice of a batched encode, so not one buffer, contributes its rows.
-    """
-    first = pieces[0]
-    if len(pieces) > 1 and first.shape[-1] * first.itemsize < _SMALL_ROW_BYTES:
-        chunks = [np.concatenate(pieces).reshape(-1)]
-    else:
-        chunks = []
-        for piece in pieces:
-            if piece.flags.c_contiguous:
-                chunks.append(piece.reshape(-1))
-            elif piece.ndim == 2 and piece.strides[1] == piece.itemsize:
-                chunks.extend(piece)
-            else:
-                chunks.append(np.ascontiguousarray(piece).reshape(-1))
-    while tail > 0:
-        last = chunks.pop()
-        if last.size > tail:
-            chunks.append(last[:-tail])
-        tail -= last.size
-    if head:
-        chunks[0] = chunks[0][head:]
-    return chunks
+def _writable(out) -> np.ndarray:
+    """``out`` as a writable 1-D array: itself, or a uint8 view of a
+    :data:`_new_bytes` object still being filled (the view does not keep
+    the object alive; the caller holds it)."""
+    if isinstance(out, bytes):
+        return np.frombuffer(_memory_view(_bytes_address(out), len(out), _PYBUF_WRITE), np.uint8)
+    return out
 
 
 def _cut(pieces: list, lengths: list[int]) -> list[list]:
@@ -126,15 +114,6 @@ def _cut(pieces: list, lengths: list[int]) -> list[list]:
         start, stop = stop, stop + n
         out.append(pieces[start:stop])
     return out
-
-
-def _join_symbols(chunks: list[np.ndarray]) -> bytes:
-    """The chunks as one ``bytes``, one byte per symbol: the single pass
-    that delivers a read.  Symbols of a wider field are narrowed first (a
-    payload byte per symbol is what every field stores)."""
-    if chunks and chunks[0].itemsize != 1:
-        chunks = [chunk.astype(np.uint8) for chunk in chunks]
-    return b"".join(chunks)
 
 
 def _grid(symbols: np.ndarray, total: int) -> np.ndarray:
@@ -433,39 +412,46 @@ class DistributedFileSystem:
     def read_file(self, name: str) -> bytes:
         """Read a whole file back, rebuilding what servers that are down hold.
 
-        The bytes are assembled in one pass: the CRC-verified row views
-        the reads returned (and, degraded, slices of what was rebuilt),
-        less the padding behind the last stripe, joined straight into the
-        ``bytes`` returned — no staging buffer, no stripe grid.
+        The bytes are delivered in one pass: a new ``bytes`` of the file's
+        length is filled where it lies, each run's rows copied into their
+        place as the CRC check reads them (degraded, with what was
+        rebuilt), less the padding behind the last stripe — no staging
+        buffer, no stripe grid, no join.
         """
         ef = self._open(name)
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name,
             bytes=ef.original_size, clock=self.clock,
         ):
-            return _join_symbols(self._read([ef]))
+            data = _new_bytes(None, ef.original_size)
+            self._read([ef], data)
+            return data
 
     def read_file_into(self, name: str, out) -> int:
         """Read a whole file directly into a caller-supplied buffer.
 
         ``out`` is a writable buffer (``bytearray`` / ``memoryview``) of
-        at least the file's byte length.  Each piece the reads returned
-        is copied once, from the stored rows into its place in ``out``
-        (symbols of a wider field are narrowed by that same assignment);
-        nothing is staged in between.
+        at least the file's byte length; anything else is refused with
+        ``FileSystemError`` (``cause="buffer"``) before any block is read.
+        Each run's rows are copied once, from the stored rows into their
+        place in ``out`` (symbols of a wider field are narrowed by that
+        same assignment); nothing is staged in between.
 
         Returns the number of bytes written.
         """
         ef = self._open(name)
         nbytes = ef.original_size
-        target = np.frombuffer(memoryview(out)[:nbytes], dtype=np.uint8)
+        view = memoryview(out)
+        if view.readonly or view.nbytes < nbytes:
+            raise FileSystemError(
+                f"cannot read {name!r} ({nbytes} bytes) into a "
+                f"{'read-only' if view.readonly else 'writable'} buffer of {view.nbytes} bytes",
+                file=name, cause="buffer",
+            )
         with get_tracer().span(
             "dfs.read_file", category="storage", file=name, bytes=nbytes, clock=self.clock
         ):
-            pos = 0
-            for chunk in self._read([ef]):
-                target[pos : pos + chunk.size] = chunk
-                pos += chunk.size
+            self._read([ef], np.frombuffer(view, dtype=np.uint8, count=nbytes))
         return nbytes
 
     def read_stripes(self, name: str, start: int, count: int) -> np.ndarray:
@@ -475,9 +461,10 @@ class DistributedFileSystem:
         if start < 0 or count < 0 or start + count > total:
             raise FileSystemError(f"stripe range [{start}, {start + count}) outside file of {total}")
         size = ef.stripe_size
-        if not count:
-            return np.empty((0, size), ef.code.gf.dtype)
-        return np.concatenate(self._read([ef], start * size, (start + count) * size)).reshape(count, size)
+        grid = np.empty((count, size), ef.code.gf.dtype)
+        if count:
+            self._read([ef], grid.reshape(-1), start * size, (start + count) * size)
+        return grid
 
     def read_bytes(self, name: str, offset: int, length: int) -> bytes:
         """Read an arbitrary byte extent of the original file.
@@ -492,13 +479,15 @@ class DistributedFileSystem:
         length = max(0, min(length, ef.original_size - offset))
         if length == 0:
             return b""
-        return _join_symbols(self._read([ef], offset, offset + length))
+        data = _new_bytes(None, length)
+        self._read([ef], data, offset, offset + length)
+        return data
 
     def _read(
-        self, files: list[EncodedFile], lo: int = 0, hi: int | None = None,
+        self, files: list[EncodedFile], out, lo: int = 0, hi: int | None = None,
         degraded_span: str | None = None,
-    ) -> list[np.ndarray]:
-        """The read routine: symbols of ``files`` laid end to end, as chunks ready to join.
+    ) -> None:
+        """The read routine: symbols of ``files`` laid end to end, delivered into ``out``.
 
         ``files`` is one plain file or the stripe groups of a striped one.
         Without ``hi`` every file is read whole: the runs of its code's
@@ -507,31 +496,49 @@ class DistributedFileSystem:
         ``lo`` in the first file and ``hi`` in the last (in its padding
         only for :meth:`read_stripes`): per file the runs within the
         extent (:meth:`ReadPlan.runs_within`), less the symbols before
-        ``lo`` in the first stripe and after ``hi`` in the last.  Then
-        every run of every file is read in one batch
-        (:meth:`_read_available_stripes`), the runs that could not be read
-        are filled together by :meth:`_recover` (under a span named
-        ``degraded_span``, if given), and each file's pieces are cut into
-        chunks (:func:`_symbol_chunks`) — views of the stored rows or of
-        what was rebuilt, nothing staged.
+        ``lo`` in the first stripe and after ``hi`` in the last.
+
+        ``out`` takes exactly those symbols: a new :data:`_new_bytes`
+        object, or a writable 1-D array (a uint8 payload byte per symbol,
+        or a grid of the field's symbols).  Each run has its place in it:
+        its window of symbols, less what is trimmed, at the offset those
+        take.  Every run of every file is read in one batch
+        (:meth:`_read_available_stripes`); over GF(2^8), on a store with
+        the native CRC kernel, that batch's CRC pass copies each run's
+        window into place as it hashes the rows, and a run the pass
+        vouched for and the client returned verbatim is done.  The runs
+        that could not be read are filled together by :meth:`_recover`
+        (under a span named ``degraded_span``, if given), and every run not
+        yet done — a mismatched or retried range, a rebuilt one, every run
+        of a GF(2^16) file or of a store checked by ``zlib`` — is then
+        copied into its place with numpy, which also narrows wider symbols.
         """
         spans: list[tuple[EncodedFile, list]] = []
-        trims: list[tuple[int, int]] = []
+        places: list[int] = []  # three per run: where in out, first and end symbol of its window
         whole = hi is None
-        if whole:
-            for ef in files:
-                spans.append((ef, ef.code.read_plan().runs))
-                trims.append((0, ef.padded_size - ef.original_size))
-        else:
-            last = files[-1]
-            for ef in files:
-                size = ef.stripe_size
-                end = hi if ef is last else ef.original_size
-                first, stop = lo // size, -(-end // size)
-                spans.append((ef, ef.code.read_plan().runs_within(first, stop)))
-                trims.append((lo - first * size, stop * size - end))
+        last = files[-1]
+        at = 0
+        for ef in files:
+            size = ef.stripe_size
+            if whole:
+                runs, first, head, end = ef.code.read_plan().runs, 0, 0, ef.original_size
+            else:
+                stop = hi if ef is last else ef.original_size
+                first = lo // size
+                runs = ef.code.read_plan().runs_within(first, -(-stop // size))
+                head, end = lo - first * size, stop - first * size
                 lo, hi = 0, hi - ef.original_size
-        pieces = self._read_available_stripes(spans)
+            spans.append((ef, runs))
+            # The runs hold the symbols from stripe ``first`` on, laid end to
+            # end; out takes those from ``head`` to ``end`` of them, at ``at``.
+            for _, _, nrows, fs0 in runs:
+                c = (fs0 - first) * size
+                a = head - c if c < head else 0
+                b = min(nrows * size, end - c)
+                places += (at + c + a - head, a, b) if b > a else (0, 0, 0)
+            at += end - head
+        deliver = files[0].code.gf.q == 8 and self.store._crc_backend is not None
+        pieces, delivered = self._read_available_stripes(spans, (out, places) if deliver else None)
         if any(map(_is_missing, chain.from_iterable(pieces))):
             pending = [(ef, runs, got) for (ef, runs), got in zip(spans, pieces) if any(map(_is_missing, got))]
             recovery = get_tracer().span(
@@ -539,22 +546,27 @@ class DistributedFileSystem:
             ) if degraded_span else nullcontext()
             with recovery:
                 self._recover(pending)
-        chunks: list[np.ndarray] = []
-        for (head, tail), got in zip(trims, pieces):
-            chunks += _symbol_chunks(got, head, tail)
+        if delivered is None or False in delivered:
+            target = _writable(out)
+            for i, piece in enumerate(chain.from_iterable(pieces)):
+                c, a, b = places[3 * i : 3 * i + 3]
+                if b > a and (delivered is None or not delivered[i]):
+                    target[c : c + b - a] = piece.reshape(-1)[a:b]
         if whole:
             code = files[0].code
             nbytes = sum(ef.original_size for ef in files)
             # Narrowed symbols crossed a copy on the way out, bytes did not.
             self.metrics.add("bytes_moved_zero_copy" if code.gf.q == 8 else "bytes_copied", nbytes)
-        return chunks
 
-    def _read_available_stripes(self, spans) -> list[list[np.ndarray | None]]:
-        """Per ``(file, runs)`` span, one piece per run of read-plan runs, in order.
+    def _read_available_stripes(self, spans, into=None) -> tuple[list[list[np.ndarray | None]], list | None]:
+        """Per ``(file, runs)`` span, one piece per run of read-plan runs, in
+        order; and with ``into``, per run whether it was delivered.
 
         Every run of every span is one range of a single batched client
         read (:meth:`ResilientBlockClient._read_ranges`): one CRC pass,
-        lookups bound once, each range retried on its own.  A piece is
+        lookups bound once, each range retried on its own, and ``into``,
+        the output and the runs' places in it, passed through for that pass
+        to deliver into.  A piece is
         the CRC-verified row view the client handed back — the stored
         rows themselves, not a copy: a stored array is never written in
         place (``put`` and ``corrupt`` replace it), so a held view cannot
@@ -568,10 +580,10 @@ class DistributedFileSystem:
             for ef, runs in spans
             for block, row0, nrows, _ in runs
         ]
-        pieces, _ = self.client._read_ranges(ranges)
+        pieces, _, delivered = self.client._read_ranges(ranges, into=into)
         if len(spans) == 1:
-            return [pieces]
-        return _cut(pieces, [len(runs) for _, runs in spans])
+            return [pieces], delivered
+        return _cut(pieces, [len(runs) for _, runs in spans]), delivered
 
     def _unreadable_blocks(self, ef: EncodedFile) -> frozenset[int]:
         """Blocks whose server is down or no longer holds them."""
@@ -735,7 +747,7 @@ class DistributedFileSystem:
                 while True:
                     chosen = self._plan_decode_blocks(ef, excluded)
                     unread = [b for b in chosen if b not in read]
-                    pieces, failures = self.client._read_ranges(
+                    pieces, failures, _ = self.client._read_ranges(
                         [(ef.placement[b], ef.name, b, 0, ef.code.N) for b in unread], [len(unread)]
                     )
                     stop = list(map(_is_missing, pieces)).index(True) if failures else len(unread)

@@ -95,7 +95,7 @@ class ResilientBlockClient:
     # ------------------------------------------------------------- read API
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
-        (rows,), failures = self._read_ranges([(server_id, file_name, block_id, start, count)])
+        (rows,), failures, _ = self._read_ranges([(server_id, file_name, block_id, start, count)])
         if failures:
             raise failures[0]
         return rows
@@ -104,14 +104,22 @@ class ResilientBlockClient:
         """Read a whole block: a :meth:`read_rows` of every row it holds."""
         return self.read_rows(*self.store._whole(server_id, file_name, block_id))
 
-    def _read_ranges(self, ranges: list[tuple], groups: list[int] | None = None):
+    def _read_ranges(self, ranges: list[tuple], groups: list[int] | None = None, into=None):
         """Read ``(server, file, block, row0, nrows)`` row ranges, in order:
         the one retry loop.  :meth:`read_rows` is a batch of one.
 
-        Returns ``(pieces, failures)``: per range the CRC-verified row
-        view, or ``None`` for one that could not be read, and the error of
-        each range that could not, in order (without a traceback, so it
-        holds no frame).  ``groups``, when given, cuts the ranges into
+        Returns ``(pieces, failures, delivered)``: per range the
+        CRC-verified row view, or ``None`` for one that could not be read;
+        the error of each range that could not, in order (without a
+        traceback, so it holds no frame); and, when ``into`` is given, per
+        range whether its bytes were delivered (else ``None``).
+
+        ``into`` is the ``(dest, windows)`` the store's CRC pass copies
+        the ranges' bytes through (:meth:`BlockStore._range_reader`).  A
+        range is delivered when it is booked plain (below): its rows were
+        vouched for and copied into its window, and its attempt returns
+        them verbatim.  Every other range's window is the caller's to
+        write.  ``groups``, when given, cuts the ranges into
         consecutive groups of those lengths: the ranges of a group after
         its first unreadable one are not attempted (no fault draw, no clock
         advance) and are ``None`` too.  The batch shares the lookups and
@@ -133,7 +141,8 @@ class ResilientBlockClient:
         in the same order and ends bit-identical.  ``plain[i]`` is looked
         at only for a range booked this way.
         """
-        attempt, plain = self.store._range_reader(ranges, True)
+        attempt, plain = self.store._range_reader(ranges, True, into)
+        delivered = None if into is None else [False] * len(ranges)
         health, metrics, clock = self.health, self.metrics, self.clock
         # The book of plain ranges: their servers' health, and once the
         # first is booked, the three store counters, the factors of
@@ -185,6 +194,8 @@ class ResilientBlockClient:
                 h.ewma_latency = keep * h.ewma_latency + alpha * latency
                 h.error_rate = keep * h.error_rate
                 out.append(data)
+                if delivered is not None:
+                    delivered[i] = True
                 continue
             if booking:
                 self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
@@ -271,7 +282,7 @@ class ResilientBlockClient:
             failure = last_exc = None
         if booking:
             self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
-        return out, failures
+        return out, failures, delivered
 
     def _write_back(self, counters, bytes_total, blocks_total, time_total, samples: list[float], now: float) -> None:
         """Store what :meth:`_read_ranges` booked for a run of plain ranges:

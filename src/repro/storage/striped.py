@@ -18,8 +18,9 @@ unchanged (via :class:`StripedInputFormat`).
 A striped read has no loop of its own: the whole file, or the groups an
 extent touches, are handed to the filesystem's one read routine
 (:meth:`~repro.storage.filesystem.DistributedFileSystem._read`) as one
-payload laid end to end — one batch for every run, one recovery for
-every degraded group, one join.
+payload laid end to end — one batch for every run, whose CRC pass
+delivers the bytes into the one ``bytes`` returned, and one recovery for
+every degraded group.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from repro.cluster.placement import _round_robin
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
-from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _grid, _join_symbols
+from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _grid, _new_bytes
 
 
 #: The span a striped read recovers its degraded groups under.
@@ -201,23 +202,23 @@ class StripedFileSystem:
         first, last = offset // group_payload, (offset + length - 1) // group_payload
         files = [self.dfs.file(group_name(name, g)) for g in range(first, last + 1)]
         base = first * group_payload
-        return _join_symbols(
-            self.dfs._read(files, offset - base, offset + length - base, _DEGRADED_SPAN)
-        )
+        data = _new_bytes(None, length)
+        self.dfs._read(files, data, offset - base, offset + length - base, _DEGRADED_SPAN)
+        return data
 
     def read_file(self, name: str) -> bytes:
-        """Read the whole file: every group's pieces, joined once.
+        """Read the whole file: every group delivered into one new ``bytes``.
 
-        Every run of every group is read in one batch, and a group
-        contributes the row views its runs returned, less the padding
-        behind its last stripe; the one ``b"".join`` over all of them is
-        the only pass over the payload — no output buffer is allocated,
-        zeroed or copied beforehand.  Groups with unreadable runs are
-        recovered together once every group has been read:
+        Every run of every group is read in one batch, whose CRC pass
+        copies each run's rows, less the padding behind its group's last
+        stripe, into their place in the ``bytes`` returned as it hashes
+        them: the one pass over the payload — nothing is zeroed beforehand
+        or joined afterwards.  Groups with unreadable runs are recovered
+        together once every group has been read:
         :meth:`DistributedFileSystem._recover` fuses those that lost the
         same block, or decode from the same survivors, into one kernel
-        call per failure pattern, and their pieces are slices of what it
-        rebuilt.
+        call per failure pattern, and what it rebuilt is copied into
+        those runs' places.
         """
         meta = self.file(name)
         files = [self.dfs.file(g) for g in meta.group_names()]
@@ -225,7 +226,9 @@ class StripedFileSystem:
             "sfs.read_file", category="storage", file=name,
             bytes=meta.original_size, groups=meta.group_count, clock=self.dfs.clock,
         ):
-            return _join_symbols(self.dfs._read(files, degraded_span=_DEGRADED_SPAN))
+            data = _new_bytes(None, meta.original_size)
+            self.dfs._read(files, data, degraded_span=_DEGRADED_SPAN)
+            return data
 
 
 class StripedInputFormat(InputFormat):

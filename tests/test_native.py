@@ -567,6 +567,39 @@ class TestIsaPaths:
                 geometry += (rows.strides[0], rows.shape[0], rows.shape[1])
             assert backend.crc32_ranges(bases, geometry) == [crc for crcs in want for crc in crcs], backend
 
+    def test_crc32_deliver_copies_each_window_as_it_hashes(self, request):
+        """``crc32_deliver`` is ``crc32_ranges`` plus a copy of each range's
+        window: ranges of every width (unaligned rows apart by more than
+        their width, 40 000 bytes a row over two cache blocks), windows
+        whole, cut at both ends, inside one row, and empty, in one short
+        call and in one past the 512-bit fold's threshold.  Bytes outside
+        the windows are left as they were."""
+        rng = np.random.default_rng(11)
+        blocks = [
+            rng.integers(0, 256, size=(3, width + 9), dtype=np.uint8)[:, 3 : 3 + width]
+            for width in self.CRC_WIDTHS
+        ]
+        for backend in _isa_backends(request):
+            if not backend.has_crc32:
+                continue
+            for ranges in (blocks[:5], blocks):  # a short call; one over 256 KiB
+                bases, geometry, windows, want = [], [], [], []
+                dest = np.full(sum(rows.size for rows in ranges) + 7, 0xA5, dtype=np.uint8)
+                expect = dest.copy()
+                at = 7
+                for r, rows in enumerate(ranges):
+                    size = rows.size
+                    lo, hi = ((0, size), (1, size - 2), (size // 3, size // 3 + 1), (size // 2, size // 2))[r % 4]
+                    bases.append(backend.row_buffer(rows))
+                    geometry += (rows.strides[0], rows.shape[0], rows.shape[1])
+                    windows += (at, lo, hi)
+                    expect[at : at + hi - lo] = rows.reshape(-1)[lo:hi]
+                    want += [zlib.crc32(row.tobytes()) for row in rows]
+                    at += hi - lo
+                assert backend.crc32_deliver(bases, geometry, dest, windows) == want, backend
+                assert backend.crc32_ranges(bases, geometry) == want, backend
+                assert np.array_equal(dest, expect), backend
+
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_a_batch_checked_by_zlib_reads_and_judges_alike(monkeypatch, dtype):

@@ -52,7 +52,6 @@ from repro.storage import (
     Scrubber,
     StripedFileSystem,
 )
-from repro.storage.filesystem import _SMALL_ROW_BYTES
 from repro.storage.health import RESET_TIMEOUT
 from repro.storage.striped import group_name
 from tests.conftest import payload_bytes, stored_block
@@ -71,9 +70,9 @@ SCENARIOS = (
     "clean", "one_down", "two_down", "corrupting_helper", "flaky_survivor", "rotten_row", "rotten_row_zlib"
 )
 
-#: Symbols per stripe: narrow rows are gathered by one ``np.concatenate``,
-#: wide ones handed to ``join`` as they are — both sides of the rule.
-NARROW, WIDE = 24, _SMALL_ROW_BYTES + 76
+#: Symbols per stripe: rows of a few bytes, where a read's per-row costs
+#: dominate, and rows over a kilobyte.
+NARROW, WIDE = 24, 1100
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,7 +326,7 @@ def test_bytes_read_before_a_later_write_never_change():
     payload = payload_bytes(code.data_stripe_total * WIDE, seed=4)
     ef = dfs.write_file("f", payload, code=code)
     server = ef.server_of(0)
-    (pieces,) = dfs._read_available_stripes([(ef, code.read_plan().runs)])
+    (pieces,), _ = dfs._read_available_stripes([(ef, code.read_plan().runs)])
     assert np.shares_memory(pieces[0], stored_block(dfs, ef, 0))  # views, not copies
     held = [piece.copy() for piece in pieces]
 

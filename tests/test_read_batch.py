@@ -125,7 +125,7 @@ def test_a_batch_is_its_ranges_one_at_a_time(code_name, field, condition):
     batched, files = twin(code_name, field, condition)
     looped, twin_files = twin(code_name, field, condition)
     for _ in range(2):  # the second pass reuses the row handles the first one took after rot
-        got = batched._read_available_stripes([(ef, ef.code.read_plan().runs) for ef in files])
+        got, _ = batched._read_available_stripes([(ef, ef.code.read_plan().runs) for ef in files])
         want = one_at_a_time(looped, twin_files)
         assert [[p is None for p in pieces] for pieces in got] == [[p is None for p in pieces] for pieces in want]
         for pieces, expect in zip(got, want):
@@ -156,9 +156,9 @@ def test_a_striped_read_is_one_batch(field, monkeypatch):
     batches = []
     real = dfs.client._read_ranges
 
-    def counted(ranges, groups=None):
+    def counted(ranges, groups=None, into=None):
         batches.append((len(ranges), groups))
-        return real(ranges, groups)
+        return real(ranges, groups, into)
 
     monkeypatch.setattr(dfs.client, "_read_ranges", counted)
     assert sfs.read_file("s") == payload
@@ -222,7 +222,7 @@ def booked_twin(setup: dict, step_by_step: bool):
             dfs.clock.advance(RESET_TIMEOUT)  # the next read there is the probe
     if step_by_step:
         real = store._range_reader
-        store._range_reader = lambda ranges, verify: (real(ranges, verify)[0], None)
+        store._range_reader = lambda ranges, verify, into=None: (real(ranges, verify, into)[0], None)
     return dfs
 
 
@@ -272,7 +272,7 @@ def outcome(dfs, ranges, cuts):
                 left -= groups[-1]
         groups[-1] += left
     try:
-        pieces, failures = dfs.client._read_ranges(ranges, groups)
+        pieces, failures, _ = dfs.client._read_ranges(ranges, groups)
     except StorageError as exc:  # a range past the end of its block raises, grouped or not
         return None, (type(exc).__name__, str(exc))
     return pieces, [(type(exc).__name__, str(exc), vars(exc)) for exc in failures]

@@ -1,5 +1,11 @@
 """What a read books, pinned; how it delivers the bytes, checked.
 
+A read makes one pass over the bytes it returns: the CRC pass over the
+rows it reads copies them into the output as it hashes them
+(``NativeBackend.crc32_deliver``), into a ``bytes`` made for it — no
+``crc32_ranges`` pass first, no ``bytes.join`` after.  A buffer a read
+cannot fill is refused before any block is read.
+
 Two seeded read workloads, one shaped like ``bulk_io`` (two stripe groups
 of large blocks) and one like ``striped_io`` (many groups of small blocks,
 a ragged tail, extents of a few stripes), each read clean and then with
@@ -16,11 +22,13 @@ not.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.storage import DistributedFileSystem, StripedFileSystem
+from repro.gf.native import get_backend
+from repro.storage import DistributedFileSystem, FileSystemError, StripedFileSystem
 from repro.storage.striped import group_name
 from tests.conftest import payload_bytes
 from tests.test_read_batch import health_state
@@ -95,3 +103,67 @@ PINNED = {
 @pytest.mark.parametrize("code_name", CODES)
 def test_reads_book_what_the_parent_booked(code_name, shape):
     assert reads(code_name, shape) == PINNED[code_name, shape]
+
+
+def c_calls(fn):
+    """``fn()``'s result and the builtins it called, as ``(type of their
+    self, name)``, through a profile hook."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append((type(getattr(arg, "__self__", None)).__name__, arg.__name__))
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+@pytest.mark.skipif(get_backend() is None or not get_backend().has_crc32, reason="needs the native CRC kernel")
+@pytest.mark.parametrize("code_name", CODES)
+def test_a_clean_read_makes_one_pass(code_name, monkeypatch):
+    """A clean whole-file read, striped or plain, and a clean extent are
+    each one delivering kernel call: no other CRC call, no join."""
+    code = make_code(code_name)
+    dfs = DistributedFileSystem(Cluster.homogeneous(2 * code.n))
+    sfs = StripedFileSystem(dfs)
+    block = code.N * 2000
+    payload = payload_bytes(5 * code.k * block - 77, seed=12)
+    sfs.write_file("f", payload, lambda: code, max_block_bytes=block)
+    group = group_name("f", 2)
+    backend = dfs.store._crc_backend
+    kernel = []
+    for name in ("crc32_ranges", "crc32_rows", "crc32_deliver"):
+        real = getattr(backend, name)
+        monkeypatch.setattr(backend, name, lambda *args, _real=real, _name=name: kernel.append(_name) or _real(*args))
+    reads = {
+        "striped read_file": (lambda: sfs.read_file("f"), payload),
+        "read_file": (lambda: dfs.read_file(group), payload[2 * code.k * block : 3 * code.k * block]),
+        "extent": (lambda: sfs.read_bytes("f", 3 * block - 5, 4096), payload[3 * block - 5 : 3 * block + 4091]),
+    }
+    for what, (read, want) in reads.items():
+        kernel.clear()
+        data, calls = c_calls(read)
+        assert data == want, what
+        assert kernel == ["crc32_deliver"], what
+        assert ("bytes", "join") not in calls, what
+    assert dfs.metrics.total("degraded_reads") == 0
+
+
+def test_read_file_into_refuses_a_buffer_it_cannot_fill_before_reading():
+    code = make_code("galloper")
+    dfs = DistributedFileSystem(Cluster.homogeneous(code.n))
+    payload = payload_bytes(635, seed=8)
+    dfs.write_file("f", payload, code=code)
+    before = (dfs.metrics.snapshot(), dfs.clock.now)
+    for buf, what in ((bytearray(10), "writable buffer of 10 bytes"), (bytes(635), "read-only buffer of 635 bytes")):
+        with pytest.raises(FileSystemError) as err:
+            dfs.read_file_into("f", buf)
+        assert err.value.cause == "buffer" and err.value.file == "f"
+        assert "635 bytes" in str(err.value) and what in str(err.value)
+    assert (dfs.metrics.snapshot(), dfs.clock.now) == before  # not one block probed, no clock advance
+    buf = bytearray(640)
+    assert dfs.read_file_into("f", buf) == 635 and buf[:635] == payload and buf[635:] == bytes(5)

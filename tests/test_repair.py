@@ -334,8 +334,8 @@ def on_range_read(dfs, monkeypatch, hook):
                 hook(self.ranges[i], booked[0])
             return booked
 
-    def binding(ranges, verify):
-        read, plain = real(ranges, verify)
+    def binding(ranges, verify, into=None):
+        read, plain = real(ranges, verify, into)
 
         def logged(i):
             data, latency = read(i)

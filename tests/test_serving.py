@@ -539,8 +539,8 @@ class TestHedgedServing:
         real = store._range_reader
         reads = Counter()
 
-        def counted(ranges, verify):
-            read, plain = real(ranges, verify)
+        def counted(ranges, verify, into=None):
+            read, plain = real(ranges, verify, into)
 
             def attempt(i):
                 reads[ranges[i][2]] += 1
