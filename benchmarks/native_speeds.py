@@ -13,9 +13,13 @@ widths, the gather folding the CRC-32 of every row it writes (as a striped
 write stores its blocks) against the gather followed by one
 ``crc32_ranges`` pass over its output, asserting that both give the same
 bytes and CRCs, and the same for each rebuild plan on the XOR executor
-(which folds its output rows' CRCs as the gather does); last,
+(which folds its output rows' CRCs as the gather does).  Then
 ``crc32_rows`` GB/s per row size over about 1 MiB of rows (in cache) and
-16 MiB (past L2)::
+16 MiB (past L2); last, at the same sizes, a read's delivering pass
+(``crc32_deliver`` into a new ``bytes``: ranges of seven rows, the first
+and last cut a third of a row in, as an extent's ends are) against the
+``crc32_ranges`` check followed by a ``b"".join`` of the windows, asserting
+that both give the same bytes and CRCs::
 
     PYTHONPATH=src python benchmarks/native_speeds.py [--library SO]
 
@@ -38,6 +42,7 @@ from repro.codes import PyramidCode, ReedSolomonCode
 from repro.core import GalloperCode
 from repro.gf import GF256, CodingPlan, XorSchedule
 from repro.gf import native
+from repro.storage.filesystem import _new_bytes
 
 CODES = {
     "RS(4,3)": lambda: ReedSolomonCode(4, 3),
@@ -51,6 +56,8 @@ WIDTHS = {"bulk": ((1 << 20) // 7 * 7, 2), "striped": ((16 << 10) // 7 * 7, 128)
 #: stripe, a 64 KiB serving block, a Galloper and an RS ``bulk_io`` row.
 CRC_ROWS = (256, 2_340, 9_363, 16_380, 65_536, 149_796, 1_048_572)
 CRC_TOTALS = {"in cache": 1 << 20, "past L2": 16 << 20}
+#: Rows per range of a delivering read: a Galloper(4,2,1) block's seven.
+RANGE_ROWS = 7
 ROUNDS = 7
 REPEATS = 3
 
@@ -103,6 +110,40 @@ def xor_folding_crcs(plan: CodingPlan, segments) -> tuple[list, list[int]]:
     """A rebuild's blocks and their row CRCs from one XOR-executor call."""
     outs, crcs = plan._apply_batch(segments, crcs=True)
     return outs, [crc for folded in crcs for crc in folded.tolist()]
+
+
+def read_ranges(backend, rows: np.ndarray):
+    """``rows`` as a read hands them to the CRC pass: ranges of
+    :data:`RANGE_ROWS` rows, their geometry and each range's window of the
+    bytes returned — all of it, less a third of a row before the first
+    range's and after the last range's (an extent's ends).  Returns
+    ``(bases, geometry, windows, bytes returned)``."""
+    n, width = rows.shape
+    handle, stride, cut = backend.row_buffer(rows), rows.strides[0], width // 3
+    bases, geometry, windows, at = [], [], [], 0
+    for row0 in range(0, n, RANGE_ROWS):
+        count = min(RANGE_ROWS, n - row0)
+        lo, hi = cut if row0 == 0 else 0, count * width - (cut if row0 + count == n else 0)
+        bases.append(handle + row0 * stride)
+        geometry += (stride, count, width)
+        windows += (at, lo, hi)
+        at += hi - lo
+    return bases, geometry, windows, at
+
+
+def deliver(backend, ranges) -> tuple[bytes, list[int]]:
+    """The bytes a read returns and its rows' CRCs, from one delivering call."""
+    bases, geometry, windows, nbytes = ranges
+    data = _new_bytes(None, nbytes)
+    return data, backend.crc32_deliver(bases, geometry, data, windows)
+
+
+def check_then_join(backend, ranges, chunks) -> tuple[bytes, list[int]]:
+    """The same from a ``crc32_ranges`` check, then a join of the windows:
+    the two passes the delivering call replaces."""
+    bases, geometry, _, _ = ranges
+    crcs = backend.crc32_ranges(bases, geometry)
+    return b"".join(chunks), crcs
 
 
 def median_best(*calls) -> list[float]:
@@ -200,6 +241,21 @@ def main(argv: list[str] | None = None) -> int:
                 (seconds,) = median_best(lambda: backend.crc32_rows(rows))
                 cells.append(f"{rows.nbytes / seconds / 1e9:.1f}")
             print(f"| {row_bytes} | " + " | ".join(cells) + " |", flush=True)
+        print("\n| row bytes | rows | delivering pass | check, then join | x |")
+        print("|---" * 5 + "|")
+        for row_bytes in CRC_ROWS:
+            for label, total in CRC_TOTALS.items():
+                rows = rng.integers(0, 256, size=(max(1, total // row_bytes), row_bytes), dtype=np.uint8)
+                ranges = read_ranges(backend, rows)
+                flat, windows = rows.reshape(-1), ranges[2]
+                chunks = [
+                    flat[row0 * row_bytes + windows[3 * r + 1] : row0 * row_bytes + windows[3 * r + 2]]
+                    for r, row0 in enumerate(range(0, len(rows), RANGE_ROWS))
+                ]
+                assert deliver(backend, ranges) == check_then_join(backend, ranges, chunks), (row_bytes, label)
+                seconds = median_best(lambda: deliver(backend, ranges), lambda: check_then_join(backend, ranges, chunks))
+                cells = [f"{ranges[3] / t / 1e9:.1f}" for t in seconds]
+                print(f"| {row_bytes} | {label} | " + " | ".join(cells) + f" | {seconds[1] / seconds[0]:.2f} |", flush=True)
     return 0
 
 

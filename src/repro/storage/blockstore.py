@@ -22,7 +22,9 @@ C call — a batch of writes hashes all its blocks in one call
 (:meth:`BlockStore._put_many`; blocks that lie in one array, as a file's
 do, are one row range read through one handle), and a batch of row-range
 reads checks all its ranges in one call (:meth:`BlockStore._range_reader`)
-at the addresses the records keep; everything else, and every host
+at the addresses the records keep — for a read that returns the bytes,
+the call that copies them into the output as it hashes them, so each
+byte returned is read from its block once; everything else, and every host
 without it, uses ``zlib.crc32`` — the stored values are the same either
 way.  A write hands over the row CRCs its encode folded as it wrote the
 blocks, and the store hashes none of those rows again.
@@ -453,14 +455,17 @@ class BlockStore:
         installed.
 
         ``into``, given with ``verify`` on a store with the kernel by a read
-        that returns the rows' bytes, is ``(dest, windows)``: the output
-        (any buffer the kernel may write, a new ``bytes`` included) and
-        three ints per range, ``at, lo, hi`` — bytes ``lo .. hi`` of the
-        range's rows laid end to end belong at ``dest[at:]``.  Where no
-        fault model is installed the pass is then shared whatever the
-        batch's size, and it delivers: one ``crc32_deliver`` call copies
-        each window as it hashes the rows, so the read makes one pass over
-        the bytes it returns.  ``plain[i]`` is then not ``None`` only for a
+        that returns the rows' bytes, is ``(output, windows)``: ``output()``
+        returns the buffer the bytes go to (any buffer the kernel may
+        write, a new ``bytes`` included), and ``windows`` holds three ints
+        per range, ``at, lo, hi`` — bytes ``lo .. hi`` of the range's rows
+        laid end to end belong at byte ``at`` of it.  Where no fault model
+        is installed the pass is then shared whatever the batch's size, and
+        unless a range's server is down or its block not held (the read
+        will rebuild, and fills its output after that) it delivers: it
+        asks for the output, and one ``crc32_deliver`` call copies each
+        window as it hashes the rows, so the read makes one pass over the
+        bytes it returns.  ``plain[i]`` is then not ``None`` only for a
         range whose rows matched and whose window holds them; every other
         window may hold anything, a mismatched range's bytes included.
         """
@@ -499,10 +504,12 @@ class BlockStore:
                     view = block[start : start + count]
             views.append(view)
             if view is None or view.ndim != 2:
+                deliver = deliver and view is not None
                 plain.append(None)
                 vouched.append(False)
                 continue
             server = servers[server_id]
+            deliver = deliver and not server.failed
             # A down server's rows are not checked: every attempt there fails.
             checked = shared and not server.failed and (backend is None or where is not None)
             booked = None
@@ -525,10 +532,10 @@ class BlockStore:
             vouched = plain  # each plain range's rows were checked where it was bound
         else:
             if bases and deliver:
-                dest, windows = into
+                output, windows = into
                 if len(bases) < len(ranges):  # only the windows of the ranges checked
                     windows = [w for i, _ in wanted for w in windows[3 * i : 3 * i + 3]]
-                got = backend.crc32_deliver(bases, geometry, dest, windows)
+                got = backend.crc32_deliver(bases, geometry, output(), windows)
             elif bases:
                 got = backend.crc32_ranges(bases, geometry)
             if got != expected:  # not the common case: judge range by range

@@ -41,6 +41,11 @@ steps would make them, and writes them back before any other range
 takes its steps and at the end of the batch: the counters, samples,
 health, breaker transitions and clock end bit-identical to range by
 range, without a function call per plain range.
+
+A read that returns the rows' bytes passes its output through to the
+store's CRC pass, which copies each range into place as it hashes it;
+the client says which ranges that delivered (the plain ones) and leaves
+every other range's place to the caller.
 """
 
 from __future__ import annotations
@@ -114,12 +119,12 @@ class ResilientBlockClient:
         traceback, so it holds no frame); and, when ``into`` is given, per
         range whether its bytes were delivered (else ``None``).
 
-        ``into`` is the ``(dest, windows)`` the store's CRC pass copies
-        the ranges' bytes through (:meth:`BlockStore._range_reader`).  A
-        range is delivered when it is booked plain (below): its rows were
-        vouched for and copied into its window, and its attempt returns
-        them verbatim.  Every other range's window is the caller's to
-        write.  ``groups``, when given, cuts the ranges into
+        ``into`` is the ``(output, windows)`` the store's CRC pass copies
+        the ranges' bytes through (:meth:`BlockStore._range_reader`).  If
+        the pass delivered (it asked for the output), a range is delivered
+        when it is booked plain (below): its rows were vouched for and
+        copied into its window, and its attempt returns them verbatim.
+        Every other range's window is the caller's to write.  ``groups``, when given, cuts the ranges into
         consecutive groups of those lengths: the ranges of a group after
         its first unreadable one are not attempted (no fault draw, no clock
         advance) and are ``None`` too.  The batch shares the lookups and

@@ -32,7 +32,7 @@ import numpy as np
 from repro.cluster.placement import _round_robin
 from repro.mapreduce.inputformat import GalloperInputFormat, InputFormat, InputSplit
 from repro.obs.trace import get_tracer
-from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _grid, _new_bytes
+from repro.storage.filesystem import DistributedFileSystem, FileSystemError, _grid
 
 
 #: The span a striped read recovers its degraded groups under.
@@ -202,9 +202,7 @@ class StripedFileSystem:
         first, last = offset // group_payload, (offset + length - 1) // group_payload
         files = [self.dfs.file(group_name(name, g)) for g in range(first, last + 1)]
         base = first * group_payload
-        data = _new_bytes(None, length)
-        self.dfs._read(files, data, offset - base, offset + length - base, _DEGRADED_SPAN)
-        return data
+        return self.dfs._read(files, length, offset - base, offset + length - base, _DEGRADED_SPAN)
 
     def read_file(self, name: str) -> bytes:
         """Read the whole file: every group delivered into one new ``bytes``.
@@ -226,9 +224,7 @@ class StripedFileSystem:
             "sfs.read_file", category="storage", file=name,
             bytes=meta.original_size, groups=meta.group_count, clock=self.dfs.clock,
         ):
-            data = _new_bytes(None, meta.original_size)
-            self.dfs._read(files, data, degraded_span=_DEGRADED_SPAN)
-            return data
+            return self.dfs._read(files, meta.original_size, degraded_span=_DEGRADED_SPAN)
 
 
 class StripedInputFormat(InputFormat):
