@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
                 (seconds,) = median_best(lambda: backend.crc32_rows(rows))
                 cells.append(f"{rows.nbytes / seconds / 1e9:.1f}")
             print(f"| {row_bytes} | " + " | ".join(cells) + " |", flush=True)
-        print("\n| row bytes | rows | delivering pass | check, then join | x |")
+        print("\n| row bytes | rows in all | delivering pass | check, then join | x |")
         print("|---" * 5 + "|")
         for row_bytes in CRC_ROWS:
             for label, total in CRC_TOTALS.items():

@@ -124,8 +124,8 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
-void repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
-                         char *dest, const int64_t *windows, uint32_t *out);
+int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                        char *dest, size_t dest_len, const int64_t *windows, uint32_t *out);
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
@@ -430,14 +430,21 @@ void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
  * windows[3r].  Each row is taken a block of at most GATHER_BLOCK bytes at
  * a time: the part of the block inside the window is copied, then the
  * whole block is folded into the row's CRC while it is still in cache, so
- * every row is hashed whole and every byte returned is read once. */
-void repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
-                         char *dest, const int64_t *windows, uint32_t *out)
+ * every row is hashed whole and every byte returned is read once.
+ * Returns -1, having written nothing, when a window does not lie inside
+ * its range's rows or inside the dest_len bytes at dest; else 0. */
+int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                        char *dest, size_t dest_len, const int64_t *windows, uint32_t *out)
 {
     size_t r, total = 0;
     int wide;
-    for (r = 0; r < nranges; r++)
-        total += (size_t)geometry[3 * r + 1] * (size_t)geometry[3 * r + 2];
+    for (r = 0; r < nranges; r++) {
+        const int64_t *w = windows + 3 * r;
+        int64_t nbytes = geometry[3 * r + 1] * geometry[3 * r + 2];
+        if (w[0] < 0 || w[1] < 0 || w[1] > w[2] || w[2] > nbytes || (uint64_t)(w[0] + w[2] - w[1]) > dest_len)
+            return -1;
+        total += (size_t)nbytes;
+    }
     wide = total >= WIDE_CALL_BYTES;
     for (r = 0; r < nranges; r++, geometry += 3, windows += 3) {
         const uint8_t *row = (const uint8_t *)bases[r];
@@ -457,6 +464,7 @@ void repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
             *out++ = ~crc;
         }
     }
+    return 0;
 }
 #endif
 
@@ -1231,14 +1239,18 @@ class NativeBackend:
         hashes them: range ``r``'s rows laid end to end, bytes
         ``windows[3r + 1]`` to ``windows[3r + 2]`` of them, land at byte
         ``windows[3r]`` of ``dest`` (a buffer the caller may write, a new
-        ``bytes`` it is filling included, with every window inside it).
-        Every row is hashed whole, each cache block of it right after its
-        part of the window is copied.  Only valid when :attr:`has_crc32`.
+        ``bytes`` it is filling included).  Every row is hashed whole,
+        each cache block of it right after its part of the window is
+        copied.  A window outside its range or outside ``dest`` raises
+        ``ValueError`` before anything is written.  Only valid when
+        :attr:`has_crc32`.
         """
         ffi = self._ffi
         total = sum(geometry[1::3])
         out = ffi.new(self._crc_out, total)
-        self._lib.repro_crc32_deliver(bases, geometry, len(bases), ffi.from_buffer(dest), windows, out)
+        buf = ffi.from_buffer(dest)
+        if self._lib.repro_crc32_deliver(bases, geometry, len(bases), buf, len(buf), windows, out):
+            raise ValueError("crc32_deliver: a window lies outside its range or outside the output")
         return ffi.unpack(out, total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -461,11 +461,9 @@ class BlockStore:
         per range, ``at, lo, hi`` — bytes ``lo .. hi`` of the range's rows
         laid end to end belong at byte ``at`` of it.  Where no fault model
         is installed the pass is then shared whatever the batch's size, and
-        unless a range's server is down or its block not held (the read
-        will rebuild, and fills its output after that) it delivers: it
-        asks for the output, and one ``crc32_deliver`` call copies each
-        window as it hashes the rows, so the read makes one pass over the
-        bytes it returns.  ``plain[i]`` is then not ``None`` only for a
+        it delivers: it asks for the output, and one ``crc32_deliver`` call
+        copies each window as it hashes the rows, so the read makes one
+        pass over the bytes it returns.  ``plain[i]`` is then not ``None`` only for a
         range whose rows matched and whose window holds them; every other
         window may hold anything, a mismatched range's bytes included.
         """
@@ -504,12 +502,10 @@ class BlockStore:
                     view = block[start : start + count]
             views.append(view)
             if view is None or view.ndim != 2:
-                deliver = deliver and view is not None
                 plain.append(None)
                 vouched.append(False)
                 continue
             server = servers[server_id]
-            deliver = deliver and not server.failed
             # A down server's rows are not checked: every attempt there fails.
             checked = shared and not server.failed and (backend is None or where is not None)
             booked = None

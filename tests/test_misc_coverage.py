@@ -32,10 +32,6 @@ class TestEncodedFileHelpers:
         ef = dfs.write_file("f", payload_bytes(4_000, seed=41), code=ReedSolomonCode(4, 2))
         assert 99 not in dfs.stripe_holders("f") and len(dfs.stripe_holders("f")) == ef.code.data_stripe_total
 
-    def test_padded_size(self, ef):
-        assert ef.padded_size >= ef.original_size
-        assert ef.padded_size % ef.code.data_stripe_total == 0
-
 
 class TestReadStripeRunGrouping:
     def test_run_grouped_reads_touch_each_block_once(self):

@@ -599,6 +599,12 @@ class TestIsaPaths:
                 assert backend.crc32_deliver(bases, geometry, dest, windows) == want, backend
                 assert backend.crc32_ranges(bases, geometry) == want, backend
                 assert np.array_equal(dest, expect), backend
+                # A window past the output or past its range's rows writes nothing.
+                size = ranges[-1].size
+                for bad in ((dest.size - 1, 0, 2), (0, size, size + 1), (0, 2, 1), (-1, 0, 1)):
+                    with pytest.raises(ValueError):
+                        backend.crc32_deliver(bases, geometry, dest, windows[:-3] + list(bad))
+                    assert np.array_equal(dest, expect), backend
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

@@ -1,10 +1,11 @@
 """What a read books, pinned; how it delivers the bytes, checked.
 
-A read makes one pass over the bytes it returns: the CRC pass over the
-rows it reads copies them into the output as it hashes them
+A read makes one pass over the bytes it reads and returns: the CRC pass over
+the rows it reads copies them into the output as it hashes them
 (``NativeBackend.crc32_deliver``), into a ``bytes`` made for it — no
-``crc32_ranges`` pass first, no ``bytes.join`` after.  A buffer a read
-cannot fill is refused before any block is read.
+``crc32_ranges`` pass first, no ``bytes.join`` after; a degraded read
+copies what it rebuilt into the same output.  A buffer a read cannot fill
+is refused before any block is read.
 
 Two seeded read workloads, one shaped like ``bulk_io`` (two stripe groups
 of large blocks) and one like ``striped_io`` (many groups of small blocks,
@@ -151,6 +152,15 @@ def test_a_clean_read_makes_one_pass(code_name, monkeypatch):
         assert kernel == ["crc32_deliver"], what
         assert ("bytes", "join") not in calls, what
     assert dfs.metrics.total("degraded_reads") == 0
+    # A degraded read delivers what it read in the same one call; its helper
+    # rows are checked in a batch of their own, and what it rebuilt is copied.
+    dfs.cluster.fail(dfs.file(group).server_of(0))
+    for what in ("striped read_file", "read_file"):
+        read, want = reads[what]
+        kernel.clear()
+        assert read() == want, what
+        assert kernel.count("crc32_deliver") == 1, what
+    assert dfs.metrics.total("degraded_reads") > 0
 
 
 def test_read_file_into_refuses_a_buffer_it_cannot_fill_before_reading():

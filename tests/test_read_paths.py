@@ -117,7 +117,7 @@ def reads(dfs, sfs, files, payload, request):
     (ef,) = files
     assert ef.stripe_size == STRIPE
     whole = [(ef, ef.code.read_plan().runs)]
-    padded = payload + bytes(ef.padded_size - ef.original_size)
+    padded = payload + bytes(ef.code.data_stripe_total * ef.stripe_size - ef.original_size)
     total = ef.code.data_stripe_total
     if request is None:
         return [

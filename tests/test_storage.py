@@ -258,7 +258,7 @@ class TestFileSystem:
         payload = payload_bytes(1009, seed=2)
         ef = dfs.write_file("f", payload, code=ReedSolomonCode(4, 2))
         assert ef.original_size == 1009
-        assert ef.padded_size % 4 == 0
+        assert ef.code.data_stripe_total * ef.stripe_size % 4 == 0
         assert dfs.read_file("f") == payload
 
     def test_duplicate_name_rejected(self, dfs):
