@@ -5,13 +5,15 @@ Hypothesis drives a ``BlockStore`` through interleavings of writes (a lone
 without the encode's row CRCs, and one over a repair bucket's blocks of
 several files as one list parent), rot (``corrupt``), loss (``drop``,
 ``drop_server``), server failure and recovery, verified reads (a lone
-``read_rows``, a batch of three ranges or more through ``_range_reader``)
-and scrubs (``verify``), and checks every step against a dict model: each
-held block's bytes, the ``zlib`` CRC-32 of each of its rows as written,
-and which servers are down.  A verified read returns the model's bytes or
-raises with the cause the model names, a batch marks plain exactly the
-ranges an attempt reads clean, and the three read counters add up to what
-the model says every attempt moved.  The machine runs on the native CRC
+``read_rows``, a batch of three ranges or more through ``_range_reader``,
+and one of one to three ranges delivered into a fresh output, as a read
+that returns the bytes makes it) and scrubs (``verify``), and checks every
+step against a dict model: each held block's bytes, the ``zlib`` CRC-32 of
+each of its rows as written, and which servers are down.  A verified read
+returns the model's bytes or raises with the cause the model names, a
+batch marks plain exactly the ranges an attempt reads clean, the window of
+every plain range of a delivered batch holds the model's bytes, and the
+three read counters add up to what the model says every attempt moved.  The machine runs on the native CRC
 kernel and on a store without it (``_crc_backend = None``).
 """
 
@@ -290,6 +292,46 @@ class StoreMachine(RuleBasedStateMachine):
                 rows, nbytes, latency = plain[i]
                 assert (rows.dtype, rows.shape, rows.tobytes()) == want
                 assert (nbytes, latency) == (rows.nbytes, rows.nbytes / self.bandwidth)
+            assert outcome(lambda i=i: read(i)) == want
+
+    @precondition(lambda self: self.blocks)
+    @rule(data=st.data(), kind=st.sampled_from([bytes, bytearray]))
+    def read_delivered(self, data, kind):
+        """One to three ranges, each with a window of its rows' bytes, read
+        in one ``_range_reader`` batch that delivers into a fresh output of
+        ``kind``: the batch marks plain what the shared pass marks, and if
+        the pass asked for the output (the native kernel checked a range),
+        every plain range's window holds the model's bytes; ``zlib`` asks
+        for none.  Every range is then attempted once."""
+        ranges, windows, at = [], [], 0
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = self.pick(data)
+            start, count = data.draw(st.integers(0, 4) | st.just(0)), data.draw(st.integers(0, 4))
+            block = self.blocks.get(key, (None,))[0]
+            inside = block is not None and block.ndim == 2 and start + count <= len(block)
+            nbytes = block[start : start + count].nbytes if inside else 0
+            lo = data.draw(st.integers(0, nbytes))
+            hi = data.draw(st.integers(lo, nbytes))
+            ranges.append((*key, start, count))
+            windows += (at, lo, hi)
+            at += hi - lo
+        made = []
+
+        def output():
+            made.append(kind(at))
+            return made[-1]
+
+        read, plain = self.store._range_reader(ranges, verify=True, into=(output, windows))
+        assert len(made) <= 1
+        assert not made or self.native
+        for i, (server, file, block, start, count) in enumerate(ranges):
+            want = self.attempt((server, file, block), start, count)
+            assert (plain[i] is not None) == self.plain((server, file, block), start, count, want)
+            if plain[i] is not None:
+                assert (plain[i][0].dtype, plain[i][0].shape, plain[i][0].tobytes()) == want
+                if made:
+                    place, lo, hi = windows[3 * i : 3 * i + 3]
+                    assert bytes(made[0][place : place + hi - lo]) == want[2][lo:hi]
             assert outcome(lambda i=i: read(i)) == want
 
     @rule(data=st.data())
