@@ -2,13 +2,16 @@
 
 Hypothesis drives a ``DistributedFileSystem`` with its ``StripedFileSystem``,
 ``RepairManager`` and ``Scrubber`` over one code (RS(4,3), Pyramid(4,2,1) or
-Galloper(4,2,1), GF(2^8)) through interleavings of plain and striped writes,
+Galloper(4,2,1), over GF(2^8) or GF(2^16)) through interleavings of plain and striped writes,
 whole-file and extent reads, server crashes and recoveries, bit rot
 (``corrupt``), scrubs, ``repair_server`` and ``repair_all``, and checks
 every step against a model: each file's bytes, the servers that are down,
 and the blocks whose current copy is corrupt or was dropped by a scrub
 that could not heal it.  Where each block lives is the system's choice;
-the model follows it through the repair reports.
+the model follows it through the repair reports.  A GF(2^16) file stores
+each payload byte as one 16-bit symbol, so every read of it takes the read
+routine's numpy path (each run copied and narrowed into the bytes
+returned) where a GF(2^8) read is delivered by the native CRC pass.
 
 * A read returns the model's bytes whenever every stripe group it may
   touch can decode from its live blocks (``ErasureCode.can_decode``); a
@@ -36,6 +39,7 @@ from repro.cluster import Cluster
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.codes.base import CodeError
 from repro.core import GalloperCode
+from repro.gf import GF256, GF65536
 from repro.storage import DistributedFileSystem, RepairManager, Scrubber, StorageError, StripedFileSystem
 from repro.storage.health import RESET_TIMEOUT
 from tests.conftest import payload_bytes
@@ -45,15 +49,16 @@ from tests.conftest import payload_bytes
 #: over three groups can lose the same block of two of them at different rows.
 SERVERS = 14
 CODES = {
-    "rs": lambda: ReedSolomonCode(4, 3),
-    "pyramid": lambda: PyramidCode(4, 2, 1),
-    "galloper": lambda: GalloperCode(4, 2, 1),
+    "rs": lambda gf: ReedSolomonCode(4, 3, gf=gf),
+    "pyramid": lambda gf: PyramidCode(4, 2, 1, gf=gf),
+    "galloper": lambda gf: GalloperCode(4, 2, 1, gf=gf),
 }
+FIELDS = {"gf8": GF256, "gf16": GF65536}
 #: At most this many servers are down at once: enough to lose groups, few
 #: enough to leave writes and spares most of the time.
 MOST_DOWN = 4
 TYPED = (StorageError, CodeError)
-DECODES: dict[str, dict[tuple[int, ...], bool]] = {}
+DECODES: dict[tuple[str, str], dict[tuple[int, ...], bool]] = {}
 
 servers = st.integers(0, SERVERS - 1)
 
@@ -72,15 +77,16 @@ class FileSystemMachine(RuleBasedStateMachine):
         self.dropped: set[tuple[str, int]] = set()  # (group, block) whose current copy is gone
 
     @initialize(
-        code_name=st.sampled_from(sorted(CODES)), groups=st.integers(3, 8), short=st.integers(0, 20),
+        code_name=st.sampled_from(sorted(CODES)), field=st.sampled_from(sorted(FIELDS)),
+        groups=st.integers(3, 8), short=st.integers(0, 20),
         seed=st.integers(0, 255), width=st.sampled_from([3, 10]), crashed=st.sets(servers, max_size=2),
     )
-    def start(self, code_name, groups, short, seed, width, crashed):
-        """Pick the code, write a striped file of three groups or more while
-        every server is up, then crash up to two servers."""
-        self.factory = CODES[code_name]
+    def start(self, code_name, field, groups, short, seed, width, crashed):
+        """Pick the code and its field, write a striped file of three groups
+        or more while every server is up, then crash up to two servers."""
+        self.factory = lambda: CODES[code_name](FIELDS[field])
         self.code = self.factory()
-        self.decodes = DECODES.setdefault(code_name, {})  # live blocks -> can_decode
+        self.decodes = DECODES.setdefault((code_name, field), {})  # live blocks -> can_decode
         self.write_striped(groups * self.code.k * self.code.N * width - short, seed, width)
         for server in sorted(crashed):
             self.cluster.fail(server)
