@@ -124,8 +124,9 @@ void repro_crc32_rows(const uint8_t *base, ptrdiff_t row_stride,
                       size_t nrows, size_t row_bytes, uint32_t *out);
 void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
                         uint32_t *out);
-int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
-                        char *dest, size_t dest_len, const int64_t *windows, uint32_t *out);
+int64_t repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                            char *dest, size_t dest_len, const int64_t *windows,
+                            const uint32_t *expected, int64_t *bad);
 int repro_gf8_gather(const uint8_t *tables, const uint8_t *vec, const uint8_t *coeffs,
                      char **bases, const int64_t *geometry, size_t nranges,
                      const int32_t *cols, const int32_t *rows, int32_t m, int32_t n,
@@ -425,18 +426,25 @@ void repro_crc32_ranges(char **bases, const int64_t *geometry, size_t nranges,
     }
 }
 
-/* repro_crc32_ranges that also delivers: range r's rows, laid end to end,
- * have their bytes windows[3r + 1] .. windows[3r + 2] copied to dest +
+/* A check of range rows that also delivers: range r's rows, laid end to
+ * end, have their bytes windows[3r + 1] .. windows[3r + 2] copied to dest +
  * windows[3r].  Each row is taken a block of at most GATHER_BLOCK bytes at
  * a time: the part of the block inside the window is copied, then the
  * whole block is folded into the row's CRC while it is still in cache, so
- * every row is hashed whole and every byte returned is read once.
- * Returns -1, having written nothing, when a window does not lie inside
- * its range's rows or inside the dest_len bytes at dest; else 0. */
-int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
-                        char *dest, size_t dest_len, const int64_t *windows, uint32_t *out)
+ * every row is hashed whole and every byte returned is read once.  Each
+ * row's CRC is compared with its expected one (`expected` holds those of
+ * every row of every range back to back, as repro_crc32_ranges writes
+ * them), and unless `bad` is NULL the index of each range with a row that
+ * differs goes to `bad`, in order.  Returns -1, having written nothing,
+ * when a window does not lie inside its range's rows or inside the
+ * dest_len bytes at dest; else the number of ranges with a row that
+ * differs. */
+int64_t repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
+                            char *dest, size_t dest_len, const int64_t *windows,
+                            const uint32_t *expected, int64_t *bad)
 {
     size_t r, total = 0;
+    int64_t nbad = 0;
     int wide;
     for (r = 0; r < nranges; r++) {
         const int64_t *w = windows + 3 * r;
@@ -451,6 +459,7 @@ int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
         uint8_t *to = (uint8_t *)dest + windows[0];
         size_t nrows = (size_t)geometry[1], width = (size_t)geometry[2];
         size_t lo = (size_t)windows[1], hi = (size_t)windows[2], at, i;
+        int differs = 0;
         /* at: where the row starts among the range's bytes */
         for (i = 0, at = 0; i < nrows; i++, row += geometry[0], at += width) {
             uint32_t crc = 0xffffffffu;
@@ -461,10 +470,14 @@ int repro_crc32_deliver(char **bases, const int64_t *geometry, size_t nranges,
                 if (a < b) memcpy(to + (a - lo), row + (a - at), b - a);
                 crc = crc32_run(crc, row + s0, w, wide);
             }
-            *out++ = ~crc;
+            differs |= ~crc != *expected++;
+        }
+        if (differs) {
+            if (bad) bad[nbad] = (int64_t)r;
+            nbad++;
         }
     }
-    return 0;
+    return nbad;
 }
 #endif
 
@@ -1061,6 +1074,7 @@ class NativeBackend:
         #: (:meth:`crc32_rows`); without it callers stay on ``zlib``.
         self.has_crc32 = bool(lib.repro_native_clmul())
         self._crc_out = ffi.typeof("uint32_t[]")
+        self._index_out = ffi.typeof("int64_t[]")
 
     # ------------------------------------------------------------ helpers
 
@@ -1234,24 +1248,34 @@ class NativeBackend:
         self._lib.repro_crc32_ranges(bases, geometry, len(bases), out)  # the lists pass as C arrays
         return ffi.unpack(out, total)
 
-    def crc32_deliver(self, bases: list, geometry: list[int], dest, windows: list[int]) -> list[int]:
-        """:meth:`crc32_ranges` that copies the bytes a read returns as it
-        hashes them: range ``r``'s rows laid end to end, bytes
-        ``windows[3r + 1]`` to ``windows[3r + 2]`` of them, land at byte
-        ``windows[3r]`` of ``dest`` (a buffer the caller may write, a new
-        ``bytes`` it is filling included).  Every row is hashed whole,
-        each cache block of it right after its part of the window is
-        copied.  A window outside its range or outside ``dest`` raises
-        ``ValueError`` before anything is written.  Only valid when
-        :attr:`has_crc32`.
+    def crc32_deliver(self, bases: list, geometry: list[int], dest, windows: list[int], expected: list[int]) -> list[int]:
+        """A check of :meth:`crc32_ranges`'s row ranges against the CRCs
+        ``expected`` of every row of every range, back to back, that copies
+        the bytes a read returns as it hashes them; returns the indices of
+        the ranges with a row whose CRC differs, in order (none: ``[]``).
+
+        Range ``r``'s rows laid end to end, bytes ``windows[3r + 1]`` to
+        ``windows[3r + 2]`` of them, land at byte ``windows[3r]`` of
+        ``dest`` (a buffer the caller may write, a new ``bytes`` it is
+        filling included).  Every row is hashed whole, each cache block of
+        it right after its part of the window is copied.  A window outside
+        its range or outside ``dest`` raises ``ValueError`` before anything
+        is written.  Only valid when :attr:`has_crc32`.
         """
-        ffi = self._ffi
-        total = sum(geometry[1::3])
-        out = ffi.new(self._crc_out, total)
-        buf = ffi.from_buffer(dest)
-        if self._lib.repro_crc32_deliver(bases, geometry, len(bases), buf, len(buf), windows, out):
+        ffi, call = self._ffi, self._lib.repro_crc32_deliver
+        # A bytes object passes as the address of its own buffer, the one
+        # from_buffer would give.
+        buf = dest if type(dest) is bytes else ffi.from_buffer(dest)
+        nbad = call(bases, geometry, len(bases), buf, len(buf), windows, expected, ffi.NULL)
+        if nbad < 0:
             raise ValueError("crc32_deliver: a window lies outside its range or outside the output")
-        return ffi.unpack(out, total)
+        if not nbad:  # the common verdict, which needs no array for the ranges' indices
+            return []
+        # Rows differ (rot): the same call again, naming them, copies the
+        # same bytes to the same places.
+        bad = ffi.new(self._index_out, nbad)
+        call(bases, geometry, len(bases), buf, len(buf), windows, expected, bad)
+        return ffi.unpack(bad, nbad)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         simd = {3: "avx512-gfni", 2: "avx2"}.get(self.simd_level, "scalar")

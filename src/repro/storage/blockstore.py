@@ -468,24 +468,25 @@ class BlockStore:
         window may hold anything, a mismatched range's bytes included.
         """
         disks = self._disks
-        faulted = self._faulted if self.fault_model is not None else None
         servers = self.cluster.servers
         backend = self._crc_backend
-        deliver = into is not None and faulted is None
+        clean = self.fault_model is None
+        deliver = into is not None and clean
         # One or two ranges are checked range by range unless they are
         # delivered: the shared pass would cost its bookkeeping on top of the
         # same CRC work.
         own_check = verify and len(ranges) <= 2 and not deliver
         shared = verify and not own_check
-        views: list[np.ndarray | None] = []
         plain: list[tuple | None] = []
-        # Per range: rows the shared pass checks, and so vouches for unless
-        # they mismatch — an attempt that returns them verbatim need not
-        # check them again.
-        vouched: list[bool] = []
-        # The shared pass: per range it checks, (range, rows); the rows'
-        # addresses and geometry for the native call; the CRCs they must have.
-        wanted: list[tuple[int, int]] = []
+        # Per range off the plain path: its rows (None where it has none) and
+        # whether the shared pass checks them, and so vouches for them unless
+        # they mismatch — an attempt that returns them verbatim need not check
+        # them again.
+        bound: dict[int, tuple] = {}
+        # The shared pass: the ranges it checks; their rows' addresses and
+        # geometry for the native call, or their CRCs by zlib; the CRCs they
+        # must have.
+        checked: list[int] = []
         bases: list = []
         geometry: list[int] = []
         got: list[int] = []
@@ -500,48 +501,51 @@ class BlockStore:
                     view = block
                 elif start >= 0 and start + count <= len(block):
                     view = block[start : start + count]
-            views.append(view)
             if view is None or view.ndim != 2:
                 plain.append(None)
-                vouched.append(False)
+                bound[i] = view, False
                 continue
             server = servers[server_id]
+            up = not server.failed
             # A down server's rows are not checked: every attempt there fails.
-            checked = shared and not server.failed and (backend is None or where is not None)
-            booked = None
-            if faulted is None and count and not server.failed and (checked or not shared):
-                if not own_check or self._row_crcs(view) == crcs[start : start + count]:
-                    nbytes = view.nbytes
-                    booked = (view, nbytes, nbytes / server.disk_bandwidth)
-            plain.append(booked)
-            vouched.append(checked)
-            if checked:
+            check = shared and up and (backend is None or where is not None)
+            if check:
+                checked.append(i)
                 if backend is None:
                     got += _zlib_row_crcs(view)
                 else:
                     stride = block.strides[0]
                     bases.append(where + start * stride if start else where)
                     geometry += (stride, count, block.shape[1] * block.itemsize)
-                wanted.append((i, count))
                 expected += crcs if view is block else crcs[start : start + count]
-        if not shared:
-            vouched = plain  # each plain range's rows were checked where it was bound
-        else:
-            if bases and deliver:
-                output, windows = into
-                if len(bases) < len(ranges):  # only the windows of the ranges checked
-                    windows = [w for i, _ in wanted for w in windows[3 * i : 3 * i + 3]]
-                got = backend.crc32_deliver(bases, geometry, output(), windows)
-            elif bases:
+            if clean and count and up and (check or not shared) and (
+                not own_check or self._row_crcs(view) == crcs[start : start + count]
+            ):
+                nbytes = view.nbytes
+                plain.append((view, nbytes, nbytes / server.disk_bandwidth))
+            else:
+                plain.append(None)
+                bound[i] = view, check
+        bad = ()
+        if bases and deliver:
+            output, windows = into
+            if len(bases) < len(ranges):  # only the windows of the ranges checked
+                windows = [w for i in checked for w in windows[3 * i : 3 * i + 3]]
+            bad = backend.crc32_deliver(bases, geometry, output(), windows, expected)
+        elif checked:
+            if bases:
                 got = backend.crc32_ranges(bases, geometry)
             if got != expected:  # not the common case: judge range by range
-                pos = 0
-                for i, count in wanted:
-                    stop = pos + count
+                bad, stop = [], 0
+                for n, i in enumerate(checked):
+                    pos, stop = stop, stop + ranges[i][4]
                     if got[pos:stop] != expected[pos:stop]:
-                        vouched[i] = False
-                        plain[i] = None
-                    pos = stop
+                        bad.append(n)
+        for n in bad:  # rows that mismatched: off the plain path, and not vouched for
+            i = checked[n]
+            booked = plain[i]
+            plain[i] = None
+            bound[i] = (bound[i][0] if booked is None else booked[0]), False
         server_of = self.cluster.server
         add = self.metrics.add
 
@@ -550,23 +554,24 @@ class BlockStore:
             server = server_of(server_id)
             if server.failed:
                 self._check_up(server_id, file_name, block_id)
-            view = views[i]
+            booked = plain[i]
+            view, vouched = bound[i] if booked is None else (booked[0], True)
             if view is None:
                 block = self._stored(server_id, file_name, block_id)[1]
                 raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
             nbytes = view.nbytes
             add("disk_bytes_read", nbytes, server_id)
             add("blocks_read", 1 if count else 0, server_id)
-            if faulted is None:
+            if clean:
                 data, latency = view, nbytes / server.disk_bandwidth
             else:
-                data, latency = faulted(server_id, file_name, block_id, view)
+                data, latency = self._faulted(server_id, file_name, block_id, view)
             add("read_latency", latency, server_id)
-            if verify and (data is not view or not vouched[i]):
+            if verify and (data is not view or not vouched):
                 self._check_rows(server_id, file_name, block_id, data, start)
             return data, latency
 
-        return read, plain if faulted is None else None
+        return read, plain if clean else None
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
         """Read ``count`` stripes starting at ``start`` from one block."""

@@ -59,8 +59,7 @@ import numpy as np
 from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
 from repro.storage.blockstore import BlockStore, BlockUnavailableError, TransientReadError
-from repro.storage import health as health_module
-from repro.storage.health import CLOSED, HealthMonitor
+from repro.storage.health import ALPHA, CLOSED, HealthMonitor
 
 #: Total tries per read (1 = no retries).
 MAX_ATTEMPTS = 4
@@ -75,6 +74,9 @@ JITTER = 0.5
 #: the bytes returned) at which an attempt counts as failed — a deadline
 #: relative to the size of the read, so big blocks don't spuriously time out.
 READ_TIMEOUT = 0.5
+
+#: What an EWMA of the health monitor keeps of its value per sample.
+_KEEP = 1 - ALPHA
 
 
 def _backoff(retry: int, rng: random.Random) -> float:
@@ -148,13 +150,13 @@ class ResilientBlockClient:
         """
         attempt, plain = self.store._range_reader(ranges, True, into)
         delivered = None if into is None else [False] * len(ranges)
-        health, metrics, clock = self.health, self.metrics, self.clock
-        # The book of plain ranges: their servers' health, and once the
-        # first is booked, the three store counters, the factors of
-        # record_success's averages and the running totals.  A closed
-        # breaker has no probe in flight, so record_success would leave
-        # ``probe_inflight`` and ``state`` as they are.
-        states: dict = {}
+        health = self.health
+        known = health._servers
+        # The book of plain ranges: once the first is booked, the three store
+        # counters, and the running totals, clock and samples of the run of
+        # plain ranges being booked.  A closed breaker has no probe in
+        # flight, so record_success would leave ``probe_inflight`` and
+        # ``state`` as they are.
         counters = None
         booking = False
         out: list[np.ndarray | None] = []
@@ -169,20 +171,17 @@ class ResilientBlockClient:
             server_id = target[0]
             booked = None
             if plain is not None:
-                h = states.get(server_id)
-                if h is None:
-                    h = states[server_id] = health.server(server_id)
+                h = known.get(server_id) or health.server(server_id)
                 if h.state == CLOSED:
                     booked = plain[i]
             if booked is not None:
                 data, nbytes, latency = booked
                 if not booking:
                     if counters is None:
-                        counters = read_bytes, read_blocks, read_time = metrics._read_counters()
+                        counters = read_bytes, read_blocks, read_time = self.metrics._read_counters()
                         by_bytes, by_blocks, by_time = read_bytes.by_server, read_blocks.by_server, read_time.by_server
-                        keep, alpha = 1 - health_module.ALPHA, health_module.ALPHA
                     bytes_total, blocks_total, time_total = read_bytes.total, read_blocks.total, read_time.total
-                    now = clock.now
+                    now = self.clock.now
                     samples = []
                     booking = True
                 bytes_total += nbytes
@@ -196,8 +195,8 @@ class ResilientBlockClient:
                 samples.append(latency)
                 h.successes += 1
                 h.consecutive_errors = 0
-                h.ewma_latency = keep * h.ewma_latency + alpha * latency
-                h.error_rate = keep * h.error_rate
+                h.ewma_latency = _KEEP * h.ewma_latency + ALPHA * latency
+                h.error_rate = _KEEP * h.error_rate
                 out.append(data)
                 if delivered is not None:
                     delivered[i] = True
@@ -205,6 +204,7 @@ class ResilientBlockClient:
             if booking:
                 self._write_back(counters, bytes_total, blocks_total, time_total, samples, now)
                 booking = False
+            metrics, clock = self.metrics, self.clock
             file_name, block_id = target[1], target[2]
             failure = None
             if not health.allow_request(server_id):

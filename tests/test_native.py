@@ -568,11 +568,12 @@ class TestIsaPaths:
             assert backend.crc32_ranges(bases, geometry) == [crc for crcs in want for crc in crcs], backend
 
     def test_crc32_deliver_copies_each_window_as_it_hashes(self, request):
-        """``crc32_deliver`` is ``crc32_ranges`` plus a copy of each range's
-        window: ranges of every width (unaligned rows apart by more than
-        their width, 40 000 bytes a row over two cache blocks), windows
+        """``crc32_deliver`` is a ``crc32_ranges`` check plus a copy of each
+        range's window: ranges of every width (unaligned rows apart by more
+        than their width, 40 000 bytes a row over two cache blocks), windows
         whole, cut at both ends, inside one row, and empty, in one short
-        call and in one past the 512-bit fold's threshold.  Bytes outside
+        call and in one past the 512-bit fold's threshold.  It names exactly
+        the ranges with a row whose expected CRC differs.  Bytes outside
         the windows are left as they were."""
         rng = np.random.default_rng(11)
         blocks = [
@@ -596,14 +597,22 @@ class TestIsaPaths:
                     expect[at : at + hi - lo] = rows.reshape(-1)[lo:hi]
                     want += [zlib.crc32(row.tobytes()) for row in rows]
                     at += hi - lo
-                assert backend.crc32_deliver(bases, geometry, dest, windows) == want, backend
+                assert backend.crc32_deliver(bases, geometry, dest, windows, want) == [], backend
                 assert backend.crc32_ranges(bases, geometry) == want, backend
+                assert np.array_equal(dest, expect), backend
+                # A range is named when one of its rows differs: the first row
+                # of the first range, the last of the third and of the last.
+                ends = np.cumsum([rows.shape[0] for rows in ranges])
+                wrong = list(want)
+                for row in (0, ends[2] - 1, ends[-1] - 1):
+                    wrong[row] ^= 1
+                assert backend.crc32_deliver(bases, geometry, dest, windows, wrong) == [0, 2, len(ranges) - 1]
                 assert np.array_equal(dest, expect), backend
                 # A window past the output or past its range's rows writes nothing.
                 size = ranges[-1].size
                 for bad in ((dest.size - 1, 0, 2), (0, size, size + 1), (0, 2, 1), (-1, 0, 1)):
                     with pytest.raises(ValueError):
-                        backend.crc32_deliver(bases, geometry, dest, windows[:-3] + list(bad))
+                        backend.crc32_deliver(bases, geometry, dest, windows[:-3] + list(bad), want)
                     assert np.array_equal(dest, expect), backend
 
 
