@@ -15,11 +15,17 @@ write stores its blocks) against the gather followed by one
 bytes and CRCs, and the same for each rebuild plan on the XOR executor
 (which folds its output rows' CRCs as the gather does).  Then
 ``crc32_rows`` GB/s per row size over about 1 MiB of rows (in cache) and
-16 MiB (past L2); last, at the same sizes, a read's delivering pass
+16 MiB (past L2); then, at the same sizes, a read's delivering pass
 (``crc32_deliver`` into a new ``bytes``: ranges of seven rows, the first
 and last cut a third of a row in, as an extent's ends are) against the
 ``crc32_ranges`` check followed by a ``b"".join`` of the windows, asserting
-that both give the same bytes and CRCs::
+that both give the same bytes and CRCs.  Then the delivering call at an
+extent's shape: a 4 KiB window in one range and split over two, over the
+2 340- and 16 380-byte rows of ``striped_io``'s Galloper and RS blocks,
+timed as the store calls it (``NativeBackend.crc32_deliver``, Python lists
+in) and as the bare C call on arguments already converted to C arrays, with
+the binding's share of the call (asserting that both write the same bytes
+and find every row's CRC as ``zlib`` computes it)::
 
     PYTHONPATH=src python benchmarks/native_speeds.py [--library SO]
 
@@ -35,6 +41,7 @@ import argparse
 import pathlib
 import statistics
 import time
+import zlib
 
 import numpy as np
 
@@ -58,6 +65,12 @@ CRC_ROWS = (256, 2_340, 9_363, 16_380, 65_536, 149_796, 1_048_572)
 CRC_TOTALS = {"in cache": 1 << 20, "past L2": 16 << 20}
 #: Rows per range of a delivering read: a Galloper(4,2,1) block's seven.
 RANGE_ROWS = 7
+#: An extent's window: ``striped_io`` reads 4 KiB extents.
+EXTENT_BYTES = 4096
+#: Row bytes of ``striped_io``'s Galloper(4,2,1) and RS(4,3) blocks.
+EXTENT_ROWS = (2_340, 16_380)
+#: Delivering calls per timed loop at an extent's shape.
+EXTENT_CALLS = 2000
 ROUNDS = 7
 REPEATS = 3
 
@@ -131,11 +144,69 @@ def read_ranges(backend, rows: np.ndarray):
     return bases, geometry, windows, at
 
 
-def deliver(backend, ranges) -> tuple[bytes, list[int]]:
-    """The bytes a read returns and its rows' CRCs, from one delivering call."""
+def deliver(backend, ranges, expected) -> tuple[bytes, list[int]]:
+    """The bytes a read returns, and the ranges whose rows' CRCs differ from
+    ``expected``, from one delivering call."""
     bases, geometry, windows, nbytes = ranges
     data = _new_bytes(None, nbytes)
-    return data, backend.crc32_deliver(bases, geometry, data, windows)
+    return data, backend.crc32_deliver(bases, geometry, data, windows, expected)
+
+
+def extent_ranges(backend, row_bytes: int, split: bool, rng):
+    """A 4 KiB extent's ranges over rows of ``row_bytes``: one range from a
+    third of a row in, or two, the last 2 KiB of one block's rows and the
+    first 2 KiB of the next block's.  Returns ``(bases, geometry, windows,
+    expected CRCs, blocks)``."""
+    half, start = EXTENT_BYTES // 2, row_bytes // 3
+    if split:
+        nrows = -(-half // row_bytes)
+        parts = [(nrows, nrows * row_bytes - half, nrows * row_bytes), (nrows, 0, half)]
+    else:
+        parts = [(-(-(start + EXTENT_BYTES) // row_bytes), start, start + EXTENT_BYTES)]
+    bases, geometry, windows, expected, blocks, at = [], [], [], [], [], 0
+    for nrows, lo, hi in parts:
+        block = rng.integers(0, 256, size=(nrows, row_bytes), dtype=np.uint8)
+        blocks.append(block)
+        bases.append(backend.row_buffer(block))
+        geometry += (row_bytes, nrows, row_bytes)
+        windows += (at, lo, hi)
+        expected += [zlib.crc32(row) for row in block]
+        at += hi - lo
+    assert at == EXTENT_BYTES
+    return bases, geometry, windows, expected, blocks
+
+
+def extent_table(backend, rng) -> None:
+    """The delivering call at an extent's shape: µs per call through the
+    binding and as the bare C call, and the binding's share."""
+    ffi, call = backend._ffi, backend._lib.repro_crc32_deliver
+    print("\n| row bytes | ranges | `crc32_deliver` µs | C call µs | binding share |")
+    print("|---" * 5 + "|")
+    for row_bytes in EXTENT_ROWS:
+        for split in (False, True):
+            bases, geometry, windows, expected, blocks = extent_ranges(backend, row_bytes, split, rng)
+            flat = [block.reshape(-1) for block in blocks]
+            want = b"".join(f[windows[3 * r + 1] : windows[3 * r + 2]].tobytes() for r, f in enumerate(flat))
+            dest, bare = bytes(EXTENT_BYTES), bytearray(EXTENT_BYTES)
+            assert backend.crc32_deliver(bases, geometry, dest, windows, expected) == [] and dest == want
+            c_args = (
+                ffi.new("char *[]", bases), ffi.new("int64_t[]", geometry), len(bases),
+                ffi.from_buffer(bare), EXTENT_BYTES, ffi.new("int64_t[]", windows),
+                ffi.new("uint32_t[]", expected), ffi.NULL,
+            )
+            assert call(*c_args) == 0 and bytes(bare) == want
+
+            def through_binding():
+                for _ in range(EXTENT_CALLS):
+                    backend.crc32_deliver(bases, geometry, dest, windows, expected)
+
+            def bare_call():
+                for _ in range(EXTENT_CALLS):
+                    call(*c_args)
+
+            binding, c_only = (t / EXTENT_CALLS * 1e6 for t in median_best(through_binding, bare_call))
+            print(f"| {row_bytes} | {len(bases)} | {binding:.2f} | {c_only:.2f} | "
+                  f"{(binding - c_only) / binding:.0%} |", flush=True)
 
 
 def check_then_join(backend, ranges, chunks) -> tuple[bytes, list[int]]:
@@ -252,10 +323,15 @@ def main(argv: list[str] | None = None) -> int:
                     flat[row0 * row_bytes + windows[3 * r + 1] : row0 * row_bytes + windows[3 * r + 2]]
                     for r, row0 in enumerate(range(0, len(rows), RANGE_ROWS))
                 ]
-                assert deliver(backend, ranges) == check_then_join(backend, ranges, chunks), (row_bytes, label)
-                seconds = median_best(lambda: deliver(backend, ranges), lambda: check_then_join(backend, ranges, chunks))
+                expected = [zlib.crc32(row) for row in rows]
+                data, bad = deliver(backend, ranges, expected)
+                assert bad == [] and (data, expected) == check_then_join(backend, ranges, chunks), (row_bytes, label)
+                seconds = median_best(
+                    lambda: deliver(backend, ranges, expected), lambda: check_then_join(backend, ranges, chunks)
+                )
                 cells = [f"{ranges[3] / t / 1e9:.1f}" for t in seconds]
                 print(f"| {row_bytes} | {label} | " + " | ".join(cells) + f" | {seconds[1] / seconds[0]:.2f} |", flush=True)
+        extent_table(backend, rng)
     return 0
 
 

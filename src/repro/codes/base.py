@@ -253,6 +253,12 @@ class DecodePlan:
     _runs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
 
+#: Windows a :class:`ReadPlan` keeps the runs of: every window of a layout
+#: of up to 90 stripes (Galloper(4,2,1) has 28); a wider one keeps those
+#: asked for first.
+_WITHIN_KEPT = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class ReadPlan:
     """A code's stripe layout, compiled once for every read path.
@@ -277,6 +283,9 @@ class ReadPlan:
     runs: tuple[tuple[int, int, int, int], ...]
     starts: tuple[int, ...]
     holders: tuple[tuple[int, int], ...]
+    # runs_within's answers by (start, stop): reads ask for the same few
+    # windows of a fixed layout over and over.
+    _within: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def compile(cls, block_infos, total: int) -> ReadPlan:
@@ -303,12 +312,16 @@ class ReadPlan:
             runs.append((block, row, 1, fs))
         return cls(runs=tuple(runs), starts=tuple(r[3] for r in runs), holders=tuple(holders))
 
-    def runs_within(self, start: int, stop: int) -> list[tuple[int, int, int, int]]:
+    def runs_within(self, start: int, stop: int) -> tuple[tuple[int, int, int, int], ...]:
         """The runs covering file stripes ``[start, stop)``, clipped to it
         (``start <`` the stripe total): a slice of :attr:`runs`, its first
-        and last run cut to the range."""
+        and last run cut to the range.  The first :data:`_WITHIN_KEPT`
+        windows asked for are kept."""
+        runs = self._within.get((start, stop))
+        if runs is not None:
+            return runs
         if start >= stop:
-            return []
+            return ()
         starts = self.starts
         runs = list(self.runs[max(bisect_right(starts, start) - 1, 0) : bisect_left(starts, stop)])
         block, row0, nrows, fs0 = runs[0]
@@ -317,6 +330,9 @@ class ReadPlan:
         block, row0, nrows, fs0 = runs[-1]
         if fs0 + nrows > stop:
             runs[-1] = block, row0, stop - fs0, fs0
+        runs = tuple(runs)
+        if len(self._within) < _WITHIN_KEPT:
+            self._within[start, stop] = runs
         return runs
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 
@@ -489,7 +490,7 @@ class BlockStore:
         checked: list[int] = []
         bases: list = []
         geometry: list[int] = []
-        got: list[int] = []
+        got: list[int] | None = [] if backend is None else None
         expected: list[int] = []
         for i, (server_id, file_name, block_id, start, count) in enumerate(ranges):
             disk = disks.get(server_id)
@@ -546,32 +547,33 @@ class BlockStore:
             booked = plain[i]
             plain[i] = None
             bound[i] = (bound[i][0] if booked is None else booked[0]), False
-        server_of = self.cluster.server
+        return partial(self._attempt, ranges, verify, plain, bound), plain if clean else None
+
+    def _attempt(self, ranges: list[tuple], verify: bool, plain: list, bound: dict, i: int) -> tuple[np.ndarray, float]:
+        """One attempt at range ``i`` of a :meth:`_range_reader` batch, bound
+        to the batch's ``plain`` rows and ``bound`` ``(rows, vouched)`` of
+        the ranges off the plain path."""
+        server_id, file_name, block_id, start, count = ranges[i]
+        server = self.cluster.server(server_id)
+        if server.failed:
+            self._check_up(server_id, file_name, block_id)
+        booked = plain[i]
+        view, vouched = bound[i] if booked is None else (booked[0], True)
+        if view is None:
+            block = self._stored(server_id, file_name, block_id)[1]
+            raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
         add = self.metrics.add
-
-        def read(i: int) -> tuple[np.ndarray, float]:
-            server_id, file_name, block_id, start, count = ranges[i]
-            server = server_of(server_id)
-            if server.failed:
-                self._check_up(server_id, file_name, block_id)
-            booked = plain[i]
-            view, vouched = bound[i] if booked is None else (booked[0], True)
-            if view is None:
-                block = self._stored(server_id, file_name, block_id)[1]
-                raise StorageError(f"stripe range [{start}, {start+count}) outside block of {block.shape[0]}")
-            nbytes = view.nbytes
-            add("disk_bytes_read", nbytes, server_id)
-            add("blocks_read", 1 if count else 0, server_id)
-            if clean:
-                data, latency = view, nbytes / server.disk_bandwidth
-            else:
-                data, latency = self._faulted(server_id, file_name, block_id, view)
-            add("read_latency", latency, server_id)
-            if verify and (data is not view or not vouched):
-                self._check_rows(server_id, file_name, block_id, data, start)
-            return data, latency
-
-        return read, plain if clean else None
+        nbytes = view.nbytes
+        add("disk_bytes_read", nbytes, server_id)
+        add("blocks_read", 1 if count else 0, server_id)
+        if self.fault_model is None:
+            data, latency = view, nbytes / server.disk_bandwidth
+        else:
+            data, latency = self._faulted(server_id, file_name, block_id, view)
+        add("read_latency", latency, server_id)
+        if verify and (data is not view or not vouched):
+            self._check_rows(server_id, file_name, block_id, data, start)
+        return data, latency
 
     def read_rows(self, server_id: int, file_name: str, block_id: int, start: int, count: int) -> np.ndarray:
         """Read ``count`` stripes starting at ``start`` from one block."""
