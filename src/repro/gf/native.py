@@ -1248,7 +1248,9 @@ class NativeBackend:
         self._lib.repro_crc32_ranges(bases, geometry, len(bases), out)  # the lists pass as C arrays
         return ffi.unpack(out, total)
 
-    def crc32_deliver(self, bases: list, geometry: list[int], dest, windows: list[int], expected: list[int]) -> list[int]:
+    def crc32_deliver(
+        self, bases: list, geometry: list[int], dest, windows: list[int], expected: list[int]
+    ) -> list[int]:
         """A check of :meth:`crc32_ranges`'s row ranges against the CRCs
         ``expected`` of every row of every range, back to back, that copies
         the bytes a read returns as it hashes them; returns the indices of

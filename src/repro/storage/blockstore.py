@@ -23,10 +23,10 @@ C call — a batch of writes hashes all its blocks in one call
 do, are one row range read through one handle), and a batch of row-range
 reads checks all its ranges in one call (:meth:`BlockStore._range_reader`)
 at the addresses the records keep — for a read that returns the bytes,
-the call that copies them into the output as it hashes them, so each
-byte returned is read from its block once; everything else, and every host
-without it, uses ``zlib.crc32`` — the stored values are the same either
-way.  A write hands over the row CRCs its encode folded as it wrote the
+the call that copies them into the output as it hashes them and compares
+the CRCs, so each byte returned is read from its block once; everything
+else, and every host without it, uses ``zlib.crc32`` — the stored values
+are the same either way.  A write hands over the row CRCs its encode folded as it wrote the
 blocks, and the store hashes none of those rows again.
 """
 
@@ -453,7 +453,11 @@ class BlockStore:
         one block and that latency to the three counters; a caller that
         takes ``plain[i]`` makes those steps itself.  ``None`` for every
         other range, and ``plain`` is ``None`` when a fault model is
-        installed.
+        installed.  The pass that binds the ranges makes that booking:
+        what a range that stays plain needs is computed once, and only a
+        range off the plain path (not held, off its block, 1-D, on a down
+        server, mismatched, or any range under a fault model) keeps its
+        rows and verdict for ``read`` (:meth:`_attempt`).
 
         ``into``, given with ``verify`` on a store with the kernel by a read
         that returns the rows' bytes, is ``(output, windows)``: ``output()``
@@ -463,10 +467,12 @@ class BlockStore:
         laid end to end belong at byte ``at`` of it.  Where no fault model
         is installed the pass is then shared whatever the batch's size, and
         it delivers: it asks for the output, and one ``crc32_deliver`` call
-        copies each window as it hashes the rows, so the read makes one
-        pass over the bytes it returns.  ``plain[i]`` is then not ``None`` only for a
-        range whose rows matched and whose window holds them; every other
-        window may hold anything, a mismatched range's bytes included.
+        copies each window as it hashes the rows and compares their CRCs
+        with the records', naming only the ranges that mismatch, so the
+        read makes one pass over the bytes it returns.  ``plain[i]`` is
+        then not ``None`` only for a range whose rows matched and whose
+        window holds them; every other window may hold anything, a
+        mismatched range's bytes included.
         """
         disks = self._disks
         servers = self.cluster.servers
