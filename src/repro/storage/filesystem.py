@@ -502,14 +502,15 @@ class DistributedFileSystem:
 
         ``out`` takes exactly those symbols, and is returned: a writable
         1-D array (a uint8 payload byte per symbol, or a grid of the
-        field's symbols), or the length of a new :data:`_new_bytes` object,
-        made when first needed.  Each run has its place in it: its window
+        field's symbols), or the length of a new ``bytes`` (made as the
+        end of this docstring says).  Each run has its place in it: its window
         of symbols, less what is trimmed, at the offset those take.  Every
         run of every file is read in one batch
         (:meth:`_read_available_stripes`); over GF(2^8), on a store with
         the native CRC kernel, that batch's CRC pass copies each run's
         window into place as it hashes the rows, and a run the pass
-        vouched for and the client returned verbatim is done.  The runs
+        vouched for and the client returned verbatim is done (a batch that
+        delivered every run has nothing left to fill or copy).  The runs
         that could not be read are filled together by :meth:`_recover`
         (under a span named ``degraded_span``, if given), and every run not
         yet done — a mismatched or retried range, a rebuilt one, every run

@@ -192,7 +192,7 @@ class StripedFileSystem:
         of every group it touches are read in one batch, and the groups
         with runs it could not read are recovered together.
         """
-        meta = self.striped.get(name) or self.file(name)
+        meta = self.file(name)
         if offset < 0:
             raise FileSystemError("negative offset")
         length = min(length, meta.original_size - offset)
@@ -202,12 +202,9 @@ class StripedFileSystem:
         first = offset // group_payload
         base = first * group_payload
         end = offset + length - base  # the extent's end in the groups from ``first`` on
-        file = self.dfs.file
-        if end <= group_payload:  # most extents: inside one group
-            groups = [file(group_name(name, first))]
-        else:
-            groups = [file(group_name(name, g)) for g in range(first, first + 1 + (end - 1) // group_payload)]
-        return self.dfs._read(groups, length, offset - base, end, _DEGRADED_SPAN)
+        dfs = self.dfs
+        groups = [dfs.file(group_name(name, g)) for g in range(first, first + 1 + (end - 1) // group_payload)]
+        return dfs._read(groups, length, offset - base, end, _DEGRADED_SPAN)
 
     def read_file(self, name: str) -> bytes:
         """Read the whole file: every group delivered into one new ``bytes``.
