@@ -26,8 +26,9 @@ at the addresses the records keep — for a read that returns the bytes,
 the call that copies them into the output as it hashes them and compares
 the CRCs, so each byte returned is read from its block once; everything
 else, and every host without it, uses ``zlib.crc32`` — the stored values
-are the same either way.  A write hands over the row CRCs its encode folded as it wrote the
-blocks, and the store hashes none of those rows again.
+are the same either way.  A write hands over the row CRCs its encode
+folded as it wrote the blocks, and the store hashes none of those rows
+again.
 """
 
 from __future__ import annotations
