@@ -497,7 +497,7 @@ class BlockStore:
         checked: list[int] = []
         bases: list = []
         geometry: list[int] = []
-        got: list[int] | None = [] if backend is None else None
+        got: list[int] = []
         expected: list[int] = []
         for i, (server_id, file_name, block_id, start, count) in enumerate(ranges):
             disk = disks.get(server_id)

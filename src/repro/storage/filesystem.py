@@ -548,7 +548,9 @@ class DistributedFileSystem:
                 b = min(nrows * size, end - c)
                 places += (at + c + a - head, a, b) if b > a else (0, 0, 0)
             at += end - head
-        if type(out) is int and out > _ZEROED_BYTES:
+        if type(out) is int and out <= _ZEROED_BYTES:
+            out = bytes(out)
+        if type(out) is int:
             made = []
 
             def output():
@@ -557,7 +559,7 @@ class DistributedFileSystem:
                 return made[0]
 
         else:
-            output = repeat(bytes(out) if type(out) is int else out).__next__
+            output = repeat(out).__next__  # the output itself, each time it is asked for
         deliver = files[0].code.gf.q == 8 and self.store._crc_backend is not None
         pieces, delivered = self._read_available_stripes(spans, (output, places) if deliver else None)
         # A delivered run was read, so a batch that delivered every run has none to fill.
